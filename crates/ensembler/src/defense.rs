@@ -15,6 +15,7 @@
 //!   estimation — works against `&dyn Defense` without knowing which defence
 //!   it is probing.
 
+use crate::request::{Features, Maps, ServerRequest};
 use crate::EnsemblerError;
 use ensembler_data::Dataset;
 use ensembler_metrics::accuracy;
@@ -250,6 +251,35 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
         Ok(maps.split_off(lo))
     }
 
+    /// The server stage as one call: evaluates the bodies `request.range`
+    /// (`None` = all of them) on `request.features` at the payload's
+    /// precision.
+    ///
+    /// This is the only place the precision × range product is matched onto
+    /// the four methods above; the engine, the wire server, the remote
+    /// client and the shard router all speak [`ServerRequest`] and end up
+    /// here. Pipelines customise the four methods, not this one, so a
+    /// wrapper that overrides just [`Defense::server_outputs`] still sees
+    /// every full-ensemble `f32` request.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the selected method returns.
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        match (&request.features, &request.range) {
+            (Features::F32(features), None) => self.server_outputs(features).map(Maps::F32),
+            (Features::F32(features), Some(range)) => self
+                .server_outputs_range(features, range.start, range.end)
+                .map(Maps::F32),
+            (Features::Int8(features), None) => {
+                self.server_outputs_quantized(features).map(Maps::Int8)
+            }
+            (Features::Int8(features), Some(range)) => self
+                .server_outputs_quantized_range(features, range.start, range.end)
+                .map(Maps::Int8),
+        }
+    }
+
     /// Applies the client-side post-processing (secret selection and tail
     /// classifier) to the server's feature maps, producing class logits.
     ///
@@ -364,6 +394,71 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_size_is_rejected() {
         let _ = EvalConfig::with_batch_size(0);
+    }
+
+    #[test]
+    fn serve_reaches_exactly_the_method_its_request_names() {
+        use crate::defenses::{DefenseKind, SinglePipeline};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Overrides only `server_outputs`, like the serving tests' gated
+        /// doubles: every `serve` must still funnel through it.
+        #[derive(Debug)]
+        struct Counting(SinglePipeline, AtomicUsize);
+        impl Defense for Counting {
+            fn config(&self) -> &ResNetConfig {
+                self.0.config()
+            }
+            fn label(&self) -> &str {
+                self.0.label()
+            }
+            fn server_bodies(&self) -> &[Sequential] {
+                self.0.server_bodies()
+            }
+            fn selected_count(&self) -> usize {
+                self.0.selected_count()
+            }
+            fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
+                self.0.client_features(images)
+            }
+            fn server_outputs(&self, t: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.server_outputs(t)
+            }
+            fn classify(&self, maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
+                self.0.classify(maps)
+            }
+        }
+
+        let inner =
+            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 5).unwrap();
+        let double = Counting(inner, AtomicUsize::new(0));
+        let features = double
+            .client_features(&Tensor::ones(&[2, 3, 8, 8]))
+            .unwrap();
+        let quantized = QTensorBatch::quantize_batch(&features);
+        let direct = double.0.server_outputs(&features).unwrap();
+
+        let requests = [
+            ServerRequest::full(Features::F32(features.clone())),
+            ServerRequest::ranged(0..1, Features::F32(features.clone())),
+            ServerRequest::full(Features::Int8(quantized.clone())),
+            ServerRequest::ranged(0..1, Features::Int8(quantized.clone())),
+        ];
+        for (served, request) in requests.iter().enumerate() {
+            let maps = double.serve(request).unwrap();
+            assert_eq!(maps.precision(), request.features.precision());
+            assert_eq!(maps.len(), 1);
+            assert_eq!(double.1.load(Ordering::Relaxed), served + 1, "{request:?}");
+        }
+        assert_eq!(double.serve(&requests[0]).unwrap(), Maps::F32(direct));
+        // Out-of-bounds and empty ranges are typed errors at both precisions.
+        for payload in [Features::F32(features), Features::Int8(quantized)] {
+            assert!(double
+                .serve(&ServerRequest::ranged(0..2, payload.clone()))
+                .is_err());
+            assert!(double.serve(&ServerRequest::ranged(1..1, payload)).is_err());
+        }
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! behind an `Arc` can serve many clients at once:
 //!
 //! * callers submit single `[C, H, W]` images from any thread via
-//!   [`InferenceEngine::predict_one`], or single transmitted feature maps via
-//!   [`InferenceEngine::server_outputs_one`] (the unit the networked
+//!   [`InferenceEngine::predict_one`], or single-sample server-stage
+//!   requests — one [`ServerRequest`] shape for every precision and body
+//!   range — via [`InferenceEngine::serve_begin`] (the unit the networked
 //!   `DefenseServer` in `crates/serve` forwards for remote clients);
-//! * worker threads coalesce queued requests into mini-batches of up to
+//! * worker threads coalesce queued work into mini-batches of up to
 //!   `max_batch` items (waiting at most `batch_window` for stragglers),
-//!   partitioned by kind;
-//! * each batch runs one [`Defense::predict`] (or one
-//!   [`Defense::server_outputs`]), inside which the `N` server bodies fan out
-//!   over the machine's cores ([`ensembler_tensor::par_map`]).
+//!   grouped so that only requests of one precision and one range stack;
+//! * each group runs one [`Defense::predict`] (or one [`Defense::serve`]),
+//!   inside which the `N` server bodies fan out over the machine's cores
+//!   ([`ensembler_tensor::par_map`]).
 //!
 //! # Examples
 //!
@@ -37,9 +38,11 @@
 //! # Ok::<(), ensembler::EnsemblerError>(())
 //! ```
 
-use crate::defense::Defense;
+use crate::defense::{Defense, Precision};
+use crate::request::{Features, Maps, ServerRequest};
 use crate::EnsemblerError;
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler_tensor::Tensor;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -96,8 +99,8 @@ impl EngineStats {
 }
 
 /// A submitted-but-not-yet-answered engine request: the completion half of
-/// the split submit/wait API ([`InferenceEngine::server_outputs_begin`] and
-/// siblings).
+/// the split submit/wait API ([`InferenceEngine::serve_begin`],
+/// [`InferenceEngine::predict_begin`]).
 ///
 /// The blocking `*_one` methods are `*_begin(…)?.wait()`. Splitting the two
 /// halves is what lets a multiplexed server thread enqueue many pipelined
@@ -132,47 +135,25 @@ struct StatsCells {
     queued: AtomicU64,
 }
 
-/// One queued unit of work. The engine coalesces both kinds through the same
-/// queue; a worker partitions each drained batch by kind before executing it.
+type Respond<T> = Sender<Result<T, EnsemblerError>>;
+
+/// One queued unit of work. Both kinds share one queue; a worker partitions
+/// each drained batch into groups that may be stacked together before
+/// executing it.
 enum Work {
     /// A single image awaiting class logits ([`InferenceEngine::predict_one`]).
     Predict {
         image: Tensor,
-        respond: Sender<Result<Tensor, EnsemblerError>>,
+        respond: Respond<Tensor>,
     },
-    /// A single transmitted feature map awaiting the `N` per-network maps
-    /// ([`InferenceEngine::server_outputs_one`]) — the unit the networked
-    /// `DefenseServer` submits on behalf of remote clients.
-    ServerOutputs {
-        features: Tensor,
-        respond: Sender<Result<Vec<Tensor>, EnsemblerError>>,
-    },
-    /// A single **quantized** feature map awaiting the `N` quantized
-    /// per-network maps ([`InferenceEngine::server_outputs_quantized_one`])
-    /// — the unit the networked server submits for protocol-v2 clients.
-    /// Scales are per sample, so stacking and splitting quantized batches is
-    /// exact and coalescing stays invisible in int8 mode too.
-    ServerOutputsQ {
-        features: QTensorBatch,
-        respond: Sender<Result<Vec<QTensorBatch>, EnsemblerError>>,
-    },
-    /// A single feature map awaiting the maps of bodies `lo..hi` only
-    /// ([`InferenceEngine::server_outputs_range_one`]) — the unit a sharded
-    /// worker serves. Requests coalesce only with requests for the *same*
-    /// range, so a batch never mixes slices.
-    ServerOutputsRange {
-        features: Tensor,
-        lo: usize,
-        hi: usize,
-        respond: Sender<Result<Vec<Tensor>, EnsemblerError>>,
-    },
-    /// The quantized twin of [`Work::ServerOutputsRange`]
-    /// ([`InferenceEngine::server_outputs_quantized_range_one`]).
-    ServerOutputsRangeQ {
-        features: QTensorBatch,
-        lo: usize,
-        hi: usize,
-        respond: Sender<Result<Vec<QTensorBatch>, EnsemblerError>>,
+    /// A single-sample [`ServerRequest`] awaiting its [`Maps`]
+    /// ([`InferenceEngine::serve_begin`]) — the unit the networked
+    /// `DefenseServer` submits on behalf of remote clients. Requests coalesce
+    /// only with requests of the same precision *and* the same body range,
+    /// so a mini-batch is always answered by one [`Defense::serve`] call.
+    Serve {
+        request: ServerRequest,
+        respond: Respond<Maps>,
     },
 }
 
@@ -184,9 +165,12 @@ enum Work {
 /// # Examples
 ///
 /// ```
-/// use ensembler::{Defense, DefenseKind, EngineConfig, InferenceEngine, SinglePipeline};
+/// use ensembler::{
+///     Defense, DefenseKind, EngineConfig, Features, InferenceEngine, ServerRequest,
+///     SinglePipeline,
+/// };
 /// use ensembler_nn::models::ResNetConfig;
-/// use ensembler_tensor::Tensor;
+/// use ensembler_tensor::{QTensorBatch, Tensor};
 /// use std::sync::Arc;
 ///
 /// let pipeline = Arc::new(SinglePipeline::new(
@@ -200,11 +184,16 @@ enum Work {
 /// let logits = engine.predict_one(Tensor::ones(&[3, 8, 8]))?;
 /// assert_eq!(logits.shape(), &[3]);
 ///
-/// // ... and so do bare server_outputs requests (the networked path): one
+/// // ... and so do bare server-stage requests (the networked path): one
 /// // transmitted feature map in, N per-network feature maps out.
 /// let features = engine.defense().client_features(&Tensor::ones(&[1, 3, 8, 8]))?;
-/// let maps = engine.server_outputs_one(features)?;
+/// let maps = engine.server_outputs_one(features.clone())?;
 /// assert_eq!(maps.len(), engine.defense().ensemble_size());
+///
+/// // Precision and body range are fields of the one request shape.
+/// let int8 = Features::Int8(QTensorBatch::quantize_batch(&features));
+/// let pending = engine.serve_begin(ServerRequest::ranged(0..1, int8))?;
+/// assert_eq!(pending.wait()?.len(), 1);
 /// # Ok::<(), ensembler::EnsemblerError>(())
 /// ```
 #[derive(Debug)]
@@ -304,212 +293,98 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     /// Returns an error if the image shape is wrong or the engine is
     /// shutting down; evaluation errors surface from [`Pending::wait`].
     pub fn predict_begin(&self, image: Tensor) -> Result<Pending<Tensor>, EnsemblerError> {
-        let image = ensure_single_item("predict_one", "image", image)?;
-        let (respond, receive) = channel();
-        self.submit(Work::Predict { image, respond })?;
-        Ok(Pending { receive })
+        let Features::F32(image) = Features::F32(image).into_single()? else {
+            unreachable!("into_single preserves the precision")
+        };
+        self.submit(|respond| Work::Predict { image, respond })
     }
 
-    /// Evaluates all `N` server bodies on one transmitted feature map
+    /// Evaluates all `N` server bodies on one transmitted `f32` feature map
     /// (`[C, H, W]` or `[1, C, H, W]`), blocking until a worker has served it
-    /// as part of a coalesced mini-batch. Returns the `N` per-network feature
-    /// maps in index order, each with a leading batch axis of 1.
+    /// as part of a coalesced mini-batch: [`InferenceEngine::serve_begin`]
+    /// for the common full-ensemble `f32` request, awaited. Returns the `N`
+    /// per-network feature maps in index order, each with a leading batch
+    /// axis of 1.
+    ///
+    /// # Errors
+    ///
+    /// As for [`InferenceEngine::serve_begin`] and [`Pending::wait`].
+    pub fn server_outputs_one(&self, features: Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+        self.serve_begin(ServerRequest::full(Features::F32(features)))?
+            .wait()?
+            .into_f32()
+    }
+
+    /// Enqueues one single-sample server-stage request — any precision, any
+    /// body range — without waiting for the answer.
     ///
     /// This is the unit of work the networked `DefenseServer` submits for
-    /// remote single-image requests, so feature maps arriving on different
-    /// TCP connections coalesce into shared mini-batches exactly like local
-    /// [`InferenceEngine::predict_one`] calls do. The result is bit-identical
-    /// to an isolated [`Defense::server_outputs`] call on the same map: the
-    /// tensor kernels guarantee batch-size-independent results (see
-    /// `docs/PERFORMANCE.md`), which is what makes coalescing transparent.
+    /// remote single-image requests: a multiplexed server thread submits
+    /// every pipelined request in arrival order (so requests arriving on
+    /// different TCP connections coalesce into shared mini-batches exactly
+    /// like local [`InferenceEngine::predict_one`] calls do) and parks each
+    /// [`Pending`] on its own completion thread, letting responses finish
+    /// out of order. Requests coalesce only with requests of the same
+    /// precision and the same range, and the answer is bit-identical to an
+    /// isolated [`Defense::serve`] call on the same request: the `f32`
+    /// kernels guarantee batch-size-independent results (see
+    /// `docs/PERFORMANCE.md`) and quantization scales are per sample, so
+    /// stacking and splitting move bytes verbatim.
     ///
     /// # Errors
     ///
-    /// Returns an error if the feature shape is wrong, the evaluation fails,
-    /// or the engine is shutting down.
-    pub fn server_outputs_one(&self, features: Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.server_outputs_begin(features)?.wait()
-    }
-
-    /// Enqueues one transmitted feature map without waiting for the answer —
-    /// the non-blocking half of [`InferenceEngine::server_outputs_one`].
-    ///
-    /// A multiplexed server thread submits every pipelined request through
-    /// this in arrival order (so concurrent requests coalesce into shared
-    /// mini-batches) and parks each [`Pending`] on its own completion thread,
-    /// letting responses finish out of order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature shape is wrong or the engine is
-    /// shutting down; evaluation errors surface from [`Pending::wait`].
-    pub fn server_outputs_begin(
-        &self,
-        features: Tensor,
-    ) -> Result<Pending<Vec<Tensor>>, EnsemblerError> {
-        let features = ensure_single_item("server_outputs_one", "feature map", features)?;
-        let (respond, receive) = channel();
-        self.submit(Work::ServerOutputs { features, respond })?;
-        Ok(Pending { receive })
-    }
-
-    /// Evaluates all `N` server bodies on one quantized transmitted feature
-    /// map (`[1, C, H, W]` with its per-sample scale), blocking until a
-    /// worker has served it as part of a coalesced mini-batch. Returns the
-    /// `N` quantized per-network maps in index order.
-    ///
-    /// This is the int8 sibling of [`InferenceEngine::server_outputs_one`]
-    /// and the unit the networked `DefenseServer` submits for protocol-v2
-    /// clients. Because quantization scales are per sample, stacking
-    /// requests into a batch and slicing the results back apart moves bytes
-    /// verbatim — the answer is bit-identical to an isolated
-    /// [`Defense::server_outputs_quantized`] call on the same map.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature batch is not a single rank-4 sample,
-    /// the evaluation fails, or the engine is shutting down.
-    pub fn server_outputs_quantized_one(
-        &self,
-        features: QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        self.server_outputs_quantized_begin(features)?.wait()
-    }
-
-    /// Enqueues one quantized feature map without waiting for the answer —
-    /// the non-blocking half of
-    /// [`InferenceEngine::server_outputs_quantized_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature batch is not a single rank-4 sample
-    /// or the engine is shutting down; evaluation errors surface from
-    /// [`Pending::wait`].
-    pub fn server_outputs_quantized_begin(
-        &self,
-        features: QTensorBatch,
-    ) -> Result<Pending<Vec<QTensorBatch>>, EnsemblerError> {
-        if features.shape().len() != 4 || features.batch() != 1 {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server_outputs_quantized_one expects one [1, C, H, W] feature map, got {:?}",
-                features.shape()
-            )));
-        }
-        let (respond, receive) = channel();
-        self.submit(Work::ServerOutputsQ { features, respond })?;
-        Ok(Pending { receive })
-    }
-
-    /// Evaluates only the server bodies `lo..hi` on one transmitted feature
-    /// map — the sharded-worker sibling of
-    /// [`InferenceEngine::server_outputs_one`]. Returns the `hi - lo` maps in
-    /// index order, each with a leading batch axis of 1.
-    ///
-    /// Requests coalesce only with other requests for the same `lo..hi`
-    /// range, never across ranges, so a mini-batch is always answered by one
-    /// [`Defense::server_outputs_range`] call and stays bit-identical to an
-    /// isolated evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature shape or the range is wrong, the
-    /// evaluation fails, or the engine is shutting down.
-    pub fn server_outputs_range_one(
-        &self,
-        features: Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.server_outputs_range_begin(features, lo, hi)?.wait()
-    }
-
-    /// Enqueues one sub-range request without waiting for the answer — the
-    /// non-blocking half of [`InferenceEngine::server_outputs_range_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature shape or the range is wrong, or the
+    /// Returns an error — before touching the queue — if the features are
+    /// not a single sample or the range is empty or out of bounds, or if the
     /// engine is shutting down; evaluation errors surface from
     /// [`Pending::wait`].
-    pub fn server_outputs_range_begin(
-        &self,
-        features: Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Pending<Vec<Tensor>>, EnsemblerError> {
-        crate::check_body_range(lo, hi, self.defense.ensemble_size())?;
-        let features = ensure_single_item("server_outputs_range_one", "feature map", features)?;
-        let (respond, receive) = channel();
-        self.submit(Work::ServerOutputsRange {
-            features,
-            lo,
-            hi,
-            respond,
-        })?;
-        Ok(Pending { receive })
+    pub fn serve_begin(&self, request: ServerRequest) -> Result<Pending<Maps>, EnsemblerError> {
+        self.check_range(&request)?;
+        let request = ServerRequest {
+            features: request.features.into_single()?,
+            ..request
+        };
+        self.submit(|respond| Work::Serve { request, respond })
     }
 
-    /// Evaluates only the server bodies `lo..hi` on one quantized feature map
-    /// — the quantized twin of [`InferenceEngine::server_outputs_range_one`].
+    /// Evaluates a pre-assembled request batch directly on the calling
+    /// thread, bypassing the queue (a `[B, C, H, W]` batch has nothing to
+    /// gain from coalescing). A panicking pipeline surfaces as an
+    /// [`EnsemblerError::Engine`], never as a dead caller thread.
     ///
     /// # Errors
     ///
-    /// Returns an error if the feature batch is not a single rank-4 sample,
-    /// the range is wrong, the evaluation fails, or the engine is shutting
-    /// down.
-    pub fn server_outputs_quantized_range_one(
-        &self,
-        features: QTensorBatch,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        self.server_outputs_quantized_range_begin(features, lo, hi)?
-            .wait()
+    /// Returns an error if the range is empty or out of bounds, or the
+    /// evaluation fails.
+    pub fn serve_batch(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        self.check_range(request)?;
+        catching_panics(|| self.defense.serve(request))
     }
 
-    /// Enqueues one quantized sub-range request without waiting for the
-    /// answer — the non-blocking half of
-    /// [`InferenceEngine::server_outputs_quantized_range_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the feature batch is not a single rank-4 sample,
-    /// the range is wrong, or the engine is shutting down; evaluation errors
-    /// surface from [`Pending::wait`].
-    pub fn server_outputs_quantized_range_begin(
-        &self,
-        features: QTensorBatch,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Pending<Vec<QTensorBatch>>, EnsemblerError> {
-        crate::check_body_range(lo, hi, self.defense.ensemble_size())?;
-        if features.shape().len() != 4 || features.batch() != 1 {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server_outputs_quantized_range_one expects one [1, C, H, W] feature map, got {:?}",
-                features.shape()
-            )));
+    fn check_range(&self, request: &ServerRequest) -> Result<(), EnsemblerError> {
+        match &request.range {
+            Some(range) => {
+                crate::check_body_range(range.start, range.end, self.defense.ensemble_size())
+            }
+            None => Ok(()),
         }
-        let (respond, receive) = channel();
-        self.submit(Work::ServerOutputsRangeQ {
-            features,
-            lo,
-            hi,
-            respond,
-        })?;
-        Ok(Pending { receive })
     }
 
     /// Enqueues one unit of work for the worker pool.
-    fn submit(&self, work: Work) -> Result<(), EnsemblerError> {
+    fn submit<T>(
+        &self,
+        work: impl FnOnce(Respond<T>) -> Work,
+    ) -> Result<Pending<T>, EnsemblerError> {
+        let (respond, receive) = channel();
         self.stats.queued.fetch_add(1, Ordering::Relaxed);
         self.sender
             .as_ref()
             .expect("sender lives until the engine is dropped")
-            .send(work)
+            .send(work(respond))
             .map_err(|_| {
                 self.stats.queued.fetch_sub(1, Ordering::Relaxed);
                 EnsemblerError::Engine("request queue is closed".to_string())
-            })
+            })?;
+        Ok(Pending { receive })
     }
 
     /// Requests currently submitted but not yet drained into a mini-batch.
@@ -552,25 +427,6 @@ impl<D: Defense + ?Sized + 'static> Drop for InferenceEngine<D> {
     }
 }
 
-/// Adds a leading batch axis of 1 to a rank-3 tensor, accepts an explicit
-/// `[1, ...]` rank-4 tensor, and rejects anything else.
-fn ensure_single_item(method: &str, what: &str, item: Tensor) -> Result<Tensor, EnsemblerError> {
-    match item.rank() {
-        3 => {
-            let mut unsqueezed = vec![1];
-            unsqueezed.extend_from_slice(item.shape());
-            Ok(item
-                .reshape(&unsqueezed)
-                .expect("adding a batch axis preserves the element count"))
-        }
-        4 if item.shape()[0] == 1 => Ok(item),
-        _ => Err(EnsemblerError::ShapeMismatch(format!(
-            "{method} expects one [C, H, W] or [1, C, H, W] {what}, got {:?}",
-            item.shape()
-        ))),
-    }
-}
-
 fn worker_loop<D: Defense + ?Sized>(
     defense: &D,
     receiver: &Mutex<Receiver<Work>>,
@@ -607,128 +463,91 @@ fn worker_loop<D: Defense + ?Sized>(
             .queued
             .fetch_sub(batch.len() as u64, Ordering::Relaxed);
 
-        // The queue mixes all work kinds; each kind batches among itself.
-        // Range requests additionally batch per `(lo, hi)` — two different
-        // slices must never coalesce into one stacked evaluation.
+        // The queue mixes predictions and server-stage requests; predictions
+        // batch among themselves, requests batch per (precision, range) — two
+        // different slices or precisions must never coalesce into one
+        // stacked evaluation.
         let mut predicts = Vec::new();
-        let mut outputs = Vec::new();
-        let mut outputs_q = Vec::new();
-        let mut ranges: std::collections::BTreeMap<(usize, usize), Vec<_>> =
-            std::collections::BTreeMap::new();
-        let mut ranges_q: std::collections::BTreeMap<(usize, usize), Vec<_>> =
-            std::collections::BTreeMap::new();
+        let mut serves: BTreeMap<_, Vec<_>> = BTreeMap::new();
         for work in batch {
             match work {
                 Work::Predict { image, respond } => predicts.push((image, respond)),
-                Work::ServerOutputs { features, respond } => outputs.push((features, respond)),
-                Work::ServerOutputsQ { features, respond } => outputs_q.push((features, respond)),
-                Work::ServerOutputsRange {
-                    features,
-                    lo,
-                    hi,
-                    respond,
-                } => ranges
-                    .entry((lo, hi))
-                    .or_default()
-                    .push((features, respond)),
-                Work::ServerOutputsRangeQ {
-                    features,
-                    lo,
-                    hi,
-                    respond,
-                } => ranges_q
-                    .entry((lo, hi))
-                    .or_default()
-                    .push((features, respond)),
+                Work::Serve { request, respond } => {
+                    let range = request.range.map(|range| (range.start, range.end));
+                    let int8 = request.features.precision() == Precision::Int8;
+                    serves
+                        .entry((int8, range))
+                        .or_default()
+                        .push((request.features, respond));
+                }
             }
         }
         if !predicts.is_empty() {
-            execute_group(defense, stats, predicts, run_predict_batch);
-        }
-        if !outputs.is_empty() {
-            execute_group(defense, stats, outputs, run_server_outputs_batch);
-        }
-        if !outputs_q.is_empty() {
-            execute_group(defense, stats, outputs_q, run_server_outputs_q_batch);
-        }
-        for ((lo, hi), group) in ranges {
-            execute_group(defense, stats, group, |defense, features| {
-                run_server_outputs_range_batch(defense, features, lo, hi)
+            execute_group(stats, predicts, |images| {
+                run_predict_batch(defense, &images)
             });
         }
-        for ((lo, hi), group) in ranges_q {
-            execute_group(defense, stats, group, |defense, features| {
-                run_server_outputs_range_q_batch(defense, features, lo, hi)
+        for ((_, range), group) in serves {
+            let range = range.map(|(lo, hi)| lo..hi);
+            execute_group(stats, group, |features| {
+                let rows = features.len();
+                let request = ServerRequest {
+                    range,
+                    features: Features::stack(features)?,
+                };
+                defense.serve(&request)?.split_rows(rows)
             });
         }
     }
 }
 
-/// Runs one same-kind group as a single coalesced batch and answers every
-/// requester.
+/// Runs `run`, turning a panic into an [`EnsemblerError::Engine`].
 ///
 /// A panicking pipeline (e.g. a shape assert deep in a layer) must not kill
-/// the worker: callers would hang forever on an undrained queue. The panic is
-/// caught and every request in the group is answered with an error.
-fn execute_group<D: Defense + ?Sized, I: Clone, R: Clone>(
-    defense: &D,
+/// the thread evaluating it: on a worker, callers would hang forever on an
+/// undrained queue.
+fn catching_panics<T>(
+    run: impl FnOnce() -> Result<T, EnsemblerError>,
+) -> Result<T, EnsemblerError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("panic payload was not a string");
+        Err(EnsemblerError::Engine(format!(
+            "prediction panicked: {message}"
+        )))
+    })
+}
+
+/// Runs one group as a single coalesced batch — the inputs move into `run`,
+/// which returns one row per input — and answers every requester. A panic
+/// or error answers the whole group with that error.
+fn execute_group<I, R>(
     stats: &StatsCells,
-    group: Vec<(I, Sender<Result<R, EnsemblerError>>)>,
-    run: impl Fn(&D, &[I]) -> Result<Vec<R>, EnsemblerError>,
+    group: Vec<(I, Respond<R>)>,
+    run: impl FnOnce(Vec<I>) -> Result<Vec<R>, EnsemblerError>,
 ) {
-    let inputs: Vec<I> = group.iter().map(|(input, _)| input.clone()).collect();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(defense, &inputs)))
-        .unwrap_or_else(|payload| {
-            Err(EnsemblerError::Engine(format!(
-                "prediction panicked: {}",
-                panic_message(payload.as_ref())
-            )))
-        });
+    let (inputs, responders): (Vec<I>, Vec<Respond<R>>) = group.into_iter().unzip();
+    let result = catching_panics(|| run(inputs));
+    let size = responders.len() as u64;
     stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats
-        .requests
-        .fetch_add(group.len() as u64, Ordering::Relaxed);
-    stats
-        .max_batch
-        .fetch_max(group.len() as u64, Ordering::Relaxed);
+    stats.requests.fetch_add(size, Ordering::Relaxed);
+    stats.max_batch.fetch_max(size, Ordering::Relaxed);
 
     match result {
         Ok(rows) => {
-            for ((_, respond), row) in group.into_iter().zip(rows) {
+            for (respond, row) in responders.into_iter().zip(rows) {
                 let _ = respond.send(Ok(row));
             }
         }
         Err(error) => {
-            for (_, respond) in group {
+            for respond in responders {
                 let _ = respond.send(Err(error.clone()));
             }
         }
     }
-}
-
-/// Best-effort human-readable message from a caught panic payload, for
-/// converting `std::panic::catch_unwind` results into error values.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("panic payload was not a string")
-}
-
-/// Checks that every queued item has the same shape before stacking.
-fn ensure_uniform_shapes(inputs: &[Tensor]) -> Result<(), EnsemblerError> {
-    let first_shape = inputs[0].shape();
-    for input in &inputs[1..] {
-        if input.shape() != first_shape {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "cannot batch items of shapes {:?} and {:?}",
-                first_shape,
-                input.shape()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Stacks the queued images, runs one shared prediction and splits the
@@ -737,9 +556,14 @@ fn run_predict_batch<D: Defense + ?Sized>(
     defense: &D,
     images: &[Tensor],
 ) -> Result<Vec<Tensor>, EnsemblerError> {
-    ensure_uniform_shapes(images)?;
-    let stacked = Tensor::stack_batch(images);
-    let logits = defense.predict(&stacked)?;
+    if let Some(odd) = images.iter().find(|i| i.shape() != images[0].shape()) {
+        return Err(EnsemblerError::ShapeMismatch(format!(
+            "cannot batch images of shapes {:?} and {:?}",
+            images[0].shape(),
+            odd.shape()
+        )));
+    }
+    let logits = defense.predict(&Tensor::stack_batch(images))?;
     let classes = logits.shape()[1];
     Ok((0..images.len())
         .map(|row| {
@@ -748,149 +572,12 @@ fn run_predict_batch<D: Defense + ?Sized>(
         })
         .collect())
 }
-
-/// Stacks the queued feature maps, runs one shared [`Defense::server_outputs`]
-/// and splits each of the `N` returned maps back into per-request rows (each
-/// keeping a leading batch axis of 1).
-fn run_server_outputs_batch<D: Defense + ?Sized>(
-    defense: &D,
-    features: &[Tensor],
-) -> Result<Vec<Vec<Tensor>>, EnsemblerError> {
-    ensure_uniform_shapes(features)?;
-    let stacked = Tensor::stack_batch(features);
-    let maps = defense.server_outputs(&stacked)?;
-    let rows = features.len();
-    for map in &maps {
-        if map.shape().first() != Some(&rows) {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server body returned shape {:?} for a batch of {rows} feature maps",
-                map.shape()
-            )));
-        }
-    }
-    Ok((0..rows)
-        .map(|row| {
-            maps.iter()
-                .map(|map| {
-                    let row_len = map.len() / rows;
-                    let mut shape = map.shape().to_vec();
-                    shape[0] = 1;
-                    let data = map.data()[row * row_len..(row + 1) * row_len].to_vec();
-                    Tensor::from_vec(data, &shape).expect("row slice matches shape")
-                })
-                .collect()
-        })
-        .collect())
-}
-
-/// Stacks the queued quantized feature maps (bytes and scales verbatim),
-/// runs one shared [`Defense::server_outputs_quantized`] and slices each of
-/// the `N` returned quantized maps back into per-request single-sample
-/// batches. Every step is exact, so coalescing cannot change an answer.
-fn run_server_outputs_q_batch<D: Defense + ?Sized>(
-    defense: &D,
-    features: &[QTensorBatch],
-) -> Result<Vec<Vec<QTensorBatch>>, EnsemblerError> {
-    let first_shape = features[0].shape();
-    for item in &features[1..] {
-        if item.shape() != first_shape {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "cannot batch quantized items of shapes {:?} and {:?}",
-                first_shape,
-                item.shape()
-            )));
-        }
-    }
-    let stacked = QTensorBatch::stack(features);
-    let maps = defense.server_outputs_quantized(&stacked)?;
-    let rows = features.len();
-    for map in &maps {
-        if map.batch() != rows {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server body returned shape {:?} for a batch of {rows} quantized feature maps",
-                map.shape()
-            )));
-        }
-    }
-    Ok((0..rows)
-        .map(|row| maps.iter().map(|map| map.sample(row)).collect())
-        .collect())
-}
-
-/// The `lo..hi` variant of [`run_server_outputs_batch`]: one shared
-/// [`Defense::server_outputs_range`] over the stacked maps, split back into
-/// per-request rows. Every request in the group asks for the same range.
-fn run_server_outputs_range_batch<D: Defense + ?Sized>(
-    defense: &D,
-    features: &[Tensor],
-    lo: usize,
-    hi: usize,
-) -> Result<Vec<Vec<Tensor>>, EnsemblerError> {
-    ensure_uniform_shapes(features)?;
-    let stacked = Tensor::stack_batch(features);
-    let maps = defense.server_outputs_range(&stacked, lo, hi)?;
-    let rows = features.len();
-    for map in &maps {
-        if map.shape().first() != Some(&rows) {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server body returned shape {:?} for a batch of {rows} feature maps",
-                map.shape()
-            )));
-        }
-    }
-    Ok((0..rows)
-        .map(|row| {
-            maps.iter()
-                .map(|map| {
-                    let row_len = map.len() / rows;
-                    let mut shape = map.shape().to_vec();
-                    shape[0] = 1;
-                    let data = map.data()[row * row_len..(row + 1) * row_len].to_vec();
-                    Tensor::from_vec(data, &shape).expect("row slice matches shape")
-                })
-                .collect()
-        })
-        .collect())
-}
-
-/// The `lo..hi` variant of [`run_server_outputs_q_batch`].
-fn run_server_outputs_range_q_batch<D: Defense + ?Sized>(
-    defense: &D,
-    features: &[QTensorBatch],
-    lo: usize,
-    hi: usize,
-) -> Result<Vec<Vec<QTensorBatch>>, EnsemblerError> {
-    let first_shape = features[0].shape();
-    for item in &features[1..] {
-        if item.shape() != first_shape {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "cannot batch quantized items of shapes {:?} and {:?}",
-                first_shape,
-                item.shape()
-            )));
-        }
-    }
-    let stacked = QTensorBatch::stack(features);
-    let maps = defense.server_outputs_quantized_range(&stacked, lo, hi)?;
-    let rows = features.len();
-    for map in &maps {
-        if map.batch() != rows {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "server body returned shape {:?} for a batch of {rows} quantized feature maps",
-                map.shape()
-            )));
-        }
-    }
-    Ok((0..rows)
-        .map(|row| maps.iter().map(|map| map.sample(row)).collect())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::defenses::{DefenseKind, SinglePipeline};
     use ensembler_nn::models::ResNetConfig;
+    use ensembler_tensor::QTensorBatch;
 
     fn tiny_engine(workers: usize, max_batch: usize) -> InferenceEngine<SinglePipeline> {
         let pipeline = Arc::new(
@@ -1044,55 +731,8 @@ mod tests {
         });
     }
 
-    #[test]
-    fn quantized_server_outputs_coalesce_bit_exactly() {
-        use crate::quant::QuantizedDefense;
-
-        let pipeline = Arc::new(
-            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 9).unwrap(),
-        );
-        let int8: Arc<dyn Defense> = Arc::new(QuantizedDefense::quantize(pipeline));
-        let engine = Arc::new(
-            InferenceEngine::new(
-                Arc::clone(&int8),
-                EngineConfig {
-                    max_batch: 4,
-                    batch_window: Duration::from_millis(10),
-                    workers: 2,
-                },
-            )
-            .unwrap(),
-        );
-
-        let qfeatures: Vec<QTensorBatch> = (0..6)
-            .map(|k| {
-                let image = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i + 13 * k) as f32 * 0.02).sin());
-                let features = int8.client_features(&image).unwrap();
-                QTensorBatch::quantize_batch(&features)
-            })
-            .collect();
-        let expected: Vec<Vec<QTensorBatch>> = qfeatures
-            .iter()
-            .map(|qf| int8.server_outputs_quantized(qf).unwrap())
-            .collect();
-
-        let answers: Vec<Vec<QTensorBatch>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = qfeatures
-                .iter()
-                .map(|qf| {
-                    let engine = Arc::clone(&engine);
-                    scope.spawn(move || engine.server_outputs_quantized_one(qf.clone()).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        // Coalesced quantized answers are byte-identical to isolated calls.
-        assert_eq!(answers, expected);
-    }
-
-    #[test]
-    fn range_requests_coalesce_only_within_their_range() {
+    /// A 4-body ensemble, so sub-ranges are meaningful.
+    fn four_body_pipeline() -> Arc<dyn Defense> {
         use crate::{EnsemblerPipeline, Selector};
         use ensembler_nn::models::{build_body, build_head, build_tail};
         use ensembler_nn::FixedNoise;
@@ -1105,72 +745,141 @@ mod tests {
         let bodies = (0..4).map(|_| build_body(&config, &mut rng)).collect();
         let selector = Selector::random(4, 2, &mut rng).unwrap();
         let tail = build_tail(&config, 2 * config.body_output_features(), &mut rng);
-        let pipeline: Arc<dyn Defense> =
-            Arc::new(EnsemblerPipeline::new(config, head, noise, bodies, selector, tail).unwrap());
-        let engine = Arc::new(
-            InferenceEngine::new(
-                Arc::clone(&pipeline),
-                EngineConfig {
-                    max_batch: 8,
-                    batch_window: Duration::from_millis(10),
-                    workers: 2,
-                },
-            )
-            .unwrap(),
-        );
+        Arc::new(EnsemblerPipeline::new(config, head, noise, bodies, selector, tail).unwrap())
+    }
 
-        // Concurrent requests for two different slices plus full-ensemble
-        // requests: each must get exactly its own slice's answer even when
-        // drained into the same worker wake-up.
-        let features: Vec<Tensor> = (0..6)
-            .map(|k| {
-                let image = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i + 7 * k) as f32 * 0.02).sin());
-                pipeline.client_features(&image).unwrap()
-            })
-            .collect();
-        let qfeatures: Vec<QTensorBatch> =
-            features.iter().map(QTensorBatch::quantize_batch).collect();
-        let expected: Vec<(Vec<Tensor>, Vec<Tensor>, Vec<QTensorBatch>)> = features
-            .iter()
-            .zip(&qfeatures)
-            .map(|(f, qf)| {
-                (
-                    pipeline.server_outputs_range(f, 0, 2).unwrap(),
-                    pipeline.server_outputs_range(f, 2, 4).unwrap(),
-                    pipeline.server_outputs_quantized_range(qf, 1, 3).unwrap(),
-                )
-            })
-            .collect();
+    fn wide_engine(defense: &Arc<dyn Defense>) -> Arc<InferenceEngine<dyn Defense>> {
+        let config = EngineConfig {
+            max_batch: 8,
+            batch_window: Duration::from_millis(10),
+            workers: 2,
+        };
+        InferenceEngine::shared(Arc::clone(defense), config).unwrap()
+    }
 
-        let answers: Vec<(Vec<Tensor>, Vec<Tensor>, Vec<QTensorBatch>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = features
-                    .iter()
-                    .zip(&qfeatures)
-                    .map(|(f, qf)| {
-                        let engine = Arc::clone(&engine);
-                        scope.spawn(move || {
-                            (
-                                engine.server_outputs_range_one(f.clone(), 0, 2).unwrap(),
-                                engine.server_outputs_range_one(f.clone(), 2, 4).unwrap(),
-                                engine
-                                    .server_outputs_quantized_range_one(qf.clone(), 1, 3)
-                                    .unwrap(),
-                            )
+    #[test]
+    fn every_request_kind_coalesces_bit_exactly_and_only_within_its_kind() {
+        use crate::quant::QuantizedDefense;
+
+        // The f32 pipeline and its int8 twin, each behind its own engine:
+        // the table below runs on both, so all four trait methods are hit
+        // through both the default and the overriding implementations.
+        let f32_pipeline = four_body_pipeline();
+        let int8_pipeline: Arc<dyn Defense> =
+            Arc::new(QuantizedDefense::quantize(Arc::clone(&f32_pipeline)));
+        let ranges = [None, Some(0..2), Some(2..4), Some(1..3)];
+
+        for pipeline in [f32_pipeline, int8_pipeline] {
+            let engine = wide_engine(&pipeline);
+            let features: Vec<Tensor> = (0..6)
+                .map(|k| {
+                    let image =
+                        Tensor::from_fn(&[1, 3, 8, 8], |i| ((i + 7 * k) as f32 * 0.02).sin());
+                    pipeline.client_features(&image).unwrap()
+                })
+                .collect();
+            // {F32, Int8} × {None, Some(lo..hi)}: every request of every
+            // sample, submitted concurrently so different kinds and slices
+            // are drained into the same worker wake-up.
+            let requests: Vec<ServerRequest> = features
+                .iter()
+                .flat_map(|f| {
+                    let kinds = [
+                        Features::F32(f.clone()),
+                        Features::Int8(QTensorBatch::quantize_batch(f)),
+                    ];
+                    kinds.into_iter().flat_map(|payload| {
+                        ranges.iter().map(move |range| ServerRequest {
+                            range: range.clone(),
+                            features: payload.clone(),
                         })
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-        assert_eq!(answers, expected);
+                })
+                .collect();
+            // The oracle is the isolated trait call each kind stands for.
+            let expected: Vec<Maps> = requests
+                .iter()
+                .map(|request| match (&request.features, &request.range) {
+                    (Features::F32(f), None) => Maps::F32(pipeline.server_outputs(f).unwrap()),
+                    (Features::F32(f), Some(r)) => {
+                        Maps::F32(pipeline.server_outputs_range(f, r.start, r.end).unwrap())
+                    }
+                    (Features::Int8(q), None) => {
+                        Maps::Int8(pipeline.server_outputs_quantized(q).unwrap())
+                    }
+                    (Features::Int8(q), Some(r)) => Maps::Int8(
+                        pipeline
+                            .server_outputs_quantized_range(q, r.start, r.end)
+                            .unwrap(),
+                    ),
+                })
+                .collect();
 
-        // Malformed ranges are rejected before touching the queue.
-        assert!(engine
-            .server_outputs_range_one(features[0].clone(), 2, 2)
-            .is_err());
-        assert!(engine
-            .server_outputs_quantized_range_one(qfeatures[0].clone(), 0, 9)
-            .is_err());
+            let answers: Vec<Maps> = std::thread::scope(|scope| {
+                let handles: Vec<_> = requests
+                    .iter()
+                    .map(|request| {
+                        let engine = Arc::clone(&engine);
+                        scope.spawn(move || engine.serve_begin(request.clone()).unwrap().wait())
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap().unwrap())
+                    .collect()
+            });
+            // Coalesced answers are byte-identical to isolated calls: each
+            // request got exactly its own kind's and its own slice's answer.
+            assert_eq!(answers, expected);
+
+            // Malformed ranges are rejected before touching the queue, at
+            // either precision, on both entry points.
+            let served = engine.stats().requests_served;
+            for (range, payload) in [
+                (2..2, Features::F32(features[0].clone())),
+                (
+                    0..9,
+                    Features::Int8(QTensorBatch::quantize_batch(&features[0])),
+                ),
+            ] {
+                let request = ServerRequest::ranged(range, payload);
+                assert!(engine.serve_begin(request.clone()).is_err());
+                assert!(engine.serve_batch(&request).is_err());
+            }
+            assert_eq!(engine.stats().requests_served, served);
+        }
+    }
+
+    #[test]
+    fn pre_batched_input_is_rejected_by_the_queue_and_served_directly() {
+        let engine = tiny_engine(1, 2);
+        let batch = Tensor::ones(&[2, 3, 4, 4]);
+        let payloads = [
+            Features::F32(batch.clone()),
+            Features::Int8(QTensorBatch::quantize_batch(&batch)),
+        ];
+        for payload in payloads {
+            for range in [None, Some(0..1)] {
+                let request = ServerRequest {
+                    range,
+                    features: payload.clone(),
+                };
+                let err = engine.serve_begin(request).unwrap_err();
+                assert!(matches!(err, EnsemblerError::ShapeMismatch(_)), "{err:?}");
+            }
+        }
+        let err = engine.server_outputs_one(batch).unwrap_err();
+        assert!(matches!(err, EnsemblerError::ShapeMismatch(_)));
+
+        // The direct path takes what the queue refuses, bit-identically to
+        // the bare pipeline.
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.017).sin());
+        let features = engine.defense().client_features(&images).unwrap();
+        let request = ServerRequest::full(Features::F32(features.clone()));
+        assert_eq!(
+            engine.serve_batch(&request).unwrap(),
+            Maps::F32(engine.defense().server_outputs(&features).unwrap())
+        );
     }
 
     #[test]
@@ -1179,34 +888,18 @@ mod tests {
         let image = Tensor::from_fn(&[1, 3, 8, 8], |i| (i as f32 * 0.017).sin());
         let features = engine.defense().client_features(&image).unwrap();
         let direct = engine.defense().server_outputs(&features).unwrap();
+        let request = ServerRequest::full(Features::F32(features.clone()));
 
         // Two pipelined submissions, awaited in reverse order: each Pending
         // holds exactly its own answer.
-        let a = engine.server_outputs_begin(features.clone()).unwrap();
-        let b = engine.server_outputs_begin(features.clone()).unwrap();
-        assert_eq!(b.wait().unwrap(), direct);
-        assert_eq!(a.wait().unwrap(), direct);
+        let a = engine.serve_begin(request.clone()).unwrap();
+        let b = engine.serve_begin(request.clone()).unwrap();
+        assert_eq!(b.wait().unwrap(), Maps::F32(direct.clone()));
+        assert_eq!(a.wait().unwrap(), Maps::F32(direct.clone()));
 
         // A dropped Pending abandons its request without wedging the engine.
-        drop(engine.server_outputs_begin(features.clone()).unwrap());
+        drop(engine.serve_begin(request).unwrap());
         assert_eq!(engine.server_outputs_one(features).unwrap(), direct);
-    }
-
-    #[test]
-    fn quantized_server_outputs_one_rejects_batched_input() {
-        let engine = tiny_engine(1, 2);
-        let qf = QTensorBatch::quantize_batch(&Tensor::ones(&[2, 3, 4, 4]));
-        let err = engine.server_outputs_quantized_one(qf).unwrap_err();
-        assert!(matches!(err, EnsemblerError::ShapeMismatch(_)));
-    }
-
-    #[test]
-    fn server_outputs_one_rejects_batched_input() {
-        let engine = tiny_engine(1, 2);
-        let err = engine
-            .server_outputs_one(Tensor::ones(&[2, 3, 4, 4]))
-            .unwrap_err();
-        assert!(matches!(err, EnsemblerError::ShapeMismatch(_)));
     }
 
     #[test]
@@ -1293,6 +986,14 @@ mod tests {
         // The worker thread survives: a second request gets an answer (the
         // same injected panic) instead of hanging on a dead queue.
         let err = engine.predict_one(Tensor::ones(&[3, 8, 8])).unwrap_err();
+        assert!(matches!(err, EnsemblerError::Engine(_)));
+        // The server stage is guarded the same way, queued or direct.
+        let err = engine
+            .server_outputs_one(Tensor::ones(&[3, 8, 8]))
+            .unwrap_err();
+        assert!(matches!(err, EnsemblerError::Engine(_)));
+        let batch = ServerRequest::full(Features::F32(Tensor::ones(&[2, 3, 8, 8])));
+        let err = engine.serve_batch(&batch).unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
     }
 }

@@ -29,6 +29,9 @@
 //! * [`quant`] — [`QuantizedDefense`], the int8 serving wrapper: quantized
 //!   server bodies plus per-sample-scaled wire tensors, selectable per sweep
 //!   via [`EvalConfig`]'s [`Precision`].
+//! * [`request`] — [`ServerRequest`] → [`Maps`], the one request shape of
+//!   the server stage (precision and body range are fields, not code paths),
+//!   dispatched by [`Defense::serve`].
 //! * [`split`] — the byte-level wire format for the transmitted features
 //!   (`f32` and quantized variants).
 //! * [`subensemble`] — [`SubEnsembleView`], a pipeline restricted to a
@@ -77,6 +80,7 @@ mod error;
 pub mod framework;
 mod plans;
 pub mod quant;
+pub mod request;
 pub mod selector;
 pub mod split;
 pub mod subensemble;
@@ -89,6 +93,7 @@ pub use engine::{EngineConfig, EngineStats, InferenceEngine, Pending};
 pub use error::EnsemblerError;
 pub use framework::EnsemblerPipeline;
 pub use quant::QuantizedDefense;
+pub use request::{Features, Maps, ServerRequest};
 pub use selector::Selector;
 pub use split::{
     decode_features, decode_qfeatures, encode_features, encode_qfeatures, SplitFeatures,

@@ -4,14 +4,14 @@
 //! are trained once and then reused (frozen) by stage 3 and by every attack
 //! experiment, and a deployment wants to ship trained weights from the
 //! training machine to the client and the server. The checkpoint format is a
-//! plain ordered list of tensors (JSON-serialisable), matched positionally
-//! against [`Layer::params`] — the same convention optimizers use.
+//! plain ordered list of tensors, matched positionally against
+//! [`Layer::params`] — the same convention optimizers use. Persisting one is
+//! the model artifact's job ([`crate::artifact`]).
 
 use crate::Layer;
-use ensembler_tensor::json::{JsonError, JsonValue};
 use ensembler_tensor::{ShapeError, Tensor};
 
-/// A serialisable snapshot of a layer's (or whole network's) parameters.
+/// A snapshot of a layer's (or whole network's) parameters.
 ///
 /// # Examples
 ///
@@ -87,31 +87,6 @@ impl Checkpoint {
     /// Total number of scalar values stored.
     pub fn scalar_count(&self) -> usize {
         self.tensors.iter().map(Tensor::len).sum()
-    }
-
-    /// Converts the snapshot into its JSON representation
-    /// (`{"tensors": [...]}`).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![(
-            "tensors".to_string(),
-            JsonValue::Array(self.tensors.iter().map(Tensor::to_json).collect()),
-        )])
-    }
-
-    /// Reconstructs a snapshot from the representation produced by
-    /// [`Checkpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing fields or malformed tensors.
-    pub fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let tensors = value
-            .require("tensors")?
-            .as_array()?
-            .iter()
-            .map(Tensor::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { tensors })
     }
 
     /// Writes the snapshot's values into `layer`, matching parameters by
@@ -207,16 +182,5 @@ mod tests {
         let before = target.weight().value.clone();
         let _ = Checkpoint::capture(&small).restore(&mut target);
         assert_eq!(target.weight().value, before);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_weights() {
-        let mut rng = Rng::seed_from(3);
-        let layer = Linear::new(3, 3, &mut rng);
-        let snapshot = Checkpoint::capture(&layer);
-        let json = snapshot.to_json().render();
-        let back =
-            Checkpoint::from_json(&ensembler_tensor::JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, snapshot);
     }
 }

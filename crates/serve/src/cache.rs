@@ -9,7 +9,7 @@
 //! waste — wire bytes, server GEMMs, coalescer occupancy — and a client may
 //! answer it locally without changing a single bit of any response.
 //!
-//! The key is the full byte encoding of the request (message kind, body
+//! The key is the full byte encoding of the request (payload precision, body
 //! range, tensor shape, raw data bits), not a truncated hash, so two
 //! different inputs can never alias an entry and the bit-exactness guarantee
 //! is unconditional. Capacity is bounded; eviction is least-recently-used;
@@ -22,8 +22,9 @@
 //! [`ResultCache::clear`] (via `RemoteDefense::clear_result_cache`) or
 //! reconnect; the serving tier never invalidates client caches for you.
 
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler::{Features, Maps};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Snapshot of a [`ResultCache`]'s counters — the client-side analogue of
@@ -82,22 +83,10 @@ impl CacheStats {
     }
 }
 
-/// A cached response: whichever map type the exchange that produced it
-/// returned. The key encodes the request kind, so a lookup can never see the
-/// wrong variant.
-#[derive(Debug, Clone)]
-pub(crate) enum CachedMaps {
-    /// Maps from an `f32` exchange (`server_outputs` / `_range`).
-    F32(Vec<Tensor>),
-    /// Maps from a quantized exchange (`server_outputs_quantized` /
-    /// `_range_q`).
-    Quantized(Vec<QTensorBatch>),
-}
-
 #[derive(Debug, Default)]
 struct CacheInner {
     /// Exact request fingerprint → (recency tick, response).
-    entries: HashMap<Arc<[u8]>, (u64, CachedMaps)>,
+    entries: HashMap<Arc<[u8]>, (u64, Maps)>,
     /// Recency tick → key, ascending = least recently used first.
     recency: BTreeMap<u64, Arc<[u8]>>,
     next_tick: u64,
@@ -127,7 +116,7 @@ impl ResultCache {
     }
 
     /// Looks `key` up, bumping its recency and counting a hit or miss.
-    pub(crate) fn get(&self, key: &[u8]) -> Option<CachedMaps> {
+    pub(crate) fn get(&self, key: &[u8]) -> Option<Maps> {
         let mut inner = self.inner.lock().expect("cache mutex");
         let tick = inner.next_tick;
         inner.next_tick += 1;
@@ -146,7 +135,7 @@ impl ResultCache {
     /// Stores `value` under `key`, evicting the least-recently-used entry if
     /// the cache is full. Re-inserting an existing key refreshes its value
     /// and recency without evicting.
-    pub(crate) fn insert(&self, key: Vec<u8>, value: CachedMaps) {
+    pub(crate) fn insert(&self, key: Vec<u8>, value: Maps) {
         let mut inner = self.inner.lock().expect("cache mutex");
         let tick = inner.next_tick;
         inner.next_tick += 1;
@@ -192,61 +181,32 @@ impl ResultCache {
     }
 }
 
-/// Builds the exact fingerprint of an `f32` exchange: kind tag, body range,
-/// shape, then the raw data bits. `server_outputs` is keyed as the full range
-/// `0..n`, so it shares entries with an equivalent `server_outputs_range`.
-pub(crate) fn f32_key(lo: usize, hi: usize, transmitted: &Tensor) -> Vec<u8> {
-    let mut key = Vec::with_capacity(16 + transmitted.data().len() * 4);
-    key.push(0x01);
-    push_range_and_shape(&mut key, lo, hi, transmitted.shape());
-    for v in transmitted.data() {
-        key.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    key
-}
-
-/// The quantized sibling of [`f32_key`]: covers the per-sample scales and
-/// the int8 payload.
-pub(crate) fn quantized_key(lo: usize, hi: usize, transmitted: &QTensorBatch) -> Vec<u8> {
-    let mut key = Vec::with_capacity(16 + transmitted.data().len());
-    key.push(0x02);
-    push_range_and_shape(&mut key, lo, hi, transmitted.shape());
-    for s in transmitted.scales() {
-        key.extend_from_slice(&s.to_bits().to_le_bytes());
-    }
-    key.extend_from_slice(bytemuck_i8(transmitted.data()));
-    key
-}
-
-fn push_range_and_shape(key: &mut Vec<u8>, lo: usize, hi: usize, shape: &[usize]) {
-    key.extend_from_slice(&(lo as u64).to_le_bytes());
-    key.extend_from_slice(&(hi as u64).to_le_bytes());
+/// Builds the exact fingerprint of an exchange: payload precision, body
+/// range, shape, then the content bytes. The response's precision follows
+/// the request's, so a lookup can never see the wrong kind of maps. A
+/// full-ensemble request is keyed as the range `0..n`, so it shares entries
+/// with the equivalent sub-range request.
+pub(crate) fn request_key(bodies: &Range<usize>, features: &Features) -> Vec<u8> {
+    let shape = features.shape();
+    let mut key = Vec::with_capacity(32 + 8 * shape.len() + features.payload_bytes() as usize);
+    key.push(features.precision() as u8);
+    key.extend_from_slice(&(bodies.start as u64).to_le_bytes());
+    key.extend_from_slice(&(bodies.end as u64).to_le_bytes());
     key.push(shape.len() as u8);
     for &dim in shape {
         key.extend_from_slice(&(dim as u64).to_le_bytes());
     }
-}
-
-/// Reinterprets an `i8` slice as bytes (safe: same size and alignment).
-fn bytemuck_i8(data: &[i8]) -> &[u8] {
-    // SAFETY: i8 and u8 have identical layout; the slice covers the same
-    // memory with the same length.
-    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), data.len()) }
+    key.extend(features.content_bytes());
+    key
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensembler_tensor::{QTensorBatch, Tensor};
 
-    fn maps(tag: f32) -> CachedMaps {
-        CachedMaps::F32(vec![Tensor::full(&[1, 2], tag)])
-    }
-
-    fn tensor_of(maps: &CachedMaps) -> &Tensor {
-        match maps {
-            CachedMaps::F32(maps) => &maps[0],
-            CachedMaps::Quantized(_) => panic!("expected f32 maps"),
-        }
+    fn maps(tag: f32) -> Maps {
+        Maps::F32(vec![Tensor::full(&[1, 2], tag)])
     }
 
     #[test]
@@ -276,8 +236,7 @@ mod tests {
         cache.insert(vec![2], maps(2.0));
         cache.insert(vec![1], maps(9.0));
         assert_eq!(cache.stats().evictions, 0);
-        let got = cache.get(&[1]).expect("refreshed entry");
-        assert_eq!(tensor_of(&got).data()[0], 9.0);
+        assert_eq!(cache.get(&[1]).expect("refreshed entry"), maps(9.0));
         // Key 2 is now LRU despite being inserted later.
         cache.insert(vec![3], maps(3.0));
         assert!(cache.get(&[2]).is_none());
@@ -306,30 +265,32 @@ mod tests {
 
     #[test]
     fn keys_cover_kind_range_shape_and_bits() {
+        let key =
+            |bodies: Range<usize>, t: &Tensor| request_key(&bodies, &Features::F32(t.clone()));
         let t = Tensor::full(&[2, 3], 0.5);
-        let base = f32_key(0, 4, &t);
-        assert_ne!(base, f32_key(1, 4, &t), "range must be part of the key");
+        let base = key(0..4, &t);
+        assert_ne!(base, key(1..4, &t), "range must be part of the key");
         assert_ne!(
             base,
-            f32_key(0, 4, &Tensor::full(&[3, 2], 0.5)),
+            key(0..4, &Tensor::full(&[3, 2], 0.5)),
             "shape must be part of the key"
         );
         assert_ne!(
             base,
-            f32_key(0, 4, &Tensor::full(&[2, 3], -0.5)),
+            key(0..4, &Tensor::full(&[2, 3], -0.5)),
             "data bits must be part of the key"
         );
-        let q = QTensorBatch::quantize_batch(&t);
+        let q = Features::Int8(QTensorBatch::quantize_batch(&t));
         assert_ne!(
             base,
-            quantized_key(0, 4, &q),
+            request_key(&(0..4), &q),
             "f32 and quantized exchanges must never alias"
         );
         // -0.0 and 0.0 compare equal as floats but are different bit
         // patterns, hence different inputs to a fingerprint-seeded defense.
         assert_ne!(
-            f32_key(0, 1, &Tensor::full(&[1], 0.0)),
-            f32_key(0, 1, &Tensor::full(&[1], -0.0)),
+            key(0..1, &Tensor::full(&[1], 0.0)),
+            key(0..1, &Tensor::full(&[1], -0.0)),
         );
     }
 }

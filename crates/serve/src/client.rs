@@ -2,13 +2,13 @@
 //! [`Defense`] whose `server_outputs` stage travels over TCP to a
 //! [`crate::DefenseServer`] instead of running in-process.
 
-use crate::cache::{f32_key, quantized_key, CacheStats, CachedMaps, ResultCache};
+use crate::cache::{request_key, CacheStats, ResultCache};
 use crate::error::ServeError;
 use crate::protocol::{
     read_message, read_tagged, write_message, write_tagged, Hello, HelloAck, Message, WireError,
     DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
 };
-use ensembler::{Defense, EnsemblerError, Precision};
+use ensembler::{Defense, EnsemblerError, Features, Maps, Precision, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_tensor::{QTensorBatch, Tensor};
@@ -475,7 +475,7 @@ impl RemoteDefense {
     }
 
     /// Attaches a client-side result cache bounded at `capacity` entries: a
-    /// repeated `server_outputs` exchange (any kind, any precision) is
+    /// repeated [`RemoteDefense::exchange`] (any range, any precision) is
     /// answered from memory instead of the wire. Sound because every mask
     /// and noise draw is derived from the pipeline seed plus the input
     /// fingerprint, so duplicate inputs are bit-identical by construction —
@@ -521,41 +521,6 @@ impl RemoteDefense {
         if let Some(cache) = &self.cache {
             cache.clear();
         }
-    }
-
-    /// Runs `fetch` through the result cache under `key`, expecting `f32`
-    /// maps; without a cache it is exactly `fetch()`.
-    fn cached_f32<E>(
-        &self,
-        key: Vec<u8>,
-        fetch: impl FnOnce(&Self) -> Result<Vec<Tensor>, E>,
-    ) -> Result<Vec<Tensor>, E> {
-        let Some(cache) = &self.cache else {
-            return fetch(self);
-        };
-        if let Some(CachedMaps::F32(maps)) = cache.get(&key) {
-            return Ok(maps);
-        }
-        let maps = fetch(self)?;
-        cache.insert(key, CachedMaps::F32(maps.clone()));
-        Ok(maps)
-    }
-
-    /// The quantized sibling of [`RemoteDefense::cached_f32`].
-    fn cached_quantized<E>(
-        &self,
-        key: Vec<u8>,
-        fetch: impl FnOnce(&Self) -> Result<Vec<QTensorBatch>, E>,
-    ) -> Result<Vec<QTensorBatch>, E> {
-        let Some(cache) = &self.cache else {
-            return fetch(self);
-        };
-        if let Some(CachedMaps::Quantized(maps)) = cache.get(&key) {
-            return Ok(maps);
-        }
-        let maps = fetch(self)?;
-        cache.insert(key, CachedMaps::Quantized(maps.clone()));
-        Ok(maps)
     }
 
     /// The protocol version negotiated with the server.
@@ -610,133 +575,73 @@ impl RemoteDefense {
         }
     }
 
-    /// One `f32` request/response exchange on the shared connection.
-    fn exchange(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, ServeError> {
-        match self.call(&Message::ServerOutputsRequest {
-            transmitted: transmitted.clone(),
-        })? {
-            Message::ServerOutputsResponse { maps } => Ok(maps),
-            other => Err(ServeError::Protocol(format!(
-                "expected ServerOutputsResponse, got {:?}",
-                other.message_type()
-            ))),
-        }
-    }
-
-    /// One quantized (protocol-v2) request/response exchange.
-    fn exchange_quantized(
-        &self,
-        transmitted: &QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, ServeError> {
-        match self.call(&Message::ServerOutputsRequestQ {
-            transmitted: transmitted.clone(),
-        })? {
-            Message::ServerOutputsResponseQ { maps } => Ok(maps),
-            other => Err(ServeError::Protocol(format!(
-                "expected ServerOutputsResponseQ, got {:?}",
-                other.message_type()
-            ))),
-        }
-    }
-
-    /// One sub-range (protocol-v4) exchange: asks the server to evaluate
-    /// only its bodies `lo..hi` and returns the `hi - lo` feature maps —
-    /// the per-worker leg of a scatter-gather router.
+    /// One server-stage exchange — any precision, any body range — in the
+    /// frame kind the request itself selects (see
+    /// `Message::from(ServerRequest)`), answered from the result cache when
+    /// one is attached and holds this exact request. This is what every
+    /// [`Defense`] method of a `RemoteDefense` bottoms out in, and the
+    /// per-worker leg of a scatter-gather router; unlike those trait methods
+    /// it keeps the typed [`ServeError`] (a per-request `Overloaded`
+    /// rejection stays matchable) instead of collapsing it to a transport
+    /// string.
     ///
     /// # Errors
     ///
-    /// Returns an error when the connection negotiated a version below 4,
-    /// when the wire exchange fails, when the server reports a typed error
-    /// (e.g. an out-of-range `lo..hi`), or when the map count disagrees
-    /// with `hi - lo`.
+    /// Returns an error when a sub-range request meets a connection that
+    /// negotiated a version below 4, when the wire exchange fails, when the
+    /// server reports a typed error (e.g. an out-of-range `lo..hi`), or when
+    /// the response's precision or map count disagrees with the request.
+    pub fn exchange(&self, request: ServerRequest) -> Result<Maps, ServeError> {
+        if request.range.is_some() && self.peer.version < 4 {
+            return Err(ServeError::Protocol(format!(
+                "sub-range requests need protocol v4, connection negotiated v{}",
+                self.peer.version
+            )));
+        }
+        // A full exchange is keyed as the body range 0..N, so it also
+        // answers an equivalent sub-range request and vice versa.
+        let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
+        let cached =
+            (self.cache.as_ref()).map(|cache| (cache, request_key(&bodies, &request.features)));
+        if let Some(maps) = cached.as_ref().and_then(|(cache, key)| cache.get(key)) {
+            return Ok(maps);
+        }
+        let precision = request.features.precision();
+        let maps = Maps::try_from(self.call(&Message::from(request))?).map_err(|other| {
+            ServeError::Protocol(format!(
+                "expected a ServerOutputs response, got {:?}",
+                other.message_type()
+            ))
+        })?;
+        if maps.precision() != precision || maps.len() != bodies.len() {
+            return Err(ServeError::Protocol(format!(
+                "server returned {} {:?} maps for a {precision:?} request of the body range {bodies:?}",
+                maps.len(),
+                maps.precision(),
+            )));
+        }
+        if let Some((cache, key)) = cached {
+            cache.insert(key, maps.clone());
+        }
+        Ok(maps)
+    }
+
+    /// [`RemoteDefense::exchange`] for one `f32` sub-range request: asks the
+    /// server to evaluate only its bodies `lo..hi` and returns the `hi - lo`
+    /// feature maps.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RemoteDefense::exchange`].
     pub fn server_outputs_range(
         &self,
         transmitted: &Tensor,
         lo: usize,
         hi: usize,
     ) -> Result<Vec<Tensor>, ServeError> {
-        self.check_range_version()?;
-        self.cached_f32(f32_key(lo, hi, transmitted), |this| {
-            let maps = match this.call(&Message::ServerOutputsRequestRange {
-                lo: lo as u32,
-                hi: hi as u32,
-                transmitted: transmitted.clone(),
-            })? {
-                Message::ServerOutputsResponse { maps } => maps,
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected ServerOutputsResponse, got {:?}",
-                        other.message_type()
-                    )))
-                }
-            };
-            check_range_map_count(maps.len(), lo, hi)?;
-            Ok(maps)
-        })
+        let request = ServerRequest::ranged(lo..hi, Features::F32(transmitted.clone()));
+        Ok(self.exchange(request)?.into_f32()?)
     }
-
-    /// The quantized sibling of [`RemoteDefense::server_outputs_range`]:
-    /// ships the range request in int8 frames and returns `hi - lo`
-    /// quantized maps.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RemoteDefense::server_outputs_range`].
-    pub fn server_outputs_quantized_range(
-        &self,
-        transmitted: &QTensorBatch,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<QTensorBatch>, ServeError> {
-        self.check_range_version()?;
-        self.cached_quantized(quantized_key(lo, hi, transmitted), |this| {
-            let maps = match this.call(&Message::ServerOutputsRequestRangeQ {
-                lo: lo as u32,
-                hi: hi as u32,
-                transmitted: transmitted.clone(),
-            })? {
-                Message::ServerOutputsResponseQ { maps } => maps,
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected ServerOutputsResponseQ, got {:?}",
-                        other.message_type()
-                    )))
-                }
-            };
-            check_range_map_count(maps.len(), lo, hi)?;
-            Ok(maps)
-        })
-    }
-
-    fn check_range_version(&self) -> Result<(), ServeError> {
-        if self.peer.version < 4 {
-            return Err(ServeError::Protocol(format!(
-                "sub-range requests need protocol v4, connection negotiated v{}",
-                self.peer.version
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_map_count(&self, got: usize) -> Result<(), EnsemblerError> {
-        if got != self.local.ensemble_size() {
-            return Err(EnsemblerError::Transport(format!(
-                "server returned {got} maps for an ensemble of {}",
-                self.local.ensemble_size()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Validates that a range response carries exactly `hi - lo` maps.
-fn check_range_map_count(got: usize, lo: usize, hi: usize) -> Result<(), ServeError> {
-    if got != hi - lo {
-        return Err(ServeError::Protocol(format!(
-            "server returned {got} maps for the body range {lo}..{hi}"
-        )));
-    }
-    Ok(())
 }
 
 impl Defense for RemoteDefense {
@@ -777,22 +682,13 @@ impl Defense for RemoteDefense {
     /// prediction is bit-identical to the in-process int8 one while the
     /// response frame shrinks to roughly a quarter of its `f32` size.
     fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        // Keyed as the full body range 0..N, so a cached full exchange also
-        // answers an equivalent `server_outputs_range(_, 0, N)` and vice
-        // versa. On an int8 replica the *dequantized* maps are cached: what
-        // this method returns is what a duplicate call must reproduce.
-        let key = f32_key(0, self.local.ensemble_size(), transmitted);
-        self.cached_f32(key, |this| {
-            if this.uses_quantized_frames() {
-                let qf = QTensorBatch::quantize_batch(transmitted);
-                let qmaps = this.exchange_quantized(&qf)?;
-                this.check_map_count(qmaps.len())?;
-                return Ok(qmaps.iter().map(QTensorBatch::dequantize).collect());
-            }
-            let maps = this.exchange(transmitted)?;
-            this.check_map_count(maps.len())?;
-            Ok(maps)
-        })
+        if self.uses_quantized_frames() {
+            let qf = QTensorBatch::quantize_batch(transmitted);
+            let qmaps = self.server_outputs_quantized(&qf)?;
+            return Ok(qmaps.iter().map(QTensorBatch::dequantize).collect());
+        }
+        let request = ServerRequest::full(Features::F32(transmitted.clone()));
+        self.exchange(request)?.into_f32()
     }
 
     /// The quantized stage itself, shipped directly when the connection
@@ -803,17 +699,12 @@ impl Defense for RemoteDefense {
         &self,
         transmitted: &QTensorBatch,
     ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        let key = quantized_key(0, self.local.ensemble_size(), transmitted);
-        self.cached_quantized(key, |this| {
-            if this.peer.version >= 2 {
-                let qmaps = this.exchange_quantized(transmitted)?;
-                this.check_map_count(qmaps.len())?;
-                return Ok(qmaps);
-            }
-            let maps = this.exchange(&transmitted.dequantize())?;
-            this.check_map_count(maps.len())?;
-            Ok(maps.iter().map(QTensorBatch::quantize_batch).collect())
-        })
+        if self.peer.version >= 2 {
+            let request = ServerRequest::full(Features::Int8(transmitted.clone()));
+            return self.exchange(request)?.into_int8();
+        }
+        let maps = self.server_outputs(&transmitted.dequantize())?;
+        Ok(maps.iter().map(QTensorBatch::quantize_batch).collect())
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

@@ -66,6 +66,7 @@
 
 use crate::error::ServeError;
 use ensembler::split::{decode_features, decode_qfeatures, encode_features, encode_qfeatures};
+use ensembler::{Features, Maps, ServerRequest};
 use ensembler_latency::WireOverhead;
 use ensembler_tensor::{QTensorBatch, Tensor};
 
@@ -392,6 +393,84 @@ impl Message {
             Message::Hello(hello) if hello.model.is_some() => 3,
             Message::HelloAck(ack) if ack.model.is_some() => 3,
             other => frame_version(other.message_type()),
+        }
+    }
+}
+
+/// The frame a request travels in. `range: None` selects the original
+/// full-ensemble frames (0x03 `f32`, 0x05 int8), `Some(lo..hi)` the
+/// sub-range frames (0x07, 0x08) — so what a client puts on the wire is
+/// decided by the request alone, byte for byte.
+impl From<ServerRequest> for Message {
+    fn from(request: ServerRequest) -> Self {
+        // A bound past `u32` saturates, which no server's ensemble can satisfy,
+        // so it is refused as out of range rather than silently wrapped.
+        let bound = |index: usize| u32::try_from(index).unwrap_or(u32::MAX);
+        let bounds = request.range.map(|r| (bound(r.start), bound(r.end)));
+        match (request.features, bounds) {
+            (Features::F32(transmitted), None) => Message::ServerOutputsRequest { transmitted },
+            (Features::Int8(transmitted), None) => Message::ServerOutputsRequestQ { transmitted },
+            (Features::F32(transmitted), Some((lo, hi))) => Message::ServerOutputsRequestRange {
+                lo,
+                hi,
+                transmitted,
+            },
+            (Features::Int8(transmitted), Some((lo, hi))) => Message::ServerOutputsRequestRangeQ {
+                lo,
+                hi,
+                transmitted,
+            },
+        }
+    }
+}
+
+/// The request a frame carries: the inverse of `Message::from(request)`.
+/// Every other message comes back unchanged as the error.
+impl TryFrom<Message> for ServerRequest {
+    type Error = Message;
+
+    fn try_from(message: Message) -> Result<Self, Self::Error> {
+        let ranged = |lo: u32, hi: u32| Some(lo as usize..hi as usize);
+        let (range, features) = match message {
+            Message::ServerOutputsRequest { transmitted } => (None, Features::F32(transmitted)),
+            Message::ServerOutputsRequestQ { transmitted } => (None, Features::Int8(transmitted)),
+            Message::ServerOutputsRequestRange {
+                lo,
+                hi,
+                transmitted,
+            } => (ranged(lo, hi), Features::F32(transmitted)),
+            Message::ServerOutputsRequestRangeQ {
+                lo,
+                hi,
+                transmitted,
+            } => (ranged(lo, hi), Features::Int8(transmitted)),
+            other => return Err(other),
+        };
+        Ok(ServerRequest { range, features })
+    }
+}
+
+/// The response frame for a request's maps: 0x04 for `f32`, 0x06 for int8,
+/// whatever range was asked for.
+impl From<Maps> for Message {
+    fn from(maps: Maps) -> Self {
+        match maps {
+            Maps::F32(maps) => Message::ServerOutputsResponse { maps },
+            Maps::Int8(maps) => Message::ServerOutputsResponseQ { maps },
+        }
+    }
+}
+
+/// The maps a response frame carries; every other message comes back
+/// unchanged as the error.
+impl TryFrom<Message> for Maps {
+    type Error = Message;
+
+    fn try_from(message: Message) -> Result<Self, Self::Error> {
+        match message {
+            Message::ServerOutputsResponse { maps } => Ok(Maps::F32(maps)),
+            Message::ServerOutputsResponseQ { maps } => Ok(Maps::Int8(maps)),
+            other => Err(other),
         }
     }
 }
@@ -1486,6 +1565,50 @@ mod tests {
                 "a frame cut {cut} bytes short must not decode"
             );
         }
+    }
+
+    #[test]
+    fn server_requests_map_onto_exactly_the_four_request_frames() {
+        let t = Tensor::ones(&[1, 1, 2, 2]);
+        let q = QTensorBatch::quantize_batch(&t);
+        let cases = [
+            (
+                None,
+                Features::F32(t.clone()),
+                MessageType::ServerOutputsRequest,
+            ),
+            (
+                None,
+                Features::Int8(q.clone()),
+                MessageType::ServerOutputsRequestQ,
+            ),
+            (
+                Some(1..3),
+                Features::F32(t),
+                MessageType::ServerOutputsRequestRange,
+            ),
+            (
+                Some(0..2),
+                Features::Int8(q),
+                MessageType::ServerOutputsRequestRangeQ,
+            ),
+        ];
+        for (range, features, frame_type) in cases {
+            let request = ServerRequest { range, features };
+            let message = Message::from(request.clone());
+            assert_eq!(message.message_type(), frame_type);
+            // Through the codec and back: the same request.
+            let decoded = round_trip(message);
+            assert_eq!(ServerRequest::try_from(decoded), Ok(request));
+        }
+        // Responses likewise; anything else is handed back untouched.
+        let maps = Maps::F32(vec![Tensor::ones(&[1, 4])]);
+        let message = Message::from(maps.clone());
+        assert_eq!(message.message_type(), MessageType::ServerOutputsResponse);
+        assert_eq!(Maps::try_from(message.clone()), Ok(maps));
+        assert_eq!(ServerRequest::try_from(message.clone()), Err(message));
+        let hello = Message::Hello(Hello::legacy(1));
+        assert_eq!(Maps::try_from(hello.clone()), Err(hello));
     }
 
     #[test]

@@ -1,23 +1,28 @@
 //! The multi-threaded, multi-model TCP [`DefenseServer`]: the untrusted-cloud
-//! half of the paper's deployment, serving the
-//! [`ensembler::Defense::server_outputs`] stage of every model in a
-//! [`ModelRegistry`] over sockets.
+//! half of the paper's deployment, serving the server stage
+//! ([`ensembler::Defense::serve`]) of every model in a [`ModelRegistry`] over
+//! sockets.
 //!
 //! Each accepted connection gets a reader thread that speaks the framed
 //! protocol of [`crate::protocol`]. The handshake pins the connection to one
 //! registered model (protocol-v3 clients name it, legacy clients get the
-//! default model); single-image requests are fed through that model's shared
-//! [`ensembler::InferenceEngine`] queue, so feature maps arriving on
+//! default model). From then on there is **one request loop**: every request
+//! frame — `f32` or quantized, whole ensemble or sub-range — becomes one
+//! [`ensembler::ServerRequest`], is admitted, routed and begun on the reader
+//! thread in arrival order; single-sample requests go through that model's
+//! shared [`ensembler::InferenceEngine`] queue, so feature maps arriving on
 //! *different* connections coalesce into joint mini-batches exactly like
 //! local callers do, while pre-batched requests run directly.
 //!
-//! A connection that negotiates protocol v5 is **multiplexed**: its requests
-//! arrive tagged with request ids, the reader submits them to the engine in
-//! arrival order (so coalescing keeps batching across the pipeline) and each
-//! one is answered by its own completion thread through a shared write half —
-//! out of order whenever the work finishes out of order. Connections at v4
-//! and below keep the original lockstep one-request-then-its-response loop,
-//! byte for byte.
+//! How a request is *answered* depends only on whether its frame carried a
+//! request id. A tagged request (legal once the connection negotiated
+//! protocol v5) is awaited by its own completion thread and answered through
+//! a shared write half with the same id — out of order whenever the work
+//! finishes out of order. An untagged request is answered in place before
+//! the next frame is read. A connection at v4 or below can only send the
+//! latter (a tagged frame there is a typed malformed-frame error), which
+//! makes it the lockstep one-request-then-its-response exchange of protocol
+//! v1–v4, byte for byte.
 //!
 //! Before any request reaches an engine it must pass **admission control**
 //! ([`AdmissionConfig`]): a budget on in-flight requests and bytes, per
@@ -32,8 +37,9 @@ use crate::protocol::{
     TaggedMessage, WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
 };
 use crate::registry::{route_key, ModelRegistry, ModelSlot, ModelStats};
-use ensembler::{Defense, EngineConfig, InferenceEngine};
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler::{
+    Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps, Pending, ServerRequest,
+};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -826,47 +832,62 @@ fn handshake(
     Ok(Some((slot, version)))
 }
 
-/// Payload bytes a request holds against the admission budgets: raw element
-/// bytes for `f32` tensors, element + per-sample scale bytes for quantized
-/// ones.
-fn f32_request_bytes(transmitted: &Tensor) -> u64 {
-    4 * transmitted.len() as u64
+/// The write side of one connection, shared by its reader thread and the
+/// completion threads of its in-flight tagged requests.
+#[derive(Clone)]
+struct Responder {
+    writer: Arc<Mutex<TcpStream>>,
+    stats: Arc<ServerStatsCells>,
 }
 
-/// Quantized sibling of [`f32_request_bytes`].
-fn q_request_bytes(transmitted: &QTensorBatch) -> u64 {
-    let elements: usize = transmitted.shape().iter().product();
-    elements as u64 + 4 * transmitted.batch() as u64
+impl Responder {
+    fn write(&self, message: &Message, request_id: Option<u64>) -> Result<(), ServeError> {
+        let mut writer = self
+            .writer
+            .lock()
+            .map_err(|_| ServeError::Protocol("connection write half poisoned".to_string()))?;
+        write_tagged(&mut *writer, message, request_id)
+    }
+
+    /// Sends a typed error frame, counting it: tagged with `request_id` when
+    /// the failure is scoped to one tagged request, untagged when it concerns
+    /// the connection (or an untagged request). I/O failures while reporting
+    /// are swallowed.
+    fn error(&self, request_id: Option<u64>, code: ErrorCode, message: String) {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        let _ = self.write(&Message::Error(WireError { code, message }), request_id);
+    }
+
+    /// Answers one admitted request: releases its admission permit, then
+    /// writes the response — or a typed per-request error, which keeps the
+    /// connection alive for the next request — echoing the request's id when
+    /// it has one.
+    fn complete(
+        &self,
+        permit: AdmissionPermit,
+        request_id: Option<u64>,
+        result: Result<Maps, EnsemblerError>,
+    ) -> Result<(), ServeError> {
+        // Release before writing: a client that has its answer must already
+        // see the budget freed (and itself in the stats).
+        drop(permit);
+        match result {
+            Ok(maps) => {
+                self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                self.write(&Message::from(maps), request_id)
+            }
+            Err(error) => {
+                self.error(request_id, ErrorCode::Inference, error.to_string());
+                Ok(())
+            }
+        }
+    }
 }
 
-/// The canary routing key of an `f32` request: a hash of the transmitted
-/// feature bits, so the same request content always routes to the same
-/// version whatever connection or retry carried it.
-fn f32_route_key(transmitted: &Tensor) -> u64 {
-    route_key(
-        transmitted
-            .data()
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes()),
-    )
-}
-
-/// Quantized sibling of [`f32_route_key`] (hashes elements and scales).
-fn q_route_key(transmitted: &QTensorBatch) -> u64 {
-    route_key(
-        transmitted.data().iter().map(|b| *b as u8).chain(
-            transmitted
-                .scales()
-                .iter()
-                .flat_map(|s| s.to_bits().to_le_bytes()),
-        ),
-    )
-}
-
-/// Drives one connection: handshake, then a request/response loop against
-/// the model the handshake pinned. A connection that negotiated protocol v5
-/// runs the multiplexed loop (tagged frames, out-of-order completion); older
-/// connections keep the original lockstep loop, byte for byte.
+/// Drives one connection: handshake, then the request loop against the model
+/// the handshake pinned. Every exit path joins the outstanding completion
+/// threads first, which is what keeps the draining-shutdown guarantee: an
+/// admitted request always delivers its response before the connection ends.
 fn serve_connection(
     mut stream: TcpStream,
     registry: &ModelRegistry,
@@ -882,192 +903,20 @@ fn serve_connection(
     let Some((slot, version)) = handshake(&mut stream, registry, stats, draining, &config)? else {
         return Ok(());
     };
-    if version >= TAGGED_WIRE_VERSION {
-        serve_multiplexed(stream, &slot, stats, admission, draining, &config)
-    } else {
-        serve_lockstep(stream, &slot, stats, admission, draining, &config)
-    }
-}
-
-/// The pre-v5 request/response loop: one request at a time, answered in
-/// place on the reader thread. The engine is resolved from the slot per
-/// request, so a hot swap or canary change takes effect on the very next
-/// request of an already-connected client.
-fn serve_lockstep(
-    mut stream: TcpStream,
-    slot: &ModelSlot,
-    stats: &ServerStatsCells,
-    admission: &Arc<Admission>,
-    draining: &AtomicBool,
-    config: &ServerConfig,
-) -> Result<(), ServeError> {
-    let budget = Arc::new(ConnectionBudget::default());
-
-    loop {
-        if draining.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match read_message(&mut stream, config.max_payload_bytes) {
-            Ok(Message::ServerOutputsRequest { transmitted }) => {
-                let permit = match admission.try_admit(&budget, f32_request_bytes(&transmitted)) {
-                    Ok(permit) => permit,
-                    Err(reason) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        send_error(&mut stream, stats, ErrorCode::Overloaded, reason);
-                        continue;
-                    }
-                };
-                let (engine, _) = slot.engine_for(f32_route_key(&transmitted));
-                let result = run_request(&engine, transmitted);
-                // Release before writing: a client that has its answer must
-                // already see the budget freed (and itself in the stats).
-                drop(permit);
-                match result {
-                    Ok(maps) => {
-                        stats.requests.fetch_add(1, Ordering::Relaxed);
-                        write_message(&mut stream, &Message::ServerOutputsResponse { maps })?;
-                    }
-                    // Inference errors are per-request: report and keep the
-                    // connection alive for the next request.
-                    Err(error) => {
-                        send_error(&mut stream, stats, ErrorCode::Inference, error.to_string())
-                    }
-                }
-            }
-            Ok(Message::ServerOutputsRequestQ { transmitted }) => {
-                let permit = match admission.try_admit(&budget, q_request_bytes(&transmitted)) {
-                    Ok(permit) => permit,
-                    Err(reason) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        send_error(&mut stream, stats, ErrorCode::Overloaded, reason);
-                        continue;
-                    }
-                };
-                let (engine, _) = slot.engine_for(q_route_key(&transmitted));
-                let result = run_request_quantized(&engine, transmitted);
-                drop(permit);
-                match result {
-                    Ok(maps) => {
-                        stats.requests.fetch_add(1, Ordering::Relaxed);
-                        write_message(&mut stream, &Message::ServerOutputsResponseQ { maps })?;
-                    }
-                    Err(error) => {
-                        send_error(&mut stream, stats, ErrorCode::Inference, error.to_string())
-                    }
-                }
-            }
-            Ok(Message::ServerOutputsRequestRange {
-                lo,
-                hi,
-                transmitted,
-            }) => {
-                let permit = match admission.try_admit(&budget, f32_request_bytes(&transmitted)) {
-                    Ok(permit) => permit,
-                    Err(reason) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        send_error(&mut stream, stats, ErrorCode::Overloaded, reason);
-                        continue;
-                    }
-                };
-                let (engine, _) = slot.engine_for(f32_route_key(&transmitted));
-                let result = run_request_range(&engine, transmitted, lo as usize, hi as usize);
-                drop(permit);
-                match result {
-                    Ok(maps) => {
-                        stats.requests.fetch_add(1, Ordering::Relaxed);
-                        write_message(&mut stream, &Message::ServerOutputsResponse { maps })?;
-                    }
-                    Err(error) => {
-                        send_error(&mut stream, stats, ErrorCode::Inference, error.to_string())
-                    }
-                }
-            }
-            Ok(Message::ServerOutputsRequestRangeQ {
-                lo,
-                hi,
-                transmitted,
-            }) => {
-                let permit = match admission.try_admit(&budget, q_request_bytes(&transmitted)) {
-                    Ok(permit) => permit,
-                    Err(reason) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        send_error(&mut stream, stats, ErrorCode::Overloaded, reason);
-                        continue;
-                    }
-                };
-                let (engine, _) = slot.engine_for(q_route_key(&transmitted));
-                let result =
-                    run_request_range_quantized(&engine, transmitted, lo as usize, hi as usize);
-                drop(permit);
-                match result {
-                    Ok(maps) => {
-                        stats.requests.fetch_add(1, Ordering::Relaxed);
-                        write_message(&mut stream, &Message::ServerOutputsResponseQ { maps })?;
-                    }
-                    Err(error) => {
-                        send_error(&mut stream, stats, ErrorCode::Inference, error.to_string())
-                    }
-                }
-            }
-            Ok(Message::Error(_)) => return Ok(()), // client gave up; hang up
-            Ok(other) => {
-                send_error(
-                    &mut stream,
-                    stats,
-                    ErrorCode::UnexpectedMessage,
-                    format!(
-                        "expected ServerOutputsRequest, got {:?}",
-                        other.message_type()
-                    ),
-                );
-                return Ok(());
-            }
-            Err(error) => {
-                let report = receive_failure_report(&error);
-                return match report {
-                    Some((code, message)) => {
-                        send_error(&mut stream, stats, code, message);
-                        Err(error)
-                    }
-                    None => Ok(()), // client disconnected (or shutdown drain)
-                };
-            }
-        }
-    }
-}
-
-/// A request's evaluation, packaged to run on whichever thread answers it.
-type Compute<T> = Box<dyn FnOnce() -> Result<Vec<T>, ensembler::EnsemblerError> + Send>;
-
-/// The protocol-v5 request loop: requests arrive tagged, are admitted and
-/// submitted to the engine *in arrival order* on the reader thread (so
-/// coalescing still sees them in sequence), and each one is answered by its
-/// own completion thread through a shared write half — so responses complete
-/// strictly out of order whenever the work does.
-///
-/// Every exit path joins the outstanding completion threads first, which is
-/// what keeps the draining-shutdown guarantee: an admitted request always
-/// delivers its response before the connection ends.
-fn serve_multiplexed(
-    mut stream: TcpStream,
-    slot: &ModelSlot,
-    stats: &Arc<ServerStatsCells>,
-    admission: &Arc<Admission>,
-    draining: &AtomicBool,
-    config: &ServerConfig,
-) -> Result<(), ServeError> {
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let budget = Arc::new(ConnectionBudget::default());
+    let respond = Responder {
+        writer: Arc::new(Mutex::new(stream.try_clone()?)),
+        stats: Arc::clone(stats),
+    };
+    let multiplexed = version >= TAGGED_WIRE_VERSION;
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    let result = multiplexed_loop(
+    let result = request_loop(
         &mut stream,
-        &writer,
-        slot,
-        stats,
+        &respond,
+        multiplexed,
+        &slot,
         admission,
         draining,
-        config,
-        &budget,
+        &config,
         &mut handles,
     );
     for handle in handles {
@@ -1076,27 +925,49 @@ fn serve_multiplexed(
     result
 }
 
+/// The one request loop. Each frame becomes a [`ServerRequest`], passes
+/// admission, resolves its engine from the slot (so a hot swap or canary
+/// change takes effect on the very next request of an already-connected
+/// client) and is submitted *in arrival order* on this reader thread, so
+/// coalescing sees pipelined requests in sequence. A tagged request is then
+/// answered by its own completion thread — responses complete out of order
+/// whenever the work does — while an untagged request is answered in place
+/// before the next frame is read.
+///
+/// A connection that negotiated less than v5 is this same loop at depth one:
+/// its frames are read with [`read_message`], for which a tagged frame is a
+/// typed malformed-frame error that closes the connection, so every request
+/// it serves is untagged and answered in place — the lockstep discipline,
+/// byte for byte.
 #[allow(clippy::too_many_arguments)]
-fn multiplexed_loop(
+fn request_loop(
     stream: &mut TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
+    respond: &Responder,
+    multiplexed: bool,
     slot: &ModelSlot,
-    stats: &Arc<ServerStatsCells>,
     admission: &Arc<Admission>,
     draining: &AtomicBool,
     config: &ServerConfig,
-    budget: &Arc<ConnectionBudget>,
     handles: &mut Vec<JoinHandle<()>>,
 ) -> Result<(), ServeError> {
+    let budget = Arc::new(ConnectionBudget::default());
     loop {
         if draining.load(Ordering::SeqCst) {
             return Ok(());
         }
         handles.retain(|handle| !handle.is_finished());
+        let received = if multiplexed {
+            read_tagged(stream, config.max_payload_bytes)
+        } else {
+            read_message(stream, config.max_payload_bytes).map(|message| TaggedMessage {
+                message,
+                request_id: None,
+            })
+        };
         let TaggedMessage {
             message,
             request_id,
-        } = match read_tagged(stream, config.max_payload_bytes) {
+        } = match received {
             Ok(tagged) => tagged,
             Err(error) => {
                 return match receive_failure_report(&error) {
@@ -1105,102 +976,21 @@ fn multiplexed_loop(
                     // "this connection is dead" and fails its in-flight
                     // requests with a typed error.
                     Some((code, message)) => {
-                        send_mux_error(writer, stats, None, code, message);
+                        respond.error(None, code, message);
                         Err(error)
                     }
                     None => Ok(()), // client disconnected (or shutdown drain)
                 };
             }
         };
-        match message {
-            Message::ServerOutputsRequest { transmitted } => {
-                let bytes = f32_request_bytes(&transmitted);
-                let Some(permit) = admit(writer, stats, admission, budget, request_id, bytes)
-                else {
-                    continue;
-                };
-                let (engine, _) = slot.engine_for(f32_route_key(&transmitted));
-                let compute = begin_f32(&engine, transmitted);
-                finish_request(
-                    writer,
-                    stats,
-                    permit,
-                    request_id,
-                    compute,
-                    handles,
-                    |maps| Message::ServerOutputsResponse { maps },
-                );
-            }
-            Message::ServerOutputsRequestQ { transmitted } => {
-                let bytes = q_request_bytes(&transmitted);
-                let Some(permit) = admit(writer, stats, admission, budget, request_id, bytes)
-                else {
-                    continue;
-                };
-                let (engine, _) = slot.engine_for(q_route_key(&transmitted));
-                let compute = begin_quantized(&engine, transmitted);
-                finish_request(
-                    writer,
-                    stats,
-                    permit,
-                    request_id,
-                    compute,
-                    handles,
-                    |maps| Message::ServerOutputsResponseQ { maps },
-                );
-            }
-            Message::ServerOutputsRequestRange {
-                lo,
-                hi,
-                transmitted,
-            } => {
-                let bytes = f32_request_bytes(&transmitted);
-                let Some(permit) = admit(writer, stats, admission, budget, request_id, bytes)
-                else {
-                    continue;
-                };
-                let (engine, _) = slot.engine_for(f32_route_key(&transmitted));
-                let compute = begin_f32_range(&engine, transmitted, lo as usize, hi as usize);
-                finish_request(
-                    writer,
-                    stats,
-                    permit,
-                    request_id,
-                    compute,
-                    handles,
-                    |maps| Message::ServerOutputsResponse { maps },
-                );
-            }
-            Message::ServerOutputsRequestRangeQ {
-                lo,
-                hi,
-                transmitted,
-            } => {
-                let bytes = q_request_bytes(&transmitted);
-                let Some(permit) = admit(writer, stats, admission, budget, request_id, bytes)
-                else {
-                    continue;
-                };
-                let (engine, _) = slot.engine_for(q_route_key(&transmitted));
-                let compute = begin_quantized_range(&engine, transmitted, lo as usize, hi as usize);
-                finish_request(
-                    writer,
-                    stats,
-                    permit,
-                    request_id,
-                    compute,
-                    handles,
-                    |maps| Message::ServerOutputsResponseQ { maps },
-                );
-            }
-            Message::Error(_) => return Ok(()), // client gave up; hang up
-            other => {
+        let request = match ServerRequest::try_from(message) {
+            Ok(request) => request,
+            Err(Message::Error(_)) => return Ok(()), // client gave up; hang up
+            Err(other) => {
                 // Connection-level breach: reported untagged, then hang up
                 // (in-flight requests still get their answers — the caller
                 // joins the completion threads).
-                send_mux_error(
-                    writer,
-                    stats,
+                respond.error(
                     None,
                     ErrorCode::UnexpectedMessage,
                     format!(
@@ -1210,347 +1000,69 @@ fn multiplexed_loop(
                 );
                 return Ok(());
             }
-        }
-    }
-}
-
-/// Admission check for one multiplexed request; a refusal is answered with a
-/// typed `Overloaded` frame tagged with the request's own id, so it fails
-/// only that request while the connection and its other in-flight requests
-/// carry on.
-fn admit(
-    writer: &Arc<Mutex<TcpStream>>,
-    stats: &ServerStatsCells,
-    admission: &Arc<Admission>,
-    budget: &Arc<ConnectionBudget>,
-    request_id: Option<u64>,
-    bytes: u64,
-) -> Option<AdmissionPermit> {
-    match admission.try_admit(budget, bytes) {
-        Ok(permit) => Some(permit),
-        Err(reason) => {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            send_mux_error(writer, stats, request_id, ErrorCode::Overloaded, reason);
-            None
-        }
-    }
-}
-
-/// Answers one request: releases its admission permit, then writes the
-/// response (or a typed per-request error) through the shared write half,
-/// tagged with the request's id when it has one.
-fn complete_request<T>(
-    writer: &Arc<Mutex<TcpStream>>,
-    stats: &ServerStatsCells,
-    permit: AdmissionPermit,
-    request_id: Option<u64>,
-    result: Result<Vec<T>, ensembler::EnsemblerError>,
-    respond: fn(Vec<T>) -> Message,
-) {
-    // Release before writing: a client that has its answer must already see
-    // the budget freed (and itself in the stats).
-    drop(permit);
-    match result {
-        Ok(maps) => {
-            stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Ok(mut writer) = writer.lock() {
-                let _ = write_tagged(&mut *writer, &respond(maps), request_id);
+        };
+        // A refusal is answered with a typed `Overloaded` frame carrying the
+        // request's own id, so it fails only that request while the
+        // connection and its other in-flight requests carry on.
+        let permit = match admission.try_admit(&budget, request.features.payload_bytes()) {
+            Ok(permit) => permit,
+            Err(reason) => {
+                respond.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                respond.error(request_id, ErrorCode::Overloaded, reason);
+                continue;
             }
-        }
-        Err(error) => send_mux_error(
-            writer,
-            stats,
-            request_id,
-            ErrorCode::Inference,
-            error.to_string(),
-        ),
-    }
-}
-
-/// Completes one admitted request: a tagged request gets its own completion
-/// thread (so the reader can pipeline straight into the next frame), while
-/// an untagged request on a v5 connection is answered in place, lockstep
-/// style.
-fn finish_request<T: Send + 'static>(
-    writer: &Arc<Mutex<TcpStream>>,
-    stats: &Arc<ServerStatsCells>,
-    permit: AdmissionPermit,
-    request_id: Option<u64>,
-    compute: Compute<T>,
-    handles: &mut Vec<JoinHandle<()>>,
-    respond: fn(Vec<T>) -> Message,
-) {
-    match request_id {
-        Some(id) => {
-            let writer = Arc::clone(writer);
-            let stats = Arc::clone(stats);
-            handles.push(std::thread::spawn(move || {
-                complete_request(&writer, &stats, permit, Some(id), compute(), respond);
-            }));
-        }
-        None => complete_request(writer, stats, permit, None, compute(), respond),
-    }
-}
-
-/// Packages one `f32` request: single images are submitted to the coalescing
-/// queue *now* (on the reader thread, preserving arrival order) and merely
-/// awaited by the completion thread; pre-batched requests carry the direct
-/// evaluation into the completion thread instead.
-fn begin_f32(engine: &Arc<InferenceEngine<dyn Defense>>, transmitted: Tensor) -> Compute<Tensor> {
-    if let Err(error) = check_request_shape(engine, transmitted.shape()) {
-        return Box::new(move || Err(error));
-    }
-    if transmitted.shape()[0] == 1 {
-        match engine.server_outputs_begin(transmitted) {
-            // The closure pins the engine: a request in flight on a version
-            // that a registry swap just displaced keeps that engine alive
-            // until its answer is delivered, and the displaced engine's
-            // teardown runs on the completion thread releasing the last pin
-            // — never on the thread performing the swap.
-            Ok(pending) => {
-                let pin = Arc::clone(engine);
-                Box::new(move || {
-                    let result = pending.wait();
-                    drop(pin);
-                    result
-                })
+        };
+        // The canary split hashes the transmitted content, so the same
+        // request always routes to the same version whatever connection or
+        // retry carried it.
+        let (engine, _) = slot.engine_for(route_key(request.features.content_bytes()));
+        let compute = begin(&engine, request);
+        match request_id {
+            Some(id) => {
+                let respond = respond.clone();
+                handles.push(std::thread::spawn(move || {
+                    let _ = respond.complete(permit, Some(id), compute());
+                }));
             }
-            Err(error) => Box::new(move || Err(error)),
+            None => respond.complete(permit, None, compute())?,
         }
-    } else {
-        let engine = Arc::clone(engine);
-        Box::new(move || run_request(&engine, transmitted))
     }
 }
 
-/// The quantized sibling of [`begin_f32`].
-fn begin_quantized(
-    engine: &Arc<InferenceEngine<dyn Defense>>,
-    transmitted: QTensorBatch,
-) -> Compute<QTensorBatch> {
-    if let Err(error) = check_request_shape(engine, transmitted.shape()) {
-        return Box::new(move || Err(error));
-    }
-    if transmitted.batch() == 1 {
-        match engine.server_outputs_quantized_begin(transmitted) {
-            // Pins the engine across the wait — see `begin_f32`.
-            Ok(pending) => {
-                let pin = Arc::clone(engine);
-                Box::new(move || {
-                    let result = pending.wait();
-                    drop(pin);
-                    result
-                })
-            }
-            Err(error) => Box::new(move || Err(error)),
-        }
-    } else {
-        let engine = Arc::clone(engine);
-        Box::new(move || run_request_quantized(&engine, transmitted))
-    }
-}
+/// A request's evaluation, packaged to run on whichever thread answers it.
+type Compute = Box<dyn FnOnce() -> Result<Maps, EnsemblerError> + Send>;
 
-/// The sub-range sibling of [`begin_f32`].
-fn begin_f32_range(
-    engine: &Arc<InferenceEngine<dyn Defense>>,
-    transmitted: Tensor,
-    lo: usize,
-    hi: usize,
-) -> Compute<Tensor> {
-    if let Err(error) = check_request_shape(engine, transmitted.shape()) {
-        return Box::new(move || Err(error));
-    }
-    if transmitted.shape()[0] == 1 {
-        match engine.server_outputs_range_begin(transmitted, lo, hi) {
-            // Pins the engine across the wait — see `begin_f32`.
-            Ok(pending) => {
-                let pin = Arc::clone(engine);
-                Box::new(move || {
-                    let result = pending.wait();
-                    drop(pin);
-                    result
-                })
-            }
-            Err(error) => Box::new(move || Err(error)),
-        }
-    } else {
-        let engine = Arc::clone(engine);
-        Box::new(move || run_request_range(&engine, transmitted, lo, hi))
-    }
-}
-
-/// The quantized sub-range sibling of [`begin_f32`].
-fn begin_quantized_range(
-    engine: &Arc<InferenceEngine<dyn Defense>>,
-    transmitted: QTensorBatch,
-    lo: usize,
-    hi: usize,
-) -> Compute<QTensorBatch> {
-    if let Err(error) = check_request_shape(engine, transmitted.shape()) {
-        return Box::new(move || Err(error));
-    }
-    if transmitted.batch() == 1 {
-        match engine.server_outputs_quantized_range_begin(transmitted, lo, hi) {
-            // Pins the engine across the wait — see `begin_f32`.
-            Ok(pending) => {
-                let pin = Arc::clone(engine);
-                Box::new(move || {
-                    let result = pending.wait();
-                    drop(pin);
-                    result
-                })
-            }
-            Err(error) => Box::new(move || Err(error)),
-        }
-    } else {
-        let engine = Arc::clone(engine);
-        Box::new(move || run_request_range_quantized(&engine, transmitted, lo, hi))
-    }
-}
-
-/// The multiplexed sibling of [`send_error`]: writes a typed error frame
-/// through the shared write half, tagged with `request_id` when the failure
-/// is scoped to one request and untagged when it concerns the connection.
-fn send_mux_error(
-    writer: &Arc<Mutex<TcpStream>>,
-    stats: &ServerStatsCells,
-    request_id: Option<u64>,
-    code: ErrorCode,
-    message: String,
-) {
-    stats.errors.fetch_add(1, Ordering::Relaxed);
-    if let Ok(mut writer) = writer.lock() {
-        let _ = write_tagged(
-            &mut *writer,
-            &Message::Error(WireError { code, message }),
-            request_id,
-        );
-    }
-}
-
-/// Evaluates one request batch, routing single images through the model's
-/// shared coalescing queue and pre-assembled batches straight to the
-/// pipeline.
+/// Packages one request. The feature shape is validated against the served
+/// backbone first: an untrusted peer's malformed request must fail alone,
+/// never poison a mini-batch it shares with honest requests from other
+/// connections. A single-sample request is then submitted to the model's
+/// coalescing queue *now* (on the reader thread, preserving arrival order)
+/// and merely awaited by the returned closure; a pre-batched request carries
+/// its direct evaluation into the closure instead.
 ///
-/// The feature shape is validated against the served backbone *before* the
-/// request can reach the coalescing queue: an untrusted peer's malformed
-/// request must fail alone, never poison a mini-batch it shares with honest
-/// requests from other connections.
-fn run_request(
-    engine: &InferenceEngine<dyn Defense>,
-    transmitted: Tensor,
-) -> Result<Vec<Tensor>, ensembler::EnsemblerError> {
-    check_request_shape(engine, transmitted.shape())?;
-    if transmitted.shape()[0] == 1 {
-        // The engine catches pipeline panics itself.
-        engine.server_outputs_one(transmitted)
-    } else {
-        // Direct path: a panic (e.g. a shape assert deep in a layer) must
-        // become a per-request error, not a dead reader thread.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.defense().server_outputs(&transmitted)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ensembler::EnsemblerError::Engine(format!(
-                "server_outputs panicked: {}",
-                ensembler::engine::panic_message(payload.as_ref())
-            )))
-        })
-    }
-}
-
-/// The quantized (protocol-v2) sibling of [`run_request`]: single-sample
-/// requests coalesce through the engine's quantized queue — so v2 requests
-/// from different connections batch together, with answers bit-identical to
-/// isolated evaluation — and pre-batched requests run direct.
-fn run_request_quantized(
-    engine: &InferenceEngine<dyn Defense>,
-    transmitted: QTensorBatch,
-) -> Result<Vec<QTensorBatch>, ensembler::EnsemblerError> {
-    check_request_shape(engine, transmitted.shape())?;
-    if transmitted.batch() == 1 {
-        engine.server_outputs_quantized_one(transmitted)
-    } else {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.defense().server_outputs_quantized(&transmitted)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ensembler::EnsemblerError::Engine(format!(
-                "server_outputs_quantized panicked: {}",
-                ensembler::engine::panic_message(payload.as_ref())
-            )))
-        })
-    }
-}
-
-/// The sub-range (protocol-v4) sibling of [`run_request`]: evaluates only
-/// the server bodies `lo..hi`, the scatter half of sharded serving.
-/// Single-image requests coalesce through the engine's per-range queues
-/// (requests for the *same* range batch together; different ranges never
-/// mix), pre-batched requests run direct.
-fn run_request_range(
-    engine: &InferenceEngine<dyn Defense>,
-    transmitted: Tensor,
-    lo: usize,
-    hi: usize,
-) -> Result<Vec<Tensor>, ensembler::EnsemblerError> {
-    check_request_shape(engine, transmitted.shape())?;
-    if transmitted.shape()[0] == 1 {
-        engine.server_outputs_range_one(transmitted, lo, hi)
-    } else {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ensembler::check_body_range(lo, hi, engine.defense().ensemble_size())?;
-            engine.defense().server_outputs_range(&transmitted, lo, hi)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ensembler::EnsemblerError::Engine(format!(
-                "server_outputs_range panicked: {}",
-                ensembler::engine::panic_message(payload.as_ref())
-            )))
-        })
-    }
-}
-
-/// The quantized sub-range (protocol-v4) sibling of [`run_request_range`].
-fn run_request_range_quantized(
-    engine: &InferenceEngine<dyn Defense>,
-    transmitted: QTensorBatch,
-    lo: usize,
-    hi: usize,
-) -> Result<Vec<QTensorBatch>, ensembler::EnsemblerError> {
-    check_request_shape(engine, transmitted.shape())?;
-    if transmitted.batch() == 1 {
-        engine.server_outputs_quantized_range_one(transmitted, lo, hi)
-    } else {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ensembler::check_body_range(lo, hi, engine.defense().ensemble_size())?;
-            engine
-                .defense()
-                .server_outputs_quantized_range(&transmitted, lo, hi)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ensembler::EnsemblerError::Engine(format!(
-                "server_outputs_quantized_range panicked: {}",
-                ensembler::engine::panic_message(payload.as_ref())
-            )))
-        })
-    }
-}
-
-/// Validates a request's feature shape against the served backbone *before*
-/// it can reach a coalescing queue: an untrusted peer's malformed request
-/// must fail alone, never poison a mini-batch it shares with honest requests
-/// from other connections.
-fn check_request_shape(
-    engine: &InferenceEngine<dyn Defense>,
-    shape: &[usize],
-) -> Result<(), ensembler::EnsemblerError> {
+/// The closure pins the engine: a request in flight on a version that a
+/// registry swap just displaced keeps that engine alive until its answer is
+/// delivered, and the displaced engine's teardown runs on the thread
+/// releasing the last pin — never on the thread performing the swap.
+fn begin(engine: &Arc<InferenceEngine<dyn Defense>>, request: ServerRequest) -> Compute {
+    let shape = request.features.shape();
     let expected = engine.defense().config().head_output_shape();
     if shape.len() != 4 || shape[0] == 0 || shape[1..] != expected[..] {
-        return Err(ensembler::EnsemblerError::ShapeMismatch(format!(
+        let error = EnsemblerError::ShapeMismatch(format!(
             "request features {shape:?} do not match the served head output [B, {}, {}, {}]",
             expected[0], expected[1], expected[2]
-        )));
+        ));
+        return Box::new(move || Err(error));
     }
-    Ok(())
+    let pin = Arc::clone(engine);
+    if shape[0] == 1 {
+        let queued = engine.serve_begin(request);
+        Box::new(move || {
+            let result = queued.and_then(Pending::wait);
+            drop(pin);
+            result
+        })
+    } else {
+        Box::new(move || pin.serve_batch(&request))
+    }
 }

@@ -1170,3 +1170,127 @@ fn connections_over_the_limit_are_rejected_with_a_typed_error() {
         pipeline.predict(&images).unwrap()
     );
 }
+
+// ---------------------------------------------------------------------------
+// The one connection loop: lockstep is the multiplexed loop at depth one
+// ---------------------------------------------------------------------------
+
+/// Opens a raw socket to `server` and performs the handshake offering
+/// `max_version`, returning the stream and the version the ack committed to.
+fn raw_handshake(server: &DefenseServer, max_version: u16) -> (TcpStream, u16) {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_message(&mut stream, &Message::Hello(Hello::legacy(max_version))).unwrap();
+    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+        Message::HelloAck(ack) => (stream, ack.version),
+        other => panic!("handshake failed: {other:?}"),
+    }
+}
+
+#[test]
+fn a_tagged_request_on_a_lockstep_connection_is_a_typed_malformed_frame() {
+    use ensembler_serve::protocol::encode_tagged;
+    use std::io::Write;
+
+    // A connection that negotiated v4 or below never agreed to request ids:
+    // a v5-stamped tagged frame on it is the same typed malformed-frame
+    // error the lockstep reader has always given, reported untagged, and
+    // the connection closes.
+    let (server, pipeline) = demo_server(2, 1, 231);
+    let transmitted = pipeline.client_features(&random_images(1, 232)).unwrap();
+    let expected = pipeline.server_outputs(&transmitted).unwrap();
+    let request = Message::ServerOutputsRequest { transmitted };
+    for cap in [1u16, 4] {
+        let (mut stream, version) = raw_handshake(&server, cap);
+        assert_eq!(version, cap);
+
+        // The connection serves untagged requests in place, as ever.
+        write_message(&mut stream, &request).unwrap();
+        match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+            Message::ServerOutputsResponse { maps } => assert_eq!(maps, expected),
+            other => panic!("cap {cap}: expected a response, got {other:?}"),
+        }
+
+        stream.write_all(&encode_tagged(&request, Some(7))).unwrap();
+        stream.flush().unwrap();
+        match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+            Message::Error(wire) => {
+                assert_eq!(wire.code, ErrorCode::MalformedFrame, "cap {cap}");
+                assert!(wire.message.contains("tagged"), "{}", wire.message);
+            }
+            other => panic!("cap {cap}: expected a typed error frame, got {other:?}"),
+        }
+        // ...and then the server hangs up: the next read is EOF.
+        let err = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "cap {cap}: {err}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.requests_served, 2, "the tagged requests never ran");
+    assert_eq!(stats.errors_sent, 2);
+}
+
+#[test]
+fn an_untagged_request_on_a_v5_connection_is_answered_in_place() {
+    use ensembler_serve::protocol::{encode_tagged, read_tagged};
+    use std::io::Write;
+
+    // On a multiplexed connection an untagged request is still legal: it is
+    // answered in place with an untagged response — while tagged requests
+    // on the same socket stay in flight around it.
+    let inner: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 241).unwrap());
+    // Only batch >= 2 calls block on the gate: the tagged slow request is a
+    // 2-sample batch, the fast requests are single samples.
+    let (gated, gate) = GatedDefense::gating_batches_of_at_least(Arc::clone(&inner), 2);
+    let server = DefenseServer::bind(gated, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (mut stream, version) = raw_handshake(&server, PROTOCOL_VERSION);
+    assert_eq!(version, PROTOCOL_VERSION);
+
+    let slow_features = inner.client_features(&random_images(2, 242)).unwrap();
+    let fast_features = inner.client_features(&random_images(1, 243)).unwrap();
+    let slow_response = Message::ServerOutputsResponse {
+        maps: inner.server_outputs(&slow_features).unwrap(),
+    };
+    let fast_response = Message::ServerOutputsResponse {
+        maps: inner.server_outputs(&fast_features).unwrap(),
+    };
+    let slow_request = Message::ServerOutputsRequest {
+        transmitted: slow_features,
+    };
+    let fast_request = Message::ServerOutputsRequest {
+        transmitted: fast_features,
+    };
+
+    // Tagged request 41 is provably in flight (inside the gate)...
+    stream
+        .write_all(&encode_tagged(&slow_request, Some(41)))
+        .unwrap();
+    wait_entered(&gate, 1);
+
+    // ...when the untagged request arrives and is answered, untagged.
+    stream.write_all(&encode_message(&fast_request)).unwrap();
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, None, "an untagged request's answer");
+    assert_eq!(answer.message, fast_response);
+    assert_eq!(
+        server.stats().inflight_requests,
+        1,
+        "request 41 is still in flight behind the untagged exchange"
+    );
+
+    // The reader is free again: a later tagged request overtakes 41 too.
+    stream
+        .write_all(&encode_tagged(&fast_request, Some(42)))
+        .unwrap();
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(42));
+    assert_eq!(answer.message, fast_response);
+
+    release(&gate);
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(41));
+    assert_eq!(answer.message, slow_response);
+
+    let stats = server.stats();
+    assert_eq!(stats.connections_accepted, 1);
+    assert_eq!(stats.requests_served, 3);
+    assert_eq!(stats.errors_sent, 0);
+}

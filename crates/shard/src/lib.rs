@@ -60,7 +60,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use ensembler::{Defense, EnsemblerError, Precision, QuantizedDefense};
+use ensembler::{
+    Defense, EnsemblerError, Features, Maps, Precision, QuantizedDefense, ServerRequest,
+};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_serve::{RemoteDefense, ServeError, ShardStats};
@@ -418,6 +420,22 @@ impl WorkerLink {
         }
     }
 
+    /// The pooled-connection slot, locked.
+    fn pool(&self) -> std::sync::MutexGuard<'_, Option<Arc<RemoteDefense>>> {
+        self.conn
+            .lock()
+            .expect("connection mutex is never poisoned")
+    }
+
+    /// Records a served request. The winning connection is usually the
+    /// still-pooled shared one; only a connection that won over an empty slot
+    /// (a hedge, a retry) needs pooling.
+    fn note_served(&self, conn: Arc<RemoteDefense>) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.note_health(true);
+        self.pool().get_or_insert(conn);
+    }
+
     /// Records an observed health state, counting the transition.
     fn note_health(&self, healthy: bool) {
         if self.healthy.swap(healthy, Ordering::SeqCst) != healthy {
@@ -471,19 +489,15 @@ impl WorkerLink {
     }
 }
 
-/// The per-worker exchange a [`ShardRouter`] fans out: each leg runs it
-/// against its own [`RemoteDefense`] connection, possibly twice (hedging).
-type Exchange<T> = Arc<dyn Fn(&RemoteDefense) -> Result<T, ServeError> + Send + Sync>;
-
 /// Runs one exchange on its own thread so the caller can time it out (for
 /// hedging) without abandoning the request mid-frame.
-fn spawn_exchange<T: Send + 'static>(
-    run: Exchange<T>,
+fn spawn_exchange(
+    request: ServerRequest,
     conn: Arc<RemoteDefense>,
-    tx: mpsc::Sender<(Result<T, ServeError>, Arc<RemoteDefense>)>,
+    tx: mpsc::Sender<(Result<Maps, ServeError>, Arc<RemoteDefense>)>,
 ) {
     std::thread::spawn(move || {
-        let result = run(&conn);
+        let result = conn.exchange(request);
         // A losing hedge finds the receiver gone and releases its handle
         // right here; the multiplexed pooled connection itself lives on in
         // the pool, where the demultiplexer keeps late responses routed by
@@ -556,11 +570,7 @@ impl ShardRouter {
         // checkpoint, wrong precision) fails at construction, not on the
         // first request. The handshake cross-checks label, N and P.
         for link in &links {
-            let conn = link.connect_fresh(&config)?;
-            *link
-                .conn
-                .lock()
-                .expect("connection mutex is never poisoned") = Some(conn);
+            *link.pool() = Some(link.connect_fresh(&config)?);
         }
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let monitor = config.health_interval.map(|interval| {
@@ -596,34 +606,25 @@ impl ShardRouter {
             .collect()
     }
 
-    /// One worker's leg of the fan-out, with hedging and one reconnect
-    /// retry. The pooled connection is *shared*: concurrent router callers
+    /// One worker's leg of the fan-out — `features` evaluated on the bodies
+    /// the placement assigns it — with hedging and one reconnect retry. The
+    /// pooled connection is *shared*: concurrent router callers
     /// clone its handle and multiplex their exchanges over the one
     /// (protocol-v5) socket per worker, each response finding its caller by
     /// request id — no per-caller dialing, no frame interleaving hazard.
-    fn ranged<T: Send + 'static>(
-        &self,
-        link: &Arc<WorkerLink>,
-        run: Exchange<T>,
-    ) -> Result<T, ShardError> {
-        let pooled = link
-            .conn
-            .lock()
-            .expect("connection mutex is never poisoned")
-            .clone();
+    fn ranged(&self, link: &Arc<WorkerLink>, features: Features) -> Result<Maps, ShardError> {
+        let request = ServerRequest::ranged(link.spec.lo..link.spec.hi, features);
+        let pooled = link.pool().clone();
         let conn = match pooled {
             Some(conn) => conn,
             None => {
                 let fresh = link.connect_fresh(&self.config)?;
-                *link
-                    .conn
-                    .lock()
-                    .expect("connection mutex is never poisoned") = Some(Arc::clone(&fresh));
+                *link.pool() = Some(Arc::clone(&fresh));
                 fresh
             }
         };
         let (tx, rx) = mpsc::channel();
-        spawn_exchange(Arc::clone(&run), conn, tx.clone());
+        spawn_exchange(request.clone(), conn, tx.clone());
         let first = match self.config.hedge_after {
             Some(delay) => match rx.recv_timeout(delay) {
                 Ok(pair) => Some(pair),
@@ -646,7 +647,7 @@ impl ShardRouter {
                 // whichever answers first.
                 link.hedges.fetch_add(1, Ordering::Relaxed);
                 if let Ok(fresh) = link.connect_fresh(&self.config) {
-                    spawn_exchange(Arc::clone(&run), fresh, tx.clone());
+                    spawn_exchange(request.clone(), fresh, tx.clone());
                 }
                 rx.recv()
                     .map_err(|_| link.unavailable("all exchanges died"))?
@@ -658,19 +659,9 @@ impl ShardRouter {
         // later request.
         drop(rx);
         match result {
-            Ok(value) => {
-                link.requests.fetch_add(1, Ordering::Relaxed);
-                link.note_health(true);
-                // The winner is usually the still-pooled shared connection;
-                // only a hedge that won over an empty slot needs pooling.
-                let mut slot = link
-                    .conn
-                    .lock()
-                    .expect("connection mutex is never poisoned");
-                if slot.is_none() {
-                    *slot = Some(conn);
-                }
-                Ok(value)
+            Ok(maps) => {
+                link.note_served(conn);
+                Ok(maps)
             }
             Err(error) => {
                 // A transport failure poisons the shared socket for every
@@ -682,10 +673,7 @@ impl ShardRouter {
                 // unharmed — so it stays pooled.
                 let transport_failure = !matches!(error, ServeError::Remote(_));
                 if transport_failure {
-                    let mut slot = link
-                        .conn
-                        .lock()
-                        .expect("connection mutex is never poisoned");
+                    let mut slot = link.pool();
                     if slot
                         .as_ref()
                         .is_some_and(|pooled| Arc::ptr_eq(pooled, &conn))
@@ -702,18 +690,10 @@ impl ShardRouter {
                 let fresh = link.connect_fresh(&self.config).map_err(|retry| {
                     link.unavailable(format!("{error}; reconnect failed: {retry}"))
                 })?;
-                match run(&fresh) {
-                    Ok(value) => {
-                        link.requests.fetch_add(1, Ordering::Relaxed);
-                        link.note_health(true);
-                        let mut slot = link
-                            .conn
-                            .lock()
-                            .expect("connection mutex is never poisoned");
-                        if slot.is_none() {
-                            *slot = Some(fresh);
-                        }
-                        Ok(value)
+                match fresh.exchange(request) {
+                    Ok(maps) => {
+                        link.note_served(fresh);
+                        Ok(maps)
                     }
                     Err(retry_error) => {
                         link.note_health(false);
@@ -728,9 +708,9 @@ impl ShardRouter {
     /// partial maps in placement order.
     fn scatter<T: Send>(
         &self,
-        leg: impl Fn(&Arc<WorkerLink>) -> Result<Vec<T>, ShardError> + Sync,
+        leg: impl Fn(&Arc<WorkerLink>) -> Result<Vec<T>, EnsemblerError> + Sync,
     ) -> Result<Vec<T>, EnsemblerError> {
-        let partials: Vec<Result<Vec<T>, ShardError>> = std::thread::scope(|scope| {
+        let partials: Vec<Result<Vec<T>, EnsemblerError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .links
                 .iter()
@@ -784,19 +764,9 @@ fn monitor_loop(
         for link in links {
             let alive = std::net::TcpStream::connect(link.spec.addr.as_str()).is_ok();
             link.note_health(alive);
-            if alive {
-                let empty = link
-                    .conn
-                    .lock()
-                    .expect("connection mutex is never poisoned")
-                    .is_none();
-                if empty {
-                    if let Ok(conn) = link.connect_fresh(config) {
-                        *link
-                            .conn
-                            .lock()
-                            .expect("connection mutex is never poisoned") = Some(conn);
-                    }
+            if alive && link.pool().is_none() {
+                if let Ok(conn) = link.connect_fresh(config) {
+                    *link.pool() = Some(conn);
                 }
             }
         }
@@ -839,20 +809,13 @@ impl Defense for ShardRouter {
     /// for its indices.
     fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
         self.scatter(|link| {
-            let (lo, hi) = (link.spec.lo, link.spec.hi);
             if link.spec.quantized {
                 let qf = QTensorBatch::quantize_batch(transmitted);
-                let run = Arc::new(move |conn: &RemoteDefense| {
-                    conn.server_outputs_quantized_range(&qf, lo, hi)
-                });
-                let qmaps = self.ranged(link, run)?;
+                let qmaps = self.ranged(link, Features::Int8(qf))?.into_int8()?;
                 Ok(qmaps.iter().map(QTensorBatch::dequantize).collect())
             } else {
-                let features = transmitted.clone();
-                let run = Arc::new(move |conn: &RemoteDefense| {
-                    conn.server_outputs_range(&features, lo, hi)
-                });
-                self.ranged(link, run)
+                self.ranged(link, Features::F32(transmitted.clone()))?
+                    .into_f32()
             }
         })
     }
@@ -865,12 +828,8 @@ impl Defense for ShardRouter {
         transmitted: &QTensorBatch,
     ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
         self.scatter(|link| {
-            let (lo, hi) = (link.spec.lo, link.spec.hi);
-            let qf = transmitted.clone();
-            let run = Arc::new(move |conn: &RemoteDefense| {
-                conn.server_outputs_quantized_range(&qf, lo, hi)
-            });
-            self.ranged(link, run)
+            self.ranged(link, Features::Int8(transmitted.clone()))?
+                .into_int8()
         })
     }
 
