@@ -56,6 +56,7 @@ use ensembler_tensor::{
     im2col, im2col_i8, qgemm_nn, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QTensorBatch,
     ShapeError, Tensor,
 };
+use std::borrow::Cow;
 
 /// Which fusion passes a compiled plan applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,9 +232,48 @@ fn check_linear_input(
     }
 }
 
-fn relu_mask(x: &Tensor) -> Tensor {
-    let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-    x.mul(&mask)
+/// The eager ReLU's mask multiply, `v * (v > 0 ? 1 : 0)`, per element.
+fn relu_mask(v: f32) -> f32 {
+    v * if v > 0.0 { 1.0 } else { 0.0 }
+}
+
+/// Runs `stages` in order. The first stage reads `input` in place, so an
+/// empty chain is the only case that hands the borrow back.
+fn run_chain<'a, S>(
+    stages: &[S],
+    input: &'a Tensor,
+    run: impl Fn(&S, &Tensor) -> Result<Tensor, ShapeError>,
+) -> Result<Cow<'a, Tensor>, ShapeError> {
+    let mut x = Cow::Borrowed(input);
+    for stage in stages {
+        x = Cow::Owned(run(stage, &x)?);
+    }
+    Ok(x)
+}
+
+/// Evaluates both branches of a residual block on `input` (an identity skip
+/// borrows it) and merges them element-wise with `merge` — the add and the
+/// block's ReLU in one pass.
+fn run_residual<S>(
+    main: &[S],
+    shortcut: Option<&[S]>,
+    input: &Tensor,
+    run: impl Fn(&S, &Tensor) -> Result<Tensor, ShapeError>,
+    merge: impl Fn(f32, f32) -> f32,
+) -> Result<Tensor, ShapeError> {
+    let x = run_chain(main, input, &run)?;
+    let skip = match shortcut {
+        Some(stages) => run_chain(stages, input, &run)?,
+        None => Cow::Borrowed(input),
+    };
+    if x.shape() != skip.shape() {
+        return Err(ShapeError::new(format!(
+            "residual branches disagree: main {:?} vs shortcut {:?}",
+            x.shape(),
+            skip.shape()
+        )));
+    }
+    Ok(x.zip_map(&skip, merge))
 }
 
 /// Turns `[b*oh*ow, c]` GEMM rows into an NCHW tensor while applying a merged
@@ -352,7 +392,7 @@ impl Stage {
                 }
                 Ok(bn.forward(input, Mode::Eval))
             }
-            Stage::Relu => Ok(relu_mask(input)),
+            Stage::Relu => Ok(input.map(relu_mask)),
             Stage::MaxPool(pool) => {
                 let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
                 let k = pool.window();
@@ -393,30 +433,13 @@ impl Stage {
                 );
                 Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
             }
-            Stage::Residual { main, shortcut } => {
-                let mut x = input.clone();
-                for stage in main {
-                    x = stage.run(&x, config)?;
-                }
-                let skip = match shortcut {
-                    Some(stages) => {
-                        let mut s = input.clone();
-                        for stage in stages {
-                            s = stage.run(&s, config)?;
-                        }
-                        s
-                    }
-                    None => input.clone(),
-                };
-                if x.shape() != skip.shape() {
-                    return Err(ShapeError::new(format!(
-                        "residual branches disagree: main {:?} vs shortcut {:?}",
-                        x.shape(),
-                        skip.shape()
-                    )));
-                }
-                Ok(relu_mask(&x.add(&skip)))
-            }
+            Stage::Residual { main, shortcut } => run_residual(
+                main,
+                shortcut.as_deref(),
+                input,
+                |stage, x| stage.run(x, config),
+                |a, b| relu_mask(a + b),
+            ),
             Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
         }
     }
@@ -504,11 +527,7 @@ impl CompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let mut x = input.clone();
-        for stage in &self.stages {
-            x = stage.run(&x, self.config)?;
-        }
-        Ok(x)
+        run_chain(&self.stages, input, |stage, x| stage.run(x, self.config)).map(Cow::into_owned)
     }
 
     /// The fusion configuration the plan was compiled with.
@@ -663,7 +682,7 @@ impl QStage {
                 }
                 Ok(bn.forward(input, Mode::Eval))
             }
-            QStage::ReluMask => Ok(relu_mask(input)),
+            QStage::ReluMask => Ok(input.map(relu_mask)),
             QStage::ReluMax => Ok(input.map(|v| v.max(0.0))),
             QStage::MaxPool(pool) => {
                 let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
@@ -685,30 +704,13 @@ impl QStage {
                 }
                 Ok(input.flatten_batch())
             }
-            QStage::Residual { main, shortcut } => {
-                let mut x = input.clone();
-                for stage in main {
-                    x = stage.run(&x, config)?;
-                }
-                let skip = match shortcut {
-                    Some(stages) => {
-                        let mut s = input.clone();
-                        for stage in stages {
-                            s = stage.run(&s, config)?;
-                        }
-                        s
-                    }
-                    None => input.clone(),
-                };
-                if x.shape() != skip.shape() {
-                    return Err(ShapeError::new(format!(
-                        "residual branches disagree: main {:?} vs shortcut {:?}",
-                        x.shape(),
-                        skip.shape()
-                    )));
-                }
-                Ok(x.add(&skip).map(|v| v.max(0.0)))
-            }
+            QStage::Residual { main, shortcut } => run_residual(
+                main,
+                shortcut.as_deref(),
+                input,
+                |stage, x| stage.run(x, config),
+                |a, b| (a + b).max(0.0),
+            ),
             QStage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
         }
     }
@@ -813,11 +815,7 @@ impl QCompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let mut x = input.clone();
-        for stage in &self.stages {
-            x = stage.run(&x, self.config)?;
-        }
-        Ok(x)
+        run_chain(&self.stages, input, |stage, x| stage.run(x, self.config)).map(Cow::into_owned)
     }
 
     /// The fusion configuration the plan was compiled with.

@@ -2,15 +2,19 @@
 //!
 //! Both transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
-//! `n*C*H*W..` of the image — so large lowerings fan the batch out across
-//! cores with [`crate::parallel::par_map`], mirroring the row-band split of
-//! the GEMM kernel that consumes their output.
+//! `n*C*H*W..` of the image — so each item's block is a disjoint chunk of
+//! the output. Large lowerings hand those chunks to the persistent pool with
+//! [`crate::parallel::par_chunks_mut`] and every item is written in place,
+//! in a single pass: there is no per-item buffer and no stitch afterwards.
+//! Inside a parallel region (one ensemble body per core) the same loop runs
+//! serially on the calling thread.
 
-use crate::parallel::par_map;
+use crate::parallel::chunks_mut;
 use crate::Tensor;
 
-/// Below this many f32 elements per transform the batch loop stays serial:
-/// thread spawn costs more than the copy for the trainer's tiny lowerings.
+/// Below this many elements per transform the batch loop does not go to the
+/// pool: handing a job over is a mutex and a wake-up, and the trainer's tiny
+/// lowerings are cheaper than even that.
 const PAR_ELEMENT_THRESHOLD: usize = 1 << 15;
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
@@ -95,55 +99,13 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Tensor {
         input.shape()[2],
         input.shape()[3],
     ];
-    let out_h = geom.output_extent(h);
-    let out_w = geom.output_extent(w);
-    let k = geom.kernel;
-    let cols = c * k * k;
-    let rows = b * out_h * out_w;
-    let item_rows = out_h * out_w;
-    let plane = h * w;
-
-    // One batch item -> its `item_rows x cols` block of the column matrix.
-    let lower_item = |n: usize, block: &mut [f32]| {
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let row_idx = oy * out_w + ox;
-                let row = &mut block[row_idx * cols..(row_idx + 1) * cols];
-                for ch in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                        for kx in 0..k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                            let col_idx = (ch * k + ky) * k + kx;
-                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                row[col_idx] = input.data()
-                                    [n * c * plane + ch * plane + iy as usize * w + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    let mut out = vec![0.0f32; rows * cols];
-    if b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..b).collect();
-        let blocks = par_map(&indices, |&n| {
-            let mut block = vec![0.0f32; item_rows * cols];
-            lower_item(n, &mut block);
-            block
-        });
-        for (chunk, block) in out.chunks_mut(item_rows * cols).zip(blocks) {
-            chunk.copy_from_slice(&block);
-        }
-    } else {
-        // Serial: each item writes its disjoint block of `out` in place.
-        for (n, chunk) in out.chunks_mut(item_rows * cols).enumerate() {
-            lower_item(n, chunk);
-        }
-    }
-    Tensor::from_vec(out, &[rows, cols]).expect("im2col buffer sized to rows*cols")
+    let out = lower(input.data(), b, c, h, w, geom);
+    let cols = c * geom.kernel * geom.kernel;
+    Tensor::from_vec(
+        out,
+        &[b * geom.output_extent(h) * geom.output_extent(w), cols],
+    )
+    .expect("im2col buffer sized to rows*cols")
 }
 
 /// [`im2col`] over raw quantized `i8` data: unfolds an NCHW `i8` buffer into
@@ -169,6 +131,20 @@ pub fn im2col_i8(
     geom: Conv2dGeometry,
 ) -> Vec<i8> {
     assert_eq!(data.len(), b * c * h * w, "im2col_i8 buffer/shape mismatch");
+    lower(data, b, c, h, w, geom)
+}
+
+/// The lowering behind [`im2col`] and [`im2col_i8`]: NCHW `data` to the
+/// `[b * out_h * out_w, c * kernel * kernel]` column matrix, padding with
+/// `T::default()` (zero).
+fn lower<T: Copy + Default + Send + Sync>(
+    data: &[T],
+    b: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: Conv2dGeometry,
+) -> Vec<T> {
     let out_h = geom.output_extent(h);
     let out_w = geom.output_extent(w);
     let k = geom.kernel;
@@ -177,12 +153,12 @@ pub fn im2col_i8(
     let item_rows = out_h * out_w;
     let plane = h * w;
 
-    // Unlike the f32 lowering, the inner loop copies whole in-bounds `kx`
-    // runs as slices instead of testing every kernel tap: the valid `kx`
-    // window depends only on `ox`, and within it the source pixels are
-    // contiguous. On the 3×3 stride-1 lowerings of the quantized serving
-    // path this is most of the int8 convolution's speedup over f32.
-    let lower_item = |n: usize, block: &mut [i8]| {
+    // One batch item -> its `item_rows x cols` block of the column matrix.
+    // The inner loop copies whole in-bounds `kx` runs as slices instead of
+    // testing every kernel tap: the valid `kx` window depends only on `ox`,
+    // and within it the source pixels are contiguous. Taps outside the image
+    // keep the zero the block was allocated with.
+    let lower_item = |n: usize, block: &mut [T]| {
         for oy in 0..out_h {
             for ox in 0..out_w {
                 let row_idx = oy * out_w + ox;
@@ -212,22 +188,9 @@ pub fn im2col_i8(
         }
     };
 
-    let mut out = vec![0i8; rows * cols];
-    if b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..b).collect();
-        let blocks = par_map(&indices, |&n| {
-            let mut block = vec![0i8; item_rows * cols];
-            lower_item(n, &mut block);
-            block
-        });
-        for (chunk, block) in out.chunks_mut(item_rows * cols).zip(blocks) {
-            chunk.copy_from_slice(&block);
-        }
-    } else {
-        for (n, chunk) in out.chunks_mut(item_rows * cols).enumerate() {
-            lower_item(n, chunk);
-        }
-    }
+    let mut out = vec![T::default(); rows * cols];
+    let parallel = b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD;
+    chunks_mut(&mut out, item_rows * cols, parallel, lower_item);
     out
 }
 
@@ -288,22 +251,8 @@ pub fn col2im(
     };
 
     let mut data = vec![0.0f32; batch * item_elems];
-    if batch > 1 && batch * item_elems >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..batch).collect();
-        let images = par_map(&indices, |&n| {
-            let mut image = vec![0.0f32; item_elems];
-            fold_item(n, &mut image);
-            image
-        });
-        for (chunk, image) in data.chunks_mut(item_elems).zip(images) {
-            chunk.copy_from_slice(&image);
-        }
-    } else {
-        // Serial: each item accumulates into its disjoint plane in place.
-        for (n, chunk) in data.chunks_mut(item_elems).enumerate() {
-            fold_item(n, chunk);
-        }
-    }
+    let parallel = batch > 1 && batch * item_elems >= PAR_ELEMENT_THRESHOLD;
+    chunks_mut(&mut data, item_elems, parallel, fold_item);
     Tensor::from_vec(data, &[batch, channels, height, width])
         .expect("col2im buffer sized to batch*C*H*W")
 }

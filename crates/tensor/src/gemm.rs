@@ -19,10 +19,13 @@
 //!   blocks so the active `A` and `B` panels stay resident in L1/L2 while an
 //!   output tile is produced.
 //! * **Row-band parallelism.** Bands of [`MC`] output rows are independent,
-//!   so large products fan the bands out across cores with
-//!   [`crate::parallel::par_map`]. Products below [`PAR_THRESHOLD`]
-//!   multiply-accumulates stay on the calling thread: the trainer's many tiny
-//!   multiplies must not pay thread-spawn overhead.
+//!   so large products hand the bands — disjoint chunks of the output, each
+//!   written in place — to the persistent pool with
+//!   [`crate::parallel::par_chunks_mut`]. Products below [`PAR_THRESHOLD`]
+//!   multiply-accumulates stay on the calling thread, and so does any
+//!   product computed from inside a parallel region (one ensemble body per
+//!   core, serial kernels inside; see [`crate::parallel`]). The unpacked
+//!   small-product loop below [`SMALL_THRESHOLD`] splits the same way.
 //!
 //! Unlike the scalar loops this kernel replaced, no term is ever skipped:
 //! `0 × NaN` and `0 × ∞` contributions propagate into the output as IEEE 754
@@ -38,7 +41,8 @@
 //! assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
 //! ```
 
-use crate::parallel::par_map;
+use crate::parallel::{chunks_mut, parallelism};
+use std::borrow::Cow;
 
 /// Rows of the register tile held by the portable micro-kernel. On x86-64
 /// hosts with AVX2+FMA a wider 6×16 tile is selected at runtime instead (see
@@ -120,7 +124,8 @@ pub enum Parallelism {
     Auto,
     /// Always run on the calling thread.
     Serial,
-    /// Always split row bands across worker threads, regardless of size.
+    /// Always hand row bands to the pool, regardless of size (they still run
+    /// on the calling thread on a one-core host or inside a parallel region).
     Parallel,
 }
 
@@ -409,21 +414,21 @@ fn gemm_impl(
         apply_epilogue(&mut out, n, &ep);
         return out;
     }
-    if k * n < SMALL_THRESHOLD {
-        gemm_small(a, b, m, k, n, op, &mut out);
-        apply_epilogue(&mut out, n, &ep);
-        return out;
-    }
     let cfg = kernel_config();
+    let small = k * n < SMALL_THRESHOLD;
 
-    // Pack the whole of B once: ceil(n/nr) panels, each k rows of nr
-    // contiguous column values (zero-padded on the ragged edge). Every row
-    // band reads the same packed copy, so the pack cost is paid once.
-    let bp = pack_b(b, k, n, op, cfg.nr);
+    // The right operand, laid out once for every row band to read: below
+    // SMALL_THRESHOLD the plain row-major `[k,n]` matrix the triple loop
+    // streams (`A·Bᵀ` transposes its fewer-than-1024 elements into it);
+    // above, ceil(n/nr) packed panels, each k rows of nr contiguous column
+    // values (zero-padded on the ragged edge).
+    let bp: Cow<[f32]> = match (small, op) {
+        (true, Op::Nn | Op::Tn) => Cow::Borrowed(b),
+        (true, Op::Nt) => Cow::Owned(transpose(b, n, k)),
+        (false, _) => Cow::Owned(pack_b(b, k, n, op, cfg.nr)),
+    };
 
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let workers = parallelism();
     let want_parallel = match par {
         Parallelism::Serial => false,
         Parallelism::Parallel => true,
@@ -442,65 +447,56 @@ fn gemm_impl(
     } else {
         MC
     };
-    let bands: Vec<(usize, usize)> = (0..m)
-        .step_by(band_rows)
-        .map(|row0| (row0, band_rows.min(m - row0)))
-        .collect();
 
-    if want_parallel && bands.len() > 1 {
-        // Each band materialises its rows separately, then they are stitched.
-        // The epilogue runs on the band temporary while it is cache-hot; the
-        // result is identical to one pass over the stitched output because
-        // the epilogue is element-wise.
-        let compute = |&(row0, rows): &(usize, usize)| -> Vec<f32> {
-            let mut band = vec![0.0f32; rows * n];
-            gemm_band(a, &bp, row0, rows, m, k, n, op, cfg, &mut band);
-            apply_epilogue(&mut band, n, &ep);
-            band
-        };
-        for ((row0, rows), band) in bands.iter().zip(par_map(&bands, compute)) {
-            out[row0 * n..(row0 + rows) * n].copy_from_slice(&band);
+    // Each band is computed straight into its rows of the output, and the
+    // epilogue follows immediately, while those rows are still resident in
+    // cache; it is element-wise, so per band or in one pass is the same.
+    chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
+        let row0 = index * band_rows;
+        if small {
+            gemm_small(a, &bp, row0, m, k, n, op, band);
+        } else {
+            gemm_band(a, &bp, row0, band.len() / n, m, k, n, op, cfg, band);
         }
-    } else {
-        // Serial: compute straight into the output, no temporaries. The
-        // epilogue follows each band immediately, so its rows are still
-        // resident in cache.
-        for &(row0, rows) in &bands {
-            let band = &mut out[row0 * n..(row0 + rows) * n];
-            gemm_band(a, &bp, row0, rows, m, k, n, op, cfg, band);
-            apply_epilogue(band, n, &ep);
-        }
-    }
+        apply_epilogue(band, n, &ep);
+    });
     out
 }
 
-/// Plain triple loop for products too small to amortise packing. Never skips
-/// a term, so non-finite values propagate exactly like the blocked path.
-fn gemm_small(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, op: Op, out: &mut [f32]) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        match op {
-            // Contiguous rhs rows: iterate (p, j) so the inner loop streams.
-            Op::Nn | Op::Tn => {
-                for p in 0..k {
-                    let a_ip = op.a_at(a, i, p, m, k);
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ip * bv;
-                    }
-                }
-            }
-            // Contiguous rhs columns: each output element is a dot product.
-            Op::Nt => {
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
-                }
+/// `[rows, cols]` row-major to `[cols, rows]` row-major.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut dst = vec![0.0f32; src.len()];
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
+    dst
+}
+
+/// Plain triple loop for products too small to amortise packing: the rows
+/// of `band` (output rows `row0..`) against the row-major `[k,n]` right
+/// operand, iterating `(p, j)` so the inner loop streams and vectorises
+/// across `j`. Each output element accumulates its `k` products in order,
+/// multiply then add, from `0.0`, and never skips a term, so non-finite
+/// values propagate exactly like the blocked path.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small(
+    a: &[f32],
+    b: &[f32],
+    row0: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    op: Op,
+    band: &mut [f32],
+) {
+    for (r, out_row) in band.chunks_exact_mut(n).enumerate() {
+        for p in 0..k {
+            let a_ip = op.a_at(a, row0 + r, p, m, k);
+            let b_row = &b[p * n..(p + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += a_ip * bv;
             }
         }
     }

@@ -40,7 +40,7 @@
 //! ```
 
 use crate::gemm::Parallelism;
-use crate::parallel::par_map;
+use crate::parallel::{chunks_mut, parallelism};
 use crate::{ShapeError, Tensor};
 
 /// Rows of the register tile held by the portable int8 micro-kernel. On
@@ -534,51 +534,30 @@ pub fn qgemm_nn_with(
     let bp = pack_b_q(b, k, n, cfg.nr);
     let kc2_total = k.div_ceil(2);
 
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let (want_parallel, band_rows) = qband_plan(par, m, k, n, cfg.mr);
+    chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
+        let (row0, rows) = (index * band_rows, band.len() / n);
+        qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, band);
+    });
+    out
+}
+
+/// Whether a blocked int8 product splits its row bands over the pool, and
+/// the band height: [`QMC`] rows normally, shrunk (`mr`-aligned) so that a
+/// big product with few rows still spreads over every worker.
+fn qband_plan(par: Parallelism, m: usize, k: usize, n: usize, mr: usize) -> (bool, usize) {
+    let workers = parallelism();
     let want_parallel = match par {
         Parallelism::Serial => false,
         Parallelism::Parallel => true,
-        Parallelism::Auto => workers > 1 && m > cfg.mr && m * k * n >= QPAR_THRESHOLD,
+        Parallelism::Auto => workers > 1 && m > mr && m * k * n >= QPAR_THRESHOLD,
     };
-
     let band_rows = if want_parallel && m <= QMC {
-        let per_worker = m.div_ceil(workers.max(2));
-        per_worker.div_ceil(cfg.mr) * cfg.mr
+        m.div_ceil(workers.max(2)).div_ceil(mr) * mr
     } else {
         QMC
     };
-    let bands: Vec<(usize, usize)> = (0..m)
-        .step_by(band_rows)
-        .map(|row0| (row0, band_rows.min(m - row0)))
-        .collect();
-
-    if want_parallel && bands.len() > 1 {
-        let compute = |&(row0, rows): &(usize, usize)| -> Vec<i32> {
-            let mut band = vec![0i32; rows * n];
-            qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, &mut band);
-            band
-        };
-        for ((row0, rows), band) in bands.iter().zip(par_map(&bands, compute)) {
-            out[row0 * n..(row0 + rows) * n].copy_from_slice(&band);
-        }
-    } else {
-        for &(row0, rows) in &bands {
-            qgemm_band(
-                a,
-                &bp,
-                row0,
-                rows,
-                k,
-                kc2_total,
-                n,
-                cfg,
-                &mut out[row0 * n..(row0 + rows) * n],
-            );
-        }
-    }
-    out
+    (want_parallel, band_rows)
 }
 
 /// The dequantization tail fused onto [`qgemm_nn_dequant`]: per-output-row
@@ -689,48 +668,16 @@ pub fn qgemm_nn_dequant(
     let bp = pack_b_q(b, k, n, cfg.nr);
     let kc2_total = k.div_ceil(2);
 
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let want_parallel = match par {
-        Parallelism::Serial => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => workers > 1 && m > cfg.mr && m * k * n >= QPAR_THRESHOLD,
-    };
-
-    let band_rows = if want_parallel && m <= QMC {
-        let per_worker = m.div_ceil(workers.max(2));
-        per_worker.div_ceil(cfg.mr) * cfg.mr
-    } else {
-        QMC
-    };
-    let bands: Vec<(usize, usize)> = (0..m)
-        .step_by(band_rows)
-        .map(|row0| (row0, band_rows.min(m - row0)))
-        .collect();
-
-    if want_parallel && bands.len() > 1 {
-        let compute = |&(row0, rows): &(usize, usize)| -> Vec<f32> {
-            let mut acc = vec![0i32; rows * n];
-            qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, &mut acc);
-            let mut band = vec![0.0f32; rows * n];
-            dequant_band(&acc, row0, n, &ep, &mut band);
-            band
-        };
-        for ((row0, rows), band) in bands.iter().zip(par_map(&bands, compute)) {
-            out[row0 * n..(row0 + rows) * n].copy_from_slice(&band);
-        }
-    } else {
-        // Serial: one reusable i32 scratch band, dequantized into the output
-        // right after it is produced (still cache-resident).
-        let mut acc = vec![0i32; band_rows.min(m) * n];
-        for &(row0, rows) in &bands {
-            let scratch = &mut acc[..rows * n];
-            scratch.fill(0);
-            qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, scratch);
-            dequant_band(scratch, row0, n, &ep, &mut out[row0 * n..(row0 + rows) * n]);
-        }
-    }
+    // Each band accumulates into an i32 scratch of its own and is
+    // dequantized into its rows of the output right after (still
+    // cache-resident).
+    let (want_parallel, band_rows) = qband_plan(par, m, k, n, cfg.mr);
+    chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
+        let (row0, rows) = (index * band_rows, band.len() / n);
+        let mut acc = vec![0i32; rows * n];
+        qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, &mut acc);
+        dequant_band(&acc, row0, n, &ep, band);
+    });
     out
 }
 

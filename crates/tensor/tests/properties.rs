@@ -3,6 +3,7 @@
 use ensembler_tensor::gemm::{
     gemm_nn_with, gemm_nt_with, gemm_tn_with, Parallelism, MR, NR, SMALL_THRESHOLD,
 };
+use ensembler_tensor::gemm::{MC, PAR_THRESHOLD};
 use ensembler_tensor::quant::{qgemm_nn_with, QKC, QSMALL_THRESHOLD};
 use ensembler_tensor::{
     col2im, im2col, im2col_i8, Conv2dGeometry, QTensor, QTensorBatch, Rng, Tensor,
@@ -66,6 +67,91 @@ fn assert_all_close(got: &[f32], want: &[f32], tol: f32) {
             "gemm mismatch at {i}: {x} vs {y}"
         );
     }
+}
+
+/// The per-tap lowering `im2col` used before it copied in-bounds `kx` runs
+/// as slices: every kernel tap of every window is bounds-tested on its own.
+/// Kept here as the oracle for the run-copying code, for both element types.
+fn per_tap_im2col<T: Copy + Default>(
+    data: &[T],
+    [b, c, h, w]: [usize; 4],
+    geom: Conv2dGeometry,
+) -> Vec<T> {
+    let (out_h, out_w) = (geom.output_extent(h), geom.output_extent(w));
+    let k = geom.kernel;
+    let cols = c * k * k;
+    let plane = h * w;
+    let mut out = vec![T::default(); b * out_h * out_w * cols];
+    for n in 0..b {
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let row_idx = (n * out_h + oy) * out_w + ox;
+                let row = &mut out[row_idx * cols..(row_idx + 1) * cols];
+                for ch in 0..c {
+                    for ky in 0..k {
+                        let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
+                        for kx in 0..k {
+                            let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
+                            let col_idx = (ch * k + ky) * k + kx;
+                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                row[col_idx] = data
+                                    [n * c * plane + ch * plane + iy as usize * w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The dot-product loop the small `A·Bᵀ` product used before it transposed
+/// its right operand and streamed it: one scalar accumulator per output
+/// element, `k` multiply-then-adds in order from `0.0`.
+fn nt_dot_oracle(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row) {
+                acc += av * bv;
+            }
+            *o = acc;
+        }
+    }
+    out
+}
+
+/// Uniform values salted with the payloads a rearranged loop could treat
+/// differently: `NaN`, both infinities, negative zero and subnormals.
+fn fill_salted(len: usize, rng: &mut Rng) -> Vec<f32> {
+    const SALT: [f32; 6] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        1.0e-40,
+        -3.0e-42,
+    ];
+    (0..len)
+        .map(|_| match rng.below(12) {
+            pick @ 0..=5 if rng.below(4) == 0 => SALT[pick],
+            _ => rng.uniform(-2.0, 2.0),
+        })
+        .collect()
+}
+
+/// Bit equality, except that any `NaN` equals any `NaN`: which payload an
+/// operation on two `NaN`s returns is not something Rust pins down.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
 /// Shapes that straddle the interesting boundaries: unit dimensions,
@@ -281,6 +367,69 @@ proptest! {
         let whole = gemm_nn_with(&a, &b, m, k, n, Parallelism::Serial);
         let row0 = gemm_nn_with(&a[..k], &b, 1, k, n, Parallelism::Serial);
         prop_assert_eq!(&whole[..n], &row0[..]);
+
+        // The same for a right operand below SMALL_THRESHOLD, in the `A·Bᵀ`
+        // layout the conv and linear stages use and tall enough that the
+        // unpacked loop is row-chunked over the pool: a row's bits depend
+        // neither on the batch around it nor on the band it falls in.
+        let (ks, ns) = (1 + k % 27, 1 + n % 16);
+        prop_assert!(ks * ns < SMALL_THRESHOLD);
+        let tall = MC + 1 + m;
+        let a = fill(tall * ks, &mut rng);
+        let bt = fill(ns * ks, &mut rng);
+        let whole = gemm_nt_with(&a, &bt, tall, ks, ns, Parallelism::Parallel);
+        for i in [0, MC - 1, MC, tall - 1] {
+            let alone = gemm_nt_with(&a[i * ks..(i + 1) * ks], &bt, 1, ks, ns, Parallelism::Serial);
+            prop_assert!(same_bits(&whole[i * ns..(i + 1) * ns], &alone), "row {i}");
+        }
+    }
+
+    #[test]
+    fn im2col_copies_the_bits_the_per_tap_oracle_copies(
+        (kernel, stride, padding) in (1usize..=5, 1usize..=3, 0usize..=2),
+        (c, h, w) in (1usize..4, 5usize..13, 5usize..13),
+        seed in any::<u64>()
+    ) {
+        // Every geometry the stack lowers and then some: padding >= kernel,
+        // strides that skip pixels, the 1x1 stride-2 residual shortcut. Batch
+        // 1 takes the serial loop; the second batch is sized just past the
+        // lowering's PAR_ELEMENT_THRESHOLD (1 << 15 output elements), so its
+        // items are chunks handed to the pool.
+        let geom = Conv2dGeometry::new(kernel, stride, padding);
+        let item_out = geom.output_extent(h) * geom.output_extent(w) * c * kernel * kernel;
+        let mut rng = Rng::seed_from(seed);
+        for b in [1, (1usize << 15).div_ceil(item_out) + 1] {
+            let x = Tensor::from_fn(&[b, c, h, w], |_| rng.uniform(-1.0, 1.0));
+            let want = per_tap_im2col(x.data(), [b, c, h, w], geom);
+            prop_assert!(same_bits(im2col(&x, geom).data(), &want), "f32, batch {b}");
+
+            let q = fill_i8(b * c * h * w, &mut rng);
+            let want = per_tap_im2col(&q, [b, c, h, w], geom);
+            prop_assert_eq!(im2col_i8(&q, b, c, h, w, geom), want, "i8, batch {}", b);
+        }
+    }
+
+    #[test]
+    fn small_nt_product_keeps_the_dot_loop_bits(
+        (k, n) in (1usize..=40, 1usize..=25),
+        seed in any::<u64>()
+    ) {
+        // Below SMALL_THRESHOLD `A·Bᵀ` transposes B once and streams it; each
+        // output element must still see the dot loop's k multiply-then-adds
+        // in order, whatever flows through them, on the serial path, the
+        // forced row-chunked path (m not a multiple of the MC-row chunk) and
+        // the automatic one (the last m is past PAR_THRESHOLD).
+        prop_assert!(k * n < SMALL_THRESHOLD);
+        let mut rng = Rng::seed_from(seed);
+        let bt = fill_salted(n * k, &mut rng);
+        for m in [1, 7, MC + 3, 2 * MC + 5, PAR_THRESHOLD.div_ceil(k * n) + 1] {
+            let a = fill_salted(m * k, &mut rng);
+            let want = nt_dot_oracle(&a, &bt, m, k, n);
+            for par in [Parallelism::Serial, Parallelism::Parallel, Parallelism::Auto] {
+                let got = gemm_nt_with(&a, &bt, m, k, n, par);
+                prop_assert!(same_bits(&got, &want), "{m}x{k}x{n} {par:?}");
+            }
+        }
     }
 
     #[test]
