@@ -7,9 +7,9 @@
 //!
 //! The server, the client and the load all live in this one process, so the
 //! numbers isolate the serving stack (framing, multiplexing, admission,
-//! coalescing) from network hardware — the same methodology as the
-//! `serving` section of `BENCH_PERF.json`, extended from closed-loop means
-//! to open-loop tails.
+//! coalescing) from network hardware — the loopback methodology of the
+//! benchmark's `loopback_f32_b1_c2` workload, extended from closed-loop
+//! medians to open-loop tails.
 //!
 //! Usage:
 //!   cargo run -p ensembler-bench --bin load_gen --release [-- OPTIONS]

@@ -18,8 +18,7 @@
 //! The per-shape rate parameters are fixed (bursty: 20 QPS base with 120 QPS
 //! bursts for the first quarter of every second; diurnal: 5–60 QPS over a
 //! 2 s period; steady: 45 QPS) so a trace is fully described by
-//! `(shape, seed, duration)` — the spec `perf_report` records next to the
-//! replay numbers.
+//! `(shape, seed, duration)`.
 
 use ensembler_bench::trace::{synthesize, TraceShape};
 

@@ -10,17 +10,19 @@
 //! * `ablation_ensemble` — sensitivity to the ensemble size N and selection
 //!   size P.
 //!
-//! All binaries accept the `ENSEMBLER_SCALE` environment variable:
-//! `quick` (default) runs a scaled-down configuration that finishes in a few
-//! minutes on a laptop CPU; `full` runs the larger configuration described in
-//! `DESIGN.md`.
+//! These binaries read the `ENSEMBLER_SCALE` environment variable (see
+//! [`ExperimentScale::from_env`]): `quick` (the default when it is unset)
+//! runs a scaled-down configuration that finishes in a few minutes on a
+//! laptop CPU; `full` runs the larger, paper-like configuration
+//! ([`ExperimentScale::train_config`] and its siblings spell out both).
 //!
 //! The [`load`] module is the open-loop load-generation harness behind the
-//! `load_gen` binary and the `load` section of `BENCH_PERF.json`; [`stream`]
-//! adds stateful streaming sessions (per-session cadence, jitter and stall
-//! accounting) and [`trace`] a committed text trace format with a
-//! deterministic synthesizer and an open-loop replayer, both feeding the
-//! `scenarios` section.
+//! `load_gen` binary; [`stream`] adds stateful streaming sessions
+//! (per-session cadence, jitter and stall accounting) and [`trace`] a
+//! committed text trace format with a deterministic synthesizer and an
+//! open-loop replayer (`load_gen --stream` / `--replay`). They are
+//! workloads with correctness checks, not a stopwatch: performance claims
+//! come from the `benchmark/` package.
 
 pub mod load;
 pub mod stream;
@@ -41,18 +43,48 @@ use ensembler_tensor::{JsonValue, Tensor};
 pub enum ExperimentScale {
     /// Scaled-down run (small ensembles, few epochs) for CI and smoke runs.
     Quick,
-    /// The full configuration described in DESIGN.md.
+    /// The paper-like configuration (N = 10, `TrainConfig::paper_like`).
     Full,
 }
 
-impl ExperimentScale {
-    /// Reads the scale from the `ENSEMBLER_SCALE` environment variable
-    /// (`quick` by default, `full` to enable the larger run).
-    pub fn from_env() -> Self {
-        match std::env::var("ENSEMBLER_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => ExperimentScale::Full,
-            _ => ExperimentScale::Quick,
+impl std::str::FromStr for ExperimentScale {
+    type Err = String;
+
+    /// Parses an `ENSEMBLER_SCALE` value: `quick` or `full`, in any case.
+    /// Anything else — a typo, stray whitespace, the empty string — is an
+    /// error naming the accepted values.
+    fn from_str(value: &str) -> Result<Self, Self::Err> {
+        if value.eq_ignore_ascii_case("quick") {
+            Ok(ExperimentScale::Quick)
+        } else if value.eq_ignore_ascii_case("full") {
+            Ok(ExperimentScale::Full)
+        } else {
+            Err(format!(
+                "ENSEMBLER_SCALE={value:?} is not a scale: accepted values are `quick` and \
+                 `full` (any case); leave it unset for `quick`"
+            ))
         }
+    }
+}
+
+impl ExperimentScale {
+    /// Reads the scale from the `ENSEMBLER_SCALE` environment variable:
+    /// unset means [`ExperimentScale::Quick`], otherwise the value must
+    /// parse (see the [`FromStr`](std::str::FromStr) impl).
+    ///
+    /// This is the binaries' entry point: on an unrecognised value it prints
+    /// the accepted values and exits with status 2, so a mistyped `full` can
+    /// never pass for a paper-scale run.
+    pub fn from_env() -> Self {
+        let value = match std::env::var("ENSEMBLER_SCALE") {
+            Err(std::env::VarError::NotPresent) => return ExperimentScale::Quick,
+            Ok(value) => value,
+            Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        };
+        value.parse().unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 
     /// Ensemble size N used for the defence-quality tables.
@@ -452,6 +484,28 @@ mod tests {
         assert_eq!(ExperimentScale::from_env(), ExperimentScale::Quick);
         assert_eq!(ExperimentScale::Quick.ensemble_size(), 4);
         assert_eq!(ExperimentScale::Full.ensemble_size(), 10);
+    }
+
+    #[test]
+    fn scale_parser_accepts_quick_and_full_in_any_case_and_nothing_else() {
+        for (value, scale) in [
+            ("quick", ExperimentScale::Quick),
+            ("QUICK", ExperimentScale::Quick),
+            ("full", ExperimentScale::Full),
+            ("Full", ExperimentScale::Full),
+            ("FULL", ExperimentScale::Full),
+        ] {
+            assert_eq!(value.parse(), Ok(scale), "{value:?}");
+        }
+        for value in ["", "ful", "FULL ", " full", "fulll", "paper", "1"] {
+            let message = value.parse::<ExperimentScale>().unwrap_err();
+            assert!(
+                message.contains(&format!("{value:?}"))
+                    && message.contains("`quick`")
+                    && message.contains("`full`"),
+                "{value:?} -> {message}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! completed — unlike a closed loop (issue, wait, issue), whose measured
 //! latency silently flattens under overload because a slow server throttles
 //! its own load. Open-loop tail latencies (p99, p999) are the numbers a
-//! capacity plan actually needs, which is why this harness backs both the
-//! `load_gen` binary and the `load` section of `BENCH_PERF.json`.
+//! capacity plan actually needs, which is why this harness backs the
+//! `load_gen` binary.
 //!
 //! The arrival schedule is deterministic — request `k` of a run at `q` QPS
 //! is due exactly `k / q` seconds after the start, no Poisson jitter — so
@@ -19,7 +19,6 @@
 //! transport failures.
 
 use ensembler_serve::{ErrorCode, ServeError};
-use ensembler_tensor::JsonValue;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,30 +89,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// JSON representation, one object per scenario in `BENCH_PERF.json`'s
-    /// `load` section.
-    pub fn to_json(&self) -> JsonValue {
-        let num = |v: f64| JsonValue::Number((v * 1e3).round() / 1e3);
-        JsonValue::Object(vec![
-            ("target_qps".to_string(), num(self.target_qps)),
-            (
-                "requests".to_string(),
-                JsonValue::Number(self.requests as f64),
-            ),
-            ("ok".to_string(), JsonValue::Number(self.ok as f64)),
-            (
-                "rejected".to_string(),
-                JsonValue::Number(self.rejected as f64),
-            ),
-            ("failed".to_string(), JsonValue::Number(self.failed as f64)),
-            ("achieved_qps".to_string(), num(self.achieved_qps)),
-            ("p50_ms".to_string(), num(self.p50_ms)),
-            ("p99_ms".to_string(), num(self.p99_ms)),
-            ("p999_ms".to_string(), num(self.p999_ms)),
-            ("max_ms".to_string(), num(self.max_ms)),
-        ])
-    }
-
     /// One-line human summary, as printed by `load_gen`.
     pub fn summary(&self) -> String {
         format!(
@@ -282,10 +257,6 @@ mod tests {
         assert_eq!(report.ok + report.rejected + report.failed, 50);
         assert!(report.p50_ms <= report.p99_ms && report.p99_ms <= report.p999_ms);
         assert!(report.p999_ms <= report.max_ms);
-        let json = report.to_json();
-        let rendered = json.render_pretty();
-        assert!(rendered.contains("p999_ms"));
-        assert!(rendered.contains("rejected"));
     }
 
     #[test]

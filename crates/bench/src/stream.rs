@@ -17,7 +17,6 @@
 //! exactly like a real sensor that does not pause for a slow server.
 
 use crate::load::{classify_outcome, percentile_ms, LoadRequest, Outcome};
-use ensembler_tensor::JsonValue;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,35 +93,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// JSON representation for `BENCH_PERF.json`'s `scenarios` section.
-    pub fn to_json(&self) -> JsonValue {
-        let num = |v: f64| JsonValue::Number((v * 1e3).round() / 1e3);
-        JsonValue::Object(vec![
-            (
-                "sessions".to_string(),
-                JsonValue::Number(self.sessions as f64),
-            ),
-            ("frame_hz".to_string(), num(self.frame_hz)),
-            (
-                "frames_per_session".to_string(),
-                JsonValue::Number(self.frames_per_session as f64),
-            ),
-            ("ok".to_string(), JsonValue::Number(self.ok as f64)),
-            (
-                "rejected".to_string(),
-                JsonValue::Number(self.rejected as f64),
-            ),
-            ("failed".to_string(), JsonValue::Number(self.failed as f64)),
-            ("stalls".to_string(), JsonValue::Number(self.stalls as f64)),
-            ("p50_ms".to_string(), num(self.p50_ms)),
-            ("p99_ms".to_string(), num(self.p99_ms)),
-            ("p999_ms".to_string(), num(self.p999_ms)),
-            ("max_ms".to_string(), num(self.max_ms)),
-            ("jitter_mean_ms".to_string(), num(self.jitter_mean_ms)),
-            ("jitter_max_ms".to_string(), num(self.jitter_max_ms)),
-        ])
-    }
-
     /// One-line human summary, as printed by `load_gen --stream`.
     pub fn summary(&self) -> String {
         format!(
@@ -336,8 +306,6 @@ mod tests {
             wall < Duration::from_millis(400),
             "streaming run took {wall:?}, schedule is ~95 ms"
         );
-        let rendered = report.to_json().render_pretty();
-        assert!(rendered.contains("jitter_mean_ms"));
         assert!(report.summary().contains("3 sessions"));
     }
 

@@ -34,7 +34,7 @@
 //! synthesized trace can be committed, diffed and replayed byte-for-byte.
 
 use crate::load::{classify_outcome, percentile_ms, LoadRequest, Outcome};
-use ensembler_tensor::{JsonValue, Rng};
+use ensembler_tensor::Rng;
 use std::time::{Duration, Instant};
 
 /// Hard cap on entries per trace: far above any committed workload, low
@@ -645,51 +645,6 @@ impl TraceReport {
         (self.ok, self.rejected, self.failed, self.per_kind.clone())
     }
 
-    /// JSON representation for `BENCH_PERF.json`'s `scenarios` section.
-    pub fn to_json(&self) -> JsonValue {
-        let num = |v: f64| JsonValue::Number((v * 1e3).round() / 1e3);
-        let per_kind: Vec<JsonValue> = self
-            .per_kind
-            .iter()
-            .map(|tally| {
-                JsonValue::Object(vec![
-                    (
-                        "kind".to_string(),
-                        JsonValue::String(tally.kind.to_string()),
-                    ),
-                    ("issued".to_string(), JsonValue::Number(tally.issued as f64)),
-                    ("ok".to_string(), JsonValue::Number(tally.ok as f64)),
-                    (
-                        "rejected".to_string(),
-                        JsonValue::Number(tally.rejected as f64),
-                    ),
-                    ("failed".to_string(), JsonValue::Number(tally.failed as f64)),
-                ])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            (
-                "entries".to_string(),
-                JsonValue::Number(self.entries as f64),
-            ),
-            ("duration_s".to_string(), num(self.duration_s)),
-            ("mean_qps".to_string(), num(self.mean_qps)),
-            ("peak_qps_1s".to_string(), num(self.peak_qps_1s)),
-            ("ok".to_string(), JsonValue::Number(self.ok as f64)),
-            (
-                "rejected".to_string(),
-                JsonValue::Number(self.rejected as f64),
-            ),
-            ("failed".to_string(), JsonValue::Number(self.failed as f64)),
-            ("achieved_qps".to_string(), num(self.achieved_qps)),
-            ("p50_ms".to_string(), num(self.p50_ms)),
-            ("p99_ms".to_string(), num(self.p99_ms)),
-            ("p999_ms".to_string(), num(self.p999_ms)),
-            ("max_ms".to_string(), num(self.max_ms)),
-            ("per_kind".to_string(), JsonValue::Array(per_kind)),
-        ])
-    }
-
     /// One-line human summary, as printed by `load_gen --replay`.
     pub fn summary(&self) -> String {
         format!(
@@ -899,8 +854,5 @@ mod tests {
             .iter()
             .find(|t| t.kind == RequestKind::Outputs);
         assert_eq!(outputs.unwrap().rejected, 20);
-        let rendered = report.to_json().render_pretty();
-        assert!(rendered.contains("peak_qps_1s"));
-        assert!(rendered.contains("per_kind"));
     }
 }

@@ -384,6 +384,11 @@ pub fn check_body_range(lo: usize, hi: usize, ensemble_size: usize) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::tests::tiny_pipeline;
+    use crate::QuantizedDefense;
+    use ensembler_nn::{Layer, Mode};
+    use std::ops::Range;
+    use std::sync::Arc;
 
     #[test]
     fn eval_config_default_batch_size_is_32() {
@@ -459,6 +464,149 @@ mod tests {
                 .is_err());
             assert!(double.serve(&ServerRequest::ranged(1..1, payload)).is_err());
         }
+    }
+
+    /// The reference for every ranged request below: `bodies` is one eager
+    /// forward per body, in index order, wrapped in the quantize/dequantize
+    /// round trips each precision's contract spells out (an int8 backend
+    /// quantizes at both wire crossings even for an `f32` caller). It shares
+    /// nothing with the range paths under test — no `server_outputs*`, no
+    /// compiled plan, no slicing.
+    fn per_body_oracle(
+        payload: &Features,
+        int8_backend: bool,
+        bodies: impl Fn(&Tensor) -> Vec<Tensor>,
+    ) -> Maps {
+        let round_trip = |t: &Tensor| QTensorBatch::quantize_batch(t).dequantize();
+        match payload {
+            Features::F32(features) if !int8_backend => Maps::F32(bodies(features)),
+            Features::F32(features) => Maps::F32(
+                bodies(&round_trip(features))
+                    .iter()
+                    .map(round_trip)
+                    .collect(),
+            ),
+            Features::Int8(features) => Maps::Int8(
+                bodies(&features.dequantize())
+                    .iter()
+                    .map(QTensorBatch::quantize_batch)
+                    .collect(),
+            ),
+        }
+    }
+
+    fn slice(maps: &Maps, range: Range<usize>) -> Maps {
+        match maps {
+            Maps::F32(maps) => Maps::F32(maps[range].to_vec()),
+            Maps::Int8(maps) => Maps::Int8(maps[range].to_vec()),
+        }
+    }
+
+    fn concat(left: Maps, right: Maps) -> Maps {
+        match (left, right) {
+            (Maps::F32(mut left), Maps::F32(right)) => {
+                left.extend(right);
+                Maps::F32(left)
+            }
+            (Maps::Int8(mut left), Maps::Int8(right)) => {
+                left.extend(right);
+                Maps::Int8(left)
+            }
+            (left, right) => panic!("mixed precisions: {left:?} vs {right:?}"),
+        }
+    }
+
+    /// Runs `check` for a 4-body Ensembler and its int8 wrapper (the two
+    /// pipelines that override the range methods instead of slicing a full
+    /// evaluation) × both payload precisions, handing it the pipeline, a
+    /// payload and the per-body oracle's answer for it.
+    fn for_each_pipeline_and_precision(seed: u64, check: impl Fn(&dyn Defense, &Features, &Maps)) {
+        let f32_pipeline: Arc<dyn Defense> = Arc::new(tiny_pipeline(4, 2, seed));
+        let int8 = QuantizedDefense::quantize(Arc::clone(&f32_pipeline));
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.01).sin());
+        let features = f32_pipeline.client_features(&images).unwrap();
+        let payloads = [
+            Features::Int8(QTensorBatch::quantize_batch(&features)),
+            Features::F32(features),
+        ];
+        for payload in &payloads {
+            let reference = per_body_oracle(payload, false, |x| {
+                let bodies = f32_pipeline.server_bodies().iter();
+                bodies.map(|body| body.forward(x, Mode::Eval)).collect()
+            });
+            check(f32_pipeline.as_ref(), payload, &reference);
+            let reference = per_body_oracle(payload, true, |x| {
+                let bodies = int8.quantized_bodies().iter();
+                bodies.map(|body| body.forward(x)).collect()
+            });
+            check(&int8, payload, &reference);
+        }
+    }
+
+    #[test]
+    fn ranged_requests_partition_the_full_evaluation_bit_exactly() {
+        for_each_pipeline_and_precision(31, |defense, payload, reference| {
+            let what = format!("{} / {:?}", defense.label(), payload.precision());
+            let serve = |range| {
+                defense
+                    .serve(&ServerRequest::ranged(range, payload.clone()))
+                    .unwrap()
+            };
+            assert_eq!(reference.len(), 4);
+            assert_eq!(
+                &defense
+                    .serve(&ServerRequest::full(payload.clone()))
+                    .unwrap(),
+                reference,
+                "{what}: full"
+            );
+            assert_eq!(&concat(serve(0..2), serve(2..4)), reference, "{what}: 2+2");
+            assert_eq!(&serve(0..4), reference, "{what}: 0..4");
+        });
+    }
+
+    #[test]
+    fn a_slice_of_a_ranged_answer_is_the_ranged_answer_of_the_slice() {
+        for_each_pipeline_and_precision(37, |defense, payload, reference| {
+            let serve = |range| {
+                defense
+                    .serve(&ServerRequest::ranged(range, payload.clone()))
+                    .unwrap()
+            };
+            for (a, b) in [(0usize, 4usize), (1, 4), (0, 3), (1, 3)] {
+                let outer = serve(a..b);
+                assert_eq!(outer, slice(reference, a..b), "{a}..{b}");
+                for c in 0..b - a {
+                    for d in c + 1..=b - a {
+                        assert_eq!(
+                            slice(&outer, c..d),
+                            serve(a + c..a + d),
+                            "{} / {:?}: ({a}..{b})[{c}..{d}]",
+                            defense.label(),
+                            payload.precision()
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn empty_and_out_of_bounds_ranges_are_typed_errors() {
+        for_each_pipeline_and_precision(41, |defense, payload, _| {
+            let reversed = Range { start: 3, end: 1 };
+            for range in [1..1, 4..4, 0..5, 2..9, 4..5, reversed] {
+                let err = defense
+                    .serve(&ServerRequest::ranged(range.clone(), payload.clone()))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, EnsemblerError::InvalidConfig(_)),
+                    "{} / {:?}: {range:?} -> {err}",
+                    defense.label(),
+                    payload.precision()
+                );
+            }
+        });
     }
 
     #[test]

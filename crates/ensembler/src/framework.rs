@@ -96,8 +96,8 @@ impl EnsemblerPipeline {
     }
 
     /// Recompiles the pipeline's execution plans with a different
-    /// [`FusionConfig`] (e.g. [`FusionConfig::none`] for an eager baseline or
-    /// [`FusionConfig::full`] for conv+bn folding).
+    /// [`FusionConfig`] ([`FusionConfig::none`] gives the eager baseline the
+    /// conformance suites compare against).
     pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
         self.fusion = fusion;
         self.head_plan = CompiledPlan::compile(&self.head, fusion);
@@ -251,7 +251,7 @@ impl Defense for EnsemblerPipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::defense::EvalConfig;
     use ensembler_data::SyntheticSpec;
@@ -259,7 +259,8 @@ mod tests {
     use ensembler_tensor::Rng;
     use std::sync::Arc;
 
-    fn tiny_pipeline(n: usize, p: usize, seed: u64) -> EnsemblerPipeline {
+    /// An untrained `n`-body, `p`-selected Ensembler on the tiny backbone.
+    pub(crate) fn tiny_pipeline(n: usize, p: usize, seed: u64) -> EnsemblerPipeline {
         let config = ResNetConfig::tiny_for_tests();
         let mut rng = Rng::seed_from(seed);
         let head = build_head(&config, &mut rng);

@@ -34,9 +34,6 @@
 //!   dispatched by [`Defense::serve`].
 //! * [`split`] — the byte-level wire format for the transmitted features
 //!   (`f32` and quantized variants).
-//! * [`subensemble`] — [`SubEnsembleView`], a pipeline restricted to a
-//!   contiguous slice of another pipeline's server bodies: the serving mode
-//!   a sharded worker runs in.
 //! * [`trainer`] — the three-stage training procedure (Sec. III-C) including
 //!   the cosine-similarity regularizer of Eq. 3.
 //!
@@ -83,7 +80,6 @@ pub mod quant;
 pub mod request;
 pub mod selector;
 pub mod split;
-pub mod subensemble;
 pub mod trainer;
 
 pub use artifact::{load_defense, load_pipeline, save_pipeline};
@@ -98,5 +94,4 @@ pub use selector::Selector;
 pub use split::{
     decode_features, decode_qfeatures, encode_features, encode_qfeatures, SplitFeatures,
 };
-pub use subensemble::SubEnsembleView;
 pub use trainer::{EnsemblerTrainer, StageOneNetwork, TrainConfig, TrainReport, TrainedEnsembler};

@@ -74,10 +74,8 @@ impl QuantizedDefense {
     /// Quantizes the server bodies of `inner`, compiling the int8 execution
     /// plans with an explicit [`FusionConfig`].
     ///
-    /// Under [`FusionConfig::none`] and [`FusionConfig::bit_exact`] the
-    /// plans reproduce the eager [`QSequential`] forward bit-for-bit; only
-    /// [`FusionConfig::full`] (conv+bn folding before quantization) changes
-    /// the arithmetic, within the documented fold tolerance.
+    /// Under both [`FusionConfig::none`] and [`FusionConfig::bit_exact`] the
+    /// plans reproduce the eager [`QSequential`] forward bit-for-bit.
     pub fn quantize_with(inner: Arc<dyn Defense>, fusion: FusionConfig) -> Self {
         let qbodies: Vec<QSequential> = inner
             .server_bodies()

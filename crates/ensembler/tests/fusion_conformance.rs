@@ -1,8 +1,8 @@
 //! End-to-end fusion conformance for the serving pipelines: the compiled
-//! fused forward path must be indistinguishable (bit-exact under the
-//! non-folding configs) from the eager baseline at every integration level —
-//! direct `predict`, the split client/server API, the int8 wrapper, and the
-//! request-coalescing [`InferenceEngine`].
+//! fused forward path must be indistinguishable (bit-exact) from the eager
+//! baseline at every integration level — direct `predict`, the split
+//! client/server API, the int8 wrapper, and the request-coalescing
+//! [`InferenceEngine`].
 
 use ensembler::{
     Defense, DefenseKind, EngineConfig, EnsemblerPipeline, EnsemblerTrainer, InferenceEngine,
@@ -49,22 +49,6 @@ fn fused_ensembler_predictions_are_bit_exact_vs_the_eager_plans() {
         assert_eq!(
             fused.server_outputs(&transmitted).unwrap(),
             eager.server_outputs(&transmitted).unwrap()
-        );
-    }
-}
-
-#[test]
-fn folded_ensembler_predictions_track_the_eager_plans() {
-    let folded = ensembler_pipeline(51).with_fusion(FusionConfig::full());
-    let eager = ensembler_pipeline(51).with_fusion(FusionConfig::none());
-    let x = images(2);
-    let a = folded.predict(&x).unwrap();
-    let b = eager.predict(&x).unwrap();
-    assert_eq!(a.shape(), b.shape());
-    for (x, y) in a.data().iter().zip(b.data()) {
-        assert!(
-            (x - y).abs() <= 2e-3 * (1.0 + y.abs()),
-            "folded logit {x} drifted from eager {y}"
         );
     }
 }

@@ -1,26 +1,17 @@
 //! Compilation of the lazy graph IR into fused, panic-free execution plans.
 //!
 //! [`CompiledPlan::compile`] lowers a [`Sequential`] pipeline through
-//! [`crate::graph`] and runs two fusion passes over the op list:
-//!
-//! 1. **Conv+bn folding** ([`FusionConfig::fold_conv_bn`]): an eval-mode
-//!    batch norm directly after a convolution is folded into the conv's
-//!    weights and bias (`w'_c = w_c * gamma_c / sqrt(var_c + eps)`,
-//!    `b'_c = (b_c - mean_c) * gamma_c / sqrt(var_c + eps) + beta_c`),
-//!    removing a full pass over the feature map. Folding reassociates float
-//!    arithmetic, so outputs match the eager pipeline to a small tolerance
-//!    rather than bit-exactly.
-//! 2. **Epilogue fusion** ([`FusionConfig::fuse_epilogue`]): the bias add
-//!    and a directly following ReLU are applied inside the GEMM epilogue
-//!    while the output band is cache-hot
-//!    ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode batch norm
-//!    (and the ReLU after it) directly following a conv is merged into the
-//!    conv's single output pass, and the int8 conv stages dequantize their
-//!    `i32` accumulators, apply bias, the merged batch norm and ReLU, and
-//!    transpose into NCHW in one pass (the int8 linear stages keep the
-//!    dequantize in the qgemm epilogue,
-//!    [`ensembler_tensor::qgemm_nn_dequant`]). Epilogue fusion performs
-//!    exactly the eager per-element expressions, so it is bit-exact.
+//! [`crate::graph`] and runs one fusion pass over the op list, **epilogue
+//! fusion** ([`FusionConfig::fuse_epilogue`]): the bias add and a directly
+//! following ReLU are applied inside the GEMM epilogue while the output band
+//! is cache-hot ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode
+//! batch norm (and the ReLU after it) directly following a conv is merged
+//! into the conv's single output pass, and the int8 conv stages dequantize
+//! their `i32` accumulators, apply bias, the merged batch norm and ReLU, and
+//! transpose into NCHW in one pass (the int8 linear stages keep the
+//! dequantize in the qgemm epilogue, [`ensembler_tensor::qgemm_nn_dequant`]).
+//! Epilogue fusion performs exactly the eager per-element expressions, so it
+//! is bit-exact.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -58,13 +49,9 @@ use ensembler_tensor::{
 };
 use std::borrow::Cow;
 
-/// Which fusion passes a compiled plan applies.
+/// Whether a compiled plan fuses epilogues or runs each layer eagerly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionConfig {
-    /// Fold eval-mode batch norms into the preceding convolution's weights.
-    /// Reassociates float math: outputs match eager to a tolerance, not
-    /// bit-exactly.
-    pub fold_conv_bn: bool,
     /// Apply bias (and a directly following batch norm and ReLU) in the
     /// conv/GEMM output pass and keep int8 `i32` accumulators live through
     /// a fused dequantize. Bit-exact with respect to the eager pipeline.
@@ -73,27 +60,17 @@ pub struct FusionConfig {
 
 impl FusionConfig {
     /// No fusion: the plan validates shapes and then runs each layer's own
-    /// eager forward. The baseline the `fusion` benchmarks compare against.
+    /// eager forward. The oracle the bit-exact suites compare against.
     pub fn none() -> Self {
         Self {
-            fold_conv_bn: false,
             fuse_epilogue: false,
         }
     }
 
-    /// Epilogue fusion only — every optimization that is bit-exact with the
-    /// eager pipeline. The default for serving pipelines.
+    /// Epilogue fusion — bit-exact with the eager pipeline. The default for
+    /// serving pipelines.
     pub fn bit_exact() -> Self {
         Self {
-            fold_conv_bn: false,
-            fuse_epilogue: true,
-        }
-    }
-
-    /// All passes, including conv+bn folding (documented tolerance vs eager).
-    pub fn full() -> Self {
-        Self {
-            fold_conv_bn: true,
             fuse_epilogue: true,
         }
     }
@@ -103,73 +80,6 @@ impl Default for FusionConfig {
     fn default() -> Self {
         Self::bit_exact()
     }
-}
-
-/// Folds an eval-mode [`BatchNorm2d`] into the preceding [`Conv2d`],
-/// producing a single convolution computing `bn(conv(x))` with the running
-/// statistics frozen.
-///
-/// # Panics
-///
-/// Panics if the batch norm's channel count differs from the convolution's
-/// output channels (the fold pass only calls this when they match).
-pub fn fold_conv_bn(conv: &Conv2d, bn: &BatchNorm2d) -> Conv2d {
-    let cout = conv.out_channels();
-    assert_eq!(bn.channels(), cout, "bn channels must match conv output");
-    let fan_in = conv.weight().value.shape()[1];
-    let mut weight = conv.weight().value.data().to_vec();
-    let mut bias = vec![0.0f32; cout];
-    let gamma = bn.gamma().value.data();
-    let beta = bn.beta().value.data();
-    let mean = bn.running_mean().data();
-    let var = bn.running_var().data();
-    let conv_bias = conv.bias().value.data();
-    for c in 0..cout {
-        let inv_std = 1.0 / (var[c] + bn.eps()).sqrt();
-        let scale = gamma[c] * inv_std;
-        for v in &mut weight[c * fan_in..(c + 1) * fan_in] {
-            *v *= scale;
-        }
-        bias[c] = (conv_bias[c] - mean[c]) * scale + beta[c];
-    }
-    Conv2d::from_parts(
-        Tensor::from_vec(weight, &[cout, fan_in]).expect("folded weight keeps its shape"),
-        Tensor::from_vec(bias, &[cout]).expect("folded bias is [out_channels]"),
-        conv.in_channels(),
-        conv.geometry(),
-    )
-}
-
-/// The fold pass: rewrites `Conv, BatchNorm` pairs into a single folded
-/// conv, recursing into residual branches.
-fn fold_pass(ops: Vec<GraphOp>) -> Vec<GraphOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut iter = ops.into_iter().peekable();
-    while let Some(op) = iter.next() {
-        match op {
-            GraphOp::Conv(conv) => {
-                let foldable = matches!(
-                    iter.peek(),
-                    Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels()
-                );
-                if foldable {
-                    let Some(GraphOp::BatchNorm(bn)) = iter.next() else {
-                        unreachable!("peeked a batch norm")
-                    };
-                    out.push(GraphOp::Conv(fold_conv_bn(&conv, &bn)));
-                } else {
-                    out.push(GraphOp::Conv(conv));
-                }
-            }
-            GraphOp::Residual { main, shortcut } => out.push(GraphOp::Residual {
-                main: fold_pass(main),
-                shortcut: shortcut.map(fold_pass),
-            }),
-            GraphOp::Sequence(seq) => out.push(GraphOp::Sequence(fold_pass(seq))),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -509,13 +419,10 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Lowers `net` to the graph IR, runs the fusion passes selected by
-    /// `config` and returns the executable plan.
+    /// Lowers `net` to the graph IR and returns the executable plan, fused
+    /// as `config` selects.
     pub fn compile(net: &Sequential, config: FusionConfig) -> Self {
-        let mut ops = lower_sequential(net);
-        if config.fold_conv_bn {
-            ops = fold_pass(ops);
-        }
+        let ops = lower_sequential(net);
         Self {
             stages: build_stages(&ops, config),
             config,
@@ -788,8 +695,8 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
 }
 
 /// A fused int8 execution plan: the quantized counterpart of
-/// [`CompiledPlan`], with weights quantized once at compile time (after any
-/// conv+bn folding) and the dequantize kept in the GEMM epilogue.
+/// [`CompiledPlan`], with weights quantized once at compile time and the
+/// dequantize kept in the GEMM epilogue.
 #[derive(Debug, Clone)]
 pub struct QCompiledPlan {
     stages: Vec<QStage>,
@@ -797,13 +704,10 @@ pub struct QCompiledPlan {
 }
 
 impl QCompiledPlan {
-    /// Lowers `net`, runs the fusion passes on the `f32` graph, then
-    /// quantizes the (possibly folded) weights into int8 stages.
+    /// Lowers `net` to the graph IR and quantizes the weights into int8
+    /// stages, fused as `config` selects.
     pub fn compile(net: &Sequential, config: FusionConfig) -> Self {
-        let mut ops = lower_sequential(net);
-        if config.fold_conv_bn {
-            ops = fold_pass(ops);
-        }
+        let ops = lower_sequential(net);
         Self {
             stages: build_qstages(&ops, config, false),
             config,
@@ -832,20 +736,10 @@ impl QCompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{build_body, build_full_network, ResNetConfig};
+    use crate::models::{build_body, ResNetConfig};
     use crate::quant::QSequential;
     use crate::{Flatten, GlobalAvgPool, Relu, ResidualBlock};
     use ensembler_tensor::Rng;
-
-    fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
-        assert_eq!(a.shape(), b.shape());
-        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-            assert!(
-                (x - y).abs() <= tol * (1.0 + y.abs()),
-                "mismatch at {i}: {x} vs {y}"
-            );
-        }
-    }
 
     /// A small conv net exercising every typed stage.
     fn small_net(rng: &mut Rng) -> Sequential {
@@ -891,8 +785,8 @@ mod tests {
     #[test]
     fn fusion_merges_conv_bn_relu_triples_bit_exactly() {
         // A conv -> bn -> relu chain collapses into ONE stage under
-        // bit_exact (the bn is merged into the conv output pass, not
-        // folded into the weights) and still reproduces eager bit-for-bit.
+        // bit_exact (the bn is merged into the conv output pass) and still
+        // reproduces eager bit-for-bit.
         let mut rng = Rng::seed_from(9);
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
@@ -920,34 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_plan_tracks_eager_forward_within_tolerance() {
-        let config = ResNetConfig::tiny_for_tests();
-        let mut rng = Rng::seed_from(2);
-        let net = build_full_network(&config, &mut rng);
-        // Make the running statistics non-trivial so the fold actually works.
-        let x = Tensor::from_fn(&[2, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
-        let eager = net.forward(&x, Mode::Eval);
-        let plan = CompiledPlan::compile(&net, FusionConfig::full());
-        assert_close(&plan.run(&x).unwrap(), &eager, 1e-4);
-    }
-
-    #[test]
-    fn fold_conv_bn_reproduces_the_two_layer_computation() {
-        let mut rng = Rng::seed_from(3);
-        let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
-        let mut bn = BatchNorm2d::new(4);
-        // Drive the running stats away from the (0, 1) init.
-        for _ in 0..50 {
-            let x = Tensor::from_fn(&[4, 4, 5, 5], |_| rng.normal_with(0.7, 1.8));
-            let _ = bn.forward_cached(&x, Mode::Train);
-        }
-        let folded = fold_conv_bn(&conv, &bn);
-        let x = Tensor::from_fn(&[2, 2, 6, 6], |_| rng.uniform(-1.0, 1.0));
-        let two_layer = bn.forward(&conv.forward(&x, Mode::Eval), Mode::Eval);
-        assert_close(&folded.forward(&x, Mode::Eval), &two_layer, 1e-4);
-    }
-
-    #[test]
     fn quantized_plan_matches_eager_quantized_forward_exactly() {
         let config = ResNetConfig::tiny_for_tests();
         let mut rng = Rng::seed_from(4);
@@ -967,30 +833,10 @@ mod tests {
     }
 
     #[test]
-    fn folded_quantized_plan_tracks_the_f32_forward() {
-        let config = ResNetConfig::tiny_for_tests();
-        let mut rng = Rng::seed_from(5);
-        let body = build_body(&config, &mut rng);
-        let head = config.head_output_shape();
-        let x = Tensor::from_fn(&[2, head[0], head[1], head[2]], |_| rng.uniform(-1.0, 1.0));
-        let f32_eager = body.forward(&x, Mode::Eval);
-        let plan = QCompiledPlan::compile(&body, FusionConfig::full());
-        // int8 quantization noise dominates; same tolerance as the eager
-        // quantized-body test.
-        assert_close(&plan.run(&x).unwrap(), &f32_eager, 0.25);
-        assert!(plan.stage_count() > 0);
-        assert_eq!(plan.config(), FusionConfig::full());
-    }
-
-    #[test]
     fn hostile_shapes_return_typed_errors_not_panics() {
         let mut rng = Rng::seed_from(6);
         let net = small_net(&mut rng);
-        for config in [
-            FusionConfig::none(),
-            FusionConfig::bit_exact(),
-            FusionConfig::full(),
-        ] {
+        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
             let plan = CompiledPlan::compile(&net, config);
             let qplan = QCompiledPlan::compile(&net, config);
             // Wrong rank, wrong channel count, pool-indivisible extent and

@@ -94,42 +94,6 @@ impl Conv2d {
         }
     }
 
-    /// Creates a convolution from explicit weight and bias tensors.
-    ///
-    /// `weight` must be `[out_channels, in_channels * kernel * kernel]` and
-    /// `bias` `[out_channels]`. This is what conv+bn folding uses to build
-    /// the folded convolution at compile time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor shapes are inconsistent with `in_channels` and
-    /// `geometry`.
-    pub fn from_parts(
-        weight: Tensor,
-        bias: Tensor,
-        in_channels: usize,
-        geometry: Conv2dGeometry,
-    ) -> Self {
-        assert_eq!(weight.rank(), 2, "conv weight must be rank-2");
-        let out_channels = weight.shape()[0];
-        let fan_in = in_channels * geometry.kernel * geometry.kernel;
-        assert_eq!(
-            weight.shape()[1],
-            fan_in,
-            "conv weight columns must be in_channels * kernel^2"
-        );
-        assert_eq!(bias.shape(), &[out_channels], "bias must be [out_channels]");
-        Self {
-            weight: Param::new(weight),
-            bias: Param::new(bias),
-            in_channels,
-            out_channels,
-            geometry,
-            cached_cols: None,
-            cached_input_shape: None,
-        }
-    }
-
     /// Returns the convolution geometry (kernel, stride, padding).
     pub fn geometry(&self) -> Conv2dGeometry {
         self.geometry

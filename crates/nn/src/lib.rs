@@ -23,9 +23,9 @@
 //!   ([`QLinear`], [`QConv2d`], [`QSequential`]), built via
 //!   [`Layer::quantize_layer`].
 //! * [`graph`] — the lazy graph IR layers lower into, and [`compiler`] —
-//!   fusion passes (conv+bn folding, GEMM epilogue fusion) producing
-//!   [`CompiledPlan`] / [`QCompiledPlan`] fused forward paths with typed
-//!   shape errors instead of panics.
+//!   bit-exact GEMM epilogue fusion producing [`CompiledPlan`] /
+//!   [`QCompiledPlan`] fused forward paths with typed shape errors instead
+//!   of panics.
 //!
 //! # Examples
 //!

@@ -84,8 +84,8 @@ impl BatchNorm2d {
     }
 
     /// The numerical-stability epsilon added to the variance before the
-    /// square root. Conv+bn folding needs it to reproduce the exact
-    /// normalization constant.
+    /// square root. The compiler's merged conv+bn output pass needs it to
+    /// reproduce the exact normalization constant.
     pub fn eps(&self) -> f32 {
         self.eps
     }
@@ -98,26 +98,6 @@ impl BatchNorm2d {
     /// Immutable view of the per-channel shift (`beta`) parameter.
     pub fn beta(&self) -> &Param {
         &self.beta
-    }
-
-    /// Mutable access to the running mean (tests and weight surgery).
-    pub fn running_mean_mut(&mut self) -> &mut Tensor {
-        &mut self.running_mean
-    }
-
-    /// Mutable access to the running variance (tests and weight surgery).
-    pub fn running_var_mut(&mut self) -> &mut Tensor {
-        &mut self.running_var
-    }
-
-    /// Mutable view of the per-channel scale (`gamma`) parameter.
-    pub fn gamma_mut(&mut self) -> &mut Param {
-        &mut self.gamma
-    }
-
-    /// Mutable view of the per-channel shift (`beta`) parameter.
-    pub fn beta_mut(&mut self) -> &mut Param {
-        &mut self.beta
     }
 
     fn per_channel_stats(&self, input: &Tensor) -> (Vec<f32>, Vec<f32>) {

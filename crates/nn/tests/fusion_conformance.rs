@@ -7,32 +7,14 @@
 //! * [`FusionConfig::none`] and [`FusionConfig::bit_exact`] plans reproduce
 //!   the eager `Layer::forward` outputs **bit-exactly** (`assert_eq!` on the
 //!   raw f32 bits via `Tensor`'s `PartialEq`).
-//! * [`FusionConfig::full`] (conv+bn folding) tracks the eager outputs
-//!   within a documented relative tolerance — folding reassociates float
-//!   arithmetic, so bit-exactness is deliberately not claimed.
 //! * The int8 plans reproduce the eager [`QSequential`] forward bit-exactly
-//!   under the non-folding configs.
+//!   under both configs.
 
 use ensembler_nn::compiler::{CompiledPlan, FusionConfig, QCompiledPlan};
 use ensembler_nn::models::{build_body, build_full_network, ResNetConfig};
 use ensembler_nn::quant::QSequential;
 use ensembler_nn::{Layer, Mode};
 use ensembler_tensor::{Rng, Tensor};
-
-/// Relative tolerance for the conv+bn fold. The fold is exact in real
-/// arithmetic; this bounds the float reassociation error across the deepest
-/// backbone in the suite.
-const FOLD_TOL: f32 = 2e-3;
-
-fn assert_close(a: &Tensor, b: &Tensor, tol: f32, what: &str) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert!(
-            (x - y).abs() <= tol * (1.0 + y.abs()),
-            "{what}: mismatch at {i}: {x} vs {y}"
-        );
-    }
-}
 
 /// Runs the full fused-vs-eager contract for one backbone configuration.
 fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: bool, seed: u64) {
@@ -45,7 +27,7 @@ fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: boo
     let mut body = build_body(config, &mut rng);
     if warm_batchnorm {
         // Drive the batch-norm running statistics away from their (0, 1)
-        // init so the conv+bn fold is not a near-identity rescale.
+        // init so the merged conv+bn pass is not a near-identity rescale.
         let shape = [
             2,
             config.input_channels,
@@ -70,7 +52,6 @@ fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: boo
             .into_iter()
             .map(|fc| (fc, CompiledPlan::compile(&net, fc)))
             .collect();
-    let folded_plan = CompiledPlan::compile(&net, FusionConfig::full());
     let exact_qplans: Vec<(FusionConfig, QCompiledPlan)> =
         [FusionConfig::none(), FusionConfig::bit_exact()]
             .into_iter()
@@ -96,12 +77,6 @@ fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: boo
                 "{name}, batch {b}: f32 plan with {fc:?} must be bit-exact"
             );
         }
-        assert_close(
-            &folded_plan.run(&x).unwrap(),
-            &eager,
-            FOLD_TOL,
-            &format!("{name}, batch {b}: folded f32 plan"),
-        );
 
         // int8: the server bodies are the part served quantized.
         let f = Tensor::from_fn(&[b, head_shape[0], head_shape[1], head_shape[2]], |_| {

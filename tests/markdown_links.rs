@@ -4,8 +4,10 @@
 //! scheme), and every mention of a repository code path — `crates/...`,
 //! `examples/...`, `tests/...`, `docs/...`, `.github/...`, in prose,
 //! backticks or fenced blocks — must name something that actually exists,
-//! so refactors cannot quietly strand the documentation. CI runs this as
-//! its link-check step.
+//! as must every cargo target a command line names (`--bin NAME`,
+//! `--test NAME`, `--bench NAME`), so refactors cannot quietly strand the
+//! documentation or leave a deleted binary in a runbook. CI runs this as its
+//! link-check step.
 
 use std::path::{Path, PathBuf};
 
@@ -147,6 +149,92 @@ fn every_mentioned_code_path_exists() {
         stale.is_empty(),
         "documentation mentions code paths that do not exist:\n{}",
         stale.join("\n")
+    );
+}
+
+/// Extracts every `--bin NAME`, `--test NAME` and `--bench NAME` pair, as
+/// `(flag, name)`. Placeholder names (`<name>`, `NAME…`) are skipped.
+fn extract_cargo_targets(markdown: &str) -> Vec<(&str, &str)> {
+    let mut targets = Vec::new();
+    let mut words = markdown
+        .split(|c: char| c.is_whitespace() || matches!(c, '`' | '(' | ')' | '"' | ',' | ';'))
+        .filter(|word| !word.is_empty())
+        .peekable();
+    while let Some(flag) = words.next() {
+        if !matches!(flag, "--bin" | "--test" | "--bench") {
+            continue;
+        }
+        // `--test` can also end a clause ("pass --test to ..."): only a
+        // following identifier is a target name.
+        let Some(name) = words.peek().map(|next| next.trim_end_matches(['.', ':'])) else {
+            continue;
+        };
+        let is_identifier = name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-'));
+        if !name.is_empty() && is_identifier && !name.starts_with('-') {
+            targets.push((flag, name));
+        }
+    }
+    targets
+}
+
+/// Whether `<subdir>/<name>.rs` exists in the umbrella package or in any
+/// workspace member under `crates/`.
+fn target_source_exists(root: &Path, subdir: &str, name: &str) -> bool {
+    let source = Path::new(subdir).join(format!("{name}.rs"));
+    let members = std::fs::read_dir(root.join("crates")).expect("crates/ directory exists");
+    root.join(&source).exists()
+        || members
+            .map(|entry| entry.expect("readable crates/ entry").path())
+            .any(|member| member.join(&source).exists())
+}
+
+#[test]
+fn every_mentioned_cargo_target_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut stale = Vec::new();
+    let mut checked = 0usize;
+    for file in markdown_files() {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        for (flag, name) in extract_cargo_targets(&text) {
+            checked += 1;
+            let subdir = match flag {
+                "--bin" => "src/bin",
+                "--test" => "tests",
+                _ => "benches",
+            };
+            if !target_source_exists(root, subdir, name) {
+                stale.push(format!("{}: {flag} {name}", file.display()));
+            }
+        }
+    }
+    assert!(
+        checked >= 10,
+        "cargo-target extraction found suspiciously few mentions ({checked}); parser regression?"
+    );
+    assert!(
+        stale.is_empty(),
+        "documentation names cargo targets that do not exist:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn cargo_target_extraction_handles_the_basics() {
+    let sample = "run `cargo run -p ensembler-bench --bin load_gen --release -- --smoke`, \
+                  then cargo test -p ensembler-serve --test loopback --test wire_examples. \
+                  (`cargo bench --bench tensor_ops`); a template --bin <name> is skipped, \
+                  as is a dangling --test\n--release and a trailing --bin";
+    assert_eq!(
+        extract_cargo_targets(sample),
+        [
+            ("--bin", "load_gen"),
+            ("--test", "loopback"),
+            ("--test", "wire_examples"),
+            ("--bench", "tensor_ops"),
+        ]
     );
 }
 
