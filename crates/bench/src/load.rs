@@ -142,6 +142,81 @@ pub fn percentile_ms(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[rank - 1]
 }
 
+/// One request a [`fire`] call issued, as every report in this crate reduces
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fired {
+    /// Position in the schedule — what ties the outcome back to the
+    /// request's frame number or trace entry.
+    pub index: usize,
+    /// How long the request took.
+    pub latency: Duration,
+    /// When it completed, measured from the start of the schedule.
+    pub completed_at: Duration,
+    /// Its class; a request whose thread panicked is [`Outcome::Failed`]
+    /// with zero times.
+    pub outcome: Outcome,
+}
+
+/// The open-loop dispatcher under every harness in this crate: request `i`
+/// (built by `request_of(i)`) fires `schedule[i]` after the call starts, on
+/// its own thread so a slow response never delays a later arrival; every
+/// thread is joined and its typed result classified. Returned in schedule
+/// order.
+pub fn fire(
+    schedule: impl IntoIterator<Item = Duration>,
+    request_of: impl Fn(usize) -> LoadRequest,
+) -> Vec<Fired> {
+    let start = Instant::now();
+    let mut handles = Vec::new();
+    for (index, offset) in schedule.into_iter().enumerate() {
+        let due = start + offset;
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        let request = request_of(index);
+        handles.push(std::thread::spawn(move || {
+            let issued = Instant::now();
+            let result = request();
+            (issued.elapsed(), start.elapsed(), classify_outcome(&result))
+        }));
+    }
+    handles
+        .into_iter()
+        .enumerate()
+        .map(|(index, handle)| {
+            let (latency, completed_at, outcome) =
+                handle
+                    .join()
+                    .unwrap_or((Duration::ZERO, Duration::ZERO, Outcome::Failed));
+            Fired {
+                index,
+                latency,
+                completed_at,
+                outcome,
+            }
+        })
+        .collect()
+}
+
+/// How many of `fired` ended in `outcome`.
+pub fn count_outcome(fired: &[Fired], outcome: Outcome) -> usize {
+    fired.iter().filter(|f| f.outcome == outcome).count()
+}
+
+/// Ascending latencies, in milliseconds, of the requests that completed —
+/// the samples every percentile in this crate is taken over.
+pub fn sorted_ok_latencies_ms(fired: &[Fired]) -> Vec<f64> {
+    let mut latencies_ms: Vec<f64> = fired
+        .iter()
+        .filter(|f| f.outcome == Outcome::Ok)
+        .map(|f| f.latency.as_secs_f64() * 1e3)
+        .collect();
+    latencies_ms.sort_by(f64::total_cmp);
+    latencies_ms
+}
+
 /// Runs one open-loop scenario: issues `config.requests` requests on the
 /// fixed `config.target_qps` arrival schedule, each on its own thread (so a
 /// slow response never delays a later arrival), waits for every response and
@@ -158,47 +233,18 @@ pub fn run_open_loop(request: &LoadRequest, config: &LoadConfig) -> LoadReport {
     );
     let interval = Duration::from_secs_f64(1.0 / config.target_qps);
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.requests);
-    for k in 0..config.requests {
-        let due = start + interval * k as u32;
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let request = Arc::clone(request);
-        handles.push(std::thread::spawn(move || {
-            let issued = Instant::now();
-            let result = request();
-            (issued.elapsed(), result)
-        }));
-    }
-
-    let mut ok = 0usize;
-    let mut rejected = 0usize;
-    let mut failed = 0usize;
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(config.requests);
-    for handle in handles {
-        let Ok((elapsed, result)) = handle.join() else {
-            failed += 1;
-            continue;
-        };
-        match classify_outcome(&result) {
-            Outcome::Ok => {
-                ok += 1;
-                latencies_ms.push(elapsed.as_secs_f64() * 1e3);
-            }
-            Outcome::Rejected => rejected += 1,
-            Outcome::Failed => failed += 1,
-        }
-    }
+    let fired = fire((0..config.requests).map(|k| interval * k as u32), |_| {
+        Arc::clone(request)
+    });
     let wall_s = start.elapsed().as_secs_f64();
-    latencies_ms.sort_by(f64::total_cmp);
+    let ok = count_outcome(&fired, Outcome::Ok);
+    let latencies_ms = sorted_ok_latencies_ms(&fired);
     LoadReport {
         target_qps: config.target_qps,
         requests: config.requests,
         ok,
-        rejected,
-        failed,
+        rejected: count_outcome(&fired, Outcome::Rejected),
+        failed: count_outcome(&fired, Outcome::Failed),
         achieved_qps: if wall_s > 0.0 {
             ok as f64 / wall_s
         } else {

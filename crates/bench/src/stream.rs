@@ -16,9 +16,11 @@
 //! due time `k / frame_hz` regardless of whether frame `k-1` has completed,
 //! exactly like a real sensor that does not pause for a slow server.
 
-use crate::load::{classify_outcome, percentile_ms, LoadRequest, Outcome};
+use crate::load::{
+    count_outcome, fire, percentile_ms, sorted_ok_latencies_ms, LoadRequest, Outcome,
+};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shape of a streaming run: how many sessions, how fast each one pushes,
 /// and for how many frames.
@@ -189,51 +191,19 @@ fn run_session(
     frames: usize,
     period: Duration,
 ) -> (SessionReport, Vec<f64>) {
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(frames);
-    for frame in 0..frames {
-        let due = start + period.mul_f64(frame as f64);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let request = Arc::clone(&request);
-        handles.push(std::thread::spawn(move || {
-            let issued = Instant::now();
-            let result = request();
-            (frame, issued.elapsed(), result, start.elapsed())
-        }));
-    }
-
-    let mut ok = 0usize;
-    let mut rejected = 0usize;
-    let mut failed = 0usize;
-    let mut stalls = 0usize;
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(frames);
-    let mut completion_offsets: Vec<Duration> = Vec::with_capacity(frames);
-    for handle in handles {
-        let Ok((frame, elapsed, result, completed_at)) = handle.join() else {
-            failed += 1;
-            continue;
-        };
-        match classify_outcome(&result) {
-            Outcome::Ok => {
-                ok += 1;
-                latencies_ms.push(elapsed.as_secs_f64() * 1e3);
-                completion_offsets.push(completed_at);
-                // Frame `frame` stalls the stream if it outlived the due
-                // time of frame `frame + 1`.
-                if completed_at > period.mul_f64((frame + 1) as f64) {
-                    stalls += 1;
-                }
-            }
-            Outcome::Rejected => rejected += 1,
-            Outcome::Failed => failed += 1,
-        }
-    }
-
-    latencies_ms.sort_by(f64::total_cmp);
+    let fired = fire(
+        (0..frames).map(|frame| period.mul_f64(frame as f64)),
+        |_| Arc::clone(&request),
+    );
+    let completed = fired.iter().filter(|f| f.outcome == Outcome::Ok);
+    // A frame stalls the stream if it outlived the due time of the next one.
+    let stalls = completed
+        .clone()
+        .filter(|f| f.completed_at > period.mul_f64((f.index + 1) as f64))
+        .count();
+    let mut completion_offsets: Vec<Duration> = completed.map(|f| f.completed_at).collect();
     completion_offsets.sort();
+    let latencies_ms = sorted_ok_latencies_ms(&fired);
     let period_ms = period.as_secs_f64() * 1e3;
     let mut jitter_sum = 0.0f64;
     let mut jitter_max = 0.0f64;
@@ -249,9 +219,9 @@ fn run_session(
     let report = SessionReport {
         session,
         frames,
-        ok,
-        rejected,
-        failed,
+        ok: count_outcome(&fired, Outcome::Ok),
+        rejected: count_outcome(&fired, Outcome::Rejected),
+        failed: count_outcome(&fired, Outcome::Failed),
         p50_ms: percentile_ms(&latencies_ms, 0.50),
         p99_ms: percentile_ms(&latencies_ms, 0.99),
         max_ms: latencies_ms.last().copied().unwrap_or(0.0),
@@ -270,6 +240,7 @@ fn run_session(
 mod tests {
     use super::*;
     use ensembler_serve::{ErrorCode, ServeError, WireError};
+    use std::time::Instant;
 
     #[test]
     fn sessions_stay_open_loop_and_tally_outcomes() {

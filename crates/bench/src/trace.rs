@@ -33,7 +33,7 @@
 //! [`Trace::render`] is canonical — `Trace::parse(&t.render()) == t` — so a
 //! synthesized trace can be committed, diffed and replayed byte-for-byte.
 
-use crate::load::{classify_outcome, percentile_ms, LoadRequest, Outcome};
+use crate::load::{fire, percentile_ms, sorted_ok_latencies_ms, LoadRequest, Outcome};
 use ensembler_tensor::Rng;
 use std::time::{Duration, Instant};
 
@@ -685,21 +685,10 @@ pub fn run_trace_replay(
     };
 
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(trace.len());
-    for entry in trace.entries() {
-        let due = start + entry.offset();
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let request = request_of(entry.kind);
-        let kind = entry.kind;
-        handles.push(std::thread::spawn(move || {
-            let issued = Instant::now();
-            let result = request();
-            (kind, issued.elapsed(), result)
-        }));
-    }
+    let fired = fire(trace.entries().iter().map(TraceEntry::offset), |index| {
+        request_of(trace.entries()[index].kind)
+    });
+    let wall_s = start.elapsed().as_secs_f64();
 
     let mut tallies: Vec<KindTally> = RequestKind::ALL
         .iter()
@@ -711,35 +700,22 @@ pub fn run_trace_replay(
             failed: 0,
         })
         .collect();
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(trace.len());
-    for handle in handles {
-        let Ok((kind, elapsed, result)) = handle.join() else {
-            // A panicking request thread counts as a failure of the first
-            // kind's tally being unknowable; classify it under Outputs.
-            let tally = tallies
-                .iter_mut()
-                .find(|t| t.kind == RequestKind::Outputs)
-                .expect("outputs tally");
-            tally.issued += 1;
-            tally.failed += 1;
-            continue;
-        };
+    for request in &fired {
+        // The kind comes from the schedule, not from the request thread, so
+        // a request that panicked is still tallied where it belongs.
+        let kind = trace.entries()[request.index].kind;
         let tally = tallies
             .iter_mut()
             .find(|t| t.kind == kind)
-            .expect("tally for kind");
+            .expect("ALL covers every kind");
         tally.issued += 1;
-        match classify_outcome(&result) {
-            Outcome::Ok => {
-                tally.ok += 1;
-                latencies_ms.push(elapsed.as_secs_f64() * 1e3);
-            }
+        match request.outcome {
+            Outcome::Ok => tally.ok += 1,
             Outcome::Rejected => tally.rejected += 1,
             Outcome::Failed => tally.failed += 1,
         }
     }
-    let wall_s = start.elapsed().as_secs_f64();
-    latencies_ms.sort_by(f64::total_cmp);
+    let latencies_ms = sorted_ok_latencies_ms(&fired);
     let ok: usize = tallies.iter().map(|t| t.ok).sum();
     TraceReport {
         entries: trace.len(),
@@ -854,5 +830,24 @@ mod tests {
             .iter()
             .find(|t| t.kind == RequestKind::Outputs);
         assert_eq!(outputs.unwrap().rejected, 20);
+    }
+
+    #[test]
+    fn a_panicked_request_is_tallied_under_its_own_kind() {
+        let entry = |offset_us, kind| TraceEntry { offset_us, kind };
+        let trace = Trace::from_entries(vec![
+            entry(0, RequestKind::Predict),
+            entry(200, RequestKind::Outputs),
+        ])
+        .expect("valid entries");
+        let report = run_trace_replay(&trace, |kind| match kind {
+            RequestKind::Predict => Arc::new(|| panic!("the request thread dies")),
+            RequestKind::Outputs => Arc::new(|| Ok(())),
+        });
+        let tally = |kind| *report.per_kind.iter().find(|t| t.kind == kind).unwrap();
+        let predict = tally(RequestKind::Predict);
+        assert_eq!((predict.issued, predict.failed), (1, 1));
+        let outputs = tally(RequestKind::Outputs);
+        assert_eq!((outputs.issued, outputs.ok, outputs.failed), (1, 1, 0));
     }
 }

@@ -386,7 +386,7 @@ mod tests {
     use super::*;
     use crate::framework::tests::tiny_pipeline;
     use crate::QuantizedDefense;
-    use ensembler_nn::{Layer, Mode};
+    use ensembler_nn::{Layer, Mode, QSequential};
     use std::ops::Range;
     use std::sync::Arc;
 
@@ -536,8 +536,10 @@ mod tests {
             });
             check(f32_pipeline.as_ref(), payload, &reference);
             let reference = per_body_oracle(payload, true, |x| {
-                let bodies = int8.quantized_bodies().iter();
-                bodies.map(|body| body.forward(x)).collect()
+                let bodies = f32_pipeline.server_bodies().iter();
+                bodies
+                    .map(|body| QSequential::from_sequential(body).forward(x))
+                    .collect()
             });
             check(&int8, payload, &reference);
         }

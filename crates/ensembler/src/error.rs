@@ -60,6 +60,12 @@ impl fmt::Display for EnsemblerError {
 
 impl Error for EnsemblerError {}
 
+impl From<ensembler_tensor::bytes::DecodeError> for EnsemblerError {
+    fn from(e: ensembler_tensor::bytes::DecodeError) -> Self {
+        EnsemblerError::WireFormat(e.to_string())
+    }
+}
+
 impl From<ensembler_tensor::ShapeError> for EnsemblerError {
     /// A typed shape failure from a compiled plan surfaces as
     /// [`EnsemblerError::ShapeMismatch`] at the pipeline boundary.

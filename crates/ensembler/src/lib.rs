@@ -92,6 +92,6 @@ pub use quant::QuantizedDefense;
 pub use request::{Features, Maps, ServerRequest};
 pub use selector::Selector;
 pub use split::{
-    decode_features, decode_qfeatures, encode_features, encode_qfeatures, SplitFeatures,
+    decode_features, decode_qfeatures, encode_features, encode_qfeatures, SplitFeatures, WireBlob,
 };
 pub use trainer::{EnsemblerTrainer, StageOneNetwork, TrainConfig, TrainReport, TrainedEnsembler};

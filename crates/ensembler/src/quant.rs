@@ -19,7 +19,7 @@
 use crate::defense::{Defense, Precision};
 use crate::EnsemblerError;
 use ensembler_nn::models::ResNetConfig;
-use ensembler_nn::{FusionConfig, QCompiledPlan, QSequential, Sequential};
+use ensembler_nn::{FusionConfig, QCompiledPlan, Sequential};
 use ensembler_tensor::{par_map, QTensorBatch, Tensor};
 use std::sync::Arc;
 
@@ -55,7 +55,6 @@ use std::sync::Arc;
 pub struct QuantizedDefense {
     inner: Arc<dyn Defense>,
     label: String,
-    qbodies: Vec<QSequential>,
     fusion: FusionConfig,
     qplans: Vec<QCompiledPlan>,
 }
@@ -75,13 +74,9 @@ impl QuantizedDefense {
     /// plans with an explicit [`FusionConfig`].
     ///
     /// Under both [`FusionConfig::none`] and [`FusionConfig::bit_exact`] the
-    /// plans reproduce the eager [`QSequential`] forward bit-for-bit.
+    /// plans reproduce the eager [`ensembler_nn::QSequential`] forward
+    /// bit-for-bit.
     pub fn quantize_with(inner: Arc<dyn Defense>, fusion: FusionConfig) -> Self {
-        let qbodies: Vec<QSequential> = inner
-            .server_bodies()
-            .iter()
-            .map(QSequential::from_sequential)
-            .collect();
         let qplans = inner
             .server_bodies()
             .iter()
@@ -91,7 +86,6 @@ impl QuantizedDefense {
         Self {
             inner,
             label,
-            qbodies,
             fusion,
             qplans,
         }
@@ -105,11 +99,6 @@ impl QuantizedDefense {
     /// The wrapped full-precision pipeline.
     pub fn inner(&self) -> &Arc<dyn Defense> {
         &self.inner
-    }
-
-    /// The quantized server bodies, in index order.
-    pub fn quantized_bodies(&self) -> &[QSequential] {
-        &self.qbodies
     }
 }
 

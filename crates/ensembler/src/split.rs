@@ -6,8 +6,15 @@
 //! byte-level encoding of that payload (used both by the latency accounting in
 //! Table III and by tests that exercise a realistic client/server boundary)
 //! together with a small wrapper type describing what travels on the wire.
+//!
+//! This is also where each payload *kind* — the [`Features`] a request
+//! carries, the [`Maps`] answering it — meets its bytes: a magic word per
+//! kind in front of a tensor body of [`ensembler_tensor::bytes`], which owns
+//! the body layout and the strict reader every decode goes through. The wire
+//! protocol frames these blobs without knowing what a tensor looks like.
 
-use crate::EnsemblerError;
+use crate::{EnsemblerError, Features, Maps, Precision};
+use ensembler_tensor::bytes::{put_qtensor, put_tensor, put_u32, DecodeError, Reader};
 use ensembler_tensor::{QTensorBatch, Tensor};
 
 /// Magic bytes prefixed to every feature payload so stray buffers are
@@ -77,19 +84,97 @@ impl SplitFeatures {
     }
 }
 
+/// A payload kind as it travels — its magic word, then one of the tensor
+/// bodies of [`ensembler_tensor::bytes`] — and, for a `Vec` of them, the list
+/// form a response carries: a `u32` count, then each blob behind its `u32`
+/// byte length. A further precision tier is one more `impl` here plus its
+/// variant of [`Features`] / [`Maps`].
+pub trait WireBlob {
+    /// Appends the blob (or list of blobs) straight into `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+}
+
+impl WireBlob for Tensor {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, WIRE_MAGIC);
+        put_tensor(buf, self);
+    }
+}
+
+impl WireBlob for QTensorBatch {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, QWIRE_MAGIC);
+        put_qtensor(buf, self);
+    }
+}
+
+impl<T: WireBlob> WireBlob for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        for blob in self {
+            let at = buf.len();
+            put_u32(buf, 0); // the blob's length, known once it is written
+            blob.put(buf);
+            let len = (buf.len() - at - 4) as u32;
+            buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        }
+    }
+}
+
+fn take_magic(reader: &mut Reader<'_>, magic: u32, what: &str) -> Result<(), DecodeError> {
+    let found = reader.u32(what)?;
+    if found != magic {
+        return Err(DecodeError::new(format!(
+            "bad {what} magic word {found:#010x}"
+        )));
+    }
+    Ok(())
+}
+
+fn take_tensor(reader: &mut Reader<'_>) -> Result<Tensor, DecodeError> {
+    take_magic(reader, WIRE_MAGIC, "tensor")?;
+    reader.tensor("tensor")
+}
+
+fn take_qtensor(reader: &mut Reader<'_>) -> Result<QTensorBatch, DecodeError> {
+    take_magic(reader, QWIRE_MAGIC, "quantized tensor")?;
+    reader.qtensor("quantized tensor")
+}
+
+type Take<T> = fn(&mut Reader<'_>) -> Result<T, DecodeError>;
+
+/// One value that must fill `bytes` exactly.
+fn take_whole<T>(bytes: &[u8], take: Take<T>) -> Result<T, DecodeError> {
+    let mut reader = Reader::new(bytes);
+    let value = take(&mut reader)?;
+    reader.finish("tensor")?;
+    Ok(value)
+}
+
+/// The inverse of `Vec<T>::put`; every blob must fill its declared length.
+fn take_list<T>(reader: &mut Reader<'_>, take: Take<T>) -> Result<Vec<T>, DecodeError> {
+    let count = reader.u32("tensor count")? as usize;
+    // Each blob costs at least its length prefix, magic word and rank.
+    reader.check_count(count, 12, "tensors")?;
+    let mut blobs = Vec::with_capacity(count);
+    for index in 0..count {
+        let len = reader.u32("tensor length")? as usize;
+        let blob = take_whole(reader.take(len, "tensor")?, take);
+        blobs.push(blob.map_err(|e| DecodeError::new(format!("tensor {index}: {e}")))?);
+    }
+    Ok(blobs)
+}
+
+fn encode(blob: &impl WireBlob) -> Vec<u8> {
+    let mut buf = Vec::new();
+    blob.put(&mut buf);
+    buf
+}
+
 /// Serialises a tensor into the client→server wire format: a magic word, the
 /// rank, the dimensions and the raw little-endian `f32` data.
 pub fn encode_features(features: &Tensor) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 4 * features.rank() + 4 * features.len());
-    buf.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&(features.rank() as u32).to_be_bytes());
-    for &d in features.shape() {
-        buf.extend_from_slice(&(d as u32).to_be_bytes());
-    }
-    for &v in features.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf
+    encode(features)
 }
 
 /// Decodes a payload produced by [`encode_features`].
@@ -97,55 +182,10 @@ pub fn encode_features(features: &Tensor) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`EnsemblerError::WireFormat`] if the buffer is truncated, the
-/// magic word is wrong, or the declared shape disagrees with the payload
-/// length.
+/// magic word is wrong, the rank is implausible, or the declared shape
+/// overflows or disagrees with the payload length.
 pub fn decode_features(payload: &[u8]) -> Result<Tensor, EnsemblerError> {
-    let mut cursor = payload;
-    let mut take_u32 = |what: &str| -> Result<u32, EnsemblerError> {
-        if cursor.len() < 4 {
-            return Err(EnsemblerError::WireFormat(format!(
-                "payload truncated inside the {what}"
-            )));
-        }
-        let (head, rest) = cursor.split_at(4);
-        cursor = rest;
-        Ok(u32::from_be_bytes(head.try_into().expect("4 bytes")))
-    };
-
-    if payload.len() < 8 {
-        return Err(EnsemblerError::WireFormat(format!(
-            "payload of {} bytes is too short for a header",
-            payload.len()
-        )));
-    }
-    let magic = take_u32("header")?;
-    if magic != WIRE_MAGIC {
-        return Err(EnsemblerError::WireFormat(format!(
-            "bad magic word {magic:#010x}"
-        )));
-    }
-    let rank = take_u32("header")? as usize;
-    if rank > 8 {
-        return Err(EnsemblerError::WireFormat(format!(
-            "implausible tensor rank {rank}"
-        )));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(take_u32("shape header")? as usize);
-    }
-    let expected: usize = shape.iter().product();
-    if cursor.len() != 4 * expected {
-        return Err(EnsemblerError::WireFormat(format!(
-            "expected {expected} f32 values, found {} bytes",
-            cursor.len()
-        )));
-    }
-    let data = cursor
-        .chunks_exact(4)
-        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4 bytes")))
-        .collect();
-    Tensor::from_vec(data, &shape).map_err(|e| EnsemblerError::WireFormat(e.to_string()))
+    Ok(take_whole(payload, take_tensor)?)
 }
 
 /// Serialises a quantized feature batch into the v2 wire format: a magic
@@ -154,24 +194,7 @@ pub fn decode_features(payload: &[u8]) -> Result<Tensor, EnsemblerError> {
 /// element instead of the four [`encode_features`] spends, which is what
 /// roughly quarters the v2 response frames.
 pub fn encode_qfeatures(features: &QTensorBatch) -> Vec<u8> {
-    let rank = features.shape().len();
-    let mut buf = Vec::with_capacity(8 + 4 * rank + 4 * features.scales().len() + features.len());
-    buf.extend_from_slice(&QWIRE_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&(rank as u32).to_be_bytes());
-    for &d in features.shape() {
-        buf.extend_from_slice(&(d as u32).to_be_bytes());
-    }
-    for &s in features.scales() {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
-    buf.extend_from_slice(bytemuck_i8(features.data()));
-    buf
-}
-
-/// Views an `i8` slice as bytes (two's complement, no copy).
-fn bytemuck_i8(data: &[i8]) -> &[u8] {
-    // i8 and u8 share size and alignment; the cast is always valid.
-    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, data.len()) }
+    encode(features)
 }
 
 /// Decodes a payload produced by [`encode_qfeatures`].
@@ -180,64 +203,39 @@ fn bytemuck_i8(data: &[i8]) -> &[u8] {
 ///
 /// Returns [`EnsemblerError::WireFormat`] if the buffer is truncated, the
 /// magic word is wrong, the rank is implausible or zero, a scale is not
-/// finite and positive, or the declared shape disagrees with the payload
-/// length.
+/// finite and positive, or the declared shape overflows or disagrees with the
+/// payload length.
 pub fn decode_qfeatures(payload: &[u8]) -> Result<QTensorBatch, EnsemblerError> {
-    let mut cursor = payload;
-    let mut take = |n: usize, what: &str| -> Result<&[u8], EnsemblerError> {
-        if cursor.len() < n {
-            return Err(EnsemblerError::WireFormat(format!(
-                "quantized payload truncated inside the {what}"
-            )));
-        }
-        let (head, rest) = cursor.split_at(n);
-        cursor = rest;
-        Ok(head)
-    };
+    Ok(take_whole(payload, take_qtensor)?)
+}
 
-    let magic = u32::from_be_bytes(take(4, "header")?.try_into().expect("4 bytes"));
-    if magic != QWIRE_MAGIC {
-        return Err(EnsemblerError::WireFormat(format!(
-            "bad quantized magic word {magic:#010x}"
-        )));
+impl Features {
+    /// Reads one blob of the kind `precision` names.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] for a wrong magic word or a malformed body.
+    pub fn take(precision: Precision, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match precision {
+            Precision::F32 => Features::F32(take_tensor(reader)?),
+            Precision::Int8 => Features::Int8(take_qtensor(reader)?),
+        })
     }
-    let rank = u32::from_be_bytes(take(4, "header")?.try_into().expect("4 bytes")) as usize;
-    if rank == 0 || rank > 8 {
-        return Err(EnsemblerError::WireFormat(format!(
-            "implausible quantized tensor rank {rank}"
-        )));
+}
+
+impl Maps {
+    /// Reads a list of blobs of the kind `precision` names.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] for a count or length the remaining bytes
+    /// cannot hold, or any malformed blob.
+    pub fn take(precision: Precision, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match precision {
+            Precision::F32 => Maps::F32(take_list(reader, take_tensor)?),
+            Precision::Int8 => Maps::Int8(take_list(reader, take_qtensor)?),
+        })
     }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(
-            u32::from_be_bytes(take(4, "shape header")?.try_into().expect("4 bytes")) as usize,
-        );
-    }
-    let batch = shape[0];
-    // Each sample costs a 4-byte scale, so an absurd batch extent in a tiny
-    // frame must be rejected before it can drive the allocation below.
-    let remaining = payload.len().saturating_sub(8 + 4 * rank);
-    if batch > remaining / 4 {
-        return Err(EnsemblerError::WireFormat(format!(
-            "quantized payload declares {batch} samples but only {remaining} bytes remain"
-        )));
-    }
-    let mut scales = Vec::with_capacity(batch);
-    for _ in 0..batch {
-        scales.push(f32::from_le_bytes(
-            take(4, "scale field")?.try_into().expect("4 bytes"),
-        ));
-    }
-    let expected: usize = shape.iter().product();
-    if cursor.len() != expected {
-        return Err(EnsemblerError::WireFormat(format!(
-            "expected {expected} i8 values, found {} bytes",
-            cursor.len()
-        )));
-    }
-    let data = cursor.iter().map(|&b| b as i8).collect();
-    QTensorBatch::from_parts(data, &shape, scales)
-        .map_err(|e| EnsemblerError::WireFormat(e.to_string()))
 }
 
 #[cfg(test)]

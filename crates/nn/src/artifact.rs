@@ -31,7 +31,9 @@
 //! u32  CRC-32 trailer   IEEE 802.3, over every byte above
 //! ```
 //!
-//! A tensor blob is `u32 rank + rank × u32 dims + dims-product × f32 LE`.
+//! A tensor blob is `u32 rank + rank × u32 dims + dims-product × f32 LE` — the
+//! `f32` body of [`ensembler_tensor::bytes`], whose strict reader does every
+//! read here (the wire frame and the feature blobs use the same one).
 //! Decoding is structural only — bounds-checked reads, sane rank/count
 //! guards, no trailing bytes — while *semantic* validation (does this
 //! describe a buildable pipeline?) happens when the `ensembler` crate
@@ -67,6 +69,10 @@
 //! ```
 
 use crate::models::ResNetConfig;
+pub use ensembler_tensor::bytes::crc32;
+use ensembler_tensor::bytes::{
+    put_f32, put_string, put_tensor, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use ensembler_tensor::Tensor;
 use std::path::Path;
 
@@ -75,10 +81,6 @@ pub const ARTIFACT_MAGIC: u32 = 0x454E_534D;
 
 /// The current (and only) artifact format version.
 pub const ARTIFACT_VERSION: u16 = 1;
-
-/// Tensor rank above which a blob is considered malformed rather than merely
-/// exotic — the same bound the wire codec enforces.
-const MAX_TENSOR_RANK: usize = 8;
 
 /// Numeric precision the artifact's weights are intended to serve at.
 ///
@@ -208,68 +210,9 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes` — the artifact
-/// trailer checksum, identical to the one the serving wire protocol uses.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn make_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut n = 0usize;
-        while n < 256 {
-            let mut c = n as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[n] = c;
-            n += 1;
-        }
-        table
-    }
-    const TABLE: [u32; 256] = make_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-fn put_u8(buf: &mut Vec<u8>, value: u8) {
-    buf.push(value);
-}
-
-fn put_u16(buf: &mut Vec<u8>, value: u16) {
-    buf.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    buf.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_f32(buf: &mut Vec<u8>, value: f32) {
-    put_u32(buf, value.to_bits());
-}
-
-fn put_string(buf: &mut Vec<u8>, value: &str) {
-    put_u32(buf, value.len() as u32);
-    buf.extend_from_slice(value.as_bytes());
-}
-
-fn put_tensor(buf: &mut Vec<u8>, tensor: &Tensor) {
-    put_u32(buf, tensor.rank() as u32);
-    for &dim in tensor.shape() {
-        put_u32(buf, dim as u32);
-    }
-    for &v in tensor.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
+impl From<DecodeError> for ArtifactError {
+    fn from(e: DecodeError) -> Self {
+        ArtifactError::Malformed(e.to_string())
     }
 }
 
@@ -280,120 +223,23 @@ fn put_tensor_group(buf: &mut Vec<u8>, tensors: &[Tensor]) {
     }
 }
 
-/// A strict bounds-checked reader over the artifact payload, mirroring the
-/// wire codec's parser: no read past the end, no allocation driven by an
-/// unchecked declared count, and trailing bytes are rejected.
-struct Cursor<'a> {
-    rest: &'a [u8],
+fn take_tensor_group(reader: &mut Reader<'_>, what: &str) -> Result<Vec<Tensor>, DecodeError> {
+    let count = reader.u32(what)? as usize;
+    // Each tensor costs at least its rank word.
+    reader.check_count(count, 4, &format!("{what} tensors"))?;
+    let mut tensors = Vec::with_capacity(count);
+    for index in 0..count {
+        let tensor = reader.tensor(what);
+        tensors.push(tensor.map_err(|e| DecodeError::new(format!("{what} tensor {index}: {e}")))?);
+    }
+    Ok(tensors)
 }
 
-impl<'a> Cursor<'a> {
-    fn new(rest: &'a [u8]) -> Self {
-        Self { rest }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
-        if self.rest.len() < n {
-            return Err(ArtifactError::Malformed(format!(
-                "truncated inside the {what}: need {n} bytes, have {}",
-                self.rest.len()
-            )));
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn take_u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn take_u32(&mut self, what: &str) -> Result<u32, ArtifactError> {
-        Ok(u32::from_be_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn take_u64(&mut self, what: &str) -> Result<u64, ArtifactError> {
-        Ok(u64::from_be_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn take_f32(&mut self, what: &str) -> Result<f32, ArtifactError> {
-        Ok(f32::from_bits(self.take_u32(what)?))
-    }
-
-    fn take_string(&mut self, what: &str) -> Result<String, ArtifactError> {
-        let len = self.take_u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ArtifactError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    /// Guards a declared element count against the bytes actually remaining
-    /// (each element costs at least `min_bytes`), so an absurd count cannot
-    /// force an absurd allocation.
-    fn check_count(&self, count: usize, min_bytes: usize, what: &str) -> Result<(), ArtifactError> {
-        if count > self.rest.len() / min_bytes.max(1) {
-            return Err(ArtifactError::Malformed(format!(
-                "{what} declares {count} entries but only {} bytes remain",
-                self.rest.len()
-            )));
-        }
-        Ok(())
-    }
-
-    fn take_tensor(&mut self, what: &str) -> Result<Tensor, ArtifactError> {
-        let rank = self.take_u32(what)? as usize;
-        if rank > MAX_TENSOR_RANK {
-            return Err(ArtifactError::Malformed(format!(
-                "{what} declares implausible tensor rank {rank}"
-            )));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(self.take_u32(what)? as usize);
-        }
-        let elements = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| {
-                ArtifactError::Malformed(format!("{what} tensor shape {shape:?} overflows"))
-            })?;
-        let byte_len = elements.checked_mul(4).ok_or_else(|| {
-            ArtifactError::Malformed(format!("{what} tensor shape {shape:?} overflows"))
-        })?;
-        let bytes = self.take(byte_len, what)?;
-        let data = bytes
-            .chunks_exact(4)
-            .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4 bytes")))
-            .collect();
-        Tensor::from_vec(data, &shape)
-            .map_err(|e| ArtifactError::Malformed(format!("{what} tensor is malformed: {e}")))
-    }
-
-    fn take_tensor_group(&mut self, what: &str) -> Result<Vec<Tensor>, ArtifactError> {
-        let count = self.take_u32(what)? as usize;
-        // Each tensor costs at least its rank word.
-        self.check_count(count, 4, what)?;
-        let mut tensors = Vec::with_capacity(count);
-        for index in 0..count {
-            tensors.push(self.take_tensor(&format!("{what} tensor {index}"))?);
-        }
-        Ok(tensors)
-    }
-
-    fn finish(self, what: &str) -> Result<(), ArtifactError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(ArtifactError::Malformed(format!(
-                "{} trailing bytes after the {what}",
-                self.rest.len()
-            )))
-        }
-    }
+/// A `u32` count followed by that many `u32` values.
+fn take_u32_list(reader: &mut Reader<'_>, what: &str) -> Result<Vec<u32>, DecodeError> {
+    let count = reader.u32(what)? as usize;
+    reader.check_count(count, 4, what)?;
+    (0..count).map(|_| reader.u32(what)).collect()
 }
 
 impl ModelArtifact {
@@ -463,43 +309,41 @@ impl ModelArtifact {
                 bytes.len()
             )));
         }
-        let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes"));
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        let mut reader = Reader::new(body);
+        let magic = reader.u32("magic word")?;
         if magic != ARTIFACT_MAGIC {
             return Err(ArtifactError::Magic { found: magic });
         }
-        let version = u16::from_be_bytes(bytes[4..6].try_into().expect("2 bytes"));
+        let version = reader.u16("format version")?;
         if version != ARTIFACT_VERSION {
             return Err(ArtifactError::UnsupportedVersion {
                 found: version,
                 supported: ARTIFACT_VERSION,
             });
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let found = u32::from_be_bytes(trailer.try_into().expect("4 bytes"));
+        let found = Reader::new(trailer).u32("checksum")?;
         let expected = crc32(body);
         if expected != found {
             return Err(ArtifactError::Checksum { expected, found });
         }
 
-        let mut cursor = Cursor::new(&body[6..]);
-        let name = cursor.take_string("model name")?;
-        let label = cursor.take_string("model label")?;
-        let n = cursor.take_u32("ensemble size")?;
-        let p = cursor.take_u32("selected count")?;
-        let precision = ArtifactPrecision::from_byte(cursor.take_u8("precision")?)?;
+        let name = reader.string("model name")?;
+        let label = reader.string("model label")?;
+        let n = reader.u32("ensemble size")?;
+        let p = reader.u32("selected count")?;
+        let precision = ArtifactPrecision::from_byte(reader.u8("precision")?)?;
 
-        let input_channels = cursor.take_u32("architecture")? as usize;
-        let image_size = cursor.take_u32("architecture")? as usize;
-        let stem_channels = cursor.take_u32("architecture")? as usize;
-        let stage_count = cursor.take_u32("architecture")? as usize;
-        cursor.check_count(stage_count, 4, "stage channel list")?;
-        let mut stage_channels = Vec::with_capacity(stage_count);
-        for _ in 0..stage_count {
-            stage_channels.push(cursor.take_u32("stage channels")? as usize);
-        }
-        let blocks_per_stage = cursor.take_u32("architecture")? as usize;
-        let num_classes = cursor.take_u32("architecture")? as usize;
-        let use_stem_pool = match cursor.take_u8("stem pool flag")? {
+        let input_channels = reader.u32("architecture")? as usize;
+        let image_size = reader.u32("architecture")? as usize;
+        let stem_channels = reader.u32("architecture")? as usize;
+        let stage_channels = take_u32_list(&mut reader, "stage channels")?
+            .into_iter()
+            .map(|channels| channels as usize)
+            .collect();
+        let blocks_per_stage = reader.u32("architecture")? as usize;
+        let num_classes = reader.u32("architecture")? as usize;
+        let use_stem_pool = match reader.u8("stem pool flag")? {
             0 => false,
             1 => true,
             other => {
@@ -518,20 +362,14 @@ impl ModelArtifact {
             use_stem_pool,
         };
 
-        let selector_count = cursor.take_u32("selector")? as usize;
-        cursor.check_count(selector_count, 4, "selector index list")?;
-        let mut selector = Vec::with_capacity(selector_count);
-        for _ in 0..selector_count {
-            selector.push(cursor.take_u32("selector indices")?);
-        }
-
-        let noise_sigma = cursor.take_f32("noise sigma")?;
-        let noise_pattern = cursor.take_tensor("noise pattern")?;
-        let dropout = match cursor.take_u8("dropout flag")? {
+        let selector = take_u32_list(&mut reader, "selector indices")?;
+        let noise_sigma = reader.f32("noise sigma")?;
+        let noise_pattern = reader.tensor("noise pattern")?;
+        let dropout = match reader.u8("dropout flag")? {
             0 => None,
             1 => {
-                let probability = cursor.take_f32("dropout probability")?;
-                let seed = cursor.take_u64("dropout seed")?;
+                let probability = reader.f32("dropout probability")?;
+                let seed = reader.u64("dropout seed")?;
                 Some((probability, seed))
             }
             other => {
@@ -541,16 +379,16 @@ impl ModelArtifact {
             }
         };
 
-        let head = cursor.take_tensor_group("head")?;
-        let body_count = cursor.take_u32("body count")? as usize;
+        let head = take_tensor_group(&mut reader, "head")?;
+        let body_count = reader.u32("body count")? as usize;
         // Each body group costs at least its count word.
-        cursor.check_count(body_count, 4, "body list")?;
+        reader.check_count(body_count, 4, "bodies")?;
         let mut bodies = Vec::with_capacity(body_count);
         for index in 0..body_count {
-            bodies.push(cursor.take_tensor_group(&format!("body {index}"))?);
+            bodies.push(take_tensor_group(&mut reader, &format!("body {index}"))?);
         }
-        let tail = cursor.take_tensor_group("tail")?;
-        cursor.finish("artifact payload")?;
+        let tail = take_tensor_group(&mut reader, "tail")?;
+        reader.finish("artifact payload")?;
 
         Ok(Self {
             name,

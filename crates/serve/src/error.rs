@@ -87,6 +87,12 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+impl From<ensembler_tensor::bytes::DecodeError> for ServeError {
+    fn from(e: ensembler_tensor::bytes::DecodeError) -> Self {
+        ServeError::Frame(e.to_string())
+    }
+}
+
 impl From<EnsemblerError> for ServeError {
     fn from(e: EnsemblerError) -> Self {
         ServeError::Defense(e)

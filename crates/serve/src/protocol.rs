@@ -39,16 +39,17 @@
 //! unchanged, and handshake messages are *never* tagged (multiplexing is a
 //! property of the connection, negotiated by the handshake itself).
 //!
-//! Tensors inside payloads reuse the workspace wire formats
-//! ([`ensembler::split::encode_features`] for `f32`,
-//! [`ensembler::split::encode_qfeatures`] for quantized tensors): a tensor
-//! magic word, the rank, the dimensions (all big-endian `u32`) and the raw
-//! little-endian data (`f32`, or per-sample `f32` scales followed by `i8`
-//! values). The data section is contiguous within the payload, so a receiver
-//! that keeps the frame buffer alive can reinterpret it in place instead of
-//! copying. The byte-exact layout, including worked example frames, is
-//! specified in `docs/WIRE_PROTOCOL.md`; the `wire_examples` test encodes the
-//! documented frames and fails if document and implementation drift apart.
+//! This module frames; it does not know what a tensor looks like. The
+//! tensors inside a payload are the blobs of [`ensembler::split`]
+//! ([`WireBlob::put`] writes them, [`Features::take`] / [`Maps::take`] read
+//! them back): a magic word per payload kind, then the rank, the dimensions
+//! (big-endian `u32`) and the little-endian data (`f32`, or per-sample `f32`
+//! scales followed by `i8` values). Every field here and there is written by
+//! the `put_*` functions and read by the strict [`Reader`] of
+//! [`ensembler_tensor::bytes`], the one byte codec the model artifact shares.
+//! The byte-exact layout, including worked example frames, is specified in
+//! `docs/WIRE_PROTOCOL.md`; the `wire_examples` test encodes the documented
+//! frames and fails if document and implementation drift apart.
 //!
 //! # Examples
 //!
@@ -65,9 +66,10 @@
 //! ```
 
 use crate::error::ServeError;
-use ensembler::split::{decode_features, decode_qfeatures, encode_features, encode_qfeatures};
-use ensembler::{Features, Maps, ServerRequest};
+use ensembler::{Features, Maps, Precision, ServerRequest, WireBlob};
 use ensembler_latency::WireOverhead;
+pub use ensembler_tensor::bytes::crc32;
+use ensembler_tensor::bytes::{put_string, put_u16, put_u32, put_u64, put_u8, Reader};
 use ensembler_tensor::{QTensorBatch, Tensor};
 
 /// Magic word opening every frame ("ENSW", for ENSembler Wire).
@@ -203,6 +205,16 @@ impl MessageType {
                 )))
             }
         })
+    }
+
+    /// The precision of the tensors a `ServerOutputs*` frame carries.
+    fn precision(self) -> Precision {
+        match self {
+            MessageType::ServerOutputsRequestQ
+            | MessageType::ServerOutputsResponseQ
+            | MessageType::ServerOutputsRequestRangeQ => Precision::Int8,
+            _ => Precision::F32,
+        }
     }
 }
 
@@ -475,156 +487,38 @@ impl TryFrom<Message> for Maps {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn make_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut n = 0usize;
-        while n < 256 {
-            let mut c = n as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[n] = c;
-            n += 1;
-        }
-        table
-    }
-    const TABLE: [u32; 256] = make_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
+/// What a [`Message`] carries, borrowed in the shape the codec frames: one
+/// request, one response, whatever the precision and range. The six
+/// `ServerOutputs*` variants fold onto it here for encoding exactly as
+/// `From<ServerRequest>` / `From<Maps>` unfold them after decoding.
+enum Body<'a> {
+    Hello(&'a Hello),
+    HelloAck(&'a HelloAck),
+    Request(Option<(u32, u32)>, &'a dyn WireBlob),
+    Response(&'a dyn WireBlob),
+    Error(&'a WireError),
 }
 
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_be_bytes());
-}
-
-fn put_string(buf: &mut Vec<u8>, value: &str) {
-    put_u32(buf, value.len() as u32);
-    buf.extend_from_slice(value.as_bytes());
-}
-
-fn put_tensor_list(buf: &mut Vec<u8>, tensors: &[Tensor]) {
-    put_u32(buf, tensors.len() as u32);
-    for tensor in tensors {
-        let blob = encode_features(tensor);
-        put_u32(buf, blob.len() as u32);
-        buf.extend_from_slice(&blob);
-    }
-}
-
-fn put_qtensor_list(buf: &mut Vec<u8>, tensors: &[QTensorBatch]) {
-    put_u32(buf, tensors.len() as u32);
-    for tensor in tensors {
-        let blob = encode_qfeatures(tensor);
-        put_u32(buf, blob.len() as u32);
-        buf.extend_from_slice(&blob);
-    }
-}
-
-/// A strict little parser over a payload slice: every read is
-/// bounds-checked, and [`Cursor::finish`] rejects trailing bytes so no
-/// malformed payload can decode by accident.
-struct Cursor<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn new(rest: &'a [u8]) -> Self {
-        Self { rest }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ServeError> {
-        if self.rest.len() < n {
-            return Err(ServeError::Frame(format!(
-                "payload truncated inside the {what}: need {n} bytes, have {}",
-                self.rest.len()
-            )));
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn take_u16(&mut self, what: &str) -> Result<u16, ServeError> {
-        Ok(u16::from_be_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn take_u32(&mut self, what: &str) -> Result<u32, ServeError> {
-        Ok(u32::from_be_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn take_string(&mut self, what: &str) -> Result<String, ServeError> {
-        let len = self.take_u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ServeError::Frame(format!("{what} is not valid UTF-8")))
-    }
-
-    fn take_qtensor_list(&mut self, what: &str) -> Result<Vec<QTensorBatch>, ServeError> {
-        let count = self.take_u32(what)? as usize;
-        // Each quantized tensor costs at least a length prefix + header.
-        if count > self.rest.len() / 12 {
-            return Err(ServeError::Frame(format!(
-                "{what} declares {count} quantized tensors but only {} payload bytes remain",
-                self.rest.len()
-            )));
-        }
-        let mut tensors = Vec::with_capacity(count);
-        for index in 0..count {
-            let len = self.take_u32(what)? as usize;
-            let blob = self.take(len, what)?;
-            let tensor = decode_qfeatures(blob).map_err(|e| {
-                ServeError::Frame(format!("{what} quantized tensor {index} is malformed: {e}"))
-            })?;
-            tensors.push(tensor);
-        }
-        Ok(tensors)
-    }
-
-    fn take_tensor_list(&mut self, what: &str) -> Result<Vec<Tensor>, ServeError> {
-        let count = self.take_u32(what)? as usize;
-        // Each tensor costs at least a length prefix + tensor header, so an
-        // absurd count cannot force an absurd allocation.
-        if count > self.rest.len() / 12 {
-            return Err(ServeError::Frame(format!(
-                "{what} declares {count} tensors but only {} payload bytes remain",
-                self.rest.len()
-            )));
-        }
-        let mut tensors = Vec::with_capacity(count);
-        for index in 0..count {
-            let len = self.take_u32(what)? as usize;
-            let blob = self.take(len, what)?;
-            let tensor = decode_features(blob).map_err(|e| {
-                ServeError::Frame(format!("{what} tensor {index} is malformed: {e}"))
-            })?;
-            tensors.push(tensor);
-        }
-        Ok(tensors)
-    }
-
-    fn finish(self, what: &str) -> Result<(), ServeError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(ServeError::Frame(format!(
-                "{} trailing bytes after the {what}",
-                self.rest.len()
-            )))
+impl Message {
+    fn body(&self) -> Body<'_> {
+        match self {
+            Message::Hello(hello) => Body::Hello(hello),
+            Message::HelloAck(ack) => Body::HelloAck(ack),
+            Message::ServerOutputsRequest { transmitted } => Body::Request(None, transmitted),
+            Message::ServerOutputsRequestQ { transmitted } => Body::Request(None, transmitted),
+            Message::ServerOutputsRequestRange {
+                lo,
+                hi,
+                transmitted,
+            } => Body::Request(Some((*lo, *hi)), transmitted),
+            Message::ServerOutputsRequestRangeQ {
+                lo,
+                hi,
+                transmitted,
+            } => Body::Request(Some((*lo, *hi)), transmitted),
+            Message::ServerOutputsResponse { maps } => Body::Response(maps),
+            Message::ServerOutputsResponseQ { maps } => Body::Response(maps),
+            Message::Error(error) => Body::Error(error),
         }
     }
 }
@@ -670,81 +564,53 @@ pub fn encode_tagged(message: &Message, request_id: Option<u64>) -> Vec<u8> {
         request_id.is_none() || !matches!(message, Message::Hello(_) | Message::HelloAck(_)),
         "handshake messages are never tagged"
     );
-    let mut payload = Vec::new();
-    match message {
-        Message::Hello(hello) => {
-            payload.extend_from_slice(&hello.max_version.to_be_bytes());
-            if let Some(model) = &hello.model {
-                put_string(&mut payload, model);
-            }
-        }
-        Message::HelloAck(ack) => {
-            payload.extend_from_slice(&ack.version.to_be_bytes());
-            put_string(&mut payload, &ack.label);
-            put_u32(&mut payload, ack.ensemble_size);
-            put_u32(&mut payload, ack.selected_count);
-            if let Some(model) = &ack.model {
-                put_string(&mut payload, model);
-            }
-        }
-        Message::ServerOutputsRequest { transmitted } => {
-            payload.extend_from_slice(&encode_features(transmitted));
-        }
-        Message::ServerOutputsResponse { maps } => {
-            put_tensor_list(&mut payload, maps);
-        }
-        Message::ServerOutputsRequestQ { transmitted } => {
-            payload.extend_from_slice(&encode_qfeatures(transmitted));
-        }
-        Message::ServerOutputsResponseQ { maps } => {
-            put_qtensor_list(&mut payload, maps);
-        }
-        Message::ServerOutputsRequestRange {
-            lo,
-            hi,
-            transmitted,
-        } => {
-            put_u32(&mut payload, *lo);
-            put_u32(&mut payload, *hi);
-            payload.extend_from_slice(&encode_features(transmitted));
-        }
-        Message::ServerOutputsRequestRangeQ {
-            lo,
-            hi,
-            transmitted,
-        } => {
-            put_u32(&mut payload, *lo);
-            put_u32(&mut payload, *hi);
-            payload.extend_from_slice(&encode_qfeatures(transmitted));
-        }
-        Message::Error(error) => {
-            payload.extend_from_slice(&(error.code as u16).to_be_bytes());
-            put_string(&mut payload, &error.message);
-        }
-    }
-
     let version = match request_id {
         Some(_) => TAGGED_WIRE_VERSION.max(message.wire_version()),
         None => message.wire_version(),
     };
-    let id_bytes = if request_id.is_some() {
-        REQUEST_ID_BYTES
-    } else {
-        0
-    };
-    let mut frame =
-        Vec::with_capacity(FRAME_HEADER_BYTES + id_bytes + payload.len() + FRAME_TRAILER_BYTES);
-    frame.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
-    frame.extend_from_slice(&version.to_be_bytes());
-    frame.push(message.message_type() as u8);
-    frame.push(0); // flags
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    let mut frame = Vec::new();
+    put_u32(&mut frame, FRAME_MAGIC);
+    put_u16(&mut frame, version);
+    put_u8(&mut frame, message.message_type() as u8);
+    put_u8(&mut frame, 0); // flags
+    put_u32(&mut frame, 0); // payload length, known once the payload is written
     if let Some(id) = request_id {
-        frame.extend_from_slice(&id.to_be_bytes());
+        put_u64(&mut frame, id);
     }
-    frame.extend_from_slice(&payload);
+    let payload_offset = frame.len();
+    match message.body() {
+        Body::Hello(hello) => {
+            put_u16(&mut frame, hello.max_version);
+            if let Some(model) = &hello.model {
+                put_string(&mut frame, model);
+            }
+        }
+        Body::HelloAck(ack) => {
+            put_u16(&mut frame, ack.version);
+            put_string(&mut frame, &ack.label);
+            put_u32(&mut frame, ack.ensemble_size);
+            put_u32(&mut frame, ack.selected_count);
+            if let Some(model) = &ack.model {
+                put_string(&mut frame, model);
+            }
+        }
+        Body::Request(range, features) => {
+            if let Some((lo, hi)) = range {
+                put_u32(&mut frame, lo);
+                put_u32(&mut frame, hi);
+            }
+            features.put(&mut frame);
+        }
+        Body::Response(maps) => maps.put(&mut frame),
+        Body::Error(error) => {
+            put_u16(&mut frame, error.code as u16);
+            put_string(&mut frame, &error.message);
+        }
+    }
+    let payload_len = (frame.len() - payload_offset) as u32;
+    frame[8..FRAME_HEADER_BYTES].copy_from_slice(&payload_len.to_be_bytes());
     let checksum = crc32(&frame);
-    frame.extend_from_slice(&checksum.to_be_bytes());
+    put_u32(&mut frame, checksum);
     frame
 }
 
@@ -783,95 +649,86 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
             frame.len()
         )));
     }
-    let magic = u32::from_be_bytes(frame[0..4].try_into().expect("4 bytes"));
+    let mut header = Reader::new(frame);
+    let magic = header.u32("frame header")?;
     if magic != FRAME_MAGIC {
         return Err(ServeError::Frame(format!(
             "bad frame magic {magic:#010x}, expected {FRAME_MAGIC:#010x}"
         )));
     }
-    let version = u16::from_be_bytes(frame[4..6].try_into().expect("2 bytes"));
+    let version = header.u16("frame header")?;
     if version == 0 || version > PROTOCOL_VERSION {
         return Err(ServeError::UnsupportedVersion {
             offered: version,
             supported: PROTOCOL_VERSION,
         });
     }
-    let message_type = MessageType::from_byte(frame[6])?;
+    let type_byte = header.u8("frame header")?;
+    let message_type = MessageType::from_byte(type_byte)?;
     if frame_version(message_type) > version {
         return Err(ServeError::Frame(format!(
-            "message type {:#04x} requires protocol version {}, frame is stamped {version}",
-            frame[6],
+            "message type {type_byte:#04x} requires protocol version {}, frame is stamped {version}",
             frame_version(message_type)
         )));
     }
-    if frame[7] != 0 {
+    let flags = header.u8("frame header")?;
+    if flags != 0 {
         return Err(ServeError::Frame(format!(
-            "non-zero flags {:#04x} in a version-{version} frame",
-            frame[7]
+            "non-zero flags {flags:#04x} in a version-{version} frame"
         )));
     }
     let tagged = version >= TAGGED_WIRE_VERSION;
     if tagged && matches!(message_type, MessageType::Hello | MessageType::HelloAck) {
         return Err(ServeError::Frame(format!(
-            "handshake message type {:#04x} is never tagged, but the frame is stamped \
-             version {version}",
-            frame[6]
+            "handshake message type {type_byte:#04x} is never tagged, but the frame is stamped \
+             version {version}"
         )));
     }
     let id_bytes = if tagged { REQUEST_ID_BYTES } else { 0 };
-    let payload_len = u32::from_be_bytes(frame[8..12].try_into().expect("4 bytes")) as usize;
+    let payload_len = header.u32("frame header")? as usize;
     if frame.len() != FRAME_HEADER_BYTES + id_bytes + payload_len + FRAME_TRAILER_BYTES {
         return Err(ServeError::Frame(format!(
             "frame of {} bytes disagrees with declared payload length {payload_len}",
             frame.len()
         )));
     }
-    let payload_offset = FRAME_HEADER_BYTES + id_bytes;
-    let checksum_offset = payload_offset + payload_len;
-    let expected = crc32(&frame[..checksum_offset]);
-    let found = u32::from_be_bytes(
-        frame[checksum_offset..checksum_offset + 4]
-            .try_into()
-            .expect("4 bytes"),
-    );
+    let (checked, trailer) = frame.split_at(frame.len() - FRAME_TRAILER_BYTES);
+    let expected = crc32(checked);
+    let found = Reader::new(trailer).u32("checksum")?;
     if expected != found {
         return Err(ServeError::Checksum { expected, found });
     }
     let request_id = if tagged {
-        Some(u64::from_be_bytes(
-            frame[FRAME_HEADER_BYTES..payload_offset]
-                .try_into()
-                .expect("8 bytes"),
-        ))
+        Some(header.u64("request id")?)
     } else {
         None
     };
 
-    let mut cursor = Cursor::new(&frame[payload_offset..checksum_offset]);
+    let mut reader = Reader::new(header.take(payload_len, "payload")?);
     let message = match message_type {
         MessageType::Hello => {
-            let max_version = cursor.take_u16("Hello payload")?;
+            let max_version = reader.u16("Hello payload")?;
             // The optional model name is a version-3 construct; in an older
             // frame any extra bytes fall through to the trailing-bytes error.
-            let model = if version >= 3 && !cursor.rest.is_empty() {
-                Some(cursor.take_string("Hello model name")?)
+            let model = if version >= 3 && reader.remaining() != 0 {
+                Some(reader.string("Hello model name")?)
             } else {
                 None
             };
-            cursor.finish("Hello payload (a model name requires a version-3 frame)")?;
+            reader.finish("Hello payload (a model name requires a version-3 frame)")?;
             Message::Hello(Hello { max_version, model })
         }
         MessageType::HelloAck => {
-            let version_field = cursor.take_u16("HelloAck payload")?;
-            let label = cursor.take_string("HelloAck label")?;
-            let ensemble_size = cursor.take_u32("HelloAck payload")?;
-            let selected_count = cursor.take_u32("HelloAck payload")?;
-            let model = if version >= 3 && !cursor.rest.is_empty() {
-                Some(cursor.take_string("HelloAck model name")?)
+            let version_field = reader.u16("HelloAck payload")?;
+            let label = reader.string("HelloAck label")?;
+            let ensemble_size = reader.u32("HelloAck payload")?;
+            let selected_count = reader.u32("HelloAck payload")?;
+            let model = if version >= 3 && reader.remaining() != 0 {
+                Some(reader.string("HelloAck model name")?)
             } else {
                 None
             };
-            cursor.finish("HelloAck payload (a model name requires a version-3 frame)")?;
+            reader.finish("HelloAck payload (a model name requires a version-3 frame)")?;
             Message::HelloAck(HelloAck {
                 version: version_field,
                 label,
@@ -880,59 +737,34 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
                 model,
             })
         }
-        MessageType::ServerOutputsRequest => {
-            let blob = cursor.rest;
-            let transmitted = decode_features(blob)
-                .map_err(|e| ServeError::Frame(format!("request tensor is malformed: {e}")))?;
-            Message::ServerOutputsRequest { transmitted }
+        MessageType::ServerOutputsRequest
+        | MessageType::ServerOutputsRequestQ
+        | MessageType::ServerOutputsRequestRange
+        | MessageType::ServerOutputsRequestRangeQ => {
+            let ranged = matches!(
+                message_type,
+                MessageType::ServerOutputsRequestRange | MessageType::ServerOutputsRequestRangeQ
+            );
+            let range = if ranged {
+                let lo = reader.u32("request range")? as usize;
+                let hi = reader.u32("request range")? as usize;
+                Some(lo..hi)
+            } else {
+                None
+            };
+            let features = Features::take(message_type.precision(), &mut reader)?;
+            reader.finish("request payload")?;
+            ServerRequest { range, features }.into()
         }
-        MessageType::ServerOutputsResponse => {
-            let maps = cursor.take_tensor_list("response payload")?;
-            cursor.finish("response payload")?;
-            Message::ServerOutputsResponse { maps }
-        }
-        MessageType::ServerOutputsRequestQ => {
-            let blob = cursor.rest;
-            let transmitted = decode_qfeatures(blob).map_err(|e| {
-                ServeError::Frame(format!("quantized request tensor is malformed: {e}"))
-            })?;
-            Message::ServerOutputsRequestQ { transmitted }
-        }
-        MessageType::ServerOutputsResponseQ => {
-            let maps = cursor.take_qtensor_list("quantized response payload")?;
-            cursor.finish("quantized response payload")?;
-            Message::ServerOutputsResponseQ { maps }
-        }
-        MessageType::ServerOutputsRequestRange => {
-            let lo = cursor.take_u32("range request payload")?;
-            let hi = cursor.take_u32("range request payload")?;
-            let blob = cursor.rest;
-            let transmitted = decode_features(blob).map_err(|e| {
-                ServeError::Frame(format!("range request tensor is malformed: {e}"))
-            })?;
-            Message::ServerOutputsRequestRange {
-                lo,
-                hi,
-                transmitted,
-            }
-        }
-        MessageType::ServerOutputsRequestRangeQ => {
-            let lo = cursor.take_u32("quantized range request payload")?;
-            let hi = cursor.take_u32("quantized range request payload")?;
-            let blob = cursor.rest;
-            let transmitted = decode_qfeatures(blob).map_err(|e| {
-                ServeError::Frame(format!("quantized range request tensor is malformed: {e}"))
-            })?;
-            Message::ServerOutputsRequestRangeQ {
-                lo,
-                hi,
-                transmitted,
-            }
+        MessageType::ServerOutputsResponse | MessageType::ServerOutputsResponseQ => {
+            let maps = Maps::take(message_type.precision(), &mut reader)?;
+            reader.finish("response payload")?;
+            maps.into()
         }
         MessageType::Error => {
-            let code = ErrorCode::from_u16(cursor.take_u16("Error payload")?);
-            let message = cursor.take_string("Error message")?;
-            cursor.finish("Error payload")?;
+            let code = ErrorCode::from_u16(reader.u16("Error payload")?);
+            let message = reader.string("Error message")?;
+            reader.finish("Error payload")?;
             Message::Error(WireError { code, message })
         }
     };
@@ -1011,8 +843,8 @@ pub fn read_tagged(
 ) -> Result<TaggedMessage, ServeError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     reader.read_exact(&mut header)?;
-    let version = u16::from_be_bytes(header[4..6].try_into().expect("2 bytes"));
-    let payload_len = u32::from_be_bytes(header[8..12].try_into().expect("4 bytes"));
+    let version = Reader::new(&header[4..]).u16("frame header")?;
+    let payload_len = Reader::new(&header[8..]).u32("frame header")?;
     if payload_len > max_payload_bytes {
         return Err(ServeError::Frame(format!(
             "declared payload of {payload_len} bytes exceeds the {max_payload_bytes}-byte limit"

@@ -5,13 +5,24 @@
 //! client-side [`CompletionSlots`] demultiplexer against the misuse the wire
 //! can inflict on it (duplicate registrations, responses for ids nobody is
 //! waiting on, registration after a connection failure).
+//!
+//! The second half is the hostile-bytes sweep: *restamped* frames (valid
+//! magic, version, length and CRC, so only the payload parser stands between
+//! the bytes and the caller) of all four request and both response types
+//! whose tensor headers declare absurd ranks, extents and counts — and one
+//! scripted server that answers a real `RemoteDefense` with such a frame,
+//! because in the paper's threat model the adversary *is* the server.
 
+use ensembler::{Defense, Maps};
 use ensembler_serve::protocol::{
-    decode_tagged, encode_tagged, read_tagged, ErrorCode, Message, TaggedMessage, WireError,
-    DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
+    crc32, decode_tagged, encode_tagged, frame_version, read_message, read_tagged, write_message,
+    write_tagged, ErrorCode, HelloAck, Message, MessageType, TaggedMessage, WireError,
+    DEFAULT_MAX_PAYLOAD_BYTES, FRAME_MAGIC, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
 };
-use ensembler_serve::{CompletionSlots, ServeError};
-use ensembler_tensor::{Rng, Tensor};
+use ensembler_serve::{demo_pipeline, CompletionSlots, RemoteDefense, ServeError};
+use ensembler_tensor::{QTensorBatch, Rng, Tensor};
+use std::net::TcpListener;
+use std::sync::Arc;
 
 /// A small pool of non-handshake messages the fuzzers tag and interleave.
 fn taggable_messages() -> Vec<Message> {
@@ -293,4 +304,329 @@ fn error_message(id: u64) -> Message {
         code: ErrorCode::Inference,
         message: format!("marker-{id}"),
     })
+}
+
+/// One `ServerOutputs*` frame type, described by what its payload holds.
+#[derive(Debug, Clone, Copy)]
+struct Kind {
+    message_type: MessageType,
+    /// The payload opens with `lo`, `hi`.
+    ranged: bool,
+    /// The payload is a counted list of length-prefixed blobs, not one blob.
+    listed: bool,
+    int8: bool,
+}
+
+const KINDS: [Kind; 6] = {
+    const fn kind(message_type: MessageType, ranged: bool, listed: bool, int8: bool) -> Kind {
+        Kind {
+            message_type,
+            ranged,
+            listed,
+            int8,
+        }
+    }
+    [
+        kind(MessageType::ServerOutputsRequest, false, false, false),
+        kind(MessageType::ServerOutputsRequestQ, false, false, true),
+        kind(MessageType::ServerOutputsRequestRange, true, false, false),
+        kind(MessageType::ServerOutputsRequestRangeQ, true, false, true),
+        kind(MessageType::ServerOutputsResponse, false, true, false),
+        kind(MessageType::ServerOutputsResponseQ, false, true, true),
+    ]
+};
+
+/// A tensor blob written by hand: magic word, rank, dims, then `body`.
+fn blob(int8: bool, rank: u32, dims: &[u32], body: &[u8]) -> Vec<u8> {
+    let magic: u32 = if int8 { 0x454E_5351 } else { 0x454E_5342 };
+    let mut bytes = magic.to_be_bytes().to_vec();
+    bytes.extend_from_slice(&rank.to_be_bytes());
+    for dim in dims {
+        bytes.extend_from_slice(&dim.to_be_bytes());
+    }
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// The payload of a `kind` frame declaring `count` blobs (ignored by the
+/// single-blob request kinds) and carrying `blobs`, each behind a length
+/// prefix `len_skew` bytes off the truth.
+fn payload(kind: Kind, count: u32, blobs: &[Vec<u8>], len_skew: i64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    if kind.ranged {
+        bytes.extend_from_slice(&0u32.to_be_bytes());
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+    }
+    if kind.listed {
+        bytes.extend_from_slice(&count.to_be_bytes());
+    }
+    for blob in blobs {
+        if kind.listed {
+            let declared = (blob.len() as i64 + len_skew) as u32;
+            bytes.extend_from_slice(&declared.to_be_bytes());
+        }
+        bytes.extend_from_slice(blob);
+    }
+    bytes
+}
+
+/// A complete frame around `payload` with a truthful header and CRC.
+fn stamped_frame(message_type: MessageType, request_id: Option<u64>, payload: &[u8]) -> Vec<u8> {
+    let version = match request_id {
+        Some(_) => TAGGED_WIRE_VERSION,
+        None => frame_version(message_type),
+    };
+    let mut frame = FRAME_MAGIC.to_be_bytes().to_vec();
+    frame.extend_from_slice(&version.to_be_bytes());
+    frame.push(message_type as u8);
+    frame.push(0);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    if let Some(id) = request_id {
+        frame.extend_from_slice(&id.to_be_bytes());
+    }
+    frame.extend_from_slice(payload);
+    let crc = crc32(&frame);
+    frame.extend_from_slice(&crc.to_be_bytes());
+    frame
+}
+
+/// Tensor headers no honest peer writes. `scaled` cases carry the one
+/// per-sample scale an int8 body with a batch extent of 1 needs, so the
+/// header — not a missing scale — is what the decoder has to refuse.
+fn hostile_blobs(int8: bool) -> Vec<(&'static str, Vec<u8>)> {
+    const MAX: u32 = u32::MAX;
+    let one = 1.0f32.to_le_bytes();
+    let scale: &[u8] = if int8 { &one } else { &[] };
+    let one_element: Vec<u8> = if int8 {
+        [&one[..], &[1u8]].concat()
+    } else {
+        one.to_vec()
+    };
+    vec![
+        ("rank 0 and no data", blob(int8, 0, &[], &[])),
+        (
+            "rank 9 around one honest element",
+            blob(int8, 9, &[1; 9], &one_element),
+        ),
+        ("rank u32::MAX", blob(int8, MAX, &[], &[])),
+        (
+            "dims whose product overflows usize",
+            blob(int8, 5, &[1, 1 << 16, 1 << 16, 1 << 16, 1 << 16], scale),
+        ),
+        (
+            "the issue's example: [65536; 4] and no data",
+            blob(int8, 4, &[1 << 16; 4], &[]),
+        ),
+        (
+            "dims whose product times four overflows",
+            blob(int8, 3, &[1, 1 << 31, 1 << 31], scale),
+        ),
+        (
+            "a leading zero dim beside absurd ones",
+            blob(int8, 4, &[0, MAX, MAX, MAX], &[]),
+        ),
+        (
+            "a trailing zero dim beside absurd ones",
+            blob(int8, 5, &[1, MAX, MAX, MAX, 0], scale),
+        ),
+        ("an absurd batch extent", blob(int8, 2, &[MAX, 1], &[])),
+    ]
+}
+
+#[test]
+fn restamped_hostile_tensor_headers_are_frame_errors_in_every_frame_type() {
+    for kind in KINDS {
+        // Control: the hand-built framing is the codec's own, byte for byte,
+        // so a rejection below is about the header under test and nothing else.
+        let honest = {
+            let tensor = Tensor::from_fn(&[1, 2, 2, 2], |i| i as f32 - 3.0);
+            let body: Vec<u8> = if kind.int8 {
+                let q = QTensorBatch::quantize_batch(&tensor);
+                let data = q.data().iter().map(|&v| v as u8);
+                q.scales()[0]
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(data)
+                    .collect()
+            } else {
+                tensor.data().iter().flat_map(|v| v.to_le_bytes()).collect()
+            };
+            blob(kind.int8, 4, &[1, 2, 2, 2], &body)
+        };
+        for request_id in [None, Some(0xFEED_u64)] {
+            let frame = stamped_frame(
+                kind.message_type,
+                request_id,
+                &payload(kind, 1, std::slice::from_ref(&honest), 0),
+            );
+            let decoded = decode_tagged(&frame).expect("the honest control frame decodes");
+            assert_eq!(decoded.message.message_type(), kind.message_type);
+            assert_eq!(encode_tagged(&decoded.message, request_id), frame);
+
+            let mut cases: Vec<(&str, Vec<u8>)> = hostile_blobs(kind.int8)
+                .into_iter()
+                .map(|(name, blob)| (name, payload(kind, 1, &[blob], 0)))
+                .collect();
+            if kind.listed {
+                let honest = std::slice::from_ref(&honest);
+                cases.extend([
+                    ("a map count of u32::MAX", payload(kind, u32::MAX, &[], 0)),
+                    (
+                        "a map count of 2^24 over one map",
+                        payload(kind, 1 << 24, honest, 0),
+                    ),
+                    ("a blob length one byte long", payload(kind, 1, honest, 1)),
+                    ("a blob length one byte short", payload(kind, 1, honest, -1)),
+                    (
+                        "a blob length of u32::MAX",
+                        payload(kind, 1, honest, -(honest[0].len() as i64) - 1),
+                    ),
+                ]);
+            }
+            for (name, payload) in cases {
+                let frame = stamped_frame(kind.message_type, request_id, &payload);
+                match decode_tagged(&frame) {
+                    Err(ServeError::Frame(_)) => {}
+                    other => panic!(
+                        "{:?} (id {request_id:?}) with {name} must be a Frame error, got {other:?}",
+                        kind.message_type
+                    ),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn restamped_bit_flips_never_panic_and_reencode_canonically() {
+    let transmitted = Tensor::from_fn(&[2, 2, 3, 3], |i| (i as f32 * 0.7).sin());
+    let maps: Vec<Tensor> = (0..2)
+        .map(|k| Tensor::from_fn(&[2, 4], |i| (i + k) as f32 - 2.0))
+        .collect();
+    // Every tensor-carrying frame type. (Error frames are left out: unknown
+    // error codes decode to `Internal` on purpose, so they are not canonical.)
+    let quantized = QTensorBatch::quantize_batch(&transmitted);
+    let pool = [
+        Message::ServerOutputsRequest {
+            transmitted: transmitted.clone(),
+        },
+        Message::ServerOutputsRequestQ {
+            transmitted: quantized.clone(),
+        },
+        Message::ServerOutputsRequestRange {
+            lo: 1,
+            hi: 3,
+            transmitted,
+        },
+        Message::ServerOutputsRequestRangeQ {
+            lo: 0,
+            hi: 2,
+            transmitted: quantized,
+        },
+        Message::ServerOutputsResponseQ {
+            maps: maps.iter().map(QTensorBatch::quantize_batch).collect(),
+        },
+        Message::ServerOutputsResponse { maps },
+    ];
+    let mut rng = Rng::seed_from(0x5EED_F11D);
+    let mut accepted = 0;
+    for round in 0..1200 {
+        let id = rng.next_u64();
+        let mut frame = encode_tagged(&pool[round % pool.len()], Some(id));
+        // Flip up to 3 bits ahead of the trailer, then forge the trailer so
+        // the parser itself (not the CRC) has to survive the damage.
+        let crc_offset = frame.len() - 4;
+        for _ in 0..1 + rng.below(3) {
+            let byte = rng.below(crc_offset);
+            frame[byte] ^= 1 << rng.below(8);
+        }
+        let crc = crc32(&frame[..crc_offset]);
+        frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
+        match decode_tagged(&frame) {
+            // Some flips give a different but well-formed frame (a changed
+            // value bit, a changed id). Decoding must then be exact: the
+            // canonical re-encoding reproduces the corrupted bytes, proving
+            // nothing was dropped, invented or misparsed along the way.
+            Ok(decoded) => {
+                assert_eq!(encode_tagged(&decoded.message, decoded.request_id), frame);
+                accepted += 1;
+            }
+            Err(ServeError::Frame(_) | ServeError::UnsupportedVersion { .. }) => {}
+            Err(other) => panic!("restamped flip gave unexpected error {other:?}"),
+        }
+    }
+    assert!(
+        accepted > 100,
+        "the sweep must reach the tensor decoders: {accepted}"
+    );
+}
+
+#[test]
+fn a_hostile_server_costs_the_client_one_typed_error() {
+    // The paper's adversary: a server that completes the handshake honestly
+    // and then answers a real request with a well-framed, correctly CRC'd
+    // response whose every map declares [65536; 4] elements over no data.
+    let pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 23).expect("demo pipeline"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let served = Arc::clone(&pipeline);
+    let server = std::thread::spawn(move || {
+        for hostile in [true, false] {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let hello = match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES) {
+                Ok(Message::Hello(hello)) => hello,
+                other => panic!("expected a Hello, got {other:?}"),
+            };
+            let ack = Message::HelloAck(HelloAck {
+                version: hello.max_version.min(PROTOCOL_VERSION),
+                label: served.label().to_string(),
+                ensemble_size: served.ensemble_size() as u32,
+                selected_count: served.selected_count() as u32,
+                model: None,
+            });
+            write_message(&mut stream, &ack).expect("ack");
+            let request = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).expect("request");
+            let Message::ServerOutputsRequest { transmitted } = request.message else {
+                panic!("expected an f32 request, got {:?}", request.message);
+            };
+            if hostile {
+                let overflowing = blob(false, 4, &[1 << 16; 4], &[]);
+                let kind = KINDS[4];
+                let count = served.ensemble_size();
+                let frame = stamped_frame(
+                    kind.message_type,
+                    request.request_id,
+                    &payload(kind, count as u32, &vec![overflowing; count], 0),
+                );
+                std::io::Write::write_all(&mut stream, &frame).expect("hostile response");
+            } else {
+                let maps = served.server_outputs(&transmitted).expect("server outputs");
+                write_tagged(&mut stream, &Maps::F32(maps).into(), request.request_id)
+                    .expect("honest response");
+            }
+            // Hold the socket until the client hangs up, so the response is
+            // never lost to a reset.
+            let _ = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES);
+        }
+    });
+
+    let images = Tensor::from_fn(&[1, 3, 16, 16], |i| (i as f32 * 0.01).cos());
+    let transmitted = pipeline.client_features(&images).expect("client features");
+
+    let victim = RemoteDefense::connect(Arc::clone(&pipeline), addr).expect("handshake");
+    let error = victim
+        .server_outputs(&transmitted)
+        .expect_err("an overflowing response must not come back as maps");
+    let text = error.to_string();
+    assert!(text.contains("malformed frame"), "{text}");
+    drop(victim);
+
+    // Nothing in the client process is left poisoned: a fresh connection works.
+    let fresh = RemoteDefense::connect(Arc::clone(&pipeline), addr).expect("second handshake");
+    assert_eq!(
+        fresh.server_outputs(&transmitted).expect("honest exchange"),
+        pipeline.server_outputs(&transmitted).expect("local")
+    );
+    drop(fresh);
+    server.join().expect("scripted server");
 }

@@ -27,6 +27,7 @@
 //! # Ok::<(), ensembler_tensor::ShapeError>(())
 //! ```
 
+pub mod bytes;
 mod conv;
 mod error;
 pub mod gemm;

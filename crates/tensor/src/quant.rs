@@ -41,6 +41,7 @@
 
 use crate::gemm::Parallelism;
 use crate::parallel::{chunks_mut, parallelism};
+use crate::shape::checked_len;
 use crate::{ShapeError, Tensor};
 
 /// Rows of the register tile held by the portable int8 micro-kernel. On
@@ -191,9 +192,10 @@ impl QTensor {
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if the data length does not match the shape
-    /// or the scale is not finite and positive.
+    /// (or the shape overflows `usize`) or the scale is not finite and
+    /// positive.
     pub fn from_parts(data: Vec<i8>, shape: &[usize], scale: f32) -> Result<Self, ShapeError> {
-        let expected: usize = shape.iter().product();
+        let expected = checked_len(shape)?;
         if data.len() != expected {
             return Err(ShapeError::new(format!(
                 "expected {expected} i8 elements for shape {shape:?}, got {}",
@@ -304,8 +306,8 @@ impl QTensorBatch {
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if the shape is rank-0, the data length does
-    /// not match the shape, the scale count differs from the batch extent, or
-    /// any scale is not finite and positive.
+    /// not match the shape (or the shape overflows `usize`), the scale count
+    /// differs from the batch extent, or any scale is not finite and positive.
     pub fn from_parts(
         data: Vec<i8>,
         shape: &[usize],
@@ -316,7 +318,7 @@ impl QTensorBatch {
                 "a quantized batch needs at least one axis".to_string(),
             ));
         }
-        let expected: usize = shape.iter().product();
+        let expected = checked_len(shape)?;
         if data.len() != expected {
             return Err(ShapeError::new(format!(
                 "expected {expected} i8 elements for shape {shape:?}, got {}",
@@ -998,6 +1000,15 @@ mod tests {
         assert!(QTensorBatch::from_parts(vec![1, 2], &[], vec![]).is_err());
         assert!(QTensorBatch::from_parts(vec![1, 2], &[2, 1], vec![0.5, -1.0]).is_err());
         assert!(QTensorBatch::from_parts(vec![1, 2], &[2, 1], vec![0.5, 0.25]).is_ok());
+    }
+
+    #[test]
+    fn from_parts_refuses_shapes_that_wrap_to_the_data_length() {
+        // (2^63 + 1) · 2 wraps to 2, the length of the data.
+        let wraps_to_two = [usize::MAX / 2 + 2, 2];
+        assert!(QTensor::from_parts(vec![1, 2], &wraps_to_two, 0.5).is_err());
+        let wraps_to_two = [2, usize::MAX / 2 + 2];
+        assert!(QTensorBatch::from_parts(vec![1, 2], &wraps_to_two, vec![0.5, 0.5]).is_err());
     }
 
     #[test]

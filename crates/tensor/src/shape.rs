@@ -1,5 +1,7 @@
 //! Shape bookkeeping helpers shared by the tensor operations.
 
+use crate::ShapeError;
+
 /// A tensor shape: the extent of every axis in row-major order.
 ///
 /// The Ensembler stack uses at most four axes (`[batch, channels, height,
@@ -91,6 +93,21 @@ pub fn stride_for(dims: &[usize]) -> Vec<usize> {
     strides
 }
 
+/// The element count of `dims`, for extents that did not come from this
+/// program (a decoded header, a caller-supplied shape).
+///
+/// The product of the *non-zero* extents must fit too: strides and per-sample
+/// lengths are computed from them, so `[0, usize::MAX, usize::MAX]` is refused
+/// rather than accepted as an empty tensor.
+pub(crate) fn checked_len(dims: &[usize]) -> Result<usize, ShapeError> {
+    let nonzero = dims
+        .iter()
+        .filter(|&&d| d != 0)
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| ShapeError::new(format!("shape {dims:?} overflows usize")))?;
+    Ok(if dims.contains(&0) { 0 } else { nonzero })
+}
+
 /// Returns `true` if two shapes are element-wise compatible (identical dims).
 ///
 /// The tensor kernel intentionally does not implement NumPy-style implicit
@@ -146,6 +163,19 @@ mod tests {
     #[test]
     fn strides_for_single_axis() {
         assert_eq!(stride_for(&[7]), vec![1]);
+    }
+
+    #[test]
+    fn checked_len_refuses_every_wrapping_product() {
+        assert_eq!(checked_len(&[2, 3, 4]), Ok(24));
+        assert_eq!(checked_len(&[]), Ok(1));
+        assert_eq!(checked_len(&[5, 0, 7]), Ok(0));
+        let half = usize::MAX / 2 + 1;
+        assert!(checked_len(&[half, 2]).is_err(), "wraps to 0");
+        assert!(checked_len(&[half + 1, 2]).is_err(), "wraps to 2");
+        // A zero extent does not launder absurd neighbours, in any order.
+        assert!(checked_len(&[0, usize::MAX, usize::MAX]).is_err());
+        assert!(checked_len(&[usize::MAX, usize::MAX, 0]).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The dense row-major tensor type.
 
 use crate::json::{JsonError, JsonValue};
+use crate::shape::checked_len;
 use crate::{stride_for, ShapeError};
 
 /// A dense, row-major `f32` tensor.
@@ -60,9 +61,9 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns a [`ShapeError`] if the number of elements in `data` does not
-    /// match the product of `shape`.
+    /// match the product of `shape`, or that product overflows `usize`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, ShapeError> {
-        let expected: usize = shape.iter().product();
+        let expected = checked_len(shape)?;
         if data.len() != expected {
             return Err(ShapeError::new(format!(
                 "expected {expected} elements for shape {shape:?}, got {}",
@@ -499,6 +500,15 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
+    }
+
+    #[test]
+    fn from_vec_refuses_shapes_that_wrap_to_the_data_length() {
+        // 2^63 · 2 wraps to 0 and (2^63 + 1) · 2 wraps to 2: neither may pass
+        // for a tensor of that many elements.
+        let half = usize::MAX / 2 + 1;
+        assert!(Tensor::from_vec(vec![], &[half, 2]).is_err());
+        assert!(Tensor::from_vec(vec![1.0; 2], &[half + 1, 2]).is_err());
     }
 
     #[test]
