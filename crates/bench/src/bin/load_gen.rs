@@ -269,7 +269,13 @@ fn main() {
         RemoteDefense::connect(Arc::clone(&pipeline), overload_server.local_addr())
             .expect("connect"),
     );
-    let overload = steady_request(Arc::clone(&overload_remote), features, n);
+    // Batch-64 requests (~10 ms of server work each) offered faster than
+    // two in flight can drain them: saturation by arithmetic, not by any
+    // fixed latency in the serving stack.
+    let heavy = pipeline
+        .client_features(&Tensor::ones(&[64, 3, 16, 16]))
+        .expect("client features for the overload requests");
+    let overload = steady_request(Arc::clone(&overload_remote), heavy, n);
     let overload_report = run_open_loop(
         &overload,
         &LoadConfig {
@@ -293,5 +299,11 @@ fn main() {
         overload_report.ok + overload_report.rejected,
         overload_report.requests,
         "every request must be answered or typed-rejected"
+    );
+    assert!(
+        overload_report.rejected > 0 && overload_report.ok > 0,
+        "the overload scenario must actually shed: {} ok, {} rejected",
+        overload_report.ok,
+        overload_report.rejected
     );
 }

@@ -155,6 +155,19 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
     /// the single-network baselines). The latency model uses this.
     fn selected_count(&self) -> usize;
 
+    /// Compiles, on the calling thread, whatever execution plans this
+    /// pipeline would otherwise build lazily inside its first inference call.
+    ///
+    /// [`crate::InferenceEngine::new`] calls it, so a model's plans are built
+    /// where the model is installed — by the thread that binds a server or
+    /// performs a hot swap — and never by the worker that happens to serve
+    /// the first request (which would put the compile, and the plans' memory,
+    /// on the request path of that worker). The default does nothing: a
+    /// defence that compiles at construction ([`crate::QuantizedDefense`]'s
+    /// int8 plans) or evaluates its bodies elsewhere (a remote replica, a
+    /// shard router) has nothing to prepare.
+    fn compile_plans(&self) {}
+
     /// Computes the (protected) features the client transmits for a batch of
     /// `[B, C, H, W]` images.
     ///

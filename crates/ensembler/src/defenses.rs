@@ -327,6 +327,10 @@ impl Defense for SinglePipeline {
     }
 
     /// Computes the features the client transmits (head output plus defence).
+    fn compile_plans(&self) {
+        self.plans();
+    }
+
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.plans()[0].run(images)?;
         Ok(self.defense.forward(&features, Mode::Eval))
@@ -497,6 +501,17 @@ mod tests {
             zeros as f32 >= 0.2 * features.len() as f32,
             "a substantial fraction of features should be dropped"
         );
+    }
+
+    #[test]
+    fn compile_plans_fills_the_cell_inference_would_fill() {
+        let pipeline =
+            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 3).unwrap();
+        pipeline.compile_plans();
+        let plans = pipeline
+            .plans
+            .get_or_compile(|| unreachable!("compile_plans left the cell empty"));
+        assert_eq!(plans.len(), 3);
     }
 
     #[test]

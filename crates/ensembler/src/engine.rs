@@ -13,8 +13,9 @@
 //!   range — via [`InferenceEngine::serve_begin`] (the unit the networked
 //!   `DefenseServer` in `crates/serve` forwards for remote clients);
 //! * worker threads coalesce queued work into mini-batches of up to
-//!   `max_batch` items (waiting at most `batch_window` for stragglers),
-//!   grouped so that only requests of one precision and one range stack;
+//!   `max_batch` items — whatever is queued when a worker becomes free, never
+//!   a wait for company — grouped so that only requests of one precision and
+//!   one range stack;
 //! * each group runs one [`Defense::predict`] (or one [`Defense::serve`]),
 //!   inside which the `N` server bodies fan out over the machine's cores
 //!   ([`ensembler_tensor::par_map`]).
@@ -44,19 +45,15 @@ use crate::EnsemblerError;
 use ensembler_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Tuning knobs of an [`InferenceEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Maximum number of single-image requests coalesced into one batch.
     pub max_batch: usize,
-    /// How long a worker waits for additional requests before running a
-    /// partially filled batch.
-    pub batch_window: Duration,
     /// Number of worker threads executing batches concurrently.
     pub workers: usize,
 }
@@ -65,7 +62,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            batch_window: Duration::from_millis(2),
             workers: 1,
         }
     }
@@ -98,19 +94,25 @@ impl EngineStats {
     }
 }
 
+/// One engine answer as it arrives on a caller-supplied channel
+/// ([`InferenceEngine::serve_to`]): the tag the request was submitted under,
+/// and its result.
+pub type Tagged<T> = (u64, Result<T, EnsemblerError>);
+
 /// A submitted-but-not-yet-answered engine request: the completion half of
 /// the split submit/wait API ([`InferenceEngine::serve_begin`],
 /// [`InferenceEngine::predict_begin`]).
 ///
 /// The blocking `*_one` methods are `*_begin(…)?.wait()`. Splitting the two
-/// halves is what lets a multiplexed server thread enqueue many pipelined
-/// requests in arrival order — so they coalesce into shared mini-batches —
-/// and then let each response complete out of order on its own thread.
-/// Dropping a `Pending` abandons the request: the worker's answer simply
-/// finds no receiver.
+/// halves lets one thread enqueue many requests in arrival order — so they
+/// coalesce into shared mini-batches — and collect the answers afterwards. A
+/// caller with many requests in flight (the networked server's connections)
+/// uses [`InferenceEngine::serve_to`] instead and receives every answer on
+/// one channel. Dropping a `Pending` abandons the request: the worker's
+/// answer simply finds no receiver.
 #[derive(Debug)]
 pub struct Pending<T> {
-    receive: Receiver<Result<T, EnsemblerError>>,
+    receive: Receiver<Tagged<T>>,
 }
 
 impl<T> Pending<T> {
@@ -124,6 +126,7 @@ impl<T> Pending<T> {
         self.receive
             .recv()
             .map_err(|_| EnsemblerError::Engine("worker dropped the request".to_string()))?
+            .1
     }
 }
 
@@ -135,7 +138,28 @@ struct StatsCells {
     queued: AtomicU64,
 }
 
-type Respond<T> = Sender<Result<T, EnsemblerError>>;
+/// Where a worker delivers one answer: a tag and a channel, nothing else. A
+/// worker can therefore never end up holding — and dropping — the last
+/// handle to its own engine (whose `Drop` joins that worker): whatever keeps
+/// an engine alive for a request in flight stays with the submitter, keyed
+/// by the tag.
+struct Respond<T> {
+    tag: u64,
+    sink: Sender<Tagged<T>>,
+}
+
+impl<T> Respond<T> {
+    /// A responder paired with the [`Pending`] that awaits it.
+    fn pending() -> (Self, Pending<T>) {
+        let (sink, receive) = channel();
+        (Self { tag: 0, sink }, Pending { receive })
+    }
+
+    /// Delivers the answer; a requester that gave up is skipped silently.
+    fn send(self, result: Result<T, EnsemblerError>) {
+        let _ = self.sink.send((self.tag, result));
+    }
+}
 
 /// One queued unit of work. Both kinds share one queue; a worker partitions
 /// each drained batch into groups that may be stacked together before
@@ -156,6 +180,17 @@ enum Work {
         respond: Respond<Maps>,
     },
 }
+
+/// A pre-assembled `[B, C, H, W]` request ([`InferenceEngine::serve_to`]) and
+/// where its answer goes. It has nothing to gain from coalescing, so it
+/// bypasses the queue for a lane of its own: however long a batch takes, it
+/// never holds up the single-sample requests behind it.
+type Batch = (ServerRequest, Respond<Maps>);
+
+/// The batch lane: its queue and the one thread evaluating it in arrival
+/// order. Started by the first pre-assembled batch — an engine that only
+/// ever coalesces single samples never has the thread.
+type BatchLane = (Sender<Batch>, JoinHandle<()>);
 
 /// A thread-safe serving frontend over a shared [`Defense`].
 ///
@@ -200,12 +235,17 @@ enum Work {
 pub struct InferenceEngine<D: Defense + ?Sized + 'static> {
     defense: Arc<D>,
     sender: Option<Sender<Work>>,
+    batch_lane: Mutex<Option<BatchLane>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<StatsCells>,
 }
 
 impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     /// Starts an engine serving `defense` with the given configuration.
+    ///
+    /// The defence's execution plans are compiled here, on the calling thread
+    /// ([`Defense::compile_plans`]): installing a model pays for its plans,
+    /// the first request after a bind or a hot swap does not.
     ///
     /// # Errors
     ///
@@ -217,6 +257,7 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
                 "engine max_batch and workers must be positive".to_string(),
             ));
         }
+        defense.compile_plans();
         let (sender, receiver) = channel::<Work>();
         let receiver = Arc::new(Mutex::new(receiver));
         let stats = Arc::new(StatsCells::default());
@@ -231,6 +272,7 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
         Ok(Self {
             defense,
             sender: Some(sender),
+            batch_lane: Mutex::new(None),
             workers,
             stats,
         })
@@ -296,7 +338,9 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
         let Features::F32(image) = Features::F32(image).into_single()? else {
             unreachable!("into_single preserves the precision")
         };
-        self.submit(|respond| Work::Predict { image, respond })
+        let (respond, pending) = Respond::pending();
+        self.submit(Work::Predict { image, respond })?;
+        Ok(pending)
     }
 
     /// Evaluates all `N` server bodies on one transmitted `f32` feature map
@@ -318,18 +362,12 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     /// Enqueues one single-sample server-stage request — any precision, any
     /// body range — without waiting for the answer.
     ///
-    /// This is the unit of work the networked `DefenseServer` submits for
-    /// remote single-image requests: a multiplexed server thread submits
-    /// every pipelined request in arrival order (so requests arriving on
-    /// different TCP connections coalesce into shared mini-batches exactly
-    /// like local [`InferenceEngine::predict_one`] calls do) and parks each
-    /// [`Pending`] on its own completion thread, letting responses finish
-    /// out of order. Requests coalesce only with requests of the same
-    /// precision and the same range, and the answer is bit-identical to an
-    /// isolated [`Defense::serve`] call on the same request: the `f32`
-    /// kernels guarantee batch-size-independent results (see
-    /// `docs/PERFORMANCE.md`) and quantization scales are per sample, so
-    /// stacking and splitting move bytes verbatim.
+    /// Requests coalesce only with requests of the same precision and the
+    /// same range, and the answer is bit-identical to an isolated
+    /// [`Defense::serve`] call on the same request: the `f32` kernels
+    /// guarantee batch-size-independent results (see `docs/PERFORMANCE.md`)
+    /// and quantization scales are per sample, so stacking and splitting
+    /// move bytes verbatim.
     ///
     /// # Errors
     ///
@@ -338,12 +376,82 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     /// engine is shutting down; evaluation errors surface from
     /// [`Pending::wait`].
     pub fn serve_begin(&self, request: ServerRequest) -> Result<Pending<Maps>, EnsemblerError> {
+        let (respond, pending) = Respond::pending();
+        self.enqueue_single(request, respond)?;
+        Ok(pending)
+    }
+
+    /// Validates one single-sample request and puts it on the coalescing
+    /// queue.
+    fn enqueue_single(
+        &self,
+        request: ServerRequest,
+        respond: Respond<Maps>,
+    ) -> Result<(), EnsemblerError> {
         self.check_range(&request)?;
         let request = ServerRequest {
             features: request.features.into_single()?,
             ..request
         };
-        self.submit(|respond| Work::Serve { request, respond })
+        self.submit(Work::Serve { request, respond })
+    }
+
+    /// Enqueues one server-stage request whose answer is delivered to `sink`
+    /// as `(tag, result)` — the unit of work the networked `DefenseServer`
+    /// submits for every tagged request of a multiplexed connection.
+    ///
+    /// The connection's reader submits in arrival order, so single-sample
+    /// requests arriving on different TCP connections coalesce into shared
+    /// mini-batches exactly like local [`InferenceEngine::predict_one`] calls
+    /// do, and one writer per connection drains the sink: no thread exists
+    /// per request. A single-sample request coalesces as for
+    /// [`InferenceEngine::serve_begin`]; a pre-assembled `[B, C, H, W]`
+    /// batch is evaluated as it is, in arrival order, by one thread the
+    /// engine starts for such batches when the first arrives — beside the
+    /// queue, so it neither waits behind single-sample requests nor makes
+    /// them wait — and is not counted in [`EngineStats`], which describe
+    /// coalescing. The sink carries a tag and a result and nothing else —
+    /// see [`Tagged`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error — before touching the queue, nothing is sent to
+    /// `sink` — if the range is empty or out of bounds, a single-sample
+    /// payload is malformed, or the engine is shutting down; evaluation
+    /// errors arrive through `sink`.
+    pub fn serve_to(
+        &self,
+        request: ServerRequest,
+        tag: u64,
+        sink: &Sender<Tagged<Maps>>,
+    ) -> Result<(), EnsemblerError> {
+        let respond = Respond {
+            tag,
+            sink: sink.clone(),
+        };
+        let shape = request.features.shape();
+        if shape.len() == 3 || shape.first() == Some(&1) {
+            self.enqueue_single(request, respond)
+        } else {
+            self.check_range(&request)?;
+            let mut lane = self
+                .batch_lane
+                .lock()
+                .expect("batch lane mutex is never poisoned");
+            let (batches, _) = lane.get_or_insert_with(|| {
+                let (batches, queued) = channel::<Batch>();
+                let defense = Arc::clone(&self.defense);
+                let lane = std::thread::spawn(move || {
+                    for (request, respond) in queued {
+                        respond.send(catching_panics(|| defense.serve(&request)));
+                    }
+                });
+                (batches, lane)
+            });
+            batches
+                .send((request, respond))
+                .map_err(|_| EnsemblerError::Engine("request queue is closed".to_string()))
+        }
     }
 
     /// Evaluates a pre-assembled request batch directly on the calling
@@ -369,22 +477,20 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
         }
     }
 
-    /// Enqueues one unit of work for the worker pool.
-    fn submit<T>(
-        &self,
-        work: impl FnOnce(Respond<T>) -> Work,
-    ) -> Result<Pending<T>, EnsemblerError> {
-        let (respond, receive) = channel();
+    /// Enqueues one unit of work for the worker pool. The request is
+    /// announced in `queued` *before* it is sent: a worker that finds the
+    /// queue empty but the count ahead of what it drained knows a request is
+    /// a few instructions away and takes it into the same batch.
+    fn submit(&self, work: Work) -> Result<(), EnsemblerError> {
         self.stats.queued.fetch_add(1, Ordering::Relaxed);
         self.sender
             .as_ref()
             .expect("sender lives until the engine is dropped")
-            .send(work(respond))
+            .send(work)
             .map_err(|_| {
                 self.stats.queued.fetch_sub(1, Ordering::Relaxed);
                 EnsemblerError::Engine("request queue is closed".to_string())
-            })?;
-        Ok(Pending { receive })
+            })
     }
 
     /// Requests currently submitted but not yet drained into a mini-batch.
@@ -419,10 +525,15 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
 
 impl<D: Defense + ?Sized + 'static> Drop for InferenceEngine<D> {
     fn drop(&mut self) {
-        // Closing the channel makes every worker's recv fail, ending its loop.
+        // Closing a channel makes its workers' recv fail, ending their loops.
         drop(self.sender.take());
         for worker in self.workers.drain(..) {
             let _ = worker.join();
+        }
+        let lane = self.batch_lane.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some((batches, lane)) = lane.take() {
+            drop(batches);
+            let _ = lane.join();
         }
     }
 }
@@ -435,33 +546,45 @@ fn worker_loop<D: Defense + ?Sized>(
 ) {
     loop {
         // Collect a batch while holding the queue lock: block for the first
-        // request, then drain stragglers until `batch_window` has elapsed
-        // since that first arrival (a fixed deadline, so slow trickles cannot
-        // keep extending the wait — and the lock — indefinitely).
+        // request, then take whatever else is already queued. Under load the
+        // queue filled while this worker was computing, so that *is* the
+        // coalescing; an idle engine runs a lone request at once instead of
+        // making it wait for company that may never come.
         let batch = {
             let queue = receiver.lock().expect("queue mutex is never poisoned");
             let first = match queue.recv() {
                 Ok(request) => request,
                 Err(_) => return, // engine dropped
             };
-            let deadline = std::time::Instant::now() + config.batch_window;
             let mut batch = vec![first];
             while batch.len() < config.max_batch {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match queue.recv_timeout(remaining) {
+                match queue.try_recv() {
                     Ok(request) => batch.push(request),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
+                    // `queued` counts announced requests this worker has not
+                    // subtracted yet. If it is ahead of the batch, a
+                    // submitter sits between its announcement and its send
+                    // (which cannot fail while this receiver lives): that
+                    // request belongs to this batch, and `recv` returns as
+                    // soon as it lands. A stale read only closes the batch a
+                    // request early.
+                    Err(TryRecvError::Empty)
+                        if stats.queued.load(Ordering::Relaxed) > batch.len() as u64 =>
+                    {
+                        match queue.recv() {
+                            Ok(request) => batch.push(request),
+                            Err(_) => break,
+                        }
+                    }
+                    Err(_) => break,
                 }
             }
+            // Subtract before the lock is released: the next worker to take
+            // it must not mistake requests drained here for ones in flight.
+            stats
+                .queued
+                .fetch_sub(batch.len() as u64, Ordering::Relaxed);
             batch
         };
-        stats
-            .queued
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed);
 
         // The queue mixes predictions and server-stage requests; predictions
         // batch among themselves, requests batch per (precision, range) — two
@@ -539,12 +662,12 @@ fn execute_group<I, R>(
     match result {
         Ok(rows) => {
             for (respond, row) in responders.into_iter().zip(rows) {
-                let _ = respond.send(Ok(row));
+                respond.send(Ok(row));
             }
         }
         Err(error) => {
             for respond in responders {
-                let _ = respond.send(Err(error.clone()));
+                respond.send(Err(error.clone()));
             }
         }
     }
@@ -583,15 +706,7 @@ mod tests {
         let pipeline = Arc::new(
             SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 3).unwrap(),
         );
-        InferenceEngine::new(
-            pipeline,
-            EngineConfig {
-                max_batch,
-                batch_window: Duration::from_millis(10),
-                workers,
-            },
-        )
-        .unwrap()
+        InferenceEngine::new(pipeline, EngineConfig { max_batch, workers }).unwrap()
     }
 
     #[test]
@@ -751,7 +866,6 @@ mod tests {
     fn wide_engine(defense: &Arc<dyn Defense>) -> Arc<InferenceEngine<dyn Defense>> {
         let config = EngineConfig {
             max_batch: 8,
-            batch_window: Duration::from_millis(10),
             workers: 2,
         };
         InferenceEngine::shared(Arc::clone(defense), config).unwrap()
@@ -973,7 +1087,6 @@ mod tests {
             defense,
             EngineConfig {
                 max_batch: 2,
-                batch_window: Duration::from_millis(10),
                 workers: 1,
             },
         )
@@ -995,5 +1108,311 @@ mod tests {
         let batch = ServerRequest::full(Features::F32(Tensor::ones(&[2, 3, 8, 8])));
         let err = engine.serve_batch(&batch).unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
+    }
+
+    /// A defence whose `serve` reports the rows it was handed and then blocks
+    /// until the test opens the gate: the deterministic handle on "a worker
+    /// is inside a batch" that the coalescing tests need instead of sleeps.
+    #[derive(Debug)]
+    struct GatedDefense {
+        inner: Arc<dyn Defense>,
+        entered: Mutex<Sender<usize>>,
+        gate: Mutex<Receiver<()>>,
+        compiled_on: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    /// The test's ends of a [`GatedDefense`]: the rows of each `serve` call
+    /// as it begins, and the gate that lets one call proceed per token.
+    struct Gate {
+        entered: Receiver<usize>,
+        open: Sender<()>,
+    }
+
+    impl Gate {
+        /// Rows of the next `serve` call to begin (bounded, so a worker that
+        /// wrongly waits fails the test instead of hanging it).
+        fn entered(&self) -> usize {
+            self.entered
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a worker should have begun a batch")
+        }
+    }
+
+    fn gated(inner: Arc<dyn Defense>) -> (Arc<GatedDefense>, Gate) {
+        let (entered_tx, entered) = channel();
+        let (open, gate) = channel();
+        let defense = Arc::new(GatedDefense {
+            inner,
+            entered: Mutex::new(entered_tx),
+            gate: Mutex::new(gate),
+            compiled_on: Mutex::new(Vec::new()),
+        });
+        (defense, Gate { entered, open })
+    }
+
+    impl Defense for GatedDefense {
+        fn config(&self) -> &ResNetConfig {
+            self.inner.config()
+        }
+
+        fn label(&self) -> &str {
+            self.inner.label()
+        }
+
+        fn server_bodies(&self) -> &[ensembler_nn::Sequential] {
+            self.inner.server_bodies()
+        }
+
+        fn selected_count(&self) -> usize {
+            self.inner.selected_count()
+        }
+
+        fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
+            self.inner.client_features(images)
+        }
+
+        fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+            self.inner.server_outputs(transmitted)
+        }
+
+        fn compile_plans(&self) {
+            let mut compiled_on = self.compiled_on.lock().unwrap();
+            compiled_on.push(std::thread::current().id());
+            self.inner.compile_plans();
+        }
+
+        fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+            let rows = request.features.shape()[0];
+            self.entered.lock().unwrap().send(rows).unwrap();
+            self.gate.lock().unwrap().recv().unwrap();
+            self.inner.serve(request)
+        }
+
+        fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
+            self.inner.classify(server_maps)
+        }
+    }
+
+    fn sample_features(defense: &dyn Defense, k: usize) -> Tensor {
+        let image = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i + 13 * k) as f32 * 0.019).sin());
+        defense.client_features(&image).unwrap()
+    }
+
+    #[test]
+    fn coalescing_takes_exactly_what_queued_while_the_worker_was_busy() {
+        let pipeline = four_body_pipeline();
+        let int8_pipeline: Arc<dyn Defense> = Arc::new(crate::quant::QuantizedDefense::quantize(
+            Arc::clone(&pipeline),
+        ));
+        let kinds = [
+            (&pipeline, false, None),
+            (&pipeline, false, Some(1..3)),
+            (&int8_pipeline, true, None),
+            (&int8_pipeline, true, Some(2..4)),
+        ];
+        let max_batch = 4;
+        for (inner, int8, range) in kinds {
+            for k in [1usize, 3, 4, 6] {
+                let (defense, gate) = gated(Arc::clone(inner));
+                let engine = InferenceEngine::new(
+                    defense,
+                    EngineConfig {
+                        max_batch,
+                        workers: 1,
+                    },
+                )
+                .unwrap();
+                let request = |i: usize| {
+                    let features = sample_features(inner.as_ref(), i);
+                    let features = if int8 {
+                        Features::Int8(QTensorBatch::quantize_batch(&features))
+                    } else {
+                        Features::F32(features)
+                    };
+                    ServerRequest {
+                        range: range.clone(),
+                        features,
+                    }
+                };
+                // One request puts the worker inside a batch ...
+                let blocker = engine.serve_begin(request(99)).unwrap();
+                assert_eq!(gate.entered(), 1);
+                // ... K more queue up behind it ...
+                let queued: Vec<_> = (0..k)
+                    .map(|i| engine.serve_begin(request(i)).unwrap())
+                    .collect();
+                assert_eq!(engine.queue_depth(), k as u64);
+                // ... and come out as one batch of min(K, max_batch), the
+                // overflow as the next.
+                gate.open.send(()).unwrap();
+                let first = k.min(max_batch);
+                assert_eq!(gate.entered(), first, "k = {k}");
+                gate.open.send(()).unwrap();
+                if k > max_batch {
+                    assert_eq!(gate.entered(), k - max_batch);
+                    gate.open.send(()).unwrap();
+                }
+                assert_eq!(blocker.wait().unwrap(), inner.serve(&request(99)).unwrap());
+                for (i, pending) in queued.into_iter().enumerate() {
+                    let context = format!("int8 {int8}, range {range:?}, k {k}, item {i}");
+                    assert_eq!(
+                        pending.wait().unwrap(),
+                        inner.serve(&request(i)).unwrap(),
+                        "{context}"
+                    );
+                }
+                let stats = engine.stats();
+                assert_eq!(stats.max_batch_observed, first as u64);
+                assert_eq!(stats.requests_served, 1 + k as u64);
+                assert_eq!(stats.batches_executed, if k > max_batch { 3 } else { 2 });
+                assert_eq!(stats.queue_depth, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn installing_a_model_compiles_its_plans_on_the_installing_thread() {
+        let (defense, gate) = gated(four_body_pipeline());
+        let engine = InferenceEngine::new(Arc::clone(&defense), EngineConfig::default()).unwrap();
+        let installer = vec![std::thread::current().id()];
+        assert_eq!(*defense.compiled_on.lock().unwrap(), installer);
+        // Serving compiles nothing further, on any thread.
+        let features = sample_features(defense.as_ref(), 0);
+        let pending = engine
+            .serve_begin(ServerRequest::full(Features::F32(features)))
+            .unwrap();
+        assert_eq!(gate.entered(), 1);
+        gate.open.send(()).unwrap();
+        pending.wait().unwrap();
+        assert_eq!(*defense.compiled_on.lock().unwrap(), installer);
+    }
+
+    #[test]
+    fn coalescing_groups_one_drain_by_precision_and_range() {
+        let pipeline = four_body_pipeline();
+        let (defense, gate) = gated(Arc::clone(&pipeline));
+        let engine = InferenceEngine::new(
+            defense,
+            EngineConfig {
+                max_batch: 8,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        let f32_full =
+            |i| ServerRequest::full(Features::F32(sample_features(pipeline.as_ref(), i)));
+        let int8_ranged = |i| {
+            let features = sample_features(pipeline.as_ref(), i);
+            ServerRequest::ranged(
+                0..1,
+                Features::Int8(QTensorBatch::quantize_batch(&features)),
+            )
+        };
+        let blocker = engine.serve_begin(f32_full(50)).unwrap();
+        assert_eq!(gate.entered(), 1);
+        // Five requests of two kinds, interleaved, all queued while the
+        // worker is busy: one drain, two stacked evaluations.
+        let queued: Vec<_> = [
+            f32_full(0),
+            int8_ranged(1),
+            f32_full(2),
+            int8_ranged(3),
+            f32_full(4),
+        ]
+        .into_iter()
+        .map(|request| (engine.serve_begin(request.clone()).unwrap(), request))
+        .collect();
+        gate.open.send(()).unwrap();
+        assert_eq!(gate.entered(), 3, "the f32 full-ensemble group");
+        gate.open.send(()).unwrap();
+        assert_eq!(gate.entered(), 2, "the int8 0..1 group");
+        gate.open.send(()).unwrap();
+        blocker.wait().unwrap();
+        for (pending, request) in queued {
+            assert_eq!(pending.wait().unwrap(), pipeline.serve(&request).unwrap());
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.max_batch_observed, 3);
+        assert_eq!((stats.batches_executed, stats.requests_served), (3, 6));
+    }
+
+    #[test]
+    fn coalescing_never_makes_a_lone_request_wait_for_company() {
+        // An idle engine and one caller: every request runs at once, alone —
+        // and returns although no second request ever arrives.
+        let engine = tiny_engine(1, 8);
+        let image = Tensor::from_fn(&[1, 3, 8, 8], |i| (i as f32 * 0.017).sin());
+        let features = engine.defense().client_features(&image).unwrap();
+        let direct = engine.defense().server_outputs(&features).unwrap();
+        for _ in 0..100 {
+            assert_eq!(engine.server_outputs_one(features.clone()).unwrap(), direct);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.requests_served, 100);
+        assert_eq!(stats.batches_executed, 100);
+        assert_eq!(stats.max_batch_observed, 1);
+    }
+
+    #[test]
+    fn coalescing_workers_do_not_wait_on_requests_another_worker_drained() {
+        let pipeline = four_body_pipeline();
+        let (defense, gate) = gated(Arc::clone(&pipeline));
+        let engine = InferenceEngine::new(
+            defense,
+            EngineConfig {
+                max_batch: 8,
+                workers: 2,
+            },
+        )
+        .unwrap();
+        let request = |i| ServerRequest::full(Features::F32(sample_features(pipeline.as_ref(), i)));
+        // The first worker is inside a batch of one ...
+        let a = engine.serve_begin(request(0)).unwrap();
+        assert_eq!(gate.entered(), 1);
+        // ... and the second starts the next request while the first is
+        // still blocked: it neither waits for the first worker nor counts
+        // the request that worker already drained as one still to arrive.
+        let b = engine.serve_begin(request(1)).unwrap();
+        assert_eq!(gate.entered(), 1);
+        assert_eq!(engine.queue_depth(), 0);
+        gate.open.send(()).unwrap();
+        gate.open.send(()).unwrap();
+        assert_eq!(a.wait().unwrap(), pipeline.serve(&request(0)).unwrap());
+        assert_eq!(b.wait().unwrap(), pipeline.serve(&request(1)).unwrap());
+        let stats = engine.stats();
+        assert_eq!((stats.batches_executed, stats.max_batch_observed), (2, 1));
+    }
+
+    #[test]
+    fn tagged_answers_share_one_sink_whatever_the_batch_size() {
+        let pipeline = four_body_pipeline();
+        let engine = wide_engine(&pipeline);
+        let (sink, answers) = channel();
+        let images = Tensor::from_fn(&[3, 3, 8, 8], |i| (i as f32 * 0.023).cos());
+        let batch = pipeline.client_features(&images).unwrap();
+        let requests = [
+            ServerRequest::full(Features::F32(sample_features(pipeline.as_ref(), 0))),
+            ServerRequest::ranged(1..3, Features::F32(batch.clone())),
+            ServerRequest::full(Features::Int8(QTensorBatch::quantize_batch(&batch))),
+            ServerRequest::ranged(0..2, Features::F32(sample_features(pipeline.as_ref(), 1))),
+        ];
+        for (tag, request) in requests.iter().enumerate() {
+            engine
+                .serve_to(request.clone(), 100 + tag as u64, &sink)
+                .unwrap();
+        }
+        // Refused before the queue: nothing reaches the sink for these.
+        let bad_range = ServerRequest::ranged(3..9, Features::F32(batch.clone()));
+        assert!(engine.serve_to(bad_range, 7, &sink).is_err());
+        drop(sink);
+        let mut seen: Vec<Tagged<Maps>> = answers.iter().collect();
+        seen.sort_by_key(|(tag, _)| *tag);
+        assert_eq!(seen.len(), requests.len());
+        for ((tag, answer), (index, request)) in seen.into_iter().zip(requests.iter().enumerate()) {
+            assert_eq!(tag, 100 + index as u64);
+            assert_eq!(answer.unwrap(), pipeline.serve(request).unwrap());
+        }
+        // Only the two single-sample requests are coalescing statistics.
+        assert_eq!(engine.stats().requests_served, 2);
     }
 }

@@ -202,6 +202,10 @@ impl Defense for EnsemblerPipeline {
 
     /// Computes the features the client transmits for a batch of images:
     /// `M_c,h(x) + N(0, σ)` (plus dropout if the DR-N defence is enabled).
+    fn compile_plans(&self) {
+        self.body_plans();
+    }
+
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.head_plan.run(images)?;
         let noisy = self.noise.forward(&features, Mode::Eval);
@@ -336,6 +340,16 @@ pub(crate) mod tests {
         }
         // Independently initialised bodies produce different feature maps.
         assert_ne!(maps_a[0], maps_a[1]);
+    }
+
+    #[test]
+    fn compile_plans_fills_the_cell_inference_would_fill() {
+        let pipeline = tiny_pipeline(3, 2, 5);
+        pipeline.compile_plans();
+        let plans = pipeline
+            .body_plans
+            .get_or_compile(|| unreachable!("compile_plans left the cell empty"));
+        assert_eq!(plans.len(), 3);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub mod trainer;
 pub use artifact::{load_defense, load_pipeline, save_pipeline};
 pub use defense::{check_body_range, Defense, EvalConfig, Precision};
 pub use defenses::{DefenseKind, SinglePipeline};
-pub use engine::{EngineConfig, EngineStats, InferenceEngine, Pending};
+pub use engine::{EngineConfig, EngineStats, InferenceEngine, Pending, Tagged};
 pub use error::EnsemblerError;
 pub use framework::EnsemblerPipeline;
 pub use quant::QuantizedDefense;

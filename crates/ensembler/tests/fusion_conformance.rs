@@ -13,7 +13,6 @@ use ensembler_nn::models::{build_body, build_head, build_tail, ResNetConfig};
 use ensembler_nn::{FixedNoise, FusionConfig, Layer};
 use ensembler_tensor::{Rng, Tensor};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn ensembler_pipeline(seed: u64) -> EnsemblerPipeline {
     let config = ResNetConfig::tiny_for_tests();
@@ -102,7 +101,6 @@ fn the_coalescing_engine_serves_fused_plans_bit_exactly() {
         Arc::clone(&fused),
         EngineConfig {
             max_batch: 4,
-            batch_window: Duration::from_millis(5),
             workers: 2,
         },
     )

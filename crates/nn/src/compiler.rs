@@ -378,7 +378,7 @@ fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
                 let fused_relu =
                     config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
                 stages.push(Stage::Conv {
-                    conv: conv.clone(),
+                    conv: conv.frozen(),
                     bn: fused_bn,
                     relu: fused_relu,
                 });
@@ -387,7 +387,7 @@ fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
             }
             GraphOp::Linear(linear) => {
                 stages.push(Stage::Linear {
-                    linear: linear.clone(),
+                    linear: linear.frozen(),
                     relu: fused_relu,
                 });
                 i += 1 + usize::from(fused_relu);

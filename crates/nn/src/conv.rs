@@ -114,6 +114,20 @@ impl Conv2d {
         &self.weight
     }
 
+    /// An inference-only copy for a compiled plan: the weights, no gradient
+    /// buffers, no training caches (see [`Param::frozen`]).
+    pub(crate) fn frozen(&self) -> Self {
+        Self {
+            weight: self.weight.frozen(),
+            bias: self.bias.frozen(),
+            in_channels: self.in_channels,
+            out_channels: self.out_channels,
+            geometry: self.geometry,
+            cached_cols: None,
+            cached_input_shape: None,
+        }
+    }
+
     /// Mutable view of the weight parameter (used by weight-copy utilities).
     pub fn weight_mut(&mut self) -> &mut Param {
         &mut self.weight
@@ -389,6 +403,19 @@ impl Layer for ConvTranspose2d {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_input_grad, check_layer_param_grads};
+
+    #[test]
+    fn a_frozen_copy_keeps_the_forward_and_drops_what_training_needs() {
+        let mut rng = Rng::seed_from(11);
+        let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        let x = Tensor::from_fn(&[2, 3, 5, 5], |i| (i as f32 * 0.1).sin());
+        let y = conv.forward_cached(&x, Mode::Train);
+        let frozen = conv.frozen();
+        assert_eq!(frozen.forward(&x, Mode::Eval), y);
+        assert_eq!(frozen.weight().value, conv.weight().value);
+        assert!(frozen.weight().grad.is_empty() && frozen.bias().grad.is_empty());
+        assert!(frozen.cached_cols.is_none() && conv.cached_cols.is_some());
+    }
 
     #[test]
     fn row_conversion_round_trips() {

@@ -50,6 +50,16 @@ impl Param {
         Self { value, grad }
     }
 
+    /// A copy of the value with an *empty* gradient, for a layer frozen into
+    /// an execution plan: a plan is never trained, and a gradient buffer per
+    /// parameter would double what it keeps resident.
+    pub(crate) fn frozen(&self) -> Self {
+        Self {
+            value: self.value.clone(),
+            grad: Tensor::zeros(&[0]),
+        }
+    }
+
     /// Clears the accumulated gradient.
     pub fn zero_grad(&mut self) {
         self.grad.fill_zero();

@@ -84,6 +84,18 @@ impl Linear {
         &self.weight
     }
 
+    /// An inference-only copy for a compiled plan: the weights, no gradient
+    /// buffers, no training cache (see [`Param::frozen`]).
+    pub(crate) fn frozen(&self) -> Self {
+        Self {
+            weight: self.weight.frozen(),
+            bias: self.bias.frozen(),
+            in_features: self.in_features,
+            out_features: self.out_features,
+            cached_input: None,
+        }
+    }
+
     /// Immutable view of the bias parameter.
     pub fn bias(&self) -> &Param {
         &self.bias

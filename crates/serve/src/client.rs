@@ -5,8 +5,8 @@
 use crate::cache::{request_key, CacheStats, ResultCache};
 use crate::error::ServeError;
 use crate::protocol::{
-    read_message, read_tagged, write_message, write_tagged, Hello, HelloAck, Message, WireError,
-    DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
+    read_message, read_tagged_into, write_message, write_tagged_into, Hello, HelloAck, Message,
+    WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
 };
 use ensembler::{Defense, EnsemblerError, Features, Maps, Precision, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
@@ -15,13 +15,20 @@ use ensembler_tensor::{QTensorBatch, Tensor};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// Where one in-flight request's answer is delivered: called exactly once,
+/// on whichever thread learns the answer (the demultiplexer for a response
+/// or a connection failure, the sender for a failed write). A blocking caller
+/// passes a closure over its own channel; a caller with many requests in
+/// flight — the shard router's scatter — points every sink at one channel.
+pub type CompletionSink = Box<dyn FnOnce(Result<Message, ServeError>) + Send>;
+
 /// Per-request completion routing for a multiplexed connection: each
-/// in-flight request registers a slot under its request id, and the
-/// demultiplexer thread completes the slot whose id the response frame
+/// in-flight request registers a [`CompletionSink`] under its request id, and
+/// the demultiplexer thread completes the slot whose id the response frame
 /// echoes.
 ///
 /// Misuse is a typed error, never a panic or a misroute: registering a
@@ -29,15 +36,25 @@ use std::thread::JoinHandle;
 /// treats that as a broken peer and fails the connection), and once the
 /// connection has failed every further registration is refused with the
 /// stored reason.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct CompletionSlots {
     inner: Mutex<SlotsInner>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct SlotsInner {
-    waiting: HashMap<u64, Sender<Result<Message, ServeError>>>,
+    waiting: HashMap<u64, CompletionSink>,
     failure: Option<ConnectionFailure>,
+}
+
+impl std::fmt::Debug for CompletionSlots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.lock();
+        f.debug_struct("CompletionSlots")
+            .field("in_flight", &inner.waiting.len())
+            .field("failure", &inner.failure)
+            .finish()
+    }
 }
 
 /// Why a multiplexed connection died, preserved with its type: a
@@ -68,29 +85,63 @@ impl CompletionSlots {
         Self::default()
     }
 
+    /// The table, locked. A poisoned lock is recovered: every update below is
+    /// a single map or option operation, so the table is valid at every step
+    /// — and the one thing that must still work after a panic on the
+    /// demultiplexer thread is failing the callers it left behind.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotsInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Registers a new in-flight request under `id` and returns the receiver
     /// its response will arrive on.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Protocol`] if `id` is already in flight, or if
-    /// the connection has already failed ([`CompletionSlots::fail_all`]).
+    /// Returns [`ServeError::Protocol`] if `id` is already in flight, or the
+    /// stored failure if the connection has already failed
+    /// ([`CompletionSlots::fail_all`]).
     pub fn register(&self, id: u64) -> Result<Receiver<Result<Message, ServeError>>, ServeError> {
-        let mut inner = self
-            .inner
-            .lock()
-            .map_err(|_| ServeError::Protocol("completion slots mutex poisoned".to_string()))?;
+        let (send, receive) = channel();
+        self.try_register(
+            id,
+            Box::new(move |result| {
+                let _ = send.send(result);
+            }),
+        )
+        .map_err(|(error, _)| error)?;
+        Ok(receive)
+    }
+
+    /// Registers `sink` as the destination of the response to request `id`.
+    /// A refused registration (duplicate id, failed connection) is itself
+    /// delivered through the sink, so a sink handed to this table is always
+    /// called exactly once. Returns whether the slot was registered.
+    pub fn register_sink(&self, id: u64, sink: CompletionSink) -> bool {
+        match self.try_register(id, sink) {
+            Ok(()) => true,
+            Err((error, sink)) => {
+                sink(Err(error));
+                false
+            }
+        }
+    }
+
+    fn try_register(
+        &self,
+        id: u64,
+        sink: CompletionSink,
+    ) -> Result<(), (ServeError, CompletionSink)> {
+        let mut inner = self.lock();
         if let Some(failure) = &inner.failure {
-            return Err(failure.to_error());
+            return Err((failure.to_error(), sink));
         }
         if inner.waiting.contains_key(&id) {
-            return Err(ServeError::Protocol(format!(
-                "request id {id} is already in flight"
-            )));
+            let error = ServeError::Protocol(format!("request id {id} is already in flight"));
+            return Err((error, sink));
         }
-        let (send, receive) = channel();
-        inner.waiting.insert(id, send);
-        Ok(receive)
+        inner.waiting.insert(id, sink);
+        Ok(())
     }
 
     /// Delivers `result` to the request registered under `id` and frees the
@@ -103,15 +154,10 @@ impl CompletionSlots {
     /// flight — a response for an unknown (or already-answered) id must
     /// never be routed anywhere.
     pub fn complete(&self, id: u64, result: Result<Message, ServeError>) -> Result<(), ServeError> {
-        let sender = self
-            .inner
-            .lock()
-            .map_err(|_| ServeError::Protocol("completion slots mutex poisoned".to_string()))?
-            .waiting
-            .remove(&id);
-        match sender {
-            Some(sender) => {
-                let _ = sender.send(result);
+        let sink = self.lock().waiting.remove(&id);
+        match sink {
+            Some(sink) => {
+                sink(result);
                 Ok(())
             }
             None => Err(ServeError::Protocol(format!(
@@ -120,17 +166,10 @@ impl CompletionSlots {
         }
     }
 
-    /// Drops the slot registered under `id` without answering it — what a
-    /// sender does when its request never made it onto the wire.
-    pub fn forget(&self, id: u64) {
-        if let Ok(mut inner) = self.inner.lock() {
-            inner.waiting.remove(&id);
-        }
-    }
-
     /// Fails every in-flight request with a typed error and refuses all
     /// future registrations with the same reason — the terminal transition a
-    /// demultiplexer takes when the connection itself breaks.
+    /// demultiplexer takes when the connection itself breaks. The first
+    /// failure recorded is the one every caller sees.
     pub fn fail_all(&self, reason: &str) {
         self.fail_all_with(ConnectionFailure::Protocol(reason.to_string()));
     }
@@ -145,30 +184,47 @@ impl CompletionSlots {
     }
 
     fn fail_all_with(&self, failure: ConnectionFailure) {
-        let Ok(mut inner) = self.inner.lock() else {
-            return;
+        let (failure, orphans) = {
+            let mut inner = self.lock();
+            let failure = inner.failure.get_or_insert(failure).clone();
+            (failure, std::mem::take(&mut inner.waiting))
         };
-        inner.failure = Some(failure.clone());
-        for (_, sender) in inner.waiting.drain() {
-            let _ = sender.send(Err(failure.to_error()));
+        for sink in orphans.into_values() {
+            sink(Err(failure.to_error()));
         }
     }
 
     /// Number of requests currently awaiting their response.
     pub fn in_flight(&self) -> usize {
-        self.inner
-            .lock()
-            .map(|inner| inner.waiting.len())
-            .unwrap_or(0)
+        self.lock().waiting.len()
+    }
+}
+
+/// Held by the demultiplexer thread for its whole life: *however* that
+/// thread ends — the exits `demux_loop` anticipates, an early return added
+/// later, an unwinding panic — dropping this fails every pending call and
+/// refuses every later one with a typed error, so no caller stays parked on
+/// a slot nobody will ever complete.
+struct FailSlotsOnExit(Arc<CompletionSlots>);
+
+impl Drop for FailSlotsOnExit {
+    fn drop(&mut self) {
+        self.0.fail_all(if std::thread::panicking() {
+            "the demultiplexer thread panicked"
+        } else {
+            "the demultiplexer thread exited"
+        });
     }
 }
 
 /// The multiplexed transport of a protocol-v5 connection: writers tag each
-/// request with a fresh id and park on a completion slot; one demultiplexer
-/// thread reads every response frame and routes it to the slot its id names.
+/// request with a fresh id and register where its answer goes; one
+/// demultiplexer thread reads every response frame and routes it to the sink
+/// its id names.
 #[derive(Debug)]
 struct Mux {
-    writer: Mutex<TcpStream>,
+    /// The write half and the frame buffer every request is encoded into.
+    writer: Mutex<(TcpStream, Vec<u8>)>,
     slots: Arc<CompletionSlots>,
     next_id: AtomicU64,
     demux: Option<JoinHandle<()>>,
@@ -180,37 +236,40 @@ impl Mux {
         let slots = Arc::new(CompletionSlots::new());
         let demux_slots = Arc::clone(&slots);
         let demux = std::thread::spawn(move || {
-            demux_loop(&mut read_half, &demux_slots, max_payload_bytes);
+            let guard = FailSlotsOnExit(demux_slots);
+            demux_loop(&mut read_half, &guard.0, max_payload_bytes);
         });
         Ok(Self {
-            writer: Mutex::new(stream),
+            writer: Mutex::new((stream, Vec::new())),
             slots,
             next_id: AtomicU64::new(1),
             demux: Some(demux),
         })
     }
 
-    /// One pipelined request/response exchange: register a slot, write the
-    /// tagged request (briefly holding the write lock), then block on the
-    /// slot while other callers' requests and responses interleave freely.
-    fn call(&self, request: &Message) -> Result<Message, ServeError> {
+    /// Puts one tagged request on the wire (briefly holding the write lock)
+    /// and returns; the answer — the response, a typed per-request error, or
+    /// the failure of the write or of the whole connection — reaches `sink`
+    /// later, while other callers' requests and responses interleave freely.
+    fn send(&self, request: &Message, sink: CompletionSink) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let receiver = self.slots.register(id)?;
-        {
-            let mut writer = self
-                .writer
-                .lock()
-                .map_err(|_| ServeError::Protocol("connection mutex poisoned".to_string()))?;
-            if let Err(error) = write_tagged(&mut *writer, request, Some(id)) {
-                self.slots.forget(id);
-                return Err(error);
-            }
+        if !self.slots.register_sink(id, sink) {
+            return;
         }
-        receiver.recv().map_err(|_| {
-            ServeError::Protocol(
-                "multiplexed connection closed while awaiting a response".to_string(),
-            )
-        })?
+        let written = match self.writer.lock() {
+            Ok(mut writer) => {
+                let (stream, frame) = &mut *writer;
+                write_tagged_into(stream, request, Some(id), frame)
+            }
+            Err(_) => Err(ServeError::Protocol(
+                "connection mutex poisoned".to_string(),
+            )),
+        };
+        if let Err(error) = written {
+            // An unknown id here means the demultiplexer failed the slot
+            // first: answered either way.
+            let _ = self.slots.complete(id, Err(error));
+        }
     }
 }
 
@@ -219,7 +278,7 @@ impl Drop for Mux {
         // Shutting the socket down unblocks the demultiplexer's read; it
         // fails any stragglers and exits, and the join below reaps it.
         if let Ok(writer) = self.writer.lock() {
-            let _ = writer.shutdown(Shutdown::Both);
+            let _ = writer.0.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.demux.take() {
             let _ = handle.join();
@@ -227,14 +286,15 @@ impl Drop for Mux {
     }
 }
 
-/// The demultiplexer: reads frames until the connection dies. Tagged frames
-/// complete the slot their id names (a tagged `Error` frame too — it fails
-/// only that one request). An untagged frame or an unknown id is a protocol
-/// breach by the peer and fails the whole connection, as does any read
-/// error.
+/// The demultiplexer: reads frames (into one buffer it keeps) until the
+/// connection dies. Tagged frames complete the slot their id names (a tagged
+/// `Error` frame too — it fails only that one request). An untagged frame or
+/// an unknown id is a protocol breach by the peer and fails the whole
+/// connection, as does any read error.
 fn demux_loop(read_half: &mut TcpStream, slots: &CompletionSlots, max_payload_bytes: u32) {
+    let mut frame = Vec::new();
     loop {
-        match read_tagged(read_half, max_payload_bytes) {
+        match read_tagged_into(read_half, max_payload_bytes, &mut frame) {
             Ok(tagged) => match tagged.request_id {
                 Some(id) => {
                     if slots.complete(id, Ok(tagged.message)).is_err() {
@@ -547,43 +607,89 @@ impl RemoteDefense {
         self.peer.version >= 2 && self.local.precision() == Precision::Int8
     }
 
-    /// One request/response exchange, dispatched through whichever transport
-    /// the handshake negotiated. On a lockstep connection this holds the
-    /// connection lock across the write *and* the read; on a multiplexed one
-    /// it holds the write lock only long enough to put the tagged request on
-    /// the wire, then parks on the request's completion slot, so concurrent
-    /// callers pipeline freely.
-    ///
-    /// A server-reported [`Message::Error`] is returned as
-    /// [`ServeError::Remote`] *for this request only* — on a multiplexed
-    /// connection it neither tears down the socket nor disturbs other
-    /// in-flight requests.
-    fn call(&self, request: &Message) -> Result<Message, ServeError> {
-        let response = match &self.transport {
+    /// Starts one request/response exchange on whichever transport the
+    /// handshake negotiated; the raw answer reaches `sink`. On a multiplexed
+    /// connection this returns as soon as the tagged request is on the wire,
+    /// so one thread can have many exchanges in flight; a lockstep connection
+    /// holds its lock across the write *and* the read and calls `sink` before
+    /// returning.
+    fn send(&self, request: &Message, sink: CompletionSink) {
+        match &self.transport {
             Transport::Lockstep(stream) => {
-                let mut stream = stream
-                    .lock()
-                    .map_err(|_| ServeError::Protocol("connection mutex poisoned".to_string()))?;
-                write_message(&mut *stream, request)?;
-                read_message(&mut *stream, self.max_payload_bytes)?
+                let exchange = || -> Result<Message, ServeError> {
+                    let mut stream = stream.lock().map_err(|_| {
+                        ServeError::Protocol("connection mutex poisoned".to_string())
+                    })?;
+                    write_message(&mut *stream, request)?;
+                    read_message(&mut *stream, self.max_payload_bytes)
+                };
+                sink(exchange());
             }
-            Transport::Mux(mux) => mux.call(request)?,
-        };
-        match response {
-            Message::Error(wire) => Err(ServeError::Remote(wire)),
-            other => Ok(other),
+            Transport::Mux(mux) => mux.send(request, sink),
         }
     }
 
-    /// One server-stage exchange — any precision, any body range — in the
-    /// frame kind the request itself selects (see
-    /// `Message::from(ServerRequest)`), answered from the result cache when
-    /// one is attached and holds this exact request. This is what every
-    /// [`Defense`] method of a `RemoteDefense` bottoms out in, and the
-    /// per-worker leg of a scatter-gather router; unlike those trait methods
-    /// it keeps the typed [`ServeError`] (a per-request `Overloaded`
-    /// rejection stays matchable) instead of collapsing it to a transport
-    /// string.
+    fn check_range_supported(&self, request: &ServerRequest) -> Result<(), ServeError> {
+        if request.range.is_some() && self.peer.version < 4 {
+            return Err(ServeError::Protocol(format!(
+                "sub-range requests need protocol v4, connection negotiated v{}",
+                self.peer.version
+            )));
+        }
+        Ok(())
+    }
+
+    /// Starts one server-stage exchange — any precision, any body range — in
+    /// the frame kind the request itself selects (see
+    /// `Message::from(ServerRequest)`) and delivers its outcome to `sink`,
+    /// which is called exactly once: with the maps, with the server's typed
+    /// per-request error ([`ServeError::Remote`] — it neither tears down a
+    /// multiplexed socket nor disturbs other in-flight requests), or with
+    /// the transport failure. This is the per-worker leg of a scatter-gather
+    /// router, which starts every leg from one thread and awaits them all on
+    /// one channel; [`RemoteDefense::exchange`] is this plus a wait. The
+    /// result cache is not consulted.
+    pub fn exchange_to(
+        &self,
+        request: ServerRequest,
+        sink: impl FnOnce(Result<Maps, ServeError>) + Send + 'static,
+    ) {
+        if let Err(error) = self.check_range_supported(&request) {
+            return sink(Err(error));
+        }
+        let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
+        let precision = request.features.precision();
+        let finish = move |response: Result<Message, ServeError>| {
+            let maps = match response? {
+                Message::Error(wire) => return Err(ServeError::Remote(wire)),
+                other => Maps::try_from(other).map_err(|other| {
+                    ServeError::Protocol(format!(
+                        "expected a ServerOutputs response, got {:?}",
+                        other.message_type()
+                    ))
+                })?,
+            };
+            if maps.precision() != precision || maps.len() != bodies.len() {
+                return Err(ServeError::Protocol(format!(
+                    "server returned {} {:?} maps for a {precision:?} request of the body range {bodies:?}",
+                    maps.len(),
+                    maps.precision(),
+                )));
+            }
+            Ok(maps)
+        };
+        self.send(
+            &Message::from(request),
+            Box::new(move |response| sink(finish(response))),
+        );
+    }
+
+    /// One blocking server-stage exchange, answered from the result cache
+    /// when one is attached and holds this exact request. This is what every
+    /// [`Defense`] method of a `RemoteDefense` bottoms out in; unlike those
+    /// trait methods it keeps the typed [`ServeError`] (a per-request
+    /// `Overloaded` rejection stays matchable) instead of collapsing it to a
+    /// transport string.
     ///
     /// # Errors
     ///
@@ -592,34 +698,25 @@ impl RemoteDefense {
     /// server reports a typed error (e.g. an out-of-range `lo..hi`), or when
     /// the response's precision or map count disagrees with the request.
     pub fn exchange(&self, request: ServerRequest) -> Result<Maps, ServeError> {
-        if request.range.is_some() && self.peer.version < 4 {
-            return Err(ServeError::Protocol(format!(
-                "sub-range requests need protocol v4, connection negotiated v{}",
-                self.peer.version
-            )));
-        }
+        self.check_range_supported(&request)?;
         // A full exchange is keyed as the body range 0..N, so it also
         // answers an equivalent sub-range request and vice versa.
-        let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
-        let cached =
-            (self.cache.as_ref()).map(|cache| (cache, request_key(&bodies, &request.features)));
+        let cached = self.cache.as_ref().map(|cache| {
+            let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
+            (cache, request_key(&bodies, &request.features))
+        });
         if let Some(maps) = cached.as_ref().and_then(|(cache, key)| cache.get(key)) {
             return Ok(maps);
         }
-        let precision = request.features.precision();
-        let maps = Maps::try_from(self.call(&Message::from(request))?).map_err(|other| {
-            ServeError::Protocol(format!(
-                "expected a ServerOutputs response, got {:?}",
-                other.message_type()
-            ))
-        })?;
-        if maps.precision() != precision || maps.len() != bodies.len() {
-            return Err(ServeError::Protocol(format!(
-                "server returned {} {:?} maps for a {precision:?} request of the body range {bodies:?}",
-                maps.len(),
-                maps.precision(),
-            )));
-        }
+        let (answer, receive) = channel();
+        self.exchange_to(request, move |result| {
+            let _ = answer.send(result);
+        });
+        let maps = receive.recv().map_err(|_| {
+            ServeError::Protocol(
+                "multiplexed connection closed while awaiting a response".to_string(),
+            )
+        })??;
         if let Some((cache, key)) = cached {
             cache.insert(key, maps.clone());
         }
@@ -709,5 +806,71 @@ impl Defense for RemoteDefense {
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
         self.local.classify(server_maps)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `die` on a thread that holds the demultiplexer's exit guard over
+    /// three registered slots, and checks what the callers are left with.
+    fn callers_survive(die: impl FnOnce(&CompletionSlots) + Send + 'static, expect: &str) {
+        let slots = Arc::new(CompletionSlots::new());
+        let receivers: Vec<_> = (1..=3)
+            .map(|id| slots.register(id).expect("register"))
+            .collect();
+        let thread_slots = Arc::clone(&slots);
+        let outcome = std::thread::spawn(move || {
+            let guard = FailSlotsOnExit(thread_slots);
+            die(&guard.0);
+        })
+        .join();
+        assert_eq!(outcome.is_err(), expect.contains("panicked"));
+        // All three parked callers are woken with a typed error ...
+        for receiver in receivers {
+            match receiver.recv().expect("the failure is delivered") {
+                Err(ServeError::Protocol(reason)) => assert!(reason.contains(expect), "{reason}"),
+                other => panic!("expected a typed protocol error, got {other:?}"),
+            }
+        }
+        // ... and every later call is refused instead of parked, whichever
+        // way it registers.
+        assert_eq!(slots.in_flight(), 0);
+        assert!(matches!(slots.register(4), Err(ServeError::Protocol(_))));
+        let (sink, answered) = channel();
+        let registered = slots.register_sink(
+            5,
+            Box::new(move |result| {
+                let _ = sink.send(result);
+            }),
+        );
+        assert!(!registered);
+        assert!(matches!(answered.recv(), Ok(Err(ServeError::Protocol(_)))));
+    }
+
+    #[test]
+    fn a_dying_demultiplexer_fails_every_pending_and_later_call() {
+        callers_survive(
+            |_| panic!("injected demultiplexer panic"),
+            "demultiplexer thread panicked",
+        );
+        // A panic while the table is locked poisons the mutex; the guard
+        // still reaches the callers.
+        callers_survive(
+            |slots| {
+                let _locked = slots.inner.lock().unwrap();
+                panic!("injected panic under the slots lock");
+            },
+            "demultiplexer thread panicked",
+        );
+        // An early return nobody anticipated is the same exit.
+        callers_survive(|_| {}, "demultiplexer thread exited");
+        // A failure recorded before the exit keeps its own, more specific
+        // reason.
+        callers_survive(
+            |slots| slots.fail_all("connection lost: simulated"),
+            "connection lost: simulated",
+        );
     }
 }

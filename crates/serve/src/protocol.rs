@@ -539,6 +539,24 @@ pub struct TaggedMessage {
     pub request_id: Option<u64>,
 }
 
+impl TaggedMessage {
+    /// The message of a frame read where only untagged frames are legal (a
+    /// lockstep connection, a handshake).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Frame`] for a tagged frame: a request id a
+    /// multiplexing peer is waiting on must never be silently discarded.
+    pub fn into_untagged(self) -> Result<Message, ServeError> {
+        match self.request_id {
+            Some(_) => Err(ServeError::Frame(
+                "unexpected tagged (version-5) frame on a lockstep connection".to_string(),
+            )),
+            None => Ok(self.message),
+        }
+    }
+}
+
 /// Encodes one message into a complete untagged frame (header, payload,
 /// checksum): [`encode_tagged`] with no request id, byte-identical to what
 /// every pre-v5 build produces.
@@ -560,6 +578,30 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
 /// a programming error (it panics in debug builds and produces an
 /// undecodable frame in release builds).
 pub fn encode_tagged(message: &Message, request_id: Option<u64>) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_tagged_into(&mut frame, message, request_id);
+    frame
+}
+
+/// Frame buffers a connection keeps between messages are let go once they
+/// have grown past this, so one 64 MiB request does not pin 64 MiB for the
+/// life of its connection.
+const RETAINED_FRAME_BYTES: usize = 1 << 20;
+
+/// Empties a connection-owned frame buffer for its next frame, keeping its
+/// allocation unless that has grown past [`RETAINED_FRAME_BYTES`].
+fn recycle(frame: &mut Vec<u8>) {
+    if frame.capacity() > RETAINED_FRAME_BYTES {
+        *frame = Vec::new();
+    } else {
+        frame.clear();
+    }
+}
+
+/// [`encode_tagged`] into a caller-owned buffer: `frame` is emptied first and
+/// holds exactly the encoded frame afterwards, so a connection that keeps one
+/// buffer pays for its allocation once, not per message.
+pub fn encode_tagged_into(frame: &mut Vec<u8>, message: &Message, request_id: Option<u64>) {
     debug_assert!(
         request_id.is_none() || !matches!(message, Message::Hello(_) | Message::HelloAck(_)),
         "handshake messages are never tagged"
@@ -568,50 +610,49 @@ pub fn encode_tagged(message: &Message, request_id: Option<u64>) -> Vec<u8> {
         Some(_) => TAGGED_WIRE_VERSION.max(message.wire_version()),
         None => message.wire_version(),
     };
-    let mut frame = Vec::new();
-    put_u32(&mut frame, FRAME_MAGIC);
-    put_u16(&mut frame, version);
-    put_u8(&mut frame, message.message_type() as u8);
-    put_u8(&mut frame, 0); // flags
-    put_u32(&mut frame, 0); // payload length, known once the payload is written
+    recycle(frame);
+    put_u32(frame, FRAME_MAGIC);
+    put_u16(frame, version);
+    put_u8(frame, message.message_type() as u8);
+    put_u8(frame, 0); // flags
+    put_u32(frame, 0); // payload length, known once the payload is written
     if let Some(id) = request_id {
-        put_u64(&mut frame, id);
+        put_u64(frame, id);
     }
     let payload_offset = frame.len();
     match message.body() {
         Body::Hello(hello) => {
-            put_u16(&mut frame, hello.max_version);
+            put_u16(frame, hello.max_version);
             if let Some(model) = &hello.model {
-                put_string(&mut frame, model);
+                put_string(frame, model);
             }
         }
         Body::HelloAck(ack) => {
-            put_u16(&mut frame, ack.version);
-            put_string(&mut frame, &ack.label);
-            put_u32(&mut frame, ack.ensemble_size);
-            put_u32(&mut frame, ack.selected_count);
+            put_u16(frame, ack.version);
+            put_string(frame, &ack.label);
+            put_u32(frame, ack.ensemble_size);
+            put_u32(frame, ack.selected_count);
             if let Some(model) = &ack.model {
-                put_string(&mut frame, model);
+                put_string(frame, model);
             }
         }
         Body::Request(range, features) => {
             if let Some((lo, hi)) = range {
-                put_u32(&mut frame, lo);
-                put_u32(&mut frame, hi);
+                put_u32(frame, lo);
+                put_u32(frame, hi);
             }
-            features.put(&mut frame);
+            features.put(frame);
         }
-        Body::Response(maps) => maps.put(&mut frame),
+        Body::Response(maps) => maps.put(frame),
         Body::Error(error) => {
-            put_u16(&mut frame, error.code as u16);
-            put_string(&mut frame, &error.message);
+            put_u16(frame, error.code as u16);
+            put_string(frame, &error.message);
         }
     }
     let payload_len = (frame.len() - payload_offset) as u32;
     frame[8..FRAME_HEADER_BYTES].copy_from_slice(&payload_len.to_be_bytes());
-    let checksum = crc32(&frame);
-    put_u32(&mut frame, checksum);
-    frame
+    let checksum = crc32(frame);
+    put_u32(frame, checksum);
 }
 
 /// Decodes one complete *untagged* frame produced by [`encode_message`].
@@ -622,13 +663,7 @@ pub fn encode_tagged(message: &Message, request_id: Option<u64>) -> Vec<u8> {
 /// (version ≥ 5) frame — a lockstep code path must never silently discard a
 /// request id a multiplexing peer is waiting on.
 pub fn decode_message(frame: &[u8]) -> Result<Message, ServeError> {
-    let tagged = decode_tagged(frame)?;
-    if tagged.request_id.is_some() {
-        return Err(ServeError::Frame(
-            "unexpected tagged (version-5) frame on a lockstep connection".to_string(),
-        ));
-    }
-    Ok(tagged.message)
+    decode_tagged(frame)?.into_untagged()
 }
 
 /// Decodes one complete frame produced by [`encode_tagged`] (or, for
@@ -797,7 +832,23 @@ pub fn write_tagged(
     message: &Message,
     request_id: Option<u64>,
 ) -> Result<(), ServeError> {
-    writer.write_all(&encode_tagged(message, request_id))?;
+    write_tagged_into(writer, message, request_id, &mut Vec::new())
+}
+
+/// [`write_tagged`] encoding into `frame`, the buffer the connection's write
+/// half keeps between messages (see [`encode_tagged_into`]).
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_tagged_into(
+    writer: &mut impl std::io::Write,
+    message: &Message,
+    request_id: Option<u64>,
+    frame: &mut Vec<u8>,
+) -> Result<(), ServeError> {
+    encode_tagged_into(frame, message, request_id);
+    writer.write_all(frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -815,13 +866,7 @@ pub fn read_message(
     reader: &mut impl std::io::Read,
     max_payload_bytes: u32,
 ) -> Result<Message, ServeError> {
-    let tagged = read_tagged(reader, max_payload_bytes)?;
-    if tagged.request_id.is_some() {
-        return Err(ServeError::Frame(
-            "unexpected tagged (version-5) frame on a lockstep connection".to_string(),
-        ));
-    }
-    Ok(tagged.message)
+    read_tagged(reader, max_payload_bytes)?.into_untagged()
 }
 
 /// Reads exactly one framed message — tagged or untagged — from `reader`,
@@ -841,6 +886,21 @@ pub fn read_tagged(
     reader: &mut impl std::io::Read,
     max_payload_bytes: u32,
 ) -> Result<TaggedMessage, ServeError> {
+    read_tagged_into(reader, max_payload_bytes, &mut Vec::new())
+}
+
+/// [`read_tagged`] reading into `frame`, the buffer the connection's read
+/// half keeps between messages: it is emptied first and every byte of the new
+/// frame is checked by [`decode_tagged`] as strictly as in a fresh buffer.
+///
+/// # Errors
+///
+/// As for [`read_tagged`].
+pub fn read_tagged_into(
+    reader: &mut impl std::io::Read,
+    max_payload_bytes: u32,
+    frame: &mut Vec<u8>,
+) -> Result<TaggedMessage, ServeError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     reader.read_exact(&mut header)?;
     let version = Reader::new(&header[4..]).u16("frame header")?;
@@ -855,11 +915,14 @@ pub fn read_tagged(
     } else {
         0
     };
-    let mut frame =
-        vec![0u8; FRAME_HEADER_BYTES + id_bytes + payload_len as usize + FRAME_TRAILER_BYTES];
-    frame[..FRAME_HEADER_BYTES].copy_from_slice(&header);
+    recycle(frame);
+    frame.extend_from_slice(&header);
+    frame.resize(
+        FRAME_HEADER_BYTES + id_bytes + payload_len as usize + FRAME_TRAILER_BYTES,
+        0,
+    );
     reader.read_exact(&mut frame[FRAME_HEADER_BYTES..])?;
-    decode_tagged(&frame)
+    decode_tagged(frame)
 }
 
 #[cfg(test)]
@@ -1386,6 +1449,59 @@ mod tests {
         let mut reader = frame.as_slice();
         let tagged = read_tagged(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES).expect("read untagged");
         assert_eq!(tagged.request_id, None);
+    }
+
+    #[test]
+    fn a_reused_frame_buffer_never_leaks_one_frame_into_the_next() {
+        let long = Message::ServerOutputsRequest {
+            transmitted: Tensor::from_fn(&[32, 16, 8, 8], |i| (i as f32 * 0.01).sin()),
+        };
+        let short = Message::Error(WireError {
+            code: ErrorCode::Overloaded,
+            message: "retry".to_string(),
+        });
+
+        // Encoding: a long frame, then a short one, into the same buffer —
+        // byte for byte what a fresh encode produces, no byte of the first
+        // surviving behind it.
+        let mut frame = Vec::new();
+        encode_tagged_into(&mut frame, &long, Some(7));
+        assert_eq!(frame, encode_tagged(&long, Some(7)));
+        let capacity = frame.capacity();
+        encode_tagged_into(&mut frame, &short, Some(8));
+        assert_eq!(frame, encode_tagged(&short, Some(8)));
+        assert_eq!(frame.capacity(), capacity, "the allocation is kept");
+        encode_tagged_into(&mut frame, &short, None);
+        assert_eq!(frame, encode_message(&short));
+
+        // Reading: the same, through a reused read buffer, with the decoder
+        // as strict about the short frame's length and checksum as ever.
+        let mut wire = encode_tagged(&long, Some(7));
+        wire.extend_from_slice(&encode_tagged(&short, Some(8)));
+        let mut damaged = encode_tagged(&short, Some(9));
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        wire.extend_from_slice(&damaged);
+        let mut reader = std::io::Cursor::new(wire);
+        let mut frame = Vec::new();
+        let first = read_tagged_into(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES, &mut frame).unwrap();
+        assert_eq!((first.request_id, &first.message), (Some(7), &long));
+        let second = read_tagged_into(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES, &mut frame).unwrap();
+        assert_eq!((second.request_id, &second.message), (Some(8), &short));
+        assert_eq!(frame, encode_tagged(&short, Some(8)));
+        let err = read_tagged_into(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES, &mut frame).unwrap_err();
+        assert!(matches!(err, ServeError::Checksum { .. }), "{err:?}");
+
+        // A buffer that served one outsized frame is let go, not kept for
+        // the life of the connection.
+        let huge = Message::ServerOutputsRequest {
+            transmitted: Tensor::zeros(&[1, RETAINED_FRAME_BYTES / 4 + 1]),
+        };
+        encode_tagged_into(&mut frame, &huge, Some(1));
+        assert!(frame.capacity() > RETAINED_FRAME_BYTES);
+        encode_tagged_into(&mut frame, &short, Some(2));
+        assert!(frame.capacity() < RETAINED_FRAME_BYTES);
+        assert_eq!(frame, encode_tagged(&short, Some(2)));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!
 //! How a request is *answered* depends only on whether its frame carried a
 //! request id. A tagged request (legal once the connection negotiated
-//! protocol v5) is awaited by its own completion thread and answered through
-//! a shared write half with the same id — out of order whenever the work
-//! finishes out of order. An untagged request is answered in place before
-//! the next frame is read. A connection at v4 or below can only send the
-//! latter (a tagged frame there is a typed malformed-frame error), which
-//! makes it the lockstep one-request-then-its-response exchange of protocol
-//! v1–v4, byte for byte.
+//! protocol v5) is handed to the engine with a ticket and the connection's
+//! answer channel, and answered by the connection's one writer thread with
+//! the same id — out of order whenever the work finishes out of order, and
+//! with no thread created per request. An untagged request is answered in
+//! place before the next frame is read. A connection at v4 or below can only
+//! send the latter (a tagged frame there is a typed malformed-frame error),
+//! which makes it the lockstep one-request-then-its-response exchange of
+//! protocol v1–v4, byte for byte.
 //!
 //! Before any request reaches an engine it must pass **admission control**
 //! ([`AdmissionConfig`]): a budget on in-flight requests and bytes, per
@@ -33,15 +34,17 @@
 
 use crate::error::ServeError;
 use crate::protocol::{
-    read_message, read_tagged, write_message, write_tagged, ErrorCode, HelloAck, Message,
+    read_message, read_tagged_into, write_message, write_tagged_into, ErrorCode, HelloAck, Message,
     TaggedMessage, WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
 };
 use crate::registry::{route_key, ModelRegistry, ModelSlot, ModelStats};
 use ensembler::{
-    Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps, Pending, ServerRequest,
+    Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps, ServerRequest, Tagged,
 };
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -57,11 +60,11 @@ use std::thread::JoinHandle;
 ///
 /// On a multiplexed (protocol-v5) connection many requests are in flight at
 /// once, so the per-connection *request* budget is what bounds how deep one
-/// client may pipeline — and, since each admitted tagged request occupies a
-/// completion thread until answered, how many threads one connection can
-/// cost the server. The per-connection *byte* budget caps the payload those
-/// in-flight requests may hold between them (and therefore the largest
-/// single request), independent of the parse-level
+/// client may pipeline (a connection costs two threads, its reader and its
+/// writer, however many requests it has in flight). The per-connection
+/// *byte* budget caps the payload those in-flight requests may hold between
+/// them (and therefore the largest single request), independent of the
+/// parse-level
 /// [`ServerConfig::max_payload_bytes`] cap. On a lockstep (v1–v4)
 /// connection the reader still processes requests strictly one at a time,
 /// so only the byte budget ever fires there.
@@ -274,8 +277,8 @@ struct Admission {
 }
 
 /// Per-connection in-flight counters. The reader thread is the only
-/// admitter, but on a multiplexed connection the *releases* come from
-/// per-request completion threads, so the counters are atomics.
+/// admitter, but on a multiplexed connection the *releases* come from the
+/// connection's writer thread, so the counters are atomics.
 #[derive(Debug, Default)]
 struct ConnectionBudget {
     requests: AtomicU64,
@@ -283,8 +286,8 @@ struct ConnectionBudget {
 }
 
 /// An admitted request's hold on the budgets; dropping it releases them.
-/// The permit owns its books (`Arc`s, not borrows) so it can ride into the
-/// completion thread of a multiplexed request and release from there.
+/// The permit owns its books (`Arc`s, not borrows) so it can wait in the
+/// connection's in-flight table and be released by its writer thread.
 struct AdmissionPermit {
     admission: Arc<Admission>,
     connection: Arc<ConnectionBudget>,
@@ -416,7 +419,9 @@ impl ConnectionTable {
 /// A TCP frontend serving the `server_outputs` stage of every model in a
 /// [`ModelRegistry`].
 ///
-/// Binding spawns an accept loop plus one reader thread per connection.
+/// Binding spawns an accept loop; each connection then costs one reader
+/// thread and — once it negotiated the multiplexed protocol v5 — one writer
+/// thread, and no thread per request.
 /// [`DefenseServer::shutdown`] drains gracefully: it stops accepting, lets
 /// every in-flight request finish and answers it, then joins all connection
 /// threads. Merely dropping the server only stops accepting new connections
@@ -832,11 +837,13 @@ fn handshake(
     Ok(Some((slot, version)))
 }
 
-/// The write side of one connection, shared by its reader thread and the
-/// completion threads of its in-flight tagged requests.
+/// The write side of one connection — the socket's write half and the frame
+/// buffer every outgoing message is encoded into — shared by its reader
+/// thread (untagged answers, error reports) and its writer thread (the
+/// answers of tagged requests).
 #[derive(Clone)]
 struct Responder {
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<Mutex<(TcpStream, Vec<u8>)>>,
     stats: Arc<ServerStatsCells>,
 }
 
@@ -846,7 +853,8 @@ impl Responder {
             .writer
             .lock()
             .map_err(|_| ServeError::Protocol("connection write half poisoned".to_string()))?;
-        write_tagged(&mut *writer, message, request_id)
+        let (stream, frame) = &mut *writer;
+        write_tagged_into(stream, message, request_id, frame)
     }
 
     /// Sends a typed error frame, counting it: tagged with `request_id` when
@@ -884,10 +892,34 @@ impl Responder {
     }
 }
 
+/// What an admitted tagged request keeps alive until it is answered, held by
+/// the connection — never by the engine worker computing the answer, which
+/// is handed a ticket number and a channel.
+struct InFlight {
+    /// The id the client tagged the request with, echoed in the answer.
+    request_id: u64,
+    /// The request's hold on the admission budgets.
+    permit: AdmissionPermit,
+    /// Pins the engine the request was submitted to: a version that a
+    /// registry swap just displaced stays alive until its answer is
+    /// delivered, and its teardown (which joins its workers) runs on the
+    /// connection thread releasing the last pin — never on the thread
+    /// performing the swap, and never on one of those workers.
+    engine: Arc<InferenceEngine<dyn Defense>>,
+}
+
+/// A connection's tagged requests in flight, by ticket: the reader files an
+/// entry *before* submitting the request, the writer takes it out when the
+/// engine delivers that ticket's answer. Tickets are the connection's own
+/// counter, so a client reusing a request id cannot alias two entries.
+type InFlightTable = Mutex<HashMap<u64, InFlight>>;
+
 /// Drives one connection: handshake, then the request loop against the model
-/// the handshake pinned. Every exit path joins the outstanding completion
-/// threads first, which is what keeps the draining-shutdown guarantee: an
-/// admitted request always delivers its response before the connection ends.
+/// the handshake pinned, with — on a multiplexed connection — one writer
+/// thread answering its tagged requests. Every exit path joins that writer,
+/// which ends only once every in-flight request is answered; that is what
+/// keeps the draining-shutdown guarantee: an admitted request always
+/// delivers its response before the connection ends.
 fn serve_connection(
     mut stream: TcpStream,
     registry: &ModelRegistry,
@@ -904,11 +936,19 @@ fn serve_connection(
         return Ok(());
     };
     let respond = Responder {
-        writer: Arc::new(Mutex::new(stream.try_clone()?)),
+        writer: Arc::new(Mutex::new((stream.try_clone()?, Vec::new()))),
         stats: Arc::clone(stats),
     };
     let multiplexed = version >= TAGGED_WIRE_VERSION;
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let inflight = Arc::new(InFlightTable::default());
+    let (answers, answered) = channel();
+    // Only a multiplexed connection can carry tagged requests, so only it
+    // needs the writer.
+    let writer = multiplexed.then(|| {
+        let respond = respond.clone();
+        let inflight = Arc::clone(&inflight);
+        std::thread::spawn(move || writer_loop(&respond, &inflight, &answered))
+    });
     let result = request_loop(
         &mut stream,
         &respond,
@@ -917,28 +957,80 @@ fn serve_connection(
         admission,
         draining,
         &config,
-        &mut handles,
+        &inflight,
+        &answers,
     );
-    for handle in handles {
-        let _ = handle.join();
+    // The writer runs until every sender is gone: this one, and the one each
+    // request in flight carries until the engine has answered it.
+    drop(answers);
+    if let Some(writer) = writer {
+        let _ = writer.join();
     }
     result
 }
 
-/// The one request loop. Each frame becomes a [`ServerRequest`], passes
-/// admission, resolves its engine from the slot (so a hot swap or canary
-/// change takes effect on the very next request of an already-connected
-/// client) and is submitted *in arrival order* on this reader thread, so
-/// coalescing sees pipelined requests in sequence. A tagged request is then
-/// answered by its own completion thread — responses complete out of order
-/// whenever the work does — while an untagged request is answered in place
-/// before the next frame is read.
+/// The connection's writer: answers tagged requests as the engines deliver
+/// their results — out of order whenever the work finishes out of order —
+/// and is the only thread that blocks on this socket's write half for them.
+/// An engine worker only ever sends on the channel, so a peer that stops
+/// reading its responses stalls this thread (for at most
+/// [`ServerConfig::write_timeout`] per write) and nothing else. After a failed
+/// write the socket is shut down, which ends the reader too, and the
+/// remaining answers are discarded as they arrive, releasing their permits
+/// and engine pins.
+fn writer_loop(respond: &Responder, inflight: &InFlightTable, answered: &Receiver<Tagged<Maps>>) {
+    let mut peer_gone = false;
+    let mut answer = |entry: InFlight, result: Result<Maps, EnsemblerError>| {
+        let InFlight {
+            request_id,
+            permit,
+            engine,
+        } = entry;
+        if peer_gone {
+            drop(permit);
+        } else if respond.complete(permit, Some(request_id), result).is_err() {
+            peer_gone = true;
+            if let Ok(writer) = respond.writer.lock() {
+                let _ = writer.0.shutdown(Shutdown::Both);
+            }
+        }
+        // The pin outlives the answer it guards.
+        drop(engine);
+    };
+    let table = || {
+        inflight
+            .lock()
+            .expect("in-flight table mutex is never poisoned")
+    };
+    for (ticket, result) in answered {
+        let entry = table().remove(&ticket);
+        if let Some(entry) = entry {
+            answer(entry, result);
+        }
+    }
+    // Every sender is gone. An entry still filed was dropped unanswered by
+    // its engine (a worker that died mid-batch); its client is told so.
+    let orphans = std::mem::take(&mut *table());
+    for entry in orphans.into_values() {
+        let dropped = EnsemblerError::Engine("worker dropped the request".to_string());
+        answer(entry, Err(dropped));
+    }
+}
+
+/// The one request loop. Each frame (read into one buffer the connection
+/// keeps) becomes a [`ServerRequest`], passes admission, resolves its engine
+/// from the slot (so a hot swap or canary change takes effect on the very
+/// next request of an already-connected client) and is submitted *in arrival
+/// order* on this reader thread, so coalescing sees pipelined requests in
+/// sequence. A tagged request is handed to the engine with a ticket and the
+/// connection's answer channel — no thread is created for it; the writer
+/// answers it whenever the work finishes — while an untagged request is
+/// answered in place before the next frame is read.
 ///
 /// A connection that negotiated less than v5 is this same loop at depth one:
-/// its frames are read with [`read_message`], for which a tagged frame is a
-/// typed malformed-frame error that closes the connection, so every request
-/// it serves is untagged and answered in place — the lockstep discipline,
-/// byte for byte.
+/// a tagged frame there is a typed malformed-frame error that closes the
+/// connection, so every request it serves is untagged and answered in place
+/// — the lockstep discipline, byte for byte.
 #[allow(clippy::too_many_arguments)]
 fn request_loop(
     stream: &mut TcpStream,
@@ -948,22 +1040,29 @@ fn request_loop(
     admission: &Arc<Admission>,
     draining: &AtomicBool,
     config: &ServerConfig,
-    handles: &mut Vec<JoinHandle<()>>,
+    inflight: &InFlightTable,
+    answers: &Sender<Tagged<Maps>>,
 ) -> Result<(), ServeError> {
     let budget = Arc::new(ConnectionBudget::default());
+    let mut frame = Vec::new();
+    let mut next_ticket = 0u64;
     loop {
         if draining.load(Ordering::SeqCst) {
             return Ok(());
         }
-        handles.retain(|handle| !handle.is_finished());
-        let received = if multiplexed {
-            read_tagged(stream, config.max_payload_bytes)
-        } else {
-            read_message(stream, config.max_payload_bytes).map(|message| TaggedMessage {
-                message,
-                request_id: None,
-            })
-        };
+        let received =
+            read_tagged_into(stream, config.max_payload_bytes, &mut frame).and_then(|tagged| {
+                if multiplexed {
+                    return Ok(tagged);
+                }
+                // A tagged frame is legal only once the connection
+                // negotiated v5.
+                let message = tagged.into_untagged()?;
+                Ok(TaggedMessage {
+                    message,
+                    request_id: None,
+                })
+            });
         let TaggedMessage {
             message,
             request_id,
@@ -989,7 +1088,7 @@ fn request_loop(
             Err(other) => {
                 // Connection-level breach: reported untagged, then hang up
                 // (in-flight requests still get their answers — the caller
-                // joins the completion threads).
+                // joins the writer).
                 respond.error(
                     None,
                     ErrorCode::UnexpectedMessage,
@@ -1016,53 +1115,57 @@ fn request_loop(
         // request always routes to the same version whatever connection or
         // retry carried it.
         let (engine, _) = slot.engine_for(route_key(request.features.content_bytes()));
-        let compute = begin(&engine, request);
+        let shape_checked = check_shape(&engine, &request);
         match request_id {
-            Some(id) => {
-                let respond = respond.clone();
-                handles.push(std::thread::spawn(move || {
-                    let _ = respond.complete(permit, Some(id), compute());
-                }));
+            Some(request_id) => {
+                let ticket = next_ticket;
+                next_ticket += 1;
+                let entry = InFlight {
+                    request_id,
+                    permit,
+                    engine: Arc::clone(&engine),
+                };
+                inflight
+                    .lock()
+                    .expect("in-flight table mutex is never poisoned")
+                    .insert(ticket, entry);
+                // A request refused before the queue is answered the same
+                // way as one the engine evaluated: through the writer.
+                if let Err(error) =
+                    shape_checked.and_then(|()| engine.serve_to(request, ticket, answers))
+                {
+                    let _ = answers.send((ticket, Err(error)));
+                }
             }
-            None => respond.complete(permit, None, compute())?,
+            None => {
+                let result = shape_checked.and_then(|()| {
+                    if request.features.shape()[0] == 1 {
+                        engine.serve_begin(request)?.wait()
+                    } else {
+                        engine.serve_batch(&request)
+                    }
+                });
+                respond.complete(permit, None, result)?;
+            }
         }
     }
 }
 
-/// A request's evaluation, packaged to run on whichever thread answers it.
-type Compute = Box<dyn FnOnce() -> Result<Maps, EnsemblerError> + Send>;
-
-/// Packages one request. The feature shape is validated against the served
-/// backbone first: an untrusted peer's malformed request must fail alone,
-/// never poison a mini-batch it shares with honest requests from other
-/// connections. A single-sample request is then submitted to the model's
-/// coalescing queue *now* (on the reader thread, preserving arrival order)
-/// and merely awaited by the returned closure; a pre-batched request carries
-/// its direct evaluation into the closure instead.
-///
-/// The closure pins the engine: a request in flight on a version that a
-/// registry swap just displaced keeps that engine alive until its answer is
-/// delivered, and the displaced engine's teardown runs on the thread
-/// releasing the last pin — never on the thread performing the swap.
-fn begin(engine: &Arc<InferenceEngine<dyn Defense>>, request: ServerRequest) -> Compute {
+/// Validates a request's feature shape against the served backbone before it
+/// may reach the engine: an untrusted peer's malformed request must fail
+/// alone, never poison a mini-batch it shares with honest requests from
+/// other connections.
+fn check_shape(
+    engine: &InferenceEngine<dyn Defense>,
+    request: &ServerRequest,
+) -> Result<(), EnsemblerError> {
     let shape = request.features.shape();
     let expected = engine.defense().config().head_output_shape();
     if shape.len() != 4 || shape[0] == 0 || shape[1..] != expected[..] {
-        let error = EnsemblerError::ShapeMismatch(format!(
+        return Err(EnsemblerError::ShapeMismatch(format!(
             "request features {shape:?} do not match the served head output [B, {}, {}, {}]",
             expected[0], expected[1], expected[2]
-        ));
-        return Box::new(move || Err(error));
+        )));
     }
-    let pin = Arc::clone(engine);
-    if shape[0] == 1 {
-        let queued = engine.serve_begin(request);
-        Box::new(move || {
-            let result = queued.and_then(Pending::wait);
-            drop(pin);
-            result
-        })
-    } else {
-        Box::new(move || pin.serve_batch(&request))
-    }
+    Ok(())
 }

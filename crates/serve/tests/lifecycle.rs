@@ -349,3 +349,117 @@ fn incompatible_swaps_are_refused_and_removed_models_drain() {
         version_a.predict(&images).unwrap()
     );
 }
+
+#[test]
+fn two_hundred_hot_swaps_under_tagged_load_drop_nothing_and_free_every_engine() {
+    // Since completions are delivered from the engine's own threads, the
+    // last handle to a displaced engine must never be released there (its
+    // `Drop` joins them). Hammer that: one multiplexed connection keeps
+    // tagged single-sample *and* pre-batched requests in flight while the
+    // slot is swapped 200 times between two versions. Every request is
+    // answered bit-identically by exactly one version, nothing deadlocks,
+    // and every displaced engine is gone afterwards.
+    const SWAPS: usize = 200;
+    let (version_a, version_b) = two_versions(641, 642);
+    let config = ServerConfig::default();
+    let registry = ModelRegistry::new("default", Arc::clone(&version_a), config.engine).unwrap();
+    let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
+    let registry = Arc::clone(server.registry());
+    let remote =
+        Arc::new(RemoteDefense::connect(Arc::clone(&version_a), server.local_addr()).unwrap());
+
+    // Two single-sample and two pre-batched callers, each with its own
+    // input and both versions' answers to it.
+    let callers: Vec<_> = [1usize, 1, 3, 3]
+        .into_iter()
+        .enumerate()
+        .map(|(k, batch)| {
+            let features = version_a
+                .client_features(&random_images(batch, 643 + k as u64))
+                .unwrap();
+            let expected = [
+                version_a.server_outputs(&features).unwrap(),
+                version_b.server_outputs(&features).unwrap(),
+            ];
+            (features, expected)
+        })
+        .collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicU64::new(0));
+    let mut displaced = vec![Arc::downgrade(
+        &registry.get("default").unwrap().primary_engine(),
+    )];
+
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = callers
+            .iter()
+            .map(|(features, expected)| {
+                let remote = Arc::clone(&remote);
+                let stop = Arc::clone(&stop);
+                let answered = Arc::clone(&answered);
+                scope.spawn(move || {
+                    let mut by_version = [0u64; 2];
+                    while !stop.load(Ordering::SeqCst) {
+                        let maps = remote.server_outputs(features).unwrap();
+                        match expected.iter().position(|e| *e == maps) {
+                            Some(version) => by_version[version] += 1,
+                            None => panic!("a response matched neither version bit-exactly"),
+                        }
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                    by_version
+                })
+            })
+            .collect();
+
+        for swap in 0..SWAPS {
+            // Let traffic land on the current version before displacing it.
+            let seen = answered.load(Ordering::SeqCst);
+            while answered.load(Ordering::SeqCst) < seen + 2 {
+                std::thread::yield_now();
+            }
+            let next = if swap % 2 == 0 {
+                &version_b
+            } else {
+                &version_a
+            };
+            registry
+                .swap(
+                    "default",
+                    format!("v{}", swap + 1),
+                    Arc::clone(next),
+                    config.engine,
+                )
+                .unwrap();
+            displaced.push(Arc::downgrade(
+                &registry.get("default").unwrap().primary_engine(),
+            ));
+        }
+        stop.store(true, Ordering::SeqCst);
+        let mut by_version = [0u64; 2];
+        for handle in handles {
+            let counts = handle.join().unwrap();
+            by_version[0] += counts[0];
+            by_version[1] += counts[1];
+        }
+        assert!(by_version[0] > 0 && by_version[1] > 0, "{by_version:?}");
+        assert_eq!(
+            by_version[0] + by_version[1],
+            answered.load(Ordering::SeqCst)
+        );
+    });
+
+    drop(remote);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests_served, answered.load(Ordering::SeqCst));
+    assert_eq!((stats.errors_sent, stats.requests_rejected), (0, 0));
+    // The connection threads are joined: nothing pins a displaced engine.
+    let installed = displaced.pop().unwrap();
+    assert!(
+        installed.upgrade().is_some(),
+        "the slot holds the last version"
+    );
+    assert_eq!(displaced.len(), SWAPS);
+    let leaked = displaced.iter().filter(|e| e.upgrade().is_some()).count();
+    assert_eq!(leaked, 0, "displaced engines still alive after shutdown");
+}

@@ -1294,3 +1294,128 @@ fn an_untagged_request_on_a_v5_connection_is_answered_in_place() {
     assert_eq!(stats.requests_served, 3);
     assert_eq!(stats.errors_sent, 0);
 }
+
+/// A test-only defense that answers every pre-batched request with maps far
+/// larger than any socket buffer (and no computation), so a client that does
+/// not read them provably stalls its connection's writer; single samples
+/// pass through to the real pipeline.
+#[derive(Debug)]
+struct InflatingDefense {
+    inner: Arc<dyn Defense>,
+}
+
+/// Elements per sample of an inflated map: 1 MiB of `f32`s.
+const INFLATED_FEATURES: usize = 1 << 18;
+
+impl Defense for InflatingDefense {
+    fn config(&self) -> &ensembler_nn::models::ResNetConfig {
+        self.inner.config()
+    }
+
+    fn label(&self) -> &str {
+        self.inner.label()
+    }
+
+    fn server_bodies(&self) -> &[ensembler_nn::Sequential] {
+        self.inner.server_bodies()
+    }
+
+    fn selected_count(&self) -> usize {
+        self.inner.selected_count()
+    }
+
+    fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
+        self.inner.client_features(images)
+    }
+
+    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+        match transmitted.shape()[0] {
+            1 => self.inner.server_outputs(transmitted),
+            batch => Ok(vec![
+                Tensor::zeros(&[batch, INFLATED_FEATURES]);
+                self.inner.ensemble_size()
+            ]),
+        }
+    }
+
+    fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
+        self.inner.classify(server_maps)
+    }
+}
+
+#[test]
+fn a_peer_that_stops_reading_stalls_only_its_own_writer() {
+    use ensembler::{Features, ServerRequest};
+    use ensembler_serve::protocol::encode_tagged;
+    use std::io::Write;
+
+    // One client pipelines pre-batched requests and never reads an answer:
+    // 32 MiB of responses against a few MiB of socket buffer, so its
+    // connection's writer blocks. Nothing else may — the engine threads only
+    // ever hand results to a channel — so a second client's requests keep
+    // completing meanwhile.
+    const STALLED_REQUESTS: u64 = 16;
+    let pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(1, 1, 251).unwrap());
+    let inflating = Arc::new(InflatingDefense {
+        inner: Arc::clone(&pipeline),
+    });
+    let server = DefenseServer::bind(
+        inflating,
+        "127.0.0.1:0",
+        ServerConfig {
+            admission: AdmissionConfig {
+                max_connection_inflight_requests: STALLED_REQUESTS,
+                ..AdmissionConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    let (mut stalled, version) = raw_handshake(&server, PROTOCOL_VERSION);
+    assert_eq!(version, PROTOCOL_VERSION);
+    let pair = pipeline.client_features(&random_images(2, 252)).unwrap();
+    let request = Message::ServerOutputsRequest {
+        transmitted: pair.clone(),
+    };
+    for id in 0..STALLED_REQUESTS {
+        stalled
+            .write_all(&encode_tagged(&request, Some(id)))
+            .unwrap();
+    }
+
+    // The healthy client's single samples are served, bit-identically ...
+    let healthy = RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr()).unwrap();
+    for seed in 0..20 {
+        let images = random_images(1, 253 + seed);
+        assert_eq!(
+            healthy.predict(&images).unwrap(),
+            pipeline.predict(&images).unwrap()
+        );
+    }
+    // ... and so is its own pre-batched request, which the engine evaluates
+    // in arrival order behind every one of the stalled client's.
+    let maps = healthy
+        .exchange(ServerRequest::full(Features::F32(pair)))
+        .unwrap()
+        .into_f32()
+        .unwrap();
+    assert_eq!(maps[0].shape(), &[2, INFLATED_FEATURES]);
+    // So those are all computed by now — and not all answered, because
+    // their writer is stuck on the socket: the answers it has not reached
+    // still hold their permits.
+    let stats = server.stats();
+    assert!(
+        stats.inflight_requests > 0,
+        "the responses fit the socket buffers; the writer never stalled: {stats:?}"
+    );
+    assert!(stats.requests_served >= 21);
+
+    // Hanging up frees the writer (its write fails) and the connection
+    // drains; shutdown is not held hostage.
+    drop(stalled);
+    drop(healthy);
+    let stats = server.shutdown();
+    assert_eq!(stats.inflight_requests, 0);
+    assert_eq!(stats.inflight_bytes, 0);
+}

@@ -489,21 +489,30 @@ impl WorkerLink {
     }
 }
 
-/// Runs one exchange on its own thread so the caller can time it out (for
-/// hedging) without abandoning the request mid-frame.
-fn spawn_exchange(
-    request: ServerRequest,
-    conn: Arc<RemoteDefense>,
-    tx: mpsc::Sender<(Result<Maps, ServeError>, Arc<RemoteDefense>)>,
-) {
-    std::thread::spawn(move || {
-        let result = conn.exchange(request);
-        // A losing hedge finds the receiver gone and releases its handle
-        // right here; the multiplexed pooled connection itself lives on in
-        // the pool, where the demultiplexer keeps late responses routed by
-        // request id instead of poisoning the stream.
-        let _ = tx.send((result, conn));
-    });
+/// Which exchange of one leg an answer belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The first exchange, on the pooled connection.
+    Primary,
+    /// The duplicate fired on a fresh connection once the primary stayed
+    /// silent past [`RouterConfig::hedge_after`].
+    Hedge,
+    /// The one reconnect-and-retry after the leg's first answer was an error.
+    Retry,
+}
+
+/// One answer on a scatter's channel: the leg (placement index) and attempt
+/// it belongs to, the connection that carried it, and the outcome.
+type LegAnswer = (usize, Attempt, Arc<RemoteDefense>, Result<Maps, ServeError>);
+
+/// Where one leg of a scatter stands.
+enum Leg {
+    /// Primary (and perhaps a hedge) outstanding; the first answer decides.
+    Waiting,
+    /// The first answer was this error; the retry's answer is final.
+    Retrying(ServeError),
+    /// Answered.
+    Done(Maps),
 }
 
 /// A [`Defense`] that scatters `server_outputs` over a worker pool and
@@ -606,126 +615,155 @@ impl ShardRouter {
             .collect()
     }
 
-    /// One worker's leg of the fan-out — `features` evaluated on the bodies
-    /// the placement assigns it — with hedging and one reconnect retry. The
-    /// pooled connection is *shared*: concurrent router callers
-    /// clone its handle and multiplex their exchanges over the one
-    /// (protocol-v5) socket per worker, each response finding its caller by
-    /// request id — no per-caller dialing, no frame interleaving hazard.
-    fn ranged(&self, link: &Arc<WorkerLink>, features: Features) -> Result<Maps, ShardError> {
-        let request = ServerRequest::ranged(link.spec.lo..link.spec.hi, features);
-        let pooled = link.pool().clone();
-        let conn = match pooled {
-            Some(conn) => conn,
-            None => {
-                let fresh = link.connect_fresh(&self.config)?;
-                *link.pool() = Some(Arc::clone(&fresh));
-                fresh
-            }
-        };
-        let (tx, rx) = mpsc::channel();
-        spawn_exchange(request.clone(), conn, tx.clone());
-        let first = match self.config.hedge_after {
-            Some(delay) => match rx.recv_timeout(delay) {
-                Ok(pair) => Some(pair),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(link.unavailable("exchange thread died"))
-                }
-            },
-            None => Some(
-                rx.recv()
-                    .map_err(|_| link.unavailable("exchange thread died"))?,
-            ),
-        };
-        let (result, conn) = match first {
-            Some(pair) => pair,
-            None => {
-                // The primary stayed silent past the hedge threshold: fire
-                // a duplicate on a fresh connection (never the same socket
-                // — the primary's response is still owed on it) and take
-                // whichever answers first.
-                link.hedges.fetch_add(1, Ordering::Relaxed);
-                if let Ok(fresh) = link.connect_fresh(&self.config) {
-                    spawn_exchange(request.clone(), fresh, tx.clone());
-                }
-                rx.recv()
-                    .map_err(|_| link.unavailable("all exchanges died"))?
-            }
-        };
-        // Dropping the receiver makes the losing hedge release its handle:
-        // on the shared multiplexed connection its late response is routed
-        // (and discarded) by request id, never mistaken for the answer to a
-        // later request.
-        drop(rx);
-        match result {
-            Ok(maps) => {
-                link.note_served(conn);
-                Ok(maps)
-            }
-            Err(error) => {
-                // A transport failure poisons the shared socket for every
-                // caller: evict it from the pool (if some other caller has
-                // not already replaced it) so nobody else multiplexes onto
-                // a dead connection. A typed per-request rejection
-                // (`ServeError::Remote`, e.g. `Overloaded`) leaves the
-                // connection healthy — other in-flight exchanges on it are
-                // unharmed — so it stays pooled.
-                let transport_failure = !matches!(error, ServeError::Remote(_));
-                if transport_failure {
-                    let mut slot = link.pool();
-                    if slot
-                        .as_ref()
-                        .is_some_and(|pooled| Arc::ptr_eq(pooled, &conn))
-                    {
-                        *slot = None;
-                    }
-                    drop(slot);
-                    link.note_health(false);
-                }
-                drop(conn);
-                // One immediate reconnect-and-retry covers a worker that was
-                // restarted between requests; anything more is a typed
-                // ShardUnavailable for the caller.
-                let fresh = link.connect_fresh(&self.config).map_err(|retry| {
-                    link.unavailable(format!("{error}; reconnect failed: {retry}"))
-                })?;
-                match fresh.exchange(request) {
-                    Ok(maps) => {
-                        link.note_served(fresh);
-                        Ok(maps)
-                    }
-                    Err(retry_error) => {
-                        link.note_health(false);
-                        Err(link.unavailable(format!("{error}; retry failed: {retry_error}")))
-                    }
-                }
-            }
-        }
+    /// Puts one exchange of leg `index` on the wire, from the calling thread;
+    /// its answer arrives on `answers`. The pooled connection is *shared*:
+    /// concurrent router callers clone its handle and multiplex their
+    /// exchanges over the one (protocol-v5) socket per worker, each response
+    /// finding its caller by request id — no per-caller dialing, no frame
+    /// interleaving hazard, and no thread per leg: the connection's
+    /// demultiplexer delivers the answer.
+    fn send_leg(
+        index: usize,
+        attempt: Attempt,
+        conn: Arc<RemoteDefense>,
+        request: ServerRequest,
+        answers: &mpsc::Sender<LegAnswer>,
+    ) {
+        let answers = answers.clone();
+        let carrier = Arc::clone(&conn);
+        conn.exchange_to(request, move |result| {
+            // A late loser finds the receiver gone and releases its
+            // connection handle right here; the multiplexed pooled
+            // connection itself lives on in the pool.
+            let _ = answers.send((index, attempt, carrier, result));
+        });
     }
 
-    /// Scatters one request to every worker concurrently and gathers the
-    /// partial maps in placement order.
-    fn scatter<T: Send>(
+    /// Scatters one request — `features_for` each worker, evaluated on the
+    /// bodies the placement assigns it — and gathers the partial maps in
+    /// placement order, with hedging and one reconnect retry per leg.
+    ///
+    /// Every leg is written from this thread, then all of them (and their
+    /// hedges and retries) are awaited on one channel: the first wait is
+    /// bounded by [`RouterConfig::hedge_after`], after which every leg still
+    /// silent gets a duplicate on a fresh connection and whichever exchange
+    /// of a leg answers first decides it. The first leg to fail for good
+    /// fails the whole request with a typed [`ShardError`].
+    fn scatter(
         &self,
-        leg: impl Fn(&Arc<WorkerLink>) -> Result<Vec<T>, EnsemblerError> + Sync,
-    ) -> Result<Vec<T>, EnsemblerError> {
-        let partials: Vec<Result<Vec<T>, EnsemblerError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .links
-                .iter()
-                .map(|link| scope.spawn(|| leg(link)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scatter legs never panic"))
-                .collect()
-        });
-        let mut merged = Vec::with_capacity(self.client.ensemble_size());
-        for partial in partials {
-            merged.extend(partial?);
+        features_for: impl Fn(&ShardSpec) -> Features,
+    ) -> Result<Vec<Maps>, ShardError> {
+        let (answers, gathered) = mpsc::channel::<LegAnswer>();
+        let mut requests = Vec::with_capacity(self.links.len());
+        for (index, link) in self.links.iter().enumerate() {
+            let request =
+                ServerRequest::ranged(link.spec.lo..link.spec.hi, features_for(&link.spec));
+            let pooled = link.pool().clone();
+            let conn = match pooled {
+                Some(conn) => conn,
+                None => {
+                    let fresh = link.connect_fresh(&self.config)?;
+                    *link.pool() = Some(Arc::clone(&fresh));
+                    fresh
+                }
+            };
+            Self::send_leg(index, Attempt::Primary, conn, request.clone(), &answers);
+            requests.push(request);
         }
-        Ok(merged)
+
+        let mut legs: Vec<Leg> = self.links.iter().map(|_| Leg::Waiting).collect();
+        let mut outstanding = legs.len();
+        let mut hedge_at = self.config.hedge_after.map(|delay| Instant::now() + delay);
+        while outstanding > 0 {
+            // This thread holds a sender, so the channel cannot disconnect:
+            // no answer means the hedge threshold passed.
+            let answer = match hedge_at {
+                Some(deadline) => gathered
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => Some(gathered.recv().expect("this thread holds a sender")),
+            };
+            let Some((index, attempt, conn, result)) = answer else {
+                // The hedge threshold passed: every leg still silent gets a
+                // duplicate on a fresh connection (never the same socket —
+                // the primary's response is still owed on it).
+                hedge_at = None;
+                for (index, link) in self.links.iter().enumerate() {
+                    if matches!(legs[index], Leg::Waiting) {
+                        link.hedges.fetch_add(1, Ordering::Relaxed);
+                        if let Ok(fresh) = link.connect_fresh(&self.config) {
+                            let request = requests[index].clone();
+                            Self::send_leg(index, Attempt::Hedge, fresh, request, &answers);
+                        }
+                    }
+                }
+                continue;
+            };
+            let link = &self.links[index];
+            // Anything else is the loser of a leg already decided: on the
+            // shared multiplexed connection its late response was routed by
+            // request id and is discarded here, never mistaken for a later
+            // answer.
+            if !matches!(
+                (&legs[index], attempt),
+                (Leg::Waiting, Attempt::Primary | Attempt::Hedge)
+                    | (Leg::Retrying(_), Attempt::Retry)
+            ) {
+                continue;
+            }
+            match result {
+                Ok(maps) => {
+                    link.note_served(conn);
+                    legs[index] = Leg::Done(maps);
+                    outstanding -= 1;
+                }
+                Err(retry_error) if attempt == Attempt::Retry => {
+                    link.note_health(false);
+                    let Leg::Retrying(error) = &legs[index] else {
+                        unreachable!("a retry answers a retrying leg")
+                    };
+                    return Err(link.unavailable(format!("{error}; retry failed: {retry_error}")));
+                }
+                Err(error) => {
+                    // A transport failure poisons the shared socket for every
+                    // caller: evict it from the pool (if some other caller
+                    // has not already replaced it) so nobody else
+                    // multiplexes onto a dead connection. A typed
+                    // per-request rejection (`ServeError::Remote`, e.g.
+                    // `Overloaded`) leaves the connection healthy — other
+                    // in-flight exchanges on it are unharmed — so it stays
+                    // pooled.
+                    if !matches!(error, ServeError::Remote(_)) {
+                        let mut slot = link.pool();
+                        if slot
+                            .as_ref()
+                            .is_some_and(|pooled| Arc::ptr_eq(pooled, &conn))
+                        {
+                            *slot = None;
+                        }
+                        drop(slot);
+                        link.note_health(false);
+                    }
+                    drop(conn);
+                    // One immediate reconnect-and-retry covers a worker that
+                    // was restarted between requests; anything more is a
+                    // typed ShardUnavailable for the caller.
+                    let fresh = link.connect_fresh(&self.config).map_err(|retry| {
+                        link.unavailable(format!("{error}; reconnect failed: {retry}"))
+                    })?;
+                    let request = requests[index].clone();
+                    Self::send_leg(index, Attempt::Retry, fresh, request, &answers);
+                    legs[index] = Leg::Retrying(error);
+                }
+            }
+        }
+        Ok(legs
+            .into_iter()
+            .map(|leg| match leg {
+                Leg::Done(maps) => maps,
+                _ => unreachable!("the gather loop ends when every leg is done"),
+            })
+            .collect())
     }
 }
 
@@ -808,16 +846,21 @@ impl Defense for ShardRouter {
     /// shard contributes exactly what the int8 pipeline would contribute
     /// for its indices.
     fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.scatter(|link| {
-            if link.spec.quantized {
-                let qf = QTensorBatch::quantize_batch(transmitted);
-                let qmaps = self.ranged(link, Features::Int8(qf))?.into_int8()?;
-                Ok(qmaps.iter().map(QTensorBatch::dequantize).collect())
+        let partials = self.scatter(|spec| {
+            if spec.quantized {
+                Features::Int8(QTensorBatch::quantize_batch(transmitted))
             } else {
-                self.ranged(link, Features::F32(transmitted.clone()))?
-                    .into_f32()
+                Features::F32(transmitted.clone())
             }
-        })
+        })?;
+        let mut merged = Vec::with_capacity(self.client.ensemble_size());
+        for partial in partials {
+            match partial {
+                Maps::F32(maps) => merged.extend(maps),
+                Maps::Int8(qmaps) => merged.extend(qmaps.iter().map(QTensorBatch::dequantize)),
+            }
+        }
+        Ok(merged)
     }
 
     /// The quantized stage, scattered in quantized frames to every worker
@@ -827,10 +870,12 @@ impl Defense for ShardRouter {
         &self,
         transmitted: &QTensorBatch,
     ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        self.scatter(|link| {
-            self.ranged(link, Features::Int8(transmitted.clone()))?
-                .into_int8()
-        })
+        let partials = self.scatter(|_| Features::Int8(transmitted.clone()))?;
+        let mut merged = Vec::with_capacity(self.client.ensemble_size());
+        for partial in partials {
+            merged.extend(partial.into_int8()?);
+        }
+        Ok(merged)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

@@ -74,34 +74,69 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes` — the trailer of
-/// both the wire frame and the model artifact.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn make_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
+/// Bytes [`crc32`] folds into its register per step (slice-by-16).
+const CRC_SLICES: usize = 16;
+
+/// The lookup tables of [`crc32`], built at compile time: `CRC_TABLES[0]` is
+/// the classic byte-at-a-time table, and `CRC_TABLES[k][n]` is the CRC of
+/// byte `n` followed by `k` zero bytes, so [`CRC_SLICES`] input bytes fold
+/// into the register with as many independent lookups.
+const CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
+    let mut n = 0usize;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICES {
         let mut n = 0usize;
         while n < 256 {
-            let mut c = n as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[n] = c;
+            let prev = tables[k - 1][n];
+            tables[k][n] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             n += 1;
         }
-        table
+        k += 1;
     }
-    const TABLE: [u32; 256] = make_table();
-    let mut crc = 0xFFFF_FFFFu32;
+    tables
+};
+
+/// Folds `bytes` into a running (pre-inverted) CRC register one byte at a
+/// time: the tail of [`crc32`], and the oracle its tests compare against.
+fn crc32_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
     for &byte in bytes {
-        crc = TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
+}
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes` — the trailer of
+/// both the wire frame and the model artifact. Sixteen bytes per step
+/// through compile-time tables (the register only reaches the first four),
+/// the remainder byte by byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(CRC_SLICES);
+    for word in &mut words {
+        let register = crc.to_le_bytes();
+        let mut next = 0u32;
+        for (i, &byte) in word.iter().enumerate() {
+            let byte = if i < 4 { byte ^ register[i] } else { byte };
+            next ^= CRC_TABLES[CRC_SLICES - 1 - i][byte as usize];
+        }
+        crc = next;
+    }
+    crc32_bytewise(crc, words.remainder()) ^ 0xFFFF_FFFF
 }
 
 /// Appends one byte.
@@ -142,13 +177,22 @@ fn put_shape(buf: &mut Vec<u8>, shape: &[usize]) {
     }
 }
 
+/// Appends `values` as little-endian `f32`s in one pass: the destination is
+/// sized once and filled through fixed 4-byte chunks, which the optimiser
+/// turns into a plain copy on little-endian hosts.
+fn put_le_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    let start = buf.len();
+    buf.resize(start + 4 * values.len(), 0);
+    for (chunk, value) in buf[start..].chunks_exact_mut(4).zip(values) {
+        chunk.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
 /// Appends the `f32` tensor body: rank, dims, little-endian data.
 pub fn put_tensor(buf: &mut Vec<u8>, tensor: &Tensor) {
     buf.reserve(4 + 4 * tensor.rank() + 4 * tensor.len());
     put_shape(buf, tensor.shape());
-    for &v in tensor.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_le_f32s(buf, tensor.data());
 }
 
 /// Appends the int8 tensor body: rank, dims, one little-endian `f32` scale
@@ -156,17 +200,21 @@ pub fn put_tensor(buf: &mut Vec<u8>, tensor: &Tensor) {
 pub fn put_qtensor(buf: &mut Vec<u8>, tensor: &QTensorBatch) {
     buf.reserve(4 + 4 * tensor.shape().len() + 4 * tensor.scales().len() + tensor.len());
     put_shape(buf, tensor.shape());
-    for &s in tensor.scales() {
-        buf.extend_from_slice(&s.to_le_bytes());
+    put_le_f32s(buf, tensor.scales());
+    let start = buf.len();
+    buf.resize(start + tensor.len(), 0);
+    for (byte, value) in buf[start..].iter_mut().zip(tensor.data()) {
+        *byte = *value as u8;
     }
-    buf.extend(tensor.data().iter().map(|&v| v as u8));
 }
 
+/// Decodes little-endian `f32`s in one pass (the mirror of [`put_le_f32s`]).
 fn le_f32s(bytes: &[u8]) -> Vec<f32> {
-    let chunks = bytes.chunks_exact(4);
-    chunks
-        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4 bytes")))
-        .collect()
+    let mut values = vec![0.0f32; bytes.len() / 4];
+    for (value, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+        *value = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    values
 }
 
 /// A strict reader over a byte slice: every read is bounds-checked, no
@@ -310,11 +358,11 @@ impl<'a> Reader<'a> {
         let batch = shape[0];
         self.check_count(batch, 4, "samples")?;
         let scales = le_f32s(self.take(4 * batch, what)?);
-        let data = self
-            .take(elements, what)?
-            .iter()
-            .map(|&b| b as i8)
-            .collect();
+        let bytes = self.take(elements, what)?;
+        let mut data = vec![0i8; elements];
+        for (value, byte) in data.iter_mut().zip(bytes) {
+            *value = *byte as i8;
+        }
         QTensorBatch::from_parts(data, &shape, scales)
             .map_err(|e| DecodeError::new(format!("{what}: {e}")))
     }
@@ -402,6 +450,87 @@ mod tests {
         put_tensor(&mut buf, &scalar);
         assert_eq!(Reader::new(&buf).tensor("t").unwrap(), scalar);
         assert!(Reader::new(&buf).qtensor("q").is_err());
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_at_every_length_and_alignment() {
+        let oracle = |bytes: &[u8]| crc32_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the standard check value");
+        assert_eq!(crc32(b""), 0);
+
+        // Every length around the 16-byte step at every start offset, so the
+        // word loop and the byte tail meet at each possible boundary.
+        let bytes: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(197) ^ (i >> 2)) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), oracle(slice), "offset {offset}, len {len}");
+            }
+        }
+
+        // Bodies the size of the benchmark's two request frames (one and 32
+        // samples of a [16, 8, 8] feature map), behind an odd-length prefix.
+        for batch in [1usize, 32] {
+            let features = Tensor::from_fn(&[batch, 16, 8, 8], |i| (i as f32 * 0.37).sin());
+            let mut frame = vec![0x45, 0x4E, 0x53, 0x57, 0x00, 0x05, 0x09];
+            put_tensor(&mut frame, &features);
+            assert_eq!(crc32(&frame), oracle(&frame), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn bulk_tensor_bodies_equal_the_per_element_encoding_bit_for_bit() {
+        // Values a careless copy would normalise: NaNs with payloads and
+        // both signs, the two zeros, subnormals, the extremes.
+        let specials = [
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFFC1_2345),
+            f32::from_bits(0x7F80_0001),
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+        ];
+        let tensor = Tensor::from_vec(specials.to_vec(), &[1, specials.len()]).unwrap();
+        let mut expected = Vec::new();
+        put_shape(&mut expected, tensor.shape());
+        for value in &specials {
+            expected.extend_from_slice(&value.to_le_bytes());
+        }
+        let mut buf = Vec::new();
+        put_tensor(&mut buf, &tensor);
+        assert_eq!(buf, expected);
+        let decoded = Reader::new(&buf).tensor("t").unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&decoded),
+            bits(&tensor),
+            "NaN payloads and -0.0 survive"
+        );
+
+        // Int8: every byte value, with scales that exercise the f32 path.
+        let values: Vec<i8> = (0..=255u8).map(|b| b as i8).collect();
+        let scales = vec![f32::MIN_POSITIVE, 3.25];
+        let quantized =
+            QTensorBatch::from_parts(values.clone(), &[2, 128], scales.clone()).unwrap();
+        let mut expected = Vec::new();
+        put_shape(&mut expected, quantized.shape());
+        for scale in &scales {
+            expected.extend_from_slice(&scale.to_le_bytes());
+        }
+        expected.extend(values.iter().map(|&v| v as u8));
+        let mut buf = Vec::new();
+        put_qtensor(&mut buf, &quantized);
+        assert_eq!(buf, expected);
+        assert_eq!(Reader::new(&buf).qtensor("q").unwrap(), quantized);
     }
 
     /// A body header with the given dims and no data.

@@ -553,7 +553,10 @@ fn gemm_band(
     let (mr, nr) = (cfg.mr, cfg.nr);
     let row_panels = rows.div_ceil(mr);
     let col_panels = n.div_ceil(nr);
-    let mut apack = vec![0.0f32; row_panels * KC * mr];
+    // Sized by the widest block actually packed: the demo bodies' k = 144
+    // needs 56 % of a KC-wide buffer, and a serving thread's arena keeps
+    // whatever this scratch peaked at (docs/PERFORMANCE.md, "Memory").
+    let mut apack = vec![0.0f32; row_panels * KC.min(k) * mr];
 
     let mut pc = 0;
     while pc < k {
