@@ -143,6 +143,66 @@ fn documented_examples() -> BTreeMap<&'static str, (Message, Option<u64>)> {
         }),
         Some(2),
     );
+    // The rest of what a v5 connection carries: its handshake (never
+    // tagged), and the quantized and sub-range frames with their ids.
+    insert("hello-v5", Message::Hello(Hello::legacy(5)), None);
+    insert(
+        "hello-v5-model",
+        Message::Hello(Hello {
+            max_version: 5,
+            model: Some("alpha".to_string()),
+        }),
+        None,
+    );
+    let ack_v5 = |model: Option<&str>| {
+        Message::HelloAck(HelloAck {
+            version: 5,
+            label: "Ensembler".to_string(),
+            ensemble_size: 3,
+            selected_count: 2,
+            model: model.map(str::to_string),
+        })
+    };
+    insert("hello-ack-v5", ack_v5(None), None);
+    insert("hello-ack-v5-model", ack_v5(Some("alpha")), None);
+    let quantized = QTensorBatch::quantize_batch(
+        &Tensor::from_vec(vec![0.0, 0.5, -1.0, 2.0], &[1, 1, 2, 2]).unwrap(),
+    );
+    insert(
+        "server-outputs-request-q-v5",
+        Message::ServerOutputsRequestQ {
+            transmitted: quantized.clone(),
+        },
+        Some(3),
+    );
+    insert(
+        "server-outputs-response-q-v5",
+        Message::ServerOutputsResponseQ {
+            maps: vec![
+                QTensorBatch::quantize_batch(&Tensor::from_vec(vec![1.0, -0.5], &[1, 2]).unwrap()),
+                QTensorBatch::quantize_batch(&Tensor::from_vec(vec![0.25, 4.0], &[1, 2]).unwrap()),
+            ],
+        },
+        Some(3),
+    );
+    insert(
+        "server-outputs-request-range-v5",
+        Message::ServerOutputsRequestRange {
+            lo: 1,
+            hi: 3,
+            transmitted: Tensor::from_vec(vec![0.0, 0.5, -1.0, 2.0], &[1, 1, 2, 2]).unwrap(),
+        },
+        Some(4),
+    );
+    insert(
+        "server-outputs-request-range-q-v5",
+        Message::ServerOutputsRequestRangeQ {
+            lo: 1,
+            hi: 3,
+            transmitted: quantized,
+        },
+        Some(5),
+    );
     examples
 }
 
