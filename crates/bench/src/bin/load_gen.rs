@@ -132,11 +132,10 @@ fn main() {
     }
     let remote = Arc::new(client);
     println!(
-        "load_gen: N={n} P={p} server {} (protocol v{}{})",
+        "load_gen: N={n} P={p} server {}{}",
         server.local_addr(),
-        remote.negotiated_version(),
         if cache_capacity.is_some() {
-            ", client cache on"
+            " (client cache on)"
         } else {
             ""
         }

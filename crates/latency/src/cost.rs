@@ -78,9 +78,9 @@ pub struct WireOverhead {
     /// request to name the slice a worker should evaluate.
     pub range_header_bytes: u64,
     /// Bytes for the request-id word carried in the extended header of a
-    /// protocol-v5 *tagged* frame (one big-endian `u64`) — the entire
-    /// per-frame wire cost of pipelined connection multiplexing. Untagged
-    /// frames (protocol v1–v4) spend zero of these.
+    /// *tagged* frame (one big-endian `u64`) — the entire per-frame wire
+    /// cost of pipelined connection multiplexing. Every request and response
+    /// frame is tagged; only the handshake frames spend zero of these.
     pub request_id_bytes: u64,
 }
 
@@ -178,10 +178,12 @@ impl NetworkCost {
     /// transmitted features for a batch of `batch` images.
     ///
     /// The upload is one rank-4 `[B, C, H, W]` tensor, so the frame is the
-    /// fixed frame overhead plus one tensor header with four dimension words
-    /// plus `batch` copies of the per-sample payload (`upload_bytes`).
+    /// fixed frame overhead and the request id plus one tensor header with
+    /// four dimension words plus `batch` copies of the per-sample payload
+    /// (`upload_bytes`).
     pub fn upload_frame_bytes(&self, batch: u64, overhead: &WireOverhead) -> u64 {
         overhead.frame_bytes
+            + overhead.request_id_bytes
             + overhead.tensor_base_bytes
             + 4 * overhead.per_dim_bytes
             + self.upload_bytes * batch
@@ -191,9 +193,9 @@ impl NetworkCost {
     /// `ensemble_size` per-network feature maps for a batch of `batch` images.
     ///
     /// The response is a list of `ensemble_size` rank-2 `[B, F]` tensors:
-    /// fixed frame overhead, a list count word, and per tensor a length
-    /// prefix, a tensor header with two dimension words and `batch` copies of
-    /// the per-sample payload (`return_bytes`).
+    /// fixed frame overhead, the request id, a list count word, and per
+    /// tensor a length prefix, a tensor header with two dimension words and
+    /// `batch` copies of the per-sample payload (`return_bytes`).
     pub fn return_frame_bytes(
         &self,
         batch: u64,
@@ -201,6 +203,7 @@ impl NetworkCost {
         overhead: &WireOverhead,
     ) -> u64 {
         overhead.frame_bytes
+            + overhead.request_id_bytes
             + overhead.list_header_bytes
             + ensemble_size
                 * (overhead.per_tensor_prefix_bytes
@@ -209,21 +212,22 @@ impl NetworkCost {
                     + self.return_bytes * batch)
     }
 
-    /// Exact byte length of the protocol-v2 **quantized** request frame for a
-    /// batch of `batch` images.
+    /// Exact byte length of the **quantized** request frame for a batch of
+    /// `batch` images.
     ///
     /// A quantized tensor spends one byte per element instead of four
     /// (`upload_bytes` counts `f32` payload, so the int8 payload is a
     /// quarter of it) plus one scale word per batch sample.
     pub fn upload_frame_bytes_q(&self, batch: u64, overhead: &WireOverhead) -> u64 {
         overhead.frame_bytes
+            + overhead.request_id_bytes
             + overhead.tensor_base_bytes
             + 4 * overhead.per_dim_bytes
             + batch * overhead.per_scale_bytes
             + self.upload_bytes / 4 * batch
     }
 
-    /// Exact byte length of the protocol-v2 **quantized** response frame with
+    /// Exact byte length of the **quantized** response frame with
     /// the `ensemble_size` per-network maps for a batch of `batch` images —
     /// roughly a quarter of [`NetworkCost::return_frame_bytes`], which is the
     /// point of the quantized encoding.
@@ -234,6 +238,7 @@ impl NetworkCost {
         overhead: &WireOverhead,
     ) -> u64 {
         overhead.frame_bytes
+            + overhead.request_id_bytes
             + overhead.list_header_bytes
             + ensemble_size
                 * (overhead.per_tensor_prefix_bytes
@@ -243,7 +248,7 @@ impl NetworkCost {
                     + self.return_bytes / 4 * batch)
     }
 
-    /// Exact byte length of a protocol-v4 **sub-range** request frame: the
+    /// Exact byte length of a **sub-range** request frame: the
     /// plain upload frame plus the `lo..hi` range words
     /// ([`WireOverhead::range_header_bytes`]).
     ///
@@ -385,11 +390,11 @@ mod tests {
         };
         assert_eq!(
             cost.upload_frame_bytes(2, &overhead),
-            16 + 8 + 4 * 4 + 2 * cost.upload_bytes
+            16 + 8 + 8 + 4 * 4 + 2 * cost.upload_bytes
         );
         assert_eq!(
             cost.return_frame_bytes(2, 3, &overhead),
-            16 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * cost.return_bytes)
+            16 + 8 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * cost.return_bytes)
         );
     }
 
@@ -409,11 +414,11 @@ mod tests {
         };
         assert_eq!(
             cost.upload_frame_bytes_q(2, &overhead),
-            16 + 8 + 4 * 4 + 2 * 4 + 2 * (cost.upload_bytes / 4)
+            16 + 8 + 8 + 4 * 4 + 2 * 4 + 2 * (cost.upload_bytes / 4)
         );
         assert_eq!(
             cost.return_frame_bytes_q(2, 3, &overhead),
-            16 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * 4 + 2 * (cost.return_bytes / 4))
+            16 + 8 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * 4 + 2 * (cost.return_bytes / 4))
         );
         // The quantized response is roughly a quarter of the f32 one.
         let f32_bytes = cost.return_frame_bytes(8, 4, &overhead) as f64;

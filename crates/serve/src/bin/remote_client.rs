@@ -8,7 +8,7 @@
 //! Defaults: `127.0.0.1:7878 4 2 17 8` — the `N P SEED` triple (and the
 //! `--int8` flag) must match the server-side model so both processes hold
 //! bit-identical weights. `--model NAME` asks a multi-model server for one
-//! of its named models over the protocol-v3 handshake; without it the server
+//! of its named models in the handshake; without it the server
 //! serves its default model.
 //!
 //! Transient `Overloaded` rejections (admission budgets, the connection
@@ -133,18 +133,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => RemoteDefense::connect(Arc::clone(&local), addr.as_str()),
     })?;
     println!(
-        "connected to {} at {addr} (protocol v{}{}{})",
+        "connected to {} at {addr} ({}{})",
         remote.peer_label(),
-        remote.negotiated_version(),
         match remote.model() {
-            Some(name) => format!(", model {name}"),
-            None => ", default model".to_string(),
+            Some(name) => format!("model {name}"),
+            None => "default model".to_string(),
         },
-        if remote.uses_quantized_frames() {
-            ", quantized frames"
-        } else {
-            ""
-        }
+        if int8 { ", quantized frames" } else { "" }
     );
 
     let config = local.config().clone();

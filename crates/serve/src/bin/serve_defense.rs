@@ -14,11 +14,11 @@
 //! A `SOURCE` is either a demo spec `N,P,SEED[,int8]` or the path of a
 //! model artifact exported by `export_model` (see
 //! `docs/MODEL_ARTIFACTS.md`). The positional `N P SEED` triple defines the
-//! **default** model (the one legacy clients and nameless hellos get); an
+//! **default** model (the one nameless hellos get); an
 //! `,int8` suffix on the seed quantizes it, which is how a `shard_router`
 //! int8 worker is launched — the router's nameless handshake reaches the
 //! default model. Each repeatable `--model` flag registers one more
-//! pipeline under its own name; protocol-v3 clients pick it with
+//! pipeline under its own name; clients pick it with
 //! `remote_client --model NAME`. Each `--canary` flag serves a second
 //! version under an existing name at the given traffic share.
 //!

@@ -6,7 +6,7 @@ use crate::cache::{request_key, CacheStats, ResultCache};
 use crate::error::ServeError;
 use crate::protocol::{
     read_message, read_tagged_into, write_message, write_tagged_into, Hello, HelloAck, Message,
-    WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
+    WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION,
 };
 use ensembler::{Defense, EnsemblerError, Features, Maps, Precision, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
@@ -217,10 +217,9 @@ impl Drop for FailSlotsOnExit {
     }
 }
 
-/// The multiplexed transport of a protocol-v5 connection: writers tag each
-/// request with a fresh id and register where its answer goes; one
-/// demultiplexer thread reads every response frame and routes it to the sink
-/// its id names.
+/// The multiplexed transport of a connection: writers tag each request with
+/// a fresh id and register where its answer goes; one demultiplexer thread
+/// reads every response frame and routes it to the sink its id names.
 #[derive(Debug)]
 struct Mux {
     /// The write half and the frame buffer every request is encoded into.
@@ -231,13 +230,13 @@ struct Mux {
 }
 
 impl Mux {
-    fn start(stream: TcpStream, max_payload_bytes: u32) -> Result<Self, ServeError> {
+    fn start(stream: TcpStream) -> Result<Self, ServeError> {
         let mut read_half = stream.try_clone()?;
         let slots = Arc::new(CompletionSlots::new());
         let demux_slots = Arc::clone(&slots);
         let demux = std::thread::spawn(move || {
             let guard = FailSlotsOnExit(demux_slots);
-            demux_loop(&mut read_half, &guard.0, max_payload_bytes);
+            demux_loop(&mut read_half, &guard.0);
         });
         Ok(Self {
             writer: Mutex::new((stream, Vec::new())),
@@ -291,10 +290,10 @@ impl Drop for Mux {
 /// `Error` frame too — it fails only that one request). An untagged frame or
 /// an unknown id is a protocol breach by the peer and fails the whole
 /// connection, as does any read error.
-fn demux_loop(read_half: &mut TcpStream, slots: &CompletionSlots, max_payload_bytes: u32) {
+fn demux_loop(read_half: &mut TcpStream, slots: &CompletionSlots) {
     let mut frame = Vec::new();
     loop {
-        match read_tagged_into(read_half, max_payload_bytes, &mut frame) {
+        match read_tagged_into(read_half, DEFAULT_MAX_PAYLOAD_BYTES, &mut frame) {
             Ok(tagged) => match tagged.request_id {
                 Some(id) => {
                     if slots.complete(id, Ok(tagged.message)).is_err() {
@@ -324,17 +323,6 @@ fn demux_loop(read_half: &mut TcpStream, slots: &CompletionSlots, max_payload_by
     }
 }
 
-/// How a [`RemoteDefense`] talks to its server: lockstep (one request, then
-/// its response — protocol v1–v4) or multiplexed over tagged frames
-/// (protocol v5).
-#[derive(Debug)]
-enum Transport {
-    /// Pre-v5 request/response in lockstep under one connection lock.
-    Lockstep(Mutex<TcpStream>),
-    /// Tagged, pipelined exchanges sharing one socket.
-    Mux(Mux),
-}
-
 /// A [`Defense`] implementation that keeps the client-side stages
 /// ([`Defense::client_features`], [`Defense::classify`]) on a local replica
 /// and ships the transmitted features to a remote [`crate::DefenseServer`]
@@ -352,14 +340,13 @@ enum Transport {
 /// the engine — programs against `&dyn Defense`, swapping an in-process
 /// pipeline for a `RemoteDefense` requires no change anywhere else.
 ///
-/// On a protocol-v5 connection the transport is *multiplexed*: every request
-/// frame carries a fresh id, a demultiplexer thread routes each (possibly
-/// out-of-order) response to the caller that sent its request, and many
-/// threads can have requests in flight on the one socket concurrently. A
-/// server-reported typed error (e.g. `Overloaded`) fails only the request it
-/// is tagged with — the connection and its other in-flight requests carry
-/// on. Connections that negotiate v4 or below keep the original lockstep
-/// one-request-then-its-response discipline.
+/// The connection is *multiplexed*: every request frame carries a fresh id, a
+/// demultiplexer thread routes each (possibly out-of-order) response to the
+/// caller that sent its request, and many threads can have requests in flight
+/// on the one socket concurrently. A server-reported typed error (e.g.
+/// `Overloaded`) fails only the request it is tagged with — the connection
+/// and its other in-flight requests carry on. An int8 replica ships its
+/// features and receives its maps in quantized frames.
 ///
 /// # Examples
 ///
@@ -367,9 +354,8 @@ enum Transport {
 #[derive(Debug)]
 pub struct RemoteDefense {
     local: std::sync::Arc<dyn Defense>,
-    transport: Transport,
+    mux: Mux,
     peer: HelloAck,
-    max_payload_bytes: u32,
     cache: Option<ResultCache>,
 }
 
@@ -381,24 +367,24 @@ impl RemoteDefense {
     /// # Errors
     ///
     /// Returns an error if the connection or handshake fails, the server
-    /// speaks no shared protocol version, or the server-reported pipeline
+    /// acks any version other than [`PROTOCOL_VERSION`]
+    /// ([`ServeError::UnsupportedVersion`]), or the server-reported pipeline
     /// (label, `N`, `P`) disagrees with the local replica.
     pub fn connect(
         local: std::sync::Arc<dyn Defense>,
         addr: impl ToSocketAddrs,
     ) -> Result<Self, ServeError> {
-        Self::connect_inner(local, addr, PROTOCOL_VERSION, None)
+        Self::connect_inner(local, addr, None)
     }
 
     /// Connects to a multi-model [`crate::DefenseServer`] and requests the
-    /// registered model `model` — the protocol-v3 connect path.
+    /// registered model `model`.
     ///
-    /// The hello travels in a version-3 frame carrying the model name; the
-    /// server resolves it in its registry, pins the connection to that
-    /// model's engine and echoes the resolved name in the ack, which this
-    /// constructor cross-checks along with the usual label/`N`/`P` replica
-    /// validation. A nameless [`RemoteDefense::connect`] gets the server's
-    /// default model instead.
+    /// The hello carries the model name; the server resolves it in its
+    /// registry, pins the connection to that model's engine and echoes the
+    /// resolved name in the ack, which this constructor cross-checks along
+    /// with the usual label/`N`/`P` replica validation. A nameless
+    /// [`RemoteDefense::connect`] gets the server's default model instead.
     ///
     /// # Errors
     ///
@@ -421,7 +407,7 @@ impl RemoteDefense {
     ///     .with_model("beta", Arc::clone(&beta), EngineConfig::default())?;
     /// let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", ServerConfig::default())?;
     ///
-    /// // A v3 client picks its model by name and gets bit-identical results.
+    /// // A client picks its model by name and gets bit-identical results.
     /// let remote = RemoteDefense::connect_model(Arc::clone(&beta), server.local_addr(), "beta")?;
     /// assert_eq!(remote.model(), Some("beta"));
     /// let images = Tensor::ones(&[1, 3, 16, 16]);
@@ -433,53 +419,20 @@ impl RemoteDefense {
         addr: impl ToSocketAddrs,
         model: &str,
     ) -> Result<Self, ServeError> {
-        Self::connect_inner(local, addr, PROTOCOL_VERSION, Some(model.to_string()))
-    }
-
-    /// [`RemoteDefense::connect`] with an explicit cap on the protocol
-    /// version offered in the handshake.
-    ///
-    /// Capping at 1 reproduces a legacy client: the connection negotiates
-    /// down and every exchange travels in `f32` frames, which is also the
-    /// compatibility path an int8 replica takes against a v1 server (the
-    /// quantize→dequantize round trips are part of the int8 pipeline's own
-    /// semantics, so even the f32-framed exchange stays bit-exact).
-    ///
-    /// # Errors
-    ///
-    /// As for [`RemoteDefense::connect`], plus an error for a zero or
-    /// unsupported `max_version`.
-    pub fn connect_with_max_version(
-        local: std::sync::Arc<dyn Defense>,
-        addr: impl ToSocketAddrs,
-        max_version: u16,
-    ) -> Result<Self, ServeError> {
-        Self::connect_inner(local, addr, max_version, None)
+        Self::connect_inner(local, addr, Some(model.to_string()))
     }
 
     fn connect_inner(
         local: std::sync::Arc<dyn Defense>,
         addr: impl ToSocketAddrs,
-        max_version: u16,
         model: Option<String>,
     ) -> Result<Self, ServeError> {
-        if max_version == 0 || max_version > PROTOCOL_VERSION {
-            return Err(ServeError::UnsupportedVersion {
-                offered: max_version,
-                supported: PROTOCOL_VERSION,
-            });
-        }
-        if model.is_some() && max_version < 3 {
-            return Err(ServeError::Protocol(format!(
-                "requesting a model by name needs protocol v3, but the version cap is {max_version}"
-            )));
-        }
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         write_message(
             &mut stream,
             &Message::Hello(Hello {
-                max_version,
+                max_version: PROTOCOL_VERSION,
                 model: model.clone(),
             }),
         )?;
@@ -493,10 +446,12 @@ impl RemoteDefense {
                 )))
             }
         };
-        if peer.version == 0 || peer.version > max_version {
+        // The server is the adversary of the threat model: whatever version
+        // it names, this client runs the one protocol it has or none.
+        if peer.version != PROTOCOL_VERSION {
             return Err(ServeError::UnsupportedVersion {
                 offered: peer.version,
-                supported: max_version,
+                supported: PROTOCOL_VERSION,
             });
         }
         if model.is_some() && peer.model != model {
@@ -520,16 +475,10 @@ impl RemoteDefense {
                 local.selected_count()
             )));
         }
-        let transport = if peer.version >= TAGGED_WIRE_VERSION {
-            Transport::Mux(Mux::start(stream, DEFAULT_MAX_PAYLOAD_BYTES)?)
-        } else {
-            Transport::Lockstep(Mutex::new(stream))
-        };
         Ok(Self {
             local,
-            transport,
+            mux: Mux::start(stream)?,
             peer,
-            max_payload_bytes: DEFAULT_MAX_PAYLOAD_BYTES,
             cache: None,
         })
     }
@@ -583,80 +532,34 @@ impl RemoteDefense {
         }
     }
 
-    /// The protocol version negotiated with the server.
-    pub fn negotiated_version(&self) -> u16 {
-        self.peer.version
-    }
-
     /// The pipeline description the server reported at handshake time.
     pub fn peer_label(&self) -> &str {
         &self.peer.label
     }
 
     /// The registry model name this connection is pinned to, as echoed by
-    /// the server — `None` on a legacy or nameless connection (which the
-    /// server pins to its default model without naming it).
+    /// the server — `None` on a nameless connection (which the server pins
+    /// to its default model without naming it).
     pub fn model(&self) -> Option<&str> {
         self.peer.model.as_deref()
-    }
-
-    /// Whether this connection ships the `server_outputs` stage in quantized
-    /// (protocol-v2) frames: the replica must be an int8 pipeline and the
-    /// server must have negotiated version 2.
-    pub fn uses_quantized_frames(&self) -> bool {
-        self.peer.version >= 2 && self.local.precision() == Precision::Int8
-    }
-
-    /// Starts one request/response exchange on whichever transport the
-    /// handshake negotiated; the raw answer reaches `sink`. On a multiplexed
-    /// connection this returns as soon as the tagged request is on the wire,
-    /// so one thread can have many exchanges in flight; a lockstep connection
-    /// holds its lock across the write *and* the read and calls `sink` before
-    /// returning.
-    fn send(&self, request: &Message, sink: CompletionSink) {
-        match &self.transport {
-            Transport::Lockstep(stream) => {
-                let exchange = || -> Result<Message, ServeError> {
-                    let mut stream = stream.lock().map_err(|_| {
-                        ServeError::Protocol("connection mutex poisoned".to_string())
-                    })?;
-                    write_message(&mut *stream, request)?;
-                    read_message(&mut *stream, self.max_payload_bytes)
-                };
-                sink(exchange());
-            }
-            Transport::Mux(mux) => mux.send(request, sink),
-        }
-    }
-
-    fn check_range_supported(&self, request: &ServerRequest) -> Result<(), ServeError> {
-        if request.range.is_some() && self.peer.version < 4 {
-            return Err(ServeError::Protocol(format!(
-                "sub-range requests need protocol v4, connection negotiated v{}",
-                self.peer.version
-            )));
-        }
-        Ok(())
     }
 
     /// Starts one server-stage exchange — any precision, any body range — in
     /// the frame kind the request itself selects (see
     /// `Message::from(ServerRequest)`) and delivers its outcome to `sink`,
     /// which is called exactly once: with the maps, with the server's typed
-    /// per-request error ([`ServeError::Remote`] — it neither tears down a
-    /// multiplexed socket nor disturbs other in-flight requests), or with
-    /// the transport failure. This is the per-worker leg of a scatter-gather
-    /// router, which starts every leg from one thread and awaits them all on
-    /// one channel; [`RemoteDefense::exchange`] is this plus a wait. The
-    /// result cache is not consulted.
+    /// per-request error ([`ServeError::Remote`] — it neither tears down the
+    /// socket nor disturbs other in-flight requests), or with the transport
+    /// failure. It returns as soon as the tagged request is on the wire, so
+    /// one thread can have many exchanges in flight. This is the per-worker
+    /// leg of a scatter-gather router, which starts every leg from one thread
+    /// and awaits them all on one channel; [`RemoteDefense::exchange`] is this
+    /// plus a wait. The result cache is not consulted.
     pub fn exchange_to(
         &self,
         request: ServerRequest,
         sink: impl FnOnce(Result<Maps, ServeError>) + Send + 'static,
     ) {
-        if let Err(error) = self.check_range_supported(&request) {
-            return sink(Err(error));
-        }
         let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
         let precision = request.features.precision();
         let finish = move |response: Result<Message, ServeError>| {
@@ -678,7 +581,7 @@ impl RemoteDefense {
             }
             Ok(maps)
         };
-        self.send(
+        self.mux.send(
             &Message::from(request),
             Box::new(move |response| sink(finish(response))),
         );
@@ -693,12 +596,10 @@ impl RemoteDefense {
     ///
     /// # Errors
     ///
-    /// Returns an error when a sub-range request meets a connection that
-    /// negotiated a version below 4, when the wire exchange fails, when the
-    /// server reports a typed error (e.g. an out-of-range `lo..hi`), or when
-    /// the response's precision or map count disagrees with the request.
+    /// Returns an error when the wire exchange fails, when the server
+    /// reports a typed error (e.g. an out-of-range `lo..hi`), or when the
+    /// response's precision or map count disagrees with the request.
     pub fn exchange(&self, request: ServerRequest) -> Result<Maps, ServeError> {
-        self.check_range_supported(&request)?;
         // A full exchange is keyed as the body range 0..N, so it also
         // answers an equivalent sub-range request and vice versa.
         let cached = self.cache.as_ref().map(|cache| {
@@ -772,14 +673,14 @@ impl Defense for RemoteDefense {
     /// Ships the transmitted features to the remote server and returns the
     /// `N` per-network feature maps it sends back.
     ///
-    /// For an int8 replica on a v2 connection the exchange travels in
-    /// quantized frames: the features are quantized per sample exactly as
-    /// the in-process [`ensembler::QuantizedDefense`] would quantize them,
-    /// and the server evaluates the received bytes directly — so the remote
-    /// prediction is bit-identical to the in-process int8 one while the
-    /// response frame shrinks to roughly a quarter of its `f32` size.
+    /// For an int8 replica the exchange travels in quantized frames: the
+    /// features are quantized per sample exactly as the in-process
+    /// [`ensembler::QuantizedDefense`] would quantize them, and the server
+    /// evaluates the received bytes directly — so the remote prediction is
+    /// bit-identical to the in-process int8 one while the response frame
+    /// shrinks to roughly a quarter of its `f32` size.
     fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        if self.uses_quantized_frames() {
+        if self.local.precision() == Precision::Int8 {
             let qf = QTensorBatch::quantize_batch(transmitted);
             let qmaps = self.server_outputs_quantized(&qf)?;
             return Ok(qmaps.iter().map(QTensorBatch::dequantize).collect());
@@ -788,20 +689,14 @@ impl Defense for RemoteDefense {
         self.exchange(request)?.into_f32()
     }
 
-    /// The quantized stage itself, shipped directly when the connection
-    /// speaks v2 (used by engines that coalesce quantized work behind a
-    /// remote); on a v1 connection it falls back to `f32` frames around the
-    /// wire and re-quantizes the results.
+    /// The quantized stage itself, shipped in quantized frames (used by
+    /// engines that coalesce quantized work behind a remote).
     fn server_outputs_quantized(
         &self,
         transmitted: &QTensorBatch,
     ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        if self.peer.version >= 2 {
-            let request = ServerRequest::full(Features::Int8(transmitted.clone()));
-            return self.exchange(request)?.into_int8();
-        }
-        let maps = self.server_outputs(&transmitted.dequantize())?;
-        Ok(maps.iter().map(QTensorBatch::quantize_batch).collect())
+        let request = ServerRequest::full(Features::Int8(transmitted.clone()));
+        self.exchange(request)?.into_int8()
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

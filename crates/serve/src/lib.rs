@@ -5,17 +5,17 @@
 //! untrusted cloud server, which evaluates all `N` ensemble bodies and
 //! returns their feature maps. This crate makes that boundary real:
 //!
-//! * [`protocol`] — a versioned, length-framed binary protocol (magic,
-//!   version, message enum, CRC-32 checksums, exhaustive decode-error
-//!   handling), specified byte-for-byte in `docs/WIRE_PROTOCOL.md`.
-//!   Protocol v3 adds a model name to the handshake; protocol v4 adds the
-//!   sub-range requests a scatter-gather shard router fans out; protocol v5
-//!   adds a per-frame request id so one connection carries many concurrent
-//!   in-flight requests with out-of-order responses;
+//! * [`protocol`] — a length-framed binary protocol (magic, stamp, message
+//!   enum, CRC-32 checksums, exhaustive decode-error handling), specified
+//!   byte-for-byte in `docs/WIRE_PROTOCOL.md`. It has one version, 5: the
+//!   handshake may name a model, every request carries a request id so one
+//!   connection holds many concurrent in-flight requests with out-of-order
+//!   responses, and a shard router's sub-range requests are ordinary
+//!   requests; a peer offering less is refused with a typed error;
 //! * [`ModelRegistry`] — the model-name → pipeline map of a multi-model
 //!   server: one `Arc<dyn Defense>` plus one coalescing
 //!   [`ensembler::InferenceEngine`] per registered model *version*, with a
-//!   default model for legacy clients. Since PR 8 the registry is mutable on
+//!   default model for nameless hellos. Since PR 8 the registry is mutable on
 //!   a live server — [`ModelRegistry::swap`] hot-reloads a model with zero
 //!   dropped requests and [`ModelRegistry::set_canary`] splits its traffic
 //!   with a second version deterministically (`docs/MODEL_ARTIFACTS.md`

@@ -1,43 +1,36 @@
-//! The versioned, length-framed binary protocol spoken between
+//! The length-framed binary protocol spoken between
 //! [`RemoteDefense`](crate::RemoteDefense) and
-//! [`DefenseServer`](crate::DefenseServer).
+//! [`DefenseServer`](crate::DefenseServer): protocol version 5, the only
+//! version a connection can be.
 //!
 //! Every message travels in one frame:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     frame magic 0x454E5357 ("ENSW"), big-endian
-//! 4       2     protocol version of the frame, big-endian (see below)
+//! 4       2     frame stamp, big-endian (see below)
 //! 6       1     message type
 //! 7       1     flags (must be zero)
 //! 8       4     payload length in bytes, big-endian
-//! 12      8     request id, big-endian u64 — only in frames stamped ≥ 5
+//! 12      8     request id, big-endian u64 — present unless the frame is a
+//!               handshake message or a connection-level error
 //! 12|20   n     payload (layout depends on the message type)
 //! ...     4     CRC-32 (IEEE) over everything before it, big-endian
 //! ```
 //!
-//! Every frame is stamped with the **minimum** protocol version able to
-//! parse it ([`Message::wire_version`]): the plain handshake and all `f32`
-//! traffic travel in version-1 frames byte-identical to what a version-1
-//! build produces, the quantized message types added in version 2 travel in
-//! version-2 frames, a handshake that names a model (the multi-model
-//! extension of version 3) travels in a version-3 frame, and the sub-range
-//! request types used by the scatter-gather router (version 4) travel in
-//! version-4 frames — which is exactly what makes legacy peers reject only
-//! what they genuinely cannot understand, and lets mixed-version
-//! deployments negotiate down to the `f32` single-model exchange.
-//!
-//! Version 5 adds no message types; it adds the **tagged** frame for
-//! pipelined connection multiplexing. A frame stamped at or above
-//! [`TAGGED_WIRE_VERSION`] carries an 8-byte big-endian request id between
-//! the fixed header and the payload ([`encode_tagged`] / [`decode_tagged`]);
-//! the payload-length field still counts only the payload, and the CRC
-//! covers header, request id and payload alike. Tagging lets one connection
-//! hold many concurrent in-flight requests and return the responses out of
-//! order — each response echoes the id of the request it answers. Untagged
-//! messages keep their minimum-version stamp, so every pre-v5 byte stream is
-//! unchanged, and handshake messages are *never* tagged (multiplexing is a
-//! property of the connection, negotiated by the handshake itself).
+//! There is one stamping rule. A frame that carries a request id is stamped
+//! [`PROTOCOL_VERSION`] ([`encode_tagged`] with `Some(id)`): every request,
+//! every response and every error that answers one request. The id lets one
+//! connection hold many requests in flight and return their responses out of
+//! order — each response echoes the id of the request it answers; the
+//! payload-length field counts only the payload, and the CRC covers header,
+//! id and payload alike. The only frames without an id are the handshake
+//! ([`Message::Hello`], [`Message::HelloAck`] — never tagged: they are what
+//! agrees on the version) and an [`Message::Error`] that concerns the whole
+//! connection; those are stamped 1, or 3 when a handshake message carries a
+//! model name, exactly as they have been since those versions existed. A
+//! tensor-carrying frame without an id is not part of the protocol and is
+//! refused at decode.
 //!
 //! This module frames; it does not know what a tensor looks like. The
 //! tensors inside a payload are the blobs of [`ensembler::split`]
@@ -55,11 +48,12 @@
 //!
 //! ```
 //! use ensembler_serve::protocol::{decode_message, encode_message, Hello, Message};
+//! use ensembler_serve::protocol::PROTOCOL_VERSION;
 //!
-//! let frame = encode_message(&Message::Hello(Hello::legacy(1)));
+//! let frame = encode_message(&Message::Hello(Hello::legacy(PROTOCOL_VERSION)));
 //! assert_eq!(&frame[..4], &0x454E5357u32.to_be_bytes());
 //! match decode_message(&frame)? {
-//!     Message::Hello(hello) => assert_eq!(hello.max_version, 1),
+//!     Message::Hello(hello) => assert_eq!(hello.max_version, 5),
 //!     other => panic!("unexpected message {other:?}"),
 //! }
 //! # Ok::<(), ensembler_serve::ServeError>(())
@@ -75,46 +69,15 @@ use ensembler_tensor::{QTensorBatch, Tensor};
 /// Magic word opening every frame ("ENSW", for ENSembler Wire).
 pub const FRAME_MAGIC: u32 = 0x454E_5357;
 
-/// The highest protocol version this build speaks. Version 2 added the
-/// quantized message types [`MessageType::ServerOutputsRequestQ`] and
-/// [`MessageType::ServerOutputsResponseQ`]; version 3 added the optional
-/// model name carried by [`Hello`] and echoed by [`HelloAck`] — the
-/// multi-model handshake; version 4 added the sub-range request types
-/// [`MessageType::ServerOutputsRequestRange`] and
-/// [`MessageType::ServerOutputsRequestRangeQ`] used by the scatter-gather
-/// shard router; version 5 adds the tagged frame (an 8-byte request id in an
-/// extended header) for pipelined connection multiplexing. Every
-/// pre-existing frame is unchanged.
+/// The protocol version this build speaks — the only one: a [`Hello`]
+/// offering less is refused, a [`HelloAck`] pinning anything else is refused,
+/// and every frame that carries a request id is stamped with it.
 pub const PROTOCOL_VERSION: u16 = 5;
 
-/// The first protocol version whose frames carry a request id. A frame
-/// stamped at or above this version has the 8-byte extended header
-/// ([`REQUEST_ID_BYTES`]); a frame stamped below it never does. Tagged
-/// messages are stamped exactly this version — no taggable message type
-/// needs a newer frame.
-pub const TAGGED_WIRE_VERSION: u16 = 5;
-
-/// Returns the **minimum** protocol version that defines `message_type`.
-///
-/// Stamping the minimum (rather than the negotiated maximum) keeps every
-/// legacy frame byte-identical to what a version-1 build produces — a v1
-/// peer can parse everything a v2 peer sends it during negotiation, and
-/// naturally rejects the quantized types it cannot understand.
-///
-/// Version 3 adds no message *types*, only optional handshake *fields*, so
-/// this function never returns 3: the stamped version of a handshake frame
-/// additionally depends on its content ([`Message::wire_version`]). A
-/// `Hello`/`HelloAck` without a model name still travels in a version-1
-/// frame. Version 5 likewise adds no types — it is never returned here
-/// either; a frame is stamped [`TAGGED_WIRE_VERSION`] exactly when
-/// [`encode_tagged`] gives it a request id.
-pub fn frame_version(message_type: MessageType) -> u16 {
-    match message_type {
-        MessageType::ServerOutputsRequestRange | MessageType::ServerOutputsRequestRangeQ => 4,
-        MessageType::ServerOutputsRequestQ | MessageType::ServerOutputsResponseQ => 2,
-        _ => 1,
-    }
-}
+/// The stamp of a handshake frame that carries a model name (the version
+/// that introduced the name); every other frame without a request id is
+/// stamped 1.
+const NAMED_HANDSHAKE_STAMP: u16 = 3;
 
 /// Fixed frame header size: magic + version + type + flags + payload length.
 pub const FRAME_HEADER_BYTES: usize = 12;
@@ -122,9 +85,9 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 /// Fixed frame trailer size: the CRC-32 checksum.
 pub const FRAME_TRAILER_BYTES: usize = 4;
 
-/// Size of the request id in the extended header of a tagged
-/// (version ≥ [`TAGGED_WIRE_VERSION`]) frame: one big-endian `u64` between
-/// the fixed header and the payload.
+/// Size of the request id in the extended header of a tagged (stamped
+/// [`PROTOCOL_VERSION`]) frame: one big-endian `u64` between the fixed header
+/// and the payload.
 pub const REQUEST_ID_BYTES: usize = 8;
 
 /// Default cap on the payload length a peer will accept (64 MiB), protecting
@@ -138,7 +101,7 @@ pub const DEFAULT_MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 /// `crates/latency` computes expected frame sizes from this constant
 /// ([`ensembler_latency::NetworkCost::upload_frame_bytes`]); the
 /// `wire_cost_drift` test asserts those predictions equal the length of
-/// frames actually produced by [`encode_message`].
+/// frames actually produced by [`encode_tagged`].
 pub const WIRE_OVERHEAD: WireOverhead = WireOverhead {
     frame_bytes: (FRAME_HEADER_BYTES + FRAME_TRAILER_BYTES) as u64,
     // Tensor magic word + rank word (see `ensembler::split::encode_features`;
@@ -151,9 +114,9 @@ pub const WIRE_OVERHEAD: WireOverhead = WireOverhead {
     per_scale_bytes: 4,
     // Wire strings (model names, labels, error text) carry a u32 length.
     per_string_bytes: 4,
-    // Sub-range requests (v4) prefix the tensor with `lo` and `hi` u32s.
+    // Sub-range requests prefix the tensor with `lo` and `hi` u32s.
     range_header_bytes: 8,
-    // Tagged frames (v5) carry a u64 request id between header and payload.
+    // Tagged frames carry a u64 request id between header and payload.
     request_id_bytes: REQUEST_ID_BYTES as u64,
 };
 
@@ -169,21 +132,22 @@ pub enum MessageType {
     ServerOutputsRequest = 0x03,
     /// Server → client: the `N` per-network feature maps.
     ServerOutputsResponse = 0x04,
-    /// Client → server (v2): a quantized batch of transmitted feature maps
+    /// Client → server: a quantized batch of transmitted feature maps
     /// (`i8` payload plus per-sample scales).
     ServerOutputsRequestQ = 0x05,
-    /// Server → client (v2): the `N` quantized per-network feature maps.
+    /// Server → client: the `N` quantized per-network feature maps.
     ServerOutputsResponseQ = 0x06,
-    /// Client → server (v4): a batch of transmitted feature maps to
+    /// Client → server: a batch of transmitted feature maps to
     /// evaluate on the server bodies `lo..hi` only — the scatter half of
     /// sharded serving. Answered with a [`MessageType::ServerOutputsResponse`]
     /// carrying `hi - lo` maps.
     ServerOutputsRequestRange = 0x07,
-    /// Client → server (v4): the quantized sibling of
+    /// Client → server: the quantized sibling of
     /// [`MessageType::ServerOutputsRequestRange`], answered with a
     /// [`MessageType::ServerOutputsResponseQ`] carrying `hi - lo` maps.
     ServerOutputsRequestRangeQ = 0x08,
-    /// Either direction: a terminal or per-request error report.
+    /// Either direction: a per-request error report (tagged with the
+    /// request's id) or a connection-level one (untagged, terminal).
     Error = 0x7F,
 }
 
@@ -207,6 +171,11 @@ impl MessageType {
         })
     }
 
+    /// Whether this is a handshake message — the two that are never tagged.
+    fn is_handshake(self) -> bool {
+        matches!(self, MessageType::Hello | MessageType::HelloAck)
+    }
+
     /// The precision of the tensors a `ServerOutputs*` frame carries.
     fn precision(self) -> Precision {
         match self {
@@ -222,7 +191,8 @@ impl MessageType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
-    /// The peers share no protocol version.
+    /// The peers share no protocol version: a hello offered less than
+    /// [`PROTOCOL_VERSION`], or an ack pinned anything else.
     UnsupportedVersion = 1,
     /// A frame could not be parsed (bad magic, bad length, trailing bytes…).
     MalformedFrame = 2,
@@ -234,9 +204,9 @@ pub enum ErrorCode {
     Inference = 5,
     /// Any other server-side failure.
     Internal = 6,
-    /// The handshake requested a model name the server does not serve (v3).
+    /// The handshake requested a model name the server does not serve.
     UnknownModel = 7,
-    /// Admission control rejected the work (v3): accepting the request would
+    /// Admission control rejected the work: accepting the request would
     /// exceed an in-flight request/byte budget, or the server is at its
     /// connection limit. On a request rejection the connection stays open
     /// and the client may retry once earlier work drains — unless the
@@ -263,25 +233,25 @@ impl ErrorCode {
 }
 
 /// Payload of a [`Message::Hello`]: the highest protocol version the client
-/// can speak, and optionally (protocol v3) the name of the model it wants
-/// served. The server answers with the version both sides will use (the
-/// minimum of the two maxima) or an [`ErrorCode::UnsupportedVersion`] error.
+/// can speak, and optionally the name of the model it wants served. The
+/// server acks an offer of at least [`PROTOCOL_VERSION`] at
+/// [`PROTOCOL_VERSION`] and answers a lower one with an
+/// [`ErrorCode::UnsupportedVersion`] error and a hang-up.
 ///
-/// A hello without a model name encodes exactly as it did in version 1 and
-/// travels in a version-1 frame, so legacy peers keep working byte for byte;
-/// a hello *with* a model name travels in a version-3 frame. A server that
-/// receives no model name serves its process-default model.
+/// A hello without a model name travels in a frame stamped 1, a hello *with*
+/// one in a frame stamped 3. A server that receives no model name serves its
+/// process-default model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
     /// Highest protocol version the sender supports.
     pub max_version: u16,
-    /// Model the client requests from a multi-model server (v3); `None`
-    /// selects the server's default model and keeps the frame version-1.
+    /// Model the client requests from a multi-model server; `None` selects
+    /// the server's default model.
     pub model: Option<String>,
 }
 
 impl Hello {
-    /// A legacy hello: offer `max_version`, serve the default model.
+    /// A nameless hello: offer `max_version`, serve the default model.
     pub fn legacy(max_version: u16) -> Self {
         Self {
             max_version,
@@ -290,9 +260,10 @@ impl Hello {
     }
 }
 
-/// Payload of a [`Message::HelloAck`]: the negotiated version plus enough
-/// about the served pipeline for the client to check its local replica
-/// against.
+/// Payload of a [`Message::HelloAck`]: the version the connection speaks
+/// (always [`PROTOCOL_VERSION`] from this build; a client refuses anything
+/// else) plus enough about the served pipeline for the client to check its
+/// local replica against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloAck {
     /// The protocol version both sides will speak from now on.
@@ -303,9 +274,8 @@ pub struct HelloAck {
     pub ensemble_size: u32,
     /// Selected count `P` of the served pipeline.
     pub selected_count: u32,
-    /// The registry name of the model this connection is pinned to (v3).
-    /// Echoed only when the hello requested a model by name, so acks to
-    /// legacy clients stay byte-identical to a version-1 build's.
+    /// The registry name of the model this connection is pinned to. Echoed
+    /// only when the hello requested a model by name.
     pub model: Option<String>,
 }
 
@@ -338,22 +308,21 @@ pub enum Message {
         /// One `[B, F]` feature map per server body.
         maps: Vec<Tensor>,
     },
-    /// A quantized `[B, C, H, W]` batch of transmitted feature maps
-    /// (protocol v2): `i8` payload plus one scale per sample, roughly a
-    /// quarter of the equivalent [`Message::ServerOutputsRequest`] bytes.
+    /// A quantized `[B, C, H, W]` batch of transmitted feature maps: `i8`
+    /// payload plus one scale per sample, roughly a quarter of the
+    /// equivalent [`Message::ServerOutputsRequest`] bytes.
     ServerOutputsRequestQ {
         /// The quantized client-protected features.
         transmitted: QTensorBatch,
     },
-    /// The `N` quantized per-network feature maps, in index order
-    /// (protocol v2).
+    /// The `N` quantized per-network feature maps, in index order.
     ServerOutputsResponseQ {
         /// One quantized `[B, F]` feature map per server body.
         maps: Vec<QTensorBatch>,
     },
     /// A `[B, C, H, W]` batch of transmitted feature maps to evaluate on
-    /// the server bodies `lo..hi` only (protocol v4) — the scatter half of
-    /// sharded serving. The server answers with a
+    /// the server bodies `lo..hi` only — the scatter half of sharded
+    /// serving. The server answers with a
     /// [`Message::ServerOutputsResponse`] of `hi - lo` maps.
     ServerOutputsRequestRange {
         /// First server body index to evaluate (inclusive).
@@ -364,9 +333,8 @@ pub enum Message {
         /// [`ensembler::Defense::client_features`].
         transmitted: Tensor,
     },
-    /// The quantized sibling of [`Message::ServerOutputsRequestRange`]
-    /// (protocol v4), answered with a [`Message::ServerOutputsResponseQ`]
-    /// of `hi - lo` maps.
+    /// The quantized sibling of [`Message::ServerOutputsRequestRange`],
+    /// answered with a [`Message::ServerOutputsResponseQ`] of `hi - lo` maps.
     ServerOutputsRequestRangeQ {
         /// First server body index to evaluate (inclusive).
         lo: u32,
@@ -395,16 +363,12 @@ impl Message {
         }
     }
 
-    /// The version stamped into this message's frame: the minimum protocol
-    /// version able to parse it. Unlike [`frame_version`] this depends on
-    /// content, not just type — a handshake message carrying a model name
-    /// needs a version-3 frame, while the same message without one stays in
-    /// a version-1 frame a legacy peer can read.
-    pub fn wire_version(&self) -> u16 {
+    /// The stamp of this message's frame when it carries no request id.
+    fn untagged_stamp(&self) -> u16 {
         match self {
-            Message::Hello(hello) if hello.model.is_some() => 3,
-            Message::HelloAck(ack) if ack.model.is_some() => 3,
-            other => frame_version(other.message_type()),
+            Message::Hello(Hello { model: Some(_), .. })
+            | Message::HelloAck(HelloAck { model: Some(_), .. }) => NAMED_HANDSHAKE_STAMP,
+            _ => 1,
         }
     }
 }
@@ -526,40 +490,41 @@ impl Message {
 /// A decoded frame: the message plus the request id its frame carried, if
 /// any.
 ///
-/// Produced by [`decode_tagged`] / [`read_tagged`]. The lockstep
-/// [`decode_message`] / [`read_message`] refuse tagged frames with a typed
-/// error instead of silently dropping the id, so a response a multiplexing
-/// peer is waiting on can never be misread as a lockstep answer.
+/// Produced by [`decode_tagged`] / [`read_tagged`]. The untagged-only
+/// [`decode_message`] / [`read_message`] (what a handshake reads with) refuse
+/// tagged frames with a typed error instead of silently dropping the id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaggedMessage {
     /// The protocol message the frame carried.
     pub message: Message,
     /// The request id from the frame's extended header — `Some` exactly when
-    /// the frame was stamped version [`TAGGED_WIRE_VERSION`] or newer.
+    /// the frame was stamped [`PROTOCOL_VERSION`]; `None` only for a
+    /// handshake message or a connection-level error.
     pub request_id: Option<u64>,
 }
 
 impl TaggedMessage {
-    /// The message of a frame read where only untagged frames are legal (a
-    /// lockstep connection, a handshake).
+    /// The message of a frame read where only untagged frames are legal (the
+    /// handshake).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Frame`] for a tagged frame: a request id a
-    /// multiplexing peer is waiting on must never be silently discarded.
+    /// Returns [`ServeError::Frame`] for a tagged frame: a request id the
+    /// peer is waiting on must never be silently discarded.
     pub fn into_untagged(self) -> Result<Message, ServeError> {
         match self.request_id {
             Some(_) => Err(ServeError::Frame(
-                "unexpected tagged (version-5) frame on a lockstep connection".to_string(),
+                "unexpected tagged (version-5) frame where only an untagged one is legal"
+                    .to_string(),
             )),
             None => Ok(self.message),
         }
     }
 }
 
-/// Encodes one message into a complete untagged frame (header, payload,
-/// checksum): [`encode_tagged`] with no request id, byte-identical to what
-/// every pre-v5 build produces.
+/// Encodes a handshake message or a connection-level error into a complete
+/// untagged frame (header, payload, checksum): [`encode_tagged`] with no
+/// request id.
 pub fn encode_message(message: &Message) -> Vec<u8> {
     encode_tagged(message, None)
 }
@@ -567,16 +532,19 @@ pub fn encode_message(message: &Message) -> Vec<u8> {
 /// Encodes one message into a complete frame, optionally tagged with a
 /// request id.
 ///
-/// With `request_id: None` this is the classic minimum-version encoding.
-/// With `Some(id)` the frame is stamped [`TAGGED_WIRE_VERSION`] and carries
+/// With `Some(id)` the frame is stamped [`PROTOCOL_VERSION`] and carries
 /// `id` as an 8-byte big-endian word between the fixed header and the
 /// payload; the payload-length field still counts only the payload, and the
-/// CRC covers header, id and payload alike.
+/// CRC covers header, id and payload alike. With `None` the frame has no id
+/// word and is stamped 1 (3 when a handshake message names a model).
 ///
-/// Handshake messages are never tagged — [`decode_tagged`] rejects such
-/// frames — so tagging a [`Message::Hello`] or [`Message::HelloAck`] here is
-/// a programming error (it panics in debug builds and produces an
-/// undecodable frame in release builds).
+/// Handshake messages are never tagged and tensor-carrying messages always
+/// are — [`decode_tagged`] rejects the other combinations — so tagging a
+/// [`Message::Hello`] or [`Message::HelloAck`], or encoding a
+/// `ServerOutputs*` message with `None`, is a programming error (it panics
+/// in debug builds and produces an undecodable frame in release builds).
+/// [`Message::Error`] alone exists in both forms: tagged it fails one
+/// request, untagged the whole connection.
 pub fn encode_tagged(message: &Message, request_id: Option<u64>) -> Vec<u8> {
     let mut frame = Vec::new();
     encode_tagged_into(&mut frame, message, request_id);
@@ -603,12 +571,13 @@ fn recycle(frame: &mut Vec<u8>) {
 /// buffer pays for its allocation once, not per message.
 pub fn encode_tagged_into(frame: &mut Vec<u8>, message: &Message, request_id: Option<u64>) {
     debug_assert!(
-        request_id.is_none() || !matches!(message, Message::Hello(_) | Message::HelloAck(_)),
-        "handshake messages are never tagged"
+        matches!(message, Message::Error(_))
+            || request_id.is_some() != message.message_type().is_handshake(),
+        "handshake messages are never tagged, tensor-carrying messages always are"
     );
     let version = match request_id {
-        Some(_) => TAGGED_WIRE_VERSION.max(message.wire_version()),
-        None => message.wire_version(),
+        Some(_) => PROTOCOL_VERSION,
+        None => message.untagged_stamp(),
     };
     recycle(frame);
     put_u32(frame, FRAME_MAGIC);
@@ -659,24 +628,24 @@ pub fn encode_tagged_into(frame: &mut Vec<u8>, message: &Message, request_id: Op
 ///
 /// # Errors
 ///
-/// As for [`decode_tagged`], plus [`ServeError::Frame`] for a tagged
-/// (version ≥ 5) frame — a lockstep code path must never silently discard a
-/// request id a multiplexing peer is waiting on.
+/// As for [`decode_tagged`], plus [`ServeError::Frame`] for a tagged frame —
+/// a request id the peer is waiting on must never be silently discarded.
 pub fn decode_message(frame: &[u8]) -> Result<Message, ServeError> {
     decode_tagged(frame)?.into_untagged()
 }
 
-/// Decodes one complete frame produced by [`encode_tagged`] (or, for
-/// untagged frames, [`encode_message`]), returning the message together with
-/// the request id of a version-5 extended header when the frame carries one.
+/// Decodes one complete frame produced by [`encode_tagged`], returning the
+/// message together with the request id of its extended header when the
+/// frame carries one.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Frame`] for any structural problem (bad magic,
 /// unknown type, non-zero flags, truncation, trailing bytes, malformed
-/// tensors, a tagged handshake), [`ServeError::UnsupportedVersion`] for a
-/// version this build cannot parse, and [`ServeError::Checksum`] when the
-/// CRC-32 disagrees.
+/// tensors, a tagged handshake, a tensor-carrying frame without a request
+/// id), [`ServeError::UnsupportedVersion`] for a stamp outside
+/// `1..=PROTOCOL_VERSION`, and [`ServeError::Checksum`] when the CRC-32
+/// disagrees.
 pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
     if frame.len() < FRAME_HEADER_BYTES + FRAME_TRAILER_BYTES {
         return Err(ServeError::Frame(format!(
@@ -700,23 +669,21 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
     }
     let type_byte = header.u8("frame header")?;
     let message_type = MessageType::from_byte(type_byte)?;
-    if frame_version(message_type) > version {
-        return Err(ServeError::Frame(format!(
-            "message type {type_byte:#04x} requires protocol version {}, frame is stamped {version}",
-            frame_version(message_type)
-        )));
-    }
     let flags = header.u8("frame header")?;
     if flags != 0 {
         return Err(ServeError::Frame(format!(
             "non-zero flags {flags:#04x} in a version-{version} frame"
         )));
     }
-    let tagged = version >= TAGGED_WIRE_VERSION;
-    if tagged && matches!(message_type, MessageType::Hello | MessageType::HelloAck) {
+    // The stamp alone says whether an id follows the fixed header; the one
+    // stamping rule says which message types may travel in which form.
+    let tagged = version == PROTOCOL_VERSION;
+    let handshake = message_type.is_handshake();
+    if tagged == handshake && message_type != MessageType::Error {
         return Err(ServeError::Frame(format!(
-            "handshake message type {type_byte:#04x} is never tagged, but the frame is stamped \
-             version {version}"
+            "message type {type_byte:#04x} is {} tagged with a request id, but the frame is \
+             stamped version {version}",
+            if handshake { "never" } else { "always" }
         )));
     }
     let id_bytes = if tagged { REQUEST_ID_BYTES } else { 0 };
@@ -743,9 +710,10 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
     let message = match message_type {
         MessageType::Hello => {
             let max_version = reader.u16("Hello payload")?;
-            // The optional model name is a version-3 construct; in an older
-            // frame any extra bytes fall through to the trailing-bytes error.
-            let model = if version >= 3 && reader.remaining() != 0 {
+            // A model name is legal only in a frame stamped for it; in an
+            // older frame any extra bytes fall through to the trailing-bytes
+            // error.
+            let model = if version >= NAMED_HANDSHAKE_STAMP && reader.remaining() != 0 {
                 Some(reader.string("Hello model name")?)
             } else {
                 None
@@ -758,7 +726,7 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
             let label = reader.string("HelloAck label")?;
             let ensemble_size = reader.u32("HelloAck payload")?;
             let selected_count = reader.u32("HelloAck payload")?;
-            let model = if version >= 3 && reader.remaining() != 0 {
+            let model = if version >= NAMED_HANDSHAKE_STAMP && reader.remaining() != 0 {
                 Some(reader.string("HelloAck model name")?)
             } else {
                 None
@@ -809,7 +777,8 @@ pub fn decode_tagged(frame: &[u8]) -> Result<TaggedMessage, ServeError> {
     })
 }
 
-/// Writes one framed message to `writer` and flushes it.
+/// Writes one untagged frame — a handshake message or a connection-level
+/// error — to `writer` and flushes it.
 ///
 /// # Errors
 ///
@@ -873,10 +842,10 @@ pub fn read_message(
 /// refusing payloads longer than `max_payload_bytes` before allocating for
 /// them.
 ///
-/// The version stamp in the fixed header decides whether an 8-byte request
-/// id follows it: only versions this build understands are given the
-/// extended header, so an unknown future version is rejected by
-/// [`decode_tagged`] without guessing at its header shape.
+/// The stamp in the fixed header decides whether an 8-byte request id follows
+/// it: only [`PROTOCOL_VERSION`] is given the extended header, so an unknown
+/// future version is rejected by [`decode_tagged`] without guessing at its
+/// header shape.
 ///
 /// # Errors
 ///
@@ -910,7 +879,7 @@ pub fn read_tagged_into(
             "declared payload of {payload_len} bytes exceeds the {max_payload_bytes}-byte limit"
         )));
     }
-    let id_bytes = if (TAGGED_WIRE_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    let id_bytes = if version == PROTOCOL_VERSION {
         REQUEST_ID_BYTES
     } else {
         0
@@ -929,8 +898,22 @@ pub fn read_tagged_into(
 mod tests {
     use super::*;
 
+    /// Through the codec and back, in the one form the message travels in:
+    /// the handshake untagged, everything else with a request id.
     fn round_trip(message: Message) -> Message {
-        decode_message(&encode_message(&message)).expect("round trip")
+        let request_id = (!message.message_type().is_handshake()).then_some(9);
+        let tagged = decode_tagged(&encode_tagged(&message, request_id)).expect("round trip");
+        assert_eq!(tagged.request_id, request_id);
+        tagged.message
+    }
+
+    /// Rewrites the stamp of `frame` and re-stamps its checksum, so the
+    /// check under test — not the CRC — is what fires.
+    fn restamp(frame: &mut [u8], version: u16) {
+        frame[4..6].copy_from_slice(&version.to_be_bytes());
+        let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
+        let crc = crc32(&frame[..crc_offset]);
+        frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
     }
 
     #[test]
@@ -976,28 +959,10 @@ mod tests {
     }
 
     #[test]
-    fn quantized_messages_round_trip_in_version_2_frames() {
-        let transmitted = QTensorBatch::quantize_batch(&Tensor::from_fn(&[2, 3, 4, 4], |i| {
-            (i as f32 * 0.1).sin()
-        }));
-        let request = Message::ServerOutputsRequestQ {
-            transmitted: transmitted.clone(),
-        };
-        let frame = encode_message(&request);
-        assert_eq!(&frame[4..6], &2u16.to_be_bytes(), "v2 frame stamp");
-        assert_eq!(round_trip(request.clone()), request);
-
-        let maps: Vec<QTensorBatch> = (0..3)
-            .map(|k| QTensorBatch::quantize_batch(&Tensor::from_fn(&[2, 5], |i| (i + k) as f32)))
-            .collect();
-        let response = Message::ServerOutputsResponseQ { maps };
-        assert_eq!(round_trip(response.clone()), response);
-    }
-
-    #[test]
     fn legacy_messages_stay_in_version_1_frames() {
-        // Byte-level compatibility: everything a v1 build understands is
-        // still stamped v1, so a v1 peer can parse it.
+        // The frames without a request id — the nameless handshake and a
+        // connection-level error — keep the stamp version 1 gave them: those
+        // bytes open (or end) every connection.
         for message in [
             Message::Hello(Hello::legacy(2)),
             Message::HelloAck(HelloAck {
@@ -1007,9 +972,6 @@ mod tests {
                 selected_count: 1,
                 model: None,
             }),
-            Message::ServerOutputsRequest {
-                transmitted: Tensor::ones(&[1, 1, 2, 2]),
-            },
             Message::Error(WireError {
                 code: ErrorCode::Internal,
                 message: "x".to_string(),
@@ -1058,10 +1020,7 @@ mod tests {
             }),
         ] {
             let mut frame = encode_message(&message);
-            frame[4..6].copy_from_slice(&2u16.to_be_bytes());
-            let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
-            let crc = crc32(&frame[..crc_offset]);
-            frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
+            restamp(&mut frame, 2);
             let err = decode_message(&frame).unwrap_err();
             assert!(
                 err.to_string().contains("requires a version-3 frame"),
@@ -1074,8 +1033,7 @@ mod tests {
     fn new_error_codes_round_trip_and_degrade_gracefully() {
         assert_eq!(ErrorCode::from_u16(7), ErrorCode::UnknownModel);
         assert_eq!(ErrorCode::from_u16(8), ErrorCode::Overloaded);
-        // Error frames stay version-1, so a legacy peer parses the frame and
-        // maps the unknown code to Internal instead of choking on it.
+        // An untagged error frame is stamped 1 whatever its code.
         let message = Message::Error(WireError {
             code: ErrorCode::Overloaded,
             message: "budget".to_string(),
@@ -1086,38 +1044,22 @@ mod tests {
     }
 
     #[test]
-    fn range_requests_round_trip_in_version_4_frames() {
-        let transmitted = Tensor::from_fn(&[2, 3, 4, 4], |i| (i as f32 * 0.1).cos());
-        let request = Message::ServerOutputsRequestRange {
-            lo: 2,
-            hi: 5,
-            transmitted: transmitted.clone(),
-        };
-        let frame = encode_message(&request);
-        assert_eq!(&frame[4..6], &4u16.to_be_bytes(), "v4 frame stamp");
-        assert_eq!(round_trip(request.clone()), request);
-
-        let qrequest = Message::ServerOutputsRequestRangeQ {
-            lo: 0,
-            hi: 2,
-            transmitted: QTensorBatch::quantize_batch(&transmitted),
-        };
-        let frame = encode_message(&qrequest);
-        assert_eq!(&frame[4..6], &4u16.to_be_bytes(), "v4 frame stamp");
-        assert_eq!(round_trip(qrequest.clone()), qrequest);
-    }
-
-    #[test]
     fn range_requests_cost_exactly_one_range_header_over_the_full_request() {
         let transmitted = Tensor::ones(&[2, 3, 4, 4]);
-        let full = encode_message(&Message::ServerOutputsRequest {
-            transmitted: transmitted.clone(),
-        });
-        let ranged = encode_message(&Message::ServerOutputsRequestRange {
-            lo: 1,
-            hi: 3,
-            transmitted,
-        });
+        let full = encode_tagged(
+            &Message::ServerOutputsRequest {
+                transmitted: transmitted.clone(),
+            },
+            Some(1),
+        );
+        let ranged = encode_tagged(
+            &Message::ServerOutputsRequestRange {
+                lo: 1,
+                hi: 3,
+                transmitted,
+            },
+            Some(1),
+        );
         assert_eq!(
             ranged.len() as u64,
             full.len() as u64 + WIRE_OVERHEAD.range_header_bytes
@@ -1125,74 +1067,62 @@ mod tests {
     }
 
     #[test]
-    fn range_requests_are_rejected_in_pre_v4_frames() {
-        let transmitted = Tensor::ones(&[1, 1, 2, 2]);
+    fn tensor_frames_without_a_request_id_are_rejected() {
+        // What a version 1–4 peer used to send: any tensor-carrying message
+        // in a frame with no id word, under every stamp that has none.
+        let t = Tensor::ones(&[1, 1, 2, 2]);
+        let q = QTensorBatch::quantize_batch(&t);
         for message in [
-            Message::ServerOutputsRequestRange {
-                lo: 0,
-                hi: 1,
-                transmitted: transmitted.clone(),
-            },
-            Message::ServerOutputsRequestRangeQ {
-                lo: 0,
-                hi: 1,
-                transmitted: QTensorBatch::quantize_batch(&transmitted),
-            },
+            ServerRequest::full(Features::F32(t.clone())).into(),
+            ServerRequest::full(Features::Int8(q.clone())).into(),
+            ServerRequest::ranged(0..1, Features::F32(t.clone())).into(),
+            ServerRequest::ranged(0..1, Features::Int8(q.clone())).into(),
+            Maps::F32(vec![t.clone()]).into(),
+            Maps::Int8(vec![q.clone()]).into(),
         ] {
-            let mut frame = encode_message(&message);
-            frame[4..6].copy_from_slice(&3u16.to_be_bytes());
-            let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
-            let crc = crc32(&frame[..crc_offset]);
-            frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
-            let err = decode_message(&frame).unwrap_err();
-            assert!(
-                err.to_string().contains("requires protocol version 4"),
-                "{err}"
-            );
+            let tagged = encode_tagged(&message, Some(7));
+            for stamp in 1..PROTOCOL_VERSION {
+                let mut frame = tagged.clone();
+                frame.drain(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + REQUEST_ID_BYTES);
+                restamp(&mut frame, stamp);
+                match decode_tagged(&frame) {
+                    Err(ServeError::Frame(reason)) => {
+                        assert!(reason.contains("always tagged"), "{reason}");
+                    }
+                    other => panic!("{message:?} stamped {stamp}: {other:?}"),
+                }
+            }
         }
-    }
-
-    #[test]
-    fn quantized_types_are_rejected_in_version_1_frames() {
-        let q = QTensorBatch::quantize_batch(&Tensor::ones(&[1, 1, 2, 2]));
-        let mut frame = encode_message(&Message::ServerOutputsRequestQ { transmitted: q });
-        frame[4..6].copy_from_slice(&1u16.to_be_bytes());
-        let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
-        let crc = crc32(&frame[..crc_offset]);
-        frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
-        let err = decode_message(&frame).unwrap_err();
-        assert!(
-            err.to_string().contains("requires protocol version 2"),
-            "{err}"
-        );
     }
 
     #[test]
     fn truncated_and_garbage_scale_fields_are_rejected() {
         let q = QTensorBatch::quantize_batch(&Tensor::from_fn(&[2, 4], |i| i as f32 + 1.0));
-        let good = encode_message(&Message::ServerOutputsRequestQ {
-            transmitted: q.clone(),
-        });
+        let good = encode_tagged(
+            &Message::ServerOutputsRequestQ {
+                transmitted: q.clone(),
+            },
+            Some(1),
+        );
+        let payload_offset = FRAME_HEADER_BYTES + REQUEST_ID_BYTES;
 
         // Truncate inside the scale section: drop the last data bytes so the
         // payload ends mid-scale, re-stamp length and CRC so framing is valid.
         let cut = 8; // removes all 8 i8 values: payload now ends inside scales
         let mut frame = good[..good.len() - FRAME_TRAILER_BYTES - cut].to_vec();
-        let payload_len = (frame.len() - FRAME_HEADER_BYTES) as u32;
+        let payload_len = (frame.len() - payload_offset) as u32;
         frame[8..12].copy_from_slice(&payload_len.to_be_bytes());
         let crc = crc32(&frame);
         frame.extend_from_slice(&crc.to_be_bytes());
-        let err = decode_message(&frame).unwrap_err();
+        let err = decode_tagged(&frame).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
 
         // Garbage scale: an infinite per-sample scale must be rejected.
         let mut frame = good;
-        let scale_offset = FRAME_HEADER_BYTES + 4 + 4 + 2 * 4;
+        let scale_offset = payload_offset + 4 + 4 + 2 * 4;
         frame[scale_offset..scale_offset + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
-        let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
-        let crc = crc32(&frame[..crc_offset]);
-        frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
-        let err = decode_message(&frame).unwrap_err();
+        restamp(&mut frame, PROTOCOL_VERSION);
+        let err = decode_tagged(&frame).unwrap_err();
         assert!(err.to_string().contains("finite"), "{err}");
     }
 
@@ -1222,13 +1152,16 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_the_checksum() {
-        let mut frame = encode_message(&Message::ServerOutputsRequest {
-            transmitted: Tensor::ones(&[1, 2, 2, 2]),
-        });
-        let byte = FRAME_HEADER_BYTES + 10;
+        let mut frame = encode_tagged(
+            &Message::ServerOutputsRequest {
+                transmitted: Tensor::ones(&[1, 2, 2, 2]),
+            },
+            Some(1),
+        );
+        let byte = FRAME_HEADER_BYTES + REQUEST_ID_BYTES + 10;
         frame[byte] ^= 0x01;
         assert!(matches!(
-            decode_message(&frame),
+            decode_tagged(&frame),
             Err(ServeError::Checksum { .. })
         ));
     }
@@ -1284,24 +1217,9 @@ mod tests {
 
     #[test]
     fn absurd_tensor_count_is_rejected_before_allocating() {
-        // Untagged frame (stamped with the newest version that carries no
-        // request id) …
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
-        frame.extend_from_slice(&(TAGGED_WIRE_VERSION - 1).to_be_bytes());
-        frame.push(MessageType::ServerOutputsResponse as u8);
-        frame.push(0);
-        frame.extend_from_slice(&4u32.to_be_bytes());
-        frame.extend_from_slice(&u32::MAX.to_be_bytes()); // tensor count
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_be_bytes());
-        let err = decode_message(&frame).unwrap_err();
-        assert!(err.to_string().contains("tensors"), "{err}");
-
-        // … and its tagged twin hit the same allocation guard.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
-        frame.extend_from_slice(&TAGGED_WIRE_VERSION.to_be_bytes());
+        frame.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
         frame.push(MessageType::ServerOutputsResponse as u8);
         frame.push(0);
         frame.extend_from_slice(&4u32.to_be_bytes());
@@ -1315,14 +1233,19 @@ mod tests {
 
     #[test]
     fn read_message_enforces_the_payload_cap() {
-        let frame = encode_message(&Message::ServerOutputsRequest {
-            transmitted: Tensor::ones(&[1, 4, 8, 8]),
-        });
-        let mut reader = frame.as_slice();
-        let err = read_message(&mut reader, 16).unwrap_err();
+        // The handshake reader and the request reader share the check.
+        let hello = encode_message(&Message::Hello(Hello::legacy(PROTOCOL_VERSION)));
+        let err = read_message(&mut hello.as_slice(), 1).unwrap_err();
         assert!(err.to_string().contains("limit"), "{err}");
-        let mut reader = frame.as_slice();
-        assert!(read_message(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES).is_ok());
+        assert!(read_message(&mut hello.as_slice(), DEFAULT_MAX_PAYLOAD_BYTES).is_ok());
+
+        let request = Message::ServerOutputsRequest {
+            transmitted: Tensor::ones(&[1, 4, 8, 8]),
+        };
+        let frame = encode_tagged(&request, Some(1));
+        let err = read_tagged(&mut frame.as_slice(), 16).unwrap_err();
+        assert!(err.to_string().contains("limit"), "{err}");
+        assert!(read_tagged(&mut frame.as_slice(), DEFAULT_MAX_PAYLOAD_BYTES).is_ok());
     }
 
     #[test]
@@ -1365,11 +1288,7 @@ mod tests {
         for (k, message) in messages.into_iter().enumerate() {
             let id = u64::MAX - k as u64;
             let frame = encode_tagged(&message, Some(id));
-            assert_eq!(
-                &frame[4..6],
-                &TAGGED_WIRE_VERSION.to_be_bytes(),
-                "{message:?}"
-            );
+            assert_eq!(&frame[4..6], &PROTOCOL_VERSION.to_be_bytes(), "{message:?}");
             let tagged = decode_tagged(&frame).expect("tagged round trip");
             assert_eq!(tagged.request_id, Some(id));
             assert_eq!(tagged.message, message);
@@ -1378,9 +1297,11 @@ mod tests {
 
     #[test]
     fn tagging_costs_exactly_the_request_id_bytes() {
-        let message = Message::ServerOutputsRequest {
-            transmitted: Tensor::ones(&[2, 3, 4, 4]),
-        };
+        // The one message that exists in both forms.
+        let message = Message::Error(WireError {
+            code: ErrorCode::Overloaded,
+            message: "budget".to_string(),
+        });
         let untagged = encode_message(&message);
         let tagged = encode_tagged(&message, Some(7));
         assert_eq!(tagged.len(), untagged.len() + REQUEST_ID_BYTES);
@@ -1421,7 +1342,7 @@ mod tests {
         // rejects it before touching the payload.
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
-        frame.extend_from_slice(&TAGGED_WIRE_VERSION.to_be_bytes());
+        frame.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
         frame.push(MessageType::Hello as u8);
         frame.push(0);
         frame.extend_from_slice(&2u32.to_be_bytes());
@@ -1445,7 +1366,7 @@ mod tests {
         assert_eq!(tagged.message, message);
         assert!(reader.is_empty(), "the whole frame is consumed");
         // An untagged frame travels through the same reader unchanged.
-        let frame = encode_message(&message);
+        let frame = encode_message(&Message::Hello(Hello::legacy(PROTOCOL_VERSION)));
         let mut reader = frame.as_slice();
         let tagged = read_tagged(&mut reader, DEFAULT_MAX_PAYLOAD_BYTES).expect("read untagged");
         assert_eq!(tagged.request_id, None);
@@ -1563,10 +1484,14 @@ mod tests {
     fn wire_overhead_constant_matches_the_encoder() {
         // Upload: one rank-4 tensor.
         let transmitted = Tensor::ones(&[2, 3, 4, 4]);
-        let frame = encode_message(&Message::ServerOutputsRequest {
-            transmitted: transmitted.clone(),
-        });
+        let frame = encode_tagged(
+            &Message::ServerOutputsRequest {
+                transmitted: transmitted.clone(),
+            },
+            Some(1),
+        );
         let expected = WIRE_OVERHEAD.frame_bytes
+            + WIRE_OVERHEAD.request_id_bytes
             + WIRE_OVERHEAD.tensor_base_bytes
             + 4 * WIRE_OVERHEAD.per_dim_bytes
             + 4 * transmitted.len() as u64;
@@ -1574,12 +1499,18 @@ mod tests {
 
         // Return: a list of rank-2 tensors.
         let maps: Vec<Tensor> = (0..3).map(|_| Tensor::ones(&[2, 5])).collect();
-        let frame = encode_message(&Message::ServerOutputsResponse { maps: maps.clone() });
+        let frame = encode_tagged(
+            &Message::ServerOutputsResponse { maps: maps.clone() },
+            Some(1),
+        );
         let per_tensor = WIRE_OVERHEAD.per_tensor_prefix_bytes
             + WIRE_OVERHEAD.tensor_base_bytes
             + 2 * WIRE_OVERHEAD.per_dim_bytes
             + 4 * maps[0].len() as u64;
-        let expected = WIRE_OVERHEAD.frame_bytes + WIRE_OVERHEAD.list_header_bytes + 3 * per_tensor;
+        let expected = WIRE_OVERHEAD.frame_bytes
+            + WIRE_OVERHEAD.request_id_bytes
+            + WIRE_OVERHEAD.list_header_bytes
+            + 3 * per_tensor;
         assert_eq!(frame.len() as u64, expected);
     }
 }

@@ -2,11 +2,10 @@
 //! [`DefenseServer`](crate::DefenseServer), mutable on a live server.
 //!
 //! One server process hosts any number of [`Defense`] pipelines, each behind
-//! its own coalescing [`InferenceEngine`]. The protocol-v3 handshake carries
-//! the model name a client wants; legacy (v1/v2) clients, which cannot name
-//! a model, are pinned to the registry's **default** model, so a registry
-//! with one model behaves exactly like the single-model servers of earlier
-//! protocol versions.
+//! its own coalescing [`InferenceEngine`]. The handshake carries the model
+//! name a client wants; a client that names none is pinned to the registry's
+//! **default** model, so a registry with one model behaves exactly like a
+//! single-model server.
 //!
 //! Engines are per model *version* on purpose: requests for the same version
 //! coalesce into shared mini-batches across connections, while requests for
@@ -367,7 +366,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns an error for an unknown name, or for the default model —
-    /// legacy clients depend on it, so it can be swapped but never removed.
+    /// nameless hellos depend on it, so it can be swapped but never removed.
     pub fn remove(&self, name: &str) -> Result<(), ServeError> {
         if name == self.default_name {
             return Err(ServeError::Registry(format!(
@@ -534,7 +533,7 @@ impl ModelRegistry {
             .map(Arc::clone)
     }
 
-    /// The name legacy (pre-v3) connections and nameless hellos resolve to.
+    /// The name nameless hellos resolve to.
     pub fn default_name(&self) -> &str {
         &self.default_name
     }

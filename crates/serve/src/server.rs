@@ -4,9 +4,10 @@
 //! sockets.
 //!
 //! Each accepted connection gets a reader thread that speaks the framed
-//! protocol of [`crate::protocol`]. The handshake pins the connection to one
-//! registered model (protocol-v3 clients name it, legacy clients get the
-//! default model). From then on there is **one request loop**: every request
+//! protocol of [`crate::protocol`]. The handshake refuses any offer below
+//! [`PROTOCOL_VERSION`] with a typed error and pins the connection to one
+//! registered model (the one the hello names, else the default model). From
+//! then on there is **one request loop**: every request
 //! frame — `f32` or quantized, whole ensemble or sub-range — becomes one
 //! [`ensembler::ServerRequest`], is admitted, routed and begun on the reader
 //! thread in arrival order; single-sample requests go through that model's
@@ -14,16 +15,13 @@
 //! *different* connections coalesce into joint mini-batches exactly like
 //! local callers do, while pre-batched requests run directly.
 //!
-//! How a request is *answered* depends only on whether its frame carried a
-//! request id. A tagged request (legal once the connection negotiated
-//! protocol v5) is handed to the engine with a ticket and the connection's
-//! answer channel, and answered by the connection's one writer thread with
-//! the same id — out of order whenever the work finishes out of order, and
-//! with no thread created per request. An untagged request is answered in
-//! place before the next frame is read. A connection at v4 or below can only
-//! send the latter (a tagged frame there is a typed malformed-frame error),
-//! which makes it the lockstep one-request-then-its-response exchange of
-//! protocol v1–v4, byte for byte.
+//! Every request carries a request id. It is handed to the engine with a
+//! ticket and the connection's answer channel, and answered by the
+//! connection's one writer thread with the same id — out of order whenever
+//! the work finishes out of order, and with no thread created per request;
+//! the reader thread never waits on inference. A request frame without an id
+//! does not decode, which is a connection-level `MalformedFrame` error: the
+//! connection closes once the requests already in flight are answered.
 //!
 //! Before any request reaches an engine it must pass **admission control**
 //! ([`AdmissionConfig`]): a budget on in-flight requests and bytes, per
@@ -35,7 +33,7 @@
 use crate::error::ServeError;
 use crate::protocol::{
     read_message, read_tagged_into, write_message, write_tagged_into, ErrorCode, HelloAck, Message,
-    TaggedMessage, WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
+    TaggedMessage, WireError, DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{route_key, ModelRegistry, ModelSlot, ModelStats};
 use ensembler::{
@@ -58,16 +56,13 @@ use std::thread::JoinHandle;
 /// admitted request (`f32` elements at 4 bytes, quantized elements at
 /// 1 byte plus one 4-byte scale per sample).
 ///
-/// On a multiplexed (protocol-v5) connection many requests are in flight at
-/// once, so the per-connection *request* budget is what bounds how deep one
-/// client may pipeline (a connection costs two threads, its reader and its
-/// writer, however many requests it has in flight). The per-connection
-/// *byte* budget caps the payload those in-flight requests may hold between
-/// them (and therefore the largest single request), independent of the
-/// parse-level
-/// [`ServerConfig::max_payload_bytes`] cap. On a lockstep (v1–v4)
-/// connection the reader still processes requests strictly one at a time,
-/// so only the byte budget ever fires there.
+/// A connection holds many requests in flight at once, so the
+/// per-connection *request* budget is what bounds how deep one client may
+/// pipeline (a connection costs two threads, its reader and its writer,
+/// however many requests it has in flight). The per-connection *byte* budget
+/// caps the payload those in-flight requests may hold between them (and
+/// therefore the largest single request), independent of the parse-level
+/// [`ServerConfig::max_payload_bytes`] cap.
 ///
 /// # Examples
 ///
@@ -277,8 +272,8 @@ struct Admission {
 }
 
 /// Per-connection in-flight counters. The reader thread is the only
-/// admitter, but on a multiplexed connection the *releases* come from the
-/// connection's writer thread, so the counters are atomics.
+/// admitter, but the *releases* come from the connection's writer thread, so
+/// the counters are atomics.
 #[derive(Debug, Default)]
 struct ConnectionBudget {
     requests: AtomicU64,
@@ -420,8 +415,7 @@ impl ConnectionTable {
 /// [`ModelRegistry`].
 ///
 /// Binding spawns an accept loop; each connection then costs one reader
-/// thread and — once it negotiated the multiplexed protocol v5 — one writer
-/// thread, and no thread per request.
+/// thread and one writer thread, and no thread per request.
 /// [`DefenseServer::shutdown`] drains gracefully: it stops accepting, lets
 /// every in-flight request finish and answers it, then joins all connection
 /// threads. Merely dropping the server only stops accepting new connections
@@ -471,7 +465,7 @@ pub struct DefenseServer {
 impl DefenseServer {
     /// Binds a single-model server on `addr` (use port 0 for an ephemeral
     /// port): `defense` is registered as the `"default"` model, which is
-    /// what every legacy client and every nameless v3 hello resolves to.
+    /// what every nameless hello resolves to.
     ///
     /// # Errors
     ///
@@ -736,22 +730,18 @@ fn receive_failure_report(error: &ServeError) -> Option<(ErrorCode, String)> {
     }
 }
 
-/// What a successful handshake pins the connection to: the resolved model's
-/// *slot* (stable across hot swaps — each request resolves the slot's
-/// current engine) and the negotiated protocol version. `None` means the
-/// connection should end (the error, if any, has been reported over the
-/// wire).
-type NegotiatedSlot = Option<(Arc<ModelSlot>, u16)>;
-
-/// Performs the handshake and resolves the model this connection serves,
-/// along with the protocol version the ack committed to.
+/// Performs the handshake — an offer of at least [`PROTOCOL_VERSION`] is
+/// acked at [`PROTOCOL_VERSION`], a lower one refused — and resolves the
+/// model this connection serves: its *slot*, stable across hot swaps (each
+/// request resolves the slot's current engine). `None` means the connection
+/// should end (the error, if any, has been reported over the wire).
 fn handshake(
     stream: &mut TcpStream,
     registry: &ModelRegistry,
     stats: &ServerStatsCells,
     draining: &AtomicBool,
     config: &ServerConfig,
-) -> Result<NegotiatedSlot, ServeError> {
+) -> Result<Option<Arc<ModelSlot>>, ServeError> {
     let hello = match read_message(stream, config.max_payload_bytes) {
         Ok(Message::Hello(hello)) => hello,
         Ok(other) => {
@@ -781,25 +771,13 @@ fn handshake(
             return Err(error);
         }
     };
-    if hello.max_version < 1 {
+    if hello.max_version < PROTOCOL_VERSION {
         send_error(
             stream,
             stats,
             ErrorCode::UnsupportedVersion,
             format!(
-                "client speaks up to v{}, server requires at least v1",
-                hello.max_version
-            ),
-        );
-        return Ok(None);
-    }
-    if hello.model.is_some() && hello.max_version < 3 {
-        send_error(
-            stream,
-            stats,
-            ErrorCode::UnsupportedVersion,
-            format!(
-                "naming a model requires offering at least v3, client offered v{}",
+                "client speaks up to v{}, server speaks only v{PROTOCOL_VERSION}",
                 hello.max_version
             ),
         );
@@ -823,24 +801,21 @@ fn handshake(
     // the description stays true for the connection's whole life.
     let engine = slot.primary_engine();
     let defense = engine.defense();
-    let version = PROTOCOL_VERSION.min(hello.max_version);
     let ack = HelloAck {
-        version,
+        version: PROTOCOL_VERSION,
         label: defense.label().to_string(),
         ensemble_size: defense.ensemble_size() as u32,
         selected_count: defense.selected_count() as u32,
-        // Echo the resolved name only to clients that asked by name, so acks
-        // to legacy clients stay byte-identical to a version-1 build's.
+        // Echo the resolved name only to clients that asked by name.
         model: hello.model.as_ref().map(|_| slot.name().to_string()),
     };
     write_message(stream, &Message::HelloAck(ack))?;
-    Ok(Some((slot, version)))
+    Ok(Some(slot))
 }
 
 /// The write side of one connection — the socket's write half and the frame
 /// buffer every outgoing message is encoded into — shared by its reader
-/// thread (untagged answers, error reports) and its writer thread (the
-/// answers of tagged requests).
+/// thread (error reports) and its writer thread (the answers).
 #[derive(Clone)]
 struct Responder {
     writer: Arc<Mutex<(TcpStream, Vec<u8>)>>,
@@ -858,9 +833,8 @@ impl Responder {
     }
 
     /// Sends a typed error frame, counting it: tagged with `request_id` when
-    /// the failure is scoped to one tagged request, untagged when it concerns
-    /// the connection (or an untagged request). I/O failures while reporting
-    /// are swallowed.
+    /// the failure is scoped to one request, untagged when it concerns the
+    /// connection. I/O failures while reporting are swallowed.
     fn error(&self, request_id: Option<u64>, code: ErrorCode, message: String) {
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
         let _ = self.write(&Message::Error(WireError { code, message }), request_id);
@@ -868,12 +842,11 @@ impl Responder {
 
     /// Answers one admitted request: releases its admission permit, then
     /// writes the response — or a typed per-request error, which keeps the
-    /// connection alive for the next request — echoing the request's id when
-    /// it has one.
+    /// connection alive for the next request — echoing the request's id.
     fn complete(
         &self,
         permit: AdmissionPermit,
-        request_id: Option<u64>,
+        request_id: u64,
         result: Result<Maps, EnsemblerError>,
     ) -> Result<(), ServeError> {
         // Release before writing: a client that has its answer must already
@@ -882,17 +855,17 @@ impl Responder {
         match result {
             Ok(maps) => {
                 self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                self.write(&Message::from(maps), request_id)
+                self.write(&Message::from(maps), Some(request_id))
             }
             Err(error) => {
-                self.error(request_id, ErrorCode::Inference, error.to_string());
+                self.error(Some(request_id), ErrorCode::Inference, error.to_string());
                 Ok(())
             }
         }
     }
 }
 
-/// What an admitted tagged request keeps alive until it is answered, held by
+/// What an admitted request keeps alive until it is answered, held by
 /// the connection — never by the engine worker computing the answer, which
 /// is handed a ticket number and a channel.
 struct InFlight {
@@ -908,15 +881,15 @@ struct InFlight {
     engine: Arc<InferenceEngine<dyn Defense>>,
 }
 
-/// A connection's tagged requests in flight, by ticket: the reader files an
+/// A connection's requests in flight, by ticket: the reader files an
 /// entry *before* submitting the request, the writer takes it out when the
 /// engine delivers that ticket's answer. Tickets are the connection's own
 /// counter, so a client reusing a request id cannot alias two entries.
 type InFlightTable = Mutex<HashMap<u64, InFlight>>;
 
 /// Drives one connection: handshake, then the request loop against the model
-/// the handshake pinned, with — on a multiplexed connection — one writer
-/// thread answering its tagged requests. Every exit path joins that writer,
+/// the handshake pinned, with one writer thread answering its requests.
+/// Every exit path past the handshake joins that writer,
 /// which ends only once every in-flight request is answered; that is what
 /// keeps the draining-shutdown guarantee: an admitted request always
 /// delivers its response before the connection ends.
@@ -932,27 +905,23 @@ fn serve_connection(
     stream.set_read_timeout(config.read_timeout).ok();
     stream.set_write_timeout(config.write_timeout).ok();
 
-    let Some((slot, version)) = handshake(&mut stream, registry, stats, draining, &config)? else {
+    let Some(slot) = handshake(&mut stream, registry, stats, draining, &config)? else {
         return Ok(());
     };
     let respond = Responder {
         writer: Arc::new(Mutex::new((stream.try_clone()?, Vec::new()))),
         stats: Arc::clone(stats),
     };
-    let multiplexed = version >= TAGGED_WIRE_VERSION;
     let inflight = Arc::new(InFlightTable::default());
     let (answers, answered) = channel();
-    // Only a multiplexed connection can carry tagged requests, so only it
-    // needs the writer.
-    let writer = multiplexed.then(|| {
+    let writer = {
         let respond = respond.clone();
         let inflight = Arc::clone(&inflight);
         std::thread::spawn(move || writer_loop(&respond, &inflight, &answered))
-    });
+    };
     let result = request_loop(
         &mut stream,
         &respond,
-        multiplexed,
         &slot,
         admission,
         draining,
@@ -963,13 +932,11 @@ fn serve_connection(
     // The writer runs until every sender is gone: this one, and the one each
     // request in flight carries until the engine has answered it.
     drop(answers);
-    if let Some(writer) = writer {
-        let _ = writer.join();
-    }
+    let _ = writer.join();
     result
 }
 
-/// The connection's writer: answers tagged requests as the engines deliver
+/// The connection's writer: answers requests as the engines deliver
 /// their results — out of order whenever the work finishes out of order —
 /// and is the only thread that blocks on this socket's write half for them.
 /// An engine worker only ever sends on the channel, so a peer that stops
@@ -988,7 +955,7 @@ fn writer_loop(respond: &Responder, inflight: &InFlightTable, answered: &Receive
         } = entry;
         if peer_gone {
             drop(permit);
-        } else if respond.complete(permit, Some(request_id), result).is_err() {
+        } else if respond.complete(permit, request_id, result).is_err() {
             peer_gone = true;
             if let Ok(writer) = respond.writer.lock() {
                 let _ = writer.0.shutdown(Shutdown::Both);
@@ -1022,20 +989,13 @@ fn writer_loop(respond: &Responder, inflight: &InFlightTable, answered: &Receive
 /// from the slot (so a hot swap or canary change takes effect on the very
 /// next request of an already-connected client) and is submitted *in arrival
 /// order* on this reader thread, so coalescing sees pipelined requests in
-/// sequence. A tagged request is handed to the engine with a ticket and the
-/// connection's answer channel — no thread is created for it; the writer
-/// answers it whenever the work finishes — while an untagged request is
-/// answered in place before the next frame is read.
-///
-/// A connection that negotiated less than v5 is this same loop at depth one:
-/// a tagged frame there is a typed malformed-frame error that closes the
-/// connection, so every request it serves is untagged and answered in place
-/// — the lockstep discipline, byte for byte.
+/// sequence. It is handed to the engine with a ticket and the connection's
+/// answer channel — no thread is created for it, and this thread never waits
+/// for it; the writer answers it whenever the work finishes.
 #[allow(clippy::too_many_arguments)]
 fn request_loop(
     stream: &mut TcpStream,
     respond: &Responder,
-    multiplexed: bool,
     slot: &ModelSlot,
     admission: &Arc<Admission>,
     draining: &AtomicBool,
@@ -1050,30 +1010,18 @@ fn request_loop(
         if draining.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let received =
-            read_tagged_into(stream, config.max_payload_bytes, &mut frame).and_then(|tagged| {
-                if multiplexed {
-                    return Ok(tagged);
-                }
-                // A tagged frame is legal only once the connection
-                // negotiated v5.
-                let message = tagged.into_untagged()?;
-                Ok(TaggedMessage {
-                    message,
-                    request_id: None,
-                })
-            });
         let TaggedMessage {
             message,
             request_id,
-        } = match received {
+        } = match read_tagged_into(stream, config.max_payload_bytes, &mut frame) {
             Ok(tagged) => tagged,
             Err(error) => {
                 return match receive_failure_report(&error) {
-                    // Framing errors are connection-level: the report goes
-                    // out untagged, which a multiplexed client reads as
-                    // "this connection is dead" and fails its in-flight
-                    // requests with a typed error.
+                    // Framing errors — a request frame without an id among
+                    // them — are connection-level: the report goes out
+                    // untagged, which the client reads as "this connection
+                    // is dead" and fails its in-flight requests with a typed
+                    // error.
                     Some((code, message)) => {
                         respond.error(None, code, message);
                         Err(error)
@@ -1100,6 +1048,13 @@ fn request_loop(
                 return Ok(());
             }
         };
+        // The decoder refuses a request frame without an id; should one ever
+        // reach here it is the same connection-level error.
+        let Some(request_id) = request_id else {
+            let reason = "a request frame carries no request id".to_string();
+            respond.error(None, ErrorCode::MalformedFrame, reason);
+            return Ok(());
+        };
         // A refusal is answered with a typed `Overloaded` frame carrying the
         // request's own id, so it fails only that request while the
         // connection and its other in-flight requests carry on.
@@ -1107,7 +1062,7 @@ fn request_loop(
             Ok(permit) => permit,
             Err(reason) => {
                 respond.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                respond.error(request_id, ErrorCode::Overloaded, reason);
+                respond.error(Some(request_id), ErrorCode::Overloaded, reason);
                 continue;
             }
         };
@@ -1116,37 +1071,21 @@ fn request_loop(
         // retry carried it.
         let (engine, _) = slot.engine_for(route_key(request.features.content_bytes()));
         let shape_checked = check_shape(&engine, &request);
-        match request_id {
-            Some(request_id) => {
-                let ticket = next_ticket;
-                next_ticket += 1;
-                let entry = InFlight {
-                    request_id,
-                    permit,
-                    engine: Arc::clone(&engine),
-                };
-                inflight
-                    .lock()
-                    .expect("in-flight table mutex is never poisoned")
-                    .insert(ticket, entry);
-                // A request refused before the queue is answered the same
-                // way as one the engine evaluated: through the writer.
-                if let Err(error) =
-                    shape_checked.and_then(|()| engine.serve_to(request, ticket, answers))
-                {
-                    let _ = answers.send((ticket, Err(error)));
-                }
-            }
-            None => {
-                let result = shape_checked.and_then(|()| {
-                    if request.features.shape()[0] == 1 {
-                        engine.serve_begin(request)?.wait()
-                    } else {
-                        engine.serve_batch(&request)
-                    }
-                });
-                respond.complete(permit, None, result)?;
-            }
+        let ticket = next_ticket;
+        next_ticket += 1;
+        let entry = InFlight {
+            request_id,
+            permit,
+            engine: Arc::clone(&engine),
+        };
+        inflight
+            .lock()
+            .expect("in-flight table mutex is never poisoned")
+            .insert(ticket, entry);
+        // A request refused before the queue is answered the same way as one
+        // the engine evaluated: through the writer.
+        if let Err(error) = shape_checked.and_then(|()| engine.serve_to(request, ticket, answers)) {
+            let _ = answers.send((ticket, Err(error)));
         }
     }
 }

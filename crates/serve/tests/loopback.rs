@@ -6,8 +6,9 @@ use ensembler::{
     Defense, EngineConfig, EnsemblerError, InferenceEngine, Precision, QuantizedDefense,
 };
 use ensembler_serve::protocol::{
-    crc32, encode_message, read_message, write_message, ErrorCode, Hello, Message,
-    DEFAULT_MAX_PAYLOAD_BYTES, FRAME_HEADER_BYTES, FRAME_TRAILER_BYTES, PROTOCOL_VERSION,
+    crc32, encode_message, encode_tagged, read_message, read_tagged, write_message, ErrorCode,
+    Hello, Message, DEFAULT_MAX_PAYLOAD_BYTES, FRAME_HEADER_BYTES, FRAME_TRAILER_BYTES,
+    PROTOCOL_VERSION, REQUEST_ID_BYTES,
 };
 use ensembler_serve::{
     demo_pipeline, AdmissionConfig, DefenseServer, ModelRegistry, RemoteDefense, ServeError,
@@ -50,14 +51,45 @@ fn demo_server_int8(n: usize, p: usize, seed: u64) -> (DefenseServer, Arc<dyn De
     (server, pipeline)
 }
 
+/// Opens a raw socket to `server` and performs the handshake offering
+/// `max_version`, returning the stream and the version the ack committed to.
+fn raw_handshake(server: &DefenseServer, max_version: u16) -> (TcpStream, u16) {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_message(&mut stream, &Message::Hello(Hello::legacy(max_version))).unwrap();
+    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+        Message::HelloAck(ack) => (stream, ack.version),
+        other => panic!("handshake failed: {other:?}"),
+    }
+}
+
+/// Overwrites the checksum of `frame` with the right one for its bytes.
+fn restamp_crc(frame: &mut [u8]) {
+    let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
+    let crc = crc32(&frame[..crc_offset]);
+    frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
+}
+
+/// `message` framed as a v1–v4 peer framed it: no id word, an old stamp, a
+/// valid checksum — the request form this protocol no longer has.
+fn untagged_frame(message: &Message) -> Vec<u8> {
+    let mut frame = encode_tagged(message, Some(0));
+    frame.drain(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + REQUEST_ID_BYTES);
+    frame[4..6].copy_from_slice(&(PROTOCOL_VERSION - 1).to_be_bytes());
+    restamp_crc(&mut frame);
+    frame
+}
+
+/// The server hung up: the next read is a clean end of stream.
+fn assert_hung_up(stream: &mut TcpStream) {
+    let err = read_tagged(stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap_err();
+    assert!(matches!(err, ServeError::Io(_)), "expected EOF, got {err}");
+}
+
 #[test]
 fn remote_predict_is_bit_identical_to_in_process() {
     let (server, pipeline) = demo_server(3, 2, 21);
     let remote = RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr()).unwrap();
-    assert_eq!(remote.negotiated_version(), PROTOCOL_VERSION);
     assert_eq!(remote.peer_label(), "Ensembler");
-    // An f32 replica never uses quantized frames, whatever the version.
-    assert!(!remote.uses_quantized_frames());
 
     // Batched request: travels the direct server path.
     let batch = random_images(4, 1);
@@ -142,11 +174,8 @@ fn a_remote_defense_can_sit_behind_a_local_inference_engine() {
 fn quantized_remote_predict_is_bit_identical_to_in_process_int8() {
     let (server, int8) = demo_server_int8(3, 2, 41);
     let remote = RemoteDefense::connect(Arc::clone(&int8), server.local_addr()).unwrap();
-    // Quantized frames need v2+; a v3 build negotiates the full version.
-    assert_eq!(remote.negotiated_version(), PROTOCOL_VERSION);
     assert_eq!(remote.peer_label(), "Ensembler+int8");
     assert_eq!(remote.precision(), Precision::Int8);
-    assert!(remote.uses_quantized_frames());
 
     // Batched request (direct server path) and single-image request (the
     // engine's quantized coalescing path): both bit-identical to in-process.
@@ -189,43 +218,6 @@ fn concurrent_quantized_clients_coalesce_across_connections() {
 }
 
 #[test]
-fn a_version_1_client_negotiates_down_to_f32_frames() {
-    // A v2 server with an f32 pipeline serves a legacy (max_version = 1)
-    // client over f32 frames, bit-identically.
-    let (server, pipeline) = demo_server(2, 1, 45);
-    let remote =
-        RemoteDefense::connect_with_max_version(Arc::clone(&pipeline), server.local_addr(), 1)
-            .unwrap();
-    assert_eq!(remote.negotiated_version(), 1);
-    assert!(!remote.uses_quantized_frames());
-    let images = random_images(2, 46);
-    assert_eq!(
-        remote.predict(&images).unwrap(),
-        pipeline.predict(&images).unwrap()
-    );
-
-    // An int8 replica capped at v1 also works — the quantize→dequantize
-    // round trips are part of the pipeline's own semantics, so shipping the
-    // split tensors in f32 frames preserves bit-exactness.
-    let (server, int8) = demo_server_int8(2, 1, 47);
-    let remote =
-        RemoteDefense::connect_with_max_version(Arc::clone(&int8), server.local_addr(), 1).unwrap();
-    assert_eq!(remote.negotiated_version(), 1);
-    assert!(!remote.uses_quantized_frames());
-    let images = random_images(2, 48);
-    assert_eq!(
-        remote.predict(&images).unwrap(),
-        int8.predict(&images).unwrap()
-    );
-
-    // Offering an unsupported version is rejected client-side.
-    assert!(matches!(
-        RemoteDefense::connect_with_max_version(int8, server.local_addr(), 0),
-        Err(ServeError::UnsupportedVersion { .. })
-    ));
-}
-
-#[test]
 fn f32_client_against_int8_server_fails_the_handshake() {
     // Same architecture, different precision: the label check must refuse to
     // pair them, otherwise predictions silently diverge from both pipelines.
@@ -240,13 +232,8 @@ fn truncated_and_garbage_quantized_requests_get_error_frames() {
     use std::io::Write;
 
     let (server, int8) = demo_server_int8(2, 1, 53);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(&mut stream, &Message::Hello(Hello::legacy(2))).unwrap();
-    let Message::HelloAck(ack) = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap()
-    else {
-        panic!("handshake failed");
-    };
-    assert_eq!(ack.version, 2);
+    let (mut stream, version) = raw_handshake(&server, PROTOCOL_VERSION);
+    assert_eq!(version, PROTOCOL_VERSION);
 
     // A quantized request whose scale field is garbage (NaN): the frame
     // itself is well-formed (CRC re-stamped), so the decode layer must
@@ -255,14 +242,13 @@ fn truncated_and_garbage_quantized_requests_get_error_frames() {
         .client_features(&random_images(1, 54))
         .map(|t| QTensorBatch::quantize_batch(&t))
         .unwrap();
-    let mut frame = encode_message(&Message::ServerOutputsRequestQ {
+    let request = Message::ServerOutputsRequestQ {
         transmitted: features,
-    });
-    let scale_offset = FRAME_HEADER_BYTES + 4 + 4 + 4 * 4; // magic+rank+dims
+    };
+    let mut frame = encode_tagged(&request, Some(1));
+    let scale_offset = FRAME_HEADER_BYTES + REQUEST_ID_BYTES + 4 + 4 + 4 * 4; // magic+rank+dims
     frame[scale_offset..scale_offset + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-    let crc_offset = frame.len() - FRAME_TRAILER_BYTES;
-    let crc = crc32(&frame[..crc_offset]);
-    frame[crc_offset..].copy_from_slice(&crc.to_be_bytes());
+    restamp_crc(&mut frame);
     stream.write_all(&frame).unwrap();
     stream.flush().unwrap();
     match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
@@ -314,16 +300,56 @@ fn mismatched_replica_is_rejected_at_connect_time() {
 
 #[test]
 fn unsupported_client_version_gets_a_version_error() {
+    // A connection is a v5 connection or it is refused: every offer below 5,
+    // with or without a model name, gets the typed error frame and a
+    // hang-up, and touches no engine.
     let (server, _pipeline) = demo_server(2, 1, 12);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(&mut stream, &Message::Hello(Hello::legacy(0))).unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
-        Message::Error(wire) => {
-            assert_eq!(wire.code, ErrorCode::UnsupportedVersion);
-            assert!(wire.message.contains("v0"), "{}", wire.message);
+    let hello = |max_version: u16, named: bool| {
+        Message::Hello(Hello {
+            max_version,
+            model: named.then(|| "default".to_string()),
+        })
+    };
+    let mut refused = 0;
+    for offer in 0..PROTOCOL_VERSION {
+        for named in [false, true] {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            write_message(&mut stream, &hello(offer, named)).unwrap();
+            match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+                Message::Error(wire) => {
+                    assert_eq!(wire.code, ErrorCode::UnsupportedVersion, "offer {offer}");
+                    assert!(
+                        wire.message.contains(&format!("v{offer}")),
+                        "{}",
+                        wire.message
+                    );
+                }
+                other => panic!("offer {offer}: expected an error frame, got {other:?}"),
+            }
+            assert_hung_up(&mut stream);
+            refused += 1;
+            assert_eq!(server.stats().errors_sent, refused);
         }
-        other => panic!("expected an error frame, got {other:?}"),
     }
+    assert_eq!(server.stats().requests_served, 0);
+    assert_eq!(server.engine_stats().requests_served, 0);
+
+    // Offers of 5 and beyond are acked at 5: the version fields stay on the
+    // wire so that a future v6 client can still open a v5 connection.
+    for offer in [PROTOCOL_VERSION, PROTOCOL_VERSION + 1, u16::MAX] {
+        for named in [false, true] {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            write_message(&mut stream, &hello(offer, named)).unwrap();
+            match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+                Message::HelloAck(ack) => {
+                    assert_eq!(ack.version, PROTOCOL_VERSION, "offer {offer}");
+                    assert_eq!(ack.model.is_some(), named);
+                }
+                other => panic!("offer {offer}: expected an ack, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(server.stats().errors_sent, refused);
 }
 
 #[test]
@@ -331,11 +357,7 @@ fn garbage_bytes_are_answered_with_a_malformed_frame_error() {
     use std::io::Write;
 
     let (server, pipeline) = demo_server(2, 1, 13);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(&mut stream, &Message::Hello(Hello::legacy(1))).unwrap();
-    let Message::HelloAck(_) = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() else {
-        panic!("handshake failed");
-    };
+    let (mut stream, _) = raw_handshake(&server, PROTOCOL_VERSION);
 
     stream.write_all(&[0xAB; 32]).unwrap();
     stream.flush().unwrap();
@@ -359,14 +381,10 @@ fn corrupted_checksums_are_detected_and_reported() {
     use std::io::Write;
 
     let (server, pipeline) = demo_server(2, 1, 15);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(&mut stream, &Message::Hello(Hello::legacy(1))).unwrap();
-    let Message::HelloAck(_) = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() else {
-        panic!("handshake failed");
-    };
+    let (mut stream, _) = raw_handshake(&server, PROTOCOL_VERSION);
 
     let transmitted = pipeline.client_features(&random_images(1, 16)).unwrap();
-    let mut frame = encode_message(&Message::ServerOutputsRequest { transmitted });
+    let mut frame = encode_tagged(&Message::ServerOutputsRequest { transmitted }, Some(1));
     let flip = frame.len() - FRAME_TRAILER_BYTES - 1;
     frame[flip] ^= 0x01;
     stream.write_all(&frame).unwrap();
@@ -441,24 +459,18 @@ fn a_raw_bad_shape_frame_gets_a_typed_error_not_a_dropped_connection() {
     // ShapeError must come back as an Inference error *frame* naming the
     // shape, with the TCP connection intact and serving afterwards.
     let (server, pipeline) = demo_server(2, 1, 29);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(
-        &mut stream,
-        &Message::Hello(Hello::legacy(PROTOCOL_VERSION)),
-    )
-    .unwrap();
-    let Message::HelloAck(_) = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() else {
-        panic!("handshake failed");
-    };
+    let (mut stream, _) = raw_handshake(&server, PROTOCOL_VERSION);
 
     // Wrong channel count for the served head output: would have been a
     // panic inside the conv forward before the typed shape checks.
-    let frame = encode_message(&Message::ServerOutputsRequest {
+    let bad = Message::ServerOutputsRequest {
         transmitted: Tensor::ones(&[1, 5, 9, 9]),
-    });
-    stream.write_all(&frame).unwrap();
+    };
+    stream.write_all(&encode_tagged(&bad, Some(7))).unwrap();
     stream.flush().unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(7), "the error names its request");
+    match answer.message {
         Message::Error(wire) => {
             assert_eq!(wire.code, ErrorCode::Inference);
             assert!(
@@ -473,10 +485,12 @@ fn a_raw_bad_shape_frame_gets_a_typed_error_not_a_dropped_connection() {
     // The SAME connection still serves a well-formed request bit-exactly.
     let transmitted = pipeline.client_features(&random_images(1, 30)).unwrap();
     let expected = pipeline.server_outputs(&transmitted).unwrap();
-    let frame = encode_message(&Message::ServerOutputsRequest { transmitted });
+    let frame = encode_tagged(&Message::ServerOutputsRequest { transmitted }, Some(8));
     stream.write_all(&frame).unwrap();
     stream.flush().unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(8));
+    match answer.message {
         Message::ServerOutputsResponse { maps } => assert_eq!(maps, expected),
         other => panic!("expected a response on the surviving connection, got {other:?}"),
     }
@@ -528,7 +542,7 @@ fn dropping_the_server_stops_new_connections() {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-model serving, admission control and graceful shutdown (protocol v3)
+// Multi-model serving, admission control and graceful shutdown
 // ---------------------------------------------------------------------------
 
 /// A test-only defense whose `server_outputs` blocks on a gate until the
@@ -631,7 +645,7 @@ impl Defense for GatedDefense {
 
 #[test]
 fn two_models_are_served_bit_identically_from_one_process() {
-    // One process, two models at different precisions: protocol-v3 clients
+    // One process, two models at different precisions: clients
     // pick theirs by name and every prediction is bit-identical to the
     // matching in-process pipeline.
     let alpha: Arc<dyn Defense> = Arc::new(demo_pipeline(3, 2, 61).unwrap());
@@ -647,16 +661,12 @@ fn two_models_are_served_bit_identically_from_one_process() {
 
     let remote_alpha =
         RemoteDefense::connect_model(Arc::clone(&alpha), server.local_addr(), "alpha").unwrap();
-    assert_eq!(remote_alpha.negotiated_version(), PROTOCOL_VERSION);
     assert_eq!(remote_alpha.model(), Some("alpha"));
-    assert!(!remote_alpha.uses_quantized_frames());
 
     let remote_beta =
         RemoteDefense::connect_model(Arc::clone(&beta), server.local_addr(), "beta").unwrap();
     assert_eq!(remote_beta.model(), Some("beta"));
     assert_eq!(remote_beta.peer_label(), "Ensembler+int8");
-    // A v3 connection to an int8 model ships quantized frames.
-    assert!(remote_beta.uses_quantized_frames());
 
     for seed in [301u64, 302] {
         let images = random_images(2, seed);
@@ -672,7 +682,7 @@ fn two_models_are_served_bit_identically_from_one_process() {
         );
     }
 
-    // A nameless legacy connect gets the default model ("alpha").
+    // A nameless connect gets the default model ("alpha").
     let legacy = RemoteDefense::connect(Arc::clone(&alpha), server.local_addr()).unwrap();
     assert_eq!(legacy.model(), None);
     let images = random_images(1, 303);
@@ -718,70 +728,8 @@ fn unknown_model_requests_get_a_typed_error() {
 }
 
 #[test]
-fn version_1_and_2_clients_work_unchanged_against_a_v3_server() {
-    // The v3 server serves legacy clients at their version: v1 over plain
-    // f32 frames, v2 (int8 replica) over quantized frames — bit-identically.
-    let (server, pipeline) = demo_server(2, 1, 65);
-    let v1 = RemoteDefense::connect_with_max_version(Arc::clone(&pipeline), server.local_addr(), 1)
-        .unwrap();
-    assert_eq!(v1.negotiated_version(), 1);
-    let images = random_images(2, 66);
-    assert_eq!(
-        v1.predict(&images).unwrap(),
-        pipeline.predict(&images).unwrap()
-    );
-
-    let (server, int8) = demo_server_int8(2, 1, 67);
-    let v2 =
-        RemoteDefense::connect_with_max_version(Arc::clone(&int8), server.local_addr(), 2).unwrap();
-    assert_eq!(v2.negotiated_version(), 2);
-    assert!(v2.uses_quantized_frames());
-    let images = random_images(2, 68);
-    assert_eq!(v2.predict(&images).unwrap(), int8.predict(&images).unwrap());
-
-    // A pre-v3 cap cannot name a model — rejected locally, before any I/O.
-    let err = RemoteDefense::connect_with_max_version(int8, server.local_addr(), 0).unwrap_err();
-    assert!(
-        matches!(err, ServeError::UnsupportedVersion { .. }),
-        "{err}"
-    );
-}
-
-#[test]
-fn every_legacy_version_cap_negotiates_down_against_a_v5_server() {
-    // v1 through v4 clients against today's v5 server: each lands exactly on
-    // its cap (lockstep, no request ids on the wire — the frames themselves
-    // are pinned byte-exactly by the wire_examples suite) and predicts
-    // bit-identically to in-process.
-    let (server, pipeline) = demo_server(2, 1, 201);
-    for cap in 1..=4u16 {
-        let remote = RemoteDefense::connect_with_max_version(
-            Arc::clone(&pipeline),
-            server.local_addr(),
-            cap,
-        )
-        .unwrap();
-        assert_eq!(remote.negotiated_version(), cap, "cap {cap}");
-        let images = random_images(2, 202 + u64::from(cap));
-        assert_eq!(
-            remote.predict(&images).unwrap(),
-            pipeline.predict(&images).unwrap(),
-            "cap {cap}"
-        );
-    }
-    // And the int8 replica downgrades the same way over quantized frames.
-    let (server, int8) = demo_server_int8(2, 1, 203);
-    let v2 =
-        RemoteDefense::connect_with_max_version(Arc::clone(&int8), server.local_addr(), 2).unwrap();
-    assert_eq!(v2.negotiated_version(), 2);
-    assert!(v2.uses_quantized_frames());
-    let images = random_images(1, 204);
-    assert_eq!(v2.predict(&images).unwrap(), int8.predict(&images).unwrap());
-}
-
-#[test]
 fn pipelined_requests_on_one_connection_complete_out_of_order() {
-    // The tentpole invariant: one multiplexed v5 connection, a slow request
+    // The multiplexing invariant: one connection, a slow request
     // and a fast request in flight simultaneously, the fast response arriving
     // while the slow request is still blocked on the server — and both
     // answers bit-identical to in-process.
@@ -791,7 +739,6 @@ fn pipelined_requests_on_one_connection_complete_out_of_order() {
     let (gated, gate) = GatedDefense::gating_batches_of_at_least(Arc::clone(&inner), 2);
     let server = DefenseServer::bind(gated, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let remote = Arc::new(RemoteDefense::connect(Arc::clone(&inner), server.local_addr()).unwrap());
-    assert_eq!(remote.negotiated_version(), PROTOCOL_VERSION);
 
     let slow_features = inner.client_features(&random_images(2, 212)).unwrap();
     let fast_features = inner.client_features(&random_images(1, 213)).unwrap();
@@ -922,22 +869,16 @@ fn over_budget_requests_get_typed_overloaded_rejections() {
     )
     .unwrap();
 
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(
-        &mut stream,
-        &Message::Hello(Hello::legacy(PROTOCOL_VERSION)),
-    )
-    .unwrap();
-    let Message::HelloAck(_) = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() else {
-        panic!("handshake failed");
-    };
+    let (mut stream, _) = raw_handshake(&server, PROTOCOL_VERSION);
 
     // Over budget: a 4-sample batch (4 x sample_bytes > 2 x sample_bytes).
     let big = pipeline.client_features(&random_images(4, 72)).unwrap();
-    let frame = encode_message(&Message::ServerOutputsRequest { transmitted: big });
+    let frame = encode_tagged(&Message::ServerOutputsRequest { transmitted: big }, Some(1));
     stream.write_all(&frame).unwrap();
     stream.flush().unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(1));
+    match answer.message {
         Message::Error(wire) => {
             assert_eq!(wire.code, ErrorCode::Overloaded);
             assert!(wire.message.contains("per-connection"), "{}", wire.message);
@@ -949,10 +890,12 @@ fn over_budget_requests_get_typed_overloaded_rejections() {
     // the bit-identical answer.
     let transmitted = pipeline.client_features(&random_images(1, 73)).unwrap();
     let expected = pipeline.server_outputs(&transmitted).unwrap();
-    let frame = encode_message(&Message::ServerOutputsRequest { transmitted });
+    let frame = encode_tagged(&Message::ServerOutputsRequest { transmitted }, Some(2));
     stream.write_all(&frame).unwrap();
     stream.flush().unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(2));
+    match answer.message {
         Message::ServerOutputsResponse { maps } => assert_eq!(maps, expected),
         other => panic!("expected a response, got {other:?}"),
     }
@@ -1172,73 +1115,19 @@ fn connections_over_the_limit_are_rejected_with_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------------
-// The one connection loop: lockstep is the multiplexed loop at depth one
+// The one connection loop: every request carries an id
 // ---------------------------------------------------------------------------
 
-/// Opens a raw socket to `server` and performs the handshake offering
-/// `max_version`, returning the stream and the version the ack committed to.
-fn raw_handshake(server: &DefenseServer, max_version: u16) -> (TcpStream, u16) {
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_message(&mut stream, &Message::Hello(Hello::legacy(max_version))).unwrap();
-    match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
-        Message::HelloAck(ack) => (stream, ack.version),
-        other => panic!("handshake failed: {other:?}"),
-    }
-}
-
 #[test]
-fn a_tagged_request_on_a_lockstep_connection_is_a_typed_malformed_frame() {
-    use ensembler_serve::protocol::encode_tagged;
+fn an_untagged_request_on_a_v5_connection_is_a_malformed_frame_that_spares_requests_in_flight() {
     use std::io::Write;
 
-    // A connection that negotiated v4 or below never agreed to request ids:
-    // a v5-stamped tagged frame on it is the same typed malformed-frame
-    // error the lockstep reader has always given, reported untagged, and
-    // the connection closes.
-    let (server, pipeline) = demo_server(2, 1, 231);
-    let transmitted = pipeline.client_features(&random_images(1, 232)).unwrap();
-    let expected = pipeline.server_outputs(&transmitted).unwrap();
-    let request = Message::ServerOutputsRequest { transmitted };
-    for cap in [1u16, 4] {
-        let (mut stream, version) = raw_handshake(&server, cap);
-        assert_eq!(version, cap);
-
-        // The connection serves untagged requests in place, as ever.
-        write_message(&mut stream, &request).unwrap();
-        match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
-            Message::ServerOutputsResponse { maps } => assert_eq!(maps, expected),
-            other => panic!("cap {cap}: expected a response, got {other:?}"),
-        }
-
-        stream.write_all(&encode_tagged(&request, Some(7))).unwrap();
-        stream.flush().unwrap();
-        match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap() {
-            Message::Error(wire) => {
-                assert_eq!(wire.code, ErrorCode::MalformedFrame, "cap {cap}");
-                assert!(wire.message.contains("tagged"), "{}", wire.message);
-            }
-            other => panic!("cap {cap}: expected a typed error frame, got {other:?}"),
-        }
-        // ...and then the server hangs up: the next read is EOF.
-        let err = read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap_err();
-        assert!(matches!(err, ServeError::Io(_)), "cap {cap}: {err}");
-    }
-    let stats = server.stats();
-    assert_eq!(stats.requests_served, 2, "the tagged requests never ran");
-    assert_eq!(stats.errors_sent, 2);
-}
-
-#[test]
-fn an_untagged_request_on_a_v5_connection_is_answered_in_place() {
-    use ensembler_serve::protocol::{encode_tagged, read_tagged};
-    use std::io::Write;
-
-    // On a multiplexed connection an untagged request is still legal: it is
-    // answered in place with an untagged response — while tagged requests
-    // on the same socket stay in flight around it.
+    // A request without an id is no longer part of the protocol: it is a
+    // connection-level error, reported untagged, and the connection closes —
+    // but only after the request already in flight on it got its answer.
     let inner: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 241).unwrap());
     // Only batch >= 2 calls block on the gate: the tagged slow request is a
-    // 2-sample batch, the fast requests are single samples.
+    // 2-sample batch, the untagged one a single sample.
     let (gated, gate) = GatedDefense::gating_batches_of_at_least(Arc::clone(&inner), 2);
     let server = DefenseServer::bind(gated, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let (mut stream, version) = raw_handshake(&server, PROTOCOL_VERSION);
@@ -1248,9 +1137,6 @@ fn an_untagged_request_on_a_v5_connection_is_answered_in_place() {
     let fast_features = inner.client_features(&random_images(1, 243)).unwrap();
     let slow_response = Message::ServerOutputsResponse {
         maps: inner.server_outputs(&slow_features).unwrap(),
-    };
-    let fast_response = Message::ServerOutputsResponse {
-        maps: inner.server_outputs(&fast_features).unwrap(),
     };
     let slow_request = Message::ServerOutputsRequest {
         transmitted: slow_features,
@@ -1265,34 +1151,116 @@ fn an_untagged_request_on_a_v5_connection_is_answered_in_place() {
         .unwrap();
     wait_entered(&gate, 1);
 
-    // ...when the untagged request arrives and is answered, untagged.
-    stream.write_all(&encode_message(&fast_request)).unwrap();
+    // ...when the untagged request arrives and is refused, untagged.
+    stream.write_all(&untagged_frame(&fast_request)).unwrap();
     let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
-    assert_eq!(answer.request_id, None, "an untagged request's answer");
-    assert_eq!(answer.message, fast_response);
+    assert_eq!(answer.request_id, None, "a connection-level report");
+    match answer.message {
+        Message::Error(wire) => {
+            assert_eq!(wire.code, ErrorCode::MalformedFrame);
+            assert!(wire.message.contains("request id"), "{}", wire.message);
+        }
+        other => panic!("expected a typed error frame, got {other:?}"),
+    }
     assert_eq!(
         server.stats().inflight_requests,
         1,
-        "request 41 is still in flight behind the untagged exchange"
+        "request 41 is still in flight behind the refusal"
     );
 
-    // The reader is free again: a later tagged request overtakes 41 too.
-    stream
-        .write_all(&encode_tagged(&fast_request, Some(42)))
-        .unwrap();
-    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
-    assert_eq!(answer.request_id, Some(42));
-    assert_eq!(answer.message, fast_response);
-
+    // The reader is gone, the writer is not: 41's answer is still delivered,
+    // bit-exactly, and only then does the server hang up.
     release(&gate);
     let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
     assert_eq!(answer.request_id, Some(41));
     assert_eq!(answer.message, slow_response);
+    assert_hung_up(&mut stream);
 
     let stats = server.stats();
     assert_eq!(stats.connections_accepted, 1);
-    assert_eq!(stats.requests_served, 3);
-    assert_eq!(stats.errors_sent, 0);
+    assert_eq!(stats.requests_served, 1);
+    assert_eq!(stats.errors_sent, 1);
+}
+
+#[test]
+fn hostile_request_shapes_get_tagged_typed_errors_and_never_reach_an_engine() {
+    use ensembler::{Features, ServerRequest};
+    use std::io::Write;
+
+    // Beside the hostile-*bytes* sweep of `mux_fuzz`: frames that decode
+    // cleanly and ask for something the served model cannot do. Each is
+    // answered with a typed error carrying its own id, none is enqueued, and
+    // the connection keeps serving.
+    const N: usize = 3;
+    let (server, pipeline) = demo_server(N, 2, 261);
+    let (mut stream, _) = raw_handshake(&server, PROTOCOL_VERSION);
+    let head = pipeline.config().head_output_shape();
+    // A single sample: had a request below been enqueued, the coalescing
+    // engine's counters would show it.
+    let honest = pipeline.client_features(&random_images(1, 262)).unwrap();
+
+    let mut hostile: Vec<(String, ServerRequest)> = Vec::new();
+    let ranges = [
+        ("lo > hi", 2, 1),
+        ("lo == hi", 1, 1),
+        ("hi == N + 1", 0, N + 1),
+        ("hi == u32::MAX", 0, u32::MAX as usize),
+    ];
+    for (name, lo, hi) in ranges {
+        let f32 = Features::F32(honest.clone());
+        let int8 = Features::Int8(QTensorBatch::quantize_batch(&honest));
+        hostile.push((format!("Range {name}"), ServerRequest::ranged(lo..hi, f32)));
+        hostile.push((
+            format!("RangeQ {name}"),
+            ServerRequest::ranged(lo..hi, int8),
+        ));
+    }
+    let shapes = [
+        ("rank 2", vec![4, 4]),
+        ("rank 3", head.to_vec()),
+        ("rank 5", vec![1, 1, head[0], head[1], head[2]]),
+        ("wrong channels", vec![1, head[0] + 1, head[1], head[2]]),
+        ("batch 0", vec![0, head[0], head[1], head[2]]),
+    ];
+    for (name, shape) in shapes {
+        let full = ServerRequest::full(Features::F32(Tensor::ones(&shape)));
+        hostile.push((format!("full request of {name}"), full));
+    }
+
+    for (k, (name, request)) in hostile.into_iter().enumerate() {
+        let id = 1000 + k as u64;
+        stream
+            .write_all(&encode_tagged(&Message::from(request), Some(id)))
+            .unwrap();
+        let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+        assert_eq!(answer.request_id, Some(id), "{name}");
+        match answer.message {
+            Message::Error(wire) => assert_eq!(wire.code, ErrorCode::Inference, "{name}"),
+            other => panic!("{name}: expected a typed error frame, got {other:?}"),
+        }
+        let stats = server.stats();
+        assert_eq!(stats.errors_sent, k as u64 + 1, "{name}");
+        assert_eq!(stats.requests_served, 0, "{name}");
+        assert_eq!(server.engine_stats().requests_served, 0, "{name}");
+    }
+
+    // An honest request on the SAME connection: reader and writer are both
+    // alive, and the answer is bit-identical.
+    let expected = pipeline.server_outputs(&honest).unwrap();
+    let request = Message::ServerOutputsRequest {
+        transmitted: honest,
+    };
+    stream.write_all(&encode_tagged(&request, Some(7))).unwrap();
+    let answer = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).unwrap();
+    assert_eq!(answer.request_id, Some(7));
+    assert_eq!(
+        answer.message,
+        Message::ServerOutputsResponse { maps: expected }
+    );
+    assert_eq!(server.engine_stats().requests_served, 1);
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests_served, stats.inflight_requests), (1, 0));
 }
 
 /// A test-only defense that answers every pre-batched request with maps far
@@ -1346,7 +1314,6 @@ impl Defense for InflatingDefense {
 #[test]
 fn a_peer_that_stops_reading_stalls_only_its_own_writer() {
     use ensembler::{Features, ServerRequest};
-    use ensembler_serve::protocol::encode_tagged;
     use std::io::Write;
 
     // One client pipelines pre-batched requests and never reads an answer:

@@ -1,4 +1,4 @@
-//! Adversarial coverage for the protocol-v5 multiplexing surfaces: the
+//! Adversarial coverage for the multiplexing surfaces: the
 //! tagged decoder against random request-id interleavings, duplicate ids,
 //! truncated and bit-flipped frames, and outright garbage — every malformed
 //! input must come back as a typed [`ServeError`], never a panic — plus the
@@ -15,9 +15,9 @@
 
 use ensembler::{Defense, Maps};
 use ensembler_serve::protocol::{
-    crc32, decode_tagged, encode_tagged, frame_version, read_message, read_tagged, write_message,
-    write_tagged, ErrorCode, HelloAck, Message, MessageType, TaggedMessage, WireError,
-    DEFAULT_MAX_PAYLOAD_BYTES, FRAME_MAGIC, PROTOCOL_VERSION, TAGGED_WIRE_VERSION,
+    crc32, decode_tagged, encode_tagged, read_message, read_tagged, write_message, write_tagged,
+    ErrorCode, HelloAck, Message, MessageType, TaggedMessage, WireError, DEFAULT_MAX_PAYLOAD_BYTES,
+    FRAME_MAGIC, PROTOCOL_VERSION,
 };
 use ensembler_serve::{demo_pipeline, CompletionSlots, RemoteDefense, ServeError};
 use ensembler_tensor::{QTensorBatch, Rng, Tensor};
@@ -63,7 +63,8 @@ fn random_request_id_interleavings_round_trip_through_one_stream() {
         for _ in 0..count {
             let message = pool[rng.below(pool.len())].clone();
             let request_id = match rng.below(4) {
-                0 => None,
+                // Only an `Error` exists without an id (a connection-level one).
+                0 if matches!(message, Message::Error(_)) => None,
                 1 => Some(rng.next_u64() % 3), // force duplicates
                 _ => Some(rng.next_u64()),
             };
@@ -176,10 +177,10 @@ fn hostile_version_stamps_are_typed_errors() {
             other => panic!("version {version} must be UnsupportedVersion, got {other:?}"),
         }
     }
-    // A frame stamped below TAGGED_WIRE_VERSION has no id word, so the same
+    // A frame stamped below PROTOCOL_VERSION has no id word, so the same
     // bytes reparse as payload and the CRC catches the mismatch.
     let mut downgraded = good;
-    downgraded[4..6].copy_from_slice(&(TAGGED_WIRE_VERSION - 1).to_be_bytes());
+    downgraded[4..6].copy_from_slice(&(PROTOCOL_VERSION - 1).to_be_bytes());
     assert!(decode_tagged(&downgraded).is_err());
 }
 
@@ -372,9 +373,10 @@ fn payload(kind: Kind, count: u32, blobs: &[Vec<u8>], len_skew: i64) -> Vec<u8> 
 
 /// A complete frame around `payload` with a truthful header and CRC.
 fn stamped_frame(message_type: MessageType, request_id: Option<u64>, payload: &[u8]) -> Vec<u8> {
+    // Without an id: the newest stamp that has none, as a v4 peer sent it.
     let version = match request_id {
-        Some(_) => TAGGED_WIRE_VERSION,
-        None => frame_version(message_type),
+        Some(_) => PROTOCOL_VERSION,
+        None => PROTOCOL_VERSION - 1,
     };
     let mut frame = FRAME_MAGIC.to_be_bytes().to_vec();
     frame.extend_from_slice(&version.to_be_bytes());
@@ -459,9 +461,16 @@ fn restamped_hostile_tensor_headers_are_frame_errors_in_every_frame_type() {
                 request_id,
                 &payload(kind, 1, std::slice::from_ref(&honest), 0),
             );
-            let decoded = decode_tagged(&frame).expect("the honest control frame decodes");
-            assert_eq!(decoded.message.message_type(), kind.message_type);
-            assert_eq!(encode_tagged(&decoded.message, request_id), frame);
+            match request_id {
+                Some(_) => {
+                    let decoded = decode_tagged(&frame).expect("the honest control frame decodes");
+                    assert_eq!(decoded.message.message_type(), kind.message_type);
+                    assert_eq!(encode_tagged(&decoded.message, request_id), frame);
+                }
+                // A tensor frame without an id is no longer part of the
+                // protocol, however honest its payload.
+                None => assert!(matches!(decode_tagged(&frame), Err(ServeError::Frame(_)))),
+            }
 
             let mut cases: Vec<(&str, Vec<u8>)> = hostile_blobs(kind.int8)
                 .into_iter()
@@ -561,35 +570,65 @@ fn restamped_bit_flips_never_panic_and_reencode_canonically() {
     );
 }
 
+/// What the scripted server does with one connection.
+#[derive(Debug, Clone, Copy)]
+enum Script {
+    /// An honest handshake, then a response whose maps overflow.
+    HostileMaps,
+    /// An ack pinning this version, then silence.
+    Ack(u16),
+    Honest,
+}
+
+/// The versions a broken or hostile server might pin: none at all, the
+/// newest one this client no longer has a transport for, and two it never had.
+const HOSTILE_ACKS: [u16; 4] = [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, u16::MAX];
+
 #[test]
 fn a_hostile_server_costs_the_client_one_typed_error() {
     // The paper's adversary: a server that completes the handshake honestly
     // and then answers a real request with a well-framed, correctly CRC'd
-    // response whose every map declares [65536; 4] elements over no data.
+    // response whose every map declares [65536; 4] elements over no data —
+    // or that acks the handshake at a version the client did not offer.
     let pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 23).expect("demo pipeline"));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let served = Arc::clone(&pipeline);
     let server = std::thread::spawn(move || {
-        for hostile in [true, false] {
+        let scripts = std::iter::once(Script::HostileMaps)
+            .chain(HOSTILE_ACKS.map(Script::Ack))
+            .chain([Script::Honest]);
+        for script in scripts {
             let (mut stream, _) = listener.accept().expect("accept");
             let hello = match read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES) {
                 Ok(Message::Hello(hello)) => hello,
                 other => panic!("expected a Hello, got {other:?}"),
             };
             let ack = Message::HelloAck(HelloAck {
-                version: hello.max_version.min(PROTOCOL_VERSION),
+                version: match script {
+                    Script::Ack(version) => version,
+                    _ => hello.max_version.min(PROTOCOL_VERSION),
+                },
                 label: served.label().to_string(),
                 ensemble_size: served.ensemble_size() as u32,
                 selected_count: served.selected_count() as u32,
                 model: None,
             });
             write_message(&mut stream, &ack).expect("ack");
+            if let Script::Ack(_) = script {
+                // The client must hang up without sending a request.
+                let next = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES);
+                assert!(
+                    matches!(next, Err(ServeError::Io(_))),
+                    "{script:?}: {next:?}"
+                );
+                continue;
+            }
             let request = read_tagged(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).expect("request");
             let Message::ServerOutputsRequest { transmitted } = request.message else {
                 panic!("expected an f32 request, got {:?}", request.message);
             };
-            if hostile {
+            if let Script::HostileMaps = script {
                 let overflowing = blob(false, 4, &[1 << 16; 4], &[]);
                 let kind = KINDS[4];
                 let count = served.ensemble_size();
@@ -620,6 +659,17 @@ fn a_hostile_server_costs_the_client_one_typed_error() {
     let text = error.to_string();
     assert!(text.contains("malformed frame"), "{text}");
     drop(victim);
+
+    // An ack of anything but the version offered is refused, typed, before a
+    // single request is sent — never run at whatever the server named.
+    for version in HOSTILE_ACKS {
+        match RemoteDefense::connect(Arc::clone(&pipeline), addr) {
+            Err(ServeError::UnsupportedVersion { offered, supported }) => {
+                assert_eq!((offered, supported), (version, PROTOCOL_VERSION));
+            }
+            other => panic!("an ack of {version} must be UnsupportedVersion, got {other:?}"),
+        }
+    }
 
     // Nothing in the client process is left poisoned: a fresh connection works.
     let fresh = RemoteDefense::connect(Arc::clone(&pipeline), addr).expect("second handshake");

@@ -8,8 +8,12 @@ use ensembler::Defense;
 use ensembler_latency::network_cost;
 use ensembler_nn::models::ResNetConfig;
 use ensembler_serve::demo_pipeline;
-use ensembler_serve::protocol::{encode_message, Message, WIRE_OVERHEAD};
+use ensembler_serve::protocol::{encode_message, encode_tagged, Message, WIRE_OVERHEAD};
 use ensembler_tensor::{QTensorBatch, Tensor};
+
+/// The request id every tensor frame below carries — its value cannot change
+/// a frame's length.
+const ID: u64 = 0x0123_4567_89AB_CDEF;
 
 fn configs() -> Vec<(&'static str, ResNetConfig)> {
     vec![
@@ -27,7 +31,7 @@ fn upload_frame_bytes_match_the_encoder_for_every_backbone() {
         let head = config.head_output_shape();
         for batch in [1usize, 8] {
             let transmitted = Tensor::zeros(&[batch, head[0], head[1], head[2]]);
-            let frame = encode_message(&Message::ServerOutputsRequest { transmitted });
+            let frame = encode_tagged(&Message::ServerOutputsRequest { transmitted }, Some(ID));
             assert_eq!(
                 frame.len() as u64,
                 cost.upload_frame_bytes(batch as u64, &WIRE_OVERHEAD),
@@ -47,7 +51,7 @@ fn return_frame_bytes_match_the_encoder_for_every_backbone() {
                 let maps: Vec<Tensor> = (0..ensemble_size)
                     .map(|_| Tensor::zeros(&[batch, features]))
                     .collect();
-                let frame = encode_message(&Message::ServerOutputsResponse { maps });
+                let frame = encode_tagged(&Message::ServerOutputsResponse { maps }, Some(ID));
                 assert_eq!(
                     frame.len() as u64,
                     cost.return_frame_bytes(batch as u64, ensemble_size as u64, &WIRE_OVERHEAD),
@@ -69,7 +73,7 @@ fn quantized_upload_frame_bytes_match_the_encoder_for_every_backbone() {
                 &[batch, head[0], head[1], head[2]],
                 |i| (i as f32 * 0.01).sin(),
             ));
-            let frame = encode_message(&Message::ServerOutputsRequestQ { transmitted });
+            let frame = encode_tagged(&Message::ServerOutputsRequestQ { transmitted }, Some(ID));
             assert_eq!(
                 frame.len() as u64,
                 cost.upload_frame_bytes_q(batch as u64, &WIRE_OVERHEAD),
@@ -94,7 +98,7 @@ fn quantized_return_frame_bytes_match_the_encoder_for_every_backbone() {
                         }))
                     })
                     .collect();
-                let frame = encode_message(&Message::ServerOutputsResponseQ { maps });
+                let frame = encode_tagged(&Message::ServerOutputsResponseQ { maps }, Some(ID));
                 assert_eq!(
                     frame.len() as u64,
                     cost.return_frame_bytes_q(batch as u64, ensemble_size as u64, &WIRE_OVERHEAD),
@@ -108,19 +112,21 @@ fn quantized_return_frame_bytes_match_the_encoder_for_every_backbone() {
 
 #[test]
 fn range_request_frame_bytes_match_the_encoder_for_every_backbone() {
-    // The sub-range requests a shard router fans out (protocol v4) cost the
-    // full upload plus exactly one `lo..hi` range header — for both wire
-    // precisions.
+    // The sub-range requests a shard router fans out cost the full upload
+    // plus exactly one `lo..hi` range header — for both wire precisions.
     for (name, config) in configs() {
         let cost = network_cost(&config);
         let head = config.head_output_shape();
         for batch in [1usize, 8] {
             let transmitted = Tensor::zeros(&[batch, head[0], head[1], head[2]]);
-            let frame = encode_message(&Message::ServerOutputsRequestRange {
-                lo: 1,
-                hi: 3,
-                transmitted: transmitted.clone(),
-            });
+            let frame = encode_tagged(
+                &Message::ServerOutputsRequestRange {
+                    lo: 1,
+                    hi: 3,
+                    transmitted: transmitted.clone(),
+                },
+                Some(ID),
+            );
             assert_eq!(
                 frame.len() as u64,
                 cost.upload_frame_bytes_range(batch as u64, &WIRE_OVERHEAD),
@@ -129,11 +135,14 @@ fn range_request_frame_bytes_match_the_encoder_for_every_backbone() {
             );
 
             let quantized = QTensorBatch::quantize_batch(&transmitted);
-            let frame = encode_message(&Message::ServerOutputsRequestRangeQ {
-                lo: 1,
-                hi: 3,
-                transmitted: quantized,
-            });
+            let frame = encode_tagged(
+                &Message::ServerOutputsRequestRangeQ {
+                    lo: 1,
+                    hi: 3,
+                    transmitted: quantized,
+                },
+                Some(ID),
+            );
             assert_eq!(
                 frame.len() as u64,
                 cost.upload_frame_bytes_range_q(batch as u64, &WIRE_OVERHEAD),
@@ -146,7 +155,7 @@ fn range_request_frame_bytes_match_the_encoder_for_every_backbone() {
 
 #[test]
 fn the_quantized_response_is_roughly_a_quarter_of_the_f32_one() {
-    // The headline byte saving of protocol v2, asserted on real frames.
+    // The headline byte saving of the quantized frames, from the model.
     let config = ResNetConfig::paper_resnet18(10, 32, true);
     let cost = network_cost(&config);
     let f32_bytes = cost.return_frame_bytes(32, 10, &WIRE_OVERHEAD) as f64;
@@ -167,16 +176,19 @@ fn a_live_pipelines_frames_match_the_model_end_to_end() {
     let images = Tensor::ones(&[batch, 3, 16, 16]);
 
     let transmitted = pipeline.client_features(&images).unwrap();
-    let request = encode_message(&Message::ServerOutputsRequest {
-        transmitted: transmitted.clone(),
-    });
+    let request = encode_tagged(
+        &Message::ServerOutputsRequest {
+            transmitted: transmitted.clone(),
+        },
+        Some(ID),
+    );
     assert_eq!(
         request.len() as u64,
         cost.upload_frame_bytes(batch as u64, &WIRE_OVERHEAD)
     );
 
     let maps = pipeline.server_outputs(&transmitted).unwrap();
-    let response = encode_message(&Message::ServerOutputsResponse { maps });
+    let response = encode_tagged(&Message::ServerOutputsResponse { maps }, Some(ID));
     assert_eq!(
         response.len() as u64,
         cost.return_frame_bytes(
@@ -186,17 +198,20 @@ fn a_live_pipelines_frames_match_the_model_end_to_end() {
         )
     );
 
-    // And the same stages through the quantized (v2) encoding.
+    // And the same stages through the quantized encoding.
     let qf = QTensorBatch::quantize_batch(&transmitted);
-    let request = encode_message(&Message::ServerOutputsRequestQ {
-        transmitted: qf.clone(),
-    });
+    let request = encode_tagged(
+        &Message::ServerOutputsRequestQ {
+            transmitted: qf.clone(),
+        },
+        Some(ID),
+    );
     assert_eq!(
         request.len() as u64,
         cost.upload_frame_bytes_q(batch as u64, &WIRE_OVERHEAD)
     );
     let qmaps = pipeline.server_outputs_quantized(&qf).unwrap();
-    let response = encode_message(&Message::ServerOutputsResponseQ { maps: qmaps });
+    let response = encode_tagged(&Message::ServerOutputsResponseQ { maps: qmaps }, Some(ID));
     assert_eq!(
         response.len() as u64,
         cost.return_frame_bytes_q(
@@ -209,55 +224,23 @@ fn a_live_pipelines_frames_match_the_model_end_to_end() {
 
 #[test]
 fn tagged_frames_cost_exactly_the_modelled_request_id_bytes() {
-    use ensembler_serve::protocol::{encode_tagged, ErrorCode, WireError};
+    use ensembler_serve::protocol::{ErrorCode, WireError};
 
-    // Protocol v5's multiplexing header: for EVERY taggable message type, a
-    // tagged frame is byte-for-byte the untagged frame plus exactly the
-    // `request_id_bytes` the analytic model charges — across backbones,
-    // batch sizes and request ids.
-    let config = ResNetConfig::tiny_for_tests();
-    let head = config.head_output_shape();
-    let features = config.body_output_features();
-    let batch = 2usize;
-    let transmitted = Tensor::from_fn(&[batch, head[0], head[1], head[2]], |i| i as f32 * 0.01);
-    let quantized = QTensorBatch::quantize_batch(&transmitted);
-    let maps: Vec<Tensor> = (0..3).map(|_| Tensor::zeros(&[batch, features])).collect();
-    let qmaps: Vec<QTensorBatch> = maps.iter().map(QTensorBatch::quantize_batch).collect();
-    let messages = vec![
-        Message::ServerOutputsRequest {
-            transmitted: transmitted.clone(),
-        },
-        Message::ServerOutputsResponse { maps },
-        Message::ServerOutputsRequestQ {
-            transmitted: quantized.clone(),
-        },
-        Message::ServerOutputsResponseQ { maps: qmaps },
-        Message::ServerOutputsRequestRange {
-            lo: 0,
-            hi: 2,
-            transmitted,
-        },
-        Message::ServerOutputsRequestRangeQ {
-            lo: 1,
-            hi: 3,
-            transmitted: quantized,
-        },
-        Message::Error(WireError {
-            code: ErrorCode::Overloaded,
-            message: "per-connection budget".to_string(),
-        }),
-    ];
-    for message in messages {
-        let untagged = encode_message(&message);
-        for id in [0u64, 1, u64::MAX] {
-            let tagged = encode_tagged(&message, Some(id));
-            assert_eq!(
-                tagged.len() as u64,
-                untagged.len() as u64 + WIRE_OVERHEAD.request_id_bytes,
-                "tagged frame cost drifted from the analytic model for {:?} id {id}",
-                message.message_type(),
-            );
-        }
+    // `Error` is the one message that exists in both forms: tagged, it is
+    // byte-for-byte the untagged frame plus exactly the `request_id_bytes`
+    // the analytic model charges every tensor frame above.
+    let message = Message::Error(WireError {
+        code: ErrorCode::Overloaded,
+        message: "per-connection budget".to_string(),
+    });
+    let untagged = encode_message(&message);
+    for id in [0u64, 1, u64::MAX] {
+        let tagged = encode_tagged(&message, Some(id));
+        assert_eq!(
+            tagged.len() as u64,
+            untagged.len() as u64 + WIRE_OVERHEAD.request_id_bytes,
+            "tagged frame cost drifted from the analytic model for id {id}",
+        );
     }
     assert_eq!(
         WIRE_OVERHEAD.request_id_bytes,
@@ -267,46 +250,10 @@ fn tagged_frames_cost_exactly_the_modelled_request_id_bytes() {
 }
 
 #[test]
-fn frame_size_model_matches_real_tagged_frames_for_every_backbone() {
-    // The tentpole byte-accounting check on the multiplexed request path:
-    // the model's upload/return predictions plus its request-id term equal
-    // real v5 tagged frames, for every backbone the workspace ships.
-    use ensembler_serve::protocol::encode_tagged;
-
-    for (name, config) in configs() {
-        let cost = network_cost(&config);
-        let head = config.head_output_shape();
-        let features = config.body_output_features();
-        for batch in [1usize, 8] {
-            let transmitted = Tensor::zeros(&[batch, head[0], head[1], head[2]]);
-            let frame = encode_tagged(
-                &Message::ServerOutputsRequest { transmitted },
-                Some(0x0123_4567_89AB_CDEF),
-            );
-            assert_eq!(
-                frame.len() as u64,
-                cost.upload_frame_bytes(batch as u64, &WIRE_OVERHEAD)
-                    + WIRE_OVERHEAD.request_id_bytes,
-                "tagged upload frame size drifted for {name} batch {batch}"
-            );
-
-            let maps: Vec<Tensor> = (0..4).map(|_| Tensor::zeros(&[batch, features])).collect();
-            let frame = encode_tagged(&Message::ServerOutputsResponse { maps }, Some(7));
-            assert_eq!(
-                frame.len() as u64,
-                cost.return_frame_bytes(batch as u64, 4, &WIRE_OVERHEAD)
-                    + WIRE_OVERHEAD.request_id_bytes,
-                "tagged return frame size drifted for {name} batch {batch}"
-            );
-        }
-    }
-}
-
-#[test]
 fn handshake_frame_bytes_match_the_encoder() {
     use ensembler_serve::protocol::{Hello, HelloAck};
 
-    // Legacy (nameless) handshake frames.
+    // Nameless handshake frames.
     let hello = encode_message(&Message::Hello(Hello::legacy(1)));
     assert_eq!(hello.len() as u64, WIRE_OVERHEAD.hello_frame_bytes(None));
     let ack = encode_message(&Message::HelloAck(HelloAck {
@@ -321,7 +268,7 @@ fn handshake_frame_bytes_match_the_encoder() {
         WIRE_OVERHEAD.hello_ack_frame_bytes("Ensembler".len() as u64, None)
     );
 
-    // Protocol-v3 handshakes carrying a model name, across name lengths.
+    // Handshakes carrying a model name, across name lengths.
     for model in ["a", "alpha", "a-rather-long-model-name"] {
         let hello = encode_message(&Message::Hello(Hello {
             max_version: 3,

@@ -9,95 +9,19 @@ use ensembler_tensor::{QTensorBatch, Tensor};
 use std::collections::BTreeMap;
 
 /// The example messages the document walks through, by marker name, each
-/// with the request id of its v5 extended header (`None` = untagged frame,
-/// as every pre-v5 peer sends).
+/// with the request id of its extended header (`None` = untagged frame: the
+/// handshake, or an error that concerns the whole connection).
 fn documented_examples() -> BTreeMap<&'static str, (Message, Option<u64>)> {
     let mut examples: BTreeMap<&'static str, (Message, Option<u64>)> = BTreeMap::new();
     let mut insert = |name: &'static str, message: Message, request_id: Option<u64>| {
         examples.insert(name, (message, request_id));
     };
-    insert("hello", Message::Hello(Hello::legacy(1)), None);
-    insert(
-        "hello-v3",
-        Message::Hello(Hello {
-            max_version: 3,
-            model: Some("alpha".to_string()),
-        }),
-        None,
-    );
-    insert(
-        "hello-ack-v3",
-        Message::HelloAck(HelloAck {
-            version: 3,
-            label: "Ensembler".to_string(),
-            ensemble_size: 3,
-            selected_count: 2,
-            model: Some("alpha".to_string()),
-        }),
-        None,
-    );
     insert(
         "error-overloaded",
         Message::Error(WireError {
             code: ErrorCode::Overloaded,
             message: "budget".to_string(),
         }),
-        None,
-    );
-    insert(
-        "hello-ack",
-        Message::HelloAck(HelloAck {
-            version: 1,
-            label: "Ensembler".to_string(),
-            ensemble_size: 3,
-            selected_count: 2,
-            model: None,
-        }),
-        None,
-    );
-    insert(
-        "server-outputs-request",
-        Message::ServerOutputsRequest {
-            transmitted: Tensor::from_vec(vec![0.0, 0.5, -1.0, 2.0], &[1, 1, 2, 2]).unwrap(),
-        },
-        None,
-    );
-    insert(
-        "server-outputs-response",
-        Message::ServerOutputsResponse {
-            maps: vec![
-                Tensor::from_vec(vec![1.0, -0.5], &[1, 2]).unwrap(),
-                Tensor::from_vec(vec![0.25, 4.0], &[1, 2]).unwrap(),
-            ],
-        },
-        None,
-    );
-    insert(
-        "server-outputs-request-q",
-        Message::ServerOutputsRequestQ {
-            transmitted: QTensorBatch::quantize_batch(
-                &Tensor::from_vec(vec![0.0, 0.5, -1.0, 2.0], &[1, 1, 2, 2]).unwrap(),
-            ),
-        },
-        None,
-    );
-    insert(
-        "server-outputs-response-q",
-        Message::ServerOutputsResponseQ {
-            maps: vec![
-                QTensorBatch::quantize_batch(&Tensor::from_vec(vec![1.0, -0.5], &[1, 2]).unwrap()),
-                QTensorBatch::quantize_batch(&Tensor::from_vec(vec![0.25, 4.0], &[1, 2]).unwrap()),
-            ],
-        },
-        None,
-    );
-    insert(
-        "server-outputs-request-range",
-        Message::ServerOutputsRequestRange {
-            lo: 1,
-            hi: 3,
-            transmitted: Tensor::from_vec(vec![0.0, 0.5, -1.0, 2.0], &[1, 1, 2, 2]).unwrap(),
-        },
         None,
     );
     insert(
@@ -116,8 +40,7 @@ fn documented_examples() -> BTreeMap<&'static str, (Message, Option<u64>)> {
         }),
         None,
     );
-    // Protocol v5: the same request/response payloads, tagged with request
-    // ids, as a multiplexing peer puts them on the wire.
+    // Requests and responses, tagged with request ids.
     insert(
         "server-outputs-request-v5",
         Message::ServerOutputsRequest {
@@ -143,8 +66,8 @@ fn documented_examples() -> BTreeMap<&'static str, (Message, Option<u64>)> {
         }),
         Some(2),
     );
-    // The rest of what a v5 connection carries: its handshake (never
-    // tagged), and the quantized and sub-range frames with their ids.
+    // The handshake (never tagged), and the quantized and sub-range frames
+    // with their ids.
     insert("hello-v5", Message::Hello(Hello::legacy(5)), None);
     insert(
         "hello-v5-model",

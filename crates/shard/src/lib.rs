@@ -3,7 +3,7 @@
 //! The paper's server cost is `O(N)` in the ensemble size; one process
 //! parallelises that across cores, this crate parallelises it across
 //! *machines*. A [`ShardRouter`] implements [`ensembler::Defense`] by
-//! fanning each `server_outputs` call out over the protocol-v4 sub-range
+//! fanning each `server_outputs` call out over the protocol's sub-range
 //! requests of `ensembler-serve` to a pool of ordinary
 //! [`ensembler_serve::DefenseServer`] workers — each holding the full
 //! checkpoint but evaluating only the body slice `lo..hi` a [`Placement`]

@@ -1,18 +1,18 @@
 //! The paper's deployment, for real: a multi-model `DefenseServer` (the
 //! untrusted cloud) serving an f32 and an int8 pipeline from one process,
 //! and `RemoteDefense` clients (the trusted edge) picking their model by
-//! name over the protocol-v3 handshake — then the same client code served
+//! name in the handshake — then the same client code served
 //! through the coalescing `InferenceEngine`, unchanged, because
 //! `RemoteDefense` is just another `Defense`.
 //!
 //! Run with: `cargo run --example networked_inference --release`
 //! Add `--int8` to route the engine-composition section through the int8
-//! model and its protocol-v2 quantized frames (about a quarter of the
+//! model and its quantized frames (about a quarter of the
 //! response bytes). Either way the example cross-checks that both models
 //! put the same labels on the demo batch, so it doubles as a quantization
 //! smoke test.
 
-use ensembler_suite::core::{Defense, EngineConfig, InferenceEngine, QuantizedDefense};
+use ensembler_suite::core::{Defense, EngineConfig, InferenceEngine, Precision, QuantizedDefense};
 use ensembler_suite::latency::{network_cost, LinkProfile};
 use ensembler_suite::serve::{
     demo_pipeline, DefenseServer, ModelRegistry, RemoteDefense, ServerConfig, WIRE_OVERHEAD,
@@ -49,10 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, local) in [("f32", &f32_pipeline), ("int8", &int8_pipeline)] {
         let remote = RemoteDefense::connect_model(Arc::clone(local), server.local_addr(), name)?;
         println!(
-            "edge:  connected to model {:?}, negotiated protocol v{}{}",
-            remote.model().expect("v3 ack echoes the model"),
-            remote.negotiated_version(),
-            if remote.uses_quantized_frames() {
+            "edge:  connected to model {:?}{}",
+            remote.model().expect("the ack echoes the model"),
+            if remote.precision() == Precision::Int8 {
                 " (quantized frames)"
             } else {
                 ""
