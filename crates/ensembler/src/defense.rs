@@ -21,7 +21,8 @@ use ensembler_data::Dataset;
 use ensembler_metrics::accuracy;
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler_tensor::Tensor;
+use std::ops::Range;
 
 /// The numeric mode a pipeline (or an evaluation sweep) runs in.
 ///
@@ -60,8 +61,8 @@ pub struct EvalConfig {
     /// Mini-batch size used when sweeping a dataset.
     pub batch_size: usize,
     /// Numeric mode of the sweep. With [`Precision::Int8`] the split tensors
-    /// are routed through [`Defense::server_outputs_quantized`], so the sweep
-    /// measures exactly what a quantized wire deployment would serve.
+    /// cross as an int8 [`ServerRequest`], so the sweep measures exactly what
+    /// a quantized wire deployment would serve.
     pub precision: Precision,
 }
 
@@ -176,121 +177,64 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
     /// Returns an error when the input is inconsistent with the pipeline.
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError>;
 
-    /// Evaluates every server body on the transmitted features, returning
-    /// the per-network feature maps in index order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the features do not match the server input
-    /// shape.
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError>;
-
-    /// The numeric mode this pipeline's [`Defense::server_outputs`] stage
-    /// runs in. `F32` by default; [`crate::QuantizedDefense`] reports `Int8`,
-    /// which is what tells the networked client to use quantized wire frames.
+    /// The numeric mode this pipeline's server bodies run in. `F32` by
+    /// default; [`crate::QuantizedDefense`] reports `Int8`, which is what
+    /// tells the networked client to use quantized wire frames.
     fn precision(&self) -> Precision {
         Precision::F32
     }
 
-    /// [`Defense::server_outputs`] over quantized wire tensors: one
-    /// per-sample-scaled int8 batch in, `N` per-network int8 batches out.
+    /// The server stage: evaluates the bodies `request.range` (`None` = all
+    /// of them) on `request.features` and answers at the payload's precision,
+    /// the maps in body index order.
     ///
-    /// This is the stage the v2 wire protocol transports. The default
-    /// implementation defines the reference semantics for any `f32` pipeline
-    /// — dequantize, run the `f32` bodies, re-quantize per sample —
-    /// so every defense can serve quantized clients.
-    /// [`crate::QuantizedDefense`] overrides it to run its int8 kernels
-    /// directly; its `server_outputs` is defined *through* this method, which
-    /// is what makes remote int8 predictions bit-identical to in-process
-    /// ones.
+    /// This is the one method a pipeline implements for the server stage.
+    /// The engine, the wire server, the remote client and the shard router
+    /// all speak [`ServerRequest`] and end up here, and so do the provided
+    /// conveniences below ([`Defense::server_outputs`],
+    /// [`Defense::server_outputs_range`], [`Defense::predict`],
+    /// [`Defense::predict_at`]) — a wrapper that overrides `serve` sees every
+    /// evaluation. A payload whose precision differs from the backend's
+    /// crosses over through [`Features::to_precision`] and
+    /// [`Maps::into_precision`], so every pipeline can serve quantized
+    /// clients and an int8 backend's `f32` answers are bit-identical in
+    /// process and over the wire.
     ///
     /// # Errors
     ///
-    /// Returns an error when the features do not match the server input
-    /// shape.
-    fn server_outputs_quantized(
-        &self,
-        transmitted: &QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        let maps = self.server_outputs(&transmitted.dequantize())?;
-        Ok(maps.iter().map(QTensorBatch::quantize_batch).collect())
+    /// Returns an error when the range is empty or out of bounds, or when the
+    /// features do not match the server input shape.
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError>;
+
+    /// [`Defense::serve`] for the common case — every body, `f32` features
+    /// borrowed from the caller (they are copied into the request once).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Defense::serve`].
+    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+        self.serve(&ServerRequest::full(Features::F32(transmitted.clone())))?
+            .into_f32()
     }
 
     /// [`Defense::server_outputs`] restricted to the bodies `lo..hi`: the
     /// sub-ensemble serving mode a sharded worker runs in, returning
     /// `hi - lo` feature maps in index order.
     ///
-    /// The default implementation evaluates the full ensemble and slices the
-    /// result, which is always correct (each body's output is independent of
-    /// the others) but does `N` bodies' worth of work; pipelines that own
-    /// their bodies override this to evaluate only the requested slice.
-    ///
     /// # Errors
     ///
-    /// Returns an error when the range is empty or out of bounds, or when the
-    /// features do not match the server input shape.
+    /// As for [`Defense::serve`].
     fn server_outputs_range(
         &self,
         transmitted: &Tensor,
         lo: usize,
         hi: usize,
     ) -> Result<Vec<Tensor>, EnsemblerError> {
-        check_body_range(lo, hi, self.ensemble_size())?;
-        let mut maps = self.server_outputs(transmitted)?;
-        maps.truncate(hi);
-        Ok(maps.split_off(lo))
-    }
-
-    /// [`Defense::server_outputs_quantized`] restricted to the bodies
-    /// `lo..hi` — the quantized twin of [`Defense::server_outputs_range`].
-    ///
-    /// Slicing commutes with per-map re-quantization (scales are per sample
-    /// within each map), so the default full-evaluate-then-slice
-    /// implementation is bit-identical to evaluating only the slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the range is empty or out of bounds, or when the
-    /// features do not match the server input shape.
-    fn server_outputs_quantized_range(
-        &self,
-        transmitted: &QTensorBatch,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        check_body_range(lo, hi, self.ensemble_size())?;
-        let mut maps = self.server_outputs_quantized(transmitted)?;
-        maps.truncate(hi);
-        Ok(maps.split_off(lo))
-    }
-
-    /// The server stage as one call: evaluates the bodies `request.range`
-    /// (`None` = all of them) on `request.features` at the payload's
-    /// precision.
-    ///
-    /// This is the only place the precision × range product is matched onto
-    /// the four methods above; the engine, the wire server, the remote
-    /// client and the shard router all speak [`ServerRequest`] and end up
-    /// here. Pipelines customise the four methods, not this one, so a
-    /// wrapper that overrides just [`Defense::server_outputs`] still sees
-    /// every full-ensemble `f32` request.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the selected method returns.
-    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
-        match (&request.features, &request.range) {
-            (Features::F32(features), None) => self.server_outputs(features).map(Maps::F32),
-            (Features::F32(features), Some(range)) => self
-                .server_outputs_range(features, range.start, range.end)
-                .map(Maps::F32),
-            (Features::Int8(features), None) => {
-                self.server_outputs_quantized(features).map(Maps::Int8)
-            }
-            (Features::Int8(features), Some(range)) => self
-                .server_outputs_quantized_range(features, range.start, range.end)
-                .map(Maps::Int8),
-        }
+        self.serve(&ServerRequest::ranged(
+            lo..hi,
+            Features::F32(transmitted.clone()),
+        ))?
+        .into_f32()
     }
 
     /// Applies the client-side post-processing (secret selection and tail
@@ -308,18 +252,17 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
     ///
     /// Propagates errors from any of the three stages.
     fn predict(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
-        let transmitted = self.client_features(images)?;
-        let maps = self.server_outputs(&transmitted)?;
+        let request = ServerRequest::full(Features::F32(self.client_features(images)?));
+        let maps = self.serve(&request)?.into_f32()?;
         self.classify(&maps)
     }
 
     /// [`Defense::predict`] at an explicit numeric mode.
     ///
     /// With [`Precision::Int8`] the split tensors are quantized per sample
-    /// and the server stage runs through
-    /// [`Defense::server_outputs_quantized`] — byte-for-byte the path a
-    /// quantized remote deployment executes, so in-process and networked
-    /// int8 predictions agree bit-exactly.
+    /// and [`Defense::serve`] answers an int8 request — byte-for-byte the
+    /// path a quantized remote deployment executes, so in-process and
+    /// networked int8 predictions agree bit-exactly.
     ///
     /// # Errors
     ///
@@ -328,11 +271,10 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
         match precision {
             Precision::F32 => self.predict(images),
             Precision::Int8 => {
-                let transmitted = self.client_features(images)?;
-                let qf = QTensorBatch::quantize_batch(&transmitted);
-                let qmaps = self.server_outputs_quantized(&qf)?;
-                let maps: Vec<Tensor> = qmaps.iter().map(QTensorBatch::dequantize).collect();
-                self.classify(&maps)
+                let transmitted = Features::F32(self.client_features(images)?);
+                let request = ServerRequest::full(transmitted.to_precision(precision).into_owned());
+                let maps = self.serve(&request)?.into_precision(Precision::F32);
+                self.classify(&maps.into_f32()?)
             }
         }
     }
@@ -367,9 +309,9 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
 /// Validates a half-open server-body range `lo..hi` against an ensemble of
 /// `ensemble_size` bodies: the range must be non-empty and in bounds.
 ///
-/// Shared by every layer that handles sub-range requests (the trait defaults
-/// above, the inference engine, the wire server and the shard router), so
-/// they all reject malformed ranges with the same message.
+/// Shared by every layer that handles sub-range requests (the pipelines, the
+/// inference engine, the wire server and the shard router), so they all
+/// reject malformed ranges with the same message.
 ///
 /// # Errors
 ///
@@ -394,13 +336,29 @@ pub fn check_body_range(lo: usize, hi: usize, ensemble_size: usize) -> Result<()
     Ok(())
 }
 
+/// The server stage of a pipeline that owns its bodies: validates the
+/// request's range against `ensemble_size`, hands `bodies` the payload at the
+/// `backend` precision and the body indices to run, and returns its maps at
+/// the payload's precision.
+pub(crate) fn serve_bodies(
+    request: &ServerRequest,
+    ensemble_size: usize,
+    backend: Precision,
+    bodies: impl FnOnce(&Features, Range<usize>) -> Result<Maps, EnsemblerError>,
+) -> Result<Maps, EnsemblerError> {
+    let range = request.range.clone().unwrap_or(0..ensemble_size);
+    check_body_range(range.start, range.end, ensemble_size)?;
+    let maps = bodies(&request.features.to_precision(backend), range)?;
+    Ok(maps.into_precision(request.features.precision()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::tests::tiny_pipeline;
     use crate::QuantizedDefense;
     use ensembler_nn::{Layer, Mode, QSequential};
-    use std::ops::Range;
+    use ensembler_tensor::QTensorBatch;
     use std::sync::Arc;
 
     #[test]
@@ -415,14 +373,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_reaches_exactly_the_method_its_request_names() {
+    fn every_entry_point_reaches_serve_once_with_its_range_and_precision() {
         use crate::defenses::{DefenseKind, SinglePipeline};
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use ensembler_data::SyntheticSpec;
+        use std::sync::Mutex;
 
-        /// Overrides only `server_outputs`, like the serving tests' gated
-        /// doubles: every `serve` must still funnel through it.
+        /// Overrides only `serve`, like the serving tests' gated doubles:
+        /// every convenience must funnel through it.
         #[derive(Debug)]
-        struct Counting(SinglePipeline, AtomicUsize);
+        struct Counting(
+            SinglePipeline,
+            Mutex<Vec<(Option<Range<usize>>, Precision)>>,
+        );
         impl Defense for Counting {
             fn config(&self) -> &ResNetConfig {
                 self.0.config()
@@ -439,9 +401,10 @@ mod tests {
             fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
                 self.0.client_features(images)
             }
-            fn server_outputs(&self, t: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-                self.1.fetch_add(1, Ordering::Relaxed);
-                self.0.server_outputs(t)
+            fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+                let seen = (request.range.clone(), request.features.precision());
+                self.1.lock().unwrap().push(seen);
+                self.0.serve(request)
             }
             fn classify(&self, maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
                 self.0.classify(maps)
@@ -450,27 +413,32 @@ mod tests {
 
         let inner =
             SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 5).unwrap();
-        let double = Counting(inner, AtomicUsize::new(0));
-        let features = double
-            .client_features(&Tensor::ones(&[2, 3, 8, 8]))
-            .unwrap();
-        let quantized = QTensorBatch::quantize_batch(&features);
+        let double = Counting(inner, Mutex::new(Vec::new()));
+        let seen = || std::mem::take(&mut *double.1.lock().unwrap());
+        let images = Tensor::ones(&[2, 3, 8, 8]);
+        let features = double.client_features(&images).unwrap();
         let direct = double.0.server_outputs(&features).unwrap();
 
-        let requests = [
-            ServerRequest::full(Features::F32(features.clone())),
-            ServerRequest::ranged(0..1, Features::F32(features.clone())),
-            ServerRequest::full(Features::Int8(quantized.clone())),
-            ServerRequest::ranged(0..1, Features::Int8(quantized.clone())),
-        ];
-        for (served, request) in requests.iter().enumerate() {
-            let maps = double.serve(request).unwrap();
-            assert_eq!(maps.precision(), request.features.precision());
-            assert_eq!(maps.len(), 1);
-            assert_eq!(double.1.load(Ordering::Relaxed), served + 1, "{request:?}");
+        assert_eq!(double.server_outputs(&features).unwrap(), direct);
+        assert_eq!(seen(), [(None, Precision::F32)]);
+        assert_eq!(
+            double.server_outputs_range(&features, 0, 1).unwrap(),
+            direct
+        );
+        assert_eq!(seen(), [(Some(0..1), Precision::F32)]);
+        double.predict(&images).unwrap();
+        assert_eq!(seen(), [(None, Precision::F32)]);
+        for precision in [Precision::F32, Precision::Int8] {
+            double.predict_at(&images, precision).unwrap();
+            assert_eq!(seen(), [(None, precision)]);
+            // One request per mini-batch of a sweep.
+            let data = SyntheticSpec::tiny_for_tests().generate(3).test;
+            let eval = EvalConfig::with_batch_size(4).with_precision(precision);
+            double.evaluate(&data, &eval).unwrap();
+            assert_eq!(seen(), vec![(None, precision); data.len().div_ceil(4)]);
         }
-        assert_eq!(double.serve(&requests[0]).unwrap(), Maps::F32(direct));
         // Out-of-bounds and empty ranges are typed errors at both precisions.
+        let quantized = QTensorBatch::quantize_batch(&features);
         for payload in [Features::F32(features), Features::Int8(quantized)] {
             assert!(double
                 .serve(&ServerRequest::ranged(0..2, payload.clone()))
@@ -508,53 +476,40 @@ mod tests {
         }
     }
 
-    fn slice(maps: &Maps, range: Range<usize>) -> Maps {
-        match maps {
-            Maps::F32(maps) => Maps::F32(maps[range].to_vec()),
-            Maps::Int8(maps) => Maps::Int8(maps[range].to_vec()),
-        }
-    }
-
-    fn concat(left: Maps, right: Maps) -> Maps {
-        match (left, right) {
-            (Maps::F32(mut left), Maps::F32(right)) => {
-                left.extend(right);
-                Maps::F32(left)
-            }
-            (Maps::Int8(mut left), Maps::Int8(right)) => {
-                left.extend(right);
-                Maps::Int8(left)
-            }
-            (left, right) => panic!("mixed precisions: {left:?} vs {right:?}"),
-        }
-    }
-
-    /// Runs `check` for a 4-body Ensembler and its int8 wrapper (the two
-    /// pipelines that override the range methods instead of slicing a full
-    /// evaluation) × both payload precisions, handing it the pipeline, a
-    /// payload and the per-body oracle's answer for it.
+    /// Runs `check` for a 4-body Ensembler, a single-network pipeline and the
+    /// int8 wrapper of each × both payload precisions, handing it the
+    /// pipeline, a payload and the per-body oracle's answer for it.
     fn for_each_pipeline_and_precision(seed: u64, check: impl Fn(&dyn Defense, &Features, &Maps)) {
-        let f32_pipeline: Arc<dyn Defense> = Arc::new(tiny_pipeline(4, 2, seed));
-        let int8 = QuantizedDefense::quantize(Arc::clone(&f32_pipeline));
-        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.01).sin());
-        let features = f32_pipeline.client_features(&images).unwrap();
-        let payloads = [
-            Features::Int8(QTensorBatch::quantize_batch(&features)),
-            Features::F32(features),
+        use crate::defenses::{DefenseKind, SinglePipeline};
+
+        let single =
+            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, seed);
+        let pipelines: [Arc<dyn Defense>; 2] = [
+            Arc::new(tiny_pipeline(4, 2, seed)),
+            Arc::new(single.unwrap()),
         ];
-        for payload in &payloads {
-            let reference = per_body_oracle(payload, false, |x| {
-                let bodies = f32_pipeline.server_bodies().iter();
-                bodies.map(|body| body.forward(x, Mode::Eval)).collect()
-            });
-            check(f32_pipeline.as_ref(), payload, &reference);
-            let reference = per_body_oracle(payload, true, |x| {
-                let bodies = f32_pipeline.server_bodies().iter();
-                bodies
-                    .map(|body| QSequential::from_sequential(body).forward(x))
-                    .collect()
-            });
-            check(&int8, payload, &reference);
+        for f32_pipeline in pipelines {
+            let int8 = QuantizedDefense::quantize(Arc::clone(&f32_pipeline));
+            let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.01).sin());
+            let features = f32_pipeline.client_features(&images).unwrap();
+            let payloads = [
+                Features::Int8(QTensorBatch::quantize_batch(&features)),
+                Features::F32(features),
+            ];
+            for payload in &payloads {
+                let reference = per_body_oracle(payload, false, |x| {
+                    let bodies = f32_pipeline.server_bodies().iter();
+                    bodies.map(|body| body.forward(x, Mode::Eval)).collect()
+                });
+                check(f32_pipeline.as_ref(), payload, &reference);
+                let reference = per_body_oracle(payload, true, |x| {
+                    let bodies = f32_pipeline.server_bodies().iter();
+                    bodies
+                        .map(|body| QSequential::from_sequential(body).forward(x))
+                        .collect()
+                });
+                check(&int8, payload, &reference);
+            }
         }
     }
 
@@ -567,7 +522,8 @@ mod tests {
                     .serve(&ServerRequest::ranged(range, payload.clone()))
                     .unwrap()
             };
-            assert_eq!(reference.len(), 4);
+            let n = defense.ensemble_size();
+            assert_eq!(reference.len(), n);
             assert_eq!(
                 &defense
                     .serve(&ServerRequest::full(payload.clone()))
@@ -575,9 +531,67 @@ mod tests {
                 reference,
                 "{what}: full"
             );
-            assert_eq!(&concat(serve(0..2), serve(2..4)), reference, "{what}: 2+2");
-            assert_eq!(&serve(0..4), reference, "{what}: 0..4");
+            if n == 4 {
+                let mut halves = serve(0..2);
+                halves.append(serve(2..4)).unwrap();
+                assert_eq!(&halves, reference, "{what}: 2+2");
+            }
+            assert_eq!(&serve(0..n), reference, "{what}: 0..{n}");
         });
+    }
+
+    #[test]
+    fn a_ranged_request_runs_only_the_bodies_it_names() {
+        use ensembler_nn::models::build_body;
+        use ensembler_tensor::Rng;
+
+        // Body 3 takes 5 input channels, the head produces 4: any request
+        // that evaluates it fails, any request that does not is untouched.
+        let config = ResNetConfig::tiny_for_tests();
+        let wide = ResNetConfig {
+            stem_channels: config.stem_channels + 1,
+            ..config
+        };
+        let mut poisoned = tiny_pipeline(4, 2, 43);
+        poisoned.bodies_mut()[3] = build_body(&wide, &mut Rng::seed_from(1));
+        let poisoned: Arc<dyn Defense> = Arc::new(poisoned);
+        let clean: Arc<dyn Defense> = Arc::new(tiny_pipeline(4, 2, 43));
+
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.01).sin());
+        let features = clean.client_features(&images).unwrap();
+        let payloads = [
+            Features::Int8(QTensorBatch::quantize_batch(&features)),
+            Features::F32(features),
+        ];
+        let int8 = |pipeline: &Arc<dyn Defense>| -> Arc<dyn Defense> {
+            Arc::new(QuantizedDefense::quantize(Arc::clone(pipeline)))
+        };
+        for (poisoned, clean) in [(int8(&poisoned), int8(&clean)), (poisoned, clean)] {
+            for payload in &payloads {
+                let what = format!("{} / {:?}", poisoned.label(), payload.precision());
+                for range in [0..2, 1..3, 0..3] {
+                    let request = ServerRequest::ranged(range, payload.clone());
+                    assert_eq!(
+                        poisoned.serve(&request).expect(&what),
+                        clean.serve(&request).unwrap(),
+                        "{what}: {:?}",
+                        request.range
+                    );
+                }
+                for range in [Some(0..4), Some(3..4), None] {
+                    let request = ServerRequest {
+                        range,
+                        features: payload.clone(),
+                    };
+                    let err = poisoned.serve(&request).unwrap_err();
+                    assert!(
+                        matches!(err, EnsemblerError::ShapeMismatch(_)),
+                        "{what}: {:?} -> {err}",
+                        request.range
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -588,13 +602,15 @@ mod tests {
                     .serve(&ServerRequest::ranged(range, payload.clone()))
                     .unwrap()
             };
-            for (a, b) in [(0usize, 4usize), (1, 4), (0, 3), (1, 3)] {
+            let n = defense.ensemble_size();
+            let outers = [(0, n), (1, n), (0, n - 1), (1, n - 1)];
+            for (a, b) in outers.into_iter().filter(|(a, b)| a < b) {
                 let outer = serve(a..b);
-                assert_eq!(outer, slice(reference, a..b), "{a}..{b}");
+                assert_eq!(outer, reference.clone().slice(a..b), "{a}..{b}");
                 for c in 0..b - a {
                     for d in c + 1..=b - a {
                         assert_eq!(
-                            slice(&outer, c..d),
+                            outer.clone().slice(c..d),
                             serve(a + c..a + d),
                             "{} / {:?}: ({a}..{b})[{c}..{d}]",
                             defense.label(),

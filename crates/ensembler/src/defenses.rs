@@ -14,10 +14,10 @@
 //! The DR-N (dropout on an ensemble without stage-1 training) baseline is the
 //! ensembled analogue and lives in [`crate::trainer::EnsemblerTrainer::train_joint`].
 
-use crate::defense::Defense;
+use crate::defense::{serve_bodies, Defense, Precision};
 use crate::plans::PlanCell;
 use crate::trainer::TrainConfig;
-use crate::EnsemblerError;
+use crate::{EnsemblerError, Maps, ServerRequest};
 use ensembler_data::Dataset;
 use ensembler_nn::models::{build_body, build_head, build_tail, ResNetConfig};
 use ensembler_nn::{
@@ -326,18 +326,21 @@ impl Defense for SinglePipeline {
         1
     }
 
-    /// Computes the features the client transmits (head output plus defence).
     fn compile_plans(&self) {
         self.plans();
     }
 
+    /// Computes the features the client transmits (head output plus defence).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.plans()[0].run(images)?;
         Ok(self.defense.forward(&features, Mode::Eval))
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        Ok(vec![self.plans()[1].run(transmitted)?])
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        serve_bodies(request, 1, Precision::F32, |features, _| {
+            let map = self.plans()[1].run(features.as_f32()?)?;
+            Ok(Maps::F32(vec![map]))
+        })
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

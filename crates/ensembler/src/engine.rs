@@ -454,20 +454,6 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
         }
     }
 
-    /// Evaluates a pre-assembled request batch directly on the calling
-    /// thread, bypassing the queue (a `[B, C, H, W]` batch has nothing to
-    /// gain from coalescing). A panicking pipeline surfaces as an
-    /// [`EnsemblerError::Engine`], never as a dead caller thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range is empty or out of bounds, or the
-    /// evaluation fails.
-    pub fn serve_batch(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
-        self.check_range(request)?;
-        catching_panics(|| self.defense.serve(request))
-    }
-
     fn check_range(&self, request: &ServerRequest) -> Result<(), EnsemblerError> {
         match &request.range {
             Some(range) => {
@@ -491,25 +477,6 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
                 self.stats.queued.fetch_sub(1, Ordering::Relaxed);
                 EnsemblerError::Engine("request queue is closed".to_string())
             })
-    }
-
-    /// Requests currently submitted but not yet drained into a mini-batch.
-    ///
-    /// This is the live value behind [`EngineStats::queue_depth`], exposed
-    /// separately so serving layers can poll it without snapshotting every
-    /// counter.
-    pub fn queue_depth(&self) -> u64 {
-        self.stats.queued.load(Ordering::Relaxed)
-    }
-
-    /// Classifies a pre-assembled `[B, C, H, W]` batch directly on the
-    /// calling thread, bypassing the queue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors.
-    pub fn predict_batch(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
-        self.defense.predict(images)
     }
 
     /// A snapshot of the engine's serving counters.
@@ -709,6 +676,17 @@ mod tests {
         InferenceEngine::new(pipeline, EngineConfig { max_batch, workers }).unwrap()
     }
 
+    /// One request through [`InferenceEngine::serve_to`], awaited — the batch
+    /// lane when `request` is a pre-assembled batch.
+    fn serve_now<D: Defense + ?Sized>(
+        engine: &InferenceEngine<D>,
+        request: ServerRequest,
+    ) -> Result<Maps, EnsemblerError> {
+        let (sink, answers) = channel();
+        engine.serve_to(request, 0, &sink)?;
+        answers.recv().expect("an accepted request is answered").1
+    }
+
     #[test]
     fn configuration_is_validated() {
         let pipeline = Arc::new(
@@ -745,7 +723,7 @@ mod tests {
             image_a.reshape(&[1, 3, 8, 8]).unwrap(),
             image_b.reshape(&[1, 3, 8, 8]).unwrap(),
         ]);
-        let direct = engine.predict_batch(&stacked).unwrap();
+        let direct = engine.defense().predict(&stacked).unwrap();
         let classes = direct.shape()[1];
         assert_eq!(row_a.data(), &direct.data()[..classes]);
         assert_eq!(row_b.data(), &direct.data()[classes..]);
@@ -789,7 +767,6 @@ mod tests {
         assert!(stats.max_batch_observed >= 1);
         // Every submitted request has been drained and answered.
         assert_eq!(stats.queue_depth, 0);
-        assert_eq!(engine.queue_depth(), 0);
     }
 
     #[test]
@@ -876,8 +853,8 @@ mod tests {
         use crate::quant::QuantizedDefense;
 
         // The f32 pipeline and its int8 twin, each behind its own engine:
-        // the table below runs on both, so all four trait methods are hit
-        // through both the default and the overriding implementations.
+        // the table below runs on both, so all four request kinds are hit
+        // on both backend precisions.
         let f32_pipeline = four_body_pipeline();
         let int8_pipeline: Arc<dyn Defense> =
             Arc::new(QuantizedDefense::quantize(Arc::clone(&f32_pipeline)));
@@ -910,23 +887,10 @@ mod tests {
                     })
                 })
                 .collect();
-            // The oracle is the isolated trait call each kind stands for.
+            // The oracle is the isolated `serve` of each request.
             let expected: Vec<Maps> = requests
                 .iter()
-                .map(|request| match (&request.features, &request.range) {
-                    (Features::F32(f), None) => Maps::F32(pipeline.server_outputs(f).unwrap()),
-                    (Features::F32(f), Some(r)) => {
-                        Maps::F32(pipeline.server_outputs_range(f, r.start, r.end).unwrap())
-                    }
-                    (Features::Int8(q), None) => {
-                        Maps::Int8(pipeline.server_outputs_quantized(q).unwrap())
-                    }
-                    (Features::Int8(q), Some(r)) => Maps::Int8(
-                        pipeline
-                            .server_outputs_quantized_range(q, r.start, r.end)
-                            .unwrap(),
-                    ),
-                })
+                .map(|request| pipeline.serve(request).unwrap())
                 .collect();
 
             let answers: Vec<Maps> = std::thread::scope(|scope| {
@@ -958,7 +922,7 @@ mod tests {
             ] {
                 let request = ServerRequest::ranged(range, payload);
                 assert!(engine.serve_begin(request.clone()).is_err());
-                assert!(engine.serve_batch(&request).is_err());
+                assert!(serve_now(&engine, request).is_err());
             }
             assert_eq!(engine.stats().requests_served, served);
         }
@@ -991,7 +955,7 @@ mod tests {
         let features = engine.defense().client_features(&images).unwrap();
         let request = ServerRequest::full(Features::F32(features.clone()));
         assert_eq!(
-            engine.serve_batch(&request).unwrap(),
+            serve_now(&engine, request).unwrap(),
             Maps::F32(engine.defense().server_outputs(&features).unwrap())
         );
     }
@@ -1066,8 +1030,8 @@ mod tests {
             panic!("injected client_features failure")
         }
 
-        fn server_outputs(&self, _transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-            panic!("injected server_outputs failure")
+        fn serve(&self, _request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+            panic!("injected serve failure")
         }
 
         fn classify(&self, _server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
@@ -1106,7 +1070,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
         let batch = ServerRequest::full(Features::F32(Tensor::ones(&[2, 3, 8, 8])));
-        let err = engine.serve_batch(&batch).unwrap_err();
+        let err = serve_now(&engine, batch).unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
     }
 
@@ -1169,10 +1133,6 @@ mod tests {
 
         fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
             self.inner.client_features(images)
-        }
-
-        fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-            self.inner.server_outputs(transmitted)
         }
 
         fn compile_plans(&self) {
@@ -1241,7 +1201,7 @@ mod tests {
                 let queued: Vec<_> = (0..k)
                     .map(|i| engine.serve_begin(request(i)).unwrap())
                     .collect();
-                assert_eq!(engine.queue_depth(), k as u64);
+                assert_eq!(engine.stats().queue_depth, k as u64);
                 // ... and come out as one batch of min(K, max_batch), the
                 // overflow as the next.
                 gate.open.send(()).unwrap();
@@ -1374,7 +1334,7 @@ mod tests {
         // the request that worker already drained as one still to arrive.
         let b = engine.serve_begin(request(1)).unwrap();
         assert_eq!(gate.entered(), 1);
-        assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.stats().queue_depth, 0);
         gate.open.send(()).unwrap();
         gate.open.send(()).unwrap();
         assert_eq!(a.wait().unwrap(), pipeline.serve(&request(0)).unwrap());

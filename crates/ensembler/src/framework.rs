@@ -1,8 +1,8 @@
 //! The Ensembler inference pipeline (Fig. 2 of the paper).
 
-use crate::defense::Defense;
+use crate::defense::{serve_bodies, Defense, Precision};
 use crate::plans::PlanCell;
-use crate::{EnsemblerError, Selector};
+use crate::{EnsemblerError, Maps, Selector, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::{CompiledPlan, Dropout, FixedNoise, FusionConfig, Layer, Mode, Sequential};
 use ensembler_tensor::{par_map, Tensor};
@@ -200,12 +200,12 @@ impl Defense for EnsemblerPipeline {
         self.selector.active_count()
     }
 
-    /// Computes the features the client transmits for a batch of images:
-    /// `M_c,h(x) + N(0, σ)` (plus dropout if the DR-N defence is enabled).
     fn compile_plans(&self) {
         self.body_plans();
     }
 
+    /// Computes the features the client transmits for a batch of images:
+    /// `M_c,h(x) + N(0, σ)` (plus dropout if the DR-N defence is enabled).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.head_plan.run(images)?;
         let noisy = self.noise.forward(&features, Mode::Eval);
@@ -215,35 +215,26 @@ impl Defense for EnsemblerPipeline {
         })
     }
 
-    /// Evaluates every server body on the transmitted features, returning the
-    /// `N` per-network feature maps in index order.
+    /// Evaluates the requested server bodies — all `N`, or the slice a
+    /// sharded worker owns — on the transmitted features, returning their
+    /// feature maps in index order.
     ///
     /// The bodies are independent, so they are evaluated in parallel from a
     /// shared `&self` — the property the paper uses to argue the `O(N)`
-    /// server cost parallelises away in multi-GPU or multi-party deployments.
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        let plans = self.body_plans();
-        let maps = par_map(&plans, |plan| plan.run(transmitted));
-        maps.into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(EnsemblerError::from)
-    }
-
-    /// Evaluates only the bodies `lo..hi` — the sharded-worker serving mode.
-    /// Bit-identical to slicing the full [`Defense::server_outputs`] because
-    /// each body's forward is independent of the others.
-    fn server_outputs_range(
-        &self,
-        transmitted: &Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Tensor>, EnsemblerError> {
-        crate::check_body_range(lo, hi, self.bodies.len())?;
-        let plans = self.body_plans();
-        let maps = par_map(&plans[lo..hi], |plan| plan.run(transmitted));
-        maps.into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(EnsemblerError::from)
+    /// server cost parallelises away in multi-GPU or multi-party deployments
+    /// — and a slice is bit-identical to the same slice of a full evaluation.
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        serve_bodies(
+            request,
+            self.bodies.len(),
+            Precision::F32,
+            |features, range| {
+                let transmitted = features.as_f32()?;
+                let plans = self.body_plans();
+                let maps = par_map(&plans[range], |plan| plan.run(transmitted));
+                Ok(Maps::F32(maps.into_iter().collect::<Result<_, _>>()?))
+            },
+        )
     }
 
     /// Applies the private selector and the client tail to the server's

@@ -9,15 +9,15 @@
 //! delta against `f32` to a fraction of a percentage point.
 //!
 //! The int8 semantics deliberately include the quantize→dequantize round
-//! trips at **both** wire crossings, in process or not: `server_outputs`
-//! is defined as `dequantize ∘ server_outputs_quantized ∘ quantize`. A
+//! trips at **both** wire crossings, in process or not: an `f32` request is
+//! answered as `dequantize ∘ serve ∘ quantize` of the int8 one. A
 //! remote client therefore executes byte-for-byte the same arithmetic as an
 //! in-process caller — the loopback suite asserts bit-exact agreement —
 //! and the protocol's quantized frames carry exactly the tensors the maths
 //! consumed.
 
-use crate::defense::{Defense, Precision};
-use crate::EnsemblerError;
+use crate::defense::{serve_bodies, Defense, Precision};
+use crate::{EnsemblerError, Maps, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::{FusionConfig, QCompiledPlan, Sequential};
 use ensembler_tensor::{par_map, QTensorBatch, Tensor};
@@ -130,64 +130,27 @@ impl Defense for QuantizedDefense {
         self.inner.client_features(images)
     }
 
-    /// The quantized-wire semantics: quantize per sample, evaluate through
-    /// [`Defense::server_outputs_quantized`], dequantize. The round trips
-    /// are part of the definition so that in-process and remote int8
-    /// predictions agree bit-exactly.
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        let qf = QTensorBatch::quantize_batch(transmitted);
-        let qmaps = self.server_outputs_quantized(&qf)?;
-        Ok(qmaps.iter().map(QTensorBatch::dequantize).collect())
-    }
-
-    /// Evaluates all `N` quantized bodies on the int8 feature batch, in
+    /// Evaluates the requested quantized bodies on the int8 feature batch, in
     /// parallel like the `f32` pipeline, re-quantizing each body's output
-    /// per sample for the return leg.
-    fn server_outputs_quantized(
-        &self,
-        transmitted: &QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        let features = transmitted.dequantize();
-        let maps = par_map(&self.qplans, |plan| {
-            plan.run(&features)
-                .map(|out| QTensorBatch::quantize_batch(&out))
-        });
-        maps.into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(EnsemblerError::from)
-    }
-
-    /// The range twin of [`Defense::server_outputs`]: quantize, evaluate the
-    /// `lo..hi` quantized bodies, dequantize — bit-identical to slicing the
-    /// full evaluation because scales are per sample within each map.
-    fn server_outputs_range(
-        &self,
-        transmitted: &Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Tensor>, EnsemblerError> {
-        let qf = QTensorBatch::quantize_batch(transmitted);
-        let qmaps = self.server_outputs_quantized_range(&qf, lo, hi)?;
-        Ok(qmaps.iter().map(QTensorBatch::dequantize).collect())
-    }
-
-    /// Evaluates only the quantized bodies `lo..hi` — the sharded-worker
-    /// serving mode of the int8 backend.
-    fn server_outputs_quantized_range(
-        &self,
-        transmitted: &QTensorBatch,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        crate::check_body_range(lo, hi, self.qplans.len())?;
-        let features = transmitted.dequantize();
-        let maps = par_map(&self.qplans[lo..hi], |plan| {
-            plan.run(&features)
-                .map(|out| QTensorBatch::quantize_batch(&out))
-        });
-        maps.into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(EnsemblerError::from)
+    /// per sample for the return leg. An `f32` request is quantized on the
+    /// way in and dequantized on the way out like any payload crossing to an
+    /// int8 backend ([`crate::Features::to_precision`]): the round trips are
+    /// part of the definition, so in-process and remote int8 predictions
+    /// agree bit-exactly.
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        serve_bodies(
+            request,
+            self.qplans.len(),
+            Precision::Int8,
+            |features, range| {
+                let features = features.as_int8()?.dequantize();
+                let maps = par_map(&self.qplans[range], |plan| {
+                    plan.run(&features)
+                        .map(|out| QTensorBatch::quantize_batch(&out))
+                });
+                Ok(Maps::Int8(maps.into_iter().collect::<Result<_, _>>()?))
+            },
+        )
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
@@ -255,7 +218,7 @@ mod tests {
 
     #[test]
     fn quantized_range_outputs_equal_the_sliced_full_evaluation() {
-        use crate::{EnsemblerPipeline, Selector};
+        use crate::{EnsemblerPipeline, Features, Selector};
         use ensembler_nn::models::{build_body, build_head, build_tail};
         use ensembler_nn::FixedNoise;
         use ensembler_tensor::Rng;
@@ -273,8 +236,8 @@ mod tests {
 
         let transmitted = int8.client_features(&images(2)).unwrap();
         let full = int8.server_outputs(&transmitted).unwrap();
-        let qf = QTensorBatch::quantize_batch(&transmitted);
-        let qfull = int8.server_outputs_quantized(&qf).unwrap();
+        let qf = Features::Int8(QTensorBatch::quantize_batch(&transmitted));
+        let qfull = int8.serve(&ServerRequest::full(qf.clone())).unwrap();
         for (lo, hi) in [(0usize, 4usize), (0, 2), (2, 4), (1, 3)] {
             assert_eq!(
                 int8.server_outputs_range(&transmitted, lo, hi).unwrap(),
@@ -282,12 +245,13 @@ mod tests {
                 "f32 range {lo}..{hi}"
             );
             assert_eq!(
-                int8.server_outputs_quantized_range(&qf, lo, hi).unwrap(),
-                qfull[lo..hi],
+                int8.serve(&ServerRequest::ranged(lo..hi, qf.clone()))
+                    .unwrap(),
+                qfull.clone().slice(lo..hi),
                 "quantized range {lo}..{hi}"
             );
         }
-        assert!(int8.server_outputs_quantized_range(&qf, 3, 3).is_err());
+        assert!(int8.serve(&ServerRequest::ranged(3..3, qf)).is_err());
         assert!(int8.server_outputs_range(&transmitted, 2, 9).is_err());
     }
 

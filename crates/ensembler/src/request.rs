@@ -5,20 +5,23 @@
 //! the features the client transmits. Precision (`f32` or int8) and body
 //! range (every body, or the slice a sharded worker owns) are *fields* of
 //! that one request, not separate code paths: the engine queues it, the wire
-//! codec frames it, the remote client ships it and the result cache keys it,
-//! all without matching on the combination. The only place the 2×2 is
-//! spelled out is [`Defense::serve`](crate::Defense::serve), which maps it
-//! onto the four trait methods pipelines implement.
+//! codec frames it, the remote client ships it, the result cache keys it and
+//! every pipeline answers it in its one [`Defense::serve`](crate::Defense::serve),
+//! all without matching on the combination.
 //!
 //! Everything a layer needs to know *about a payload kind* — its shape, its
 //! admission cost, the bytes that identify its content, how to stack
-//! single-sample payloads into a mini-batch and split the answer back — is a
-//! method here, so a further precision tier is one more variant of
-//! [`Features`] and [`Maps`], not an edit to every layer.
+//! single-sample payloads into a mini-batch and split the answer back, and
+//! how it crosses to a backend of another precision
+//! ([`Features::to_precision`], [`Maps::into_precision`]: the quantize /
+//! dequantize round trips of the wire contract, written once) — is a method
+//! here, so a further precision tier is one more variant of [`Features`] and
+//! [`Maps`] and one more arm of their conversions, not an edit to every layer.
 
 use crate::defense::Precision;
 use crate::EnsemblerError;
 use ensembler_tensor::{QTensorBatch, Tensor};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The transmitted features of a [`ServerRequest`], at either precision.
@@ -44,10 +47,9 @@ pub enum Maps {
 /// body) on `features`.
 ///
 /// `None` and `Some(0..N)` compute the same maps but are distinct requests:
-/// the first travels in the original full-ensemble frames and reaches
-/// [`Defense::server_outputs`](crate::Defense::server_outputs), the second in
-/// the sub-range frames a shard router sends and reaches
-/// [`Defense::server_outputs_range`](crate::Defense::server_outputs_range).
+/// the first travels in the original full-ensemble frames, the second in the
+/// sub-range frames a shard router sends. Either way a pipeline evaluates
+/// only the bodies the request names.
 ///
 /// # Examples
 ///
@@ -133,6 +135,49 @@ impl Features {
         le_bits(floats)
             .chain(bytes.iter().map(|b| *b as u8))
             .chain(le_bits(scales))
+    }
+
+    /// The `f32` tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnsemblerError::Engine`] if the payload is quantized.
+    pub fn as_f32(&self) -> Result<&Tensor, EnsemblerError> {
+        match self {
+            Features::F32(tensor) => Ok(tensor),
+            Features::Int8(_) => Err(wrong_precision(Precision::F32, Precision::Int8)),
+        }
+    }
+
+    /// The quantized batch; the int8 twin of [`Features::as_f32`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnsemblerError::Engine`] if the payload is `f32`.
+    pub fn as_int8(&self) -> Result<&QTensorBatch, EnsemblerError> {
+        match self {
+            Features::Int8(batch) => Ok(batch),
+            Features::F32(_) => Err(wrong_precision(Precision::Int8, Precision::F32)),
+        }
+    }
+
+    /// The payload as a backend of `precision` consumes it: borrowed when it
+    /// already has that precision, quantized per sample on the way to an
+    /// int8 backend, dequantized on the way to an `f32` one. Together with
+    /// [`Maps::into_precision`] on the way back this *is* the wire contract:
+    /// an int8 backend quantizes at both crossings even for an `f32` caller,
+    /// an `f32` backend answers an int8 caller by dequantizing, evaluating
+    /// and re-quantizing per sample.
+    pub fn to_precision(&self, precision: Precision) -> Cow<'_, Features> {
+        match (self, precision) {
+            (Features::F32(tensor), Precision::Int8) => {
+                Cow::Owned(Features::Int8(QTensorBatch::quantize_batch(tensor)))
+            }
+            (Features::Int8(batch), Precision::F32) => {
+                Cow::Owned(Features::F32(batch.dequantize()))
+            }
+            _ => Cow::Borrowed(self),
+        }
     }
 
     /// Normalises a payload to the single-sample `[1, C, H, W]` form the
@@ -230,8 +275,7 @@ impl Maps {
     ///
     /// Returns [`EnsemblerError::Engine`] if the maps are quantized — an
     /// `f32` request is always answered in `f32`, so this only fires on a
-    /// [`Defense::serve`](crate::Defense::serve) override that broke that
-    /// contract.
+    /// [`Defense::serve`](crate::Defense::serve) that broke that contract.
     pub fn into_f32(self) -> Result<Vec<Tensor>, EnsemblerError> {
         match self {
             Maps::F32(maps) => Ok(maps),
@@ -249,6 +293,54 @@ impl Maps {
             Maps::Int8(maps) => Ok(maps),
             Maps::F32(_) => Err(wrong_precision(Precision::Int8, Precision::F32)),
         }
+    }
+
+    /// The maps as a caller of `precision` receives them — the return leg of
+    /// [`Features::to_precision`]: unchanged at their own precision, each map
+    /// re-quantized per sample for an int8 caller, dequantized for an `f32`
+    /// one.
+    pub fn into_precision(self, precision: Precision) -> Maps {
+        match (self, precision) {
+            (Maps::F32(maps), Precision::Int8) => {
+                Maps::Int8(maps.iter().map(QTensorBatch::quantize_batch).collect())
+            }
+            (Maps::Int8(maps), Precision::F32) => {
+                Maps::F32(maps.iter().map(QTensorBatch::dequantize).collect())
+            }
+            (same, _) => same,
+        }
+    }
+
+    /// The maps `range` of these, by position: what a router that scattered
+    /// the whole ensemble keeps for a request that named a slice of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past [`Maps::len`].
+    pub fn slice(self, range: Range<usize>) -> Maps {
+        fn cut<T>(mut maps: Vec<T>, range: Range<usize>) -> Vec<T> {
+            maps.truncate(range.end);
+            maps.split_off(range.start)
+        }
+        match self {
+            Maps::F32(maps) => Maps::F32(cut(maps, range)),
+            Maps::Int8(maps) => Maps::Int8(cut(maps, range)),
+        }
+    }
+
+    /// Appends `more` — the next bodies' maps, at the same precision — in
+    /// index order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnsemblerError::Engine`] when the precisions differ.
+    pub fn append(&mut self, more: Maps) -> Result<(), EnsemblerError> {
+        match (self, more) {
+            (Maps::F32(maps), Maps::F32(more)) => maps.extend(more),
+            (Maps::Int8(maps), Maps::Int8(more)) => maps.extend(more),
+            (maps, more) => return Err(wrong_precision(maps.precision(), more.precision())),
+        }
+        Ok(())
     }
 
     /// Splits the maps of a stacked `rows`-sample evaluation back into one
@@ -289,9 +381,7 @@ impl Maps {
 }
 
 fn wrong_precision(expected: Precision, got: Precision) -> EnsemblerError {
-    EnsemblerError::Engine(format!(
-        "expected {expected:?} maps, the pipeline answered in {got:?}"
-    ))
+    EnsemblerError::Engine(format!("expected {expected:?} tensors, got {got:?}"))
 }
 
 /// Row `row` of a `[rows, ...]` tensor, as a `[1, ...]` tensor.
@@ -356,6 +446,37 @@ mod tests {
         let int8 = Features::Int8(q);
         assert_eq!(int8.payload_bytes(), 18 + 4);
         assert_eq!(int8.content_bytes().count(), 18 + 4);
+    }
+
+    #[test]
+    fn crossing_to_another_precision_is_the_wire_round_trip_and_free_otherwise() {
+        let t = Tensor::stack_batch(&[f32_item(0), f32_item(1)]);
+        let q = QTensorBatch::quantize_batch(&t);
+        let (f32, int8) = (Features::F32(t.clone()), Features::Int8(q.clone()));
+        assert!(matches!(f32.to_precision(Precision::F32), Cow::Borrowed(_)));
+        assert!(matches!(
+            int8.to_precision(Precision::Int8),
+            Cow::Borrowed(_)
+        ));
+        assert_eq!(f32.to_precision(Precision::Int8).as_ref(), &int8);
+        let dequantized = Features::F32(q.dequantize());
+        assert_eq!(int8.to_precision(Precision::F32).as_ref(), &dequantized);
+        assert_eq!(f32.as_f32().unwrap(), &t);
+        assert!(f32.as_int8().is_err() && int8.as_f32().is_err());
+
+        let maps = Maps::F32(vec![t.clone(), q.dequantize(), t]);
+        let qmaps = maps.clone().into_precision(Precision::Int8);
+        assert_eq!(qmaps, Maps::Int8(vec![q.clone(), q.clone(), q.clone()]));
+        assert_eq!(maps.clone().into_precision(Precision::F32), maps);
+        assert_eq!(
+            qmaps.clone().into_precision(Precision::F32),
+            Maps::F32(vec![q.dequantize(); 3])
+        );
+
+        let mut head = maps.clone().slice(0..1);
+        assert!(head.append(qmaps).is_err(), "precisions never mix");
+        head.append(maps.clone().slice(1..3)).unwrap();
+        assert_eq!(head, maps);
     }
 
     #[test]

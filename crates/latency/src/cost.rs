@@ -1,5 +1,6 @@
 //! FLOP and byte accounting for the split backbone.
 
+use ensembler::Precision;
 use ensembler_nn::models::ResNetConfig;
 
 /// Cost of a single layer: floating-point operations (multiply-accumulates
@@ -50,8 +51,8 @@ impl LayerCost {
 /// count word plus per-tensor length prefixes.
 ///
 /// `ensembler-serve` exports its actual layout as a `WireOverhead` constant
-/// and a test over there asserts that [`NetworkCost::upload_frame_bytes`] /
-/// [`NetworkCost::return_frame_bytes`] computed from this model equal the
+/// and a test over there asserts that [`NetworkCost::request_frame_bytes`] /
+/// [`NetworkCost::response_frame_bytes`] computed from this model equal the
 /// byte length of genuinely encoded frames, so the analytic model cannot
 /// silently drift from the implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,96 +175,70 @@ impl NetworkCost {
         self.head_flops + self.tail_flops
     }
 
-    /// Exact byte length of the request frame a client sends to upload the
-    /// transmitted features for a batch of `batch` images.
+    /// Exact byte length of the request frame that uploads the transmitted
+    /// features of `batch` images at `precision`, to every body or (`ranged`)
+    /// to the slice a shard router names.
     ///
-    /// The upload is one rank-4 `[B, C, H, W]` tensor, so the frame is the
-    /// fixed frame overhead and the request id plus one tensor header with
-    /// four dimension words plus `batch` copies of the per-sample payload
-    /// (`upload_bytes`).
-    pub fn upload_frame_bytes(&self, batch: u64, overhead: &WireOverhead) -> u64 {
-        overhead.frame_bytes
-            + overhead.request_id_bytes
-            + overhead.tensor_base_bytes
-            + 4 * overhead.per_dim_bytes
-            + self.upload_bytes * batch
-    }
-
-    /// Exact byte length of the response frame a server sends back with the
-    /// `ensemble_size` per-network feature maps for a batch of `batch` images.
-    ///
-    /// The response is a list of `ensemble_size` rank-2 `[B, F]` tensors:
-    /// fixed frame overhead, the request id, a list count word, and per
-    /// tensor a length prefix, a tensor header with two dimension words and
-    /// `batch` copies of the per-sample payload (`return_bytes`).
-    pub fn return_frame_bytes(
+    /// The upload is one rank-4 `[B, C, H, W]` tensor: the fixed frame
+    /// overhead and the request id, one tensor header with four dimension
+    /// words, and `batch` copies of the per-sample payload — `upload_bytes`
+    /// in `f32`; in int8 one byte per element (a quarter of it) plus one
+    /// scale word. A sub-range request adds the `lo..hi` words
+    /// ([`WireOverhead::range_header_bytes`]): the entire per-request wire
+    /// cost of sharding the ensemble, since a worker's response is just
+    /// [`NetworkCost::response_frame_bytes`] for its `hi - lo` maps.
+    pub fn request_frame_bytes(
         &self,
         batch: u64,
-        ensemble_size: u64,
+        precision: Precision,
+        ranged: bool,
+        overhead: &WireOverhead,
+    ) -> u64 {
+        overhead.frame_bytes
+            + overhead.request_id_bytes
+            + if ranged {
+                overhead.range_header_bytes
+            } else {
+                0
+            }
+            + overhead.tensor_base_bytes
+            + 4 * overhead.per_dim_bytes
+            + batch * sample_bytes(self.upload_bytes, precision, overhead)
+    }
+
+    /// Exact byte length of the response frame a server sends back with
+    /// `maps` per-network feature maps for a batch of `batch` images at
+    /// `precision`.
+    ///
+    /// The response is a list of `maps` rank-2 `[B, F]` tensors: fixed frame
+    /// overhead, the request id, a list count word, and per tensor a length
+    /// prefix, a tensor header with two dimension words and `batch` copies of
+    /// the per-sample payload (`return_bytes` in `f32`, roughly a quarter of
+    /// it in int8 — the point of the quantized encoding).
+    pub fn response_frame_bytes(
+        &self,
+        batch: u64,
+        maps: u64,
+        precision: Precision,
         overhead: &WireOverhead,
     ) -> u64 {
         overhead.frame_bytes
             + overhead.request_id_bytes
             + overhead.list_header_bytes
-            + ensemble_size
+            + maps
                 * (overhead.per_tensor_prefix_bytes
                     + overhead.tensor_base_bytes
                     + 2 * overhead.per_dim_bytes
-                    + self.return_bytes * batch)
+                    + batch * sample_bytes(self.return_bytes, precision, overhead))
     }
+}
 
-    /// Exact byte length of the **quantized** request frame for a batch of
-    /// `batch` images.
-    ///
-    /// A quantized tensor spends one byte per element instead of four
-    /// (`upload_bytes` counts `f32` payload, so the int8 payload is a
-    /// quarter of it) plus one scale word per batch sample.
-    pub fn upload_frame_bytes_q(&self, batch: u64, overhead: &WireOverhead) -> u64 {
-        overhead.frame_bytes
-            + overhead.request_id_bytes
-            + overhead.tensor_base_bytes
-            + 4 * overhead.per_dim_bytes
-            + batch * overhead.per_scale_bytes
-            + self.upload_bytes / 4 * batch
-    }
-
-    /// Exact byte length of the **quantized** response frame with
-    /// the `ensemble_size` per-network maps for a batch of `batch` images —
-    /// roughly a quarter of [`NetworkCost::return_frame_bytes`], which is the
-    /// point of the quantized encoding.
-    pub fn return_frame_bytes_q(
-        &self,
-        batch: u64,
-        ensemble_size: u64,
-        overhead: &WireOverhead,
-    ) -> u64 {
-        overhead.frame_bytes
-            + overhead.request_id_bytes
-            + overhead.list_header_bytes
-            + ensemble_size
-                * (overhead.per_tensor_prefix_bytes
-                    + overhead.tensor_base_bytes
-                    + 2 * overhead.per_dim_bytes
-                    + batch * overhead.per_scale_bytes
-                    + self.return_bytes / 4 * batch)
-    }
-
-    /// Exact byte length of a **sub-range** request frame: the
-    /// plain upload frame plus the `lo..hi` range words
-    /// ([`WireOverhead::range_header_bytes`]).
-    ///
-    /// This is what a shard router uploads to each worker — the range header
-    /// is the entire per-request wire cost of sharding the ensemble, since a
-    /// worker's response is just [`NetworkCost::return_frame_bytes`] with the
-    /// slice length `hi - lo` as the ensemble size.
-    pub fn upload_frame_bytes_range(&self, batch: u64, overhead: &WireOverhead) -> u64 {
-        self.upload_frame_bytes(batch, overhead) + overhead.range_header_bytes
-    }
-
-    /// The quantized twin of [`NetworkCost::upload_frame_bytes_range`]: the
-    /// quantized upload frame plus the `lo..hi` range words.
-    pub fn upload_frame_bytes_range_q(&self, batch: u64, overhead: &WireOverhead) -> u64 {
-        self.upload_frame_bytes_q(batch, overhead) + overhead.range_header_bytes
+/// Wire bytes of one sample whose `f32` payload is `f32_bytes`: that, or one
+/// byte per element plus the sample's scale word.
+fn sample_bytes(f32_bytes: u64, precision: Precision, overhead: &WireOverhead) -> u64 {
+    match precision {
+        Precision::F32 => f32_bytes,
+        Precision::Int8 => overhead.per_scale_bytes + f32_bytes / 4,
     }
 }
 
@@ -389,11 +364,11 @@ mod tests {
             request_id_bytes: 8,
         };
         assert_eq!(
-            cost.upload_frame_bytes(2, &overhead),
+            cost.request_frame_bytes(2, Precision::F32, false, &overhead),
             16 + 8 + 8 + 4 * 4 + 2 * cost.upload_bytes
         );
         assert_eq!(
-            cost.return_frame_bytes(2, 3, &overhead),
+            cost.response_frame_bytes(2, 3, Precision::F32, &overhead),
             16 + 8 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * cost.return_bytes)
         );
     }
@@ -413,16 +388,16 @@ mod tests {
             request_id_bytes: 8,
         };
         assert_eq!(
-            cost.upload_frame_bytes_q(2, &overhead),
+            cost.request_frame_bytes(2, Precision::Int8, false, &overhead),
             16 + 8 + 8 + 4 * 4 + 2 * 4 + 2 * (cost.upload_bytes / 4)
         );
         assert_eq!(
-            cost.return_frame_bytes_q(2, 3, &overhead),
+            cost.response_frame_bytes(2, 3, Precision::Int8, &overhead),
             16 + 8 + 4 + 3 * (4 + 8 + 2 * 4 + 2 * 4 + 2 * (cost.return_bytes / 4))
         );
         // The quantized response is roughly a quarter of the f32 one.
-        let f32_bytes = cost.return_frame_bytes(8, 4, &overhead) as f64;
-        let q_bytes = cost.return_frame_bytes_q(8, 4, &overhead) as f64;
+        let f32_bytes = cost.response_frame_bytes(8, 4, Precision::F32, &overhead) as f64;
+        let q_bytes = cost.response_frame_bytes(8, 4, Precision::Int8, &overhead) as f64;
         assert!(q_bytes < 0.3 * f32_bytes, "{q_bytes} vs {f32_bytes}");
     }
 
@@ -440,14 +415,12 @@ mod tests {
             range_header_bytes: 8,
             request_id_bytes: 8,
         };
-        assert_eq!(
-            cost.upload_frame_bytes_range(2, &overhead),
-            cost.upload_frame_bytes(2, &overhead) + 8
-        );
-        assert_eq!(
-            cost.upload_frame_bytes_range_q(2, &overhead),
-            cost.upload_frame_bytes_q(2, &overhead) + 8
-        );
+        for precision in [Precision::F32, Precision::Int8] {
+            assert_eq!(
+                cost.request_frame_bytes(2, precision, true, &overhead),
+                cost.request_frame_bytes(2, precision, false, &overhead) + 8
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::protocol::{
 use ensembler::{Defense, EnsemblerError, Features, Maps, Precision, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler_tensor::Tensor;
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -588,9 +588,9 @@ impl RemoteDefense {
     }
 
     /// One blocking server-stage exchange, answered from the result cache
-    /// when one is attached and holds this exact request. This is what every
-    /// [`Defense`] method of a `RemoteDefense` bottoms out in; unlike those
-    /// trait methods it keeps the typed [`ServeError`] (a per-request
+    /// when one is attached and holds this exact request. This is what
+    /// [`Defense::serve`] of a `RemoteDefense` bottoms out in; unlike the
+    /// trait method it keeps the typed [`ServeError`] (a per-request
     /// `Overloaded` rejection stays matchable) instead of collapsing it to a
     /// transport string.
     ///
@@ -670,33 +670,28 @@ impl Defense for RemoteDefense {
         self.local.precision()
     }
 
-    /// Ships the transmitted features to the remote server and returns the
-    /// `N` per-network feature maps it sends back.
+    /// Ships the request to the remote server — its range left on it, so the
+    /// server evaluates only the bodies it names — and returns the maps the
+    /// server sends back.
     ///
-    /// For an int8 replica the exchange travels in quantized frames: the
-    /// features are quantized per sample exactly as the in-process
-    /// [`ensembler::QuantizedDefense`] would quantize them, and the server
-    /// evaluates the received bytes directly — so the remote prediction is
-    /// bit-identical to the in-process int8 one while the response frame
-    /// shrinks to roughly a quarter of its `f32` size.
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        if self.local.precision() == Precision::Int8 {
-            let qf = QTensorBatch::quantize_batch(transmitted);
-            let qmaps = self.server_outputs_quantized(&qf)?;
-            return Ok(qmaps.iter().map(QTensorBatch::dequantize).collect());
-        }
-        let request = ServerRequest::full(Features::F32(transmitted.clone()));
-        self.exchange(request)?.into_f32()
-    }
-
-    /// The quantized stage itself, shipped in quantized frames (used by
-    /// engines that coalesce quantized work behind a remote).
-    fn server_outputs_quantized(
-        &self,
-        transmitted: &QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        let request = ServerRequest::full(Features::Int8(transmitted.clone()));
-        self.exchange(request)?.into_int8()
+    /// To an int8 replica the exchange travels in quantized frames whatever
+    /// the caller holds: an `f32` payload is quantized per sample exactly as
+    /// the in-process [`ensembler::QuantizedDefense`] would quantize it, and
+    /// the server evaluates the received bytes directly — so the remote
+    /// prediction is bit-identical to the in-process int8 one while the
+    /// response frame shrinks to roughly a quarter of its `f32` size. An
+    /// `f32` replica is sent the payload as it is (its server answers an int8
+    /// frame itself, with the same arithmetic and a quarter of the bytes).
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        let payload = request.features.precision();
+        let wire = match self.precision() {
+            Precision::Int8 => Precision::Int8,
+            Precision::F32 => payload,
+        };
+        let features = request.features.to_precision(wire).into_owned();
+        let range = request.range.clone();
+        let maps = self.exchange(ServerRequest { range, features })?;
+        Ok(maps.into_precision(payload))
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

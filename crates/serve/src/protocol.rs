@@ -99,7 +99,7 @@ pub const DEFAULT_MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 /// latency model.
 ///
 /// `crates/latency` computes expected frame sizes from this constant
-/// ([`ensembler_latency::NetworkCost::upload_frame_bytes`]); the
+/// ([`ensembler_latency::NetworkCost::request_frame_bytes`]); the
 /// `wire_cost_drift` test asserts those predictions equal the length of
 /// frames actually produced by [`encode_tagged`].
 pub const WIRE_OVERHEAD: WireOverhead = WireOverhead {

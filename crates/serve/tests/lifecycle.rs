@@ -4,7 +4,7 @@
 //! routing with promotion, and the registry's compatibility / removal rules
 //! as clients observe them.
 
-use ensembler::{Defense, EnsemblerError};
+use ensembler::{Defense, EnsemblerError, Maps, ServerRequest};
 use ensembler_serve::registry::route_key;
 use ensembler_serve::{
     demo_pipeline, DefenseServer, ModelRegistry, RemoteDefense, ServeError, ServerConfig,
@@ -100,7 +100,7 @@ impl Defense for GatedDefense {
         self.inner.client_features(images)
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
         let (lock, condvar) = &*self.gate;
         let mut state = lock.lock().unwrap();
         state.entered += 1;
@@ -109,7 +109,7 @@ impl Defense for GatedDefense {
             state = condvar.wait(state).unwrap();
         }
         drop(state);
-        self.inner.server_outputs(transmitted)
+        self.inner.serve(request)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

@@ -3,7 +3,8 @@
 //! the other side, and bit-identical results as the acceptance bar.
 
 use ensembler::{
-    Defense, EngineConfig, EnsemblerError, InferenceEngine, Precision, QuantizedDefense,
+    Defense, EngineConfig, EnsemblerError, Features, InferenceEngine, Maps, Precision,
+    QuantizedDefense, ServerRequest,
 };
 use ensembler_serve::protocol::{
     crc32, encode_message, encode_tagged, read_message, read_tagged, write_message, ErrorCode,
@@ -623,9 +624,9 @@ impl Defense for GatedDefense {
         self.inner.client_features(images)
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        if transmitted.shape()[0] < self.gate_min_batch {
-            return self.inner.server_outputs(transmitted);
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        if request.features.shape()[0] < self.gate_min_batch {
+            return self.inner.serve(request);
         }
         let (lock, condvar) = &*self.gate;
         let mut state = lock.lock().unwrap();
@@ -635,11 +636,107 @@ impl Defense for GatedDefense {
             state = condvar.wait(state).unwrap();
         }
         drop(state);
-        self.inner.server_outputs(transmitted)
+        self.inner.serve(request)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
         self.inner.classify(server_maps)
+    }
+}
+
+/// A hosted pipeline that records the range and payload precision of every
+/// request that reaches it.
+#[derive(Debug)]
+struct RecordingDefense {
+    inner: Arc<dyn Defense>,
+    seen: Mutex<Vec<(Option<std::ops::Range<usize>>, Precision)>>,
+}
+
+impl Defense for RecordingDefense {
+    fn config(&self) -> &ensembler_nn::models::ResNetConfig {
+        self.inner.config()
+    }
+
+    fn label(&self) -> &str {
+        self.inner.label()
+    }
+
+    fn server_bodies(&self) -> &[ensembler_nn::Sequential] {
+        self.inner.server_bodies()
+    }
+
+    fn selected_count(&self) -> usize {
+        self.inner.selected_count()
+    }
+
+    fn precision(&self) -> Precision {
+        self.inner.precision()
+    }
+
+    fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
+        self.inner.client_features(images)
+    }
+
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        let seen = (request.range.clone(), request.features.precision());
+        self.seen.lock().unwrap().push(seen);
+        self.inner.serve(request)
+    }
+
+    fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
+        self.inner.classify(server_maps)
+    }
+}
+
+#[test]
+fn a_remote_replica_forwards_every_request_kind_with_its_range() {
+    // `RemoteDefense` behind `&dyn Defense`, f32 and int8 replica: each of
+    // the four request kinds reaches the hosted pipeline as ONE request that
+    // still names its range — the server evaluates `hi - lo` bodies and
+    // ships `hi - lo` maps, not N to be sliced client-side — and the answer
+    // is bit-identical to the pipeline's own `serve`.
+    let f32_pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(4, 2, 263).unwrap());
+    let int8_pipeline: Arc<dyn Defense> =
+        Arc::new(QuantizedDefense::quantize(Arc::clone(&f32_pipeline)));
+    let features = f32_pipeline
+        .client_features(&random_images(2, 264))
+        .unwrap();
+    let payloads = [
+        Features::Int8(QTensorBatch::quantize_batch(&features)),
+        Features::F32(features),
+    ];
+    for pipeline in [f32_pipeline, int8_pipeline] {
+        let hosted = Arc::new(RecordingDefense {
+            inner: Arc::clone(&pipeline),
+            seen: Mutex::new(Vec::new()),
+        });
+        let server = DefenseServer::bind(
+            Arc::clone(&hosted) as Arc<dyn Defense>,
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let remote = RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr()).unwrap();
+        let remote: &dyn Defense = &remote;
+        for payload in &payloads {
+            for range in [Some(1..3), None] {
+                let request = ServerRequest {
+                    range,
+                    features: payload.clone(),
+                };
+                let what = format!("{} / {:?}", pipeline.label(), request.range);
+                let answer = remote.serve(&request).expect(&what);
+                assert_eq!(answer, pipeline.serve(&request).unwrap(), "{what}");
+                assert_eq!(answer.len(), request.range.as_ref().map_or(4, |r| r.len()));
+                // An int8 replica is always served in quantized frames.
+                let wire = match pipeline.precision() {
+                    Precision::Int8 => Precision::Int8,
+                    Precision::F32 => payload.precision(),
+                };
+                let seen = std::mem::take(&mut *hosted.seen.lock().unwrap());
+                assert_eq!(seen, [(request.range, wire)], "{what}");
+            }
+        }
     }
 }
 
@@ -1184,7 +1281,6 @@ fn an_untagged_request_on_a_v5_connection_is_a_malformed_frame_that_spares_reque
 
 #[test]
 fn hostile_request_shapes_get_tagged_typed_errors_and_never_reach_an_engine() {
-    use ensembler::{Features, ServerRequest};
     use std::io::Write;
 
     // Beside the hostile-*bytes* sweep of `mux_fuzz`: frames that decode
@@ -1296,13 +1392,13 @@ impl Defense for InflatingDefense {
         self.inner.client_features(images)
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        match transmitted.shape()[0] {
-            1 => self.inner.server_outputs(transmitted),
-            batch => Ok(vec![
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        match request.features.shape()[0] {
+            1 => self.inner.serve(request),
+            batch => Ok(Maps::F32(vec![
                 Tensor::zeros(&[batch, INFLATED_FEATURES]);
                 self.inner.ensemble_size()
-            ]),
+            ])),
         }
     }
 
@@ -1313,7 +1409,6 @@ impl Defense for InflatingDefense {
 
 #[test]
 fn a_peer_that_stops_reading_stalls_only_its_own_writer() {
-    use ensembler::{Features, ServerRequest};
     use std::io::Write;
 
     // One client pipelines pre-batched requests and never reads an answer:

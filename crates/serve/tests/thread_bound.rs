@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use ensembler::{Defense, EnsemblerError};
+use ensembler::{Defense, EnsemblerError, Maps, ServerRequest};
 use ensembler_serve::protocol::{
     encode_tagged, read_message, read_tagged, write_message, Hello, Message,
     DEFAULT_MAX_PAYLOAD_BYTES, PROTOCOL_VERSION,
@@ -18,7 +18,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// `server_outputs` blocks until the test opens the gate, so requests stay
+/// `serve` blocks until the test opens the gate, so requests stay
 /// provably in flight while the threads are counted.
 #[derive(Debug)]
 struct GatedDefense {
@@ -54,7 +54,7 @@ impl Defense for GatedDefense {
         self.inner.client_features(images)
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
         let (lock, condvar) = &*self.gate;
         let mut gate = lock.lock().unwrap();
         gate.entered += 1;
@@ -63,7 +63,7 @@ impl Defense for GatedDefense {
             gate = condvar.wait(gate).unwrap();
         }
         drop(gate);
-        self.inner.server_outputs(transmitted)
+        self.inner.serve(request)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

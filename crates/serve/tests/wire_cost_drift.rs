@@ -4,7 +4,7 @@
 //! every backbone the workspace ships. If either side changes without the
 //! other, these tests fail.
 
-use ensembler::Defense;
+use ensembler::{Defense, Features, Precision, ServerRequest};
 use ensembler_latency::network_cost;
 use ensembler_nn::models::ResNetConfig;
 use ensembler_serve::demo_pipeline;
@@ -34,7 +34,7 @@ fn upload_frame_bytes_match_the_encoder_for_every_backbone() {
             let frame = encode_tagged(&Message::ServerOutputsRequest { transmitted }, Some(ID));
             assert_eq!(
                 frame.len() as u64,
-                cost.upload_frame_bytes(batch as u64, &WIRE_OVERHEAD),
+                cost.request_frame_bytes(batch as u64, Precision::F32, false, &WIRE_OVERHEAD),
                 "upload frame size drifted from the analytic model for {name} batch {batch}"
             );
         }
@@ -54,7 +54,12 @@ fn return_frame_bytes_match_the_encoder_for_every_backbone() {
                 let frame = encode_tagged(&Message::ServerOutputsResponse { maps }, Some(ID));
                 assert_eq!(
                     frame.len() as u64,
-                    cost.return_frame_bytes(batch as u64, ensemble_size as u64, &WIRE_OVERHEAD),
+                    cost.response_frame_bytes(
+                        batch as u64,
+                        ensemble_size as u64,
+                        Precision::F32,
+                        &WIRE_OVERHEAD
+                    ),
                     "return frame size drifted from the analytic model for {name} \
                      batch {batch} N {ensemble_size}"
                 );
@@ -76,7 +81,7 @@ fn quantized_upload_frame_bytes_match_the_encoder_for_every_backbone() {
             let frame = encode_tagged(&Message::ServerOutputsRequestQ { transmitted }, Some(ID));
             assert_eq!(
                 frame.len() as u64,
-                cost.upload_frame_bytes_q(batch as u64, &WIRE_OVERHEAD),
+                cost.request_frame_bytes(batch as u64, Precision::Int8, false, &WIRE_OVERHEAD),
                 "quantized upload frame size drifted from the analytic model \
                  for {name} batch {batch}"
             );
@@ -101,7 +106,12 @@ fn quantized_return_frame_bytes_match_the_encoder_for_every_backbone() {
                 let frame = encode_tagged(&Message::ServerOutputsResponseQ { maps }, Some(ID));
                 assert_eq!(
                     frame.len() as u64,
-                    cost.return_frame_bytes_q(batch as u64, ensemble_size as u64, &WIRE_OVERHEAD),
+                    cost.response_frame_bytes(
+                        batch as u64,
+                        ensemble_size as u64,
+                        Precision::Int8,
+                        &WIRE_OVERHEAD
+                    ),
                     "quantized return frame size drifted from the analytic model \
                      for {name} batch {batch} N {ensemble_size}"
                 );
@@ -129,7 +139,7 @@ fn range_request_frame_bytes_match_the_encoder_for_every_backbone() {
             );
             assert_eq!(
                 frame.len() as u64,
-                cost.upload_frame_bytes_range(batch as u64, &WIRE_OVERHEAD),
+                cost.request_frame_bytes(batch as u64, Precision::F32, true, &WIRE_OVERHEAD),
                 "range upload frame size drifted from the analytic model \
                  for {name} batch {batch}"
             );
@@ -145,7 +155,7 @@ fn range_request_frame_bytes_match_the_encoder_for_every_backbone() {
             );
             assert_eq!(
                 frame.len() as u64,
-                cost.upload_frame_bytes_range_q(batch as u64, &WIRE_OVERHEAD),
+                cost.request_frame_bytes(batch as u64, Precision::Int8, true, &WIRE_OVERHEAD),
                 "quantized range upload frame size drifted from the analytic \
                  model for {name} batch {batch}"
             );
@@ -158,8 +168,8 @@ fn the_quantized_response_is_roughly_a_quarter_of_the_f32_one() {
     // The headline byte saving of the quantized frames, from the model.
     let config = ResNetConfig::paper_resnet18(10, 32, true);
     let cost = network_cost(&config);
-    let f32_bytes = cost.return_frame_bytes(32, 10, &WIRE_OVERHEAD) as f64;
-    let q_bytes = cost.return_frame_bytes_q(32, 10, &WIRE_OVERHEAD) as f64;
+    let f32_bytes = cost.response_frame_bytes(32, 10, Precision::F32, &WIRE_OVERHEAD) as f64;
+    let q_bytes = cost.response_frame_bytes(32, 10, Precision::Int8, &WIRE_OVERHEAD) as f64;
     assert!(
         q_bytes < 0.27 * f32_bytes,
         "quantized response {q_bytes} B should be about a quarter of {f32_bytes} B"
@@ -184,16 +194,17 @@ fn a_live_pipelines_frames_match_the_model_end_to_end() {
     );
     assert_eq!(
         request.len() as u64,
-        cost.upload_frame_bytes(batch as u64, &WIRE_OVERHEAD)
+        cost.request_frame_bytes(batch as u64, Precision::F32, false, &WIRE_OVERHEAD)
     );
 
     let maps = pipeline.server_outputs(&transmitted).unwrap();
     let response = encode_tagged(&Message::ServerOutputsResponse { maps }, Some(ID));
     assert_eq!(
         response.len() as u64,
-        cost.return_frame_bytes(
+        cost.response_frame_bytes(
             batch as u64,
             pipeline.ensemble_size() as u64,
+            Precision::F32,
             &WIRE_OVERHEAD
         )
     );
@@ -208,15 +219,18 @@ fn a_live_pipelines_frames_match_the_model_end_to_end() {
     );
     assert_eq!(
         request.len() as u64,
-        cost.upload_frame_bytes_q(batch as u64, &WIRE_OVERHEAD)
+        cost.request_frame_bytes(batch as u64, Precision::Int8, false, &WIRE_OVERHEAD)
     );
-    let qmaps = pipeline.server_outputs_quantized(&qf).unwrap();
-    let response = encode_tagged(&Message::ServerOutputsResponseQ { maps: qmaps }, Some(ID));
+    let qmaps = pipeline
+        .serve(&ServerRequest::full(Features::Int8(qf)))
+        .unwrap();
+    let response = encode_tagged(&Message::from(qmaps), Some(ID));
     assert_eq!(
         response.len() as u64,
-        cost.return_frame_bytes_q(
+        cost.response_frame_bytes(
             batch as u64,
             pipeline.ensemble_size() as u64,
+            Precision::Int8,
             &WIRE_OVERHEAD
         )
     );

@@ -61,12 +61,13 @@
 //! ```
 
 use ensembler::{
-    Defense, EnsemblerError, Features, Maps, Precision, QuantizedDefense, ServerRequest,
+    check_body_range, Defense, EnsemblerError, Features, Maps, Precision, QuantizedDefense,
+    ServerRequest,
 };
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_serve::{RemoteDefense, ServeError, ShardStats};
-use ensembler_tensor::{QTensorBatch, Tensor};
+use ensembler_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -839,43 +840,34 @@ impl Defense for ShardRouter {
     }
 
     /// The scatter-gather evaluation: each worker evaluates its placed
-    /// range (`f32` shards over `f32` frames, int8 shards over quantized
-    /// frames against the derived int8 pipeline), and the partial maps
-    /// concatenate back into index order. With an all-`f32` placement the
-    /// merged answer is bit-identical to `client.server_outputs`; an int8
-    /// shard contributes exactly what the int8 pipeline would contribute
-    /// for its indices.
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
+    /// range — int8 shards over quantized frames against the derived int8
+    /// pipeline, `f32` shards on the payload as it is — and the partial maps
+    /// concatenate back into index order at the payload's precision. With an
+    /// all-`f32` placement the merged answer is bit-identical to
+    /// `client.serve`; an int8 shard contributes exactly what the int8
+    /// pipeline would contribute for its indices. A ranged request scatters
+    /// the same legs and keeps its slice of the merged answer.
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        let bodies = self.client.ensemble_size();
+        let range = request.range.clone().unwrap_or(0..bodies);
+        check_body_range(range.start, range.end, bodies)?;
+        let payload = request.features.precision();
         let partials = self.scatter(|spec| {
-            if spec.quantized {
-                Features::Int8(QTensorBatch::quantize_batch(transmitted))
+            let wire = if spec.quantized {
+                Precision::Int8
             } else {
-                Features::F32(transmitted.clone())
-            }
+                payload
+            };
+            request.features.to_precision(wire).into_owned()
         })?;
-        let mut merged = Vec::with_capacity(self.client.ensemble_size());
+        let mut partials = partials
+            .into_iter()
+            .map(|partial| partial.into_precision(payload));
+        let mut merged = partials.next().expect("a placement has a shard");
         for partial in partials {
-            match partial {
-                Maps::F32(maps) => merged.extend(maps),
-                Maps::Int8(qmaps) => merged.extend(qmaps.iter().map(QTensorBatch::dequantize)),
-            }
+            merged.append(partial)?;
         }
-        Ok(merged)
-    }
-
-    /// The quantized stage, scattered in quantized frames to every worker
-    /// regardless of its placement precision (the response is quantized
-    /// either way).
-    fn server_outputs_quantized(
-        &self,
-        transmitted: &QTensorBatch,
-    ) -> Result<Vec<QTensorBatch>, EnsemblerError> {
-        let partials = self.scatter(|_| Features::Int8(transmitted.clone()))?;
-        let mut merged = Vec::with_capacity(self.client.ensemble_size());
-        for partial in partials {
-            merged.extend(partial.into_int8()?);
-        }
-        Ok(merged)
+        Ok(merged.slice(range))
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

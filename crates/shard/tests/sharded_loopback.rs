@@ -7,7 +7,9 @@
 //! maps), under concurrent clients, and a worker that dies mid-run comes
 //! back via reconnect instead of poisoning the deployment.
 
-use ensembler::{Defense, EnsemblerError, Precision, QuantizedDefense};
+use ensembler::{
+    Defense, EnsemblerError, Features, Maps, Precision, QuantizedDefense, ServerRequest,
+};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_serve::{demo_pipeline, DefenseServer, RemoteDefense, ServerConfig};
@@ -141,6 +143,67 @@ fn mixed_precision_placements_merge_the_expected_maps() {
         quantized.server_outputs(&transmitted).expect("int8")[2..]
     );
     assert!(router.shard_stats().iter().all(|s| s.healthy));
+}
+
+#[test]
+fn a_router_answers_every_request_kind_like_the_pipelines_it_places() {
+    // Both payload precisions x full and ranged, through `&dyn Defense`, on
+    // an all-f32 and a mixed placement: the router's answer is the placed
+    // pipelines' own `serve` of each shard's range, concatenated (and, for a
+    // ranged request, sliced).
+    let pipeline = full_pipeline();
+    let quantized: Arc<dyn Defense> = Arc::new(QuantizedDefense::quantize(Arc::clone(&pipeline)));
+    let f32_workers = [worker_f32(), worker_f32()];
+    let int8_worker = worker_int8();
+    let features = pipeline
+        .client_features(&random_images(7))
+        .expect("client features");
+    let payloads = [
+        Features::Int8(ensembler_tensor::QTensorBatch::quantize_batch(&features)),
+        Features::F32(features),
+    ];
+    for int8_tail in [false, true] {
+        let (tail_worker, tail_pipeline) = match int8_tail {
+            true => (&int8_worker, &quantized),
+            false => (&f32_workers[1], &pipeline),
+        };
+        let shards = [
+            (&f32_workers[0], 0, 2, false),
+            (tail_worker, 2, 4, int8_tail),
+        ];
+        let router = ShardRouter::new(Arc::clone(&pipeline), placement(&shards), quiet_config())
+            .expect("router");
+        let router: &dyn Defense = &router;
+        for payload in &payloads {
+            let shard = |defense: &Arc<dyn Defense>, range| {
+                defense
+                    .serve(&ServerRequest::ranged(range, payload.clone()))
+                    .expect("in-process shard")
+            };
+            let mut reference = shard(&pipeline, 0..2);
+            reference.append(shard(tail_pipeline, 2..4)).unwrap();
+            if !int8_tail {
+                let full = ServerRequest::full(payload.clone());
+                assert_eq!(reference, pipeline.serve(&full).unwrap());
+            }
+            for range in [None, Some(0..2), Some(1..3), Some(3..4)] {
+                let expected = reference.clone().slice(range.clone().unwrap_or(0..4));
+                let request = ServerRequest {
+                    range,
+                    features: payload.clone(),
+                };
+                assert_eq!(
+                    router.serve(&request).expect("sharded serve"),
+                    expected,
+                    "int8 tail {int8_tail} / {:?} / {:?}",
+                    payload.precision(),
+                    request.range
+                );
+            }
+            let past_the_end = ServerRequest::ranged(2..9, payload.clone());
+            assert!(router.serve(&past_the_end).is_err());
+        }
+    }
 }
 
 #[test]
@@ -345,17 +408,11 @@ impl Defense for StallingDefense {
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         self.inner.client_features(images)
     }
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.inner.server_outputs(transmitted)
-    }
-    fn server_outputs_range(
-        &self,
-        transmitted: &Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.maybe_stall();
-        self.inner.server_outputs_range(transmitted, lo, hi)
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        if request.range.is_some() {
+            self.maybe_stall();
+        }
+        self.inner.serve(request)
     }
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {
         self.inner.classify(server_maps)

@@ -8,13 +8,13 @@
 
 #![cfg(target_os = "linux")]
 
-use ensembler::{Defense, EnsemblerError};
+use ensembler::{Defense, EnsemblerError, Maps, ServerRequest};
 use ensembler_serve::{demo_pipeline, DefenseServer, ServerConfig};
 use ensembler_shard::{Placement, RouterConfig, ShardRouter};
 use ensembler_tensor::Tensor;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// The workers' defense: `server_outputs_range` waits at a gate the test can
+/// The workers' defense: a ranged `serve` waits at a gate the test can
 /// close, so a scatter can be held provably in flight on both workers.
 #[derive(Debug)]
 struct GatedDefense {
@@ -50,16 +50,10 @@ impl Defense for GatedDefense {
         self.inner.client_features(images)
     }
 
-    fn server_outputs(&self, transmitted: &Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.inner.server_outputs(transmitted)
-    }
-
-    fn server_outputs_range(
-        &self,
-        transmitted: &Tensor,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<Tensor>, EnsemblerError> {
+    fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
+        if request.range.is_none() {
+            return self.inner.serve(request);
+        }
         let (lock, condvar) = &*self.gate;
         let mut gate = lock.lock().unwrap();
         gate.entered += 1;
@@ -68,7 +62,7 @@ impl Defense for GatedDefense {
             gate = condvar.wait(gate).unwrap();
         }
         drop(gate);
-        self.inner.server_outputs_range(transmitted, lo, hi)
+        self.inner.serve(request)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

@@ -74,18 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What those requests cost on the wire, from the validated cost model.
     let cost = network_cost(f32_pipeline.config());
-    for (name, upload, ret) in [
-        (
-            "f32",
-            cost.upload_frame_bytes(8, &WIRE_OVERHEAD),
-            cost.return_frame_bytes(8, n as u64, &WIRE_OVERHEAD),
-        ),
-        (
-            "int8",
-            cost.upload_frame_bytes_q(8, &WIRE_OVERHEAD),
-            cost.return_frame_bytes_q(8, n as u64, &WIRE_OVERHEAD),
-        ),
-    ] {
+    for (name, precision) in [("f32", Precision::F32), ("int8", Precision::Int8)] {
+        let upload = cost.request_frame_bytes(8, precision, false, &WIRE_OVERHEAD);
+        let ret = cost.response_frame_bytes(8, n as u64, precision, &WIRE_OVERHEAD);
         let link = LinkProfile::paper_lan();
         println!(
             "wire:  {name}: {upload} B up + {ret} B down per batch -> {:.1} ms on the paper's LAN",
