@@ -5,7 +5,7 @@ use crate::plans::PlanCell;
 use crate::{EnsemblerError, Maps, Selector, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::{CompiledPlan, Dropout, FixedNoise, FusionConfig, Layer, Mode, Sequential};
-use ensembler_tensor::{par_map, Tensor};
+use ensembler_tensor::Tensor;
 
 /// The full Ensembler collaborative-inference pipeline.
 ///
@@ -223,6 +223,8 @@ impl Defense for EnsemblerPipeline {
     /// shared `&self` — the property the paper uses to argue the `O(N)`
     /// server cost parallelises away in multi-GPU or multi-party deployments
     /// — and a slice is bit-identical to the same slice of a full evaluation.
+    /// What they do share, the lowering of the transmitted features for
+    /// their first convolution, is done once ([`CompiledPlan::run_all`]).
     fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
         serve_bodies(
             request,
@@ -231,8 +233,10 @@ impl Defense for EnsemblerPipeline {
             |features, range| {
                 let transmitted = features.as_f32()?;
                 let plans = self.body_plans();
-                let maps = par_map(&plans[range], |plan| plan.run(transmitted));
-                Ok(Maps::F32(maps.into_iter().collect::<Result<_, _>>()?))
+                Ok(Maps::F32(CompiledPlan::run_all(
+                    &plans[range],
+                    transmitted,
+                )?))
             },
         )
     }

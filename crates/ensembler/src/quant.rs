@@ -20,7 +20,7 @@ use crate::defense::{serve_bodies, Defense, Precision};
 use crate::{EnsemblerError, Maps, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::{FusionConfig, QCompiledPlan, Sequential};
-use ensembler_tensor::{par_map, QTensorBatch, Tensor};
+use ensembler_tensor::{QTensorBatch, Tensor};
 use std::sync::Arc;
 
 /// A [`Defense`] whose server bodies run `i8×i8→i32` kernels.
@@ -131,8 +131,9 @@ impl Defense for QuantizedDefense {
     }
 
     /// Evaluates the requested quantized bodies on the int8 feature batch, in
-    /// parallel like the `f32` pipeline, re-quantizing each body's output
-    /// per sample for the return leg. An `f32` request is quantized on the
+    /// parallel and from one shared lowering like the `f32` pipeline
+    /// ([`QCompiledPlan::run_all`]), re-quantizing each body's output per
+    /// sample for the return leg. An `f32` request is quantized on the
     /// way in and dequantized on the way out like any payload crossing to an
     /// int8 backend ([`crate::Features::to_precision`]): the round trips are
     /// part of the definition, so in-process and remote int8 predictions
@@ -144,11 +145,10 @@ impl Defense for QuantizedDefense {
             Precision::Int8,
             |features, range| {
                 let features = features.as_int8()?.dequantize();
-                let maps = par_map(&self.qplans[range], |plan| {
-                    plan.run(&features)
-                        .map(|out| QTensorBatch::quantize_batch(&out))
-                });
-                Ok(Maps::Int8(maps.into_iter().collect::<Result<_, _>>()?))
+                let maps = QCompiledPlan::run_all(&self.qplans[range], &features)?;
+                Ok(Maps::Int8(
+                    maps.iter().map(QTensorBatch::quantize_batch).collect(),
+                ))
             },
         )
     }

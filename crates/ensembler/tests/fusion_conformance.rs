@@ -177,3 +177,203 @@ fn malformed_batches_are_typed_errors_at_every_entry_point() {
         ensembler::EnsemblerError::ShapeMismatch(_)
     ));
 }
+
+// ---------------------------------------------------------------------------
+// The shared lowering (`CompiledPlan::run_all` / `QCompiledPlan::run_all`) at
+// a shape that reaches the blocked GEMM kernel. `tiny_for_tests` bodies lead
+// with a `k·n = 36·4` product — the unpacked small path — so nothing above
+// meets the kernel the serving benchmark runs on.
+// ---------------------------------------------------------------------------
+
+mod shared_lowering {
+    use super::*;
+    use ensembler::EnsemblerError;
+    use ensembler_nn::{CompiledPlan, Mode, QCompiledPlan, QSequential, Sequential};
+    use ensembler_tensor::QTensorBatch;
+
+    const N: usize = 4;
+
+    /// An untrained N = 4, P = 2 ensemble on the `cifar10_like` backbone:
+    /// every body leads with a `[b·64, 144]·[144, 16]` conv product.
+    fn cifar_pipeline(seed: u64) -> EnsemblerPipeline {
+        let config = ResNetConfig::cifar10_like();
+        let mut rng = Rng::seed_from(seed);
+        let head = build_head(&config, &mut rng);
+        let noise = FixedNoise::new(&config.head_output_shape(), 0.1, &mut rng);
+        let bodies = (0..N).map(|_| build_body(&config, &mut rng)).collect();
+        let selector = Selector::random(N, 2, &mut rng).unwrap();
+        let tail = build_tail(&config, 2 * config.body_output_features(), &mut rng);
+        EnsemblerPipeline::new(config, head, noise, bodies, selector, tail).unwrap()
+    }
+
+    /// The features a client would transmit for a deterministic image batch.
+    fn features(pipeline: &EnsemblerPipeline, batch: usize) -> Tensor {
+        let images = Tensor::from_fn(&[batch, 3, 16, 16], |i| ((i % 89) as f32 * 0.173).sin());
+        pipeline.client_features(&images).unwrap()
+    }
+
+    fn ranges() -> impl Iterator<Item = (usize, usize)> {
+        (0..N).flat_map(|lo| (lo + 1..=N).map(move |hi| (lo, hi)))
+    }
+
+    fn plans(bodies: &[Sequential]) -> Vec<CompiledPlan> {
+        let compile = |body| CompiledPlan::compile(body, FusionConfig::bit_exact());
+        bodies.iter().map(compile).collect()
+    }
+
+    /// What an `f32` caller of an int8 backend gets for one body, spelled
+    /// out: quantize in, the body's own plan, quantize out, dequantize.
+    fn int8_round_trip(plan: &QCompiledPlan, x: &Tensor) -> Tensor {
+        let fed = QTensorBatch::quantize_batch(x).dequantize();
+        QTensorBatch::quantize_batch(&plan.run(&fed).unwrap()).dequantize()
+    }
+
+    #[test]
+    fn one_lowering_equals_independent_runs_and_the_eager_forwards_on_every_range() {
+        let pipeline = cifar_pipeline(80);
+        let x = features(&pipeline, 32);
+        let bodies = pipeline.server_bodies();
+
+        let plans = plans(bodies);
+        let alone: Vec<Tensor> = plans.iter().map(|plan| plan.run(&x).unwrap()).collect();
+        for (body, map) in bodies.iter().zip(&alone) {
+            assert_eq!(&body.forward(&x, Mode::Eval), map, "plan vs eager forward");
+        }
+        assert_eq!(pipeline.server_outputs(&x).unwrap(), alone);
+        for (lo, hi) in ranges() {
+            let shared = CompiledPlan::run_all(&plans[lo..hi], &x).unwrap();
+            assert_eq!(shared, alone[lo..hi], "run_all {lo}..{hi}");
+            let served = pipeline.server_outputs_range(&x, lo, hi).unwrap();
+            assert_eq!(served, alone[lo..hi], "serve {lo}..{hi}");
+        }
+
+        let compile = |body| QCompiledPlan::compile(body, FusionConfig::bit_exact());
+        let qplans: Vec<QCompiledPlan> = bodies.iter().map(compile).collect();
+        let fed = QTensorBatch::quantize_batch(&x).dequantize();
+        let qalone: Vec<Tensor> = qplans.iter().map(|plan| plan.run(&fed).unwrap()).collect();
+        for (body, map) in bodies.iter().zip(&qalone) {
+            let eager = QSequential::from_sequential(body).forward(&fed);
+            assert_eq!(&eager, map, "int8 plan vs eager quantized forward");
+        }
+        let wire: Vec<Tensor> = qplans.iter().map(|p| int8_round_trip(p, &x)).collect();
+        let int8 = QuantizedDefense::quantize(Arc::new(cifar_pipeline(80)));
+        assert_eq!(int8.server_outputs(&x).unwrap(), wire);
+        for (lo, hi) in ranges() {
+            let shared = QCompiledPlan::run_all(&qplans[lo..hi], &fed).unwrap();
+            assert_eq!(shared, qalone[lo..hi], "int8 run_all {lo}..{hi}");
+            let served = int8.server_outputs_range(&x, lo, hi).unwrap();
+            assert_eq!(served, wire[lo..hi], "int8 serve {lo}..{hi}");
+        }
+    }
+
+    #[test]
+    fn a_request_served_alone_equals_its_row_of_a_batch_of_32() {
+        let f32_pipeline = Arc::new(cifar_pipeline(81));
+        let int8 = QuantizedDefense::quantize(Arc::clone(&f32_pipeline) as Arc<dyn Defense>);
+        let x = features(&f32_pipeline, 32);
+        let pipelines: [&dyn Defense; 2] = [f32_pipeline.as_ref(), &int8];
+        for pipeline in pipelines {
+            let batch = pipeline.server_outputs(&x).unwrap();
+            for row in [0, 31] {
+                let alone = pipeline.server_outputs(&x.batch_item(row)).unwrap();
+                for (map, one) in batch.iter().zip(&alone) {
+                    let width = map.shape()[1];
+                    let expected = &map.data()[row * width..(row + 1) * width];
+                    assert_eq!(one.data(), expected, "{} row {row}", pipeline.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_body_with_another_leading_conv_is_served_per_body() {
+        // Body 2 takes 8 input channels: its leading conv disagrees with the
+        // others', so nothing is shared — and it cannot accept the features.
+        let other = ResNetConfig {
+            stem_channels: 8,
+            ..ResNetConfig::cifar10_like()
+        };
+        let healthy = cifar_pipeline(82);
+        let mut poisoned = cifar_pipeline(82);
+        poisoned.bodies_mut()[2] = build_body(&other, &mut Rng::seed_from(5));
+        let x = features(&healthy, 4);
+        let expected = healthy.server_outputs(&x).unwrap();
+
+        let healthy_int8 = QuantizedDefense::quantize(Arc::new(cifar_pipeline(82)));
+        let expected_int8 = healthy_int8.server_outputs(&x).unwrap();
+        let poisoned_plans = plans(poisoned.server_bodies());
+        let poisoned = Arc::new(poisoned);
+        let poisoned_int8 = QuantizedDefense::quantize(Arc::clone(&poisoned) as Arc<dyn Defense>);
+
+        for (lo, hi) in ranges() {
+            let f32_answer = poisoned.server_outputs_range(&x, lo, hi);
+            let int8_answer = poisoned_int8.server_outputs_range(&x, lo, hi);
+            let direct = CompiledPlan::run_all(&poisoned_plans[lo..hi], &x);
+            if (lo..hi).contains(&2) {
+                let expect_channels = |err: EnsemblerError, what: &str| match err {
+                    EnsemblerError::ShapeMismatch(message) => assert!(
+                        message.contains(what),
+                        "{lo}..{hi}: unexpected message {message}"
+                    ),
+                    other => panic!("{lo}..{hi}: expected a shape mismatch, got {other:?}"),
+                };
+                expect_channels(
+                    f32_answer.unwrap_err(),
+                    "conv expected 8 input channels, got 16",
+                );
+                expect_channels(
+                    int8_answer.unwrap_err(),
+                    "q_conv expected 8 input channels, got 16",
+                );
+                assert!(direct.is_err(), "{lo}..{hi}");
+            } else {
+                assert_eq!(f32_answer.unwrap(), expected[lo..hi], "{lo}..{hi}");
+                assert_eq!(int8_answer.unwrap(), expected_int8[lo..hi], "{lo}..{hi}");
+                assert_eq!(direct.unwrap(), expected[lo..hi], "{lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn plans_recompiled_after_weight_surgery_share_the_new_weights() {
+        let mut pipeline = cifar_pipeline(83);
+        let x = features(&pipeline, 4);
+        let before = pipeline.server_outputs(&x).unwrap();
+        for body in pipeline.bodies_mut() {
+            for param in body.params_mut() {
+                for w in param.value.data_mut() {
+                    *w *= 1.25;
+                }
+            }
+        }
+        let after = pipeline.server_outputs(&x).unwrap();
+        assert_ne!(before, after, "stale plans would repeat the old maps");
+        let fresh = plans(pipeline.server_bodies());
+        let alone: Vec<Tensor> = fresh.iter().map(|plan| plan.run(&x).unwrap()).collect();
+        assert_eq!(after, alone);
+    }
+
+    #[test]
+    fn a_hostile_shape_is_the_per_body_typed_error_not_a_panic() {
+        let pipeline = cifar_pipeline(84);
+        let plans = plans(pipeline.server_bodies());
+        let int8 = QuantizedDefense::quantize(Arc::new(cifar_pipeline(84)));
+        for bad in [
+            Tensor::ones(&[2, 16]),
+            Tensor::ones(&[2, 7, 8, 8]),
+            Tensor::ones(&[1, 16, 0, 0]),
+            Tensor::ones(&[3, 16, 8, 8, 1]),
+        ] {
+            let alone = plans[0].run(&bad).unwrap_err();
+            let shared = CompiledPlan::run_all(&plans, &bad).unwrap_err();
+            assert_eq!(shared.message(), alone.message());
+            for served in [pipeline.server_outputs(&bad), int8.server_outputs(&bad)] {
+                assert!(
+                    matches!(served, Err(EnsemblerError::ShapeMismatch(_))),
+                    "{:?}: {served:?}",
+                    bad.shape()
+                );
+            }
+        }
+    }
+}

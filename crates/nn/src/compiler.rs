@@ -44,8 +44,8 @@ use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, Mode, Sequential};
 use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
-    im2col, im2col_i8, qgemm_nn, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QTensorBatch,
-    ShapeError, Tensor,
+    im2col, im2col_i8, par_map, qgemm_nn, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue,
+    QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
 
@@ -147,33 +147,78 @@ fn relu_mask(v: f32) -> f32 {
     v * if v > 0.0 { 1.0 } else { 0.0 }
 }
 
+/// What the `f32` and the int8 stages have in common, so that a chain, a
+/// residual block and a whole ensemble are each evaluated by one function.
+trait PlanStage: Sized + Sync {
+    /// This precision's fused conv stage.
+    type Conv: LoweredConv;
+
+    fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError>;
+
+    /// A residual block's add and its ReLU, per element.
+    fn merge(main: f32, skip: f32) -> f32;
+
+    /// The main branch and the shortcut (`None`: identity) of a residual
+    /// stage.
+    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)>;
+
+    fn as_conv(&self) -> Option<&Self::Conv>;
+}
+
+/// A fused conv stage split at the one point an ensemble can share:
+/// [`lower`](Self::lower) depends on the input and on [`key`](Self::key)
+/// only, [`finish`](Self::finish) on the lowered input and this stage's own
+/// weights only — so bodies whose keys agree can borrow one lowering.
+trait LoweredConv: Sync {
+    /// The validated input as the GEMM reads it (the column matrix).
+    type Lowered: Sync;
+
+    /// Everything besides the input that the lowering depends on: the conv
+    /// geometry and the input channel count.
+    fn key(&self) -> (Conv2dGeometry, usize);
+
+    fn lower(&self, input: &Tensor) -> Result<Self::Lowered, ShapeError>;
+
+    /// The stage's GEMM and output pass. Reads `lowered`, never changes it.
+    fn finish(&self, lowered: &Self::Lowered) -> Tensor;
+}
+
 /// Runs `stages` in order. The first stage reads `input` in place, so an
 /// empty chain is the only case that hands the borrow back.
-fn run_chain<'a, S>(
+fn run_chain<'a, S: PlanStage>(
     stages: &[S],
     input: &'a Tensor,
-    run: impl Fn(&S, &Tensor) -> Result<Tensor, ShapeError>,
+    config: FusionConfig,
 ) -> Result<Cow<'a, Tensor>, ShapeError> {
     let mut x = Cow::Borrowed(input);
     for stage in stages {
-        x = Cow::Owned(run(stage, &x)?);
+        x = Cow::Owned(stage.run(&x, config)?);
     }
     Ok(x)
 }
 
-/// Evaluates both branches of a residual block on `input` (an identity skip
-/// borrows it) and merges them element-wise with `merge` — the add and the
-/// block's ReLU in one pass.
-fn run_residual<S>(
+/// Evaluates both branches of a residual block on `input` and merges them.
+fn run_residual<S: PlanStage>(
     main: &[S],
     shortcut: Option<&[S]>,
     input: &Tensor,
-    run: impl Fn(&S, &Tensor) -> Result<Tensor, ShapeError>,
-    merge: impl Fn(f32, f32) -> f32,
+    config: FusionConfig,
 ) -> Result<Tensor, ShapeError> {
-    let x = run_chain(main, input, &run)?;
+    let x = run_chain(main, input, config)?;
+    merge_residual(&x, shortcut, input, config)
+}
+
+/// Evaluates the shortcut of a residual block on `input` (an identity skip
+/// borrows it) and merges it element-wise into the finished main branch `x`
+/// — the add and the block's ReLU in one pass.
+fn merge_residual<S: PlanStage>(
+    x: &Tensor,
+    shortcut: Option<&[S]>,
+    input: &Tensor,
+    config: FusionConfig,
+) -> Result<Tensor, ShapeError> {
     let skip = match shortcut {
-        Some(stages) => run_chain(stages, input, &run)?,
+        Some(stages) => run_chain(stages, input, config)?,
         None => Cow::Borrowed(input),
     };
     if x.shape() != skip.shape() {
@@ -183,7 +228,110 @@ fn run_residual<S>(
             skip.shape()
         )));
     }
-    Ok(x.zip_map(&skip, merge))
+    Ok(x.zip_map(&skip, S::merge))
+}
+
+/// One plan as the ensemble entry points hand it to [`run_ensemble`].
+type PlanRef<'a, S> = (&'a [S], FusionConfig);
+
+fn run_plan<S: PlanStage>(
+    &(stages, config): &PlanRef<S>,
+    input: &Tensor,
+) -> Result<Tensor, ShapeError> {
+    run_chain(stages, input, config).map(Cow::into_owned)
+}
+
+/// The conv that reads a plan's input: its first stage, or the first stage
+/// of the main branch of a leading residual block.
+fn leading_conv<S: PlanStage>(stages: &[S]) -> Option<&S::Conv> {
+    let first = stages.first()?;
+    match first.as_residual() {
+        Some((main, _)) => main.first()?.as_conv(),
+        None => first.as_conv(),
+    }
+}
+
+/// Runs every plan on the one `input`, in parallel, answers in plan order.
+///
+/// When all plans are fused and lead with convs of one geometry over one
+/// channel count — an ensemble's bodies do, by construction — the input is
+/// validated and lowered **once** and every leading conv multiplies from a
+/// borrow of that column matrix: its own GEMM call with its own weights,
+/// so each answer is bit-identical to `run` on that plan. The matrix is
+/// the largest buffer of a body run; it is freed before the rest of the
+/// bodies run so that N bodies never hold it next to their own second-layer
+/// matrices. Anything else (one plan, unfused plans, a leading stage that is
+/// not a conv, bodies that disagree) is the independent `run` per plan.
+fn run_ensemble<S: PlanStage>(
+    plans: &[PlanRef<S>],
+    input: &Tensor,
+) -> Result<Vec<Tensor>, ShapeError> {
+    let shared = || {
+        let convs: Vec<&S::Conv> = plans
+            .iter()
+            .map(|&(stages, config)| leading_conv(stages).filter(|_| config.fuse_epilogue))
+            .collect::<Option<_>>()?;
+        let same = convs.len() > 1 && convs.iter().all(|conv| conv.key() == convs[0].key());
+        same.then_some(convs)
+    };
+    let Some(convs) = shared() else {
+        return par_map(plans, |plan| run_plan(plan, input))
+            .into_iter()
+            .collect();
+    };
+    let lowered = convs[0].lower(input)?;
+    let led = par_map(&convs, |conv| conv.finish(&lowered));
+    drop(lowered);
+    let rest: Vec<(&PlanRef<S>, Tensor)> = plans.iter().zip(led).collect();
+    par_map(&rest, |(&(stages, config), led)| {
+        let (head, tail) = stages.split_first().expect("a leading conv has a stage");
+        match head.as_residual() {
+            None => run_chain(tail, led, config).map(Cow::into_owned),
+            Some((main, shortcut)) => {
+                let x = run_chain(&main[1..], led, config)?;
+                let block = merge_residual(&x, shortcut, input, config)?;
+                run_chain(tail, &block, config).map(Cow::into_owned)
+            }
+        }
+    })
+    .into_iter()
+    .collect()
+}
+
+/// An eval-mode batch norm merged into a conv's output pass, with the
+/// per-channel `1/sqrt(var + eps)` worked out when the plan is compiled —
+/// by the eager layer's expression, so the merge stays bit-exact.
+#[derive(Debug, Clone)]
+struct MergedBn {
+    bn: BatchNorm2d,
+    inv_std: Vec<f32>,
+}
+
+impl MergedBn {
+    fn new(bn: &BatchNorm2d) -> Self {
+        let inv_std = bn
+            .running_var()
+            .data()
+            .iter()
+            .map(|v| 1.0 / (v + bn.eps()).sqrt())
+            .collect();
+        Self {
+            bn: bn.clone(),
+            inv_std,
+        }
+    }
+
+    /// Per-channel `(mean, inv_std, gamma, beta)`: channel `ch` maps `v` to
+    /// `gamma[ch] * ((v - mean[ch]) * inv_std[ch]) + beta[ch]`, the eager
+    /// [`BatchNorm2d`] expression.
+    fn params(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
+        (
+            self.bn.running_mean().data(),
+            &self.inv_std,
+            self.bn.gamma().value.data(),
+            self.bn.beta().value.data(),
+        )
+    }
 }
 
 /// Turns `[b*oh*ow, c]` GEMM rows into an NCHW tensor while applying a merged
@@ -197,16 +345,12 @@ fn bn_relu_rows_to_nchw(
     c: usize,
     oh: usize,
     ow: usize,
-    bn: &BatchNorm2d,
+    bn: &MergedBn,
     relu: bool,
 ) -> Tensor {
     let plane = oh * ow;
     debug_assert_eq!(rows.len(), b * plane * c);
-    let mean = bn.running_mean().data();
-    let var = bn.running_var().data();
-    let gamma = bn.gamma().value.data();
-    let beta = bn.beta().value.data();
-    let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + bn.eps()).sqrt()).collect();
+    let (mean, inv_std, gamma, beta) = bn.params();
     let mut out = vec![0.0f32; b * c * plane];
     for n in 0..b {
         for p in 0..plane {
@@ -227,18 +371,80 @@ fn bn_relu_rows_to_nchw(
 // f32 plan
 // ---------------------------------------------------------------------------
 
+/// Convolution; `bn` records a directly following eval-mode batch norm and
+/// `relu` a ReLU after it, both fused into the conv's output pass. The batch
+/// norm applies the eager per-element expression
+/// `gamma*((x-mean)*inv_std)+beta` and the ReLU the eager mask multiply, so
+/// the merge is bit-exact with the standalone layers.
+#[derive(Debug, Clone)]
+struct ConvStage {
+    conv: Conv2d,
+    bn: Option<Box<MergedBn>>,
+    relu: bool,
+}
+
+/// An input batch lowered for a conv's GEMM, with the output extents the
+/// validation worked out.
+struct Lowered {
+    cols: Tensor,
+    b: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl LoweredConv for ConvStage {
+    type Lowered = Lowered;
+
+    fn key(&self) -> (Conv2dGeometry, usize) {
+        (self.conv.geometry(), self.conv.in_channels())
+    }
+
+    fn lower(&self, input: &Tensor) -> Result<Lowered, ShapeError> {
+        let (geometry, in_channels) = self.key();
+        let (b, oh, ow) = check_conv_input(input.shape(), in_channels, geometry, "conv")?;
+        Ok(Lowered {
+            cols: im2col(input, geometry),
+            b,
+            oh,
+            ow,
+        })
+    }
+
+    fn finish(&self, lowered: &Lowered) -> Tensor {
+        let Self { conv, bn, relu } = self;
+        let &Lowered { b, oh, ow, .. } = lowered;
+        let g = conv.geometry();
+        let m = b * oh * ow;
+        let k = conv.in_channels() * g.kernel * g.kernel;
+        let n = conv.out_channels();
+        let rows = gemm_nt_fused(
+            lowered.cols.data(),
+            conv.weight().value.data(),
+            m,
+            k,
+            n,
+            Parallelism::Auto,
+            GemmEpilogue {
+                bias: Some(conv.bias().value.data()),
+                // With a merged batch norm the ReLU comes after it, so it
+                // moves out of the GEMM epilogue into the combined output
+                // pass below.
+                relu: *relu && bn.is_none(),
+            },
+        );
+        match bn {
+            None => {
+                let rows = Tensor::from_vec(rows, &[m, n]).expect("fused rows sized m*n");
+                rows_to_nchw(&rows, b, n, oh, ow)
+            }
+            Some(bn) => bn_relu_rows_to_nchw(&rows, b, n, oh, ow, bn, *relu),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Stage {
-    /// Convolution; `bn` records a directly following eval-mode batch norm
-    /// and `relu` a ReLU after it, both fused into the conv's output pass.
-    /// The batch norm applies the eager per-element expression
-    /// `gamma*((x-mean)*inv_std)+beta` and the ReLU the eager mask multiply,
-    /// so the merge is bit-exact with the standalone layers.
-    Conv {
-        conv: Conv2d,
-        bn: Option<Box<BatchNorm2d>>,
-        relu: bool,
-    },
+    Conv(ConvStage),
     BatchNorm(BatchNorm2d),
     Relu,
     MaxPool(MaxPool2d),
@@ -255,42 +461,18 @@ enum Stage {
     Opaque(Box<dyn Layer>),
 }
 
-impl Stage {
+impl PlanStage for Stage {
+    type Conv = ConvStage;
+
     fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
         match self {
-            Stage::Conv { conv, bn, relu } => {
-                let (b, oh, ow) =
-                    check_conv_input(input.shape(), conv.in_channels(), conv.geometry(), "conv")?;
-                if !config.fuse_epilogue {
-                    return Ok(conv.forward(input, Mode::Eval));
+            Stage::Conv(stage) => {
+                if config.fuse_epilogue {
+                    return Ok(stage.finish(&stage.lower(input)?));
                 }
-                let g = conv.geometry();
-                let cols = im2col(input, g);
-                let m = b * oh * ow;
-                let k = conv.in_channels() * g.kernel * g.kernel;
-                let n = conv.out_channels();
-                let rows = gemm_nt_fused(
-                    cols.data(),
-                    conv.weight().value.data(),
-                    m,
-                    k,
-                    n,
-                    Parallelism::Auto,
-                    GemmEpilogue {
-                        bias: Some(conv.bias().value.data()),
-                        // With a merged batch norm the ReLU comes after it,
-                        // so it moves out of the GEMM epilogue into the
-                        // combined output pass below.
-                        relu: *relu && bn.is_none(),
-                    },
-                );
-                match bn {
-                    None => {
-                        let rows = Tensor::from_vec(rows, &[m, n]).expect("fused rows sized m*n");
-                        Ok(rows_to_nchw(&rows, b, n, oh, ow))
-                    }
-                    Some(bn) => Ok(bn_relu_rows_to_nchw(&rows, b, n, oh, ow, bn, *relu)),
-                }
+                let (geometry, in_channels) = stage.key();
+                check_conv_input(input.shape(), in_channels, geometry, "conv")?;
+                Ok(stage.conv.forward(input, Mode::Eval))
             }
             Stage::BatchNorm(bn) => {
                 let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
@@ -343,14 +525,28 @@ impl Stage {
                 );
                 Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
             }
-            Stage::Residual { main, shortcut } => run_residual(
-                main,
-                shortcut.as_deref(),
-                input,
-                |stage, x| stage.run(x, config),
-                |a, b| relu_mask(a + b),
-            ),
+            Stage::Residual { main, shortcut } => {
+                run_residual(main, shortcut.as_deref(), input, config)
+            }
             Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
+        }
+    }
+
+    fn merge(main: f32, skip: f32) -> f32 {
+        relu_mask(main + skip)
+    }
+
+    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)> {
+        match self {
+            Stage::Residual { main, shortcut } => Some((main, shortcut.as_deref())),
+            _ => None,
+        }
+    }
+
+    fn as_conv(&self) -> Option<&ConvStage> {
+        match self {
+            Stage::Conv(stage) => Some(stage),
+            _ => None,
         }
     }
 }
@@ -367,7 +563,7 @@ fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
                 let fused_bn = if config.fuse_epilogue {
                     match ops.get(i + 1) {
                         Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(Box::new(bn.clone()))
+                            Some(Box::new(MergedBn::new(bn)))
                         }
                         _ => None,
                     }
@@ -377,11 +573,11 @@ fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
                 let after_bn = i + 1 + usize::from(fused_bn.is_some());
                 let fused_relu =
                     config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
-                stages.push(Stage::Conv {
+                stages.push(Stage::Conv(ConvStage {
                     conv: conv.frozen(),
                     bn: fused_bn,
                     relu: fused_relu,
-                });
+                }));
                 i = after_bn + usize::from(fused_relu);
                 continue;
             }
@@ -434,7 +630,25 @@ impl CompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_chain(&self.stages, input, |stage, x| stage.run(x, self.config)).map(Cow::into_owned)
+        run_plan(&self.parts(), input)
+    }
+
+    /// Runs every plan of an ensemble on the one input they share, in
+    /// parallel, and returns their outputs in plan order — each bit-identical
+    /// to [`run`](Self::run) on that plan, and the first failing plan's
+    /// [`ShapeError`] if any fails.
+    ///
+    /// Same-shape bodies (fused plans whose leading convs agree on geometry
+    /// and input channels) have the input validated and lowered by `im2col`
+    /// once, and each body's first GEMM borrows that column matrix; any other
+    /// set of plans is run independently.
+    pub fn run_all(plans: &[CompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
+        let plans: Vec<_> = plans.iter().map(Self::parts).collect();
+        run_ensemble(&plans, input)
+    }
+
+    fn parts(&self) -> PlanRef<'_, Stage> {
+        (&self.stages, self.config)
     }
 
     /// The fusion configuration the plan was compiled with.
@@ -464,17 +678,88 @@ enum QRelu {
     Max,
 }
 
+/// Int8 convolution with the dequantize, bias, a merged eval-mode batch norm
+/// and the following ReLU all applied in one pass over the `i32`
+/// accumulators while transposing into NCHW — the eager pipeline's
+/// per-element expressions, one feature-map pass instead of up to four.
+#[derive(Debug, Clone)]
+struct QConvStage {
+    conv: QConv2d,
+    bn: Option<MergedBn>,
+    relu: QRelu,
+}
+
+/// An input batch quantized per sample and lowered for a conv's `qgemm`.
+struct QLowered {
+    cols: Vec<i8>,
+    /// The per-sample activation scales of the quantization.
+    scales: Vec<f32>,
+    b: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl LoweredConv for QConvStage {
+    type Lowered = QLowered;
+
+    fn key(&self) -> (Conv2dGeometry, usize) {
+        (self.conv.geometry(), self.conv.in_channels())
+    }
+
+    fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
+        let (geometry, in_channels) = self.key();
+        let (b, oh, ow) = check_conv_input(input.shape(), in_channels, geometry, "q_conv")?;
+        let (h, w) = (input.shape()[2], input.shape()[3]);
+        let q = QTensorBatch::quantize_batch(input);
+        Ok(QLowered {
+            cols: im2col_i8(q.data(), b, in_channels, h, w, geometry),
+            scales: q.scales().to_vec(),
+            b,
+            oh,
+            ow,
+        })
+    }
+
+    fn finish(&self, lowered: &QLowered) -> Tensor {
+        let Self { conv, bn, relu } = self;
+        let &QLowered { b, oh, ow, .. } = lowered;
+        let g = conv.geometry();
+        let plane = oh * ow;
+        let fan_in = conv.in_channels() * g.kernel * g.kernel;
+        let out_c = conv.out_channels();
+        let acc = qgemm_nn(&lowered.cols, conv.weight_t(), b * plane, fan_in, out_c);
+
+        // One pass over the i32 accumulators: dequantize, bias, the merged
+        // batch norm and ReLU, transposed straight into NCHW. Each
+        // expression matches the eager stage it replaces.
+        let bias = conv.bias().data();
+        let bn_params = bn.as_ref().map(MergedBn::params);
+        let mut out = vec![0.0f32; b * out_c * plane];
+        for n in 0..b {
+            let rescale = lowered.scales[n] * conv.weight_scale();
+            for p in 0..plane {
+                let row = &acc[(n * plane + p) * out_c..(n * plane + p + 1) * out_c];
+                for (co, &a) in row.iter().enumerate() {
+                    let mut t = a as f32 * rescale + bias[co];
+                    if let Some((mean, inv_std, gamma, beta)) = bn_params {
+                        t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
+                    }
+                    t = match relu {
+                        QRelu::None => t,
+                        QRelu::Mask => t * if t > 0.0 { 1.0 } else { 0.0 },
+                        QRelu::Max => t.max(0.0),
+                    };
+                    out[n * out_c * plane + co * plane + p] = t;
+                }
+            }
+        }
+        Tensor::from_vec(out, &[b, out_c, oh, ow]).expect("output sized to NCHW shape")
+    }
+}
+
 #[derive(Debug, Clone)]
 enum QStage {
-    /// Int8 convolution with the dequantize, bias, a merged eval-mode batch
-    /// norm and the following ReLU all applied in one pass over the `i32`
-    /// accumulators while transposing into NCHW — the eager pipeline's
-    /// per-element expressions, one feature-map pass instead of up to four.
-    Conv {
-        conv: QConv2d,
-        bn: Option<BatchNorm2d>,
-        relu: QRelu,
-    },
+    Conv(QConvStage),
     Linear {
         linear: QLinear,
         relu: bool,
@@ -495,62 +780,18 @@ enum QStage {
     Opaque(Box<dyn Layer>),
 }
 
-impl QStage {
+impl PlanStage for QStage {
+    type Conv = QConvStage;
+
     fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
         match self {
-            QStage::Conv { conv, bn, relu } => {
-                let (b, oh, ow) =
-                    check_conv_input(input.shape(), conv.in_channels(), conv.geometry(), "q_conv")?;
-                if !config.fuse_epilogue {
-                    return Ok(conv.forward(input));
+            QStage::Conv(stage) => {
+                if config.fuse_epilogue {
+                    return Ok(stage.finish(&stage.lower(input)?));
                 }
-                let g = conv.geometry();
-                let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
-                let plane = oh * ow;
-                let fan_in = c * g.kernel * g.kernel;
-                let out_c = conv.out_channels();
-                let q = QTensorBatch::quantize_batch(input);
-                let cols = im2col_i8(q.data(), b, c, h, w, g);
-                let acc = qgemm_nn(&cols, conv.weight_t(), b * plane, fan_in, out_c);
-
-                // One pass over the i32 accumulators: dequantize, bias, the
-                // merged batch norm and ReLU, transposed straight into NCHW.
-                // Each expression matches the eager stage it replaces.
-                let bias = conv.bias().data();
-                let bn_params = bn.as_ref().map(|bn| {
-                    let inv_std: Vec<f32> = bn
-                        .running_var()
-                        .data()
-                        .iter()
-                        .map(|v| 1.0 / (v + bn.eps()).sqrt())
-                        .collect();
-                    (
-                        bn.running_mean().data(),
-                        inv_std,
-                        bn.gamma().value.data(),
-                        bn.beta().value.data(),
-                    )
-                });
-                let mut out = vec![0.0f32; b * out_c * plane];
-                for n in 0..b {
-                    let rescale = q.scales()[n] * conv.weight_scale();
-                    for p in 0..plane {
-                        let row = &acc[(n * plane + p) * out_c..(n * plane + p + 1) * out_c];
-                        for (co, &a) in row.iter().enumerate() {
-                            let mut t = a as f32 * rescale + bias[co];
-                            if let Some((mean, inv_std, gamma, beta)) = &bn_params {
-                                t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
-                            }
-                            t = match relu {
-                                QRelu::None => t,
-                                QRelu::Mask => t * if t > 0.0 { 1.0 } else { 0.0 },
-                                QRelu::Max => t.max(0.0),
-                            };
-                            out[n * out_c * plane + co * plane + p] = t;
-                        }
-                    }
-                }
-                Ok(Tensor::from_vec(out, &[b, out_c, oh, ow]).expect("output sized to NCHW shape"))
+                let (geometry, in_channels) = stage.key();
+                check_conv_input(input.shape(), in_channels, geometry, "q_conv")?;
+                Ok(stage.conv.forward(input))
             }
             QStage::Linear { linear, relu } => {
                 let batch = check_linear_input(input.shape(), linear.in_features(), "q_linear")?;
@@ -611,14 +852,28 @@ impl QStage {
                 }
                 Ok(input.flatten_batch())
             }
-            QStage::Residual { main, shortcut } => run_residual(
-                main,
-                shortcut.as_deref(),
-                input,
-                |stage, x| stage.run(x, config),
-                |a, b| (a + b).max(0.0),
-            ),
+            QStage::Residual { main, shortcut } => {
+                run_residual(main, shortcut.as_deref(), input, config)
+            }
             QStage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
+        }
+    }
+
+    fn merge(main: f32, skip: f32) -> f32 {
+        (main + skip).max(0.0)
+    }
+
+    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)> {
+        match self {
+            QStage::Residual { main, shortcut } => Some((main, shortcut.as_deref())),
+            _ => None,
+        }
+    }
+
+    fn as_conv(&self) -> Option<&QConvStage> {
+        match self {
+            QStage::Conv(stage) => Some(stage),
+            _ => None,
         }
     }
 }
@@ -640,7 +895,7 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
                 let fused_bn = if config.fuse_epilogue {
                     match ops.get(i + 1) {
                         Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(bn.clone())
+                            Some(MergedBn::new(bn))
                         }
                         _ => None,
                     }
@@ -650,7 +905,7 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
                 let after_bn = i + 1 + usize::from(fused_bn.is_some());
                 let fused_relu =
                     config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
-                stages.push(QStage::Conv {
+                stages.push(QStage::Conv(QConvStage {
                     conv: QConv2d::from_conv(conv),
                     bn: fused_bn,
                     relu: match (fused_relu, in_residual) {
@@ -658,7 +913,7 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
                         (true, true) => QRelu::Max,
                         (true, false) => QRelu::Mask,
                     },
-                });
+                }));
                 i = after_bn + usize::from(fused_relu);
                 continue;
             }
@@ -719,7 +974,19 @@ impl QCompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_chain(&self.stages, input, |stage, x| stage.run(x, self.config)).map(Cow::into_owned)
+        run_plan(&self.parts(), input)
+    }
+
+    /// The int8 counterpart of [`CompiledPlan::run_all`]: same-shape bodies
+    /// share one per-sample quantization and one `im2col_i8` of the input,
+    /// and each answer is bit-identical to [`run`](Self::run) on that plan.
+    pub fn run_all(plans: &[QCompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
+        let plans: Vec<_> = plans.iter().map(Self::parts).collect();
+        run_ensemble(&plans, input)
+    }
+
+    fn parts(&self) -> PlanRef<'_, QStage> {
+        (&self.stages, self.config)
     }
 
     /// The fusion configuration the plan was compiled with.
@@ -830,6 +1097,53 @@ mod tests {
                 "config {config:?} must reproduce the eager int8 pipeline"
             );
         }
+    }
+
+    #[test]
+    fn run_all_equals_run_on_shared_and_unshared_sets_of_plans() {
+        let mut rng = Rng::seed_from(11);
+        // Lead with a plain conv, a residual block, a 1x1 conv and a
+        // non-conv stage; every net maps [b, 3, 8, 8] to something.
+        let plain = small_net(&mut rng);
+        let plain_too = small_net(&mut rng);
+        let block = Sequential::new(vec![Box::new(ResidualBlock::new(3, 8, 1, &mut rng))]);
+        let block_too = Sequential::new(vec![Box::new(ResidualBlock::new(3, 6, 1, &mut rng))]);
+        let pointwise = Sequential::new(vec![Box::new(Conv2d::new(3, 4, 1, 1, 0, &mut rng))]);
+        let pool = Sequential::new(vec![Box::new(MaxPool2d::new(2))]);
+        let x = Tensor::from_fn(&[3, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
+        let sets: [&[&Sequential]; 6] = [
+            &[&plain, &plain_too],             // shared, leading conv
+            &[&block, &block_too, &plain],     // shared across block and conv
+            &[&pointwise, &pointwise],         // shared, nothing after the conv
+            &[&plain, &pointwise, &plain_too], // geometries disagree: unshared
+            &[&plain, &pool],                  // a leading stage is no conv
+            &[&block],                         // one plan
+        ];
+        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
+            for (i, nets) in sets.iter().enumerate() {
+                let plans: Vec<_> = nets
+                    .iter()
+                    .map(|net| CompiledPlan::compile(net, config))
+                    .collect();
+                let alone: Vec<_> = plans.iter().map(|p| p.run(&x).unwrap()).collect();
+                assert_eq!(
+                    CompiledPlan::run_all(&plans, &x).unwrap(),
+                    alone,
+                    "{config:?} set {i}"
+                );
+                let qplans: Vec<_> = nets
+                    .iter()
+                    .map(|net| QCompiledPlan::compile(net, config))
+                    .collect();
+                let alone: Vec<_> = qplans.iter().map(|p| p.run(&x).unwrap()).collect();
+                assert_eq!(
+                    QCompiledPlan::run_all(&qplans, &x).unwrap(),
+                    alone,
+                    "int8 {config:?} set {i}"
+                );
+            }
+        }
+        assert!(CompiledPlan::run_all(&[], &x).unwrap().is_empty());
     }
 
     #[test]

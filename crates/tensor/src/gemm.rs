@@ -3,12 +3,16 @@
 //! All three product layouts used by the stack — `A·B`, `Aᵀ·B` and `A·Bᵀ` —
 //! funnel into one cache-blocked kernel:
 //!
-//! * **Packing.** The right-hand operand is repacked once into column panels
-//!   of [`NR`] contiguous columns; the left-hand operand is repacked per row
-//!   band into row panels of [`MR`] contiguous rows. Packing makes the inner
-//!   loop read both operands sequentially regardless of the original layout
-//!   (including the transposed variants) and pads ragged edges with zeros so
-//!   the micro-kernel never branches.
+//! * **Packing — of the right operand only.** `B` is repacked once per
+//!   product into column panels of [`NR`] contiguous columns (zero-padded on
+//!   the ragged edge), so the inner loop streams it whatever its original
+//!   layout. The left operand is *not* copied: the micro-kernel broadcasts
+//!   each `A` value straight from where it lies, addressed by a row stride
+//!   and a shared-dimension stride (`Lhs`) that cover the transposed
+//!   layout too (a packed copy is read once per column panel, and the conv
+//!   products served here have one or two). A ragged last row panel points
+//!   its missing rows at the last valid one; their accumulators are never
+//!   stored, so the micro-kernel still never branches.
 //! * **Register tiling.** The micro-kernel accumulates a small output tile
 //!   in registers across a [`KC`]-deep slice of the shared dimension,
 //!   amortising every load of `A` over the tile width and every load of `B`
@@ -55,18 +59,49 @@ pub const KC: usize = 256;
 /// Output rows per parallel band (one unit of work for a worker thread).
 pub const MC: usize = 128;
 
-/// One register-tile update: accumulate `tile_rows x cols` over `kc` packed
-/// steps into `c` (leading dimension `ldc`). The A panel holds `kc` slivers
-/// of `mr` row values; the B panel holds `kc` slivers of `nr` column values.
-type MicroKernelFn = fn(
-    apanel: &[f32],
-    bpanel: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    ldc: usize,
-    tile_rows: usize,
-    cols: usize,
-);
+/// The left operand as the kernels read it, in place: element `(i, p)` of
+/// the logical `[m,k]` matrix is `data[i * rs + p * ks]` — strides `(k, 1)`
+/// for a row-major `A`, `(1, m)` for one stored transposed.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ks: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// Element `(i, p)`.
+    #[inline(always)]
+    fn at(self, i: usize, p: usize) -> f32 {
+        self.data[i * self.rs + p * self.ks]
+    }
+
+    /// The same operand seen from element `(i, p)`: what a micro-kernel gets
+    /// for the tile whose first row is `i` and first shared index `p`.
+    fn starting_at(self, i: usize, p: usize) -> Lhs<'a> {
+        Lhs {
+            data: &self.data[i * self.rs + p * self.ks..],
+            ..self
+        }
+    }
+
+    /// Panics unless every element of a `rows x kc` tile starting at
+    /// `(0, 0)` lies inside `data` — the one check the micro-kernels'
+    /// strided reads rest on.
+    fn assert_covers(self, rows: usize, kc: usize) {
+        let covered = rows > 0 && kc > 0;
+        let covered = covered && (rows - 1) * self.rs + (kc - 1) * self.ks < self.data.len();
+        assert!(covered, "a {rows}x{kc} lhs tile runs past its operand");
+    }
+}
+
+/// One register-tile update: accumulate `tile_rows x cols` over `kc` steps
+/// into `c` (leading dimension `ldc`). `a` starts at the tile's first row
+/// and first shared index; tile rows past `tile_rows` re-read the last valid
+/// row and are not stored. The B panel holds `kc` slivers of `nr` column
+/// values.
+type MicroKernelFn =
+    fn(a: Lhs, bpanel: &[f32], kc: usize, c: &mut [f32], ldc: usize, tile_rows: usize, cols: usize);
 
 /// The micro-kernel picked for this host, with its register-tile geometry.
 #[derive(Clone, Copy)]
@@ -76,25 +111,34 @@ struct KernelConfig {
     micro: MicroKernelFn,
 }
 
-/// Picks the widest micro-kernel the host supports. Feature detection is
+/// The portable kernel: what every host can run, and what hosts without
+/// AVX2+FMA do run.
+const PORTABLE_KERNEL: KernelConfig = KernelConfig {
+    mr: MR,
+    nr: NR,
+    micro: portable_microkernel,
+};
+
+/// The AVX2+FMA kernel, if this host reports both features. Detection is
 /// cached by the standard library, so this is cheap to call per GEMM.
-fn kernel_config() -> KernelConfig {
+fn avx2_kernel() -> Option<KernelConfig> {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            return KernelConfig {
+            return Some(KernelConfig {
                 mr: avx2::MR,
                 nr: avx2::NR,
                 micro: avx2::microkernel,
-            };
+            });
         }
     }
-    KernelConfig {
-        mr: MR,
-        nr: NR,
-        micro: portable_microkernel,
-    }
+    None
+}
+
+/// Picks the widest micro-kernel the host supports.
+fn kernel_config() -> KernelConfig {
+    avx2_kernel().unwrap_or(PORTABLE_KERNEL)
 }
 
 /// Below this many right-operand elements (`k·n`) the kernel skips packing
@@ -206,8 +250,18 @@ enum Op {
 }
 
 impl Op {
-    /// Element `(i, p)` of the logical `[m,k]` left operand.
-    #[inline(always)]
+    /// The logical `[m,k]` left operand, addressed in place.
+    fn lhs(self, a: &[f32], m: usize, k: usize) -> Lhs<'_> {
+        let (rs, ks) = match self {
+            Op::Nn | Op::Nt => (k, 1),
+            Op::Tn => (1, m),
+        };
+        Lhs { data: a, rs, ks }
+    }
+
+    /// Element `(i, p)` of the logical `[m,k]` left operand (reference
+    /// implementation only; the kernels read A through [`Op::lhs`]).
+    #[cfg(test)]
     fn a_at(self, a: &[f32], i: usize, p: usize, m: usize, k: usize) -> f32 {
         match self {
             Op::Nn | Op::Nt => a[i * k + p],
@@ -416,6 +470,7 @@ fn gemm_impl(
     }
     let cfg = kernel_config();
     let small = k * n < SMALL_THRESHOLD;
+    let a = op.lhs(a, m, k);
 
     // The right operand, laid out once for every row band to read: below
     // SMALL_THRESHOLD the plain row-major `[k,n]` matrix the triple loop
@@ -438,7 +493,7 @@ fn gemm_impl(
     // Band sizing: MC rows normally, but a big product with few rows (the
     // engine's coalesced mini-batches rarely exceed MC) still deserves all
     // cores, so shrink bands to spread m across the workers. Bands stay
-    // mr-aligned so every band but the last packs only full row panels, and
+    // mr-aligned so every band but the last holds only full row panels, and
     // the split never changes results: each row's arithmetic is independent
     // of which band computes it.
     let band_rows = if want_parallel && m <= MC {
@@ -454,9 +509,9 @@ fn gemm_impl(
     chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
         let row0 = index * band_rows;
         if small {
-            gemm_small(a, &bp, row0, m, k, n, op, band);
+            gemm_small(a, &bp, row0, k, n, band);
         } else {
-            gemm_band(a, &bp, row0, band.len() / n, m, k, n, op, cfg, band);
+            gemm_band(a.starting_at(row0, 0), &bp, band.len() / n, k, n, cfg, band);
         }
         apply_epilogue(band, n, &ep);
     });
@@ -480,20 +535,10 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// across `j`. Each output element accumulates its `k` products in order,
 /// multiply then add, from `0.0`, and never skips a term, so non-finite
 /// values propagate exactly like the blocked path.
-#[allow(clippy::too_many_arguments)]
-fn gemm_small(
-    a: &[f32],
-    b: &[f32],
-    row0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    op: Op,
-    band: &mut [f32],
-) {
+fn gemm_small(a: Lhs, b: &[f32], row0: usize, k: usize, n: usize, band: &mut [f32]) {
     for (r, out_row) in band.chunks_exact_mut(n).enumerate() {
         for p in 0..k {
-            let a_ip = op.a_at(a, row0 + r, p, m, k);
+            let a_ip = a.at(row0 + r, p);
             let b_row = &b[p * n..(p + 1) * n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += a_ip * bv;
@@ -535,58 +580,34 @@ fn pack_b(b: &[f32], k: usize, n: usize, op: Op, nr: usize) -> Vec<f32> {
     bp
 }
 
-/// Computes `rows` output rows starting at `row0` into `band` (`rows x n`),
-/// blocking the shared dimension by KC and packing A row panels on the fly.
-#[allow(clippy::too_many_arguments)]
+/// Computes the `rows` output rows whose left operand starts at `a` into
+/// `band` (`rows x n`), blocking the shared dimension by KC. Nothing is
+/// allocated or copied here: the micro-kernel reads `a` in place.
 fn gemm_band(
-    a: &[f32],
+    a: Lhs,
     bp: &[f32],
-    row0: usize,
     rows: usize,
-    m: usize,
     k: usize,
     n: usize,
-    op: Op,
     cfg: KernelConfig,
     band: &mut [f32],
 ) {
     let (mr, nr) = (cfg.mr, cfg.nr);
     let row_panels = rows.div_ceil(mr);
     let col_panels = n.div_ceil(nr);
-    // Sized by the widest block actually packed: the demo bodies' k = 144
-    // needs 56 % of a KC-wide buffer, and a serving thread's arena keeps
-    // whatever this scratch peaked at (docs/PERFORMANCE.md, "Memory").
-    let mut apack = vec![0.0f32; row_panels * KC.min(k) * mr];
 
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
-        // Pack this band's A block: row panel `ir` holds rows
-        // row0+ir*mr..+mr for shared indices pc..pc+kc, zero-padded past the
-        // band edge.
-        for ir in 0..row_panels {
-            let panel = &mut apack[ir * kc * mr..(ir + 1) * kc * mr];
-            for p in 0..kc {
-                for r in 0..mr {
-                    let i = row0 + ir * mr + r;
-                    panel[p * mr + r] = if i < row0 + rows {
-                        op.a_at(a, i, pc + p, m, k)
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        }
         for jp in 0..col_panels {
             let bpanel = &bp[jp * k * nr + pc * nr..jp * k * nr + (pc + kc) * nr];
             let j0 = jp * nr;
             let cols = nr.min(n - j0);
             for ir in 0..row_panels {
-                let apanel = &apack[ir * kc * mr..(ir + 1) * kc * mr];
                 let r0 = ir * mr;
                 let tile_rows = mr.min(rows - r0);
                 (cfg.micro)(
-                    apanel,
+                    a.starting_at(r0, pc),
                     bpanel,
                     kc,
                     &mut band[r0 * n + j0..],
@@ -602,10 +623,9 @@ fn gemm_band(
 
 /// Accumulates an [`MR`]`x`[`NR`] register tile over `kc` shared-dimension
 /// steps and adds the `tile_rows x cols` valid region into `c` (leading dim
-/// `ldc`). Pure safe Rust; the fixed-size slivers below auto-vectorise on
-/// any target.
+/// `ldc`). The fixed-size slivers below auto-vectorise on any target.
 fn portable_microkernel(
-    apanel: &[f32],
+    a: Lhs,
     bpanel: &[f32],
     kc: usize,
     c: &mut [f32],
@@ -613,12 +633,17 @@ fn portable_microkernel(
     tile_rows: usize,
     cols: usize,
 ) {
+    a.assert_covers(tile_rows, kc);
+    let row: [usize; MR] = std::array::from_fn(|r| r.min(tile_rows - 1) * a.rs);
     let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
-        let av: &[f32; MR] = apanel[p * MR..p * MR + MR].try_into().expect("MR sliver");
         let bv: &[f32; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("NR sliver");
         for r in 0..MR {
-            let ar = av[r];
+            // SAFETY: `row[r] <= (tile_rows - 1) * rs` and `p <= kc - 1`, so
+            // the index is at most the one `assert_covers` checked above.
+            // Unchecked because a checked read here halves the kernel's
+            // throughput (docs/PERFORMANCE.md, "Reading A in place").
+            let ar = unsafe { *a.data.get_unchecked(row[r] + p * a.ks) };
             for (slot, &bval) in acc[r].iter_mut().zip(bv) {
                 *slot += ar * bval;
             }
@@ -633,10 +658,11 @@ fn portable_microkernel(
 }
 
 /// AVX2+FMA micro-kernel: a 6×16 register tile (12 `ymm` accumulators, two
-/// per row) fed by broadcast A values, selected at runtime on x86-64 hosts
-/// that report both features.
+/// per row) fed by A values broadcast from their six source rows, selected
+/// at runtime on x86-64 hosts that report both features.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::Lhs;
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
@@ -649,11 +675,11 @@ mod avx2 {
 
     /// Safe entry point matching [`super::MicroKernelFn`].
     ///
-    /// Only reachable through [`super::kernel_config`], which verifies AVX2
+    /// Only reachable through [`super::avx2_kernel`], which verifies AVX2
     /// and FMA availability before handing out this function pointer, so the
     /// `target_feature` call below is sound.
     pub(super) fn microkernel(
-        apanel: &[f32],
+        a: Lhs,
         bpanel: &[f32],
         kc: usize,
         c: &mut [f32],
@@ -661,13 +687,23 @@ mod avx2 {
         tile_rows: usize,
         cols: usize,
     ) {
-        debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-        unsafe { microkernel_impl(apanel, bpanel, kc, c, ldc, tile_rows, cols) }
+        a.assert_covers(tile_rows, kc);
+        assert!(tile_rows <= MR && cols <= NR && bpanel.len() >= kc * NR);
+        assert!(c.len() >= (tile_rows - 1) * ldc + cols);
+        // SAFETY: AVX2+FMA are present (see above). The three asserts are
+        // what `microkernel_impl` requires of its caller.
+        unsafe { microkernel_impl(a, bpanel, kc, c, ldc, tile_rows, cols) }
     }
 
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA; `a` must cover a
+    /// `tile_rows x kc` tile ([`Lhs::assert_covers`]) with
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc * NR` values; and `c`
+    /// must hold `(tile_rows - 1) * ldc + cols` with `cols <= NR`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn microkernel_impl(
-        apanel: &[f32],
+        a: Lhs,
         bpanel: &[f32],
         kc: usize,
         c: &mut [f32],
@@ -676,13 +712,20 @@ mod avx2 {
         cols: usize,
     ) {
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let ap = apanel.as_ptr();
+        // Row `r` of the tile starts here; rows past the ragged edge alias
+        // the last valid one, so every read below stays inside the tile
+        // `assert_covers` vouched for.
+        let mut row = [a.data.as_ptr(); MR];
+        for (r, start) in row.iter_mut().enumerate() {
+            *start = start.add(r.min(tile_rows - 1) * a.rs);
+        }
         let bpp = bpanel.as_ptr();
         for p in 0..kc {
             let b0 = _mm256_loadu_ps(bpp.add(p * NR));
             let b1 = _mm256_loadu_ps(bpp.add(p * NR + 8));
-            for (r, row_acc) in acc.iter_mut().enumerate() {
-                let ar = _mm256_set1_ps(*ap.add(p * MR + r));
+            let step = p * a.ks;
+            for (row_acc, start) in acc.iter_mut().zip(row) {
+                let ar = _mm256_set1_ps(*start.add(step));
                 row_acc[0] = _mm256_fmadd_ps(ar, b0, row_acc[0]);
                 row_acc[1] = _mm256_fmadd_ps(ar, b1, row_acc[1]);
             }
@@ -752,6 +795,195 @@ mod tests {
                 (x - y).abs() <= tol * (1.0 + y.abs()),
                 "mismatch at {i}: {x} vs {y}"
             );
+        }
+    }
+
+    /// Every kernel this host can execute, named. On an AVX2 host
+    /// `kernel_config` never hands out the portable kernel, so only tests
+    /// that iterate this list run it there.
+    fn kernels() -> Vec<(&'static str, KernelConfig)> {
+        let mut all = vec![("portable", PORTABLE_KERNEL)];
+        all.extend(avx2_kernel().map(|cfg| ("avx2", cfg)));
+        all
+    }
+
+    const LAYOUTS: [Op; 3] = [Op::Nn, Op::Tn, Op::Nt];
+
+    /// The blocked kernel under an explicit config, whatever `k·n` is:
+    /// output rows `rows` of the product, computed as one band.
+    fn blocked(
+        cfg: KernelConfig,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        op: Op,
+        rows: std::ops::Range<usize>,
+    ) -> Vec<f32> {
+        let bp = pack_b(b, k, n, op, cfg.nr);
+        let mut band = vec![0.0f32; rows.len() * n];
+        let lhs = op.lhs(a, m, k).starting_at(rows.start, 0);
+        gemm_band(lhs, &bp, rows.len(), k, n, cfg, &mut band);
+        band
+    }
+
+    /// The routine `gemm_band` used until the micro-kernels learned to read
+    /// `A` in place, kept as the oracle: copy each `[mr x kc]` block of the
+    /// left operand into a zero-padded panel, `kc` slivers of `mr` row
+    /// values, and multiply from the copy.
+    fn blocked_from_packed_a(
+        cfg: KernelConfig,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        op: Op,
+    ) -> Vec<f32> {
+        let (mr, nr) = (cfg.mr, cfg.nr);
+        let bp = pack_b(b, k, n, op, nr);
+        let mut band = vec![0.0f32; m * n];
+        let row_panels = m.div_ceil(mr);
+        let mut apack = vec![0.0f32; row_panels * KC.min(k) * mr];
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            for ir in 0..row_panels {
+                let panel = &mut apack[ir * kc * mr..(ir + 1) * kc * mr];
+                for p in 0..kc {
+                    for r in 0..mr {
+                        let i = ir * mr + r;
+                        panel[p * mr + r] = if i < m {
+                            op.a_at(a, i, pc + p, m, k)
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+            for jp in 0..n.div_ceil(nr) {
+                let bpanel = &bp[jp * k * nr + pc * nr..jp * k * nr + (pc + kc) * nr];
+                let j0 = jp * nr;
+                for ir in 0..row_panels {
+                    let apanel = Lhs {
+                        data: &apack[ir * kc * mr..(ir + 1) * kc * mr],
+                        rs: 1,
+                        ks: mr,
+                    };
+                    let r0 = ir * mr;
+                    (cfg.micro)(
+                        apanel,
+                        bpanel,
+                        kc,
+                        &mut band[r0 * n + j0..],
+                        n,
+                        mr.min(m - r0),
+                        nr.min(n - j0),
+                    );
+                }
+            }
+            pc += kc;
+        }
+        band
+    }
+
+    #[test]
+    fn reading_a_in_place_equals_multiplying_from_a_packed_copy_bit_for_bit() {
+        // Row counts around both tile heights (4, 6) and the band height,
+        // depths around the conv stem's 144 and the KC block, widths around
+        // both tile widths (8, 16).
+        for (name, cfg) in kernels() {
+            for m in [1, 5, 6, 7, 127, 128, 129] {
+                for k in [1, 143, 144, KC, KC + 7] {
+                    for n in [1, 15, 16, 17, 33] {
+                        let a = pseudo(m * k, (m * 31 + k) as u64);
+                        let b = pseudo(k * n, (k * 17 + n) as u64);
+                        for op in LAYOUTS {
+                            let dims = (m, k, n);
+                            let got = blocked(cfg, &a, &b, dims, op, 0..m);
+                            let packed = blocked_from_packed_a(cfg, &a, &b, dims, op);
+                            assert_eq!(got, packed, "{name} {op:?} {m}x{k}x{n}");
+                            assert_close(&got, &reference(&a, &b, m, k, n, op), 1e-3);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_ragged_transposed_panel_stops_at_the_last_row_of_the_last_step() {
+        // `Aᵀ` stored `[k,m]`: row `i` at step `p` is `a[p*m + i]`, so the
+        // rows a ragged last panel lacks would, at `p = k-1`, lie past the
+        // end of the slice. They must alias the last valid row instead.
+        for (name, cfg) in kernels() {
+            for m in [1, cfg.mr + 1, 2 * cfg.mr - 1] {
+                let (k, n) = (3, cfg.nr);
+                let a = pseudo(k * m, 21);
+                let b = pseudo(k * n, 22);
+                let got = blocked(cfg, &a, &b, (m, k, n), Op::Tn, 0..m);
+                let packed = blocked_from_packed_a(cfg, &a, &b, (m, k, n), Op::Tn);
+                assert_eq!(got, packed, "{name} m={m}");
+                assert_close(&got, &reference(&a, &b, m, k, n, Op::Tn), 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_is_the_same_alone_or_inside_a_batch_under_either_kernel() {
+        // The engine's guarantee, at the conv stem's shape: coalescing
+        // requests into one product never changes a row's bits.
+        let (m, k, n) = (32, 144, 16);
+        let a = pseudo(m * k, 23);
+        let b = pseudo(n * k, 24);
+        for (name, cfg) in kernels() {
+            let batch = blocked(cfg, &a, &b, (m, k, n), Op::Nt, 0..m);
+            for i in 0..m {
+                let alone = blocked(cfg, &a[i * k..(i + 1) * k], &b, (1, k, n), Op::Nt, 0..1);
+                assert_eq!(alone, batch[i * n..(i + 1) * n], "{name} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn band_boundaries_do_not_change_a_bit_in_any_layout() {
+        // Ragged everywhere: 3 MC bands with a 44-row tail, two KC blocks.
+        let (m, k, n) = (2 * MC + 44, KC + 9, 37);
+        let a = pseudo(m * k, 25);
+        let b = pseudo(k * n, 26);
+        for op in LAYOUTS {
+            for (name, cfg) in kernels() {
+                let whole = blocked(cfg, &a, &b, (m, k, n), op, 0..m);
+                let banded: Vec<f32> = (0..m)
+                    .step_by(MC)
+                    .flat_map(|r0| blocked(cfg, &a, &b, (m, k, n), op, r0..m.min(r0 + MC)))
+                    .collect();
+                assert_eq!(whole, banded, "{name} {op:?}");
+            }
+            let run = |par| gemm_impl(&a, &b, m, k, n, op, par, GemmEpilogue::none());
+            assert_eq!(
+                run(Parallelism::Serial),
+                run(Parallelism::Parallel),
+                "{op:?} serial vs pool"
+            );
+        }
+    }
+
+    #[test]
+    fn the_blocked_kernels_propagate_zero_times_non_finite() {
+        // `zero_times_nan_propagates` below is a 2x2 product, i.e. the small
+        // path. The same law on the blocked path, including the rows a
+        // ragged panel re-reads: a zero left operand against NaN / ∞.
+        let (m, k, n) = (7, 40, 17);
+        let a = vec![0.0f32; m * k];
+        let mut b = pseudo(k * n, 27);
+        for j in 0..n {
+            b[(j % k) * n + j] = if j % 2 == 0 { f32::NAN } else { f32::INFINITY };
+        }
+        for (name, cfg) in kernels() {
+            for v in blocked(cfg, &a, &b, (m, k, n), Op::Nn, 0..m) {
+                assert!(
+                    v.is_nan(),
+                    "{name}: 0 x NaN / 0 x inf must yield NaN, got {v}"
+                );
+            }
         }
     }
 

@@ -751,7 +751,11 @@ fn qgemm_band(
     let (mr, nr) = (cfg.mr, cfg.nr);
     let row_panels = rows.div_ceil(mr);
     let col_panels = n.div_ceil(nr);
-    let mut apack = vec![0i32; row_panels * (QKC / 2) * mr];
+    // Sized by the widest block actually packed: the demo bodies' k = 144
+    // needs 56 % of a QKC-wide buffer, and a serving thread's arena keeps
+    // whatever this scratch peaked at (docs/PERFORMANCE.md, "Memory"). The
+    // f32 kernel has no counterpart: it reads its left operand in place.
+    let mut apack = vec![0i32; row_panels * QKC.min(k).div_ceil(2) * mr];
 
     let mut pc = 0; // shared-dimension offset, in k units (always even)
     while pc < k {
