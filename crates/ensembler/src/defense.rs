@@ -336,6 +336,42 @@ pub fn check_body_range(lo: usize, hi: usize, ensemble_size: usize) -> Result<()
     Ok(())
 }
 
+/// Validates the shape of a feature batch that crosses the split — the
+/// client head's output, or a request arriving at the server — against the
+/// backbone: it must be `[B, C, H, W]` with `B ≥ 1` and `[C, H, W]` equal to
+/// [`ResNetConfig::head_output_shape`].
+///
+/// Shared by both pipelines' client stage (on the head's output, before the
+/// noise or defence layer, whose per-sample pattern would otherwise be tiled
+/// across the wrong elements) and the wire server (before the coalescing
+/// queue), so both reject a malformed batch with the same message.
+///
+/// # Errors
+///
+/// Returns [`EnsemblerError::ShapeMismatch`] naming both shapes.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler::check_feature_shape;
+/// use ensembler_nn::models::ResNetConfig;
+///
+/// let config = ResNetConfig::tiny_for_tests(); // head output [4, 8, 8]
+/// assert!(check_feature_shape(&[2, 4, 8, 8], &config).is_ok());
+/// assert!(check_feature_shape(&[0, 4, 8, 8], &config).is_err()); // no sample
+/// assert!(check_feature_shape(&[2, 4, 16, 16], &config).is_err());
+/// ```
+pub fn check_feature_shape(shape: &[usize], config: &ResNetConfig) -> Result<(), EnsemblerError> {
+    let expected = config.head_output_shape();
+    match shape.split_first() {
+        Some((&batch, sample)) if batch > 0 && sample == expected => Ok(()),
+        _ => Err(EnsemblerError::ShapeMismatch(format!(
+            "features {shape:?} do not match the head output [B, {}, {}, {}]",
+            expected[0], expected[1], expected[2]
+        ))),
+    }
+}
+
 /// The server stage of a pipeline that owns its bodies: validates the
 /// request's range against `ensemble_size`, hands `bodies` the payload at the
 /// `backend` precision and the body indices to run, and returns its maps at
@@ -370,6 +406,55 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_size_is_rejected() {
         let _ = EvalConfig::with_batch_size(0);
+    }
+
+    #[test]
+    fn a_wrong_size_image_batch_is_a_shape_mismatch_at_the_client_stage() {
+        use crate::defenses::{DefenseKind, SinglePipeline};
+
+        // The head is fully convolutional, so an image of the wrong extent
+        // runs through it; the noise or defence layer after it then either
+        // panicked on the element count or tiled its per-sample pattern
+        // across the wrong elements.
+        let ensembler: Arc<dyn Defense> = Arc::new(tiny_pipeline(3, 2, 31));
+        let mut pipelines: Vec<Arc<dyn Defense>> = vec![
+            Arc::clone(&ensembler),
+            Arc::new(QuantizedDefense::quantize(ensembler)),
+        ];
+        for kind in [
+            DefenseKind::NoDefense,
+            DefenseKind::AdditiveNoise { sigma: 0.1 },
+            DefenseKind::Shredder {
+                sigma: 0.1,
+                expansion: 0.1,
+            },
+            DefenseKind::Dropout { probability: 0.3 },
+        ] {
+            let single = SinglePipeline::new(ResNetConfig::tiny_for_tests(), kind, 32).unwrap();
+            pipelines.push(Arc::new(single));
+        }
+        for pipeline in &pipelines {
+            let label = pipeline.label();
+            for shape in [
+                [0, 3, 8, 8],
+                [2, 3, 4, 4],
+                [1, 3, 6, 6],
+                [2, 3, 16, 16],
+                [2, 3, 8, 4],
+            ] {
+                let images = Tensor::ones(&shape);
+                let features = pipeline.client_features(&images).map(|_| ());
+                let logits = pipeline.predict(&images).map(|_| ());
+                for result in [features, logits] {
+                    assert!(
+                        matches!(result, Err(EnsemblerError::ShapeMismatch(_))),
+                        "{label} {shape:?}: {result:?}"
+                    );
+                }
+            }
+            let logits = pipeline.predict(&Tensor::ones(&[2, 3, 8, 8])).unwrap();
+            assert_eq!(logits.shape(), &[2, 3], "{label}");
+        }
     }
 
     #[test]

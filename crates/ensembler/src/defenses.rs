@@ -14,7 +14,7 @@
 //! The DR-N (dropout on an ensemble without stage-1 training) baseline is the
 //! ensembled analogue and lives in [`crate::trainer::EnsemblerTrainer::train_joint`].
 
-use crate::defense::{serve_bodies, Defense, Precision};
+use crate::defense::{check_feature_shape, serve_bodies, Defense, Precision};
 use crate::plans::PlanCell;
 use crate::trainer::TrainConfig;
 use crate::{EnsemblerError, Maps, ServerRequest};
@@ -143,7 +143,6 @@ pub struct SinglePipeline {
     defense: DefenseLayer,
     body: [Sequential; 1],
     tail: Sequential,
-    fusion: FusionConfig,
     // Plans for [head, body, tail], compiled lazily and invalidated by
     // training and `body_mut`.
     plans: PlanCell,
@@ -199,7 +198,6 @@ impl SinglePipeline {
             defense,
             body: [body],
             tail,
-            fusion: FusionConfig::default(),
             plans: PlanCell::new(),
         })
     }
@@ -209,27 +207,14 @@ impl SinglePipeline {
         self.kind
     }
 
-    /// Recompiles the pipeline's execution plans with a different
-    /// [`FusionConfig`].
-    pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
-        self.fusion = fusion;
-        self.plans.invalidate();
-        self
-    }
-
-    /// The fusion configuration the pipeline's plans are compiled with.
-    pub fn fusion(&self) -> FusionConfig {
-        self.fusion
-    }
-
     /// The compiled plans for `[head, body, tail]`, recompiling them if the
     /// weights changed since the last inference.
     fn plans(&self) -> std::sync::Arc<Vec<CompiledPlan>> {
         self.plans.get_or_compile(|| {
             vec![
-                CompiledPlan::compile(&self.head, self.fusion),
-                CompiledPlan::compile(&self.body[0], self.fusion),
-                CompiledPlan::compile(&self.tail, self.fusion),
+                CompiledPlan::compile(&self.head, FusionConfig),
+                CompiledPlan::compile(&self.body[0], FusionConfig),
+                CompiledPlan::compile(&self.tail, FusionConfig),
             ]
         })
     }
@@ -333,6 +318,7 @@ impl Defense for SinglePipeline {
     /// Computes the features the client transmits (head output plus defence).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.plans()[0].run(images)?;
+        check_feature_shape(features.shape(), &self.config)?;
         Ok(self.defense.forward(&features, Mode::Eval))
     }
 

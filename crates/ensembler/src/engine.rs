@@ -332,12 +332,23 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the image shape is wrong or the engine is
-    /// shutting down; evaluation errors surface from [`Pending::wait`].
+    /// Returns an error — before touching the queue, so a malformed image
+    /// never fails the requests it would have been batched with — if the
+    /// image is not `[input_channels, image_size, image_size]` of the served
+    /// backbone or the engine is shutting down; evaluation errors surface
+    /// from [`Pending::wait`].
     pub fn predict_begin(&self, image: Tensor) -> Result<Pending<Tensor>, EnsemblerError> {
         let Features::F32(image) = Features::F32(image).into_single()? else {
             unreachable!("into_single preserves the precision")
         };
+        let config = self.defense.config();
+        let expected = [config.input_channels, config.image_size, config.image_size];
+        if image.shape()[1..] != expected {
+            return Err(EnsemblerError::ShapeMismatch(format!(
+                "image {:?} does not match the served input {expected:?}",
+                &image.shape()[1..]
+            )));
+        }
         let (respond, pending) = Respond::pending();
         self.submit(Work::Predict { image, respond })?;
         Ok(pending)
@@ -640,19 +651,13 @@ fn execute_group<I, R>(
     }
 }
 
-/// Stacks the queued images, runs one shared prediction and splits the
-/// logits back into per-request rows.
+/// Stacks the queued images — [`InferenceEngine::predict_begin`] admitted
+/// only the served input shape, so they stack — runs one shared prediction
+/// and splits the logits back into per-request rows.
 fn run_predict_batch<D: Defense + ?Sized>(
     defense: &D,
     images: &[Tensor],
 ) -> Result<Vec<Tensor>, EnsemblerError> {
-    if let Some(odd) = images.iter().find(|i| i.shape() != images[0].shape()) {
-        return Err(EnsemblerError::ShapeMismatch(format!(
-            "cannot batch images of shapes {:?} and {:?}",
-            images[0].shape(),
-            odd.shape()
-        )));
-    }
     let logits = defense.predict(&Tensor::stack_batch(images))?;
     let classes = logits.shape()[1];
     Ok((0..images.len())
@@ -1311,6 +1316,57 @@ mod tests {
         assert_eq!(stats.requests_served, 100);
         assert_eq!(stats.batches_executed, 100);
         assert_eq!(stats.max_batch_observed, 1);
+    }
+
+    #[test]
+    fn coalescing_refuses_a_malformed_image_before_it_can_fail_its_batch_mates() {
+        let pipeline = four_body_pipeline();
+        let (defense, gate) = gated(Arc::clone(&pipeline));
+        let engine = InferenceEngine::new(
+            defense,
+            EngineConfig {
+                max_batch: 8,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        // Rebound after the engine, so a failing assertion drops the gate
+        // first: the blocked worker is released, not joined forever.
+        let gate = gate;
+        let image = |k: usize| Tensor::from_fn(&[3, 8, 8], |i| ((i + 11 * k) as f32 * 0.021).sin());
+        // One image puts the worker inside a batch; the rest queue behind
+        // it, a good one on either side of the malformed ones.
+        let blocker = engine.predict_begin(image(0)).unwrap();
+        assert_eq!(gate.entered(), 1);
+        let before = engine.predict_begin(image(1)).unwrap();
+        for bad in [
+            Tensor::ones(&[4, 8, 8]),
+            Tensor::ones(&[3, 16, 16]),
+            Tensor::ones(&[1, 3, 8, 4]),
+        ] {
+            let err = engine.predict_begin(bad.clone()).unwrap_err();
+            assert!(
+                matches!(err, EnsemblerError::ShapeMismatch(_)),
+                "{:?}: {err:?}",
+                bad.shape()
+            );
+        }
+        let after = engine.predict_begin(image(2)).unwrap();
+        assert_eq!(
+            engine.stats().queue_depth,
+            2,
+            "nothing malformed was queued"
+        );
+        gate.open.send(()).unwrap();
+        assert_eq!(gate.entered(), 2, "the two good images, one batch");
+        gate.open.send(()).unwrap();
+        for (k, pending) in [blocker, before, after].into_iter().enumerate() {
+            let alone = pipeline
+                .predict(&image(k).reshape(&[1, 3, 8, 8]).unwrap())
+                .unwrap();
+            assert_eq!(pending.wait().unwrap().data(), alone.data(), "image {k}");
+        }
+        assert_eq!(engine.stats().requests_served, 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The Ensembler inference pipeline (Fig. 2 of the paper).
 
-use crate::defense::{serve_bodies, Defense, Precision};
+use crate::defense::{check_feature_shape, serve_bodies, Defense, Precision};
 use crate::plans::PlanCell;
 use crate::{EnsemblerError, Maps, Selector, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
@@ -25,11 +25,13 @@ use ensembler_tensor::Tensor;
 /// parallelises away.
 ///
 /// Inference does not call `Layer::forward` directly: head, bodies and tail
-/// are lowered through [`ensembler_nn::graph`] and compiled into fused
-/// [`CompiledPlan`]s (see [`FusionConfig`]) — once per pipeline, cached, and
-/// invalidated when [`EnsemblerPipeline::bodies_mut`] hands out mutable
-/// weights. The plans also validate request shapes, so a malformed batch
-/// returns [`EnsemblerError::ShapeMismatch`] instead of panicking.
+/// are lowered through [`ensembler_nn::graph`] and compiled into fused,
+/// bit-exact [`CompiledPlan`]s — once per pipeline, cached, and invalidated
+/// when [`EnsemblerPipeline::bodies_mut`] hands out mutable weights. The
+/// plans also validate request shapes, and the client stage checks the
+/// head's output against the configured shape
+/// ([`crate::check_feature_shape`]), so a malformed batch returns
+/// [`EnsemblerError::ShapeMismatch`] instead of panicking.
 ///
 /// The pipeline exposes the pieces an adversarial server legitimately has
 /// access to under the paper's threat model — the bodies
@@ -45,7 +47,6 @@ pub struct EnsemblerPipeline {
     bodies: Vec<Sequential>,
     selector: Selector,
     tail: Sequential,
-    fusion: FusionConfig,
     head_plan: CompiledPlan,
     tail_plan: CompiledPlan,
     body_plans: PlanCell,
@@ -77,9 +78,8 @@ impl EnsemblerPipeline {
                 available: bodies.len(),
             });
         }
-        let fusion = FusionConfig::default();
-        let head_plan = CompiledPlan::compile(&head, fusion);
-        let tail_plan = CompiledPlan::compile(&tail, fusion);
+        let head_plan = CompiledPlan::compile(&head, FusionConfig);
+        let tail_plan = CompiledPlan::compile(&tail, FusionConfig);
         Ok(Self {
             config,
             head,
@@ -88,27 +88,10 @@ impl EnsemblerPipeline {
             bodies,
             selector,
             tail,
-            fusion,
             head_plan,
             tail_plan,
             body_plans: PlanCell::new(),
         })
-    }
-
-    /// Recompiles the pipeline's execution plans with a different
-    /// [`FusionConfig`] ([`FusionConfig::none`] gives the eager baseline the
-    /// conformance suites compare against).
-    pub fn with_fusion(mut self, fusion: FusionConfig) -> Self {
-        self.fusion = fusion;
-        self.head_plan = CompiledPlan::compile(&self.head, fusion);
-        self.tail_plan = CompiledPlan::compile(&self.tail, fusion);
-        self.body_plans.invalidate();
-        self
-    }
-
-    /// The fusion configuration the pipeline's plans are compiled with.
-    pub fn fusion(&self) -> FusionConfig {
-        self.fusion
     }
 
     /// The compiled body plans, recompiling them if weights changed since the
@@ -117,7 +100,7 @@ impl EnsemblerPipeline {
         self.body_plans.get_or_compile(|| {
             self.bodies
                 .iter()
-                .map(|body| CompiledPlan::compile(body, self.fusion))
+                .map(|body| CompiledPlan::compile(body, FusionConfig))
                 .collect()
         })
     }
@@ -208,6 +191,7 @@ impl Defense for EnsemblerPipeline {
     /// `M_c,h(x) + N(0, σ)` (plus dropout if the DR-N defence is enabled).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
         let features = self.head_plan.run(images)?;
+        check_feature_shape(features.shape(), &self.config)?;
         let noisy = self.noise.forward(&features, Mode::Eval);
         Ok(match &self.dropout {
             Some(dropout) => dropout.forward(&noisy, Mode::Eval),

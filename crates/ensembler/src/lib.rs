@@ -83,7 +83,7 @@ pub mod split;
 pub mod trainer;
 
 pub use artifact::{load_defense, load_pipeline, save_pipeline};
-pub use defense::{check_body_range, Defense, EvalConfig, Precision};
+pub use defense::{check_body_range, check_feature_shape, Defense, EvalConfig, Precision};
 pub use defenses::{DefenseKind, SinglePipeline};
 pub use engine::{EngineConfig, EngineStats, InferenceEngine, Pending, Tagged};
 pub use error::EnsemblerError;

@@ -63,7 +63,7 @@ mod tests {
     fn plans() -> Vec<CompiledPlan> {
         let mut rng = Rng::seed_from(0);
         let net = Sequential::new(vec![Box::new(Linear::new(3, 2, &mut rng))]);
-        vec![CompiledPlan::compile(&net, FusionConfig::bit_exact())]
+        vec![CompiledPlan::compile(&net, FusionConfig)]
     }
 
     #[test]

@@ -55,45 +55,29 @@ use std::sync::Arc;
 pub struct QuantizedDefense {
     inner: Arc<dyn Defense>,
     label: String,
-    fusion: FusionConfig,
     qplans: Vec<QCompiledPlan>,
 }
 
 impl QuantizedDefense {
-    /// Quantizes the server bodies of `inner` for int8 serving with the
-    /// default (bit-exact) fusion configuration.
+    /// Quantizes the server bodies of `inner` and compiles them into fused
+    /// int8 plans, which reproduce the eager [`ensembler_nn::QSequential`]
+    /// forward bit-for-bit.
     ///
     /// The label gains an `+int8` suffix so the serving handshake refuses to
     /// pair an int8 client replica with an `f32` deployment (or vice versa)
     /// — mixing them would silently produce logits that differ from both.
     pub fn quantize(inner: Arc<dyn Defense>) -> Self {
-        Self::quantize_with(inner, FusionConfig::default())
-    }
-
-    /// Quantizes the server bodies of `inner`, compiling the int8 execution
-    /// plans with an explicit [`FusionConfig`].
-    ///
-    /// Under both [`FusionConfig::none`] and [`FusionConfig::bit_exact`] the
-    /// plans reproduce the eager [`ensembler_nn::QSequential`] forward
-    /// bit-for-bit.
-    pub fn quantize_with(inner: Arc<dyn Defense>, fusion: FusionConfig) -> Self {
         let qplans = inner
             .server_bodies()
             .iter()
-            .map(|body| QCompiledPlan::compile(body, fusion))
+            .map(|body| QCompiledPlan::compile(body, FusionConfig))
             .collect();
         let label = format!("{}+int8", inner.label());
         Self {
             inner,
             label,
-            fusion,
             qplans,
         }
-    }
-
-    /// The fusion configuration the int8 plans are compiled with.
-    pub fn fusion(&self) -> FusionConfig {
-        self.fusion
     }
 
     /// The wrapped full-precision pipeline.

@@ -1,7 +1,6 @@
 //! The client's private selector (Eq. 1 of the paper).
 
 use crate::EnsemblerError;
-use ensembler_tensor::json::{JsonError, JsonValue};
 use ensembler_tensor::{Rng, Tensor};
 
 /// The secret activation the client applies to the `N` feature maps returned
@@ -209,32 +208,6 @@ impl Selector {
     pub fn search_space(&self) -> u128 {
         binomial(self.ensemble_size as u128, self.active.len() as u128)
     }
-
-    /// Serialises the selector (the client's secret key material) to JSON.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "ensemble_size".to_string(),
-                JsonValue::Number(self.ensemble_size as f64),
-            ),
-            (
-                "active".to_string(),
-                JsonValue::from_usize_slice(&self.active),
-            ),
-        ])
-    }
-
-    /// Reconstructs a selector from the representation produced by
-    /// [`Selector::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing fields or an invalid selection.
-    pub fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let ensemble_size = value.require("ensemble_size")?.as_usize()?;
-        let active = value.require("active")?.as_usize_vec()?;
-        Selector::from_indices(ensemble_size, active).map_err(|e| JsonError::new(e.to_string()))
-    }
 }
 
 fn binomial(n: u128, k: u128) -> u128 {
@@ -343,19 +316,5 @@ mod tests {
         assert_eq!(sel.search_space(), 120);
         let all = Selector::all(6);
         assert_eq!(all.search_space(), 1);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_the_secret() {
-        let sel = Selector::from_indices(10, vec![2, 5, 7]).unwrap();
-        let json = sel.to_json().render();
-        let back = Selector::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, sel);
-    }
-
-    #[test]
-    fn json_decoding_validates_the_selection() {
-        let bad = JsonValue::parse(r#"{"ensemble_size": 2, "active": [5]}"#).unwrap();
-        assert!(Selector::from_json(&bad).is_err());
     }
 }

@@ -10,8 +10,8 @@ use ensembler::{
 };
 use ensembler_data::SyntheticSpec;
 use ensembler_nn::models::{build_body, build_head, build_tail, ResNetConfig};
-use ensembler_nn::{FixedNoise, FusionConfig, Layer};
-use ensembler_tensor::{Rng, Tensor};
+use ensembler_nn::{FixedNoise, Layer, Mode, QSequential, Sequential};
+use ensembler_tensor::{QTensorBatch, Rng, Tensor};
 use std::sync::Arc;
 
 fn ensembler_pipeline(seed: u64) -> EnsemblerPipeline {
@@ -29,26 +29,61 @@ fn images(batch: usize) -> Tensor {
     Tensor::from_fn(&[batch, 3, 8, 8], |i| ((i % 97) as f32 * 0.131).sin())
 }
 
+/// The eager oracle the compiled plans are pinned to: a pipeline's parts
+/// composed through `Layer::forward` — the server bodies on the
+/// `transmitted` features (through `QSequential` and both wire round trips
+/// when `int8`), the secret selector, the tail.
+fn eager_predict(
+    transmitted: &Tensor,
+    bodies: &[Sequential],
+    int8: bool,
+    selector: &Selector,
+    tail: &Sequential,
+) -> Tensor {
+    let maps: Vec<Tensor> = bodies
+        .iter()
+        .map(|body| {
+            if int8 {
+                let fed = QTensorBatch::quantize_batch(transmitted).dequantize();
+                let map = QSequential::from_sequential(body).forward(&fed);
+                QTensorBatch::quantize_batch(&map).dequantize()
+            } else {
+                body.forward(transmitted, Mode::Eval)
+            }
+        })
+        .collect();
+    tail.forward(&selector.combine(&maps).unwrap(), Mode::Eval)
+}
+
+/// [`eager_predict`] of an Ensembler pipeline, its client stage included:
+/// the head and the fixed noise through `Layer::forward`.
+fn eager_ensembler(pipeline: &EnsemblerPipeline, int8: bool, x: &Tensor) -> Tensor {
+    let head = pipeline.head().forward(x, Mode::Eval);
+    let transmitted = pipeline.noise().forward(&head, Mode::Eval);
+    let (bodies, selector) = (pipeline.server_bodies(), pipeline.selector());
+    eager_predict(&transmitted, bodies, int8, selector, pipeline.tail())
+}
+
 #[test]
 fn fused_ensembler_predictions_are_bit_exact_vs_the_eager_plans() {
-    // The default pipeline compiles bit-exact fused plans; recompiling with
-    // fusion disabled gives the eager baseline. Same weights, same logits.
+    // The pipeline serves fused plans; its own parts run through the eager
+    // forwards are the baseline. Same weights, same logits.
     for batch in [1usize, 2, 3] {
         let fused = ensembler_pipeline(50);
-        let eager = ensembler_pipeline(50).with_fusion(FusionConfig::none());
-        assert_eq!(fused.fusion(), FusionConfig::bit_exact());
         let x = images(batch);
         assert_eq!(
             fused.predict(&x).unwrap(),
-            eager.predict(&x).unwrap(),
+            eager_ensembler(&fused, false, &x),
             "batch {batch}: fused and eager plans must agree bit-exactly"
         );
         // The split API composes identically under fusion.
         let transmitted = fused.client_features(&x).unwrap();
-        assert_eq!(
-            fused.server_outputs(&transmitted).unwrap(),
-            eager.server_outputs(&transmitted).unwrap()
-        );
+        let eager: Vec<Tensor> = fused
+            .server_bodies()
+            .iter()
+            .map(|body| body.forward(&transmitted, Mode::Eval))
+            .collect();
+        assert_eq!(fused.server_outputs(&transmitted).unwrap(), eager);
     }
 }
 
@@ -62,29 +97,31 @@ fn fused_single_pipelines_are_bit_exact_for_every_defense_kind() {
     for (i, kind) in kinds.into_iter().enumerate() {
         let seed = 60 + i as u64;
         let fused = SinglePipeline::new(ResNetConfig::tiny_for_tests(), kind, seed).unwrap();
-        let eager = SinglePipeline::new(ResNetConfig::tiny_for_tests(), kind, seed)
-            .unwrap()
-            .with_fusion(FusionConfig::none());
+        let twin = SinglePipeline::new(ResNetConfig::tiny_for_tests(), kind, seed).unwrap();
+        let (head, body, tail) = twin.into_parts();
         let x = images(2);
-        assert_eq!(
-            fused.predict(&x).unwrap(),
-            eager.predict(&x).unwrap(),
-            "{kind:?}"
-        );
+        // `into_parts` drops the defence layer, which no plan runs: the eager
+        // body and tail take the pipeline's transmitted features, and the
+        // eager head is compared where the defence is the identity.
+        let transmitted = fused.client_features(&x).unwrap();
+        if kind == DefenseKind::NoDefense {
+            assert_eq!(transmitted, head.forward(&x, Mode::Eval));
+        }
+        let eager = eager_predict(&transmitted, &[body], false, &Selector::all(1), &tail);
+        assert_eq!(fused.predict(&x).unwrap(), eager, "{kind:?}");
     }
 }
 
 #[test]
 fn fused_int8_serving_is_bit_exact_vs_the_eager_quantized_path() {
     let inner: Arc<dyn Defense> = Arc::new(ensembler_pipeline(52));
+    let eager = ensembler_pipeline(52);
     let fused = QuantizedDefense::quantize(Arc::clone(&inner));
-    let eager = QuantizedDefense::quantize_with(Arc::clone(&inner), FusionConfig::none());
-    assert_eq!(fused.fusion(), FusionConfig::bit_exact());
     for batch in [1usize, 3] {
         let x = images(batch);
         assert_eq!(
             fused.predict(&x).unwrap(),
-            eager.predict(&x).unwrap(),
+            eager_ensembler(&eager, true, &x),
             "batch {batch}: fused int8 must reproduce the eager int8 pipeline"
         );
     }
@@ -96,7 +133,6 @@ fn the_coalescing_engine_serves_fused_plans_bit_exactly() {
     // by the engine; the answers must equal both the eager plans' and the
     // direct per-image predictions.
     let fused = Arc::new(ensembler_pipeline(53));
-    let eager = ensembler_pipeline(53).with_fusion(FusionConfig::none());
     let engine = InferenceEngine::new(
         Arc::clone(&fused),
         EngineConfig {
@@ -113,7 +149,7 @@ fn the_coalescing_engine_serves_fused_plans_bit_exactly() {
         let via_engine = pending.wait().unwrap();
         // The engine strips the unit batch dimension from single-image
         // results; match that before comparing bits.
-        let direct = eager.predict(&batch.batch_item(i)).unwrap();
+        let direct = eager_ensembler(&fused, false, &batch.batch_item(i));
         let direct = direct.reshape(via_engine.shape()).unwrap();
         assert_eq!(
             via_engine, direct,
@@ -138,9 +174,11 @@ fn trained_pipelines_keep_plans_in_sync_with_weights() {
     assert_ne!(before, after, "stale plans would reproduce old logits");
 
     // And the freshly trained weights are exactly what the plans serve:
-    // an eager recompile agrees bit-for-bit.
-    let eager = single.with_fusion(FusionConfig::none());
-    assert_eq!(eager.predict(&x).unwrap().shape(), after.shape());
+    // the trained parts run eagerly agree bit-for-bit.
+    let (head, body, tail) = single.into_parts();
+    let transmitted = head.forward(&x, Mode::Eval);
+    let eager = eager_predict(&transmitted, &[body], false, &Selector::all(1), &tail);
+    assert_eq!(eager, after);
 
     let trainer = EnsemblerTrainer::new(
         ResNetConfig::tiny_for_tests(),
@@ -188,8 +226,7 @@ fn malformed_batches_are_typed_errors_at_every_entry_point() {
 mod shared_lowering {
     use super::*;
     use ensembler::EnsemblerError;
-    use ensembler_nn::{CompiledPlan, Mode, QCompiledPlan, QSequential, Sequential};
-    use ensembler_tensor::QTensorBatch;
+    use ensembler_nn::{CompiledPlan, FusionConfig, QCompiledPlan};
 
     const N: usize = 4;
 
@@ -217,7 +254,7 @@ mod shared_lowering {
     }
 
     fn plans(bodies: &[Sequential]) -> Vec<CompiledPlan> {
-        let compile = |body| CompiledPlan::compile(body, FusionConfig::bit_exact());
+        let compile = |body| CompiledPlan::compile(body, FusionConfig);
         bodies.iter().map(compile).collect()
     }
 
@@ -247,7 +284,7 @@ mod shared_lowering {
             assert_eq!(served, alone[lo..hi], "serve {lo}..{hi}");
         }
 
-        let compile = |body| QCompiledPlan::compile(body, FusionConfig::bit_exact());
+        let compile = |body| QCompiledPlan::compile(body, FusionConfig);
         let qplans: Vec<QCompiledPlan> = bodies.iter().map(compile).collect();
         let fed = QTensorBatch::quantize_batch(&x).dequantize();
         let qalone: Vec<Tensor> = qplans.iter().map(|plan| plan.run(&fed).unwrap()).collect();

@@ -2,16 +2,22 @@
 //!
 //! [`CompiledPlan::compile`] lowers a [`Sequential`] pipeline through
 //! [`crate::graph`] and runs one fusion pass over the op list, **epilogue
-//! fusion** ([`FusionConfig::fuse_epilogue`]): the bias add and a directly
-//! following ReLU are applied inside the GEMM epilogue while the output band
-//! is cache-hot ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode
-//! batch norm (and the ReLU after it) directly following a conv is merged
-//! into the conv's single output pass, and the int8 conv stages dequantize
-//! their `i32` accumulators, apply bias, the merged batch norm and ReLU, and
-//! transpose into NCHW in one pass (the int8 linear stages keep the
-//! dequantize in the qgemm epilogue, [`ensembler_tensor::qgemm_nn_dequant`]).
-//! Epilogue fusion performs exactly the eager per-element expressions, so it
-//! is bit-exact.
+//! fusion**: the bias add and a directly following ReLU are applied inside
+//! the GEMM epilogue while the output band is cache-hot
+//! ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode batch norm (and
+//! the ReLU after it) directly following a conv is merged into the conv's
+//! single output pass, and the int8 conv stages dequantize their `i32`
+//! accumulators, apply bias, the merged batch norm and ReLU, and transpose
+//! into NCHW in one pass (the int8 linear stages keep the dequantize in the
+//! qgemm epilogue, [`ensembler_tensor::qgemm_nn_dequant`]). Epilogue fusion
+//! performs exactly the eager per-element expressions, so it is bit-exact.
+//! It is the only mode: the eager [`Layer::forward`]s and
+//! [`crate::quant::QSequential`] are the training path and the test oracle.
+//!
+//! [`QCompiledPlan`] is the same plan at int8. One stage list, one builder
+//! and one evaluator serve both precisions, generic over a private trait
+//! that states only what differs between them: the conv and linear kernels,
+//! and which ReLU formula a position gets.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -30,7 +36,7 @@
 //!     Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
 //!     Box::new(Relu::new()),
 //! ]);
-//! let plan = CompiledPlan::compile(&net, FusionConfig::bit_exact());
+//! let plan = CompiledPlan::compile(&net, FusionConfig::default());
 //! let x = Tensor::ones(&[2, 3, 8, 8]);
 //! let fused = plan.run(&x).unwrap();
 //! assert_eq!(fused, net.forward(&x, Mode::Eval));
@@ -48,39 +54,13 @@ use ensembler_tensor::{
     QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
+use std::fmt::Debug;
 
-/// Whether a compiled plan fuses epilogues or runs each layer eagerly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusionConfig {
-    /// Apply bias (and a directly following batch norm and ReLU) in the
-    /// conv/GEMM output pass and keep int8 `i32` accumulators live through
-    /// a fused dequantize. Bit-exact with respect to the eager pipeline.
-    pub fuse_epilogue: bool,
-}
-
-impl FusionConfig {
-    /// No fusion: the plan validates shapes and then runs each layer's own
-    /// eager forward. The oracle the bit-exact suites compare against.
-    pub fn none() -> Self {
-        Self {
-            fuse_epilogue: false,
-        }
-    }
-
-    /// Epilogue fusion — bit-exact with the eager pipeline. The default for
-    /// serving pipelines.
-    pub fn bit_exact() -> Self {
-        Self {
-            fuse_epilogue: true,
-        }
-    }
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        Self::bit_exact()
-    }
-}
+/// The second argument of the two `compile` functions. It carries no
+/// setting — a plan has one mode, epilogue fusion, bit-exact with the eager
+/// pipeline — and remains so that existing callers keep compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FusionConfig;
 
 // ---------------------------------------------------------------------------
 // Shared shape validation (typed errors instead of the eager asserts)
@@ -142,27 +122,54 @@ fn check_linear_input(
     }
 }
 
-/// The eager ReLU's mask multiply, `v * (v > 0 ? 1 : 0)`, per element.
-fn relu_mask(v: f32) -> f32 {
-    v * if v > 0.0 { 1.0 } else { 0.0 }
+/// Which ReLU formula a stage applies. The eager [`crate::Relu`] layer
+/// multiplies by a mask; the eager quantized residual block takes
+/// `max(0, ·)`. The two differ on `-0.0` and `NaN`, so every position applies
+/// the formula its eager counterpart does and the plan stays bit-exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReluForm {
+    /// `v * (v > 0 ? 1 : 0)`.
+    Mask,
+    /// `max(0, v)`.
+    Max,
 }
 
-/// What the `f32` and the int8 stages have in common, so that a chain, a
-/// residual block and a whole ensemble are each evaluated by one function.
-trait PlanStage: Sized + Sync {
+impl ReluForm {
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            ReluForm::Mask => v * if v > 0.0 { 1.0 } else { 0.0 },
+            ReluForm::Max => v.max(0.0),
+        }
+    }
+}
+
+/// What differs between the `f32` and the int8 plan. Everything else — the
+/// stage list, its builder, chains, residual blocks and the shared lowering
+/// of an ensemble — is written once, generic over this trait.
+trait Precision {
     /// This precision's fused conv stage.
-    type Conv: LoweredConv;
+    type Conv: LoweredConv + Debug + Clone;
+    /// This precision's fully-connected layer.
+    type Linear: Debug + Clone + Sync;
 
-    fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError>;
+    /// The ReLU formula inside a residual branch, and of the block's
+    /// `relu(main + skip)` merge. Outside a residual branch both precisions
+    /// run the `f32` layer's mask multiply.
+    const RESIDUAL_RELU: ReluForm;
 
-    /// A residual block's add and its ReLU, per element.
-    fn merge(main: f32, skip: f32) -> f32;
+    /// The ReLU formula of the linear stage's GEMM epilogue: a linear stage
+    /// takes the ReLU after it only where that is the formula the position
+    /// needs.
+    const LINEAR_RELU: ReluForm;
 
-    /// The main branch and the shortcut (`None`: identity) of a residual
-    /// stage.
-    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)>;
+    /// A conv stage with a merged batch norm and ReLU in its output pass.
+    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> Self::Conv;
 
-    fn as_conv(&self) -> Option<&Self::Conv>;
+    fn linear(linear: &Linear) -> Self::Linear;
+
+    /// The linear stage: its GEMM, with the bias (and `relu`) in the
+    /// epilogue.
+    fn run_linear(linear: &Self::Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError>;
 }
 
 /// A fused conv stage split at the one point an ensemble can share:
@@ -183,42 +190,151 @@ trait LoweredConv: Sync {
     fn finish(&self, lowered: &Self::Lowered) -> Tensor;
 }
 
+#[derive(Debug, Clone)]
+enum Stage<P: Precision> {
+    Conv(P::Conv),
+    BatchNorm(Box<BatchNorm2d>),
+    Relu(ReluForm),
+    MaxPool(MaxPool2d),
+    GlobalAvgPool,
+    Flatten,
+    Linear {
+        linear: P::Linear,
+        relu: bool,
+    },
+    Residual {
+        main: Vec<Stage<P>>,
+        shortcut: Option<Vec<Stage<P>>>,
+    },
+    Opaque(Box<dyn Layer>),
+}
+
+impl<P: Precision> Stage<P> {
+    fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
+        match self {
+            Stage::Conv(stage) => Ok(stage.finish(&stage.lower(input)?)),
+            Stage::BatchNorm(bn) => {
+                let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
+                if c != bn.channels() {
+                    return Err(ShapeError::new(format!(
+                        "batch_norm expected {} channels, got {c}",
+                        bn.channels()
+                    )));
+                }
+                Ok(bn.forward(input, Mode::Eval))
+            }
+            &Stage::Relu(form) => Ok(input.map(|v| form.apply(v))),
+            Stage::MaxPool(pool) => {
+                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
+                let k = pool.window();
+                if h % k != 0 || w % k != 0 {
+                    return Err(ShapeError::new(format!(
+                        "max_pool window {k} must divide spatial dims ({h}x{w})"
+                    )));
+                }
+                Ok(pool.forward(input, Mode::Eval))
+            }
+            Stage::GlobalAvgPool => {
+                expect_rank4(input.shape(), "global_avg_pool")?;
+                Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
+            }
+            Stage::Flatten => {
+                if input.rank() < 1 {
+                    return Err(ShapeError::new("flatten expects at least rank-1 input"));
+                }
+                Ok(input.flatten_batch())
+            }
+            Stage::Linear { linear, relu } => P::run_linear(linear, *relu, input),
+            Stage::Residual { main, shortcut } => {
+                let x = run_chain(main, input)?;
+                merge_residual(&x, shortcut.as_deref(), input)
+            }
+            Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
+        }
+    }
+}
+
+/// Builds the stage list of `ops`, fusing as it goes. `in_residual` tracks
+/// whether the ops sit inside a residual branch, which decides the ReLU
+/// formula ([`Precision::RESIDUAL_RELU`]) — so the int8 plan reproduces
+/// [`crate::quant::QSequential`] bit-for-bit, where the eager quantized
+/// block runs its ReLUs as `max(0, ·)` and a standalone ReLU is the `f32`
+/// layer's mask multiply.
+fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P>> {
+    let relu = if in_residual {
+        P::RESIDUAL_RELU
+    } else {
+        ReluForm::Mask
+    };
+    let mut stages = Vec::with_capacity(ops.len());
+    let mut i = 0;
+    while i < ops.len() {
+        match &ops[i] {
+            GraphOp::Conv(conv) => {
+                // Merge a following batch norm (channel counts permitting)
+                // and then a following ReLU into the conv's output pass.
+                let bn = match ops.get(i + 1) {
+                    Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
+                        Some(MergedBn::new(bn))
+                    }
+                    _ => None,
+                };
+                let after_bn = i + 1 + usize::from(bn.is_some());
+                let fused_relu = matches!(ops.get(after_bn), Some(GraphOp::Relu));
+                stages.push(Stage::Conv(P::conv(conv, bn, fused_relu.then_some(relu))));
+                i = after_bn + usize::from(fused_relu);
+                continue;
+            }
+            GraphOp::Linear(linear) => {
+                let fused_relu =
+                    P::LINEAR_RELU == relu && matches!(ops.get(i + 1), Some(GraphOp::Relu));
+                stages.push(Stage::Linear {
+                    linear: P::linear(linear),
+                    relu: fused_relu,
+                });
+                i += 1 + usize::from(fused_relu);
+                continue;
+            }
+            GraphOp::BatchNorm(bn) => stages.push(Stage::BatchNorm(Box::new(bn.clone()))),
+            GraphOp::Relu => stages.push(Stage::Relu(relu)),
+            GraphOp::MaxPool(k) => stages.push(Stage::MaxPool(MaxPool2d::new(*k))),
+            GraphOp::GlobalAvgPool => stages.push(Stage::GlobalAvgPool),
+            GraphOp::Flatten => stages.push(Stage::Flatten),
+            GraphOp::Residual { main, shortcut } => stages.push(Stage::Residual {
+                main: build_stages(main, true),
+                shortcut: shortcut.as_ref().map(|s| build_stages(s, true)),
+            }),
+            GraphOp::Sequence(seq) => stages.extend(build_stages(seq, in_residual)),
+            GraphOp::Opaque(layer) => stages.push(Stage::Opaque(layer.clone())),
+        }
+        i += 1;
+    }
+    stages
+}
+
 /// Runs `stages` in order. The first stage reads `input` in place, so an
 /// empty chain is the only case that hands the borrow back.
-fn run_chain<'a, S: PlanStage>(
-    stages: &[S],
+fn run_chain<'a, P: Precision>(
+    stages: &[Stage<P>],
     input: &'a Tensor,
-    config: FusionConfig,
 ) -> Result<Cow<'a, Tensor>, ShapeError> {
     let mut x = Cow::Borrowed(input);
     for stage in stages {
-        x = Cow::Owned(stage.run(&x, config)?);
+        x = Cow::Owned(stage.run(&x)?);
     }
     Ok(x)
-}
-
-/// Evaluates both branches of a residual block on `input` and merges them.
-fn run_residual<S: PlanStage>(
-    main: &[S],
-    shortcut: Option<&[S]>,
-    input: &Tensor,
-    config: FusionConfig,
-) -> Result<Tensor, ShapeError> {
-    let x = run_chain(main, input, config)?;
-    merge_residual(&x, shortcut, input, config)
 }
 
 /// Evaluates the shortcut of a residual block on `input` (an identity skip
 /// borrows it) and merges it element-wise into the finished main branch `x`
 /// — the add and the block's ReLU in one pass.
-fn merge_residual<S: PlanStage>(
+fn merge_residual<P: Precision>(
     x: &Tensor,
-    shortcut: Option<&[S]>,
+    shortcut: Option<&[Stage<P>]>,
     input: &Tensor,
-    config: FusionConfig,
 ) -> Result<Tensor, ShapeError> {
     let skip = match shortcut {
-        Some(stages) => run_chain(stages, input, config)?,
+        Some(stages) => run_chain(stages, input)?,
         None => Cow::Borrowed(input),
     };
     if x.shape() != skip.shape() {
@@ -228,70 +344,67 @@ fn merge_residual<S: PlanStage>(
             skip.shape()
         )));
     }
-    Ok(x.zip_map(&skip, S::merge))
+    Ok(x.zip_map(&skip, |main, skip| P::RESIDUAL_RELU.apply(main + skip)))
 }
 
-/// One plan as the ensemble entry points hand it to [`run_ensemble`].
-type PlanRef<'a, S> = (&'a [S], FusionConfig);
-
-fn run_plan<S: PlanStage>(
-    &(stages, config): &PlanRef<S>,
-    input: &Tensor,
-) -> Result<Tensor, ShapeError> {
-    run_chain(stages, input, config).map(Cow::into_owned)
+fn run_plan<P: Precision>(stages: &[Stage<P>], input: &Tensor) -> Result<Tensor, ShapeError> {
+    run_chain(stages, input).map(Cow::into_owned)
 }
 
 /// The conv that reads a plan's input: its first stage, or the first stage
 /// of the main branch of a leading residual block.
-fn leading_conv<S: PlanStage>(stages: &[S]) -> Option<&S::Conv> {
-    let first = stages.first()?;
-    match first.as_residual() {
-        Some((main, _)) => main.first()?.as_conv(),
-        None => first.as_conv(),
+fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
+    let first = match stages.first()? {
+        Stage::Residual { main, .. } => main.first()?,
+        first => first,
+    };
+    match first {
+        Stage::Conv(conv) => Some(conv),
+        _ => None,
     }
 }
 
 /// Runs every plan on the one `input`, in parallel, answers in plan order.
 ///
-/// When all plans are fused and lead with convs of one geometry over one
-/// channel count — an ensemble's bodies do, by construction — the input is
-/// validated and lowered **once** and every leading conv multiplies from a
-/// borrow of that column matrix: its own GEMM call with its own weights,
-/// so each answer is bit-identical to `run` on that plan. The matrix is
-/// the largest buffer of a body run; it is freed before the rest of the
-/// bodies run so that N bodies never hold it next to their own second-layer
-/// matrices. Anything else (one plan, unfused plans, a leading stage that is
-/// not a conv, bodies that disagree) is the independent `run` per plan.
-fn run_ensemble<S: PlanStage>(
-    plans: &[PlanRef<S>],
+/// When all plans lead with convs of one geometry over one channel count —
+/// an ensemble's bodies do, by construction — the input is validated and
+/// lowered **once** and every leading conv multiplies from a borrow of that
+/// column matrix: its own GEMM call with its own weights, so each answer is
+/// bit-identical to `run` on that plan. The matrix is the largest buffer of
+/// a body run; it is freed before the rest of the bodies run so that N
+/// bodies never hold it next to their own second-layer matrices. Anything
+/// else (one plan, a leading stage that is not a conv, bodies that disagree)
+/// is the independent `run` per plan.
+fn run_ensemble<P: Precision>(
+    plans: &[&[Stage<P>]],
     input: &Tensor,
 ) -> Result<Vec<Tensor>, ShapeError> {
     let shared = || {
-        let convs: Vec<&S::Conv> = plans
+        let convs: Vec<&P::Conv> = plans
             .iter()
-            .map(|&(stages, config)| leading_conv(stages).filter(|_| config.fuse_epilogue))
+            .map(|stages| leading_conv(stages))
             .collect::<Option<_>>()?;
         let same = convs.len() > 1 && convs.iter().all(|conv| conv.key() == convs[0].key());
         same.then_some(convs)
     };
     let Some(convs) = shared() else {
-        return par_map(plans, |plan| run_plan(plan, input))
+        return par_map(plans, |stages| run_plan(stages, input))
             .into_iter()
             .collect();
     };
     let lowered = convs[0].lower(input)?;
     let led = par_map(&convs, |conv| conv.finish(&lowered));
     drop(lowered);
-    let rest: Vec<(&PlanRef<S>, Tensor)> = plans.iter().zip(led).collect();
-    par_map(&rest, |(&(stages, config), led)| {
+    let rest: Vec<(&[Stage<P>], Tensor)> = plans.iter().copied().zip(led).collect();
+    par_map(&rest, |(stages, led)| {
         let (head, tail) = stages.split_first().expect("a leading conv has a stage");
-        match head.as_residual() {
-            None => run_chain(tail, led, config).map(Cow::into_owned),
-            Some((main, shortcut)) => {
-                let x = run_chain(&main[1..], led, config)?;
-                let block = merge_residual(&x, shortcut, input, config)?;
-                run_chain(tail, &block, config).map(Cow::into_owned)
+        match head {
+            Stage::Residual { main, shortcut } => {
+                let x = run_chain(&main[1..], led)?;
+                let block = merge_residual(&x, shortcut.as_deref(), input)?;
+                run_plan(tail, &block)
             }
+            _ => run_plan(tail, led),
         }
     })
     .into_iter()
@@ -368,8 +481,51 @@ fn bn_relu_rows_to_nchw(
 }
 
 // ---------------------------------------------------------------------------
-// f32 plan
+// f32 kernels
 // ---------------------------------------------------------------------------
+
+/// The `f32` plan.
+#[derive(Debug, Clone)]
+struct F32;
+
+impl Precision for F32 {
+    type Conv = ConvStage;
+    type Linear = Linear;
+    const RESIDUAL_RELU: ReluForm = ReluForm::Mask;
+    const LINEAR_RELU: ReluForm = ReluForm::Mask;
+
+    /// Every `f32` position runs the mask form, so the stage records only
+    /// whether there is a ReLU.
+    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> ConvStage {
+        ConvStage {
+            conv: conv.frozen(),
+            bn,
+            relu: relu.is_some(),
+        }
+    }
+
+    fn linear(linear: &Linear) -> Linear {
+        linear.frozen()
+    }
+
+    fn run_linear(linear: &Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
+        let m = check_linear_input(input.shape(), linear.in_features(), "linear")?;
+        let n = linear.out_features();
+        let out = gemm_nt_fused(
+            input.data(),
+            linear.weight().value.data(),
+            m,
+            linear.in_features(),
+            n,
+            Parallelism::Auto,
+            GemmEpilogue {
+                bias: Some(linear.bias().value.data()),
+                relu,
+            },
+        );
+        Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
+    }
+}
 
 /// Convolution; `bn` records a directly following eval-mode batch norm and
 /// `relu` a ReLU after it, both fused into the conv's output pass. The batch
@@ -379,7 +535,7 @@ fn bn_relu_rows_to_nchw(
 #[derive(Debug, Clone)]
 struct ConvStage {
     conv: Conv2d,
-    bn: Option<Box<MergedBn>>,
+    bn: Option<MergedBn>,
     relu: bool,
 }
 
@@ -442,186 +598,18 @@ impl LoweredConv for ConvStage {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Stage {
-    Conv(ConvStage),
-    BatchNorm(BatchNorm2d),
-    Relu,
-    MaxPool(MaxPool2d),
-    GlobalAvgPool,
-    Flatten,
-    Linear {
-        linear: Linear,
-        relu: bool,
-    },
-    Residual {
-        main: Vec<Stage>,
-        shortcut: Option<Vec<Stage>>,
-    },
-    Opaque(Box<dyn Layer>),
-}
-
-impl PlanStage for Stage {
-    type Conv = ConvStage;
-
-    fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
-        match self {
-            Stage::Conv(stage) => {
-                if config.fuse_epilogue {
-                    return Ok(stage.finish(&stage.lower(input)?));
-                }
-                let (geometry, in_channels) = stage.key();
-                check_conv_input(input.shape(), in_channels, geometry, "conv")?;
-                Ok(stage.conv.forward(input, Mode::Eval))
-            }
-            Stage::BatchNorm(bn) => {
-                let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
-                if c != bn.channels() {
-                    return Err(ShapeError::new(format!(
-                        "batch_norm expected {} channels, got {c}",
-                        bn.channels()
-                    )));
-                }
-                Ok(bn.forward(input, Mode::Eval))
-            }
-            Stage::Relu => Ok(input.map(relu_mask)),
-            Stage::MaxPool(pool) => {
-                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
-                let k = pool.window();
-                if h % k != 0 || w % k != 0 {
-                    return Err(ShapeError::new(format!(
-                        "max_pool window {k} must divide spatial dims ({h}x{w})"
-                    )));
-                }
-                Ok(pool.forward(input, Mode::Eval))
-            }
-            Stage::GlobalAvgPool => {
-                expect_rank4(input.shape(), "global_avg_pool")?;
-                Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
-            }
-            Stage::Flatten => {
-                if input.rank() < 1 {
-                    return Err(ShapeError::new("flatten expects at least rank-1 input"));
-                }
-                Ok(input.flatten_batch())
-            }
-            Stage::Linear { linear, relu } => {
-                let m = check_linear_input(input.shape(), linear.in_features(), "linear")?;
-                if !config.fuse_epilogue {
-                    return Ok(linear.forward(input, Mode::Eval));
-                }
-                let n = linear.out_features();
-                let out = gemm_nt_fused(
-                    input.data(),
-                    linear.weight().value.data(),
-                    m,
-                    linear.in_features(),
-                    n,
-                    Parallelism::Auto,
-                    GemmEpilogue {
-                        bias: Some(linear.bias().value.data()),
-                        relu: *relu,
-                    },
-                );
-                Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
-            }
-            Stage::Residual { main, shortcut } => {
-                run_residual(main, shortcut.as_deref(), input, config)
-            }
-            Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
-        }
-    }
-
-    fn merge(main: f32, skip: f32) -> f32 {
-        relu_mask(main + skip)
-    }
-
-    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)> {
-        match self {
-            Stage::Residual { main, shortcut } => Some((main, shortcut.as_deref())),
-            _ => None,
-        }
-    }
-
-    fn as_conv(&self) -> Option<&ConvStage> {
-        match self {
-            Stage::Conv(stage) => Some(stage),
-            _ => None,
-        }
-    }
-}
-
-fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
-    let mut stages = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        let fused_relu = config.fuse_epilogue && matches!(ops.get(i + 1), Some(GraphOp::Relu));
-        match &ops[i] {
-            GraphOp::Conv(conv) => {
-                // Merge a following batch norm (channel counts permitting)
-                // and then a following ReLU into the conv's output pass.
-                let fused_bn = if config.fuse_epilogue {
-                    match ops.get(i + 1) {
-                        Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(Box::new(MergedBn::new(bn)))
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                let after_bn = i + 1 + usize::from(fused_bn.is_some());
-                let fused_relu =
-                    config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
-                stages.push(Stage::Conv(ConvStage {
-                    conv: conv.frozen(),
-                    bn: fused_bn,
-                    relu: fused_relu,
-                }));
-                i = after_bn + usize::from(fused_relu);
-                continue;
-            }
-            GraphOp::Linear(linear) => {
-                stages.push(Stage::Linear {
-                    linear: linear.frozen(),
-                    relu: fused_relu,
-                });
-                i += 1 + usize::from(fused_relu);
-                continue;
-            }
-            GraphOp::BatchNorm(bn) => stages.push(Stage::BatchNorm(bn.clone())),
-            GraphOp::Relu => stages.push(Stage::Relu),
-            GraphOp::MaxPool(k) => stages.push(Stage::MaxPool(MaxPool2d::new(*k))),
-            GraphOp::GlobalAvgPool => stages.push(Stage::GlobalAvgPool),
-            GraphOp::Flatten => stages.push(Stage::Flatten),
-            GraphOp::Residual { main, shortcut } => stages.push(Stage::Residual {
-                main: build_stages(main, config),
-                shortcut: shortcut.as_ref().map(|s| build_stages(s, config)),
-            }),
-            GraphOp::Sequence(seq) => stages.extend(build_stages(seq, config)),
-            GraphOp::Opaque(layer) => stages.push(Stage::Opaque(layer.clone())),
-        }
-        i += 1;
-    }
-    stages
-}
-
 /// A fused `f32` execution plan, compiled once per pipeline and shared
 /// (immutably) across request threads.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    stages: Vec<Stage>,
-    config: FusionConfig,
+    stages: Vec<Stage<F32>>,
 }
 
 impl CompiledPlan {
-    /// Lowers `net` to the graph IR and returns the executable plan, fused
-    /// as `config` selects.
-    pub fn compile(net: &Sequential, config: FusionConfig) -> Self {
-        let ops = lower_sequential(net);
+    /// Lowers `net` to the graph IR and returns the fused executable plan.
+    pub fn compile(net: &Sequential, _fusion: FusionConfig) -> Self {
         Self {
-            stages: build_stages(&ops, config),
-            config,
+            stages: build_stages(&lower_sequential(net), false),
         }
     }
 
@@ -630,7 +618,7 @@ impl CompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_plan(&self.parts(), input)
+        run_plan(&self.stages, input)
     }
 
     /// Runs every plan of an ensemble on the one input they share, in
@@ -638,22 +626,13 @@ impl CompiledPlan {
     /// to [`run`](Self::run) on that plan, and the first failing plan's
     /// [`ShapeError`] if any fails.
     ///
-    /// Same-shape bodies (fused plans whose leading convs agree on geometry
-    /// and input channels) have the input validated and lowered by `im2col`
+    /// Same-shape bodies (plans whose leading convs agree on geometry and
+    /// input channels) have the input validated and lowered by `im2col`
     /// once, and each body's first GEMM borrows that column matrix; any other
     /// set of plans is run independently.
     pub fn run_all(plans: &[CompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
-        let plans: Vec<_> = plans.iter().map(Self::parts).collect();
+        let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
-    }
-
-    fn parts(&self) -> PlanRef<'_, Stage> {
-        (&self.stages, self.config)
-    }
-
-    /// The fusion configuration the plan was compiled with.
-    pub fn config(&self) -> FusionConfig {
-        self.config
     }
 
     /// Number of top-level stages after fusion (a fused conv+relu counts
@@ -664,18 +643,56 @@ impl CompiledPlan {
 }
 
 // ---------------------------------------------------------------------------
-// int8 plan
+// int8 kernels
 // ---------------------------------------------------------------------------
 
-/// Which ReLU formulation (if any) is merged into a fused int8 conv's
-/// output pass. The eager quantized pipeline runs standalone ReLUs as the
-/// `f32` mask multiply but residual-internal ones as `max(0,·)`; the merged
-/// pass replicates whichever applies so the plan stays bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QRelu {
-    None,
-    Mask,
-    Max,
+/// The int8 plan: weights quantized once at compile time, activations per
+/// sample.
+#[derive(Debug, Clone)]
+struct Int8;
+
+impl Precision for Int8 {
+    type Conv = QConvStage;
+    type Linear = QLinear;
+    const RESIDUAL_RELU: ReluForm = ReluForm::Max;
+    const LINEAR_RELU: ReluForm = ReluForm::Max;
+
+    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> QConvStage {
+        QConvStage {
+            conv: QConv2d::from_conv(conv),
+            bn,
+            relu,
+        }
+    }
+
+    fn linear(linear: &Linear) -> QLinear {
+        QLinear::from_linear(linear)
+    }
+
+    fn run_linear(linear: &QLinear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
+        let batch = check_linear_input(input.shape(), linear.in_features(), "q_linear")?;
+        let q = QTensorBatch::quantize_batch(input);
+        let row_scales: Vec<f32> = q
+            .scales()
+            .iter()
+            .map(|s| s * linear.weight_scale())
+            .collect();
+        let out = qgemm_nn_dequant(
+            q.data(),
+            linear.weight_t(),
+            batch,
+            linear.in_features(),
+            linear.out_features(),
+            Parallelism::Auto,
+            QGemmEpilogue {
+                row_scales: &row_scales,
+                bias: Some(linear.bias().data()),
+                relu,
+            },
+        );
+        Ok(Tensor::from_vec(out, &[batch, linear.out_features()])
+            .expect("fused output sized batch*out"))
+    }
 }
 
 /// Int8 convolution with the dequantize, bias, a merged eval-mode batch norm
@@ -686,7 +703,7 @@ enum QRelu {
 struct QConvStage {
     conv: QConv2d,
     bn: Option<MergedBn>,
-    relu: QRelu,
+    relu: Option<ReluForm>,
 }
 
 /// An input batch quantized per sample and lowered for a conv's `qgemm`.
@@ -745,9 +762,8 @@ impl LoweredConv for QConvStage {
                         t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
                     }
                     t = match relu {
-                        QRelu::None => t,
-                        QRelu::Mask => t * if t > 0.0 { 1.0 } else { 0.0 },
-                        QRelu::Max => t.max(0.0),
+                        None => t,
+                        Some(form) => form.apply(t),
                     };
                     out[n * out_c * plane + co * plane + p] = t;
                 }
@@ -757,215 +773,20 @@ impl LoweredConv for QConvStage {
     }
 }
 
-#[derive(Debug, Clone)]
-enum QStage {
-    Conv(QConvStage),
-    Linear {
-        linear: QLinear,
-        relu: bool,
-    },
-    BatchNorm(BatchNorm2d),
-    /// Standalone ReLU in the mask-multiply formulation, matching the
-    /// `f32` fallback layer the eager quantized pipeline runs.
-    ReluMask,
-    /// ReLU as `max(0, ·)`, matching the eager quantized residual block.
-    ReluMax,
-    MaxPool(MaxPool2d),
-    GlobalAvgPool,
-    Flatten,
-    Residual {
-        main: Vec<QStage>,
-        shortcut: Option<Vec<QStage>>,
-    },
-    Opaque(Box<dyn Layer>),
-}
-
-impl PlanStage for QStage {
-    type Conv = QConvStage;
-
-    fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
-        match self {
-            QStage::Conv(stage) => {
-                if config.fuse_epilogue {
-                    return Ok(stage.finish(&stage.lower(input)?));
-                }
-                let (geometry, in_channels) = stage.key();
-                check_conv_input(input.shape(), in_channels, geometry, "q_conv")?;
-                Ok(stage.conv.forward(input))
-            }
-            QStage::Linear { linear, relu } => {
-                let batch = check_linear_input(input.shape(), linear.in_features(), "q_linear")?;
-                if !config.fuse_epilogue {
-                    return Ok(linear.forward(input));
-                }
-                let q = QTensorBatch::quantize_batch(input);
-                let row_scales: Vec<f32> = q
-                    .scales()
-                    .iter()
-                    .map(|s| s * linear.weight_scale())
-                    .collect();
-                let out = qgemm_nn_dequant(
-                    q.data(),
-                    linear.weight_t(),
-                    batch,
-                    linear.in_features(),
-                    linear.out_features(),
-                    Parallelism::Auto,
-                    QGemmEpilogue {
-                        row_scales: &row_scales,
-                        bias: Some(linear.bias().data()),
-                        relu: *relu,
-                    },
-                );
-                Ok(Tensor::from_vec(out, &[batch, linear.out_features()])
-                    .expect("fused output sized batch*out"))
-            }
-            QStage::BatchNorm(bn) => {
-                let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
-                if c != bn.channels() {
-                    return Err(ShapeError::new(format!(
-                        "batch_norm expected {} channels, got {c}",
-                        bn.channels()
-                    )));
-                }
-                Ok(bn.forward(input, Mode::Eval))
-            }
-            QStage::ReluMask => Ok(input.map(relu_mask)),
-            QStage::ReluMax => Ok(input.map(|v| v.max(0.0))),
-            QStage::MaxPool(pool) => {
-                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
-                let k = pool.window();
-                if h % k != 0 || w % k != 0 {
-                    return Err(ShapeError::new(format!(
-                        "max_pool window {k} must divide spatial dims ({h}x{w})"
-                    )));
-                }
-                Ok(pool.forward(input, Mode::Eval))
-            }
-            QStage::GlobalAvgPool => {
-                expect_rank4(input.shape(), "global_avg_pool")?;
-                Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
-            }
-            QStage::Flatten => {
-                if input.rank() < 1 {
-                    return Err(ShapeError::new("flatten expects at least rank-1 input"));
-                }
-                Ok(input.flatten_batch())
-            }
-            QStage::Residual { main, shortcut } => {
-                run_residual(main, shortcut.as_deref(), input, config)
-            }
-            QStage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
-        }
-    }
-
-    fn merge(main: f32, skip: f32) -> f32 {
-        (main + skip).max(0.0)
-    }
-
-    fn as_residual(&self) -> Option<(&[Self], Option<&[Self]>)> {
-        match self {
-            QStage::Residual { main, shortcut } => Some((main, shortcut.as_deref())),
-            _ => None,
-        }
-    }
-
-    fn as_conv(&self) -> Option<&QConvStage> {
-        match self {
-            QStage::Conv(stage) => Some(stage),
-            _ => None,
-        }
-    }
-}
-
-/// Builds int8 stages. `in_residual` tracks whether we are inside a
-/// residual branch, where the eager quantized block runs its ReLUs as
-/// `max(0, ·)` while standalone ReLUs use the `f32` layer's mask multiply —
-/// the merged conv output pass replicates whichever flavor applies, so the
-/// int8 plan reproduces [`crate::quant::QSequential`] bit-for-bit either
-/// way. A directly following eval-mode batch norm is merged into the same
-/// pass (the linear stages keep the dequantize in the qgemm epilogue
-/// instead — nothing follows the classifier head).
-fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Vec<QStage> {
-    let mut stages = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        match &ops[i] {
-            GraphOp::Conv(conv) => {
-                let fused_bn = if config.fuse_epilogue {
-                    match ops.get(i + 1) {
-                        Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(MergedBn::new(bn))
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                let after_bn = i + 1 + usize::from(fused_bn.is_some());
-                let fused_relu =
-                    config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
-                stages.push(QStage::Conv(QConvStage {
-                    conv: QConv2d::from_conv(conv),
-                    bn: fused_bn,
-                    relu: match (fused_relu, in_residual) {
-                        (false, _) => QRelu::None,
-                        (true, true) => QRelu::Max,
-                        (true, false) => QRelu::Mask,
-                    },
-                }));
-                i = after_bn + usize::from(fused_relu);
-                continue;
-            }
-            GraphOp::Linear(linear) => {
-                let fused_relu = config.fuse_epilogue
-                    && in_residual
-                    && matches!(ops.get(i + 1), Some(GraphOp::Relu));
-                stages.push(QStage::Linear {
-                    linear: QLinear::from_linear(linear),
-                    relu: fused_relu,
-                });
-                i += 1 + usize::from(fused_relu);
-                continue;
-            }
-            GraphOp::BatchNorm(bn) => stages.push(QStage::BatchNorm(bn.clone())),
-            GraphOp::Relu => stages.push(if in_residual {
-                QStage::ReluMax
-            } else {
-                QStage::ReluMask
-            }),
-            GraphOp::MaxPool(k) => stages.push(QStage::MaxPool(MaxPool2d::new(*k))),
-            GraphOp::GlobalAvgPool => stages.push(QStage::GlobalAvgPool),
-            GraphOp::Flatten => stages.push(QStage::Flatten),
-            GraphOp::Residual { main, shortcut } => stages.push(QStage::Residual {
-                main: build_qstages(main, config, true),
-                shortcut: shortcut.as_ref().map(|s| build_qstages(s, config, true)),
-            }),
-            GraphOp::Sequence(seq) => stages.extend(build_qstages(seq, config, in_residual)),
-            GraphOp::Opaque(layer) => stages.push(QStage::Opaque(layer.clone())),
-        }
-        i += 1;
-    }
-    stages
-}
-
 /// A fused int8 execution plan: the quantized counterpart of
 /// [`CompiledPlan`], with weights quantized once at compile time and the
 /// dequantize kept in the GEMM epilogue.
 #[derive(Debug, Clone)]
 pub struct QCompiledPlan {
-    stages: Vec<QStage>,
-    config: FusionConfig,
+    stages: Vec<Stage<Int8>>,
 }
 
 impl QCompiledPlan {
-    /// Lowers `net` to the graph IR and quantizes the weights into int8
-    /// stages, fused as `config` selects.
-    pub fn compile(net: &Sequential, config: FusionConfig) -> Self {
-        let ops = lower_sequential(net);
+    /// Lowers `net` to the graph IR and quantizes the weights into fused
+    /// int8 stages.
+    pub fn compile(net: &Sequential, _fusion: FusionConfig) -> Self {
         Self {
-            stages: build_qstages(&ops, config, false),
-            config,
+            stages: build_stages(&lower_sequential(net), false),
         }
     }
 
@@ -974,24 +795,15 @@ impl QCompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_plan(&self.parts(), input)
+        run_plan(&self.stages, input)
     }
 
     /// The int8 counterpart of [`CompiledPlan::run_all`]: same-shape bodies
     /// share one per-sample quantization and one `im2col_i8` of the input,
     /// and each answer is bit-identical to [`run`](Self::run) on that plan.
     pub fn run_all(plans: &[QCompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
-        let plans: Vec<_> = plans.iter().map(Self::parts).collect();
+        let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
-    }
-
-    fn parts(&self) -> PlanRef<'_, QStage> {
-        (&self.stages, self.config)
-    }
-
-    /// The fusion configuration the plan was compiled with.
-    pub fn config(&self) -> FusionConfig {
-        self.config
     }
 
     /// Number of top-level stages after fusion.
@@ -1021,39 +833,35 @@ mod tests {
         ])
     }
 
+    fn compile(net: &Sequential) -> CompiledPlan {
+        CompiledPlan::compile(net, FusionConfig)
+    }
+
+    fn qcompile(net: &Sequential) -> QCompiledPlan {
+        QCompiledPlan::compile(net, FusionConfig)
+    }
+
     #[test]
     fn bit_exact_plan_matches_eager_forward_exactly() {
         let mut rng = Rng::seed_from(0);
         let net = small_net(&mut rng);
         let x = Tensor::from_fn(&[3, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
-        let eager = net.forward(&x, Mode::Eval);
-        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
-            let plan = CompiledPlan::compile(&net, config);
-            assert_eq!(
-                plan.run(&x).unwrap(),
-                eager,
-                "config {config:?} must be bit-exact"
-            );
-        }
+        assert_eq!(compile(&net).run(&x).unwrap(), net.forward(&x, Mode::Eval));
     }
 
     #[test]
     fn fusion_merges_conv_relu_pairs() {
         let mut rng = Rng::seed_from(1);
         let net = small_net(&mut rng);
-        let unfused = CompiledPlan::compile(&net, FusionConfig::none());
-        let fused = CompiledPlan::compile(&net, FusionConfig::bit_exact());
         // conv+relu merge into one stage; everything else stays.
-        assert_eq!(unfused.stage_count(), 7);
-        assert_eq!(fused.stage_count(), 6);
-        assert_eq!(fused.config(), FusionConfig::bit_exact());
+        assert_eq!(compile(&net).stage_count(), 6);
     }
 
     #[test]
     fn fusion_merges_conv_bn_relu_triples_bit_exactly() {
-        // A conv -> bn -> relu chain collapses into ONE stage under
-        // bit_exact (the bn is merged into the conv output pass) and still
-        // reproduces eager bit-for-bit.
+        // A conv -> bn -> relu chain collapses into ONE stage (the bn is
+        // merged into the conv output pass) and still reproduces eager
+        // bit-for-bit.
         let mut rng = Rng::seed_from(9);
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
@@ -1063,21 +871,54 @@ mod tests {
         // Non-trivial running stats, so the merged bn is not an identity.
         let warm = Tensor::from_fn(&[4, 3, 8, 8], |_| rng.normal_with(0.4, 1.3));
         let _ = net.forward_cached(&warm, Mode::Train);
-        let fused = CompiledPlan::compile(&net, FusionConfig::bit_exact());
+        let fused = compile(&net);
         assert_eq!(fused.stage_count(), 1);
-        assert_eq!(
-            CompiledPlan::compile(&net, FusionConfig::none()).stage_count(),
-            3
-        );
         let x = Tensor::from_fn(&[2, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
         assert_eq!(fused.run(&x).unwrap(), net.forward(&x, Mode::Eval));
         // Same for the quantized plan vs the eager quantized pipeline.
-        let qfused = QCompiledPlan::compile(&net, FusionConfig::bit_exact());
+        let qfused = qcompile(&net);
         assert_eq!(qfused.stage_count(), 1);
         assert_eq!(
             qfused.run(&x).unwrap(),
             QSequential::from_sequential(&net).forward(&x)
         );
+    }
+
+    #[test]
+    fn standalone_batch_norm_and_relu_stages_match_both_eager_pipelines() {
+        // No backbone has a batch norm that does not follow a same-width
+        // conv, or a ReLU that follows neither a conv nor a linear: this net
+        // is where those stages run on their own.
+        let mut rng = Rng::seed_from(17);
+        let mut net = Sequential::new(vec![
+            Box::new(BatchNorm2d::new(3)),
+            Box::new(Relu::new()),
+            Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
+            Box::new(MaxPool2d::new(2)),
+            Box::new(Relu::new()),
+            Box::new(GlobalAvgPool::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(8, 5, &mut rng)),
+        ]);
+        let warm = Tensor::from_fn(&[4, 3, 8, 8], |_| rng.normal_with(0.4, 1.3));
+        let _ = net.forward_cached(&warm, Mode::Train);
+        let plan = compile(&net);
+        let qplan = qcompile(&net);
+        // Nothing fuses: every layer is a stage of its own.
+        assert_eq!(plan.stage_count(), 8);
+        assert_eq!(qplan.stage_count(), 8);
+
+        let x = Tensor::from_fn(&[3, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
+        assert_eq!(plan.run(&x).unwrap(), net.forward(&x, Mode::Eval));
+        assert_eq!(
+            qplan.run(&x).unwrap(),
+            QSequential::from_sequential(&net).forward(&x)
+        );
+
+        let bad = Tensor::ones(&[2, 5, 8, 8]);
+        for err in [plan.run(&bad).unwrap_err(), qplan.run(&bad).unwrap_err()] {
+            assert_eq!(err.message(), "batch_norm expected 3 channels, got 5");
+        }
     }
 
     #[test]
@@ -1088,15 +929,7 @@ mod tests {
         let qbody = QSequential::from_sequential(&body);
         let head = config.head_output_shape();
         let x = Tensor::from_fn(&[3, head[0], head[1], head[2]], |_| rng.uniform(-1.0, 1.0));
-        let eager = qbody.forward(&x);
-        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
-            let plan = QCompiledPlan::compile(&body, config);
-            assert_eq!(
-                plan.run(&x).unwrap(),
-                eager,
-                "config {config:?} must reproduce the eager int8 pipeline"
-            );
-        }
+        assert_eq!(qcompile(&body).run(&x).unwrap(), qbody.forward(&x));
     }
 
     #[test]
@@ -1119,29 +952,17 @@ mod tests {
             &[&plain, &pool],                  // a leading stage is no conv
             &[&block],                         // one plan
         ];
-        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
-            for (i, nets) in sets.iter().enumerate() {
-                let plans: Vec<_> = nets
-                    .iter()
-                    .map(|net| CompiledPlan::compile(net, config))
-                    .collect();
-                let alone: Vec<_> = plans.iter().map(|p| p.run(&x).unwrap()).collect();
-                assert_eq!(
-                    CompiledPlan::run_all(&plans, &x).unwrap(),
-                    alone,
-                    "{config:?} set {i}"
-                );
-                let qplans: Vec<_> = nets
-                    .iter()
-                    .map(|net| QCompiledPlan::compile(net, config))
-                    .collect();
-                let alone: Vec<_> = qplans.iter().map(|p| p.run(&x).unwrap()).collect();
-                assert_eq!(
-                    QCompiledPlan::run_all(&qplans, &x).unwrap(),
-                    alone,
-                    "int8 {config:?} set {i}"
-                );
-            }
+        for (i, nets) in sets.iter().enumerate() {
+            let plans: Vec<_> = nets.iter().map(|net| compile(net)).collect();
+            let alone: Vec<_> = plans.iter().map(|p| p.run(&x).unwrap()).collect();
+            assert_eq!(CompiledPlan::run_all(&plans, &x).unwrap(), alone, "set {i}");
+            let qplans: Vec<_> = nets.iter().map(|net| qcompile(net)).collect();
+            let alone: Vec<_> = qplans.iter().map(|p| p.run(&x).unwrap()).collect();
+            assert_eq!(
+                QCompiledPlan::run_all(&qplans, &x).unwrap(),
+                alone,
+                "int8 set {i}"
+            );
         }
         assert!(CompiledPlan::run_all(&[], &x).unwrap().is_empty());
     }
@@ -1150,22 +971,20 @@ mod tests {
     fn hostile_shapes_return_typed_errors_not_panics() {
         let mut rng = Rng::seed_from(6);
         let net = small_net(&mut rng);
-        for config in [FusionConfig::none(), FusionConfig::bit_exact()] {
-            let plan = CompiledPlan::compile(&net, config);
-            let qplan = QCompiledPlan::compile(&net, config);
-            // Wrong rank, wrong channel count, pool-indivisible extent and
-            // a kernel larger than the padded input.
-            for bad in [
-                Tensor::ones(&[2, 3]),
-                Tensor::ones(&[1, 5, 8, 8]),
-                Tensor::ones(&[1, 3, 5, 5]),
-                Tensor::ones(&[1, 3, 0, 0]),
-            ] {
-                let err = plan.run(&bad).unwrap_err();
-                assert!(!err.message().is_empty());
-                let qerr = qplan.run(&bad).unwrap_err();
-                assert!(!qerr.message().is_empty());
-            }
+        let plan = compile(&net);
+        let qplan = qcompile(&net);
+        // Wrong rank, wrong channel count, pool-indivisible extent and
+        // a kernel larger than the padded input.
+        for bad in [
+            Tensor::ones(&[2, 3]),
+            Tensor::ones(&[1, 5, 8, 8]),
+            Tensor::ones(&[1, 3, 5, 5]),
+            Tensor::ones(&[1, 3, 0, 0]),
+        ] {
+            let err = plan.run(&bad).unwrap_err();
+            assert!(!err.message().is_empty());
+            let qerr = qplan.run(&bad).unwrap_err();
+            assert!(!qerr.message().is_empty());
         }
     }
 
@@ -1173,8 +992,7 @@ mod tests {
     fn shape_errors_carry_descriptive_messages() {
         let mut rng = Rng::seed_from(7);
         let net = Sequential::new(vec![Box::new(Conv2d::new(1, 2, 1, 1, 0, &mut rng))]);
-        let plan = CompiledPlan::compile(&net, FusionConfig::bit_exact());
-        let err = plan.run(&Tensor::ones(&[1, 2, 4, 4])).unwrap_err();
+        let err = compile(&net).run(&Tensor::ones(&[1, 2, 4, 4])).unwrap_err();
         assert!(
             err.message().contains("expected 1 input channels"),
             "unexpected message: {}",

@@ -4,11 +4,10 @@
 //!
 //! The contract enforced here:
 //!
-//! * [`FusionConfig::none`] and [`FusionConfig::bit_exact`] plans reproduce
-//!   the eager `Layer::forward` outputs **bit-exactly** (`assert_eq!` on the
-//!   raw f32 bits via `Tensor`'s `PartialEq`).
-//! * The int8 plans reproduce the eager [`QSequential`] forward bit-exactly
-//!   under both configs.
+//! * The `f32` plans reproduce the eager `Layer::forward` outputs
+//!   **bit-exactly** (`assert_eq!` on the raw f32 bits via `Tensor`'s
+//!   `PartialEq`).
+//! * The int8 plans reproduce the eager [`QSequential`] forward bit-exactly.
 
 use ensembler_nn::compiler::{CompiledPlan, FusionConfig, QCompiledPlan};
 use ensembler_nn::models::{build_body, build_full_network, ResNetConfig};
@@ -47,16 +46,8 @@ fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: boo
         }
     }
     let qbody = QSequential::from_sequential(&body);
-    let exact_plans: Vec<(FusionConfig, CompiledPlan)> =
-        [FusionConfig::none(), FusionConfig::bit_exact()]
-            .into_iter()
-            .map(|fc| (fc, CompiledPlan::compile(&net, fc)))
-            .collect();
-    let exact_qplans: Vec<(FusionConfig, QCompiledPlan)> =
-        [FusionConfig::none(), FusionConfig::bit_exact()]
-            .into_iter()
-            .map(|fc| (fc, QCompiledPlan::compile(&body, fc)))
-            .collect();
+    let plan = CompiledPlan::compile(&net, FusionConfig);
+    let qplan = QCompiledPlan::compile(&body, FusionConfig);
 
     let head_shape = config.head_output_shape();
     for &b in batches {
@@ -69,28 +60,22 @@ fn conformance_for(config: &ResNetConfig, batches: &[usize], warm_batchnorm: boo
             ],
             |_| rng.uniform(-1.0, 1.0),
         );
-        let eager = net.forward(&x, Mode::Eval);
-        for (fc, plan) in &exact_plans {
-            assert_eq!(
-                plan.run(&x).unwrap(),
-                eager,
-                "{name}, batch {b}: f32 plan with {fc:?} must be bit-exact"
-            );
-        }
+        assert_eq!(
+            plan.run(&x).unwrap(),
+            net.forward(&x, Mode::Eval),
+            "{name}, batch {b}: the f32 plan must be bit-exact"
+        );
 
         // int8: the server bodies are the part served quantized.
         let f = Tensor::from_fn(&[b, head_shape[0], head_shape[1], head_shape[2]], |_| {
             rng.uniform(-1.0, 1.0)
         });
-        let qeager = qbody.forward(&f);
-        for (fc, qplan) in &exact_qplans {
-            assert_eq!(
-                qplan.run(&f).unwrap(),
-                qeager,
-                "{name}, batch {b}: int8 plan with {fc:?} must match the eager \
-                 quantized pipeline bit-exactly"
-            );
-        }
+        assert_eq!(
+            qplan.run(&f).unwrap(),
+            qbody.forward(&f),
+            "{name}, batch {b}: the int8 plan must match the eager quantized \
+             pipeline bit-exactly"
+        );
     }
 }
 

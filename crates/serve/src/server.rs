@@ -37,7 +37,8 @@ use crate::protocol::{
 };
 use crate::registry::{route_key, ModelRegistry, ModelSlot, ModelStats};
 use ensembler::{
-    Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps, ServerRequest, Tagged,
+    check_feature_shape, Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps,
+    ServerRequest, Tagged,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1070,7 +1071,10 @@ fn request_loop(
         // request always routes to the same version whatever connection or
         // retry carried it.
         let (engine, _) = slot.engine_for(route_key(request.features.content_bytes()));
-        let shape_checked = check_shape(&engine, &request);
+        // A malformed shape from an untrusted peer must fail alone, never
+        // poison a mini-batch it would share with other connections' requests.
+        let shape_checked =
+            check_feature_shape(request.features.shape(), engine.defense().config());
         let ticket = next_ticket;
         next_ticket += 1;
         let entry = InFlight {
@@ -1088,23 +1092,4 @@ fn request_loop(
             let _ = answers.send((ticket, Err(error)));
         }
     }
-}
-
-/// Validates a request's feature shape against the served backbone before it
-/// may reach the engine: an untrusted peer's malformed request must fail
-/// alone, never poison a mini-batch it shares with honest requests from
-/// other connections.
-fn check_shape(
-    engine: &InferenceEngine<dyn Defense>,
-    request: &ServerRequest,
-) -> Result<(), EnsemblerError> {
-    let shape = request.features.shape();
-    let expected = engine.defense().config().head_output_shape();
-    if shape.len() != 4 || shape[0] == 0 || shape[1..] != expected[..] {
-        return Err(EnsemblerError::ShapeMismatch(format!(
-            "request features {shape:?} do not match the served head output [B, {}, {}, {}]",
-            expected[0], expected[1], expected[2]
-        )));
-    }
-    Ok(())
 }

@@ -1,20 +1,20 @@
 //! A small dependency-free JSON value type with a parser and writers.
 //!
-//! The workspace serialises a handful of artefacts — tensors, checkpoints,
-//! selector secrets and benchmark result tables — to JSON. The build
-//! environment has no network access, so instead of `serde`/`serde_json`
-//! those types implement explicit `to_json` / `from_json` conversions on top
-//! of this module. Keeping serialisation explicit also documents exactly what
-//! leaves the process, which matters for a privacy-focused codebase.
+//! The benchmark harness and the table binaries write their result
+//! documents as JSON and the benchmark reads its own back; this module is
+//! what they build on, in place of `serde`/`serde_json`. Models, selectors
+//! and tensors are not JSON: they persist in the checksummed binary artifact
+//! (`crates/nn/src/artifact.rs`).
 //!
 //! # Examples
 //!
 //! ```
 //! use ensembler_tensor::json::JsonValue;
 //!
-//! let value = JsonValue::parse(r#"{"shape": [2, 2], "data": [1, 2, 3, 4]}"#)?;
-//! let shape = value.get("shape").unwrap().as_usize_vec()?;
-//! assert_eq!(shape, vec![2, 2]);
+//! let value = JsonValue::parse(r#"{"workload": "inproc", "p50_ms": [4.9, 5.1]}"#)?;
+//! let p50 = value.require("p50_ms")?.as_array()?;
+//! assert_eq!(p50[1].as_f64()?, 5.1);
+//! assert_eq!(JsonValue::parse(&value.render())?, value);
 //! # Ok::<(), ensembler_tensor::json::JsonError>(())
 //! ```
 
@@ -222,48 +222,6 @@ impl JsonValue {
             JsonValue::Array(items) => Ok(items),
             other => Err(JsonError::new(format!("expected array, found {other:?}"))),
         }
-    }
-
-    /// Interprets the value as an array of `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] if the value is not a numeric array.
-    pub fn as_f32_vec(&self) -> Result<Vec<f32>, JsonError> {
-        self.as_array()?
-            .iter()
-            .map(|v| v.as_f64().map(|n| n as f32))
-            .collect()
-    }
-
-    /// Interprets the value as an array of `usize`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] if the value is not an array of non-negative
-    /// whole numbers.
-    pub fn as_usize_vec(&self) -> Result<Vec<usize>, JsonError> {
-        self.as_array()?.iter().map(|v| v.as_usize()).collect()
-    }
-
-    /// Builds a numeric array from `f32` values.
-    pub fn from_f32_slice(values: &[f32]) -> JsonValue {
-        JsonValue::Array(
-            values
-                .iter()
-                .map(|&v| JsonValue::Number(v as f64))
-                .collect(),
-        )
-    }
-
-    /// Builds a numeric array from `usize` values.
-    pub fn from_usize_slice(values: &[usize]) -> JsonValue {
-        JsonValue::Array(
-            values
-                .iter()
-                .map(|&v| JsonValue::Number(v as f64))
-                .collect(),
-        )
     }
 }
 
@@ -491,10 +449,8 @@ mod tests {
             JsonValue::String("a\nb".to_string())
         );
         let parsed = JsonValue::parse(r#"{"xs": [1, 2, 3], "ok": false}"#).unwrap();
-        assert_eq!(
-            parsed.get("xs").unwrap().as_usize_vec().unwrap(),
-            vec![1, 2, 3]
-        );
+        let xs = parsed.get("xs").unwrap().as_array().unwrap();
+        assert_eq!(xs[2].as_usize().unwrap(), 3);
         assert_eq!(parsed.get("ok"), Some(&JsonValue::Bool(false)));
         assert!(parsed.get("missing").is_none());
         assert!(parsed.require("missing").is_err());
@@ -504,7 +460,10 @@ mod tests {
     fn render_round_trips() {
         let value = JsonValue::Object(vec![
             ("name".to_string(), JsonValue::String("x\"y".to_string())),
-            ("data".to_string(), JsonValue::from_f32_slice(&[1.0, -0.5])),
+            (
+                "data".to_string(),
+                JsonValue::Array(vec![JsonValue::Number(1.0), JsonValue::Number(-0.5)]),
+            ),
             ("empty".to_string(), JsonValue::Array(vec![])),
             ("flag".to_string(), JsonValue::Null),
         ]);
@@ -533,15 +492,17 @@ mod tests {
             let parsed = JsonValue::parse(&doc).expect("document must stay valid JSON");
             // The value degrades to null, which typed readers reject loudly.
             assert_eq!(parsed, JsonValue::Array(vec![JsonValue::Null]));
-            assert!(parsed.as_f32_vec().is_err());
+            assert!(parsed.as_array().unwrap()[0].as_f64().is_err());
         }
     }
 
     #[test]
     fn typed_accessors_validate() {
         let v = JsonValue::parse("[1, 2.5]").unwrap();
-        assert!(v.as_usize_vec().is_err());
-        assert_eq!(v.as_f32_vec().unwrap(), vec![1.0, 2.5]);
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_usize().unwrap(), 1);
+        assert!(items[1].as_usize().is_err());
+        assert_eq!(items[1].as_f64().unwrap(), 2.5);
         assert!(JsonValue::Bool(true).as_f64().is_err());
         assert!(JsonValue::Null.as_array().is_err());
     }

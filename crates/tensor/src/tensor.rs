@@ -1,6 +1,5 @@
 //! The dense row-major tensor type.
 
-use crate::json::{JsonError, JsonValue};
 use crate::shape::checked_len;
 use crate::{stride_for, ShapeError};
 
@@ -91,35 +90,6 @@ impl Tensor {
             shape: vec![],
             data: vec![value],
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Serialisation
-    // ------------------------------------------------------------------
-
-    /// Converts the tensor into its JSON representation
-    /// (`{"shape": [...], "data": [...]}`).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "shape".to_string(),
-                JsonValue::from_usize_slice(&self.shape),
-            ),
-            ("data".to_string(), JsonValue::from_f32_slice(&self.data)),
-        ])
-    }
-
-    /// Reconstructs a tensor from the representation produced by
-    /// [`Tensor::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] if fields are missing, mistyped, or the data
-    /// length does not match the shape.
-    pub fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let shape = value.require("shape")?.as_usize_vec()?;
-        let data = value.require("data")?.as_f32_vec()?;
-        Tensor::from_vec(data, &shape).map_err(|e| JsonError::new(e.to_string()))
     }
 
     // ------------------------------------------------------------------
@@ -603,21 +573,5 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.mean(), 0.0);
         assert_eq!(Tensor::default(), t);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Tensor::from_fn(&[2, 2], |i| i as f32);
-        let json = t.to_json().render();
-        let back = Tensor::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn json_rejects_inconsistent_payloads() {
-        let bad = JsonValue::parse(r#"{"shape": [3], "data": [1, 2]}"#).unwrap();
-        assert!(Tensor::from_json(&bad).is_err());
-        let missing = JsonValue::parse(r#"{"shape": [1]}"#).unwrap();
-        assert!(Tensor::from_json(&missing).is_err());
     }
 }
