@@ -1,9 +1,7 @@
 //! Open-loop load generator against a loopback serving deployment:
 //! tail-latency (p50/p99/p999) at configurable target request rates, plus
 //! connection-churn and admission-overload scenarios, all over one
-//! multiplexed protocol-v5 connection. `--stream` switches to stateful
-//! streaming sessions (per-session cadence, jitter and stall accounting) and
-//! `--replay` drives the deployment through a committed arrival trace.
+//! multiplexed protocol-v5 connection.
 //!
 //! The server, the client and the load all live in this one process, so the
 //! numbers isolate the serving stack (framing, multiplexing, admission,
@@ -17,9 +15,6 @@
 //! Options:
 //!   --qps LIST        comma-separated target rates (default `25,100`)
 //!   --requests N      requests per steady scenario (default `120`)
-//!   --stream          streaming sessions instead of the default scenarios
-//!   --replay PATH     replay an `ensembler-trace v1` file instead
-//!   --cache N         enable the client result cache with capacity N
 //!   --smoke           tiny run (low rates, few requests) for CI
 //!
 //! Before any load runs, the harness proves the invariant the numbers rest
@@ -28,11 +23,7 @@
 
 use ensembler::Defense;
 use ensembler_bench::load::{run_open_loop, LoadConfig, LoadRequest};
-use ensembler_bench::stream::{run_streaming, StreamConfig};
-use ensembler_bench::trace::{run_trace_replay, RequestKind, Trace};
-use ensembler_serve::{
-    demo_pipeline, AdmissionConfig, DefenseServer, RemoteDefense, ServeError, ServerConfig,
-};
+use ensembler_serve::{demo_pipeline, AdmissionConfig, DefenseServer, RemoteDefense, ServerConfig};
 use ensembler_tensor::Tensor;
 use std::sync::Arc;
 
@@ -43,34 +34,11 @@ fn steady_request(remote: Arc<RemoteDefense>, features: Tensor, n: usize) -> Loa
     Arc::new(move || remote.server_outputs_range(&features, 0, n).map(|_| ()))
 }
 
-/// Builds a full predict round trip that keeps rejections typed: the range
-/// exchange travels the wire (where `Overloaded` frames surface as
-/// `ServeError::Remote`), classification runs locally.
-fn predict_request(remote: Arc<RemoteDefense>, features: Tensor, n: usize) -> LoadRequest {
-    Arc::new(move || {
-        let maps = remote.server_outputs_range(&features, 0, n)?;
-        remote
-            .classify(&maps)
-            .map(|_| ())
-            .map_err(ServeError::Defense)
-    })
-}
-
-/// Prints the client cache counters when the `--cache` flag enabled them.
-fn print_cache_stats(remote: &RemoteDefense) {
-    if let Some(stats) = remote.cache_stats() {
-        println!("  {}", stats.summary());
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut qps_points: Vec<f64> = vec![25.0, 100.0];
     let mut requests = 120usize;
     let mut smoke = false;
-    let mut stream_mode = false;
-    let mut replay_path: Option<String> = None;
-    let mut cache_capacity: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -91,24 +59,8 @@ fn main() {
                     .parse()
                     .expect("--requests must be a number");
             }
-            "--stream" => stream_mode = true,
-            "--replay" => {
-                i += 1;
-                replay_path = Some(args.get(i).expect("--replay needs a path").clone());
-            }
-            "--cache" => {
-                i += 1;
-                cache_capacity = Some(
-                    args.get(i)
-                        .expect("--cache needs a capacity")
-                        .parse()
-                        .expect("--cache must be a number"),
-                );
-            }
             "--smoke" => smoke = true,
-            other => panic!(
-                "unknown option {other} (see --qps, --requests, --stream, --replay, --cache, --smoke)"
-            ),
+            other => panic!("unknown option {other} (see --qps, --requests, --smoke)"),
         }
         i += 1;
     }
@@ -125,21 +77,10 @@ fn main() {
         ServerConfig::default(),
     )
     .expect("bind loopback server");
-    let mut client =
-        RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr()).expect("connect");
-    if let Some(capacity) = cache_capacity {
-        client = client.with_result_cache(capacity);
-    }
-    let remote = Arc::new(client);
-    println!(
-        "load_gen: N={n} P={p} server {}{}",
-        server.local_addr(),
-        if cache_capacity.is_some() {
-            " (client cache on)"
-        } else {
-            ""
-        }
+    let remote = Arc::new(
+        RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr()).expect("connect"),
     );
+    println!("load_gen: N={n} P={p} server {}", server.local_addr());
 
     // The invariant every number below rests on: the multiplexed remote is
     // bit-identical to the in-process pipeline.
@@ -153,76 +94,6 @@ fn main() {
     let features = pipeline
         .client_features(&image)
         .expect("client features for the load requests");
-
-    if stream_mode {
-        let config = if smoke {
-            StreamConfig {
-                sessions: 3,
-                frame_hz: 20.0,
-                frames_per_session: 20,
-            }
-        } else {
-            StreamConfig {
-                sessions: 8,
-                frame_hz: 40.0,
-                frames_per_session: 120,
-            }
-        };
-        println!("streaming sessions (one shared multiplexed connection, open-loop per session):");
-        let report = run_streaming(
-            &|_session| steady_request(Arc::clone(&remote), features.clone(), n),
-            &config,
-        );
-        println!("  {}", report.summary());
-        for session in &report.per_session {
-            println!(
-                "    session {:2}: {:3} ok | p50 {:8.3} ms | max {:8.3} ms | {} stalls | jitter mean {:6.3} ms",
-                session.session, session.ok, session.p50_ms, session.max_ms, session.stalls,
-                session.jitter_mean_ms
-            );
-        }
-        print_cache_stats(&remote);
-        return;
-    }
-
-    if let Some(path) = replay_path {
-        let trace = match Trace::load(std::path::Path::new(&path)) {
-            Ok(trace) => trace,
-            Err(e) => {
-                eprintln!("load_gen: cannot replay {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "trace replay ({path}: {} arrivals, mean {:.1} qps, peak-1s {:.1} qps):",
-            trace.len(),
-            trace.mean_qps(),
-            trace.peak_qps(std::time::Duration::from_secs(1))
-        );
-        let outputs = steady_request(Arc::clone(&remote), features.clone(), n);
-        let predict = predict_request(Arc::clone(&remote), features.clone(), n);
-        let report = run_trace_replay(&trace, |kind| match kind {
-            RequestKind::Outputs => Arc::clone(&outputs),
-            RequestKind::Predict => Arc::clone(&predict),
-        });
-        println!("  {}", report.summary());
-        for tally in &report.per_kind {
-            println!(
-                "    {:8}: {:4} issued, {} ok, {} rejected, {} failed",
-                tally.kind.as_str(),
-                tally.issued,
-                tally.ok,
-                tally.rejected,
-                tally.failed
-            );
-        }
-        print_cache_stats(&remote);
-        assert_eq!(
-            report.failed, 0,
-            "replay against an unloaded loopback server must not fail"
-        );
-        return;
-    }
 
     println!("steady open-loop (one multiplexed connection, batch-1 requests):");
     for &qps in &qps_points {
@@ -289,7 +160,6 @@ fn main() {
         "  admission: {} served, {} rejected (typed Overloaded), {} in flight after drain",
         stats.requests_served, stats.requests_rejected, stats.inflight_requests
     );
-    print_cache_stats(&remote);
     assert_eq!(
         overload_report.failed, 0,
         "rejections must be typed Overloaded frames, never transport failures"

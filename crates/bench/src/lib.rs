@@ -17,16 +17,10 @@
 //! ([`ExperimentScale::train_config`] and its siblings spell out both).
 //!
 //! The [`load`] module is the open-loop load-generation harness behind the
-//! `load_gen` binary; [`stream`] adds stateful streaming sessions
-//! (per-session cadence, jitter and stall accounting) and [`trace`] a
-//! committed text trace format with a deterministic synthesizer and an
-//! open-loop replayer (`load_gen --stream` / `--replay`). They are
-//! workloads with correctness checks, not a stopwatch: performance claims
-//! come from the `benchmark/` package.
+//! `load_gen` binary. It is a workload with correctness checks, not a
+//! stopwatch: performance claims come from the `benchmark/` package.
 
 pub mod load;
-pub mod stream;
-pub mod trace;
 
 use ensembler::{
     Defense, DefenseKind, EnsemblerError, EnsemblerTrainer, EvalConfig, SinglePipeline, TrainConfig,

@@ -16,7 +16,7 @@
 //! Every request outcome is classified with the protocol's typed errors:
 //! completions, typed `Overloaded` rejections (the admission budgets doing
 //! their job — counted separately, never conflated with failures), and
-//! transport failures.
+//! failures of any other kind, a request whose thread panicked included.
 
 use ensembler_serve::{ErrorCode, ServeError};
 use std::sync::Arc;
@@ -27,10 +27,9 @@ use std::time::{Duration, Instant};
 /// classified into the [`LoadReport`].
 pub type LoadRequest = Arc<dyn Fn() -> Result<(), ServeError> + Send + Sync>;
 
-/// The three outcome classes every harness in this crate tallies: completed,
-/// shed by admission control with a typed `Overloaded` frame, or failed any
-/// other way. One classification function serves the open-loop, streaming
-/// and trace-replay harnesses so their counts always mean the same thing.
+/// The three outcome classes a load run tallies: completed, shed by
+/// admission control with a typed `Overloaded` frame, or failed any other
+/// way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The request completed successfully.
@@ -142,85 +141,11 @@ pub fn percentile_ms(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[rank - 1]
 }
 
-/// One request a [`fire`] call issued, as every report in this crate reduces
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fired {
-    /// Position in the schedule — what ties the outcome back to the
-    /// request's frame number or trace entry.
-    pub index: usize,
-    /// How long the request took.
-    pub latency: Duration,
-    /// When it completed, measured from the start of the schedule.
-    pub completed_at: Duration,
-    /// Its class; a request whose thread panicked is [`Outcome::Failed`]
-    /// with zero times.
-    pub outcome: Outcome,
-}
-
-/// The open-loop dispatcher under every harness in this crate: request `i`
-/// (built by `request_of(i)`) fires `schedule[i]` after the call starts, on
-/// its own thread so a slow response never delays a later arrival; every
-/// thread is joined and its typed result classified. Returned in schedule
-/// order.
-pub fn fire(
-    schedule: impl IntoIterator<Item = Duration>,
-    request_of: impl Fn(usize) -> LoadRequest,
-) -> Vec<Fired> {
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for (index, offset) in schedule.into_iter().enumerate() {
-        let due = start + offset;
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let request = request_of(index);
-        handles.push(std::thread::spawn(move || {
-            let issued = Instant::now();
-            let result = request();
-            (issued.elapsed(), start.elapsed(), classify_outcome(&result))
-        }));
-    }
-    handles
-        .into_iter()
-        .enumerate()
-        .map(|(index, handle)| {
-            let (latency, completed_at, outcome) =
-                handle
-                    .join()
-                    .unwrap_or((Duration::ZERO, Duration::ZERO, Outcome::Failed));
-            Fired {
-                index,
-                latency,
-                completed_at,
-                outcome,
-            }
-        })
-        .collect()
-}
-
-/// How many of `fired` ended in `outcome`.
-pub fn count_outcome(fired: &[Fired], outcome: Outcome) -> usize {
-    fired.iter().filter(|f| f.outcome == outcome).count()
-}
-
-/// Ascending latencies, in milliseconds, of the requests that completed —
-/// the samples every percentile in this crate is taken over.
-pub fn sorted_ok_latencies_ms(fired: &[Fired]) -> Vec<f64> {
-    let mut latencies_ms: Vec<f64> = fired
-        .iter()
-        .filter(|f| f.outcome == Outcome::Ok)
-        .map(|f| f.latency.as_secs_f64() * 1e3)
-        .collect();
-    latencies_ms.sort_by(f64::total_cmp);
-    latencies_ms
-}
-
 /// Runs one open-loop scenario: issues `config.requests` requests on the
 /// fixed `config.target_qps` arrival schedule, each on its own thread (so a
 /// slow response never delays a later arrival), waits for every response and
-/// classifies the outcomes.
+/// classifies the outcomes. A request whose thread panics counts as
+/// [`Outcome::Failed`].
 ///
 /// The request closure is shared by every in-flight call — against a
 /// protocol-v5 [`ensembler_serve::RemoteDefense`] all of them pipeline onto
@@ -233,18 +158,41 @@ pub fn run_open_loop(request: &LoadRequest, config: &LoadConfig) -> LoadReport {
     );
     let interval = Duration::from_secs_f64(1.0 / config.target_qps);
     let start = Instant::now();
-    let fired = fire((0..config.requests).map(|k| interval * k as u32), |_| {
-        Arc::clone(request)
-    });
+    let mut handles = Vec::with_capacity(config.requests);
+    for k in 0..config.requests {
+        let due = start + interval * k as u32;
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        let request = Arc::clone(request);
+        handles.push(std::thread::spawn(move || {
+            let issued = Instant::now();
+            let result = request();
+            (issued.elapsed(), classify_outcome(&result))
+        }));
+    }
+    let (mut ok, mut rejected, mut failed) = (0, 0, 0);
+    let mut latencies_ms = Vec::with_capacity(config.requests);
+    for handle in handles {
+        let (latency, outcome) = handle.join().unwrap_or((Duration::ZERO, Outcome::Failed));
+        match outcome {
+            Outcome::Ok => {
+                ok += 1;
+                latencies_ms.push(latency.as_secs_f64() * 1e3);
+            }
+            Outcome::Rejected => rejected += 1,
+            Outcome::Failed => failed += 1,
+        }
+    }
     let wall_s = start.elapsed().as_secs_f64();
-    let ok = count_outcome(&fired, Outcome::Ok);
-    let latencies_ms = sorted_ok_latencies_ms(&fired);
+    latencies_ms.sort_by(f64::total_cmp);
     LoadReport {
         target_qps: config.target_qps,
         requests: config.requests,
         ok,
-        rejected: count_outcome(&fired, Outcome::Rejected),
-        failed: count_outcome(&fired, Outcome::Failed),
+        rejected,
+        failed,
         achieved_qps: if wall_s > 0.0 {
             ok as f64 / wall_s
         } else {
@@ -278,15 +226,17 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
         let request: LoadRequest = Arc::new(move || {
-            // Deterministic outcome mix: reject every 3rd call, fail every
-            // 5th of the rest, complete the remainder.
-            match seen.fetch_add(1, Ordering::SeqCst) % 5 {
-                0 | 1 | 3 => Ok(()),
-                2 => Err(ServeError::Remote(WireError {
+            // Deterministic outcome mix over every ten calls: six complete,
+            // two are rejected, one fails with a typed error and one panics
+            // its thread — counted as a failure, and the run still finishes.
+            match seen.fetch_add(1, Ordering::SeqCst) % 10 {
+                0 | 1 | 3 | 5 | 6 | 8 => Ok(()),
+                2 | 7 => Err(ServeError::Remote(WireError {
                     code: ErrorCode::Overloaded,
                     message: "budget".to_string(),
                 })),
-                _ => Err(ServeError::Protocol("boom".to_string())),
+                4 => Err(ServeError::Protocol("boom".to_string())),
+                _ => panic!("the request thread dies"),
             }
         });
         let report = run_open_loop(
@@ -299,7 +249,7 @@ mod tests {
         assert_eq!(report.requests, 50);
         assert_eq!(report.ok, 30);
         assert_eq!(report.rejected, 10);
-        assert_eq!(report.failed, 10);
+        assert_eq!(report.failed, 10, "5 typed failures + 5 panicked threads");
         assert_eq!(report.ok + report.rejected + report.failed, 50);
         assert!(report.p50_ms <= report.p99_ms && report.p99_ms <= report.p999_ms);
         assert!(report.p999_ms <= report.max_ms);

@@ -5,9 +5,9 @@
 //! the features the client transmits. Precision (`f32` or int8) and body
 //! range (every body, or the slice a sharded worker owns) are *fields* of
 //! that one request, not separate code paths: the engine queues it, the wire
-//! codec frames it, the remote client ships it, the result cache keys it and
-//! every pipeline answers it in its one [`Defense::serve`](crate::Defense::serve),
-//! all without matching on the combination.
+//! codec frames it, the remote client ships it and every pipeline answers it
+//! in its one [`Defense::serve`](crate::Defense::serve), all without matching
+//! on the combination.
 //!
 //! Everything a layer needs to know *about a payload kind* — its shape, its
 //! admission cost, the bytes that identify its content, how to stack
@@ -126,7 +126,7 @@ impl Features {
     /// little-endian, or the int8 values followed by the scales' bit
     /// patterns. Two payloads of one precision and shape are the same input
     /// to a defense exactly when these streams are equal, which is what the
-    /// canary route key hashes and the result cache fingerprints.
+    /// canary route key hashes.
     pub fn content_bytes(&self) -> impl Iterator<Item = u8> + '_ {
         let (floats, bytes, scales): (&[f32], &[i8], &[f32]) = match self {
             Features::F32(tensor) => (tensor.data(), &[], &[]),

@@ -2,7 +2,6 @@
 //! [`Defense`] whose `server_outputs` stage travels over TCP to a
 //! [`crate::DefenseServer`] instead of running in-process.
 
-use crate::cache::{request_key, CacheStats, ResultCache};
 use crate::error::ServeError;
 use crate::protocol::{
     read_message, read_tagged_into, write_message, write_tagged_into, Hello, HelloAck, Message,
@@ -356,7 +355,6 @@ pub struct RemoteDefense {
     local: std::sync::Arc<dyn Defense>,
     mux: Mux,
     peer: HelloAck,
-    cache: Option<ResultCache>,
 }
 
 impl RemoteDefense {
@@ -479,57 +477,7 @@ impl RemoteDefense {
             local,
             mux: Mux::start(stream)?,
             peer,
-            cache: None,
         })
-    }
-
-    /// Attaches a client-side result cache bounded at `capacity` entries: a
-    /// repeated [`RemoteDefense::exchange`] (any range, any precision) is
-    /// answered from memory instead of the wire. Sound because every mask
-    /// and noise draw is derived from the pipeline seed plus the input
-    /// fingerprint, so duplicate inputs are bit-identical by construction —
-    /// see [`crate::cache`] for the guarantee and its one caveat (clear the
-    /// cache after a known server-side model reload).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ensembler::Defense;
-    /// use ensembler_serve::{demo_pipeline, DefenseServer, RemoteDefense, ServerConfig};
-    /// use ensembler_tensor::Tensor;
-    /// use std::sync::Arc;
-    ///
-    /// let pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 42)?);
-    /// let server = DefenseServer::bind(Arc::clone(&pipeline), "127.0.0.1:0", ServerConfig::default())?;
-    /// let remote = RemoteDefense::connect(Arc::clone(&pipeline), server.local_addr())?
-    ///     .with_result_cache(64);
-    ///
-    /// let images = Tensor::ones(&[1, 3, 16, 16]);
-    /// let first = remote.predict(&images)?;
-    /// let second = remote.predict(&images)?; // served from the cache
-    /// assert_eq!(first, second);
-    /// let stats = remote.cache_stats().expect("cache attached");
-    /// assert_eq!((stats.hits, stats.misses), (1, 1));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn with_result_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(ResultCache::new(capacity));
-        self
-    }
-
-    /// Counters of the attached result cache, `None` when
-    /// [`RemoteDefense::with_result_cache`] was never called.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(ResultCache::stats)
-    }
-
-    /// Drops every cached response (a no-op without a cache). Call when the
-    /// server's model is known to have been reloaded — memoized responses
-    /// describe the old version.
-    pub fn clear_result_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
     }
 
     /// The pipeline description the server reported at handshake time.
@@ -554,7 +502,7 @@ impl RemoteDefense {
     /// one thread can have many exchanges in flight. This is the per-worker
     /// leg of a scatter-gather router, which starts every leg from one thread
     /// and awaits them all on one channel; [`RemoteDefense::exchange`] is this
-    /// plus a wait. The result cache is not consulted.
+    /// plus a wait.
     pub fn exchange_to(
         &self,
         request: ServerRequest,
@@ -587,12 +535,11 @@ impl RemoteDefense {
         );
     }
 
-    /// One blocking server-stage exchange, answered from the result cache
-    /// when one is attached and holds this exact request. This is what
-    /// [`Defense::serve`] of a `RemoteDefense` bottoms out in; unlike the
-    /// trait method it keeps the typed [`ServeError`] (a per-request
-    /// `Overloaded` rejection stays matchable) instead of collapsing it to a
-    /// transport string.
+    /// One blocking server-stage exchange: [`RemoteDefense::exchange_to`]
+    /// plus a wait for its outcome. This is what [`Defense::serve`] of a
+    /// `RemoteDefense` bottoms out in; unlike the trait method it keeps the
+    /// typed [`ServeError`] (a per-request `Overloaded` rejection stays
+    /// matchable) instead of collapsing it to a transport string.
     ///
     /// # Errors
     ///
@@ -600,28 +547,15 @@ impl RemoteDefense {
     /// reports a typed error (e.g. an out-of-range `lo..hi`), or when the
     /// response's precision or map count disagrees with the request.
     pub fn exchange(&self, request: ServerRequest) -> Result<Maps, ServeError> {
-        // A full exchange is keyed as the body range 0..N, so it also
-        // answers an equivalent sub-range request and vice versa.
-        let cached = self.cache.as_ref().map(|cache| {
-            let bodies = (request.range.clone()).unwrap_or(0..self.local.ensemble_size());
-            (cache, request_key(&bodies, &request.features))
-        });
-        if let Some(maps) = cached.as_ref().and_then(|(cache, key)| cache.get(key)) {
-            return Ok(maps);
-        }
         let (answer, receive) = channel();
         self.exchange_to(request, move |result| {
             let _ = answer.send(result);
         });
-        let maps = receive.recv().map_err(|_| {
+        receive.recv().map_err(|_| {
             ServeError::Protocol(
                 "multiplexed connection closed while awaiting a response".to_string(),
             )
-        })??;
-        if let Some((cache, key)) = cached {
-            cache.insert(key, maps.clone());
-        }
-        Ok(maps)
+        })?
     }
 
     /// [`RemoteDefense::exchange`] for one `f32` sub-range request: asks the

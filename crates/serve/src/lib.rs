@@ -64,7 +64,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod cache;
 pub mod cli;
 pub mod client;
 pub mod error;
@@ -72,7 +71,6 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use cache::{CacheStats, ResultCache};
 pub use client::{CompletionSlots, RemoteDefense};
 pub use error::ServeError;
 pub use protocol::{

@@ -127,33 +127,60 @@ fn staged_remote_calls_match_the_composed_predict() {
     assert_eq!(staged, pipeline.predict(&images).unwrap());
 }
 
-#[test]
-fn concurrent_remote_clients_coalesce_across_connections() {
-    let (server, pipeline) = demo_server(2, 1, 5);
-    let expected: Vec<Tensor> = (0..6)
-        .map(|k| pipeline.predict(&random_images(1, 100 + k)).unwrap())
-        .collect();
+/// Binds `pipeline` with a per-connection budget that lets `threads` callers
+/// share one multiplexed connection without an `Overloaded` rejection.
+fn bind_for_threads(pipeline: &Arc<dyn Defense>, threads: u64) -> DefenseServer {
+    let config = ServerConfig {
+        admission: AdmissionConfig {
+            max_connection_inflight_requests: threads,
+            ..AdmissionConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    DefenseServer::bind(Arc::clone(pipeline), "127.0.0.1:0", config).unwrap()
+}
 
-    let answers: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
-            .map(|k| {
-                let pipeline = Arc::clone(&pipeline);
-                let addr = server.local_addr();
-                scope.spawn(move || {
-                    let remote = RemoteDefense::connect(pipeline, addr).unwrap();
-                    remote.predict(&random_images(1, 100 + k)).unwrap()
-                })
-            })
+/// Predicts `random_images(1, seed)` for every seed, one scoped thread per
+/// seed, each through the [`RemoteDefense`] that `remote` hands its thread.
+fn predict_on_threads(
+    seeds: std::ops::Range<u64>,
+    remote: impl Fn() -> Arc<RemoteDefense> + Sync,
+) -> Vec<Tensor> {
+    let remote = &remote;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .map(|seed| scope.spawn(move || remote().predict(&random_images(1, seed)).unwrap()))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    })
+}
 
-    assert_eq!(answers, expected);
+#[test]
+fn concurrent_remote_clients_coalesce_across_connections() {
+    let pipeline: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 5).unwrap());
+    let server = bind_for_threads(&pipeline, 6);
+    let addr = server.local_addr();
+    let seeds = 100..106;
+    let expected: Vec<Tensor> = seeds
+        .clone()
+        .map(|seed| pipeline.predict(&random_images(1, seed)).unwrap())
+        .collect();
+
+    let dialled = predict_on_threads(seeds.clone(), || {
+        Arc::new(RemoteDefense::connect(Arc::clone(&pipeline), addr).unwrap())
+    });
+    assert_eq!(dialled, expected);
     let stats = server.stats();
     assert_eq!(stats.connections_accepted, 6);
     assert_eq!(stats.requests_served, 6);
     // All six single-image requests went through the shared engine queue.
     assert_eq!(server.engine_stats().requests_served, 6);
+
+    // The same threads sharing one multiplexed connection get the same bits.
+    let shared = Arc::new(RemoteDefense::connect(Arc::clone(&pipeline), addr).unwrap());
+    assert_eq!(predict_on_threads(seeds, || Arc::clone(&shared)), expected);
+    assert_eq!(server.stats().connections_accepted, 7);
+    assert_eq!(server.engine_stats().requests_served, 12);
 }
 
 #[test]
@@ -194,28 +221,29 @@ fn quantized_remote_predict_is_bit_identical_to_in_process_int8() {
 
 #[test]
 fn concurrent_quantized_clients_coalesce_across_connections() {
-    let (server, int8) = demo_server_int8(2, 1, 43);
-    let expected: Vec<Tensor> = (0..5)
-        .map(|k| int8.predict(&random_images(1, 200 + k)).unwrap())
+    let int8: Arc<dyn Defense> = Arc::new(QuantizedDefense::quantize(Arc::new(
+        demo_pipeline(2, 1, 43).unwrap(),
+    )));
+    let server = bind_for_threads(&int8, 5);
+    let addr = server.local_addr();
+    let seeds = 200..205;
+    let expected: Vec<Tensor> = seeds
+        .clone()
+        .map(|seed| int8.predict(&random_images(1, seed)).unwrap())
         .collect();
 
-    let answers: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..5)
-            .map(|k| {
-                let int8 = Arc::clone(&int8);
-                let addr = server.local_addr();
-                scope.spawn(move || {
-                    let remote = RemoteDefense::connect(int8, addr).unwrap();
-                    remote.predict(&random_images(1, 200 + k)).unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let dialled = predict_on_threads(seeds.clone(), || {
+        Arc::new(RemoteDefense::connect(Arc::clone(&int8), addr).unwrap())
     });
-
-    assert_eq!(answers, expected);
+    assert_eq!(dialled, expected);
     // All five quantized single-image requests coalesced through the engine.
     assert_eq!(server.engine_stats().requests_served, 5);
+
+    // The same threads sharing one multiplexed connection get the same bits.
+    let shared = Arc::new(RemoteDefense::connect(Arc::clone(&int8), addr).unwrap());
+    assert_eq!(predict_on_threads(seeds, || Arc::clone(&shared)), expected);
+    assert_eq!(server.stats().connections_accepted, 6);
+    assert_eq!(server.engine_stats().requests_served, 10);
 }
 
 #[test]
