@@ -17,7 +17,10 @@
 //! [`QCompiledPlan`] is the same plan at int8. One stage list, one builder
 //! and one evaluator serve both precisions, generic over a private trait
 //! that states only what differs between them: the conv and linear kernels,
-//! and which ReLU formula a position gets.
+//! and which ReLU formula a position gets. An int8 conv writes no column
+//! matrix: it lowers its quantized input to one zero-haloed copy
+//! ([`ensembler_tensor::QHalo`]) that the kernel reads in place, against
+//! weights packed once, at compile time ([`ensembler_tensor::QPanels`]).
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -50,7 +53,7 @@ use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, Mode, Sequential};
 use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
-    im2col, im2col_i8, par_map, qgemm_nn, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue,
+    im2col, par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels,
     QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
@@ -177,7 +180,8 @@ trait Precision {
 /// only, [`finish`](Self::finish) on the lowered input and this stage's own
 /// weights only — so bodies whose keys agree can borrow one lowering.
 trait LoweredConv: Sync {
-    /// The validated input as the GEMM reads it (the column matrix).
+    /// The validated input as the GEMM reads it: the `f32` column matrix,
+    /// or the int8 zero-haloed copy.
     type Lowered: Sync;
 
     /// Everything besides the input that the lowering depends on: the conv
@@ -369,10 +373,11 @@ fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
 /// When all plans lead with convs of one geometry over one channel count —
 /// an ensemble's bodies do, by construction — the input is validated and
 /// lowered **once** and every leading conv multiplies from a borrow of that
-/// column matrix: its own GEMM call with its own weights, so each answer is
-/// bit-identical to `run` on that plan. The matrix is the largest buffer of
-/// a body run; it is freed before the rest of the bodies run so that N
-/// bodies never hold it next to their own second-layer matrices. Anything
+/// lowering (the `f32` column matrix, the int8 halo copy): its own GEMM call
+/// with its own weights, so each answer is bit-identical to `run` on that
+/// plan. The lowering is the largest buffer of a body run; it is freed
+/// before the rest of the bodies run so that N bodies never hold it next to
+/// their own second-layer lowerings. Anything
 /// else (one plan, a leading stage that is not a conv, bodies that disagree)
 /// is the independent `run` per plan.
 fn run_ensemble<P: Precision>(
@@ -658,8 +663,19 @@ impl Precision for Int8 {
     const LINEAR_RELU: ReluForm = ReluForm::Max;
 
     fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> QConvStage {
+        let q = QConv2d::from_conv(conv);
+        let geometry = q.geometry();
         QConvStage {
-            conv: QConv2d::from_conv(conv),
+            weights: QPanels::conv(
+                q.weight_t(),
+                q.in_channels(),
+                geometry.kernel,
+                q.out_channels(),
+            ),
+            weight_scale: q.weight_scale(),
+            bias: q.bias().data().to_vec(),
+            geometry,
+            in_channels: q.in_channels(),
             bn,
             relu,
         }
@@ -699,16 +715,25 @@ impl Precision for Int8 {
 /// and the following ReLU all applied in one pass over the `i32`
 /// accumulators while transposing into NCHW — the eager pipeline's
 /// per-element expressions, one feature-map pass instead of up to four.
+///
+/// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
+/// halo's `(ky, kx, c)` order and packed into the host kernel's pair panels
+/// once, here. Integer accumulation is exact, so that order changes no bit.
 #[derive(Debug, Clone)]
 struct QConvStage {
-    conv: QConv2d,
+    weights: QPanels,
+    weight_scale: f32,
+    bias: Vec<f32>,
+    geometry: Conv2dGeometry,
+    in_channels: usize,
     bn: Option<MergedBn>,
     relu: Option<ReluForm>,
 }
 
-/// An input batch quantized per sample and lowered for a conv's `qgemm`.
+/// An input batch quantized per sample and lowered, as one zero-haloed
+/// copy, for a conv's int8 product.
 struct QLowered {
-    cols: Vec<i8>,
+    halo: QHalo,
     /// The per-sample activation scales of the quantization.
     scales: Vec<f32>,
     b: usize,
@@ -720,7 +745,7 @@ impl LoweredConv for QConvStage {
     type Lowered = QLowered;
 
     fn key(&self) -> (Conv2dGeometry, usize) {
-        (self.conv.geometry(), self.conv.in_channels())
+        (self.geometry, self.in_channels)
     }
 
     fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
@@ -729,7 +754,7 @@ impl LoweredConv for QConvStage {
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let q = QTensorBatch::quantize_batch(input);
         Ok(QLowered {
-            cols: im2col_i8(q.data(), b, in_channels, h, w, geometry),
+            halo: QHalo::lower(q.data(), b, in_channels, h, w, geometry),
             scales: q.scales().to_vec(),
             b,
             oh,
@@ -738,30 +763,26 @@ impl LoweredConv for QConvStage {
     }
 
     fn finish(&self, lowered: &QLowered) -> Tensor {
-        let Self { conv, bn, relu } = self;
         let &QLowered { b, oh, ow, .. } = lowered;
-        let g = conv.geometry();
         let plane = oh * ow;
-        let fan_in = conv.in_channels() * g.kernel * g.kernel;
-        let out_c = conv.out_channels();
-        let acc = qgemm_nn(&lowered.cols, conv.weight_t(), b * plane, fan_in, out_c);
+        let out_c = self.weights.cols();
+        let acc = qconv(&lowered.halo, &self.weights);
 
         // One pass over the i32 accumulators: dequantize, bias, the merged
         // batch norm and ReLU, transposed straight into NCHW. Each
         // expression matches the eager stage it replaces.
-        let bias = conv.bias().data();
-        let bn_params = bn.as_ref().map(MergedBn::params);
+        let bn_params = self.bn.as_ref().map(MergedBn::params);
         let mut out = vec![0.0f32; b * out_c * plane];
         for n in 0..b {
-            let rescale = lowered.scales[n] * conv.weight_scale();
+            let rescale = lowered.scales[n] * self.weight_scale;
             for p in 0..plane {
                 let row = &acc[(n * plane + p) * out_c..(n * plane + p + 1) * out_c];
                 for (co, &a) in row.iter().enumerate() {
-                    let mut t = a as f32 * rescale + bias[co];
+                    let mut t = a as f32 * rescale + self.bias[co];
                     if let Some((mean, inv_std, gamma, beta)) = bn_params {
                         t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
                     }
-                    t = match relu {
+                    t = match self.relu {
                         None => t,
                         Some(form) => form.apply(t),
                     };
@@ -799,8 +820,9 @@ impl QCompiledPlan {
     }
 
     /// The int8 counterpart of [`CompiledPlan::run_all`]: same-shape bodies
-    /// share one per-sample quantization and one `im2col_i8` of the input,
-    /// and each answer is bit-identical to [`run`](Self::run) on that plan.
+    /// share one per-sample quantization and one zero-haloed copy
+    /// ([`QHalo`]) of the input, and each answer is bit-identical to
+    /// [`run`](Self::run) on that plan.
     pub fn run_all(plans: &[QCompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
         let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
@@ -985,6 +1007,21 @@ mod tests {
             assert!(!err.message().is_empty());
             let qerr = qplan.run(&bad).unwrap_err();
             assert!(!qerr.message().is_empty());
+        }
+        // Degenerate but valid shapes on the demo body: an empty batch, and
+        // images so small that every conv reads mostly halo and the
+        // stride-2 stage leaves a 1x1 map. Both plans answer them exactly.
+        let body = build_body(&ResNetConfig::cifar10_like(), &mut rng);
+        let (plan, qplan) = (compile(&body), qcompile(&body));
+        let qbody = QSequential::from_sequential(&body);
+        for shape in [[0, 16, 8, 8], [1, 16, 1, 1], [2, 16, 2, 2]] {
+            let x = Tensor::from_fn(&shape, |_| rng.uniform(-1.0, 1.0));
+            assert_eq!(
+                plan.run(&x).unwrap(),
+                body.forward(&x, Mode::Eval),
+                "{shape:?}"
+            );
+            assert_eq!(qplan.run(&x).unwrap(), qbody.forward(&x), "int8 {shape:?}");
         }
     }
 

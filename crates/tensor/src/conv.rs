@@ -1,6 +1,8 @@
-//! `im2col`/`col2im` lowering used to express 2-D (de)convolutions as GEMMs.
+//! `im2col`/`col2im` lowering used to express 2-D (de)convolutions as GEMMs,
+//! and [`QHalo`], the int8 convolutions' lowering that writes no column
+//! matrix.
 //!
-//! Both transforms touch every batch item independently — item `n` only
+//! The transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
 //! `n*C*H*W..` of the image — so each item's block is a disjoint chunk of
 //! the output. Large lowerings hand those chunks to the persistent pool with
@@ -132,6 +134,161 @@ pub fn im2col_i8(
 ) -> Vec<i8> {
     assert_eq!(data.len(), b * c * h * w, "im2col_i8 buffer/shape mismatch");
     lower(data, b, c, h, w, geom)
+}
+
+/// An NCHW `i8` batch lowered for the int8 product driver
+/// ([`crate::quant::qconv`]) without a column matrix: one NHWC copy of the
+/// input, sign-extended to `i16`, with a zero halo `padding` pixels wide
+/// around every image and the channel count rounded up to even. Two
+/// adjacent channels are one `i16` pair — the operand `vpmaddwd`
+/// multiplies — so the copy is about `2·(h+2p)(w+2p)/(h·w)` times the input
+/// bytes, where the column matrix [`im2col_i8`] writes is `kernel²` times.
+///
+/// Output position `(n, oy, ox)` reads `kernel` contiguous runs of the copy,
+/// one per `ky`, each `kernel` pixels of channels long: the column matrix's
+/// row, reordered to `(ky, kx, c)`, read where it lies. The matching weights
+/// are [`crate::quant::QPanels::conv`].
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::{im2col_i8, qconv, qgemm_nn, Conv2dGeometry, QHalo, QPanels};
+///
+/// // A "same" 3x3 convolution of one 3-channel 3x3 image into 4 channels:
+/// // the column matrix's product, without the column matrix.
+/// let geom = Conv2dGeometry::new(3, 1, 1);
+/// let x: Vec<i8> = (0..27).map(|v| v - 13).collect();
+/// let w: Vec<i8> = (0..27 * 4).map(|v| (v % 7) as i8 - 3).collect(); // [c·k², out]
+/// let want = qgemm_nn(&im2col_i8(&x, 1, 3, 3, 3, geom), &w, 9, 27, 4);
+/// let halo = QHalo::lower(&x, 1, 3, 3, 3, geom);
+/// assert_eq!(qconv(&halo, &QPanels::conv(&w, 3, 3, 4)), want);
+/// ```
+#[derive(Debug, Clone)]
+pub struct QHalo {
+    /// `[b, hp, wp, 2·pairs]` row-major.
+    lanes: Vec<i16>,
+    geometry: Conv2dGeometry,
+    batch: usize,
+    /// Channel pairs per pixel.
+    pairs: usize,
+    /// Haloed extents.
+    hp: usize,
+    wp: usize,
+    /// Output extents.
+    oh: usize,
+    ow: usize,
+}
+
+impl QHalo {
+    /// Lowers the NCHW `i8` batch `data` (`[b, c, h, w]`) for a convolution
+    /// of geometry `geom`. An `[m, k]` matrix is the `[m, k, 1, 1]` batch
+    /// under a 1×1 geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != b*c*h*w` or the padded input is smaller than
+    /// the kernel.
+    pub fn lower(
+        data: &[i8],
+        b: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: Conv2dGeometry,
+    ) -> Self {
+        assert_eq!(data.len(), b * c * h * w, "QHalo buffer/shape mismatch");
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+        let p = geom.padding;
+        let (hp, wp, pairs) = (h + 2 * p, w + 2 * p, c.div_ceil(2));
+        let lanes = 2 * pairs;
+        // One image -> its haloed block; the halo and an odd channel count's
+        // extra lane keep the zero the block was allocated with.
+        let lower_item = |n: usize, block: &mut [i16]| {
+            let image = &data[n * c * h * w..(n + 1) * c * h * w];
+            if h * w == 1 {
+                // One pixel (an [m, k] matrix's row) is NHWC already: one
+                // contiguous sign extension, which vectorises where the
+                // strided gather below cannot (≈ 5× on a [2048, 144] matrix).
+                let dst = &mut block[(p * wp + p) * lanes..][..c];
+                for (slot, &v) in dst.iter_mut().zip(image) {
+                    *slot = v.into();
+                }
+                return;
+            }
+            // Pixel by pixel: each writes its `c` lanes contiguously,
+            // gathering one value from every channel plane.
+            for y in 0..h {
+                for x in 0..w {
+                    let dst = &mut block[((y + p) * wp + x + p) * lanes..][..c];
+                    let src = image[y * w + x..].iter().step_by(h * w);
+                    for (slot, &v) in dst.iter_mut().zip(src) {
+                        *slot = v.into();
+                    }
+                }
+            }
+        };
+        let item = (hp * wp * lanes).max(1);
+        let mut out = vec![0i16; b * hp * wp * lanes];
+        let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;
+        // The pool takes images a few thousand lanes at a time: a hand-off
+        // per one-pixel image (a matrix row) costs more than its copy.
+        let group = (PAR_ELEMENT_THRESHOLD / 8).div_ceil(item);
+        chunks_mut(&mut out, group * item, parallel, |g, images| {
+            for (i, block) in images.chunks_mut(item).enumerate() {
+                lower_item(g * group + i, block);
+            }
+        });
+        Self {
+            lanes: out,
+            geometry: geom,
+            batch: b,
+            pairs,
+            hp,
+            wp,
+            oh,
+            ow,
+        }
+    }
+
+    /// Rows of the product: one per output position, `b · oh · ow`.
+    pub(crate) fn rows(&self) -> usize {
+        self.batch * self.oh * self.ow
+    }
+
+    /// The padded shared dimension, `kernel² · 2 · pairs`.
+    pub(crate) fn depth(&self) -> usize {
+        self.geometry.kernel * self.geometry.kernel * 2 * self.pairs
+    }
+
+    /// The sign-extended lanes, `[b, hp, wp, 2·pairs]` row-major.
+    pub(crate) fn lanes(&self) -> &[i16] {
+        &self.lanes
+    }
+
+    /// Fills `out[r]` with the first pair of product row `row0 + r`, in
+    /// pairs from the start of [`Self::lanes`]. Rows walk `(n, oy, ox)` like
+    /// the column matrix's, so only the first is divided out.
+    pub(crate) fn row_offsets(&self, row0: usize, out: &mut [usize]) {
+        let (s, plane) = (self.geometry.stride, self.oh * self.ow);
+        let (mut n, rest) = (row0 / plane, row0 % plane);
+        let (mut oy, mut ox) = (rest / self.ow, rest % self.ow);
+        for slot in out {
+            *slot = ((n * self.hp + oy * s) * self.wp + ox * s) * self.pairs;
+            ox += 1;
+            if ox == self.ow {
+                (ox, oy) = (0, oy + 1);
+                if oy == self.oh {
+                    (oy, n) = (0, n + 1);
+                }
+            }
+        }
+    }
+
+    /// The runs each row reads, in pairs: `kernel · pairs` long, one haloed
+    /// image row (`wp · pairs`) apart.
+    pub(crate) fn run_shape(&self) -> (usize, usize) {
+        (self.geometry.kernel * self.pairs, self.wp * self.pairs)
+    }
 }
 
 /// The lowering behind [`im2col`] and [`im2col_i8`]: NCHW `data` to the

@@ -39,11 +39,11 @@ pub mod quant;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry};
+pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry, QHalo};
 pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};
 pub use parallel::par_map;
-pub use quant::{qgemm_nn, qgemm_nn_dequant, QGemmEpilogue, QTensor, QTensorBatch};
+pub use quant::{qconv, qgemm_nn, qgemm_nn_dequant, QGemmEpilogue, QPanels, QTensor, QTensorBatch};
 pub use shape::{broadcast_compatible, stride_for, Shape};
 pub use tensor::Tensor;

@@ -1,12 +1,13 @@
 //! Int8 quantization: per-tensor symmetric scales, quantized tensor types and
-//! a packed, blocked `i8×i8→i32` GEMM kernel.
+//! one blocked `i8×i8→i32` product driver that reads its left operand in
+//! place.
 //!
 //! The quantization scheme is **symmetric, per tensor**: a tensor is stored as
 //! `i8` values `q` plus one `f32` scale such that `value ≈ q · scale`, with
 //! `scale = absmax / 127`. There is no zero point, so `0.0` always quantizes
-//! to `0` — zero padding (im2col borders) survives quantization exactly. The
-//! round-trip error is at most `scale / 2` per element, which the property
-//! suite enforces.
+//! to `0` — zero padding (im2col borders, the halo of a [`QHalo`]) survives
+//! quantization exactly. The round-trip error is at most `scale / 2` per
+//! element, which the property suite enforces.
 //!
 //! Two container types cover the two uses in the stack:
 //!
@@ -18,12 +19,25 @@
 //!   request alone. This is what lets the inference engine keep its
 //!   bit-exactness-across-batch-size guarantee in int8 mode.
 //!
-//! [`qgemm_nn`] mirrors the blocked `f32` kernel of [`crate::gemm`]: packed
-//! operand panels, a runtime-dispatched AVX2 micro-kernel (`vpmaddwd` over
-//! sign-extended `i16` pairs — exact, no saturation) with a portable fallback,
-//! and row-band parallelism. Because integer accumulation is exact, every
-//! path — serial, parallel, AVX2, portable, small-product — produces
-//! bit-identical results, which the oracle property tests assert.
+//! The product driver mirrors the blocked `f32` kernel of [`crate::gemm`].
+//!
+//! * **The left operand is read where it lies.** It is a [`QHalo`]: a
+//!   zero-haloed NHWC copy of the quantized input, sign-extended to `i16`,
+//!   with an even channel count so that channels pair up the way `vpmaddwd`
+//!   multiplies them. A convolution's output row is `kernel` contiguous
+//!   runs of it, one per `ky`, so [`qconv`] multiplies the column matrix
+//!   without writing it, and an `[m, k]` matrix is the 1×1 case
+//!   ([`qgemm_nn`]). Nothing is packed per band.
+//! * **The right operand is packed** into [`QPanels`]: the `i16` pair
+//!   panels `vpmaddwd` consumes. A compiled plan packs its weights once.
+//! * **Two micro-kernels**: a runtime-dispatched AVX2 one (`vpmaddwd` —
+//!   exact, no saturation) and a portable one, both behind one bounds check
+//!   per tile. Row bands go to the pool above [`QPAR_THRESHOLD`].
+//!
+//! Because integer accumulation is exact, any order of the shared dimension
+//! gives the same sums, so every path — serial, parallel, AVX2, portable,
+//! halo or column matrix — produces bit-identical results, which the tests
+//! check against a naive `i32` oracle under both micro-kernels.
 //!
 //! # Examples
 //!
@@ -42,7 +56,7 @@
 use crate::gemm::Parallelism;
 use crate::parallel::{chunks_mut, parallelism};
 use crate::shape::checked_len;
-use crate::{ShapeError, Tensor};
+use crate::{Conv2dGeometry, QHalo, ShapeError, Tensor};
 
 /// Rows of the register tile held by the portable int8 micro-kernel. On
 /// x86-64 hosts with AVX2 a wider 6×16 tile is selected at runtime instead.
@@ -50,16 +64,12 @@ pub const QMR: usize = 4;
 /// Columns of the register tile held by the portable int8 micro-kernel.
 pub const QNR: usize = 8;
 /// Depth of the shared-dimension cache block (kept even: the kernel walks
-/// `k` in sign-extended `i16` pairs).
-pub const QKC: usize = 256;
+/// `k` in sign-extended `i16` pairs). Its `i16` lanes are half as wide as
+/// the `f32` kernel's values, so this block's AVX2 panel fills the same
+/// 16 KB as a [`crate::gemm::KC`] block.
+pub const QKC: usize = 512;
 /// Output rows per parallel band.
 pub const QMC: usize = 128;
-
-/// Below this many right-operand elements (`k·n`) the kernel skips packing
-/// and runs a plain register-friendly triple loop. Integer accumulation is
-/// exact, so unlike the f32 kernel this threshold cannot change results —
-/// it exists purely to spare tiny products the packing cost.
-pub const QSMALL_THRESHOLD: usize = 32 * 32;
 
 /// At or above this many multiply-accumulates (`m·k·n`) the kernel splits
 /// row bands across cores.
@@ -440,19 +450,161 @@ impl QTensorBatch {
     }
 }
 
-/// One register-tile update over packed int8 panels. The A panel stores each
-/// row's `k`-pairs as an `i32` word holding two sign-extended `i16` lanes;
-/// the B panel stores, per `k`-pair, `nr` column pairs as interleaved `i16`.
-type QMicroKernelFn = fn(
-    apanel: &[i32],
-    bpanel: &[i16],
-    kc2: usize,
-    c: &mut [i32],
-    ldc: usize,
-    tile_rows: usize,
-    cols: usize,
-);
+/// The right operand of an int8 product, packed into the pair panels one
+/// micro-kernel reads: `nr`-column panels of sign-extended `i16`, the shared
+/// dimension interleaved in pairs.
+///
+/// Panel `jp` holds, for each pair `p`, columns `jp·nr..jp·nr+nr` as
+/// `[b[2p][j], b[2p+1][j]]` — exactly the operand layout `vpmaddwd`
+/// consumes. Ragged edges (odd `k`, `n` not a multiple of `nr`) are zero. A
+/// compiled plan packs its conv weights once ([`QPanels::conv`]);
+/// [`qgemm_nn`] packs its right operand per call.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::{qconv, Conv2dGeometry, QHalo, QPanels};
+///
+/// // A 1x1 convolution of one 1x2 image with one channel: a [2,1]x[1,3]
+/// // product.
+/// let halo = QHalo::lower(&[2, -3], 1, 1, 1, 2, Conv2dGeometry::new(1, 1, 0));
+/// let weights = QPanels::conv(&[1, 10, 100], 1, 1, 3);
+/// assert_eq!(qconv(&halo, &weights), vec![2, 20, 200, -3, -30, -300]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct QPanels {
+    data: Vec<i16>,
+    /// Shared-dimension pairs.
+    k2: usize,
+    n: usize,
+    /// Panel width: the `nr` of the micro-kernel these panels feed.
+    nr: usize,
+}
 
+impl QPanels {
+    /// Packs the `[c·kernel², n]` weight matrix of an int8 convolution, its
+    /// rows in [`crate::im2col_i8`]'s `(c, ky, kx)` order, for the
+    /// `(ky, kx, c)` order of a [`QHalo`] with `c` rounded up to even (the
+    /// extra channel's rows are zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight_t.len() != c·kernel²·n` or the padded shared
+    /// dimension `kernel² · (c rounded up to even)` exceeds [`QGEMM_MAX_K`].
+    pub fn conv(weight_t: &[i8], c: usize, kernel: usize, n: usize) -> Self {
+        Self::conv_for(qkernel_config().nr, weight_t, c, kernel, n)
+    }
+
+    /// Output columns of the product.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    fn conv_for(nr: usize, weight_t: &[i8], c: usize, kernel: usize, n: usize) -> Self {
+        let (taps, even_c) = (kernel * kernel, c.div_ceil(2) * 2);
+        // Refused before the reorder allocates anything.
+        check_depth(taps * even_c);
+        assert_eq!(
+            weight_t.len(),
+            c * taps * n,
+            "conv weight length must be c*kernel*kernel*n"
+        );
+        let mut b = vec![0i8; taps * even_c * n];
+        for ch in 0..c {
+            for tap in 0..taps {
+                let (src, dst) = (ch * taps + tap, tap * even_c + ch);
+                b[dst * n..(dst + 1) * n].copy_from_slice(&weight_t[src * n..(src + 1) * n]);
+            }
+        }
+        Self::pack_for(nr, &b, taps * even_c, n)
+    }
+
+    /// Packs the row-major `[k, n]` right operand into panels `nr` wide.
+    fn pack_for(nr: usize, b: &[i8], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "qgemm_nn rhs length must be k*n");
+        check_depth(k.div_ceil(2) * 2);
+        let k2 = k.div_ceil(2);
+        let panels = n.div_ceil(nr);
+        let mut data = vec![0i16; panels * k2 * nr * 2];
+        for jp in 0..panels {
+            let j0 = jp * nr;
+            let cols = nr.min(n - j0);
+            let panel = &mut data[jp * k2 * nr * 2..(jp + 1) * k2 * nr * 2];
+            for p in 0..k {
+                let sliver = &mut panel[(p / 2) * nr * 2..(p / 2 + 1) * nr * 2];
+                let row = &b[p * n + j0..p * n + j0 + cols];
+                for (slot, &v) in sliver[p % 2..].iter_mut().step_by(2).zip(row) {
+                    *slot = v as i16;
+                }
+            }
+        }
+        Self { data, k2, n, nr }
+    }
+}
+
+/// Panics if a (padded) shared dimension could overflow an `i32`
+/// accumulator.
+fn check_depth(k: usize) {
+    assert!(
+        k <= QGEMM_MAX_K,
+        "qgemm shared dimension {k} exceeds the i32-overflow bound {QGEMM_MAX_K}"
+    );
+}
+
+/// The left operand of one register tile, read in place from a [`QHalo`]:
+/// tile row `r` reads shared-dimension pair `p` as the two lanes of pair
+/// `rows[r] + (p / run_len) · run_stride + p % run_len`, for `p` in the
+/// cache block `p0..p0 + kc2`.
+#[derive(Clone, Copy)]
+struct QLhs<'a> {
+    lanes: &'a [i16],
+    /// Each tile row's first pair; rows past the ragged edge repeat the last
+    /// valid one.
+    rows: &'a [usize],
+    run_len: usize,
+    run_stride: usize,
+    p0: usize,
+    kc2: usize,
+}
+
+impl QLhs<'_> {
+    /// Panics unless every run of every row of the block lies inside
+    /// `lanes` — the one check the AVX2 kernel's unchecked reads rest on.
+    /// A run is never longer than the stride between runs, so the block's
+    /// last pair in the farthest row is the farthest pair read.
+    fn assert_covers(self) {
+        let covered = self.kc2 > 0 && !self.rows.is_empty() && {
+            let (far_row, last) = (self.rows.iter().max().copied(), self.p0 + self.kc2 - 1);
+            let far = far_row.unwrap_or(0) + (last / self.run_len) * self.run_stride;
+            far + last % self.run_len < self.lanes.len() / 2
+        };
+        assert!(covered, "an int8 lhs tile runs past its halo");
+    }
+
+    /// The block as contiguous runs: `(pair offset within a row, pair index
+    /// within the block, length)`.
+    #[inline(always)]
+    fn runs(self) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (end, mut p) = (self.p0 + self.kc2, self.p0);
+        std::iter::from_fn(move || {
+            (p < end).then(|| {
+                let (run, at) = (p / self.run_len, p % self.run_len);
+                let len = (self.run_len - at).min(end - p);
+                let next = (run * self.run_stride + at, p - self.p0, len);
+                p += len;
+                next
+            })
+        })
+    }
+}
+
+/// One register-tile update: accumulate `tile_rows x cols` over the pairs
+/// of `a`'s block into `c` (leading dimension `ldc`). The B panel holds, per
+/// pair, `nr` column pairs as interleaved `i16`.
+type QMicroKernelFn =
+    fn(a: QLhs, bpanel: &[i16], c: &mut [i32], ldc: usize, tile_rows: usize, cols: usize);
+
+/// The micro-kernel picked for this host, with its register-tile geometry.
 #[derive(Clone, Copy)]
 struct QKernelConfig {
     mr: usize,
@@ -460,32 +612,42 @@ struct QKernelConfig {
     micro: QMicroKernelFn,
 }
 
-/// Picks the widest int8 micro-kernel the host supports.
-fn qkernel_config() -> QKernelConfig {
+/// The portable int8 kernel: what every host can run, and what hosts without
+/// AVX2 do run.
+const PORTABLE_QKERNEL: QKernelConfig = QKernelConfig {
+    mr: QMR,
+    nr: QNR,
+    micro: portable_qmicrokernel,
+};
+
+/// The AVX2 int8 kernel, if this host reports AVX2.
+fn avx2_qkernel() -> Option<QKernelConfig> {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            return QKernelConfig {
+            return Some(QKernelConfig {
                 mr: qavx2::MR,
                 nr: qavx2::NR,
                 micro: qavx2::microkernel,
-            };
+            });
         }
     }
-    QKernelConfig {
-        mr: QMR,
-        nr: QNR,
-        micro: portable_qmicrokernel,
-    }
+    None
+}
+
+/// Picks the widest int8 micro-kernel the host supports.
+fn qkernel_config() -> QKernelConfig {
+    avx2_qkernel().unwrap_or(PORTABLE_QKERNEL)
 }
 
 /// `C = A·B` for row-major `a: [m,k]` of `i8` and `b: [k,n]` of `i8`,
 /// returning row-major `[m,n]` of exact `i32` sums.
 ///
-/// Serial below [`QPAR_THRESHOLD`] multiply-accumulates, parallel above; use
-/// [`qgemm_nn_with`] to force either path. All code paths (packed AVX2,
-/// packed portable, small-product loop, serial, parallel) produce
-/// bit-identical results because integer accumulation is exact.
+/// The 1×1 case of the int8 convolution driver ([`qconv`]): `a` is the NHWC
+/// batch `[m, 1, 1, k]`. Serial below [`QPAR_THRESHOLD`]
+/// multiply-accumulates, parallel above; use [`qgemm_nn_with`] to force
+/// either path. Every path produces bit-identical results because integer
+/// accumulation is exact.
 ///
 /// # Panics
 ///
@@ -518,28 +680,62 @@ pub fn qgemm_nn_with(
     n: usize,
     par: Parallelism,
 ) -> Vec<i32> {
-    assert_eq!(a.len(), m * k, "qgemm_nn lhs length must be m*k");
-    assert_eq!(b.len(), k * n, "qgemm_nn rhs length must be k*n");
-    assert!(
-        k <= QGEMM_MAX_K,
-        "qgemm_nn shared dimension {k} exceeds the i32-overflow bound {QGEMM_MAX_K}"
-    );
-    let mut out = vec![0i32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return out;
-    }
-    if k * n < QSMALL_THRESHOLD {
-        qgemm_small(a, b, m, k, n, &mut out);
-        return out;
-    }
     let cfg = qkernel_config();
-    let bp = pack_b_q(b, k, n, cfg.nr);
-    let kc2_total = k.div_ceil(2);
+    let b = QPanels::pack_for(cfg.nr, b, k, n);
+    qproduct(cfg, &matrix_halo(a, m, k), &b, par)
+}
 
-    let (want_parallel, band_rows) = qband_plan(par, m, k, n, cfg.mr);
-    chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
-        let (row0, rows) = (index * band_rows, band.len() / n);
-        qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, band);
+/// The `[m, k]` matrix `a` as the NHWC batch `[m, 1, 1, k]`.
+fn matrix_halo(a: &[i8], m: usize, k: usize) -> QHalo {
+    assert_eq!(a.len(), m * k, "qgemm_nn lhs length must be m*k");
+    QHalo::lower(a, m, k, 1, 1, Conv2dGeometry::new(1, 1, 0))
+}
+
+/// The int8 convolution: `C = A·B` with `A` the column matrix of the halo's
+/// convolution read in place (one row per output position `(n, oy, ox)`)
+/// and `B` its packed weights, returning row-major `[rows, cols]` of exact
+/// `i32` sums — the product [`crate::im2col_i8`] followed by [`qgemm_nn`]
+/// computes, without the column matrix.
+///
+/// # Panics
+///
+/// Panics if the operands disagree on the shared dimension (the halo's
+/// geometry or channel count is not the weights').
+pub fn qconv(halo: &QHalo, weights: &QPanels) -> Vec<i32> {
+    qproduct(qkernel_config(), halo, weights, Parallelism::Auto)
+}
+
+/// [`qgemm_nn_with`] / [`qconv`] under an explicit micro-kernel.
+fn qproduct(cfg: QKernelConfig, a: &QHalo, b: &QPanels, par: Parallelism) -> Vec<i32> {
+    qdrive(cfg, a, b, par, |row0, band: &mut [i32]| {
+        qgemm_band(cfg, a, b, row0, band);
+    })
+}
+
+/// The one int8 product driver: checks that the operands fit, sizes the
+/// output and hands each row band (`band(row0, out_rows)`) to the pool or
+/// runs it inline. Each band computes its rows with [`qgemm_band`].
+fn qdrive<T: Copy + Default + Send>(
+    cfg: QKernelConfig,
+    a: &QHalo,
+    b: &QPanels,
+    par: Parallelism,
+    band: impl Fn(usize, &mut [T]) + Sync,
+) -> Vec<T> {
+    assert_eq!(
+        a.depth(),
+        2 * b.k2,
+        "int8 product operands disagree on the shared dimension"
+    );
+    assert_eq!(b.nr, cfg.nr, "int8 panels packed for another micro-kernel");
+    let (m, n) = (a.rows(), b.n);
+    let mut out = vec![T::default(); m * n];
+    if m == 0 || n == 0 {
+        return out;
+    }
+    let (want_parallel, band_rows) = qband_plan(par, m, a.depth(), n, cfg.mr);
+    chunks_mut(&mut out, band_rows * n, want_parallel, |index, rows| {
+        band(index * band_rows, rows);
     });
     out
 }
@@ -588,9 +784,6 @@ pub struct QGemmEpilogue<'a> {
 /// Converts one band of `i32` accumulators (rows `row0..row0+rows` of the
 /// product) into `f32` through the fused epilogue.
 fn dequant_band(acc: &[i32], row0: usize, n: usize, ep: &QGemmEpilogue, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
     for (r, (arow, orow)) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)).enumerate() {
         let s = ep.row_scales[row0 + r];
         match ep.bias {
@@ -637,204 +830,111 @@ pub fn qgemm_nn_dequant(
     par: Parallelism,
     ep: QGemmEpilogue,
 ) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "qgemm_nn lhs length must be m*k");
-    assert_eq!(b.len(), k * n, "qgemm_nn rhs length must be k*n");
-    assert!(
-        k <= QGEMM_MAX_K,
-        "qgemm_nn shared dimension {k} exceeds the i32-overflow bound {QGEMM_MAX_K}"
-    );
+    let cfg = qkernel_config();
+    let b = QPanels::pack_for(cfg.nr, b, k, n);
+    qproduct_dequant(cfg, &matrix_halo(a, m, k), &b, par, ep)
+}
+
+/// [`qgemm_nn_dequant`] under an explicit micro-kernel.
+fn qproduct_dequant(
+    cfg: QKernelConfig,
+    a: &QHalo,
+    b: &QPanels,
+    par: Parallelism,
+    ep: QGemmEpilogue,
+) -> Vec<f32> {
     assert_eq!(
         ep.row_scales.len(),
-        m,
+        a.rows(),
         "epilogue row_scales length must be m"
     );
     if let Some(bias) = ep.bias {
-        assert_eq!(bias.len(), n, "epilogue bias length must be n");
+        assert_eq!(bias.len(), b.n, "epilogue bias length must be n");
     }
-    let mut out = vec![0.0f32; m * n];
-    if m == 0 || n == 0 {
-        return out;
-    }
-    if k == 0 || k * n < QSMALL_THRESHOLD {
-        // Small products: integer triple loop into a reusable one-row
-        // accumulator, dequantized row by row.
-        let mut acc = vec![0i32; n];
-        for i in 0..m {
-            acc.fill(0);
-            qgemm_small(&a[i * k..(i + 1) * k], b, 1, k, n, &mut acc);
-            dequant_band(&acc, i, n, &ep, &mut out[i * n..(i + 1) * n]);
-        }
-        return out;
-    }
-    let cfg = qkernel_config();
-    let bp = pack_b_q(b, k, n, cfg.nr);
-    let kc2_total = k.div_ceil(2);
-
     // Each band accumulates into an i32 scratch of its own and is
     // dequantized into its rows of the output right after (still
     // cache-resident).
-    let (want_parallel, band_rows) = qband_plan(par, m, k, n, cfg.mr);
-    chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
-        let (row0, rows) = (index * band_rows, band.len() / n);
-        let mut acc = vec![0i32; rows * n];
-        qgemm_band(a, &bp, row0, rows, k, kc2_total, n, cfg, &mut acc);
-        dequant_band(&acc, row0, n, &ep, band);
-    });
-    out
+    qdrive(cfg, a, b, par, |row0, band: &mut [f32]| {
+        let mut acc = vec![0i32; band.len()];
+        qgemm_band(cfg, a, b, row0, &mut acc);
+        dequant_band(&acc, row0, b.n, &ep, band);
+    })
 }
 
-/// Plain triple loop for products too small to amortise packing.
-fn qgemm_small(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a_ip = a[i * k + p] as i32;
-            if a_ip == 0 {
-                // Exact in integers: skipping a zero term cannot change the sum.
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * bv as i32;
-            }
-        }
-    }
-}
+/// Computes the product rows `row0..` that `band` (`rows x n`, at most
+/// [`QMC`] rows) holds, blocking the shared dimension by [`QKC`]. Nothing is
+/// copied: each tile's micro-kernel reads the halo where it lies, through
+/// the row offsets worked out once here.
+fn qgemm_band(cfg: QKernelConfig, a: &QHalo, b: &QPanels, row0: usize, band: &mut [i32]) {
+    let (mr, nr, n) = (cfg.mr, cfg.nr, b.n);
+    let rows = band.len() / n;
+    let tiles = rows.div_ceil(mr);
+    // Room for a band and a ragged tile of any micro-kernel's height; the
+    // missing rows of that tile repeat the last valid one, so every read
+    // stays inside what `QLhs::assert_covers` vouches for.
+    let mut offsets = [0usize; QMC + 8];
+    a.row_offsets(row0, &mut offsets[..rows]);
+    let last = offsets[rows - 1];
+    offsets[rows..tiles * mr].fill(last);
+    let (run_len, run_stride) = a.run_shape();
 
-/// Packs the `[k,n]` right operand into `nr`-column panels of sign-extended
-/// `i16`, with the `k` dimension interleaved in pairs.
-///
-/// Panel `jp` occupies `bp[jp*kc2*nr*2..]`; within it, `k`-pair `p` stores
-/// columns `jp*nr..jp*nr+nr` as `[b[2p][j], b[2p+1][j]]` pairs — exactly the
-/// operand layout `vpmaddwd` consumes. Ragged edges (odd `k`, `n` not a
-/// multiple of `nr`) are zero-padded.
-fn pack_b_q(b: &[i8], k: usize, n: usize, nr: usize) -> Vec<i16> {
-    let kc2 = k.div_ceil(2);
-    let panels = n.div_ceil(nr);
-    let mut bp = vec![0i16; panels * kc2 * nr * 2];
-    for jp in 0..panels {
-        let j0 = jp * nr;
-        let cols = nr.min(n - j0);
-        let panel = &mut bp[jp * kc2 * nr * 2..(jp + 1) * kc2 * nr * 2];
-        for p in 0..kc2 {
-            let sliver = &mut panel[p * nr * 2..(p + 1) * nr * 2];
-            let row0 = &b[(2 * p) * n..(2 * p) * n + n];
-            for (c, slot) in sliver.chunks_exact_mut(2).take(cols).enumerate() {
-                slot[0] = row0[j0 + c] as i16;
-            }
-            if 2 * p + 1 < k {
-                let row1 = &b[(2 * p + 1) * n..(2 * p + 1) * n + n];
-                for (c, slot) in sliver.chunks_exact_mut(2).take(cols).enumerate() {
-                    slot[1] = row1[j0 + c] as i16;
-                }
-            }
-        }
-    }
-    bp
-}
-
-/// Computes `rows` output rows starting at `row0` into `band`, blocking the
-/// shared dimension by [`QKC`] and packing A row panels on the fly as `i32`
-/// words of sign-extended `i16` pairs.
-#[allow(clippy::too_many_arguments)]
-fn qgemm_band(
-    a: &[i8],
-    bp: &[i16],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    kc2_total: usize,
-    n: usize,
-    cfg: QKernelConfig,
-    band: &mut [i32],
-) {
-    let (mr, nr) = (cfg.mr, cfg.nr);
-    let row_panels = rows.div_ceil(mr);
-    let col_panels = n.div_ceil(nr);
-    // Sized by the widest block actually packed: the demo bodies' k = 144
-    // needs 56 % of a QKC-wide buffer, and a serving thread's arena keeps
-    // whatever this scratch peaked at (docs/PERFORMANCE.md, "Memory"). The
-    // f32 kernel has no counterpart: it reads its left operand in place.
-    let mut apack = vec![0i32; row_panels * QKC.min(k).div_ceil(2) * mr];
-
-    let mut pc = 0; // shared-dimension offset, in k units (always even)
-    while pc < k {
-        let kc = QKC.min(k - pc);
-        let kc2 = kc.div_ceil(2);
-        // Pack row-major: each valid row reads its contiguous k-slice once
-        // and scatters pair words at stride `mr`, which keeps the per-element
-        // cost to a couple of ALU ops (no bounds checks in the pair loop).
-        for ir in 0..row_panels {
-            let panel = &mut apack[ir * kc2 * mr..(ir + 1) * kc2 * mr];
-            for r in 0..mr {
-                let i = row0 + ir * mr + r;
-                if i >= row0 + rows {
-                    for p in 0..kc2 {
-                        panel[p * mr + r] = 0;
-                    }
-                    continue;
-                }
-                let row = &a[i * k + pc..i * k + pc + kc];
-                let mut chunks = row.chunks_exact(2);
-                for (p, pair) in chunks.by_ref().enumerate() {
-                    let a0 = pair[0] as i16 as u16 as u32;
-                    let a1 = pair[1] as i16 as u16 as u32;
-                    panel[p * mr + r] = (a0 | (a1 << 16)) as i32;
-                }
-                if let [last] = *chunks.remainder() {
-                    panel[(kc2 - 1) * mr + r] = last as i16 as u16 as u32 as i32;
-                }
-            }
-        }
-        let p2_0 = pc / 2; // pair offset of this KC block in the packed B
-        for jp in 0..col_panels {
-            let panel_base = jp * kc2_total * nr * 2;
-            let bpanel = &bp[panel_base + p2_0 * nr * 2..panel_base + (p2_0 + kc2) * nr * 2];
+    let mut p0 = 0; // shared-dimension offset, in pairs
+    while p0 < b.k2 {
+        let kc2 = (QKC / 2).min(b.k2 - p0);
+        for jp in 0..n.div_ceil(nr) {
+            let panel = &b.data[(jp * b.k2 + p0) * nr * 2..(jp * b.k2 + p0 + kc2) * nr * 2];
             let j0 = jp * nr;
-            let cols = nr.min(n - j0);
-            for ir in 0..row_panels {
-                let apanel = &apack[ir * kc2 * mr..(ir + 1) * kc2 * mr];
+            for ir in 0..tiles {
                 let r0 = ir * mr;
-                let tile_rows = mr.min(rows - r0);
-                (cfg.micro)(
-                    apanel,
-                    bpanel,
+                let tile = QLhs {
+                    lanes: a.lanes(),
+                    rows: &offsets[r0..r0 + mr],
+                    run_len,
+                    run_stride,
+                    p0,
                     kc2,
+                };
+                (cfg.micro)(
+                    tile,
+                    panel,
                     &mut band[r0 * n + j0..],
                     n,
-                    tile_rows,
-                    cols,
+                    mr.min(rows - r0),
+                    nr.min(n - j0),
                 );
             }
         }
-        pc += kc;
+        p0 += kc2;
     }
 }
 
-/// Accumulates a [`QMR`]`×`[`QNR`] register tile over `kc2` shared-dimension
-/// pairs and adds the valid region into `c`. Pure safe Rust.
+/// Accumulates a [`QMR`]`×`[`QNR`] register tile over the pairs of `a`'s
+/// block and adds the valid region into `c`. Pure safe Rust; it checks its
+/// tile like the AVX2 kernel does, so both refuse the same operands.
 fn portable_qmicrokernel(
-    apanel: &[i32],
+    a: QLhs,
     bpanel: &[i16],
-    kc2: usize,
     c: &mut [i32],
     ldc: usize,
     tile_rows: usize,
     cols: usize,
 ) {
+    a.assert_covers();
+    let row: [usize; QMR] = a.rows.try_into().expect("QMR row offsets");
     let mut acc = [[0i32; QNR]; QMR];
-    for p in 0..kc2 {
-        let av: &[i32; QMR] = apanel[p * QMR..(p + 1) * QMR]
-            .try_into()
-            .expect("QMR sliver");
-        let bv: &[i16; QNR * 2] = bpanel[p * QNR * 2..(p + 1) * QNR * 2]
-            .try_into()
-            .expect("QNR sliver");
-        for r in 0..QMR {
-            let a0 = av[r] as i16 as i32;
-            let a1 = av[r] >> 16;
-            for (j, slot) in acc[r].iter_mut().enumerate() {
-                *slot += a0 * bv[2 * j] as i32 + a1 * bv[2 * j + 1] as i32;
+    for (at, bat, len) in a.runs() {
+        for q in 0..len {
+            let bv: &[i16; QNR * 2] = bpanel[(bat + q) * QNR * 2..(bat + q + 1) * QNR * 2]
+                .try_into()
+                .expect("QNR sliver");
+            for (row_acc, &start) in acc.iter_mut().zip(&row) {
+                // Checked: unlike the f32 kernel's, an unchecked read here
+                // measured no faster.
+                let pair = 2 * (start + at + q);
+                let (a0, a1) = (a.lanes[pair] as i32, a.lanes[pair + 1] as i32);
+                for (j, slot) in row_acc.iter_mut().enumerate() {
+                    *slot += a0 * bv[2 * j] as i32 + a1 * bv[2 * j + 1] as i32;
+                }
             }
         }
     }
@@ -847,11 +947,13 @@ fn portable_qmicrokernel(
 }
 
 /// AVX2 int8 micro-kernel: a 6×16 register tile of `i32` accumulators fed by
-/// `vpmaddwd` over sign-extended `i16` pairs. Exact — the largest pair sum is
-/// `2·127² = 32258`, well inside `i16`-product `i32` range, so unlike the
-/// `vpmaddubsw` formulation there is no saturation to work around.
+/// `vpmaddwd` over `i16` pairs broadcast from their six source rows. Exact —
+/// the largest pair sum is `2·127² = 32258`, well inside `i16`-product
+/// `i32` range, so unlike the `vpmaddubsw` formulation there is no
+/// saturation to work around.
 #[cfg(target_arch = "x86_64")]
 mod qavx2 {
+    use super::QLhs;
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setzero_si256, _mm256_storeu_si256,
@@ -863,41 +965,58 @@ mod qavx2 {
     pub(super) const NR: usize = 16;
 
     /// Safe entry point matching [`super::QMicroKernelFn`]. Only reachable
-    /// through [`super::qkernel_config`], which verifies AVX2 first.
+    /// through [`super::avx2_qkernel`], which verifies AVX2 first.
     pub(super) fn microkernel(
-        apanel: &[i32],
+        a: QLhs,
         bpanel: &[i16],
-        kc2: usize,
         c: &mut [i32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
-        debug_assert!(apanel.len() >= kc2 * MR && bpanel.len() >= kc2 * NR * 2);
-        unsafe { microkernel_impl(apanel, bpanel, kc2, c, ldc, tile_rows, cols) }
+        a.assert_covers();
+        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && cols <= NR);
+        assert!(bpanel.len() >= a.kc2 * NR * 2 && c.len() >= (tile_rows - 1) * ldc + cols);
+        // SAFETY: AVX2 is present (see above). The asserts are what
+        // `microkernel_impl` requires of its caller.
+        unsafe { microkernel_impl(a, bpanel, c, ldc, tile_rows, cols) }
     }
 
+    /// # Safety
+    ///
+    /// The host must support AVX2; `a` must cover its block
+    /// ([`QLhs::assert_covers`]) with `MR` row offsets and
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc2 * NR * 2` values; and
+    /// `c` must hold `(tile_rows - 1) * ldc + cols` with `cols <= NR`.
     #[target_feature(enable = "avx2")]
     unsafe fn microkernel_impl(
-        apanel: &[i32],
+        a: QLhs,
         bpanel: &[i16],
-        kc2: usize,
         c: &mut [i32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
         let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        let ap = apanel.as_ptr();
+        // Each row's pairs as (possibly unaligned) `i32` words, low lane
+        // first: x86-64 is little-endian.
+        let mut row = [a.lanes.as_ptr().cast::<i32>(); MR];
+        for (start, &offset) in row.iter_mut().zip(a.rows) {
+            *start = start.add(offset);
+        }
         let bpp = bpanel.as_ptr();
-        for p in 0..kc2 {
-            // 16 interleaved i16 = 8 column pairs; two loads cover 16 columns.
-            let b0 = _mm256_loadu_si256(bpp.add(p * NR * 2) as *const __m256i);
-            let b1 = _mm256_loadu_si256(bpp.add(p * NR * 2 + 16) as *const __m256i);
-            for (r, row_acc) in acc.iter_mut().enumerate() {
-                let va = _mm256_set1_epi32(*ap.add(p * MR + r));
-                row_acc[0] = _mm256_add_epi32(row_acc[0], _mm256_madd_epi16(va, b0));
-                row_acc[1] = _mm256_add_epi32(row_acc[1], _mm256_madd_epi16(va, b1));
+        for (at, bat, len) in a.runs() {
+            for q in 0..len {
+                // 16 interleaved i16 = 8 column pairs; two loads cover 16
+                // columns.
+                let bq = bpp.add((bat + q) * NR * 2);
+                let b0 = _mm256_loadu_si256(bq as *const __m256i);
+                let b1 = _mm256_loadu_si256(bq.add(16) as *const __m256i);
+                for (row_acc, start) in acc.iter_mut().zip(row) {
+                    let va = _mm256_set1_epi32(start.add(at + q).read_unaligned());
+                    row_acc[0] = _mm256_add_epi32(row_acc[0], _mm256_madd_epi16(va, b0));
+                    row_acc[1] = _mm256_add_epi32(row_acc[1], _mm256_madd_epi16(va, b1));
+                }
             }
         }
         if tile_rows == MR && cols == NR {
@@ -1044,28 +1163,60 @@ mod tests {
         assert_eq!(stacked.sample_len(), 3);
     }
 
+    /// Every int8 kernel this host can execute, named. On an AVX2 host
+    /// `qkernel_config` never hands out the portable kernel, so only tests
+    /// that iterate this list run it there.
+    fn kernels() -> Vec<(&'static str, QKernelConfig)> {
+        let mut all = vec![("portable", PORTABLE_QKERNEL)];
+        all.extend(avx2_qkernel().map(|cfg| ("avx2", cfg)));
+        all
+    }
+
+    /// [`qgemm_nn_with`] under an explicit micro-kernel.
+    fn qgemm_under(
+        cfg: QKernelConfig,
+        a: &[i8],
+        b: &[i8],
+        (m, k, n): (usize, usize, usize),
+        par: Parallelism,
+    ) -> Vec<i32> {
+        qproduct(
+            cfg,
+            &matrix_halo(a, m, k),
+            &QPanels::pack_for(cfg.nr, b, k, n),
+            par,
+        )
+    }
+
     #[test]
     fn qgemm_matches_the_naive_oracle_on_blocked_shapes() {
-        for &(m, k, n) in &[(40, 41, 43), (5, QKC + 7, 9), (1, 700, 2), (70, 33, 37)] {
-            let a = pseudo_i8(m * k, (m * 31 + k) as u64);
-            let b = pseudo_i8(k * n, (n * 17 + k) as u64);
-            let want = naive_qgemm(&a, &b, m, k, n);
-            assert_eq!(
-                qgemm_nn_with(&a, &b, m, k, n, Parallelism::Serial),
-                want,
-                "serial mismatch at {m}x{k}x{n}"
-            );
-            assert_eq!(
-                qgemm_nn_with(&a, &b, m, k, n, Parallelism::Parallel),
-                want,
-                "parallel mismatch at {m}x{k}x{n}"
-            );
+        for (name, cfg) in kernels() {
+            for &(m, k, n) in &[(40, 41, 43), (5, QKC + 7, 9), (1, 700, 2), (70, 33, 37)] {
+                let a = pseudo_i8(m * k, (m * 31 + k) as u64);
+                let b = pseudo_i8(k * n, (n * 17 + k) as u64);
+                let want = naive_qgemm(&a, &b, m, k, n);
+                for par in [Parallelism::Serial, Parallelism::Parallel] {
+                    let got = qgemm_under(cfg, &a, &b, (m, k, n), par);
+                    assert_eq!(got, want, "{name} {par:?} mismatch at {m}x{k}x{n}");
+                }
+            }
         }
+        let (a, b) = (pseudo_i8(40 * 41, 1), pseudo_i8(41 * 43, 2));
+        assert_eq!(
+            qgemm_nn(&a, &b, 40, 41, 43),
+            naive_qgemm(&a, &b, 40, 41, 43)
+        );
     }
 
     #[test]
     fn qgemm_empty_dimensions_yield_zero_filled_output() {
-        assert_eq!(qgemm_nn(&[], &[], 0, 0, 0), Vec::<i32>::new());
+        for (name, cfg) in kernels() {
+            for (m, k, n) in [(0, 0, 0), (2, 0, 3), (0, 3, 2), (2, 3, 0)] {
+                let (a, b) = (pseudo_i8(m * k, 3), pseudo_i8(k * n, 4));
+                let got = qgemm_under(cfg, &a, &b, (m, k, n), Parallelism::Serial);
+                assert_eq!(got, vec![0; m * n], "{name} {m}x{k}x{n}");
+            }
+        }
         assert_eq!(qgemm_nn(&[], &[], 2, 0, 3), vec![0; 6]);
     }
 
@@ -1073,6 +1224,105 @@ mod tests {
     #[should_panic(expected = "i32-overflow bound")]
     fn qgemm_rejects_overflow_prone_k() {
         let _ = qgemm_nn(&[], &[], 0, QGEMM_MAX_K + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "i32-overflow bound")]
+    fn a_conv_whose_padded_depth_passes_the_bound_is_refused() {
+        // 14563 channels x 9 taps = 131067 <= QGEMM_MAX_K, but the halo
+        // rounds the channels up to 14564, and 9 x 14564 = 131076 is not.
+        let c = 14563;
+        assert!(9 * c <= QGEMM_MAX_K && 9 * (c + 1) > QGEMM_MAX_K);
+        let _ = QPanels::conv(&[], c, 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past its halo")]
+    fn a_tile_reading_past_its_halo_is_refused_before_any_read() {
+        // Rows 0 and 4 of a 6-pair halo, pairs 0..3 in runs of 2, 3 apart:
+        // the last pair of row 4 is pair 4 + 3 + 0 = 7.
+        let (lanes, rows) = ([0i16; 12], [0, 4, 4, 4]);
+        let tile = QLhs {
+            lanes: &lanes,
+            rows: &rows,
+            run_len: 2,
+            run_stride: 3,
+            p0: 0,
+            kc2: 3,
+        };
+        portable_qmicrokernel(tile, &[0; 3 * QNR * 2], &mut [0; QNR], QNR, 1, QNR);
+    }
+
+    /// `im2col_i8` then the naive product: the convolution the halo driver
+    /// must reproduce, with `weight_t` in the column matrix's `(c, ky, kx)`
+    /// row order.
+    fn im2col_oracle(
+        x: &[i8],
+        [b, c, h, w]: [usize; 4],
+        geom: Conv2dGeometry,
+        weight_t: &[i8],
+        n: usize,
+    ) -> Vec<i32> {
+        let m = b * geom.output_extent(h) * geom.output_extent(w);
+        let k = c * geom.kernel * geom.kernel;
+        naive_qgemm(&crate::im2col_i8(x, b, c, h, w, geom), weight_t, m, k, n)
+    }
+
+    #[test]
+    fn qconv_equals_im2col_i8_then_the_naive_product_under_both_kernels() {
+        // Odd channel counts exercise the even-channel pad, out-channels
+        // the ragged panels of both kernels (8 and 16 wide), spatial extents
+        // 1-9 give row counts that are no multiple of either tile height (4,
+        // 6), and batch 0 is the empty product.
+        let mut seed = 0;
+        for (name, cfg) in kernels() {
+            for (kernel, stride, padding) in [1, 3].into_iter().flat_map(|k| {
+                [1, 2]
+                    .into_iter()
+                    .flat_map(move |s| [0, 1, 2].map(|p| (k, s, p)))
+            }) {
+                let geom = Conv2dGeometry::new(kernel, stride, padding);
+                for c in [1, 3, 16, 33] {
+                    for n in [1, 16, 17, 40] {
+                        seed += 1;
+                        let weight_t = pseudo_i8(c * kernel * kernel * n, seed);
+                        let panels = QPanels::conv_for(cfg.nr, &weight_t, c, kernel, n);
+                        // Non-square 1-9 (the width runs 9..1 against the
+                        // height), and the one-pixel image.
+                        let extents = (1..=9).map(|h| (h, 10 - h)).chain([(1, 1)]);
+                        for (spatial, (h, w)) in extents.enumerate() {
+                            if h.min(w) + 2 * padding < kernel {
+                                continue;
+                            }
+                            for b in [0, 1, 3] {
+                                let x = pseudo_i8(b * c * h * w, seed * 31 + spatial as u64);
+                                let halo = QHalo::lower(&x, b, c, h, w, geom);
+                                let par = if b == 3 {
+                                    Parallelism::Parallel
+                                } else {
+                                    Parallelism::Serial
+                                };
+                                assert_eq!(
+                                    qproduct(cfg, &halo, &panels, par),
+                                    im2col_oracle(&x, [b, c, h, w], geom, &weight_t, n),
+                                    "{name} k{kernel} s{stride} p{padding} {b}x{c}x{h}x{w} -> {n}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // Deeper than QKC (9 x 62 = 558): a cache block ends inside a run.
+            let (geom, c, n, h, w, b) = (Conv2dGeometry::new(3, 1, 1), 61, 17, 5, 4, 2);
+            let (weight_t, x) = (pseudo_i8(c * 9 * n, 7), pseudo_i8(b * c * h * w, 8));
+            let panels = QPanels::conv_for(cfg.nr, &weight_t, c, 3, n);
+            let halo = QHalo::lower(&x, b, c, h, w, geom);
+            assert_eq!(
+                qproduct(cfg, &halo, &panels, Parallelism::Serial),
+                im2col_oracle(&x, [b, c, h, w], geom, &weight_t, n),
+                "{name} deeper than QKC"
+            );
+        }
     }
 
     #[test]
@@ -1097,15 +1347,14 @@ mod tests {
     /// The reference the fused kernel must match bit-for-bit: integer
     /// product, then the eager layers' dequant expression per element.
     fn separate_dequant(
+        cfg: QKernelConfig,
         a: &[i8],
         b: &[i8],
-        m: usize,
-        k: usize,
-        n: usize,
+        (m, k, n): (usize, usize, usize),
         par: Parallelism,
         ep: &QGemmEpilogue,
     ) -> Vec<f32> {
-        let acc = qgemm_nn_with(a, b, m, k, n, par);
+        let acc = qgemm_under(cfg, a, b, (m, k, n), par);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -1120,27 +1369,48 @@ mod tests {
         out
     }
 
+    /// [`qgemm_nn_dequant`] under an explicit micro-kernel.
+    fn dequant_under(
+        cfg: QKernelConfig,
+        a: &[i8],
+        b: &[i8],
+        (m, k, n): (usize, usize, usize),
+        par: Parallelism,
+        ep: QGemmEpilogue,
+    ) -> Vec<f32> {
+        let b = QPanels::pack_for(cfg.nr, b, k, n);
+        qproduct_dequant(cfg, &matrix_halo(a, m, k), &b, par, ep)
+    }
+
     #[test]
     fn fused_dequant_is_bit_exact_on_every_code_path() {
-        // Shapes straddle the small-product threshold and the parallel band
-        // split; scales/bias exercise every epilogue combination.
-        for &(m, k, n) in &[(3, 5, 7), (40, 41, 43), (70, 160, 96), (1, 700, 2)] {
+        // Shapes straddle the tile edges and the parallel band split;
+        // scales/bias exercise every epilogue combination.
+        for &(m, k, n) in &[
+            (3, 5, 7),
+            (40, 41, 43),
+            (70, 160, 96),
+            (1, 700, 2),
+            (2, 0, 3),
+        ] {
             let a = pseudo_i8(m * k, (m * 13 + n) as u64);
             let b = pseudo_i8(k * n, (k * 29 + m) as u64);
             let row_scales: Vec<f32> = (0..m).map(|i| 0.001 + i as f32 * 1e-4).collect();
             let bias: Vec<f32> = (0..n).map(|j| (j as f32 - n as f32 / 2.0) * 0.3).collect();
-            for par in [Parallelism::Serial, Parallelism::Parallel] {
-                for (use_bias, relu) in [(false, false), (true, false), (true, true)] {
-                    let ep = QGemmEpilogue {
-                        row_scales: &row_scales,
-                        bias: if use_bias { Some(&bias) } else { None },
-                        relu,
-                    };
-                    assert_eq!(
-                        qgemm_nn_dequant(&a, &b, m, k, n, par, ep),
-                        separate_dequant(&a, &b, m, k, n, par, &ep),
-                        "mismatch at {m}x{k}x{n} par={par:?} bias={use_bias} relu={relu}"
-                    );
+            for (name, cfg) in kernels() {
+                for par in [Parallelism::Serial, Parallelism::Parallel] {
+                    for (use_bias, relu) in [(false, false), (true, false), (true, true)] {
+                        let ep = QGemmEpilogue {
+                            row_scales: &row_scales,
+                            bias: if use_bias { Some(&bias) } else { None },
+                            relu,
+                        };
+                        assert_eq!(
+                            dequant_under(cfg, &a, &b, (m, k, n), par, ep),
+                            separate_dequant(cfg, &a, &b, (m, k, n), par, &ep),
+                            "{name} mismatch at {m}x{k}x{n} par={par:?} bias={use_bias} relu={relu}"
+                        );
+                    }
                 }
             }
         }
@@ -1149,21 +1419,18 @@ mod tests {
     #[test]
     fn fused_dequant_relu_clamps_negatives_to_positive_zero() {
         // -3 * 1 * 0.5 = -1.5 -> relu -> 0.0 (positive zero, as `max` gives).
-        let out = qgemm_nn_dequant(
-            &[-3, 3],
-            &[1],
-            2,
-            1,
-            1,
-            Parallelism::Serial,
-            QGemmEpilogue {
-                row_scales: &[0.5, 0.5],
-                bias: None,
-                relu: true,
-            },
-        );
+        let ep = QGemmEpilogue {
+            row_scales: &[0.5, 0.5],
+            bias: None,
+            relu: true,
+        };
+        for (name, cfg) in kernels() {
+            let out = dequant_under(cfg, &[-3, 3], &[1], (2, 1, 1), Parallelism::Serial, ep);
+            assert_eq!(out, vec![0.0, 1.5], "{name}");
+            assert!(out[0].is_sign_positive(), "{name}");
+        }
+        let out = qgemm_nn_dequant(&[-3, 3], &[1], 2, 1, 1, Parallelism::Serial, ep);
         assert_eq!(out, vec![0.0, 1.5]);
-        assert!(out[0].is_sign_positive());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use ensembler_tensor::gemm::{
     gemm_nn_with, gemm_nt_with, gemm_tn_with, Parallelism, MR, NR, SMALL_THRESHOLD,
 };
 use ensembler_tensor::gemm::{MC, PAR_THRESHOLD};
-use ensembler_tensor::quant::{qgemm_nn_with, QKC, QSMALL_THRESHOLD};
+use ensembler_tensor::quant::{qgemm_nn_with, QKC};
 use ensembler_tensor::{
     col2im, im2col, im2col_i8, Conv2dGeometry, QTensor, QTensorBatch, Rng, Tensor,
 };
@@ -488,8 +488,8 @@ proptest! {
     #[test]
     fn qgemm_matches_the_naive_i32_oracle((m, k, n) in gemm_shape(), seed in any::<u64>()) {
         // Same shape strategy as the f32 oracle suite: unit dims, ragged
-        // register-tile edges, both sides of the packing threshold. Integer
-        // accumulation is exact, so equality is bitwise on every path.
+        // register-tile edges, odd and even depths. Integer accumulation is
+        // exact, so equality is bitwise on every path.
         let mut rng = Rng::seed_from(seed);
         let a = fill_i8(m * k, &mut rng);
         let b = fill_i8(k * n, &mut rng);
@@ -502,7 +502,7 @@ proptest! {
     fn qgemm_edge_shapes_match_the_oracle(seed in any::<u64>()) {
         // Explicit degenerate and boundary shapes: empty dims, 1x1, odd k
         // (the kernel walks k in pairs), k spanning multiple KC blocks, and
-        // k*n straddling the small-product threshold.
+        // ragged and whole column panels.
         let mut rng = Rng::seed_from(seed);
         for (m, k, n) in [
             (0usize, 3usize, 4usize),
@@ -511,10 +511,9 @@ proptest! {
             (1, 1, 1),
             (2, 7, 3),
             (5, QKC + 3, 2),
-            (4, 33, 31), // k*n just below QSMALL_THRESHOLD: small-product loop
-            (4, 32, 32), // k*n exactly at the threshold: packed kernel
+            (4, 33, 31), // odd k, ragged last panel
+            (4, 32, 32), // whole panels
         ] {
-            assert!((k * n < QSMALL_THRESHOLD) == (k * n < 32 * 32));
             let a = fill_i8(m * k, &mut rng);
             let b = fill_i8(k * n, &mut rng);
             let want = naive_qgemm(&a, &b, m, k, n);
