@@ -156,19 +156,6 @@ pub trait Defense: Send + Sync + std::fmt::Debug {
     /// the single-network baselines). The latency model uses this.
     fn selected_count(&self) -> usize;
 
-    /// Compiles, on the calling thread, whatever execution plans this
-    /// pipeline would otherwise build lazily inside its first inference call.
-    ///
-    /// [`crate::InferenceEngine::new`] calls it, so a model's plans are built
-    /// where the model is installed — by the thread that binds a server or
-    /// performs a hot swap — and never by the worker that happens to serve
-    /// the first request (which would put the compile, and the plans' memory,
-    /// on the request path of that worker). The default does nothing: a
-    /// defence that compiles at construction ([`crate::QuantizedDefense`]'s
-    /// int8 plans) or evaluates its bodies elsewhere (a remote replica, a
-    /// shard router) has nothing to prepare.
-    fn compile_plans(&self) {}
-
     /// Computes the (protected) features the client transmits for a batch of
     /// `[B, C, H, W]` images.
     ///
@@ -391,7 +378,7 @@ pub(crate) fn serve_bodies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::tests::tiny_pipeline;
+    use crate::framework::tests::{tiny_pipeline, tiny_pipeline_with};
     use crate::QuantizedDefense;
     use ensembler_nn::{Layer, Mode, QSequential};
     use ensembler_tensor::QTensorBatch;
@@ -637,9 +624,9 @@ mod tests {
             stem_channels: config.stem_channels + 1,
             ..config
         };
-        let mut poisoned = tiny_pipeline(4, 2, 43);
-        poisoned.bodies_mut()[3] = build_body(&wide, &mut Rng::seed_from(1));
-        let poisoned: Arc<dyn Defense> = Arc::new(poisoned);
+        let poisoned: Arc<dyn Defense> = Arc::new(tiny_pipeline_with(4, 2, 43, |bodies| {
+            bodies[3] = build_body(&wide, &mut Rng::seed_from(1));
+        }));
         let clean: Arc<dyn Defense> = Arc::new(tiny_pipeline(4, 2, 43));
 
         let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.01).sin());

@@ -15,7 +15,6 @@
 //! ensembled analogue and lives in [`crate::trainer::EnsemblerTrainer::train_joint`].
 
 use crate::defense::{check_feature_shape, serve_bodies, Defense, Precision};
-use crate::plans::PlanCell;
 use crate::trainer::TrainConfig;
 use crate::{EnsemblerError, Maps, ServerRequest};
 use ensembler_data::Dataset;
@@ -143,9 +142,14 @@ pub struct SinglePipeline {
     defense: DefenseLayer,
     body: [Sequential; 1],
     tail: Sequential,
-    // Plans for [head, body, tail], compiled lazily and invalidated by
-    // training and `body_mut`.
-    plans: PlanCell,
+    // Plans for [head, body, tail], compiled by `new` and again at the end of
+    // `train_supervised`.
+    plans: [CompiledPlan; 3],
+}
+
+/// Compiles the plans a [`SinglePipeline`] runs: `[head, body, tail]`.
+fn compile_stages(head: &Sequential, body: &Sequential, tail: &Sequential) -> [CompiledPlan; 3] {
+    [head, body, tail].map(|net| CompiledPlan::compile(net, FusionConfig))
 }
 
 impl SinglePipeline {
@@ -191,6 +195,7 @@ impl SinglePipeline {
                 DefenseLayer::Dropout(dropout)
             }
         };
+        let plans = compile_stages(&head, &body, &tail);
         Ok(Self {
             config,
             kind,
@@ -198,32 +203,13 @@ impl SinglePipeline {
             defense,
             body: [body],
             tail,
-            plans: PlanCell::new(),
+            plans,
         })
     }
 
     /// The defence applied to the transmitted features.
     pub fn kind(&self) -> DefenseKind {
         self.kind
-    }
-
-    /// The compiled plans for `[head, body, tail]`, recompiling them if the
-    /// weights changed since the last inference.
-    fn plans(&self) -> std::sync::Arc<Vec<CompiledPlan>> {
-        self.plans.get_or_compile(|| {
-            vec![
-                CompiledPlan::compile(&self.head, FusionConfig),
-                CompiledPlan::compile(&self.body[0], FusionConfig),
-                CompiledPlan::compile(&self.tail, FusionConfig),
-            ]
-        })
-    }
-
-    /// Mutable access to the server body (training only; inference uses the
-    /// immutable [`Defense`] methods). Invalidates the cached plans.
-    pub fn body_mut(&mut self) -> &mut Sequential {
-        self.plans.invalidate();
-        &mut self.body[0]
     }
 
     /// Splits the trained pipeline into its parts
@@ -239,7 +225,8 @@ impl SinglePipeline {
     ///
     /// For the Shredder defence the learned noise additionally receives the
     /// noise-expansion gradient each step, so the noise magnitude grows while
-    /// accuracy is maintained.
+    /// accuracy is maintained. The pipeline's plans are recompiled from the
+    /// trained weights before this returns.
     ///
     /// # Errors
     ///
@@ -252,9 +239,6 @@ impl SinglePipeline {
         if data.is_empty() {
             return Err(EnsemblerError::EmptyDataset);
         }
-        // Training mutates every stage; drop the compiled plans now so
-        // inference after training recompiles against the new weights.
-        self.plans.invalidate();
         let mut rng = Rng::seed_from(train.seed);
         let mut optimizer = Sgd::new(train.learning_rate).with_momentum(0.9);
         let loss_fn = CrossEntropyLoss::new();
@@ -290,6 +274,7 @@ impl SinglePipeline {
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f32);
         }
+        self.plans = compile_stages(&self.head, &self.body[0], &self.tail);
         Ok(epoch_losses)
     }
 }
@@ -311,20 +296,16 @@ impl Defense for SinglePipeline {
         1
     }
 
-    fn compile_plans(&self) {
-        self.plans();
-    }
-
     /// Computes the features the client transmits (head output plus defence).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
-        let features = self.plans()[0].run(images)?;
+        let features = self.plans[0].run(images)?;
         check_feature_shape(features.shape(), &self.config)?;
         Ok(self.defense.forward(&features, Mode::Eval))
     }
 
     fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
         serve_bodies(request, 1, Precision::F32, |features, _| {
-            let map = self.plans()[1].run(features.as_f32()?)?;
+            let map = self.plans[1].run(features.as_f32()?)?;
             Ok(Maps::F32(vec![map]))
         })
     }
@@ -336,7 +317,7 @@ impl Defense for SinglePipeline {
                 server_maps.len()
             )));
         }
-        Ok(self.plans()[2].run(&server_maps[0])?)
+        Ok(self.plans[2].run(&server_maps[0])?)
     }
 }
 
@@ -490,17 +471,6 @@ mod tests {
             zeros as f32 >= 0.2 * features.len() as f32,
             "a substantial fraction of features should be dropped"
         );
-    }
-
-    #[test]
-    fn compile_plans_fills_the_cell_inference_would_fill() {
-        let pipeline =
-            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 3).unwrap();
-        pipeline.compile_plans();
-        let plans = pipeline
-            .plans
-            .get_or_compile(|| unreachable!("compile_plans left the cell empty"));
-        assert_eq!(plans.len(), 3);
     }
 
     #[test]

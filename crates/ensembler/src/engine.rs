@@ -243,10 +243,6 @@ pub struct InferenceEngine<D: Defense + ?Sized + 'static> {
 impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     /// Starts an engine serving `defense` with the given configuration.
     ///
-    /// The defence's execution plans are compiled here, on the calling thread
-    /// ([`Defense::compile_plans`]): installing a model pays for its plans,
-    /// the first request after a bind or a hot swap does not.
-    ///
     /// # Errors
     ///
     /// Returns [`EnsemblerError::InvalidConfig`] if `max_batch` or `workers`
@@ -257,7 +253,6 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
                 "engine max_batch and workers must be positive".to_string(),
             ));
         }
-        defense.compile_plans();
         let (sender, receiver) = channel::<Work>();
         let receiver = Arc::new(Mutex::new(receiver));
         let stats = Arc::new(StatsCells::default());
@@ -1087,7 +1082,6 @@ mod tests {
         inner: Arc<dyn Defense>,
         entered: Mutex<Sender<usize>>,
         gate: Mutex<Receiver<()>>,
-        compiled_on: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     /// The test's ends of a [`GatedDefense`]: the rows of each `serve` call
@@ -1114,7 +1108,6 @@ mod tests {
             inner,
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate),
-            compiled_on: Mutex::new(Vec::new()),
         });
         (defense, Gate { entered, open })
     }
@@ -1138,12 +1131,6 @@ mod tests {
 
         fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
             self.inner.client_features(images)
-        }
-
-        fn compile_plans(&self) {
-            let mut compiled_on = self.compiled_on.lock().unwrap();
-            compiled_on.push(std::thread::current().id());
-            self.inner.compile_plans();
         }
 
         fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
@@ -1233,23 +1220,6 @@ mod tests {
                 assert_eq!(stats.queue_depth, 0);
             }
         }
-    }
-
-    #[test]
-    fn installing_a_model_compiles_its_plans_on_the_installing_thread() {
-        let (defense, gate) = gated(four_body_pipeline());
-        let engine = InferenceEngine::new(Arc::clone(&defense), EngineConfig::default()).unwrap();
-        let installer = vec![std::thread::current().id()];
-        assert_eq!(*defense.compiled_on.lock().unwrap(), installer);
-        // Serving compiles nothing further, on any thread.
-        let features = sample_features(defense.as_ref(), 0);
-        let pending = engine
-            .serve_begin(ServerRequest::full(Features::F32(features)))
-            .unwrap();
-        assert_eq!(gate.entered(), 1);
-        gate.open.send(()).unwrap();
-        pending.wait().unwrap();
-        assert_eq!(*defense.compiled_on.lock().unwrap(), installer);
     }
 
     #[test]

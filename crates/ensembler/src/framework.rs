@@ -1,7 +1,6 @@
 //! The Ensembler inference pipeline (Fig. 2 of the paper).
 
 use crate::defense::{check_feature_shape, serve_bodies, Defense, Precision};
-use crate::plans::PlanCell;
 use crate::{EnsemblerError, Maps, Selector, ServerRequest};
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::{CompiledPlan, Dropout, FixedNoise, FusionConfig, Layer, Mode, Sequential};
@@ -26,8 +25,8 @@ use ensembler_tensor::Tensor;
 ///
 /// Inference does not call `Layer::forward` directly: head, bodies and tail
 /// are lowered through [`ensembler_nn::graph`] and compiled into fused,
-/// bit-exact [`CompiledPlan`]s — once per pipeline, cached, and invalidated
-/// when [`EnsemblerPipeline::bodies_mut`] hands out mutable weights. The
+/// bit-exact [`CompiledPlan`]s — once, by [`EnsemblerPipeline::new`]. The
+/// pipeline hands out no mutable weights, so those plans never go stale. The
 /// plans also validate request shapes, and the client stage checks the
 /// head's output against the configured shape
 /// ([`crate::check_feature_shape`]), so a malformed batch returns
@@ -49,11 +48,12 @@ pub struct EnsemblerPipeline {
     tail: Sequential,
     head_plan: CompiledPlan,
     tail_plan: CompiledPlan,
-    body_plans: PlanCell,
+    body_plans: Vec<CompiledPlan>,
 }
 
 impl EnsemblerPipeline {
-    /// Assembles a pipeline from its parts.
+    /// Assembles a pipeline from its parts and compiles every plan it runs,
+    /// on the calling thread.
     ///
     /// # Errors
     ///
@@ -80,6 +80,10 @@ impl EnsemblerPipeline {
         }
         let head_plan = CompiledPlan::compile(&head, FusionConfig);
         let tail_plan = CompiledPlan::compile(&tail, FusionConfig);
+        let body_plans = bodies
+            .iter()
+            .map(|body| CompiledPlan::compile(body, FusionConfig))
+            .collect();
         Ok(Self {
             config,
             head,
@@ -90,18 +94,7 @@ impl EnsemblerPipeline {
             tail,
             head_plan,
             tail_plan,
-            body_plans: PlanCell::new(),
-        })
-    }
-
-    /// The compiled body plans, recompiling them if weights changed since the
-    /// last inference.
-    fn body_plans(&self) -> std::sync::Arc<Vec<CompiledPlan>> {
-        self.body_plans.get_or_compile(|| {
-            self.bodies
-                .iter()
-                .map(|body| CompiledPlan::compile(body, FusionConfig))
-                .collect()
+            body_plans,
         })
     }
 
@@ -144,16 +137,6 @@ impl EnsemblerPipeline {
         self.noise.sigma()
     }
 
-    /// Mutable access to the server bodies (training and weight surgery; all
-    /// inference goes through the immutable [`Defense`] methods).
-    ///
-    /// Invalidates the cached body plans: the next inference recompiles them
-    /// against the mutated weights.
-    pub fn bodies_mut(&mut self) -> &mut [Sequential] {
-        self.body_plans.invalidate();
-        &mut self.bodies
-    }
-
     /// Total number of trainable scalars across client and server parts.
     pub fn parameter_count(&self) -> usize {
         self.head.parameter_count()
@@ -181,10 +164,6 @@ impl Defense for EnsemblerPipeline {
 
     fn selected_count(&self) -> usize {
         self.selector.active_count()
-    }
-
-    fn compile_plans(&self) {
-        self.body_plans();
     }
 
     /// Computes the features the client transmits for a batch of images:
@@ -216,9 +195,8 @@ impl Defense for EnsemblerPipeline {
             Precision::F32,
             |features, range| {
                 let transmitted = features.as_f32()?;
-                let plans = self.body_plans();
                 Ok(Maps::F32(CompiledPlan::run_all(
-                    &plans[range],
+                    &self.body_plans[range],
                     transmitted,
                 )?))
             },
@@ -244,11 +222,23 @@ pub(crate) mod tests {
 
     /// An untrained `n`-body, `p`-selected Ensembler on the tiny backbone.
     pub(crate) fn tiny_pipeline(n: usize, p: usize, seed: u64) -> EnsemblerPipeline {
+        tiny_pipeline_with(n, p, seed, |_| {})
+    }
+
+    /// [`tiny_pipeline`] with `swap` applied to its bodies before the
+    /// pipeline is built (and its plans compiled).
+    pub(crate) fn tiny_pipeline_with(
+        n: usize,
+        p: usize,
+        seed: u64,
+        swap: impl FnOnce(&mut [Sequential]),
+    ) -> EnsemblerPipeline {
         let config = ResNetConfig::tiny_for_tests();
         let mut rng = Rng::seed_from(seed);
         let head = build_head(&config, &mut rng);
         let noise = FixedNoise::new(&config.head_output_shape(), 0.1, &mut rng);
-        let bodies: Vec<Sequential> = (0..n).map(|_| build_body(&config, &mut rng)).collect();
+        let mut bodies: Vec<Sequential> = (0..n).map(|_| build_body(&config, &mut rng)).collect();
+        swap(&mut bodies);
         let selector = Selector::random(n, p, &mut rng).unwrap();
         let tail = build_tail(&config, p * config.body_output_features(), &mut rng);
         EnsemblerPipeline::new(config, head, noise, bodies, selector, tail).unwrap()
@@ -319,16 +309,6 @@ pub(crate) mod tests {
         }
         // Independently initialised bodies produce different feature maps.
         assert_ne!(maps_a[0], maps_a[1]);
-    }
-
-    #[test]
-    fn compile_plans_fills_the_cell_inference_would_fill() {
-        let pipeline = tiny_pipeline(3, 2, 5);
-        pipeline.compile_plans();
-        let plans = pipeline
-            .body_plans
-            .get_or_compile(|| unreachable!("compile_plans left the cell empty"));
-        assert_eq!(plans.len(), 3);
     }
 
     #[test]

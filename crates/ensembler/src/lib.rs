@@ -75,7 +75,6 @@ pub mod defenses;
 pub mod engine;
 mod error;
 pub mod framework;
-mod plans;
 pub mod quant;
 pub mod request;
 pub mod selector;

@@ -156,11 +156,6 @@ impl TrainedEnsembler {
         &self.pipeline
     }
 
-    /// Mutable access to the pipeline (weight surgery; inference is `&self`).
-    pub fn pipeline_mut(&mut self) -> &mut EnsemblerPipeline {
-        &mut self.pipeline
-    }
-
     /// Consumes the result, returning only the pipeline.
     pub fn into_pipeline(self) -> EnsemblerPipeline {
         self.pipeline

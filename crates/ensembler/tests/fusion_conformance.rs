@@ -160,8 +160,8 @@ fn the_coalescing_engine_serves_fused_plans_bit_exactly() {
 
 #[test]
 fn trained_pipelines_keep_plans_in_sync_with_weights() {
-    // Training mutates weights through `bodies_mut`/`train_supervised`; the
-    // plan caches must recompile instead of serving stale weights.
+    // `train_supervised` mutates a built pipeline's weights; it must
+    // recompile the plans instead of serving stale weights.
     let data = SyntheticSpec::tiny_for_tests().generate(6);
     let mut single =
         SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 70).unwrap();
@@ -184,19 +184,12 @@ fn trained_pipelines_keep_plans_in_sync_with_weights() {
         ResNetConfig::tiny_for_tests(),
         TrainConfig::fast_for_tests(),
     );
-    let mut pipeline = trainer.train(3, 2, &data.train).unwrap().into_pipeline();
-    let before = pipeline.predict(&x).unwrap();
-    for body in pipeline.bodies_mut() {
-        for param in body.params_mut() {
-            for w in param.value.data_mut() {
-                *w += 0.05;
-            }
-        }
-    }
-    let after = pipeline.predict(&x).unwrap();
-    assert_ne!(
-        before, after,
-        "bodies_mut must invalidate the compiled body plans"
+    // The trainer builds its pipeline after training, so the plans it
+    // compiles serve the trained weights.
+    let pipeline = trainer.train(3, 2, &data.train).unwrap().into_pipeline();
+    assert_eq!(
+        pipeline.predict(&x).unwrap(),
+        eager_ensembler(&pipeline, false, &x)
     );
 }
 
@@ -233,11 +226,18 @@ mod shared_lowering {
     /// An untrained N = 4, P = 2 ensemble on the `cifar10_like` backbone:
     /// every body leads with a `[b·64, 144]·[144, 16]` conv product.
     fn cifar_pipeline(seed: u64) -> EnsemblerPipeline {
+        cifar_pipeline_with(seed, |_| {})
+    }
+
+    /// [`cifar_pipeline`] with `swap` applied to its bodies before the
+    /// pipeline is built (and its plans compiled).
+    fn cifar_pipeline_with(seed: u64, swap: impl FnOnce(&mut [Sequential])) -> EnsemblerPipeline {
         let config = ResNetConfig::cifar10_like();
         let mut rng = Rng::seed_from(seed);
         let head = build_head(&config, &mut rng);
         let noise = FixedNoise::new(&config.head_output_shape(), 0.1, &mut rng);
-        let bodies = (0..N).map(|_| build_body(&config, &mut rng)).collect();
+        let mut bodies: Vec<Sequential> = (0..N).map(|_| build_body(&config, &mut rng)).collect();
+        swap(&mut bodies);
         let selector = Selector::random(N, 2, &mut rng).unwrap();
         let tail = build_tail(&config, 2 * config.body_output_features(), &mut rng);
         EnsemblerPipeline::new(config, head, noise, bodies, selector, tail).unwrap()
@@ -331,8 +331,9 @@ mod shared_lowering {
             ..ResNetConfig::cifar10_like()
         };
         let healthy = cifar_pipeline(82);
-        let mut poisoned = cifar_pipeline(82);
-        poisoned.bodies_mut()[2] = build_body(&other, &mut Rng::seed_from(5));
+        let poisoned = cifar_pipeline_with(82, |bodies| {
+            bodies[2] = build_body(&other, &mut Rng::seed_from(5));
+        });
         let x = features(&healthy, 4);
         let expected = healthy.server_outputs(&x).unwrap();
 
@@ -369,25 +370,6 @@ mod shared_lowering {
                 assert_eq!(direct.unwrap(), expected[lo..hi], "{lo}..{hi}");
             }
         }
-    }
-
-    #[test]
-    fn plans_recompiled_after_weight_surgery_share_the_new_weights() {
-        let mut pipeline = cifar_pipeline(83);
-        let x = features(&pipeline, 4);
-        let before = pipeline.server_outputs(&x).unwrap();
-        for body in pipeline.bodies_mut() {
-            for param in body.params_mut() {
-                for w in param.value.data_mut() {
-                    *w *= 1.25;
-                }
-            }
-        }
-        let after = pipeline.server_outputs(&x).unwrap();
-        assert_ne!(before, after, "stale plans would repeat the old maps");
-        let fresh = plans(pipeline.server_bodies());
-        let alone: Vec<Tensor> = fresh.iter().map(|plan| plan.run(&x).unwrap()).collect();
-        assert_eq!(after, alone);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::{BatchNorm2d, Conv2d, Layer, Linear, Sequential};
 ///
 /// Typed variants own a clone of the layer they were lowered from, so a
 /// compiled plan is self-contained and immune to later mutation of the
-/// source pipeline (plan caches invalidate and re-lower instead).
+/// source network (whoever mutates it compiles a new plan).
 #[derive(Debug, Clone)]
 pub enum GraphOp {
     /// 2-D convolution (weights and bias owned by the node).

@@ -164,19 +164,23 @@ impl ModelSlot {
     }
 
     /// Routes one request: returns the engine that must serve a request whose
-    /// deterministic routing key is `route_key`, plus which role it plays.
+    /// deterministic routing key `route_key` computes, plus which role it
+    /// plays. The key is computed only when a canary is installed.
     ///
     /// The split is deterministic in the key — the same request bytes always
     /// land on the same version — so a retried or replayed request cannot
     /// flap between versions, and a test can verify the observed split
     /// exactly.
-    pub fn engine_for(&self, route_key: u64) -> (Arc<InferenceEngine<dyn Defense>>, VersionRole) {
+    pub fn engine_for(
+        &self,
+        route_key: impl FnOnce() -> u64,
+    ) -> (Arc<InferenceEngine<dyn Defense>>, VersionRole) {
         let state = self
             .state
             .read()
             .expect("model slot lock is never poisoned");
         if let Some(canary) = &state.canary {
-            if (route_key % 100) < u64::from(canary.percent) {
+            if (route_key() % 100) < u64::from(canary.percent) {
                 return (Arc::clone(&canary.version.engine), VersionRole::Canary);
             }
         }
@@ -208,9 +212,11 @@ impl ModelSlot {
 }
 
 /// The deterministic per-request canary routing key: FNV-1a over a request's
-/// raw payload bytes. Stable across processes and versions, cheap relative
-/// to inference, and — because it hashes the request *content* — independent
-/// of which connection or retry attempt carried the request.
+/// raw payload bytes. Stable across processes and versions and — because it
+/// hashes the request *content* — independent of which connection or retry
+/// attempt carried the request. It reads the payload a byte at a time, so
+/// the server computes it only for a model with a canary installed
+/// ([`ModelSlot::engine_for`]).
 pub fn route_key(payload: impl Iterator<Item = u8>) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for byte in payload {
@@ -1104,7 +1110,7 @@ mod tests {
         // Deterministic: the same key always routes to the same version, and
         // exactly the keys with key % 100 < 30 hit the canary.
         for key in 0..200u64 {
-            let (_, role) = slot.engine_for(key);
+            let (_, role) = slot.engine_for(|| key);
             let expected = if key % 100 < 30 {
                 VersionRole::Canary
             } else {
@@ -1118,6 +1124,26 @@ mod tests {
         assert_eq!(slot.primary_version(), "next");
         assert!(slot.canary().is_none());
         assert!(registry.promote("m").is_err(), "no canary left to promote");
+    }
+
+    #[test]
+    fn the_route_key_is_computed_only_when_a_canary_is_installed() {
+        let registry = ModelRegistry::new("m", demo(2, 1, 14), EngineConfig::default()).unwrap();
+        let slot = registry.get("m").unwrap();
+        let (engine, role) = slot.engine_for(|| panic!("no canary, so no key is needed"));
+        assert_eq!(role, VersionRole::Primary);
+        assert!(Arc::ptr_eq(&engine, &slot.primary_engine()));
+
+        registry
+            .set_canary("m", "next", 30, demo(2, 1, 15), EngineConfig::default())
+            .unwrap();
+        let calls = std::cell::Cell::new(0);
+        let (_, role) = slot.engine_for(|| {
+            calls.set(calls.get() + 1);
+            29
+        });
+        assert_eq!(role, VersionRole::Canary);
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]

@@ -1069,8 +1069,8 @@ fn request_loop(
         };
         // The canary split hashes the transmitted content, so the same
         // request always routes to the same version whatever connection or
-        // retry carried it.
-        let (engine, _) = slot.engine_for(route_key(request.features.content_bytes()));
+        // retry carried it; without a canary nothing is hashed.
+        let (engine, _) = slot.engine_for(|| route_key(request.features.content_bytes()));
         // A malformed shape from an untrusted peer must fail alone, never
         // poison a mini-batch it would share with other connections' requests.
         let shape_checked =

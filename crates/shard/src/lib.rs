@@ -68,6 +68,7 @@ use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_serve::{RemoteDefense, ServeError, ShardStats};
 use ensembler_tensor::Tensor;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -502,8 +503,9 @@ enum Attempt {
     Retry,
 }
 
-/// One answer on a scatter's channel: the leg (placement index) and attempt
-/// it belongs to, the connection that carried it, and the outcome.
+/// One answer on a scatter's channel: the leg (its index among the legs
+/// sent) and attempt it belongs to, the connection that carried it, and the
+/// outcome.
 type LegAnswer = (usize, Attempt, Arc<RemoteDefense>, Result<Maps, ServeError>);
 
 /// Where one leg of a scatter stands.
@@ -640,8 +642,9 @@ impl ShardRouter {
         });
     }
 
-    /// Scatters one request — `features_for` each worker, evaluated on the
-    /// bodies the placement assigns it — and gathers the partial maps in
+    /// Scatters one request for the bodies `range` — a leg to each worker
+    /// whose placed range meets it, asking for the overlap on
+    /// `features_for` that worker — and gathers the partial maps in
     /// placement order, with hedging and one reconnect retry per leg.
     ///
     /// Every leg is written from this thread, then all of them (and their
@@ -652,13 +655,18 @@ impl ShardRouter {
     /// fails the whole request with a typed [`ShardError`].
     fn scatter(
         &self,
+        range: Range<usize>,
         features_for: impl Fn(&ShardSpec) -> Features,
     ) -> Result<Vec<Maps>, ShardError> {
         let (answers, gathered) = mpsc::channel::<LegAnswer>();
-        let mut requests = Vec::with_capacity(self.links.len());
-        for (index, link) in self.links.iter().enumerate() {
-            let request =
-                ServerRequest::ranged(link.spec.lo..link.spec.hi, features_for(&link.spec));
+        // The legs sent, by leg index: the worker and the request it got.
+        let mut sent = Vec::new();
+        for link in &self.links {
+            let (lo, hi) = (link.spec.lo.max(range.start), link.spec.hi.min(range.end));
+            if lo >= hi {
+                continue;
+            }
+            let request = ServerRequest::ranged(lo..hi, features_for(&link.spec));
             let pooled = link.pool().clone();
             let conn = match pooled {
                 Some(conn) => conn,
@@ -668,11 +676,12 @@ impl ShardRouter {
                     fresh
                 }
             };
+            let index = sent.len();
             Self::send_leg(index, Attempt::Primary, conn, request.clone(), &answers);
-            requests.push(request);
+            sent.push((link, request));
         }
 
-        let mut legs: Vec<Leg> = self.links.iter().map(|_| Leg::Waiting).collect();
+        let mut legs: Vec<Leg> = sent.iter().map(|_| Leg::Waiting).collect();
         let mut outstanding = legs.len();
         let mut hedge_at = self.config.hedge_after.map(|delay| Instant::now() + delay);
         while outstanding > 0 {
@@ -689,18 +698,17 @@ impl ShardRouter {
                 // duplicate on a fresh connection (never the same socket —
                 // the primary's response is still owed on it).
                 hedge_at = None;
-                for (index, link) in self.links.iter().enumerate() {
+                for (index, (link, request)) in sent.iter().enumerate() {
                     if matches!(legs[index], Leg::Waiting) {
                         link.hedges.fetch_add(1, Ordering::Relaxed);
                         if let Ok(fresh) = link.connect_fresh(&self.config) {
-                            let request = requests[index].clone();
-                            Self::send_leg(index, Attempt::Hedge, fresh, request, &answers);
+                            Self::send_leg(index, Attempt::Hedge, fresh, request.clone(), &answers);
                         }
                     }
                 }
                 continue;
             };
-            let link = &self.links[index];
+            let (link, request) = &sent[index];
             // Anything else is the loser of a leg already decided: on the
             // shared multiplexed connection its late response was routed by
             // request id and is discarded here, never mistaken for a later
@@ -752,8 +760,7 @@ impl ShardRouter {
                     let fresh = link.connect_fresh(&self.config).map_err(|retry| {
                         link.unavailable(format!("{error}; reconnect failed: {retry}"))
                     })?;
-                    let request = requests[index].clone();
-                    Self::send_leg(index, Attempt::Retry, fresh, request, &answers);
+                    Self::send_leg(index, Attempt::Retry, fresh, request.clone(), &answers);
                     legs[index] = Leg::Retrying(error);
                 }
             }
@@ -839,20 +846,19 @@ impl Defense for ShardRouter {
         self.client.client_features(images)
     }
 
-    /// The scatter-gather evaluation: each worker evaluates its placed
-    /// range — int8 shards over quantized frames against the derived int8
-    /// pipeline, `f32` shards on the payload as it is — and the partial maps
-    /// concatenate back into index order at the payload's precision. With an
-    /// all-`f32` placement the merged answer is bit-identical to
-    /// `client.serve`; an int8 shard contributes exactly what the int8
-    /// pipeline would contribute for its indices. A ranged request scatters
-    /// the same legs and keeps its slice of the merged answer.
+    /// The scatter-gather evaluation: each worker whose placed range meets
+    /// the request's evaluates the overlap — int8 shards over quantized
+    /// frames against the derived int8 pipeline, `f32` shards on the payload
+    /// as it is — and the partial maps concatenate back into index order at
+    /// the payload's precision. With an all-`f32` placement the merged
+    /// answer is bit-identical to `client.serve`; an int8 shard contributes
+    /// exactly what the int8 pipeline would contribute for its indices.
     fn serve(&self, request: &ServerRequest) -> Result<Maps, EnsemblerError> {
         let bodies = self.client.ensemble_size();
         let range = request.range.clone().unwrap_or(0..bodies);
         check_body_range(range.start, range.end, bodies)?;
         let payload = request.features.precision();
-        let partials = self.scatter(|spec| {
+        let partials = self.scatter(range, |spec| {
             let wire = if spec.quantized {
                 Precision::Int8
             } else {
@@ -867,7 +873,7 @@ impl Defense for ShardRouter {
         for partial in partials {
             merged.append(partial)?;
         }
-        Ok(merged.slice(range))
+        Ok(merged)
     }
 
     fn classify(&self, server_maps: &[Tensor]) -> Result<Tensor, EnsemblerError> {

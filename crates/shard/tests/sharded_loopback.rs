@@ -171,9 +171,11 @@ fn a_router_answers_every_request_kind_like_the_pipelines_it_places() {
             (&f32_workers[0], 0, 2, false),
             (tail_worker, 2, 4, int8_tail),
         ];
-        let router = ShardRouter::new(Arc::clone(&pipeline), placement(&shards), quiet_config())
+        let sharded = ShardRouter::new(Arc::clone(&pipeline), placement(&shards), quiet_config())
             .expect("router");
-        let router: &dyn Defense = &router;
+        let router: &dyn Defense = &sharded;
+        let requests =
+            || -> Vec<u64> { sharded.shard_stats().iter().map(|s| s.requests).collect() };
         for payload in &payloads {
             let shard = |defense: &Arc<dyn Defense>, range| {
                 defense
@@ -188,6 +190,11 @@ fn a_router_answers_every_request_kind_like_the_pipelines_it_places() {
             }
             for range in [None, Some(0..2), Some(1..3), Some(3..4)] {
                 let expected = reference.clone().slice(range.clone().unwrap_or(0..4));
+                // A shard gets a leg exactly when its placed range meets
+                // the request's.
+                let (lo, hi) = range.clone().map_or((0, 4), |r| (r.start, r.end));
+                let meets = shards.map(|(_, a, b, _)| u64::from(a < hi && lo < b));
+                let before = requests();
                 let request = ServerRequest {
                     range,
                     features: payload.clone(),
@@ -199,6 +206,9 @@ fn a_router_answers_every_request_kind_like_the_pipelines_it_places() {
                     payload.precision(),
                     request.range
                 );
+                let after = requests();
+                let sent: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                assert_eq!(sent, meets, "legs sent for {:?}", request.range);
             }
             let past_the_end = ServerRequest::ranged(2..9, payload.clone());
             assert!(router.serve(&past_the_end).is_err());
