@@ -7,18 +7,19 @@
 //! trait makes that concrete — inference takes `&self`, so one pipeline
 //! behind an `Arc` can serve many clients at once:
 //!
-//! * callers submit single `[C, H, W]` images from any thread via
-//!   [`InferenceEngine::predict_one`], or single-sample server-stage
-//!   requests — one [`ServerRequest`] shape for every precision and body
-//!   range — via [`InferenceEngine::serve_begin`] (the unit the networked
-//!   `DefenseServer` in `crates/serve` forwards for remote clients);
-//! * worker threads coalesce queued work into mini-batches of up to
+//! * the queue carries one kind of work, the server stage: a [`ServerRequest`]
+//!   — one shape for every precision and body range — submitted from any
+//!   thread through [`InferenceEngine::serve_to`], the one submission call
+//!   (the unit the networked `DefenseServer` in `crates/serve` forwards for
+//!   remote clients); [`InferenceEngine::server_outputs_one`] and
+//!   [`InferenceEngine::predict_one`] are blocking conveniences over it, the
+//!   latter running the client's head and tail on the calling thread;
+//! * worker threads coalesce queued requests into mini-batches of up to
 //!   `max_batch` items — whatever is queued when a worker becomes free, never
 //!   a wait for company — grouped so that only requests of one precision and
 //!   one range stack;
-//! * each group runs one [`Defense::predict`] (or one [`Defense::serve`]),
-//!   inside which the `N` server bodies fan out over the machine's cores
-//!   ([`ensembler_tensor::par_map`]).
+//! * each group runs one [`Defense::serve`], inside which the `N` server
+//!   bodies fan out over the machine's cores ([`ensembler_tensor::par_map`]).
 //!
 //! # Examples
 //!
@@ -52,7 +53,7 @@ use std::thread::JoinHandle;
 /// Tuning knobs of an [`InferenceEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Maximum number of single-image requests coalesced into one batch.
+    /// Maximum number of single-sample requests coalesced into one batch.
     pub max_batch: usize,
     /// Number of worker threads executing batches concurrently.
     pub workers: usize,
@@ -70,7 +71,8 @@ impl Default for EngineConfig {
 /// Counters describing what an engine has done so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Single-image requests answered.
+    /// Single-sample server-stage requests answered (a
+    /// [`InferenceEngine::predict_one`] call is one).
     pub requests_served: u64,
     /// Mini-batches executed.
     pub batches_executed: u64,
@@ -96,39 +98,9 @@ impl EngineStats {
 
 /// One engine answer as it arrives on a caller-supplied channel
 /// ([`InferenceEngine::serve_to`]): the tag the request was submitted under,
-/// and its result.
-pub type Tagged<T> = (u64, Result<T, EnsemblerError>);
-
-/// A submitted-but-not-yet-answered engine request: the completion half of
-/// the split submit/wait API ([`InferenceEngine::serve_begin`],
-/// [`InferenceEngine::predict_begin`]).
-///
-/// The blocking `*_one` methods are `*_begin(…)?.wait()`. Splitting the two
-/// halves lets one thread enqueue many requests in arrival order — so they
-/// coalesce into shared mini-batches — and collect the answers afterwards. A
-/// caller with many requests in flight (the networked server's connections)
-/// uses [`InferenceEngine::serve_to`] instead and receives every answer on
-/// one channel. Dropping a `Pending` abandons the request: the worker's
-/// answer simply finds no receiver.
-#[derive(Debug)]
-pub struct Pending<T> {
-    receive: Receiver<Tagged<T>>,
-}
-
-impl<T> Pending<T> {
-    /// Blocks until the worker pool answers this request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the evaluation's own error, or [`EnsemblerError::Engine`] if
-    /// the engine shut down before answering.
-    pub fn wait(self) -> Result<T, EnsemblerError> {
-        self.receive
-            .recv()
-            .map_err(|_| EnsemblerError::Engine("worker dropped the request".to_string()))?
-            .1
-    }
-}
+/// and its result. Dropping the receiving end abandons the requests still
+/// in flight: their answers simply find no receiver.
+pub type Tagged = (u64, Result<Maps, EnsemblerError>);
 
 #[derive(Debug, Default)]
 struct StatsCells {
@@ -143,56 +115,34 @@ struct StatsCells {
 /// handle to its own engine (whose `Drop` joins that worker): whatever keeps
 /// an engine alive for a request in flight stays with the submitter, keyed
 /// by the tag.
-struct Respond<T> {
+struct Respond {
     tag: u64,
-    sink: Sender<Tagged<T>>,
+    sink: Sender<Tagged>,
 }
 
-impl<T> Respond<T> {
-    /// A responder paired with the [`Pending`] that awaits it.
-    fn pending() -> (Self, Pending<T>) {
-        let (sink, receive) = channel();
-        (Self { tag: 0, sink }, Pending { receive })
-    }
-
+impl Respond {
     /// Delivers the answer; a requester that gave up is skipped silently.
-    fn send(self, result: Result<T, EnsemblerError>) {
+    fn send(self, result: Result<Maps, EnsemblerError>) {
         let _ = self.sink.send((self.tag, result));
     }
 }
 
-/// One queued unit of work. Both kinds share one queue; a worker partitions
-/// each drained batch into groups that may be stacked together before
-/// executing it.
-enum Work {
-    /// A single image awaiting class logits ([`InferenceEngine::predict_one`]).
-    Predict {
-        image: Tensor,
-        respond: Respond<Tensor>,
-    },
-    /// A single-sample [`ServerRequest`] awaiting its [`Maps`]
-    /// ([`InferenceEngine::serve_begin`]) — the unit the networked
-    /// `DefenseServer` submits on behalf of remote clients. Requests coalesce
-    /// only with requests of the same precision *and* the same body range,
-    /// so a mini-batch is always answered by one [`Defense::serve`] call.
-    Serve {
-        request: ServerRequest,
-        respond: Respond<Maps>,
-    },
-}
-
-/// A pre-assembled `[B, C, H, W]` request ([`InferenceEngine::serve_to`]) and
-/// where its answer goes. It has nothing to gain from coalescing, so it
-/// bypasses the queue for a lane of its own: however long a batch takes, it
-/// never holds up the single-sample requests behind it.
-type Batch = (ServerRequest, Respond<Maps>);
+/// One submitted [`ServerRequest`] and where its answer goes — the only
+/// kind of work an engine holds. On the queue it is a single sample that
+/// coalesces only with requests of the same precision *and* the same body
+/// range, so a mini-batch is always answered by one [`Defense::serve`] call.
+/// A pre-assembled `[B, C, H, W]` request has nothing to gain from
+/// coalescing, so it bypasses the queue for a lane of its own: however long
+/// a batch takes, it never holds up the single-sample requests behind it.
+type Work = (ServerRequest, Respond);
 
 /// The batch lane: its queue and the one thread evaluating it in arrival
 /// order. Started by the first pre-assembled batch — an engine that only
 /// ever coalesces single samples never has the thread.
-type BatchLane = (Sender<Batch>, JoinHandle<()>);
+type BatchLane = (Sender<Work>, JoinHandle<()>);
 
-/// A thread-safe serving frontend over a shared [`Defense`].
+/// The server stage's coalescing queue over a shared [`Defense`], safe to
+/// submit to from any thread.
 ///
 /// Dropping the engine shuts it down: the queue is closed and every worker
 /// is joined.
@@ -215,20 +165,24 @@ type BatchLane = (Sender<Batch>, JoinHandle<()>);
 /// )?);
 /// let engine = InferenceEngine::new(pipeline, EngineConfig::default())?;
 ///
-/// // Full predictions coalesce through the queue ...
-/// let logits = engine.predict_one(Tensor::ones(&[3, 8, 8]))?;
-/// assert_eq!(logits.shape(), &[3]);
-///
-/// // ... and so do bare server-stage requests (the networked path): one
-/// // transmitted feature map in, N per-network feature maps out.
+/// // The queue coalesces server-stage requests: one transmitted feature map
+/// // in, N per-network feature maps out ...
 /// let features = engine.defense().client_features(&Tensor::ones(&[1, 3, 8, 8]))?;
 /// let maps = engine.server_outputs_one(features.clone())?;
 /// assert_eq!(maps.len(), engine.defense().ensemble_size());
 ///
-/// // Precision and body range are fields of the one request shape.
+/// // ... which is also the middle of a whole prediction.
+/// let logits = engine.predict_one(Tensor::ones(&[3, 8, 8]))?;
+/// assert_eq!(logits.shape(), &[3]);
+///
+/// // Precision and body range are fields of the one request shape, and
+/// // every request enters through `serve_to`: its answer arrives on the
+/// // caller's channel under the caller's tag (the networked path).
 /// let int8 = Features::Int8(QTensorBatch::quantize_batch(&features));
-/// let pending = engine.serve_begin(ServerRequest::ranged(0..1, int8))?;
-/// assert_eq!(pending.wait()?.len(), 1);
+/// let (sink, answers) = std::sync::mpsc::channel();
+/// engine.serve_to(ServerRequest::ranged(0..1, int8), 7, &sink)?;
+/// let (tag, maps) = answers.recv().expect("an accepted request is answered");
+/// assert_eq!((tag, maps?.len()), (7, 1));
 /// # Ok::<(), ensembler::EnsemblerError>(())
 /// ```
 #[derive(Debug)]
@@ -308,116 +262,82 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
     }
 
     /// Classifies one image (`[C, H, W]`, or `[1, C, H, W]` as produced by
-    /// [`Tensor::batch_item`]), blocking until a worker has served it as
-    /// part of a coalesced mini-batch. Returns the `[num_classes]` logit
-    /// vector.
+    /// [`Tensor::batch_item`]) and returns the `[num_classes]` logit vector.
+    ///
+    /// The client's stages run on the calling thread —
+    /// [`Defense::client_features`] before, [`Defense::classify`] after —
+    /// and the server stage in between goes through the coalescing queue as
+    /// [`InferenceEngine::server_outputs_one`] does, so concurrent callers
+    /// share mini-batches of the `N` bodies. The logits equal the image's
+    /// row of a batched [`Defense::predict`] bit for bit: every stage
+    /// computes a row the same way at any batch size.
     ///
     /// Safe to call from many threads at once; that is the intended use.
     ///
     /// # Errors
     ///
-    /// Returns an error if the image shape is wrong, prediction fails, or
-    /// the engine is shutting down.
+    /// Returns an error if the image is not one sample of the served input
+    /// shape — refused by `client_features` before anything is queued, so
+    /// a malformed image never fails the requests it would have been
+    /// batched with — if a stage fails or panics, or if the engine is
+    /// shutting down.
     pub fn predict_one(&self, image: Tensor) -> Result<Tensor, EnsemblerError> {
-        self.predict_begin(image)?.wait()
-    }
-
-    /// Enqueues one image for classification without waiting for the answer
-    /// — the non-blocking half of [`InferenceEngine::predict_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error — before touching the queue, so a malformed image
-    /// never fails the requests it would have been batched with — if the
-    /// image is not `[input_channels, image_size, image_size]` of the served
-    /// backbone or the engine is shutting down; evaluation errors surface
-    /// from [`Pending::wait`].
-    pub fn predict_begin(&self, image: Tensor) -> Result<Pending<Tensor>, EnsemblerError> {
         let Features::F32(image) = Features::F32(image).into_single()? else {
             unreachable!("into_single preserves the precision")
         };
-        let config = self.defense.config();
-        let expected = [config.input_channels, config.image_size, config.image_size];
-        if image.shape()[1..] != expected {
-            return Err(EnsemblerError::ShapeMismatch(format!(
-                "image {:?} does not match the served input {expected:?}",
-                &image.shape()[1..]
-            )));
-        }
-        let (respond, pending) = Respond::pending();
-        self.submit(Work::Predict { image, respond })?;
-        Ok(pending)
+        let features = catching_panics(|| self.defense.client_features(&image))?;
+        let maps = self.server_outputs_one(features)?;
+        let logits = catching_panics(|| self.defense.classify(&maps))?;
+        Ok(logits.reshape(&[logits.len()])?)
     }
 
     /// Evaluates all `N` server bodies on one transmitted `f32` feature map
     /// (`[C, H, W]` or `[1, C, H, W]`), blocking until a worker has served it
-    /// as part of a coalesced mini-batch: [`InferenceEngine::serve_begin`]
-    /// for the common full-ensemble `f32` request, awaited. Returns the `N`
+    /// as part of a coalesced mini-batch: [`InferenceEngine::serve_to`] for
+    /// the common full-ensemble `f32` request, awaited. Returns the `N`
     /// per-network feature maps in index order, each with a leading batch
     /// axis of 1.
     ///
     /// # Errors
     ///
-    /// As for [`InferenceEngine::serve_begin`] and [`Pending::wait`].
+    /// Returns [`EnsemblerError::ShapeMismatch`] for a pre-assembled batch,
+    /// otherwise as for [`InferenceEngine::serve_to`] plus the evaluation's
+    /// own error.
     pub fn server_outputs_one(&self, features: Tensor) -> Result<Vec<Tensor>, EnsemblerError> {
-        self.serve_begin(ServerRequest::full(Features::F32(features)))?
-            .wait()?
+        let request = ServerRequest::full(Features::F32(features).into_single()?);
+        let (sink, answer) = channel();
+        self.serve_to(request, 0, &sink)?;
+        // Only the worker's copy of the sink is left: a request dropped
+        // unanswered is an error here, not a hang.
+        drop(sink);
+        answer
+            .recv()
+            .map_err(|_| EnsemblerError::Engine("worker dropped the request".to_string()))?
+            .1?
             .into_f32()
     }
 
-    /// Enqueues one single-sample server-stage request — any precision, any
-    /// body range — without waiting for the answer.
-    ///
-    /// Requests coalesce only with requests of the same precision and the
-    /// same range, and the answer is bit-identical to an isolated
-    /// [`Defense::serve`] call on the same request: the `f32` kernels
-    /// guarantee batch-size-independent results (see `docs/PERFORMANCE.md`)
-    /// and quantization scales are per sample, so stacking and splitting
-    /// move bytes verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error — before touching the queue — if the features are
-    /// not a single sample or the range is empty or out of bounds, or if the
-    /// engine is shutting down; evaluation errors surface from
-    /// [`Pending::wait`].
-    pub fn serve_begin(&self, request: ServerRequest) -> Result<Pending<Maps>, EnsemblerError> {
-        let (respond, pending) = Respond::pending();
-        self.enqueue_single(request, respond)?;
-        Ok(pending)
-    }
-
-    /// Validates one single-sample request and puts it on the coalescing
-    /// queue.
-    fn enqueue_single(
-        &self,
-        request: ServerRequest,
-        respond: Respond<Maps>,
-    ) -> Result<(), EnsemblerError> {
-        self.check_range(&request)?;
-        let request = ServerRequest {
-            features: request.features.into_single()?,
-            ..request
-        };
-        self.submit(Work::Serve { request, respond })
-    }
-
-    /// Enqueues one server-stage request whose answer is delivered to `sink`
-    /// as `(tag, result)` — the unit of work the networked `DefenseServer`
+    /// Submits one server-stage request — any precision, any body range —
+    /// whose answer is delivered to `sink` as `(tag, result)`: the one way
+    /// into the engine, and the unit of work the networked `DefenseServer`
     /// submits for every tagged request of a multiplexed connection.
     ///
     /// The connection's reader submits in arrival order, so single-sample
     /// requests arriving on different TCP connections coalesce into shared
     /// mini-batches exactly like local [`InferenceEngine::predict_one`] calls
     /// do, and one writer per connection drains the sink: no thread exists
-    /// per request. A single-sample request coalesces as for
-    /// [`InferenceEngine::serve_begin`]; a pre-assembled `[B, C, H, W]`
-    /// batch is evaluated as it is, in arrival order, by one thread the
-    /// engine starts for such batches when the first arrives — beside the
-    /// queue, so it neither waits behind single-sample requests nor makes
-    /// them wait — and is not counted in [`EngineStats`], which describe
-    /// coalescing. The sink carries a tag and a result and nothing else —
-    /// see [`Tagged`].
+    /// per request. A single-sample request coalesces only with requests of
+    /// the same precision and the same range, and its answer is
+    /// bit-identical to an isolated [`Defense::serve`] call on the same
+    /// request: the `f32` kernels guarantee batch-size-independent results
+    /// (see `docs/PERFORMANCE.md`) and quantization scales are per sample,
+    /// so stacking and splitting move bytes verbatim. A pre-assembled
+    /// `[B, C, H, W]` batch is evaluated as it is, in arrival order, by one
+    /// thread the engine starts for such batches when the first arrives —
+    /// beside the queue, so it neither waits behind single-sample requests
+    /// nor makes them wait — and is not counted in [`EngineStats`], which
+    /// describe coalescing. The sink carries a tag and a result and nothing
+    /// else — see [`Tagged`].
     ///
     /// # Errors
     ///
@@ -429,23 +349,41 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
         &self,
         request: ServerRequest,
         tag: u64,
-        sink: &Sender<Tagged<Maps>>,
+        sink: &Sender<Tagged>,
     ) -> Result<(), EnsemblerError> {
+        if let Some(range) = &request.range {
+            crate::check_body_range(range.start, range.end, self.defense.ensemble_size())?;
+        }
         let respond = Respond {
             tag,
             sink: sink.clone(),
         };
         let shape = request.features.shape();
         if shape.len() == 3 || shape.first() == Some(&1) {
-            self.enqueue_single(request, respond)
+            let request = ServerRequest {
+                features: request.features.into_single()?,
+                ..request
+            };
+            // The request is announced in `queued` *before* it is sent: a
+            // worker that finds the queue empty but the count ahead of what
+            // it drained knows a request is a few instructions away and
+            // takes it into the same batch.
+            self.stats.queued.fetch_add(1, Ordering::Relaxed);
+            self.sender
+                .as_ref()
+                .expect("sender lives until the engine is dropped")
+                .send((request, respond))
+                .map_err(|_| {
+                    self.stats.queued.fetch_sub(1, Ordering::Relaxed);
+                    EnsemblerError::Engine("request queue is closed".to_string())
+                })
         } else {
-            self.check_range(&request)?;
             let mut lane = self
                 .batch_lane
                 .lock()
                 .expect("batch lane mutex is never poisoned");
             let (batches, _) = lane.get_or_insert_with(|| {
-                let (batches, queued) = channel::<Batch>();
+                let (batches, queued) = channel::<Work>();
                 let defense = Arc::clone(&self.defense);
                 let lane = std::thread::spawn(move || {
                     for (request, respond) in queued {
@@ -458,31 +396,6 @@ impl<D: Defense + ?Sized + 'static> InferenceEngine<D> {
                 .send((request, respond))
                 .map_err(|_| EnsemblerError::Engine("request queue is closed".to_string()))
         }
-    }
-
-    fn check_range(&self, request: &ServerRequest) -> Result<(), EnsemblerError> {
-        match &request.range {
-            Some(range) => {
-                crate::check_body_range(range.start, range.end, self.defense.ensemble_size())
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Enqueues one unit of work for the worker pool. The request is
-    /// announced in `queued` *before* it is sent: a worker that finds the
-    /// queue empty but the count ahead of what it drained knows a request is
-    /// a few instructions away and takes it into the same batch.
-    fn submit(&self, work: Work) -> Result<(), EnsemblerError> {
-        self.stats.queued.fetch_add(1, Ordering::Relaxed);
-        self.sender
-            .as_ref()
-            .expect("sender lives until the engine is dropped")
-            .send(work)
-            .map_err(|_| {
-                self.stats.queued.fetch_sub(1, Ordering::Relaxed);
-                EnsemblerError::Engine("request queue is closed".to_string())
-            })
     }
 
     /// A snapshot of the engine's serving counters.
@@ -559,40 +472,19 @@ fn worker_loop<D: Defense + ?Sized>(
             batch
         };
 
-        // The queue mixes predictions and server-stage requests; predictions
-        // batch among themselves, requests batch per (precision, range) — two
-        // different slices or precisions must never coalesce into one
-        // stacked evaluation.
-        let mut predicts = Vec::new();
-        let mut serves: BTreeMap<_, Vec<_>> = BTreeMap::new();
-        for work in batch {
-            match work {
-                Work::Predict { image, respond } => predicts.push((image, respond)),
-                Work::Serve { request, respond } => {
-                    let range = request.range.map(|range| (range.start, range.end));
-                    let int8 = request.features.precision() == Precision::Int8;
-                    serves
-                        .entry((int8, range))
-                        .or_default()
-                        .push((request.features, respond));
-                }
-            }
+        // Requests batch per (precision, range): two different slices or
+        // precisions must never coalesce into one stacked evaluation.
+        let mut groups: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for (request, respond) in batch {
+            let range = request.range.map(|range| (range.start, range.end));
+            let int8 = request.features.precision() == Precision::Int8;
+            groups
+                .entry((int8, range))
+                .or_default()
+                .push((request.features, respond));
         }
-        if !predicts.is_empty() {
-            execute_group(stats, predicts, |images| {
-                run_predict_batch(defense, &images)
-            });
-        }
-        for ((_, range), group) in serves {
-            let range = range.map(|(lo, hi)| lo..hi);
-            execute_group(stats, group, |features| {
-                let rows = features.len();
-                let request = ServerRequest {
-                    range,
-                    features: Features::stack(features)?,
-                };
-                defense.serve(&request)?.split_rows(rows)
-            });
+        for ((_, range), group) in groups {
+            execute_group(defense, stats, range.map(|(lo, hi)| lo..hi), group);
         }
     }
 }
@@ -601,7 +493,8 @@ fn worker_loop<D: Defense + ?Sized>(
 ///
 /// A panicking pipeline (e.g. a shape assert deep in a layer) must not kill
 /// the thread evaluating it: on a worker, callers would hang forever on an
-/// undrained queue.
+/// undrained queue. [`InferenceEngine::predict_one`] guards its caller-side
+/// stages the same way, so every stage's panic is the same typed error.
 fn catching_panics<T>(
     run: impl FnOnce() -> Result<T, EnsemblerError>,
 ) -> Result<T, EnsemblerError> {
@@ -617,16 +510,24 @@ fn catching_panics<T>(
     })
 }
 
-/// Runs one group as a single coalesced batch — the inputs move into `run`,
-/// which returns one row per input — and answers every requester. A panic
-/// or error answers the whole group with that error.
-fn execute_group<I, R>(
+/// Runs one group — single samples of one precision for one body range — as
+/// a single stacked [`Defense::serve`], splits the answer back into one row
+/// per request and answers every requester. A panic or error answers the
+/// whole group with that error.
+fn execute_group<D: Defense + ?Sized>(
+    defense: &D,
     stats: &StatsCells,
-    group: Vec<(I, Respond<R>)>,
-    run: impl FnOnce(Vec<I>) -> Result<Vec<R>, EnsemblerError>,
+    range: Option<std::ops::Range<usize>>,
+    group: Vec<(Features, Respond)>,
 ) {
-    let (inputs, responders): (Vec<I>, Vec<Respond<R>>) = group.into_iter().unzip();
-    let result = catching_panics(|| run(inputs));
+    let (features, responders): (Vec<Features>, Vec<Respond>) = group.into_iter().unzip();
+    let result = catching_panics(|| {
+        let request = ServerRequest {
+            range,
+            features: Features::stack(features)?,
+        };
+        defense.serve(&request)?.split_rows(responders.len())
+    });
     let size = responders.len() as u64;
     stats.batches.fetch_add(1, Ordering::Relaxed);
     stats.requests.fetch_add(size, Ordering::Relaxed);
@@ -646,22 +547,6 @@ fn execute_group<I, R>(
     }
 }
 
-/// Stacks the queued images — [`InferenceEngine::predict_begin`] admitted
-/// only the served input shape, so they stack — runs one shared prediction
-/// and splits the logits back into per-request rows.
-fn run_predict_batch<D: Defense + ?Sized>(
-    defense: &D,
-    images: &[Tensor],
-) -> Result<Vec<Tensor>, EnsemblerError> {
-    let logits = defense.predict(&Tensor::stack_batch(images))?;
-    let classes = logits.shape()[1];
-    Ok((0..images.len())
-        .map(|row| {
-            let data = logits.data()[row * classes..(row + 1) * classes].to_vec();
-            Tensor::from_vec(data, &[classes]).expect("row length matches")
-        })
-        .collect())
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,15 +561,29 @@ mod tests {
         InferenceEngine::new(pipeline, EngineConfig { max_batch, workers }).unwrap()
     }
 
+    /// Submits one request through [`InferenceEngine::serve_to`] on a
+    /// channel of its own, without waiting: [`wait`] the receiver for the
+    /// answer, or drop it to abandon the request.
+    fn submit<D: Defense + ?Sized>(
+        engine: &InferenceEngine<D>,
+        request: ServerRequest,
+    ) -> Result<Receiver<Tagged>, EnsemblerError> {
+        let (sink, answer) = channel();
+        engine.serve_to(request, 0, &sink)?;
+        Ok(answer)
+    }
+
+    fn wait(answer: Receiver<Tagged>) -> Result<Maps, EnsemblerError> {
+        answer.recv().expect("an accepted request is answered").1
+    }
+
     /// One request through [`InferenceEngine::serve_to`], awaited — the batch
     /// lane when `request` is a pre-assembled batch.
     fn serve_now<D: Defense + ?Sized>(
         engine: &InferenceEngine<D>,
         request: ServerRequest,
     ) -> Result<Maps, EnsemblerError> {
-        let (sink, answers) = channel();
-        engine.serve_to(request, 0, &sink)?;
-        answers.recv().expect("an accepted request is answered").1
+        wait(submit(engine, request)?)
     }
 
     #[test]
@@ -712,21 +611,39 @@ mod tests {
 
     #[test]
     fn single_requests_match_direct_batched_prediction() {
-        let engine = tiny_engine(1, 4);
+        use crate::quant::QuantizedDefense;
+
+        let f32_pipeline: Arc<dyn Defense> = Arc::new(
+            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 3).unwrap(),
+        );
+        let int8_pipeline: Arc<dyn Defense> =
+            Arc::new(QuantizedDefense::quantize(Arc::clone(&f32_pipeline)));
         let image_a = Tensor::from_fn(&[3, 8, 8], |i| (i as f32 * 0.01).sin());
         let image_b = Tensor::from_fn(&[3, 8, 8], |i| (i as f32 * 0.02).cos());
-
-        let row_a = engine.predict_one(image_a.clone()).unwrap();
-        let row_b = engine.predict_one(image_b.clone()).unwrap();
-
         let stacked = Tensor::stack_batch(&[
             image_a.reshape(&[1, 3, 8, 8]).unwrap(),
             image_b.reshape(&[1, 3, 8, 8]).unwrap(),
         ]);
-        let direct = engine.defense().predict(&stacked).unwrap();
-        let classes = direct.shape()[1];
-        assert_eq!(row_a.data(), &direct.data()[..classes]);
-        assert_eq!(row_b.data(), &direct.data()[classes..]);
+
+        // Each pipeline against its own batched `predict`, int8 included.
+        for pipeline in [f32_pipeline, int8_pipeline] {
+            let engine = InferenceEngine::new(
+                pipeline,
+                EngineConfig {
+                    max_batch: 4,
+                    workers: 1,
+                },
+            )
+            .unwrap();
+            let row_a = engine.predict_one(image_a.clone()).unwrap();
+            let row_b = engine.predict_one(image_b.clone()).unwrap();
+
+            let direct = engine.defense().predict(&stacked).unwrap();
+            let classes = direct.shape()[1];
+            let label = engine.defense().label();
+            assert_eq!(row_a.data(), &direct.data()[..classes], "{label}");
+            assert_eq!(row_b.data(), &direct.data()[classes..], "{label}");
+        }
     }
 
     #[test]
@@ -898,7 +815,7 @@ mod tests {
                     .iter()
                     .map(|request| {
                         let engine = Arc::clone(&engine);
-                        scope.spawn(move || engine.serve_begin(request.clone()).unwrap().wait())
+                        scope.spawn(move || wait(submit(&engine, request.clone()).unwrap()))
                     })
                     .collect();
                 handles
@@ -911,7 +828,7 @@ mod tests {
             assert_eq!(answers, expected);
 
             // Malformed ranges are rejected before touching the queue, at
-            // either precision, on both entry points.
+            // either precision.
             let served = engine.stats().requests_served;
             for (range, payload) in [
                 (2..2, Features::F32(features[0].clone())),
@@ -921,8 +838,7 @@ mod tests {
                 ),
             ] {
                 let request = ServerRequest::ranged(range, payload);
-                assert!(engine.serve_begin(request.clone()).is_err());
-                assert!(serve_now(&engine, request).is_err());
+                assert!(submit(&engine, request).is_err());
             }
             assert_eq!(engine.stats().requests_served, served);
         }
@@ -931,28 +847,15 @@ mod tests {
     #[test]
     fn pre_batched_input_is_rejected_by_the_queue_and_served_directly() {
         let engine = tiny_engine(1, 2);
-        let batch = Tensor::ones(&[2, 3, 4, 4]);
-        let payloads = [
-            Features::F32(batch.clone()),
-            Features::Int8(QTensorBatch::quantize_batch(&batch)),
-        ];
-        for payload in payloads {
-            for range in [None, Some(0..1)] {
-                let request = ServerRequest {
-                    range,
-                    features: payload.clone(),
-                };
-                let err = engine.serve_begin(request).unwrap_err();
-                assert!(matches!(err, EnsemblerError::ShapeMismatch(_)), "{err:?}");
-            }
-        }
-        let err = engine.server_outputs_one(batch).unwrap_err();
+        // A well-formed feature batch, so only the one-sample rule of the
+        // blocking call can refuse it (the batch lane would serve it).
+        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.017).sin());
+        let features = engine.defense().client_features(&images).unwrap();
+        let err = engine.server_outputs_one(features.clone()).unwrap_err();
         assert!(matches!(err, EnsemblerError::ShapeMismatch(_)));
 
         // The direct path takes what the queue refuses, bit-identically to
         // the bare pipeline.
-        let images = Tensor::from_fn(&[2, 3, 8, 8], |i| (i as f32 * 0.017).sin());
-        let features = engine.defense().client_features(&images).unwrap();
         let request = ServerRequest::full(Features::F32(features.clone()));
         assert_eq!(
             serve_now(&engine, request).unwrap(),
@@ -968,15 +871,15 @@ mod tests {
         let direct = engine.defense().server_outputs(&features).unwrap();
         let request = ServerRequest::full(Features::F32(features.clone()));
 
-        // Two pipelined submissions, awaited in reverse order: each Pending
+        // Two pipelined submissions, awaited in reverse order: each receiver
         // holds exactly its own answer.
-        let a = engine.serve_begin(request.clone()).unwrap();
-        let b = engine.serve_begin(request.clone()).unwrap();
-        assert_eq!(b.wait().unwrap(), Maps::F32(direct.clone()));
-        assert_eq!(a.wait().unwrap(), Maps::F32(direct.clone()));
+        let a = submit(&engine, request.clone()).unwrap();
+        let b = submit(&engine, request.clone()).unwrap();
+        assert_eq!(wait(b).unwrap(), Maps::F32(direct.clone()));
+        assert_eq!(wait(a).unwrap(), Maps::F32(direct.clone()));
 
-        // A dropped Pending abandons its request without wedging the engine.
-        drop(engine.serve_begin(request).unwrap());
+        // A dropped receiver abandons its request without wedging the engine.
+        drop(submit(&engine, request).unwrap());
         assert_eq!(engine.server_outputs_one(features).unwrap(), direct);
     }
 
@@ -1055,20 +958,23 @@ mod tests {
             },
         )
         .unwrap();
+        // The client stage panics on the calling thread, and is caught there.
         let err = engine.predict_one(Tensor::ones(&[3, 8, 8])).unwrap_err();
         assert!(
             matches!(err, EnsemblerError::Engine(_)),
             "panic should surface as an engine error, got {err:?}"
         );
-        // The worker thread survives: a second request gets an answer (the
-        // same injected panic) instead of hanging on a dead queue.
         let err = engine.predict_one(Tensor::ones(&[3, 8, 8])).unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
-        // The server stage is guarded the same way, queued or direct.
-        let err = engine
-            .server_outputs_one(Tensor::ones(&[3, 8, 8]))
-            .unwrap_err();
-        assert!(matches!(err, EnsemblerError::Engine(_)));
+        // The server stage panics on the worker, queued or in the batch
+        // lane; the worker survives, so the second request gets an answer
+        // (the same injected panic) instead of hanging on a dead queue.
+        for _ in 0..2 {
+            let err = engine
+                .server_outputs_one(Tensor::ones(&[3, 8, 8]))
+                .unwrap_err();
+            assert!(matches!(err, EnsemblerError::Engine(_)));
+        }
         let batch = ServerRequest::full(Features::F32(Tensor::ones(&[2, 3, 8, 8])));
         let err = serve_now(&engine, batch).unwrap_err();
         assert!(matches!(err, EnsemblerError::Engine(_)));
@@ -1187,11 +1093,11 @@ mod tests {
                     }
                 };
                 // One request puts the worker inside a batch ...
-                let blocker = engine.serve_begin(request(99)).unwrap();
+                let blocker = submit(&engine, request(99)).unwrap();
                 assert_eq!(gate.entered(), 1);
                 // ... K more queue up behind it ...
                 let queued: Vec<_> = (0..k)
-                    .map(|i| engine.serve_begin(request(i)).unwrap())
+                    .map(|i| submit(&engine, request(i)).unwrap())
                     .collect();
                 assert_eq!(engine.stats().queue_depth, k as u64);
                 // ... and come out as one batch of min(K, max_batch), the
@@ -1204,11 +1110,11 @@ mod tests {
                     assert_eq!(gate.entered(), k - max_batch);
                     gate.open.send(()).unwrap();
                 }
-                assert_eq!(blocker.wait().unwrap(), inner.serve(&request(99)).unwrap());
+                assert_eq!(wait(blocker).unwrap(), inner.serve(&request(99)).unwrap());
                 for (i, pending) in queued.into_iter().enumerate() {
                     let context = format!("int8 {int8}, range {range:?}, k {k}, item {i}");
                     assert_eq!(
-                        pending.wait().unwrap(),
+                        wait(pending).unwrap(),
                         inner.serve(&request(i)).unwrap(),
                         "{context}"
                     );
@@ -1243,7 +1149,7 @@ mod tests {
                 Features::Int8(QTensorBatch::quantize_batch(&features)),
             )
         };
-        let blocker = engine.serve_begin(f32_full(50)).unwrap();
+        let blocker = submit(&engine, f32_full(50)).unwrap();
         assert_eq!(gate.entered(), 1);
         // Five requests of two kinds, interleaved, all queued while the
         // worker is busy: one drain, two stacked evaluations.
@@ -1255,16 +1161,16 @@ mod tests {
             f32_full(4),
         ]
         .into_iter()
-        .map(|request| (engine.serve_begin(request.clone()).unwrap(), request))
+        .map(|request| (submit(&engine, request.clone()).unwrap(), request))
         .collect();
         gate.open.send(()).unwrap();
         assert_eq!(gate.entered(), 3, "the f32 full-ensemble group");
         gate.open.send(()).unwrap();
         assert_eq!(gate.entered(), 2, "the int8 0..1 group");
         gate.open.send(()).unwrap();
-        blocker.wait().unwrap();
+        wait(blocker).unwrap();
         for (pending, request) in queued {
-            assert_eq!(pending.wait().unwrap(), pipeline.serve(&request).unwrap());
+            assert_eq!(wait(pending).unwrap(), pipeline.serve(&request).unwrap());
         }
         let stats = engine.stats();
         assert_eq!(stats.max_batch_observed, 3);
@@ -1292,7 +1198,7 @@ mod tests {
     fn coalescing_refuses_a_malformed_image_before_it_can_fail_its_batch_mates() {
         let pipeline = four_body_pipeline();
         let (defense, gate) = gated(Arc::clone(&pipeline));
-        let engine = InferenceEngine::new(
+        let engine = InferenceEngine::shared(
             defense,
             EngineConfig {
                 max_batch: 8,
@@ -1304,24 +1210,43 @@ mod tests {
         // first: the blocked worker is released, not joined forever.
         let gate = gate;
         let image = |k: usize| Tensor::from_fn(&[3, 8, 8], |i| ((i + 11 * k) as f32 * 0.021).sin());
+        let predict = |k: usize| {
+            let engine = Arc::clone(&engine);
+            let image = image(k);
+            std::thread::spawn(move || engine.predict_one(image))
+        };
+        // Blocks until `depth` requests sit in the queue (bounded, so a
+        // request that never arrives fails the test instead of hanging it).
+        let queued = |depth: u64| {
+            let start = std::time::Instant::now();
+            while engine.stats().queue_depth < depth {
+                assert!(
+                    start.elapsed() < std::time::Duration::from_secs(60),
+                    "a caller's request should have been queued"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
         // One image puts the worker inside a batch; the rest queue behind
         // it, a good one on either side of the malformed ones.
-        let blocker = engine.predict_begin(image(0)).unwrap();
+        let blocker = predict(0);
         assert_eq!(gate.entered(), 1);
-        let before = engine.predict_begin(image(1)).unwrap();
+        let before = predict(1);
+        queued(1);
         for bad in [
             Tensor::ones(&[4, 8, 8]),
             Tensor::ones(&[3, 16, 16]),
             Tensor::ones(&[1, 3, 8, 4]),
         ] {
-            let err = engine.predict_begin(bad.clone()).unwrap_err();
+            let err = engine.predict_one(bad.clone()).unwrap_err();
             assert!(
                 matches!(err, EnsemblerError::ShapeMismatch(_)),
                 "{:?}: {err:?}",
                 bad.shape()
             );
         }
-        let after = engine.predict_begin(image(2)).unwrap();
+        let after = predict(2);
+        queued(2);
         assert_eq!(
             engine.stats().queue_depth,
             2,
@@ -1330,11 +1255,12 @@ mod tests {
         gate.open.send(()).unwrap();
         assert_eq!(gate.entered(), 2, "the two good images, one batch");
         gate.open.send(()).unwrap();
-        for (k, pending) in [blocker, before, after].into_iter().enumerate() {
+        for (k, caller) in [blocker, before, after].into_iter().enumerate() {
             let alone = pipeline
                 .predict(&image(k).reshape(&[1, 3, 8, 8]).unwrap())
                 .unwrap();
-            assert_eq!(pending.wait().unwrap().data(), alone.data(), "image {k}");
+            let logits = caller.join().unwrap().unwrap();
+            assert_eq!(logits.data(), alone.data(), "image {k}");
         }
         assert_eq!(engine.stats().requests_served, 3);
     }
@@ -1353,18 +1279,18 @@ mod tests {
         .unwrap();
         let request = |i| ServerRequest::full(Features::F32(sample_features(pipeline.as_ref(), i)));
         // The first worker is inside a batch of one ...
-        let a = engine.serve_begin(request(0)).unwrap();
+        let a = submit(&engine, request(0)).unwrap();
         assert_eq!(gate.entered(), 1);
         // ... and the second starts the next request while the first is
         // still blocked: it neither waits for the first worker nor counts
         // the request that worker already drained as one still to arrive.
-        let b = engine.serve_begin(request(1)).unwrap();
+        let b = submit(&engine, request(1)).unwrap();
         assert_eq!(gate.entered(), 1);
         assert_eq!(engine.stats().queue_depth, 0);
         gate.open.send(()).unwrap();
         gate.open.send(()).unwrap();
-        assert_eq!(a.wait().unwrap(), pipeline.serve(&request(0)).unwrap());
-        assert_eq!(b.wait().unwrap(), pipeline.serve(&request(1)).unwrap());
+        assert_eq!(wait(a).unwrap(), pipeline.serve(&request(0)).unwrap());
+        assert_eq!(wait(b).unwrap(), pipeline.serve(&request(1)).unwrap());
         let stats = engine.stats();
         assert_eq!((stats.batches_executed, stats.max_batch_observed), (2, 1));
     }
@@ -1391,7 +1317,7 @@ mod tests {
         let bad_range = ServerRequest::ranged(3..9, Features::F32(batch.clone()));
         assert!(engine.serve_to(bad_range, 7, &sink).is_err());
         drop(sink);
-        let mut seen: Vec<Tagged<Maps>> = answers.iter().collect();
+        let mut seen: Vec<Tagged> = answers.iter().collect();
         seen.sort_by_key(|(tag, _)| *tag);
         assert_eq!(seen.len(), requests.len());
         for ((tag, answer), (index, request)) in seen.into_iter().zip(requests.iter().enumerate()) {

@@ -20,8 +20,9 @@
 //! * [`defenses`] — the baselines the paper compares against (no protection,
 //!   a single noisy network, Shredder-style learned noise and the dropout
 //!   defence), all behind the same trait as size-1 ensembles.
-//! * [`engine`] — [`InferenceEngine`], a concurrent serving frontend that
-//!   coalesces single-image requests into mini-batches over a shared
+//! * [`engine`] — [`InferenceEngine`], the server stage's coalescing queue:
+//!   single-sample [`ServerRequest`]s submitted from any thread through
+//!   [`InferenceEngine::serve_to`] run as mini-batches over a shared
 //!   `Arc<dyn Defense>` — the end-to-end demonstration that Ensembler's
 //!   `O(N)` server cost parallelises away.
 //! * [`selector`] — the client's private [`Selector`] that activates `P` of
@@ -84,13 +85,11 @@ pub mod trainer;
 pub use artifact::{load_defense, load_pipeline, save_pipeline};
 pub use defense::{check_body_range, check_feature_shape, Defense, EvalConfig, Precision};
 pub use defenses::{DefenseKind, SinglePipeline};
-pub use engine::{EngineConfig, EngineStats, InferenceEngine, Pending, Tagged};
+pub use engine::{EngineConfig, EngineStats, InferenceEngine, Tagged};
 pub use error::EnsemblerError;
 pub use framework::EnsemblerPipeline;
 pub use quant::QuantizedDefense;
 pub use request::{Features, Maps, ServerRequest};
 pub use selector::Selector;
-pub use split::{
-    decode_features, decode_qfeatures, encode_features, encode_qfeatures, SplitFeatures, WireBlob,
-};
+pub use split::WireBlob;
 pub use trainer::{EnsemblerTrainer, StageOneNetwork, TrainConfig, TrainReport, TrainedEnsembler};

@@ -2,18 +2,18 @@
 //! features.
 //!
 //! In the paper's setting the client computes `M_c,h(x) + N(0, σ)` locally and
-//! ships the resulting feature map to the server. This module provides the
-//! byte-level encoding of that payload (used both by the latency accounting in
-//! Table III and by tests that exercise a realistic client/server boundary)
-//! together with a small wrapper type describing what travels on the wire.
+//! ships the resulting feature map to the server. This module is the one
+//! byte-level encoding of that payload and of the server's answer: the wire
+//! protocol writes it with [`WireBlob::put`] and reads it back with
+//! [`Features::take`] / [`Maps::take`].
 //!
-//! This is also where each payload *kind* — the [`Features`] a request
+//! This is where each payload *kind* — the [`Features`] a request
 //! carries, the [`Maps`] answering it — meets its bytes: a magic word per
 //! kind in front of a tensor body of [`ensembler_tensor::bytes`], which owns
 //! the body layout and the strict reader every decode goes through. The wire
 //! protocol frames these blobs without knowing what a tensor looks like.
 
-use crate::{EnsemblerError, Features, Maps, Precision};
+use crate::{Features, Maps, Precision};
 use ensembler_tensor::bytes::{put_qtensor, put_tensor, put_u32, DecodeError, Reader};
 use ensembler_tensor::{QTensorBatch, Tensor};
 
@@ -23,66 +23,6 @@ const WIRE_MAGIC: u32 = 0x454E_5342; // "ENSB"
 
 /// Magic bytes prefixed to every quantized feature payload ("ENSQ").
 const QWIRE_MAGIC: u32 = 0x454E_5351;
-
-/// An intermediate-feature payload as it travels from the client to the
-/// server.
-///
-/// # Examples
-///
-/// ```
-/// use ensembler::SplitFeatures;
-/// use ensembler_tensor::Tensor;
-///
-/// let features = Tensor::ones(&[2, 4, 8, 8]);
-/// let payload = SplitFeatures::new(features.clone());
-/// // 4-byte magic + 4-byte rank + four 4-byte dims + f32 data
-/// assert_eq!(payload.byte_len(), 4 + 4 + 4 * 4 + 4 * features.len());
-/// let decoded = payload.round_trip()?;
-/// assert_eq!(decoded, features);
-/// # Ok::<(), ensembler::EnsemblerError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SplitFeatures {
-    features: Tensor,
-}
-
-impl SplitFeatures {
-    /// Wraps a feature tensor for transmission.
-    pub fn new(features: Tensor) -> Self {
-        Self { features }
-    }
-
-    /// The wrapped feature tensor.
-    pub fn features(&self) -> &Tensor {
-        &self.features
-    }
-
-    /// Consumes the wrapper, returning the tensor.
-    pub fn into_features(self) -> Tensor {
-        self.features
-    }
-
-    /// Number of bytes this payload occupies on the wire.
-    pub fn byte_len(&self) -> usize {
-        // magic + rank + dims + f32 data
-        4 + 4 + 4 * self.features.rank() + 4 * self.features.len()
-    }
-
-    /// Encodes the payload into a byte buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_features(&self.features)
-    }
-
-    /// Encodes and immediately decodes the payload, returning the tensor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`EnsemblerError::WireFormat`] error from decoding,
-    /// which indicates an internal inconsistency.
-    pub fn round_trip(&self) -> Result<Tensor, EnsemblerError> {
-        decode_features(&self.encode())
-    }
-}
 
 /// A payload kind as it travels — its magic word, then one of the tensor
 /// bodies of [`ensembler_tensor::bytes`] — and, for a `Vec` of them, the list
@@ -165,50 +105,6 @@ fn take_list<T>(reader: &mut Reader<'_>, take: Take<T>) -> Result<Vec<T>, Decode
     Ok(blobs)
 }
 
-fn encode(blob: &impl WireBlob) -> Vec<u8> {
-    let mut buf = Vec::new();
-    blob.put(&mut buf);
-    buf
-}
-
-/// Serialises a tensor into the client→server wire format: a magic word, the
-/// rank, the dimensions and the raw little-endian `f32` data.
-pub fn encode_features(features: &Tensor) -> Vec<u8> {
-    encode(features)
-}
-
-/// Decodes a payload produced by [`encode_features`].
-///
-/// # Errors
-///
-/// Returns [`EnsemblerError::WireFormat`] if the buffer is truncated, the
-/// magic word is wrong, the rank is implausible, or the declared shape
-/// overflows or disagrees with the payload length.
-pub fn decode_features(payload: &[u8]) -> Result<Tensor, EnsemblerError> {
-    Ok(take_whole(payload, take_tensor)?)
-}
-
-/// Serialises a quantized feature batch into the v2 wire format: a magic
-/// word, the rank, the dimensions (big-endian `u32`), one little-endian
-/// `f32` scale per axis-0 sample, then the raw `i8` data — one byte per
-/// element instead of the four [`encode_features`] spends, which is what
-/// roughly quarters the v2 response frames.
-pub fn encode_qfeatures(features: &QTensorBatch) -> Vec<u8> {
-    encode(features)
-}
-
-/// Decodes a payload produced by [`encode_qfeatures`].
-///
-/// # Errors
-///
-/// Returns [`EnsemblerError::WireFormat`] if the buffer is truncated, the
-/// magic word is wrong, the rank is implausible or zero, a scale is not
-/// finite and positive, or the declared shape overflows or disagrees with the
-/// payload length.
-pub fn decode_qfeatures(payload: &[u8]) -> Result<QTensorBatch, EnsemblerError> {
-    Ok(take_whole(payload, take_qtensor)?)
-}
-
 impl Features {
     /// Reads one blob of the kind `precision` names.
     ///
@@ -241,51 +137,70 @@ impl Maps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnsemblerError;
     use ensembler_tensor::Rng;
+
+    fn encode(blob: &impl WireBlob) -> Vec<u8> {
+        let mut buf = Vec::new();
+        blob.put(&mut buf);
+        buf
+    }
+
+    /// Reads one payload that must fill `bytes` exactly — what the protocol
+    /// decoder does with a request frame's payload.
+    fn decode(precision: Precision, bytes: &[u8]) -> Result<Features, EnsemblerError> {
+        let mut reader = Reader::new(bytes);
+        let features = Features::take(precision, &mut reader)?;
+        reader.finish("request payload")?;
+        Ok(features)
+    }
 
     #[test]
     fn encode_decode_round_trips_exactly() {
         let mut rng = Rng::seed_from(0);
         let t = Tensor::from_fn(&[2, 3, 4, 4], |_| rng.normal());
-        let bytes = encode_features(&t);
-        let back = decode_features(&bytes).unwrap();
-        assert_eq!(back, t);
+        let back = decode(Precision::F32, &encode(&t)).unwrap();
+        assert_eq!(back, Features::F32(t));
     }
 
     #[test]
     fn byte_length_matches_encoding() {
         let t = Tensor::ones(&[1, 16, 8, 8]);
-        let payload = SplitFeatures::new(t);
-        assert_eq!(payload.encode().len(), payload.byte_len());
+        // magic + rank + dims + f32 data
+        assert_eq!(encode(&t).len(), 4 + 4 + 4 * t.rank() + 4 * t.len());
     }
 
     #[test]
     fn paper_sized_payload_is_about_64kib_per_image() {
         // CIFAR-10 intermediate features in the paper are [64, 16, 16] f32,
         // i.e. 64 KiB per image before any compression.
-        let t = Tensor::zeros(&[1, 64, 16, 16]);
-        let payload = SplitFeatures::new(t);
+        let len = encode(&Tensor::zeros(&[1, 64, 16, 16])).len();
         let body_bytes = 4 * 64 * 16 * 16;
-        assert!(payload.byte_len() >= body_bytes);
-        assert!(payload.byte_len() < body_bytes + 64);
+        assert!(len >= body_bytes);
+        assert!(len < body_bytes + 64);
     }
 
     #[test]
     fn truncated_payloads_are_rejected() {
-        let t = Tensor::ones(&[2, 2]);
-        let bytes = encode_features(&t);
-        assert!(decode_features(&bytes[..bytes.len() - 3]).is_err());
-        assert!(decode_features(&bytes[..5]).is_err());
-        assert!(decode_features(&[]).is_err());
+        let bytes = encode(&Tensor::ones(&[2, 2]));
+        assert!(decode(Precision::F32, &bytes[..bytes.len() - 3]).is_err());
+        assert!(decode(Precision::F32, &bytes[..5]).is_err());
+        assert!(decode(Precision::F32, &[]).is_err());
+        // Trailing bytes are refused as firmly as missing ones.
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(decode(Precision::F32, &longer).is_err());
     }
 
     #[test]
     fn wrong_magic_is_rejected() {
-        let t = Tensor::ones(&[2, 2]);
-        let mut bytes = encode_features(&t);
+        let mut bytes = encode(&Tensor::ones(&[2, 2]));
         bytes[0] ^= 0xFF;
-        let err = decode_features(&bytes).unwrap_err();
+        let err = decode(Precision::F32, &bytes).unwrap_err();
         assert!(matches!(err, EnsemblerError::WireFormat(_)));
+        // Each kind's magic word is its own: an f32 blob is not an int8 one.
+        let bytes = encode(&Tensor::ones(&[2, 2]));
+        assert!(decode(Precision::Int8, &bytes).is_err());
     }
 
     #[test]
@@ -293,7 +208,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
         buf.extend_from_slice(&99u32.to_be_bytes());
-        let err = decode_features(&buf).unwrap_err();
+        let err = decode(Precision::F32, &buf).unwrap_err();
         assert!(err.to_string().contains("rank"));
     }
 
@@ -302,15 +217,15 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let t = Tensor::from_fn(&[3, 2, 4, 4], |_| rng.normal());
         let q = QTensorBatch::quantize_batch(&t);
-        let back = decode_qfeatures(&encode_qfeatures(&q)).unwrap();
-        assert_eq!(back, q);
+        let back = decode(Precision::Int8, &encode(&q)).unwrap();
+        assert_eq!(back, Features::Int8(q));
     }
 
     #[test]
     fn quantized_payload_is_roughly_a_quarter_of_f32() {
         let t = Tensor::from_fn(&[1, 16, 8, 8], |i| (i as f32 * 0.01).sin());
-        let f32_len = encode_features(&t).len();
-        let q_len = encode_qfeatures(&QTensorBatch::quantize_batch(&t)).len();
+        let f32_len = encode(&t).len();
+        let q_len = encode(&QTensorBatch::quantize_batch(&t)).len();
         assert!(
             (q_len as f64) < 0.3 * f32_len as f64,
             "{q_len} vs {f32_len}"
@@ -320,43 +235,35 @@ mod tests {
     #[test]
     fn quantized_decode_rejects_malformed_payloads() {
         let q = QTensorBatch::quantize_batch(&Tensor::ones(&[2, 3]));
-        let bytes = encode_qfeatures(&q);
+        let bytes = encode(&q);
+        let decode = |bytes: &[u8]| decode(Precision::Int8, bytes);
         // Truncated inside the data, the scales and the header.
-        assert!(decode_qfeatures(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_qfeatures(&bytes[..10]).is_err());
-        assert!(decode_qfeatures(&bytes[..3]).is_err());
-        assert!(decode_qfeatures(&[]).is_err());
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode(&bytes[..10]).is_err());
+        assert!(decode(&bytes[..3]).is_err());
+        assert!(decode(&[]).is_err());
         // Wrong magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert!(decode_qfeatures(&bad).is_err());
+        assert!(decode(&bad).is_err());
         // Garbage scale: NaN is rejected by from_parts.
         let mut bad = bytes.clone();
         let scale_off = 4 + 4 + 2 * 4; // magic + rank + dims
         bad[scale_off..scale_off + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let err = decode_qfeatures(&bad).unwrap_err();
+        let err = decode(&bad).unwrap_err();
         assert!(err.to_string().contains("finite"), "{err}");
         // Zero rank and absurd rank.
         let mut bad = bytes.clone();
         bad[4..8].copy_from_slice(&0u32.to_be_bytes());
-        assert!(decode_qfeatures(&bad).is_err());
+        assert!(decode(&bad).is_err());
         let mut bad = bytes.clone();
         bad[4..8].copy_from_slice(&99u32.to_be_bytes());
-        assert!(decode_qfeatures(&bad).is_err());
+        assert!(decode(&bad).is_err());
         // An absurd batch extent in a tiny payload must be rejected before
         // the scales vector is allocated, not abort on an OOM allocation.
         let mut bad = bytes;
         bad[8..12].copy_from_slice(&u32::MAX.to_be_bytes()); // dim 0
-        let err = decode_qfeatures(&bad).unwrap_err();
+        let err = decode(&bad).unwrap_err();
         assert!(err.to_string().contains("samples"), "{err}");
-    }
-
-    #[test]
-    fn accessors_expose_the_tensor() {
-        let t = Tensor::ones(&[1, 2]);
-        let payload = SplitFeatures::new(t.clone());
-        assert_eq!(payload.features(), &t);
-        assert_eq!(payload.round_trip().unwrap(), t);
-        assert_eq!(payload.into_features(), t);
     }
 }

@@ -142,11 +142,16 @@ fn the_coalescing_engine_serves_fused_plans_bit_exactly() {
     )
     .unwrap();
     let batch = images(4);
-    let pendings: Vec<_> = (0..4)
-        .map(|i| engine.predict_begin(batch.batch_item(i)).unwrap())
-        .collect();
-    for (i, pending) in pendings.into_iter().enumerate() {
-        let via_engine = pending.wait().unwrap();
+    let answers: Vec<_> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..4)
+            .map(|i| {
+                let (engine, image) = (&engine, batch.batch_item(i));
+                scope.spawn(move || engine.predict_one(image).unwrap())
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (i, via_engine) in answers.into_iter().enumerate() {
         // The engine strips the unit batch dimension from single-image
         // results; match that before comparing bits.
         let direct = eager_ensembler(&fused, false, &batch.batch_item(i));

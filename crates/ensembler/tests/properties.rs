@@ -1,9 +1,19 @@
 //! Property-based tests for the selector, the wire format and the training
 //! configuration validation.
 
-use ensembler::{decode_features, encode_features, Selector, TrainConfig};
+use ensembler::{EnsemblerError, Features, Precision, Selector, TrainConfig, WireBlob};
+use ensembler_tensor::bytes::Reader;
 use ensembler_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+
+/// Reads one `f32` payload that must fill `bytes` exactly, as the protocol
+/// decoder reads a request frame's payload.
+fn decode(bytes: &[u8]) -> Result<Features, EnsemblerError> {
+    let mut reader = Reader::new(bytes);
+    let features = Features::take(Precision::F32, &mut reader)?;
+    reader.finish("request payload")?;
+    Ok(features)
+}
 
 fn selection() -> impl Strategy<Value = (usize, usize, u64)> {
     (2usize..12).prop_flat_map(|n| (Just(n), 1usize..=n, any::<u64>()))
@@ -81,9 +91,10 @@ proptest! {
         };
         let mut rng = Rng::seed_from(seed);
         let t = Tensor::from_fn(&shape, |_| rng.normal());
-        let bytes = encode_features(&t);
-        let back = decode_features(&bytes).expect("round trip succeeds");
-        prop_assert_eq!(back, t);
+        let mut bytes = Vec::new();
+        t.put(&mut bytes);
+        let back = decode(&bytes).expect("round trip succeeds");
+        prop_assert_eq!(back, Features::F32(t));
     }
 
     #[test]
@@ -94,13 +105,14 @@ proptest! {
     ) {
         let mut rng = Rng::seed_from(seed);
         let t = Tensor::from_fn(&[2, 3, 2, 2], |_| rng.normal());
-        let mut bytes = encode_features(&t).to_vec();
+        let mut bytes = Vec::new();
+        t.put(&mut bytes);
         if flip < bytes.len() {
             bytes[flip] ^= 0xA5;
         }
         let truncated = &bytes[..bytes.len().saturating_sub(cut)];
         // Must either decode to some tensor or return an error — never panic.
-        let _ = decode_features(truncated);
+        let _ = decode(truncated);
     }
 
     #[test]

@@ -107,14 +107,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         default_model = Arc::new(QuantizedDefense::quantize(default_model));
     }
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", default_model, config.engine)?;
+    let registry = ModelRegistry::new("default", default_model)?;
     for spec in &extra_models {
-        registry.register_version(
-            spec.name.clone(),
-            spec.version(),
-            spec.build()?,
-            config.engine,
-        )?;
+        registry.register_version(spec.name.clone(), spec.version(), spec.build()?)?;
     }
     for canary in &canaries {
         registry.set_canary(
@@ -122,7 +117,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             canary.spec.version(),
             canary.percent,
             canary.spec.build()?,
-            config.engine,
         )?;
     }
     let server = DefenseServer::bind_registry(registry, addr.as_str(), config)?;
@@ -154,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if let Some(path) = &manifest {
         println!("watching manifest {} for model changes", path.display());
-        watch_manifest(path.clone(), &server, config);
+        watch_manifest(path.clone(), &server);
     }
     println!("stop with Ctrl-C; connect with:");
     println!(
@@ -203,7 +197,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// second and reconciles the server's registry whenever it moves. Reconcile
 /// errors are logged and retried on the next change — a bad manifest edit
 /// must never take the serving process down.
-fn watch_manifest(path: PathBuf, server: &DefenseServer, config: ServerConfig) {
+fn watch_manifest(path: PathBuf, server: &DefenseServer) {
     let registry = Arc::clone(server.registry());
     std::thread::spawn(move || {
         let mtime = |path: &PathBuf| std::fs::metadata(path).and_then(|m| m.modified()).ok();
@@ -213,11 +207,8 @@ fn watch_manifest(path: PathBuf, server: &DefenseServer, config: ServerConfig) {
         let apply = |what: &str| match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|text| Manifest::parse(&text).map_err(|e| e.to_string()))
-            .and_then(|m| {
-                registry
-                    .reconcile(&m, config.engine)
-                    .map_err(|e| e.to_string())
-            }) {
+            .and_then(|m| registry.reconcile(&m).map_err(|e| e.to_string()))
+        {
             Ok(actions) => {
                 for action in actions {
                     println!("manifest {what}: {action}");

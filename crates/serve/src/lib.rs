@@ -14,16 +14,17 @@
 //!   requests; a peer offering less is refused with a typed error;
 //! * [`ModelRegistry`] — the model-name → pipeline map of a multi-model
 //!   server: one `Arc<dyn Defense>` plus one coalescing
-//!   [`ensembler::InferenceEngine`] per registered model *version*, with a
-//!   default model for nameless hellos. Since PR 8 the registry is mutable on
+//!   [`ensembler::InferenceEngine`] per registered model *version* (built
+//!   with the default engine configuration), with a default model for
+//!   nameless hellos. Since PR 8 the registry is mutable on
 //!   a live server — [`ModelRegistry::swap`] hot-reloads a model with zero
 //!   dropped requests and [`ModelRegistry::set_canary`] splits its traffic
 //!   with a second version deterministically (`docs/MODEL_ARTIFACTS.md`
 //!   covers the artifact files and the rollout lifecycle);
 //! * [`DefenseServer`] — a multi-threaded TCP server over a registry:
-//!   per-connection reader threads feed the pinned model's shared engine,
-//!   so single-image requests from different connections coalesce into
-//!   joint mini-batches. Admission control ([`AdmissionConfig`]) bounds
+//!   per-connection reader threads submit to the pinned model's shared
+//!   engine through its one entry point, `serve_to`, so single-sample
+//!   requests from different connections coalesce into joint mini-batches. Admission control ([`AdmissionConfig`]) bounds
 //!   in-flight requests and bytes per connection and per server, answering
 //!   over-budget work with typed `Overloaded` frames instead of queueing
 //!   it, and [`DefenseServer::shutdown`] drains in-flight batches before
@@ -79,7 +80,7 @@ pub use protocol::{
 pub use registry::{
     CanarySpec, Manifest, ModelRegistry, ModelSlot, ModelSource, ModelSpec, ModelStats, VersionRole,
 };
-pub use server::{AdmissionConfig, DefenseServer, ServerConfig, ServerStats, ShardStats};
+pub use server::{AdmissionConfig, DefenseServer, ServerConfig, ServerStats};
 
 use ensembler::{EnsemblerError, EnsemblerPipeline, Selector};
 use ensembler_nn::models::{build_body, build_head, build_tail, ResNetConfig};

@@ -104,8 +104,8 @@ pub const DEFAULT_MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 /// frames actually produced by [`encode_tagged`].
 pub const WIRE_OVERHEAD: WireOverhead = WireOverhead {
     frame_bytes: (FRAME_HEADER_BYTES + FRAME_TRAILER_BYTES) as u64,
-    // Tensor magic word + rank word (see `ensembler::split::encode_features`;
-    // the quantized encoding spends the same header).
+    // Tensor magic word + rank word (see `ensembler::WireBlob::put`; the
+    // quantized encoding spends the same header).
     tensor_base_bytes: 8,
     per_dim_bytes: 4,
     list_header_bytes: 4,

@@ -87,6 +87,16 @@ struct ModelVersion {
     engine: Arc<InferenceEngine<dyn Defense>>,
 }
 
+impl ModelVersion {
+    /// Starts the version's engine. Every engine is built with
+    /// [`EngineConfig::default`]; nothing in the serving tier tunes it.
+    fn new(version: String, defense: Arc<dyn Defense>) -> Self {
+        let engine = InferenceEngine::shared(defense, EngineConfig::default())
+            .expect("the default engine configuration is valid");
+        Self { version, engine }
+    }
+}
+
 #[derive(Debug)]
 struct Canary {
     version: ModelVersion,
@@ -241,16 +251,11 @@ pub fn route_key(payload: impl Iterator<Item = u8>) -> u64 {
 /// `"default"` — then a zero-downtime swap of one of them:
 ///
 /// ```
-/// use ensembler::EngineConfig;
 /// use ensembler_serve::{demo_pipeline, ModelRegistry};
 /// use std::sync::Arc;
 ///
-/// let registry = ModelRegistry::new(
-///     "default",
-///     Arc::new(demo_pipeline(2, 1, 7)?),
-///     EngineConfig::default(),
-/// )?
-/// .with_model("alpha", Arc::new(demo_pipeline(3, 2, 8)?), EngineConfig::default())?;
+/// let registry = ModelRegistry::new("default", Arc::new(demo_pipeline(2, 1, 7)?))?
+///     .with_model("alpha", Arc::new(demo_pipeline(3, 2, 8)?))?;
 ///
 /// assert_eq!(registry.len(), 2);
 /// assert_eq!(registry.resolve(None).unwrap().name(), "default");
@@ -259,12 +264,7 @@ pub fn route_key(payload: impl Iterator<Item = u8>) -> u64 {
 ///
 /// // Hot-swap alpha to new weights (same shape, different seed): takes
 /// // effect immediately, no `&mut` required.
-/// registry.swap(
-///     "alpha",
-///     "3,2,99",
-///     Arc::new(demo_pipeline(3, 2, 99)?),
-///     EngineConfig::default(),
-/// )?;
+/// registry.swap("alpha", "3,2,99", Arc::new(demo_pipeline(3, 2, 99)?))?;
 /// assert_eq!(registry.get("alpha").unwrap().primary_version(), "3,2,99");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -279,22 +279,21 @@ const INITIAL_VERSION: &str = "v0";
 
 impl ModelRegistry {
     /// Creates a registry whose default model is `default_name` serving
-    /// `defense` through an engine configured by `engine`.
+    /// `defense`.
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid model name or engine configuration.
+    /// Returns an error for an invalid model name.
     pub fn new(
         default_name: impl Into<String>,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<Self, ServeError> {
         let default_name = default_name.into();
         let registry = Self {
             default_name: default_name.clone(),
             slots: RwLock::new(BTreeMap::new()),
         };
-        registry.register(default_name, defense, engine)?;
+        registry.register(default_name, defense)?;
         Ok(registry)
     }
 
@@ -305,15 +304,13 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns an error if `name` is empty, contains whitespace or `=` (the
-    /// `--model name=spec` flag separator), is already registered, or the
-    /// engine configuration is invalid.
+    /// `--model name=spec` flag separator) or is already registered.
     pub fn register(
         &self,
         name: impl Into<String>,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<(), ServeError> {
-        self.register_version(name, INITIAL_VERSION, defense, engine)
+        self.register_version(name, INITIAL_VERSION, defense)
     }
 
     /// Registers one more model under `name` with an explicit version tag
@@ -327,7 +324,6 @@ impl ModelRegistry {
         name: impl Into<String>,
         version: impl Into<String>,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<(), ServeError> {
         let name = name.into();
         if name.is_empty() || name.contains(char::is_whitespace) || name.contains('=') {
@@ -341,11 +337,7 @@ impl ModelRegistry {
                 "model {name:?} is already registered"
             )));
         }
-        let engine = InferenceEngine::shared(defense, engine).map_err(ServeError::Defense)?;
-        let version = ModelVersion {
-            version: version.into(),
-            engine,
-        };
+        let version = ModelVersion::new(version.into(), defense);
         slots.insert(name.clone(), Arc::new(ModelSlot::new(name, version)));
         Ok(())
     }
@@ -359,9 +351,8 @@ impl ModelRegistry {
         self,
         name: impl Into<String>,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<Self, ServeError> {
-        self.register(name, defense, engine)?;
+        self.register(name, defense)?;
         Ok(self)
     }
 
@@ -395,21 +386,19 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Returns an error for an unknown name, an invalid engine
-    /// configuration, or a replacement that is not handshake-compatible
-    /// with the current primary (label, ensemble size, selected count and
-    /// head shape must match — connected clients verified those at hello
-    /// time).
+    /// Returns an error for an unknown name or a replacement that is not
+    /// handshake-compatible with the current primary (label, ensemble size,
+    /// selected count and head shape must match — connected clients
+    /// verified those at hello time).
     pub fn swap(
         &self,
         name: &str,
         version: impl Into<String>,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<(), ServeError> {
         let slot = self.require(name)?;
         check_compatible(&slot.primary_engine(), defense.as_ref(), name)?;
-        let engine = InferenceEngine::shared(defense, engine).map_err(ServeError::Defense)?;
+        let version = ModelVersion::new(version.into(), defense);
         let mut state = slot
             .state
             .write()
@@ -418,13 +407,7 @@ impl ModelRegistry {
         // joins its workers, which must wait for in-flight requests — that
         // happens on whichever serving thread releases the last pin, never
         // here under the slot lock.
-        let displaced = std::mem::replace(
-            &mut state.primary,
-            ModelVersion {
-                version: version.into(),
-                engine,
-            },
-        );
+        let displaced = std::mem::replace(&mut state.primary, version);
         let displaced_canary = state.canary.take();
         drop(state);
         drop(displaced_canary);
@@ -438,15 +421,13 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns an error for an unknown name, a percentage outside `1..=99`,
-    /// an invalid engine configuration, or a canary that is not
-    /// handshake-compatible with the slot's primary.
+    /// or a canary that is not handshake-compatible with the slot's primary.
     pub fn set_canary(
         &self,
         name: &str,
         version: impl Into<String>,
         percent: u8,
         defense: Arc<dyn Defense>,
-        engine: EngineConfig,
     ) -> Result<(), ServeError> {
         if !(1..=99).contains(&percent) {
             return Err(ServeError::Registry(format!(
@@ -456,18 +437,12 @@ impl ModelRegistry {
         }
         let slot = self.require(name)?;
         check_compatible(&slot.primary_engine(), defense.as_ref(), name)?;
-        let engine = InferenceEngine::shared(defense, engine).map_err(ServeError::Defense)?;
+        let version = ModelVersion::new(version.into(), defense);
         let mut state = slot
             .state
             .write()
             .expect("model slot lock is never poisoned");
-        let displaced = state.canary.replace(Canary {
-            version: ModelVersion {
-                version: version.into(),
-                engine,
-            },
-            percent,
-        });
+        let displaced = state.canary.replace(Canary { version, percent });
         drop(state);
         drop(displaced);
         Ok(())
@@ -954,21 +929,17 @@ impl ModelRegistry {
     /// incompatible swap, …). Actions already applied stay applied — every
     /// individual action is atomic, so a partially applied manifest is a
     /// valid intermediate state and the next reconcile retries the rest.
-    pub fn reconcile(
-        &self,
-        manifest: &Manifest,
-        engine: EngineConfig,
-    ) -> Result<Vec<String>, ServeError> {
+    pub fn reconcile(&self, manifest: &Manifest) -> Result<Vec<String>, ServeError> {
         let mut actions = Vec::new();
         for spec in &manifest.models {
             let version = spec.version();
             match self.get(&spec.name) {
                 None => {
-                    self.register_version(spec.name.clone(), &version, spec.build()?, engine)?;
+                    self.register_version(spec.name.clone(), &version, spec.build()?)?;
                     actions.push(format!("registered model {} at {version}", spec.name));
                 }
                 Some(slot) if slot.primary_version() != version => {
-                    self.swap(&spec.name, &version, spec.build()?, engine)?;
+                    self.swap(&spec.name, &version, spec.build()?)?;
                     actions.push(format!("swapped model {} to {version}", spec.name));
                 }
                 Some(_) => {}
@@ -979,7 +950,7 @@ impl ModelRegistry {
             let version = canary.spec.version();
             let current = self.get(name).and_then(|slot| slot.canary());
             if current != Some((version.clone(), canary.percent)) {
-                self.set_canary(name, &version, canary.percent, canary.spec.build()?, engine)?;
+                self.set_canary(name, &version, canary.percent, canary.spec.build()?)?;
                 actions.push(format!(
                     "canary on model {name}: {version} at {}%",
                     canary.percent
@@ -1014,25 +985,20 @@ mod tests {
 
     #[test]
     fn duplicate_and_invalid_names_are_rejected() {
-        let registry =
-            ModelRegistry::new("default", demo(2, 1, 1), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("default", demo(2, 1, 1)).unwrap();
         for bad in ["", "two words", "a=b"] {
-            let err = registry
-                .register(bad, demo(2, 1, 2), EngineConfig::default())
-                .unwrap_err();
+            let err = registry.register(bad, demo(2, 1, 2)).unwrap_err();
             assert!(matches!(err, ServeError::Registry(_)), "{bad:?}: {err}");
         }
-        let err = registry
-            .register("default", demo(2, 1, 3), EngineConfig::default())
-            .unwrap_err();
+        let err = registry.register("default", demo(2, 1, 3)).unwrap_err();
         assert!(err.to_string().contains("already registered"), "{err}");
     }
 
     #[test]
     fn resolution_prefers_the_requested_name_and_falls_back_to_default() {
-        let registry = ModelRegistry::new("main", demo(2, 1, 4), EngineConfig::default())
+        let registry = ModelRegistry::new("main", demo(2, 1, 4))
             .unwrap()
-            .with_model("aux", demo(3, 1, 5), EngineConfig::default())
+            .with_model("aux", demo(3, 1, 5))
             .unwrap();
         assert_eq!(registry.resolve(None).unwrap().name(), "main");
         assert_eq!(registry.resolve(Some("aux")).unwrap().name(), "aux");
@@ -1044,9 +1010,9 @@ mod tests {
 
     #[test]
     fn stats_cover_every_model_and_version() {
-        let registry = ModelRegistry::new("a", demo(2, 1, 6), EngineConfig::default())
+        let registry = ModelRegistry::new("a", demo(2, 1, 6))
             .unwrap()
-            .with_model("b", demo(2, 1, 7), EngineConfig::default())
+            .with_model("b", demo(2, 1, 7))
             .unwrap();
         let stats = registry.stats();
         assert_eq!(stats.len(), 2);
@@ -1056,7 +1022,7 @@ mod tests {
         assert_eq!(stats[0].role, VersionRole::Primary);
 
         registry
-            .set_canary("a", "canary-v1", 10, demo(2, 1, 8), EngineConfig::default())
+            .set_canary("a", "canary-v1", 10, demo(2, 1, 8))
             .unwrap();
         let stats = registry.stats();
         assert_eq!(stats.len(), 3);
@@ -1067,11 +1033,9 @@ mod tests {
 
     #[test]
     fn swap_replaces_the_primary_without_a_mut_registry() {
-        let registry = ModelRegistry::new("m", demo(2, 1, 10), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("m", demo(2, 1, 10)).unwrap();
         let before = registry.get("m").unwrap().primary_engine();
-        registry
-            .swap("m", "2,1,11", demo(2, 1, 11), EngineConfig::default())
-            .unwrap();
+        registry.swap("m", "2,1,11", demo(2, 1, 11)).unwrap();
         let slot = registry.get("m").unwrap();
         assert_eq!(slot.primary_version(), "2,1,11");
         // The old engine is still alive for whoever holds it (drain), but
@@ -1081,28 +1045,24 @@ mod tests {
 
     #[test]
     fn swap_enforces_handshake_compatibility() {
-        let registry = ModelRegistry::new("m", demo(2, 1, 12), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("m", demo(2, 1, 12)).unwrap();
         for (incompatible, what) in [
             (demo(3, 1, 12), "ensemble size"),
             (demo(2, 2, 12), "selected count"),
         ] {
-            let err = registry
-                .swap("m", "bad", incompatible, EngineConfig::default())
-                .unwrap_err();
+            let err = registry.swap("m", "bad", incompatible).unwrap_err();
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
-        let err = registry
-            .swap("missing", "v", demo(2, 1, 13), EngineConfig::default())
-            .unwrap_err();
+        let err = registry.swap("missing", "v", demo(2, 1, 13)).unwrap_err();
         assert!(err.to_string().contains("not registered"), "{err}");
     }
 
     #[test]
     fn canary_routing_is_deterministic_and_promotable() {
-        let registry = ModelRegistry::new("m", demo(2, 1, 14), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("m", demo(2, 1, 14)).unwrap();
         assert!(registry.get("m").unwrap().canary().is_none());
         registry
-            .set_canary("m", "next", 30, demo(2, 1, 15), EngineConfig::default())
+            .set_canary("m", "next", 30, demo(2, 1, 15))
             .unwrap();
         let slot = registry.get("m").unwrap();
         assert_eq!(slot.canary(), Some(("next".to_string(), 30)));
@@ -1128,14 +1088,14 @@ mod tests {
 
     #[test]
     fn the_route_key_is_computed_only_when_a_canary_is_installed() {
-        let registry = ModelRegistry::new("m", demo(2, 1, 14), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("m", demo(2, 1, 14)).unwrap();
         let slot = registry.get("m").unwrap();
         let (engine, role) = slot.engine_for(|| panic!("no canary, so no key is needed"));
         assert_eq!(role, VersionRole::Primary);
         assert!(Arc::ptr_eq(&engine, &slot.primary_engine()));
 
         registry
-            .set_canary("m", "next", 30, demo(2, 1, 15), EngineConfig::default())
+            .set_canary("m", "next", 30, demo(2, 1, 15))
             .unwrap();
         let calls = std::cell::Cell::new(0);
         let (_, role) = slot.engine_for(|| {
@@ -1148,35 +1108,27 @@ mod tests {
 
     #[test]
     fn canary_validation_and_rollback() {
-        let registry = ModelRegistry::new("m", demo(2, 1, 16), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("m", demo(2, 1, 16)).unwrap();
         for percent in [0u8, 100] {
             assert!(registry
-                .set_canary("m", "x", percent, demo(2, 1, 17), EngineConfig::default())
+                .set_canary("m", "x", percent, demo(2, 1, 17))
                 .is_err());
         }
-        assert!(registry
-            .set_canary("m", "x", 10, demo(3, 1, 17), EngineConfig::default())
-            .is_err());
-        registry
-            .set_canary("m", "x", 10, demo(2, 1, 17), EngineConfig::default())
-            .unwrap();
+        assert!(registry.set_canary("m", "x", 10, demo(3, 1, 17)).is_err());
+        registry.set_canary("m", "x", 10, demo(2, 1, 17)).unwrap();
         registry.clear_canary("m").unwrap();
         assert!(registry.get("m").unwrap().canary().is_none());
         // Swapping also clears a staged canary.
-        registry
-            .set_canary("m", "x", 10, demo(2, 1, 17), EngineConfig::default())
-            .unwrap();
-        registry
-            .swap("m", "v2", demo(2, 1, 18), EngineConfig::default())
-            .unwrap();
+        registry.set_canary("m", "x", 10, demo(2, 1, 17)).unwrap();
+        registry.swap("m", "v2", demo(2, 1, 18)).unwrap();
         assert!(registry.get("m").unwrap().canary().is_none());
     }
 
     #[test]
     fn remove_refuses_the_default_model() {
-        let registry = ModelRegistry::new("main", demo(2, 1, 19), EngineConfig::default())
+        let registry = ModelRegistry::new("main", demo(2, 1, 19))
             .unwrap()
-            .with_model("aux", demo(2, 1, 20), EngineConfig::default())
+            .with_model("aux", demo(2, 1, 20))
             .unwrap();
         assert!(registry.remove("main").is_err());
         assert!(registry.remove("missing").is_err());
@@ -1253,8 +1205,7 @@ mod tests {
 
     #[test]
     fn manifests_parse_and_reconcile_idempotently() {
-        let registry =
-            ModelRegistry::new("default", demo(4, 2, 17), EngineConfig::default()).unwrap();
+        let registry = ModelRegistry::new("default", demo(4, 2, 17)).unwrap();
         let manifest = Manifest::parse(
             "# two models, one canary\n\
              default=4,2,17\n\
@@ -1264,9 +1215,7 @@ mod tests {
         .unwrap();
         // Three actions: the default (registered at "v0") converges to its
         // manifest version, alpha is registered, alpha's canary installed.
-        let actions = registry
-            .reconcile(&manifest, EngineConfig::default())
-            .unwrap();
+        let actions = registry.reconcile(&manifest).unwrap();
         assert_eq!(actions.len(), 3, "{actions:?}");
         assert_eq!(registry.names(), vec!["alpha", "default"]);
         assert_eq!(registry.get("default").unwrap().primary_version(), "4,2,17");
@@ -1275,17 +1224,12 @@ mod tests {
             Some(("2,1,6".to_string(), 20))
         );
         // Idempotent: the same manifest converges to nothing.
-        assert!(registry
-            .reconcile(&manifest, EngineConfig::default())
-            .unwrap()
-            .is_empty());
+        assert!(registry.reconcile(&manifest).unwrap().is_empty());
 
         // Promote by editing the manifest: canary source becomes primary.
         let promoted = Manifest::parse("default=4,2,17\nalpha=2,1,6\n").unwrap();
         // One action: the swap to the canary's source clears the canary too.
-        let actions = registry
-            .reconcile(&promoted, EngineConfig::default())
-            .unwrap();
+        let actions = registry.reconcile(&promoted).unwrap();
         assert_eq!(actions.len(), 1, "{actions:?}");
         let slot = registry.get("alpha").unwrap();
         assert_eq!(slot.primary_version(), "2,1,6");
@@ -1293,9 +1237,7 @@ mod tests {
 
         // Dropping the model removes it; the default stays.
         let shrunk = Manifest::parse("default=4,2,17\n").unwrap();
-        registry
-            .reconcile(&shrunk, EngineConfig::default())
-            .unwrap();
+        registry.reconcile(&shrunk).unwrap();
         assert_eq!(registry.names(), vec!["default"]);
 
         for bad in [

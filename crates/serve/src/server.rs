@@ -37,8 +37,7 @@ use crate::protocol::{
 };
 use crate::registry::{route_key, ModelRegistry, ModelSlot, ModelStats};
 use ensembler::{
-    check_feature_shape, Defense, EngineConfig, EnsemblerError, InferenceEngine, Maps,
-    ServerRequest, Tagged,
+    check_feature_shape, Defense, EnsemblerError, InferenceEngine, Maps, ServerRequest, Tagged,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -117,10 +116,6 @@ impl Default for AdmissionConfig {
 /// Tuning knobs of a [`DefenseServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Configuration of the per-model [`InferenceEngine`]s behind the
-    /// sockets (used by [`DefenseServer::bind`]; [`ModelRegistry`] callers
-    /// configure each engine at registration time).
-    pub engine: EngineConfig,
     /// Largest request payload a connection will accept, in bytes.
     pub max_payload_bytes: u32,
     /// How long a reader thread waits for the next frame before closing the
@@ -141,7 +136,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            engine: EngineConfig::default(),
             max_payload_bytes: DEFAULT_MAX_PAYLOAD_BYTES,
             read_timeout: Some(std::time::Duration::from_secs(120)),
             write_timeout: Some(std::time::Duration::from_secs(60)),
@@ -197,57 +191,6 @@ pub struct ServerStats {
     /// Per-model engine counters (requests, batches, queue depth), sorted by
     /// model name.
     pub per_model: Vec<ModelStats>,
-    /// Per-shard router counters. Empty on an ordinary server; the
-    /// `shard_router` binary fills one entry per worker from
-    /// `ensembler_shard::ShardRouter::shard_stats` when it snapshots its
-    /// frontend server.
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// Counters for one worker of a scatter-gather shard router, as surfaced
-/// through [`ServerStats::per_shard`].
-///
-/// The struct lives here (rather than in the shard crate) so the serving
-/// stats type can carry it without a circular dependency; the router crate
-/// produces the values.
-///
-/// # Examples
-///
-/// ```
-/// use ensembler_serve::ShardStats;
-///
-/// let shard = ShardStats {
-///     addr: "10.0.0.7:7000".to_string(),
-///     lo: 4,
-///     hi: 8,
-///     quantized: true,
-///     healthy: true,
-///     requests: 128,
-///     hedges_fired: 3,
-///     health_flaps: 1,
-/// };
-/// assert_eq!(shard.hi - shard.lo, 4); // four bodies placed on this worker
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// The worker's address, as given in the placement.
-    pub addr: String,
-    /// First server body index placed on this worker (inclusive).
-    pub lo: u32,
-    /// One past the last server body index placed on this worker.
-    pub hi: u32,
-    /// Whether the router ships this worker quantized (int8) frames.
-    pub quantized: bool,
-    /// Whether the worker answered its most recent health probe (or
-    /// request).
-    pub healthy: bool,
-    /// Range requests this worker has answered successfully.
-    pub requests: u64,
-    /// Hedged duplicate requests fired at this worker after the primary
-    /// exchange stayed silent past the hedge threshold.
-    pub hedges_fired: u64,
-    /// Healthy↔unhealthy transitions observed by the health monitor.
-    pub health_flaps: u64,
 }
 
 #[derive(Debug, Default)]
@@ -476,7 +419,7 @@ impl DefenseServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
-        let registry = ModelRegistry::new("default", defense, config.engine)?;
+        let registry = ModelRegistry::new("default", defense)?;
         Self::bind_registry(registry, addr, config)
     }
 
@@ -618,7 +561,6 @@ impl DefenseServer {
             inflight_requests: inflight.requests,
             inflight_bytes: inflight.bytes,
             per_model: self.registry.stats(),
-            per_shard: Vec::new(),
         }
     }
 
@@ -946,7 +888,7 @@ fn serve_connection(
 /// write the socket is shut down, which ends the reader too, and the
 /// remaining answers are discarded as they arrive, releasing their permits
 /// and engine pins.
-fn writer_loop(respond: &Responder, inflight: &InFlightTable, answered: &Receiver<Tagged<Maps>>) {
+fn writer_loop(respond: &Responder, inflight: &InFlightTable, answered: &Receiver<Tagged>) {
     let mut peer_gone = false;
     let mut answer = |entry: InFlight, result: Result<Maps, EnsemblerError>| {
         let InFlight {
@@ -1002,7 +944,7 @@ fn request_loop(
     draining: &AtomicBool,
     config: &ServerConfig,
     inflight: &InFlightTable,
-    answers: &Sender<Tagged<Maps>>,
+    answers: &Sender<Tagged>,
 ) -> Result<(), ServeError> {
     let budget = Arc::new(ConnectionBudget::default());
     let mut frame = Vec::new();

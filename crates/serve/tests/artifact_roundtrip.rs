@@ -103,14 +103,9 @@ fn artifacts_loaded_from_disk_serve_bit_identically_over_the_wire() {
     let config = ServerConfig::default();
     let full = ModelSpec::parse(&format!("full={}", f32_file.0.display())).unwrap();
     let quant = ModelSpec::parse(&format!("quant={}", int8_file.0.display())).unwrap();
-    let registry = ModelRegistry::new("full", full.build().unwrap(), config.engine).unwrap();
+    let registry = ModelRegistry::new("full", full.build().unwrap()).unwrap();
     registry
-        .register_version(
-            "quant",
-            quant.version(),
-            quant.build().unwrap(),
-            config.engine,
-        )
+        .register_version("quant", quant.version(), quant.build().unwrap())
         .unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
 

@@ -126,7 +126,7 @@ fn a_swap_drains_in_flight_requests_on_the_old_engine() {
     let (version_a, version_b) = two_versions(601, 602);
     let (gated_a, gate) = GatedDefense::new(Arc::clone(&version_a));
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", gated_a, config.engine).unwrap();
+    let registry = ModelRegistry::new("default", gated_a).unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());
 
@@ -148,7 +148,7 @@ fn a_swap_drains_in_flight_requests_on_the_old_engine() {
     // promptly: it displaces the old engine but must never wait for its
     // in-flight work (the request pins the engine until its answer ships).
     registry
-        .swap("default", "v2", Arc::clone(&version_b), config.engine)
+        .swap("default", "v2", Arc::clone(&version_b))
         .unwrap();
     assert_eq!(registry.get("default").unwrap().primary_version(), "v2");
 
@@ -182,7 +182,7 @@ fn hot_swap_under_concurrent_multiplexed_load_drops_nothing() {
     const REQUESTS: u64 = 24;
     let (version_a, version_b) = two_versions(611, 612);
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", Arc::clone(&version_a), config.engine).unwrap();
+    let registry = ModelRegistry::new("default", Arc::clone(&version_a)).unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());
 
@@ -233,7 +233,7 @@ fn hot_swap_under_concurrent_multiplexed_load_drops_nothing() {
             std::thread::yield_now();
         }
         registry
-            .swap("default", "v2", Arc::clone(&version_b), config.engine)
+            .swap("default", "v2", Arc::clone(&version_b))
             .unwrap();
         swapped.store(true, Ordering::SeqCst);
 
@@ -259,11 +259,11 @@ fn canary_routing_is_deterministic_and_promotion_completes_the_rollout() {
     const PERCENT: u8 = 30;
     let (primary, canary) = two_versions(621, 622);
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", Arc::clone(&primary), config.engine).unwrap();
+    let registry = ModelRegistry::new("default", Arc::clone(&primary)).unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());
     registry
-        .set_canary("default", "v2", PERCENT, Arc::clone(&canary), config.engine)
+        .set_canary("default", "v2", PERCENT, Arc::clone(&canary))
         .unwrap();
 
     let remote = RemoteDefense::connect(Arc::clone(&primary), server.local_addr()).unwrap();
@@ -318,9 +318,9 @@ fn canary_routing_is_deterministic_and_promotion_completes_the_rollout() {
 fn incompatible_swaps_are_refused_and_removed_models_drain() {
     let (version_a, _) = two_versions(631, 632);
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", Arc::clone(&version_a), config.engine)
+    let registry = ModelRegistry::new("default", Arc::clone(&version_a))
         .unwrap()
-        .with_model("spare", Arc::clone(&version_a), config.engine)
+        .with_model("spare", Arc::clone(&version_a))
         .unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());
@@ -329,9 +329,7 @@ fn incompatible_swaps_are_refused_and_removed_models_drain() {
     // connected client's handshake-verified expectations: refused, and the
     // error names the differing property.
     let incompatible: Arc<dyn Defense> = Arc::new(demo_pipeline(3, 2, 633).unwrap());
-    let err = registry
-        .swap("default", "v2", incompatible, config.engine)
-        .unwrap_err();
+    let err = registry.swap("default", "v2", incompatible).unwrap_err();
     assert!(err.to_string().contains("ensemble"), "{err}");
     assert_eq!(registry.get("default").unwrap().primary_version(), "v0");
 
@@ -362,7 +360,7 @@ fn two_hundred_hot_swaps_under_tagged_load_drop_nothing_and_free_every_engine() 
     const SWAPS: usize = 200;
     let (version_a, version_b) = two_versions(641, 642);
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", Arc::clone(&version_a), config.engine).unwrap();
+    let registry = ModelRegistry::new("default", Arc::clone(&version_a)).unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());
     let remote =
@@ -424,12 +422,7 @@ fn two_hundred_hot_swaps_under_tagged_load_drop_nothing_and_free_every_engine() 
                 &version_a
             };
             registry
-                .swap(
-                    "default",
-                    format!("v{}", swap + 1),
-                    Arc::clone(next),
-                    config.engine,
-                )
+                .swap("default", format!("v{}", swap + 1), Arc::clone(next))
                 .unwrap();
             displaced.push(Arc::downgrade(
                 &registry.get("default").unwrap().primary_engine(),

@@ -133,14 +133,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         router_config.hedge_after, router_config.health_interval
     );
 
-    let mut last = server.stats();
+    // The frontend server knows nothing of the fan-out behind its pipeline;
+    // the router's per-shard counters are read beside its snapshot.
+    let mut last = (server.stats(), router.shard_stats());
     loop {
         std::thread::sleep(std::time::Duration::from_secs(5));
-        let mut stats = server.stats();
-        // The frontend server knows nothing of the fan-out behind its
-        // pipeline; graft the router's per-shard counters into the snapshot.
-        stats.per_shard = router.shard_stats();
-        if stats != last {
+        let current = (server.stats(), router.shard_stats());
+        if current != last {
+            let (stats, shards) = &current;
             println!(
                 "{} connections | {} served, {} rejected, {} errors | {} in flight ({} B)",
                 stats.connections_accepted,
@@ -150,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stats.inflight_requests,
                 stats.inflight_bytes,
             );
-            for shard in &stats.per_shard {
+            for shard in shards {
                 println!(
                     "  shard {} [{}..{}{}]: {} requests, {} hedges, {} flaps, {}",
                     shard.addr,
@@ -167,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     },
                 );
             }
-            last = stats;
+            last = current;
         }
     }
 }

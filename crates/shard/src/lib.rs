@@ -66,7 +66,7 @@ use ensembler::{
 };
 use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
-use ensembler_serve::{RemoteDefense, ServeError, ShardStats};
+use ensembler_serve::{RemoteDefense, ServeError};
 use ensembler_tensor::Tensor;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -365,6 +365,48 @@ impl Default for RouterConfig {
     }
 }
 
+/// Counters for one worker of a [`ShardRouter`], as
+/// [`ShardRouter::shard_stats`] reports them.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_shard::ShardStats;
+///
+/// let shard = ShardStats {
+///     addr: "10.0.0.7:7000".to_string(),
+///     lo: 4,
+///     hi: 8,
+///     quantized: true,
+///     healthy: true,
+///     requests: 128,
+///     hedges_fired: 3,
+///     health_flaps: 1,
+/// };
+/// assert_eq!(shard.hi - shard.lo, 4); // four bodies placed on this worker
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ShardStats {
+    /// The worker's address, as given in the placement.
+    pub addr: String,
+    /// First server body index placed on this worker (inclusive).
+    pub lo: u32,
+    /// One past the last server body index placed on this worker.
+    pub hi: u32,
+    /// Whether the router ships this worker quantized (int8) frames.
+    pub quantized: bool,
+    /// Whether the worker answered its most recent health probe (or
+    /// request).
+    pub healthy: bool,
+    /// Range requests this worker has answered successfully.
+    pub requests: u64,
+    /// Hedged duplicate requests fired at this worker after the primary
+    /// exchange stayed silent past the hedge threshold.
+    pub hedges_fired: u64,
+    /// Healthy↔unhealthy transitions observed by the health monitor.
+    pub health_flaps: u64,
+}
+
 /// Reconnect throttling for one worker: the next allowed dial time and the
 /// current (doubling) delay.
 #[derive(Debug)]
@@ -600,8 +642,8 @@ impl ShardRouter {
     }
 
     /// Per-worker counters (requests, hedges fired, health flaps) in
-    /// placement order — what the `shard_router` binary surfaces through
-    /// [`ensembler_serve::ServerStats::per_shard`].
+    /// placement order — what the `shard_router` binary logs beside its
+    /// frontend server's [`ensembler_serve::ServerStats`].
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.links
             .iter()

@@ -7,12 +7,13 @@
 //! Run with: `cargo run --example private_medical_inference --release`
 
 use ensembler_suite::core::{
-    encode_features, Defense, EngineConfig, EnsemblerTrainer, InferenceEngine, SplitFeatures,
-    TrainConfig,
+    Defense, EngineConfig, EnsemblerTrainer, Features, InferenceEngine, Precision, TrainConfig,
+    WireBlob,
 };
 use ensembler_suite::data::SyntheticSpec;
 use ensembler_suite::metrics::accuracy;
 use ensembler_suite::nn::models::ResNetConfig;
+use ensembler_suite::tensor::bytes::Reader;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,20 +41,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 1 (client): run the head and add the fixed noise.
     let transmitted = pipeline.client_features(&images)?;
-    let payload = SplitFeatures::new(transmitted.clone());
+    let mut payload = Vec::new(); // bytes as they appear on the network
+    transmitted.put(&mut payload);
     println!(
         "client uploads {} bytes of intermediate features for {} images",
-        payload.byte_len(),
+        payload.len(),
         images.shape()[0]
     );
-    // The wire encoding round-trips exactly (what the server receives).
-    let received = payload.round_trip()?;
-    assert_eq!(received, transmitted);
-    let _raw = encode_features(&transmitted); // bytes as they appear on the network
+    // The wire encoding round-trips exactly: the server reads it back as
+    // the protocol's decoder does.
+    let mut reader = Reader::new(&payload);
+    let received = Features::take(Precision::F32, &mut reader)?;
+    reader.finish("request payload")?;
+    let received = received.as_f32()?;
+    assert_eq!(received, &transmitted);
 
     // Step 2 (server): evaluate every ensemble member on the received
     // features — in parallel, from a shared `&self`.
-    let server_maps = pipeline.server_outputs(&received)?;
+    let server_maps = pipeline.server_outputs(received)?;
     println!(
         "server returns {} feature vectors of {} values each",
         server_maps.len(),

@@ -4,11 +4,13 @@
 
 use ensembler_suite::attack::{attack_adaptive, attack_single_pipeline, AttackConfig};
 use ensembler_suite::core::{
-    Defense, DefenseKind, EnsemblerTrainer, SinglePipeline, SplitFeatures, TrainConfig,
+    Defense, DefenseKind, EnsemblerTrainer, Features, Precision, SinglePipeline, TrainConfig,
+    WireBlob,
 };
 use ensembler_suite::data::SyntheticSpec;
 use ensembler_suite::metrics::{accuracy, psnr, ssim};
 use ensembler_suite::nn::models::ResNetConfig;
+use ensembler_suite::tensor::bytes::Reader;
 
 fn tiny_train_config() -> TrainConfig {
     TrainConfig {
@@ -69,9 +71,13 @@ fn split_inference_over_the_wire_matches_local_inference() {
 
     // The same computation, but shipping the features through the wire format.
     let transmitted = pipeline.client_features(&images).expect("client features");
-    let payload = SplitFeatures::new(transmitted);
-    let received = payload.round_trip().expect("wire round trip succeeds");
-    let maps = pipeline.server_outputs(&received).expect("server outputs");
+    let mut payload = Vec::new();
+    transmitted.put(&mut payload);
+    let mut reader = Reader::new(&payload);
+    let received = Features::take(Precision::F32, &mut reader).expect("wire round trip succeeds");
+    reader.finish("request payload").expect("nothing trails");
+    let received = received.as_f32().expect("an f32 payload");
+    let maps = pipeline.server_outputs(received).expect("server outputs");
     let remote_logits = pipeline.classify(&maps).expect("classification succeeds");
 
     for (a, b) in local_logits.data().iter().zip(remote_logits.data()) {
