@@ -311,8 +311,8 @@ impl Maps {
         }
     }
 
-    /// The maps `range` of these, by position: what a router that scattered
-    /// the whole ensemble keeps for a request that named a slice of it.
+    /// The maps at positions `range` of these, in order: the share of a
+    /// full answer that a request for the bodies `range` receives.
     ///
     /// # Panics
     ///

@@ -274,12 +274,17 @@ impl Mux {
 impl Drop for Mux {
     fn drop(&mut self) {
         // Shutting the socket down unblocks the demultiplexer's read; it
-        // fails any stragglers and exits, and the join below reaps it.
+        // fails any stragglers and exits, and the join below reaps it. A sink
+        // may own the last handle to its own connection (`exchange_to` takes
+        // any closure), and then this runs on the demultiplexer itself, which
+        // cannot join itself: it exits once the sink returns.
         if let Ok(writer) = self.writer.lock() {
             let _ = writer.0.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.demux.take() {
-            let _ = handle.join();
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -696,5 +701,45 @@ mod tests {
             |slots| slots.fail_all("connection lost: simulated"),
             "connection lost: simulated",
         );
+    }
+
+    #[test]
+    fn a_sink_may_drop_the_last_handle_to_its_own_connection() {
+        // A scripted server: an honest handshake, then it closes the socket
+        // when told to, failing the request in flight on the client's
+        // demultiplexer thread.
+        let local: Arc<dyn Defense> = Arc::new(crate::demo_pipeline(2, 1, 3).expect("demo"));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let (close, closing) = channel::<()>();
+        let served = Arc::clone(&local);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_message(&mut stream, DEFAULT_MAX_PAYLOAD_BYTES).expect("hello");
+            let ack = HelloAck {
+                version: PROTOCOL_VERSION,
+                label: served.label().to_string(),
+                ensemble_size: served.ensemble_size() as u32,
+                selected_count: served.selected_count() as u32,
+                model: None,
+            };
+            write_message(&mut stream, &Message::HelloAck(ack)).expect("ack");
+            let _ = closing.recv();
+        });
+
+        let remote = Arc::new(RemoteDefense::connect(Arc::clone(&local), addr).expect("connect"));
+        let last = Arc::clone(&remote);
+        let (done, finished) = channel();
+        let request = ServerRequest::full(Features::F32(Tensor::ones(&[1, 2, 3, 3])));
+        remote.exchange_to(request, move |result| {
+            drop(last);
+            let _ = done.send(result.is_err());
+        });
+        // From here the sink owns the last handle: the connection failure
+        // drops it, and with it the connection, on the demultiplexer thread.
+        drop(remote);
+        close.send(()).expect("the server waits for the signal");
+        assert_eq!(finished.recv(), Ok(true));
+        server.join().expect("scripted server");
     }
 }

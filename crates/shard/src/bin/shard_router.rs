@@ -25,7 +25,8 @@
 //! plus int8 variants for `int8` shards). The placement must tile `0..N`
 //! exactly; `--placement FILE` reads the same one-shard-per-line syntax
 //! `Placement::to_config_string` writes. The operator guide, including
-//! health-check and hedging tuning, lives in `docs/SERVING.md`.
+//! hedging tuning and how the router reconnects to a restarted worker, lives
+//! in `docs/SERVING.md`.
 
 use ensembler::Defense;
 use ensembler_serve::cli::positional;
@@ -129,8 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {shard}");
     }
     println!(
-        "hedge after {:?}, health probe every {:?}; stop with Ctrl-C",
-        router_config.hedge_after, router_config.health_interval
+        "hedge after {:?}; stop with Ctrl-C",
+        router_config.hedge_after
     );
 
     // The frontend server knows nothing of the fan-out behind its pipeline;

@@ -16,11 +16,11 @@
 //!   and whether its leg of the fan-out travels in `f32` or int8 frames;
 //!   parsed from repeatable `--shard HOST:PORT=lo..hi[,int8]` flags or a
 //!   placement file of the same one-shard-per-line syntax;
-//! * [`ShardRouter`] — the fan-out/merge [`ensembler::Defense`], with a
-//!   background health monitor (periodic probe, mark-unhealthy, reconnect
-//!   with capped exponential backoff) and hedged retries (a duplicate
-//!   request on a fresh connection once the primary stays silent past
-//!   [`RouterConfig::hedge_after`], first response wins);
+//! * [`ShardRouter`] — the fan-out/merge [`ensembler::Defense`], with one
+//!   pooled multiplexed connection per worker, redialed on demand (under a
+//!   capped exponential backoff) when a request finds it dead, and hedged
+//!   retries (a duplicate request on a fresh connection once the primary
+//!   stays silent past [`RouterConfig::hedge_after`], first response wins);
 //! * [`ShardError`] — typed degradation: a worker that cannot serve its
 //!   range fails the whole request with
 //!   [`ShardError::ShardUnavailable`], never a silent partial sum;
@@ -68,11 +68,11 @@ use ensembler_nn::models::ResNetConfig;
 use ensembler_nn::Sequential;
 use ensembler_serve::{RemoteDefense, ServeError};
 use ensembler_tensor::Tensor;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Everything that can go wrong assembling or running a sharded deployment.
@@ -334,33 +334,28 @@ impl Placement {
     }
 }
 
-/// Tuning knobs of a [`ShardRouter`].
+/// First delay after a failed dial before that worker may be dialed again;
+/// it doubles per consecutive failure.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Cap on the doubling reconnect backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(5);
+
+/// The tuning knob of a [`ShardRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Fire a hedged duplicate request on a *fresh* connection once a
     /// worker's primary exchange has stayed silent this long; the first
-    /// response wins and the loser's connection is dropped (so its late
-    /// response can never be read as the answer to a later request).
-    /// `None` disables hedging.
+    /// response wins and the loser's late response is discarded (it is
+    /// routed by its request id, so it can never be read as the answer to a
+    /// later request). `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// How often the background health monitor probes every worker (a TCP
-    /// connect) and repopulates dropped connections. `None` disables the
-    /// monitor; workers are then only probed by the requests themselves.
-    pub health_interval: Option<Duration>,
-    /// First delay after a failed connect before that worker may be dialed
-    /// again; doubles per consecutive failure.
-    pub initial_backoff: Duration,
-    /// Cap on the doubling reconnect backoff.
-    pub max_backoff: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             hedge_after: Some(Duration::from_millis(500)),
-            health_interval: Some(Duration::from_secs(5)),
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(5),
         }
     }
 }
@@ -395,15 +390,16 @@ pub struct ShardStats {
     pub hi: u32,
     /// Whether the router ships this worker quantized (int8) frames.
     pub quantized: bool,
-    /// Whether the worker answered its most recent health probe (or
-    /// request).
+    /// Whether the router's last contact with the worker — a dial or a
+    /// range request — reached it. Nothing probes an idle worker, so this is
+    /// as fresh as the last request sent to it.
     pub healthy: bool,
     /// Range requests this worker has answered successfully.
     pub requests: u64,
     /// Hedged duplicate requests fired at this worker after the primary
     /// exchange stayed silent past the hedge threshold.
     pub hedges_fired: u64,
-    /// Healthy↔unhealthy transitions observed by the health monitor.
+    /// Healthy↔unhealthy transitions observed by requests and dials.
     pub health_flaps: u64,
 }
 
@@ -439,7 +435,7 @@ impl std::fmt::Debug for WorkerLink {
 }
 
 impl WorkerLink {
-    fn new(spec: ShardSpec, replica: Arc<dyn Defense>, config: &RouterConfig) -> Self {
+    fn new(spec: ShardSpec, replica: Arc<dyn Defense>) -> Self {
         Self {
             spec,
             replica,
@@ -449,7 +445,7 @@ impl WorkerLink {
             hedges: AtomicU64::new(0),
             flaps: AtomicU64::new(0),
             backoff: Mutex::new(Backoff {
-                delay: config.initial_backoff,
+                delay: INITIAL_BACKOFF,
                 blocked_until: None,
             }),
         }
@@ -465,10 +461,30 @@ impl WorkerLink {
     }
 
     /// The pooled-connection slot, locked.
-    fn pool(&self) -> std::sync::MutexGuard<'_, Option<Arc<RemoteDefense>>> {
+    fn pool(&self) -> MutexGuard<'_, Option<Arc<RemoteDefense>>> {
         self.conn
             .lock()
             .expect("connection mutex is never poisoned")
+    }
+
+    /// The reconnect backoff, locked.
+    fn backoff(&self) -> MutexGuard<'_, Backoff> {
+        self.backoff
+            .lock()
+            .expect("backoff mutex is never poisoned")
+    }
+
+    /// The pooled multiplexed connection, dialed only when the slot is
+    /// empty. The slot stays locked across the dial, so callers that find it
+    /// empty at once share one dial instead of each opening a socket.
+    fn connection(&self) -> Result<Arc<RemoteDefense>, ShardError> {
+        let mut slot = self.pool();
+        if let Some(conn) = &*slot {
+            return Ok(Arc::clone(conn));
+        }
+        let conn = self.dial()?;
+        *slot = Some(Arc::clone(&conn));
+        Ok(conn)
     }
 
     /// Records a served request. The winning connection is usually the
@@ -487,44 +503,33 @@ impl WorkerLink {
         }
     }
 
-    /// Dials the worker, respecting the reconnect backoff: inside the
-    /// blocked window this fails immediately (so a dead worker costs one
-    /// failed dial per backoff period, not one per request), and each
-    /// consecutive failure doubles the window up to the cap.
-    fn connect_fresh(&self, config: &RouterConfig) -> Result<Arc<RemoteDefense>, ShardError> {
-        {
-            let backoff = self
-                .backoff
-                .lock()
-                .expect("backoff mutex is never poisoned");
-            if let Some(until) = backoff.blocked_until {
-                if Instant::now() < until {
-                    return Err(self.unavailable(format!(
-                        "in reconnect backoff for {:?} more",
-                        until.saturating_duration_since(Instant::now())
-                    )));
-                }
+    /// Opens a new connection to the worker — the one place the router
+    /// dials, for the pool ([`WorkerLink::connection`]), a hedge and a retry
+    /// alike. Inside the reconnect backoff window this fails at once (so a
+    /// dead worker costs one failed dial per backoff period, not one per
+    /// request), and each consecutive failure doubles the window up to
+    /// [`MAX_BACKOFF`].
+    fn dial(&self) -> Result<Arc<RemoteDefense>, ShardError> {
+        let blocked_until = self.backoff().blocked_until;
+        if let Some(until) = blocked_until {
+            let left = until.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                return Err(self.unavailable(format!("in reconnect backoff for {left:?} more")));
             }
         }
         match RemoteDefense::connect(Arc::clone(&self.replica), self.spec.addr.as_str()) {
             Ok(conn) => {
-                let mut backoff = self
-                    .backoff
-                    .lock()
-                    .expect("backoff mutex is never poisoned");
-                backoff.delay = config.initial_backoff;
-                backoff.blocked_until = None;
-                drop(backoff);
+                *self.backoff() = Backoff {
+                    delay: INITIAL_BACKOFF,
+                    blocked_until: None,
+                };
                 self.note_health(true);
                 Ok(Arc::new(conn))
             }
             Err(error) => {
-                let mut backoff = self
-                    .backoff
-                    .lock()
-                    .expect("backoff mutex is never poisoned");
+                let mut backoff = self.backoff();
                 backoff.blocked_until = Some(Instant::now() + backoff.delay);
-                backoff.delay = (backoff.delay * 2).min(config.max_backoff);
+                backoff.delay = (backoff.delay * 2).min(MAX_BACKOFF);
                 drop(backoff);
                 self.note_health(false);
                 Err(self.unavailable(format!("connect failed: {error}")))
@@ -534,7 +539,7 @@ impl WorkerLink {
 }
 
 /// Which exchange of one leg an answer belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Attempt {
     /// The first exchange, on the pooled connection.
     Primary,
@@ -546,9 +551,41 @@ enum Attempt {
 }
 
 /// One answer on a scatter's channel: the leg (its index among the legs
-/// sent) and attempt it belongs to, the connection that carried it, and the
-/// outcome.
-type LegAnswer = (usize, Attempt, Arc<RemoteDefense>, Result<Maps, ServeError>);
+/// sent) and attempt it belongs to, and the outcome.
+type LegAnswer = (usize, Attempt, Result<Maps, ServeError>);
+
+/// A scatter's exchanges in flight: the channel their answers arrive on, and
+/// the connection each attempt went out on until its answer arrives. The
+/// scatter holds the connections, never a sink, so the last handle of one is
+/// released on the caller's thread and not on its own demultiplexer.
+struct Gather {
+    answers: mpsc::Sender<LegAnswer>,
+    carriers: HashMap<(usize, Attempt), Arc<RemoteDefense>>,
+}
+
+impl Gather {
+    /// Puts one exchange of leg `index` on the wire, from the calling thread,
+    /// and keeps the connection it went out on. The pooled connection is
+    /// *shared*: concurrent router callers clone its handle and multiplex
+    /// their exchanges over the one (protocol-v5) socket per worker, each
+    /// response finding its caller by request id — no per-caller dialing, no
+    /// frame interleaving hazard, and no thread per leg: the connection's
+    /// demultiplexer delivers the answer.
+    fn send_leg(
+        &mut self,
+        index: usize,
+        attempt: Attempt,
+        conn: Arc<RemoteDefense>,
+        request: ServerRequest,
+    ) {
+        let answers = self.answers.clone();
+        conn.exchange_to(request, move |result| {
+            // A late loser finds the receiver gone.
+            let _ = answers.send((index, attempt, result));
+        });
+        self.carriers.insert((index, attempt), conn);
+    }
+}
 
 /// Where one leg of a scatter stands.
 enum Leg {
@@ -569,10 +606,8 @@ enum Leg {
 #[derive(Debug)]
 pub struct ShardRouter {
     client: Arc<dyn Defense>,
-    links: Vec<Arc<WorkerLink>>,
+    links: Vec<WorkerLink>,
     config: RouterConfig,
-    monitor: Option<JoinHandle<()>>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl ShardRouter {
@@ -604,7 +639,7 @@ impl ShardRouter {
             } else {
                 None
             };
-        let links: Vec<Arc<WorkerLink>> = placement
+        let links: Vec<WorkerLink> = placement
             .shards()
             .iter()
             .map(|spec| {
@@ -617,27 +652,19 @@ impl ShardRouter {
                 } else {
                     Arc::clone(&client)
                 };
-                Arc::new(WorkerLink::new(spec.clone(), replica, &config))
+                WorkerLink::new(spec.clone(), replica)
             })
             .collect();
         // Eager connect: a misconfigured deployment (wrong worker, wrong
         // checkpoint, wrong precision) fails at construction, not on the
         // first request. The handshake cross-checks label, N and P.
         for link in &links {
-            *link.pool() = Some(link.connect_fresh(&config)?);
+            link.connection()?;
         }
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let monitor = config.health_interval.map(|interval| {
-            let links = links.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || monitor_loop(&links, &config, interval, &stop))
-        });
         Ok(Self {
             client,
             links,
             config,
-            monitor,
-            stop,
         })
     }
 
@@ -660,30 +687,6 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Puts one exchange of leg `index` on the wire, from the calling thread;
-    /// its answer arrives on `answers`. The pooled connection is *shared*:
-    /// concurrent router callers clone its handle and multiplex their
-    /// exchanges over the one (protocol-v5) socket per worker, each response
-    /// finding its caller by request id — no per-caller dialing, no frame
-    /// interleaving hazard, and no thread per leg: the connection's
-    /// demultiplexer delivers the answer.
-    fn send_leg(
-        index: usize,
-        attempt: Attempt,
-        conn: Arc<RemoteDefense>,
-        request: ServerRequest,
-        answers: &mpsc::Sender<LegAnswer>,
-    ) {
-        let answers = answers.clone();
-        let carrier = Arc::clone(&conn);
-        conn.exchange_to(request, move |result| {
-            // A late loser finds the receiver gone and releases its
-            // connection handle right here; the multiplexed pooled
-            // connection itself lives on in the pool.
-            let _ = answers.send((index, attempt, carrier, result));
-        });
-    }
-
     /// Scatters one request for the bodies `range` — a leg to each worker
     /// whose placed range meets it, asking for the overlap on
     /// `features_for` that worker — and gathers the partial maps in
@@ -701,6 +704,10 @@ impl ShardRouter {
         features_for: impl Fn(&ShardSpec) -> Features,
     ) -> Result<Vec<Maps>, ShardError> {
         let (answers, gathered) = mpsc::channel::<LegAnswer>();
+        let mut gather = Gather {
+            answers,
+            carriers: HashMap::new(),
+        };
         // The legs sent, by leg index: the worker and the request it got.
         let mut sent = Vec::new();
         for link in &self.links {
@@ -709,17 +716,8 @@ impl ShardRouter {
                 continue;
             }
             let request = ServerRequest::ranged(lo..hi, features_for(&link.spec));
-            let pooled = link.pool().clone();
-            let conn = match pooled {
-                Some(conn) => conn,
-                None => {
-                    let fresh = link.connect_fresh(&self.config)?;
-                    *link.pool() = Some(Arc::clone(&fresh));
-                    fresh
-                }
-            };
-            let index = sent.len();
-            Self::send_leg(index, Attempt::Primary, conn, request.clone(), &answers);
+            let conn = link.connection()?;
+            gather.send_leg(sent.len(), Attempt::Primary, conn, request.clone());
             sent.push((link, request));
         }
 
@@ -735,7 +733,7 @@ impl ShardRouter {
                     .ok(),
                 None => Some(gathered.recv().expect("this thread holds a sender")),
             };
-            let Some((index, attempt, conn, result)) = answer else {
+            let Some((index, attempt, result)) = answer else {
                 // The hedge threshold passed: every leg still silent gets a
                 // duplicate on a fresh connection (never the same socket —
                 // the primary's response is still owed on it).
@@ -743,13 +741,17 @@ impl ShardRouter {
                 for (index, (link, request)) in sent.iter().enumerate() {
                     if matches!(legs[index], Leg::Waiting) {
                         link.hedges.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(fresh) = link.connect_fresh(&self.config) {
-                            Self::send_leg(index, Attempt::Hedge, fresh, request.clone(), &answers);
+                        if let Ok(fresh) = link.dial() {
+                            gather.send_leg(index, Attempt::Hedge, fresh, request.clone());
                         }
                     }
                 }
                 continue;
             };
+            let conn = gather
+                .carriers
+                .remove(&(index, attempt))
+                .expect("every answer comes from an attempt that was sent");
             let (link, request) = &sent[index];
             // Anything else is the loser of a leg already decided: on the
             // shared multiplexed connection its late response was routed by
@@ -799,10 +801,10 @@ impl ShardRouter {
                     // One immediate reconnect-and-retry covers a worker that
                     // was restarted between requests; anything more is a
                     // typed ShardUnavailable for the caller.
-                    let fresh = link.connect_fresh(&self.config).map_err(|retry| {
+                    let fresh = link.dial().map_err(|retry| {
                         link.unavailable(format!("{error}; reconnect failed: {retry}"))
                     })?;
-                    Self::send_leg(index, Attempt::Retry, fresh, request.clone(), &answers);
+                    gather.send_leg(index, Attempt::Retry, fresh, request.clone());
                     legs[index] = Leg::Retrying(error);
                 }
             }
@@ -814,50 +816,6 @@ impl ShardRouter {
                 _ => unreachable!("the gather loop ends when every leg is done"),
             })
             .collect())
-    }
-}
-
-impl Drop for ShardRouter {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock.lock().expect("stop mutex is never poisoned") = true;
-        cvar.notify_all();
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The background health monitor: every `interval`, probe each worker with
-/// a TCP connect, record the health transition, and redial dropped
-/// connection slots (respecting the backoff) so a recovered worker is ready
-/// before the next request needs it.
-fn monitor_loop(
-    links: &[Arc<WorkerLink>],
-    config: &RouterConfig,
-    interval: Duration,
-    stop: &(Mutex<bool>, Condvar),
-) {
-    let (lock, cvar) = stop;
-    loop {
-        {
-            let stopped = lock.lock().expect("stop mutex is never poisoned");
-            let (stopped, _) = cvar
-                .wait_timeout_while(stopped, interval, |stopped| !*stopped)
-                .expect("stop mutex is never poisoned");
-            if *stopped {
-                return;
-            }
-        }
-        for link in links {
-            let alive = std::net::TcpStream::connect(link.spec.addr.as_str()).is_ok();
-            link.note_health(alive);
-            if alive && link.pool().is_none() {
-                if let Ok(conn) = link.connect_fresh(config) {
-                    *link.pool() = Some(conn);
-                }
-            }
-        }
     }
 }
 

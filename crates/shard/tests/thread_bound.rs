@@ -103,13 +103,9 @@ fn scatters_cost_no_threads() {
         format!("{}=2..4", workers[1].local_addr()),
     ];
     let placement = Placement::parse(&specs, 4).unwrap();
-    // No hedges and no background probing: both dial connections, and a
-    // connection does cost its reader and writer.
-    let config = RouterConfig {
-        hedge_after: None,
-        health_interval: None,
-        ..RouterConfig::default()
-    };
+    // No hedges: a hedge dials a connection, and a connection does cost its
+    // reader and writer.
+    let config = RouterConfig { hedge_after: None };
     let router = ShardRouter::new(Arc::clone(&pipeline), placement, config).unwrap();
 
     let images =
