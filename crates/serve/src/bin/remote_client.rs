@@ -3,13 +3,13 @@
 //! and cross-checks the result against a fully local prediction.
 //!
 //! Usage: `cargo run -p ensembler-serve --bin remote_client --release \
-//!     [-- ADDR [N] [P] [SEED] [BATCH] [--model NAME] [--int8] \
-//!      [--retries K] [--backoff-ms MS]]`
-//! Defaults: `127.0.0.1:7878 4 2 17 8` — the `N P SEED` triple (and the
-//! `--int8` flag) must match the server-side model so both processes hold
-//! bit-identical weights. `--model NAME` asks a multi-model server for one
-//! of its named models in the handshake; without it the server
-//! serves its default model.
+//!     [-- ADDR [SOURCE] [BATCH] [--model NAME] [--retries K] [--backoff-ms MS]]`
+//! Defaults: `127.0.0.1:7878 4,2,17 8`. `SOURCE` is the served model's
+//! source — a demo spec `N,P,SEED[,int8]` or the artifact file the server
+//! loaded — so both processes hold bit-identical weights. `--model NAME`
+//! asks a multi-model server for one of its named models in the handshake;
+//! without it the server serves its default model. The images come from a
+//! fixed seed, whatever the source.
 //!
 //! Transient `Overloaded` rejections (admission budgets, the connection
 //! limit, a draining replica) are retried with capped exponential backoff:
@@ -18,19 +18,21 @@
 //! retry-on-Overloaded loop is the client half of the server's admission
 //! contract; `--retries 0` restores fail-on-first-rejection.
 
-use ensembler::{Defense, QuantizedDefense};
+use ensembler::Defense;
 use ensembler_serve::cli::positional;
-use ensembler_serve::{demo_pipeline, RemoteDefense};
+use ensembler_serve::{ModelSource, RemoteDefense};
 use ensembler_tensor::{Rng, Tensor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Parsed command line: positional arguments, `--model NAME`, `--int8`, and
-/// the Overloaded-retry policy.
+const USAGE: &str = "usage: remote_client ADDR [SOURCE] [BATCH] [--model NAME] \
+                     [--retries K] [--backoff-ms MS]";
+
+/// Parsed command line: positional arguments, `--model NAME` and the
+/// Overloaded-retry policy.
 struct Args {
     positional: Vec<String>,
     model: Option<String>,
-    int8: bool,
     retries: u32,
     backoff_ms: u64,
 }
@@ -39,7 +41,6 @@ struct Args {
 fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
     let mut positional = Vec::new();
     let mut model = None;
-    let mut int8 = false;
     let mut retries = 3;
     let mut backoff_ms = 50;
     let mut args = std::env::args().skip(1);
@@ -48,8 +49,6 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
             model = Some(args.next().ok_or("--model needs a NAME argument")?);
         } else if let Some(name) = arg.strip_prefix("--model=") {
             model = Some(name.to_string());
-        } else if arg == "--int8" {
-            int8 = true;
         } else if arg == "--retries" {
             retries = args.next().ok_or("--retries needs a count")?.parse()?;
         } else if let Some(count) = arg.strip_prefix("--retries=") {
@@ -65,10 +64,12 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
             positional.push(arg);
         }
     }
+    if positional.len() > 3 {
+        return Err(USAGE.into());
+    }
     Ok(Args {
         positional,
         model,
-        int8,
         retries,
         backoff_ms,
     })
@@ -108,42 +109,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let Args {
         positional: args,
         model,
-        int8,
         retries,
         backoff_ms,
     } = parse_args()?;
-    let addr = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let n: usize = positional(&args, 1, 4);
-    let p: usize = positional(&args, 2, 2);
-    let seed: u64 = positional(&args, 3, 17);
-    let batch: usize = positional(&args, 4, 8);
+    let addr: String = positional(&args, 0, "127.0.0.1:7878".to_string());
+    let source = ModelSource::parse(&positional(&args, 1, "4,2,17".to_string()))?;
+    let batch: usize = positional(&args, 2, 8);
 
-    let local: Arc<dyn Defense> = if int8 {
-        Arc::new(QuantizedDefense::quantize(Arc::new(demo_pipeline(
-            n, p, seed,
-        )?)))
-    } else {
-        Arc::new(demo_pipeline(n, p, seed)?)
-    };
+    let local = source.build()?;
     let remote = retry_overloaded("handshake", retries, backoff_ms, || match &model {
         Some(name) => RemoteDefense::connect_model(Arc::clone(&local), addr.as_str(), name),
         None => RemoteDefense::connect(Arc::clone(&local), addr.as_str()),
     })?;
     println!(
-        "connected to {} at {addr} ({}{})",
+        "connected to {} at {addr} ({}), replica from {source}",
         remote.peer_label(),
         match remote.model() {
             Some(name) => format!("model {name}"),
             None => "default model".to_string(),
         },
-        if int8 { ", quantized frames" } else { "" }
     );
 
     let config = local.config().clone();
-    let mut rng = Rng::seed_from(seed ^ 0x5EED);
+    let mut rng = Rng::seed_from(0x5EED ^ 17);
     let images = Tensor::from_fn(
         &[
             batch,
@@ -177,7 +165,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if max_diff == 0.0 {
             "bit-identical"
         } else {
-            "MISMATCH — do N/P/SEED/--int8 match the served model?"
+            "MISMATCH — does SOURCE match the served model?"
         }
     );
     if max_diff != 0.0 {

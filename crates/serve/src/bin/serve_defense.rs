@@ -1,46 +1,50 @@
 //! Stand-alone multi-model defense server: the untrusted-cloud process of
 //! the paper's deployment.
 //!
-//! Builds deterministic demo Ensemblers (so a `remote_client` given the same
-//! `N P SEED` holds a bit-identical replica) and/or loads exported model
-//! artifacts, and serves their `server_outputs` stages over TCP until
-//! killed, logging a stats line whenever the counters move.
+//! Builds its models from model sources (so a `remote_client` given the same
+//! source holds a bit-identical replica) and serves their `server_outputs`
+//! stages over TCP until killed, logging a stats line whenever the counters
+//! move.
 //!
 //! Usage: `cargo run -p ensembler-serve --bin serve_defense --release \
-//!     [-- ADDR [N] [P] [SEED[,int8]] [--model NAME=SOURCE]... \
-//!        [--canary NAME=SOURCE@PCT%]... [--manifest FILE]]`
-//! Defaults: `127.0.0.1:7878 4 2 17`.
+//!     [-- ADDR [SOURCE] [--model NAME=SOURCE]... [--canary NAME=SOURCE@PCT%]... \
+//!        [--manifest FILE]]`
+//! Defaults: `127.0.0.1:7878 4,2,17`.
 //!
 //! A `SOURCE` is either a demo spec `N,P,SEED[,int8]` or the path of a
 //! model artifact exported by `export_model` (see
-//! `docs/MODEL_ARTIFACTS.md`). The positional `N P SEED` triple defines the
-//! **default** model (the one nameless hellos get); an
-//! `,int8` suffix on the seed quantizes it, which is how a `shard_router`
-//! int8 worker is launched — the router's nameless handshake reaches the
-//! default model. Each repeatable `--model` flag registers one more
-//! pipeline under its own name; clients pick it with
+//! `docs/MODEL_ARTIFACTS.md`). The positional `SOURCE` is the **default**
+//! model (the one nameless hellos get); `4,2,17,int8` quantizes it, which is
+//! how a `shard_router` int8 worker is launched — the router's nameless
+//! handshake reaches the default model. Each repeatable `--model` flag
+//! serves one more model under its own name; clients pick it with
 //! `remote_client --model NAME`. Each `--canary` flag serves a second
-//! version under an existing name at the given traffic share.
+//! version under a name at the given traffic share. The flags are one
+//! manifest, applied with `ModelRegistry::reconcile` at startup.
 //!
-//! `--manifest FILE` turns the model set *live*: the file (one
+//! `--manifest FILE` turns the model set *live* instead: the file (one
 //! `NAME=SOURCE[@PCT%]` per line) is watched for changes, and every edit is
 //! reconciled onto the running server — models are added, hot-swapped,
-//! canaried, promoted and removed with zero dropped requests. The operator
-//! guide, including admission-control tuning, lives in `docs/SERVING.md`.
+//! canaried, promoted and removed with zero dropped requests. It owns the
+//! model set, so it is refused together with `--model` or `--canary`. The
+//! operator guide, including admission-control tuning, lives in
+//! `docs/SERVING.md`.
 
-use ensembler::{Defense, QuantizedDefense};
 use ensembler_serve::cli::positional;
 use ensembler_serve::{
-    demo_pipeline, CanarySpec, DefenseServer, Manifest, ModelRegistry, ModelSpec, ServerConfig,
+    CanarySpec, DefenseServer, Manifest, ModelRegistry, ModelSource, ModelSpec, ServerConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The flag-parsed command line: positionals plus the lifecycle flags.
+const USAGE: &str = "usage: serve_defense ADDR [SOURCE] [--model NAME=SOURCE]... \
+                     [--canary NAME=SOURCE@PCT%]... [--manifest FILE]";
+
+/// The flag-parsed command line: positionals, the `--model` / `--canary`
+/// flags as one manifest, and the `--manifest` file.
 struct Args {
     positional: Vec<String>,
-    models: Vec<ModelSpec>,
-    canaries: Vec<CanarySpec>,
+    flags: Manifest,
     manifest: Option<PathBuf>,
 }
 
@@ -49,8 +53,7 @@ struct Args {
 fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
     let mut parsed = Args {
         positional: Vec::new(),
-        models: Vec::new(),
-        canaries: Vec::new(),
+        flags: Manifest::default(),
         manifest: None,
     };
     let mut args = std::env::args().skip(1);
@@ -64,10 +67,10 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
     while let Some(arg) = args.next() {
         if arg == "--model" || arg.starts_with("--model=") {
             let raw = value(&mut args, "--model", arg.strip_prefix("--model="))?;
-            parsed.models.push(ModelSpec::parse(&raw)?);
+            parsed.flags.models.push(ModelSpec::parse(&raw)?);
         } else if arg == "--canary" || arg.starts_with("--canary=") {
             let raw = value(&mut args, "--canary", arg.strip_prefix("--canary="))?;
-            parsed.canaries.push(CanarySpec::parse(&raw)?);
+            parsed.flags.canaries.push(CanarySpec::parse(&raw)?);
         } else if arg == "--manifest" || arg.starts_with("--manifest=") {
             let raw = value(&mut args, "--manifest", arg.strip_prefix("--manifest="))?;
             parsed.manifest = Some(PathBuf::from(raw));
@@ -75,68 +78,38 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
             parsed.positional.push(arg);
         }
     }
+    if parsed.positional.len() > 2 {
+        return Err(USAGE.into());
+    }
+    if parsed.manifest.is_some() && parsed.flags != Manifest::default() {
+        return Err("use either --model/--canary flags or --manifest, not both".into());
+    }
     Ok(parsed)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let Args {
         positional: args,
-        models: extra_models,
-        canaries,
+        flags,
         manifest,
     } = parse_args()?;
-    let addr = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let n: usize = positional(&args, 1, 4);
-    let p: usize = positional(&args, 2, 2);
-    // `SEED,int8` quantizes the default model — the launch syntax for a
-    // shard_router int8 worker (see docs/SERVING.md).
-    let (seed_arg, int8) = match args.get(3).map(String::as_str) {
-        Some(raw) => match raw.strip_suffix(",int8") {
-            Some(seed) => (seed, true),
-            None => (raw, false),
-        },
-        None => ("", false),
-    };
-    let seed: u64 = seed_arg.parse().unwrap_or(17);
+    let addr: String = positional(&args, 0, "127.0.0.1:7878".to_string());
+    let source = ModelSource::parse(&positional(&args, 1, "4,2,17".to_string()))?;
 
-    let mut default_model: Arc<dyn Defense> = Arc::new(demo_pipeline(n, p, seed)?);
-    if int8 {
-        default_model = Arc::new(QuantizedDefense::quantize(default_model));
-    }
     let config = ServerConfig::default();
+    let default_model = source.build()?;
+    let label = default_model.label().to_string();
     let registry = ModelRegistry::new("default", default_model)?;
-    for spec in &extra_models {
-        registry.register_version(spec.name.clone(), spec.version(), spec.build()?)?;
-    }
-    for canary in &canaries {
-        registry.set_canary(
-            &canary.spec.name,
-            canary.spec.version(),
-            canary.percent,
-            canary.spec.build()?,
-        )?;
-    }
+    let actions = registry.reconcile(&flags)?;
     let server = DefenseServer::bind_registry(registry, addr.as_str(), config)?;
 
     println!(
-        "serving {} model(s) on {} — default: Ensembler{} (N={n} P={p} seed={seed})",
+        "serving {} model(s) on {} — default: {label} from {source}",
         server.registry().len(),
         server.local_addr(),
-        if int8 { "+int8" } else { "" },
     );
-    for spec in &extra_models {
-        println!("  model {}: {}", spec.name, spec.version());
-    }
-    for canary in &canaries {
-        println!(
-            "  canary {}: {} at {}%",
-            canary.spec.name,
-            canary.spec.version(),
-            canary.percent
-        );
+    for action in actions {
+        println!("  {action}");
     }
     println!(
         "admission: {} connections; {} reqs / {} MiB per server, {} reqs / {} MiB per connection",
@@ -152,13 +125,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("stop with Ctrl-C; connect with:");
     println!(
-        "  cargo run -p ensembler-serve --bin remote_client --release -- {} {} {} {}{}",
+        "  cargo run -p ensembler-serve --bin remote_client --release -- {} {source}",
         server.local_addr(),
-        n,
-        p,
-        seed,
-        if int8 { " --int8" } else { "" },
     );
+    for spec in &flags.models {
+        println!(
+            "  cargo run -p ensembler-serve --bin remote_client --release -- {} {} --model {}",
+            server.local_addr(),
+            spec.source,
+            spec.name,
+        );
+    }
 
     let mut last = server.stats();
     loop {

@@ -1,5 +1,6 @@
-//! Tiny argument helpers shared by the `serve_defense` and `remote_client`
-//! binaries, so the two command lines cannot drift apart.
+//! Tiny argument helpers shared by the `serve_defense`, `remote_client`,
+//! `export_model` and `shard_router` binaries, so their command lines cannot
+//! drift apart.
 
 /// Parses positional argument `index` of `args`, falling back to `default`
 /// when the argument is absent or unparsable.

@@ -406,8 +406,8 @@ impl RemoteDefense {
     /// // One process, two models.
     /// let alpha: Arc<dyn Defense> = Arc::new(demo_pipeline(2, 1, 5)?);
     /// let beta: Arc<dyn Defense> = Arc::new(demo_pipeline(3, 2, 6)?);
-    /// let registry = ModelRegistry::new("alpha", Arc::clone(&alpha))?
-    ///     .with_model("beta", Arc::clone(&beta))?;
+    /// let registry = ModelRegistry::new("alpha", Arc::clone(&alpha))?;
+    /// registry.register("beta", "3,2,6", Arc::clone(&beta))?;
     /// let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", ServerConfig::default())?;
     ///
     /// // A client picks its model by name and gets bit-identical results.

@@ -254,8 +254,8 @@ pub fn route_key(payload: impl Iterator<Item = u8>) -> u64 {
 /// use ensembler_serve::{demo_pipeline, ModelRegistry};
 /// use std::sync::Arc;
 ///
-/// let registry = ModelRegistry::new("default", Arc::new(demo_pipeline(2, 1, 7)?))?
-///     .with_model("alpha", Arc::new(demo_pipeline(3, 2, 8)?))?;
+/// let registry = ModelRegistry::new("default", Arc::new(demo_pipeline(2, 1, 7)?))?;
+/// registry.register("alpha", "3,2,8", Arc::new(demo_pipeline(3, 2, 8)?))?;
 ///
 /// assert_eq!(registry.len(), 2);
 /// assert_eq!(registry.resolve(None).unwrap().name(), "default");
@@ -274,7 +274,7 @@ pub struct ModelRegistry {
     slots: RwLock<BTreeMap<String, Arc<ModelSlot>>>,
 }
 
-/// The version tag models registered without an explicit version get.
+/// The version tag [`ModelRegistry::new`] gives the default model.
 const INITIAL_VERSION: &str = "v0";
 
 impl ModelRegistry {
@@ -293,11 +293,12 @@ impl ModelRegistry {
             default_name: default_name.clone(),
             slots: RwLock::new(BTreeMap::new()),
         };
-        registry.register(default_name, defense)?;
+        registry.register(default_name, INITIAL_VERSION, defense)?;
         Ok(registry)
     }
 
-    /// Registers one more model under `name` with the initial version tag.
+    /// Registers one more model under `name` at `version` (conventionally
+    /// the [`ModelSource`] it was built from).
     ///
     /// Takes `&self`: models can be added to a live server's registry.
     ///
@@ -306,20 +307,6 @@ impl ModelRegistry {
     /// Returns an error if `name` is empty, contains whitespace or `=` (the
     /// `--model name=spec` flag separator) or is already registered.
     pub fn register(
-        &self,
-        name: impl Into<String>,
-        defense: Arc<dyn Defense>,
-    ) -> Result<(), ServeError> {
-        self.register_version(name, INITIAL_VERSION, defense)
-    }
-
-    /// Registers one more model under `name` with an explicit version tag
-    /// (conventionally the source spec or artifact file name).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::register`].
-    pub fn register_version(
         &self,
         name: impl Into<String>,
         version: impl Into<String>,
@@ -340,20 +327,6 @@ impl ModelRegistry {
         let version = ModelVersion::new(version.into(), defense);
         slots.insert(name.clone(), Arc::new(ModelSlot::new(name, version)));
         Ok(())
-    }
-
-    /// Builder-style [`ModelRegistry::register`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::register`].
-    pub fn with_model(
-        self,
-        name: impl Into<String>,
-        defense: Arc<dyn Defense>,
-    ) -> Result<Self, ServeError> {
-        self.register(name, defense)?;
-        Ok(self)
     }
 
     /// Retires a model name. Connections already pinned to the slot keep
@@ -716,8 +689,8 @@ impl ModelSource {
 ///     ModelSource::Demo { n: 3, p: 2, seed: 17, int8: false }
 /// );
 /// let spec = ModelSpec::parse("beta=2,1,9,int8")?;
-/// // The spec builds the pipeline it describes.
-/// let defense = spec.build()?;
+/// // The source builds the pipeline it describes.
+/// let defense = spec.source.build()?;
 /// assert_eq!(defense.ensemble_size(), 2);
 /// assert!(defense.label().ends_with("+int8"));
 /// // A source without commas names an artifact file.
@@ -755,20 +728,6 @@ impl ModelSpec {
             name: name.to_string(),
             source: ModelSource::parse(rest)?,
         })
-    }
-
-    /// Builds the pipeline this spec describes (see [`ModelSource::build`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelSource::build`].
-    pub fn build(&self) -> Result<Arc<dyn Defense>, ServeError> {
-        self.source.build()
-    }
-
-    /// The canonical version tag for this spec's source.
-    pub fn version(&self) -> String {
-        self.source.to_string()
     }
 }
 
@@ -915,10 +874,11 @@ impl Manifest {
 
 impl ModelRegistry {
     /// Converges the registry to a [`Manifest`]: registers missing models,
-    /// swaps models whose primary version tag differs, installs / replaces /
-    /// clears canaries to match, and removes models (other than the default)
-    /// the manifest no longer lists. Idempotent — reconciling an unchanged
-    /// manifest is a no-op.
+    /// promotes a canary whose version became the primary line's, swaps
+    /// models whose primary version tag differs otherwise, installs /
+    /// replaces / clears canaries to match, and removes models (other than
+    /// the default) the manifest no longer lists. Idempotent — reconciling
+    /// an unchanged manifest is a no-op.
     ///
     /// Returns one human-readable line per action taken (empty = already
     /// converged), for the operator log.
@@ -932,25 +892,30 @@ impl ModelRegistry {
     pub fn reconcile(&self, manifest: &Manifest) -> Result<Vec<String>, ServeError> {
         let mut actions = Vec::new();
         for spec in &manifest.models {
-            let version = spec.version();
+            let version = spec.source.to_string();
             match self.get(&spec.name) {
                 None => {
-                    self.register_version(spec.name.clone(), &version, spec.build()?)?;
+                    self.register(spec.name.clone(), &version, spec.source.build()?)?;
                     actions.push(format!("registered model {} at {version}", spec.name));
                 }
-                Some(slot) if slot.primary_version() != version => {
-                    self.swap(&spec.name, &version, spec.build()?)?;
+                Some(slot) if slot.primary_version() == version => {}
+                // The warm canary engine becomes the primary: no rebuild.
+                Some(slot) if slot.canary().is_some_and(|(canary, _)| canary == version) => {
+                    self.promote(&spec.name)?;
+                    actions.push(format!("promoted model {} to {version}", spec.name));
+                }
+                Some(_) => {
+                    self.swap(&spec.name, &version, spec.source.build()?)?;
                     actions.push(format!("swapped model {} to {version}", spec.name));
                 }
-                Some(_) => {}
             }
         }
         for canary in &manifest.canaries {
             let name = &canary.spec.name;
-            let version = canary.spec.version();
+            let version = canary.spec.source.to_string();
             let current = self.get(name).and_then(|slot| slot.canary());
             if current != Some((version.clone(), canary.percent)) {
-                self.set_canary(name, &version, canary.percent, canary.spec.build()?)?;
+                self.set_canary(name, &version, canary.percent, canary.spec.source.build()?)?;
                 actions.push(format!(
                     "canary on model {name}: {version} at {}%",
                     canary.percent
@@ -987,19 +952,19 @@ mod tests {
     fn duplicate_and_invalid_names_are_rejected() {
         let registry = ModelRegistry::new("default", demo(2, 1, 1)).unwrap();
         for bad in ["", "two words", "a=b"] {
-            let err = registry.register(bad, demo(2, 1, 2)).unwrap_err();
+            let err = registry.register(bad, "v1", demo(2, 1, 2)).unwrap_err();
             assert!(matches!(err, ServeError::Registry(_)), "{bad:?}: {err}");
         }
-        let err = registry.register("default", demo(2, 1, 3)).unwrap_err();
+        let err = registry
+            .register("default", "v1", demo(2, 1, 3))
+            .unwrap_err();
         assert!(err.to_string().contains("already registered"), "{err}");
     }
 
     #[test]
     fn resolution_prefers_the_requested_name_and_falls_back_to_default() {
-        let registry = ModelRegistry::new("main", demo(2, 1, 4))
-            .unwrap()
-            .with_model("aux", demo(3, 1, 5))
-            .unwrap();
+        let registry = ModelRegistry::new("main", demo(2, 1, 4)).unwrap();
+        registry.register("aux", "v1", demo(3, 1, 5)).unwrap();
         assert_eq!(registry.resolve(None).unwrap().name(), "main");
         assert_eq!(registry.resolve(Some("aux")).unwrap().name(), "aux");
         assert!(registry.resolve(Some("nope")).is_none());
@@ -1010,10 +975,8 @@ mod tests {
 
     #[test]
     fn stats_cover_every_model_and_version() {
-        let registry = ModelRegistry::new("a", demo(2, 1, 6))
-            .unwrap()
-            .with_model("b", demo(2, 1, 7))
-            .unwrap();
+        let registry = ModelRegistry::new("a", demo(2, 1, 6)).unwrap();
+        registry.register("b", "v1", demo(2, 1, 7)).unwrap();
         let stats = registry.stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].model, "a");
@@ -1126,10 +1089,8 @@ mod tests {
 
     #[test]
     fn remove_refuses_the_default_model() {
-        let registry = ModelRegistry::new("main", demo(2, 1, 19))
-            .unwrap()
-            .with_model("aux", demo(2, 1, 20))
-            .unwrap();
+        let registry = ModelRegistry::new("main", demo(2, 1, 19)).unwrap();
+        registry.register("aux", "v1", demo(2, 1, 20)).unwrap();
         assert!(registry.remove("main").is_err());
         assert!(registry.remove("missing").is_err());
         registry.remove("aux").unwrap();
@@ -1156,17 +1117,17 @@ mod tests {
     #[test]
     fn model_specs_build_matching_pipelines() {
         let spec = ModelSpec::parse("m=3,2,11").unwrap();
-        let a = spec.build().unwrap();
-        let b = spec.build().unwrap();
+        let a = spec.source.build().unwrap();
+        let b = spec.source.build().unwrap();
         assert_eq!(a.ensemble_size(), 3);
         assert_eq!(a.selected_count(), 2);
         // Deterministic: two builds of the same spec agree bit for bit.
         let images = ensembler_tensor::Tensor::ones(&[1, 3, 16, 16]);
         assert_eq!(a.predict(&images).unwrap(), b.predict(&images).unwrap());
         // The version tag round-trips the source text.
-        assert_eq!(spec.version(), "3,2,11");
+        assert_eq!(spec.source.to_string(), "3,2,11");
         assert_eq!(
-            ModelSpec::parse("m=2,1,9,int8").unwrap().version(),
+            ModelSpec::parse("m=2,1,9,int8").unwrap().source.to_string(),
             "2,1,9,int8"
         );
     }
@@ -1185,7 +1146,7 @@ mod tests {
         artifact.write_to_file(&path).unwrap();
 
         let spec = ModelSpec::parse(&format!("m={}", path.display())).unwrap();
-        let loaded = spec.build().unwrap();
+        let loaded = spec.source.build().unwrap();
         let images = ensembler_tensor::Tensor::ones(&[1, 3, 16, 16]);
         assert_eq!(
             loaded.predict(&images).unwrap(),
@@ -1193,10 +1154,15 @@ mod tests {
         );
 
         // A missing or corrupt artifact is a typed registry error.
-        assert!(ModelSpec::parse("m=missing.bin").unwrap().build().is_err());
+        assert!(ModelSpec::parse("m=missing.bin")
+            .unwrap()
+            .source
+            .build()
+            .is_err());
         std::fs::write(dir.join("bad.bin"), b"not an artifact").unwrap();
         let err = ModelSpec::parse(&format!("m={}", dir.join("bad.bin").display()))
             .unwrap()
+            .source
             .build()
             .unwrap_err();
         assert!(matches!(err, ServeError::Registry(_)), "{err}");
@@ -1227,18 +1193,35 @@ mod tests {
         assert!(registry.reconcile(&manifest).unwrap().is_empty());
 
         // Promote by editing the manifest: canary source becomes primary.
+        let (canary_engine, role) = registry.get("alpha").unwrap().engine_for(|| 0);
+        assert_eq!(role, VersionRole::Canary);
         let promoted = Manifest::parse("default=4,2,17\nalpha=2,1,6\n").unwrap();
-        // One action: the swap to the canary's source clears the canary too.
+        // One action: the promotion makes the warm canary engine the primary
+        // (no rebuild) and empties the canary slot.
         let actions = registry.reconcile(&promoted).unwrap();
-        assert_eq!(actions.len(), 1, "{actions:?}");
+        assert_eq!(actions, vec!["promoted model alpha to 2,1,6"]);
         let slot = registry.get("alpha").unwrap();
         assert_eq!(slot.primary_version(), "2,1,6");
+        assert!(Arc::ptr_eq(&slot.primary_engine(), &canary_engine));
         assert!(slot.canary().is_none());
 
         // Dropping the model removes it; the default stays.
         let shrunk = Manifest::parse("default=4,2,17\n").unwrap();
         registry.reconcile(&shrunk).unwrap();
         assert_eq!(registry.names(), vec!["default"]);
+
+        // A canary on the default with no `default=` line (what
+        // `serve_defense --canary default=…` reconciles) installs once.
+        let canaried = Manifest {
+            models: Vec::new(),
+            canaries: vec![CanarySpec::parse("default=4,2,18@10%").unwrap()],
+        };
+        assert_eq!(registry.reconcile(&canaried).unwrap().len(), 1);
+        assert_eq!(
+            registry.get("default").unwrap().canary(),
+            Some(("4,2,18".to_string(), 10))
+        );
+        assert!(registry.reconcile(&canaried).unwrap().is_empty());
 
         for bad in [
             "default=4,2,17\ndefault=4,2,18\n",    // duplicate primary
@@ -1254,7 +1237,7 @@ mod tests {
     fn canary_specs_parse_and_validate() {
         let canary = CanarySpec::parse("m=2,1,9,int8@10%").unwrap();
         assert_eq!(canary.percent, 10);
-        assert_eq!(canary.spec.version(), "2,1,9,int8");
+        assert_eq!(canary.spec.source.to_string(), "2,1,9,int8");
         let canary = CanarySpec::parse("m=model.bin@5").unwrap();
         assert_eq!(canary.percent, 5);
         for bad in [

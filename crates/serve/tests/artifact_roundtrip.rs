@@ -9,7 +9,8 @@ use ensembler::artifact::{load_defense, save_pipeline};
 use ensembler::{Defense, QuantizedDefense};
 use ensembler_nn::{ArtifactPrecision, ModelArtifact};
 use ensembler_serve::{
-    demo_pipeline, DefenseServer, ModelRegistry, ModelSpec, RemoteDefense, ServerConfig,
+    demo_pipeline, DefenseServer, ModelRegistry, ModelSource, ModelSpec, RemoteDefense,
+    ServerConfig,
 };
 use ensembler_tensor::{Rng, Tensor};
 use proptest::prelude::*;
@@ -85,7 +86,9 @@ fn artifacts_loaded_from_disk_serve_bit_identically_over_the_wire() {
     // The full lifecycle at both precisions: export the pipeline to a file,
     // stand up a server whose registry loads that file (exactly what
     // `serve_defense --model name=file.bin` does), and check the remote
-    // predictions against the in-process pipeline the file came from.
+    // predictions against the in-process pipeline the file came from — and
+    // against replicas loaded from the same files, which is what
+    // `remote_client ADDR file.bin` and `shard_router ADDR file.bin` hold.
     let pipeline = Arc::new(demo_pipeline(3, 2, 417).unwrap());
     let int8: Arc<dyn Defense> = Arc::new(QuantizedDefense::quantize(
         Arc::clone(&pipeline) as Arc<dyn Defense>
@@ -103,9 +106,13 @@ fn artifacts_loaded_from_disk_serve_bit_identically_over_the_wire() {
     let config = ServerConfig::default();
     let full = ModelSpec::parse(&format!("full={}", f32_file.0.display())).unwrap();
     let quant = ModelSpec::parse(&format!("quant={}", int8_file.0.display())).unwrap();
-    let registry = ModelRegistry::new("full", full.build().unwrap()).unwrap();
+    let registry = ModelRegistry::new("full", full.source.build().unwrap()).unwrap();
     registry
-        .register_version("quant", quant.version(), quant.build().unwrap())
+        .register(
+            "quant",
+            quant.source.to_string(),
+            quant.source.build().unwrap(),
+        )
         .unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
 
@@ -119,6 +126,21 @@ fn artifacts_loaded_from_disk_serve_bit_identically_over_the_wire() {
         RemoteDefense::connect_model(Arc::clone(&int8), server.local_addr(), "quant").unwrap();
     assert_eq!(remote_int8.peer_label(), "Ensembler+int8");
 
+    let file_replica = |file: &TempArtifact| {
+        ModelSource::parse(&file.0.display().to_string())
+            .unwrap()
+            .build()
+            .unwrap()
+    };
+    let replica_f32 = file_replica(&f32_file);
+    let replica_int8 = file_replica(&int8_file);
+    let remote_f32_file =
+        RemoteDefense::connect_model(Arc::clone(&replica_f32), server.local_addr(), "full")
+            .unwrap();
+    let remote_int8_file =
+        RemoteDefense::connect_model(Arc::clone(&replica_int8), server.local_addr(), "quant")
+            .unwrap();
+
     for seed in [418u64, 419] {
         let images = random_images(2, seed);
         assert_eq!(
@@ -130,6 +152,16 @@ fn artifacts_loaded_from_disk_serve_bit_identically_over_the_wire() {
             remote_int8.predict(&images).unwrap(),
             int8.predict(&images).unwrap(),
             "int8 remote path, seed {seed}"
+        );
+        assert_eq!(
+            remote_f32_file.predict(&images).unwrap(),
+            pipeline.predict(&images).unwrap(),
+            "f32 remote path from a file replica, seed {seed}"
+        );
+        assert_eq!(
+            remote_int8_file.predict(&images).unwrap(),
+            int8.predict(&images).unwrap(),
+            "int8 remote path from a file replica, seed {seed}"
         );
     }
     assert_eq!(server.stats().errors_sent, 0);

@@ -318,9 +318,9 @@ fn canary_routing_is_deterministic_and_promotion_completes_the_rollout() {
 fn incompatible_swaps_are_refused_and_removed_models_drain() {
     let (version_a, _) = two_versions(631, 632);
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("default", Arc::clone(&version_a))
-        .unwrap()
-        .with_model("spare", Arc::clone(&version_a))
+    let registry = ModelRegistry::new("default", Arc::clone(&version_a)).unwrap();
+    registry
+        .register("spare", "v0", Arc::clone(&version_a))
         .unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
     let registry = Arc::clone(server.registry());

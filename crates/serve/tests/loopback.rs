@@ -778,9 +778,9 @@ fn two_models_are_served_bit_identically_from_one_process() {
         demo_pipeline(2, 1, 62).unwrap(),
     )));
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("alpha", Arc::clone(&alpha))
-        .unwrap()
-        .with_model("beta", Arc::clone(&beta))
+    let registry = ModelRegistry::new("alpha", Arc::clone(&alpha)).unwrap();
+    registry
+        .register("beta", "2,1,62,int8", Arc::clone(&beta))
         .unwrap();
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config).unwrap();
 

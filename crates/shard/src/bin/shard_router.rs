@@ -2,27 +2,24 @@
 //! normal `DefenseServer`, so clients connect to the router exactly as they
 //! would to a single worker.
 //!
-//! Builds the deterministic demo pipeline (so workers and clients given the
-//! same `N P SEED` hold bit-identical replicas), connects to every worker
-//! named by the placement, and serves the merged `server_outputs` over TCP
-//! until killed, logging a stats line (including per-shard counters)
-//! whenever they move.
+//! Builds its replica from a model source (so workers and clients given the
+//! same source hold bit-identical replicas), connects to every worker named
+//! by the placement, and serves the merged `server_outputs` over TCP until
+//! killed, logging a stats line (including per-shard counters) whenever they
+//! move.
 //!
 //! Usage: `cargo run -p ensembler-shard --bin shard_router --release -- \
-//!     [ADDR [N] [P] [SEED]] [--model SOURCE] \
-//!     --shard HOST:PORT=lo..hi[,int8]... | --placement FILE`
-//! Defaults: `127.0.0.1:7900 4 2 17`.
+//!     [ADDR [SOURCE]] --shard HOST:PORT=lo..hi[,int8]... | --placement FILE`
+//! Defaults: `127.0.0.1:7900 4,2,17`.
 //!
-//! `--model SOURCE` replaces the demo replica with any model source the
-//! serving tier accepts — `N,P,SEED[,int8]` or a versioned artifact file
-//! exported by `export_model` (see `docs/MODEL_ARTIFACTS.md`) — so a sharded
-//! deployment rolls a new version by pointing the router and its workers at
-//! the same artifact. The ensemble size then comes from the loaded model and
-//! the `N P SEED` positionals are ignored.
+//! `SOURCE` is any model source the serving tier accepts — `N,P,SEED` or a
+//! versioned artifact file exported by `export_model` (see
+//! `docs/MODEL_ARTIFACTS.md`) — so a sharded deployment rolls a new version
+//! by pointing the router and its workers at the same artifact. The
+//! ensemble size comes from the model.
 //!
 //! Each worker is an ordinary `serve_defense` process started with the same
-//! `N P SEED` (or the same `--model` artifact, for artifact-driven rollouts;
-//! plus int8 variants for `int8` shards). The placement must tile `0..N`
+//! source (`N,P,SEED,int8` for `int8` shards). The placement must tile `0..N`
 //! exactly; `--placement FILE` reads the same one-shard-per-line syntax
 //! `Placement::to_config_string` writes. The operator guide, including
 //! hedging tuning and how the router reconnects to a restarted worker, lives
@@ -30,21 +27,23 @@
 
 use ensembler::Defense;
 use ensembler_serve::cli::positional;
-use ensembler_serve::{demo_pipeline, DefenseServer, ModelSource, ServerConfig};
+use ensembler_serve::{DefenseServer, ModelSource, ServerConfig};
 use ensembler_shard::{Placement, RouterConfig, ShardRouter};
 use std::sync::Arc;
 
-/// The command line split four ways: positional arguments, `--shard` specs,
-/// an optional `--placement` file and an optional `--model` source.
-type ParsedArgs = (Vec<String>, Vec<String>, Option<String>, Option<String>);
+const USAGE: &str = "usage: shard_router ADDR [SOURCE] \
+                     --shard HOST:PORT=lo..hi[,int8]...|--placement FILE";
 
-/// Splits the command line into positional arguments, `--shard` specs, an
-/// optional `--placement` file and an optional `--model` source.
+/// The command line split three ways: positional arguments, `--shard` specs
+/// and an optional `--placement` file.
+type ParsedArgs = (Vec<String>, Vec<String>, Option<String>);
+
+/// Splits the command line into positional arguments, `--shard` specs and
+/// an optional `--placement` file.
 fn parse_args() -> Result<ParsedArgs, Box<dyn std::error::Error>> {
     let mut positional = Vec::new();
     let mut shards = Vec::new();
     let mut placement_file = None;
-    let mut model = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--shard" {
@@ -55,45 +54,24 @@ fn parse_args() -> Result<ParsedArgs, Box<dyn std::error::Error>> {
             placement_file = Some(args.next().ok_or("--placement needs a file path")?);
         } else if let Some(path) = arg.strip_prefix("--placement=") {
             placement_file = Some(path.to_string());
-        } else if arg == "--model" {
-            model = Some(
-                args.next()
-                    .ok_or("--model needs N,P,SEED[,int8] or an artifact path")?,
-            );
-        } else if let Some(source) = arg.strip_prefix("--model=") {
-            model = Some(source.to_string());
         } else {
             positional.push(arg);
         }
     }
-    Ok((positional, shards, placement_file, model))
+    if positional.len() > 2 {
+        return Err(USAGE.into());
+    }
+    Ok((positional, shards, placement_file))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (args, shard_flags, placement_file, model) = parse_args()?;
-    let addr = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7900".to_string());
-    let n: usize = positional(&args, 1, 4);
-    let p: usize = positional(&args, 2, 2);
-    let seed: u64 = positional(&args, 3, 17);
-
-    // The replica the router scatters for: the demo pipeline by default, or
-    // any model source — including a versioned artifact file — with the
-    // ensemble size coming from the model itself.
-    let (client, label): (Arc<dyn Defense>, String) = match &model {
-        Some(source) => {
-            let source = ModelSource::parse(source)?;
-            let client = source.build()?;
-            let label = format!("{} from {source}", client.label());
-            (client, label)
-        }
-        None => (
-            Arc::new(demo_pipeline(n, p, seed)?),
-            format!("Ensembler (N={n} P={p} seed={seed})"),
-        ),
-    };
+    let (args, shard_flags, placement_file) = parse_args()?;
+    let addr: String = positional(&args, 0, "127.0.0.1:7900".to_string());
+    let source = ModelSource::parse(&positional(&args, 1, "4,2,17".to_string()))?;
+    // The replica the router scatters for, with the ensemble size coming
+    // from the model itself.
+    let client = source.build()?;
+    let label = format!("{} from {source}", client.label());
     let n = client.ensemble_size();
 
     let placement = match (&placement_file, shard_flags.is_empty()) {

@@ -186,11 +186,12 @@ pub enum Parallelism {
 /// # Examples
 ///
 /// ```
-/// use ensembler_tensor::gemm::{gemm_nn_fused, GemmEpilogue, Parallelism};
+/// use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
 ///
 /// let bias = [10.0, 20.0];
 /// let ep = GemmEpilogue { bias: Some(&bias), relu: false };
-/// let c = gemm_nn_fused(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], 2, 2, 2,
+/// // b is [n=2, k=2]: the transpose of [[5, 6], [7, 8]].
+/// let c = gemm_nt_fused(&[1.0, 2.0, 3.0, 4.0], &[5.0, 7.0, 6.0, 8.0], 2, 2, 2,
 ///                       Parallelism::Auto, ep);
 /// assert_eq!(c, vec![29.0, 42.0, 53.0, 70.0]);
 /// ```
@@ -319,31 +320,6 @@ pub fn gemm_nn_with(
     assert_eq!(a.len(), m * k, "gemm_nn lhs length must be m*k");
     assert_eq!(b.len(), k * n, "gemm_nn rhs length must be k*n");
     gemm_impl(a, b, m, k, n, Op::Nn, par, GemmEpilogue::none())
-}
-
-/// [`gemm_nn`] with a fused [`GemmEpilogue`] applied to each output band
-/// while it is cache-hot. Bit-identical to [`gemm_nn_with`] followed by the
-/// separate bias/ReLU passes.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m*k`, `b.len() != k*n`, or a bias is present with
-/// length other than `n`.
-pub fn gemm_nn_fused(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: Parallelism,
-    ep: GemmEpilogue,
-) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "gemm_nn lhs length must be m*k");
-    assert_eq!(b.len(), k * n, "gemm_nn rhs length must be k*n");
-    if let Some(bias) = ep.bias {
-        assert_eq!(bias.len(), n, "epilogue bias length must be n");
-    }
-    gemm_impl(a, b, m, k, n, Op::Nn, par, ep)
 }
 
 /// `C = Aᵀ·B` for row-major `a: [k,m]` and `b: [k,n]`, returning row-major
@@ -1071,10 +1047,9 @@ mod tests {
     fn fused_epilogue_is_bit_exact_on_every_code_path() {
         // Sizes straddling SMALL_THRESHOLD and the parallel band split; the
         // fused result must be bit-identical to GEMM + separate passes on all
-        // of them, for both layouts the fused entry points expose.
+        // of them.
         for &(m, k, n) in &[(3usize, 5usize, 7usize), (40, 41, 43), (70, 160, 96)] {
             let a = pseudo(m * k, 11);
-            let b = pseudo(k * n, 12);
             let bt = pseudo(n * k, 13);
             let bias = pseudo(n, 14);
             for par in [Parallelism::Serial, Parallelism::Parallel] {
@@ -1083,14 +1058,6 @@ mod tests {
                         bias: biased.then_some(bias.as_slice()),
                         relu,
                     };
-                    let fused = gemm_nn_fused(&a, &b, m, k, n, par, ep);
-                    let eager =
-                        separate_passes(gemm_nn_with(&a, &b, m, k, n, par), n, ep.bias, relu);
-                    assert_eq!(
-                        fused, eager,
-                        "nn {m}x{k}x{n} {par:?} bias={biased} relu={relu}"
-                    );
-
                     let fused = gemm_nt_fused(&a, &bt, m, k, n, par, ep);
                     let eager =
                         separate_passes(gemm_nt_with(&a, &bt, m, k, n, par), n, ep.bias, relu);
@@ -1109,12 +1076,12 @@ mod tests {
         // become -0.0 and NaN survives. The fused epilogue must match, or
         // fused-vs-eager bit-exactness breaks on those payloads.
         let a = [1.0f32, 0.0, -1.0, 0.0]; // [2,2]
-        let b = [-3.0f32, f32::NAN, 0.0, 0.0]; // [2,2]
+        let bt = [-3.0f32, 0.0, f32::NAN, 0.0]; // [n=2, k=2]: columns of b = [[-3, NaN], [0, 0]]
         let ep = GemmEpilogue {
             bias: None,
             relu: true,
         };
-        let fused = gemm_nn_fused(&a, &b, 2, 2, 2, Parallelism::Serial, ep);
+        let fused = gemm_nt_fused(&a, &bt, 2, 2, 2, Parallelism::Serial, ep);
         // Row 0: [-3, NaN] -> [-0.0, NaN]; row 1: [3, NaN] -> [3, NaN].
         assert!(fused[0] == 0.0 && fused[0].is_sign_negative(), "{fused:?}");
         assert!(fused[1].is_nan());

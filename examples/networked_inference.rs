@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::new(QuantizedDefense::quantize(Arc::clone(&f32_pipeline)));
 
     let config = ServerConfig::default();
-    let registry = ModelRegistry::new("f32", Arc::clone(&f32_pipeline))?
-        .with_model("int8", Arc::clone(&int8_pipeline))?;
+    let registry = ModelRegistry::new("f32", Arc::clone(&f32_pipeline))?;
+    registry.register("int8", "4,2,17,int8", Arc::clone(&int8_pipeline))?;
     let server = DefenseServer::bind_registry(registry, "127.0.0.1:0", config)?;
     println!(
         "cloud: serving models [{}] (N={n}, P={p}) on {}",
