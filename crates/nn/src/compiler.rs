@@ -17,10 +17,15 @@
 //! [`QCompiledPlan`] is the same plan at int8. One stage list, one builder
 //! and one evaluator serve both precisions, generic over a private trait
 //! that states only what differs between them: the conv and linear kernels,
-//! and which ReLU formula a position gets. An int8 conv writes no column
-//! matrix: it lowers its quantized input to one zero-haloed copy
-//! ([`ensembler_tensor::QHalo`]) that the kernel reads in place, against
-//! weights packed once, at compile time ([`ensembler_tensor::QPanels`]).
+//! and which ReLU formula a position gets. No conv of either precision
+//! writes a column matrix: an `f32` conv lowers its input to one
+//! zero-haloed copy ([`ensembler_tensor::Halo`], which borrows an input
+//! that needs no padding) that [`ensembler_tensor::gemm::conv_fused`]
+//! reads in place, in the column matrix's own order, so it is bit-identical
+//! to the eager `im2col` product. An int8 conv lowers its quantized input to
+//! one zero-haloed copy ([`ensembler_tensor::QHalo`]) read the same way,
+//! against weights packed once, at compile time
+//! ([`ensembler_tensor::QPanels`]).
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -51,9 +56,9 @@ use crate::conv::rows_to_nchw;
 use crate::graph::{lower_sequential, GraphOp};
 use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, Mode, Sequential};
-use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
+use ensembler_tensor::gemm::{conv_fused, gemm_nt_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
-    im2col, par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels,
+    par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, Halo, QGemmEpilogue, QHalo, QPanels,
     QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
@@ -80,9 +85,16 @@ fn expect_rank4(shape: &[usize], what: &str) -> Result<(usize, usize, usize, usi
     }
 }
 
+/// Validates a conv stage's input and returns `(batch, out_h, out_w)`.
+///
+/// Besides rank, channels and extents, it refuses any shape whose lowering
+/// or output element count does not fit a `usize`: an empty batch of
+/// absurdly tall images is constructible (its data is empty), and its
+/// per-image sizes would overflow in the halo copy or the output tensor.
 fn check_conv_input(
     shape: &[usize],
     in_channels: usize,
+    out_channels: usize,
     geometry: Conv2dGeometry,
     what: &str,
 ) -> Result<(usize, usize, usize), ShapeError> {
@@ -92,15 +104,36 @@ fn check_conv_input(
             "{what} expected {in_channels} input channels, got {c}"
         )));
     }
-    let k = geometry.kernel;
-    let p = geometry.padding;
-    if h + 2 * p < k || w + 2 * p < k {
+    let (k, p) = (geometry.kernel, geometry.padding);
+    let too_large = || {
+        ShapeError::new(format!(
+            "{what} input {shape:?} is too large to lower (padding {p})"
+        ))
+    };
+    let pad = |extent: usize| p.checked_mul(2).and_then(|p2| extent.checked_add(p2));
+    let (hp, wp) = (pad(h).ok_or_else(too_large)?, pad(w).ok_or_else(too_large)?);
+    if hp < k || wp < k {
         return Err(ShapeError::new(format!(
             "{what} kernel {k} exceeds padded input extent ({h}x{w}, padding {p})"
         )));
     }
-    let oh = (h + 2 * p - k) / geometry.stride + 1;
-    let ow = (w + 2 * p - k) / geometry.stride + 1;
+    let oh = (hp - k) / geometry.stride + 1;
+    let ow = (wp - k) / geometry.stride + 1;
+    // An image of the lowering holds `hp·wp` pixels of `c` lanes, rounded
+    // up to even for the int8 copy; one of the output `oh·ow` product rows
+    // of `out_channels`. Each, times the batch, must fit.
+    let lanes = c + c % 2;
+    let fits = [[hp, wp, lanes], [oh, ow, out_channels.max(1)]]
+        .iter()
+        .all(|dims| {
+            dims.iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .and_then(|image| image.checked_mul(b))
+                .is_some()
+        });
+    if !fits {
+        return Err(too_large());
+    }
     Ok((b, oh, ow))
 }
 
@@ -180,18 +213,20 @@ trait Precision {
 /// only, [`finish`](Self::finish) on the lowered input and this stage's own
 /// weights only — so bodies whose keys agree can borrow one lowering.
 trait LoweredConv: Sync {
-    /// The validated input as the GEMM reads it: the `f32` column matrix,
-    /// or the int8 zero-haloed copy.
-    type Lowered: Sync;
+    /// The validated input as the product reads it: a zero-haloed copy, of
+    /// the `f32` input ([`Halo`], which borrows an input that needs no
+    /// padding) or of its int8 quantization ([`QHalo`]).
+    type Lowered<'a>: Sync;
 
     /// Everything besides the input that the lowering depends on: the conv
     /// geometry and the input channel count.
     fn key(&self) -> (Conv2dGeometry, usize);
 
-    fn lower(&self, input: &Tensor) -> Result<Self::Lowered, ShapeError>;
+    fn lower<'a>(&self, input: &'a Tensor) -> Result<Self::Lowered<'a>, ShapeError>;
 
-    /// The stage's GEMM and output pass. Reads `lowered`, never changes it.
-    fn finish(&self, lowered: &Self::Lowered) -> Tensor;
+    /// The stage's product and output pass. Reads `lowered`, never changes
+    /// it.
+    fn finish(&self, lowered: &Self::Lowered<'_>) -> Tensor;
 }
 
 #[derive(Debug, Clone)]
@@ -373,13 +408,12 @@ fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
 /// When all plans lead with convs of one geometry over one channel count —
 /// an ensemble's bodies do, by construction — the input is validated and
 /// lowered **once** and every leading conv multiplies from a borrow of that
-/// lowering (the `f32` column matrix, the int8 halo copy): its own GEMM call
-/// with its own weights, so each answer is bit-identical to `run` on that
-/// plan. The lowering is the largest buffer of a body run; it is freed
-/// before the rest of the bodies run so that N bodies never hold it next to
-/// their own second-layer lowerings. Anything
-/// else (one plan, a leading stage that is not a conv, bodies that disagree)
-/// is the independent `run` per plan.
+/// lowering (the zero-haloed copy, `f32` or int8): its own product with its
+/// own weights, so each answer is bit-identical to `run` on that plan. The
+/// lowering is freed before the rest of the bodies run so that N bodies
+/// never hold it next to their own second-layer lowerings. Anything else
+/// (one plan, a leading stage that is not a conv, bodies that disagree) is
+/// the independent `run` per plan.
 fn run_ensemble<P: Precision>(
     plans: &[&[Stage<P>]],
     input: &Tensor,
@@ -544,27 +578,30 @@ struct ConvStage {
     relu: bool,
 }
 
-/// An input batch lowered for a conv's GEMM, with the output extents the
-/// validation worked out.
-struct Lowered {
-    cols: Tensor,
+/// An input batch lowered, as one zero-haloed copy, for a conv's product,
+/// with the output extents the validation worked out.
+struct Lowered<'a> {
+    halo: Halo<'a>,
     b: usize,
     oh: usize,
     ow: usize,
 }
 
 impl LoweredConv for ConvStage {
-    type Lowered = Lowered;
+    type Lowered<'a> = Lowered<'a>;
 
     fn key(&self) -> (Conv2dGeometry, usize) {
         (self.conv.geometry(), self.conv.in_channels())
     }
 
-    fn lower(&self, input: &Tensor) -> Result<Lowered, ShapeError> {
+    fn lower<'a>(&self, input: &'a Tensor) -> Result<Lowered<'a>, ShapeError> {
         let (geometry, in_channels) = self.key();
-        let (b, oh, ow) = check_conv_input(input.shape(), in_channels, geometry, "conv")?;
+        let out_channels = self.conv.out_channels();
+        let (b, oh, ow) =
+            check_conv_input(input.shape(), in_channels, out_channels, geometry, "conv")?;
+        let (h, w) = (input.shape()[2], input.shape()[3]);
         Ok(Lowered {
-            cols: im2col(input, geometry),
+            halo: Halo::lower(input.data(), b, in_channels, h, w, geometry),
             b,
             oh,
             ow,
@@ -574,15 +611,11 @@ impl LoweredConv for ConvStage {
     fn finish(&self, lowered: &Lowered) -> Tensor {
         let Self { conv, bn, relu } = self;
         let &Lowered { b, oh, ow, .. } = lowered;
-        let g = conv.geometry();
         let m = b * oh * ow;
-        let k = conv.in_channels() * g.kernel * g.kernel;
         let n = conv.out_channels();
-        let rows = gemm_nt_fused(
-            lowered.cols.data(),
+        let rows = conv_fused(
+            &lowered.halo,
             conv.weight().value.data(),
-            m,
-            k,
             n,
             Parallelism::Auto,
             GemmEpilogue {
@@ -632,9 +665,9 @@ impl CompiledPlan {
     /// [`ShapeError`] if any fails.
     ///
     /// Same-shape bodies (plans whose leading convs agree on geometry and
-    /// input channels) have the input validated and lowered by `im2col`
-    /// once, and each body's first GEMM borrows that column matrix; any other
-    /// set of plans is run independently.
+    /// input channels) have the input validated and lowered to one
+    /// zero-haloed copy ([`Halo`]) once, and each body's first product reads
+    /// that copy in place; any other set of plans is run independently.
     pub fn run_all(plans: &[CompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
         let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
@@ -742,7 +775,7 @@ struct QLowered {
 }
 
 impl LoweredConv for QConvStage {
-    type Lowered = QLowered;
+    type Lowered<'a> = QLowered;
 
     fn key(&self) -> (Conv2dGeometry, usize) {
         (self.geometry, self.in_channels)
@@ -750,7 +783,9 @@ impl LoweredConv for QConvStage {
 
     fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
         let (geometry, in_channels) = self.key();
-        let (b, oh, ow) = check_conv_input(input.shape(), in_channels, geometry, "q_conv")?;
+        let out_channels = self.weights.cols();
+        let (b, oh, ow) =
+            check_conv_input(input.shape(), in_channels, out_channels, geometry, "q_conv")?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let q = QTensorBatch::quantize_batch(input);
         Ok(QLowered {
@@ -837,7 +872,7 @@ impl QCompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{build_body, ResNetConfig};
+    use crate::models::{build_body, build_head, ResNetConfig};
     use crate::quant::QSequential;
     use crate::{Flatten, GlobalAvgPool, Relu, ResidualBlock};
     use ensembler_tensor::Rng;
@@ -1023,6 +1058,21 @@ mod tests {
             );
             assert_eq!(qplan.run(&x).unwrap(), qbody.forward(&x), "int8 {shape:?}");
         }
+        // An empty batch of images too tall to lower holds no data, so it
+        // is constructible, but every per-image size of the lowering and of
+        // the output overflows: a typed error, not an overflow panic.
+        let tall = |c: usize| Tensor::from_vec(vec![], &[0, c, usize::MAX / c, 1]).unwrap();
+        let body_input = tall(16);
+        let bodies = [plan.clone(), plan.clone()];
+        let qbodies = [qplan.clone(), qplan.clone()];
+        assert!(plan.run(&body_input).is_err());
+        assert!(CompiledPlan::run_all(&bodies, &body_input).is_err());
+        assert!(qplan.run(&body_input).is_err());
+        assert!(QCompiledPlan::run_all(&qbodies, &body_input).is_err());
+        let head = build_head(&ResNetConfig::cifar10_like(), &mut rng);
+        let err = compile(&head).run(&tall(3)).unwrap_err();
+        assert!(err.message().contains("too large"), "{}", err.message());
+        assert!(qcompile(&head).run(&tall(3)).is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `im2col`/`col2im` lowering used to express 2-D (de)convolutions as GEMMs,
-//! and [`QHalo`], the int8 convolutions' lowering that writes no column
-//! matrix.
+//! and the compiled plans' lowerings that write no column matrix: [`Halo`]
+//! for `f32` convolutions, [`QHalo`] for int8 ones. Both are one
+//! zero-haloed copy of the input that the product reads in place; `im2col`
+//! stays as the eager layers' lowering and the halos' test oracle.
 //!
 //! The transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
@@ -13,6 +15,7 @@
 
 use crate::parallel::chunks_mut;
 use crate::Tensor;
+use std::borrow::Cow;
 
 /// Below this many elements per transform the batch loop does not go to the
 /// pool: handing a job over is a mutex and a wake-up, and the trainer's tiny
@@ -134,6 +137,103 @@ pub fn im2col_i8(
 ) -> Vec<i8> {
     assert_eq!(data.len(), b * c * h * w, "im2col_i8 buffer/shape mismatch");
     lower(data, b, c, h, w, geom)
+}
+
+/// An NCHW `f32` batch lowered for the convolution product
+/// ([`crate::gemm::conv_fused`]) without a column matrix: one NCHW copy of
+/// the input, `[b, c, h+2p, w+2p]`, with a zero halo `padding` pixels wide
+/// around every channel plane. The copy is about `(h+2p)(w+2p)/(h·w)` times
+/// the input, where the column matrix [`im2col`] writes is `kernel²` times.
+///
+/// Output position `(n, oy, ox)` reads tap `(c, ky, kx)` at pixel
+/// `(oy·s + ky, ox·s + kx)` of plane `(n, c)`: the column matrix's row, in
+/// its own `(c, ky, kx)` order, read where it lies. The halo holds `+0.0`,
+/// the zero [`im2col`] pads with, so the product is bit-identical to the
+/// column matrix's. Without padding (a 1×1 shortcut) the input is its own
+/// halo: it is borrowed and nothing is copied.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::{Conv2dGeometry, Halo};
+///
+/// // One 1-channel 2x2 image under a "same" 3x3 geometry: a 4x4 plane.
+/// let halo = Halo::lower(&[1.0, 2.0, 3.0, 4.0], 1, 1, 2, 2, Conv2dGeometry::new(3, 1, 1));
+/// assert_eq!(
+///     halo.data(),
+///     &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+/// );
+/// ```
+#[derive(Debug, Clone)]
+pub struct Halo<'a> {
+    /// `[b, c, hp, wp]` row-major.
+    data: Cow<'a, [f32]>,
+    pub(crate) geometry: Conv2dGeometry,
+    pub(crate) batch: usize,
+    pub(crate) channels: usize,
+    /// Haloed extents.
+    pub(crate) hp: usize,
+    pub(crate) wp: usize,
+    /// Output extents.
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+}
+
+impl<'a> Halo<'a> {
+    /// Lowers the NCHW batch `data` (`[b, c, h, w]`) for a convolution of
+    /// geometry `geom`, borrowing it when `geom` has no padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != b*c*h*w` or the padded input is smaller than
+    /// the kernel.
+    pub fn lower(
+        data: &'a [f32],
+        b: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: Conv2dGeometry,
+    ) -> Self {
+        assert_eq!(data.len(), b * c * h * w, "Halo buffer/shape mismatch");
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+        let p = geom.padding;
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let data = if p == 0 {
+            Cow::Borrowed(data)
+        } else {
+            // One image -> its haloed block, a row at a time; the halo keeps
+            // the zero the block was allocated with.
+            let item = c * hp * wp;
+            let mut out = vec![0.0f32; b * item];
+            let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;
+            chunks_mut(&mut out, item.max(1), parallel, |n, block| {
+                let image = &data[n * c * h * w..(n + 1) * c * h * w];
+                for ch in 0..c {
+                    for y in 0..h {
+                        let src = &image[(ch * h + y) * w..][..w];
+                        block[((ch * hp + y + p) * wp + p)..][..w].copy_from_slice(src);
+                    }
+                }
+            });
+            Cow::Owned(out)
+        };
+        Self {
+            data,
+            geometry: geom,
+            batch: b,
+            channels: c,
+            hp,
+            wp,
+            oh,
+            ow,
+        }
+    }
+
+    /// The haloed batch, `[b, c, h+2p, w+2p]` row-major.
+    pub fn data(&self) -> &[f32] {
+        &self.data
+    }
 }
 
 /// An NCHW `i8` batch lowered for the int8 product driver
@@ -461,6 +561,32 @@ mod tests {
         // Centre output position sees the whole image.
         let centre = &cols.data()[4 * 9..5 * 9];
         assert_eq!(centre, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn a_halo_without_padding_borrows_its_input() {
+        // The 1x1 shortcut's geometry: the input already is its halo.
+        let input: Vec<f32> = (0..2 * 3 * 4 * 5).map(|v| v as f32).collect();
+        let halo = Halo::lower(&input, 2, 3, 4, 5, Conv2dGeometry::new(1, 2, 0));
+        assert!(std::ptr::eq(halo.data(), input.as_slice()));
+        // With padding, every plane is copied into the middle of a zero
+        // frame.
+        let halo = Halo::lower(&input, 2, 3, 4, 5, Conv2dGeometry::new(3, 1, 1));
+        assert_eq!(halo.data().len(), 2 * 3 * 6 * 7);
+        let plane = |i: usize| &halo.data()[i * 42..(i + 1) * 42];
+        for i in 0..6 {
+            for (y, row) in plane(i).chunks(7).enumerate() {
+                let inside = (1..5).contains(&y);
+                for (x, &v) in row.iter().enumerate() {
+                    let want = if inside && (1..6).contains(&x) {
+                        (i * 20 + (y - 1) * 5 + x - 1) as f32
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(v.to_bits(), want.to_bits(), "plane {i} ({y}, {x})");
+                }
+            }
+        }
     }
 
     #[test]

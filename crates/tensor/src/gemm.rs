@@ -1,18 +1,23 @@
-//! Blocked, parallel GEMM micro-kernels backing the rank-2 matrix products.
+//! Blocked, parallel GEMM micro-kernels backing the rank-2 matrix products
+//! and the compiled plans' `f32` convolutions.
 //!
-//! All three product layouts used by the stack — `A·B`, `Aᵀ·B` and `A·Bᵀ` —
-//! funnel into one cache-blocked kernel:
+//! All three matrix layouts used by the stack — `A·B`, `Aᵀ·B` and `A·Bᵀ` —
+//! and the convolution [`conv_fused`] funnel into one cache-blocked kernel:
 //!
 //! * **Packing — of the right operand only.** `B` is repacked once per
 //!   product into column panels of [`NR`] contiguous columns (zero-padded on
 //!   the ragged edge), so the inner loop streams it whatever its original
 //!   layout. The left operand is *not* copied: the micro-kernel broadcasts
-//!   each `A` value straight from where it lies, addressed by a row stride
-//!   and a shared-dimension stride (`Lhs`) that cover the transposed
-//!   layout too (a packed copy is read once per column panel, and the conv
-//!   products served here have one or two). A ragged last row panel points
-//!   its missing rows at the last valid one; their accumulators are never
-//!   stored, so the micro-kernel still never branches.
+//!   each `A` value straight from where it lies, element `(i, p)` at
+//!   `data[row[i] + koff[p]]` — a start per row and a k-offset table built
+//!   once per product (`Lhs`). A matrix, transposed or not, is the 1×1 case
+//!   (`row[i] = i·rs`, `koff[p] = p·ks`); a convolution reads its column
+//!   matrix out of one zero-haloed copy of its input ([`crate::Halo`]),
+//!   row `(n, oy, ox)` at its window's corner and `koff[p]` the offset of
+//!   tap `(c, ky, kx)` within the window, so no column matrix is written. A
+//!   ragged last row panel points its missing rows at the last valid one;
+//!   their accumulators are never stored, so the micro-kernel still never
+//!   branches.
 //! * **Register tiling.** The micro-kernel accumulates a small output tile
 //!   in registers across a [`KC`]-deep slice of the shared dimension,
 //!   amortising every load of `A` over the tile width and every load of `B`
@@ -46,6 +51,7 @@
 //! ```
 
 use crate::parallel::{chunks_mut, parallelism};
+use crate::Halo;
 use std::borrow::Cow;
 
 /// Rows of the register tile held by the portable micro-kernel. On x86-64
@@ -58,50 +64,180 @@ pub const NR: usize = 8;
 pub const KC: usize = 256;
 /// Output rows per parallel band (one unit of work for a worker thread).
 pub const MC: usize = 128;
+/// The tallest register tile of any micro-kernel: room for a ragged tile's
+/// repeated rows past a run of [`MC`].
+const MAX_MR: usize = 8;
 
-/// The left operand as the kernels read it, in place: element `(i, p)` of
-/// the logical `[m,k]` matrix is `data[i * rs + p * ks]` — strides `(k, 1)`
-/// for a row-major `A`, `(1, m)` for one stored transposed.
-#[derive(Clone, Copy)]
-struct Lhs<'a> {
-    data: &'a [f32],
-    rs: usize,
-    ks: usize,
+/// Where a product's logical `[m,k]` left operand lies in memory.
+///
+/// Row `i` is output position `(n, oy, ox)` of a convolution over `images`
+/// images of `oh x ow` positions, and starts `n·image + oy·y + ox·x`
+/// elements into the data. Shared index `p` is tap `(c, ky, kx)` of a
+/// `kernel x kernel` window over `channels` channels, and lies
+/// `c·channel + ky·tap_row + kx` elements past its row's start. A plain
+/// matrix with strides `(rs, ks)` is the 1×1 case: `m` images of one
+/// position each, `image = rs`, and `k` channels, `channel = ks`.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    images: usize,
+    oh: usize,
+    ow: usize,
+    image: usize,
+    y: usize,
+    x: usize,
+    channels: usize,
+    kernel: usize,
+    channel: usize,
+    tap_row: usize,
 }
 
-impl<'a> Lhs<'a> {
-    /// Element `(i, p)`.
-    #[inline(always)]
-    fn at(self, i: usize, p: usize) -> f32 {
-        self.data[i * self.rs + p * self.ks]
-    }
-
-    /// The same operand seen from element `(i, p)`: what a micro-kernel gets
-    /// for the tile whose first row is `i` and first shared index `p`.
-    fn starting_at(self, i: usize, p: usize) -> Lhs<'a> {
-        Lhs {
-            data: &self.data[i * self.rs + p * self.ks..],
-            ..self
+impl Walk {
+    /// A row-major `[m,k]` matrix, or with `(rs, ks) = (1, m)` one stored
+    /// transposed.
+    fn matrix(m: usize, k: usize, rs: usize, ks: usize) -> Self {
+        Self {
+            images: m,
+            oh: 1,
+            ow: 1,
+            image: rs,
+            y: 0,
+            x: 0,
+            channels: k,
+            kernel: 1,
+            channel: ks,
+            tap_row: 0,
         }
     }
 
-    /// Panics unless every element of a `rows x kc` tile starting at
-    /// `(0, 0)` lies inside `data` — the one check the micro-kernels'
-    /// strided reads rest on.
-    fn assert_covers(self, rows: usize, kc: usize) {
-        let covered = rows > 0 && kc > 0;
-        let covered = covered && (rows - 1) * self.rs + (kc - 1) * self.ks < self.data.len();
-        assert!(covered, "a {rows}x{kc} lhs tile runs past its operand");
+    /// The column matrix of `halo`'s convolution, read from the halo: image
+    /// `n`'s plane `c` starts at `(n·channels + c)·hp·wp`, and a stride `s`
+    /// moves an output position `s` halo pixels.
+    fn conv(halo: &Halo) -> Self {
+        let (hp, wp, s) = (halo.hp, halo.wp, halo.geometry.stride);
+        Self {
+            images: halo.batch,
+            oh: halo.oh,
+            ow: halo.ow,
+            image: halo.channels * hp * wp,
+            y: s * wp,
+            x: s,
+            channels: halo.channels,
+            kernel: halo.geometry.kernel,
+            channel: hp * wp,
+            tap_row: wp,
+        }
+    }
+
+    fn m(&self) -> usize {
+        self.images * self.oh * self.ow
+    }
+
+    fn k(&self) -> usize {
+        self.channels * self.kernel * self.kernel
+    }
+
+    /// The k-offset table: entry `p` is where shared index `p` lies past its
+    /// row's start. Built once per product, by the driver.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the table is non-decreasing, which every layout above
+    /// is (a window row never reaches the next, nor a window the next
+    /// channel). The micro-kernels' bounds check rests on it: the last
+    /// entry of a block is the farthest that block reads.
+    fn k_offsets(&self) -> Vec<usize> {
+        let mut koff = Vec::with_capacity(self.k());
+        for c in 0..self.channels {
+            for ky in 0..self.kernel {
+                let tap = c * self.channel + ky * self.tap_row;
+                koff.extend(tap..tap + self.kernel);
+            }
+        }
+        assert!(
+            koff.windows(2).all(|pair| pair[0] <= pair[1]),
+            "lhs k offsets must be non-decreasing"
+        );
+        koff
+    }
+
+    /// Fills `out[r]` with the start of product row `row0 + r`. Rows walk
+    /// `(n, oy, ox)`, so only the first is divided out.
+    fn row_offsets(&self, row0: usize, out: &mut [usize]) {
+        let plane = self.oh * self.ow;
+        let (mut n, rest) = (row0 / plane, row0 % plane);
+        let (mut oy, mut ox) = (rest / self.ow, rest % self.ow);
+        for slot in out {
+            *slot = n * self.image + oy * self.y + ox * self.x;
+            ox += 1;
+            if ox == self.ow {
+                (ox, oy) = (0, oy + 1);
+                if oy == self.oh {
+                    (oy, n) = (0, n + 1);
+                }
+            }
+        }
+    }
+
+    /// Calls `f(offsets, rows)` for each run of at most [`MC`] output rows
+    /// of `band` (product rows `row0..`, `n` wide), with `offsets[r]` the
+    /// start of row `r` of the run. `offsets` is padded to whole `tile`-row
+    /// tiles by repeating the last row, whose accumulators a micro-kernel
+    /// never stores. Nothing is allocated: the offsets live on the stack.
+    fn for_each_run(
+        &self,
+        row0: usize,
+        n: usize,
+        tile: usize,
+        band: &mut [f32],
+        mut f: impl FnMut(&[usize], &mut [f32]),
+    ) {
+        let mut offsets = [0usize; MC + MAX_MR];
+        for (run, out) in band.chunks_mut(MC * n).enumerate() {
+            let rows = out.len() / n;
+            let padded = rows.div_ceil(tile) * tile;
+            self.row_offsets(row0 + run * MC, &mut offsets[..rows]);
+            let last = offsets[rows - 1];
+            offsets[rows..padded].fill(last);
+            f(&offsets[..padded], out);
+        }
     }
 }
 
-/// One register-tile update: accumulate `tile_rows x cols` over `kc` steps
-/// into `c` (leading dimension `ldc`). `a` starts at the tile's first row
-/// and first shared index; tile rows past `tile_rows` re-read the last valid
-/// row and are not stored. The B panel holds `kc` slivers of `nr` column
-/// values.
+/// The left operand of one register tile, read in place: row `r` reads
+/// shared index `p` at `data[rows[r] + koff[p]]`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    /// Each row's start; rows past a ragged edge repeat the last valid one.
+    rows: &'a [usize],
+    /// The block's slice of the product's k-offset table, non-decreasing
+    /// ([`Walk::k_offsets`]).
+    koff: &'a [usize],
+}
+
+impl Lhs<'_> {
+    /// Panics unless every element of the tile lies inside `data` — the one
+    /// check the micro-kernels' unchecked reads rest on. The k offsets never
+    /// decrease, so the farthest row's last step is the farthest read.
+    fn assert_covers(self) {
+        let far_row = self.rows.iter().max();
+        let covered = match (far_row, self.koff.last()) {
+            (Some(row), Some(step)) => row
+                .checked_add(*step)
+                .is_some_and(|far| far < self.data.len()),
+            _ => false,
+        };
+        assert!(covered, "an lhs tile runs past its operand");
+    }
+}
+
+/// One register-tile update: accumulate `tile_rows x cols` over the `kc =
+/// a.koff.len()` shared indices of `a`'s block into `c` (leading dimension
+/// `ldc`). `a.rows` holds one start per tile row; rows past `tile_rows`
+/// re-read the last valid row and are not stored. The B panel holds `kc`
+/// slivers of `nr` column values.
 type MicroKernelFn =
-    fn(a: Lhs, bpanel: &[f32], kc: usize, c: &mut [f32], ldc: usize, tile_rows: usize, cols: usize);
+    fn(a: Lhs, bpanel: &[f32], c: &mut [f32], ldc: usize, tile_rows: usize, cols: usize);
 
 /// The micro-kernel picked for this host, with its register-tile geometry.
 #[derive(Clone, Copy)]
@@ -251,17 +387,17 @@ enum Op {
 }
 
 impl Op {
-    /// The logical `[m,k]` left operand, addressed in place.
-    fn lhs(self, a: &[f32], m: usize, k: usize) -> Lhs<'_> {
-        let (rs, ks) = match self {
-            Op::Nn | Op::Nt => (k, 1),
-            Op::Tn => (1, m),
-        };
-        Lhs { data: a, rs, ks }
+    /// Where the logical `[m,k]` left operand lies: strides `(k, 1)` for a
+    /// row-major `A`, `(1, m)` for one stored transposed.
+    fn walk(self, m: usize, k: usize) -> Walk {
+        match self {
+            Op::Nn | Op::Nt => Walk::matrix(m, k, k, 1),
+            Op::Tn => Walk::matrix(m, k, 1, m),
+        }
     }
 
     /// Element `(i, p)` of the logical `[m,k]` left operand (reference
-    /// implementation only; the kernels read A through [`Op::lhs`]).
+    /// implementation only; the kernels read A through [`Op::walk`]).
     #[cfg(test)]
     fn a_at(self, a: &[f32], i: usize, p: usize, m: usize, k: usize) -> f32 {
         match self {
@@ -319,7 +455,7 @@ pub fn gemm_nn_with(
 ) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm_nn lhs length must be m*k");
     assert_eq!(b.len(), k * n, "gemm_nn rhs length must be k*n");
-    gemm_impl(a, b, m, k, n, Op::Nn, par, GemmEpilogue::none())
+    gemm_matrix(a, b, m, k, n, Op::Nn, par, GemmEpilogue::none())
 }
 
 /// `C = Aᵀ·B` for row-major `a: [k,m]` and `b: [k,n]`, returning row-major
@@ -359,7 +495,7 @@ pub fn gemm_tn_with(
 ) -> Vec<f32> {
     assert_eq!(a.len(), k * m, "gemm_tn lhs length must be k*m");
     assert_eq!(b.len(), k * n, "gemm_tn rhs length must be k*n");
-    gemm_impl(a, b, m, k, n, Op::Tn, par, GemmEpilogue::none())
+    gemm_matrix(a, b, m, k, n, Op::Tn, par, GemmEpilogue::none())
 }
 
 /// `C = A·Bᵀ` for row-major `a: [m,k]` and `b: [n,k]`, returning row-major
@@ -398,7 +534,7 @@ pub fn gemm_nt_with(
 ) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm_nt lhs length must be m*k");
     assert_eq!(b.len(), n * k, "gemm_nt rhs length must be n*k");
-    gemm_impl(a, b, m, k, n, Op::Nt, par, GemmEpilogue::none())
+    gemm_matrix(a, b, m, k, n, Op::Nt, par, GemmEpilogue::none())
 }
 
 /// [`gemm_nt`] with a fused [`GemmEpilogue`] applied to each output band
@@ -425,11 +561,72 @@ pub fn gemm_nt_fused(
     if let Some(bias) = ep.bias {
         assert_eq!(bias.len(), n, "epilogue bias length must be n");
     }
-    gemm_impl(a, b, m, k, n, Op::Nt, par, ep)
+    gemm_matrix(a, b, m, k, n, Op::Nt, par, ep)
 }
 
+/// The `f32` convolution: `C = A·Bᵀ` with `A` the column matrix of the
+/// halo's convolution read in place (one row per output position
+/// `(n, oy, ox)`) and `weight` the `[n, c·kernel²]` filter bank, returning
+/// row-major `[rows, n]` with `ep` applied to each band while it is
+/// cache-hot. Bit-identical to [`crate::im2col`] followed by
+/// [`gemm_nt_fused`], without the column matrix: the product reads the same
+/// values, in the same `(c, ky, kx)` order, through the same blocking and
+/// routing (both decided by the logical `[m,k]` and `n`).
+///
+/// # Panics
+///
+/// Panics if `weight.len() != n·c·kernel²` for the halo's channel count `c`,
+/// or a bias is present with length other than `n`.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::gemm::{conv_fused, gemm_nt_fused, GemmEpilogue, Parallelism};
+/// use ensembler_tensor::{im2col, Conv2dGeometry, Halo, Tensor};
+///
+/// // A "same" 3x3 convolution of one 3-channel 3x3 image into 4 channels.
+/// let geom = Conv2dGeometry::new(3, 1, 1);
+/// let x = Tensor::from_fn(&[1, 3, 3, 3], |i| i as f32 - 13.0);
+/// let w: Vec<f32> = (0..4 * 27).map(|v| (v % 7) as f32 - 3.0).collect(); // [out, c·k²]
+/// let (ep, par) = (GemmEpilogue::none(), Parallelism::Auto);
+/// let want = gemm_nt_fused(im2col(&x, geom).data(), &w, 9, 27, 4, par, ep);
+/// let halo = Halo::lower(x.data(), 1, 3, 3, 3, geom);
+/// assert_eq!(conv_fused(&halo, &w, 4, par, ep), want);
+/// ```
+pub fn conv_fused(
+    halo: &Halo,
+    weight: &[f32],
+    n: usize,
+    par: Parallelism,
+    ep: GemmEpilogue,
+) -> Vec<f32> {
+    conv_with(kernel_config(), halo, weight, n, par, ep)
+}
+
+/// [`conv_fused`] under an explicit micro-kernel.
+fn conv_with(
+    cfg: KernelConfig,
+    halo: &Halo,
+    weight: &[f32],
+    n: usize,
+    par: Parallelism,
+    ep: GemmEpilogue,
+) -> Vec<f32> {
+    let walk = Walk::conv(halo);
+    assert_eq!(
+        weight.len(),
+        n * walk.k(),
+        "conv weight length must be out_channels*in_channels*kernel^2"
+    );
+    if let Some(bias) = ep.bias {
+        assert_eq!(bias.len(), n, "epilogue bias length must be n");
+    }
+    gemm_impl(cfg, halo.data(), walk, weight, n, Op::Nt, par, ep)
+}
+
+/// The three matrix layouts under the host's micro-kernel.
 #[allow(clippy::too_many_arguments)]
-fn gemm_impl(
+fn gemm_matrix(
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -439,14 +636,31 @@ fn gemm_impl(
     par: Parallelism,
     ep: GemmEpilogue,
 ) -> Vec<f32> {
+    gemm_impl(kernel_config(), a, op.walk(m, k), b, n, op, par, ep)
+}
+
+/// The one `f32` product driver: `a`, laid out as `walk` says, against the
+/// logical `[k,n]` right operand `b` (`op` says whether it is stored
+/// transposed).
+#[allow(clippy::too_many_arguments)]
+fn gemm_impl(
+    cfg: KernelConfig,
+    a: &[f32],
+    walk: Walk,
+    b: &[f32],
+    n: usize,
+    op: Op,
+    par: Parallelism,
+    ep: GemmEpilogue,
+) -> Vec<f32> {
+    let (m, k) = (walk.m(), walk.k());
     let mut out = vec![0.0f32; m * n];
     if m == 0 || n == 0 || k == 0 {
         apply_epilogue(&mut out, n, &ep);
         return out;
     }
-    let cfg = kernel_config();
     let small = k * n < SMALL_THRESHOLD;
-    let a = op.lhs(a, m, k);
+    let koff = walk.k_offsets();
 
     // The right operand, laid out once for every row band to read: below
     // SMALL_THRESHOLD the plain row-major `[k,n]` matrix the triple loop
@@ -485,9 +699,9 @@ fn gemm_impl(
     chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
         let row0 = index * band_rows;
         if small {
-            gemm_small(a, &bp, row0, k, n, band);
+            gemm_small(a, walk, &koff, &bp, row0, n, band);
         } else {
-            gemm_band(a.starting_at(row0, 0), &bp, band.len() / n, k, n, cfg, band);
+            gemm_band(a, walk, &koff, &bp, row0, n, cfg, band);
         }
         apply_epilogue(band, n, &ep);
     });
@@ -510,17 +724,27 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// operand, iterating `(p, j)` so the inner loop streams and vectorises
 /// across `j`. Each output element accumulates its `k` products in order,
 /// multiply then add, from `0.0`, and never skips a term, so non-finite
-/// values propagate exactly like the blocked path.
-fn gemm_small(a: Lhs, b: &[f32], row0: usize, k: usize, n: usize, band: &mut [f32]) {
-    for (r, out_row) in band.chunks_exact_mut(n).enumerate() {
-        for p in 0..k {
-            let a_ip = a.at(row0 + r, p);
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * bv;
+/// values propagate exactly like the blocked path. Every read is checked.
+fn gemm_small(
+    a: &[f32],
+    walk: Walk,
+    koff: &[usize],
+    b: &[f32],
+    row0: usize,
+    n: usize,
+    band: &mut [f32],
+) {
+    walk.for_each_run(row0, n, 1, band, |rows, out| {
+        for (&row, out_row) in rows.iter().zip(out.chunks_exact_mut(n)) {
+            for (p, &step) in koff.iter().enumerate() {
+                let a_ip = a[row + step];
+                let b_row = &b[p * n..(p + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += a_ip * bv;
+                }
             }
         }
-    }
+    });
 }
 
 /// Packs the logical `[k,n]` right operand into `nr`-column panels.
@@ -556,70 +780,77 @@ fn pack_b(b: &[f32], k: usize, n: usize, op: Op, nr: usize) -> Vec<f32> {
     bp
 }
 
-/// Computes the `rows` output rows whose left operand starts at `a` into
-/// `band` (`rows x n`), blocking the shared dimension by KC. Nothing is
-/// allocated or copied here: the micro-kernel reads `a` in place.
+/// Computes the product rows `row0..` that `band` (`rows x n`) holds,
+/// blocking the shared dimension by KC. Nothing is allocated or copied
+/// here: each tile's micro-kernel reads `a` where it lies, through the row
+/// offsets worked out once per run of rows and the k-offset table `koff`.
+#[allow(clippy::too_many_arguments)]
 fn gemm_band(
-    a: Lhs,
+    a: &[f32],
+    walk: Walk,
+    koff: &[usize],
     bp: &[f32],
-    rows: usize,
-    k: usize,
+    row0: usize,
     n: usize,
     cfg: KernelConfig,
     band: &mut [f32],
 ) {
-    let (mr, nr) = (cfg.mr, cfg.nr);
-    let row_panels = rows.div_ceil(mr);
+    let (mr, nr, k) = (cfg.mr, cfg.nr, koff.len());
     let col_panels = n.div_ceil(nr);
-
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        for jp in 0..col_panels {
-            let bpanel = &bp[jp * k * nr + pc * nr..jp * k * nr + (pc + kc) * nr];
-            let j0 = jp * nr;
-            let cols = nr.min(n - j0);
-            for ir in 0..row_panels {
-                let r0 = ir * mr;
-                let tile_rows = mr.min(rows - r0);
-                (cfg.micro)(
-                    a.starting_at(r0, pc),
-                    bpanel,
-                    kc,
-                    &mut band[r0 * n + j0..],
-                    n,
-                    tile_rows,
-                    cols,
-                );
+    walk.for_each_run(row0, n, mr, band, |offsets, out| {
+        let rows = out.len() / n;
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            for jp in 0..col_panels {
+                let bpanel = &bp[jp * k * nr + pc * nr..jp * k * nr + (pc + kc) * nr];
+                let j0 = jp * nr;
+                let cols = nr.min(n - j0);
+                for r0 in (0..rows).step_by(mr) {
+                    let tile = Lhs {
+                        data: a,
+                        rows: &offsets[r0..r0 + mr],
+                        koff: &koff[pc..pc + kc],
+                    };
+                    (cfg.micro)(
+                        tile,
+                        bpanel,
+                        &mut out[r0 * n + j0..],
+                        n,
+                        mr.min(rows - r0),
+                        cols,
+                    );
+                }
             }
+            pc += kc;
         }
-        pc += kc;
-    }
+    });
 }
 
-/// Accumulates an [`MR`]`x`[`NR`] register tile over `kc` shared-dimension
-/// steps and adds the `tile_rows x cols` valid region into `c` (leading dim
-/// `ldc`). The fixed-size slivers below auto-vectorise on any target.
+/// Accumulates an [`MR`]`x`[`NR`] register tile over the shared indices of
+/// `a`'s block and adds the `tile_rows x cols` valid region into `c`
+/// (leading dim `ldc`). The fixed-size slivers below auto-vectorise on any
+/// target.
 fn portable_microkernel(
     a: Lhs,
     bpanel: &[f32],
-    kc: usize,
     c: &mut [f32],
     ldc: usize,
     tile_rows: usize,
     cols: usize,
 ) {
-    a.assert_covers(tile_rows, kc);
-    let row: [usize; MR] = std::array::from_fn(|r| r.min(tile_rows - 1) * a.rs);
+    a.assert_covers();
+    let row: [usize; MR] = a.rows.try_into().expect("MR row offsets");
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
+    for (p, &step) in a.koff.iter().enumerate() {
         let bv: &[f32; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("NR sliver");
         for r in 0..MR {
-            // SAFETY: `row[r] <= (tile_rows - 1) * rs` and `p <= kc - 1`, so
-            // the index is at most the one `assert_covers` checked above.
-            // Unchecked because a checked read here halves the kernel's
-            // throughput (docs/PERFORMANCE.md, "Reading A in place").
-            let ar = unsafe { *a.data.get_unchecked(row[r] + p * a.ks) };
+            // SAFETY: `row[r]` is at most the farthest row offset and `step`
+            // at most the block's last k offset, the sum `assert_covers`
+            // checked above. Unchecked because a checked read here halves
+            // the kernel's throughput (docs/PERFORMANCE.md, "Reading A in
+            // place").
+            let ar = unsafe { *a.data.get_unchecked(row[r] + step) };
             for (slot, &bval) in acc[r].iter_mut().zip(bv) {
                 *slot += ar * bval;
             }
@@ -657,49 +888,48 @@ mod avx2 {
     pub(super) fn microkernel(
         a: Lhs,
         bpanel: &[f32],
-        kc: usize,
         c: &mut [f32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
-        a.assert_covers(tile_rows, kc);
-        assert!(tile_rows <= MR && cols <= NR && bpanel.len() >= kc * NR);
+        a.assert_covers();
+        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && cols <= NR);
+        assert!(bpanel.len() >= a.koff.len() * NR);
         assert!(c.len() >= (tile_rows - 1) * ldc + cols);
-        // SAFETY: AVX2+FMA are present (see above). The three asserts are
-        // what `microkernel_impl` requires of its caller.
-        unsafe { microkernel_impl(a, bpanel, kc, c, ldc, tile_rows, cols) }
+        // SAFETY: AVX2+FMA are present (see above). The asserts are what
+        // `microkernel_impl` requires of its caller.
+        unsafe { microkernel_impl(a, bpanel, c, ldc, tile_rows, cols) }
     }
 
     /// # Safety
     ///
-    /// The host must support AVX2 and FMA; `a` must cover a
-    /// `tile_rows x kc` tile ([`Lhs::assert_covers`]) with
-    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc * NR` values; and `c`
-    /// must hold `(tile_rows - 1) * ldc + cols` with `cols <= NR`.
+    /// The host must support AVX2 and FMA; `a` must cover its tile
+    /// ([`Lhs::assert_covers`]) with `MR` row offsets and
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc * NR` values for
+    /// `kc = a.koff.len()`; and `c` must hold `(tile_rows - 1) * ldc + cols`
+    /// with `cols <= NR`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn microkernel_impl(
         a: Lhs,
         bpanel: &[f32],
-        kc: usize,
         c: &mut [f32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        // Row `r` of the tile starts here; rows past the ragged edge alias
+        // Row `r` of the tile starts here; rows past the ragged edge repeat
         // the last valid one, so every read below stays inside the tile
         // `assert_covers` vouched for.
         let mut row = [a.data.as_ptr(); MR];
-        for (r, start) in row.iter_mut().enumerate() {
-            *start = start.add(r.min(tile_rows - 1) * a.rs);
+        for (start, &offset) in row.iter_mut().zip(a.rows) {
+            *start = start.add(offset);
         }
         let bpp = bpanel.as_ptr();
-        for p in 0..kc {
+        for (p, &step) in a.koff.iter().enumerate() {
             let b0 = _mm256_loadu_ps(bpp.add(p * NR));
             let b1 = _mm256_loadu_ps(bpp.add(p * NR + 8));
-            let step = p * a.ks;
             for (row_acc, start) in acc.iter_mut().zip(row) {
                 let ar = _mm256_set1_ps(*start.add(step));
                 row_acc[0] = _mm256_fmadd_ps(ar, b0, row_acc[0]);
@@ -736,6 +966,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Conv2dGeometry;
 
     /// Textbook reference product, deliberately unblocked and skip-free.
     fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, op: Op) -> Vec<f32> {
@@ -797,8 +1028,17 @@ mod tests {
     ) -> Vec<f32> {
         let bp = pack_b(b, k, n, op, cfg.nr);
         let mut band = vec![0.0f32; rows.len() * n];
-        let lhs = op.lhs(a, m, k).starting_at(rows.start, 0);
-        gemm_band(lhs, &bp, rows.len(), k, n, cfg, &mut band);
+        let walk = op.walk(m, k);
+        gemm_band(
+            a,
+            walk,
+            &walk.k_offsets(),
+            &bp,
+            rows.start,
+            n,
+            cfg,
+            &mut band,
+        );
         band
     }
 
@@ -818,6 +1058,9 @@ mod tests {
         let mut band = vec![0.0f32; m * n];
         let row_panels = m.div_ceil(mr);
         let mut apack = vec![0.0f32; row_panels * KC.min(k) * mr];
+        // A packed panel's row `r` starts at `r`, step `p` lies `p·mr` on.
+        let rows: Vec<usize> = (0..mr).collect();
+        let koff: Vec<usize> = (0..KC).map(|p| p * mr).collect();
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
@@ -840,14 +1083,13 @@ mod tests {
                 for ir in 0..row_panels {
                     let apanel = Lhs {
                         data: &apack[ir * kc * mr..(ir + 1) * kc * mr],
-                        rs: 1,
-                        ks: mr,
+                        rows: &rows,
+                        koff: &koff[..kc],
                     };
                     let r0 = ir * mr;
                     (cfg.micro)(
                         apanel,
                         bpanel,
-                        kc,
                         &mut band[r0 * n + j0..],
                         n,
                         mr.min(m - r0),
@@ -933,12 +1175,101 @@ mod tests {
                     .collect();
                 assert_eq!(whole, banded, "{name} {op:?}");
             }
-            let run = |par| gemm_impl(&a, &b, m, k, n, op, par, GemmEpilogue::none());
+            let run = |par| gemm_matrix(&a, &b, m, k, n, op, par, GemmEpilogue::none());
             assert_eq!(
                 run(Parallelism::Serial),
                 run(Parallelism::Parallel),
                 "{op:?} serial vs pool"
             );
+        }
+    }
+
+    /// The bits of `values`, so that `-0.0` and `+0.0` differ.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_halo_product_equals_im2col_then_gemm_nt_fused_under_every_kernel() {
+        // Every geometry of kernel {1,3} x stride {1,2} x padding {0,1,2};
+        // 33 channels x 9 taps = 297 > KC, so a cache block ends inside a
+        // window; 1 channel against 1-40 outputs stays under
+        // SMALL_THRESHOLD; 17 and 40 outputs leave ragged panels in both
+        // kernels; non-square extents give row counts no tile height
+        // divides; batch 0 is the empty product; the three epilogues rotate.
+        let geometries = [1, 3].into_iter().flat_map(|k| {
+            [1, 2]
+                .into_iter()
+                .flat_map(move |s| [0, 1, 2].map(|p| Conv2dGeometry::new(k, s, p)))
+        });
+        let mut seed = 0;
+        for (name, cfg) in kernels() {
+            for geom in geometries.clone() {
+                for c in [1, 3, 16, 33] {
+                    for n in [1, 16, 17, 40] {
+                        seed += 1;
+                        let weight = pseudo(n * c * geom.kernel * geom.kernel, seed);
+                        let bias = pseudo(n, seed + 7);
+                        let ep = GemmEpilogue {
+                            bias: (seed % 3 != 1).then_some(bias.as_slice()),
+                            relu: seed % 3 != 0,
+                        };
+                        for (h, w) in [(1, 1), (2, 5), (5, 2), (4, 7), (9, 3)] {
+                            if h.min(w) + 2 * geom.padding < geom.kernel {
+                                continue;
+                            }
+                            for b in [0, 1, 3] {
+                                let x = pseudo(b * c * h * w, seed * 31 + (h * 10 + w) as u64);
+                                let par = if b == 3 {
+                                    Parallelism::Parallel
+                                } else {
+                                    Parallelism::Serial
+                                };
+                                let halo = Halo::lower(&x, b, c, h, w, geom);
+                                let got = conv_with(cfg, &halo, &weight, n, par, ep);
+                                let image = crate::Tensor::from_vec(x.clone(), &[b, c, h, w])
+                                    .expect("sized to the shape");
+                                let cols = crate::im2col(&image, geom);
+                                let (m, k) = (cols.shape()[0], cols.shape()[1]);
+                                let walk = Op::Nt.walk(m, k);
+                                let want =
+                                    gemm_impl(cfg, cols.data(), walk, &weight, n, Op::Nt, par, ep);
+                                assert_eq!(
+                                    bits(&got),
+                                    bits(&want),
+                                    "{name} {geom:?} {b}x{c}x{h}x{w} -> {n}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tile_reading_past_its_halo_is_refused_before_any_read() {
+        // Rows 0 and 4 of a 12-element operand, k offsets 0, 3 and 8: the
+        // last step of row 4 is element 4 + 8 = 12, one past the end.
+        let (data, koff) = ([0.0f32; 12], [0, 3, 8]);
+        for (name, cfg) in kernels() {
+            let mut rows = vec![4; cfg.mr];
+            rows[0] = 0;
+            let tile = Lhs {
+                data: &data,
+                rows: &rows,
+                koff: &koff,
+            };
+            let read = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; cfg.nr];
+                (cfg.micro)(tile, &vec![0.0; 3 * cfg.nr], &mut c, cfg.nr, 2, cfg.nr);
+            });
+            let refusal = read.expect_err(name);
+            let message = refusal
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| refusal.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("an lhs tile runs past its operand"), "{name}");
         }
     }
 

@@ -3,8 +3,10 @@
 //! This crate is the numerical substrate that replaces PyTorch in the original
 //! paper. It provides a single dense, row-major [`Tensor`] type together with
 //! the operations needed by the neural-network layers in `ensembler-nn`:
-//! element-wise arithmetic, matrix multiplication, reductions, and the
-//! `im2col`/`col2im` transformations used to express convolutions as GEMMs.
+//! element-wise arithmetic, matrix multiplication, reductions, the
+//! `im2col`/`col2im` transformations used to express convolutions as GEMMs,
+//! and the zero-haloed copies ([`Halo`], [`QHalo`]) the compiled plans'
+//! convolutions read in place instead.
 //!
 //! Most operations are implemented as straightforward loops over contiguous
 //! buffers so the gradient checks in `ensembler-nn` validate against an
@@ -39,7 +41,7 @@ pub mod quant;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry, QHalo};
+pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry, Halo, QHalo};
 pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};
