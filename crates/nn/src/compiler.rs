@@ -2,15 +2,17 @@
 //!
 //! [`CompiledPlan::compile`] lowers a [`Sequential`] pipeline through
 //! [`crate::graph`] and runs one fusion pass over the op list, **epilogue
-//! fusion**: the bias add and a directly following ReLU are applied inside
-//! the GEMM epilogue while the output band is cache-hot
-//! ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode batch norm (and
-//! the ReLU after it) directly following a conv is merged into the conv's
-//! single output pass, and the int8 conv stages dequantize their `i32`
-//! accumulators, apply bias, the merged batch norm and ReLU, and transpose
-//! into NCHW in one pass (the int8 linear stages keep the dequantize in the
-//! qgemm epilogue, [`ensembler_tensor::qgemm_nn_dequant`]). Epilogue fusion
-//! performs exactly the eager per-element expressions, so it is bit-exact.
+//! fusion**: a linear stage's bias add and a directly following ReLU are
+//! applied inside the GEMM epilogue while the output band is cache-hot
+//! ([`ensembler_tensor::gemm::gemm_nt_fused`]; the int8 linear stages keep
+//! the dequantize there too, [`ensembler_tensor::qgemm_nn_dequant`]), and a
+//! conv stage applies its bias (the int8 one dequantizes its `i32`
+//! accumulators first), an eval-mode batch norm directly following the conv,
+//! the ReLU after it and a max-pool after that in one channel-major pass
+//! that writes the (pooled) NCHW output straight from the product rows. A
+//! max-pool that follows no conv runs the same argmax-free pass. Epilogue
+//! fusion performs exactly the eager per-element expressions, in the eager
+//! order, so it is bit-exact.
 //! It is the only mode: the eager [`Layer::forward`]s and
 //! [`crate::quant::QSequential`] are the training path and the test oracle.
 //!
@@ -52,10 +54,10 @@
 //! assert!(plan.run(&Tensor::ones(&[2, 5, 8, 8])).is_err());
 //! ```
 
-use crate::conv::rows_to_nchw;
+use crate::conv::{nchw_pass, Layout};
 use crate::graph::{lower_sequential, GraphOp};
 use crate::quant::{QConv2d, QLinear};
-use crate::{BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, Mode, Sequential};
+use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
 use ensembler_tensor::gemm::{conv_fused, gemm_nt_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
     par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, Halo, QGemmEpilogue, QHalo, QPanels,
@@ -198,8 +200,8 @@ trait Precision {
     /// needs.
     const LINEAR_RELU: ReluForm;
 
-    /// A conv stage with a merged batch norm and ReLU in its output pass.
-    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> Self::Conv;
+    /// A conv stage finished by `pass`.
+    fn conv(conv: &Conv2d, pass: OutputPass) -> Self::Conv;
 
     fn linear(linear: &Linear) -> Self::Linear;
 
@@ -218,9 +220,10 @@ trait LoweredConv: Sync {
     /// padding) or of its int8 quantization ([`QHalo`]).
     type Lowered<'a>: Sync;
 
-    /// Everything besides the input that the lowering depends on: the conv
-    /// geometry and the input channel count.
-    fn key(&self) -> (Conv2dGeometry, usize);
+    /// Everything besides the input that the lowering and its validation
+    /// depend on: the conv geometry, the input channel count and the window
+    /// of a folded max-pool.
+    fn key(&self) -> (Conv2dGeometry, usize, Option<usize>);
 
     fn lower<'a>(&self, input: &'a Tensor) -> Result<Self::Lowered<'a>, ShapeError>;
 
@@ -234,7 +237,7 @@ enum Stage<P: Precision> {
     Conv(P::Conv),
     BatchNorm(Box<BatchNorm2d>),
     Relu(ReluForm),
-    MaxPool(MaxPool2d),
+    MaxPool(usize),
     GlobalAvgPool,
     Flatten,
     Linear {
@@ -263,15 +266,17 @@ impl<P: Precision> Stage<P> {
                 Ok(bn.forward(input, Mode::Eval))
             }
             &Stage::Relu(form) => Ok(input.map(|v| form.apply(v))),
-            Stage::MaxPool(pool) => {
-                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
-                let k = pool.window();
-                if h % k != 0 || w % k != 0 {
-                    return Err(ShapeError::new(format!(
-                        "max_pool window {k} must divide spatial dims ({h}x{w})"
-                    )));
-                }
-                Ok(pool.forward(input, Mode::Eval))
+            &Stage::MaxPool(k) => {
+                let (b, c, h, w) = expect_rank4(input.shape(), "max_pool")?;
+                check_pool(h, w, k)?;
+                let layout = Layout::nchw(c, h * w);
+                Ok(nchw_pass(
+                    input.data(),
+                    layout,
+                    [b, c, h, w],
+                    Some(k),
+                    |_, _| |v| v,
+                ))
             }
             Stage::GlobalAvgPool => {
                 expect_rank4(input.shape(), "global_avg_pool")?;
@@ -310,18 +315,27 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
     while i < ops.len() {
         match &ops[i] {
             GraphOp::Conv(conv) => {
-                // Merge a following batch norm (channel counts permitting)
-                // and then a following ReLU into the conv's output pass.
+                // Merge a following batch norm (channel counts permitting),
+                // then a following ReLU, then a following max-pool into the
+                // conv's output pass.
                 let bn = match ops.get(i + 1) {
                     Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
                         Some(MergedBn::new(bn))
                     }
                     _ => None,
                 };
-                let after_bn = i + 1 + usize::from(bn.is_some());
-                let fused_relu = matches!(ops.get(after_bn), Some(GraphOp::Relu));
-                stages.push(Stage::Conv(P::conv(conv, bn, fused_relu.then_some(relu))));
-                i = after_bn + usize::from(fused_relu);
+                i += 1 + usize::from(bn.is_some());
+                let fused_relu = matches!(ops.get(i), Some(GraphOp::Relu));
+                i += usize::from(fused_relu);
+                let pool = match ops.get(i) {
+                    Some(&GraphOp::MaxPool(k)) => {
+                        i += 1;
+                        Some(k)
+                    }
+                    _ => None,
+                };
+                let relu = fused_relu.then_some(relu);
+                stages.push(Stage::Conv(P::conv(conv, OutputPass { bn, relu, pool })));
                 continue;
             }
             GraphOp::Linear(linear) => {
@@ -336,7 +350,7 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
             }
             GraphOp::BatchNorm(bn) => stages.push(Stage::BatchNorm(Box::new(bn.clone()))),
             GraphOp::Relu => stages.push(Stage::Relu(relu)),
-            GraphOp::MaxPool(k) => stages.push(Stage::MaxPool(MaxPool2d::new(*k))),
+            GraphOp::MaxPool(k) => stages.push(Stage::MaxPool(*k)),
             GraphOp::GlobalAvgPool => stages.push(Stage::GlobalAvgPool),
             GraphOp::Flatten => stages.push(Stage::Flatten),
             GraphOp::Residual { main, shortcut } => stages.push(Stage::Residual {
@@ -473,50 +487,88 @@ impl MergedBn {
         }
     }
 
-    /// Per-channel `(mean, inv_std, gamma, beta)`: channel `ch` maps `v` to
-    /// `gamma[ch] * ((v - mean[ch]) * inv_std[ch]) + beta[ch]`, the eager
-    /// [`BatchNorm2d`] expression.
-    fn params(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
-        (
-            self.bn.running_mean().data(),
-            &self.inv_std,
-            self.bn.gamma().value.data(),
-            self.bn.beta().value.data(),
-        )
+    /// Channel `ch`'s batch norm of `v`, the eager [`BatchNorm2d`]
+    /// expression `gamma * ((v - mean) * inv_std) + beta`, with the four
+    /// per-channel values read once, here.
+    fn channel(&self, ch: usize) -> impl Fn(f32) -> f32 {
+        let mean = self.bn.running_mean().data()[ch];
+        let gamma = self.bn.gamma().value.data()[ch];
+        let beta = self.bn.beta().value.data()[ch];
+        let inv_std = self.inv_std[ch];
+        move |v| gamma * ((v - mean) * inv_std) + beta
     }
 }
 
-/// Turns `[b*oh*ow, c]` GEMM rows into an NCHW tensor while applying a merged
-/// eval-mode batch norm (and optionally the mask-multiply ReLU) in the same
-/// pass. Every per-element expression matches the standalone
-/// [`BatchNorm2d`]/ReLU forwards exactly, so the merge is bit-exact; the win
-/// is running one pass over the feature map instead of three.
-fn bn_relu_rows_to_nchw(
-    rows: &[f32],
-    b: usize,
-    c: usize,
-    oh: usize,
-    ow: usize,
-    bn: &MergedBn,
-    relu: bool,
-) -> Tensor {
-    let plane = oh * ow;
-    debug_assert_eq!(rows.len(), b * plane * c);
-    let (mean, inv_std, gamma, beta) = bn.params();
-    let mut out = vec![0.0f32; b * c * plane];
-    for n in 0..b {
-        for p in 0..plane {
-            let row = &rows[(n * plane + p) * c..(n * plane + p + 1) * c];
-            for (ch, &v) in row.iter().enumerate() {
-                let mut t = gamma[ch] * ((v - mean[ch]) * inv_std[ch]) + beta[ch];
-                if relu {
-                    t *= if t > 0.0 { 1.0 } else { 0.0 };
-                }
-                out[n * c * plane + ch * plane + p] = t;
-            }
+/// What a conv stage does after its product and bias, in one channel-major
+/// pass over the product rows ([`nchw_pass`]): a merged eval-mode batch
+/// norm, then a ReLU, then a max-pool, each if the pipeline has it there.
+/// Each applies the per-element expression of the eager layer it replaces,
+/// in the eager order, so the pass is bit-exact; the pool writes the pooled
+/// tensor directly, with no full-resolution tensor and no argmax.
+#[derive(Debug, Clone)]
+struct OutputPass {
+    bn: Option<MergedBn>,
+    relu: Option<ReluForm>,
+    /// The max-pool window.
+    pool: Option<usize>,
+}
+
+impl OutputPass {
+    /// Refuses an `oh x ow` product that the pool window does not divide.
+    fn check(&self, oh: usize, ow: usize) -> Result<(), ShapeError> {
+        self.pool.map_or(Ok(()), |k| check_pool(oh, ow, k))
+    }
+
+    /// The NCHW output of `[b·oh·ow, c]` product rows. `value(n, ch)` is
+    /// how plane `(n, ch)` turns a row value into the eager pipeline's
+    /// conv output; what follows it is branched on once per pass.
+    fn run<T: Copy, F: Fn(T) -> f32>(
+        &self,
+        rows: &[T],
+        dims: [usize; 4],
+        value: impl Fn(usize, usize) -> F,
+    ) -> Tensor {
+        match &self.bn {
+            None => relu_pass(rows, dims, self.relu, self.pool, value),
+            Some(bn) => relu_pass(rows, dims, self.relu, self.pool, |n, ch| {
+                let (value, norm) = (value(n, ch), bn.channel(ch));
+                move |v| norm(value(v))
+            }),
         }
     }
-    Tensor::from_vec(out, &[b, c, oh, ow]).expect("output sized to NCHW shape")
+}
+
+/// [`nchw_pass`] over product rows of plane functions `plane(n, ch)`
+/// followed by `relu`, one monomorphic pass per form.
+fn relu_pass<T: Copy, F: Fn(T) -> f32>(
+    rows: &[T],
+    dims @ [_, c, oh, ow]: [usize; 4],
+    relu: Option<ReluForm>,
+    pool: Option<usize>,
+    plane: impl Fn(usize, usize) -> F,
+) -> Tensor {
+    let layout = Layout::rows(c, oh * ow);
+    match relu {
+        None => nchw_pass(rows, layout, dims, pool, plane),
+        Some(ReluForm::Mask) => nchw_pass(rows, layout, dims, pool, |n, ch| {
+            let f = plane(n, ch);
+            move |v| ReluForm::Mask.apply(f(v))
+        }),
+        Some(ReluForm::Max) => nchw_pass(rows, layout, dims, pool, |n, ch| {
+            let f = plane(n, ch);
+            move |v| ReluForm::Max.apply(f(v))
+        }),
+    }
+}
+
+fn check_pool(h: usize, w: usize, k: usize) -> Result<(), ShapeError> {
+    if k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k) {
+        Ok(())
+    } else {
+        Err(ShapeError::new(format!(
+            "max_pool window {k} must divide spatial dims ({h}x{w})"
+        )))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,13 +585,10 @@ impl Precision for F32 {
     const RESIDUAL_RELU: ReluForm = ReluForm::Mask;
     const LINEAR_RELU: ReluForm = ReluForm::Mask;
 
-    /// Every `f32` position runs the mask form, so the stage records only
-    /// whether there is a ReLU.
-    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> ConvStage {
+    fn conv(conv: &Conv2d, pass: OutputPass) -> ConvStage {
         ConvStage {
             conv: conv.frozen(),
-            bn,
-            relu: relu.is_some(),
+            pass,
         }
     }
 
@@ -566,16 +615,12 @@ impl Precision for F32 {
     }
 }
 
-/// Convolution; `bn` records a directly following eval-mode batch norm and
-/// `relu` a ReLU after it, both fused into the conv's output pass. The batch
-/// norm applies the eager per-element expression
-/// `gamma*((x-mean)*inv_std)+beta` and the ReLU the eager mask multiply, so
-/// the merge is bit-exact with the standalone layers.
+/// Convolution with the bias, then its [`OutputPass`], applied in one
+/// channel-major pass over the product rows.
 #[derive(Debug, Clone)]
 struct ConvStage {
     conv: Conv2d,
-    bn: Option<MergedBn>,
-    relu: bool,
+    pass: OutputPass,
 }
 
 /// An input batch lowered, as one zero-haloed copy, for a conv's product,
@@ -590,15 +635,20 @@ struct Lowered<'a> {
 impl LoweredConv for ConvStage {
     type Lowered<'a> = Lowered<'a>;
 
-    fn key(&self) -> (Conv2dGeometry, usize) {
-        (self.conv.geometry(), self.conv.in_channels())
+    fn key(&self) -> (Conv2dGeometry, usize, Option<usize>) {
+        (
+            self.conv.geometry(),
+            self.conv.in_channels(),
+            self.pass.pool,
+        )
     }
 
     fn lower<'a>(&self, input: &'a Tensor) -> Result<Lowered<'a>, ShapeError> {
-        let (geometry, in_channels) = self.key();
+        let (geometry, in_channels, _) = self.key();
         let out_channels = self.conv.out_channels();
         let (b, oh, ow) =
             check_conv_input(input.shape(), in_channels, out_channels, geometry, "conv")?;
+        self.pass.check(oh, ow)?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         Ok(Lowered {
             halo: Halo::lower(input.data(), b, in_channels, h, w, geometry),
@@ -609,30 +659,21 @@ impl LoweredConv for ConvStage {
     }
 
     fn finish(&self, lowered: &Lowered) -> Tensor {
-        let Self { conv, bn, relu } = self;
         let &Lowered { b, oh, ow, .. } = lowered;
-        let m = b * oh * ow;
-        let n = conv.out_channels();
+        let n = self.conv.out_channels();
+        let weight = self.conv.weight().value.data();
         let rows = conv_fused(
             &lowered.halo,
-            conv.weight().value.data(),
+            weight,
             n,
             Parallelism::Auto,
-            GemmEpilogue {
-                bias: Some(conv.bias().value.data()),
-                // With a merged batch norm the ReLU comes after it, so it
-                // moves out of the GEMM epilogue into the combined output
-                // pass below.
-                relu: *relu && bn.is_none(),
-            },
+            GemmEpilogue::none(),
         );
-        match bn {
-            None => {
-                let rows = Tensor::from_vec(rows, &[m, n]).expect("fused rows sized m*n");
-                rows_to_nchw(&rows, b, n, oh, ow)
-            }
-            Some(bn) => bn_relu_rows_to_nchw(&rows, b, n, oh, ow, bn, *relu),
-        }
+        let bias = self.conv.bias().value.data();
+        self.pass.run(&rows, [b, n, oh, ow], |_, co| {
+            let bias = bias[co];
+            move |v: f32| v + bias
+        })
     }
 }
 
@@ -695,7 +736,7 @@ impl Precision for Int8 {
     const RESIDUAL_RELU: ReluForm = ReluForm::Max;
     const LINEAR_RELU: ReluForm = ReluForm::Max;
 
-    fn conv(conv: &Conv2d, bn: Option<MergedBn>, relu: Option<ReluForm>) -> QConvStage {
+    fn conv(conv: &Conv2d, pass: OutputPass) -> QConvStage {
         let q = QConv2d::from_conv(conv);
         let geometry = q.geometry();
         QConvStage {
@@ -709,8 +750,7 @@ impl Precision for Int8 {
             bias: q.bias().data().to_vec(),
             geometry,
             in_channels: q.in_channels(),
-            bn,
-            relu,
+            pass,
         }
     }
 
@@ -744,10 +784,10 @@ impl Precision for Int8 {
     }
 }
 
-/// Int8 convolution with the dequantize, bias, a merged eval-mode batch norm
-/// and the following ReLU all applied in one pass over the `i32`
-/// accumulators while transposing into NCHW — the eager pipeline's
-/// per-element expressions, one feature-map pass instead of up to four.
+/// Int8 convolution with the dequantize and bias, then its [`OutputPass`],
+/// applied in one channel-major pass over the `i32` accumulators — the
+/// eager pipeline's per-element expressions, one feature-map pass instead
+/// of up to five.
 ///
 /// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
 /// halo's `(ky, kx, c)` order and packed into the host kernel's pair panels
@@ -759,8 +799,7 @@ struct QConvStage {
     bias: Vec<f32>,
     geometry: Conv2dGeometry,
     in_channels: usize,
-    bn: Option<MergedBn>,
-    relu: Option<ReluForm>,
+    pass: OutputPass,
 }
 
 /// An input batch quantized per sample and lowered, as one zero-haloed
@@ -777,15 +816,16 @@ struct QLowered {
 impl LoweredConv for QConvStage {
     type Lowered<'a> = QLowered;
 
-    fn key(&self) -> (Conv2dGeometry, usize) {
-        (self.geometry, self.in_channels)
+    fn key(&self) -> (Conv2dGeometry, usize, Option<usize>) {
+        (self.geometry, self.in_channels, self.pass.pool)
     }
 
     fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
-        let (geometry, in_channels) = self.key();
+        let (geometry, in_channels, _) = self.key();
         let out_channels = self.weights.cols();
         let (b, oh, ow) =
             check_conv_input(input.shape(), in_channels, out_channels, geometry, "q_conv")?;
+        self.pass.check(oh, ow)?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let q = QTensorBatch::quantize_batch(input);
         Ok(QLowered {
@@ -799,33 +839,12 @@ impl LoweredConv for QConvStage {
 
     fn finish(&self, lowered: &QLowered) -> Tensor {
         let &QLowered { b, oh, ow, .. } = lowered;
-        let plane = oh * ow;
         let out_c = self.weights.cols();
         let acc = qconv(&lowered.halo, &self.weights);
-
-        // One pass over the i32 accumulators: dequantize, bias, the merged
-        // batch norm and ReLU, transposed straight into NCHW. Each
-        // expression matches the eager stage it replaces.
-        let bn_params = self.bn.as_ref().map(MergedBn::params);
-        let mut out = vec![0.0f32; b * out_c * plane];
-        for n in 0..b {
-            let rescale = lowered.scales[n] * self.weight_scale;
-            for p in 0..plane {
-                let row = &acc[(n * plane + p) * out_c..(n * plane + p + 1) * out_c];
-                for (co, &a) in row.iter().enumerate() {
-                    let mut t = a as f32 * rescale + self.bias[co];
-                    if let Some((mean, inv_std, gamma, beta)) = bn_params {
-                        t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
-                    }
-                    t = match self.relu {
-                        None => t,
-                        Some(form) => form.apply(t),
-                    };
-                    out[n * out_c * plane + co * plane + p] = t;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[b, out_c, oh, ow]).expect("output sized to NCHW shape")
+        self.pass.run(&acc, [b, out_c, oh, ow], |n, co| {
+            let (rescale, bias) = (lowered.scales[n] * self.weight_scale, self.bias[co]);
+            move |a: i32| a as f32 * rescale + bias
+        })
     }
 }
 
@@ -874,7 +893,7 @@ mod tests {
     use super::*;
     use crate::models::{build_body, build_head, ResNetConfig};
     use crate::quant::QSequential;
-    use crate::{Flatten, GlobalAvgPool, Relu, ResidualBlock};
+    use crate::{Flatten, GlobalAvgPool, MaxPool2d, Relu, ResidualBlock};
     use ensembler_tensor::Rng;
 
     /// A small conv net exercising every typed stage.
@@ -910,8 +929,8 @@ mod tests {
     fn fusion_merges_conv_relu_pairs() {
         let mut rng = Rng::seed_from(1);
         let net = small_net(&mut rng);
-        // conv+relu merge into one stage; everything else stays.
-        assert_eq!(compile(&net).stage_count(), 6);
+        // conv+relu+max-pool merge into one stage; everything else stays.
+        assert_eq!(compile(&net).stage_count(), 5);
     }
 
     #[test]
@@ -961,9 +980,10 @@ mod tests {
         let _ = net.forward_cached(&warm, Mode::Train);
         let plan = compile(&net);
         let qplan = qcompile(&net);
-        // Nothing fuses: every layer is a stage of its own.
-        assert_eq!(plan.stage_count(), 8);
-        assert_eq!(qplan.stage_count(), 8);
+        // Only the max-pool fuses, into the conv it follows: every other
+        // layer is a stage of its own.
+        assert_eq!(plan.stage_count(), 7);
+        assert_eq!(qplan.stage_count(), 7);
 
         let x = Tensor::from_fn(&[3, 3, 8, 8], |_| rng.uniform(-1.0, 1.0));
         assert_eq!(plan.run(&x).unwrap(), net.forward(&x, Mode::Eval));
@@ -975,6 +995,71 @@ mod tests {
         let bad = Tensor::ones(&[2, 5, 8, 8]);
         for err in [plan.run(&bad).unwrap_err(), qplan.run(&bad).unwrap_err()] {
             assert_eq!(err.message(), "batch_norm expected 3 channels, got 5");
+        }
+    }
+
+    /// The shape and the bits of `t`, so that NaN equals NaN and `-0.0`
+    /// differs from `+0.0`.
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (
+            t.shape().to_vec(),
+            t.data().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn a_folded_or_standalone_max_pool_matches_both_eager_pipelines_bit_for_bit() {
+        // Windows 1-3 over a 6x12 map (pooled rows of 12, 6 and 4 positions:
+        // whole tiles and ragged tails), 5 output channels (one group side
+        // by side plus one alone), a conv with and without a merged batch
+        // norm and ReLU, batches 0, 1 and 3, and inputs holding NaN, ±inf
+        // and ±0 among the finite values.
+        let mut rng = Rng::seed_from(23);
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let mut input = |b: usize| {
+            Tensor::from_fn(&[b, 3, 6, 12], |i| {
+                if i % 11 == 3 {
+                    special[i / 11 % special.len()]
+                } else {
+                    rng.uniform(-1.0, 1.0)
+                }
+            })
+        };
+        let inputs = [input(0), input(1), input(3)];
+        let mut rng = Rng::seed_from(24);
+        for window in [1, 2, 3] {
+            for (bn, relu) in [(false, false), (false, true), (true, false), (true, true)] {
+                let mut layers: Vec<Box<dyn Layer>> =
+                    vec![Box::new(Conv2d::new(3, 5, 3, 1, 1, &mut rng))];
+                if bn {
+                    layers.push(Box::new(BatchNorm2d::new(5)));
+                }
+                if relu {
+                    layers.push(Box::new(Relu::new()));
+                }
+                layers.push(Box::new(MaxPool2d::new(window)));
+                let mut folded = Sequential::new(layers);
+                let warm = Tensor::from_fn(&[4, 3, 6, 12], |_| rng.normal_with(0.4, 1.3));
+                let _ = folded.forward_cached(&warm, Mode::Train);
+                // A pool that follows no conv stays a stage of its own.
+                let standalone = Sequential::new(vec![
+                    Box::new(Relu::new()),
+                    Box::new(MaxPool2d::new(window)),
+                ]);
+                assert_eq!(compile(&folded).stage_count(), 1);
+                assert_eq!(compile(&standalone).stage_count(), 2);
+                for net in [&folded, &standalone] {
+                    let (plan, qplan) = (compile(net), qcompile(net));
+                    let qnet = QSequential::from_sequential(net);
+                    for x in &inputs {
+                        let what = format!("window {window} bn {bn} relu {relu} {:?}", x.shape());
+                        let want = net.forward(x, Mode::Eval);
+                        assert_eq!(bits(&plan.run(x).unwrap()), bits(&want), "{what}");
+                        let want = qnet.forward(x);
+                        assert_eq!(bits(&qplan.run(x).unwrap()), bits(&want), "int8 {what}");
+                    }
+                }
+            }
         }
     }
 
@@ -1073,6 +1158,32 @@ mod tests {
         let err = compile(&head).run(&tall(3)).unwrap_err();
         assert!(err.message().contains("too large"), "{}", err.message());
         assert!(qcompile(&head).run(&tall(3)).is_err());
+        // A pool window that does not divide the conv output it is folded
+        // into is refused by the conv's lowering, alone or shared by an
+        // ensemble; so is one that does not divide a standalone pool's
+        // input.
+        let folded = Sequential::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(MaxPool2d::new(3)),
+        ]);
+        let standalone = Sequential::new(vec![Box::new(MaxPool2d::new(3))]);
+        let x = Tensor::ones(&[2, 3, 8, 8]);
+        for net in [&folded, &standalone] {
+            let (plan, qplan) = (compile(net), qcompile(net));
+            let errors = [
+                plan.run(&x).unwrap_err(),
+                qplan.run(&x).unwrap_err(),
+                CompiledPlan::run_all(&[plan.clone(), plan.clone()], &x).unwrap_err(),
+                QCompiledPlan::run_all(&[qplan.clone(), qplan], &x).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(
+                    err.message(),
+                    "max_pool window 3 must divide spatial dims (8x8)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,20 +19,190 @@ fn nchw_to_rows(t: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[b * plane, c]).expect("row matrix length matches")
 }
 
-/// Inverse of [`nchw_to_rows`]. Also used by the plan compiler to transpose
-/// fused GEMM output rows back into NCHW.
-pub(crate) fn rows_to_nchw(rows: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Tensor {
-    assert_eq!(rows.shape(), &[b * h * w, c], "row matrix shape mismatch");
-    let plane = h * w;
-    let mut out = vec![0.0f32; b * c * plane];
-    for n in 0..b {
-        for p in 0..plane {
-            for ch in 0..c {
-                out[n * c * plane + ch * plane + p] = rows.data()[(n * plane + p) * c + ch];
+/// Where a channel-major pass finds its source: value `p` of image `n`'s
+/// channel `ch` plane lies at `n·image + ch·channel + p·pixel`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    image: usize,
+    channel: usize,
+    pixel: usize,
+}
+
+impl Layout {
+    /// `[b·plane, c]` product rows: a pixel's channels lie side by side.
+    pub(crate) fn rows(c: usize, plane: usize) -> Self {
+        Self {
+            image: plane * c,
+            channel: 1,
+            pixel: c,
+        }
+    }
+
+    /// An NCHW tensor: a channel is one contiguous plane.
+    pub(crate) fn nchw(c: usize, plane: usize) -> Self {
+        Self {
+            image: c * plane,
+            channel: plane,
+            pixel: 1,
+        }
+    }
+}
+
+/// The side of one tile of [`nchw_pass`]: `LANES` channels that lie side
+/// by side in the source, at `LANES` output positions along a row.
+const LANES: usize = 4;
+
+/// The channel-major output pass: builds the `[b, c, h/k, w/k]` NCHW
+/// tensor of `f(v)` over the `[b, c, h, w]` values `v` that `src` holds as
+/// `layout` says, `f = plane(n, ch)` for plane `(n, ch)` — so a caller works
+/// out its per-channel constants once per plane — max-pooled over `k x k`
+/// windows when `pool` is `Some(k)` (`k = 1` without a pool).
+///
+/// Image by image, it walks groups of [`LANES`] channels that lie side by
+/// side in the source (the rest one at a time), output row by output row,
+/// in tiles of [`LANES`] output positions: a tile reads each pixel's
+/// channels as one short vector, maps them lane by lane, and stores one
+/// contiguous run per output plane. A pool window starts at `-inf`, visits
+/// its taps in `(ky, kx)` order and keeps a value only if it is greater:
+/// the eager [`crate::MaxPool2d`] exactly — the first maximum wins, NaN
+/// never replaces, and of `±0` the first stays. No full-resolution tensor
+/// is built. A window of 1 is a pool too: it maps NaN to `-inf`, as the
+/// eager layer does.
+///
+/// The caller guarantees that `k` divides `h` and `w`.
+pub(crate) fn nchw_pass<T: Copy, F: Fn(T) -> f32>(
+    src: &[T],
+    layout: Layout,
+    [b, c, h, w]: [usize; 4],
+    pool: Option<usize>,
+    plane: impl Fn(usize, usize) -> F,
+) -> Tensor {
+    let k = pool.unwrap_or(1);
+    debug_assert!(k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k));
+    let out_plane = (h / k) * (w / k);
+    let mut out = vec![0.0f32; b * c * out_plane];
+    if out_plane > 0 {
+        let grouped = if layout.channel == 1 {
+            c - c % LANES
+        } else {
+            0
+        };
+        let pass = Pass {
+            pixel: layout.pixel,
+            w,
+            k,
+            pooled: pool.is_some(),
+        };
+        for (n, out) in out.chunks_exact_mut(c * out_plane).enumerate() {
+            let image = &src[n * layout.image..];
+            let (wide, narrow) = out.split_at_mut(grouped * out_plane);
+            for (g, out) in wide.chunks_exact_mut(LANES * out_plane).enumerate() {
+                let ch0 = g * LANES;
+                let f = std::array::from_fn(|j| plane(n, ch0 + j));
+                pass.group::<LANES, _, _>(&image[ch0 * layout.channel..], &f, out);
+            }
+            for (i, out) in narrow.chunks_exact_mut(out_plane).enumerate() {
+                let ch = grouped + i;
+                pass.group::<1, _, _>(&image[ch * layout.channel..], &[plane(n, ch)], out);
             }
         }
     }
-    Tensor::from_vec(out, &[b, c, h, w]).expect("NCHW length matches")
+    Tensor::from_vec(out, &[b, c, h / k, w / k]).expect("output sized to NCHW shape")
+}
+
+/// What every tile of one [`nchw_pass`] shares: the source's pixel stride,
+/// the source row width, the window extent and whether there is a pool.
+#[derive(Clone, Copy)]
+struct Pass {
+    pixel: usize,
+    w: usize,
+    k: usize,
+    pooled: bool,
+}
+
+impl Pass {
+    /// The `CH` consecutive output planes `out` of channels that lie side
+    /// by side in `src`, whose first value is the first channel's first
+    /// pixel, written with `f`.
+    fn group<const CH: usize, T: Copy, F: Fn(T) -> f32>(
+        self,
+        src: &[T],
+        f: &[F; CH],
+        out: &mut [f32],
+    ) {
+        let mut planes = out.chunks_exact_mut(out.len() / CH);
+        let mut planes: [&mut [f32]; CH] =
+            std::array::from_fn(|_| planes.next().expect("CH output planes"));
+        let pw = self.w / self.k;
+        for py in 0..planes[0].len() / pw {
+            let mut px = 0;
+            while px + LANES <= pw {
+                self.tile::<CH, LANES, _, _>(src, [py, px], f, &mut planes);
+                px += LANES;
+            }
+            for px in px..pw {
+                self.tile::<CH, 1, _, _>(src, [py, px], f, &mut planes);
+            }
+        }
+    }
+
+    /// Output positions `px..px + PX` of output row `py`, for `CH`
+    /// channels: each position's window read as `CH`-lane vectors, mapped
+    /// and (if pooled) max-selected lane by lane, then stored as one run of
+    /// `PX` values per channel's plane.
+    #[inline(always)]
+    fn tile<const CH: usize, const PX: usize, T: Copy, F: Fn(T) -> f32>(
+        self,
+        src: &[T],
+        [py, px]: [usize; 2],
+        f: &[F; CH],
+        planes: &mut [&mut [f32]; CH],
+    ) {
+        let Self {
+            pixel,
+            w,
+            k,
+            pooled,
+        } = self;
+        let at = |line: &[T], x: usize| -> [T; CH] {
+            line[x * pixel..][..CH]
+                .try_into()
+                .expect("CH channels side by side")
+        };
+        let mut best = [[f32::NEG_INFINITY; CH]; PX];
+        if !pooled {
+            let line = &src[py * w * pixel..];
+            for (i, best) in best.iter_mut().enumerate() {
+                let v = at(line, px + i);
+                *best = std::array::from_fn(|j| f[j](v[j]));
+            }
+        } else {
+            for ky in 0..k {
+                let line = &src[(py * k + ky) * w * pixel..];
+                for (i, best) in best.iter_mut().enumerate() {
+                    for kx in 0..k {
+                        let v = at(line, (px + i) * k + kx);
+                        for (j, best) in best.iter_mut().enumerate() {
+                            let v = f[j](v[j]);
+                            *best = if v > *best { v } else { *best };
+                        }
+                    }
+                }
+            }
+        }
+        let start = py * (w / k) + px;
+        for (j, plane) in planes.iter_mut().enumerate() {
+            let run: [f32; PX] = std::array::from_fn(|i| best[i][j]);
+            plane[start..start + PX].copy_from_slice(&run);
+        }
+    }
+}
+
+/// Inverse of [`nchw_to_rows`]: one channel-major [`nchw_pass`].
+pub(crate) fn rows_to_nchw(rows: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Tensor {
+    assert_eq!(rows.shape(), &[b * h * w, c], "row matrix shape mismatch");
+    let layout = Layout::rows(c, h * w);
+    nchw_pass(rows.data(), layout, [b, c, h, w], None, |_, _| |v| v)
 }
 
 /// 2-D convolution with square kernels, implemented as an `im2col` GEMM.

@@ -66,7 +66,9 @@ impl MaxPool2d {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // A window with no value above -inf (all -inf or
+                        // NaN) routes its gradient to its own first tap.
+                        let mut best_idx = n * c * plane + ch * plane + oy * k * w + ox * k;
                         for ky in 0..k {
                             for kx in 0..k {
                                 let iy = oy * k + ky;
@@ -259,6 +261,31 @@ mod tests {
         let _ = pool.forward_cached(&x, Mode::Eval);
         let g = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap());
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn max_pool_backward_keeps_a_window_without_a_maximum_in_its_own_channel() {
+        // Channel 1 holds no value above -inf: its gradient stays in
+        // channel 1, at the window's first tap, and never lands on index 0
+        // of the tensor. Forward values are unchanged: -inf and -inf.
+        let g = Tensor::from_vec(vec![1.0, 1.0], &[1, 2, 1, 1]).unwrap();
+        for (fill, want) in [
+            (f32::NEG_INFINITY, [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+            (f32::NAN, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+        ] {
+            let mut pool = MaxPool2d::new(2);
+            let first = if fill.is_nan() {
+                [fill; 4]
+            } else {
+                [1.0, 2.0, 3.0, 4.0]
+            };
+            let mut x = first.to_vec();
+            x.extend([fill; 4]);
+            let x = Tensor::from_vec(x, &[1, 2, 2, 2]).unwrap();
+            let y = pool.forward_cached(&x, Mode::Train);
+            assert_eq!(y.data()[1], f32::NEG_INFINITY);
+            assert_eq!(pool.backward(&g).data(), &want, "fill {fill}");
+        }
     }
 
     #[test]

@@ -1294,6 +1294,132 @@ mod tests {
         }
     }
 
+    /// The small product's oracle: each output element `0.0 + a·b + a·b
+    /// ...` over `p` ascending, one rounding per product and per sum, then
+    /// the epilogue as separate passes.
+    fn naive(
+        a_at: impl Fn(usize, usize) -> f32,
+        b_at: impl Fn(usize, usize) -> f32,
+        (m, k, n): (usize, usize, usize),
+        ep: GemmEpilogue,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a_at(i, p) * b_at(p, j);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        separate_passes(out, n, ep.bias, ep.relu)
+    }
+
+    /// `pseudo` with every `every`-th value replaced by NaN, +inf or -inf
+    /// in turn (none when `every` is 0).
+    fn poisoned(len: usize, seed: u64, every: usize) -> Vec<f32> {
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut values = pseudo(len, seed);
+        if every > 0 {
+            for (i, v) in values.iter_mut().enumerate().skip(every / 2).step_by(every) {
+                *v = poison[i % 3];
+            }
+        }
+        values
+    }
+
+    /// [`bits`], with every NaN one value: where two NaNs meet in a sum,
+    /// IEEE 754 leaves open whose sign and payload survive, and the
+    /// compiler may swap an add's operands.
+    fn bits_any_nan(values: &[f32]) -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        values
+            .iter()
+            .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn the_small_product_is_a_naive_multiply_then_add_under_every_kernel() {
+        // Row counts around 4 and past a run of MC rows, widths around 8
+        // with ragged tails (the shapes a 4x8 register tile splits
+        // unevenly), and every depth below SMALL_THRESHOLD. The epilogues
+        // and the poisoning rotate.
+        fn epilogue(seed: u64, bias: &[f32]) -> GemmEpilogue<'_> {
+            GemmEpilogue {
+                bias: (seed % 4 >= 2).then_some(bias),
+                relu: seed % 2 == 1,
+            }
+        }
+        let mut seed = 0;
+        let mut next = |n: usize| {
+            seed += 1;
+            (seed, pseudo(n, seed), [0, 37, 0, 53][seed as usize % 4])
+        };
+        let widths = [1, 7, 8, 9, 10, 16, 17, 32];
+        for (name, cfg) in kernels() {
+            for n in widths {
+                for k in (1..).take_while(|k| k * n < SMALL_THRESHOLD) {
+                    for m in [0, 1, 3, 4, 5, 129] {
+                        let (seed, bias, every) = next(n);
+                        let ep = epilogue(seed, &bias);
+                        let a = poisoned(m * k, seed, every);
+                        let b = poisoned(k * n, seed + 1, every);
+                        let op = LAYOUTS[seed as usize % 3];
+                        let got =
+                            gemm_impl(cfg, &a, op.walk(m, k), &b, n, op, Parallelism::Serial, ep);
+                        let want = naive(
+                            |i, p| op.a_at(&a, i, p, m, k),
+                            |p, j| op.b_at(&b, p, j, k, n),
+                            (m, k, n),
+                            ep,
+                        );
+                        assert_eq!(
+                            bits_any_nan(&got),
+                            bits_any_nan(&want),
+                            "{name} {op:?} {m}x{k}x{n}"
+                        );
+                    }
+                }
+                // The halo walk: 3x3 "same" convolutions of c channels whose
+                // row counts cover the same heights.
+                let geometry = Conv2dGeometry::new(3, 1, 1);
+                for c in (1..).take_while(|c| 9 * c * n < SMALL_THRESHOLD) {
+                    for (b, h, w) in [
+                        (0, 2, 2),
+                        (1, 1, 1),
+                        (1, 1, 3),
+                        (1, 2, 2),
+                        (1, 1, 5),
+                        (3, 1, 43),
+                    ] {
+                        let (seed, bias, every) = next(n);
+                        let ep = epilogue(seed, &bias);
+                        let k = 9 * c;
+                        let x = poisoned(b * c * h * w, seed, every);
+                        let weight = poisoned(n * k, seed + 1, every);
+                        let halo = Halo::lower(&x, b, c, h, w, geometry);
+                        let got = conv_with(cfg, &halo, &weight, n, Parallelism::Parallel, ep);
+                        let image = crate::Tensor::from_vec(x, &[b, c, h, w]).expect("sized");
+                        let cols = crate::im2col(&image, geometry);
+                        let want = naive(
+                            |i, p| cols.data()[i * k + p],
+                            |p, j| weight[j * k + p],
+                            (b * h * w, k, n),
+                            ep,
+                        );
+                        assert_eq!(
+                            bits_any_nan(&got),
+                            bits_any_nan(&want),
+                            "{name} halo {b}x{c}x{h}x{w} -> {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn blocked_matches_reference_above_small_threshold() {
         // 41*43 > SMALL_THRESHOLD, with ragged MR/NR edges.
