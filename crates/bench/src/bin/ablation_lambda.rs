@@ -9,7 +9,7 @@
 
 use ensembler::{Defense, EnsemblerTrainer, EvalConfig};
 use ensembler_attack::{attack_adaptive, attack_all_single_nets};
-use ensembler_bench::{DatasetCase, ExperimentScale};
+use ensembler_bench::{best_outcome, DatasetCase, ExperimentScale};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -38,14 +38,8 @@ fn main() {
             .expect("evaluation succeeds");
         let per_net = attack_all_single_nets(&pipeline, &data.train, &private_images, &attack_cfg)
             .expect("attack succeeds");
-        let best_ssim = per_net
-            .iter()
-            .map(|o| o.ssim)
-            .fold(f32::NEG_INFINITY, f32::max);
-        let best_psnr = per_net
-            .iter()
-            .map(|o| o.psnr)
-            .fold(f32::NEG_INFINITY, f32::max);
+        let best_ssim = best_outcome(&per_net, |o| o.ssim).ssim;
+        let best_psnr = best_outcome(&per_net, |o| o.psnr).psnr;
         let adaptive = attack_adaptive(&pipeline, &data.train, &private_images, &attack_cfg)
             .expect("attack succeeds");
         println!(

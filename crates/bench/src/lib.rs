@@ -258,6 +258,24 @@ impl DefenseQualityResult {
     }
 }
 
+/// The attacker's best per-body outcome by `score`. A non-finite score is a
+/// diverged attack, never the best one: it loses to every finite score, and
+/// only when no score is finite is the first outcome returned, so that the
+/// row reports the failure.
+///
+/// # Panics
+///
+/// Panics if `outcomes` is empty.
+pub fn best_outcome(outcomes: &[AttackOutcome], score: fn(&AttackOutcome) -> f32) -> AttackOutcome {
+    outcomes
+        .iter()
+        .filter(|o| score(o).is_finite())
+        .max_by(|a, b| score(a).total_cmp(&score(b)))
+        .or(outcomes.first())
+        .cloned()
+        .expect("at least one network")
+}
+
 /// Runs the Table-I protocol for one dataset case: trains the unprotected
 /// reference, the Single baseline and Ensembler, attacks each of them and
 /// reports ΔAcc / SSIM / PSNR rows.
@@ -302,16 +320,8 @@ pub fn run_defense_quality(
     let ensembler_acc = pipeline.evaluate(&data.test, &eval_cfg)?;
 
     let per_net = attack_all_single_nets(&pipeline, &data.train, &private_images, &attack_cfg)?;
-    let best_ssim = per_net
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.ssim.total_cmp(&b.ssim))
-        .expect("at least one network");
-    let best_psnr = per_net
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.psnr.total_cmp(&b.psnr))
-        .expect("at least one network");
+    let best_ssim = best_outcome(&per_net, |o| o.ssim);
+    let best_psnr = best_outcome(&per_net, |o| o.psnr);
     let adaptive = attack_adaptive(&pipeline, &data.train, &private_images, &attack_cfg)?;
 
     let delta = |acc: f32| (baseline_accuracy - acc) * 100.0;
@@ -392,16 +402,8 @@ pub fn run_defense_mechanisms(
     let dr_acc = dr_ensemble.evaluate(&data.test, &eval_cfg)?;
     let dr_attacks =
         attack_all_single_nets(&dr_ensemble, &data.train, &private_images, &attack_cfg)?;
-    let dr_best_ssim = dr_attacks
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.ssim.total_cmp(&b.ssim))
-        .expect("at least one network");
-    let dr_best_psnr = dr_attacks
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.psnr.total_cmp(&b.psnr))
-        .expect("at least one network");
+    let dr_best_ssim = best_outcome(&dr_attacks, |o| o.ssim);
+    let dr_best_psnr = best_outcome(&dr_attacks, |o| o.psnr);
     rows.push(DefenseRow::new(
         format!("DR-{n} - SSIM"),
         delta(dr_acc),
@@ -418,16 +420,8 @@ pub fn run_defense_mechanisms(
     let pipeline = trained.into_pipeline();
     let acc = pipeline.evaluate(&data.test, &eval_cfg)?;
     let per_net = attack_all_single_nets(&pipeline, &data.train, &private_images, &attack_cfg)?;
-    let best_ssim = per_net
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.ssim.total_cmp(&b.ssim))
-        .expect("at least one network");
-    let best_psnr = per_net
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.psnr.total_cmp(&b.psnr))
-        .expect("at least one network");
+    let best_ssim = best_outcome(&per_net, |o| o.ssim);
+    let best_psnr = best_outcome(&per_net, |o| o.psnr);
     let adaptive = attack_adaptive(&pipeline, &data.train, &private_images, &attack_cfg)?;
     rows.push(DefenseRow::new("Ours - Adaptive", delta(acc), &adaptive));
     rows.push(DefenseRow::new("Ours - SSIM", delta(acc), &best_ssim));
@@ -531,6 +525,28 @@ mod tests {
         assert!(text.contains("Single"));
         assert!(text.contains("SSIM"));
         assert!(text.contains("50.0%"));
+    }
+
+    #[test]
+    fn the_best_attack_never_has_a_non_finite_score() {
+        let outcome = |ssim: f32, psnr: f32| AttackOutcome {
+            ssim,
+            psnr,
+            reconstructions: Tensor::zeros(&[1]),
+        };
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let outcomes = [
+            outcome(nan, nan),
+            outcome(0.2, 11.0),
+            outcome(inf, inf),
+            outcome(0.3, 9.0),
+            outcome(-inf, -nan),
+        ];
+        assert_eq!(best_outcome(&outcomes, |o| o.ssim).ssim, 0.3);
+        assert_eq!(best_outcome(&outcomes, |o| o.psnr).psnr, 11.0);
+        // No attack succeeded: the row reports the failure, not a score.
+        let failed = [outcome(nan, nan), outcome(inf, -inf)];
+        assert!(best_outcome(&failed, |o| o.psnr).psnr.is_nan());
     }
 
     #[test]

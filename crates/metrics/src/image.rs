@@ -29,7 +29,9 @@ impl Default for SsimConfig {
 }
 
 /// Peak signal-to-noise ratio (dB) between two single images or batches of
-/// identical shape. Identical inputs are capped at 60 dB.
+/// identical shape. Identical inputs are capped at 60 dB; a non-finite value
+/// in either input makes the score NaN (a failed reconstruction, never a
+/// perfect one).
 ///
 /// # Panics
 ///
@@ -53,6 +55,9 @@ pub fn psnr(original: &Tensor, reconstruction: &Tensor, max_value: f32) -> f32 {
         "psnr requires identical shapes"
     );
     assert!(max_value > 0.0, "dynamic range must be positive");
+    if !all_finite(original, reconstruction) {
+        return f32::NAN;
+    }
     let n = original.len().max(1) as f32;
     let mse: f32 = original
         .data()
@@ -67,7 +72,8 @@ pub fn psnr(original: &Tensor, reconstruction: &Tensor, max_value: f32) -> f32 {
     (10.0 * ((max_value * max_value) / mse).log10()).min(PSNR_CAP_DB)
 }
 
-/// Mean PSNR over the batch axis of two `[B, C, H, W]` tensors.
+/// Mean PSNR over the batch axis of two `[B, C, H, W]` tensors: NaN if any
+/// image of either batch holds a non-finite value.
 ///
 /// # Panics
 ///
@@ -99,7 +105,8 @@ pub fn psnr_batch(original: &Tensor, reconstruction: &Tensor, max_value: f32) ->
 ///
 /// The score is computed per channel with a sliding uniform window and then
 /// averaged over windows, channels and batch entries. Values lie in
-/// `[-1, 1]`, where 1 means structurally identical.
+/// `[-1, 1]`, where 1 means structurally identical; a non-finite value in
+/// either input makes the score NaN.
 ///
 /// # Panics
 ///
@@ -134,6 +141,9 @@ pub fn ssim_with_config(original: &Tensor, reconstruction: &Tensor, config: Ssim
         reconstruction.shape(),
         "ssim requires identical shapes"
     );
+    if !all_finite(original, reconstruction) {
+        return f32::NAN;
+    }
     let [b, c, h, w] = [
         original.shape()[0],
         original.shape()[1],
@@ -187,6 +197,13 @@ pub fn ssim_with_config(original: &Tensor, reconstruction: &Tensor, config: Ssim
     (total / count.max(1) as f64) as f32
 }
 
+/// Whether every value of both images is finite. A metric of a NaN or
+/// infinite image is NaN: `f32::min` would otherwise cap a NaN PSNR to the
+/// 60 dB of a perfect reconstruction.
+fn all_finite(a: &Tensor, b: &Tensor) -> bool {
+    a.data().iter().chain(b.data()).all(|v| v.is_finite())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +245,20 @@ mod tests {
         assert!((per_batch - (first + second) / 2.0).abs() < 1e-4);
         assert_eq!(first, 60.0);
         assert!(second < 14.0);
+    }
+
+    #[test]
+    fn a_non_finite_image_scores_nan_never_a_perfect_reconstruction() {
+        let img = random_image(5, &[2, 3, 8, 8]);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut broken = img.clone();
+            broken.data_mut()[70] = bad;
+            for (a, b) in [(&img, &broken), (&broken, &img)] {
+                assert!(psnr(a, b, 1.0).is_nan(), "psnr with {bad}");
+                assert!(psnr_batch(a, b, 1.0).is_nan(), "psnr_batch with {bad}");
+                assert!(ssim(a, b, 1.0).is_nan(), "ssim with {bad}");
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,28 @@
 use crate::{Layer, Mode};
 use ensembler_tensor::Tensor;
 
+/// Which ReLU formula a fused stage applies. The eager [`Relu`] layer
+/// multiplies by a mask; the eager quantized residual block takes
+/// `max(0, ·)`. The two differ on `-0.0` and `NaN`, so every fused position
+/// applies the formula its eager counterpart does and a plan stays
+/// bit-exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReluForm {
+    /// `v * (v > 0 ? 1 : 0)`.
+    Mask,
+    /// `max(0, v)`.
+    Max,
+}
+
+impl ReluForm {
+    pub(crate) fn apply(self, v: f32) -> f32 {
+        match self {
+            ReluForm::Mask => v * if v > 0.0 { 1.0 } else { 0.0 },
+            ReluForm::Max => v.max(0.0),
+        }
+    }
+}
+
 /// Rectified linear unit: `max(0, x)`.
 ///
 /// # Examples

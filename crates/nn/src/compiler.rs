@@ -1,33 +1,34 @@
 //! Compilation of the lazy graph IR into fused, panic-free execution plans.
 //!
 //! [`CompiledPlan::compile`] lowers a [`Sequential`] pipeline through
-//! [`crate::graph`] and runs one fusion pass over the op list, **epilogue
-//! fusion**: a linear stage's bias add and a directly following ReLU are
-//! applied inside the GEMM epilogue while the output band is cache-hot
-//! ([`ensembler_tensor::gemm::gemm_nt_fused`]; the int8 linear stages keep
-//! the dequantize there too, [`ensembler_tensor::qgemm_nn_dequant`]), and a
-//! conv stage applies its bias (the int8 one dequantizes its `i32`
-//! accumulators first), an eval-mode batch norm directly following the conv,
-//! the ReLU after it and a max-pool after that in one channel-major pass
-//! that writes the (pooled) NCHW output straight from the product rows. A
-//! max-pool that follows no conv runs the same argmax-free pass. Epilogue
-//! fusion performs exactly the eager per-element expressions, in the eager
-//! order, so it is bit-exact.
-//! It is the only mode: the eager [`Layer::forward`]s and
-//! [`crate::quant::QSequential`] are the training path and the test oracle.
+//! [`crate::graph`] and runs one fusion pass over the op list. An `f32`
+//! stage computes nothing of its own: it calls the forward of the eager
+//! layer it stands for, and differs from the eager pipeline only in what
+//! that forward is handed to fuse. A linear stage takes a directly following
+//! ReLU into its product's epilogue ([`Linear`]'s forward applies the bias
+//! there already). A conv stage hands [`Conv2d`]'s output pass an eval-mode
+//! batch norm directly following the conv (applied with the
+//! [`BatchNorm2d`]'s own per-channel function), the ReLU after it and a
+//! max-pool after that, so that one channel-major pass writes the (pooled)
+//! NCHW output straight from the product rows. A max-pool that follows no
+//! conv runs the same argmax-free pass. And the bodies of an ensemble share
+//! one lowering of their common input ([`CompiledPlan::run_all`]). Each
+//! fused step performs exactly the eager per-element expression, in the
+//! eager order, so a plan is bit-exact with [`Layer::forward`]; plans have
+//! no other mode.
 //!
-//! [`QCompiledPlan`] is the same plan at int8. One stage list, one builder
-//! and one evaluator serve both precisions, generic over a private trait
-//! that states only what differs between them: the conv and linear kernels,
-//! and which ReLU formula a position gets. No conv of either precision
-//! writes a column matrix: an `f32` conv lowers its input to one
-//! zero-haloed copy ([`ensembler_tensor::Halo`], which borrows an input
-//! that needs no padding) that [`ensembler_tensor::gemm::conv_fused`]
-//! reads in place, in the column matrix's own order, so it is bit-identical
-//! to the eager `im2col` product. An int8 conv lowers its quantized input to
-//! one zero-haloed copy ([`ensembler_tensor::QHalo`]) read the same way,
-//! against weights packed once, at compile time
-//! ([`ensembler_tensor::QPanels`]).
+//! [`QCompiledPlan`] is the same plan at int8, bit-exact with
+//! [`crate::quant::QSequential`]. One stage list, one builder and one
+//! evaluator serve both precisions, generic over a private trait that
+//! states only what differs between them: the conv and linear stages, and
+//! which ReLU formula a position gets. The int8 linear stage keeps the
+//! dequantize in its product's epilogue
+//! ([`ensembler_tensor::qgemm_nn_dequant`]); the int8 conv lowers its
+//! quantized input to one zero-haloed copy ([`ensembler_tensor::QHalo`])
+//! that its product reads in place, against weights packed once, at compile
+//! time ([`ensembler_tensor::QPanels`]), and dequantizes its `i32`
+//! accumulators in the conv's output pass. No conv of either precision
+//! writes a column matrix.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -54,14 +55,18 @@
 //! assert!(plan.run(&Tensor::ones(&[2, 5, 8, 8])).is_err());
 //! ```
 
-use crate::conv::{nchw_pass, Layout};
+use crate::activation::ReluForm;
+use crate::conv::{
+    check_conv_input, check_pool, expect_rank4, nchw_pass, Layout, Lowered, OutputPass,
+};
 use crate::graph::{lower_sequential, GraphOp};
+use crate::linear::check_linear_input;
 use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
-use ensembler_tensor::gemm::{conv_fused, gemm_nt_fused, GemmEpilogue, Parallelism};
+use ensembler_tensor::gemm::Parallelism;
 use ensembler_tensor::{
-    par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, Halo, QGemmEpilogue, QHalo, QPanels,
-    QTensorBatch, ShapeError, Tensor,
+    par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels, QTensorBatch,
+    ShapeError, Tensor,
 };
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -71,115 +76,6 @@ use std::fmt::Debug;
 /// pipeline — and remains so that existing callers keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusionConfig;
-
-// ---------------------------------------------------------------------------
-// Shared shape validation (typed errors instead of the eager asserts)
-// ---------------------------------------------------------------------------
-
-fn expect_rank4(shape: &[usize], what: &str) -> Result<(usize, usize, usize, usize), ShapeError> {
-    if let [b, c, h, w] = *shape {
-        Ok((b, c, h, w))
-    } else {
-        Err(ShapeError::new(format!(
-            "{what} expects NCHW input, got rank-{} shape {shape:?}",
-            shape.len()
-        )))
-    }
-}
-
-/// Validates a conv stage's input and returns `(batch, out_h, out_w)`.
-///
-/// Besides rank, channels and extents, it refuses any shape whose lowering
-/// or output element count does not fit a `usize`: an empty batch of
-/// absurdly tall images is constructible (its data is empty), and its
-/// per-image sizes would overflow in the halo copy or the output tensor.
-fn check_conv_input(
-    shape: &[usize],
-    in_channels: usize,
-    out_channels: usize,
-    geometry: Conv2dGeometry,
-    what: &str,
-) -> Result<(usize, usize, usize), ShapeError> {
-    let (b, c, h, w) = expect_rank4(shape, what)?;
-    if c != in_channels {
-        return Err(ShapeError::new(format!(
-            "{what} expected {in_channels} input channels, got {c}"
-        )));
-    }
-    let (k, p) = (geometry.kernel, geometry.padding);
-    let too_large = || {
-        ShapeError::new(format!(
-            "{what} input {shape:?} is too large to lower (padding {p})"
-        ))
-    };
-    let pad = |extent: usize| p.checked_mul(2).and_then(|p2| extent.checked_add(p2));
-    let (hp, wp) = (pad(h).ok_or_else(too_large)?, pad(w).ok_or_else(too_large)?);
-    if hp < k || wp < k {
-        return Err(ShapeError::new(format!(
-            "{what} kernel {k} exceeds padded input extent ({h}x{w}, padding {p})"
-        )));
-    }
-    let oh = (hp - k) / geometry.stride + 1;
-    let ow = (wp - k) / geometry.stride + 1;
-    // An image of the lowering holds `hp·wp` pixels of `c` lanes, rounded
-    // up to even for the int8 copy; one of the output `oh·ow` product rows
-    // of `out_channels`. Each, times the batch, must fit.
-    let lanes = c + c % 2;
-    let fits = [[hp, wp, lanes], [oh, ow, out_channels.max(1)]]
-        .iter()
-        .all(|dims| {
-            dims.iter()
-                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                .and_then(|image| image.checked_mul(b))
-                .is_some()
-        });
-    if !fits {
-        return Err(too_large());
-    }
-    Ok((b, oh, ow))
-}
-
-fn check_linear_input(
-    shape: &[usize],
-    in_features: usize,
-    what: &str,
-) -> Result<usize, ShapeError> {
-    if let [batch, features] = *shape {
-        if features == in_features {
-            Ok(batch)
-        } else {
-            Err(ShapeError::new(format!(
-                "{what} expected {in_features} input features, got {features}"
-            )))
-        }
-    } else {
-        Err(ShapeError::new(format!(
-            "{what} expects [batch, features] input, got rank-{} shape {shape:?}",
-            shape.len()
-        )))
-    }
-}
-
-/// Which ReLU formula a stage applies. The eager [`crate::Relu`] layer
-/// multiplies by a mask; the eager quantized residual block takes
-/// `max(0, ·)`. The two differ on `-0.0` and `NaN`, so every position applies
-/// the formula its eager counterpart does and the plan stays bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReluForm {
-    /// `v * (v > 0 ? 1 : 0)`.
-    Mask,
-    /// `max(0, v)`.
-    Max,
-}
-
-impl ReluForm {
-    fn apply(self, v: f32) -> f32 {
-        match self {
-            ReluForm::Mask => v * if v > 0.0 { 1.0 } else { 0.0 },
-            ReluForm::Max => v.max(0.0),
-        }
-    }
-}
 
 /// What differs between the `f32` and the int8 plan. Everything else — the
 /// stage list, its builder, chains, residual blocks and the shared lowering
@@ -205,7 +101,7 @@ trait Precision {
 
     fn linear(linear: &Linear) -> Self::Linear;
 
-    /// The linear stage: its GEMM, with the bias (and `relu`) in the
+    /// The linear stage: its product, with the bias (and `relu`) in the
     /// epilogue.
     fn run_linear(linear: &Self::Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError>;
 }
@@ -216,8 +112,8 @@ trait Precision {
 /// weights only — so bodies whose keys agree can borrow one lowering.
 trait LoweredConv: Sync {
     /// The validated input as the product reads it: a zero-haloed copy, of
-    /// the `f32` input ([`Halo`], which borrows an input that needs no
-    /// padding) or of its int8 quantization ([`QHalo`]).
+    /// the `f32` input ([`Conv2d`]'s own lowering) or of its int8
+    /// quantization ([`QHalo`]).
     type Lowered<'a>: Sync;
 
     /// Everything besides the input that the lowering and its validation
@@ -320,7 +216,7 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
                 // conv's output pass.
                 let bn = match ops.get(i + 1) {
                     Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                        Some(MergedBn::new(bn))
+                        Some(bn.clone())
                     }
                     _ => None,
                 };
@@ -464,115 +360,8 @@ fn run_ensemble<P: Precision>(
     .collect()
 }
 
-/// An eval-mode batch norm merged into a conv's output pass, with the
-/// per-channel `1/sqrt(var + eps)` worked out when the plan is compiled —
-/// by the eager layer's expression, so the merge stays bit-exact.
-#[derive(Debug, Clone)]
-struct MergedBn {
-    bn: BatchNorm2d,
-    inv_std: Vec<f32>,
-}
-
-impl MergedBn {
-    fn new(bn: &BatchNorm2d) -> Self {
-        let inv_std = bn
-            .running_var()
-            .data()
-            .iter()
-            .map(|v| 1.0 / (v + bn.eps()).sqrt())
-            .collect();
-        Self {
-            bn: bn.clone(),
-            inv_std,
-        }
-    }
-
-    /// Channel `ch`'s batch norm of `v`, the eager [`BatchNorm2d`]
-    /// expression `gamma * ((v - mean) * inv_std) + beta`, with the four
-    /// per-channel values read once, here.
-    fn channel(&self, ch: usize) -> impl Fn(f32) -> f32 {
-        let mean = self.bn.running_mean().data()[ch];
-        let gamma = self.bn.gamma().value.data()[ch];
-        let beta = self.bn.beta().value.data()[ch];
-        let inv_std = self.inv_std[ch];
-        move |v| gamma * ((v - mean) * inv_std) + beta
-    }
-}
-
-/// What a conv stage does after its product and bias, in one channel-major
-/// pass over the product rows ([`nchw_pass`]): a merged eval-mode batch
-/// norm, then a ReLU, then a max-pool, each if the pipeline has it there.
-/// Each applies the per-element expression of the eager layer it replaces,
-/// in the eager order, so the pass is bit-exact; the pool writes the pooled
-/// tensor directly, with no full-resolution tensor and no argmax.
-#[derive(Debug, Clone)]
-struct OutputPass {
-    bn: Option<MergedBn>,
-    relu: Option<ReluForm>,
-    /// The max-pool window.
-    pool: Option<usize>,
-}
-
-impl OutputPass {
-    /// Refuses an `oh x ow` product that the pool window does not divide.
-    fn check(&self, oh: usize, ow: usize) -> Result<(), ShapeError> {
-        self.pool.map_or(Ok(()), |k| check_pool(oh, ow, k))
-    }
-
-    /// The NCHW output of `[b·oh·ow, c]` product rows. `value(n, ch)` is
-    /// how plane `(n, ch)` turns a row value into the eager pipeline's
-    /// conv output; what follows it is branched on once per pass.
-    fn run<T: Copy, F: Fn(T) -> f32>(
-        &self,
-        rows: &[T],
-        dims: [usize; 4],
-        value: impl Fn(usize, usize) -> F,
-    ) -> Tensor {
-        match &self.bn {
-            None => relu_pass(rows, dims, self.relu, self.pool, value),
-            Some(bn) => relu_pass(rows, dims, self.relu, self.pool, |n, ch| {
-                let (value, norm) = (value(n, ch), bn.channel(ch));
-                move |v| norm(value(v))
-            }),
-        }
-    }
-}
-
-/// [`nchw_pass`] over product rows of plane functions `plane(n, ch)`
-/// followed by `relu`, one monomorphic pass per form.
-fn relu_pass<T: Copy, F: Fn(T) -> f32>(
-    rows: &[T],
-    dims @ [_, c, oh, ow]: [usize; 4],
-    relu: Option<ReluForm>,
-    pool: Option<usize>,
-    plane: impl Fn(usize, usize) -> F,
-) -> Tensor {
-    let layout = Layout::rows(c, oh * ow);
-    match relu {
-        None => nchw_pass(rows, layout, dims, pool, plane),
-        Some(ReluForm::Mask) => nchw_pass(rows, layout, dims, pool, |n, ch| {
-            let f = plane(n, ch);
-            move |v| ReluForm::Mask.apply(f(v))
-        }),
-        Some(ReluForm::Max) => nchw_pass(rows, layout, dims, pool, |n, ch| {
-            let f = plane(n, ch);
-            move |v| ReluForm::Max.apply(f(v))
-        }),
-    }
-}
-
-fn check_pool(h: usize, w: usize, k: usize) -> Result<(), ShapeError> {
-    if k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k) {
-        Ok(())
-    } else {
-        Err(ShapeError::new(format!(
-            "max_pool window {k} must divide spatial dims ({h}x{w})"
-        )))
-    }
-}
-
 // ---------------------------------------------------------------------------
-// f32 kernels
+// f32: the eager layers' own forwards
 // ---------------------------------------------------------------------------
 
 /// The `f32` plan.
@@ -597,39 +386,16 @@ impl Precision for F32 {
     }
 
     fn run_linear(linear: &Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let m = check_linear_input(input.shape(), linear.in_features(), "linear")?;
-        let n = linear.out_features();
-        let out = gemm_nt_fused(
-            input.data(),
-            linear.weight().value.data(),
-            m,
-            linear.in_features(),
-            n,
-            Parallelism::Auto,
-            GemmEpilogue {
-                bias: Some(linear.bias().value.data()),
-                relu,
-            },
-        );
-        Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
+        linear.product(input, relu)
     }
 }
 
-/// Convolution with the bias, then its [`OutputPass`], applied in one
-/// channel-major pass over the product rows.
+/// A [`Conv2d`] and the [`OutputPass`] its forward is handed: the conv's
+/// own lowering, product and bias, with the plan's fusions after them.
 #[derive(Debug, Clone)]
 struct ConvStage {
     conv: Conv2d,
     pass: OutputPass,
-}
-
-/// An input batch lowered, as one zero-haloed copy, for a conv's product,
-/// with the output extents the validation worked out.
-struct Lowered<'a> {
-    halo: Halo<'a>,
-    b: usize,
-    oh: usize,
-    ow: usize,
 }
 
 impl LoweredConv for ConvStage {
@@ -644,36 +410,11 @@ impl LoweredConv for ConvStage {
     }
 
     fn lower<'a>(&self, input: &'a Tensor) -> Result<Lowered<'a>, ShapeError> {
-        let (geometry, in_channels, _) = self.key();
-        let out_channels = self.conv.out_channels();
-        let (b, oh, ow) =
-            check_conv_input(input.shape(), in_channels, out_channels, geometry, "conv")?;
-        self.pass.check(oh, ow)?;
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        Ok(Lowered {
-            halo: Halo::lower(input.data(), b, in_channels, h, w, geometry),
-            b,
-            oh,
-            ow,
-        })
+        self.conv.lower_input(input, &self.pass)
     }
 
     fn finish(&self, lowered: &Lowered) -> Tensor {
-        let &Lowered { b, oh, ow, .. } = lowered;
-        let n = self.conv.out_channels();
-        let weight = self.conv.weight().value.data();
-        let rows = conv_fused(
-            &lowered.halo,
-            weight,
-            n,
-            Parallelism::Auto,
-            GemmEpilogue::none(),
-        );
-        let bias = self.conv.bias().value.data();
-        self.pass.run(&rows, [b, n, oh, ow], |_, co| {
-            let bias = bias[co];
-            move |v: f32| v + bias
-        })
+        self.conv.finish(lowered, &self.pass)
     }
 }
 
@@ -707,8 +448,9 @@ impl CompiledPlan {
     ///
     /// Same-shape bodies (plans whose leading convs agree on geometry and
     /// input channels) have the input validated and lowered to one
-    /// zero-haloed copy ([`Halo`]) once, and each body's first product reads
-    /// that copy in place; any other set of plans is run independently.
+    /// zero-haloed copy ([`ensembler_tensor::Halo`]) once, and each body's
+    /// first product reads that copy in place; any other set of plans is run
+    /// independently.
     pub fn run_all(plans: &[CompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
         let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)

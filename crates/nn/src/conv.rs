@@ -1,7 +1,12 @@
-//! 2-D convolution and transposed convolution layers (GEMM / im2col based).
+//! 2-D convolution and transposed convolution layers, and the channel-major
+//! output pass that writes every NCHW product.
 
-use crate::{Layer, Mode, Param};
-use ensembler_tensor::{col2im, im2col, Conv2dGeometry, Init, Rng, Tensor};
+use crate::activation::ReluForm;
+use crate::{BatchNorm2d, Layer, Mode, Param};
+use ensembler_tensor::gemm::{conv_fused, GemmEpilogue, Parallelism};
+use ensembler_tensor::{
+    col2im, im2col, im2col_reusing, Conv2dGeometry, Halo, Init, Rng, ShapeError, Tensor,
+};
 
 /// Converts a `[B, C, H, W]` tensor into the `[B*H*W, C]` matrix whose rows
 /// follow the same `(n, y, x)` ordering as `im2col` output rows.
@@ -198,6 +203,152 @@ impl Pass {
     }
 }
 
+/// What a conv does after its product and bias, in one channel-major pass
+/// over the product rows ([`nchw_pass`]): an eval-mode batch norm
+/// ([`BatchNorm2d::eval_channel`]), then a ReLU, then a max-pool, each if the
+/// pipeline has it there. Each applies the per-element expression of the
+/// eager layer it stands for, in the eager order, so the pass is bit-exact;
+/// the pool writes the pooled tensor directly, with no full-resolution
+/// tensor and no argmax. The eager [`Conv2d`] runs the empty pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OutputPass {
+    pub(crate) bn: Option<BatchNorm2d>,
+    pub(crate) relu: Option<ReluForm>,
+    /// The max-pool window.
+    pub(crate) pool: Option<usize>,
+}
+
+impl OutputPass {
+    /// Refuses an `oh x ow` product that the pool window does not divide.
+    pub(crate) fn check(&self, oh: usize, ow: usize) -> Result<(), ShapeError> {
+        self.pool.map_or(Ok(()), |k| check_pool(oh, ow, k))
+    }
+
+    /// The NCHW output of `[b·oh·ow, c]` product rows. `value(n, ch)` is
+    /// how plane `(n, ch)` turns a row value into the eager conv's output;
+    /// what follows it is branched on once per pass, and a batch norm's
+    /// per-channel constants are worked out once per pass, not per image.
+    pub(crate) fn run<T: Copy, F: Fn(T) -> f32>(
+        &self,
+        rows: &[T],
+        dims @ [_, c, _, _]: [usize; 4],
+        value: impl Fn(usize, usize) -> F,
+    ) -> Tensor {
+        match &self.bn {
+            None => relu_pass(rows, dims, self.relu, self.pool, value),
+            Some(bn) => {
+                let norms: Vec<_> = (0..c).map(|ch| bn.eval_channel(ch)).collect();
+                relu_pass(rows, dims, self.relu, self.pool, |n, ch| {
+                    let (value, norm) = (value(n, ch), &norms[ch]);
+                    move |v| norm(value(v))
+                })
+            }
+        }
+    }
+}
+
+/// [`nchw_pass`] over product rows of plane functions `plane(n, ch)`
+/// followed by `relu`, one monomorphic pass per form.
+fn relu_pass<T: Copy, F: Fn(T) -> f32>(
+    rows: &[T],
+    dims @ [_, c, oh, ow]: [usize; 4],
+    relu: Option<ReluForm>,
+    pool: Option<usize>,
+    plane: impl Fn(usize, usize) -> F,
+) -> Tensor {
+    let layout = Layout::rows(c, oh * ow);
+    match relu {
+        None => nchw_pass(rows, layout, dims, pool, plane),
+        Some(ReluForm::Mask) => nchw_pass(rows, layout, dims, pool, |n, ch| {
+            let f = plane(n, ch);
+            move |v| ReluForm::Mask.apply(f(v))
+        }),
+        Some(ReluForm::Max) => nchw_pass(rows, layout, dims, pool, |n, ch| {
+            let f = plane(n, ch);
+            move |v| ReluForm::Max.apply(f(v))
+        }),
+    }
+}
+
+/// Refuses a max-pool window `k` that does not divide an `h x w` map.
+pub(crate) fn check_pool(h: usize, w: usize, k: usize) -> Result<(), ShapeError> {
+    if k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k) {
+        Ok(())
+    } else {
+        Err(ShapeError::new(format!(
+            "max_pool window {k} must divide spatial dims ({h}x{w})"
+        )))
+    }
+}
+
+/// The `(b, c, h, w)` extents of an NCHW `shape`, or a typed error naming
+/// `what`.
+pub(crate) fn expect_rank4(
+    shape: &[usize],
+    what: &str,
+) -> Result<(usize, usize, usize, usize), ShapeError> {
+    if let [b, c, h, w] = *shape {
+        Ok((b, c, h, w))
+    } else {
+        Err(ShapeError::new(format!(
+            "{what} expects NCHW input, got rank-{} shape {shape:?}",
+            shape.len()
+        )))
+    }
+}
+
+/// Validates a conv's input and returns `(batch, out_h, out_w)`.
+///
+/// Besides rank, channels and extents, it refuses any shape whose lowering
+/// or output element count does not fit a `usize`: an empty batch of
+/// absurdly tall images is constructible (its data is empty), and its
+/// per-image sizes would overflow in the halo copy or the output tensor.
+pub(crate) fn check_conv_input(
+    shape: &[usize],
+    in_channels: usize,
+    out_channels: usize,
+    geometry: Conv2dGeometry,
+    what: &str,
+) -> Result<(usize, usize, usize), ShapeError> {
+    let (b, c, h, w) = expect_rank4(shape, what)?;
+    if c != in_channels {
+        return Err(ShapeError::new(format!(
+            "{what} expected {in_channels} input channels, got {c}"
+        )));
+    }
+    let (k, p) = (geometry.kernel, geometry.padding);
+    let too_large = || {
+        ShapeError::new(format!(
+            "{what} input {shape:?} is too large to lower (padding {p})"
+        ))
+    };
+    let pad = |extent: usize| p.checked_mul(2).and_then(|p2| extent.checked_add(p2));
+    let (hp, wp) = (pad(h).ok_or_else(too_large)?, pad(w).ok_or_else(too_large)?);
+    if hp < k || wp < k {
+        return Err(ShapeError::new(format!(
+            "{what} kernel {k} exceeds padded input extent ({h}x{w}, padding {p})"
+        )));
+    }
+    let oh = (hp - k) / geometry.stride + 1;
+    let ow = (wp - k) / geometry.stride + 1;
+    // An image of the lowering holds `hp·wp` pixels of `c` lanes, rounded
+    // up to even for the int8 copy; one of the output `oh·ow` product rows
+    // of `out_channels`. Each, times the batch, must fit.
+    let lanes = c + c % 2;
+    let fits = [[hp, wp, lanes], [oh, ow, out_channels.max(1)]]
+        .iter()
+        .all(|dims| {
+            dims.iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .and_then(|image| image.checked_mul(b))
+                .is_some()
+        });
+    if !fits {
+        return Err(too_large());
+    }
+    Ok((b, oh, ow))
+}
+
 /// Inverse of [`nchw_to_rows`]: one channel-major [`nchw_pass`].
 pub(crate) fn rows_to_nchw(rows: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Tensor {
     assert_eq!(rows.shape(), &[b * h * w, c], "row matrix shape mismatch");
@@ -205,7 +356,14 @@ pub(crate) fn rows_to_nchw(rows: &Tensor, b: usize, c: usize, h: usize, w: usize
     nchw_pass(rows.data(), layout, [b, c, h, w], None, |_, _| |v| v)
 }
 
-/// 2-D convolution with square kernels, implemented as an `im2col` GEMM.
+/// 2-D convolution with square kernels.
+///
+/// The forward reads one zero-haloed copy of its input ([`Halo`]) in place
+/// through [`conv_fused`], then writes the NCHW output with the bias in one
+/// channel-major pass: the same functions a compiled plan's conv stage
+/// calls, with nothing fused after the bias. The backward rebuilds the
+/// column matrix from the input it kept for the weight gradient, in the
+/// allocation of the previous backward's matrix.
 ///
 /// Weight layout is `[out_channels, in_channels * kernel * kernel]`; bias is
 /// `[out_channels]`.
@@ -228,8 +386,21 @@ pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     geometry: Conv2dGeometry,
-    cached_cols: Option<Tensor>,
-    cached_input_shape: Option<Vec<usize>>,
+    cached_input: Option<Tensor>,
+    /// The last backward's column matrix, whose allocation the next one
+    /// reuses: a training step would otherwise allocate a fresh matrix
+    /// (megabytes) per conv and fault its pages in again.
+    col_buffer: Vec<f32>,
+}
+
+/// An input batch validated for a [`Conv2d`] (and the pass after it) and
+/// lowered, as one zero-haloed copy, for the conv's product, with the output
+/// extents the validation worked out.
+pub(crate) struct Lowered<'a> {
+    halo: Halo<'a>,
+    b: usize,
+    oh: usize,
+    ow: usize,
 }
 
 impl Conv2d {
@@ -259,8 +430,8 @@ impl Conv2d {
             in_channels,
             out_channels,
             geometry,
-            cached_cols: None,
-            cached_input_shape: None,
+            cached_input: None,
+            col_buffer: Vec::new(),
         }
     }
 
@@ -293,14 +464,9 @@ impl Conv2d {
             in_channels: self.in_channels,
             out_channels: self.out_channels,
             geometry: self.geometry,
-            cached_cols: None,
-            cached_input_shape: None,
+            cached_input: None,
+            col_buffer: Vec::new(),
         }
-    }
-
-    /// Mutable view of the weight parameter (used by weight-copy utilities).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
     }
 
     /// Immutable view of the bias parameter.
@@ -324,68 +490,90 @@ impl Conv2d {
         ]
     }
 
-    /// Shared forward computation: returns the output and the `im2col`
-    /// matrix (which the cached path stores for backward).
-    fn run(&self, input: &Tensor) -> (Tensor, Tensor) {
-        assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels,
-            "Conv2d expected {} input channels, got {}",
-            self.in_channels,
-            input.shape()[1]
-        );
-        let out_shape = self.output_shape(input.shape());
-        let cols = im2col(input, self.geometry);
-        // [B*OH*OW, Cin*K*K] x [Cout, Cin*K*K]^T -> [B*OH*OW, Cout]
-        let out_rows = cols.matmul_nt(&self.weight.value);
-        let out = rows_to_nchw(
-            &out_rows,
-            out_shape[0],
-            out_shape[1],
-            out_shape[2],
-            out_shape[3],
-        );
-        (out.add_channel_bias(&self.bias.value), cols)
+    /// Validates `input` for this conv followed by `pass` and lowers it to
+    /// the zero-haloed copy the product reads ([`Halo`], which borrows an
+    /// input that needs no padding). A typed error, never a panic, for a
+    /// shape the conv or the pass's pool window does not fit.
+    pub(crate) fn lower_input<'a>(
+        &self,
+        input: &'a Tensor,
+        pass: &OutputPass,
+    ) -> Result<Lowered<'a>, ShapeError> {
+        let (in_channels, geometry) = (self.in_channels, self.geometry);
+        let (b, oh, ow) = check_conv_input(
+            input.shape(),
+            in_channels,
+            self.out_channels,
+            geometry,
+            "conv",
+        )?;
+        pass.check(oh, ow)?;
+        let (h, w) = (input.shape()[2], input.shape()[3]);
+        Ok(Lowered {
+            halo: Halo::lower(input.data(), b, in_channels, h, w, geometry),
+            b,
+            oh,
+            ow,
+        })
+    }
+
+    /// This conv's product over `lowered`, then its bias and `pass` in one
+    /// channel-major pass over the product rows. Reads `lowered`, never
+    /// changes it, so the bodies of an ensemble can share one lowering.
+    pub(crate) fn finish(&self, lowered: &Lowered, pass: &OutputPass) -> Tensor {
+        let &Lowered { b, oh, ow, .. } = lowered;
+        let n = self.out_channels;
+        let weight = self.weight.value.data();
+        let ep = GemmEpilogue::none();
+        let rows = conv_fused(&lowered.halo, weight, n, Parallelism::Auto, ep);
+        let bias = self.bias.value.data();
+        pass.run(&rows, [b, n, oh, ow], |_, co| {
+            let bias = bias[co];
+            move |v: f32| v + bias
+        })
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.run(input).0
+        let pass = OutputPass::default();
+        let lowered = self
+            .lower_input(input, &pass)
+            .unwrap_or_else(|err| panic!("{err}"));
+        self.finish(&lowered, &pass)
     }
 
-    fn forward_cached(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let (out, cols) = self.run(input);
-        self.cached_cols = Some(cols);
-        self.cached_input_shape = Some(input.shape().to_vec());
+    fn forward_cached(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let out = self.forward(input, mode);
+        self.cached_input = Some(input.clone());
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
+        let input = self
+            .cached_input
             .as_ref()
             .expect("backward called before forward on Conv2d");
-        let input_shape = self
-            .cached_input_shape
-            .as_ref()
-            .expect("input shape cached by forward");
+        let input_shape = input.shape();
+        let buffer = std::mem::take(&mut self.col_buffer);
+        let cols = im2col_reusing(input, self.geometry, buffer);
         let grad_rows = nchw_to_rows(grad_output);
         // dW = dY_rows^T * cols
-        let grad_w = grad_rows.matmul_tn(cols);
+        let grad_w = grad_rows.matmul_tn(&cols);
         self.weight.grad.add_assign(&grad_w);
         self.bias.grad.add_assign(&grad_output.sum_per_channel());
         // dCols = dY_rows * W ; dX = col2im(dCols)
         let grad_cols = grad_rows.matmul(&self.weight.value);
-        col2im(
+        let grad_input = col2im(
             &grad_cols,
             input_shape[0],
             input_shape[1],
             input_shape[2],
             input_shape[3],
             self.geometry,
-        )
+        );
+        self.col_buffer = cols.into_vec();
+        grad_input
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -584,7 +772,13 @@ mod tests {
         assert_eq!(frozen.forward(&x, Mode::Eval), y);
         assert_eq!(frozen.weight().value, conv.weight().value);
         assert!(frozen.weight().grad.is_empty() && frozen.bias().grad.is_empty());
-        assert!(frozen.cached_cols.is_none() && conv.cached_cols.is_some());
+        assert!(frozen.cached_input.is_none() && conv.cached_input.as_ref() == Some(&x));
+        // A backward keeps its column matrix's allocation for the next one,
+        // which computes the same gradient in it; a frozen copy has none.
+        let g = Tensor::from_fn(y.shape(), |i| (i as f32 * 0.3).cos());
+        let first = conv.backward(&g);
+        assert!(!conv.col_buffer.is_empty() && conv.frozen().col_buffer.is_empty());
+        assert_eq!(conv.backward(&g), first);
     }
 
     #[test]
@@ -607,6 +801,41 @@ mod tests {
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.item(), 10.5);
+
+        // Every value, bit for bit, against an oracle that shares none of
+        // the forward's code past the kernels: the column matrix, its
+        // matrix product, and the per-channel bias added while scattering
+        // the product rows to NCHW by hand. 5 output channels are one group
+        // of four side by side and one alone; a 7x9 map leaves ragged tiles.
+        let mut rng = Rng::seed_from(12);
+        for (stride, padding, batch) in [1, 2]
+            .into_iter()
+            .flat_map(|s| [0, 1].map(|p| (s, p)))
+            .flat_map(|(s, p)| [1, 3].map(|b| (s, p, b)))
+        {
+            let mut conv = Conv2d::new(3, 5, 3, stride, padding, &mut rng);
+            conv.params_mut()[1]
+                .value
+                .data_mut()
+                .copy_from_slice(&[0.5, -0.25, 1.5, 0.0, -2.0]);
+            let x = Tensor::from_fn(&[batch, 3, 7, 9], |_| rng.uniform(-1.0, 1.0));
+            let [_, c, oh, ow] = conv.output_shape(x.shape())[..] else {
+                unreachable!("output_shape is rank 4")
+            };
+            let rows = im2col(&x, conv.geometry()).matmul_nt(&conv.weight().value);
+            let bias = conv.bias().value.data();
+            let plane = oh * ow;
+            let want: Vec<u32> = (0..batch * c * plane)
+                .map(|i| {
+                    let (n, co, p) = (i / (c * plane), i / plane % c, i % plane);
+                    (rows.data()[(n * plane + p) * c + co] + bias[co]).to_bits()
+                })
+                .collect();
+            let y = conv.forward(&x, Mode::Eval);
+            assert_eq!(y.shape(), &[batch, c, oh, ow]);
+            let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "stride {stride} padding {padding} batch {batch}");
+        }
     }
 
     #[test]

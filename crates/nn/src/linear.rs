@@ -1,7 +1,31 @@
 //! Fully-connected (affine) layer.
 
 use crate::{Layer, Mode, Param};
-use ensembler_tensor::{Init, Rng, Tensor};
+use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
+use ensembler_tensor::{Init, Rng, ShapeError, Tensor};
+
+/// Validates a linear layer's input and returns its batch size, or a typed
+/// error naming `what`.
+pub(crate) fn check_linear_input(
+    shape: &[usize],
+    in_features: usize,
+    what: &str,
+) -> Result<usize, ShapeError> {
+    if let [batch, features] = *shape {
+        if features == in_features {
+            Ok(batch)
+        } else {
+            Err(ShapeError::new(format!(
+                "{what} expected {in_features} input features, got {features}"
+            )))
+        }
+    } else {
+        Err(ShapeError::new(format!(
+            "{what} expects [batch, features] input, got rank-{} shape {shape:?}",
+            shape.len()
+        )))
+    }
+}
 
 /// Fully-connected layer computing `y = x W^T + b`.
 ///
@@ -101,34 +125,32 @@ impl Linear {
         &self.bias
     }
 
-    fn affine(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 2, "Linear expects [batch, features] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "Linear expected {} input features, got {}",
-            self.in_features,
-            input.shape()[1]
-        );
-        // y = x W^T + b
-        let mut out = input.matmul_nt(&self.weight.value);
-        let batch = input.shape()[0];
-        for n in 0..batch {
-            for j in 0..self.out_features {
-                out.data_mut()[n * self.out_features + j] += self.bias.value.data()[j];
-            }
-        }
-        out
+    /// `y = x W^T + b`, then the mask-multiply ReLU if `relu`, with the bias
+    /// and the ReLU applied in the product's epilogue: the forward of the
+    /// eager layer (without the ReLU) and of a compiled plan's linear stage.
+    /// A typed error, never a panic, for an input that is not
+    /// `[batch, in_features]`.
+    pub(crate) fn product(&self, input: &Tensor, relu: bool) -> Result<Tensor, ShapeError> {
+        let m = check_linear_input(input.shape(), self.in_features, "linear")?;
+        let (k, n) = (self.in_features, self.out_features);
+        let ep = GemmEpilogue {
+            bias: Some(self.bias.value.data()),
+            relu,
+        };
+        let weight = self.weight.value.data();
+        let out = gemm_nt_fused(input.data(), weight, m, k, n, Parallelism::Auto, ep);
+        Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
     }
 }
 
 impl Layer for Linear {
     fn forward(&self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.affine(input)
+        self.product(input, false)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    fn forward_cached(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let out = self.affine(input);
+    fn forward_cached(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let out = self.forward(input, mode);
         self.cached_input = Some(input.clone());
         out
     }

@@ -83,11 +83,53 @@ impl BatchNorm2d {
         &self.running_var
     }
 
-    /// The numerical-stability epsilon added to the variance before the
-    /// square root. The compiler's merged conv+bn output pass needs it to
-    /// reproduce the exact normalization constant.
-    pub fn eps(&self) -> f32 {
-        self.eps
+    /// The normalization constant `1 / sqrt(var + eps)` of a channel of
+    /// variance `var`.
+    fn inv_std(&self, var: f32) -> f32 {
+        1.0 / (var + self.eps).sqrt()
+    }
+
+    /// Channel `ch`'s normalization with statistics `mean` and `var`: maps
+    /// `v` to `(x_hat, gamma * x_hat + beta)` with
+    /// `x_hat = (v - mean) * inv_std`. This is the only place the
+    /// normalization is written; every forward, eager or fused into a conv's
+    /// output pass, applies it.
+    fn channel(&self, ch: usize, mean: f32, var: f32) -> impl Fn(f32) -> (f32, f32) {
+        let inv_std = self.inv_std(var);
+        let gamma = self.gamma.value.data()[ch];
+        let beta = self.beta.value.data()[ch];
+        move |v| {
+            let x_hat = (v - mean) * inv_std;
+            (x_hat, gamma * x_hat + beta)
+        }
+    }
+
+    /// Channel `ch`'s eval-mode normalization over the running statistics,
+    /// as a conv's fused output pass applies it.
+    pub(crate) fn eval_channel(&self, ch: usize) -> impl Fn(f32) -> f32 {
+        let f = self.channel(
+            ch,
+            self.running_mean.data()[ch],
+            self.running_var.data()[ch],
+        );
+        move |v| f(v).1
+    }
+
+    /// The `[b, c, h, w]` extents of `input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `input` is an NCHW batch of this layer's channel count.
+    fn check_input(&self, input: &Tensor) -> [usize; 4] {
+        let &[b, c, h, w] = input.shape() else {
+            panic!("BatchNorm2d expects NCHW input")
+        };
+        let channels = self.channels;
+        assert_eq!(
+            c, channels,
+            "BatchNorm2d expected {channels} channels, got {c}"
+        );
+        [b, c, h, w]
     }
 
     /// Immutable view of the per-channel scale (`gamma`) parameter.
@@ -101,12 +143,7 @@ impl BatchNorm2d {
     }
 
     fn per_channel_stats(&self, input: &Tensor) -> (Vec<f32>, Vec<f32>) {
-        let [b, c, h, w] = [
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        ];
+        let [b, c, h, w] = self.check_input(input);
         let plane = h * w;
         let count = (b * plane) as f32;
         let mut means = vec![0.0f32; c];
@@ -154,34 +191,18 @@ impl BatchNorm2d {
         vars: &[f32],
         used_batch_stats: bool,
     ) -> (Tensor, BnCache) {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects NCHW input");
-        assert_eq!(
-            input.shape()[1],
-            self.channels,
-            "BatchNorm2d expected {} channels, got {}",
-            self.channels,
-            input.shape()[1]
-        );
-        let [b, c, h, w] = [
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        ];
+        let [b, c, h, w] = self.check_input(input);
         let plane = h * w;
 
-        let inv_std: Vec<f32> = vars.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        let inv_std: Vec<f32> = vars.iter().map(|&v| self.inv_std(v)).collect();
         let mut x_hat = Tensor::zeros(input.shape());
         let mut out = Tensor::zeros(input.shape());
         for n in 0..b {
             for ch in 0..c {
                 let base = n * c * plane + ch * plane;
-                let g = self.gamma.value.data()[ch];
-                let beta = self.beta.value.data()[ch];
-                for p in 0..plane {
-                    let xh = (input.data()[base + p] - means[ch]) * inv_std[ch];
-                    x_hat.data_mut()[base + p] = xh;
-                    out.data_mut()[base + p] = g * xh + beta;
+                let f = self.channel(ch, means[ch], vars[ch]);
+                for p in base..base + plane {
+                    (x_hat.data_mut()[p], out.data_mut()[p]) = f(input.data()[p]);
                 }
             }
         }
@@ -328,6 +349,11 @@ mod tests {
         // Eval mode now maps the constant input close to zero.
         let y = bn.forward(&x, Mode::Eval);
         assert!(y.data().iter().all(|v| v.abs() < 0.5));
+        // The pure and the caching eval forward agree bit for bit.
+        let mut rng = Rng::seed_from(4);
+        let x = Tensor::from_fn(&[2, 1, 3, 3], |_| rng.normal_with(10.0, 1.0));
+        let pure = bn.forward(&x, Mode::Eval);
+        assert_eq!(bn.forward_cached(&x, Mode::Eval).data(), pure.data());
     }
 
     #[test]

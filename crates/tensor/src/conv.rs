@@ -1,8 +1,9 @@
 //! `im2col`/`col2im` lowering used to express 2-D (de)convolutions as GEMMs,
-//! and the compiled plans' lowerings that write no column matrix: [`Halo`]
-//! for `f32` convolutions, [`QHalo`] for int8 ones. Both are one
+//! and the convolution forwards' lowerings that write no column matrix:
+//! [`Halo`] for `f32` convolutions, [`QHalo`] for int8 ones. Both are one
 //! zero-haloed copy of the input that the product reads in place; `im2col`
-//! stays as the eager layers' lowering and the halos' test oracle.
+//! stays as the convolution backward's lowering, the int8 eager oracle's
+//! (`im2col_i8`) and the halos' test oracle.
 //!
 //! The transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
@@ -97,6 +98,18 @@ impl Conv2dGeometry {
 ///
 /// Panics if `input` is not rank-4.
 pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Tensor {
+    im2col_reusing(input, geom, Vec::new())
+}
+
+/// [`im2col`] written into `buffer`'s allocation (every value is
+/// overwritten), so a caller that lowers a batch every training step can
+/// hand back the matrix the previous step returned ([`Tensor::into_vec`])
+/// instead of allocating, and faulting in, a new one.
+///
+/// # Panics
+///
+/// Panics if `input` is not rank-4.
+pub fn im2col_reusing(input: &Tensor, geom: Conv2dGeometry, buffer: Vec<f32>) -> Tensor {
     assert_eq!(input.rank(), 4, "im2col requires an NCHW tensor");
     let [b, c, h, w] = [
         input.shape()[0],
@@ -104,7 +117,7 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Tensor {
         input.shape()[2],
         input.shape()[3],
     ];
-    let out = lower(input.data(), b, c, h, w, geom);
+    let out = lower(input.data(), b, c, h, w, geom, buffer);
     let cols = c * geom.kernel * geom.kernel;
     Tensor::from_vec(
         out,
@@ -136,7 +149,7 @@ pub fn im2col_i8(
     geom: Conv2dGeometry,
 ) -> Vec<i8> {
     assert_eq!(data.len(), b * c * h * w, "im2col_i8 buffer/shape mismatch");
-    lower(data, b, c, h, w, geom)
+    lower(data, b, c, h, w, geom, Vec::new())
 }
 
 /// An NCHW `f32` batch lowered for the convolution product
@@ -393,7 +406,7 @@ impl QHalo {
 
 /// The lowering behind [`im2col`] and [`im2col_i8`]: NCHW `data` to the
 /// `[b * out_h * out_w, c * kernel * kernel]` column matrix, padding with
-/// `T::default()` (zero).
+/// `T::default()` (zero), in `out`'s allocation if it is large enough.
 fn lower<T: Copy + Default + Send + Sync>(
     data: &[T],
     b: usize,
@@ -401,6 +414,7 @@ fn lower<T: Copy + Default + Send + Sync>(
     h: usize,
     w: usize,
     geom: Conv2dGeometry,
+    mut out: Vec<T>,
 ) -> Vec<T> {
     let out_h = geom.output_extent(h);
     let out_w = geom.output_extent(w);
@@ -414,12 +428,17 @@ fn lower<T: Copy + Default + Send + Sync>(
     // The inner loop copies whole in-bounds `kx` runs as slices instead of
     // testing every kernel tap: the valid `kx` window depends only on `ox`,
     // and within it the source pixels are contiguous. Taps outside the image
-    // keep the zero the block was allocated with.
+    // keep the zero a fresh block was allocated with; a reused block's rows
+    // are cleared first, while they are in cache.
+    let reused = out.capacity() >= rows * cols;
     let lower_item = |n: usize, block: &mut [T]| {
         for oy in 0..out_h {
             for ox in 0..out_w {
                 let row_idx = oy * out_w + ox;
                 let row = &mut block[row_idx * cols..(row_idx + 1) * cols];
+                if reused {
+                    row.fill(T::default());
+                }
                 // kx is valid iff 0 <= ox*stride + kx - padding < w.
                 let x0 = ox * geom.stride;
                 let kx_lo = geom.padding.saturating_sub(x0).min(k);
@@ -445,7 +464,12 @@ fn lower<T: Copy + Default + Send + Sync>(
         }
     };
 
-    let mut out = vec![T::default(); rows * cols];
+    if reused {
+        // Only a longer matrix than the last one writes its new tail here.
+        out.resize(rows * cols, T::default());
+    } else {
+        out = vec![T::default(); rows * cols];
+    }
     let parallel = b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD;
     chunks_mut(&mut out, item_rows * cols, parallel, lower_item);
     out
@@ -561,6 +585,23 @@ mod tests {
         // Centre output position sees the whole image.
         let centre = &cols.data()[4 * 9..5 * 9];
         assert_eq!(centre, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn a_reused_buffer_lowers_exactly_like_a_fresh_one() {
+        // A dirty buffer, larger or smaller than the matrix: the padded taps
+        // still read zero, and a large enough allocation is kept.
+        let input = Tensor::from_fn(&[2, 3, 5, 4], |i| (i as f32 * 0.3).sin());
+        for geom in [Conv2dGeometry::new(3, 1, 1), Conv2dGeometry::new(3, 2, 1)] {
+            let fresh = im2col(&input, geom);
+            for len in [0, 7, fresh.len(), 2 * fresh.len()] {
+                let buffer = vec![f32::NAN; len];
+                let ptr = buffer.as_ptr();
+                let reused = im2col_reusing(&input, geom, buffer);
+                assert_eq!(reused, fresh);
+                assert_eq!(ptr == reused.data().as_ptr(), len >= fresh.len());
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod quant;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry, Halo, QHalo};
+pub use conv::{col2im, im2col, im2col_i8, im2col_reusing, Conv2dGeometry, Halo, QHalo};
 pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};
