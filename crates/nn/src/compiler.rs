@@ -532,8 +532,9 @@ impl Precision for Int8 {
 /// of up to five.
 ///
 /// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
-/// halo's `(ky, kx, c)` order and packed into the host kernel's pair panels
-/// once, here. Integer accumulation is exact, so that order changes no bit.
+/// halo's `(ky, kx, c)` order and packed into the host kernel's quad panels,
+/// with the correction for the halo's +128 shift, once, here. Integer
+/// accumulation is exact, so that order changes no bit.
 #[derive(Debug, Clone)]
 struct QConvStage {
     weights: QPanels,

@@ -22,22 +22,32 @@
 //! The product driver mirrors the blocked `f32` kernel of [`crate::gemm`].
 //!
 //! * **The left operand is read where it lies.** It is a [`QHalo`]: a
-//!   zero-haloed NHWC copy of the quantized input, sign-extended to `i16`,
-//!   with an even channel count so that channels pair up the way `vpmaddwd`
-//!   multiplies them. A convolution's output row is `kernel` contiguous
-//!   runs of it, one per `ky`, so [`qconv`] multiplies the column matrix
-//!   without writing it, and an `[m, k]` matrix is the 1×1 case
-//!   ([`qgemm_nn`]). Nothing is packed per band.
-//! * **The right operand is packed** into [`QPanels`]: the `i16` pair
-//!   panels `vpmaddwd` consumes. A compiled plan packs its weights once.
-//! * **Two micro-kernels**: a runtime-dispatched AVX2 one (`vpmaddwd` —
-//!   exact, no saturation) and a portable one, both behind one bounds check
-//!   per tile. Row bands go to the pool above [`QPAR_THRESHOLD`].
+//!   haloed NHWC copy of the quantized input in which every byte is the
+//!   quantized value **shifted by +128** into `u8` (the halo, the image of
+//!   `0`, holds 128), with the channel count rounded up to a multiple of 4
+//!   so that channels group into the `u8` quads `vpdpbusd` multiplies. A
+//!   convolution's output row is `kernel` contiguous runs of it, one per
+//!   `ky`, so [`qconv`] multiplies the column matrix without writing it,
+//!   and an `[m, k]` matrix is the 1×1 case ([`qgemm_nn`]). Nothing is
+//!   packed per band.
+//! * **The right operand is packed** into [`QPanels`]: `i8` weight quads,
+//!   plus the per-column correction `−128·Σₖ w` that takes the shift back
+//!   out. The accumulators start from it, so
+//!   `Σₖ (a + 128)·w − 128·Σₖ w = Σₖ a·w`. A compiled plan packs its
+//!   weights, and works out the correction, once.
+//! * **Three micro-kernels** over those two layouts, picked at runtime: an
+//!   AVX-512 VNNI one (`vpdpbusd`, `u8×i8` quads into `i32`), an AVX2 one
+//!   for hosts without VNNI (`vpmaddwd` on the quads widened to `i16`) and a
+//!   portable one, all behind one bounds check per tile. Row bands go to
+//!   the pool above [`QPAR_THRESHOLD`].
 //!
-//! Because integer accumulation is exact, any order of the shared dimension
-//! gives the same sums, so every path — serial, parallel, AVX2, portable,
-//! halo or column matrix — produces bit-identical results, which the tests
-//! check against a naive `i32` oracle under both micro-kernels.
+//! Every kernel accumulates with wrapping `i32` arithmetic. The shifted
+//! partial sums can pass `i32::MAX` near [`QGEMM_MAX_K`], but every final
+//! sum `Σₖ a·w` fits, and a sum computed modulo 2³² that fits is exact. So
+//! any order of the shared dimension gives the same sums, and every path —
+//! serial, parallel, VNNI, portable, halo or column matrix — produces
+//! bit-identical results, which the tests check against a naive oracle
+//! under every micro-kernel the host can run.
 //!
 //! # Examples
 //!
@@ -59,14 +69,14 @@ use crate::shape::checked_len;
 use crate::{Conv2dGeometry, QHalo, ShapeError, Tensor};
 
 /// Rows of the register tile held by the portable int8 micro-kernel. On
-/// x86-64 hosts with AVX2 a wider 6×16 tile is selected at runtime instead.
+/// x86-64 hosts with AVX2 or AVX-512 VNNI a larger tile is selected at
+/// runtime instead.
 pub const QMR: usize = 4;
 /// Columns of the register tile held by the portable int8 micro-kernel.
 pub const QNR: usize = 8;
-/// Depth of the shared-dimension cache block (kept even: the kernel walks
-/// `k` in sign-extended `i16` pairs). Its `i16` lanes are half as wide as
-/// the `f32` kernel's values, so this block's AVX2 panel fills the same
-/// 16 KB as a [`crate::gemm::KC`] block.
+/// Depth of the shared-dimension cache block (a multiple of 4: the kernels
+/// walk `k` in `u8` quads). The VNNI kernel's panel for one block is
+/// `QKC × 16` bytes, 8 KB.
 pub const QKC: usize = 512;
 /// Output rows per parallel band.
 pub const QMC: usize = 128;
@@ -75,9 +85,11 @@ pub const QMC: usize = 128;
 /// row bands across cores.
 pub const QPAR_THRESHOLD: usize = 1 << 20;
 
-/// Largest shared dimension the kernel accepts: each `k`-pair contributes at
-/// most `2 · 127² = 32258` to an `i32` accumulator, so `k ≤ 2¹⁷` keeps the
-/// worst-case sum below `i32::MAX` with margin.
+/// Largest shared dimension the kernel accepts: each `k` contributes at most
+/// `128 · 127` to a sum of quantized operands (the quantizer's grid is
+/// ±127; `−128` may meet `±127`), so `k ≤ 2¹⁷` keeps every final sum inside
+/// `i32`. The kernels' shifted partial sums may leave `i32` on the way; they
+/// wrap, and the final sum is exact (module docs).
 pub const QGEMM_MAX_K: usize = 1 << 17;
 
 /// The scale mapping a tensor's absolute maximum onto the `i8` grid:
@@ -112,18 +124,41 @@ pub fn quantization_scale(absmax: f32) -> f32 {
 ///
 /// Computed as an integer maximum over the sign-stripped IEEE bit patterns:
 /// for finite floats the unsigned bit order equals the magnitude order, and
-/// unlike a float `max` fold the integer reduction auto-vectorises on the
-/// baseline target. Non-finite inputs are unsupported (as documented on
-/// [`QTensor::quantize`]).
+/// unlike a float `max` fold the integer reduction vectorises. Non-finite
+/// inputs are unsupported (as documented on [`QTensor::quantize`]); a NaN
+/// wins the maximum, and [`quantization_scale`] maps it to `1.0`.
 fn absmax(values: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature checked above; the function is otherwise safe.
+            return unsafe { absmax_avx2(values) };
+        }
+    }
+    absmax_body(values)
+}
+
+/// [`absmax`]'s loop compiled for AVX2, where `vpmaxud` takes eight lanes
+/// at a time (the baseline target has no unsigned 32-bit `max`). Only
+/// called after a runtime feature check.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn absmax_avx2(values: &[f32]) -> f32 {
+    absmax_body(values)
+}
+
+#[inline(always)]
+fn absmax_body(values: &[f32]) -> f32 {
     let bits = values
         .iter()
         .fold(0u32, |m, v| m.max(v.to_bits() & 0x7FFF_FFFF));
     f32::from_bits(bits)
 }
 
-/// Quantizes `values` onto the `i8` grid defined by `scale` (round half away
-/// from zero, saturating at ±127). Dispatches to an AVX2-compiled copy of
+/// Quantizes `values` onto the `i8` grid defined by `scale`: round half away
+/// from zero, saturate at ±127, NaN to 0 — byte for byte what
+/// `(v / scale).round().clamp(-127.0, 127.0) as i8` gives, with the division
+/// a multiplication by `1 / scale`. Dispatches to an AVX2-compiled copy of
 /// the loop where available: the baseline x86-64 target lowers `f32::round`
 /// to a libm call per element, while under AVX2 the whole loop vectorises.
 fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
@@ -138,19 +173,26 @@ fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
     quantize_into_body(values, scale, out);
 }
 
-/// The quantization loop, compiled for AVX2 so it auto-vectorises. Only
-/// called after a runtime feature check.
+/// The quantization loop, compiled for AVX2 so it vectorises. Only called
+/// after a runtime feature check.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_into_avx2(values: &[f32], scale: f32, out: &mut [i8]) {
     quantize_into_body(values, scale, out);
 }
 
+/// The saturating `as i8` cast of a float is what kept this loop scalar:
+/// its NaN and out-of-range cases have no vector instruction. Here NaN is
+/// replaced by `0.0` with a select and the clamp has already bounded the
+/// rest, so the cast is an in-range conversion that needs no saturation.
 #[inline(always)]
 fn quantize_into_body(values: &[f32], scale: f32, out: &mut [i8]) {
     let inv = 1.0 / scale;
     for (slot, &v) in out.iter_mut().zip(values) {
-        *slot = (v * inv).round().clamp(-127.0, 127.0) as i8;
+        let r = (v * inv).round().clamp(-127.0, 127.0);
+        let r = if r.is_nan() { 0.0 } else { r };
+        // SAFETY: `r` is a whole number in [-127, 127], not NaN.
+        *slot = unsafe { r.to_int_unchecked::<i32>() } as i8;
     }
 }
 
@@ -450,15 +492,18 @@ impl QTensorBatch {
     }
 }
 
-/// The right operand of an int8 product, packed into the pair panels one
-/// micro-kernel reads: `nr`-column panels of sign-extended `i16`, the shared
-/// dimension interleaved in pairs.
+/// The right operand of an int8 product, packed into the quad panels one
+/// micro-kernel reads: `nr`-column panels of `i8`, the shared dimension
+/// interleaved in quads, plus the correction that takes the halo's +128
+/// shift back out.
 ///
-/// Panel `jp` holds, for each pair `p`, columns `jp·nr..jp·nr+nr` as
-/// `[b[2p][j], b[2p+1][j]]` — exactly the operand layout `vpmaddwd`
-/// consumes. Ragged edges (odd `k`, `n` not a multiple of `nr`) are zero. A
-/// compiled plan packs its conv weights once ([`QPanels::conv`]);
-/// [`qgemm_nn`] packs its right operand per call.
+/// Panel `jp` holds, for each quad `q`, columns `jp·nr..jp·nr+nr` as
+/// `[b[4q][j], b[4q+1][j], b[4q+2][j], b[4q+3][j]]` — exactly the signed
+/// operand `vpdpbusd` consumes. Ragged edges (`k` not a multiple of 4, `n`
+/// not a multiple of `nr`) are zero. Column `j`'s accumulators start from
+/// `−128·Σₖ b[k][j]` (wrapping), worked out here, once. A compiled plan packs
+/// its conv weights once ([`QPanels::conv`]); [`qgemm_nn`] packs its right
+/// operand per call.
 ///
 /// # Examples
 ///
@@ -473,9 +518,11 @@ impl QTensorBatch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QPanels {
-    data: Vec<i16>,
-    /// Shared-dimension pairs.
-    k2: usize,
+    data: Vec<i8>,
+    /// `−128·Σₖ b[k][j]` per column, zero past `n` up to a whole panel.
+    start: Vec<i32>,
+    /// Shared-dimension quads.
+    k4: usize,
     n: usize,
     /// Panel width: the `nr` of the micro-kernel these panels feed.
     nr: usize,
@@ -484,13 +531,14 @@ pub struct QPanels {
 impl QPanels {
     /// Packs the `[c·kernel², n]` weight matrix of an int8 convolution, its
     /// rows in [`crate::im2col_i8`]'s `(c, ky, kx)` order, for the
-    /// `(ky, kx, c)` order of a [`QHalo`] with `c` rounded up to even (the
-    /// extra channel's rows are zero).
+    /// `(ky, kx, c)` order of a [`QHalo`] with `c` rounded up to a multiple
+    /// of 4 (the extra channels' rows are zero).
     ///
     /// # Panics
     ///
     /// Panics if `weight_t.len() != c·kernel²·n` or the padded shared
-    /// dimension `kernel² · (c rounded up to even)` exceeds [`QGEMM_MAX_K`].
+    /// dimension `kernel² · (c rounded up to a multiple of 4)` exceeds
+    /// [`QGEMM_MAX_K`].
     pub fn conv(weight_t: &[i8], c: usize, kernel: usize, n: usize) -> Self {
         Self::conv_for(qkernel_config().nr, weight_t, c, kernel, n)
     }
@@ -501,44 +549,60 @@ impl QPanels {
     }
 
     fn conv_for(nr: usize, weight_t: &[i8], c: usize, kernel: usize, n: usize) -> Self {
-        let (taps, even_c) = (kernel * kernel, c.div_ceil(2) * 2);
+        let (taps, quad_c) = (kernel * kernel, c.div_ceil(4) * 4);
         // Refused before the reorder allocates anything.
-        check_depth(taps * even_c);
+        check_depth(taps * quad_c);
         assert_eq!(
             weight_t.len(),
             c * taps * n,
             "conv weight length must be c*kernel*kernel*n"
         );
-        let mut b = vec![0i8; taps * even_c * n];
+        let mut b = vec![0i8; taps * quad_c * n];
         for ch in 0..c {
             for tap in 0..taps {
-                let (src, dst) = (ch * taps + tap, tap * even_c + ch);
+                let (src, dst) = (ch * taps + tap, tap * quad_c + ch);
                 b[dst * n..(dst + 1) * n].copy_from_slice(&weight_t[src * n..(src + 1) * n]);
             }
         }
-        Self::pack_for(nr, &b, taps * even_c, n)
+        Self::pack_for(nr, &b, taps * quad_c, n)
     }
 
     /// Packs the row-major `[k, n]` right operand into panels `nr` wide.
     fn pack_for(nr: usize, b: &[i8], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "qgemm_nn rhs length must be k*n");
-        check_depth(k.div_ceil(2) * 2);
-        let k2 = k.div_ceil(2);
+        check_depth(k.div_ceil(4) * 4);
+        let k4 = k.div_ceil(4);
         let panels = n.div_ceil(nr);
-        let mut data = vec![0i16; panels * k2 * nr * 2];
+        let mut data = vec![0i8; panels * k4 * nr * 4];
         for jp in 0..panels {
             let j0 = jp * nr;
             let cols = nr.min(n - j0);
-            let panel = &mut data[jp * k2 * nr * 2..(jp + 1) * k2 * nr * 2];
+            let panel = &mut data[jp * k4 * nr * 4..(jp + 1) * k4 * nr * 4];
             for p in 0..k {
-                let sliver = &mut panel[(p / 2) * nr * 2..(p / 2 + 1) * nr * 2];
+                let sliver = &mut panel[(p / 4) * nr * 4..(p / 4 + 1) * nr * 4];
                 let row = &b[p * n + j0..p * n + j0 + cols];
-                for (slot, &v) in sliver[p % 2..].iter_mut().step_by(2).zip(row) {
-                    *slot = v as i16;
+                for (slot, &v) in sliver[p % 4..].iter_mut().step_by(4).zip(row) {
+                    *slot = v;
                 }
             }
         }
-        Self { data, k2, n, nr }
+        // |Σₖ b| ≤ 2¹⁷·128 fits; only the product with −128 can wrap.
+        let mut start = vec![0i32; panels * nr];
+        for row in b.chunks_exact(n.max(1)).take(k) {
+            for (sum, &v) in start.iter_mut().zip(row) {
+                *sum += i32::from(v);
+            }
+        }
+        for sum in &mut start {
+            *sum = sum.wrapping_mul(-128);
+        }
+        Self {
+            data,
+            start,
+            k4,
+            n,
+            nr,
+        }
     }
 }
 
@@ -552,40 +616,40 @@ fn check_depth(k: usize) {
 }
 
 /// The left operand of one register tile, read in place from a [`QHalo`]:
-/// tile row `r` reads shared-dimension pair `p` as the two lanes of pair
+/// tile row `r` reads shared-dimension quad `p` as the four bytes of quad
 /// `rows[r] + (p / run_len) · run_stride + p % run_len`, for `p` in the
-/// cache block `p0..p0 + kc2`.
+/// cache block `p0..p0 + kc4`.
 #[derive(Clone, Copy)]
 struct QLhs<'a> {
-    lanes: &'a [i16],
-    /// Each tile row's first pair; rows past the ragged edge repeat the last
+    bytes: &'a [u8],
+    /// Each tile row's first quad; rows past the ragged edge repeat the last
     /// valid one.
     rows: &'a [usize],
     run_len: usize,
     run_stride: usize,
     p0: usize,
-    kc2: usize,
+    kc4: usize,
 }
 
 impl QLhs<'_> {
     /// Panics unless every run of every row of the block lies inside
-    /// `lanes` — the one check the AVX2 kernel's unchecked reads rest on.
+    /// `bytes` — the one check the SIMD kernels' unchecked reads rest on.
     /// A run is never longer than the stride between runs, so the block's
-    /// last pair in the farthest row is the farthest pair read.
+    /// last quad in the farthest row is the farthest quad read.
     fn assert_covers(self) {
-        let covered = self.kc2 > 0 && !self.rows.is_empty() && {
-            let (far_row, last) = (self.rows.iter().max().copied(), self.p0 + self.kc2 - 1);
+        let covered = self.kc4 > 0 && !self.rows.is_empty() && {
+            let (far_row, last) = (self.rows.iter().max().copied(), self.p0 + self.kc4 - 1);
             let far = far_row.unwrap_or(0) + (last / self.run_len) * self.run_stride;
-            far + last % self.run_len < self.lanes.len() / 2
+            far + last % self.run_len < self.bytes.len() / 4
         };
         assert!(covered, "an int8 lhs tile runs past its halo");
     }
 
-    /// The block as contiguous runs: `(pair offset within a row, pair index
+    /// The block as contiguous runs: `(quad offset within a row, quad index
     /// within the block, length)`.
     #[inline(always)]
     fn runs(self) -> impl Iterator<Item = (usize, usize, usize)> {
-        let (end, mut p) = (self.p0 + self.kc2, self.p0);
+        let (end, mut p) = (self.p0 + self.kc4, self.p0);
         std::iter::from_fn(move || {
             (p < end).then(|| {
                 let (run, at) = (p / self.run_len, p % self.run_len);
@@ -598,11 +662,21 @@ impl QLhs<'_> {
     }
 }
 
-/// One register-tile update: accumulate `tile_rows x cols` over the pairs
-/// of `a`'s block into `c` (leading dimension `ldc`). The B panel holds, per
-/// pair, `nr` column pairs as interleaved `i16`.
-type QMicroKernelFn =
-    fn(a: QLhs, bpanel: &[i16], c: &mut [i32], ldc: usize, tile_rows: usize, cols: usize);
+/// One register-tile update over the quads of `a`'s block, into `c`
+/// (leading dimension `ldc`), valid region `tile_rows x cols`. The B panel
+/// holds, per quad, `nr` columns of four `i8`. With `start` (the panel's
+/// [`QPanels`] correction, the first cache block) the accumulators begin
+/// from it and the tile is stored; without, they begin from zero and the
+/// tile is added (wrapping) to what `c` holds.
+type QMicroKernelFn = fn(
+    a: QLhs,
+    bpanel: &[i8],
+    start: Option<&[i32]>,
+    c: &mut [i32],
+    ldc: usize,
+    tile_rows: usize,
+    cols: usize,
+);
 
 /// The micro-kernel picked for this host, with its register-tile geometry.
 #[derive(Clone, Copy)]
@@ -635,9 +709,28 @@ fn avx2_qkernel() -> Option<QKernelConfig> {
     None
 }
 
+/// The AVX-512 VNNI int8 kernel, if this host reports it.
+fn vnni_qkernel() -> Option<QKernelConfig> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+        {
+            return Some(QKernelConfig {
+                mr: qvnni::MR,
+                nr: qvnni::NR,
+                micro: qvnni::microkernel,
+            });
+        }
+    }
+    None
+}
+
 /// Picks the widest int8 micro-kernel the host supports.
 fn qkernel_config() -> QKernelConfig {
-    avx2_qkernel().unwrap_or(PORTABLE_QKERNEL)
+    vnni_qkernel()
+        .or_else(avx2_qkernel)
+        .unwrap_or(PORTABLE_QKERNEL)
 }
 
 /// `C = A·B` for row-major `a: [m,k]` of `i8` and `b: [k,n]` of `i8`,
@@ -724,7 +817,7 @@ fn qdrive<T: Copy + Default + Send>(
 ) -> Vec<T> {
     assert_eq!(
         a.depth(),
-        2 * b.k2,
+        4 * b.k4,
         "int8 product operands disagree on the shared dimension"
     );
     assert_eq!(b.nr, cfg.nr, "int8 panels packed for another micro-kernel");
@@ -864,7 +957,8 @@ fn qproduct_dequant(
 /// Computes the product rows `row0..` that `band` (`rows x n`, at most
 /// [`QMC`] rows) holds, blocking the shared dimension by [`QKC`]. Nothing is
 /// copied: each tile's micro-kernel reads the halo where it lies, through
-/// the row offsets worked out once here.
+/// the row offsets worked out once here. The first cache block stores its
+/// tiles, seeded with the panels' correction; later blocks add theirs.
 fn qgemm_band(cfg: QKernelConfig, a: &QHalo, b: &QPanels, row0: usize, band: &mut [i32]) {
     let (mr, nr, n) = (cfg.mr, cfg.nr, b.n);
     let rows = band.len() / n;
@@ -872,31 +966,33 @@ fn qgemm_band(cfg: QKernelConfig, a: &QHalo, b: &QPanels, row0: usize, band: &mu
     // Room for a band and a ragged tile of any micro-kernel's height; the
     // missing rows of that tile repeat the last valid one, so every read
     // stays inside what `QLhs::assert_covers` vouches for.
-    let mut offsets = [0usize; QMC + 8];
+    let mut offsets = [0usize; QMC + 16];
     a.row_offsets(row0, &mut offsets[..rows]);
     let last = offsets[rows - 1];
     offsets[rows..tiles * mr].fill(last);
     let (run_len, run_stride) = a.run_shape();
 
-    let mut p0 = 0; // shared-dimension offset, in pairs
-    while p0 < b.k2 {
-        let kc2 = (QKC / 2).min(b.k2 - p0);
+    let mut p0 = 0; // shared-dimension offset, in quads
+    while p0 < b.k4 {
+        let kc4 = (QKC / 4).min(b.k4 - p0);
         for jp in 0..n.div_ceil(nr) {
-            let panel = &b.data[(jp * b.k2 + p0) * nr * 2..(jp * b.k2 + p0 + kc2) * nr * 2];
+            let panel = &b.data[(jp * b.k4 + p0) * nr * 4..(jp * b.k4 + p0 + kc4) * nr * 4];
+            let start = (p0 == 0).then(|| &b.start[jp * nr..(jp + 1) * nr]);
             let j0 = jp * nr;
             for ir in 0..tiles {
                 let r0 = ir * mr;
                 let tile = QLhs {
-                    lanes: a.lanes(),
+                    bytes: a.bytes(),
                     rows: &offsets[r0..r0 + mr],
                     run_len,
                     run_stride,
                     p0,
-                    kc2,
+                    kc4,
                 };
                 (cfg.micro)(
                     tile,
                     panel,
+                    start,
                     &mut band[r0 * n + j0..],
                     n,
                     mr.min(rows - r0),
@@ -904,16 +1000,18 @@ fn qgemm_band(cfg: QKernelConfig, a: &QHalo, b: &QPanels, row0: usize, band: &mu
                 );
             }
         }
-        p0 += kc2;
+        p0 += kc4;
     }
 }
 
-/// Accumulates a [`QMR`]`×`[`QNR`] register tile over the pairs of `a`'s
-/// block and adds the valid region into `c`. Pure safe Rust; it checks its
-/// tile like the AVX2 kernel does, so both refuse the same operands.
+/// Accumulates a [`QMR`]`×`[`QNR`] register tile over the quads of `a`'s
+/// block and stores or adds the valid region into `c`. Pure safe Rust, in
+/// wrapping arithmetic like `vpdpbusd`; it checks its tile like the SIMD
+/// kernels do, so all refuse the same operands.
 fn portable_qmicrokernel(
     a: QLhs,
-    bpanel: &[i16],
+    bpanel: &[i8],
+    start: Option<&[i32]>,
     c: &mut [i32],
     ldc: usize,
     tile_rows: usize,
@@ -921,130 +1019,237 @@ fn portable_qmicrokernel(
 ) {
     a.assert_covers();
     let row: [usize; QMR] = a.rows.try_into().expect("QMR row offsets");
-    let mut acc = [[0i32; QNR]; QMR];
+    let init: [i32; QNR] = start.map_or([0; QNR], |s| s.try_into().expect("QNR correction"));
+    let mut acc = [init; QMR];
     for (at, bat, len) in a.runs() {
         for q in 0..len {
-            let bv: &[i16; QNR * 2] = bpanel[(bat + q) * QNR * 2..(bat + q + 1) * QNR * 2]
+            let bv: &[i8; QNR * 4] = bpanel[(bat + q) * QNR * 4..(bat + q + 1) * QNR * 4]
                 .try_into()
                 .expect("QNR sliver");
-            for (row_acc, &start) in acc.iter_mut().zip(&row) {
-                // Checked: unlike the f32 kernel's, an unchecked read here
-                // measured no faster.
-                let pair = 2 * (start + at + q);
-                let (a0, a1) = (a.lanes[pair] as i32, a.lanes[pair + 1] as i32);
-                for (j, slot) in row_acc.iter_mut().enumerate() {
-                    *slot += a0 * bv[2 * j] as i32 + a1 * bv[2 * j + 1] as i32;
+            for (row_acc, &first) in acc.iter_mut().zip(&row) {
+                let at_quad = 4 * (first + at + q);
+                let quad: &[u8; 4] = a.bytes[at_quad..at_quad + 4].try_into().expect("quad");
+                for (slot, w) in row_acc.iter_mut().zip(bv.chunks_exact(4)) {
+                    // Four products of at most 255·128 each: no overflow
+                    // before the accumulator.
+                    let dot: i32 = quad
+                        .iter()
+                        .zip(w)
+                        .map(|(&u, &v)| i32::from(u) * i32::from(v))
+                        .sum();
+                    *slot = slot.wrapping_add(dot);
                 }
             }
         }
     }
-    for r in 0..tile_rows {
+    write_tile(&acc, start.is_some(), c, ldc, tile_rows, cols);
+}
+
+/// Writes the valid `tile_rows x cols` region of a finished register tile
+/// into `c` (leading dimension `ldc`): over what it holds on the first cache
+/// block, added to it (wrapping) on the later ones.
+fn write_tile<const NR: usize>(
+    tile: &[[i32; NR]],
+    first: bool,
+    c: &mut [i32],
+    ldc: usize,
+    tile_rows: usize,
+    cols: usize,
+) {
+    for (r, sums) in tile.iter().enumerate().take(tile_rows) {
         let crow = &mut c[r * ldc..r * ldc + cols];
-        for (o, &v) in crow.iter_mut().zip(&acc[r][..cols]) {
-            *o += v;
+        if first {
+            crow.copy_from_slice(&sums[..cols]);
+        } else {
+            for (o, &v) in crow.iter_mut().zip(sums) {
+                *o = o.wrapping_add(v);
+            }
         }
     }
 }
 
-/// AVX2 int8 micro-kernel: a 6×16 register tile of `i32` accumulators fed by
-/// `vpmaddwd` over `i16` pairs broadcast from their six source rows. Exact —
-/// the largest pair sum is `2·127² = 32258`, well inside `i16`-product
-/// `i32` range, so unlike the `vpmaddubsw` formulation there is no
-/// saturation to work around.
+/// AVX2 int8 micro-kernel, for hosts without VNNI: a 6×8 register tile over
+/// the same two layouts. Each row's `u8` quad is widened to `i16` and
+/// multiplied against the panel's `i8` quads, widened the same way, with
+/// `vpmaddwd`, so every `i32` lane holds half a quad of one column (two
+/// products of at most `255·128` each: exact). The halves are added
+/// (`vphaddd`) once per tile, when it is stored.
 #[cfg(target_arch = "x86_64")]
 mod qavx2 {
     use super::QLhs;
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
-        _mm256_setzero_si256, _mm256_storeu_si256,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_cvtepu8_epi16,
+        _mm256_hadd_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_permute4x64_epi64,
+        _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128, _mm_set1_epi32,
     };
 
     /// Register-tile rows of the AVX2 int8 kernel.
     pub(super) const MR: usize = 6;
-    /// Register-tile columns (two 8-lane `i32` accumulators per row).
-    pub(super) const NR: usize = 16;
+    /// Register-tile columns (two accumulators of four half-quad pairs per
+    /// row).
+    pub(super) const NR: usize = 8;
 
     /// Safe entry point matching [`super::QMicroKernelFn`]. Only reachable
     /// through [`super::avx2_qkernel`], which verifies AVX2 first.
     pub(super) fn microkernel(
         a: QLhs,
-        bpanel: &[i16],
+        bpanel: &[i8],
+        start: Option<&[i32]>,
         c: &mut [i32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
         a.assert_covers();
-        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && cols <= NR);
-        assert!(bpanel.len() >= a.kc2 * NR * 2 && c.len() >= (tile_rows - 1) * ldc + cols);
+        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && (1..=NR).contains(&cols));
+        assert!(bpanel.len() >= a.kc4 * NR * 4 && c.len() >= (tile_rows - 1) * ldc + cols);
+        assert!(start.is_none_or(|s| s.len() == NR));
         // SAFETY: AVX2 is present (see above). The asserts are what
         // `microkernel_impl` requires of its caller.
-        unsafe { microkernel_impl(a, bpanel, c, ldc, tile_rows, cols) }
+        unsafe { microkernel_impl(a, bpanel, start, c, ldc, tile_rows, cols) }
     }
 
     /// # Safety
     ///
     /// The host must support AVX2; `a` must cover its block
     /// ([`QLhs::assert_covers`]) with `MR` row offsets and
-    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc2 * NR * 2` values; and
-    /// `c` must hold `(tile_rows - 1) * ldc + cols` with `cols <= NR`.
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc4 * NR * 4` values;
+    /// `start`, if any, `NR`; and `c` must hold `(tile_rows - 1) * ldc + cols`
+    /// with `1 <= cols <= NR`.
     #[target_feature(enable = "avx2")]
     unsafe fn microkernel_impl(
         a: QLhs,
-        bpanel: &[i16],
+        bpanel: &[i8],
+        start: Option<&[i32]>,
         c: &mut [i32],
         ldc: usize,
         tile_rows: usize,
         cols: usize,
     ) {
+        // Per row: columns 0-3 and 4-7, each column's two half-quad sums in
+        // adjacent lanes.
         let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        // Each row's pairs as (possibly unaligned) `i32` words, low lane
-        // first: x86-64 is little-endian.
-        let mut row = [a.lanes.as_ptr().cast::<i32>(); MR];
-        for (start, &offset) in row.iter_mut().zip(a.rows) {
-            *start = start.add(offset);
+        let mut row = [a.bytes.as_ptr().cast::<i32>(); MR];
+        for (first, &offset) in row.iter_mut().zip(a.rows) {
+            *first = first.add(offset);
         }
         let bpp = bpanel.as_ptr();
         for (at, bat, len) in a.runs() {
             for q in 0..len {
-                // 16 interleaved i16 = 8 column pairs; two loads cover 16
-                // columns.
-                let bq = bpp.add((bat + q) * NR * 2);
-                let b0 = _mm256_loadu_si256(bq as *const __m256i);
-                let b1 = _mm256_loadu_si256(bq.add(16) as *const __m256i);
-                for (row_acc, start) in acc.iter_mut().zip(row) {
-                    let va = _mm256_set1_epi32(start.add(at + q).read_unaligned());
+                let bq = bpp.add((bat + q) * NR * 4);
+                let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bq.cast::<__m128i>()));
+                let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bq.add(16).cast::<__m128i>()));
+                for (row_acc, first) in acc.iter_mut().zip(row) {
+                    let quad = _mm_set1_epi32(first.add(at + q).read_unaligned());
+                    let va = _mm256_cvtepu8_epi16(quad);
                     row_acc[0] = _mm256_add_epi32(row_acc[0], _mm256_madd_epi16(va, b0));
                     row_acc[1] = _mm256_add_epi32(row_acc[1], _mm256_madd_epi16(va, b1));
                 }
             }
         }
-        if tile_rows == MR && cols == NR {
-            for (r, row_acc) in acc.iter().enumerate() {
-                let crow = c.as_mut_ptr().add(r * ldc);
-                let lo = _mm256_loadu_si256(crow as *const __m256i);
-                _mm256_storeu_si256(crow as *mut __m256i, _mm256_add_epi32(lo, row_acc[0]));
-                let hi = _mm256_loadu_si256(crow.add(8) as *const __m256i);
-                _mm256_storeu_si256(
-                    crow.add(8) as *mut __m256i,
-                    _mm256_add_epi32(hi, row_acc[1]),
-                );
-            }
-        } else {
-            let mut spill = [0i32; MR * NR];
-            for (r, row_acc) in acc.iter().enumerate() {
-                _mm256_storeu_si256(spill.as_mut_ptr().add(r * NR) as *mut __m256i, row_acc[0]);
-                _mm256_storeu_si256(
-                    spill.as_mut_ptr().add(r * NR + 8) as *mut __m256i,
-                    row_acc[1],
-                );
-            }
-            for r in 0..tile_rows {
-                let crow = &mut c[r * ldc..r * ldc + cols];
-                for (o, &v) in crow.iter_mut().zip(&spill[r * NR..r * NR + cols]) {
-                    *o += v;
+        let init = match start {
+            Some(s) => _mm256_loadu_si256(s.as_ptr().cast()),
+            None => _mm256_setzero_si256(),
+        };
+        let mut tile = [[0i32; NR]; MR];
+        for (sums, row_acc) in tile.iter_mut().zip(&acc) {
+            // [c0 c1 c4 c5 | c2 c3 c6 c7], put back in column order.
+            let halves = _mm256_hadd_epi32(row_acc[0], row_acc[1]);
+            let ordered = _mm256_permute4x64_epi64::<0b11_01_10_00>(halves);
+            let ordered = _mm256_add_epi32(ordered, init);
+            _mm256_storeu_si256(sums.as_mut_ptr().cast::<__m256i>(), ordered);
+        }
+        super::write_tile(&tile, start.is_some(), c, ldc, tile_rows, cols);
+    }
+}
+
+/// AVX-512 VNNI int8 micro-kernel: an `MR`×16 register tile of `i32`
+/// accumulators, one `zmm` per row, fed by `vpdpbusd` — each tile row's `u8`
+/// quad broadcast against the panel's 16 columns of `i8` quads, four
+/// products summed into each lane. The products (at most `255·128`) and
+/// their four-way sums cannot overflow; the accumulation wraps, which the
+/// correction makes exact (module docs).
+#[cfg(target_arch = "x86_64")]
+mod qvnni {
+    use super::QLhs;
+    use std::arch::x86_64::{
+        __mmask16, _mm512_add_epi32, _mm512_dpbusd_epi32, _mm512_loadu_si512,
+        _mm512_mask_storeu_epi32, _mm512_maskz_loadu_epi32, _mm512_set1_epi32,
+        _mm512_setzero_si512,
+    };
+
+    /// Register-tile rows of the VNNI kernel.
+    pub(super) const MR: usize = 12;
+    /// Register-tile columns (one 16-lane `i32` accumulator per row).
+    pub(super) const NR: usize = 16;
+
+    /// Safe entry point matching [`super::QMicroKernelFn`]. Only reachable
+    /// through [`super::vnni_qkernel`], which verifies AVX-512F and VNNI
+    /// first.
+    pub(super) fn microkernel(
+        a: QLhs,
+        bpanel: &[i8],
+        start: Option<&[i32]>,
+        c: &mut [i32],
+        ldc: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        a.assert_covers();
+        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && (1..=NR).contains(&cols));
+        assert!(bpanel.len() >= a.kc4 * NR * 4 && c.len() >= (tile_rows - 1) * ldc + cols);
+        assert!(start.is_none_or(|s| s.len() == NR));
+        // SAFETY: the features are present (see above). The asserts are what
+        // `microkernel_impl` requires of its caller.
+        unsafe { microkernel_impl(a, bpanel, start, c, ldc, tile_rows, cols) }
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX-512F and AVX-512 VNNI; `a` must cover its
+    /// block ([`QLhs::assert_covers`]) with `MR` row offsets and
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc4 * NR * 4` values;
+    /// `start`, if any, `NR`; and `c` must hold `(tile_rows - 1) * ldc + cols`
+    /// with `1 <= cols <= NR`.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    unsafe fn microkernel_impl(
+        a: QLhs,
+        bpanel: &[i8],
+        start: Option<&[i32]>,
+        c: &mut [i32],
+        ldc: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        let init = match start {
+            Some(s) => _mm512_loadu_si512(s.as_ptr().cast()),
+            None => _mm512_setzero_si512(),
+        };
+        let mut acc = [init; MR];
+        // Each row's quads as (possibly unaligned) `i32` words, first byte
+        // lowest: x86-64 is little-endian.
+        let mut row = [a.bytes.as_ptr().cast::<i32>(); MR];
+        for (first, &offset) in row.iter_mut().zip(a.rows) {
+            *first = first.add(offset);
+        }
+        let bpp = bpanel.as_ptr();
+        for (at, bat, len) in a.runs() {
+            for q in 0..len {
+                let bq = _mm512_loadu_si512(bpp.add((bat + q) * NR * 4).cast());
+                for (row_acc, first) in acc.iter_mut().zip(row) {
+                    let va = _mm512_set1_epi32(first.add(at + q).read_unaligned());
+                    *row_acc = _mm512_dpbusd_epi32(*row_acc, va, bq);
                 }
             }
+        }
+        let mask: __mmask16 = if cols == NR { !0 } else { (1 << cols) - 1 };
+        for (r, row_acc) in acc.iter().enumerate().take(tile_rows) {
+            let crow = c.as_mut_ptr().add(r * ldc);
+            let sum = match start {
+                Some(_) => *row_acc,
+                None => _mm512_add_epi32(_mm512_maskz_loadu_epi32(mask, crow), *row_acc),
+            };
+            _mm512_mask_storeu_epi32(crow, mask, sum);
         }
     }
 }
@@ -1163,12 +1368,13 @@ mod tests {
         assert_eq!(stacked.sample_len(), 3);
     }
 
-    /// Every int8 kernel this host can execute, named. On an AVX2 host
-    /// `qkernel_config` never hands out the portable kernel, so only tests
-    /// that iterate this list run it there.
+    /// Every int8 kernel this host can execute, named. On an AVX2 or a VNNI
+    /// host `qkernel_config` hands out only the widest, so only tests that
+    /// iterate this list run the others there.
     fn kernels() -> Vec<(&'static str, QKernelConfig)> {
         let mut all = vec![("portable", PORTABLE_QKERNEL)];
         all.extend(avx2_qkernel().map(|cfg| ("avx2", cfg)));
+        all.extend(vnni_qkernel().map(|cfg| ("vnni", cfg)));
         all
     }
 
@@ -1230,7 +1436,8 @@ mod tests {
     #[should_panic(expected = "i32-overflow bound")]
     fn a_conv_whose_padded_depth_passes_the_bound_is_refused() {
         // 14563 channels x 9 taps = 131067 <= QGEMM_MAX_K, but the halo
-        // rounds the channels up to 14564, and 9 x 14564 = 131076 is not.
+        // rounds the channels up to a multiple of 4, 14564, and 9 x 14564 =
+        // 131076 is not.
         let c = 14563;
         assert!(9 * c <= QGEMM_MAX_K && 9 * (c + 1) > QGEMM_MAX_K);
         let _ = QPanels::conv(&[], c, 3, 0);
@@ -1239,18 +1446,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "runs past its halo")]
     fn a_tile_reading_past_its_halo_is_refused_before_any_read() {
-        // Rows 0 and 4 of a 6-pair halo, pairs 0..3 in runs of 2, 3 apart:
-        // the last pair of row 4 is pair 4 + 3 + 0 = 7.
-        let (lanes, rows) = ([0i16; 12], [0, 4, 4, 4]);
+        // Rows 0 and 4 of a 6-quad halo, quads 0..3 in runs of 2, 3 apart:
+        // the last quad of row 4 is quad 4 + 3 + 0 = 7.
+        let (bytes, rows) = ([0u8; 24], [0, 4, 4, 4]);
         let tile = QLhs {
-            lanes: &lanes,
+            bytes: &bytes,
             rows: &rows,
             run_len: 2,
             run_stride: 3,
             p0: 0,
-            kc2: 3,
+            kc4: 3,
         };
-        portable_qmicrokernel(tile, &[0; 3 * QNR * 2], &mut [0; QNR], QNR, 1, QNR);
+        portable_qmicrokernel(tile, &[0; 3 * QNR * 4], None, &mut [0; QNR], QNR, 1, QNR);
     }
 
     /// `im2col_i8` then the naive product: the convolution the halo driver
@@ -1270,10 +1477,10 @@ mod tests {
 
     #[test]
     fn qconv_equals_im2col_i8_then_the_naive_product_under_both_kernels() {
-        // Odd channel counts exercise the even-channel pad, out-channels
-        // the ragged panels of both kernels (8 and 16 wide), spatial extents
-        // 1-9 give row counts that are no multiple of either tile height (4,
-        // 6), and batch 0 is the empty product.
+        // Channel counts off a multiple of 4 exercise the quad pad,
+        // out-channels the ragged panels of both kernels (8 and 16 wide),
+        // spatial extents 1-9 give row counts that are no multiple of either
+        // tile height (4, 12), and batch 0 is the empty product.
         let mut seed = 0;
         for (name, cfg) in kernels() {
             for (kernel, stride, padding) in [1, 3].into_iter().flat_map(|k| {
@@ -1312,7 +1519,7 @@ mod tests {
                     }
                 }
             }
-            // Deeper than QKC (9 x 62 = 558): a cache block ends inside a run.
+            // Deeper than QKC (9 x 64 = 576): a cache block ends inside a run.
             let (geom, c, n, h, w, b) = (Conv2dGeometry::new(3, 1, 1), 61, 17, 5, 4, 2);
             let (weight_t, x) = (pseudo_i8(c * 9 * n, 7), pseudo_i8(b * c * h * w, 8));
             let panels = QPanels::conv_for(cfg.nr, &weight_t, c, 3, n);
@@ -1321,6 +1528,178 @@ mod tests {
                 qproduct(cfg, &halo, &panels, Parallelism::Serial),
                 im2col_oracle(&x, [b, c, h, w], geom, &weight_t, n),
                 "{name} deeper than QKC"
+            );
+        }
+    }
+
+    /// The quantization expression as a scalar loop: what `quantize_into`
+    /// wrote before it vectorised, and must still write byte for byte.
+    fn scalar_quantize(v: f32, scale: f32) -> i8 {
+        (v * (1.0 / scale)).round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[test]
+    fn the_vector_quantize_loop_writes_the_scalar_bytes() {
+        // A strided sweep of every exponent and sign (65 537 is odd, so the
+        // low mantissa bits vary too), then the classes a sweep can miss.
+        let mut bits: Vec<u32> = (0..=u32::MAX).step_by(65_537).collect();
+        bits.extend([
+            0x7FC0_0000, // quiet NaN
+            0x7F80_0001, // signalling NaN
+            0x7FFF_FFFF, // NaN, full payload
+            0xFFC0_0000, // negative quiet NaN
+            0xFF80_0001, // negative signalling NaN
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // smallest subnormal
+            0x007F_FFFF, // largest subnormal
+            0x8000_0001,
+            0x807F_FFFF,
+            0x0080_0000, // MIN_POSITIVE
+        ]);
+        let mut values: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+        // Ties and the values either side of the ±127.5 saturation edge, as
+        // multiples of each scale below.
+        let ties = [0.5f32, 1.5, 2.5, 63.5, 126.5, 127.5, 128.5];
+        let edges = [127.5f32, 127.49999, 127.50001, 127.0, 128.0, 1e9];
+        for scale in [f32::MIN_POSITIVE, 1.0, 0.0137] {
+            let mut all = values.clone();
+            for t in ties.iter().chain(&edges) {
+                for v in [t * scale, -t * scale] {
+                    all.extend([
+                        v,
+                        f32::from_bits(v.to_bits() + 1),
+                        f32::from_bits(v.to_bits() - 1),
+                    ]);
+                }
+            }
+            // Every length modulo a vector's width meets the tail loop.
+            for cut in 0..33 {
+                let slice = &all[cut..];
+                let mut got = vec![0i8; slice.len()];
+                quantize_into(slice, scale, &mut got);
+                for (&v, &q) in slice.iter().zip(&got) {
+                    assert_eq!(
+                        q,
+                        scalar_quantize(v, scale),
+                        "{v:e} ({:#010x}) at scale {scale:e}",
+                        v.to_bits()
+                    );
+                }
+            }
+            values.push(scale);
+        }
+        // absmax: the scalar fold over sign-stripped bits, NaN included.
+        for cut in 0..17 {
+            let slice = &values[cut..];
+            let want = slice
+                .iter()
+                .fold(0u32, |m, v| m.max(v.to_bits() & 0x7FFF_FFFF));
+            assert_eq!(absmax(slice).to_bits(), want, "cut {cut}");
+        }
+        assert_eq!(absmax(&[]).to_bits(), 0);
+        let finite: Vec<f32> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        let want = finite
+            .iter()
+            .fold(0u32, |m, v| m.max(v.to_bits() & 0x7FFF_FFFF));
+        assert_eq!(absmax(&finite).to_bits(), want);
+    }
+
+    /// The exact product in `i64`, then checked to fit the `i32` it is
+    /// returned in.
+    fn wide_oracle(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+        let mut out = vec![0i64; m * n];
+        for i in 0..m {
+            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                for (o, &bv) in out[i * n..(i + 1) * n]
+                    .iter_mut()
+                    .zip(&b[p * n..(p + 1) * n])
+                {
+                    *o += i64::from(av) * i64::from(bv);
+                }
+            }
+        }
+        out.into_iter()
+            .map(|v| i32::try_from(v).expect("the oracle's sum fits i32"))
+            .collect()
+    }
+
+    /// `±127` in one of five patterns along the shared dimension `p` of `k`:
+    /// all `+`, all `−`, alternating, `+` then `−` by halves, or scattered.
+    fn extreme(pattern: usize, p: usize, k: usize) -> i8 {
+        let plus = match pattern % 5 {
+            0 => true,
+            1 => false,
+            2 => p.is_multiple_of(2),
+            3 => p < k / 2,
+            _ => (p * 0x9E37_79B9) >> 7 & 1 == 0,
+        };
+        if plus {
+            127
+        } else {
+            -127
+        }
+    }
+
+    #[test]
+    fn the_deepest_products_are_exact_at_the_quantizer_extremes() {
+        // k = QGEMM_MAX_K: all-+127 rows against all-+127 columns sum to
+        // 2¹⁷·127², just inside i32. Row 5 is zero, the shifted 128 of the
+        // halo's frame; column 17 is all -128, whose correction 128·128·2¹⁷
+        // = 2³¹ wraps and must come back out exactly.
+        let (m, k, n) = (6, QGEMM_MAX_K, 18);
+        let a: Vec<i8> = (0..m * k)
+            .map(|i| {
+                if i / k == 5 {
+                    0
+                } else {
+                    extreme(i / k, i % k, k)
+                }
+            })
+            .collect();
+        let b: Vec<i8> = (0..k * n)
+            .map(|i| {
+                if i % n == 17 {
+                    -128
+                } else {
+                    extreme(i % n, i / n, k)
+                }
+            })
+            .collect();
+        let want = wide_oracle(&a, &b, m, k, n);
+        assert_eq!(want[0], 127 * 127 * QGEMM_MAX_K as i32);
+        for (name, cfg) in kernels() {
+            for par in [Parallelism::Serial, Parallelism::Parallel] {
+                assert_eq!(
+                    qgemm_under(cfg, &a, &b, (m, k, n), par),
+                    want,
+                    "{name} {par:?}"
+                );
+            }
+        }
+
+        // The deepest 3x3 conv the bound admits: 14 560 channels (a multiple
+        // of 4) x 9 taps = 131 040. Padding 1 puts the frame in every
+        // border row's runs.
+        let (c, geom, (h, w), out) = (14_560, Conv2dGeometry::new(3, 1, 1), (2, 3), 17);
+        assert!(9 * c <= QGEMM_MAX_K && 9 * (c + 4) > QGEMM_MAX_K);
+        let x: Vec<i8> = (0..2 * c * h * w)
+            .map(|i| extreme(i / (c * h * w), i % (c * h * w) / (h * w), c))
+            .collect();
+        let weight_t: Vec<i8> = (0..c * 9 * out)
+            .map(|i| extreme(i % out, i / out, c * 9))
+            .collect();
+        let cols = crate::im2col_i8(&x, 2, c, h, w, geom);
+        let want = wide_oracle(&cols, &weight_t, 2 * h * w, c * 9, out);
+        for (name, cfg) in kernels() {
+            let panels = QPanels::conv_for(cfg.nr, &weight_t, c, 3, out);
+            let halo = QHalo::lower(&x, 2, c, h, w, geom);
+            assert_eq!(
+                qproduct(cfg, &halo, &panels, Parallelism::Serial),
+                want,
+                "{name} conv"
             );
         }
     }
