@@ -116,7 +116,8 @@ impl Defense for QuantizedDefense {
 
     /// Evaluates the requested quantized bodies on the int8 feature batch, in
     /// parallel and from one shared lowering like the `f32` pipeline
-    /// ([`QCompiledPlan::run_all`]), re-quantizing each body's output per
+    /// ([`QCompiledPlan::run_all_quantized`], which dequantizes the batch
+    /// straight into the plans' layout), re-quantizing each body's output per
     /// sample for the return leg. An `f32` request is quantized on the
     /// way in and dequantized on the way out like any payload crossing to an
     /// int8 backend ([`crate::Features::to_precision`]): the round trips are
@@ -128,8 +129,8 @@ impl Defense for QuantizedDefense {
             self.qplans.len(),
             Precision::Int8,
             |features, range| {
-                let features = features.as_int8()?.dequantize();
-                let maps = QCompiledPlan::run_all(&self.qplans[range], &features)?;
+                let features = features.as_int8()?;
+                let maps = QCompiledPlan::run_all_quantized(&self.qplans[range], features)?;
                 Ok(Maps::Int8(
                     maps.iter().map(QTensorBatch::quantize_batch).collect(),
                 ))

@@ -20,15 +20,25 @@
 //! [`QCompiledPlan`] is the same plan at int8, bit-exact with
 //! [`crate::quant::QSequential`]. One stage list, one builder and one
 //! evaluator serve both precisions, generic over a private trait that
-//! states only what differs between them: the conv and linear stages, and
-//! which ReLU formula a position gets. The int8 linear stage keeps the
-//! dequantize in its product's epilogue
-//! ([`ensembler_tensor::qgemm_nn_dequant`]); the int8 conv lowers its
-//! quantized input to one zero-haloed copy ([`ensembler_tensor::QHalo`])
-//! that its product reads in place, against weights packed once, at compile
-//! time ([`ensembler_tensor::QPanels`]), and dequantizes its `i32`
-//! accumulators in the conv's output pass. No conv of either precision
-//! writes a column matrix.
+//! states only what differs between them: the conv and linear stages, which
+//! ReLU formula a position gets, and the layout of the feature maps between
+//! stages. The int8 linear stage keeps the dequantize in its product's
+//! epilogue ([`ensembler_tensor::qgemm_nn_dequant`]). Inside an int8 plan
+//! the maps are pixel-major, `[b, h, w, c]` with a pixel's channels side by
+//! side — the layout of the int8 conv's product rows and of its input copy —
+//! so an int8 conv quantizes its input per sample straight into one
+//! zero-haloed copy ([`ensembler_tensor::QHalo::quantize`]) that its product
+//! reads in place, against weights packed once, at compile time
+//! ([`ensembler_tensor::QPanels`]), and dequantizes each band of its `i32`
+//! accumulators in the product's epilogue ([`ensembler_tensor::qconv_map`]),
+//! writing the next stage's input as it is: no transpose between two convs.
+//! The plan converts its NCHW input once on entry (an int8 batch can be
+//! dequantized straight into the layout,
+//! [`QCompiledPlan::run_all_quantized`]) and a feature map it ends on once
+//! on exit; the global average pool has a pixel-major form, and a stage
+//! without one (a standalone batch norm or max-pool, an opaque layer)
+//! runs in NCHW between two conversions. The `f32` plan keeps NCHW
+//! throughout. No conv of either precision writes a column matrix.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -57,16 +67,18 @@
 
 use crate::activation::ReluForm;
 use crate::conv::{
-    check_conv_input, check_pool, expect_rank4, nchw_pass, Layout, Lowered, OutputPass,
+    check_conv_input, check_pool, expect_rank4, from_pixels, nchw_pass, to_pixels, to_pixels_with,
+    Layout, Lowered, OutputPass, PixelEpilogue,
 };
 use crate::graph::{lower_sequential, GraphOp};
 use crate::linear::check_linear_input;
+use crate::pool::global_avg_pool_pixels;
 use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
 use ensembler_tensor::gemm::Parallelism;
 use ensembler_tensor::{
-    par_map, qconv, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels, QTensorBatch,
-    ShapeError, Tensor,
+    par_map, qconv_map, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels,
+    QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -96,6 +108,13 @@ trait Precision {
     /// needs.
     const LINEAR_RELU: ReluForm;
 
+    /// Whether the feature maps between this plan's stages are pixel-major,
+    /// `[b, h, w, c]` with a pixel's channels side by side, rather than
+    /// NCHW. Such a plan converts its input once on entry ([`enter`]) and
+    /// its output once on exit ([`exit`]); a stage with no pixel-major form
+    /// runs in NCHW between two conversions ([`in_nchw`]).
+    const PIXEL_MAJOR: bool;
+
     /// A conv stage finished by `pass`.
     fn conv(conv: &Conv2d, pass: OutputPass) -> Self::Conv;
 
@@ -121,10 +140,12 @@ trait LoweredConv: Sync {
     /// of a folded max-pool.
     fn key(&self) -> (Conv2dGeometry, usize, Option<usize>);
 
+    /// Validates and lowers `input`, a map in the plan's layout
+    /// ([`Precision::PIXEL_MAJOR`]).
     fn lower<'a>(&self, input: &'a Tensor) -> Result<Self::Lowered<'a>, ShapeError>;
 
-    /// The stage's product and output pass. Reads `lowered`, never changes
-    /// it.
+    /// The stage's product and output pass, written in the plan's layout.
+    /// Reads `lowered`, never changes it.
     fn finish(&self, lowered: &Self::Lowered<'_>) -> Tensor;
 }
 
@@ -151,7 +172,7 @@ impl<P: Precision> Stage<P> {
     fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
         match self {
             Stage::Conv(stage) => Ok(stage.finish(&stage.lower(input)?)),
-            Stage::BatchNorm(bn) => {
+            Stage::BatchNorm(bn) => in_nchw::<P>(input, |input| {
                 let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
                 if c != bn.channels() {
                     return Err(ShapeError::new(format!(
@@ -160,9 +181,9 @@ impl<P: Precision> Stage<P> {
                     )));
                 }
                 Ok(bn.forward(input, Mode::Eval))
-            }
+            }),
             &Stage::Relu(form) => Ok(input.map(|v| form.apply(v))),
-            &Stage::MaxPool(k) => {
+            &Stage::MaxPool(k) => in_nchw::<P>(input, |input| {
                 let (b, c, h, w) = expect_rank4(input.shape(), "max_pool")?;
                 check_pool(h, w, k)?;
                 let layout = Layout::nchw(c, h * w);
@@ -173,24 +194,81 @@ impl<P: Precision> Stage<P> {
                     Some(k),
                     |_, _| |v| v,
                 ))
-            }
+            }),
             Stage::GlobalAvgPool => {
                 expect_rank4(input.shape(), "global_avg_pool")?;
-                Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
+                Ok(if P::PIXEL_MAJOR {
+                    global_avg_pool_pixels(input)
+                } else {
+                    crate::GlobalAvgPool::new().forward(input, Mode::Eval)
+                })
             }
-            Stage::Flatten => {
+            Stage::Flatten => in_nchw::<P>(input, |input| {
                 if input.rank() < 1 {
                     return Err(ShapeError::new("flatten expects at least rank-1 input"));
                 }
                 Ok(input.flatten_batch())
-            }
+            }),
             Stage::Linear { linear, relu } => P::run_linear(linear, *relu, input),
             Stage::Residual { main, shortcut } => {
                 let x = run_chain(main, input)?;
                 merge_residual(&x, shortcut.as_deref(), input)
             }
-            Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
+            Stage::Opaque(layer) => {
+                in_nchw::<P>(input, |input| Ok(layer.forward(input, Mode::Eval)))
+            }
         }
+    }
+}
+
+/// Runs `stage`, a stage with no pixel-major form, on `input`: directly in
+/// an NCHW plan, and in a pixel-major one on `input` converted to NCHW, with
+/// a feature map it returns converted back.
+fn in_nchw<P: Precision>(
+    input: &Tensor,
+    stage: impl FnOnce(&Tensor) -> Result<Tensor, ShapeError>,
+) -> Result<Tensor, ShapeError> {
+    if !P::PIXEL_MAJOR {
+        return stage(input);
+    }
+    let output = if input.rank() == 4 {
+        stage(&from_pixels(input))?
+    } else {
+        stage(input)?
+    };
+    Ok(if output.rank() == 4 {
+        to_pixels(&output)
+    } else {
+        output
+    })
+}
+
+/// The NCHW shape of a map of `shape` in the plan's layout, the shape a
+/// caller would recognise: a pixel-major `[b, h, w, c]` map is
+/// `[b, c, h, w]`; any other shape is itself.
+fn nchw_shape<P: Precision>(shape: &[usize]) -> Cow<'_, [usize]> {
+    match *shape {
+        [b, h, w, c] if P::PIXEL_MAJOR => Cow::Owned(vec![b, c, h, w]),
+        _ => Cow::Borrowed(shape),
+    }
+}
+
+/// A plan's NCHW `input` in the plan's layout: converted once if the plan
+/// is pixel-major and `input` a feature map, borrowed otherwise.
+fn enter<P: Precision>(input: &Tensor) -> Cow<'_, Tensor> {
+    if P::PIXEL_MAJOR && input.rank() == 4 {
+        Cow::Owned(to_pixels(input))
+    } else {
+        Cow::Borrowed(input)
+    }
+}
+
+/// A plan's `output`, in the plan's layout, as the plan returns it: NCHW.
+fn exit<P: Precision>(output: Cow<'_, Tensor>) -> Tensor {
+    if P::PIXEL_MAJOR && output.rank() == 4 {
+        from_pixels(&output)
+    } else {
+        output.into_owned()
     }
 }
 
@@ -289,15 +367,21 @@ fn merge_residual<P: Precision>(
     if x.shape() != skip.shape() {
         return Err(ShapeError::new(format!(
             "residual branches disagree: main {:?} vs shortcut {:?}",
-            x.shape(),
-            skip.shape()
+            nchw_shape::<P>(x.shape()),
+            nchw_shape::<P>(skip.shape())
         )));
     }
     Ok(x.zip_map(&skip, |main, skip| P::RESIDUAL_RELU.apply(main + skip)))
 }
 
 fn run_plan<P: Precision>(stages: &[Stage<P>], input: &Tensor) -> Result<Tensor, ShapeError> {
-    run_chain(stages, input).map(Cow::into_owned)
+    run_entered(stages, &enter::<P>(input))
+}
+
+/// Runs `stages` on `x`, a map already in the plan's layout ([`enter`]),
+/// and returns the output in NCHW.
+fn run_entered<P: Precision>(stages: &[Stage<P>], x: &Tensor) -> Result<Tensor, ShapeError> {
+    run_chain(stages, x).map(exit::<P>)
 }
 
 /// The conv that reads a plan's input: its first stage, or the first stage
@@ -314,6 +398,8 @@ fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
 }
 
 /// Runs every plan on the one `input`, in parallel, answers in plan order.
+/// The input is converted to the plans' layout once ([`enter`]), for all of
+/// them.
 ///
 /// When all plans lead with convs of one geometry over one channel count —
 /// an ensemble's bodies do, by construction — the input is validated and
@@ -328,6 +414,15 @@ fn run_ensemble<P: Precision>(
     plans: &[&[Stage<P>]],
     input: &Tensor,
 ) -> Result<Vec<Tensor>, ShapeError> {
+    run_ensemble_entered(plans, &enter::<P>(input))
+}
+
+/// [`run_ensemble`] on `input`, a batch already in the plans' layout
+/// ([`enter`]).
+fn run_ensemble_entered<P: Precision>(
+    plans: &[&[Stage<P>]],
+    input: &Tensor,
+) -> Result<Vec<Tensor>, ShapeError> {
     let shared = || {
         let convs: Vec<&P::Conv> = plans
             .iter()
@@ -337,7 +432,7 @@ fn run_ensemble<P: Precision>(
         same.then_some(convs)
     };
     let Some(convs) = shared() else {
-        return par_map(plans, |stages| run_plan(stages, input))
+        return par_map(plans, |stages| run_entered(stages, input))
             .into_iter()
             .collect();
     };
@@ -351,9 +446,9 @@ fn run_ensemble<P: Precision>(
             Stage::Residual { main, shortcut } => {
                 let x = run_chain(&main[1..], led)?;
                 let block = merge_residual(&x, shortcut.as_deref(), input)?;
-                run_plan(tail, &block)
+                run_entered(tail, &block)
             }
-            _ => run_plan(tail, led),
+            _ => run_entered(tail, led),
         }
     })
     .into_iter()
@@ -373,6 +468,7 @@ impl Precision for F32 {
     type Linear = Linear;
     const RESIDUAL_RELU: ReluForm = ReluForm::Mask;
     const LINEAR_RELU: ReluForm = ReluForm::Mask;
+    const PIXEL_MAJOR: bool = false;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> ConvStage {
         ConvStage {
@@ -477,6 +573,7 @@ impl Precision for Int8 {
     type Linear = QLinear;
     const RESIDUAL_RELU: ReluForm = ReluForm::Max;
     const LINEAR_RELU: ReluForm = ReluForm::Max;
+    const PIXEL_MAJOR: bool = true;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> QConvStage {
         let q = QConv2d::from_conv(conv);
@@ -489,7 +586,7 @@ impl Precision for Int8 {
                 q.out_channels(),
             ),
             weight_scale: q.weight_scale(),
-            bias: q.bias().data().to_vec(),
+            epilogue: pass.pixel_epilogue(q.bias().data()),
             geometry,
             in_channels: q.in_channels(),
             pass,
@@ -501,7 +598,8 @@ impl Precision for Int8 {
     }
 
     fn run_linear(linear: &QLinear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let batch = check_linear_input(input.shape(), linear.in_features(), "q_linear")?;
+        let shape = nchw_shape::<Int8>(input.shape());
+        let batch = check_linear_input(&shape, linear.in_features(), "q_linear")?;
         let q = QTensorBatch::quantize_batch(input);
         let row_scales: Vec<f32> = q
             .scales()
@@ -526,10 +624,15 @@ impl Precision for Int8 {
     }
 }
 
-/// Int8 convolution with the dequantize and bias, then its [`OutputPass`],
-/// applied in one channel-major pass over the `i32` accumulators — the
-/// eager pipeline's per-element expressions, one feature-map pass instead
-/// of up to five.
+/// Int8 convolution over a pixel-major map: its input quantized per sample
+/// straight into the zero-haloed copy its product reads ([`QHalo::quantize`]),
+/// and the dequantize and bias, then its [`OutputPass`], applied to each
+/// band of `i32` accumulators while it is cache-hot
+/// ([`OutputPass::pixel_epilogue`], through [`qconv_map`]), a pool window
+/// after that ([`OutputPass::pool_pixels`]) — the eager pipeline's
+/// per-element expressions, no pass over memory of their own (but a pool's),
+/// no `i32` product the size of the output, and no transpose on either
+/// side.
 ///
 /// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
 /// halo's `(ky, kx, c)` order and packed into the host kernel's quad panels,
@@ -539,7 +642,8 @@ impl Precision for Int8 {
 struct QConvStage {
     weights: QPanels,
     weight_scale: f32,
-    bias: Vec<f32>,
+    /// The output pass up to its pool, with the bias, built once here.
+    epilogue: PixelEpilogue,
     geometry: Conv2dGeometry,
     in_channels: usize,
     pass: OutputPass,
@@ -563,17 +667,19 @@ impl LoweredConv for QConvStage {
         (self.geometry, self.in_channels, self.pass.pool)
     }
 
+    /// `input` is a pixel-major `[b, h, w, c]` map, validated as the NCHW
+    /// batch `[b, c, h, w]` it stands for.
     fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
         let (geometry, in_channels, _) = self.key();
         let out_channels = self.weights.cols();
-        let (b, oh, ow) =
-            check_conv_input(input.shape(), in_channels, out_channels, geometry, "q_conv")?;
+        let nchw = nchw_shape::<Int8>(input.shape());
+        let (b, oh, ow) = check_conv_input(&nchw, in_channels, out_channels, geometry, "q_conv")?;
         self.pass.check(oh, ow)?;
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let q = QTensorBatch::quantize_batch(input);
+        let (h, w) = (nchw[2], nchw[3]);
+        let (halo, scales) = QHalo::quantize(input.data(), [b, h, w, in_channels], geometry);
         Ok(QLowered {
-            halo: QHalo::lower(q.data(), b, in_channels, h, w, geometry),
-            scales: q.scales().to_vec(),
+            halo,
+            scales,
             b,
             oh,
             ow,
@@ -583,11 +689,15 @@ impl LoweredConv for QConvStage {
     fn finish(&self, lowered: &QLowered) -> Tensor {
         let &QLowered { b, oh, ow, .. } = lowered;
         let out_c = self.weights.cols();
-        let acc = qconv(&lowered.halo, &self.weights);
-        self.pass.run(&acc, [b, out_c, oh, ow], |n, co| {
-            let (rescale, bias) = (lowered.scales[n] * self.weight_scale, self.bias[co]);
-            move |a: i32| a as f32 * rescale + bias
-        })
+        let rescales: Vec<f32> = lowered
+            .scales
+            .iter()
+            .map(|scale| scale * self.weight_scale)
+            .collect();
+        let map = qconv_map(&lowered.halo, &self.weights, |row0, acc, out| {
+            self.epilogue.write(oh * ow, &rescales, row0, acc, out);
+        });
+        self.pass.pool_pixels(map, [b, out_c, oh, ow])
     }
 }
 
@@ -616,13 +726,36 @@ impl QCompiledPlan {
         run_plan(&self.stages, input)
     }
 
-    /// The int8 counterpart of [`CompiledPlan::run_all`]: same-shape bodies
-    /// share one per-sample quantization and one zero-haloed copy
-    /// ([`QHalo`]) of the input, and each answer is bit-identical to
-    /// [`run`](Self::run) on that plan.
+    /// The int8 counterpart of [`CompiledPlan::run_all`]: the input is
+    /// converted to the plans' pixel-major layout once for all of them,
+    /// same-shape bodies share one per-sample quantization and one
+    /// zero-haloed copy ([`QHalo`]) of it, and each answer is bit-identical
+    /// to [`run`](Self::run) on that plan.
     pub fn run_all(plans: &[QCompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
         let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
+    }
+
+    /// [`run_all`](Self::run_all) on `input.dequantize()`, bit for bit,
+    /// with each value dequantized straight into the plans' pixel-major
+    /// layout: one pass and one `f32` copy of the batch, where dequantizing
+    /// first and converting on entry make two of each.
+    pub fn run_all_quantized(
+        plans: &[QCompiledPlan],
+        input: &QTensorBatch,
+    ) -> Result<Vec<Tensor>, ShapeError> {
+        let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
+        let entered = match *input.shape() {
+            [b, c, h, w] => {
+                let scales = input.scales();
+                to_pixels_with(input.data(), [b, c, h, w], |n| {
+                    let scale = scales[n];
+                    move |q: i8| q as f32 * scale
+                })
+            }
+            _ => input.dequantize(),
+        };
+        run_ensemble_entered(&plans, &entered)
     }
 
     /// Number of top-level stages after fusion.
@@ -636,7 +769,7 @@ mod tests {
     use super::*;
     use crate::models::{build_body, build_head, ResNetConfig};
     use crate::quant::QSequential;
-    use crate::{Flatten, GlobalAvgPool, MaxPool2d, Relu, ResidualBlock};
+    use crate::{Flatten, GlobalAvgPool, MaxPool2d, Relu, ResidualBlock, Tanh};
     use ensembler_tensor::Rng;
 
     /// A small conv net exercising every typed stage.
@@ -807,6 +940,69 @@ mod tests {
     }
 
     #[test]
+    fn int8_stages_without_a_pixel_major_form_convert_around_themselves_bit_for_bit() {
+        // Between two convs of an int8 plan the maps are pixel-major; a
+        // standalone batch norm, a max-pool behind a standalone ReLU and an
+        // opaque layer (Tanh) run in NCHW between two conversions, a flatten
+        // of a map with spatial extent converts first, and a plan ending on
+        // a conv returns its map in NCHW. Each equals QSequential through
+        // `run` and, with a second plan of the same shapes, `run_all`.
+        let layers = |rng: &mut Rng, between: usize| -> Sequential {
+            let mut layers: Vec<Box<dyn Layer>> = vec![
+                Box::new(Conv2d::new(3, 8, 3, 1, 1, rng)),
+                Box::new(Relu::new()),
+            ];
+            match between {
+                0 => layers.push(Box::new(BatchNorm2d::new(8))),
+                1 => layers.extend([
+                    Box::new(Relu::new()) as Box<dyn Layer>,
+                    Box::new(MaxPool2d::new(2)),
+                ]),
+                2 => layers.push(Box::new(Tanh::new())),
+                _ => {}
+            }
+            layers.push(Box::new(Conv2d::new(8, 5, 3, 2, 1, rng)));
+            if between == 4 {
+                layers.extend([
+                    Box::new(Flatten::new()) as Box<dyn Layer>,
+                    Box::new(Linear::new(5 * 4 * 4, 3, rng)),
+                ]);
+            }
+            let mut net = Sequential::new(layers);
+            let warm = Tensor::from_fn(&[4, 3, 8, 8], |_| rng.normal_with(0.4, 1.3));
+            let _ = net.forward_cached(&warm, Mode::Train);
+            net
+        };
+        let mut rng = Rng::seed_from(29);
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let x = Tensor::from_fn(&[3, 3, 8, 8], |i| {
+            if i % 17 == 5 {
+                special[i / 17 % special.len()]
+            } else {
+                rng.uniform(-1.0, 1.0)
+            }
+        });
+        // Between: batch norm, ReLU + max-pool, Tanh, nothing (the plan ends
+        // on the conv's map), nothing before a flatten + linear.
+        for between in 0..5 {
+            let nets = [layers(&mut rng, between), layers(&mut rng, between)];
+            let plans: Vec<_> = nets.iter().map(qcompile).collect();
+            let want: Vec<_> = nets
+                .iter()
+                .map(|net| bits(&QSequential::from_sequential(net).forward(&x)))
+                .collect();
+            let alone: Vec<_> = plans
+                .iter()
+                .map(|plan| bits(&plan.run(&x).unwrap()))
+                .collect();
+            assert_eq!(alone, want, "run, layer set {between}");
+            let all = QCompiledPlan::run_all(&plans, &x).unwrap();
+            let all: Vec<_> = all.iter().map(bits).collect();
+            assert_eq!(all, want, "run_all, layer set {between}");
+        }
+    }
+
+    #[test]
     fn quantized_plan_matches_eager_quantized_forward_exactly() {
         let config = ResNetConfig::tiny_for_tests();
         let mut rng = Rng::seed_from(4);
@@ -848,7 +1044,21 @@ mod tests {
                 alone,
                 "int8 set {i}"
             );
+            let q = QTensorBatch::quantize_batch(&x);
+            assert_eq!(
+                QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
+                QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap(),
+                "int8 set {i}, quantized"
+            );
         }
+        // A batch that is no feature map is dequantized as it is.
+        let head = Sequential::new(vec![Box::new(Linear::new(6, 2, &mut rng))]);
+        let qplans = [qcompile(&head), qcompile(&head)];
+        let q = QTensorBatch::quantize_batch(&Tensor::from_fn(&[3, 6], |i| i as f32 - 7.5));
+        assert_eq!(
+            QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
+            QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap()
+        );
         assert!(CompiledPlan::run_all(&[], &x).unwrap().is_empty());
     }
 
@@ -871,6 +1081,19 @@ mod tests {
             let qerr = qplan.run(&bad).unwrap_err();
             assert!(!qerr.message().is_empty());
         }
+        // A map that reaches a linear stage is refused with the shape the
+        // caller knows, NCHW, at either precision: the int8 plan's
+        // pixel-major interior does not show.
+        let unflattened = Sequential::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, &mut rng)),
+            Box::new(Linear::new(4, 2, &mut rng)),
+        ]);
+        let x = Tensor::ones(&[2, 3, 5, 6]);
+        let rank4 = "expects [batch, features] input, got rank-4 shape [2, 4, 5, 6]";
+        let err = compile(&unflattened).run(&x).unwrap_err();
+        assert_eq!(err.message(), format!("linear {rank4}"));
+        let qerr = qcompile(&unflattened).run(&x).unwrap_err();
+        assert_eq!(qerr.message(), format!("q_linear {rank4}"));
         // Degenerate but valid shapes on the demo body: an empty batch, and
         // images so small that every conv reads mostly halo and the
         // stride-2 stage leaves a 1x1 map. Both plans answer them exactly.

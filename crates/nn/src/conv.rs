@@ -1,28 +1,14 @@
-//! 2-D convolution and transposed convolution layers, and the channel-major
-//! output pass that writes every NCHW product.
+//! 2-D convolution and transposed convolution layers, the channel-major
+//! output pass that writes every NCHW product, and the pixel-major output
+//! pass of an int8 plan's conv, whose maps stay `[b, h, w, c]`.
 
 use crate::activation::ReluForm;
+use crate::norm::EvalNorm;
 use crate::{BatchNorm2d, Layer, Mode, Param};
 use ensembler_tensor::gemm::{conv_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
     col2im, im2col, im2col_reusing, Conv2dGeometry, Halo, Init, Rng, ShapeError, Tensor,
 };
-
-/// Converts a `[B, C, H, W]` tensor into the `[B*H*W, C]` matrix whose rows
-/// follow the same `(n, y, x)` ordering as `im2col` output rows.
-fn nchw_to_rows(t: &Tensor) -> Tensor {
-    let [b, c, h, w] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
-    let plane = h * w;
-    let mut out = vec![0.0f32; b * plane * c];
-    for n in 0..b {
-        for ch in 0..c {
-            for p in 0..plane {
-                out[(n * plane + p) * c + ch] = t.data()[n * c * plane + ch * plane + p];
-            }
-        }
-    }
-    Tensor::from_vec(out, &[b * plane, c]).expect("row matrix length matches")
-}
 
 /// Where a channel-major pass finds its source: value `p` of image `n`'s
 /// channel `ch` plane lies at `n·image + ch·channel + p·pixel`.
@@ -204,7 +190,9 @@ impl Pass {
 }
 
 /// What a conv does after its product and bias, in one channel-major pass
-/// over the product rows ([`nchw_pass`]): an eval-mode batch norm
+/// over the product rows ([`nchw_pass`]; an int8 plan's conv writes the
+/// pixel-major form, [`OutputPass::pixel_epilogue`] then
+/// [`OutputPass::pool_pixels`]): an eval-mode batch norm
 /// ([`BatchNorm2d::eval_channel`]), then a ReLU, then a max-pool, each if the
 /// pipeline has it there. Each applies the per-element expression of the
 /// eager layer it stands for, in the eager order, so the pass is bit-exact;
@@ -243,6 +231,174 @@ impl OutputPass {
                     move |v| norm(value(v))
                 })
             }
+        }
+    }
+
+    /// The int8 conv's pixel-major form of [`run`](Self::run), before the
+    /// pool, for a conv of bias `bias` (one value a channel): what turns its
+    /// product rows into pixel-major values, one band of rows at a time, as
+    /// the epilogue of the conv's product ([`PixelEpilogue::write`]).
+    /// Element `(n, ·, ch)` is dequantized with its bias,
+    /// `a as f32 * rescales[n] + bias[ch]`, then the batch norm
+    /// ([`BatchNorm2d::eval_norm`]) and the ReLU follow, each with `run`'s
+    /// per-element expression in `run`'s order. [`Self::pool_pixels`] takes
+    /// the pool window after it. Its constants depend on the conv only, so a
+    /// compiled conv builds it once.
+    pub(crate) fn pixel_epilogue(&self, bias: &[f32]) -> PixelEpilogue {
+        // A run long enough for a few vector iterations per step, of whole
+        // pixels.
+        let pixels = PIXEL_RUN.div_ceil(bias.len().max(1));
+        PixelEpilogue {
+            bias: bias.repeat(pixels),
+            norm: self.bn.as_ref().map(|bn| bn.eval_norm(pixels)),
+            relu: self.relu,
+            c: bias.len(),
+        }
+    }
+
+    /// The pixel-major output of `map`, the `[b, oh, ow, c]` values
+    /// ([`Self::pixel_epilogue`]) of the `[b, c, oh, ow]` `dims`: `map`
+    /// itself without a pool, and max-pooled over the pass's window with
+    /// one: a window starts at `-inf`, visits its taps in `(ky, kx)` order
+    /// and keeps a value only if it is greater, [`nchw_pass`]'s selection,
+    /// across a pixel's channels at a time.
+    pub(crate) fn pool_pixels(&self, map: Vec<f32>, [b, c, oh, ow]: [usize; 4]) -> Tensor {
+        let Some(k) = self.pool else {
+            return pixels_tensor(map, [b, c, oh, ow]);
+        };
+        debug_assert!(k > 0 && oh.is_multiple_of(k) && ow.is_multiple_of(k));
+        let (ph, pw) = (oh / k, ow / k);
+        let mut out = vec![f32::NEG_INFINITY; b * ph * pw * c];
+        if ph * pw * c > 0 {
+            let images = out
+                .chunks_exact_mut(ph * pw * c)
+                .zip(map.chunks_exact(oh * ow * c));
+            for (out, image) in images {
+                for (i, best) in out.chunks_exact_mut(c).enumerate() {
+                    let (py, px) = (i / pw, i % pw);
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let tap = &image[((py * k + ky) * ow + px * k + kx) * c..][..c];
+                            for (best, &v) in best.iter_mut().zip(tap) {
+                                *best = if v > *best { v } else { *best };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        pixels_tensor(out, [b, c, ph, pw])
+    }
+}
+
+/// How many values a [`PixelEpilogue`] writes per run, at least: its
+/// per-channel constants are repeated for that many values, rounded up to
+/// whole pixels.
+const PIXEL_RUN: usize = 64;
+
+/// The pixel-major `[b, h, w, c]` tensor of `data`.
+fn pixels_tensor(data: Vec<f32>, [b, c, h, w]: [usize; 4]) -> Tensor {
+    Tensor::from_vec(data, &[b, h, w, c]).expect("output sized to the pixel-major shape")
+}
+
+/// An int8 conv's pixel-major output pass up to its pool
+/// ([`OutputPass::pixel_epilogue`]): the per-channel constants, each
+/// repeated for a run of whole pixels, and what follows the bias.
+#[derive(Debug, Clone)]
+pub(crate) struct PixelEpilogue {
+    bias: Vec<f32>,
+    norm: Option<EvalNorm>,
+    relu: Option<ReluForm>,
+    c: usize,
+}
+
+impl PixelEpilogue {
+    /// Writes into `out` the values of `acc`, whole product rows from row
+    /// `row0` on, `c` accumulators to a row, of images of `plane` rows
+    /// whose activation rescales are `rescales`. Each step is one loop over
+    /// a run of pixels of one image that reads its per-channel constants
+    /// from slices, so it vectorises across the run; the loops are compiled
+    /// for AVX2 where the host has it.
+    pub(crate) fn write(
+        &self,
+        plane: usize,
+        rescales: &[f32],
+        row0: usize,
+        acc: &[i32],
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the host has AVX2, checked on the line above.
+                unsafe { self.write_avx2(plane, rescales, row0, acc, out) };
+                return;
+            }
+        }
+        self.write_body(plane, rescales, row0, acc, out);
+    }
+
+    /// [`Self::write_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn write_avx2(
+        &self,
+        plane: usize,
+        rescales: &[f32],
+        row0: usize,
+        acc: &[i32],
+        out: &mut [f32],
+    ) {
+        self.write_body(plane, rescales, row0, acc, out);
+    }
+
+    #[inline(always)]
+    fn write_body(
+        &self,
+        plane: usize,
+        rescales: &[f32],
+        row0: usize,
+        mut acc: &[i32],
+        mut out: &mut [f32],
+    ) {
+        let (c, run) = (self.c, self.bias.len());
+        assert!(
+            acc.len() == out.len() && acc.len().is_multiple_of(c.max(1)),
+            "an output band is whole product rows"
+        );
+        let mut row = row0;
+        while !acc.is_empty() {
+            // The rows of the band that belong to image `n`.
+            let n = row / plane;
+            let rows = ((n + 1) * plane - row).min(acc.len() / c);
+            let (image_acc, rest_acc) = acc.split_at(rows * c);
+            let (image_out, rest_out) = out.split_at_mut(rows * c);
+            for (out, acc) in image_out.chunks_mut(run).zip(image_acc.chunks(run)) {
+                self.pixels(acc, rescales[n], out);
+            }
+            (acc, out, row) = (rest_acc, rest_out, row + rows);
+        }
+    }
+
+    /// Writes into `out` the values of `acc`, a run of whole pixels of an
+    /// image of activation `rescale`: the dequantize and bias, then the batch
+    /// norm and the ReLU, each one loop over the run.
+    #[inline(always)]
+    fn pixels(&self, acc: &[i32], rescale: f32, out: &mut [f32]) {
+        for ((out, &a), &bias) in out.iter_mut().zip(acc).zip(&self.bias) {
+            *out = a as f32 * rescale + bias;
+        }
+        if let Some(norm) = &self.norm {
+            norm.apply(out);
+        }
+        match self.relu {
+            None => {}
+            Some(ReluForm::Mask) => out.iter_mut().for_each(|v| *v = ReluForm::Mask.apply(*v)),
+            Some(ReluForm::Max) => out.iter_mut().for_each(|v| *v = ReluForm::Max.apply(*v)),
         }
     }
 }
@@ -349,11 +505,50 @@ pub(crate) fn check_conv_input(
     Ok((b, oh, ow))
 }
 
-/// Inverse of [`nchw_to_rows`]: one channel-major [`nchw_pass`].
-pub(crate) fn rows_to_nchw(rows: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Tensor {
-    assert_eq!(rows.shape(), &[b * h * w, c], "row matrix shape mismatch");
+/// The pixel-major `[b, h, w, c]` map of an NCHW `[b, c, h, w]` tensor.
+pub(crate) fn to_pixels(t: &Tensor) -> Tensor {
+    let dims = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
+    to_pixels_with(t.data(), dims, |_| |v| v)
+}
+
+/// The `[b·h·w, c]` matrix of an NCHW `[b, c, h, w]` tensor whose rows
+/// follow `im2col`'s `(n, y, x)` order: its pixel-major map ([`to_pixels`])
+/// as a matrix.
+fn pixel_rows(t: &Tensor) -> Tensor {
+    let [b, c, h, w] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
+    Tensor::from_vec(to_pixels(t).into_vec(), &[b * h * w, c]).expect("same element count")
+}
+
+/// The pixel-major `[b, h, w, c]` map of `image(n)(v)` over the values `v`
+/// of image `n` of the NCHW `[b, c, h, w]` batch `src`: pixel by pixel, each
+/// gathering its channels from their planes and writing them side by side.
+pub(crate) fn to_pixels_with<T: Copy, F: Fn(T) -> f32>(
+    src: &[T],
+    [b, c, h, w]: [usize; 4],
+    image: impl Fn(usize) -> F,
+) -> Tensor {
+    let (plane, len) = (h * w, c * h * w);
+    let mut out = vec![0.0f32; src.len()];
+    if len > 0 {
+        let images = src.chunks_exact(len).zip(out.chunks_exact_mut(len));
+        for (n, (src, dst)) in images.enumerate() {
+            let value = image(n);
+            for (p, pixel) in dst.chunks_exact_mut(c).enumerate() {
+                for (ch, v) in pixel.iter_mut().enumerate() {
+                    *v = value(src[ch * plane + p]);
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[b, h, w, c]).expect("same element count")
+}
+
+/// The NCHW tensor of a pixel-major `[b, h, w, c]` map: one channel-major
+/// [`nchw_pass`] over the map as product rows.
+pub(crate) fn from_pixels(t: &Tensor) -> Tensor {
+    let [b, h, w, c] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
     let layout = Layout::rows(c, h * w);
-    nchw_pass(rows.data(), layout, [b, c, h, w], None, |_, _| |v| v)
+    nchw_pass(t.data(), layout, [b, c, h, w], None, |_, _| |v| v)
 }
 
 /// 2-D convolution with square kernels.
@@ -557,7 +752,7 @@ impl Layer for Conv2d {
         let input_shape = input.shape();
         let buffer = std::mem::take(&mut self.col_buffer);
         let cols = im2col_reusing(input, self.geometry, buffer);
-        let grad_rows = nchw_to_rows(grad_output);
+        let grad_rows = pixel_rows(grad_output);
         // dW = dY_rows^T * cols
         let grad_w = grad_rows.matmul_tn(&cols);
         self.weight.grad.add_assign(&grad_w);
@@ -687,8 +882,8 @@ impl ConvTranspose2d {
             input.shape()[1]
         );
         let out_shape = self.output_shape(input.shape());
-        let input_rows = nchw_to_rows(input); // [B*h*w, Cin]
-                                              // cols = X_rows * W : [B*h*w, Cout*K*K]
+        // X_rows: [B*h*w, Cin]; cols = X_rows * W : [B*h*w, Cout*K*K]
+        let input_rows = pixel_rows(input);
         let cols = input_rows.matmul(&self.weight.value);
         let out = col2im(
             &cols,
@@ -731,13 +926,12 @@ impl Layer for ConvTranspose2d {
         self.bias.grad.add_assign(&grad_output.sum_per_channel());
         // dX_rows = grad_cols * W^T
         let grad_rows = grad_cols.matmul_nt(&self.weight.value);
-        rows_to_nchw(
-            &grad_rows,
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        )
+        let [b, c, h, w] = input_shape[..] else {
+            unreachable!("the cached input is rank 4")
+        };
+        let grad_pixels = Tensor::from_vec(grad_rows.into_vec(), &[b, h, w, c])
+            .expect("row matrix sized to the input");
+        from_pixels(&grad_pixels)
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -781,12 +975,122 @@ mod tests {
         assert_eq!(conv.backward(&g), first);
     }
 
+    /// The bits of `t`, so that NaN equals NaN and `-0.0` differs from
+    /// `+0.0`.
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_pixel_major_output_pass_writes_the_nchw_values_bit_for_bit() {
+        // The int8 stage's NCHW pass (nchw_pass over the accumulators with
+        // the dequantize and bias as its value) against the pixel-major
+        // epilogue and pool, after permuting their output to NCHW: every
+        // batch norm / ReLU / pool combination, channel counts that leave a
+        // part vector (and runs that end mid-image), one-pixel planes, and
+        // NaN, ±inf, ±0 and subnormal scales and constants over extreme
+        // accumulators.
+        let mut rng = Rng::seed_from(31);
+        let odd = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+        ];
+        let extreme = [0, 1, -1, i32::MAX, i32::MIN, 127 * 128 * 9];
+        for c in [1, 3, 4, 5, 16, 33] {
+            let mut bn = BatchNorm2d::new(c);
+            let warm = Tensor::from_fn(&[4, c, 3, 3], |_| rng.normal_with(0.4, 1.3));
+            let _ = bn.forward_cached(&warm, Mode::Train);
+            for (i, v) in bn.params_mut()[1].value.data_mut().iter_mut().enumerate() {
+                if i % 3 == 1 {
+                    *v = odd[i % odd.len()];
+                }
+            }
+            let bias: Vec<f32> = (0..c)
+                .map(|i| match i % 4 {
+                    1 => odd[(i + c) % odd.len()],
+                    _ => rng.uniform(-1.0, 1.0),
+                })
+                .collect();
+            for (b, h, w) in [(3, 4, 6), (2, 1, 1), (1, 2, 2), (0, 2, 2), (1, 18, 20)] {
+                let acc: Vec<i32> = (0..b * h * w * c)
+                    .map(|i| match i % 9 {
+                        4 => extreme[i / 9 % extreme.len()],
+                        _ => (rng.uniform(-3000.0, 3000.0)) as i32,
+                    })
+                    .collect();
+                for special in odd {
+                    let rescales: Vec<f32> = (0..b)
+                        .map(|n| match n {
+                            1 => special,
+                            _ => rng.uniform(1e-4, 1e-2),
+                        })
+                        .collect();
+                    let norms = [None, Some(bn.clone())];
+                    let relus = [None, Some(ReluForm::Mask), Some(ReluForm::Max)];
+                    for (bn, relu, pool) in norms.iter().flat_map(|bn| {
+                        relus.iter().flat_map(move |&relu| {
+                            [None, Some(1), Some(2)].map(|pool| (bn.clone(), relu, pool))
+                        })
+                    }) {
+                        let k = pool.unwrap_or(1);
+                        if h % k != 0 || w % k != 0 {
+                            continue;
+                        }
+                        let what = format!("c{c} {b}x{h}x{w} {relu:?} {pool:?} scale {special:e}");
+                        let pass = OutputPass { bn, relu, pool };
+                        let want = pass.run(&acc, [b, c, h, w], |n, co| {
+                            let (rescale, bias) = (rescales[n], bias[co]);
+                            move |a: i32| a as f32 * rescale + bias
+                        });
+                        // Bands of 7 rows, as a product's epilogue gets
+                        // them: some cross an image's end.
+                        let epilogue = pass.pixel_epilogue(&bias);
+                        let mut map = vec![0.0; acc.len()];
+                        let bands = acc.chunks(7 * c).zip(map.chunks_mut(7 * c));
+                        for (i, (acc, out)) in bands.enumerate() {
+                            epilogue.write(h * w, &rescales, 7 * i, acc, out);
+                        }
+                        // The loops compiled for the baseline target too.
+                        let mut portable = vec![0.0; acc.len()];
+                        epilogue.write_body(h * w, &rescales, 0, &acc, &mut portable);
+                        assert_eq!(bits(&portable), bits(&map), "portable {what}");
+                        let got = pass.pool_pixels(map, [b, c, h, w]);
+                        let (ph, pw) = (h / k, w / k);
+                        assert_eq!(got.shape(), &[b, ph, pw, c], "{what}");
+                        let permuted: Vec<f32> = (0..b * c * ph * pw)
+                            .map(|i| {
+                                let (n, ch, p) =
+                                    (i / (c * ph * pw), i / (ph * pw) % c, i % (ph * pw));
+                                got.data()[(n * ph * pw + p) * c + ch]
+                            })
+                            .collect();
+                        assert_eq!(bits(&permuted), bits(want.data()), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn row_conversion_round_trips() {
         let t = Tensor::from_fn(&[2, 3, 4, 5], |i| i as f32);
-        let rows = nchw_to_rows(&t);
+        let pixels = to_pixels(&t);
+        assert_eq!(pixels.shape(), &[2, 4, 5, 3]);
+        for (i, &v) in pixels.data().iter().enumerate() {
+            let (n, p, ch) = (i / 60, i / 3 % 20, i % 3);
+            assert_eq!(v, t.data()[n * 60 + ch * 20 + p], "pixel value {i}");
+        }
+        let rows = pixel_rows(&t);
         assert_eq!(rows.shape(), &[2 * 4 * 5, 3]);
-        assert_eq!(rows_to_nchw(&rows, 2, 3, 4, 5), t);
+        assert_eq!(rows.data(), pixels.data());
+        assert_eq!(from_pixels(&pixels), t);
+        let empty = Tensor::from_vec(vec![], &[0, 16, usize::MAX / 16, 1]).unwrap();
+        assert_eq!(to_pixels(&empty).shape(), &[0, usize::MAX / 16, 1, 16]);
     }
 
     #[test]

@@ -37,6 +37,46 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
+/// A channel's normalization with constants `mean`, `inv_std`, `gamma` and
+/// `beta`: maps `v` to `(x_hat, gamma * x_hat + beta)` with
+/// `x_hat = (v - mean) * inv_std`. This is the only place the normalization
+/// is written; every forward, eager or fused into a conv's output pass,
+/// applies it.
+#[inline(always)]
+fn normalizer(mean: f32, inv_std: f32, gamma: f32, beta: f32) -> impl Fn(f32) -> (f32, f32) {
+    move |v| {
+        let x_hat = (v - mean) * inv_std;
+        (x_hat, gamma * x_hat + beta)
+    }
+}
+
+/// A [`BatchNorm2d`]'s eval-mode normalization of every channel, for a
+/// run of whole pixels of a pixel-major map ([`BatchNorm2d::eval_norm`]):
+/// [`BatchNorm2d::eval_channel`]'s constants, repeated pixel after pixel so
+/// that the run normalizes in one loop that vectorises across it.
+#[derive(Debug, Clone)]
+pub(crate) struct EvalNorm {
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+    gamma: Vec<f32>,
+    beta: Vec<f32>,
+}
+
+impl EvalNorm {
+    /// Normalizes `pixels`, a run of whole pixels (no longer than the
+    /// constants were repeated for), in place: each channel's values get
+    /// `eval_channel` of that channel, bit for bit.
+    #[inline(always)]
+    pub(crate) fn apply(&self, pixels: &mut [f32]) {
+        let constants = self.mean.iter().zip(&self.inv_std).zip(&self.gamma);
+        for ((v, ((&mean, &inv_std), &gamma)), &beta) in
+            pixels.iter_mut().zip(constants).zip(&self.beta)
+        {
+            *v = normalizer(mean, inv_std, gamma, beta)(*v).1;
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct BnCache {
     x_hat: Tensor,
@@ -89,19 +129,13 @@ impl BatchNorm2d {
         1.0 / (var + self.eps).sqrt()
     }
 
-    /// Channel `ch`'s normalization with statistics `mean` and `var`: maps
-    /// `v` to `(x_hat, gamma * x_hat + beta)` with
-    /// `x_hat = (v - mean) * inv_std`. This is the only place the
-    /// normalization is written; every forward, eager or fused into a conv's
-    /// output pass, applies it.
+    /// Channel `ch`'s normalization ([`normalizer`]) with statistics `mean`
+    /// and `var`.
     fn channel(&self, ch: usize, mean: f32, var: f32) -> impl Fn(f32) -> (f32, f32) {
         let inv_std = self.inv_std(var);
         let gamma = self.gamma.value.data()[ch];
         let beta = self.beta.value.data()[ch];
-        move |v| {
-            let x_hat = (v - mean) * inv_std;
-            (x_hat, gamma * x_hat + beta)
-        }
+        normalizer(mean, inv_std, gamma, beta)
     }
 
     /// Channel `ch`'s eval-mode normalization over the running statistics,
@@ -113,6 +147,21 @@ impl BatchNorm2d {
             self.running_var.data()[ch],
         );
         move |v| f(v).1
+    }
+
+    /// Every channel's eval-mode normalization, for a pass over pixel-major
+    /// maps: four slices of per-channel constants, each repeated for
+    /// `pixels` consecutive pixels.
+    pub(crate) fn eval_norm(&self, pixels: usize) -> EvalNorm {
+        let tiled = |v: &[f32]| v.repeat(pixels);
+        let var = self.running_var.data();
+        let inv_std: Vec<f32> = var.iter().map(|&var| self.inv_std(var)).collect();
+        EvalNorm {
+            mean: tiled(self.running_mean.data()),
+            inv_std: tiled(&inv_std),
+            gamma: tiled(self.gamma.value.data()),
+            beta: tiled(self.beta.value.data()),
+        }
     }
 
     /// The `[b, c, h, w]` extents of `input`.

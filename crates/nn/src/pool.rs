@@ -205,6 +205,37 @@ impl Layer for GlobalAvgPool {
     }
 }
 
+/// [`GlobalAvgPool`]'s forward over a pixel-major `[b, h, w, c]` map, each
+/// pixel's channels side by side: channel `ch` of image `n` is summed from
+/// the start value of `sum_per_channel_per_sample` in the same pixel order,
+/// so every sum, and the `[b, c]` mean, is the NCHW forward's bit for bit.
+/// The loop runs across a pixel's channels, one running sum each.
+pub(crate) fn global_avg_pool_pixels(input: &Tensor) -> Tensor {
+    let &[b, h, w, c] = input.shape() else {
+        panic!("global_avg_pool_pixels expects a [b, h, w, c] map")
+    };
+    let plane = h * w;
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let mut out = vec![start; b * c];
+    if plane * c > 0 {
+        for (sums, image) in out
+            .chunks_exact_mut(c)
+            .zip(input.data().chunks_exact(plane * c))
+        {
+            for pixel in image.chunks_exact(c) {
+                for (sum, &v) in sums.iter_mut().zip(pixel) {
+                    *sum += v;
+                }
+            }
+        }
+    }
+    let plane = plane as f32;
+    for sum in &mut out {
+        *sum /= plane;
+    }
+    Tensor::from_vec(out, &[b, c]).expect("pooled output has B*C elements")
+}
+
 /// Extension used by [`GlobalAvgPool`]: per-sample per-channel sums.
 trait PerSampleChannelSum {
     fn sum_per_channel_per_sample(&self) -> Tensor;
@@ -234,6 +265,29 @@ impl PerSampleChannelSum for Tensor {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_input_grad;
+
+    #[test]
+    fn pixel_major_global_avg_pool_sums_each_channel_in_the_nchw_order() {
+        // Every channel of image 1 is a plane of -0.0 (whose NCHW sum keeps
+        // the sign of the start value); the rest mixes magnitudes so that
+        // the summation order shows in the last bits, with NaN and ±inf in a
+        // few planes. One-pixel planes, a part vector of channels and an
+        // empty batch too.
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40];
+        for [b, c, h, w] in [[3, 5, 4, 6], [2, 16, 1, 1], [3, 33, 3, 2], [0, 4, 2, 2]] {
+            let x = Tensor::from_fn(&[b, c, h, w], |i| match (i / (c * h * w), i % 29) {
+                (1, _) => -0.0,
+                (_, 7) => special[i / 29 % special.len()],
+                _ => (i as f32 * 0.37).sin() * 10f32.powi((i % 7) as i32 - 3),
+            });
+            let pixels = crate::conv::to_pixels(&x);
+            let got = global_avg_pool_pixels(&pixels);
+            let want = GlobalAvgPool::new().forward(&x, Mode::Eval);
+            assert_eq!(got.shape(), want.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{b}x{c}x{h}x{w}");
+        }
+    }
 
     #[test]
     fn max_pool_selects_maxima() {

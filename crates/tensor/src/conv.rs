@@ -3,7 +3,11 @@
 //! [`Halo`] for `f32` convolutions, [`QHalo`] for int8 ones. Both are one
 //! zero-haloed copy of the input that the product reads in place; `im2col`
 //! stays as the convolution backward's lowering, the int8 eager oracle's
-//! (`im2col_i8`) and the halos' test oracle.
+//! (`im2col_i8`) and the halos' test oracle. A compiled int8 plan fills its
+//! [`QHalo`] with [`QHalo::quantize`], straight from the pixel-major `f32`
+//! map its stages pass along: one quantize-and-shift pass, no `i8` batch in
+//! between. [`QHalo::lower`], from an NCHW `i8` batch, is that lowering's
+//! test oracle and the matrix form of the int8 product.
 //!
 //! The transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
@@ -15,6 +19,7 @@
 //! serially on the calling thread.
 
 use crate::parallel::chunks_mut;
+use crate::quant::{absmax, quantization_scale, quantize_into};
 use crate::Tensor;
 use std::borrow::Cow;
 
@@ -297,7 +302,7 @@ pub struct QHalo {
 
 /// `v + 128` as a byte: the sign bit flipped.
 #[inline(always)]
-fn shift(v: i8) -> u8 {
+pub(crate) fn shift(v: i8) -> u8 {
     v as u8 ^ 0x80
 }
 
@@ -319,14 +324,9 @@ impl QHalo {
         geom: Conv2dGeometry,
     ) -> Self {
         assert_eq!(data.len(), b * c * h * w, "QHalo buffer/shape mismatch");
-        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
-        let p = geom.padding;
-        let (hp, wp, quads) = (h + 2 * p, w + 2 * p, c.div_ceil(4));
-        let lanes = 4 * quads;
-        // One image -> its haloed block; the halo and the channels past `c`
-        // keep the shifted zero the block was allocated with.
-        let lower_item = |n: usize, block: &mut [u8]| {
+        Self::build(b, c, h, w, geom, |n, block| {
             let image = &data[n * c * h * w..(n + 1) * c * h * w];
+            let (p, wp, lanes) = (geom.padding, w + 2 * geom.padding, 4 * c.div_ceil(4));
             if h * w == 1 {
                 // One pixel (an [m, k] matrix's row) is NHWC already: one
                 // contiguous shift, which vectorises where the gather below
@@ -364,7 +364,72 @@ impl QHalo {
                     }
                 }
             }
-        };
+        })
+    }
+
+    /// Quantizes the pixel-major `f32` batch `data` (`[b, h, w, c]`, a
+    /// pixel's channels side by side) with one scale per sample and lowers it
+    /// for a convolution of geometry `geom`, in one pass that writes each
+    /// shifted byte straight into the copy. Returns the copy and the
+    /// per-sample scales: the bytes and scales of
+    /// [`QTensorBatch::quantize_batch`](crate::QTensorBatch::quantize_batch)
+    /// on the same batch in NCHW followed by [`QHalo::lower`], with no `i8`
+    /// batch between them. A sample's scale is its absolute maximum's
+    /// ([`crate::quant::quantization_scale`]), which no order of its values
+    /// changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != b*h*w*c` or the padded input is smaller than
+    /// the kernel.
+    pub fn quantize(
+        data: &[f32],
+        [b, h, w, c]: [usize; 4],
+        geom: Conv2dGeometry,
+    ) -> (Self, Vec<f32>) {
+        let sample = h * w * c;
+        assert_eq!(data.len(), b * sample, "QHalo buffer/shape mismatch");
+        let image = |n: usize| &data[n * sample..(n + 1) * sample];
+        let scales: Vec<f32> = (0..b)
+            .map(|n| quantization_scale(absmax(image(n))))
+            .collect();
+        let halo = Self::build(b, c, h, w, geom, |n, block| {
+            let (image, scale) = (image(n), scales[n]);
+            let (p, wp, lanes) = (geom.padding, w + 2 * geom.padding, 4 * c.div_ceil(4));
+            if c == lanes {
+                // No quad pad: an image row is one contiguous run of the
+                // copy.
+                for y in 0..h {
+                    let dst = &mut block[((y + p) * wp + p) * lanes..][..w * c];
+                    quantize_into(&image[y * w * c..][..w * c], scale, dst);
+                }
+            } else {
+                for (i, pixel) in image.chunks_exact(c).enumerate() {
+                    let (y, x) = (i / w, i % w);
+                    let dst = &mut block[((y + p) * wp + p + x) * lanes..][..c];
+                    quantize_into(pixel, scale, dst);
+                }
+            }
+        });
+        (halo, scales)
+    }
+
+    /// A haloed copy of `b` images of `c` channels, `h x w`, for `geom`:
+    /// every byte the shifted zero, then `lower_item(n, block)` fills image
+    /// `n`'s block — the halo and the channels past `c` keep the shifted
+    /// zero — on the pool for a large batch.
+    fn build(
+        b: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: Conv2dGeometry,
+        lower_item: impl Fn(usize, &mut [u8]) + Sync,
+    ) -> Self {
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+        let p = geom.padding;
+        let (hp, wp, quads) = (h + 2 * p, w + 2 * p, c.div_ceil(4));
+        let lanes = 4 * quads;
         let item = (hp * wp * lanes).max(1);
         let mut out = vec![shift(0); b * hp * wp * lanes];
         let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;

@@ -46,6 +46,8 @@ pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};
 pub use parallel::par_map;
-pub use quant::{qconv, qgemm_nn, qgemm_nn_dequant, QGemmEpilogue, QPanels, QTensor, QTensorBatch};
+pub use quant::{
+    qconv, qconv_map, qgemm_nn, qgemm_nn_dequant, QGemmEpilogue, QPanels, QTensor, QTensorBatch,
+};
 pub use shape::{broadcast_compatible, stride_for, Shape};
 pub use tensor::Tensor;

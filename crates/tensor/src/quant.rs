@@ -127,7 +127,7 @@ pub fn quantization_scale(absmax: f32) -> f32 {
 /// unlike a float `max` fold the integer reduction vectorises. Non-finite
 /// inputs are unsupported (as documented on [`QTensor::quantize`]); a NaN
 /// wins the maximum, and [`quantization_scale`] maps it to `1.0`.
-fn absmax(values: &[f32]) -> f32 {
+pub(crate) fn absmax(values: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -155,13 +155,34 @@ fn absmax_body(values: &[f32]) -> f32 {
     f32::from_bits(bits)
 }
 
+/// A quantized value as a quantize loop stores it: the `i8` itself, or the
+/// `u8` a [`QHalo`] holds (the value + 128).
+pub(crate) trait QuantizedByte: Copy {
+    fn from_i8(q: i8) -> Self;
+}
+
+impl QuantizedByte for i8 {
+    #[inline(always)]
+    fn from_i8(q: i8) -> i8 {
+        q
+    }
+}
+
+impl QuantizedByte for u8 {
+    #[inline(always)]
+    fn from_i8(q: i8) -> u8 {
+        crate::conv::shift(q)
+    }
+}
+
 /// Quantizes `values` onto the `i8` grid defined by `scale`: round half away
 /// from zero, saturate at ±127, NaN to 0 — byte for byte what
 /// `(v / scale).round().clamp(-127.0, 127.0) as i8` gives, with the division
-/// a multiplication by `1 / scale`. Dispatches to an AVX2-compiled copy of
-/// the loop where available: the baseline x86-64 target lowers `f32::round`
-/// to a libm call per element, while under AVX2 the whole loop vectorises.
-fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
+/// a multiplication by `1 / scale` — and stores each as a `T`. Dispatches to
+/// an AVX2-compiled copy of the loop where available: the baseline x86-64
+/// target lowers `f32::round` to a libm call per element, while under AVX2
+/// the whole loop vectorises.
+pub(crate) fn quantize_into<T: QuantizedByte>(values: &[f32], scale: f32, out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -173,11 +194,14 @@ fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
     quantize_into_body(values, scale, out);
 }
 
-/// The quantization loop, compiled for AVX2 so it vectorises. Only called
-/// after a runtime feature check.
+/// The quantization loop, compiled for AVX2 so it vectorises.
+///
+/// # Safety
+///
+/// The host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn quantize_into_avx2(values: &[f32], scale: f32, out: &mut [i8]) {
+unsafe fn quantize_into_avx2<T: QuantizedByte>(values: &[f32], scale: f32, out: &mut [T]) {
     quantize_into_body(values, scale, out);
 }
 
@@ -186,13 +210,13 @@ unsafe fn quantize_into_avx2(values: &[f32], scale: f32, out: &mut [i8]) {
 /// replaced by `0.0` with a select and the clamp has already bounded the
 /// rest, so the cast is an in-range conversion that needs no saturation.
 #[inline(always)]
-fn quantize_into_body(values: &[f32], scale: f32, out: &mut [i8]) {
+fn quantize_into_body<T: QuantizedByte>(values: &[f32], scale: f32, out: &mut [T]) {
     let inv = 1.0 / scale;
     for (slot, &v) in out.iter_mut().zip(values) {
         let r = (v * inv).round().clamp(-127.0, 127.0);
         let r = if r.is_nan() { 0.0 } else { r };
         // SAFETY: `r` is a whole number in [-127, 127], not NaN.
-        *slot = unsafe { r.to_int_unchecked::<i32>() } as i8;
+        *slot = T::from_i8(unsafe { r.to_int_unchecked::<i32>() } as i8);
     }
 }
 
@@ -798,10 +822,43 @@ pub fn qconv(halo: &QHalo, weights: &QPanels) -> Vec<i32> {
     qproduct(qkernel_config(), halo, weights, Parallelism::Auto)
 }
 
+/// [`qconv`] with `epilogue` run on each row band of the product while its
+/// accumulators are cache-hot: `epilogue(row0, acc, out)` turns the band's
+/// `i32` sums `acc` — product rows `row0..`, `n` to a row — into the band's
+/// rows `out` of the returned `[rows, n]` matrix. Each band accumulates in
+/// a scratch of its own, so no `i32` product the size of the output is
+/// ever written; the sums are [`qconv`]'s.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`qconv`].
+pub fn qconv_map(
+    halo: &QHalo,
+    weights: &QPanels,
+    epilogue: impl Fn(usize, &[i32], &mut [f32]) + Sync,
+) -> Vec<f32> {
+    qproduct_map(qkernel_config(), halo, weights, Parallelism::Auto, epilogue)
+}
+
 /// [`qgemm_nn_with`] / [`qconv`] under an explicit micro-kernel.
 fn qproduct(cfg: QKernelConfig, a: &QHalo, b: &QPanels, par: Parallelism) -> Vec<i32> {
     qdrive(cfg, a, b, par, |row0, band: &mut [i32]| {
         qgemm_band(cfg, a, b, row0, band);
+    })
+}
+
+/// [`qconv_map`] under an explicit micro-kernel.
+fn qproduct_map(
+    cfg: QKernelConfig,
+    a: &QHalo,
+    b: &QPanels,
+    par: Parallelism,
+    epilogue: impl Fn(usize, &[i32], &mut [f32]) + Sync,
+) -> Vec<f32> {
+    qdrive(cfg, a, b, par, |row0, band: &mut [f32]| {
+        let mut acc = vec![0i32; band.len()];
+        qgemm_band(cfg, a, b, row0, &mut acc);
+        epilogue(row0, &acc, band);
     })
 }
 
@@ -944,13 +1001,8 @@ fn qproduct_dequant(
     if let Some(bias) = ep.bias {
         assert_eq!(bias.len(), b.n, "epilogue bias length must be n");
     }
-    // Each band accumulates into an i32 scratch of its own and is
-    // dequantized into its rows of the output right after (still
-    // cache-resident).
-    qdrive(cfg, a, b, par, |row0, band: &mut [f32]| {
-        let mut acc = vec![0i32; band.len()];
-        qgemm_band(cfg, a, b, row0, &mut acc);
-        dequant_band(&acc, row0, b.n, &ep, band);
+    qproduct_map(cfg, a, b, par, |row0, acc, band| {
+        dequant_band(acc, row0, b.n, &ep, band);
     })
 }
 
@@ -1529,6 +1581,89 @@ mod tests {
                 im2col_oracle(&x, [b, c, h, w], geom, &weight_t, n),
                 "{name} deeper than QKC"
             );
+        }
+    }
+
+    #[test]
+    fn quantizing_into_the_halo_equals_quantize_batch_then_lower_under_every_kernel() {
+        // The fused lowering reads a pixel-major batch; the two-pass one the
+        // same values in NCHW. The product runs on top of it whole and band
+        // by band through an epilogue. Channels 1, 3 and 5 leave a part
+        // quad, 4 and 32 none; sample 1 of each batch is all zero (scale
+        // 1.0) and the rest hold NaN, ±inf and ±0 among values of mixed
+        // magnitude.
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40];
+        let mut seed = 0;
+        for (name, cfg) in kernels() {
+            for (kernel, stride, padding) in [1, 3].into_iter().flat_map(|k| {
+                [1, 2]
+                    .into_iter()
+                    .flat_map(move |s| [0, 1, 2].map(|p| (k, s, p)))
+            }) {
+                let geom = Conv2dGeometry::new(kernel, stride, padding);
+                for c in [1, 3, 4, 5, 32] {
+                    seed += 1;
+                    let n = 17;
+                    let weight_t = pseudo_i8(c * kernel * kernel * n, seed);
+                    let panels = QPanels::conv_for(cfg.nr, &weight_t, c, kernel, n);
+                    for (b, h, w) in [(0, 3, 3), (1, 1, 1), (3, 3, 5), (3, 6, 4)] {
+                        if h.min(w) + 2 * padding < kernel {
+                            continue;
+                        }
+                        let plane = h * w;
+                        let noise = pseudo_i8(b * c * plane, seed * 7 + h as u64);
+                        let nchw: Vec<f32> = (0..b * c * plane)
+                            .map(|i| match (i / (c * plane), i % 13) {
+                                (1, _) => 0.0,
+                                (_, 5) => special[i / 13 % special.len()],
+                                _ => f32::from(noise[i]) * (1.0 + (i % 7) as f32 * 3.5),
+                            })
+                            .collect();
+                        let pixels: Vec<f32> = (0..b * plane * c)
+                            .map(|i| {
+                                let (n, p, ch) = (i / (plane * c), i / c % plane, i % c);
+                                nchw[(n * c + ch) * plane + p]
+                            })
+                            .collect();
+                        let what = format!("{name} k{kernel} s{stride} p{padding} {b}x{c}x{h}x{w}");
+                        let t = Tensor::from_vec(nchw, &[b, c, h, w]).unwrap();
+                        let q = QTensorBatch::quantize_batch(&t);
+                        let want = QHalo::lower(q.data(), b, c, h, w, geom);
+                        let (got, scales) = QHalo::quantize(&pixels, [b, h, w, c], geom);
+                        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&scales), bits(q.scales()), "{what}");
+                        if b == 3 {
+                            assert_eq!(scales[1], 1.0, "{what}");
+                        }
+                        assert_eq!(got.bytes(), want.bytes(), "{what}");
+                        assert_eq!(
+                            (got.rows(), got.depth(), got.run_shape()),
+                            (want.rows(), want.depth(), want.run_shape()),
+                            "{what}"
+                        );
+                        let par = if b == 3 {
+                            Parallelism::Parallel
+                        } else {
+                            Parallelism::Serial
+                        };
+                        let want = im2col_oracle(q.data(), [b, c, h, w], geom, &weight_t, n);
+                        assert_eq!(qproduct(cfg, &got, &panels, par), want, "{what}");
+                        // Band by band through an epilogue: the same sums,
+                        // each band at its own rows.
+                        let mapped = qproduct_map(cfg, &got, &panels, par, |row0, acc, out| {
+                            for (i, (out, &a)) in out.iter_mut().zip(acc).enumerate() {
+                                *out = (a as f32) + (row0 * n + i) as f32 * 1e-3;
+                            }
+                        });
+                        let want: Vec<f32> = want
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &a)| (a as f32) + i as f32 * 1e-3)
+                            .collect();
+                        assert_eq!(mapped, want, "banded {what}");
+                    }
+                }
+            }
         }
     }
 
