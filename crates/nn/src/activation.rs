@@ -4,9 +4,9 @@ use crate::{Layer, Mode};
 use ensembler_tensor::Tensor;
 
 /// Which ReLU formula a fused stage applies. The eager [`Relu`] layer
-/// multiplies by a mask; the eager quantized residual block takes
-/// `max(0, ·)`. The two differ on `-0.0` and `NaN`, so every fused position
-/// applies the formula its eager counterpart does and a plan stays
+/// multiplies by a mask; the eager int8 pipeline takes `max(0, ·)` inside a
+/// residual branch. The two differ on `-0.0` and `NaN`, so every fused
+/// position applies the formula its eager counterpart does and a plan stays
 /// bit-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReluForm {

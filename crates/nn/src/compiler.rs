@@ -18,14 +18,14 @@
 //! no other mode.
 //!
 //! [`QCompiledPlan`] is the same plan at int8, bit-exact with
-//! [`crate::quant::QSequential`]. One stage list, one builder and one
-//! evaluator serve both precisions, generic over a private trait that
-//! states only what differs between them: the conv and linear stages, which
-//! ReLU formula a position gets, and the layout of the feature maps between
-//! stages. The int8 linear stage keeps the dequantize in its product's
-//! epilogue ([`ensembler_tensor::qgemm_nn_dequant`]). Inside an int8 plan
-//! the maps are pixel-major, `[b, h, w, c]` with a pixel's channels side by
-//! side — the layout of the int8 conv's product rows and of its input copy —
+//! [`crate::quant::QSequential`]. The int8 tier quantizes convolutions;
+//! everything else, linears included, stays `f32`. One stage list, one
+//! builder and one evaluator serve both precisions, generic over a private
+//! trait that states only what differs between them: the conv stage, which
+//! ReLU formula a position inside a residual block gets, and the layout of
+//! the feature maps between stages. Inside an int8 plan the maps are
+//! pixel-major, `[b, h, w, c]` with a pixel's channels side by side — the
+//! layout of the int8 conv's product rows and of its input copy —
 //! so an int8 conv quantizes its input per sample straight into one
 //! zero-haloed copy ([`ensembler_tensor::QHalo::quantize`]) that its product
 //! reads in place, against weights packed once, at compile time
@@ -71,14 +71,11 @@ use crate::conv::{
     Layout, Lowered, OutputPass, PixelEpilogue,
 };
 use crate::graph::{lower_sequential, GraphOp};
-use crate::linear::check_linear_input;
 use crate::pool::global_avg_pool_pixels;
-use crate::quant::{QConv2d, QLinear};
+use crate::quant::QConv2d;
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
-use ensembler_tensor::gemm::Parallelism;
 use ensembler_tensor::{
-    par_map, qconv_map, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QHalo, QPanels,
-    QTensorBatch, ShapeError, Tensor,
+    par_map, qconv_map, Conv2dGeometry, QHalo, QPanels, QTensorBatch, ShapeError, Tensor,
 };
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -95,18 +92,11 @@ pub struct FusionConfig;
 trait Precision {
     /// This precision's fused conv stage.
     type Conv: LoweredConv + Debug + Clone;
-    /// This precision's fully-connected layer.
-    type Linear: Debug + Clone + Sync;
 
     /// The ReLU formula inside a residual branch, and of the block's
     /// `relu(main + skip)` merge. Outside a residual branch both precisions
     /// run the `f32` layer's mask multiply.
     const RESIDUAL_RELU: ReluForm;
-
-    /// The ReLU formula of the linear stage's GEMM epilogue: a linear stage
-    /// takes the ReLU after it only where that is the formula the position
-    /// needs.
-    const LINEAR_RELU: ReluForm;
 
     /// Whether the feature maps between this plan's stages are pixel-major,
     /// `[b, h, w, c]` with a pixel's channels side by side, rather than
@@ -117,12 +107,6 @@ trait Precision {
 
     /// A conv stage finished by `pass`.
     fn conv(conv: &Conv2d, pass: OutputPass) -> Self::Conv;
-
-    fn linear(linear: &Linear) -> Self::Linear;
-
-    /// The linear stage: its product, with the bias (and `relu`) in the
-    /// epilogue.
-    fn run_linear(linear: &Self::Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError>;
 }
 
 /// A fused conv stage split at the one point an ensemble can share:
@@ -157,8 +141,10 @@ enum Stage<P: Precision> {
     MaxPool(usize),
     GlobalAvgPool,
     Flatten,
+    /// The `f32` [`Linear`] at either precision, with the mask-multiply
+    /// ReLU after it in its product's epilogue if `relu`.
     Linear {
-        linear: P::Linear,
+        linear: Box<Linear>,
         relu: bool,
     },
     Residual {
@@ -209,7 +195,9 @@ impl<P: Precision> Stage<P> {
                 }
                 Ok(input.flatten_batch())
             }),
-            Stage::Linear { linear, relu } => P::run_linear(linear, *relu, input),
+            Stage::Linear { linear, relu } => {
+                in_nchw::<P>(input, |input| linear.product(input, *relu))
+            }
             Stage::Residual { main, shortcut } => {
                 let x = run_chain(main, input)?;
                 merge_residual(&x, shortcut.as_deref(), input)
@@ -275,9 +263,9 @@ fn exit<P: Precision>(output: Cow<'_, Tensor>) -> Tensor {
 /// Builds the stage list of `ops`, fusing as it goes. `in_residual` tracks
 /// whether the ops sit inside a residual branch, which decides the ReLU
 /// formula ([`Precision::RESIDUAL_RELU`]) — so the int8 plan reproduces
-/// [`crate::quant::QSequential`] bit-for-bit, where the eager quantized
-/// block runs its ReLUs as `max(0, ·)` and a standalone ReLU is the `f32`
-/// layer's mask multiply.
+/// [`crate::quant::QSequential`] bit-for-bit, where a ReLU inside a
+/// residual branch is `max(0, ·)` and any other ReLU the `f32` layer's mask
+/// multiply.
 fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P>> {
     let relu = if in_residual {
         P::RESIDUAL_RELU
@@ -313,10 +301,12 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
                 continue;
             }
             GraphOp::Linear(linear) => {
+                // The product's epilogue applies the mask multiply, so a
+                // ReLU that must be `max(0, ·)` stays a stage of its own.
                 let fused_relu =
-                    P::LINEAR_RELU == relu && matches!(ops.get(i + 1), Some(GraphOp::Relu));
+                    relu == ReluForm::Mask && matches!(ops.get(i + 1), Some(GraphOp::Relu));
                 stages.push(Stage::Linear {
-                    linear: P::linear(linear),
+                    linear: Box::new(linear.frozen()),
                     relu: fused_relu,
                 });
                 i += 1 + usize::from(fused_relu);
@@ -465,9 +455,7 @@ struct F32;
 
 impl Precision for F32 {
     type Conv = ConvStage;
-    type Linear = Linear;
     const RESIDUAL_RELU: ReluForm = ReluForm::Mask;
-    const LINEAR_RELU: ReluForm = ReluForm::Mask;
     const PIXEL_MAJOR: bool = false;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> ConvStage {
@@ -475,14 +463,6 @@ impl Precision for F32 {
             conv: conv.frozen(),
             pass,
         }
-    }
-
-    fn linear(linear: &Linear) -> Linear {
-        linear.frozen()
-    }
-
-    fn run_linear(linear: &Linear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
-        linear.product(input, relu)
     }
 }
 
@@ -570,9 +550,7 @@ struct Int8;
 
 impl Precision for Int8 {
     type Conv = QConvStage;
-    type Linear = QLinear;
     const RESIDUAL_RELU: ReluForm = ReluForm::Max;
-    const LINEAR_RELU: ReluForm = ReluForm::Max;
     const PIXEL_MAJOR: bool = true;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> QConvStage {
@@ -591,36 +569,6 @@ impl Precision for Int8 {
             in_channels: q.in_channels(),
             pass,
         }
-    }
-
-    fn linear(linear: &Linear) -> QLinear {
-        QLinear::from_linear(linear)
-    }
-
-    fn run_linear(linear: &QLinear, relu: bool, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let shape = nchw_shape::<Int8>(input.shape());
-        let batch = check_linear_input(&shape, linear.in_features(), "q_linear")?;
-        let q = QTensorBatch::quantize_batch(input);
-        let row_scales: Vec<f32> = q
-            .scales()
-            .iter()
-            .map(|s| s * linear.weight_scale())
-            .collect();
-        let out = qgemm_nn_dequant(
-            q.data(),
-            linear.weight_t(),
-            batch,
-            linear.in_features(),
-            linear.out_features(),
-            Parallelism::Auto,
-            QGemmEpilogue {
-                row_scales: &row_scales,
-                bias: Some(linear.bias().data()),
-                relu,
-            },
-        );
-        Ok(Tensor::from_vec(out, &[batch, linear.out_features()])
-            .expect("fused output sized batch*out"))
     }
 }
 
@@ -710,8 +658,8 @@ pub struct QCompiledPlan {
 }
 
 impl QCompiledPlan {
-    /// Lowers `net` to the graph IR and quantizes the weights into fused
-    /// int8 stages.
+    /// Lowers `net` to the graph IR and quantizes its convs' weights into
+    /// fused int8 stages; every other stage runs at `f32`.
     pub fn compile(net: &Sequential, _fusion: FusionConfig) -> Self {
         Self {
             stages: build_stages(&lower_sequential(net), false),
@@ -944,9 +892,11 @@ mod tests {
         // Between two convs of an int8 plan the maps are pixel-major; a
         // standalone batch norm, a max-pool behind a standalone ReLU and an
         // opaque layer (Tanh) run in NCHW between two conversions, a flatten
-        // of a map with spatial extent converts first, and a plan ending on
-        // a conv returns its map in NCHW. Each equals QSequential through
-        // `run` and, with a second plan of the same shapes, `run_all`.
+        // of a map with spatial extent converts first, a plan ending on a
+        // conv returns its map in NCHW, and a linear after a global average
+        // pool runs at f32 on the int8 features. Each equals QSequential
+        // through `run` and, with a second plan of the same shapes,
+        // `run_all`.
         let layers = |rng: &mut Rng, between: usize| -> Sequential {
             let mut layers: Vec<Box<dyn Layer>> = vec![
                 Box::new(Conv2d::new(3, 8, 3, 1, 1, rng)),
@@ -968,6 +918,14 @@ mod tests {
                     Box::new(Linear::new(5 * 4 * 4, 3, rng)),
                 ]);
             }
+            if between == 5 {
+                layers.extend([
+                    Box::new(GlobalAvgPool::new()) as Box<dyn Layer>,
+                    Box::new(Flatten::new()),
+                    Box::new(Linear::new(5, 3, rng)),
+                    Box::new(Relu::new()),
+                ]);
+            }
             let mut net = Sequential::new(layers);
             let warm = Tensor::from_fn(&[4, 3, 8, 8], |_| rng.normal_with(0.4, 1.3));
             let _ = net.forward_cached(&warm, Mode::Train);
@@ -983,8 +941,9 @@ mod tests {
             }
         });
         // Between: batch norm, ReLU + max-pool, Tanh, nothing (the plan ends
-        // on the conv's map), nothing before a flatten + linear.
-        for between in 0..5 {
+        // on the conv's map), nothing before a flatten + linear, nothing
+        // before a global average pool, flatten, linear and ReLU.
+        for between in 0..6 {
             let nets = [layers(&mut rng, between), layers(&mut rng, between)];
             let plans: Vec<_> = nets.iter().map(qcompile).collect();
             let want: Vec<_> = nets
@@ -999,6 +958,20 @@ mod tests {
             let all = QCompiledPlan::run_all(&plans, &x).unwrap();
             let all: Vec<_> = all.iter().map(bits).collect();
             assert_eq!(all, want, "run_all, layer set {between}");
+            if between == 5 {
+                // The logits are the f32 linear (and ReLU) of the features
+                // the int8 convs and the pool produce, bit for bit.
+                for (net, got) in nets.iter().zip(&alone) {
+                    let ops = lower_sequential(net);
+                    let GraphOp::Linear(linear) = &ops[ops.len() - 2] else {
+                        panic!("the net ends linear, relu");
+                    };
+                    let prefix = Sequential::new(net.layers()[..net.len() - 2].to_vec());
+                    let features = QSequential::from_sequential(&prefix).forward(&x);
+                    let logits = linear.forward(&features, Mode::Eval);
+                    assert_eq!(got, &bits(&Relu::new().forward(&logits, Mode::Eval)));
+                }
+            }
         }
     }
 
@@ -1011,6 +984,16 @@ mod tests {
         let head = config.head_output_shape();
         let x = Tensor::from_fn(&[3, head[0], head[1], head[2]], |_| rng.uniform(-1.0, 1.0));
         assert_eq!(qcompile(&body).run(&x).unwrap(), qbody.forward(&x));
+    }
+
+    /// An int8 batch of `shape` as a client sends one: arbitrary codes and
+    /// one scale per sample.
+    fn int8_batch(shape: &[usize], rng: &mut Rng) -> QTensorBatch {
+        let data = (0..shape.iter().product())
+            .map(|_| rng.uniform(-127.0, 127.0) as i8)
+            .collect();
+        let scales = (1..=shape[0]).map(|n| 0.01 * n as f32).collect();
+        QTensorBatch::from_parts(data, shape, scales).unwrap()
     }
 
     #[test]
@@ -1044,7 +1027,7 @@ mod tests {
                 alone,
                 "int8 set {i}"
             );
-            let q = QTensorBatch::quantize_batch(&x);
+            let q = int8_batch(x.shape(), &mut rng);
             assert_eq!(
                 QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
                 QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap(),
@@ -1054,7 +1037,7 @@ mod tests {
         // A batch that is no feature map is dequantized as it is.
         let head = Sequential::new(vec![Box::new(Linear::new(6, 2, &mut rng))]);
         let qplans = [qcompile(&head), qcompile(&head)];
-        let q = QTensorBatch::quantize_batch(&Tensor::from_fn(&[3, 6], |i| i as f32 - 7.5));
+        let q = int8_batch(&[3, 6], &mut rng);
         assert_eq!(
             QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
             QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap()
@@ -1093,7 +1076,7 @@ mod tests {
         let err = compile(&unflattened).run(&x).unwrap_err();
         assert_eq!(err.message(), format!("linear {rank4}"));
         let qerr = qcompile(&unflattened).run(&x).unwrap_err();
-        assert_eq!(qerr.message(), format!("q_linear {rank4}"));
+        assert_eq!(qerr.message(), format!("linear {rank4}"));
         // Degenerate but valid shapes on the demo body: an empty batch, and
         // images so small that every conv reads mostly halo and the
         // stride-2 stage leaves a 1x1 map. Both plans answer them exactly.
@@ -1124,6 +1107,29 @@ mod tests {
         let err = compile(&head).run(&tall(3)).unwrap_err();
         assert!(err.message().contains("too large"), "{}", err.message());
         assert!(qcompile(&head).run(&tall(3)).is_err());
+        // The int8 copy rounds a pixel's channels up to a multiple of 4, so
+        // an empty batch whose images fit with fewer lanes can still be too
+        // large for it. Either plan may refuse these shapes, neither panics.
+        for c in [1, 2, 5, 6] {
+            let x = Tensor::from_vec(vec![], &[0, c, usize::MAX / (c + c % 2 + 1), 1]).unwrap();
+            let pointwise = Sequential::new(vec![Box::new(Conv2d::new(c, 1, 1, 1, 0, &mut rng))]);
+            let (plan, qplan) = (compile(&pointwise), qcompile(&pointwise));
+            let results = [
+                plan.run(&x),
+                CompiledPlan::run_all(&[plan.clone(), plan], &x).map(|mut all| all.remove(0)),
+                qplan.run(&x),
+                QCompiledPlan::run_all(&[qplan.clone(), qplan], &x).map(|mut all| all.remove(0)),
+            ];
+            for result in results {
+                if let Err(err) = result {
+                    assert!(
+                        err.message().contains("too large"),
+                        "{c}: {}",
+                        err.message()
+                    );
+                }
+            }
+        }
         // A pool window that does not divide the conv output it is folded
         // into is refused by the conv's lowering, alone or shared by an
         // ensemble; so is one that does not divide a standalone pool's

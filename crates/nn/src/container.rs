@@ -190,10 +190,6 @@ impl Layer for Sequential {
         "sequential"
     }
 
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        crate::quant::QLayer::Sequential(crate::quant::QSequential::from_sequential(self))
-    }
-
     fn lower(&self) -> crate::graph::GraphOp {
         crate::graph::GraphOp::Sequence(self.layers.iter().map(|l| l.lower()).collect())
     }
@@ -350,16 +346,6 @@ impl Layer for ResidualBlock {
 
     fn name(&self) -> &'static str {
         "residual_block"
-    }
-
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        crate::quant::QLayer::Residual(Box::new(crate::quant::QResidualBlock::from_parts(
-            &self.conv1,
-            &self.bn1,
-            &self.conv2,
-            &self.bn2,
-            self.shortcut.as_ref().map(|(conv, bn)| (conv, bn)),
-        )))
     }
 
     fn lower(&self) -> crate::graph::GraphOp {

@@ -488,9 +488,10 @@ pub(crate) fn check_conv_input(
     let oh = (hp - k) / geometry.stride + 1;
     let ow = (wp - k) / geometry.stride + 1;
     // An image of the lowering holds `hp·wp` pixels of `c` lanes, rounded
-    // up to even for the int8 copy; one of the output `oh·ow` product rows
-    // of `out_channels`. Each, times the batch, must fit.
-    let lanes = c + c % 2;
+    // up to a multiple of 4 for the int8 copy (its `u8` quads); one of the
+    // output `oh·ow` product rows of `out_channels`. Each, times the batch,
+    // must fit.
+    let lanes = c.div_ceil(4) * 4;
     let fits = [[hp, wp, lanes], [oh, ow, out_channels.max(1)]]
         .iter()
         .all(|dims| {
@@ -785,10 +786,6 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        crate::quant::QLayer::Conv(crate::quant::QConv2d::from_conv(self))
     }
 
     fn lower(&self) -> crate::graph::GraphOp {

@@ -143,17 +143,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// The int8 inference counterpart of this layer.
-    ///
-    /// GEMM-backed layers ([`crate::Linear`], [`crate::Conv2d`], the
-    /// containers that hold them) override this to quantize their weights
-    /// once and run `i8×i8→i32` arithmetic at inference time; every other
-    /// layer keeps its `f32` forward via the default
-    /// [`crate::quant::QLayer::Fallback`].
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        crate::quant::QLayer::Fallback(self.clone_layer())
-    }
-
     /// Lowers this layer to a node of the lazy compute-graph IR.
     ///
     /// Layers with a typed graph representation (convolutions, batch norm,
@@ -195,10 +184,6 @@ impl Layer for Box<dyn Layer> {
 
     fn name(&self) -> &'static str {
         self.as_ref().name()
-    }
-
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        self.as_ref().quantize_layer()
     }
 
     fn lower(&self) -> crate::graph::GraphOp {

@@ -19,9 +19,9 @@
 //! * [`CrossEntropyLoss`], [`MseLoss`], [`cosine_penalty`]
 //! * [`Sgd`] and [`Adam`] optimizers
 //! * [`models`] — the `MicroResNet` family used as the stand-in for ResNet-18
-//! * [`quant`] — int8 inference counterparts of the GEMM-backed layers
-//!   ([`QLinear`], [`QConv2d`], [`QSequential`]), built via
-//!   [`Layer::quantize_layer`].
+//! * [`quant`] — int8 inference: the int8 tier quantizes convolutions
+//!   ([`QConv2d`]) and everything else, linears included, stays `f32`;
+//!   [`QSequential`] runs a network that way, op by op.
 //! * [`graph`] — the lazy graph IR layers lower into, and [`compiler`] —
 //!   bit-exact GEMM epilogue fusion producing [`CompiledPlan`] /
 //!   [`QCompiledPlan`] fused forward paths with typed shape errors instead
@@ -78,4 +78,4 @@ pub use noise::{FixedNoise, LearnedNoise};
 pub use norm::BatchNorm2d;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::{GlobalAvgPool, MaxPool2d};
-pub use quant::{QConv2d, QLayer, QLinear, QSequential};
+pub use quant::{QConv2d, QSequential};

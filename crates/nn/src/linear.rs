@@ -6,7 +6,7 @@ use ensembler_tensor::{Init, Rng, ShapeError, Tensor};
 
 /// Validates a linear layer's input and returns its batch size, or a typed
 /// error naming `what`.
-pub(crate) fn check_linear_input(
+fn check_linear_input(
     shape: &[usize],
     in_features: usize,
     what: &str,
@@ -186,10 +186,6 @@ impl Layer for Linear {
 
     fn name(&self) -> &'static str {
         "linear"
-    }
-
-    fn quantize_layer(&self) -> crate::quant::QLayer {
-        crate::quant::QLayer::Linear(crate::quant::QLinear::from_linear(self))
     }
 
     fn lower(&self) -> crate::graph::GraphOp {

@@ -1,4 +1,5 @@
-//! Int8 inference counterparts of the GEMM-backed layers.
+//! Int8 inference: the quantized convolution, and the eager int8 pipeline
+//! every compiled int8 plan is checked against.
 //!
 //! The quantization scheme (see [`ensembler_tensor::quant`]) is symmetric:
 //! weights carry one per-tensor scale fixed at quantization time; activations
@@ -7,30 +8,32 @@
 //! the inference engine's coalescing guarantee carries over to int8
 //! unchanged.
 //!
-//! Only the layers that are GEMMs at heart ([`Linear`], [`Conv2d`] and the
-//! convolutions inside [`crate::ResidualBlock`]) get true int8 arithmetic;
-//! everything
-//! else (batch norm, activations, pooling, noise) is cheap and element-wise
-//! and keeps running in `f32` between the quantized GEMMs, exactly like the
-//! mixed-precision int8 pipelines surveyed in the LUT-DNN hardware
-//! literature. A layer that has no quantized counterpart falls back to its
-//! normal `f32` forward ([`QLayer::Fallback`]).
+//! The int8 tier quantizes convolutions ([`QConv2d`], the convolutions
+//! inside a [`crate::ResidualBlock`] included); everything else, linears
+//! included, stays `f32`. An Ensembler's server bodies — what the int8 tier
+//! serves — are conv stacks ending in a global average pool, so the convs
+//! are where their arithmetic is; batch norm, activations, pooling, noise
+//! and a linear run their `f32` layers between the quantized convs.
+//!
+//! [`QSequential`] is that network as an eager pipeline: it walks the graph
+//! IR both compiled plans are built from ([`crate::graph::lower_sequential`]),
+//! quantizes each conv once, and runs every op unfused, in NCHW.
 //!
 //! # Examples
 //!
 //! ```
 //! use ensembler_nn::quant::QSequential;
-//! use ensembler_nn::{Layer, Linear, Mode, Relu, Sequential};
+//! use ensembler_nn::{Conv2d, Layer, Mode, Relu, Sequential};
 //! use ensembler_tensor::{Rng, Tensor};
 //!
 //! let mut rng = Rng::seed_from(0);
 //! let net = Sequential::new(vec![
-//!     Box::new(Linear::new(8, 16, &mut rng)),
+//!     Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
 //!     Box::new(Relu::new()),
-//!     Box::new(Linear::new(16, 4, &mut rng)),
+//!     Box::new(Conv2d::new(8, 4, 3, 1, 1, &mut rng)),
 //! ]);
 //! let qnet = QSequential::from_sequential(&net);
-//! let x = Tensor::ones(&[2, 8]);
+//! let x = Tensor::from_fn(&[2, 3, 6, 6], |_| rng.uniform(-1.0, 1.0));
 //! let (y, qy) = (net.forward(&x, Mode::Eval), qnet.forward(&x));
 //! assert_eq!(y.shape(), qy.shape());
 //! // Quantized outputs track the f32 ones to within a few quantization steps.
@@ -39,7 +42,8 @@
 //! }
 //! ```
 
-use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
+use crate::graph::{lower_sequential, GraphOp};
+use crate::{Conv2d, Flatten, GlobalAvgPool, Layer, MaxPool2d, Mode, Relu, Sequential};
 use ensembler_tensor::{im2col_i8, qgemm_nn, Conv2dGeometry, QTensor, QTensorBatch, Tensor};
 
 /// Transposes a row-major `[rows, cols]` `i8` matrix into `[cols, rows]`.
@@ -54,97 +58,6 @@ fn transpose_i8(data: &[i8], rows: usize, cols: usize) -> Vec<i8> {
         }
     }
     out
-}
-
-/// Int8 counterpart of [`Linear`]: pre-quantized weights, activations
-/// quantized per sample on the fly, `i8×i8→i32` accumulation, dequantized
-/// `f32` output with the bias added in full precision.
-#[derive(Debug, Clone)]
-pub struct QLinear {
-    /// Quantized weight, stored transposed as `[in, out]`.
-    weight_t: Vec<i8>,
-    weight_scale: f32,
-    bias: Tensor,
-    in_features: usize,
-    out_features: usize,
-}
-
-impl QLinear {
-    /// Quantizes a trained [`Linear`] layer's weights for int8 inference.
-    pub fn from_linear(layer: &Linear) -> Self {
-        let q = QTensor::quantize(&layer.weight().value);
-        let (out_features, in_features) = (layer.out_features(), layer.in_features());
-        Self {
-            weight_t: transpose_i8(q.data(), out_features, in_features),
-            weight_scale: q.scale(),
-            bias: layer.bias().value.clone(),
-            in_features,
-            out_features,
-        }
-    }
-
-    /// Number of input features.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Number of output features.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Transposed quantized weight (`[in, out]`), for the fused plan stages.
-    pub(crate) fn weight_t(&self) -> &[i8] {
-        &self.weight_t
-    }
-
-    /// Per-tensor weight scale.
-    pub(crate) fn weight_scale(&self) -> f32 {
-        self.weight_scale
-    }
-
-    /// Full-precision bias.
-    pub(crate) fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
-    /// Computes `y = x W^T + b` with int8 arithmetic: each input row is
-    /// quantized with its own scale, so row `i` of the output is independent
-    /// of the rest of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `[batch, in_features]`.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 2, "QLinear expects [batch, features] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "QLinear expected {} input features, got {}",
-            self.in_features,
-            input.shape()[1]
-        );
-        let batch = input.shape()[0];
-        let q = QTensorBatch::quantize_batch(input);
-        let acc = qgemm_nn(
-            q.data(),
-            &self.weight_t,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        let mut out = vec![0.0f32; batch * self.out_features];
-        let bias = self.bias.data();
-        for n in 0..batch {
-            let rescale = q.scales()[n] * self.weight_scale;
-            let row = &acc[n * self.out_features..(n + 1) * self.out_features];
-            let out_row = &mut out[n * self.out_features..(n + 1) * self.out_features];
-            for ((o, &a), &b) in out_row.iter_mut().zip(row).zip(bias) {
-                *o = a as f32 * rescale + b;
-            }
-        }
-        Tensor::from_vec(out, &[batch, self.out_features]).expect("output sized to batch*out")
-    }
 }
 
 /// Int8 counterpart of [`Conv2d`]: the input is quantized per sample, lowered
@@ -272,143 +185,97 @@ impl QConv2d {
     }
 }
 
-/// Int8 counterpart of [`crate::ResidualBlock`]: the three convolutions run
-/// int8, the batch norms and ReLUs stay `f32`.
+/// One op of a quantized network: a conv quantized once, a residual block
+/// over ops of its own, a ReLU inside one, or any other op of the graph IR
+/// as its `f32` layer.
 #[derive(Debug, Clone)]
-pub struct QResidualBlock {
-    conv1: QConv2d,
-    bn1: BatchNorm2d,
-    conv2: QConv2d,
-    bn2: BatchNorm2d,
-    shortcut: Option<(QConv2d, BatchNorm2d)>,
-}
-
-impl QResidualBlock {
-    /// Assembles the quantized block from a block's parts (called by
-    /// [`crate::ResidualBlock`]'s `quantize_layer`).
-    #[allow(clippy::similar_names)]
-    pub(crate) fn from_parts(
-        conv1: &Conv2d,
-        bn1: &BatchNorm2d,
-        conv2: &Conv2d,
-        bn2: &BatchNorm2d,
-        shortcut: Option<(&Conv2d, &BatchNorm2d)>,
-    ) -> Self {
-        Self {
-            conv1: QConv2d::from_conv(conv1),
-            bn1: bn1.clone(),
-            conv2: QConv2d::from_conv(conv2),
-            bn2: bn2.clone(),
-            shortcut: shortcut.map(|(conv, bn)| (QConv2d::from_conv(conv), bn.clone())),
-        }
-    }
-
-    /// Runs the block with int8 convolutions (inference only).
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        let main = self.conv1.forward(input);
-        let main = self.bn1.forward(&main, Mode::Eval);
-        let main = main.map(|x| x.max(0.0));
-        let main = self.conv2.forward(&main);
-        let main = self.bn2.forward(&main, Mode::Eval);
-
-        let skip = match &self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(input);
-                bn.forward(&s, Mode::Eval)
-            }
-            None => input.clone(),
-        };
-        main.add(&skip).map(|x| x.max(0.0))
-    }
-}
-
-/// One stage of a quantized pipeline: an int8 layer where one exists, the
-/// original `f32` layer otherwise.
-#[derive(Debug, Clone)]
-pub enum QLayer {
-    /// An int8 fully-connected layer.
-    Linear(QLinear),
-    /// An int8 convolution.
+enum QOp {
     Conv(QConv2d),
-    /// A residual block with int8 convolutions (boxed: it is by far
-    /// the largest variant).
-    Residual(Box<QResidualBlock>),
-    /// A nested quantized pipeline.
-    Sequential(QSequential),
-    /// A layer with no int8 counterpart, evaluated in `f32` (inference mode).
-    Fallback(Box<dyn Layer>),
+    Residual {
+        main: Vec<QOp>,
+        shortcut: Option<Vec<QOp>>,
+    },
+    /// A ReLU inside a residual branch: `max(0, ·)`, like the block's merge.
+    ResidualRelu,
+    F32(Box<dyn Layer>),
 }
 
-impl QLayer {
-    /// Runs the layer on `input` (inference only).
-    pub fn forward(&self, input: &Tensor) -> Tensor {
-        match self {
-            QLayer::Linear(l) => l.forward(input),
-            QLayer::Conv(l) => l.forward(input),
-            QLayer::Residual(l) => l.forward(input),
-            QLayer::Sequential(l) => l.forward(input),
-            QLayer::Fallback(l) => l.forward(input, Mode::Eval),
-        }
+/// Quantizes the convs of `ops`; `in_residual` says whether they sit inside
+/// a residual branch, which decides a ReLU's formula.
+fn quantize_ops(ops: Vec<GraphOp>, in_residual: bool) -> Vec<QOp> {
+    let mut out = Vec::with_capacity(ops.len());
+    for op in ops {
+        out.push(match op {
+            GraphOp::Conv(conv) => QOp::Conv(QConv2d::from_conv(&conv)),
+            GraphOp::Residual { main, shortcut } => QOp::Residual {
+                main: quantize_ops(main, true),
+                shortcut: shortcut.map(|ops| quantize_ops(ops, true)),
+            },
+            GraphOp::Sequence(ops) => {
+                out.extend(quantize_ops(ops, in_residual));
+                continue;
+            }
+            GraphOp::Relu if in_residual => QOp::ResidualRelu,
+            GraphOp::Relu => QOp::F32(Box::new(Relu::new())),
+            GraphOp::BatchNorm(bn) => QOp::F32(Box::new(bn)),
+            GraphOp::MaxPool(k) => QOp::F32(Box::new(MaxPool2d::new(k))),
+            GraphOp::GlobalAvgPool => QOp::F32(Box::new(GlobalAvgPool::new())),
+            GraphOp::Flatten => QOp::F32(Box::new(Flatten::new())),
+            GraphOp::Linear(linear) => QOp::F32(Box::new(linear)),
+            GraphOp::Opaque(layer) => QOp::F32(layer),
+        });
     }
-
-    /// Short human-readable name mirroring [`Layer::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            QLayer::Linear(_) => "q_linear",
-            QLayer::Conv(_) => "q_conv2d",
-            QLayer::Residual(_) => "q_residual_block",
-            QLayer::Sequential(_) => "q_sequential",
-            QLayer::Fallback(l) => l.name(),
-        }
-    }
+    out
 }
 
-/// The int8 counterpart of [`Sequential`]: every contained layer replaced by
-/// its [`Layer::quantize_layer`] result.
+/// Runs `ops` in order on `input`.
+fn run_ops(ops: &[QOp], input: &Tensor) -> Tensor {
+    let mut x = input.clone();
+    for op in ops {
+        x = match op {
+            QOp::Conv(conv) => conv.forward(&x),
+            QOp::Residual { main, shortcut } => {
+                let main = run_ops(main, &x);
+                let skip = match shortcut {
+                    Some(ops) => run_ops(ops, &x),
+                    None => x,
+                };
+                main.add(&skip).map(|v| v.max(0.0))
+            }
+            QOp::ResidualRelu => x.map(|v| v.max(0.0)),
+            QOp::F32(layer) => layer.forward(&x, Mode::Eval),
+        };
+    }
+    x
+}
+
+/// The int8 counterpart of [`Sequential`]: the network's graph IR with each
+/// conv quantized into a [`QConv2d`], run op by op. It is the reference
+/// every [`crate::QCompiledPlan`] reproduces bit for bit.
 ///
 /// Inference-only and immutable: `forward` takes `&self`, so a quantized
 /// pipeline can be shared behind an `Arc` and serve concurrent batches under
 /// the same contract as the `f32` [`crate::Layer::forward`] path.
 #[derive(Debug, Clone)]
 pub struct QSequential {
-    layers: Vec<QLayer>,
+    ops: Vec<QOp>,
 }
 
 impl QSequential {
-    /// Quantizes every layer of a pipeline (weights are quantized once,
+    /// Quantizes every conv of a pipeline (weights are quantized once,
     /// here; activations are quantized per batch at inference time).
     pub fn from_sequential(net: &Sequential) -> Self {
         Self {
-            layers: net.layers().iter().map(|l| l.quantize_layer()).collect(),
+            ops: quantize_ops(lower_sequential(net), false),
         }
     }
 
-    /// The contained stages.
-    pub fn layers(&self) -> &[QLayer] {
-        &self.layers
-    }
-
-    /// Number of stages that actually run int8 arithmetic (recursing into
-    /// nested pipelines and residual blocks).
-    pub fn quantized_layer_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                QLayer::Linear(_) | QLayer::Conv(_) => 1,
-                QLayer::Residual(r) => 2 + usize::from(r.shortcut.is_some()),
-                QLayer::Sequential(s) => s.quantized_layer_count(),
-                QLayer::Fallback(_) => 0,
-            })
-            .sum()
-    }
-
-    /// Runs the pipeline on `input` (inference only).
+    /// Runs the pipeline on an NCHW `input` (inference only): each conv
+    /// through [`QConv2d::forward`], every other op through its `f32`
+    /// layer, and a ReLU inside a residual branch, and the branch merge, as
+    /// `max(0, ·)`.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        run_ops(&self.ops, input)
     }
 }
 
@@ -416,7 +283,7 @@ impl QSequential {
 mod tests {
     use super::*;
     use crate::models::{build_body, ResNetConfig};
-    use crate::{Relu, ResidualBlock};
+    use crate::{Linear, ResidualBlock};
     use ensembler_tensor::Rng;
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
@@ -427,17 +294,6 @@ mod tests {
                 "mismatch at {i}: {x} vs {y}"
             );
         }
-    }
-
-    #[test]
-    fn qlinear_tracks_the_f32_forward() {
-        let mut rng = Rng::seed_from(3);
-        let fc = Linear::new(32, 16, &mut rng);
-        let x = Tensor::from_fn(&[4, 32], |_| rng.uniform(-1.5, 1.5));
-        let qfc = QLinear::from_linear(&fc);
-        assert_eq!(qfc.in_features(), 32);
-        assert_eq!(qfc.out_features(), 16);
-        assert_close(&qfc.forward(&x), &fc.forward(&x, Mode::Eval), 0.05);
     }
 
     #[test]
@@ -478,28 +334,28 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let block = ResidualBlock::new(4, 8, 2, &mut rng);
         let x = Tensor::from_fn(&[2, 4, 8, 8], |_| rng.uniform(-1.0, 1.0));
-        let qblock = match block.quantize_layer() {
-            QLayer::Residual(q) => q,
-            other => panic!("expected a quantized residual block, got {}", other.name()),
-        };
+        let qblock = QSequential::from_sequential(&Sequential::new(vec![Box::new(block.clone())]));
         assert_close(&qblock.forward(&x), &block.forward(&x, Mode::Eval), 0.15);
     }
 
     #[test]
     fn qsequential_quantizes_gemm_layers_and_falls_back_elsewhere() {
+        // Only the conv runs int8: the ReLU, the flatten and the linear run
+        // their f32 layers on the quantized conv's output, bit for bit.
         let mut rng = Rng::seed_from(8);
+        let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
+        let linear = Linear::new(4 * 36, 5, &mut rng);
         let net = Sequential::new(vec![
-            Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)),
+            Box::new(conv.clone()),
             Box::new(Relu::new()),
-            Box::new(crate::Flatten::new()),
-            Box::new(Linear::new(4 * 36, 5, &mut rng)),
+            Box::new(Flatten::new()),
+            Box::new(linear.clone()),
         ]);
         let qnet = QSequential::from_sequential(&net);
-        assert_eq!(qnet.layers().len(), 4);
-        assert_eq!(qnet.quantized_layer_count(), 2);
-        assert!(matches!(qnet.layers()[0], QLayer::Conv(_)));
-        assert!(matches!(qnet.layers()[1], QLayer::Fallback(_)));
         let x = Tensor::from_fn(&[3, 2, 6, 6], |_| rng.uniform(-1.0, 1.0));
+        let features = Relu::new().forward(&QConv2d::from_conv(&conv).forward(&x), Mode::Eval);
+        let want = linear.forward(&features.flatten_batch(), Mode::Eval);
+        assert_eq!(qnet.forward(&x), want);
         assert_close(&qnet.forward(&x), &net.forward(&x, Mode::Eval), 0.15);
     }
 
@@ -509,9 +365,10 @@ mod tests {
         let mut rng = Rng::seed_from(9);
         let body = build_body(&config, &mut rng);
         let qbody = QSequential::from_sequential(&body);
-        assert!(qbody.quantized_layer_count() >= 4);
         let head = config.head_output_shape();
         let x = Tensor::from_fn(&[2, head[0], head[1], head[2]], |_| rng.uniform(-1.0, 1.0));
-        assert_close(&qbody.forward(&x), &body.forward(&x, Mode::Eval), 0.25);
+        let (want, got) = (body.forward(&x, Mode::Eval), qbody.forward(&x));
+        assert_ne!(got, want, "the body's convs run int8");
+        assert_close(&got, &want, 0.25);
     }
 }

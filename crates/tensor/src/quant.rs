@@ -908,104 +908,6 @@ fn qband_plan(par: Parallelism, m: usize, k: usize, n: usize, mr: usize) -> (boo
     (want_parallel, band_rows)
 }
 
-/// The dequantization tail fused onto [`qgemm_nn_dequant`]: per-output-row
-/// scales, an optional per-column bias and an optional `max(0, ·)` ReLU,
-/// applied to the live `i32` accumulators of each completed row band.
-///
-/// This is what lets the compiled int8 plan stop round-tripping through
-/// separate dequantize / bias / activation passes at every layer boundary:
-/// the `i32` sums leave the kernel already converted with
-/// `acc as f32 * row_scale + bias` — the exact expression the eager
-/// quantized layers use, so fusion is bit-exact.
-#[derive(Debug, Clone, Copy)]
-pub struct QGemmEpilogue<'a> {
-    /// Per-row dequantization factor (length `m`). For the quantized layers
-    /// this is `activation_scale(sample) * weight_scale`, precomputed per
-    /// output row exactly as the eager dequant loop computes it.
-    pub row_scales: &'a [f32],
-    /// Per-column `f32` bias added after dequantization (length `n`).
-    pub bias: Option<&'a [f32]>,
-    /// Apply `max(0.0, v)` after the bias — the formulation the eager
-    /// quantized residual blocks use, so folded conv+bn+relu stages match
-    /// their f32-bn counterparts' activation semantics.
-    pub relu: bool,
-}
-
-/// Converts one band of `i32` accumulators (rows `row0..row0+rows` of the
-/// product) into `f32` through the fused epilogue.
-fn dequant_band(acc: &[i32], row0: usize, n: usize, ep: &QGemmEpilogue, out: &mut [f32]) {
-    for (r, (arow, orow)) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)).enumerate() {
-        let s = ep.row_scales[row0 + r];
-        match ep.bias {
-            Some(bias) => {
-                for ((o, &a), &bv) in orow.iter_mut().zip(arow).zip(bias) {
-                    *o = a as f32 * s + bv;
-                }
-            }
-            None => {
-                for (o, &a) in orow.iter_mut().zip(arow) {
-                    *o = a as f32 * s;
-                }
-            }
-        }
-        if ep.relu {
-            for o in orow.iter_mut() {
-                *o = o.max(0.0);
-            }
-        }
-    }
-}
-
-/// [`qgemm_nn`] with the dequantization fused onto the kernel: returns `f32`
-/// directly, converting each row band's `i32` accumulators while they are
-/// cache-hot instead of materialising the integer product and running
-/// separate dequantize / bias / ReLU passes over memory.
-///
-/// Bit-identical to [`qgemm_nn_with`] followed by
-/// `acc as f32 * row_scales[i] + bias[j]` (and `max(0.0)` when `relu` is
-/// set), on every code path — the integer accumulation is exact and the
-/// float conversion applies the same expression per element.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`qgemm_nn`], or if
-/// `ep.row_scales.len() != m`, or if a bias is present with length other
-/// than `n`.
-pub fn qgemm_nn_dequant(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: Parallelism,
-    ep: QGemmEpilogue,
-) -> Vec<f32> {
-    let cfg = qkernel_config();
-    let b = QPanels::pack_for(cfg.nr, b, k, n);
-    qproduct_dequant(cfg, &matrix_halo(a, m, k), &b, par, ep)
-}
-
-/// [`qgemm_nn_dequant`] under an explicit micro-kernel.
-fn qproduct_dequant(
-    cfg: QKernelConfig,
-    a: &QHalo,
-    b: &QPanels,
-    par: Parallelism,
-    ep: QGemmEpilogue,
-) -> Vec<f32> {
-    assert_eq!(
-        ep.row_scales.len(),
-        a.rows(),
-        "epilogue row_scales length must be m"
-    );
-    if let Some(bias) = ep.bias {
-        assert_eq!(bias.len(), b.n, "epilogue bias length must be n");
-    }
-    qproduct_map(cfg, a, b, par, |row0, acc, band| {
-        dequant_band(acc, row0, b.n, &ep, band);
-    })
-}
-
 /// Computes the product rows `row0..` that `band` (`rows x n`, at most
 /// [`QMC`] rows) holds, blocking the shared dimension by [`QKC`]. Nothing is
 /// copied: each tile's micro-kernel reads the halo where it lies, through
@@ -1856,130 +1758,5 @@ mod tests {
         for (x, y) in [absmax, -absmax, 0.0].iter().zip(back.data()) {
             assert!((x - y).abs() <= q.scale() * 0.500001, "{x} vs {y}");
         }
-    }
-
-    /// The reference the fused kernel must match bit-for-bit: integer
-    /// product, then the eager layers' dequant expression per element.
-    fn separate_dequant(
-        cfg: QKernelConfig,
-        a: &[i8],
-        b: &[i8],
-        (m, k, n): (usize, usize, usize),
-        par: Parallelism,
-        ep: &QGemmEpilogue,
-    ) -> Vec<f32> {
-        let acc = qgemm_under(cfg, a, b, (m, k, n), par);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut v =
-                    acc[i * n + j] as f32 * ep.row_scales[i] + ep.bias.map_or(0.0, |bias| bias[j]);
-                if ep.relu {
-                    v = v.max(0.0);
-                }
-                out[i * n + j] = v;
-            }
-        }
-        out
-    }
-
-    /// [`qgemm_nn_dequant`] under an explicit micro-kernel.
-    fn dequant_under(
-        cfg: QKernelConfig,
-        a: &[i8],
-        b: &[i8],
-        (m, k, n): (usize, usize, usize),
-        par: Parallelism,
-        ep: QGemmEpilogue,
-    ) -> Vec<f32> {
-        let b = QPanels::pack_for(cfg.nr, b, k, n);
-        qproduct_dequant(cfg, &matrix_halo(a, m, k), &b, par, ep)
-    }
-
-    #[test]
-    fn fused_dequant_is_bit_exact_on_every_code_path() {
-        // Shapes straddle the tile edges and the parallel band split;
-        // scales/bias exercise every epilogue combination.
-        for &(m, k, n) in &[
-            (3, 5, 7),
-            (40, 41, 43),
-            (70, 160, 96),
-            (1, 700, 2),
-            (2, 0, 3),
-        ] {
-            let a = pseudo_i8(m * k, (m * 13 + n) as u64);
-            let b = pseudo_i8(k * n, (k * 29 + m) as u64);
-            let row_scales: Vec<f32> = (0..m).map(|i| 0.001 + i as f32 * 1e-4).collect();
-            let bias: Vec<f32> = (0..n).map(|j| (j as f32 - n as f32 / 2.0) * 0.3).collect();
-            for (name, cfg) in kernels() {
-                for par in [Parallelism::Serial, Parallelism::Parallel] {
-                    for (use_bias, relu) in [(false, false), (true, false), (true, true)] {
-                        let ep = QGemmEpilogue {
-                            row_scales: &row_scales,
-                            bias: if use_bias { Some(&bias) } else { None },
-                            relu,
-                        };
-                        assert_eq!(
-                            dequant_under(cfg, &a, &b, (m, k, n), par, ep),
-                            separate_dequant(cfg, &a, &b, (m, k, n), par, &ep),
-                            "{name} mismatch at {m}x{k}x{n} par={par:?} bias={use_bias} relu={relu}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_dequant_relu_clamps_negatives_to_positive_zero() {
-        // -3 * 1 * 0.5 = -1.5 -> relu -> 0.0 (positive zero, as `max` gives).
-        let ep = QGemmEpilogue {
-            row_scales: &[0.5, 0.5],
-            bias: None,
-            relu: true,
-        };
-        for (name, cfg) in kernels() {
-            let out = dequant_under(cfg, &[-3, 3], &[1], (2, 1, 1), Parallelism::Serial, ep);
-            assert_eq!(out, vec![0.0, 1.5], "{name}");
-            assert!(out[0].is_sign_positive(), "{name}");
-        }
-        let out = qgemm_nn_dequant(&[-3, 3], &[1], 2, 1, 1, Parallelism::Serial, ep);
-        assert_eq!(out, vec![0.0, 1.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row_scales length must be m")]
-    fn fused_dequant_rejects_mismatched_scales() {
-        let _ = qgemm_nn_dequant(
-            &[1, 2],
-            &[3, 4],
-            2,
-            1,
-            2,
-            Parallelism::Serial,
-            QGemmEpilogue {
-                row_scales: &[1.0],
-                bias: None,
-                relu: false,
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "bias length must be n")]
-    fn fused_dequant_rejects_mismatched_bias() {
-        let _ = qgemm_nn_dequant(
-            &[1, 2],
-            &[3, 4],
-            2,
-            1,
-            2,
-            Parallelism::Serial,
-            QGemmEpilogue {
-                row_scales: &[1.0, 1.0],
-                bias: Some(&[0.0]),
-                relu: false,
-            },
-        );
     }
 }
