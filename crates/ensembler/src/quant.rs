@@ -114,11 +114,10 @@ impl Defense for QuantizedDefense {
         self.inner.client_features(images)
     }
 
-    /// Evaluates the requested quantized bodies on the int8 feature batch, in
-    /// parallel and from one shared lowering like the `f32` pipeline
-    /// ([`QCompiledPlan::run_all_quantized`], which dequantizes the batch
-    /// straight into the plans' layout), re-quantizing each body's output per
-    /// sample for the return leg. An `f32` request is quantized on the
+    /// Evaluates the requested quantized bodies on the dequantized int8
+    /// feature batch, in parallel and from one shared lowering like the
+    /// `f32` pipeline ([`QCompiledPlan::run_all`]), re-quantizing each
+    /// body's output per sample for the return leg. An `f32` request is quantized on the
     /// way in and dequantized on the way out like any payload crossing to an
     /// int8 backend ([`crate::Features::to_precision`]): the round trips are
     /// part of the definition, so in-process and remote int8 predictions
@@ -130,7 +129,7 @@ impl Defense for QuantizedDefense {
             Precision::Int8,
             |features, range| {
                 let features = features.as_int8()?;
-                let maps = QCompiledPlan::run_all_quantized(&self.qplans[range], features)?;
+                let maps = QCompiledPlan::run_all(&self.qplans[range], &features.dequantize())?;
                 Ok(Maps::Int8(
                     maps.iter().map(QTensorBatch::quantize_batch).collect(),
                 ))

@@ -21,24 +21,27 @@
 //! [`crate::quant::QSequential`]. The int8 tier quantizes convolutions;
 //! everything else, linears included, stays `f32`. One stage list, one
 //! builder and one evaluator serve both precisions, generic over a private
-//! trait that states only what differs between them: the conv stage, which
-//! ReLU formula a position inside a residual block gets, and the layout of
-//! the feature maps between stages. Inside an int8 plan the maps are
-//! pixel-major, `[b, h, w, c]` with a pixel's channels side by side — the
-//! layout of the int8 conv's product rows and of its input copy —
-//! so an int8 conv quantizes its input per sample straight into one
-//! zero-haloed copy ([`ensembler_tensor::QHalo::quantize`]) that its product
-//! reads in place, against weights packed once, at compile time
-//! ([`ensembler_tensor::QPanels`]), and dequantizes each band of its `i32`
-//! accumulators in the product's epilogue ([`ensembler_tensor::qconv_map`]),
-//! writing the next stage's input as it is: no transpose between two convs.
-//! The plan converts its NCHW input once on entry (an int8 batch can be
-//! dequantized straight into the layout,
-//! [`QCompiledPlan::run_all_quantized`]) and a feature map it ends on once
-//! on exit; the global average pool has a pixel-major form, and a stage
-//! without one (a standalone batch norm or max-pool, an opaque layer)
-//! runs in NCHW between two conversions. The `f32` plan keeps NCHW
-//! throughout. No conv of either precision writes a column matrix.
+//! trait that states only what differs between them: the conv stage, and
+//! which ReLU formula a position inside a residual block gets.
+//!
+//! A value passed between two stages is a feature map of logical NCHW shape
+//! together with its [`Layout`], the one description of where each of its
+//! values lies, and the stage that writes a map decides its layout: an int8
+//! conv writes pixel-major, the order of its product rows, and every other
+//! stage NCHW, and every stage reads the layout its input has. An int8
+//! conv quantizes its input per sample straight into one zero-haloed copy
+//! ([`ensembler_tensor::QHalo::quantize`]) — the plan's NCHW input and a
+//! conv's pixel-major map alike — that its product reads in place, against
+//! weights packed once, at compile time ([`ensembler_tensor::QPanels`]),
+//! and dequantizes each band of its `i32` accumulators in the product's
+//! epilogue ([`ensembler_tensor::qconv_map`]): no pass converts the plan's
+//! input, or a map between two convs. The max-pool and the global average
+//! pool read either layout through its strides, a residual block's merge
+//! transposes a skip that lies otherwise an image at a time, and a stage
+//! with only an NCHW form (batch norm, flatten, linear, an opaque layer)
+//! has its input gathered to NCHW once; nothing converts back. A plan takes
+//! and returns NCHW tensors. No conv of either precision writes a column
+//! matrix.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -67,15 +70,14 @@
 
 use crate::activation::ReluForm;
 use crate::conv::{
-    check_conv_input, check_pool, expect_rank4, from_pixels, nchw_pass, to_pixels, to_pixels_with,
-    Layout, Lowered, OutputPass, PixelEpilogue,
+    check_conv_input, check_pool, expect_rank4, nchw_pass, Lowered, OutputPass, PixelEpilogue,
 };
 use crate::graph::{lower_sequential, GraphOp};
-use crate::pool::global_avg_pool_pixels;
+use crate::pool::global_avg_pool;
 use crate::quant::QConv2d;
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
 use ensembler_tensor::{
-    par_map, qconv_map, Conv2dGeometry, QHalo, QPanels, QTensorBatch, ShapeError, Tensor,
+    par_map, qconv_map, transpose, Conv2dGeometry, Layout, QHalo, QPanels, ShapeError, Tensor,
 };
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -98,13 +100,6 @@ trait Precision {
     /// run the `f32` layer's mask multiply.
     const RESIDUAL_RELU: ReluForm;
 
-    /// Whether the feature maps between this plan's stages are pixel-major,
-    /// `[b, h, w, c]` with a pixel's channels side by side, rather than
-    /// NCHW. Such a plan converts its input once on entry ([`enter`]) and
-    /// its output once on exit ([`exit`]); a stage with no pixel-major form
-    /// runs in NCHW between two conversions ([`in_nchw`]).
-    const PIXEL_MAJOR: bool;
-
     /// A conv stage finished by `pass`.
     fn conv(conv: &Conv2d, pass: OutputPass) -> Self::Conv;
 }
@@ -124,13 +119,125 @@ trait LoweredConv: Sync {
     /// of a folded max-pool.
     fn key(&self) -> (Conv2dGeometry, usize, Option<usize>);
 
-    /// Validates and lowers `input`, a map in the plan's layout
-    /// ([`Precision::PIXEL_MAJOR`]).
-    fn lower<'a>(&self, input: &'a Tensor) -> Result<Self::Lowered<'a>, ShapeError>;
+    /// Validates and lowers `input`.
+    fn lower<'a>(&self, input: &'a Map<'_>) -> Result<Self::Lowered<'a>, ShapeError>;
 
-    /// The stage's product and output pass, written in the plan's layout.
-    /// Reads `lowered`, never changes it.
-    fn finish(&self, lowered: &Self::Lowered<'_>) -> Tensor;
+    /// The stage's product and output pass, as the map this precision's
+    /// conv writes. Reads `lowered`, never changes it.
+    fn finish(&self, lowered: &Self::Lowered<'_>) -> Result<Map<'static>, ShapeError>;
+}
+
+/// A map passed between a plan's stages: its values under their logical
+/// shape (NCHW `[b, c, h, w]` for a feature map, whatever order the values
+/// lie in) and the [`Layout`] that says where each lies. Only a feature map
+/// can lie out of the order of its shape, and only [`Map::nchw`] hands the
+/// values to code that reads them in that order.
+struct Map<'a> {
+    values: Cow<'a, Tensor>,
+    layout: Layout,
+}
+
+impl<'a> Map<'a> {
+    /// `values` in the order of their shape. A typed error if one image of
+    /// them holds more values than a `usize` counts: an empty batch of such
+    /// images is constructible, and no stage can read it through strides.
+    fn in_order(values: Cow<'a, Tensor>) -> Result<Self, ShapeError> {
+        let shape = values.shape();
+        let c = shape.get(1).copied().unwrap_or(1);
+        let pixels = shape.get(2..).unwrap_or_default();
+        let plane = pixels.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        match plane.filter(|plane| plane.checked_mul(c).is_some()) {
+            Some(plane) => Ok(Self {
+                layout: Layout::nchw(c, plane),
+                values,
+            }),
+            None => Err(ShapeError::new(format!(
+                "map {shape:?} is too large to index"
+            ))),
+        }
+    }
+
+    /// A stage's output, NCHW.
+    fn output(values: Tensor) -> Result<Map<'static>, ShapeError> {
+        Map::in_order(Cow::Owned(values))
+    }
+
+    fn shape(&self) -> &[usize] {
+        self.values.shape()
+    }
+
+    /// This map, borrowed.
+    fn view(&self) -> Map<'_> {
+        Map {
+            values: Cow::Borrowed(&self.values),
+            layout: self.layout,
+        }
+    }
+
+    /// The values in NCHW order: borrowed if they lie so, gathered
+    /// otherwise.
+    fn nchw(&self) -> Cow<'_, Tensor> {
+        match *self.shape() {
+            [b, c, h, w] if self.layout != Layout::nchw(c, h * w) => {
+                Cow::Owned(self.pooled([b, c, h, w], None))
+            }
+            _ => Cow::Borrowed(&self.values),
+        }
+    }
+
+    /// The NCHW tensor of this feature map, of shape `dims`, max-pooled
+    /// over `k x k` windows if `pool` is `Some(k)`: one channel-major pass
+    /// through the strides ([`nchw_pass`]).
+    fn pooled(&self, dims: [usize; 4], pool: Option<usize>) -> Tensor {
+        nchw_pass(self.values.data(), self.layout, dims, pool, |_, _| |v| v)
+    }
+
+    /// [`Self::nchw`], owned: what a plan returns.
+    fn into_nchw(self) -> Tensor {
+        if let Cow::Owned(values) = self.nchw() {
+            return values;
+        }
+        self.values.into_owned()
+    }
+
+    /// `f` of every value, in this map's layout.
+    fn map(&self, f: impl Fn(f32) -> f32) -> Map<'static> {
+        Map {
+            values: Cow::Owned(self.values.map(f)),
+            layout: self.layout,
+        }
+    }
+
+    /// `f(v, u)` of the values `v` of this map and `u` of `other`, a map of
+    /// the same shape, at each logical position, in this map's layout. The
+    /// two layouts a map can lie in are each other's transpose image by
+    /// image, so an `other` that lies otherwise is transposed an image at a
+    /// time first.
+    fn zip_map(&self, other: &Map, f: impl Fn(f32, f32) -> f32) -> Map<'static> {
+        let values = match *self.shape() {
+            [_, c, h, w] if other.layout != self.layout => {
+                let (rows, cols) = if other.layout.pixel == 1 {
+                    (c, h * w)
+                } else {
+                    (h * w, c)
+                };
+                let image = (c * h * w).max(1);
+                let theirs = other.values.data().chunks(image);
+                let images = self.values.data().chunks(image).zip(theirs);
+                let mut out = Vec::with_capacity(self.values.len());
+                for (ours, theirs) in images {
+                    let theirs = transpose(theirs, rows, cols);
+                    out.extend(ours.iter().zip(&theirs).map(|(&v, &u)| f(v, u)));
+                }
+                Tensor::from_vec(out, self.shape()).expect("sized to the map")
+            }
+            _ => self.values.zip_map(&other.values, f),
+        };
+        Map {
+            values: Cow::Owned(values),
+            layout: self.layout,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -155,10 +262,11 @@ enum Stage<P: Precision> {
 }
 
 impl<P: Precision> Stage<P> {
-    fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
+    fn run(&self, input: &Map) -> Result<Map<'static>, ShapeError> {
         match self {
-            Stage::Conv(stage) => Ok(stage.finish(&stage.lower(input)?)),
-            Stage::BatchNorm(bn) => in_nchw::<P>(input, |input| {
+            Stage::Conv(stage) => stage.finish(&stage.lower(input)?),
+            Stage::BatchNorm(bn) => {
+                let input = input.nchw();
                 let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
                 if c != bn.channels() {
                     return Err(ShapeError::new(format!(
@@ -166,97 +274,32 @@ impl<P: Precision> Stage<P> {
                         bn.channels()
                     )));
                 }
-                Ok(bn.forward(input, Mode::Eval))
-            }),
+                Map::output(bn.forward(&input, Mode::Eval))
+            }
             &Stage::Relu(form) => Ok(input.map(|v| form.apply(v))),
-            &Stage::MaxPool(k) => in_nchw::<P>(input, |input| {
+            &Stage::MaxPool(k) => {
                 let (b, c, h, w) = expect_rank4(input.shape(), "max_pool")?;
                 check_pool(h, w, k)?;
-                let layout = Layout::nchw(c, h * w);
-                Ok(nchw_pass(
-                    input.data(),
-                    layout,
-                    [b, c, h, w],
-                    Some(k),
-                    |_, _| |v| v,
-                ))
-            }),
-            Stage::GlobalAvgPool => {
-                expect_rank4(input.shape(), "global_avg_pool")?;
-                Ok(if P::PIXEL_MAJOR {
-                    global_avg_pool_pixels(input)
-                } else {
-                    crate::GlobalAvgPool::new().forward(input, Mode::Eval)
-                })
+                Map::output(input.pooled([b, c, h, w], Some(k)))
             }
-            Stage::Flatten => in_nchw::<P>(input, |input| {
-                if input.rank() < 1 {
+            Stage::GlobalAvgPool => {
+                let (b, c, h, w) = expect_rank4(input.shape(), "global_avg_pool")?;
+                let data = input.values.data();
+                Map::output(global_avg_pool(data, input.layout, [b, c, h, w]))
+            }
+            Stage::Flatten => {
+                if input.shape().is_empty() {
                     return Err(ShapeError::new("flatten expects at least rank-1 input"));
                 }
-                Ok(input.flatten_batch())
-            }),
-            Stage::Linear { linear, relu } => {
-                in_nchw::<P>(input, |input| linear.product(input, *relu))
+                Map::output(input.nchw().flatten_batch())
             }
+            Stage::Linear { linear, relu } => Map::output(linear.product(&input.nchw(), *relu)?),
             Stage::Residual { main, shortcut } => {
-                let x = run_chain(main, input)?;
+                let x = run_chain(main, input.view())?;
                 merge_residual(&x, shortcut.as_deref(), input)
             }
-            Stage::Opaque(layer) => {
-                in_nchw::<P>(input, |input| Ok(layer.forward(input, Mode::Eval)))
-            }
+            Stage::Opaque(layer) => Map::output(layer.forward(&input.nchw(), Mode::Eval)),
         }
-    }
-}
-
-/// Runs `stage`, a stage with no pixel-major form, on `input`: directly in
-/// an NCHW plan, and in a pixel-major one on `input` converted to NCHW, with
-/// a feature map it returns converted back.
-fn in_nchw<P: Precision>(
-    input: &Tensor,
-    stage: impl FnOnce(&Tensor) -> Result<Tensor, ShapeError>,
-) -> Result<Tensor, ShapeError> {
-    if !P::PIXEL_MAJOR {
-        return stage(input);
-    }
-    let output = if input.rank() == 4 {
-        stage(&from_pixels(input))?
-    } else {
-        stage(input)?
-    };
-    Ok(if output.rank() == 4 {
-        to_pixels(&output)
-    } else {
-        output
-    })
-}
-
-/// The NCHW shape of a map of `shape` in the plan's layout, the shape a
-/// caller would recognise: a pixel-major `[b, h, w, c]` map is
-/// `[b, c, h, w]`; any other shape is itself.
-fn nchw_shape<P: Precision>(shape: &[usize]) -> Cow<'_, [usize]> {
-    match *shape {
-        [b, h, w, c] if P::PIXEL_MAJOR => Cow::Owned(vec![b, c, h, w]),
-        _ => Cow::Borrowed(shape),
-    }
-}
-
-/// A plan's NCHW `input` in the plan's layout: converted once if the plan
-/// is pixel-major and `input` a feature map, borrowed otherwise.
-fn enter<P: Precision>(input: &Tensor) -> Cow<'_, Tensor> {
-    if P::PIXEL_MAJOR && input.rank() == 4 {
-        Cow::Owned(to_pixels(input))
-    } else {
-        Cow::Borrowed(input)
-    }
-}
-
-/// A plan's `output`, in the plan's layout, as the plan returns it: NCHW.
-fn exit<P: Precision>(output: Cow<'_, Tensor>) -> Tensor {
-    if P::PIXEL_MAJOR && output.rank() == 4 {
-        from_pixels(&output)
-    } else {
-        output.into_owned()
     }
 }
 
@@ -329,49 +372,41 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
     stages
 }
 
-/// Runs `stages` in order. The first stage reads `input` in place, so an
-/// empty chain is the only case that hands the borrow back.
-fn run_chain<'a, P: Precision>(
-    stages: &[Stage<P>],
-    input: &'a Tensor,
-) -> Result<Cow<'a, Tensor>, ShapeError> {
-    let mut x = Cow::Borrowed(input);
+/// Runs `stages` in order on `input`, which an empty chain hands back.
+fn run_chain<'a, P: Precision>(stages: &[Stage<P>], input: Map<'a>) -> Result<Map<'a>, ShapeError> {
+    let mut x = input;
     for stage in stages {
-        x = Cow::Owned(stage.run(&x)?);
+        x = stage.run(&x)?;
     }
     Ok(x)
 }
 
 /// Evaluates the shortcut of a residual block on `input` (an identity skip
 /// borrows it) and merges it element-wise into the finished main branch `x`
-/// — the add and the block's ReLU in one pass.
+/// — the add and the block's ReLU in one pass, in `x`'s layout
+/// ([`Map::zip_map`]).
 fn merge_residual<P: Precision>(
-    x: &Tensor,
+    x: &Map,
     shortcut: Option<&[Stage<P>]>,
-    input: &Tensor,
-) -> Result<Tensor, ShapeError> {
+    input: &Map,
+) -> Result<Map<'static>, ShapeError> {
     let skip = match shortcut {
-        Some(stages) => run_chain(stages, input)?,
-        None => Cow::Borrowed(input),
+        Some(stages) => run_chain(stages, input.view())?,
+        None => input.view(),
     };
     if x.shape() != skip.shape() {
         return Err(ShapeError::new(format!(
             "residual branches disagree: main {:?} vs shortcut {:?}",
-            nchw_shape::<P>(x.shape()),
-            nchw_shape::<P>(skip.shape())
+            x.shape(),
+            skip.shape()
         )));
     }
     Ok(x.zip_map(&skip, |main, skip| P::RESIDUAL_RELU.apply(main + skip)))
 }
 
-fn run_plan<P: Precision>(stages: &[Stage<P>], input: &Tensor) -> Result<Tensor, ShapeError> {
-    run_entered(stages, &enter::<P>(input))
-}
-
-/// Runs `stages` on `x`, a map already in the plan's layout ([`enter`]),
-/// and returns the output in NCHW.
-fn run_entered<P: Precision>(stages: &[Stage<P>], x: &Tensor) -> Result<Tensor, ShapeError> {
-    run_chain(stages, x).map(exit::<P>)
+/// Runs `stages` on `input` and returns the output in NCHW.
+fn run_plan<P: Precision>(stages: &[Stage<P>], input: Map) -> Result<Tensor, ShapeError> {
+    Ok(run_chain(stages, input)?.into_nchw())
 }
 
 /// The conv that reads a plan's input: its first stage, or the first stage
@@ -387,9 +422,8 @@ fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
     }
 }
 
-/// Runs every plan on the one `input`, in parallel, answers in plan order.
-/// The input is converted to the plans' layout once ([`enter`]), for all of
-/// them.
+/// Runs every plan on the one NCHW `input`, in parallel, answers in plan
+/// order.
 ///
 /// When all plans lead with convs of one geometry over one channel count —
 /// an ensemble's bodies do, by construction — the input is validated and
@@ -404,15 +438,7 @@ fn run_ensemble<P: Precision>(
     plans: &[&[Stage<P>]],
     input: &Tensor,
 ) -> Result<Vec<Tensor>, ShapeError> {
-    run_ensemble_entered(plans, &enter::<P>(input))
-}
-
-/// [`run_ensemble`] on `input`, a batch already in the plans' layout
-/// ([`enter`]).
-fn run_ensemble_entered<P: Precision>(
-    plans: &[&[Stage<P>]],
-    input: &Tensor,
-) -> Result<Vec<Tensor>, ShapeError> {
+    let input = Map::in_order(Cow::Borrowed(input))?;
     let shared = || {
         let convs: Vec<&P::Conv> = plans
             .iter()
@@ -422,23 +448,23 @@ fn run_ensemble_entered<P: Precision>(
         same.then_some(convs)
     };
     let Some(convs) = shared() else {
-        return par_map(plans, |stages| run_entered(stages, input))
+        return par_map(plans, |stages| run_plan(stages, input.view()))
             .into_iter()
             .collect();
     };
-    let lowered = convs[0].lower(input)?;
+    let lowered = convs[0].lower(&input)?;
     let led = par_map(&convs, |conv| conv.finish(&lowered));
     drop(lowered);
-    let rest: Vec<(&[Stage<P>], Tensor)> = plans.iter().copied().zip(led).collect();
+    let led = led.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let rest: Vec<(&[Stage<P>], Map)> = plans.iter().copied().zip(led).collect();
     par_map(&rest, |(stages, led)| {
         let (head, tail) = stages.split_first().expect("a leading conv has a stage");
         match head {
             Stage::Residual { main, shortcut } => {
-                let x = run_chain(&main[1..], led)?;
-                let block = merge_residual(&x, shortcut.as_deref(), input)?;
-                run_entered(tail, &block)
+                let x = run_chain(&main[1..], led.view())?;
+                run_plan(tail, merge_residual(&x, shortcut.as_deref(), &input)?)
             }
-            _ => run_entered(tail, led),
+            _ => run_plan(tail, led.view()),
         }
     })
     .into_iter()
@@ -456,7 +482,6 @@ struct F32;
 impl Precision for F32 {
     type Conv = ConvStage;
     const RESIDUAL_RELU: ReluForm = ReluForm::Mask;
-    const PIXEL_MAJOR: bool = false;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> ConvStage {
         ConvStage {
@@ -485,12 +510,15 @@ impl LoweredConv for ConvStage {
         )
     }
 
-    fn lower<'a>(&self, input: &'a Tensor) -> Result<Lowered<'a>, ShapeError> {
-        self.conv.lower_input(input, &self.pass)
+    fn lower<'a>(&self, input: &'a Map<'_>) -> Result<Lowered<'a>, ShapeError> {
+        match input.nchw() {
+            Cow::Borrowed(input) => self.conv.lower_input(input, &self.pass),
+            Cow::Owned(_) => unreachable!("only an int8 conv writes a map out of NCHW order"),
+        }
     }
 
-    fn finish(&self, lowered: &Lowered) -> Tensor {
-        self.conv.finish(lowered, &self.pass)
+    fn finish(&self, lowered: &Lowered) -> Result<Map<'static>, ShapeError> {
+        Map::output(self.conv.finish(lowered, &self.pass))
     }
 }
 
@@ -514,7 +542,7 @@ impl CompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_plan(&self.stages, input)
+        run_plan(&self.stages, Map::in_order(Cow::Borrowed(input))?)
     }
 
     /// Runs every plan of an ensemble on the one input they share, in
@@ -551,7 +579,6 @@ struct Int8;
 impl Precision for Int8 {
     type Conv = QConvStage;
     const RESIDUAL_RELU: ReluForm = ReluForm::Max;
-    const PIXEL_MAJOR: bool = true;
 
     fn conv(conv: &Conv2d, pass: OutputPass) -> QConvStage {
         let q = QConv2d::from_conv(conv);
@@ -572,15 +599,16 @@ impl Precision for Int8 {
     }
 }
 
-/// Int8 convolution over a pixel-major map: its input quantized per sample
-/// straight into the zero-haloed copy its product reads ([`QHalo::quantize`]),
-/// and the dequantize and bias, then its [`OutputPass`], applied to each
-/// band of `i32` accumulators while it is cache-hot
-/// ([`OutputPass::pixel_epilogue`], through [`qconv_map`]), a pool window
-/// after that ([`OutputPass::pool_pixels`]) — the eager pipeline's
-/// per-element expressions, no pass over memory of their own (but a pool's),
-/// no `i32` product the size of the output, and no transpose on either
-/// side.
+/// Int8 convolution: its input, in whichever layout it lies, quantized per
+/// sample straight into the zero-haloed copy its product reads
+/// ([`QHalo::quantize`]), and the dequantize and bias, then its
+/// [`OutputPass`], applied to each band of `i32` accumulators while it is
+/// cache-hot ([`OutputPass::pixel_epilogue`], through [`qconv_map`]), a
+/// pool window after that ([`OutputPass::pool_pixels`]) — the eager
+/// pipeline's per-element expressions, no pass over memory of their own
+/// (but a pool's), no `i32` product the size of the output, and no
+/// transpose on either side: the map it writes is pixel-major, the order of
+/// its product rows.
 ///
 /// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
 /// halo's `(ky, kx, c)` order and packed into the host kernel's quad panels,
@@ -615,16 +643,15 @@ impl LoweredConv for QConvStage {
         (self.geometry, self.in_channels, self.pass.pool)
     }
 
-    /// `input` is a pixel-major `[b, h, w, c]` map, validated as the NCHW
-    /// batch `[b, c, h, w]` it stands for.
-    fn lower(&self, input: &Tensor) -> Result<QLowered, ShapeError> {
+    fn lower(&self, input: &Map) -> Result<QLowered, ShapeError> {
         let (geometry, in_channels, _) = self.key();
         let out_channels = self.weights.cols();
-        let nchw = nchw_shape::<Int8>(input.shape());
-        let (b, oh, ow) = check_conv_input(&nchw, in_channels, out_channels, geometry, "q_conv")?;
+        let shape = input.shape();
+        let (b, oh, ow) = check_conv_input(shape, in_channels, out_channels, geometry, "q_conv")?;
         self.pass.check(oh, ow)?;
-        let (h, w) = (nchw[2], nchw[3]);
-        let (halo, scales) = QHalo::quantize(input.data(), [b, h, w, in_channels], geometry);
+        let dims = [b, in_channels, shape[2], shape[3]];
+        let data = input.values.data();
+        let (halo, scales) = QHalo::quantize(data, input.layout, dims, geometry);
         Ok(QLowered {
             halo,
             scales,
@@ -634,9 +661,9 @@ impl LoweredConv for QConvStage {
         })
     }
 
-    fn finish(&self, lowered: &QLowered) -> Tensor {
+    fn finish(&self, lowered: &QLowered) -> Result<Map<'static>, ShapeError> {
         let &QLowered { b, oh, ow, .. } = lowered;
-        let out_c = self.weights.cols();
+        let c = self.weights.cols();
         let rescales: Vec<f32> = lowered
             .scales
             .iter()
@@ -645,7 +672,15 @@ impl LoweredConv for QConvStage {
         let map = qconv_map(&lowered.halo, &self.weights, |row0, acc, out| {
             self.epilogue.write(oh * ow, &rescales, row0, acc, out);
         });
-        self.pass.pool_pixels(map, [b, out_c, oh, ow])
+        let k = self.pass.pool.unwrap_or(1);
+        let (ph, pw) = (oh / k, ow / k);
+        let values = self.pass.pool_pixels(map, [b, c, oh, ow]);
+        Ok(Map {
+            values: Cow::Owned(
+                Tensor::from_vec(values, &[b, c, ph, pw]).expect("sized to the map"),
+            ),
+            layout: Layout::pixel_major(c, ph * pw),
+        })
     }
 }
 
@@ -671,39 +706,16 @@ impl QCompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        run_plan(&self.stages, input)
+        run_plan(&self.stages, Map::in_order(Cow::Borrowed(input))?)
     }
 
-    /// The int8 counterpart of [`CompiledPlan::run_all`]: the input is
-    /// converted to the plans' pixel-major layout once for all of them,
-    /// same-shape bodies share one per-sample quantization and one
+    /// The int8 counterpart of [`CompiledPlan::run_all`]: same-shape bodies
+    /// share one per-sample quantization of the NCHW input and one
     /// zero-haloed copy ([`QHalo`]) of it, and each answer is bit-identical
     /// to [`run`](Self::run) on that plan.
     pub fn run_all(plans: &[QCompiledPlan], input: &Tensor) -> Result<Vec<Tensor>, ShapeError> {
         let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
         run_ensemble(&plans, input)
-    }
-
-    /// [`run_all`](Self::run_all) on `input.dequantize()`, bit for bit,
-    /// with each value dequantized straight into the plans' pixel-major
-    /// layout: one pass and one `f32` copy of the batch, where dequantizing
-    /// first and converting on entry make two of each.
-    pub fn run_all_quantized(
-        plans: &[QCompiledPlan],
-        input: &QTensorBatch,
-    ) -> Result<Vec<Tensor>, ShapeError> {
-        let plans: Vec<_> = plans.iter().map(|plan| plan.stages.as_slice()).collect();
-        let entered = match *input.shape() {
-            [b, c, h, w] => {
-                let scales = input.scales();
-                to_pixels_with(input.data(), [b, c, h, w], |n| {
-                    let scale = scales[n];
-                    move |q: i8| q as f32 * scale
-                })
-            }
-            _ => input.dequantize(),
-        };
-        run_ensemble_entered(&plans, &entered)
     }
 
     /// Number of top-level stages after fusion.
@@ -889,14 +901,13 @@ mod tests {
 
     #[test]
     fn int8_stages_without_a_pixel_major_form_convert_around_themselves_bit_for_bit() {
-        // Between two convs of an int8 plan the maps are pixel-major; a
-        // standalone batch norm, a max-pool behind a standalone ReLU and an
-        // opaque layer (Tanh) run in NCHW between two conversions, a flatten
-        // of a map with spatial extent converts first, a plan ending on a
-        // conv returns its map in NCHW, and a linear after a global average
-        // pool runs at f32 on the int8 features. Each equals QSequential
-        // through `run` and, with a second plan of the same shapes,
-        // `run_all`.
+        // An int8 conv writes a pixel-major map; a standalone batch norm
+        // and an opaque layer (Tanh) run on it gathered to NCHW, a ReLU and
+        // a max-pool read it through its strides, a flatten of a map with
+        // spatial extent gathers it first, a plan ending on a conv returns
+        // its map in NCHW, and a linear after a global average pool runs at
+        // f32 on the int8 features. Each equals QSequential through `run`
+        // and, with a second plan of the same shapes, `run_all`.
         let layers = |rng: &mut Rng, between: usize| -> Sequential {
             let mut layers: Vec<Box<dyn Layer>> = vec![
                 Box::new(Conv2d::new(3, 8, 3, 1, 1, rng)),
@@ -984,16 +995,13 @@ mod tests {
         let head = config.head_output_shape();
         let x = Tensor::from_fn(&[3, head[0], head[1], head[2]], |_| rng.uniform(-1.0, 1.0));
         assert_eq!(qcompile(&body).run(&x).unwrap(), qbody.forward(&x));
-    }
-
-    /// An int8 batch of `shape` as a client sends one: arbitrary codes and
-    /// one scale per sample.
-    fn int8_batch(shape: &[usize], rng: &mut Rng) -> QTensorBatch {
-        let data = (0..shape.iter().product())
-            .map(|_| rng.uniform(-127.0, 127.0) as i8)
-            .collect();
-        let scales = (1..=shape[0]).map(|n| 0.01 * n as f32).collect();
-        QTensorBatch::from_parts(data, shape, scales).unwrap()
+        // An identity skip of the plan's NCHW input merges into the
+        // pixel-major main branch by tiles of 4 channels by 4 pixels: 5
+        // channels of 15 pixels leave a channel and 3 pixels to the rest.
+        let block = Sequential::new(vec![Box::new(ResidualBlock::new(5, 5, 1, &mut rng))]);
+        let x = Tensor::from_fn(&[3, 5, 3, 5], |_| rng.uniform(-1.0, 1.0));
+        let want = QSequential::from_sequential(&block).forward(&x);
+        assert_eq!(qcompile(&block).run(&x).unwrap(), want);
     }
 
     #[test]
@@ -1027,21 +1035,7 @@ mod tests {
                 alone,
                 "int8 set {i}"
             );
-            let q = int8_batch(x.shape(), &mut rng);
-            assert_eq!(
-                QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
-                QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap(),
-                "int8 set {i}, quantized"
-            );
         }
-        // A batch that is no feature map is dequantized as it is.
-        let head = Sequential::new(vec![Box::new(Linear::new(6, 2, &mut rng))]);
-        let qplans = [qcompile(&head), qcompile(&head)];
-        let q = int8_batch(&[3, 6], &mut rng);
-        assert_eq!(
-            QCompiledPlan::run_all_quantized(&qplans, &q).unwrap(),
-            QCompiledPlan::run_all(&qplans, &q.dequantize()).unwrap()
-        );
         assert!(CompiledPlan::run_all(&[], &x).unwrap().is_empty());
     }
 
@@ -1077,6 +1071,29 @@ mod tests {
         assert_eq!(err.message(), format!("linear {rank4}"));
         let qerr = qcompile(&unflattened).run(&x).unwrap_err();
         assert_eq!(qerr.message(), format!("linear {rank4}"));
+        // An empty batch keeps its feature count through a flatten: the
+        // plans answer `[0, 5]`, as the eager pipeline does.
+        let empty = Tensor::zeros(&[0, 3, 8, 8]);
+        let want = net.forward(&empty, Mode::Eval);
+        assert_eq!(want.shape(), &[0, 5]);
+        assert_eq!(plan.run(&empty).unwrap(), want);
+        assert_eq!(qplan.run(&empty).unwrap(), want);
+        // An empty batch of images whose feature count overflows is
+        // constructible, and refused as too large, not a wrapped count.
+        let flat = Sequential::new(vec![
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(16, 2, &mut rng)),
+        ]);
+        let x = Tensor::zeros(&[0, 4, 2, 2]);
+        assert_eq!(compile(&flat).run(&x).unwrap().shape(), &[0, 2]);
+        assert_eq!(qcompile(&flat).run(&x).unwrap().shape(), &[0, 2]);
+        let absurd = Tensor::zeros(&[0, 4, usize::MAX, 2]);
+        for err in [
+            compile(&flat).run(&absurd).unwrap_err(),
+            qcompile(&flat).run(&absurd).unwrap_err(),
+        ] {
+            assert!(err.message().contains("too large"), "{}", err.message());
+        }
         // Degenerate but valid shapes on the demo body: an empty batch, and
         // images so small that every conv reads mostly halo and the
         // stride-2 stage leaves a 1x1 map. Both plans answer them exactly.

@@ -1,43 +1,16 @@
 //! 2-D convolution and transposed convolution layers, the channel-major
-//! output pass that writes every NCHW product, and the pixel-major output
-//! pass of an int8 plan's conv, whose maps stay `[b, h, w, c]`.
+//! output pass that writes every NCHW product from a source in any
+//! [`Layout`], and the pixel-major output pass of an int8 plan's conv, which
+//! writes its map in the layout of its product rows.
 
 use crate::activation::ReluForm;
 use crate::norm::EvalNorm;
 use crate::{BatchNorm2d, Layer, Mode, Param};
 use ensembler_tensor::gemm::{conv_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
-    col2im, im2col, im2col_reusing, Conv2dGeometry, Halo, Init, Rng, ShapeError, Tensor,
+    col2im, im2col, im2col_reusing, transpose, Conv2dGeometry, Halo, Init, Layout, Rng, ShapeError,
+    Tensor,
 };
-
-/// Where a channel-major pass finds its source: value `p` of image `n`'s
-/// channel `ch` plane lies at `n·image + ch·channel + p·pixel`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Layout {
-    image: usize,
-    channel: usize,
-    pixel: usize,
-}
-
-impl Layout {
-    /// `[b·plane, c]` product rows: a pixel's channels lie side by side.
-    pub(crate) fn rows(c: usize, plane: usize) -> Self {
-        Self {
-            image: plane * c,
-            channel: 1,
-            pixel: c,
-        }
-    }
-
-    /// An NCHW tensor: a channel is one contiguous plane.
-    pub(crate) fn nchw(c: usize, plane: usize) -> Self {
-        Self {
-            image: c * plane,
-            channel: plane,
-            pixel: 1,
-        }
-    }
-}
 
 /// The side of one tile of [`nchw_pass`]: `LANES` channels that lie side
 /// by side in the source, at `LANES` output positions along a row.
@@ -85,7 +58,7 @@ pub(crate) fn nchw_pass<T: Copy, F: Fn(T) -> f32>(
             pooled: pool.is_some(),
         };
         for (n, out) in out.chunks_exact_mut(c * out_plane).enumerate() {
-            let image = &src[n * layout.image..];
+            let image = &src[layout.at(n, 0, 0)..];
             let (wide, narrow) = out.split_at_mut(grouped * out_plane);
             for (g, out) in wide.chunks_exact_mut(LANES * out_plane).enumerate() {
                 let ch0 = g * LANES;
@@ -256,15 +229,15 @@ impl OutputPass {
         }
     }
 
-    /// The pixel-major output of `map`, the `[b, oh, ow, c]` values
-    /// ([`Self::pixel_epilogue`]) of the `[b, c, oh, ow]` `dims`: `map`
-    /// itself without a pool, and max-pooled over the pass's window with
-    /// one: a window starts at `-inf`, visits its taps in `(ky, kx)` order
-    /// and keeps a value only if it is greater, [`nchw_pass`]'s selection,
-    /// across a pixel's channels at a time.
-    pub(crate) fn pool_pixels(&self, map: Vec<f32>, [b, c, oh, ow]: [usize; 4]) -> Tensor {
+    /// The pixel-major output of `map`, the pixel-major values
+    /// ([`Self::pixel_epilogue`]) of a `[b, c, oh, ow]` map: `map` itself
+    /// without a pool, and max-pooled over the pass's window with one: a
+    /// window starts at `-inf`, visits its taps in `(ky, kx)` order and keeps
+    /// a value only if it is greater, [`nchw_pass`]'s selection, across a
+    /// pixel's channels at a time.
+    pub(crate) fn pool_pixels(&self, map: Vec<f32>, [b, c, oh, ow]: [usize; 4]) -> Vec<f32> {
         let Some(k) = self.pool else {
-            return pixels_tensor(map, [b, c, oh, ow]);
+            return map;
         };
         debug_assert!(k > 0 && oh.is_multiple_of(k) && ow.is_multiple_of(k));
         let (ph, pw) = (oh / k, ow / k);
@@ -287,7 +260,7 @@ impl OutputPass {
                 }
             }
         }
-        pixels_tensor(out, [b, c, ph, pw])
+        out
     }
 }
 
@@ -295,11 +268,6 @@ impl OutputPass {
 /// per-channel constants are repeated for that many values, rounded up to
 /// whole pixels.
 const PIXEL_RUN: usize = 64;
-
-/// The pixel-major `[b, h, w, c]` tensor of `data`.
-fn pixels_tensor(data: Vec<f32>, [b, c, h, w]: [usize; 4]) -> Tensor {
-    Tensor::from_vec(data, &[b, h, w, c]).expect("output sized to the pixel-major shape")
-}
 
 /// An int8 conv's pixel-major output pass up to its pool
 /// ([`OutputPass::pixel_epilogue`]): the per-channel constants, each
@@ -412,7 +380,7 @@ fn relu_pass<T: Copy, F: Fn(T) -> f32>(
     pool: Option<usize>,
     plane: impl Fn(usize, usize) -> F,
 ) -> Tensor {
-    let layout = Layout::rows(c, oh * ow);
+    let layout = Layout::pixel_major(c, oh * ow);
     match relu {
         None => nchw_pass(rows, layout, dims, pool, plane),
         Some(ReluForm::Mask) => nchw_pass(rows, layout, dims, pool, |n, ch| {
@@ -506,50 +474,18 @@ pub(crate) fn check_conv_input(
     Ok((b, oh, ow))
 }
 
-/// The pixel-major `[b, h, w, c]` map of an NCHW `[b, c, h, w]` tensor.
-pub(crate) fn to_pixels(t: &Tensor) -> Tensor {
-    let dims = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
-    to_pixels_with(t.data(), dims, |_| |v| v)
-}
-
 /// The `[b·h·w, c]` matrix of an NCHW `[b, c, h, w]` tensor whose rows
-/// follow `im2col`'s `(n, y, x)` order: its pixel-major map ([`to_pixels`])
-/// as a matrix.
-fn pixel_rows(t: &Tensor) -> Tensor {
-    let [b, c, h, w] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
-    Tensor::from_vec(to_pixels(t).into_vec(), &[b * h * w, c]).expect("same element count")
-}
-
-/// The pixel-major `[b, h, w, c]` map of `image(n)(v)` over the values `v`
-/// of image `n` of the NCHW `[b, c, h, w]` batch `src`: pixel by pixel, each
-/// gathering its channels from their planes and writing them side by side.
-pub(crate) fn to_pixels_with<T: Copy, F: Fn(T) -> f32>(
-    src: &[T],
-    [b, c, h, w]: [usize; 4],
-    image: impl Fn(usize) -> F,
-) -> Tensor {
-    let (plane, len) = (h * w, c * h * w);
-    let mut out = vec![0.0f32; src.len()];
-    if len > 0 {
-        let images = src.chunks_exact(len).zip(out.chunks_exact_mut(len));
-        for (n, (src, dst)) in images.enumerate() {
-            let value = image(n);
-            for (p, pixel) in dst.chunks_exact_mut(c).enumerate() {
-                for (ch, v) in pixel.iter_mut().enumerate() {
-                    *v = value(src[ch * plane + p]);
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[b, h, w, c]).expect("same element count")
-}
-
-/// The NCHW tensor of a pixel-major `[b, h, w, c]` map: one channel-major
-/// [`nchw_pass`] over the map as product rows.
-pub(crate) fn from_pixels(t: &Tensor) -> Tensor {
-    let [b, h, w, c] = [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]];
-    let layout = Layout::rows(c, h * w);
-    nchw_pass(t.data(), layout, [b, c, h, w], None, |_, _| |v| v)
+/// follow `im2col`'s `(n, y, x)` order: each image's `[c, h·w]` planes
+/// transposed.
+pub(crate) fn pixel_rows(t: &Tensor) -> Tensor {
+    let &[b, c, h, w] = t.shape() else {
+        panic!("pixel_rows expects an NCHW tensor")
+    };
+    let images = t.data().chunks((c * h * w).max(1));
+    let rows = images
+        .flat_map(|image| transpose(image, c, h * w))
+        .collect();
+    Tensor::from_vec(rows, &[b * h * w, c]).expect("same element count")
 }
 
 /// 2-D convolution with square kernels.
@@ -926,9 +862,9 @@ impl Layer for ConvTranspose2d {
         let [b, c, h, w] = input_shape[..] else {
             unreachable!("the cached input is rank 4")
         };
-        let grad_pixels = Tensor::from_vec(grad_rows.into_vec(), &[b, h, w, c])
-            .expect("row matrix sized to the input");
-        from_pixels(&grad_pixels)
+        // The rows are pixel-major: one channel-major pass writes NCHW.
+        let layout = Layout::pixel_major(c, h * w);
+        nchw_pass(grad_rows.data(), layout, [b, c, h, w], None, |_, _| |v| v)
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -1058,12 +994,12 @@ mod tests {
                         assert_eq!(bits(&portable), bits(&map), "portable {what}");
                         let got = pass.pool_pixels(map, [b, c, h, w]);
                         let (ph, pw) = (h / k, w / k);
-                        assert_eq!(got.shape(), &[b, ph, pw, c], "{what}");
+                        assert_eq!(got.len(), b * ph * pw * c, "{what}");
                         let permuted: Vec<f32> = (0..b * c * ph * pw)
                             .map(|i| {
                                 let (n, ch, p) =
                                     (i / (c * ph * pw), i / (ph * pw) % c, i % (ph * pw));
-                                got.data()[(n * ph * pw + p) * c + ch]
+                                got[(n * ph * pw + p) * c + ch]
                             })
                             .collect();
                         assert_eq!(bits(&permuted), bits(want.data()), "{what}");
@@ -1076,18 +1012,17 @@ mod tests {
     #[test]
     fn row_conversion_round_trips() {
         let t = Tensor::from_fn(&[2, 3, 4, 5], |i| i as f32);
-        let pixels = to_pixels(&t);
-        assert_eq!(pixels.shape(), &[2, 4, 5, 3]);
-        for (i, &v) in pixels.data().iter().enumerate() {
+        let rows = pixel_rows(&t);
+        assert_eq!(rows.shape(), &[2 * 4 * 5, 3]);
+        for (i, &v) in rows.data().iter().enumerate() {
             let (n, p, ch) = (i / 60, i / 3 % 20, i % 3);
             assert_eq!(v, t.data()[n * 60 + ch * 20 + p], "pixel value {i}");
         }
-        let rows = pixel_rows(&t);
-        assert_eq!(rows.shape(), &[2 * 4 * 5, 3]);
-        assert_eq!(rows.data(), pixels.data());
-        assert_eq!(from_pixels(&pixels), t);
+        let layout = Layout::pixel_major(3, 20);
+        let back = nchw_pass(rows.data(), layout, [2, 3, 4, 5], None, |_, _| |v| v);
+        assert_eq!(back, t);
         let empty = Tensor::from_vec(vec![], &[0, 16, usize::MAX / 16, 1]).unwrap();
-        assert_eq!(to_pixels(&empty).shape(), &[0, usize::MAX / 16, 1, 16]);
+        assert_eq!(pixel_rows(&empty).shape(), &[0, 16]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Spatial pooling layers.
 
 use crate::{Layer, Mode};
-use ensembler_tensor::Tensor;
+use ensembler_tensor::{Layout, Tensor};
 
 /// Max pooling with a square window and matching stride (no padding).
 ///
@@ -152,17 +152,10 @@ impl GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&self, input: &Tensor, _mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "GlobalAvgPool expects NCHW input");
-        let [b, c, h, w] = [
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        ];
-        let plane = (h * w) as f32;
-        let sums = input.sum_per_channel_per_sample();
-        Tensor::from_vec(sums.data().iter().map(|s| s / plane).collect(), &[b, c])
-            .expect("pooled output has B*C elements")
+        let &[b, c, h, w] = input.shape() else {
+            panic!("GlobalAvgPool expects NCHW input")
+        };
+        global_avg_pool(input.data(), Layout::nchw(c, h * w), [b, c, h, w])
     }
 
     fn forward_cached(&mut self, input: &Tensor, mode: Mode) -> Tensor {
@@ -205,26 +198,29 @@ impl Layer for GlobalAvgPool {
     }
 }
 
-/// [`GlobalAvgPool`]'s forward over a pixel-major `[b, h, w, c]` map, each
-/// pixel's channels side by side: channel `ch` of image `n` is summed from
-/// the start value of `sum_per_channel_per_sample` in the same pixel order,
-/// so every sum, and the `[b, c]` mean, is the NCHW forward's bit for bit.
-/// The loop runs across a pixel's channels, one running sum each.
-pub(crate) fn global_avg_pool_pixels(input: &Tensor) -> Tensor {
-    let &[b, h, w, c] = input.shape() else {
-        panic!("global_avg_pool_pixels expects a [b, h, w, c] map")
-    };
+/// [`GlobalAvgPool`]'s forward over `values`, a map of logical shape
+/// `[b, c, h, w]` lying as `layout` says, NCHW or pixel-major: each channel
+/// of each image summed pixel by pixel, in pixel order, from the start value
+/// of an `f32` iterator sum, then divided by the pixel count — so every mean
+/// is that of the channel's NCHW plane summed with `.iter().sum()`, bit for
+/// bit, whichever the layout. An NCHW image is read a plane at a time, a
+/// pixel-major one a pixel at a time with one running sum per channel.
+pub(crate) fn global_avg_pool(values: &[f32], layout: Layout, [b, c, h, w]: [usize; 4]) -> Tensor {
     let plane = h * w;
     let start: f32 = std::iter::empty::<f32>().sum();
     let mut out = vec![start; b * c];
     if plane * c > 0 {
-        for (sums, image) in out
-            .chunks_exact_mut(c)
-            .zip(input.data().chunks_exact(plane * c))
-        {
-            for pixel in image.chunks_exact(c) {
-                for (sum, &v) in sums.iter_mut().zip(pixel) {
-                    *sum += v;
+        for (n, sums) in out.chunks_exact_mut(c).enumerate() {
+            let image = &values[layout.at(n, 0, 0)..][..c * plane];
+            if layout.channel == 1 {
+                for pixel in image.chunks_exact(c) {
+                    for (sum, &v) in sums.iter_mut().zip(pixel) {
+                        *sum += v;
+                    }
+                }
+            } else {
+                for (sum, values) in sums.iter_mut().zip(image.chunks_exact(plane)) {
+                    *sum = values.iter().fold(*sum, |sum, &v| sum + v);
                 }
             }
         }
@@ -236,31 +232,6 @@ pub(crate) fn global_avg_pool_pixels(input: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[b, c]).expect("pooled output has B*C elements")
 }
 
-/// Extension used by [`GlobalAvgPool`]: per-sample per-channel sums.
-trait PerSampleChannelSum {
-    fn sum_per_channel_per_sample(&self) -> Tensor;
-}
-
-impl PerSampleChannelSum for Tensor {
-    fn sum_per_channel_per_sample(&self) -> Tensor {
-        let [b, c, h, w] = [
-            self.shape()[0],
-            self.shape()[1],
-            self.shape()[2],
-            self.shape()[3],
-        ];
-        let plane = h * w;
-        let mut out = vec![0.0f32; b * c];
-        for n in 0..b {
-            for ch in 0..c {
-                let base = n * c * plane + ch * plane;
-                out[n * c + ch] = self.data()[base..base + plane].iter().sum();
-            }
-        }
-        Tensor::from_vec(out, &[b, c]).expect("length equals B*C")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,24 +239,37 @@ mod tests {
 
     #[test]
     fn pixel_major_global_avg_pool_sums_each_channel_in_the_nchw_order() {
-        // Every channel of image 1 is a plane of -0.0 (whose NCHW sum keeps
-        // the sign of the start value); the rest mixes magnitudes so that
-        // the summation order shows in the last bits, with NaN and ±inf in a
-        // few planes. One-pixel planes, a part vector of channels and an
-        // empty batch too.
+        // The one strided pool over the same values in NCHW and pixel-major
+        // order, against each plane's `.iter().sum()`. Every channel of image
+        // 1 is a plane of -0.0 (whose sum keeps the sign of the start
+        // value); the rest mixes magnitudes so that the summation order
+        // shows in the last bits, with NaN and ±inf in a few planes.
+        // One-pixel planes, a part vector of channels and an empty batch too.
         let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40];
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for [b, c, h, w] in [[3, 5, 4, 6], [2, 16, 1, 1], [3, 33, 3, 2], [0, 4, 2, 2]] {
             let x = Tensor::from_fn(&[b, c, h, w], |i| match (i / (c * h * w), i % 29) {
                 (1, _) => -0.0,
                 (_, 7) => special[i / 29 % special.len()],
                 _ => (i as f32 * 0.37).sin() * 10f32.powi((i % 7) as i32 - 3),
             });
-            let pixels = crate::conv::to_pixels(&x);
-            let got = global_avg_pool_pixels(&pixels);
-            let want = GlobalAvgPool::new().forward(&x, Mode::Eval);
-            assert_eq!(got.shape(), want.shape());
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{b}x{c}x{h}x{w}");
+            let plane = h * w;
+            let want: Vec<f32> = x
+                .data()
+                .chunks_exact(plane)
+                .map(|values| values.iter().sum::<f32>() / plane as f32)
+                .collect();
+            let pixels = crate::conv::pixel_rows(&x);
+            for (values, layout) in [
+                (x.data(), Layout::nchw(c, plane)),
+                (pixels.data(), Layout::pixel_major(c, plane)),
+            ] {
+                let got = global_avg_pool(values, layout, [b, c, h, w]);
+                assert_eq!(got.shape(), &[b, c]);
+                assert_eq!(bits(got.data()), bits(&want), "{b}x{c}x{h}x{w} {layout:?}");
+            }
+            let eager = GlobalAvgPool::new().forward(&x, Mode::Eval);
+            assert_eq!(bits(eager.data()), bits(&want), "{b}x{c}x{h}x{w} eager");
         }
     }
 

@@ -44,21 +44,9 @@
 
 use crate::graph::{lower_sequential, GraphOp};
 use crate::{Conv2d, Flatten, GlobalAvgPool, Layer, MaxPool2d, Mode, Relu, Sequential};
-use ensembler_tensor::{im2col_i8, qgemm_nn, Conv2dGeometry, QTensor, QTensorBatch, Tensor};
-
-/// Transposes a row-major `[rows, cols]` `i8` matrix into `[cols, rows]`.
-///
-/// Weight matrices are transposed once at quantization time so every int8
-/// product runs through the one packed [`qgemm_nn`] kernel layout.
-fn transpose_i8(data: &[i8], rows: usize, cols: usize) -> Vec<i8> {
-    let mut out = vec![0i8; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            out[c * rows + r] = data[r * cols + c];
-        }
-    }
-    out
-}
+use ensembler_tensor::{
+    im2col_i8, qgemm_nn, transpose, Conv2dGeometry, QTensor, QTensorBatch, Tensor,
+};
 
 /// Int8 counterpart of [`Conv2d`]: the input is quantized per sample, lowered
 /// with the `i8` `im2col`, multiplied through [`qgemm_nn`] against the
@@ -82,7 +70,7 @@ impl QConv2d {
         let geometry = layer.geometry();
         let fan_in = layer.in_channels() * geometry.kernel * geometry.kernel;
         Self {
-            weight_t: transpose_i8(q.data(), layer.out_channels(), fan_in),
+            weight_t: transpose(q.data(), layer.out_channels(), fan_in),
             weight_scale: q.scale(),
             bias: layer.bias().value.clone(),
             in_channels: layer.in_channels(),

@@ -4,10 +4,11 @@
 //! zero-haloed copy of the input that the product reads in place; `im2col`
 //! stays as the convolution backward's lowering, the int8 eager oracle's
 //! (`im2col_i8`) and the halos' test oracle. A compiled int8 plan fills its
-//! [`QHalo`] with [`QHalo::quantize`], straight from the pixel-major `f32`
-//! map its stages pass along: one quantize-and-shift pass, no `i8` batch in
-//! between. [`QHalo::lower`], from an NCHW `i8` batch, is that lowering's
-//! test oracle and the matrix form of the int8 product.
+//! [`QHalo`] with [`QHalo::quantize`], straight from the `f32` map its
+//! stages pass along, in whichever [`Layout`] that map lies (NCHW for a
+//! plan's input, pixel-major after an int8 conv): no `i8` batch in between.
+//! [`QHalo::lower`], from an NCHW `i8` batch, is that lowering's test oracle
+//! and the matrix form of the int8 product.
 //!
 //! The transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
@@ -20,7 +21,7 @@
 
 use crate::parallel::chunks_mut;
 use crate::quant::{absmax, quantization_scale, quantize_into};
-use crate::Tensor;
+use crate::{transpose, Layout, Tensor};
 use std::borrow::Cow;
 
 /// Below this many elements per transform the batch loop does not go to the
@@ -306,6 +307,41 @@ pub(crate) fn shift(v: i8) -> u8 {
     v as u8 ^ 0x80
 }
 
+/// `image`, `c` NCHW channel planes of `plane` pixels, in pixel-major order:
+/// itself where a plane or a pixel holds one value, transposed otherwise.
+fn pixel_major<T: Copy + Default>(image: &[T], c: usize, plane: usize) -> Cow<'_, [T]> {
+    if c == 1 || plane == 1 {
+        Cow::Borrowed(image)
+    } else {
+        Cow::Owned(transpose(image, c, plane))
+    }
+}
+
+/// Writes `image`, a pixel-major image of `c` channels, `h x w`, into its
+/// block of a halo of padding `p` with `write(values, bytes)`: an image row
+/// at a time where a pixel fills its quads, a pixel at a time otherwise (a
+/// last part-quad's missing channels keep the shifted zero).
+fn pixels_into<T>(
+    image: &[T],
+    [c, h, w]: [usize; 3],
+    p: usize,
+    block: &mut [u8],
+    write: impl Fn(&[T], &mut [u8]),
+) {
+    let (wp, lanes) = (w + 2 * p, 4 * c.div_ceil(4));
+    if c == lanes {
+        for y in 0..h {
+            let dst = &mut block[((y + p) * wp + p) * lanes..][..w * c];
+            write(&image[y * w * c..][..w * c], dst);
+        }
+    } else {
+        for (i, pixel) in image.chunks_exact(c).enumerate() {
+            let (y, x) = (i / w, i % w);
+            write(pixel, &mut block[((y + p) * wp + p + x) * lanes..][..c]);
+        }
+    }
+}
+
 impl QHalo {
     /// Lowers the NCHW `i8` batch `data` (`[b, c, h, w]`) for a convolution
     /// of geometry `geom`. An `[m, k]` matrix is the `[m, k, 1, 1]` batch
@@ -325,91 +361,56 @@ impl QHalo {
     ) -> Self {
         assert_eq!(data.len(), b * c * h * w, "QHalo buffer/shape mismatch");
         Self::build(b, c, h, w, geom, |n, block| {
-            let image = &data[n * c * h * w..(n + 1) * c * h * w];
-            let (p, wp, lanes) = (geom.padding, w + 2 * geom.padding, 4 * c.div_ceil(4));
-            if h * w == 1 {
-                // One pixel (an [m, k] matrix's row) is NHWC already: one
-                // contiguous shift, which vectorises where the gather below
-                // cannot.
-                let dst = &mut block[(p * wp + p) * lanes..][..c];
-                for (slot, &v) in dst.iter_mut().zip(image) {
-                    *slot = shift(v);
+            let image = pixel_major(&data[n * c * h * w..(n + 1) * c * h * w], c, h * w);
+            pixels_into(&image, [c, h, w], geom.padding, block, |values, bytes| {
+                for (byte, &v) in bytes.iter_mut().zip(values) {
+                    *byte = shift(v);
                 }
-                return;
-            }
-            // Four channel planes at a time: each pixel's quad is gathered
-            // from the four rows, shifted in one word and written with one
-            // store (≈ 2× the byte-at-a-time gather on a [32, 16, 8, 8]
-            // batch). A last part-quad's missing channels keep the shifted
-            // zero.
-            let hw = h * w;
-            for (quad, planes) in image.chunks(4 * hw.max(1)).enumerate() {
-                for y in 0..h {
-                    let row = &mut block[((y + p) * wp + p) * lanes + 4 * quad..];
-                    let at = |ch: usize| &planes[ch * hw + y * w..][..w];
-                    if planes.len() == 4 * hw {
-                        let (c0, c1, c2, c3) = (at(0), at(1), at(2), at(3));
-                        for x in 0..w {
-                            let bytes = [c0[x], c1[x], c2[x], c3[x]].map(|v| v as u8);
-                            let word = u32::from_le_bytes(bytes) ^ 0x8080_8080;
-                            row[x * lanes..][..4].copy_from_slice(&word.to_le_bytes());
-                        }
-                    } else {
-                        for ch in 0..planes.len() / hw {
-                            let dst = row[ch..].iter_mut().step_by(lanes);
-                            for (slot, &v) in dst.zip(at(ch)) {
-                                *slot = shift(v);
-                            }
-                        }
-                    }
-                }
-            }
+            });
         })
     }
 
-    /// Quantizes the pixel-major `f32` batch `data` (`[b, h, w, c]`, a
-    /// pixel's channels side by side) with one scale per sample and lowers it
-    /// for a convolution of geometry `geom`, in one pass that writes each
-    /// shifted byte straight into the copy. Returns the copy and the
-    /// per-sample scales: the bytes and scales of
+    /// Quantizes the `f32` batch `data`, of logical shape `[b, c, h, w]` and
+    /// lying as `layout` says, with one scale per sample and lowers it for a
+    /// convolution of geometry `geom`: the bytes and scales of
     /// [`QTensorBatch::quantize_batch`](crate::QTensorBatch::quantize_batch)
-    /// on the same batch in NCHW followed by [`QHalo::lower`], with no `i8`
-    /// batch between them. A sample's scale is its absolute maximum's
+    /// on the batch in NCHW followed by [`QHalo::lower`], with no `i8` batch
+    /// between them. A sample's scale is its absolute maximum's
     /// ([`crate::quant::quantization_scale`]), which no order of its values
-    /// changes.
+    /// changes. Each image is quantized straight into the copy, an NCHW one
+    /// after a [`transpose`] to pixel-major, as [`QHalo::lower`] does.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != b*h*w*c` or the padded input is smaller than
-    /// the kernel.
+    /// Panics if `data.len() != b*c*h*w`, if `layout` is neither
+    /// [`Layout::nchw`] nor [`Layout::pixel_major`] of `c` channels of `h·w`
+    /// pixels, or if the padded input is smaller than the kernel.
     pub fn quantize(
         data: &[f32],
-        [b, h, w, c]: [usize; 4],
+        layout: Layout,
+        [b, c, h, w]: [usize; 4],
         geom: Conv2dGeometry,
     ) -> (Self, Vec<f32>) {
-        let sample = h * w * c;
+        let (plane, sample) = (h * w, c * h * w);
         assert_eq!(data.len(), b * sample, "QHalo buffer/shape mismatch");
+        let is_pixel_major = layout == Layout::pixel_major(c, plane);
+        assert!(
+            is_pixel_major || layout == Layout::nchw(c, plane),
+            "QHalo::quantize reads a dense NCHW or pixel-major batch"
+        );
         let image = |n: usize| &data[n * sample..(n + 1) * sample];
         let scales: Vec<f32> = (0..b)
             .map(|n| quantization_scale(absmax(image(n))))
             .collect();
         let halo = Self::build(b, c, h, w, geom, |n, block| {
-            let (image, scale) = (image(n), scales[n]);
-            let (p, wp, lanes) = (geom.padding, w + 2 * geom.padding, 4 * c.div_ceil(4));
-            if c == lanes {
-                // No quad pad: an image row is one contiguous run of the
-                // copy.
-                for y in 0..h {
-                    let dst = &mut block[((y + p) * wp + p) * lanes..][..w * c];
-                    quantize_into(&image[y * w * c..][..w * c], scale, dst);
-                }
+            let image = if is_pixel_major {
+                Cow::Borrowed(image(n))
             } else {
-                for (i, pixel) in image.chunks_exact(c).enumerate() {
-                    let (y, x) = (i / w, i % w);
-                    let dst = &mut block[((y + p) * wp + p + x) * lanes..][..c];
-                    quantize_into(pixel, scale, dst);
-                }
-            }
+                pixel_major(image(n), c, plane)
+            };
+            pixels_into(&image, [c, h, w], geom.padding, block, |values, bytes| {
+                quantize_into(values, scales[n], bytes);
+            });
         });
         (halo, scales)
     }

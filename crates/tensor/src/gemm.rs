@@ -51,7 +51,7 @@
 //! ```
 
 use crate::parallel::{chunks_mut, parallelism};
-use crate::Halo;
+use crate::{transpose, Halo};
 use std::borrow::Cow;
 
 /// Rows of the register tile held by the portable micro-kernel. On x86-64
@@ -706,17 +706,6 @@ fn gemm_impl(
         apply_epilogue(band, n, &ep);
     });
     out
-}
-
-/// `[rows, cols]` row-major to `[cols, rows]` row-major.
-fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut dst = vec![0.0f32; src.len()];
-    for (r, row) in src.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            dst[c * rows + r] = v;
-        }
-    }
-    dst
 }
 
 /// Plain triple loop for products too small to amortise packing: the rows

@@ -45,7 +45,8 @@ pub use conv::{col2im, im2col, im2col_i8, im2col_reusing, Conv2dGeometry, Halo, 
 pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};
+pub use ops::transpose;
 pub use parallel::par_map;
 pub use quant::{qconv, qconv_map, qgemm_nn, QPanels, QTensor, QTensorBatch};
-pub use shape::{broadcast_compatible, stride_for, Shape};
+pub use shape::{broadcast_compatible, stride_for, Layout, Shape};
 pub use tensor::Tensor;

@@ -1211,6 +1211,7 @@ mod qvnni {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Layout;
 
     fn naive_qgemm(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
         let mut out = vec![0i32; m * n];
@@ -1488,8 +1489,9 @@ mod tests {
 
     #[test]
     fn quantizing_into_the_halo_equals_quantize_batch_then_lower_under_every_kernel() {
-        // The fused lowering reads a pixel-major batch; the two-pass one the
-        // same values in NCHW. The product runs on top of it whole and band
+        // The fused lowering reads the batch in either layout, NCHW or
+        // pixel-major; the two-pass one the same values in NCHW. The product
+        // runs on top of it whole and band
         // by band through an epilogue. Channels 1, 3 and 5 leave a part
         // quad, 4 and 32 none; sample 1 of each batch is all zero (scale
         // 1.0) and the rest hold NaN, ±inf and ±0 among values of mixed
@@ -1531,18 +1533,27 @@ mod tests {
                         let t = Tensor::from_vec(nchw, &[b, c, h, w]).unwrap();
                         let q = QTensorBatch::quantize_batch(&t);
                         let want = QHalo::lower(q.data(), b, c, h, w, geom);
-                        let (got, scales) = QHalo::quantize(&pixels, [b, h, w, c], geom);
-                        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&scales), bits(q.scales()), "{what}");
-                        if b == 3 {
-                            assert_eq!(scales[1], 1.0, "{what}");
-                        }
-                        assert_eq!(got.bytes(), want.bytes(), "{what}");
-                        assert_eq!(
-                            (got.rows(), got.depth(), got.run_shape()),
-                            (want.rows(), want.depth(), want.run_shape()),
-                            "{what}"
-                        );
+                        let sources = [
+                            (t.data(), Layout::nchw(c, plane)),
+                            (&pixels[..], Layout::pixel_major(c, plane)),
+                        ];
+                        let [_, got] = sources.map(|(data, layout)| {
+                            let (got, scales) = QHalo::quantize(data, layout, [b, c, h, w], geom);
+                            let what = format!("{what} {layout:?}");
+                            let bits =
+                                |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&scales), bits(q.scales()), "{what}");
+                            if b == 3 {
+                                assert_eq!(scales[1], 1.0, "{what}");
+                            }
+                            assert_eq!(got.bytes(), want.bytes(), "{what}");
+                            assert_eq!(
+                                (got.rows(), got.depth(), got.run_shape()),
+                                (want.rows(), want.depth(), want.run_shape()),
+                                "{what}"
+                            );
+                            got
+                        });
                         let par = if b == 3 {
                             Parallelism::Parallel
                         } else {

@@ -108,6 +108,59 @@ pub(crate) fn checked_len(dims: &[usize]) -> Result<usize, ShapeError> {
     Ok(if dims.contains(&0) { 0 } else { nonzero })
 }
 
+/// Where each value of a feature map of logical NCHW shape `[b, c, h, w]`
+/// lies: value `(n, ch, y, x)` at `n·image + ch·channel + p·pixel`, `p =
+/// y·w + x` its pixel. The same map can lie channel plane after channel
+/// plane ([`Layout::nchw`]) or pixel after pixel, each pixel's channels side
+/// by side ([`Layout::pixel_major`]); a reader that takes the strides reads
+/// either.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::Layout;
+///
+/// // Value (n 1, channel 2, pixel 3) of a map of 4 channels of 5 pixels:
+/// assert_eq!(Layout::nchw(4, 5).at(1, 2, 3), 20 + 2 * 5 + 3);
+/// assert_eq!(Layout::pixel_major(4, 5).at(1, 2, 3), 20 + 2 + 3 * 4);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// The distance between two images.
+    pub image: usize,
+    /// The distance between two channels of a pixel.
+    pub channel: usize,
+    /// The distance between two pixels of a channel.
+    pub pixel: usize,
+}
+
+impl Layout {
+    /// `c` channels of `plane` pixels, a channel one contiguous plane.
+    pub fn nchw(c: usize, plane: usize) -> Self {
+        Self {
+            image: c * plane,
+            channel: plane,
+            pixel: 1,
+        }
+    }
+
+    /// `c` channels of `plane` pixels, a pixel's channels side by side (the
+    /// order of a convolution's `[b·plane, c]` product rows).
+    pub fn pixel_major(c: usize, plane: usize) -> Self {
+        Self {
+            image: c * plane,
+            channel: 1,
+            pixel: c,
+        }
+    }
+
+    /// Where value `(n, ch, p)` lies.
+    #[inline]
+    pub fn at(self, n: usize, ch: usize, p: usize) -> usize {
+        n * self.image + ch * self.channel + p * self.pixel
+    }
+}
+
 /// Returns `true` if two shapes are element-wise compatible (identical dims).
 ///
 /// The tensor kernel intentionally does not implement NumPy-style implicit

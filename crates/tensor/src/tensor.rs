@@ -228,14 +228,20 @@ impl Tensor {
     }
 
     /// Flattens a rank-N tensor into `[batch, features]`, keeping axis 0.
+    /// `features` is the product of the other extents, so an empty batch
+    /// keeps it.
     ///
     /// # Panics
     ///
-    /// Panics if the tensor is rank-0.
+    /// Panics if the tensor is rank-0, or if it is an empty batch whose
+    /// feature count overflows `usize`.
     pub fn flatten_batch(&self) -> Self {
         assert!(self.rank() >= 1, "flatten_batch requires rank >= 1");
         let batch = self.shape[0];
-        let features = self.len().checked_div(batch).unwrap_or(0);
+        let features = self.shape[1..]
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .expect("flatten_batch: the feature count overflows usize");
         Self {
             shape: vec![batch, features],
             data: self.data.clone(),
@@ -507,6 +513,10 @@ mod tests {
         assert!(t.reshape(&[5, 5]).is_err());
         let f = t.flatten_batch();
         assert_eq!(f.shape(), &[2, 12]);
+        assert_eq!(
+            Tensor::zeros(&[0, 4, 2, 2]).flatten_batch().shape(),
+            &[0, 16]
+        );
     }
 
     #[test]
