@@ -12,6 +12,9 @@
 //!    the next two absorbing the unknown additive noise) and a surrogate tail
 //!    `~M_c,t`, then train them on the public data against the *frozen*
 //!    server weights so the surrogate pipeline mimics the victim pipeline.
+//!    A [`ServerView`] is the attacker's frozen copies of the bodies behind
+//!    a selector that activates all of them, run like stage 3 runs the
+//!    client's selection (`Selector::forward_bodies` and its adjoint).
 //! 2. **Decoder training** ([`Decoder`]): train a transposed-convolution
 //!    decoder that inverts `~M_c,h`, i.e. maps shadow features back to
 //!    images.

@@ -1,7 +1,7 @@
 //! Orchestration of the query-free model inversion attack.
 
 use crate::{Decoder, ShadowNetwork};
-use ensembler::{Defense, EnsemblerError};
+use ensembler::{Defense, EnsemblerError, Selector};
 use ensembler_data::Dataset;
 use ensembler_metrics::{psnr_batch, ssim};
 use ensembler_nn::models::ResNetConfig;
@@ -63,110 +63,50 @@ pub struct AttackOutcome {
 /// The attacker's working copy of the server-side weights.
 ///
 /// Under the paper's threat model the adversarial server *owns* the body
-/// networks, so the view **clones** them out of the victim
-/// ([`Defense::server_bodies`]) into mutable copies it can backpropagate
-/// through. The victim pipeline itself stays immutable — attacks take
-/// `&dyn Defense` like every other consumer of the inference API.
+/// networks, so a view **clones** them out of the victim
+/// ([`Defense::server_bodies`]), leaving the victim untouched, and freezes
+/// them: it cannot change the victim's weights, so a backward computes only
+/// the input gradient. The shadow step runs them behind [`Selector::all`],
+/// through [`Selector::forward_bodies`] and its adjoint, as stage 3 runs the
+/// client's selection.
 ///
-/// * [`ServerView::Single`] — the surrogate is trained against one specific
-///   server network (the attack of Proposition 1).
-/// * [`ServerView::All`] — the *adaptive* attacker trains against every
-///   server network at once, combining their outputs with the uniform `1/N`
-///   activation it guesses for the unknown selector (Proposition 2).
+/// * [`ServerView::single`] — one server network, at scale `1`
+///   (Proposition 1).
+/// * [`ServerView::all`] — the *adaptive* attacker's view of all `N` at the
+///   uniform `1/N` it guesses for the unknown selector (Proposition 2).
 #[derive(Debug, Clone)]
-pub enum ServerView {
-    /// Attack a single server body.
-    Single(Sequential),
-    /// Attack all server bodies jointly with uniform activation.
-    All(Vec<Sequential>),
+pub struct ServerView {
+    bodies: Vec<Sequential>,
+    selector: Selector,
 }
 
 impl ServerView {
+    /// Freezes `bodies` behind the selector that activates all of them.
+    fn new(mut bodies: Vec<Sequential>) -> Self {
+        for body in &mut bodies {
+            body.freeze();
+        }
+        let selector = Selector::all(bodies.len());
+        Self { bodies, selector }
+    }
+
     /// Clones server body `index` out of the victim.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn single(victim: &dyn Defense, index: usize) -> Self {
-        ServerView::Single(victim.server_bodies()[index].clone())
+        Self::new(vec![victim.server_bodies()[index].clone()])
     }
 
     /// Clones every server body out of the victim.
     pub fn all(victim: &dyn Defense) -> Self {
-        ServerView::All(victim.server_bodies().to_vec())
+        Self::new(victim.server_bodies().to_vec())
     }
 
     /// Width of the feature vector this view feeds into the shadow tail.
     pub fn feature_width(&self, per_network: usize) -> usize {
-        match self {
-            ServerView::Single(_) => per_network,
-            ServerView::All(bodies) => per_network * bodies.len(),
-        }
-    }
-
-    /// Forward pass through the frozen server weights, caching activations
-    /// for the subsequent backward pass.
-    fn forward(&mut self, features: &Tensor, per_network: usize) -> Tensor {
-        match self {
-            ServerView::Single(body) => body.forward_cached(features, Mode::Eval),
-            ServerView::All(bodies) => {
-                let n = bodies.len();
-                let scale = 1.0 / n as f32;
-                let maps: Vec<Tensor> = bodies
-                    .iter_mut()
-                    .map(|b| b.forward_cached(features, Mode::Eval))
-                    .collect();
-                let batch = maps[0].shape()[0];
-                let mut data = Vec::with_capacity(batch * n * per_network);
-                for s in 0..batch {
-                    for map in &maps {
-                        let row = &map.data()[s * per_network..(s + 1) * per_network];
-                        data.extend(row.iter().map(|v| v * scale));
-                    }
-                }
-                Tensor::from_vec(data, &[batch, n * per_network])
-                    .expect("concatenated server features")
-            }
-        }
-    }
-
-    /// Backward pass: maps the gradient at the (concatenated) server output
-    /// back to the transmitted features. Server parameter gradients are
-    /// discarded — the attacker cannot change the victim's weights.
-    fn backward(&mut self, grad: &Tensor, per_network: usize) -> Tensor {
-        match self {
-            ServerView::Single(body) => {
-                let g = body.backward(grad);
-                body.zero_grad();
-                g
-            }
-            ServerView::All(bodies) => {
-                let n = bodies.len();
-                let scale = 1.0 / n as f32;
-                let batch = grad.shape()[0];
-                let mut total: Option<Tensor> = None;
-                for (i, body) in bodies.iter_mut().enumerate() {
-                    let mut per = Tensor::zeros(&[batch, per_network]);
-                    for s in 0..batch {
-                        let src = s * n * per_network + i * per_network;
-                        let dst = s * per_network;
-                        for f in 0..per_network {
-                            per.data_mut()[dst + f] = grad.data()[src + f] * scale;
-                        }
-                    }
-                    let g = body.backward(&per);
-                    body.zero_grad();
-                    total = Some(match total {
-                        Some(mut acc) => {
-                            acc.add_assign(&g);
-                            acc
-                        }
-                        None => g,
-                    });
-                }
-                total.expect("at least one server body")
-            }
-        }
+        per_network * self.selector.active_count()
     }
 }
 
@@ -194,9 +134,10 @@ pub fn run_attack(
         !public_data.is_empty(),
         "the attacker's public dataset must not be empty"
     );
-    let per_network = config.body_output_features();
+    let width = server.feature_width(config.body_output_features());
     let mut rng = Rng::seed_from(attack.seed);
-    let mut shadow = ShadowNetwork::new(config, server.feature_width(per_network), &mut rng);
+    let mut shadow = ShadowNetwork::new(config, width, &mut rng);
+    let ServerView { bodies, selector } = server;
 
     // Step 1: fit the shadow client against the frozen server weights.
     let ce = CrossEntropyLoss::new();
@@ -204,11 +145,15 @@ pub fn run_attack(
     for _ in 0..attack.shadow_epochs {
         for (images, labels) in public_data.batches(attack.batch_size, &mut rng) {
             let features = shadow.head_forward(&images, Mode::Train);
-            let server_out = server.forward(&features, per_network);
+            let server_out = selector
+                .forward_bodies(bodies, &features, Mode::Eval)
+                .expect("the server bodies take the shadow head's features");
             let logits = shadow.tail_forward(&server_out, Mode::Train);
             let out = ce.compute(&logits, &labels);
             let grad_server_out = shadow.tail_backward(&out.grad);
-            let grad_features = server.backward(&grad_server_out, per_network);
+            let grad_features = selector
+                .backward_bodies(bodies, &grad_server_out)
+                .expect("the shadow tail's gradient matches the server output");
             let _ = shadow.head_backward(&grad_features);
             shadow_opt.step(&mut shadow.params_mut());
         }
@@ -230,13 +175,36 @@ pub fn run_attack(
 
     // Step 3: invert the features the client actually transmitted.
     let reconstructions = decoder.forward(transmitted_features, Mode::Eval);
-    let ssim_score = ssim(private_images, &reconstructions, 1.0);
-    let psnr_score = psnr_batch(private_images, &reconstructions, 1.0);
     AttackOutcome {
-        ssim: ssim_score,
-        psnr: psnr_score,
+        ssim: ssim(private_images, &reconstructions, 1.0),
+        psnr: psnr_batch(private_images, &reconstructions, 1.0),
         reconstructions,
     }
+}
+
+/// [`run_attack`] against each of `views` in turn, the `i`-th seeded
+/// `attack.seed + i`, on what the victim transmits for `private_images`.
+fn attack_views(
+    victim: &dyn Defense,
+    views: impl IntoIterator<Item = ServerView>,
+    public_data: &Dataset,
+    private_images: &Tensor,
+    attack: &AttackConfig,
+) -> Result<Vec<AttackOutcome>, EnsemblerError> {
+    let transmitted = victim.client_features(private_images)?;
+    let attack_view = |(i, mut view): (usize, ServerView)| {
+        let mut attack = attack.clone();
+        attack.seed = attack.seed.wrapping_add(i as u64);
+        run_attack(
+            &mut view,
+            victim.config(),
+            public_data,
+            private_images,
+            &transmitted,
+            &attack,
+        )
+    };
+    Ok(views.into_iter().enumerate().map(attack_view).collect())
 }
 
 /// Attacks a pipeline through the strongest single-network view: server
@@ -252,16 +220,8 @@ pub fn attack_single_pipeline(
     private_images: &Tensor,
     attack: &AttackConfig,
 ) -> Result<AttackOutcome, EnsemblerError> {
-    let transmitted = victim.client_features(private_images)?;
-    let mut view = ServerView::single(victim, 0);
-    Ok(run_attack(
-        &mut view,
-        victim.config(),
-        public_data,
-        private_images,
-        &transmitted,
-        attack,
-    ))
+    let view = ServerView::single(victim, 0);
+    Ok(attack_views(victim, [view], public_data, private_images, attack)?.remove(0))
 }
 
 /// Attacks an Ensembler pipeline once per server network, returning one
@@ -277,22 +237,8 @@ pub fn attack_all_single_nets(
     private_images: &Tensor,
     attack: &AttackConfig,
 ) -> Result<Vec<AttackOutcome>, EnsemblerError> {
-    let transmitted = victim.client_features(private_images)?;
-    let mut outcomes = Vec::with_capacity(victim.ensemble_size());
-    for i in 0..victim.ensemble_size() {
-        let mut attack_cfg = attack.clone();
-        attack_cfg.seed = attack.seed.wrapping_add(i as u64);
-        let mut view = ServerView::single(victim, i);
-        outcomes.push(run_attack(
-            &mut view,
-            victim.config(),
-            public_data,
-            private_images,
-            &transmitted,
-            &attack_cfg,
-        ));
-    }
-    Ok(outcomes)
+    let views = (0..victim.ensemble_size()).map(|i| ServerView::single(victim, i));
+    attack_views(victim, views, public_data, private_images, attack)
 }
 
 /// Attacks an Ensembler pipeline with the adaptive strategy that trains the
@@ -307,16 +253,8 @@ pub fn attack_adaptive(
     private_images: &Tensor,
     attack: &AttackConfig,
 ) -> Result<AttackOutcome, EnsemblerError> {
-    let transmitted = victim.client_features(private_images)?;
-    let mut view = ServerView::all(victim);
-    Ok(run_attack(
-        &mut view,
-        victim.config(),
-        public_data,
-        private_images,
-        &transmitted,
-        attack,
-    ))
+    let view = ServerView::all(victim);
+    Ok(attack_views(victim, [view], public_data, private_images, attack)?.remove(0))
 }
 
 #[cfg(test)]
@@ -400,9 +338,9 @@ mod tests {
             .map(|_| ensembler_nn::models::build_body(&config, &mut rng))
             .collect();
         let per = config.body_output_features();
-        let single = ServerView::Single(bodies[0].clone());
+        let single = ServerView::new(vec![bodies[0].clone()]);
         assert_eq!(single.feature_width(per), per);
-        let all = ServerView::All(bodies);
+        let all = ServerView::new(bodies);
         assert_eq!(all.feature_width(per), 3 * per);
     }
 
@@ -421,8 +359,11 @@ mod tests {
             .iter()
             .map(|b| b.forward(&features, Mode::Eval))
             .collect();
-        let mut view = ServerView::All(bodies);
-        let combined = view.forward(&features, per);
+        let mut view = ServerView::new(bodies);
+        let combined = view
+            .selector
+            .forward_bodies(&mut view.bodies, &features, Mode::Eval)
+            .unwrap();
         assert_eq!(combined.shape(), &[2, 2 * per]);
         // First per-network block equals the single output scaled by 1/N.
         for f in 0..per {

@@ -169,17 +169,17 @@ impl SinglePipeline {
         let defense = match kind {
             DefenseKind::NoDefense => DefenseLayer::Identity(Identity::new()),
             DefenseKind::AdditiveNoise { sigma } => {
-                if sigma < 0.0 {
+                if sigma < 0.0 || !sigma.is_finite() {
                     return Err(EnsemblerError::InvalidConfig(
-                        "noise sigma must be non-negative".to_string(),
+                        "noise sigma must be finite and non-negative".to_string(),
                     ));
                 }
                 DefenseLayer::Fixed(FixedNoise::new(&head_shape, sigma, &mut rng))
             }
             DefenseKind::Shredder { sigma, expansion } => {
-                if sigma < 0.0 || expansion < 0.0 {
+                if sigma < 0.0 || expansion < 0.0 || !(sigma.is_finite() && expansion.is_finite()) {
                     return Err(EnsemblerError::InvalidConfig(
-                        "Shredder parameters must be non-negative".to_string(),
+                        "Shredder parameters must be finite and non-negative".to_string(),
                     ));
                 }
                 DefenseLayer::Learned(LearnedNoise::new(&head_shape, sigma, expansion, &mut rng))
@@ -230,12 +230,15 @@ impl SinglePipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`EnsemblerError::EmptyDataset`] if `data` has no samples.
+    /// Returns [`EnsemblerError::InvalidConfig`] if `train` fails
+    /// [`TrainConfig::validate`] and [`EnsemblerError::EmptyDataset`] if
+    /// `data` has no samples.
     pub fn train_supervised(
         &mut self,
         data: &Dataset,
         train: &TrainConfig,
     ) -> Result<Vec<f32>, EnsemblerError> {
+        train.validate()?;
         if data.is_empty() {
             return Err(EnsemblerError::EmptyDataset);
         }
@@ -364,6 +367,19 @@ mod tests {
         .is_err());
         assert!(SinglePipeline::new(cfg(), DefenseKind::Dropout { probability: 1.0 }, 0).is_err());
         assert!(SinglePipeline::new(cfg(), DefenseKind::NoDefense, 0).is_ok());
+        // A non-finite sigma or expansion is a typed error, not a panic in
+        // the noise layer and not a pipeline that transmits non-finite
+        // features.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let noise = DefenseKind::AdditiveNoise { sigma: bad };
+            let err = SinglePipeline::new(cfg(), noise, 0).unwrap_err();
+            assert!(matches!(err, EnsemblerError::InvalidConfig(_)), "{bad}");
+            for (sigma, expansion) in [(bad, 0.0), (0.1, bad)] {
+                let shredder = DefenseKind::Shredder { sigma, expansion };
+                let err = SinglePipeline::new(cfg(), shredder, 0).unwrap_err();
+                assert!(matches!(err, EnsemblerError::InvalidConfig(_)), "{bad}");
+            }
+        }
     }
 
     #[test]
@@ -387,6 +403,23 @@ mod tests {
             losses.last().unwrap() < losses.first().unwrap(),
             "loss should decrease: {losses:?}"
         );
+    }
+
+    #[test]
+    fn training_rejects_invalid_configurations() {
+        // A NaN learning rate used to reach `Sgd::new`'s assertion, and a
+        // zero batch size the batcher.
+        let data = tiny_data();
+        let mut pipeline =
+            SinglePipeline::new(ResNetConfig::tiny_for_tests(), DefenseKind::NoDefense, 1).unwrap();
+        let mut nan_rate = TrainConfig::fast_for_tests();
+        nan_rate.learning_rate = f32::NAN;
+        let mut no_batch = TrainConfig::fast_for_tests();
+        no_batch.batch_size = 0;
+        for bad in [nan_rate, no_batch] {
+            let err = pipeline.train_supervised(&data.train, &bad).unwrap_err();
+            assert!(matches!(err, EnsemblerError::InvalidConfig(_)), "{bad:?}");
+        }
     }
 
     #[test]

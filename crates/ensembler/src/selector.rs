@@ -1,6 +1,7 @@
 //! The client's private selector (Eq. 1 of the paper).
 
 use crate::EnsemblerError;
+use ensembler_nn::{Layer, Mode, Sequential};
 use ensembler_tensor::{Rng, Tensor};
 
 /// The secret activation the client applies to the `N` feature maps returned
@@ -88,8 +89,8 @@ impl Selector {
     }
 
     /// Selector that activates every network with scale `1/N` — the shape of
-    /// the *adaptive* attacker's guess, and the configuration used by the
-    /// DR-N baseline.
+    /// the *adaptive* attacker's guess (`N = 1`: an attack on one body). The
+    /// DR-N baseline draws a [`Selector::random`] like Ensembler.
     pub fn all(ensemble_size: usize) -> Self {
         Self {
             ensemble_size,
@@ -200,6 +201,55 @@ impl Selector {
             }
         }
         Ok(grads)
+    }
+
+    /// Eq. 1 over the bodies themselves: a cached forward of each active
+    /// body, then [`Selector::combine`]. Stage 3, the DR-N baseline and the
+    /// attacks run server bodies only through this and its adjoint,
+    /// [`Selector::backward_bodies`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Selector::combine`].
+    pub fn forward_bodies(
+        &self,
+        bodies: &mut [Sequential],
+        features: &Tensor,
+        mode: Mode,
+    ) -> Result<Tensor, EnsemblerError> {
+        let mut maps = vec![Tensor::default(); bodies.len()];
+        for (i, body) in bodies.iter_mut().enumerate() {
+            if self.is_active(i) {
+                maps[i] = body.forward_cached(features, mode);
+            }
+        }
+        self.combine(&maps)
+    }
+
+    /// [`Selector::split_gradient`], each active body's backward, and their
+    /// input gradients summed in ascending index. A frozen body
+    /// ([`Layer::freeze`]) computes no parameter gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `bodies` does not hold `ensemble_size` networks or
+    /// `grad_combined` is not shaped like the output of `forward_bodies`.
+    pub fn backward_bodies(
+        &self,
+        bodies: &mut [Sequential],
+        grad_combined: &Tensor,
+    ) -> Result<Tensor, EnsemblerError> {
+        let (n, got) = (self.ensemble_size, bodies.len());
+        if got != n {
+            let message = format!("expected {n} server bodies, got {got}");
+            return Err(EnsemblerError::ShapeMismatch(message));
+        }
+        let width = grad_combined.shape().get(1).copied().unwrap_or(0);
+        let grads = self.split_gradient(grad_combined, width / self.active.len())?;
+        let mut inputs = self.active.iter().map(|&i| bodies[i].backward(&grads[i]));
+        let mut sum = inputs.next().expect("one active body");
+        inputs.for_each(|grad| sum.add_assign(&grad));
+        Ok(sum)
     }
 
     /// Number of possible secret selections of this size, `C(N, P)` — the

@@ -91,16 +91,23 @@ impl TrainConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any count is zero or a coefficient is negative.
+    /// Returns an error if any count is zero, a coefficient is negative or
+    /// not finite (NaN included), or the learning rate is zero.
     pub fn validate(&self) -> Result<(), EnsemblerError> {
         if self.epochs_stage1 == 0 || self.epochs_stage3 == 0 || self.batch_size == 0 {
             return Err(EnsemblerError::InvalidConfig(
                 "epoch and batch counts must be positive".to_string(),
             ));
         }
-        if self.learning_rate <= 0.0 || self.lambda < 0.0 || self.sigma < 0.0 {
+        let coefficients = [self.learning_rate, self.lambda, self.sigma];
+        if self.learning_rate <= 0.0
+            || self.lambda < 0.0
+            || self.sigma < 0.0
+            || !coefficients.iter().all(|c| c.is_finite())
+        {
             return Err(EnsemblerError::InvalidConfig(
-                "learning rate must be positive; lambda and sigma non-negative".to_string(),
+                "learning rate must be positive; lambda and sigma non-negative; all finite"
+                    .to_string(),
             ));
         }
         Ok(())
@@ -195,6 +202,30 @@ impl EnsemblerTrainer {
         &self.train
     }
 
+    /// The checks [`EnsemblerTrainer::train`] and
+    /// [`EnsemblerTrainer::train_joint`] share.
+    fn check_inputs(
+        &self,
+        ensemble_size: usize,
+        selected: usize,
+        data: &Dataset,
+    ) -> Result<(), EnsemblerError> {
+        self.train.validate()?;
+        self.config
+            .validate()
+            .map_err(EnsemblerError::InvalidConfig)?;
+        if data.is_empty() {
+            return Err(EnsemblerError::EmptyDataset);
+        }
+        if selected == 0 || selected > ensemble_size {
+            return Err(EnsemblerError::InvalidSelection {
+                selected,
+                available: ensemble_size,
+            });
+        }
+        Ok(())
+    }
+
     /// Runs all three stages: trains `ensemble_size` independent networks,
     /// secretly selects `selected` of them, and retrains the client against
     /// the frozen selection.
@@ -209,19 +240,7 @@ impl EnsemblerTrainer {
         selected: usize,
         data: &Dataset,
     ) -> Result<TrainedEnsembler, EnsemblerError> {
-        self.train.validate()?;
-        self.config
-            .validate()
-            .map_err(EnsemblerError::InvalidConfig)?;
-        if data.is_empty() {
-            return Err(EnsemblerError::EmptyDataset);
-        }
-        if selected == 0 || selected > ensemble_size {
-            return Err(EnsemblerError::InvalidSelection {
-                selected,
-                available: ensemble_size,
-            });
-        }
+        self.check_inputs(ensemble_size, selected, data)?;
 
         let mut report = TrainReport::default();
         let mut rng = Rng::seed_from(self.train.seed);
@@ -241,8 +260,11 @@ impl EnsemblerTrainer {
             let losses = single.train_supervised(data, &self.train)?;
             let final_loss = *losses.last().expect("at least one epoch");
             report.stage1_losses.push(losses);
-            let (head, body, _tail) = single.into_parts();
+            let (head, mut body, _tail) = single.into_parts();
             stage_one.push(StageOneNetwork { head, final_loss });
+            // Stage 3 backpropagates through the bodies and never updates
+            // them: they hold no gradient from here on.
+            body.freeze();
             bodies.push(body);
         }
 
@@ -265,36 +287,21 @@ impl EnsemblerTrainer {
 
         let loss_fn = CrossEntropyLoss::new();
         let mut optimizer = Sgd::new(self.train.learning_rate).with_momentum(0.9);
-        let features_per_map = self.config.body_output_features();
 
         for _ in 0..self.train.epochs_stage3 {
             let mut epoch_loss = 0.0f32;
             let mut epoch_penalty = 0.0f32;
             let mut batches = 0usize;
             for (images, labels) in data.batches(self.train.batch_size, &mut rng) {
-                let batch = images.shape()[0];
                 let head_out = head.forward_cached(&images, Mode::Train);
                 let noisy = noise.forward_cached(&head_out, Mode::Train);
-
-                // Only the selected bodies are evaluated; the rest contribute
-                // zero maps (the selector ignores them anyway).
-                let mut maps = vec![Tensor::zeros(&[batch, features_per_map]); ensemble_size];
-                for &idx in selector.active_indices() {
-                    maps[idx] = bodies[idx].forward_cached(&noisy, Mode::Eval);
-                }
-                let combined = selector.combine(&maps)?;
+                let combined = selector.forward_bodies(&mut bodies, &noisy, Mode::Eval)?;
                 let logits = tail.forward_cached(&combined, Mode::Train);
                 let ce = loss_fn.compute(&logits, &labels);
 
                 // Backward: tail -> selector -> frozen bodies -> noise -> head.
                 let grad_combined = tail.backward(&ce.grad);
-                let per_map_grads = selector.split_gradient(&grad_combined, features_per_map)?;
-                let mut grad_noisy = Tensor::zeros(noisy.shape());
-                for &idx in selector.active_indices() {
-                    let g = bodies[idx].backward(&per_map_grads[idx]);
-                    grad_noisy.add_assign(&g);
-                    bodies[idx].zero_grad(); // frozen: discard their parameter grads
-                }
+                let grad_noisy = selector.backward_bodies(&mut bodies, &grad_combined)?;
                 let grad_head_out_ce = noise.backward(&grad_noisy);
 
                 // Cosine regularizer against every stage-1 head (Eq. 3).
@@ -354,19 +361,7 @@ impl EnsemblerTrainer {
         dropout: f32,
         data: &Dataset,
     ) -> Result<EnsemblerPipeline, EnsemblerError> {
-        self.train.validate()?;
-        self.config
-            .validate()
-            .map_err(EnsemblerError::InvalidConfig)?;
-        if data.is_empty() {
-            return Err(EnsemblerError::EmptyDataset);
-        }
-        if selected == 0 || selected > ensemble_size {
-            return Err(EnsemblerError::InvalidSelection {
-                selected,
-                available: ensemble_size,
-            });
-        }
+        self.check_inputs(ensemble_size, selected, data)?;
         if !(0.0..1.0).contains(&dropout) {
             return Err(EnsemblerError::InvalidConfig(
                 "dropout probability must be in [0, 1)".to_string(),
@@ -389,38 +384,26 @@ impl EnsemblerTrainer {
 
         let loss_fn = CrossEntropyLoss::new();
         let mut optimizer = Sgd::new(self.train.learning_rate).with_momentum(0.9);
-        let features_per_map = self.config.body_output_features();
 
         for _ in 0..self.train.epochs_stage3 {
             for (images, labels) in data.batches(self.train.batch_size, &mut rng) {
-                let batch = images.shape()[0];
                 let head_out = head.forward_cached(&images, Mode::Train);
                 let noisy = noise.forward_cached(&head_out, Mode::Train);
-
-                let mut maps = vec![Tensor::zeros(&[batch, features_per_map]); ensemble_size];
-                for &idx in selector.active_indices() {
-                    maps[idx] = bodies[idx].forward_cached(&noisy, Mode::Train);
-                }
-                let combined = selector.combine(&maps)?;
+                let combined = selector.forward_bodies(&mut bodies, &noisy, Mode::Train)?;
                 let logits = tail.forward_cached(&combined, Mode::Train);
                 let ce = loss_fn.compute(&logits, &labels);
 
                 let grad_combined = tail.backward(&ce.grad);
-                let per_map_grads = selector.split_gradient(&grad_combined, features_per_map)?;
-                let mut grad_noisy = Tensor::zeros(noisy.shape());
-                for &idx in selector.active_indices() {
-                    let g = bodies[idx].backward(&per_map_grads[idx]);
-                    grad_noisy.add_assign(&g);
-                }
+                let grad_noisy = selector.backward_bodies(&mut bodies, &grad_combined)?;
                 let grad_head_out = noise.backward(&grad_noisy);
                 let _ = head.backward(&grad_head_out);
 
                 let mut params = head.params_mut();
-                for (idx, body) in bodies.iter_mut().enumerate() {
-                    if selector.is_active(idx) {
-                        params.extend(body.params_mut());
-                    }
-                }
+                let active = bodies
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(i, _)| selector.is_active(*i));
+                params.extend(active.flat_map(|(_, body)| body.params_mut()));
                 params.extend(tail.params_mut());
                 optimizer.step(&mut params);
             }
@@ -456,6 +439,25 @@ mod tests {
         let mut bad = TrainConfig::fast_for_tests();
         bad.learning_rate = 0.0;
         assert!(bad.validate().is_err());
+        for value in [f32::NAN, f32::INFINITY] {
+            let mut bad = TrainConfig::fast_for_tests();
+            bad.learning_rate = value;
+            assert!(matches!(
+                bad.validate(),
+                Err(EnsemblerError::InvalidConfig(_))
+            ));
+            let bad = TrainConfig::fast_for_tests().with_lambda(value);
+            assert!(matches!(
+                bad.validate(),
+                Err(EnsemblerError::InvalidConfig(_))
+            ));
+            let mut bad = TrainConfig::fast_for_tests();
+            bad.sigma = value;
+            assert!(matches!(
+                bad.validate(),
+                Err(EnsemblerError::InvalidConfig(_))
+            ));
+        }
         let with_lambda = TrainConfig::fast_for_tests().with_lambda(3.0);
         assert!((with_lambda.lambda - 3.0).abs() < f32::EPSILON);
     }

@@ -687,25 +687,26 @@ impl Layer for Conv2d {
             .as_ref()
             .expect("backward called before forward on Conv2d");
         let input_shape = input.shape();
-        let buffer = std::mem::take(&mut self.col_buffer);
-        let cols = im2col_reusing(input, self.geometry, buffer);
         let grad_rows = pixel_rows(grad_output);
         // dW = dY_rows^T * cols
-        let grad_w = grad_rows.matmul_tn(&cols);
-        self.weight.grad.add_assign(&grad_w);
-        self.bias.grad.add_assign(&grad_output.sum_per_channel());
+        self.weight.accumulate(|| {
+            let buffer = std::mem::take(&mut self.col_buffer);
+            let cols = im2col_reusing(input, self.geometry, buffer);
+            let grad_w = grad_rows.matmul_tn(&cols);
+            self.col_buffer = cols.into_vec();
+            grad_w
+        });
+        self.bias.accumulate(|| grad_output.sum_per_channel());
         // dCols = dY_rows * W ; dX = col2im(dCols)
         let grad_cols = grad_rows.matmul(&self.weight.value);
-        let grad_input = col2im(
+        col2im(
             &grad_cols,
             input_shape[0],
             input_shape[1],
             input_shape[2],
             input_shape[3],
             self.geometry,
-        );
-        self.col_buffer = cols.into_vec();
-        grad_input
+        )
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -854,9 +855,8 @@ impl Layer for ConvTranspose2d {
         // grad wrt cols is im2col(grad_output) because forward used col2im.
         let grad_cols = im2col(grad_output, self.geometry); // [B*h*w, Cout*K*K]
                                                             // dW = X_rows^T * grad_cols
-        let grad_w = input_rows.matmul_tn(&grad_cols);
-        self.weight.grad.add_assign(&grad_w);
-        self.bias.grad.add_assign(&grad_output.sum_per_channel());
+        self.weight.accumulate(|| input_rows.matmul_tn(&grad_cols));
+        self.bias.accumulate(|| grad_output.sum_per_channel());
         // dX_rows = grad_cols * W^T
         let grad_rows = grad_cols.matmul_nt(&self.weight.value);
         let [b, c, h, w] = input_shape[..] else {
@@ -906,6 +906,56 @@ mod tests {
         let first = conv.backward(&g);
         assert!(!conv.col_buffer.is_empty() && conv.frozen().col_buffer.is_empty());
         assert_eq!(conv.backward(&g), first);
+    }
+
+    #[test]
+    fn frozen_layers_return_the_trainable_input_gradient_and_accumulate_nothing() {
+        // A Conv2d, a Linear and a BatchNorm2d (under batch and under running
+        // statistics), each beside a frozen copy: the same output and
+        // input-gradient bits, and no parameter gradient in the frozen copy.
+        let mut rng = Rng::seed_from(5);
+        let x = Tensor::from_fn(&[3, 4, 5, 5], |i| (i as f32 * 0.37).sin());
+        let flat = Tensor::from_fn(&[3, 6], |i| (i as f32 * 0.21).cos());
+        let mut bn = BatchNorm2d::new(4);
+        let _ = bn.forward_cached(&x.map(|v| 2.0 * v + 1.0), Mode::Train);
+        let layers: Vec<(Box<dyn Layer>, &Tensor, Mode)> = vec![
+            (
+                Box::new(Conv2d::new(4, 3, 3, 2, 1, &mut rng)),
+                &x,
+                Mode::Eval,
+            ),
+            (
+                Box::new(crate::Linear::new(6, 2, &mut rng)),
+                &flat,
+                Mode::Eval,
+            ),
+            (Box::new(bn.clone()), &x, Mode::Train),
+            (Box::new(bn), &x, Mode::Eval),
+        ];
+        for (mut trainable, input, mode) in layers {
+            let name = trainable.name();
+            let mut frozen = trainable.clone();
+            frozen.freeze();
+            let y = trainable.forward_cached(input, mode);
+            assert_eq!(
+                bits(frozen.forward_cached(input, mode).data()),
+                bits(y.data())
+            );
+            let g = Tensor::from_fn(y.shape(), |i| (i as f32 * 0.53).cos() - 0.25);
+            let (want, got) = (trainable.backward(&g), frozen.backward(&g));
+            assert_eq!(bits(got.data()), bits(want.data()), "{name}");
+            assert!(frozen.params().iter().all(|p| p.grad.is_empty()), "{name}");
+            assert!(
+                trainable.params().iter().all(|p| p.grad.norm() > 0.0),
+                "{name}"
+            );
+        }
+        // A frozen conv's backward lowers no columns for a weight gradient.
+        let mut conv = Conv2d::new(4, 3, 3, 1, 1, &mut rng);
+        conv.freeze();
+        let y = conv.forward_cached(&x, Mode::Eval);
+        let _ = conv.backward(&y);
+        assert!(conv.col_buffer.is_empty());
     }
 
     /// The bits of `t`, so that NaN equals NaN and `-0.0` differs from

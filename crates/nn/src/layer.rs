@@ -50,13 +50,23 @@ impl Param {
         Self { value, grad }
     }
 
-    /// A copy of the value with an *empty* gradient, for a layer frozen into
-    /// an execution plan: a plan is never trained, and a gradient buffer per
-    /// parameter would double what it keeps resident.
+    /// A copy of the value with an *empty* gradient: a frozen parameter,
+    /// as in a layer frozen into an execution plan (never trained; a
+    /// gradient buffer per parameter would double what it keeps resident)
+    /// or a server body trained around but never updated ([`Layer::freeze`]).
+    /// The backwards skip a frozen parameter's gradient, and only that.
     pub(crate) fn frozen(&self) -> Self {
         Self {
             value: self.value.clone(),
             grad: Tensor::zeros(&[0]),
+        }
+    }
+
+    /// Adds the gradient `grad` computes, unless the parameter is frozen:
+    /// then `grad` is never called.
+    pub(crate) fn accumulate(&mut self, grad: impl FnOnce() -> Tensor) {
+        if !self.grad.is_empty() {
+            self.grad.add_assign(&grad());
         }
     }
 
@@ -132,6 +142,15 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     fn zero_grad(&mut self) {
         for p in self.params_mut() {
             p.zero_grad();
+        }
+    }
+
+    /// Freezes every parameter by dropping its gradient buffer, the form a
+    /// compiled plan holds parameters in: `backward` returns the same input
+    /// gradient and computes no parameter gradient.
+    fn freeze(&mut self) {
+        for p in self.params_mut() {
+            *p = p.frozen();
         }
     }
 

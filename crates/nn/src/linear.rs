@@ -166,9 +166,8 @@ impl Layer for Linear {
             "grad_output shape mismatch in Linear"
         );
         // dW = dY^T X, db = sum_batch dY, dX = dY W
-        let grad_w = grad_output.matmul_tn(input);
-        self.weight.grad.add_assign(&grad_w);
-        self.bias.grad.add_assign(&grad_output.sum_axis0());
+        self.weight.accumulate(|| grad_output.matmul_tn(input));
+        self.bias.accumulate(|| grad_output.sum_axis0());
         grad_output.matmul(&self.weight.value)
     }
 

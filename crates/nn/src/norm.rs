@@ -306,21 +306,28 @@ impl Layer for BatchNorm2d {
         let plane = h * w;
         let count = (b * plane) as f32;
 
+        // A frozen batch norm (empty γ and β gradients) under running
+        // statistics reads no per-channel reduction.
+        let trains = !self.gamma.grad.is_empty();
         let mut grad_input = Tensor::zeros(grad_output.shape());
         for ch in 0..c {
             // Per-channel reductions of dY and dY*x_hat.
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
-            for n in 0..b {
-                let base = n * c * plane + ch * plane;
-                for p in 0..plane {
-                    let dy = grad_output.data()[base + p];
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.data()[base + p];
+            if trains || cache.used_batch_stats {
+                for n in 0..b {
+                    let base = n * c * plane + ch * plane;
+                    for p in 0..plane {
+                        let dy = grad_output.data()[base + p];
+                        sum_dy += dy;
+                        sum_dy_xhat += dy * cache.x_hat.data()[base + p];
+                    }
                 }
             }
-            self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
-            self.beta.grad.data_mut()[ch] += sum_dy;
+            if trains {
+                self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
+                self.beta.grad.data_mut()[ch] += sum_dy;
+            }
 
             let g = self.gamma.value.data()[ch];
             let inv_std = cache.inv_std[ch];

@@ -33,8 +33,11 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Creates a tensor filled with zeros.
+    ///
+    /// Like [`Tensor::full`] and [`Tensor::from_fn`], panics if a non-empty
+    /// `shape`'s element count overflows `usize`.
     pub fn zeros(shape: &[usize]) -> Self {
-        let len = shape.iter().product();
+        let len = element_count(shape);
         Self {
             shape: shape.to_vec(),
             data: vec![0.0; len],
@@ -48,7 +51,7 @@ impl Tensor {
 
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        let len = shape.iter().product();
+        let len = element_count(shape);
         Self {
             shape: shape.to_vec(),
             data: vec![value; len],
@@ -77,7 +80,7 @@ impl Tensor {
 
     /// Creates a tensor by evaluating `f` at every linear index.
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
-        let len = shape.iter().product();
+        let len = element_count(shape);
         Self {
             shape: shape.to_vec(),
             data: (0..len).map(&mut f).collect(),
@@ -452,6 +455,15 @@ impl Tensor {
     }
 }
 
+/// The element count of `shape`, which panics rather than wrap; any zero
+/// extent makes it 0, so an empty batch of absurd images is constructible.
+fn element_count(shape: &[usize]) -> usize {
+    if shape.contains(&0) {
+        return 0;
+    }
+    checked_len(shape).unwrap_or_else(|err| panic!("{err}"))
+}
+
 impl Default for Tensor {
     fn default() -> Self {
         Tensor::zeros(&[0])
@@ -485,6 +497,34 @@ mod tests {
         let half = usize::MAX / 2 + 1;
         assert!(Tensor::from_vec(vec![], &[half, 2]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 2], &[half + 1, 2]).is_err());
+    }
+
+    // 2^63 · 2 wraps to 0 in a release build: a buffer that short must not
+    // pass for a tensor of that many elements.
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn zeros_refuses_a_shape_whose_element_count_overflows() {
+        let _ = Tensor::zeros(&[usize::MAX / 2 + 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn full_refuses_a_shape_whose_element_count_overflows() {
+        let _ = Tensor::full(&[usize::MAX / 2 + 1, 2], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn from_fn_refuses_a_shape_whose_element_count_overflows() {
+        let _ = Tensor::from_fn(&[usize::MAX / 2 + 1, 2], |_| 1.0);
+    }
+
+    #[test]
+    fn an_empty_batch_of_absurd_images_is_constructible() {
+        for shape in [[0, 4, usize::MAX, 2], [usize::MAX, usize::MAX, 0, 3]] {
+            assert!(Tensor::zeros(&shape).is_empty());
+            assert!(Tensor::from_fn(&shape, |_| 1.0).is_empty());
+        }
     }
 
     #[test]
