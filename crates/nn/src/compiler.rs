@@ -325,7 +325,7 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
                 // conv's output pass.
                 let bn = match ops.get(i + 1) {
                     Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                        Some(bn.clone())
+                        Some(bn.frozen())
                     }
                     _ => None,
                 };
@@ -355,7 +355,7 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
                 i += 1 + usize::from(fused_relu);
                 continue;
             }
-            GraphOp::BatchNorm(bn) => stages.push(Stage::BatchNorm(Box::new(bn.clone()))),
+            GraphOp::BatchNorm(bn) => stages.push(Stage::BatchNorm(Box::new(bn.frozen()))),
             GraphOp::Relu => stages.push(Stage::Relu(relu)),
             GraphOp::MaxPool(k) => stages.push(Stage::MaxPool(*k)),
             GraphOp::GlobalAvgPool => stages.push(Stage::GlobalAvgPool),
@@ -793,6 +793,61 @@ mod tests {
         assert_eq!(
             qfused.run(&x).unwrap(),
             QSequential::from_sequential(&net).forward(&x)
+        );
+    }
+
+    #[test]
+    fn a_plan_compiled_after_training_holds_no_cache_or_gradient() {
+        // A Mode::Train forward and a backward fill every layer's cache and
+        // gradient buffers; the plan compiled afterwards keeps the weights
+        // and running statistics only, in a merged and a standalone batch
+        // norm, inside a residual block, and in its conv and linear stages.
+        fn check(stages: &[Stage<F32>], norms: &mut usize) {
+            for stage in stages {
+                let params = match stage {
+                    Stage::Conv(stage) => {
+                        if let Some(bn) = &stage.pass.bn {
+                            *norms += 1;
+                            assert!(!bn.holds_training_state());
+                        }
+                        stage.conv.params()
+                    }
+                    Stage::BatchNorm(bn) => {
+                        *norms += 1;
+                        assert!(!bn.holds_training_state());
+                        bn.params()
+                    }
+                    Stage::Linear { linear, .. } => linear.params(),
+                    Stage::Residual { main, shortcut } => {
+                        check(main, norms);
+                        check(shortcut.as_deref().unwrap_or_default(), norms);
+                        Vec::new()
+                    }
+                    _ => Vec::new(),
+                };
+                assert!(params.iter().all(|p| p.grad.is_empty()));
+            }
+        }
+        let mut rng = Rng::seed_from(23);
+        let mut net = Sequential::new(vec![
+            Box::new(BatchNorm2d::new(3)),
+            Box::new(Conv2d::new(3, 8, 3, 1, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(8)),
+            Box::new(Relu::new()),
+            Box::new(ResidualBlock::new(8, 16, 2, &mut rng)),
+            Box::new(GlobalAvgPool::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(16, 5, &mut rng)),
+        ]);
+        let x = Tensor::from_fn(&[4, 3, 8, 8], |_| rng.normal_with(0.4, 1.3));
+        let y = net.forward_cached(&x, Mode::Train);
+        let _ = net.backward(&Tensor::ones(y.shape()));
+        assert!(net.params().iter().all(|p| !p.grad.is_empty()));
+        let mut norms = 0;
+        check(&compile(&net).stages, &mut norms);
+        assert_eq!(
+            norms, 5,
+            "standalone, merged, and the residual block's three"
         );
     }
 

@@ -349,18 +349,18 @@ impl Layer for ResidualBlock {
     }
 
     fn lower(&self) -> crate::graph::GraphOp {
-        use crate::graph::GraphOp;
         crate::graph::GraphOp::Residual {
             main: vec![
-                GraphOp::Conv(self.conv1.clone()),
-                GraphOp::BatchNorm(self.bn1.clone()),
-                GraphOp::Relu,
-                GraphOp::Conv(self.conv2.clone()),
-                GraphOp::BatchNorm(self.bn2.clone()),
+                self.conv1.lower(),
+                self.bn1.lower(),
+                crate::graph::GraphOp::Relu,
+                self.conv2.lower(),
+                self.bn2.lower(),
             ],
-            shortcut: self.shortcut.as_ref().map(|(conv, bn)| {
-                vec![GraphOp::Conv(conv.clone()), GraphOp::BatchNorm(bn.clone())]
-            }),
+            shortcut: self
+                .shortcut
+                .as_ref()
+                .map(|(conv, bn)| vec![conv.lower(), bn.lower()]),
         }
     }
 }

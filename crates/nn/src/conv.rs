@@ -726,7 +726,7 @@ impl Layer for Conv2d {
     }
 
     fn lower(&self) -> crate::graph::GraphOp {
-        crate::graph::GraphOp::Conv(self.clone())
+        crate::graph::GraphOp::Conv(self.frozen())
     }
 }
 

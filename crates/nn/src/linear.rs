@@ -188,7 +188,7 @@ impl Layer for Linear {
     }
 
     fn lower(&self) -> crate::graph::GraphOp {
-        crate::graph::GraphOp::Linear(self.clone())
+        crate::graph::GraphOp::Linear(self.frozen())
     }
 }
 

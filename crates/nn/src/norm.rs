@@ -108,6 +108,29 @@ impl BatchNorm2d {
         }
     }
 
+    /// An inference-only copy for a compiled plan: γ, β and the running
+    /// statistics, no gradient buffers, no training cache (see
+    /// [`Param::frozen`]).
+    pub(crate) fn frozen(&self) -> Self {
+        Self {
+            gamma: self.gamma.frozen(),
+            beta: self.beta.frozen(),
+            running_mean: self.running_mean.clone(),
+            running_var: self.running_var.clone(),
+            momentum: self.momentum,
+            eps: self.eps,
+            channels: self.channels,
+            cache: None,
+        }
+    }
+
+    /// Whether the layer holds anything only training reads: the last
+    /// batch's cache or a γ/β gradient buffer.
+    #[cfg(test)]
+    pub(crate) fn holds_training_state(&self) -> bool {
+        self.cache.is_some() || !self.gamma.grad.is_empty() || !self.beta.grad.is_empty()
+    }
+
     /// Number of normalized channels.
     pub fn channels(&self) -> usize {
         self.channels
@@ -367,7 +390,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn lower(&self) -> crate::graph::GraphOp {
-        crate::graph::GraphOp::BatchNorm(self.clone())
+        crate::graph::GraphOp::BatchNorm(self.frozen())
     }
 }
 

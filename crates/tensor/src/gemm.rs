@@ -22,8 +22,11 @@
 //!   in registers across a [`KC`]-deep slice of the shared dimension,
 //!   amortising every load of `A` over the tile width and every load of `B`
 //!   over the tile height. The tile geometry is picked per host at runtime:
-//!   a 6×16 AVX2+FMA kernel on x86-64 machines that report both features, a
-//!   portable auto-vectorising [`MR`]`×`[`NR`] kernel everywhere else.
+//!   an 8×16 AVX-512F kernel (one `zmm` per row) on x86-64 machines that
+//!   report AVX-512F, a 6×16 AVX2+FMA kernel on those that report both of
+//!   those features, a portable auto-vectorising [`MR`]`×`[`NR`] kernel
+//!   everywhere else. The two x86-64 kernels run the same FMA chain per
+//!   element, so they write the same bits.
 //! * **Cache blocking.** The shared dimension is walked in [`KC`]-sized
 //!   blocks so the active `A` and `B` panels stay resident in L1/L2 while an
 //!   output tile is produced.
@@ -34,7 +37,14 @@
 //!   multiply-accumulates stay on the calling thread, and so does any
 //!   product computed from inside a parallel region (one ensemble body per
 //!   core, serial kernels inside; see [`crate::parallel`]). The unpacked
-//!   small-product loop below [`SMALL_THRESHOLD`] splits the same way.
+//!   small product below [`SMALL_THRESHOLD`] splits the same way.
+//! * **The small product.** Below [`SMALL_THRESHOLD`] elements of `B`
+//!   nothing is packed: each host kernel has a second register tile (8×16
+//!   `zmm`, 4×16 `ymm`, portable 4×8, masked on a ragged column tail) that
+//!   holds a block of output rows across the whole of `k` and reads the
+//!   row-major `B` where it lies. It multiplies, then adds, from `0.0`, in
+//!   ascending `p`, never fused, so every kernel writes the bits of a plain
+//!   triple loop. The client's head conv is this path.
 //!
 //! Unlike the scalar loops this kernel replaced, no term is ever skipped:
 //! `0 × NaN` and `0 × ∞` contributions propagate into the output as IEEE 754
@@ -55,8 +65,9 @@ use crate::{transpose, Halo};
 use std::borrow::Cow;
 
 /// Rows of the register tile held by the portable micro-kernel. On x86-64
-/// hosts with AVX2+FMA a wider 6×16 tile is selected at runtime instead (see
-/// the module docs); the packing layout adapts to whichever kernel runs.
+/// hosts with AVX-512F or AVX2+FMA a taller 16-column tile is selected at
+/// runtime instead (see the module docs); the packing layout adapts to
+/// whichever kernel runs.
 pub const MR: usize = 4;
 /// Columns of the register tile held by the portable micro-kernel.
 pub const NR: usize = 8;
@@ -64,8 +75,8 @@ pub const NR: usize = 8;
 pub const KC: usize = 256;
 /// Output rows per parallel band (one unit of work for a worker thread).
 pub const MC: usize = 128;
-/// The tallest register tile of any micro-kernel: room for a ragged tile's
-/// repeated rows past a run of [`MC`].
+/// At least the tallest register tile of any micro-kernel, blocked or small:
+/// room for a ragged tile's repeated rows past a run of [`MC`].
 const MAX_MR: usize = 8;
 
 /// Where a product's logical `[m,k]` left operand lies in memory.
@@ -239,23 +250,39 @@ impl Lhs<'_> {
 type MicroKernelFn =
     fn(a: Lhs, bpanel: &[f32], c: &mut [f32], ldc: usize, tile_rows: usize, cols: usize);
 
-/// The micro-kernel picked for this host, with its register-tile geometry.
+/// One small-product tile: `tile_rows x cols` outputs of the unpacked
+/// product, read from `a`'s rows and the row-major right operand `b` (its
+/// first `cols` columns, leading dimension `n`), stored into `c` (leading
+/// dimension `n`). Each output is `0.0 + a·b + a·b …` over the whole of
+/// `a.koff` in ascending order, a multiply then an add per term, never
+/// fused and never skipped: the arithmetic of a plain triple loop. `a.rows`
+/// holds one start per tile row; rows past `tile_rows` re-read the last
+/// valid row and are not stored.
+type SmallKernelFn = fn(a: Lhs, b: &[f32], c: &mut [f32], n: usize, tile_rows: usize, cols: usize);
+
+/// The micro-kernels picked for this host, with their register-tile
+/// geometry: the blocked product's `mr x nr` tile and the small product's
+/// `small_mr x nr` one.
 #[derive(Clone, Copy)]
 struct KernelConfig {
     mr: usize,
     nr: usize,
     micro: MicroKernelFn,
+    small_mr: usize,
+    small: SmallKernelFn,
 }
 
-/// The portable kernel: what every host can run, and what hosts without
+/// The portable kernels: what every host can run, and what hosts without
 /// AVX2+FMA do run.
 const PORTABLE_KERNEL: KernelConfig = KernelConfig {
     mr: MR,
     nr: NR,
     micro: portable_microkernel,
+    small_mr: MR,
+    small: portable_small,
 };
 
-/// The AVX2+FMA kernel, if this host reports both features. Detection is
+/// The AVX2+FMA kernels, if this host reports both features. Detection is
 /// cached by the standard library, so this is cheap to call per GEMM.
 fn avx2_kernel() -> Option<KernelConfig> {
     #[cfg(target_arch = "x86_64")]
@@ -266,19 +293,43 @@ fn avx2_kernel() -> Option<KernelConfig> {
                 mr: avx2::MR,
                 nr: avx2::NR,
                 micro: avx2::microkernel,
+                small_mr: avx2::SMALL_MR,
+                small: avx2::small,
             });
         }
     }
     None
 }
 
-/// Picks the widest micro-kernel the host supports.
+/// The AVX-512F kernels, if this host reports the feature. Their blocked
+/// tile runs the AVX2 kernel's per-element FMA chain, so the two write the
+/// same bits.
+fn avx512_kernel() -> Option<KernelConfig> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Some(KernelConfig {
+                mr: avx512::MR,
+                nr: avx512::NR,
+                micro: avx512::microkernel,
+                small_mr: avx512::SMALL_MR,
+                small: avx512::small,
+            });
+        }
+    }
+    None
+}
+
+/// Picks the widest micro-kernels the host supports.
 fn kernel_config() -> KernelConfig {
-    avx2_kernel().unwrap_or(PORTABLE_KERNEL)
+    avx512_kernel()
+        .or_else(avx2_kernel)
+        .unwrap_or(PORTABLE_KERNEL)
 }
 
 /// Below this many right-operand elements (`k·n`) the kernel skips packing
-/// entirely and runs a plain register-friendly triple loop.
+/// entirely and runs the small-product tiles, whose arithmetic is a plain
+/// triple loop's (multiply, then add; no FMA).
 ///
 /// Deliberately independent of `m`: row `i` of a product must be bit-exact
 /// whether it is computed alone or inside a larger batch, because the
@@ -699,7 +750,7 @@ fn gemm_impl(
     chunks_mut(&mut out, band_rows * n, want_parallel, |index, band| {
         let row0 = index * band_rows;
         if small {
-            gemm_small(a, walk, &koff, &bp, row0, n, band);
+            gemm_small(a, walk, &koff, &bp, row0, n, cfg, band);
         } else {
             gemm_band(a, walk, &koff, &bp, row0, n, cfg, band);
         }
@@ -708,12 +759,14 @@ fn gemm_impl(
     out
 }
 
-/// Plain triple loop for products too small to amortise packing: the rows
-/// of `band` (output rows `row0..`) against the row-major `[k,n]` right
-/// operand, iterating `(p, j)` so the inner loop streams and vectorises
-/// across `j`. Each output element accumulates its `k` products in order,
-/// multiply then add, from `0.0`, and never skips a term, so non-finite
-/// values propagate exactly like the blocked path. Every read is checked.
+/// The product for `k·n` too small to amortise packing: the rows of `band`
+/// (output rows `row0..`) against the row-major `[k,n]` right operand, in
+/// `small_mr x nr` register tiles that each run the whole of `k`.
+/// Each output element accumulates its `k` products in order, multiply then
+/// add, from `0.0`, and never skips a term, so non-finite values propagate
+/// exactly like the blocked path, and every kernel writes the bits of a
+/// plain triple loop ([`SmallKernelFn`]).
+#[allow(clippy::too_many_arguments)]
 fn gemm_small(
     a: &[f32],
     walk: Walk,
@@ -721,16 +774,21 @@ fn gemm_small(
     b: &[f32],
     row0: usize,
     n: usize,
+    cfg: KernelConfig,
     band: &mut [f32],
 ) {
-    walk.for_each_run(row0, n, 1, band, |rows, out| {
-        for (&row, out_row) in rows.iter().zip(out.chunks_exact_mut(n)) {
-            for (p, &step) in koff.iter().enumerate() {
-                let a_ip = a[row + step];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * bv;
-                }
+    let (mr, nr) = (cfg.small_mr, cfg.nr);
+    walk.for_each_run(row0, n, mr, band, |offsets, out| {
+        let rows = out.len() / n;
+        for r0 in (0..rows).step_by(mr) {
+            let tile = Lhs {
+                data: a,
+                rows: &offsets[r0..r0 + mr],
+                koff,
+            };
+            for j0 in (0..n).step_by(nr) {
+                let (tile_rows, cols) = (mr.min(rows - r0), nr.min(n - j0));
+                (cfg.small)(tile, &b[j0..], &mut out[r0 * n + j0..], n, tile_rows, cols);
             }
         }
     });
@@ -853,21 +911,56 @@ fn portable_microkernel(
     }
 }
 
+/// The portable small-product tile: [`MR`]`x`[`NR`] outputs held in a fixed
+/// array across the whole of `k`, which auto-vectorises on any target
+/// ([`SmallKernelFn`]). A ragged column tail multiplies zeros in the lanes
+/// it does not store.
+fn portable_small(a: Lhs, b: &[f32], c: &mut [f32], n: usize, tile_rows: usize, cols: usize) {
+    a.assert_covers();
+    let row: [usize; MR] = a.rows.try_into().expect("MR row offsets");
+    let mut acc = [[0.0f32; NR]; MR];
+    for (p, &step) in a.koff.iter().enumerate() {
+        let sliver = &b[p * n..p * n + cols];
+        let bv: [f32; NR] = sliver.try_into().unwrap_or_else(|_| {
+            let mut ragged = [0.0; NR];
+            ragged[..cols].copy_from_slice(sliver);
+            ragged
+        });
+        for r in 0..MR {
+            // SAFETY: as in `portable_microkernel`: `assert_covers` checked
+            // the farthest row offset plus the last k offset.
+            let ar = unsafe { *a.data.get_unchecked(row[r] + step) };
+            for (slot, &bval) in acc[r].iter_mut().zip(&bv) {
+                *slot += ar * bval;
+            }
+        }
+    }
+    for r in 0..tile_rows {
+        c[r * n..r * n + cols].copy_from_slice(&acc[r][..cols]);
+    }
+}
+
 /// AVX2+FMA micro-kernel: a 6×16 register tile (12 `ymm` accumulators, two
 /// per row) fed by A values broadcast from their six source rows, selected
-/// at runtime on x86-64 hosts that report both features.
+/// at runtime on x86-64 hosts that report both features but not AVX-512F.
+/// Its small-product tile is 4×16, two `ymm` per row, with a masked column
+/// tail.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::Lhs;
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// Register-tile rows of the AVX2 kernel.
     pub(super) const MR: usize = 6;
     /// Register-tile columns of the AVX2 kernel (two 8-lane `ymm` vectors).
     pub(super) const NR: usize = 16;
+    /// Register-tile rows of the AVX2 small-product tile.
+    pub(super) const SMALL_MR: usize = 4;
+    const _: () = assert!(MR <= super::MAX_MR && SMALL_MR <= super::MAX_MR);
 
     /// Safe entry point matching [`super::MicroKernelFn`].
     ///
@@ -950,6 +1043,212 @@ mod avx2 {
             }
         }
     }
+
+    /// Safe entry point matching [`super::SmallKernelFn`]; reachable only
+    /// through [`super::avx2_kernel`], like [`microkernel`].
+    pub(super) fn small(a: Lhs, b: &[f32], c: &mut [f32], n: usize, tile_rows: usize, cols: usize) {
+        a.assert_covers();
+        assert!(a.rows.len() == SMALL_MR && (1..=SMALL_MR).contains(&tile_rows));
+        assert!((1..=NR).contains(&cols) && b.len() >= (a.koff.len() - 1) * n + cols);
+        assert!(c.len() >= (tile_rows - 1) * n + cols);
+        // SAFETY: AVX2 is present (see above). The asserts are what
+        // `small_impl` requires of its caller.
+        unsafe { small_impl(a, b, c, n, tile_rows, cols) }
+    }
+
+    /// Lane masks of the two `ymm` halves of a `cols`-wide row.
+    #[target_feature(enable = "avx2")]
+    fn tail(cols: usize) -> [__m256i; 2] {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let cols = _mm256_set1_epi32(cols as i32);
+        [
+            _mm256_cmpgt_epi32(cols, lanes),
+            _mm256_cmpgt_epi32(cols, _mm256_add_epi32(lanes, _mm256_set1_epi32(8))),
+        ]
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX2; `a` must cover its tile
+    /// ([`Lhs::assert_covers`]) with `SMALL_MR` row offsets and
+    /// `1 <= tile_rows <= SMALL_MR`; `b` must hold `(kc - 1) * n + cols`
+    /// values for `kc = a.koff.len()`, and `c` `(tile_rows - 1) * n + cols`,
+    /// with `1 <= cols <= NR`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn small_impl(
+        a: Lhs,
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        // The masked loads and stores touch no lane at or past `cols`, so a
+        // half past the end of a row is never read or written.
+        let [lo, hi] = tail(cols);
+        let mut acc = [[_mm256_setzero_ps(); 2]; SMALL_MR];
+        let mut row = [a.data.as_ptr(); SMALL_MR];
+        for (start, &offset) in row.iter_mut().zip(a.rows) {
+            *start = start.add(offset);
+        }
+        let bp = b.as_ptr();
+        for (p, &step) in a.koff.iter().enumerate() {
+            let at = bp.add(p * n);
+            let b0 = _mm256_maskload_ps(at, lo);
+            let b1 = _mm256_maskload_ps(at.wrapping_add(8), hi);
+            for (row_acc, start) in acc.iter_mut().zip(row) {
+                // A multiply, then an add: the scalar loop's two roundings.
+                let ar = _mm256_set1_ps(*start.add(step));
+                row_acc[0] = _mm256_add_ps(row_acc[0], _mm256_mul_ps(ar, b0));
+                row_acc[1] = _mm256_add_ps(row_acc[1], _mm256_mul_ps(ar, b1));
+            }
+        }
+        for (r, row_acc) in acc.iter().enumerate().take(tile_rows) {
+            let crow = c.as_mut_ptr().add(r * n);
+            _mm256_maskstore_ps(crow, lo, row_acc[0]);
+            _mm256_maskstore_ps(crow.wrapping_add(8), hi, row_acc[1]);
+        }
+    }
+}
+
+/// AVX-512F micro-kernel: an 8×16 register tile, one `zmm` accumulator per
+/// row, selected at runtime on x86-64 hosts that report AVX-512F. Each
+/// element runs the AVX2 kernel's chain — one FMA per shared index,
+/// ascending within a [`super::KC`] block, from zero, added into C once per
+/// block — so the two kernels write the same bits. Its small-product tile
+/// is 8×16 with a masked column tail.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::Lhs;
+    use std::arch::x86_64::{
+        __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+
+    /// Register-tile rows of the AVX-512 kernel.
+    pub(super) const MR: usize = 8;
+    /// Register-tile columns (one 16-lane `zmm` per row).
+    pub(super) const NR: usize = 16;
+    /// Register-tile rows of the AVX-512 small-product tile.
+    pub(super) const SMALL_MR: usize = 8;
+    const _: () = assert!(MR <= super::MAX_MR && SMALL_MR <= super::MAX_MR);
+
+    /// The lanes of a `cols`-wide row.
+    fn tail(cols: usize) -> __mmask16 {
+        if cols == NR {
+            !0
+        } else {
+            (1 << cols) - 1
+        }
+    }
+
+    /// Safe entry point matching [`super::MicroKernelFn`].
+    ///
+    /// Only reachable through [`super::avx512_kernel`], which verifies
+    /// AVX-512F before handing out this function pointer, so the
+    /// `target_feature` call below is sound.
+    pub(super) fn microkernel(
+        a: Lhs,
+        bpanel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        a.assert_covers();
+        assert!(a.rows.len() == MR && (1..=MR).contains(&tile_rows) && (1..=NR).contains(&cols));
+        assert!(bpanel.len() >= a.koff.len() * NR);
+        assert!(c.len() >= (tile_rows - 1) * ldc + cols);
+        // SAFETY: AVX-512F is present (see above). The asserts are what
+        // `microkernel_impl` requires of its caller.
+        unsafe { microkernel_impl(a, bpanel, c, ldc, tile_rows, cols) }
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX-512F; `a` must cover its tile
+    /// ([`Lhs::assert_covers`]) with `MR` row offsets and
+    /// `1 <= tile_rows <= MR`; `bpanel` must hold `kc * NR` values for
+    /// `kc = a.koff.len()`; and `c` must hold `(tile_rows - 1) * ldc + cols`
+    /// with `1 <= cols <= NR`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn microkernel_impl(
+        a: Lhs,
+        bpanel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        let mut acc = [_mm512_setzero_ps(); MR];
+        let mut row = [a.data.as_ptr(); MR];
+        for (start, &offset) in row.iter_mut().zip(a.rows) {
+            *start = start.add(offset);
+        }
+        let bpp = bpanel.as_ptr();
+        for (p, &step) in a.koff.iter().enumerate() {
+            let bv = _mm512_loadu_ps(bpp.add(p * NR));
+            for (row_acc, start) in acc.iter_mut().zip(row) {
+                *row_acc = _mm512_fmadd_ps(_mm512_set1_ps(*start.add(step)), bv, *row_acc);
+            }
+        }
+        // C plus the block's sum, as the AVX2 kernel adds them; the masked
+        // lanes past `cols` are neither read nor written.
+        let mask = tail(cols);
+        for (r, row_acc) in acc.iter().enumerate().take(tile_rows) {
+            let crow = c.as_mut_ptr().add(r * ldc);
+            let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, crow), *row_acc);
+            _mm512_mask_storeu_ps(crow, mask, sum);
+        }
+    }
+
+    /// Safe entry point matching [`super::SmallKernelFn`]; reachable only
+    /// through [`super::avx512_kernel`], like [`microkernel`].
+    pub(super) fn small(a: Lhs, b: &[f32], c: &mut [f32], n: usize, tile_rows: usize, cols: usize) {
+        a.assert_covers();
+        assert!(a.rows.len() == SMALL_MR && (1..=SMALL_MR).contains(&tile_rows));
+        assert!((1..=NR).contains(&cols) && b.len() >= (a.koff.len() - 1) * n + cols);
+        assert!(c.len() >= (tile_rows - 1) * n + cols);
+        // SAFETY: AVX-512F is present (see above). The asserts are what
+        // `small_impl` requires of its caller.
+        unsafe { small_impl(a, b, c, n, tile_rows, cols) }
+    }
+
+    /// # Safety
+    ///
+    /// The host must support AVX-512F; `a` must cover its tile
+    /// ([`Lhs::assert_covers`]) with `SMALL_MR` row offsets and
+    /// `1 <= tile_rows <= SMALL_MR`; `b` must hold `(kc - 1) * n + cols`
+    /// values for `kc = a.koff.len()`, and `c` `(tile_rows - 1) * n + cols`,
+    /// with `1 <= cols <= NR`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn small_impl(
+        a: Lhs,
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        let mask = tail(cols);
+        let mut acc = [_mm512_setzero_ps(); SMALL_MR];
+        let mut row = [a.data.as_ptr(); SMALL_MR];
+        for (start, &offset) in row.iter_mut().zip(a.rows) {
+            *start = start.add(offset);
+        }
+        let bp = b.as_ptr();
+        for (p, &step) in a.koff.iter().enumerate() {
+            let bv = _mm512_maskz_loadu_ps(mask, bp.add(p * n));
+            for (row_acc, start) in acc.iter_mut().zip(row) {
+                // A multiply, then an add: the scalar loop's two roundings.
+                let term = _mm512_mul_ps(_mm512_set1_ps(*start.add(step)), bv);
+                *row_acc = _mm512_add_ps(*row_acc, term);
+            }
+        }
+        for (r, row_acc) in acc.iter().enumerate().take(tile_rows) {
+            _mm512_mask_storeu_ps(c.as_mut_ptr().add(r * n), mask, *row_acc);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -994,13 +1293,35 @@ mod tests {
         }
     }
 
-    /// Every kernel this host can execute, named. On an AVX2 host
-    /// `kernel_config` never hands out the portable kernel, so only tests
-    /// that iterate this list run it there.
+    /// Every kernel this host can execute, named. `kernel_config` hands
+    /// out only the widest, so only tests that iterate this list run the
+    /// others.
     fn kernels() -> Vec<(&'static str, KernelConfig)> {
         let mut all = vec![("portable", PORTABLE_KERNEL)];
         all.extend(avx2_kernel().map(|cfg| ("avx2", cfg)));
+        all.extend(avx512_kernel().map(|cfg| ("avx512", cfg)));
         all
+    }
+
+    #[test]
+    fn the_sweeps_name_the_kernels_this_host_runs() {
+        // Printed under `--nocapture`, so a host without AVX-512F (or AVX2)
+        // says which sweeps it did not run instead of passing silently.
+        let ran: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
+        let skipped: Vec<&str> = ["portable", "avx2", "avx512"]
+            .into_iter()
+            .filter(|name| !ran.contains(name))
+            .collect();
+        println!(
+            "f32 micro-kernels exercised: {}; not on this host: {}",
+            ran.join(", "),
+            if skipped.is_empty() {
+                "none".to_string()
+            } else {
+                skipped.join(", ")
+            }
+        );
+        assert_eq!(ran[0], "portable");
     }
 
     const LAYOUTS: [Op; 3] = [Op::Nn, Op::Tn, Op::Nt];
@@ -1253,13 +1574,30 @@ mod tests {
                 let mut c = vec![0.0f32; cfg.nr];
                 (cfg.micro)(tile, &vec![0.0; 3 * cfg.nr], &mut c, cfg.nr, 2, cfg.nr);
             });
-            let refusal = read.expect_err(name);
-            let message = refusal
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| refusal.downcast_ref::<String>().map(String::as_str));
-            assert_eq!(message, Some("an lhs tile runs past its operand"), "{name}");
+            assert_refused(read, name);
+            // The small-product tile, over the same rows and k offsets.
+            let mut rows = vec![4; cfg.small_mr];
+            rows[0] = 0;
+            let tile = Lhs {
+                rows: &rows,
+                ..tile
+            };
+            let read = std::panic::catch_unwind(|| {
+                let n = cfg.nr;
+                let mut c = vec![0.0f32; 2 * n];
+                (cfg.small)(tile, &vec![0.0; 3 * n], &mut c, n, 2, n);
+            });
+            assert_refused(read, name);
         }
+    }
+
+    fn assert_refused(read: std::thread::Result<()>, name: &str) {
+        let refusal = read.expect_err(name);
+        let message = refusal
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| refusal.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("an lhs tile runs past its operand"), "{name}");
     }
 
     #[test]
@@ -1331,10 +1669,11 @@ mod tests {
 
     #[test]
     fn the_small_product_is_a_naive_multiply_then_add_under_every_kernel() {
-        // Row counts around 4 and past a run of MC rows, widths around 8
-        // with ragged tails (the shapes a 4x8 register tile splits
-        // unevenly), and every depth below SMALL_THRESHOLD. The epilogues
-        // and the poisoning rotate.
+        // Row counts around the tile heights (4, 8) and past a run of MC
+        // rows, widths around 8 and 16 with ragged tails (the shapes the
+        // 4x8, 4x16 and 8x16 register tiles split unevenly), and every
+        // depth below SMALL_THRESHOLD. The epilogues and the poisoning
+        // rotate.
         fn epilogue(seed: u64, bias: &[f32]) -> GemmEpilogue<'_> {
             GemmEpilogue {
                 bias: (seed % 4 >= 2).then_some(bias),
@@ -1350,7 +1689,7 @@ mod tests {
         for (name, cfg) in kernels() {
             for n in widths {
                 for k in (1..).take_while(|k| k * n < SMALL_THRESHOLD) {
-                    for m in [0, 1, 3, 4, 5, 129] {
+                    for m in [0, 1, 3, 4, 5, 7, 8, 9, 13, 17, 129] {
                         let (seed, bias, every) = next(n);
                         let ep = epilogue(seed, &bias);
                         let a = poisoned(m * k, seed, every);
@@ -1402,6 +1741,33 @@ mod tests {
                             bits_any_nan(&got),
                             bits_any_nan(&want),
                             "{name} halo {b}x{c}x{h}x{w} -> {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx512_and_avx2_blocked_kernels_write_the_same_bits() {
+        // The same FMA chain per element in a 12x16 and a 6x16 tile: depths
+        // around the KC block, widths around the 16-column panel, and row
+        // counts that leave both tile heights ragged.
+        let (Some(wide), Some(narrow)) = (avx512_kernel(), avx2_kernel()) else {
+            println!("avx512 vs avx2 blocked kernels: not both on this host, not compared");
+            return;
+        };
+        for n in [1, 16, 17, 32, 40] {
+            for k in [255, 256, 257, 600] {
+                for m in [1, 5, 7, 12, 13, 25, 130] {
+                    let a = pseudo(m * k, (m * 7 + k) as u64);
+                    let b = pseudo(k * n, (k * 3 + n) as u64);
+                    for op in LAYOUTS {
+                        let dims = (m, k, n);
+                        assert_eq!(
+                            bits(&blocked(wide, &a, &b, dims, op, 0..m)),
+                            bits(&blocked(narrow, &a, &b, dims, op, 0..m)),
+                            "{op:?} {m}x{k}x{n}"
                         );
                     }
                 }

@@ -214,9 +214,10 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if the element counts differ.
+    /// Returns a [`ShapeError`] if the element counts differ, or if the
+    /// target's element count overflows `usize`.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self, ShapeError> {
-        let expected: usize = shape.iter().product();
+        let expected = checked_len(shape)?;
         if expected != self.len() {
             return Err(ShapeError::new(format!(
                 "cannot reshape {:?} ({} elements) into {shape:?} ({expected} elements)",
@@ -557,6 +558,21 @@ mod tests {
             Tensor::zeros(&[0, 4, 2, 2]).flatten_batch().shape(),
             &[0, 16]
         );
+    }
+
+    #[test]
+    fn reshape_refuses_a_target_whose_element_count_overflows() {
+        // The product wraps to 0 in release, where it would match the empty
+        // source, and panics in dev: a typed error in both profiles.
+        let half = usize::MAX / 2 + 1;
+        let empty = Tensor::zeros(&[0]);
+        assert!(empty.reshape(&[half, 2]).is_err(), "wraps to 0");
+        assert!(
+            Tensor::zeros(&[2]).reshape(&[half + 1, 2]).is_err(),
+            "wraps to 2"
+        );
+        assert!(empty.reshape(&[0, usize::MAX, usize::MAX]).is_err());
+        assert_eq!(empty.reshape(&[3, 0]).map(|t| t.len()), Ok(0));
     }
 
     #[test]
