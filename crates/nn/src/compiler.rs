@@ -9,13 +9,14 @@
 //! there already). A conv stage hands [`Conv2d`]'s output pass an eval-mode
 //! batch norm directly following the conv (applied with the
 //! [`BatchNorm2d`]'s own per-channel function), the ReLU after it and a
-//! max-pool after that, so that one channel-major pass writes the (pooled)
-//! NCHW output straight from the product rows. A max-pool that follows no
-//! conv runs the same argmax-free pass. And the bodies of an ensemble share
-//! one lowering of their common input ([`CompiledPlan::run_all`]). Each
-//! fused step performs exactly the eager per-element expression, in the
-//! eager order, so a plan is bit-exact with [`Layer::forward`]; plans have
-//! no other mode.
+//! max-pool after that; the last conv of a residual block's main branch
+//! takes the block's merge too, the skip added after its batch norm and the
+//! block's ReLU after that. A max-pool that follows no conv runs the same
+//! argmax-free pass as a folded one. And the bodies of an ensemble share one
+//! lowering of their common input ([`CompiledPlan::run_all`]). Each fused
+//! step performs exactly the eager per-element expression, in the eager
+//! order, so a plan is bit-exact with [`Layer::forward`]; plans have no
+//! other mode.
 //!
 //! [`QCompiledPlan`] is the same plan at int8, bit-exact with
 //! [`crate::quant::QSequential`]. The int8 tier quantizes convolutions;
@@ -26,22 +27,29 @@
 //!
 //! A value passed between two stages is a feature map of logical NCHW shape
 //! together with its [`Layout`], the one description of where each of its
-//! values lies, and the stage that writes a map decides its layout: an int8
-//! conv writes pixel-major, the order of its product rows, and every other
-//! stage NCHW, and every stage reads the layout its input has. An int8
-//! conv quantizes its input per sample straight into one zero-haloed copy
-//! ([`ensembler_tensor::QHalo::quantize`]) — the plan's NCHW input and a
-//! conv's pixel-major map alike — that its product reads in place, against
-//! weights packed once, at compile time ([`ensembler_tensor::QPanels`]),
-//! and dequantizes each band of its `i32` accumulators in the product's
-//! epilogue ([`ensembler_tensor::qconv_map`]): no pass converts the plan's
-//! input, or a map between two convs. The max-pool and the global average
-//! pool read either layout through its strides, a residual block's merge
-//! transposes a skip that lies otherwise an image at a time, and a stage
-//! with only an NCHW form (batch norm, flatten, linear, an opaque layer)
-//! has its input gathered to NCHW once; nothing converts back. A plan takes
-//! and returns NCHW tensors. No conv of either precision writes a column
-//! matrix.
+//! values lies, and the stage that writes a map decides its layout: a conv
+//! of either precision writes pixel-major, the order of its product rows,
+//! and every other stage NCHW, and every stage reads the layout its input
+//! has. A conv's output pass runs on each band of its product rows while it
+//! is cache-hot, as the product's epilogue (`f32`:
+//! [`ensembler_tensor::gemm::conv_map`], reached through [`Conv2d`]; int8:
+//! [`ensembler_tensor::qconv_map`], which dequantizes the band's `i32`
+//! accumulators first); only a pool window takes a pass of its own. An
+//! `f32` conv lowers its input, the plan's NCHW input or a conv's
+//! pixel-major map, into a zero-haloed copy of the same layout
+//! ([`ensembler_tensor::Halo`]); an int8 conv quantizes it per sample
+//! straight into one ([`ensembler_tensor::QHalo::quantize`]). Either
+//! product reads its copy in place, so no pass converts the plan's input,
+//! or a map between two convs. A residual block runs its shortcut just
+//! before its main branch's last conv, which reads the skip through the
+//! skip's layout, so nothing transposes a skip either. The one exception to pixel-major is a conv
+//! whose map is the plan's output (the client's head): the plan returns
+//! NCHW, so it writes that order in one channel-major pass
+//! ([`Conv2d`]'s eager output pass). The max-pool and the global average
+//! pool read either layout through its strides, and a stage with only an
+//! NCHW form (batch norm, flatten, linear, an opaque layer) has its input
+//! gathered to NCHW once; nothing converts back. A plan takes and returns
+//! NCHW tensors. No conv of either precision writes a column matrix.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -70,14 +78,14 @@
 
 use crate::activation::ReluForm;
 use crate::conv::{
-    check_conv_input, check_pool, expect_rank4, nchw_pass, Lowered, OutputPass, PixelEpilogue,
+    check_conv_input, check_pool, expect_rank4, nchw_pass, Lowered, OutputPass, PixelEpilogue, Skip,
 };
 use crate::graph::{lower_sequential, GraphOp};
 use crate::pool::global_avg_pool;
 use crate::quant::QConv2d;
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, Mode, Sequential};
 use ensembler_tensor::{
-    par_map, qconv_map, transpose, Conv2dGeometry, Layout, QHalo, QPanels, ShapeError, Tensor,
+    par_map, qconv_map, Conv2dGeometry, Layout, QHalo, QPanels, ShapeError, Tensor,
 };
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -119,12 +127,69 @@ trait LoweredConv: Sync {
     /// of a folded max-pool.
     fn key(&self) -> (Conv2dGeometry, usize, Option<usize>);
 
+    /// The output pass the stage applies.
+    fn pass(&self) -> &OutputPass;
+
     /// Validates and lowers `input`.
     fn lower<'a>(&self, input: &'a Map<'_>) -> Result<Self::Lowered<'a>, ShapeError>;
 
     /// The stage's product and output pass, as the map this precision's
-    /// conv writes. Reads `lowered`, never changes it.
-    fn finish(&self, lowered: &Self::Lowered<'_>) -> Result<Map<'static>, ShapeError>;
+    /// conv writes, with `skip` added in the pass if the conv ends a
+    /// residual block's main branch ([`OutputPass::skip`]; a typed error if
+    /// its shape is not the output's). Reads `lowered`, never changes it.
+    fn finish(
+        &self,
+        lowered: &Self::Lowered<'_>,
+        skip: Option<&Map>,
+    ) -> Result<Map<'static>, ShapeError>;
+}
+
+/// `skip` as a conv of output `dims` and output pass `pass` adds it: the
+/// skip exactly when the pass merges one, and a typed error if the skip's
+/// shape is not the output's.
+fn skip_for<'a>(
+    pass: &OutputPass,
+    skip: Option<&'a Map>,
+    dims: [usize; 4],
+) -> Result<Option<Skip<'a>>, ShapeError> {
+    assert_eq!(
+        pass.skip,
+        skip.is_some(),
+        "a conv adds a skip exactly when it ends a residual main branch"
+    );
+    match skip {
+        Some(skip) if skip.shape() != dims => Err(disagree(&dims, skip.shape())),
+        Some(skip) => Ok(Some(Skip {
+            values: skip.values.data(),
+            layout: skip.layout,
+        })),
+        None => Ok(None),
+    }
+}
+
+/// The error of a residual block whose main branch and shortcut end in
+/// maps of different shapes.
+fn disagree(main: &[usize], skip: &[usize]) -> ShapeError {
+    ShapeError::new(format!(
+        "residual branches disagree: main {main:?} vs shortcut {skip:?}"
+    ))
+}
+
+/// The map of `values`, the pixel-major values of a conv's `[b, c, oh, ow]`
+/// output before the pool of `pass`: pooled if the pass has a pool, and
+/// pixel-major, the order of the conv's product rows.
+fn pixel_map(
+    pass: &OutputPass,
+    values: Vec<f32>,
+    dims @ [b, c, oh, ow]: [usize; 4],
+) -> Map<'static> {
+    let k = pass.pool.unwrap_or(1);
+    let (ph, pw) = (oh / k, ow / k);
+    let values = pass.pool_pixels(values, dims);
+    Map {
+        values: Cow::Owned(Tensor::from_vec(values, &[b, c, ph, pw]).expect("sized to the map")),
+        layout: Layout::pixel_major(c, ph * pw),
+    }
 }
 
 /// A map passed between a plan's stages: its values under their logical
@@ -207,37 +272,6 @@ impl<'a> Map<'a> {
             layout: self.layout,
         }
     }
-
-    /// `f(v, u)` of the values `v` of this map and `u` of `other`, a map of
-    /// the same shape, at each logical position, in this map's layout. The
-    /// two layouts a map can lie in are each other's transpose image by
-    /// image, so an `other` that lies otherwise is transposed an image at a
-    /// time first.
-    fn zip_map(&self, other: &Map, f: impl Fn(f32, f32) -> f32) -> Map<'static> {
-        let values = match *self.shape() {
-            [_, c, h, w] if other.layout != self.layout => {
-                let (rows, cols) = if other.layout.pixel == 1 {
-                    (c, h * w)
-                } else {
-                    (h * w, c)
-                };
-                let image = (c * h * w).max(1);
-                let theirs = other.values.data().chunks(image);
-                let images = self.values.data().chunks(image).zip(theirs);
-                let mut out = Vec::with_capacity(self.values.len());
-                for (ours, theirs) in images {
-                    let theirs = transpose(theirs, rows, cols);
-                    out.extend(ours.iter().zip(&theirs).map(|(&v, &u)| f(v, u)));
-                }
-                Tensor::from_vec(out, self.shape()).expect("sized to the map")
-            }
-            _ => self.values.zip_map(&other.values, f),
-        };
-        Map {
-            values: Cow::Owned(values),
-            layout: self.layout,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -264,7 +298,7 @@ enum Stage<P: Precision> {
 impl<P: Precision> Stage<P> {
     fn run(&self, input: &Map) -> Result<Map<'static>, ShapeError> {
         match self {
-            Stage::Conv(stage) => stage.finish(&stage.lower(input)?),
+            Stage::Conv(stage) => stage.finish(&stage.lower(input)?, None),
             Stage::BatchNorm(bn) => {
                 let input = input.nchw();
                 let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
@@ -295,8 +329,7 @@ impl<P: Precision> Stage<P> {
             }
             Stage::Linear { linear, relu } => Map::output(linear.product(&input.nchw(), *relu)?),
             Stage::Residual { main, shortcut } => {
-                let x = run_chain(main, input.view())?;
-                merge_residual(&x, shortcut.as_deref(), input)
+                run_residual(main, shortcut.as_deref(), input, None)
             }
             Stage::Opaque(layer) => Map::output(layer.forward(&input.nchw(), Mode::Eval)),
         }
@@ -308,8 +341,10 @@ impl<P: Precision> Stage<P> {
 /// formula ([`Precision::RESIDUAL_RELU`]) — so the int8 plan reproduces
 /// [`crate::quant::QSequential`] bit-for-bit, where a ReLU inside a
 /// residual branch is `max(0, ·)` and any other ReLU the `f32` layer's mask
-/// multiply.
-fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P>> {
+/// multiply. `merge` says that the ops are a residual block's main branch:
+/// a conv that ends it, with nothing fused after its batch norm, takes the
+/// block's merge into its output pass ([`OutputPass::skip`]).
+fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool, merge: bool) -> Vec<Stage<P>> {
     let relu = if in_residual {
         P::RESIDUAL_RELU
     } else {
@@ -339,8 +374,19 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
                     }
                     _ => None,
                 };
-                let relu = fused_relu.then_some(relu);
-                stages.push(Stage::Conv(P::conv(conv, OutputPass { bn, relu, pool })));
+                let skip = merge && i == ops.len() && !fused_relu && pool.is_none();
+                let relu = if skip {
+                    Some(P::RESIDUAL_RELU)
+                } else {
+                    fused_relu.then_some(relu)
+                };
+                let pass = OutputPass {
+                    bn,
+                    skip,
+                    relu,
+                    pool,
+                };
+                stages.push(Stage::Conv(P::conv(conv, pass)));
                 continue;
             }
             GraphOp::Linear(linear) => {
@@ -361,10 +407,13 @@ fn build_stages<P: Precision>(ops: &[GraphOp], in_residual: bool) -> Vec<Stage<P
             GraphOp::GlobalAvgPool => stages.push(Stage::GlobalAvgPool),
             GraphOp::Flatten => stages.push(Stage::Flatten),
             GraphOp::Residual { main, shortcut } => stages.push(Stage::Residual {
-                main: build_stages(main, true),
-                shortcut: shortcut.as_ref().map(|s| build_stages(s, true)),
+                main: build_stages(main, true, true),
+                shortcut: shortcut.as_ref().map(|s| build_stages(s, true, false)),
             }),
-            GraphOp::Sequence(seq) => stages.extend(build_stages(seq, in_residual)),
+            GraphOp::Sequence(seq) => {
+                let last = merge && i + 1 == ops.len();
+                stages.extend(build_stages(seq, in_residual, last));
+            }
             GraphOp::Opaque(layer) => stages.push(Stage::Opaque(layer.clone())),
         }
         i += 1;
@@ -381,27 +430,45 @@ fn run_chain<'a, P: Precision>(stages: &[Stage<P>], input: Map<'a>) -> Result<Ma
     Ok(x)
 }
 
-/// Evaluates the shortcut of a residual block on `input` (an identity skip
-/// borrows it) and merges it element-wise into the finished main branch `x`
-/// — the add and the block's ReLU in one pass, in `x`'s layout
-/// ([`Map::zip_map`]).
-fn merge_residual<P: Precision>(
-    x: &Map,
+/// Runs a residual block on `input`: the main branch up to its last conv,
+/// then the shortcut (an identity skip borrows `input`), then that conv,
+/// which adds the skip, read through its layout, and applies the block's
+/// ReLU in its output pass ([`OutputPass::skip`]). `led` is the output of
+/// the main branch's first stage if an ensemble has run it already. A main
+/// branch that ends otherwise (no backbone's does) is merged after it, both
+/// maps gathered to NCHW.
+fn run_residual<'a, P: Precision>(
+    main: &[Stage<P>],
     shortcut: Option<&[Stage<P>]>,
-    input: &Map,
+    input: &'a Map,
+    led: Option<Map<'a>>,
 ) -> Result<Map<'static>, ShapeError> {
-    let skip = match shortcut {
-        Some(stages) => run_chain(stages, input.view())?,
-        None => input.view(),
+    let skip = || match shortcut {
+        Some(stages) => run_chain(stages, input.view()),
+        None => Ok(input.view()),
     };
-    if x.shape() != skip.shape() {
-        return Err(ShapeError::new(format!(
-            "residual branches disagree: main {:?} vs shortcut {:?}",
-            x.shape(),
-            skip.shape()
-        )));
+    let (main, x) = match led {
+        Some(led) => (&main[1..], led),
+        None => (main, input.view()),
+    };
+    if let Some((Stage::Conv(last), body)) = main.split_last() {
+        if last.pass().skip {
+            let x = run_chain(body, x)?;
+            let lowered = last.lower(&x)?;
+            // The shortcut runs only now, so its map is alive for the last
+            // conv alone (run before the branch, `inproc_int8_b32` read
+            // ≈ 4 % slower than this order).
+            return last.finish(&lowered, Some(&skip()?));
+        }
     }
-    Ok(x.zip_map(&skip, |main, skip| P::RESIDUAL_RELU.apply(main + skip)))
+    let (x, skip) = (run_chain(main, x)?, skip()?);
+    if x.shape() != skip.shape() {
+        return Err(disagree(x.shape(), skip.shape()));
+    }
+    let (x, skip) = (x.nchw(), skip.nchw());
+    let values = x.data().iter().zip(skip.data());
+    let merged = values.map(|(&main, &skip)| P::RESIDUAL_RELU.apply(main + skip));
+    Map::output(Tensor::from_vec(merged.collect(), x.shape()).expect("sized to the map"))
 }
 
 /// Runs `stages` on `input` and returns the output in NCHW.
@@ -410,14 +477,15 @@ fn run_plan<P: Precision>(stages: &[Stage<P>], input: Map) -> Result<Tensor, Sha
 }
 
 /// The conv that reads a plan's input: its first stage, or the first stage
-/// of the main branch of a leading residual block.
+/// of the main branch of a leading residual block, unless that conv adds
+/// the block's skip.
 fn leading_conv<P: Precision>(stages: &[Stage<P>]) -> Option<&P::Conv> {
     let first = match stages.first()? {
         Stage::Residual { main, .. } => main.first()?,
         first => first,
     };
     match first {
-        Stage::Conv(conv) => Some(conv),
+        Stage::Conv(conv) if !conv.pass().skip => Some(conv),
         _ => None,
     }
 }
@@ -453,7 +521,7 @@ fn run_ensemble<P: Precision>(
             .collect();
     };
     let lowered = convs[0].lower(&input)?;
-    let led = par_map(&convs, |conv| conv.finish(&lowered));
+    let led = par_map(&convs, |conv| conv.finish(&lowered, None));
     drop(lowered);
     let led = led.into_iter().collect::<Result<Vec<_>, _>>()?;
     let rest: Vec<(&[Stage<P>], Map)> = plans.iter().copied().zip(led).collect();
@@ -461,8 +529,8 @@ fn run_ensemble<P: Precision>(
         let (head, tail) = stages.split_first().expect("a leading conv has a stage");
         match head {
             Stage::Residual { main, shortcut } => {
-                let x = run_chain(&main[1..], led.view())?;
-                run_plan(tail, merge_residual(&x, shortcut.as_deref(), &input)?)
+                let led = Some(led.view());
+                run_plan(tail, run_residual(main, shortcut.as_deref(), &input, led)?)
             }
             _ => run_plan(tail, led.view()),
         }
@@ -486,17 +554,30 @@ impl Precision for F32 {
     fn conv(conv: &Conv2d, pass: OutputPass) -> ConvStage {
         ConvStage {
             conv: conv.frozen(),
+            epilogue: pass.pixel_epilogue(conv.bias().value.data()),
             pass,
+            nchw: false,
         }
     }
 }
 
 /// A [`Conv2d`] and the [`OutputPass`] its forward is handed: the conv's
-/// own lowering, product and bias, with the plan's fusions after them.
+/// own lowering and product, with the bias and the plan's fusions after
+/// them. Inside a plan the pass runs on each band of product rows while it
+/// is cache-hot ([`Conv2d::finish_pixels`], through
+/// [`OutputPass::pixel_epilogue`]), a pool window after that
+/// ([`OutputPass::pool_pixels`]), and the map it writes is pixel-major, the
+/// order of its product rows — what the next conv's halo copies as it lies.
+/// A conv whose map is the plan's output writes it NCHW in one
+/// channel-major pass instead ([`Conv2d::finish`], the eager forward's).
 #[derive(Debug, Clone)]
 struct ConvStage {
     conv: Conv2d,
     pass: OutputPass,
+    /// The output pass up to its pool, with the bias, built once here.
+    epilogue: PixelEpilogue,
+    /// Whether the conv's map is the plan's output, written NCHW.
+    nchw: bool,
 }
 
 impl LoweredConv for ConvStage {
@@ -510,15 +591,23 @@ impl LoweredConv for ConvStage {
         )
     }
 
-    fn lower<'a>(&self, input: &'a Map<'_>) -> Result<Lowered<'a>, ShapeError> {
-        match input.nchw() {
-            Cow::Borrowed(input) => self.conv.lower_input(input, &self.pass),
-            Cow::Owned(_) => unreachable!("only an int8 conv writes a map out of NCHW order"),
-        }
+    fn pass(&self) -> &OutputPass {
+        &self.pass
     }
 
-    fn finish(&self, lowered: &Lowered) -> Result<Map<'static>, ShapeError> {
-        Map::output(self.conv.finish(lowered, &self.pass))
+    fn lower<'a>(&self, input: &'a Map<'_>) -> Result<Lowered<'a>, ShapeError> {
+        self.conv
+            .lower_input(&input.values, Some(input.layout), &self.pass)
+    }
+
+    fn finish(&self, lowered: &Lowered, skip: Option<&Map>) -> Result<Map<'static>, ShapeError> {
+        let dims = [lowered.b, self.conv.out_channels(), lowered.oh, lowered.ow];
+        let skip = skip_for(&self.pass, skip, dims)?;
+        if self.nchw {
+            return Map::output(self.conv.finish(lowered, &self.pass));
+        }
+        let values = self.conv.finish_pixels(lowered, &self.epilogue, skip);
+        Ok(pixel_map(&self.pass, values, dims))
     }
 }
 
@@ -532,9 +621,13 @@ pub struct CompiledPlan {
 impl CompiledPlan {
     /// Lowers `net` to the graph IR and returns the fused executable plan.
     pub fn compile(net: &Sequential, _fusion: FusionConfig) -> Self {
-        Self {
-            stages: build_stages(&lower_sequential(net), false),
+        let mut stages: Vec<Stage<F32>> = build_stages(&lower_sequential(net), false, false);
+        // The plan returns NCHW, so a conv whose map is its output writes
+        // that order straight away (the client's head does).
+        if let Some(Stage::Conv(last)) = stages.last_mut() {
+            last.nchw = true;
         }
+        Self { stages }
     }
 
     /// Runs the plan on an input batch (inference semantics).
@@ -602,13 +695,14 @@ impl Precision for Int8 {
 /// Int8 convolution: its input, in whichever layout it lies, quantized per
 /// sample straight into the zero-haloed copy its product reads
 /// ([`QHalo::quantize`]), and the dequantize and bias, then its
-/// [`OutputPass`], applied to each band of `i32` accumulators while it is
-/// cache-hot ([`OutputPass::pixel_epilogue`], through [`qconv_map`]), a
-/// pool window after that ([`OutputPass::pool_pixels`]) — the eager
-/// pipeline's per-element expressions, no pass over memory of their own
-/// (but a pool's), no `i32` product the size of the output, and no
-/// transpose on either side: the map it writes is pixel-major, the order of
-/// its product rows.
+/// [`OutputPass`] (a residual block's skip included), applied to each band
+/// of `i32` accumulators while it is cache-hot
+/// ([`OutputPass::pixel_epilogue`], through [`qconv_map`]), a pool window
+/// after that ([`OutputPass::pool_pixels`]) — the eager pipeline's
+/// per-element expressions, no pass over memory of their own (but a
+/// pool's), no `i32` product the size of the output, and no transpose on
+/// either side: the map it writes is pixel-major, the order of its product
+/// rows.
 ///
 /// The weights are those [`QConv2d::from_conv`] quantizes, reordered to the
 /// halo's `(ky, kx, c)` order and packed into the host kernel's quad panels,
@@ -643,6 +737,10 @@ impl LoweredConv for QConvStage {
         (self.geometry, self.in_channels, self.pass.pool)
     }
 
+    fn pass(&self) -> &OutputPass {
+        &self.pass
+    }
+
     fn lower(&self, input: &Map) -> Result<QLowered, ShapeError> {
         let (geometry, in_channels, _) = self.key();
         let out_channels = self.weights.cols();
@@ -661,26 +759,20 @@ impl LoweredConv for QConvStage {
         })
     }
 
-    fn finish(&self, lowered: &QLowered) -> Result<Map<'static>, ShapeError> {
+    fn finish(&self, lowered: &QLowered, skip: Option<&Map>) -> Result<Map<'static>, ShapeError> {
         let &QLowered { b, oh, ow, .. } = lowered;
-        let c = self.weights.cols();
+        let dims = [b, self.weights.cols(), oh, ow];
+        let skip = skip_for(&self.pass, skip, dims)?;
         let rescales: Vec<f32> = lowered
             .scales
             .iter()
             .map(|scale| scale * self.weight_scale)
             .collect();
-        let map = qconv_map(&lowered.halo, &self.weights, |row0, acc, out| {
-            self.epilogue.write(oh * ow, &rescales, row0, acc, out);
+        let values = qconv_map(&lowered.halo, &self.weights, |row0, acc, out| {
+            self.epilogue
+                .write(oh * ow, &rescales, row0, acc, out, skip);
         });
-        let k = self.pass.pool.unwrap_or(1);
-        let (ph, pw) = (oh / k, ow / k);
-        let values = self.pass.pool_pixels(map, [b, c, oh, ow]);
-        Ok(Map {
-            values: Cow::Owned(
-                Tensor::from_vec(values, &[b, c, ph, pw]).expect("sized to the map"),
-            ),
-            layout: Layout::pixel_major(c, ph * pw),
-        })
+        Ok(pixel_map(&self.pass, values, dims))
     }
 }
 
@@ -697,7 +789,7 @@ impl QCompiledPlan {
     /// fused int8 stages; every other stage runs at `f32`.
     pub fn compile(net: &Sequential, _fusion: FusionConfig) -> Self {
         Self {
-            stages: build_stages(&lower_sequential(net), false),
+            stages: build_stages(&lower_sequential(net), false, false),
         }
     }
 
@@ -727,6 +819,7 @@ impl QCompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphOp;
     use crate::models::{build_body, build_head, ResNetConfig};
     use crate::quant::QSequential;
     use crate::{Flatten, GlobalAvgPool, MaxPool2d, Relu, ResidualBlock, Tanh};
@@ -1038,6 +1131,269 @@ mod tests {
                     assert_eq!(got, &bits(&Relu::new().forward(&logits, Mode::Eval)));
                 }
             }
+        }
+    }
+
+    /// A residual block whose main branch ends in a ReLU, not a conv, as no
+    /// backbone builds one: its merge runs after the branch, not in a
+    /// conv's output pass. Its eager forward is `relu(relu(conv(x)) + x)`.
+    #[derive(Debug, Clone)]
+    struct ReluEnded(Conv2d);
+
+    impl Layer for ReluEnded {
+        fn forward(&self, input: &Tensor, mode: Mode) -> Tensor {
+            let relu = Relu::new();
+            let main = relu.forward(&self.0.forward(input, mode), mode);
+            relu.forward(&main.add(input), mode)
+        }
+
+        fn forward_cached(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+            self.forward(input, mode)
+        }
+
+        fn backward(&mut self, _: &Tensor) -> Tensor {
+            unreachable!("the plan tests run no backward")
+        }
+
+        fn clone_layer(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+
+        fn name(&self) -> &'static str {
+            "relu_ended"
+        }
+
+        fn lower(&self) -> GraphOp {
+            GraphOp::Residual {
+                main: vec![self.0.lower(), GraphOp::Relu],
+                shortcut: None,
+            }
+        }
+    }
+
+    /// The bits of `t` with every NaN one value: where two NaNs meet in an
+    /// add (a NaN main branch and a NaN skip), IEEE 754 leaves open whose
+    /// sign and payload survive, and the compiler may swap the add's
+    /// operands, in the eager pipeline as in the plan.
+    fn any_nan(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (t.shape().to_vec(), crate::conv::tests::any_nan(t.data()))
+    }
+
+    #[test]
+    fn plans_keep_maps_pixel_major_and_match_the_eager_pipelines_bit_for_bit() {
+        // Every conv inside a plan writes its map pixel-major, with its
+        // bias, batch norm, the residual skip and the ReLU applied band by
+        // band, and a conv that ends the plan writes NCHW. Each layer set
+        // runs through `run`, and through `run_all` with a second net of
+        // the same shapes (the shared lowering) and beside the other sets
+        // (independent runs), at f32 against `Sequential::forward` and at
+        // int8 against `QSequential`. Image 1 of the input holds NaN, ±inf
+        // and ±0; the other two are finite, so a value that leaks across
+        // images shows. The batch norm that ends each net (the last one of
+        // a residual block) holds them too, in a few channels.
+        let layers = |rng: &mut Rng, set: usize| -> Sequential {
+            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+            match set {
+                // An identity skip over the NCHW plan input, ending the plan.
+                0 => layers.push(Box::new(ResidualBlock::new(4, 4, 1, rng))),
+                // The same, then a strided projection shortcut.
+                1 => layers.extend([
+                    Box::new(ResidualBlock::new(4, 4, 1, rng)) as Box<dyn Layer>,
+                    Box::new(ResidualBlock::new(4, 6, 2, rng)),
+                ]),
+                // A conv with a merged batch norm and ReLU, a block over its
+                // pixel-major map, a standalone batch norm, and a strided
+                // conv with a batch norm ending the plan.
+                2 => layers.extend([
+                    Box::new(Conv2d::new(4, 5, 3, 1, 1, rng)) as Box<dyn Layer>,
+                    Box::new(BatchNorm2d::new(5)),
+                    Box::new(Relu::new()),
+                    Box::new(ResidualBlock::new(5, 5, 1, rng)),
+                    Box::new(BatchNorm2d::new(5)),
+                    Box::new(Conv2d::new(5, 4, 3, 2, 1, rng)),
+                    Box::new(BatchNorm2d::new(4)),
+                ]),
+                // Tanh between two convs.
+                3 => layers.extend([
+                    Box::new(Conv2d::new(4, 5, 3, 1, 1, rng)) as Box<dyn Layer>,
+                    Box::new(Relu::new()),
+                    Box::new(Tanh::new()),
+                    Box::new(Conv2d::new(5, 6, 3, 1, 1, rng)),
+                    Box::new(BatchNorm2d::new(6)),
+                ]),
+                // A pool folded into a conv inside the plan, then blocks.
+                4 => layers.extend([
+                    Box::new(Conv2d::new(4, 6, 3, 1, 1, rng)) as Box<dyn Layer>,
+                    Box::new(Relu::new()),
+                    Box::new(MaxPool2d::new(2)),
+                    Box::new(ResidualBlock::new(6, 6, 1, rng)),
+                    Box::new(ResidualBlock::new(6, 5, 2, rng)),
+                ]),
+                // A projection block, then a flatten of its map and a linear.
+                5 => layers.extend([
+                    Box::new(ResidualBlock::new(4, 6, 2, rng)) as Box<dyn Layer>,
+                    Box::new(Flatten::new()),
+                    Box::new(Linear::new(6 * 3 * 3, 5, rng)),
+                ]),
+                // A block merged after its main branch, then one merged in
+                // its last conv's output pass, over the former's map.
+                _ => layers.extend([
+                    Box::new(ReluEnded(Conv2d::new(4, 4, 3, 1, 1, rng))) as Box<dyn Layer>,
+                    Box::new(ResidualBlock::new(4, 4, 1, rng)),
+                ]),
+            }
+            let mut net = Sequential::new(layers);
+            let warm = Tensor::from_fn(&[4, 4, 6, 6], |_| rng.normal_with(0.4, 1.3));
+            let _ = net.forward_cached(&warm, Mode::Train);
+            if set != 5 {
+                // The last two parameters are the last batch norm's gamma
+                // and beta.
+                let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+                let mut params = net.params_mut();
+                let n = params.len();
+                for (i, v) in params[n - 2].value.data_mut().iter_mut().enumerate() {
+                    if i % 3 == 1 {
+                        *v = special[(i + set) % special.len()];
+                    }
+                }
+                for (i, v) in params[n - 1].value.data_mut().iter_mut().enumerate() {
+                    if i % 2 == 0 {
+                        *v = special[(i + set + 2) % special.len()];
+                    }
+                }
+            }
+            net
+        };
+        let mut rng = Rng::seed_from(37);
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let x = Tensor::from_fn(&[3, 4, 6, 6], |i| {
+            if i / 144 == 1 && i % 7 == 2 {
+                special[i / 7 % special.len()]
+            } else {
+                rng.uniform(-1.0, 1.0)
+            }
+        });
+        let sets: Vec<[Sequential; 2]> = (0..7)
+            .map(|set| [layers(&mut rng, set), layers(&mut rng, set)])
+            .collect();
+        for (set, nets) in sets.iter().enumerate() {
+            let plans: Vec<_> = nets.iter().map(compile).collect();
+            let qplans: Vec<_> = nets.iter().map(qcompile).collect();
+            let want: Vec<_> = nets
+                .iter()
+                .map(|net| any_nan(&net.forward(&x, Mode::Eval)))
+                .collect();
+            let qwant: Vec<_> = nets
+                .iter()
+                .map(|net| any_nan(&QSequential::from_sequential(net).forward(&x)))
+                .collect();
+            let alone: Vec<_> = plans
+                .iter()
+                .map(|plan| any_nan(&plan.run(&x).unwrap()))
+                .collect();
+            assert_eq!(alone, want, "run, set {set}");
+            let all = CompiledPlan::run_all(&plans, &x).unwrap();
+            assert_eq!(
+                all.iter().map(any_nan).collect::<Vec<_>>(),
+                want,
+                "run_all, set {set}"
+            );
+            let alone: Vec<_> = qplans
+                .iter()
+                .map(|plan| any_nan(&plan.run(&x).unwrap()))
+                .collect();
+            assert_eq!(alone, qwant, "int8 run, set {set}");
+            let all = QCompiledPlan::run_all(&qplans, &x).unwrap();
+            assert_eq!(
+                all.iter().map(any_nan).collect::<Vec<_>>(),
+                qwant,
+                "int8 run_all, set {set}"
+            );
+            // The specials leave finite values to compare: not every value
+            // of the output is NaN or infinite.
+            let got = plans[0].run(&x).unwrap();
+            assert!(got.data().iter().any(|v| v.is_finite()), "set {set}");
+        }
+        // Every set side by side: leading stages of every kind, unshared.
+        let nets: Vec<&Sequential> = sets.iter().map(|nets| &nets[0]).collect();
+        let plans: Vec<_> = nets.iter().map(|net| compile(net)).collect();
+        let want: Vec<_> = nets
+            .iter()
+            .map(|net| any_nan(&net.forward(&x, Mode::Eval)))
+            .collect();
+        let all = CompiledPlan::run_all(&plans, &x).unwrap();
+        assert_eq!(
+            all.iter().map(any_nan).collect::<Vec<_>>(),
+            want,
+            "unshared"
+        );
+        // A conv inside a plan wrote pixel-major, one ending it NCHW.
+        let (led, ended) = (compile(&sets[2][0]), compile(&sets[3][0]));
+        let Stage::Conv(first) = &led.stages[0] else {
+            panic!("set 2 leads with a conv")
+        };
+        let Some(Stage::Conv(last)) = ended.stages.last() else {
+            panic!("set 3 ends with a conv")
+        };
+        assert!(!first.nchw && last.nchw);
+    }
+
+    #[test]
+    fn residual_branches_that_disagree_are_a_typed_error_in_either_merge() {
+        // A strided main branch over an identity skip: the merge in the
+        // last conv's pass and the merge after a ReLU-ended branch both
+        // refuse it, at either precision.
+        #[derive(Debug, Clone)]
+        struct Graph(GraphOp);
+
+        impl Layer for Graph {
+            fn forward(&self, _: &Tensor, _: Mode) -> Tensor {
+                unreachable!("only compiled")
+            }
+
+            fn forward_cached(&mut self, _: &Tensor, _: Mode) -> Tensor {
+                unreachable!("only compiled")
+            }
+
+            fn backward(&mut self, _: &Tensor) -> Tensor {
+                unreachable!("only compiled")
+            }
+
+            fn clone_layer(&self) -> Box<dyn Layer> {
+                Box::new(self.clone())
+            }
+
+            fn name(&self) -> &'static str {
+                "graph"
+            }
+
+            fn lower(&self) -> GraphOp {
+                self.0.clone()
+            }
+        }
+
+        let mut rng = Rng::seed_from(41);
+        let strided = || Conv2d::new(4, 4, 3, 2, 1, &mut Rng::seed_from(42));
+        let merged = GraphOp::Residual {
+            main: vec![
+                GraphOp::Conv(strided()),
+                GraphOp::BatchNorm(BatchNorm2d::new(4)),
+            ],
+            shortcut: None,
+        };
+        let x = Tensor::ones(&[2, 4, 6, 6]);
+        let want = "residual branches disagree: main [2, 4, 3, 3] vs shortcut [2, 4, 6, 6]";
+        let nets = [
+            Sequential::new(vec![Box::new(Graph(merged))]),
+            Sequential::new(vec![Box::new(ReluEnded(strided()))]),
+            Sequential::new(vec![
+                Box::new(Conv2d::new(4, 4, 1, 1, 0, &mut rng)),
+                Box::new(ReluEnded(strided())),
+            ]),
+        ];
+        for net in &nets {
+            assert_eq!(compile(net).run(&x).unwrap_err().message(), want);
+            assert_eq!(qcompile(net).run(&x).unwrap_err().message(), want);
         }
     }
 

@@ -1,12 +1,14 @@
 //! 2-D convolution and transposed convolution layers, the channel-major
 //! output pass that writes every NCHW product from a source in any
-//! [`Layout`], and the pixel-major output pass of an int8 plan's conv, which
-//! writes its map in the layout of its product rows.
+//! [`Layout`], and the pixel-major output pass of a compiled plan's conv, at
+//! either precision, which writes its map in the layout of its product rows,
+//! band by band, as the product's epilogue — with a residual block's skip
+//! add when the conv ends the block's main branch.
 
 use crate::activation::ReluForm;
 use crate::norm::EvalNorm;
 use crate::{BatchNorm2d, Layer, Mode, Param};
-use ensembler_tensor::gemm::{conv_fused, GemmEpilogue, Parallelism};
+use ensembler_tensor::gemm::{conv_fused, conv_map, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
     col2im, im2col, im2col_reusing, transpose, Conv2dGeometry, Halo, Init, Layout, Rng, ShapeError,
     Tensor,
@@ -163,17 +165,22 @@ impl Pass {
 }
 
 /// What a conv does after its product and bias, in one channel-major pass
-/// over the product rows ([`nchw_pass`]; an int8 plan's conv writes the
+/// over the product rows ([`nchw_pass`]; a conv inside a plan writes the
 /// pixel-major form, [`OutputPass::pixel_epilogue`] then
 /// [`OutputPass::pool_pixels`]): an eval-mode batch norm
-/// ([`BatchNorm2d::eval_channel`]), then a ReLU, then a max-pool, each if the
-/// pipeline has it there. Each applies the per-element expression of the
-/// eager layer it stands for, in the eager order, so the pass is bit-exact;
-/// the pool writes the pooled tensor directly, with no full-resolution
-/// tensor and no argmax. The eager [`Conv2d`] runs the empty pass.
+/// ([`BatchNorm2d::eval_channel`]), then a residual block's skip if `skip`,
+/// then a ReLU, then a max-pool, each if the pipeline has it there. Each
+/// applies the per-element expression of the eager layer it stands for, in
+/// the eager order, so the pass is bit-exact; the pool writes the pooled
+/// tensor directly, with no full-resolution tensor and no argmax. The eager
+/// [`Conv2d`] runs the empty pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OutputPass {
     pub(crate) bn: Option<BatchNorm2d>,
+    /// Whether the conv ends a residual block's main branch and takes the
+    /// block's merge: `main + skip` after the batch norm, and the block's
+    /// ReLU (`relu`) after that. Only the pixel-major form adds a skip.
+    pub(crate) skip: bool,
     pub(crate) relu: Option<ReluForm>,
     /// The max-pool window.
     pub(crate) pool: Option<usize>,
@@ -195,6 +202,7 @@ impl OutputPass {
         dims @ [_, c, _, _]: [usize; 4],
         value: impl Fn(usize, usize) -> F,
     ) -> Tensor {
+        debug_assert!(!self.skip, "a residual merge runs in the pixel-major form");
         match &self.bn {
             None => relu_pass(rows, dims, self.relu, self.pool, value),
             Some(bn) => {
@@ -207,16 +215,17 @@ impl OutputPass {
         }
     }
 
-    /// The int8 conv's pixel-major form of [`run`](Self::run), before the
-    /// pool, for a conv of bias `bias` (one value a channel): what turns its
-    /// product rows into pixel-major values, one band of rows at a time, as
-    /// the epilogue of the conv's product ([`PixelEpilogue::write`]).
-    /// Element `(n, ·, ch)` is dequantized with its bias,
-    /// `a as f32 * rescales[n] + bias[ch]`, then the batch norm
-    /// ([`BatchNorm2d::eval_norm`]) and the ReLU follow, each with `run`'s
-    /// per-element expression in `run`'s order. [`Self::pool_pixels`] takes
-    /// the pool window after it. Its constants depend on the conv only, so a
-    /// compiled conv builds it once.
+    /// The pixel-major form of [`run`](Self::run), before the pool, for a
+    /// conv of bias `bias` (one value a channel): what turns its product
+    /// rows into pixel-major values, one band of rows at a time, as the
+    /// epilogue of the conv's product ([`PixelEpilogue`]). An `f32` row
+    /// value `v` of channel `ch` becomes `v + bias[ch]`
+    /// ([`PixelEpilogue::write_rows`]), an int8 accumulator `a` of image `n`
+    /// `a as f32 * rescales[n] + bias[ch]` ([`PixelEpilogue::write`]); then
+    /// the batch norm ([`BatchNorm2d::eval_norm`]), the skip and the ReLU
+    /// follow, each with `run`'s per-element expression in `run`'s order.
+    /// [`Self::pool_pixels`] takes the pool window after it. Its constants
+    /// depend on the conv only, so a compiled conv builds it once.
     pub(crate) fn pixel_epilogue(&self, bias: &[f32]) -> PixelEpilogue {
         // A run long enough for a few vector iterations per step, of whole
         // pixels.
@@ -269,9 +278,10 @@ impl OutputPass {
 /// whole pixels.
 const PIXEL_RUN: usize = 64;
 
-/// An int8 conv's pixel-major output pass up to its pool
-/// ([`OutputPass::pixel_epilogue`]): the per-channel constants, each
-/// repeated for a run of whole pixels, and what follows the bias.
+/// A conv's pixel-major output pass up to its pool
+/// ([`OutputPass::pixel_epilogue`]), at either precision: the per-channel
+/// constants, each repeated for a run of whole pixels, and what follows the
+/// bias.
 #[derive(Debug, Clone)]
 pub(crate) struct PixelEpilogue {
     bias: Vec<f32>,
@@ -280,13 +290,38 @@ pub(crate) struct PixelEpilogue {
     c: usize,
 }
 
+/// The skip of a residual block's merge, as a conv's epilogue reads it: the
+/// values of a map of the conv's output shape and the [`Layout`] they lie
+/// in, NCHW (the plan's input) or pixel-major (a conv's map).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Skip<'a> {
+    pub(crate) values: &'a [f32],
+    pub(crate) layout: Layout,
+}
+
 impl PixelEpilogue {
-    /// Writes into `out` the values of `acc`, whole product rows from row
-    /// `row0` on, `c` accumulators to a row, of images of `plane` rows
-    /// whose activation rescales are `rescales`. Each step is one loop over
-    /// a run of pixels of one image that reads its per-channel constants
-    /// from slices, so it vectorises across the run; the loops are compiled
-    /// for AVX2 where the host has it.
+    /// Rewrites in place `band`, whole `f32` product rows from row `row0`
+    /// on, `c` values to a row, of images of `plane` rows: the bias, then
+    /// what follows it, adding `skip` (if any) at each value's logical
+    /// position. Each step is one loop over a run of pixels of one image
+    /// (the skip and a ReLU after it: over the image's rows of the band)
+    /// that reads its per-channel constants from slices, so it vectorises
+    /// across the run; the loops are compiled for AVX2 where the host has
+    /// it ([`Self::write_body`]).
+    pub(crate) fn write_rows(
+        &self,
+        plane: usize,
+        row0: usize,
+        band: &mut [f32],
+        skip: Option<Skip>,
+    ) {
+        self.dispatch(plane, row0, band, skip, add_bias);
+    }
+
+    /// Writes into `out` the values of `acc`, whole int8 product rows from
+    /// row `row0` on, `c` accumulators to a row, of images of `plane` rows
+    /// whose activation rescales are `rescales`: the dequantize and bias,
+    /// then what follows them, as [`Self::write_rows`] does.
     pub(crate) fn write(
         &self,
         plane: usize,
@@ -294,16 +329,30 @@ impl PixelEpilogue {
         row0: usize,
         acc: &[i32],
         out: &mut [f32],
+        skip: Option<Skip>,
+    ) {
+        assert_eq!(acc.len(), out.len(), "an output band is its accumulators");
+        self.dispatch(plane, row0, out, skip, dequantize(rescales, acc));
+    }
+
+    /// [`Self::write_body`], compiled for AVX2 where the host has it.
+    fn dispatch(
+        &self,
+        plane: usize,
+        row0: usize,
+        out: &mut [f32],
+        skip: Option<Skip>,
+        first: impl Fn(usize, usize, &mut [f32], &[f32]),
     ) {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: the host has AVX2, checked on the line above.
-                unsafe { self.write_avx2(plane, rescales, row0, acc, out) };
+                unsafe { self.write_avx2(plane, row0, out, skip, first) };
                 return;
             }
         }
-        self.write_body(plane, rescales, row0, acc, out);
+        self.write_body(plane, row0, out, skip, first);
     }
 
     /// [`Self::write_body`] compiled for AVX2.
@@ -316,57 +365,131 @@ impl PixelEpilogue {
     unsafe fn write_avx2(
         &self,
         plane: usize,
-        rescales: &[f32],
         row0: usize,
-        acc: &[i32],
         out: &mut [f32],
+        skip: Option<Skip>,
+        first: impl Fn(usize, usize, &mut [f32], &[f32]),
     ) {
-        self.write_body(plane, rescales, row0, acc, out);
+        self.write_body(plane, row0, out, skip, first);
     }
 
+    /// Writes `out`, whole product rows from row `row0` on, the rows of one
+    /// image at a time: a run of whole pixels at a time,
+    /// `first(n, at, run, bias)` writes the run at `at` in the band, of image
+    /// `n`, with the bias `bias`, and the batch norm and the ReLU follow, one
+    /// loop each over the run. With a skip, the skip and then the ReLU run
+    /// as one loop each over the image's rows of the band instead (a band is
+    /// at most [`ensembler_tensor::gemm::MC`] rows, so they are still in
+    /// cache).
     #[inline(always)]
     fn write_body(
         &self,
         plane: usize,
-        rescales: &[f32],
         row0: usize,
-        mut acc: &[i32],
-        mut out: &mut [f32],
+        out: &mut [f32],
+        skip: Option<Skip>,
+        first: impl Fn(usize, usize, &mut [f32], &[f32]),
     ) {
         let (c, run) = (self.c, self.bias.len());
         assert!(
-            acc.len() == out.len() && acc.len().is_multiple_of(c.max(1)),
+            out.len().is_multiple_of(c.max(1)),
             "an output band is whole product rows"
         );
-        let mut row = row0;
-        while !acc.is_empty() {
+        let (mut row, mut at) = (row0, 0);
+        while at < out.len() {
             // The rows of the band that belong to image `n`.
             let n = row / plane;
-            let rows = ((n + 1) * plane - row).min(acc.len() / c);
-            let (image_acc, rest_acc) = acc.split_at(rows * c);
-            let (image_out, rest_out) = out.split_at_mut(rows * c);
-            for (out, acc) in image_out.chunks_mut(run).zip(image_acc.chunks(run)) {
-                self.pixels(acc, rescales[n], out);
+            let rows = ((n + 1) * plane - row).min((out.len() - at) / c);
+            let image = &mut out[at..at + rows * c];
+            for (i, values) in image.chunks_mut(run).enumerate() {
+                first(n, at + i * run, values, &self.bias[..values.len()]);
+                if let Some(norm) = &self.norm {
+                    norm.apply(values);
+                }
+                if skip.is_none() {
+                    self.relu(values);
+                }
             }
-            (acc, out, row) = (rest_acc, rest_out, row + rows);
+            if let Some(skip) = skip {
+                add_skip(image, skip, c, [n, row - n * plane]);
+                self.relu(image);
+            }
+            (row, at) = (row + rows, at + rows * c);
         }
     }
 
-    /// Writes into `out` the values of `acc`, a run of whole pixels of an
-    /// image of activation `rescale`: the dequantize and bias, then the batch
-    /// norm and the ReLU, each one loop over the run.
+    /// The ReLU, if any, of every value of `values`.
     #[inline(always)]
-    fn pixels(&self, acc: &[i32], rescale: f32, out: &mut [f32]) {
-        for ((out, &a), &bias) in out.iter_mut().zip(acc).zip(&self.bias) {
-            *out = a as f32 * rescale + bias;
-        }
-        if let Some(norm) = &self.norm {
-            norm.apply(out);
-        }
+    fn relu(&self, values: &mut [f32]) {
         match self.relu {
             None => {}
-            Some(ReluForm::Mask) => out.iter_mut().for_each(|v| *v = ReluForm::Mask.apply(*v)),
-            Some(ReluForm::Max) => out.iter_mut().for_each(|v| *v = ReluForm::Max.apply(*v)),
+            Some(ReluForm::Mask) => values
+                .iter_mut()
+                .for_each(|v| *v = ReluForm::Mask.apply(*v)),
+            Some(ReluForm::Max) => values.iter_mut().for_each(|v| *v = ReluForm::Max.apply(*v)),
+        }
+    }
+}
+
+/// The first step of an `f32` conv's [`PixelEpilogue`]: `v + bias` in place.
+#[inline(always)]
+fn add_bias(_: usize, _: usize, run: &mut [f32], bias: &[f32]) {
+    for (v, &bias) in run.iter_mut().zip(bias) {
+        *v += bias;
+    }
+}
+
+/// The first step of an int8 conv's [`PixelEpilogue`] over a band of
+/// accumulators `acc`: `a as f32 * rescales[n] + bias`.
+#[inline(always)]
+fn dequantize<'a>(
+    rescales: &'a [f32],
+    acc: &'a [i32],
+) -> impl Fn(usize, usize, &mut [f32], &[f32]) + 'a {
+    move |n, at, run, bias| {
+        let rescale = rescales[n];
+        for ((v, &a), &bias) in run.iter_mut().zip(&acc[at..]).zip(bias) {
+            *v = a as f32 * rescale + bias;
+        }
+    }
+}
+
+/// `main + skip` for each value of `main`, whole pixels of image `n` of `c`
+/// channels from pixel `pixel` on, with `skip`'s value at the same logical
+/// position: one slice of a skip that lies as `main` does (pixel-major), and
+/// otherwise (NCHW: a channel's pixels side by side, a channel a plane
+/// apart) [`LANES`] channels at a time, each read along its plane, added
+/// pixel by pixel to the channels that lie side by side in `main`.
+#[inline(always)]
+fn add_skip(main: &mut [f32], skip: Skip, c: usize, [n, pixel]: [usize; 2]) {
+    let Layout {
+        channel,
+        pixel: stride,
+        ..
+    } = skip.layout;
+    let start = skip.layout.at(n, 0, pixel);
+    let pixels = main.len() / c;
+    if (c == 1 || channel == 1) && (pixels == 1 || stride == c) {
+        let values = &skip.values[start..start + main.len()];
+        for (v, &s) in main.iter_mut().zip(values) {
+            *v += s;
+        }
+        return;
+    }
+    assert_eq!(stride, 1, "a skip lies NCHW or pixel-major");
+    let plane = |ch: usize| &skip.values[start + ch * channel..][..pixels];
+    let grouped = c - c % LANES;
+    for ch0 in (0..grouped).step_by(LANES) {
+        let planes: [&[f32]; LANES] = std::array::from_fn(|j| plane(ch0 + j));
+        for (p, values) in main.chunks_exact_mut(c).enumerate() {
+            for (v, plane) in values[ch0..ch0 + LANES].iter_mut().zip(&planes) {
+                *v += plane[p];
+            }
+        }
+    }
+    for ch in grouped..c {
+        for (v, &s) in main.iter_mut().skip(ch).step_by(c).zip(plane(ch)) {
+            *v += s;
         }
     }
 }
@@ -530,9 +653,9 @@ pub struct Conv2d {
 /// extents the validation worked out.
 pub(crate) struct Lowered<'a> {
     halo: Halo<'a>,
-    b: usize,
-    oh: usize,
-    ow: usize,
+    pub(crate) b: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
 }
 
 impl Conv2d {
@@ -624,11 +747,14 @@ impl Conv2d {
 
     /// Validates `input` for this conv followed by `pass` and lowers it to
     /// the zero-haloed copy the product reads ([`Halo`], which borrows an
-    /// input that needs no padding). A typed error, never a panic, for a
+    /// input that needs no padding), in the layout `input` lies in: `layout`
+    /// ([`Layout::nchw`] or [`Layout::pixel_major`] of its shape), or the
+    /// order of its shape if `None`. A typed error, never a panic, for a
     /// shape the conv or the pass's pool window does not fit.
     pub(crate) fn lower_input<'a>(
         &self,
         input: &'a Tensor,
+        layout: Option<Layout>,
         pass: &OutputPass,
     ) -> Result<Lowered<'a>, ShapeError> {
         let (in_channels, geometry) = (self.in_channels, self.geometry);
@@ -641,8 +767,10 @@ impl Conv2d {
         )?;
         pass.check(oh, ow)?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
+        let layout = layout.unwrap_or(Layout::nchw(in_channels, h * w));
+        let dims = [b, in_channels, h, w];
         Ok(Lowered {
-            halo: Halo::lower(input.data(), b, in_channels, h, w, geometry),
+            halo: Halo::lower(input.data(), layout, dims, geometry),
             b,
             oh,
             ow,
@@ -664,13 +792,31 @@ impl Conv2d {
             move |v: f32| v + bias
         })
     }
+
+    /// This conv's product over `lowered` with `epilogue` — built from this
+    /// conv's bias ([`OutputPass::pixel_epilogue`]) — and `skip` applied to
+    /// each band of product rows while it is cache-hot: the pixel-major
+    /// values `[b·oh·ow, c]` of the output pass before its pool, with no
+    /// pass over memory of their own. Reads `lowered`, never changes it.
+    pub(crate) fn finish_pixels(
+        &self,
+        lowered: &Lowered,
+        epilogue: &PixelEpilogue,
+        skip: Option<Skip>,
+    ) -> Vec<f32> {
+        let plane = lowered.oh * lowered.ow;
+        let weight = self.weight.value.data();
+        conv_map(&lowered.halo, weight, self.out_channels, |row0, band| {
+            epilogue.write_rows(plane, row0, band, skip);
+        })
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&self, input: &Tensor, _mode: Mode) -> Tensor {
         let pass = OutputPass::default();
         let lowered = self
-            .lower_input(input, &pass)
+            .lower_input(input, None, &pass)
             .unwrap_or_else(|err| panic!("{err}"));
         self.finish(&lowered, &pass)
     }
@@ -885,7 +1031,7 @@ impl Layer for ConvTranspose2d {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_input_grad, check_layer_param_grads};
 
@@ -964,15 +1110,39 @@ mod tests {
         t.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The bits of `t` with every NaN one value: where two NaNs meet in an
+    /// add (a NaN product row and a NaN skip), IEEE 754 leaves open whose
+    /// sign and payload survive, and the compiler may swap the add's
+    /// operands.
+    pub(crate) fn any_nan(t: &[f32]) -> Vec<u32> {
+        t.iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    /// `values`, the pixel-major values of a `[b, c, plane]` map, in NCHW
+    /// order.
+    fn permuted(values: &[f32], [b, c, plane]: [usize; 3]) -> Vec<f32> {
+        (0..b * c * plane)
+            .map(|i| {
+                let (n, ch, p) = (i / (c * plane), i / plane % c, i % plane);
+                values[(n * plane + p) * c + ch]
+            })
+            .collect()
+    }
+
     #[test]
     fn the_pixel_major_output_pass_writes_the_nchw_values_bit_for_bit() {
-        // The int8 stage's NCHW pass (nchw_pass over the accumulators with
-        // the dequantize and bias as its value) against the pixel-major
-        // epilogue and pool, after permuting their output to NCHW: every
-        // batch norm / ReLU / pool combination, channel counts that leave a
-        // part vector (and runs that end mid-image), one-pixel planes, and
-        // NaN, ±inf, ±0 and subnormal scales and constants over extreme
-        // accumulators.
+        // Each precision's NCHW pass (nchw_pass over the product rows with
+        // the bias, or the dequantize and bias, as its value) against the
+        // pixel-major epilogue and pool, after permuting their output to
+        // NCHW: every batch norm / ReLU / pool combination, channel counts
+        // that leave a part vector (and runs that end mid-image), one-pixel
+        // planes, and NaN, ±inf, ±0 and subnormal scales, constants and
+        // row values over extreme accumulators. A residual merge (a skip
+        // and the block's ReLU, no pool) against the NCHW pass without the
+        // ReLU, then `relu(main + skip)` value by value, with the skip
+        // NCHW and pixel-major.
         let mut rng = Rng::seed_from(31);
         let odd = [
             f32::NAN,
@@ -1000,12 +1170,41 @@ mod tests {
                 })
                 .collect();
             for (b, h, w) in [(3, 4, 6), (2, 1, 1), (1, 2, 2), (0, 2, 2), (1, 18, 20)] {
-                let acc: Vec<i32> = (0..b * h * w * c)
+                let plane = h * w;
+                let acc: Vec<i32> = (0..b * plane * c)
                     .map(|i| match i % 9 {
                         4 => extreme[i / 9 % extreme.len()],
                         _ => (rng.uniform(-3000.0, 3000.0)) as i32,
                     })
                     .collect();
+                let rows: Vec<f32> = (0..b * plane * c)
+                    .map(|i| match i % 7 {
+                        3 => odd[i / 7 % odd.len()],
+                        _ => rng.uniform(-2.0, 2.0),
+                    })
+                    .collect();
+                let skip_nchw: Vec<f32> = (0..b * c * plane)
+                    .map(|i| match i % 5 {
+                        2 => odd[i / 5 % odd.len()],
+                        _ => rng.uniform(-2.0, 2.0),
+                    })
+                    .collect();
+                let skip_pixels: Vec<f32> = (0..b * plane * c)
+                    .map(|i| {
+                        let (n, p, ch) = (i / (plane * c), i / c % plane, i % c);
+                        skip_nchw[(n * c + ch) * plane + p]
+                    })
+                    .collect();
+                let skips = [
+                    Skip {
+                        values: &skip_nchw,
+                        layout: Layout::nchw(c, plane),
+                    },
+                    Skip {
+                        values: &skip_pixels,
+                        layout: Layout::pixel_major(c, plane),
+                    },
+                ];
                 for special in odd {
                     let rescales: Vec<f32> = (0..b)
                         .map(|n| match n {
@@ -1025,7 +1224,12 @@ mod tests {
                             continue;
                         }
                         let what = format!("c{c} {b}x{h}x{w} {relu:?} {pool:?} scale {special:e}");
-                        let pass = OutputPass { bn, relu, pool };
+                        let pass = OutputPass {
+                            bn: bn.clone(),
+                            skip: false,
+                            relu,
+                            pool,
+                        };
                         let want = pass.run(&acc, [b, c, h, w], |n, co| {
                             let (rescale, bias) = (rescales[n], bias[co]);
                             move |a: i32| a as f32 * rescale + bias
@@ -1036,23 +1240,68 @@ mod tests {
                         let mut map = vec![0.0; acc.len()];
                         let bands = acc.chunks(7 * c).zip(map.chunks_mut(7 * c));
                         for (i, (acc, out)) in bands.enumerate() {
-                            epilogue.write(h * w, &rescales, 7 * i, acc, out);
+                            epilogue.write(plane, &rescales, 7 * i, acc, out, None);
                         }
                         // The loops compiled for the baseline target too.
                         let mut portable = vec![0.0; acc.len()];
-                        epilogue.write_body(h * w, &rescales, 0, &acc, &mut portable);
+                        let first = dequantize(&rescales, &acc);
+                        epilogue.write_body(plane, 0, &mut portable, None, first);
                         assert_eq!(bits(&portable), bits(&map), "portable {what}");
                         let got = pass.pool_pixels(map, [b, c, h, w]);
                         let (ph, pw) = (h / k, w / k);
                         assert_eq!(got.len(), b * ph * pw * c, "{what}");
-                        let permuted: Vec<f32> = (0..b * c * ph * pw)
-                            .map(|i| {
-                                let (n, ch, p) =
-                                    (i / (c * ph * pw), i / (ph * pw) % c, i % (ph * pw));
-                                got[(n * ph * pw + p) * c + ch]
-                            })
+                        let got = permuted(&got, [b, c, ph * pw]);
+                        assert_eq!(bits(&got), bits(want.data()), "int8 {what}");
+
+                        // The f32 conv's rows, with its bias.
+                        let want = pass.run(&rows, [b, c, h, w], |_, co| {
+                            let bias = bias[co];
+                            move |v: f32| v + bias
+                        });
+                        let mut map = rows.clone();
+                        for (i, band) in map.chunks_mut(7 * c).enumerate() {
+                            epilogue.write_rows(plane, 7 * i, band, None);
+                        }
+                        let mut portable = rows.clone();
+                        epilogue.write_body(plane, 0, &mut portable, None, add_bias);
+                        assert_eq!(bits(&portable), bits(&map), "f32 portable {what}");
+                        let got = permuted(&pass.pool_pixels(map, [b, c, h, w]), [b, c, ph * pw]);
+                        assert_eq!(bits(&got), bits(want.data()), "f32 {what}");
+
+                        // A residual merge: the block's ReLU after the skip.
+                        if pool.is_some() || relu.is_none() {
+                            continue;
+                        }
+                        let main = OutputPass {
+                            relu: None,
+                            ..pass.clone()
+                        };
+                        let merge = OutputPass { skip: true, ..pass };
+                        let main = main.run(&rows, [b, c, h, w], |_, co| {
+                            let bias = bias[co];
+                            move |v: f32| v + bias
+                        });
+                        let relu = relu.expect("a merge has the block's ReLU");
+                        let want: Vec<f32> = main
+                            .data()
+                            .iter()
+                            .zip(&skip_nchw)
+                            .map(|(&main, &skip)| relu.apply(main + skip))
                             .collect();
-                        assert_eq!(bits(&permuted), bits(want.data()), "{what}");
+                        let epilogue = merge.pixel_epilogue(&bias);
+                        for skip in skips {
+                            let mut map = rows.clone();
+                            for (i, band) in map.chunks_mut(7 * c).enumerate() {
+                                epilogue.write_rows(plane, 7 * i, band, Some(skip));
+                            }
+                            let mut portable = rows.clone();
+                            epilogue.write_body(plane, 0, &mut portable, Some(skip), add_bias);
+                            let layout = skip.layout;
+                            let got = any_nan(&map);
+                            assert_eq!(any_nan(&portable), got, "merge portable {what} {layout:?}");
+                            let got = any_nan(&permuted(&map, [b, c, plane]));
+                            assert_eq!(got, any_nan(&want), "merge {what} {layout:?}");
+                        }
                     }
                 }
             }

@@ -1,12 +1,14 @@
 //! `im2col`/`col2im` lowering used to express 2-D (de)convolutions as GEMMs,
 //! and the convolution forwards' lowerings that write no column matrix:
 //! [`Halo`] for `f32` convolutions, [`QHalo`] for int8 ones. Both are one
-//! zero-haloed copy of the input that the product reads in place; `im2col`
+//! zero-haloed copy of the input that the product reads in place, and both
+//! take the input in whichever [`Layout`] it lies (NCHW for a plan's input
+//! and an eager layer's, pixel-major after a compiled conv); `im2col`
 //! stays as the convolution backward's lowering, the int8 eager oracle's
 //! (`im2col_i8`) and the halos' test oracle. A compiled int8 plan fills its
 //! [`QHalo`] with [`QHalo::quantize`], straight from the `f32` map its
-//! stages pass along, in whichever [`Layout`] that map lies (NCHW for a
-//! plan's input, pixel-major after an int8 conv): no `i8` batch in between.
+//! stages pass along: no `i8` batch in between. An `f32` [`Halo`] keeps the
+//! layout of its input, so its copy of a pixel-major map is pixel-major.
 //! [`QHalo::lower`], from an NCHW `i8` batch, is that lowering's test oracle
 //! and the matrix form of the int8 product.
 //!
@@ -158,40 +160,50 @@ pub fn im2col_i8(
     lower(data, b, c, h, w, geom, Vec::new())
 }
 
-/// An NCHW `f32` batch lowered for the convolution product
-/// ([`crate::gemm::conv_fused`]) without a column matrix: one NCHW copy of
-/// the input, `[b, c, h+2p, w+2p]`, with a zero halo `padding` pixels wide
-/// around every channel plane. The copy is about `(h+2p)(w+2p)/(h·w)` times
-/// the input, where the column matrix [`im2col`] writes is `kernel²` times.
+/// An `f32` batch lowered for the convolution product
+/// ([`crate::gemm::conv_fused`], [`crate::gemm::conv_map`]) without a column
+/// matrix: one copy of the input in the [`Layout`] the input lies in, NCHW
+/// `[b, c, h+2p, w+2p]` or pixel-major `[b, h+2p, w+2p, c]`, with a zero
+/// halo `padding` pixels wide around every image. The copy is about
+/// `(h+2p)(w+2p)/(h·w)` times the input, where the column matrix [`im2col`]
+/// writes is `kernel²` times.
 ///
 /// Output position `(n, oy, ox)` reads tap `(c, ky, kx)` at pixel
-/// `(oy·s + ky, ox·s + kx)` of plane `(n, c)`: the column matrix's row, in
-/// its own `(c, ky, kx)` order, read where it lies. The halo holds `+0.0`,
-/// the zero [`im2col`] pads with, so the product is bit-identical to the
-/// column matrix's. Without padding (a 1×1 shortcut) the input is its own
-/// halo: it is borrowed and nothing is copied.
+/// `(oy·s + ky, ox·s + kx)` of channel `c` of image `n`, through the copy's
+/// strides ([`Halo::layout`]): the column matrix's row, in its own
+/// `(c, ky, kx)` order, read where it lies, in either layout. The halo holds
+/// `+0.0`, the zero [`im2col`] pads with, so the product is bit-identical to
+/// the column matrix's. Without padding (a 1×1 shortcut) the input is its
+/// own halo: it is borrowed, in its own layout, and nothing is copied.
 ///
 /// # Examples
 ///
 /// ```
-/// use ensembler_tensor::{Conv2dGeometry, Halo};
+/// use ensembler_tensor::{Conv2dGeometry, Halo, Layout};
 ///
 /// // One 1-channel 2x2 image under a "same" 3x3 geometry: a 4x4 plane.
-/// let halo = Halo::lower(&[1.0, 2.0, 3.0, 4.0], 1, 1, 2, 2, Conv2dGeometry::new(3, 1, 1));
+/// let geom = Conv2dGeometry::new(3, 1, 1);
+/// let halo = Halo::lower(&[1.0, 2.0, 3.0, 4.0], Layout::nchw(1, 4), [1, 1, 2, 2], geom);
 /// assert_eq!(
 ///     halo.data(),
 ///     &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 /// );
+/// // Two channels of one pixel, pixel-major, under the same geometry: the
+/// // pixel's two values in the middle of a 3x3 frame of zero pixels.
+/// let halo = Halo::lower(&[1.0, 2.0], Layout::pixel_major(2, 1), [1, 2, 1, 1], geom);
+/// assert_eq!(halo.layout(), Layout::pixel_major(2, 9));
+/// assert_eq!(&halo.data()[8..10], &[1.0, 2.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Halo<'a> {
-    /// `[b, c, hp, wp]` row-major.
+    /// The haloed batch, as `layout` says.
     data: Cow<'a, [f32]>,
+    /// Where value `(n, c, pixel)` of the haloed `hp x wp` planes lies.
+    pub(crate) layout: Layout,
     pub(crate) geometry: Conv2dGeometry,
     pub(crate) batch: usize,
     pub(crate) channels: usize,
-    /// Haloed extents.
-    pub(crate) hp: usize,
+    /// Haloed row width.
     pub(crate) wp: usize,
     /// Output extents.
     pub(crate) oh: usize,
@@ -199,39 +211,57 @@ pub struct Halo<'a> {
 }
 
 impl<'a> Halo<'a> {
-    /// Lowers the NCHW batch `data` (`[b, c, h, w]`) for a convolution of
-    /// geometry `geom`, borrowing it when `geom` has no padding.
+    /// Lowers the batch `data`, of logical shape `[b, c, h, w]` and lying as
+    /// `layout` says, for a convolution of geometry `geom`, into a copy of
+    /// the same layout, borrowing `data` when `geom` has no padding.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != b*c*h*w` or the padded input is smaller than
-    /// the kernel.
+    /// Panics if `data.len() != b*c*h*w`, if `layout` is neither
+    /// [`Layout::nchw`] nor [`Layout::pixel_major`] of `c` channels of `h·w`
+    /// pixels, or if the padded input is smaller than the kernel.
     pub fn lower(
         data: &'a [f32],
-        b: usize,
-        c: usize,
-        h: usize,
-        w: usize,
+        layout: Layout,
+        [b, c, h, w]: [usize; 4],
         geom: Conv2dGeometry,
     ) -> Self {
         assert_eq!(data.len(), b * c * h * w, "Halo buffer/shape mismatch");
+        let is_pixel_major = layout == Layout::pixel_major(c, h * w);
+        assert!(
+            is_pixel_major || layout == Layout::nchw(c, h * w),
+            "Halo::lower reads a dense NCHW or pixel-major batch"
+        );
         let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
         let p = geom.padding;
         let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let layout = if is_pixel_major {
+            Layout::pixel_major(c, hp * wp)
+        } else {
+            Layout::nchw(c, hp * wp)
+        };
         let data = if p == 0 {
             Cow::Borrowed(data)
         } else {
-            // One image -> its haloed block, a row at a time; the halo keeps
-            // the zero the block was allocated with.
+            // One image -> its haloed block, a row at a time (of a channel
+            // plane, or of pixels); the halo keeps the zero the block was
+            // allocated with.
             let item = c * hp * wp;
             let mut out = vec![0.0f32; b * item];
             let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;
             chunks_mut(&mut out, item.max(1), parallel, |n, block| {
                 let image = &data[n * c * h * w..(n + 1) * c * h * w];
-                for ch in 0..c {
+                if is_pixel_major {
                     for y in 0..h {
-                        let src = &image[(ch * h + y) * w..][..w];
-                        block[((ch * hp + y + p) * wp + p)..][..w].copy_from_slice(src);
+                        let src = &image[y * w * c..][..w * c];
+                        block[((y + p) * wp + p) * c..][..w * c].copy_from_slice(src);
+                    }
+                } else {
+                    for ch in 0..c {
+                        for y in 0..h {
+                            let src = &image[(ch * h + y) * w..][..w];
+                            block[((ch * hp + y + p) * wp + p)..][..w].copy_from_slice(src);
+                        }
                     }
                 }
             });
@@ -239,19 +269,26 @@ impl<'a> Halo<'a> {
         };
         Self {
             data,
+            layout,
             geometry: geom,
             batch: b,
             channels: c,
-            hp,
             wp,
             oh,
             ow,
         }
     }
 
-    /// The haloed batch, `[b, c, h+2p, w+2p]` row-major.
+    /// The haloed batch, as [`Self::layout`] says.
     pub fn data(&self) -> &[f32] {
         &self.data
+    }
+
+    /// Where value `(n, c, pixel)` of the haloed `(h+2p) x (w+2p)` planes
+    /// lies in [`Self::data`]: the layout of the lowered input, over the
+    /// haloed extents.
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 }
 
@@ -697,25 +734,33 @@ mod tests {
 
     #[test]
     fn a_halo_without_padding_borrows_its_input() {
-        // The 1x1 shortcut's geometry: the input already is its halo.
+        // The 1x1 shortcut's geometry: the input already is its halo, in
+        // either layout. With padding, every image is copied into the middle
+        // of a zero frame, in its own layout.
         let input: Vec<f32> = (0..2 * 3 * 4 * 5).map(|v| v as f32).collect();
-        let halo = Halo::lower(&input, 2, 3, 4, 5, Conv2dGeometry::new(1, 2, 0));
-        assert!(std::ptr::eq(halo.data(), input.as_slice()));
-        // With padding, every plane is copied into the middle of a zero
-        // frame.
-        let halo = Halo::lower(&input, 2, 3, 4, 5, Conv2dGeometry::new(3, 1, 1));
-        assert_eq!(halo.data().len(), 2 * 3 * 6 * 7);
-        let plane = |i: usize| &halo.data()[i * 42..(i + 1) * 42];
-        for i in 0..6 {
-            for (y, row) in plane(i).chunks(7).enumerate() {
-                let inside = (1..5).contains(&y);
-                for (x, &v) in row.iter().enumerate() {
-                    let want = if inside && (1..6).contains(&x) {
-                        (i * 20 + (y - 1) * 5 + x - 1) as f32
+        let dims = [2, 3, 4, 5];
+        for layout in [Layout::nchw(3, 20), Layout::pixel_major(3, 20)] {
+            let halo = Halo::lower(&input, layout, dims, Conv2dGeometry::new(1, 2, 0));
+            assert!(std::ptr::eq(halo.data(), input.as_slice()));
+            assert_eq!(halo.layout(), layout);
+            let halo = Halo::lower(&input, layout, dims, Conv2dGeometry::new(3, 1, 1));
+            assert_eq!(halo.data().len(), 2 * 3 * 6 * 7);
+            let haloed = halo.layout();
+            assert_eq!(haloed.pixel == 1, layout.pixel == 1, "{layout:?}");
+            for (n, ch) in (0..2).flat_map(|n| (0..3).map(move |ch| (n, ch))) {
+                for (y, x) in (0..6).flat_map(|y| (0..7).map(move |x| (y, x))) {
+                    let inside = (1..5).contains(&y) && (1..6).contains(&x);
+                    let want = if inside {
+                        input[layout.at(n, ch, (y - 1) * 5 + x - 1)]
                     } else {
                         0.0
                     };
-                    assert_eq!(v.to_bits(), want.to_bits(), "plane {i} ({y}, {x})");
+                    let got = halo.data()[haloed.at(n, ch, y * 7 + x)];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{layout:?} {n} {ch} ({y}, {x})"
+                    );
                 }
             }
         }

@@ -12,9 +12,10 @@
 //!   `data[row[i] + koff[p]]` — a start per row and a k-offset table built
 //!   once per product (`Lhs`). A matrix, transposed or not, is the 1×1 case
 //!   (`row[i] = i·rs`, `koff[p] = p·ks`); a convolution reads its column
-//!   matrix out of one zero-haloed copy of its input ([`crate::Halo`]),
-//!   row `(n, oy, ox)` at its window's corner and `koff[p]` the offset of
-//!   tap `(c, ky, kx)` within the window, so no column matrix is written. A
+//!   matrix out of one zero-haloed copy of its input ([`crate::Halo`]), NCHW
+//!   or pixel-major, row `(n, oy, ox)` at its window's corner and `koff[p]`
+//!   the offset of tap `(c, ky, kx)` within the window, both from the copy's
+//!   strides, so no column matrix is written. A
 //!   ragged last row panel points its missing rows at the last valid one;
 //!   their accumulators are never stored, so the micro-kernel still never
 //!   branches.
@@ -85,7 +86,7 @@ const MAX_MR: usize = 8;
 /// images of `oh x ow` positions, and starts `n·image + oy·y + ox·x`
 /// elements into the data. Shared index `p` is tap `(c, ky, kx)` of a
 /// `kernel x kernel` window over `channels` channels, and lies
-/// `c·channel + ky·tap_row + kx` elements past its row's start. A plain
+/// `c·channel + ky·tap_row + kx·tap` elements past its row's start. A plain
 /// matrix with strides `(rs, ks)` is the 1×1 case: `m` images of one
 /// position each, `image = rs`, and `k` channels, `channel = ks`.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +101,7 @@ struct Walk {
     kernel: usize,
     channel: usize,
     tap_row: usize,
+    tap: usize,
 }
 
 impl Walk {
@@ -117,25 +119,30 @@ impl Walk {
             kernel: 1,
             channel: ks,
             tap_row: 0,
+            tap: 0,
         }
     }
 
-    /// The column matrix of `halo`'s convolution, read from the halo: image
-    /// `n`'s plane `c` starts at `(n·channels + c)·hp·wp`, and a stride `s`
-    /// moves an output position `s` halo pixels.
+    /// The column matrix of `halo`'s convolution, read from the halo through
+    /// its strides ([`Halo::layout`]): a halo pixel `pixel` elements from
+    /// the next, so a row of them `wp·pixel`, and a stride `s` moves an
+    /// output position `s` halo pixels. An NCHW halo's pixels are adjacent
+    /// and its channels a plane apart; a pixel-major halo's channels are
+    /// adjacent and its pixels `c` apart.
     fn conv(halo: &Halo) -> Self {
-        let (hp, wp, s) = (halo.hp, halo.wp, halo.geometry.stride);
+        let (wp, s, layout) = (halo.wp, halo.geometry.stride, halo.layout);
         Self {
             images: halo.batch,
             oh: halo.oh,
             ow: halo.ow,
-            image: halo.channels * hp * wp,
-            y: s * wp,
-            x: s,
+            image: layout.image,
+            y: s * wp * layout.pixel,
+            x: s * layout.pixel,
             channels: halo.channels,
             kernel: halo.geometry.kernel,
-            channel: hp * wp,
-            tap_row: wp,
+            channel: layout.channel,
+            tap_row: wp * layout.pixel,
+            tap: layout.pixel,
         }
     }
 
@@ -147,27 +154,42 @@ impl Walk {
         self.channels * self.kernel * self.kernel
     }
 
-    /// The k-offset table: entry `p` is where shared index `p` lies past its
-    /// row's start. Built once per product, by the driver.
+    /// The k-offset table: entry `p` is where shared index `p`, tap
+    /// `(c, ky, kx)` in `im2col`'s order, lies past its row's start. Built
+    /// once per product, by `gemm_impl`.
+    ///
+    /// The table need not be non-decreasing: a pixel-major window steps back
+    /// at each next channel. So the micro-kernels' bounds check takes each
+    /// block's largest entry ([`Lhs::block`]), not its last.
     ///
     /// # Panics
     ///
-    /// Panics unless the table is non-decreasing, which every layout above
-    /// is (a window row never reaches the next, nor a window the next
-    /// channel). The micro-kernels' bounds check rests on it: the last
-    /// entry of a block is the farthest that block reads.
+    /// Panics unless each tap axis (`kx`, `ky`, `c`, by stride) steps past
+    /// all the axes with smaller strides reach, so that no two shared
+    /// indices lie on one element. Every layout above passes (a window row
+    /// never reaches the next, nor a window the next channel, in either
+    /// order of a halo).
     fn k_offsets(&self) -> Vec<usize> {
         let mut koff = Vec::with_capacity(self.k());
         for c in 0..self.channels {
             for ky in 0..self.kernel {
-                let tap = c * self.channel + ky * self.tap_row;
-                koff.extend(tap..tap + self.kernel);
+                let start = c * self.channel + ky * self.tap_row;
+                koff.extend((0..self.kernel).map(|kx| start + kx * self.tap));
             }
         }
-        assert!(
-            koff.windows(2).all(|pair| pair[0] <= pair[1]),
-            "lhs k offsets must be non-decreasing"
-        );
+        // Taken from the innermost axis out, each tap axis must step past
+        // every offset the axes inside it reach.
+        let mut axes = [
+            (self.tap, self.kernel),
+            (self.tap_row, self.kernel),
+            (self.channel, self.channels),
+        ];
+        axes.sort_unstable();
+        let mut reach = 0;
+        for (stride, extent) in axes.into_iter().filter(|&(_, extent)| extent > 1) {
+            assert!(stride > reach, "lhs k offsets must be distinct");
+            reach += (extent - 1) * stride;
+        }
         koff
     }
 
@@ -221,20 +243,34 @@ struct Lhs<'a> {
     data: &'a [f32],
     /// Each row's start; rows past a ragged edge repeat the last valid one.
     rows: &'a [usize],
-    /// The block's slice of the product's k-offset table, non-decreasing
-    /// ([`Walk::k_offsets`]).
+    /// The block's slice of the product's k-offset table
+    /// ([`Walk::k_offsets`]), in any order.
     koff: &'a [usize],
+    /// The largest entry of `koff` (0 if it is empty).
+    far: usize,
 }
 
-impl Lhs<'_> {
+impl<'a> Lhs<'a> {
+    /// The left operand of the tiles of one block of shared indices, `koff`
+    /// of the product's k-offset table, with no rows yet (a tile sets its
+    /// own): the block's largest offset is worked out once, here.
+    fn block(data: &'a [f32], koff: &'a [usize]) -> Self {
+        Self {
+            data,
+            rows: &[],
+            koff,
+            far: koff.iter().copied().max().unwrap_or(0),
+        }
+    }
+
     /// Panics unless every element of the tile lies inside `data` — the one
-    /// check the micro-kernels' unchecked reads rest on. The k offsets never
-    /// decrease, so the farthest row's last step is the farthest read.
+    /// check the micro-kernels' unchecked reads rest on. The farthest row
+    /// at the block's largest k offset is the farthest read.
     fn assert_covers(self) {
         let far_row = self.rows.iter().max();
-        let covered = match (far_row, self.koff.last()) {
-            (Some(row), Some(step)) => row
-                .checked_add(*step)
+        let covered = match far_row {
+            Some(row) if !self.koff.is_empty() => row
+                .checked_add(self.far)
                 .is_some_and(|far| far < self.data.len()),
             _ => false,
         };
@@ -633,7 +669,7 @@ pub fn gemm_nt_fused(
 ///
 /// ```
 /// use ensembler_tensor::gemm::{conv_fused, gemm_nt_fused, GemmEpilogue, Parallelism};
-/// use ensembler_tensor::{im2col, Conv2dGeometry, Halo, Tensor};
+/// use ensembler_tensor::{im2col, Conv2dGeometry, Halo, Layout, Tensor};
 ///
 /// // A "same" 3x3 convolution of one 3-channel 3x3 image into 4 channels.
 /// let geom = Conv2dGeometry::new(3, 1, 1);
@@ -641,7 +677,7 @@ pub fn gemm_nt_fused(
 /// let w: Vec<f32> = (0..4 * 27).map(|v| (v % 7) as f32 - 3.0).collect(); // [out, c·k²]
 /// let (ep, par) = (GemmEpilogue::none(), Parallelism::Auto);
 /// let want = gemm_nt_fused(im2col(&x, geom).data(), &w, 9, 27, 4, par, ep);
-/// let halo = Halo::lower(x.data(), 1, 3, 3, 3, geom);
+/// let halo = Halo::lower(x.data(), Layout::nchw(3, 9), [1, 3, 3, 3], geom);
 /// assert_eq!(conv_fused(&halo, &w, 4, par, ep), want);
 /// ```
 pub fn conv_fused(
@@ -654,6 +690,54 @@ pub fn conv_fused(
     conv_with(kernel_config(), halo, weight, n, par, ep)
 }
 
+/// [`conv_fused`] with `epilogue` run on each row band of the product while
+/// it is cache-hot: `epilogue(row0, band)` rewrites in place the band's
+/// rows, product rows `row0..` of `n` values each, and the returned
+/// `[rows, n]` matrix holds what it wrote. The product is [`conv_fused`]'s,
+/// bit for bit; a band is whole rows, and may cross an image's end.
+///
+/// # Panics
+///
+/// Panics if `weight.len() != n·c·kernel²` for the halo's channel count `c`.
+///
+/// # Examples
+///
+/// ```
+/// use ensembler_tensor::gemm::{conv_fused, conv_map, GemmEpilogue, Parallelism};
+/// use ensembler_tensor::{Conv2dGeometry, Halo, Layout};
+///
+/// // A "same" 3x3 convolution of one 2-channel 2x2 image into 3 channels,
+/// // with a bias added to each band in place.
+/// let geom = Conv2dGeometry::new(3, 1, 1);
+/// let x = [1.0, -2.0, 3.0, 0.5, 0.25, -1.0, 2.0, 4.0];
+/// let w: Vec<f32> = (0..3 * 18).map(|v| (v % 5) as f32 - 2.0).collect(); // [out, c·k²]
+/// let halo = Halo::lower(&x, Layout::nchw(2, 4), [1, 2, 2, 2], geom);
+/// let bias = [0.5, -0.5, 1.0];
+/// let ep = GemmEpilogue { bias: Some(&bias), relu: false };
+/// let want = conv_fused(&halo, &w, 3, Parallelism::Auto, ep);
+/// let got = conv_map(&halo, &w, 3, |_, band| {
+///     for row in band.chunks_exact_mut(3) {
+///         row.iter_mut().zip(&bias).for_each(|(v, b)| *v += b);
+///     }
+/// });
+/// assert_eq!(got, want);
+/// ```
+pub fn conv_map(
+    halo: &Halo,
+    weight: &[f32],
+    n: usize,
+    epilogue: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    conv_map_with(
+        kernel_config(),
+        halo,
+        weight,
+        n,
+        Parallelism::Auto,
+        epilogue,
+    )
+}
+
 /// [`conv_fused`] under an explicit micro-kernel.
 fn conv_with(
     cfg: KernelConfig,
@@ -663,16 +747,30 @@ fn conv_with(
     par: Parallelism,
     ep: GemmEpilogue,
 ) -> Vec<f32> {
+    if let Some(bias) = ep.bias {
+        assert_eq!(bias.len(), n, "epilogue bias length must be n");
+    }
+    conv_map_with(cfg, halo, weight, n, par, |_, band| {
+        apply_epilogue(band, n, &ep)
+    })
+}
+
+/// [`conv_map`] under an explicit micro-kernel and parallelism.
+fn conv_map_with(
+    cfg: KernelConfig,
+    halo: &Halo,
+    weight: &[f32],
+    n: usize,
+    par: Parallelism,
+    epilogue: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
     let walk = Walk::conv(halo);
     assert_eq!(
         weight.len(),
         n * walk.k(),
         "conv weight length must be out_channels*in_channels*kernel^2"
     );
-    if let Some(bias) = ep.bias {
-        assert_eq!(bias.len(), n, "epilogue bias length must be n");
-    }
-    gemm_impl(cfg, halo.data(), walk, weight, n, Op::Nt, par, ep)
+    gemm_impl(cfg, halo.data(), walk, weight, n, Op::Nt, par, epilogue)
 }
 
 /// The three matrix layouts under the host's micro-kernel.
@@ -687,12 +785,15 @@ fn gemm_matrix(
     par: Parallelism,
     ep: GemmEpilogue,
 ) -> Vec<f32> {
-    gemm_impl(kernel_config(), a, op.walk(m, k), b, n, op, par, ep)
+    let epilogue = |_, band: &mut [f32]| apply_epilogue(band, n, &ep);
+    gemm_impl(kernel_config(), a, op.walk(m, k), b, n, op, par, epilogue)
 }
 
 /// The one `f32` product driver: `a`, laid out as `walk` says, against the
 /// logical `[k,n]` right operand `b` (`op` says whether it is stored
-/// transposed).
+/// transposed), with `epilogue(row0, band)` run on each finished band of
+/// output rows `row0..` (on the whole output, as rows `0..`, when a
+/// dimension is empty).
 #[allow(clippy::too_many_arguments)]
 fn gemm_impl(
     cfg: KernelConfig,
@@ -702,12 +803,12 @@ fn gemm_impl(
     n: usize,
     op: Op,
     par: Parallelism,
-    ep: GemmEpilogue,
+    epilogue: impl Fn(usize, &mut [f32]) + Sync,
 ) -> Vec<f32> {
     let (m, k) = (walk.m(), walk.k());
     let mut out = vec![0.0f32; m * n];
     if m == 0 || n == 0 || k == 0 {
-        apply_epilogue(&mut out, n, &ep);
+        epilogue(0, &mut out);
         return out;
     }
     let small = k * n < SMALL_THRESHOLD;
@@ -754,7 +855,7 @@ fn gemm_impl(
         } else {
             gemm_band(a, walk, &koff, &bp, row0, n, cfg, band);
         }
-        apply_epilogue(band, n, &ep);
+        epilogue(row0, band);
     });
     out
 }
@@ -778,13 +879,13 @@ fn gemm_small(
     band: &mut [f32],
 ) {
     let (mr, nr) = (cfg.small_mr, cfg.nr);
+    let block = Lhs::block(a, koff);
     walk.for_each_run(row0, n, mr, band, |offsets, out| {
         let rows = out.len() / n;
         for r0 in (0..rows).step_by(mr) {
             let tile = Lhs {
-                data: a,
                 rows: &offsets[r0..r0 + mr],
-                koff,
+                ..block
             };
             for j0 in (0..n).step_by(nr) {
                 let (tile_rows, cols) = (mr.min(rows - r0), nr.min(n - j0));
@@ -849,15 +950,15 @@ fn gemm_band(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
+            let block = Lhs::block(a, &koff[pc..pc + kc]);
             for jp in 0..col_panels {
                 let bpanel = &bp[jp * k * nr + pc * nr..jp * k * nr + (pc + kc) * nr];
                 let j0 = jp * nr;
                 let cols = nr.min(n - j0);
                 for r0 in (0..rows).step_by(mr) {
                     let tile = Lhs {
-                        data: a,
                         rows: &offsets[r0..r0 + mr],
-                        koff: &koff[pc..pc + kc],
+                        ..block
                     };
                     (cfg.micro)(
                         tile,
@@ -893,7 +994,7 @@ fn portable_microkernel(
         let bv: &[f32; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("NR sliver");
         for r in 0..MR {
             // SAFETY: `row[r]` is at most the farthest row offset and `step`
-            // at most the block's last k offset, the sum `assert_covers`
+            // at most the block's largest k offset, the sum `assert_covers`
             // checked above. Unchecked because a checked read here halves
             // the kernel's throughput (docs/PERFORMANCE.md, "Reading A in
             // place").
@@ -928,7 +1029,7 @@ fn portable_small(a: Lhs, b: &[f32], c: &mut [f32], n: usize, tile_rows: usize, 
         });
         for r in 0..MR {
             // SAFETY: as in `portable_microkernel`: `assert_covers` checked
-            // the farthest row offset plus the last k offset.
+            // the farthest row offset plus the largest k offset.
             let ar = unsafe { *a.data.get_unchecked(row[r] + step) };
             for (slot, &bval) in acc[r].iter_mut().zip(&bv) {
                 *slot += ar * bval;
@@ -1254,7 +1355,7 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Conv2dGeometry;
+    use crate::{Conv2dGeometry, Layout};
 
     /// Textbook reference product, deliberately unblocked and skip-free.
     fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, op: Op) -> Vec<f32> {
@@ -1392,9 +1493,8 @@ mod tests {
                 let j0 = jp * nr;
                 for ir in 0..row_panels {
                     let apanel = Lhs {
-                        data: &apack[ir * kc * mr..(ir + 1) * kc * mr],
                         rows: &rows,
-                        koff: &koff[..kc],
+                        ..Lhs::block(&apack[ir * kc * mr..(ir + 1) * kc * mr], &koff[..kc])
                     };
                     let r0 = ir * mr;
                     (cfg.micro)(
@@ -1503,10 +1603,15 @@ mod tests {
     fn a_halo_product_equals_im2col_then_gemm_nt_fused_under_every_kernel() {
         // Every geometry of kernel {1,3} x stride {1,2} x padding {0,1,2};
         // 33 channels x 9 taps = 297 > KC, so a cache block ends inside a
-        // window; 1 channel against 1-40 outputs stays under
+        // window (and, pixel-major, a block's largest k offset is not its
+        // last); 1 channel against 1-40 outputs stays under
         // SMALL_THRESHOLD; 17 and 40 outputs leave ragged panels in both
         // kernels; non-square extents give row counts no tile height
         // divides; batch 0 is the empty product; the three epilogues rotate.
+        // The halo holds the input NCHW and pixel-major, and the product
+        // runs as `conv_fused` and as `conv_map` with a band epilogue that
+        // also adds each value's product row, so a band handed the wrong
+        // `row0` shows.
         let geometries = [1, 3].into_iter().flat_map(|k| {
             [1, 2]
                 .into_iter()
@@ -1524,31 +1629,64 @@ mod tests {
                             bias: (seed % 3 != 1).then_some(bias.as_slice()),
                             relu: seed % 3 != 0,
                         };
+                        let mapped = |row0: usize, band: &mut [f32]| {
+                            apply_epilogue(band, n, &ep);
+                            for (i, v) in band.iter_mut().enumerate() {
+                                *v += (row0 + i / n) as f32;
+                            }
+                        };
                         for (h, w) in [(1, 1), (2, 5), (5, 2), (4, 7), (9, 3)] {
                             if h.min(w) + 2 * geom.padding < geom.kernel {
                                 continue;
                             }
-                            for b in [0, 1, 3] {
+                            for b in 0..4 {
                                 let x = pseudo(b * c * h * w, seed * 31 + (h * 10 + w) as u64);
                                 let par = if b == 3 {
                                     Parallelism::Parallel
                                 } else {
                                     Parallelism::Serial
                                 };
-                                let halo = Halo::lower(&x, b, c, h, w, geom);
-                                let got = conv_with(cfg, &halo, &weight, n, par, ep);
                                 let image = crate::Tensor::from_vec(x.clone(), &[b, c, h, w])
                                     .expect("sized to the shape");
                                 let cols = crate::im2col(&image, geom);
                                 let (m, k) = (cols.shape()[0], cols.shape()[1]);
                                 let walk = Op::Nt.walk(m, k);
-                                let want =
-                                    gemm_impl(cfg, cols.data(), walk, &weight, n, Op::Nt, par, ep);
-                                assert_eq!(
-                                    bits(&got),
-                                    bits(&want),
-                                    "{name} {geom:?} {b}x{c}x{h}x{w} -> {n}"
+                                let want = gemm_impl(
+                                    cfg,
+                                    cols.data(),
+                                    walk,
+                                    &weight,
+                                    n,
+                                    Op::Nt,
+                                    par,
+                                    |_, band: &mut [f32]| apply_epilogue(band, n, &ep),
                                 );
+                                let mut want_mapped = want.clone();
+                                for (i, v) in want_mapped.iter_mut().enumerate() {
+                                    *v += (i / n) as f32;
+                                }
+                                let pixels: Vec<f32> = (0..x.len())
+                                    .map(|i| {
+                                        let (img, p, ch) =
+                                            (i / (c * h * w), i / c % (h * w), i % c);
+                                        x[(img * c + ch) * h * w + p]
+                                    })
+                                    .collect();
+                                let plane = h * w;
+                                let inputs = [
+                                    (&x, Layout::nchw(c, plane)),
+                                    (&pixels, Layout::pixel_major(c, plane)),
+                                ];
+                                for (x, layout) in inputs {
+                                    let what = format!(
+                                        "{name} {geom:?} {b}x{c}x{h}x{w} -> {n}, {layout:?}"
+                                    );
+                                    let halo = Halo::lower(x, layout, [b, c, h, w], geom);
+                                    let got = conv_with(cfg, &halo, &weight, n, par, ep);
+                                    assert_eq!(bits(&got), bits(&want), "{what}");
+                                    let got = conv_map_with(cfg, &halo, &weight, n, par, mapped);
+                                    assert_eq!(bits(&got), bits(&want_mapped), "map {what}");
+                                }
                             }
                         }
                     }
@@ -1560,35 +1698,66 @@ mod tests {
     #[test]
     fn a_tile_reading_past_its_halo_is_refused_before_any_read() {
         // Rows 0 and 4 of a 12-element operand, k offsets 0, 3 and 8: the
-        // last step of row 4 is element 4 + 8 = 12, one past the end.
-        let (data, koff) = ([0.0f32; 12], [0, 3, 8]);
-        for (name, cfg) in kernels() {
-            let mut rows = vec![4; cfg.mr];
-            rows[0] = 0;
-            let tile = Lhs {
-                data: &data,
-                rows: &rows,
-                koff: &koff,
-            };
-            let read = std::panic::catch_unwind(|| {
-                let mut c = vec![0.0f32; cfg.nr];
-                (cfg.micro)(tile, &vec![0.0; 3 * cfg.nr], &mut c, cfg.nr, 2, cfg.nr);
-            });
-            assert_refused(read, name);
-            // The small-product tile, over the same rows and k offsets.
-            let mut rows = vec![4; cfg.small_mr];
-            rows[0] = 0;
-            let tile = Lhs {
-                rows: &rows,
-                ..tile
-            };
-            let read = std::panic::catch_unwind(|| {
-                let n = cfg.nr;
-                let mut c = vec![0.0f32; 2 * n];
-                (cfg.small)(tile, &vec![0.0; 3 * n], &mut c, n, 2, n);
-            });
-            assert_refused(read, name);
+        // last step of row 4 is element 4 + 8 = 12, one past the end. The
+        // same offsets with the farthest in the middle, as a pixel-major
+        // window's table has it: still refused.
+        let data = [0.0f32; 12];
+        for koff in [[0, 3, 8], [0, 8, 3]] {
+            for (name, cfg) in kernels() {
+                let mut rows = vec![4; cfg.mr];
+                rows[0] = 0;
+                let tile = Lhs {
+                    rows: &rows,
+                    ..Lhs::block(&data, &koff)
+                };
+                let read = std::panic::catch_unwind(|| {
+                    let mut c = vec![0.0f32; cfg.nr];
+                    (cfg.micro)(tile, &vec![0.0; 3 * cfg.nr], &mut c, cfg.nr, 2, cfg.nr);
+                });
+                assert_refused(read, name);
+                // The small-product tile, over the same rows and k offsets.
+                let mut rows = vec![4; cfg.small_mr];
+                rows[0] = 0;
+                let tile = Lhs {
+                    rows: &rows,
+                    ..tile
+                };
+                let read = std::panic::catch_unwind(|| {
+                    let n = cfg.nr;
+                    let mut c = vec![0.0f32; 2 * n];
+                    (cfg.small)(tile, &vec![0.0; 3 * n], &mut c, n, 2, n);
+                });
+                assert_refused(read, name);
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "an lhs tile runs past its operand")]
+    fn a_tile_is_bounded_by_its_largest_k_offset_not_its_last() {
+        // A 12-element operand, rows at 0 and 4, k offsets 0, 8, 3: only
+        // the middle offset reaches past the end (4 + 8 = 12), and the
+        // last (4 + 3 = 7) stays inside. A check by the last offset would
+        // let the kernel read element 12.
+        let (data, koff) = ([0.0f32; 12], [0, 8, 3]);
+        let cfg = kernel_config();
+        let mut rows = vec![4; cfg.mr];
+        rows[0] = 0;
+        let tile = Lhs {
+            rows: &rows,
+            ..Lhs::block(&data, &koff)
+        };
+        let mut c = vec![0.0f32; cfg.nr];
+        (cfg.micro)(tile, &vec![0.0; 3 * cfg.nr], &mut c, cfg.nr, 2, cfg.nr);
+    }
+
+    #[test]
+    #[should_panic(expected = "lhs k offsets must be distinct")]
+    fn a_walk_whose_taps_alias_is_refused() {
+        // Two channels no distance apart would read one element twice.
+        let mut walk = Walk::matrix(1, 2, 2, 1);
+        walk.channel = 0;
+        let _ = walk.k_offsets();
     }
 
     fn assert_refused(read: std::thread::Result<()>, name: &str) {
@@ -1695,8 +1864,10 @@ mod tests {
                         let a = poisoned(m * k, seed, every);
                         let b = poisoned(k * n, seed + 1, every);
                         let op = LAYOUTS[seed as usize % 3];
-                        let got =
-                            gemm_impl(cfg, &a, op.walk(m, k), &b, n, op, Parallelism::Serial, ep);
+                        let walk = op.walk(m, k);
+                        let par = Parallelism::Serial;
+                        let ep_band = |_, band: &mut [f32]| apply_epilogue(band, n, &ep);
+                        let got = gemm_impl(cfg, &a, walk, &b, n, op, par, ep_band);
                         let want = naive(
                             |i, p| op.a_at(&a, i, p, m, k),
                             |p, j| op.b_at(&b, p, j, k, n),
@@ -1727,7 +1898,7 @@ mod tests {
                         let k = 9 * c;
                         let x = poisoned(b * c * h * w, seed, every);
                         let weight = poisoned(n * k, seed + 1, every);
-                        let halo = Halo::lower(&x, b, c, h, w, geometry);
+                        let halo = Halo::lower(&x, Layout::nchw(c, h * w), [b, c, h, w], geometry);
                         let got = conv_with(cfg, &halo, &weight, n, Parallelism::Parallel, ep);
                         let image = crate::Tensor::from_vec(x, &[b, c, h, w]).expect("sized");
                         let cols = crate::im2col(&image, geometry);
